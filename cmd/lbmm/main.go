@@ -43,23 +43,6 @@
 //	lbmm plans <list|inspect|prewarm|gc|verify> -store-dir DIR [flags]
 //	                        inspect and maintain a plan store directory
 //	                        (docs/PLANSTORE.md)
-//	lbmm benchpr3 [-n N] [-d D] [-iters K] [-o BENCH_PR3.json]
-//	                        prepare-once/multiply-many benchmark of the map
-//	                        vs compiled execution engines
-//	lbmm benchpr5 [-n N] [-d D] [-iters K] [-o BENCH_PR5.json]
-//	                        batched vs unbatched throughput at lane counts
-//	                        k ∈ {1, 4, 16} on the compiled engine
-//	lbmm benchpr8 [-n N] [-d D] [-iters K] [-o BENCH_PR8.json]
-//	                        transport-backend benchmark: direct vs loopback
-//	                        vs TCP-localhost mesh wall clock and bytes/round
-//	lbmm benchpr9 [-n N] [-d D] [-iters K] [-o BENCH_PR9.json]
-//	                        partition benchmark: modulo vs load-aware balanced
-//	                        node ownership on a skewed (power-law) workload —
-//	                        max-per-rank wire bytes under each map
-//	lbmm benchpr10 [-lanes K] [-n N] [-d D] [-o BENCH_PR10.json]
-//	                        serving-mode benchmark: sequential scalar HTTP vs
-//	                        static-batch HTTP vs one adaptive streaming
-//	                        session for the same K repeated products
 //	lbmm worker [-addr :7070] [-q] [-peer-timeout D] [-read-timeout D] [-park-ttl D] [-plan-cache N] [-auth-token T]
 //	                        distributed-multiply worker process: serves jobs
 //	                        and forms per-job TCP meshes (docs/DIST.md)
@@ -140,16 +123,10 @@ func main() {
 		}
 		return
 	}
-	if cmd == "stream" || cmd == "benchpr10" {
-		// The streaming client and its benchmark own their flags (-lanes,
-		// and stream's -ring is a semiring name).
-		var err error
-		if cmd == "stream" {
-			err = runStreamClient(os.Args[2:])
-		} else {
-			err = runBenchPR10(os.Args[2:])
-		}
-		if err != nil {
+	if cmd == "stream" {
+		// The streaming client owns its flags (-lanes, and its -ring is a
+		// semiring name).
+		if err := runStreamClient(os.Args[2:]); err != nil {
 			fmt.Fprintln(os.Stderr, "lbmm:", err)
 			os.Exit(1)
 		}
@@ -169,7 +146,6 @@ func main() {
 	format := fs.String("format", "json", "trace: output format (json|csv|text)")
 	profile := fs.Bool("profile", false, "table1: record per-point phase breakdowns")
 	engine := fs.String("engine", "", "demo: execution engine (compiled|map; default compiled)")
-	iters := fs.Int("iters", 50, "benchpr3: multiplications per engine")
 	cases := fs.Int("cases", 200, "chaos: randomized differential cases")
 	seed := fs.Int64("seed", 1, "chaos: harness seed (equal seeds replay equal runs)")
 	verbose := fs.Bool("verbose", false, "chaos: log every detected fault")
@@ -213,14 +189,6 @@ func main() {
 		err = runGen(*n, *d, *outPath)
 	case "solve":
 		err = runSolve(*aPath, *bPath, *xPath, *outPath, *ringName)
-	case "benchpr3":
-		err = runBenchPR3(*n, *d, *iters, *outPath)
-	case "benchpr5":
-		err = runBenchPR5(*n, *d, *iters, *outPath)
-	case "benchpr8":
-		err = runBenchPR8(*n, *d, *iters, *outPath)
-	case "benchpr9":
-		err = runBenchPR9(*n, *d, *iters, *outPath)
 	case "chaos":
 		err = runChaos(*cases, *seed, *verbose)
 	case "all":
@@ -250,7 +218,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: lbmm <table1|table2|table3|table4|figure1|lower|ablation|support|json|trace|demo|gen|solve|serve|stream|worker|run|fingerprint|plans|benchpr3|benchpr5|benchpr8|benchpr9|benchpr10|chaos|all> [flags]`)
+	fmt.Fprintln(os.Stderr, `usage: lbmm <table1|table2|table3|table4|figure1|lower|ablation|support|json|trace|demo|gen|solve|serve|stream|worker|run|fingerprint|plans|chaos|all> [flags]`)
 }
 
 func runTable1(scale exper.Scale, profile bool) error {

@@ -127,11 +127,6 @@ func (p *Prepared) MultiplyTraced(a, b *matrix.Sparse, trace bool) (*matrix.Spar
 type ExecOpts struct {
 	// Trace records a per-call execution profile into the Report.
 	Trace bool
-	// Engine overrides the prepared engine for this call only: "" keeps the
-	// prepared default, "compiled" and "map" force an engine. The serving
-	// layer's fault fallback re-serves a request on "map" after a compiled
-	// fault without touching the shared Prepared.
-	Engine string
 	// Injector subjects the execution to deterministic fault injection
 	// (chaos testing, docs/CHAOS.md); nil runs a perfect network.
 	Injector lbm.Injector
@@ -142,32 +137,26 @@ type ExecOpts struct {
 	Transport lbm.Transport
 }
 
+// machineOpts lowers the per-call options to the machine options both
+// Multiply forms pass down.
+func (o ExecOpts) machineOpts() []lbm.Option {
+	var mopts []lbm.Option
+	if o.Trace {
+		mopts = append(mopts, lbm.WithTrace())
+	}
+	if o.Injector != nil {
+		mopts = append(mopts, lbm.WithInjector(o.Injector))
+	}
+	if o.Transport != nil {
+		mopts = append(mopts, lbm.WithTransport(o.Transport))
+	}
+	return mopts
+}
+
 // MultiplyOpts executes the prepared plans on one value set with per-call
 // execution options. Like Multiply it is safe for concurrent use.
 func (p *Prepared) MultiplyOpts(a, b *matrix.Sparse, opts ExecOpts) (*matrix.Sparse, *Report, error) {
-	var mopts []lbm.Option
-	if opts.Trace {
-		mopts = append(mopts, lbm.WithTrace())
-	}
-	if opts.Injector != nil {
-		mopts = append(mopts, lbm.WithInjector(opts.Injector))
-	}
-	if opts.Transport != nil {
-		mopts = append(mopts, lbm.WithTransport(opts.Transport))
-	}
-	var (
-		x   *matrix.Sparse
-		res *algo.Result
-		err error
-	)
-	switch opts.Engine {
-	case "":
-		x, res, err = p.inner.MultiplyWith(a, b, mopts...)
-	case string(algo.EngineCompiled), string(algo.EngineMap):
-		x, res, err = p.inner.MultiplyOn(algo.Engine(opts.Engine), a, b, mopts...)
-	default:
-		return nil, nil, fmt.Errorf("core: unknown engine %q (want %q or %q)", opts.Engine, algo.EngineCompiled, algo.EngineMap)
-	}
+	x, res, err := p.inner.MultiplyWith(a, b, opts.machineOpts()...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -182,29 +171,7 @@ func (p *Prepared) MultiplyOpts(a, b *matrix.Sparse, opts ExecOpts) (*matrix.Spa
 // the whole batch — lanes share every round, so there is no partial
 // success. Safe for concurrent use, like Multiply.
 func (p *Prepared) MultiplyBatch(as, bs []*matrix.Sparse, opts ExecOpts) ([]*matrix.Sparse, *Report, error) {
-	var mopts []lbm.Option
-	if opts.Trace {
-		mopts = append(mopts, lbm.WithTrace())
-	}
-	if opts.Injector != nil {
-		mopts = append(mopts, lbm.WithInjector(opts.Injector))
-	}
-	if opts.Transport != nil {
-		mopts = append(mopts, lbm.WithTransport(opts.Transport))
-	}
-	var (
-		outs []*matrix.Sparse
-		res  *algo.Result
-		err  error
-	)
-	switch opts.Engine {
-	case "":
-		outs, res, err = p.inner.MultiplyBatchWith(as, bs, mopts...)
-	case string(algo.EngineCompiled), string(algo.EngineMap):
-		outs, res, err = p.inner.MultiplyBatchOn(algo.Engine(opts.Engine), as, bs, mopts...)
-	default:
-		return nil, nil, fmt.Errorf("core: unknown engine %q (want %q or %q)", opts.Engine, algo.EngineCompiled, algo.EngineMap)
-	}
+	outs, res, err := p.inner.MultiplyBatchWith(as, bs, opts.machineOpts()...)
 	if err != nil {
 		return nil, nil, err
 	}

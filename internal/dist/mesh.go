@@ -254,16 +254,16 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 
 // NewLocalMesh builds a fully connected W-participant mesh over localhost
 // TCP inside one process: real sockets, real frames, no worker processes.
-// It is the backend of `lbmm benchpr8`, the chaos differential's transport
-// axis, and the package tests. The returned stop function closes every
+// It is the backend of the benchmark's mesh_tcp workload (bench/README.md),
+// the chaos differential's transport axis, and the package tests. The returned stop function closes every
 // connection.
 func NewLocalMesh(workers int) ([]*Mesh, func(), error) {
 	return NewLocalMeshTable(workers, nil)
 }
 
 // NewLocalMeshTable is NewLocalMesh with an explicit node→rank assignment
-// table shared by every endpoint (nil for the modulo map) — the backend of
-// `lbmm benchpr9`'s partition comparison.
+// table shared by every endpoint (nil for the modulo map), for comparing
+// partitions over real sockets in one process.
 func NewLocalMeshTable(workers int, table []uint16) ([]*Mesh, func(), error) {
 	if workers < 2 {
 		return nil, nil, fmt.Errorf("dist: a local mesh needs at least 2 participants, got %d", workers)

@@ -103,7 +103,9 @@ func BalancedTable(send, recv []int64, workers int) []uint16 {
 }
 
 // RankLoads folds per-node loads through an assignment table into per-rank
-// totals — the balance report `lbmm benchpr9` prints.
+// totals: the per-rank balance a table predicts from compile-time loads. What
+// a live mesh actually moves is the benchmark's dist.* per-layer metrics
+// (bench/README.md).
 func RankLoads(table []uint16, send, recv []int64, workers int) []int64 {
 	out := make([]int64, workers)
 	p := Partition{Workers: workers, Table: table}

@@ -2,13 +2,19 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"math/rand"
+	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"lbmm/internal/core"
+	"lbmm/internal/graph"
 	"lbmm/internal/lbm"
 	"lbmm/internal/matrix"
 	"lbmm/internal/ring"
@@ -51,10 +57,24 @@ func TestConfigValidate(t *testing.T) {
 // batch metrics record one full launch of k lanes.
 func TestServerBatchCoalesce(t *testing.T) {
 	const k = 4
-	srv := NewServer(Config{
+	var srv *Server
+	srv = NewServer(Config{
 		CacheSize:  4,
+		Workers:    k,
 		BatchSize:  k,
 		BatchDelay: 500 * time.Millisecond, // the size trigger should win
+		// The injector hook runs inside the launched group: once the last
+		// submitter has let go of its admission slot, the k lanes must be
+		// executing on exactly one worker slot.
+		FaultInjector: func(int) lbm.Injector {
+			for i := 0; srv.active.Load() != 1 && i < 2000; i++ {
+				time.Sleep(time.Millisecond)
+			}
+			if active, lanes := srv.active.Load(), srv.laneCount.Load(); active != 1 || lanes != k {
+				t.Errorf("group executing with %d worker slots taken and %d lanes, want 1 slot for %d lanes", active, lanes, k)
+			}
+			return nil
+		},
 	})
 	defer srv.Close()
 	ctx := context.Background()
@@ -135,18 +155,17 @@ func TestServerBatchTimeoutLaunch(t *testing.T) {
 	}
 }
 
-// TestServerBatchFaultWholeBatch: a chaos fault on the compiled engine
-// fails (and here, retries then degrades) the whole batch through the
-// existing policy, and every lane still receives its correct product from
-// the map fallback.
+// TestServerBatchFaultWholeBatch: a chaos fault fails and retries the whole
+// batch — one fault and one retry for the group, not per lane — and every
+// lane receives its correct product from the retry.
 func TestServerBatchFaultWholeBatch(t *testing.T) {
 	const k = 3
 	srv := NewServer(Config{
 		CacheSize:  4,
 		BatchSize:  k,
 		BatchDelay: 500 * time.Millisecond,
-		FaultInjector: func(engine string, attempt int) lbm.Injector {
-			if engine == "compiled" {
+		FaultInjector: func(attempt int) lbm.Injector {
+			if attempt == 0 {
 				return dropAll()
 			}
 			return nil
@@ -186,11 +205,9 @@ func TestServerBatchFaultWholeBatch(t *testing.T) {
 		}
 	}
 	m := srv.Metrics()
-	// One batch, default budget 1: two compiled attempts fault, one retry,
-	// one fallback — for the whole batch, not per lane.
-	if m[MetricFaults] != 2 || m[MetricRetries] != 1 || m[MetricFallbacks] != 1 {
-		t.Errorf("faults=%d retries=%d fallbacks=%d, want 2/1/1 for the whole batch",
-			m[MetricFaults], m[MetricRetries], m[MetricFallbacks])
+	if m[MetricBatchSize+"/count"] != 1 || m[MetricFaults] != 1 || m[MetricRetries] != 1 {
+		t.Errorf("batches=%d faults=%d retries=%d, want 1/1/1 for the whole batch",
+			m[MetricBatchSize+"/count"], m[MetricFaults], m[MetricRetries])
 	}
 }
 
@@ -389,5 +406,154 @@ func TestServerCloseHammer(t *testing.T) {
 		if served+shed != goroutines*perG {
 			t.Fatalf("round %d: %d served + %d shed != %d calls", round, served, shed, goroutines*perG)
 		}
+	}
+}
+
+// TestPipelineDifferential extends the engines' oracle discipline to the
+// pipeline: over random instances, two rings and the three launch policies,
+// every way into the pipeline — Multiply, MultiplySubmit, a lane of
+// MultiplyBatch, POST /v1/multiply — returns the product core.Multiply
+// computes. Afterwards every entry point is shed by the closed server and
+// the books balance, shed lanes included.
+func TestPipelineDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	type instance struct {
+		name string
+		inst *graph.Instance
+	}
+	var instances []instance
+	for i := 0; i < 3; i++ {
+		n, d, seed := 16+8*rng.Intn(3), 2+rng.Intn(3), rng.Int63()
+		instances = append(instances,
+			instance{fmt.Sprintf("mixed n=%d d=%d", n, d), workload.Mixed(n, d, seed)},
+			instance{fmt.Sprintf("powerlaw n=%d d=%d", n, d), workload.PowerLaw(n, d, seed)})
+	}
+	for _, mode := range pipelineModes {
+		srv := NewServer(mode.cfg)
+		h := NewHandler(srv)
+		overHTTP := func(req *MultiplyRequest) (*matrix.Sparse, error) {
+			rec := postJSON(t, h, "/v1/multiply", wireMultiplyRequest{
+				N: req.Xhat.N, Ring: req.Options.Ring.Name(),
+				A: sparseEntries(req.A), B: sparseEntries(req.B), Xhat: supportPositions(req.Xhat),
+			})
+			if rec.Code == http.StatusServiceUnavailable {
+				return nil, ErrOverloaded
+			}
+			var out wireMultiplyResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || rec.Code != http.StatusOK {
+				return nil, fmt.Errorf("status %d: %s (%v)", rec.Code, rec.Body, err)
+			}
+			return buildSparse(req.Xhat.N, req.Options.Ring, out.X, "x")
+		}
+		var last *MultiplyRequest
+		for _, in := range instances {
+			for _, r := range []ring.Semiring{ring.Counting{}, ring.MinPlus{}} {
+				a := matrix.Random(in.inst.Ahat, r, rng.Int63())
+				b := matrix.Random(in.inst.Bhat, r, rng.Int63())
+				opts := core.Options{Ring: r}
+				want, _, err := core.Multiply(a, b, in.inst.Xhat, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				last = &MultiplyRequest{A: a, B: b, Xhat: in.inst.Xhat, Options: opts}
+				for _, ep := range entryPoints {
+					got, err := ep.call(srv, last)
+					if err != nil {
+						t.Fatalf("%s/%s/%s/%s: %v", mode.name, in.name, r.Name(), ep.name, err)
+					}
+					if !matrix.Equal(got, want) {
+						t.Errorf("%s/%s/%s/%s: product differs from core.Multiply", mode.name, in.name, r.Name(), ep.name)
+					}
+				}
+				if got, err := overHTTP(last); err != nil {
+					t.Fatalf("%s/%s/%s/http: %v", mode.name, in.name, r.Name(), err)
+				} else if !matrix.Equal(got, want) {
+					t.Errorf("%s/%s/%s/http: product differs from core.Multiply", mode.name, in.name, r.Name())
+				}
+			}
+		}
+		srv.Close()
+		for _, ep := range entryPoints {
+			if _, err := ep.call(srv, last); !errors.Is(err, ErrOverloaded) {
+				t.Errorf("%s/%s after Close: err = %v, want ErrOverloaded", mode.name, ep.name, err)
+			}
+		}
+		if _, err := overHTTP(last); !errors.Is(err, ErrOverloaded) {
+			t.Errorf("%s/http after Close: err = %v, want ErrOverloaded", mode.name, err)
+		}
+		if m := srv.Metrics(); m[MetricShed] != 1+1+3+1 {
+			t.Errorf("%s: shed=%d after Close, want 6 lanes (1+1+3 by entry point, 1 over HTTP)", mode.name, m[MetricShed])
+		}
+		checkBooks(t, srv)
+	}
+}
+
+// TestServerCloseDrainsInFlightLane: Close waits for a lane that is already
+// executing, whichever entry point submitted it and with batching off — it
+// returns only after the lane's deliver ran.
+func TestServerCloseDrainsInFlightLane(t *testing.T) {
+	executing, unblock := make(chan struct{}), make(chan struct{})
+	srv := NewServer(Config{FaultInjector: func(int) lbm.Injector {
+		close(executing)
+		<-unblock
+		return nil
+	}})
+	req, want := faultReq(ring.Counting{}, 15)
+	var delivered atomic.Bool
+	err := srv.MultiplySubmit(context.Background(), req, func(resp *MultiplyResponse, err error) {
+		if err != nil || !matrix.Equal(resp.X, want) {
+			t.Errorf("drained lane: err=%v, or a wrong product", err)
+		}
+		delivered.Store(true)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-executing
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		if !delivered.Load() {
+			t.Error("Close returned before the in-flight lane was delivered")
+		}
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a lane was still executing")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(unblock)
+	<-closed
+}
+
+// TestServerOneWorkerEveryEntryPoint: with a single worker slot no entry
+// point may hold the slot while its own group waits for one. Every entry
+// point under every launch policy must run to completion.
+func TestServerOneWorkerEveryEntryPoint(t *testing.T) {
+	for _, mode := range pipelineModes {
+		cfg := mode.cfg
+		cfg.Workers = 1
+		srv := NewServer(cfg)
+		for _, ep := range entryPoints {
+			req, want := faultReq(ring.Counting{}, 17)
+			done := make(chan error, 1)
+			go func() {
+				got, err := ep.call(srv, req)
+				if err == nil && !matrix.Equal(got, want) {
+					err = errors.New("wrong product")
+				}
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Errorf("%s/%s: %v", mode.name, ep.name, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s/%s: stuck with one worker slot", mode.name, ep.name)
+			}
+		}
+		checkBooks(t, srv)
 	}
 }

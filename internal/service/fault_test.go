@@ -6,11 +6,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"lbmm/internal/chaos"
 	"lbmm/internal/core"
 	"lbmm/internal/lbm"
 	"lbmm/internal/matrix"
+	"lbmm/internal/obsv"
+	"lbmm/internal/planstore"
 	"lbmm/internal/ring"
 	"lbmm/internal/workload"
 )
@@ -29,13 +32,13 @@ func faultReq(r ring.Semiring, seed int64) (*MultiplyRequest, *matrix.Sparse) {
 	return &MultiplyRequest{A: a, B: b, Xhat: inst.Xhat, Options: core.Options{Ring: r}}, want
 }
 
-// TestServerFaultRetry: a fault on the first compiled attempt is retried
-// within the budget and the retry serves the correct product — no fallback.
+// TestServerFaultRetry: a fault on the first attempt is retried within the
+// budget and the retry serves the correct product.
 func TestServerFaultRetry(t *testing.T) {
 	srv := NewServer(Config{
 		CacheSize: 4,
-		FaultInjector: func(engine string, attempt int) lbm.Injector {
-			if engine == "compiled" && attempt == 0 {
+		FaultInjector: func(attempt int) lbm.Injector {
+			if attempt == 0 {
 				return dropAll()
 			}
 			return nil
@@ -50,72 +53,178 @@ func TestServerFaultRetry(t *testing.T) {
 		t.Error("retried request served a wrong product")
 	}
 	m := srv.Metrics()
-	if m[MetricFaults] != 1 || m[MetricRetries] != 1 || m[MetricFallbacks] != 0 {
-		t.Errorf("faults=%d retries=%d fallbacks=%d, want 1/1/0",
-			m[MetricFaults], m[MetricRetries], m[MetricFallbacks])
+	if m[MetricFaults] != 1 || m[MetricRetries] != 1 {
+		t.Errorf("faults=%d retries=%d, want 1/1", m[MetricFaults], m[MetricRetries])
 	}
 	if m[MetricServed] != 1 || m[MetricErrors] != 0 {
 		t.Errorf("served=%d errors=%d, want 1/0", m[MetricServed], m[MetricErrors])
 	}
 }
 
-// TestServerFaultFallback is the graceful-degradation acceptance check: when
-// the compiled engine faults on every attempt, the request is re-served on
-// the map engine, the product is still correct, and serve/fallbacks counts
-// the degradation.
-func TestServerFaultFallback(t *testing.T) {
-	srv := NewServer(Config{
-		CacheSize: 4,
-		FaultInjector: func(engine string, attempt int) lbm.Injector {
-			if engine == "compiled" {
-				return dropAll()
+// pipelineModes are the three launch policies a lane can meet in the
+// coalescer. The windows are short: the tests drive lanes one at a time, so
+// a window only ever ends by its timer.
+var pipelineModes = []struct {
+	name string
+	cfg  Config
+}{
+	{"no batching", Config{}},
+	{"static", Config{BatchSize: 4, BatchDelay: time.Millisecond}},
+	{"adaptive", Config{BatchSize: 4, BatchDelay: time.Millisecond, BatchAdaptive: true}},
+}
+
+// entryPoints drives one request through each way into the pipeline and
+// returns the product (lane 1 of a 3-lane batch for MultiplyBatch, so the
+// request rides between lane-mates) or the error.
+var entryPoints = []struct {
+	name  string
+	lanes int64
+	call  func(*Server, *MultiplyRequest) (*matrix.Sparse, error)
+}{
+	{"Multiply", 1, func(srv *Server, req *MultiplyRequest) (*matrix.Sparse, error) {
+		resp, err := srv.Multiply(context.Background(), req)
+		if err != nil {
+			return nil, err
+		}
+		return resp.X, nil
+	}},
+	{"MultiplySubmit", 1, func(srv *Server, req *MultiplyRequest) (*matrix.Sparse, error) {
+		type outcome struct {
+			resp *MultiplyResponse
+			err  error
+		}
+		done := make(chan outcome, 1)
+		err := srv.MultiplySubmit(context.Background(), req, func(resp *MultiplyResponse, err error) {
+			done <- outcome{resp, err}
+		})
+		if err != nil {
+			return nil, err
+		}
+		out := <-done
+		if out.err != nil {
+			return nil, out.err
+		}
+		return out.resp.X, nil
+	}},
+	{"MultiplyBatch", 3, func(srv *Server, req *MultiplyRequest) (*matrix.Sparse, error) {
+		mate := func(seed int64) BatchLane {
+			return BatchLane{
+				A: matrix.Random(req.A.Support(), req.A.R, seed),
+				B: matrix.Random(req.B.Support(), req.B.R, seed+1),
 			}
-			return nil
-		},
-	})
-	req, want := faultReq(ring.MinPlus{}, 7)
-	resp, err := srv.Multiply(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matrix.Equal(resp.X, want) {
-		t.Error("fallback served a wrong product")
-	}
+		}
+		resp, err := srv.MultiplyBatch(context.Background(), &MultiplyBatchRequest{
+			Lanes:   []BatchLane{mate(101), {A: req.A, B: req.B}, mate(103)},
+			Xhat:    req.Xhat,
+			Options: req.Options,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return resp.X[1], nil
+	}},
+}
+
+// checkBooks closes the server and checks that every lane that entered
+// admission ended in exactly one terminal counter and that the gauges are
+// back at zero.
+func checkBooks(t *testing.T, srv *Server) {
+	t.Helper()
+	srv.Close()
 	m := srv.Metrics()
-	// Default budget 1: two compiled attempts fault, one retry, one fallback.
-	if m[MetricFaults] != 2 || m[MetricRetries] != 1 || m[MetricFallbacks] != 1 {
-		t.Errorf("faults=%d retries=%d fallbacks=%d, want 2/1/1",
-			m[MetricFaults], m[MetricRetries], m[MetricFallbacks])
+	ended := m[MetricServed] + m[MetricErrors] + m[MetricShed] + m[MetricCanceled] + m[MetricDeadlineExceeded]
+	if m[MetricRequests] != ended {
+		t.Errorf("books do not balance: %d lanes requested, %d ended (served=%d errors=%d shed=%d canceled=%d deadline=%d)",
+			m[MetricRequests], ended, m[MetricServed], m[MetricErrors], m[MetricShed], m[MetricCanceled], m[MetricDeadlineExceeded])
 	}
-	if m[MetricServed] != 1 || m[MetricErrors] != 0 {
-		t.Errorf("served=%d errors=%d, want 1/0", m[MetricServed], m[MetricErrors])
+	for _, gauge := range []string{MetricBatchLanes, MetricActiveWorkers, MetricQueueDepth} {
+		if m[gauge] != 0 {
+			t.Errorf("%s = %d after Close, want 0", gauge, m[gauge])
+		}
 	}
 }
 
-// TestServerFaultExhausted: when even the map fallback faults, the caller
-// gets the typed lbm.ErrFault with its provenance, counted as an error.
+// TestServerFaultExhausted: a fault that survives the retry budget reaches
+// the caller as the typed lbm.ErrFault with its provenance — the identical
+// fault through every entry point and launch policy, because one shared
+// fault plan strikes by (round, message) and lanes share every round — and
+// is counted per attempt (serve/faults) and per failed lane (serve/errors).
 func TestServerFaultExhausted(t *testing.T) {
-	srv := NewServer(Config{
-		CacheSize:     4,
-		FaultInjector: func(string, int) lbm.Injector { return dropAll() },
-	})
-	req, _ := faultReq(ring.Counting{}, 3)
-	_, err := srv.Multiply(context.Background(), req)
-	f, ok := lbm.AsFault(err)
-	if !ok {
-		t.Fatalf("err = %v, want a typed lbm.ErrFault", err)
+	inj := chaos.FaultPlan{Seed: 11, Rates: chaos.Rates{Drop: 0.3}}.MustInjector()
+	var first *lbm.ErrFault
+	for _, mode := range pipelineModes {
+		for _, ep := range entryPoints {
+			cfg := mode.cfg
+			cfg.FaultInjector = func(int) lbm.Injector { return inj }
+			srv := NewServer(cfg)
+			req, _ := faultReq(ring.Counting{}, 3)
+			_, err := ep.call(srv, req)
+			f, ok := lbm.AsFault(err)
+			if !ok {
+				t.Fatalf("%s/%s: err = %v, want a typed lbm.ErrFault", mode.name, ep.name, err)
+			}
+			if f.Kind != lbm.FaultDrop || f.Round < 0 || f.Node < 0 {
+				t.Errorf("%s/%s: fault lost provenance: %+v", mode.name, ep.name, f)
+			}
+			if first == nil {
+				first = f
+			} else if *f != *first {
+				t.Errorf("%s/%s: fault %+v differs from the first entry point's %+v", mode.name, ep.name, f, first)
+			}
+			m := srv.Metrics()
+			// Default budget 1: two attempts fault, one of them a retry.
+			if m[MetricFaults] != 2 || m[MetricRetries] != 1 {
+				t.Errorf("%s/%s: faults=%d retries=%d, want 2/1", mode.name, ep.name, m[MetricFaults], m[MetricRetries])
+			}
+			if m[MetricErrors] != ep.lanes || m[MetricServed] != 0 {
+				t.Errorf("%s/%s: errors=%d served=%d, want %d/0", mode.name, ep.name, m[MetricErrors], m[MetricServed], ep.lanes)
+			}
+			checkBooks(t, srv)
+		}
 	}
-	if f.Kind != lbm.FaultDrop || f.Round < 0 || f.Node < 0 {
-		t.Errorf("fault lost provenance: %+v", f)
+}
+
+// TestServerFaultSamePolicyForRestoredPlan: a plan compiled in this process
+// and the same plan restored from a plan store meet the same fault policy —
+// the identical typed fault and the identical counters. (Restored plans
+// carry only their compiled form; a policy that leaned on the map engine
+// existed for the first and not for the second.)
+func TestServerFaultSamePolicyForRestoredPlan(t *testing.T) {
+	dir := t.TempDir()
+	inj := chaos.FaultPlan{Seed: 5, Rates: chaos.Rates{Drop: 0.3}}.MustInjector()
+	run := func() (*lbm.ErrFault, map[string]int64) {
+		ms := obsv.NewCounterSet()
+		st, err := planstore.Open(dir, 0, ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := NewServer(Config{Metrics: ms, Store: st, FaultInjector: func(int) lbm.Injector { return inj }})
+		req, _ := faultReq(ring.MinPlus{}, 7)
+		_, err = srv.Multiply(context.Background(), req)
+		srv.Close() // drains the write-back the second run restores from
+		f, ok := lbm.AsFault(err)
+		if !ok {
+			t.Fatalf("err = %v, want a typed lbm.ErrFault", err)
+		}
+		return f, srv.Metrics()
 	}
-	m := srv.Metrics()
-	if m[MetricFallbacks] != 1 || m[MetricErrors] != 1 || m[MetricServed] != 0 {
-		t.Errorf("fallbacks=%d errors=%d served=%d, want 1/1/0",
-			m[MetricFallbacks], m[MetricErrors], m[MetricServed])
+	fresh, freshM := run()
+	restored, restoredM := run()
+	if freshM[MetricCompiles] != 1 || restoredM[MetricCompiles] != 0 || restoredM[planstore.MetricHits] != 1 {
+		t.Fatalf("second run did not restore the plan: compiles %d then %d, store hits %d",
+			freshM[MetricCompiles], restoredM[MetricCompiles], restoredM[planstore.MetricHits])
 	}
-	// serve/faults counts every faulted attempt: 2 compiled + 1 map.
-	if m[MetricFaults] != 3 {
-		t.Errorf("faults=%d, want 3", m[MetricFaults])
+	if *fresh != *restored {
+		t.Errorf("fresh plan faulted %+v, restored plan %+v", fresh, restored)
+	}
+	for _, name := range []string{MetricFaults, MetricRetries, MetricErrors, MetricServed} {
+		if freshM[name] != restoredM[name] {
+			t.Errorf("%s: fresh %d, restored %d", name, freshM[name], restoredM[name])
+		}
+	}
+	if freshM[MetricFaults] != 2 || freshM[MetricRetries] != 1 || freshM[MetricErrors] != 1 {
+		t.Errorf("faults=%d retries=%d errors=%d, want 2/1/1",
+			freshM[MetricFaults], freshM[MetricRetries], freshM[MetricErrors])
 	}
 }
 

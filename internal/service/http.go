@@ -1,9 +1,7 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 
@@ -181,45 +179,25 @@ func NewHandler(s *Server) http.Handler {
 }
 
 func handleMultiply(s *Server, w http.ResponseWriter, r *http.Request) {
-	var req wireMultiplyRequest
-	if err := decodeBody(r, &req); err != nil {
+	var wm wireMultiplyRequest
+	if err := decodeBody(r, &wm); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	ringSR, err := resolveRing(req.Ring)
+	req, err := ParseWireMultiply(&wm)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	a, err := buildSparse(req.N, ringSR, req.A, "a")
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	b, err := buildSparse(req.N, ringSR, req.B, "b")
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	xhat, err := buildSupport(req.N, req.Xhat, "xhat")
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	resp, err := s.Multiply(r.Context(), &MultiplyRequest{
-		A: a, B: b, Xhat: xhat,
-		Options: core.Options{Ring: ringSR, D: req.D, Algorithm: req.Algorithm},
-		Trace:   req.Trace,
-	})
+	resp, err := s.Multiply(r.Context(), req)
 	if err != nil {
 		writeServeErr(w, err)
 		return
 	}
-	out := &wireMultiplyResponse{
+	writeJSON(w, http.StatusOK, &wireMultiplyResponse{
 		X:                  sparseEntries(resp.X),
-		wireMultiplyReport: multiplyReportWire(resp.Report, resp.Fingerprint, resp.CacheHit, resp.Profile),
-	}
-	writeJSON(w, http.StatusOK, out)
+		wireMultiplyReport: BuildWireReport(resp),
+	})
 }
 
 func handleMultiplyBatch(s *Server, w http.ResponseWriter, r *http.Request) {
@@ -436,26 +414,13 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 // has no named constant for it.
 const statusClientClosedRequest = 499
 
-// writeServeErr maps server-side errors to status codes — the error
-// taxonomy of docs/SERVICE.md: invalid requests are 400 (retrying unchanged
-// cannot succeed), load shedding 503 (retryable), deadline expiry 504,
-// caller cancellation 499, a network fault that survived the retry and
-// fallback policy 500 with its round/node provenance in the body, anything
-// else 500.
+// writeServeErr answers a serving-layer error with its ErrStatus code.
 func writeServeErr(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, ErrInvalid):
-		writeErr(w, http.StatusBadRequest, err)
-	case errors.Is(err, ErrOverloaded):
+	status := ErrStatus(err)
+	if status == http.StatusServiceUnavailable {
 		// Shed means "come back, just not immediately": a Retry-After turns
 		// client retry storms into backoff instead of hammering.
 		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, context.DeadlineExceeded):
-		writeErr(w, http.StatusGatewayTimeout, err)
-	case errors.Is(err, context.Canceled):
-		writeErr(w, statusClientClosedRequest, err)
-	default:
-		writeErr(w, http.StatusInternalServerError, err)
 	}
+	writeErr(w, status, err)
 }

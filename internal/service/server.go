@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lbmm/internal/algo"
 	"lbmm/internal/batch"
 	"lbmm/internal/control"
 	"lbmm/internal/core"
@@ -41,22 +40,22 @@ type Config struct {
 	// QueueDepth bounds how many admitted requests may wait for a worker
 	// before new ones are shed with ErrOverloaded (default 4×Workers).
 	QueueDepth int
-	// Deadline caps a request's total time in the server — queue wait plus
-	// a pre-execution check — when the caller's context carries no earlier
-	// deadline (default 30s). Plan execution itself is not preempted; the
-	// deadline is admission control, not a watchdog.
+	// Deadline caps each wait of a request — for a worker slot in the
+	// admission queue and, for a synchronous caller, for its parked lane's
+	// outcome — when the caller's context carries no earlier deadline
+	// (default 30s). Plan execution itself is not preempted; the deadline is
+	// admission control, not a watchdog.
 	Deadline time.Duration
 	// FaultBudget is how many times an execution that fails with a typed
-	// network fault (lbm.ErrFault) is retried on the compiled engine before
-	// the request degrades to the map engine (default 1; negative disables
-	// retries). Non-fault errors are never retried.
+	// network fault (lbm.ErrFault) is retried before the fault goes to the
+	// caller (default 1; negative disables retries). Non-fault errors are
+	// never retried.
 	FaultBudget int
 	// FaultInjector, when non-nil, supplies the fault injector for each
 	// execution attempt — the hook chaos drills use to exercise the retry
-	// and fallback paths on a live server. engine is "compiled" or "map";
-	// attempt counts from zero across one request. A nil return runs that
-	// attempt on a perfect network.
-	FaultInjector func(engine string, attempt int) lbm.Injector
+	// path on a live server. attempt counts from zero across one group. A
+	// nil return runs that attempt on a perfect network.
+	FaultInjector func(attempt int) lbm.Injector
 	// BatchSize enables dynamic batching when > 1: /v1/multiply requests
 	// sharing one plan fingerprint coalesce into lanes of a single batched
 	// run, at most BatchSize lanes per run (default 0: batching off).
@@ -141,7 +140,6 @@ const (
 	MetricErrors           = "serve/errors"
 	MetricFaults           = "serve/faults"
 	MetricRetries          = "serve/retries"
-	MetricFallbacks        = "serve/fallbacks"
 	MetricQueueDepth       = "serve/queue_depth" // gauge
 	MetricActiveWorkers    = "serve/active"      // gauge
 	// MetricCompiles counts plans compiled from structure — misses of every
@@ -173,12 +171,14 @@ type Server struct {
 	queued  atomic.Int64
 	active  atomic.Int64
 
-	// Dynamic batching (nil coalescer when BatchSize <= 1): requests park
-	// in the coalescer keyed by plan fingerprint; runBatch executes each
-	// launched group on one worker slot and fans results back per lane.
-	// ctrl is non-nil only under BatchAdaptive: it decides each key's
-	// launch policy and is fed every launch outcome.
-	coal      *batch.Coalescer[*batchLane]
+	// The lane pipeline (pipeline.go): every multiply parks in coal keyed by
+	// its plan fingerprint — under the immediate policy when batching is off
+	// — and runGroup executes each launched group on one worker slot.
+	// explicit carries the ready-made groups of MultiplyBatch, always under
+	// the immediate policy. ctrl is non-nil only under BatchAdaptive: it
+	// decides each key's launch policy and is fed every launch outcome.
+	coal      *batch.Coalescer[*lane]
+	explicit  *batch.Coalescer[[]*lane]
 	ctrl      *control.Controller
 	batchHist *obsv.Histogram
 	laneCount atomic.Int64
@@ -203,32 +203,31 @@ func NewServer(cfg Config) *Server {
 		workers: make(chan struct{}, cfg.Workers),
 	}
 	s.batchHist = obsv.NewHistogram(cfg.Metrics, MetricBatchSize, []int64{1, 2, 4, 8, 16, 32, 64})
-	if cfg.BatchSize > 1 {
-		bcfg := batch.Config{
+	// BatchSize <= 1 is the coalescer's immediate policy: every lane launches
+	// at once, alone.
+	bcfg := batch.Config{MaxBatch: cfg.BatchSize, MaxDelay: cfg.BatchDelay}
+	if cfg.BatchAdaptive {
+		s.ctrl = control.New(control.Config{
 			MaxBatch: cfg.BatchSize,
 			MaxDelay: cfg.BatchDelay,
-		}
-		if cfg.BatchAdaptive {
-			s.ctrl = control.New(control.Config{
-				MaxBatch: cfg.BatchSize,
-				MaxDelay: cfg.BatchDelay,
-				Metrics:  cfg.Metrics,
-			})
-			bcfg.Decide = s.ctrl.Decide
-		}
-		s.coal = batch.New[*batchLane](bcfg, s.runBatch)
+			Metrics:  cfg.Metrics,
+		})
+		bcfg.Decide = s.ctrl.Decide
 	}
+	s.coal = batch.New(bcfg, s.runGroup)
+	s.explicit = batch.New(batch.Config{}, func(fp string, groups [][]*lane, why batch.Reason) {
+		s.runGroup(fp, groups[0], why)
+	})
 	return s
 }
 
-// Close drains the server's background work: pending batch groups launch
-// immediately, in-flight batches finish, later batched requests are shed,
-// and every asynchronous plan-store write-back completes. A server without
-// batching or a store has nothing to drain.
+// Close drains the server: parked groups launch at once, every in-flight
+// lane finishes and is delivered, later multiplies from any entry point are
+// shed with ErrOverloaded, and every asynchronous plan-store write-back
+// completes.
 func (s *Server) Close() {
-	if s.coal != nil {
-		s.coal.Close()
-	}
+	s.coal.Close()
+	s.explicit.Close()
 	s.storeWG.Wait()
 }
 
@@ -255,9 +254,11 @@ func (s *Server) Config() Config { return s.cfg }
 // joins the bounded queue and blocks until a slot frees or its context
 // expires. Only genuine waiters count against QueueDepth, so a burst on an
 // idle server is never shed while slots are free. On success the returned
-// release function must be called when the request finishes.
-func (s *Server) admit(ctx context.Context) (release func(), err error) {
-	s.metrics.Add(MetricRequests, 1)
+// release function must be called when the request finishes. lanes is what
+// the request counts for in serve/requests and in the counter it ends in (a
+// batch of k is k); it takes one slot whatever it counts for.
+func (s *Server) admit(ctx context.Context, lanes int64) (release func(), err error) {
+	s.metrics.Add(MetricRequests, lanes)
 	select {
 	case s.workers <- struct{}{}:
 		s.metrics.Set(MetricActiveWorkers, s.active.Add(1))
@@ -270,7 +271,7 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 	q := s.queued.Add(1)
 	if q > int64(s.cfg.QueueDepth) {
 		s.metrics.Set(MetricQueueDepth, s.queued.Add(-1))
-		s.metrics.Add(MetricShed, 1)
+		s.metrics.Add(MetricShed, lanes)
 		return nil, ErrOverloaded
 	}
 	s.metrics.Set(MetricQueueDepth, q)
@@ -287,9 +288,9 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 	case <-ctx.Done():
 		s.metrics.Set(MetricQueueDepth, s.queued.Add(-1))
 		if errors.Is(ctx.Err(), context.Canceled) {
-			s.metrics.Add(MetricCanceled, 1)
+			s.metrics.Add(MetricCanceled, lanes)
 		} else {
-			s.metrics.Add(MetricDeadlineExceeded, 1)
+			s.metrics.Add(MetricDeadlineExceeded, lanes)
 		}
 		return nil, ctx.Err()
 	}
@@ -377,134 +378,6 @@ type MultiplyResponse struct {
 	Profile *obsv.Export
 }
 
-// runFaultPolicy drives one request (scalar or batched) through the
-// server's fault policy: up to FaultBudget retries on the compiled engine
-// when an attempt fails with a typed network fault (counted as
-// serve/retries), then one graceful degradation onto the map engine
-// (counted as serve/fallbacks). Non-fault errors return immediately; a
-// fault surviving even the fallback surfaces to the caller with its
-// provenance intact. run performs one attempt with the given options.
-func (s *Server) runFaultPolicy(trace bool, run func(core.ExecOpts) error) error {
-	attempt := 0
-	inject := func(engine string) lbm.Injector {
-		if s.cfg.FaultInjector == nil {
-			return nil
-		}
-		inj := s.cfg.FaultInjector(engine, attempt)
-		attempt++
-		return inj
-	}
-	var err error
-	for try := 0; try <= s.cfg.FaultBudget; try++ {
-		err = run(core.ExecOpts{
-			Trace:    trace,
-			Engine:   string(algo.EngineCompiled),
-			Injector: inject(string(algo.EngineCompiled)),
-		})
-		if err == nil {
-			return nil
-		}
-		if !lbm.IsFault(err) {
-			return err
-		}
-		s.metrics.Add(MetricFaults, 1)
-		if try < s.cfg.FaultBudget {
-			s.metrics.Add(MetricRetries, 1)
-		}
-	}
-	s.metrics.Add(MetricFallbacks, 1)
-	faultErr := err
-	err = run(core.ExecOpts{
-		Trace:    trace,
-		Engine:   string(algo.EngineMap),
-		Injector: inject(string(algo.EngineMap)),
-	})
-	if errors.Is(err, algo.ErrNoMapForm) {
-		// The plan was restored from the persistent store, which carries
-		// only the compiled form — there is no map engine to degrade to.
-		// Surface the compiled fault with its provenance rather than the
-		// capability error: the caller's remedy (retry the request) is the
-		// same, and the fault is what actually happened.
-		return faultErr
-	}
-	if err != nil && lbm.IsFault(err) {
-		s.metrics.Add(MetricFaults, 1)
-	}
-	return err
-}
-
-// execute runs a prepared plan on one value set under the fault policy.
-func (s *Server) execute(prep *core.Prepared, a, b *matrix.Sparse, trace bool) (*matrix.Sparse, *core.Report, error) {
-	var x *matrix.Sparse
-	var rep *core.Report
-	err := s.runFaultPolicy(trace, func(opts core.ExecOpts) error {
-		var attemptErr error
-		x, rep, attemptErr = prep.MultiplyOpts(a, b, opts)
-		return attemptErr
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return x, rep, nil
-}
-
-// executeBatch runs a prepared plan on k value sets as one batched run
-// under the same fault policy. A fault fails (and retries, and finally
-// degrades) the whole batch: lanes share every round, so there is no
-// per-lane partial success — the caller fans the one outcome out to every
-// lane.
-func (s *Server) executeBatch(prep *core.Prepared, as, bs []*matrix.Sparse, trace bool) ([]*matrix.Sparse, *core.Report, error) {
-	var outs []*matrix.Sparse
-	var rep *core.Report
-	err := s.runFaultPolicy(trace, func(opts core.ExecOpts) error {
-		var attemptErr error
-		outs, rep, attemptErr = prep.MultiplyBatch(as, bs, opts)
-		return attemptErr
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return outs, rep, nil
-}
-
-// Multiply serves one multiplication: admission control, plan-cache lookup
-// (compiling on a miss), then execution of the prepared plan against the
-// request's values under the fault policy.
-func (s *Server) Multiply(ctx context.Context, req *MultiplyRequest) (*MultiplyResponse, error) {
-	if req.A == nil || req.B == nil || req.Xhat == nil {
-		return nil, fmt.Errorf("%w: multiply needs A, B and Xhat", ErrInvalid)
-	}
-	if n := req.A.Support().N; n != req.B.Support().N || n != req.Xhat.N {
-		return nil, fmt.Errorf("%w: dimension mismatch %d/%d/%d",
-			ErrInvalid, n, req.B.Support().N, req.Xhat.N)
-	}
-	release, err := s.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	prep, fp, hit, err := s.prepared(req.A.Support(), req.B.Support(), req.Xhat, req.Options)
-	if err != nil {
-		release()
-		s.metrics.Add(MetricErrors, 1)
-		return nil, err
-	}
-	if s.coal != nil {
-		return s.multiplyCoalesced(ctx, req, prep, fp, hit, release)
-	}
-	defer release()
-	x, rep, err := s.execute(prep, req.A, req.B, req.Trace)
-	if err != nil {
-		s.metrics.Add(MetricErrors, 1)
-		return nil, err
-	}
-	resp := &MultiplyResponse{X: x, Report: rep, Fingerprint: fp, CacheHit: hit}
-	if req.Trace && rep.Profile != nil {
-		resp.Profile = rep.Profile.Export()
-	}
-	s.metrics.Add(MetricServed, 1)
-	return resp, nil
-}
-
 // PrepareRequest warms the cache for an explicit structure (no values).
 type PrepareRequest struct {
 	Ahat, Bhat, Xhat *matrix.Support
@@ -523,14 +396,10 @@ type PrepareResponse struct {
 // Prepare compiles (or finds) the plan for a structure so later Multiply
 // calls with matching values start hot.
 func (s *Server) Prepare(ctx context.Context, req *PrepareRequest) (*PrepareResponse, error) {
-	if req.Ahat == nil || req.Bhat == nil || req.Xhat == nil {
-		return nil, fmt.Errorf("%w: prepare needs Ahat, Bhat and Xhat", ErrInvalid)
+	if err := validate("", "prepare needs Ahat, Bhat and Xhat", req.Ahat, req.Bhat, req.Xhat); err != nil {
+		return nil, err
 	}
-	if req.Ahat.N != req.Bhat.N || req.Ahat.N != req.Xhat.N {
-		return nil, fmt.Errorf("%w: dimension mismatch %d/%d/%d",
-			ErrInvalid, req.Ahat.N, req.Bhat.N, req.Xhat.N)
-	}
-	release, err := s.admit(ctx)
+	release, err := s.admit(ctx, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -565,14 +434,10 @@ type ClassifyResponse struct {
 // control like every other request: class predicates (degeneracy orders in
 // particular) are support-sized work, not constant-time.
 func (s *Server) Classify(ctx context.Context, req *ClassifyRequest) (*ClassifyResponse, error) {
-	if req.Ahat == nil || req.Bhat == nil || req.Xhat == nil {
-		return nil, fmt.Errorf("%w: classify needs Ahat, Bhat and Xhat", ErrInvalid)
+	if err := validate("", "classify needs Ahat, Bhat and Xhat", req.Ahat, req.Bhat, req.Xhat); err != nil {
+		return nil, err
 	}
-	if req.Ahat.N != req.Bhat.N || req.Ahat.N != req.Xhat.N {
-		return nil, fmt.Errorf("%w: dimension mismatch %d/%d/%d",
-			ErrInvalid, req.Ahat.N, req.Bhat.N, req.Xhat.N)
-	}
-	release, err := s.admit(ctx)
+	release, err := s.admit(ctx, 1)
 	if err != nil {
 		return nil, err
 	}

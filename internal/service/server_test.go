@@ -105,7 +105,7 @@ func TestServerLoadShed(t *testing.T) {
 	ctx := context.Background()
 
 	// Occupy the only worker.
-	release, err := srv.admit(ctx)
+	release, err := srv.admit(ctx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestServerLoadShed(t *testing.T) {
 	waiterCtx, cancelWaiter := context.WithCancel(ctx)
 	waiterDone := make(chan error, 1)
 	go func() {
-		rel, err := srv.admit(waiterCtx)
+		rel, err := srv.admit(waiterCtx, 1)
 		if err == nil {
 			rel()
 		}
@@ -147,7 +147,7 @@ func TestServerLoadShed(t *testing.T) {
 	// behind a held worker times out with DeadlineExceeded.
 	shortCtx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
 	defer cancel()
-	if _, err := srv.admit(shortCtx); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := srv.admit(shortCtx, 1); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("short-deadline admit: err = %v, want DeadlineExceeded", err)
 	}
 	if m := srv.Metrics(); m[MetricDeadlineExceeded] != 1 || m[MetricCanceled] != 1 {
@@ -156,7 +156,7 @@ func TestServerLoadShed(t *testing.T) {
 	}
 
 	release()
-	if rel, err := srv.admit(ctx); err != nil {
+	if rel, err := srv.admit(ctx, 1); err != nil {
 		t.Errorf("admit after release: %v", err)
 	} else {
 		rel()
@@ -174,7 +174,7 @@ func TestServerBurstOnIdleNotShed(t *testing.T) {
 	// The mechanism, deterministically: even with the waiter count racing
 	// above the bound (simulated directly), a free slot admits immediately.
 	srv.queued.Store(int64(srv.cfg.QueueDepth) + 3)
-	rel, err := srv.admit(ctx)
+	rel, err := srv.admit(ctx, 1)
 	if err != nil {
 		t.Fatalf("admit with free workers shed: %v", err)
 	}
@@ -189,7 +189,7 @@ func TestServerBurstOnIdleNotShed(t *testing.T) {
 	for i := 0; i < srv.cfg.Workers; i++ {
 		go func() {
 			<-start
-			rel, err := srv.admit(ctx)
+			rel, err := srv.admit(ctx, 1)
 			if err != nil {
 				errs <- err
 				return
@@ -240,7 +240,7 @@ func TestServerAdmitMetricsHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < laps; i++ {
-				rel, err := srv.admit(ctx)
+				rel, err := srv.admit(ctx, 1)
 				if err != nil {
 					if !errors.Is(err, ErrOverloaded) {
 						t.Errorf("admit: %v", err)

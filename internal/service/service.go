@@ -15,6 +15,10 @@
 //   - a Server with a bounded worker pool and admission control (queue
 //     depth limit, per-request deadline, typed load shedding via
 //     ErrOverloaded);
+//   - one request pipeline (pipeline.go) behind Multiply, MultiplySubmit
+//     and MultiplyBatch: validate, admit, resolve the plan, park the lane in
+//     an always-present coalescer, run the launched group under the fault
+//     policy, deliver per lane;
 //   - an optional persistent tier (Config.Store, internal/planstore): on a
 //     memory miss the fingerprint is looked up on disk before compiling,
 //     so a restarted process serves previously-compiled structures without

@@ -59,9 +59,12 @@ func BuildWireReport(resp *MultiplyResponse) WireReport {
 	return multiplyReportWire(resp.Report, resp.Fingerprint, resp.CacheHit, resp.Profile)
 }
 
-// ErrStatus maps a serving-layer error to its HTTP status code — the same
-// taxonomy writeServeErr applies to the scalar endpoints, exported so other
-// transports report identical codes.
+// ErrStatus maps a serving-layer error to its HTTP status code — the error
+// taxonomy of docs/SERVICE.md, exported so every transport reports identical
+// codes: invalid requests are 400 (retrying unchanged cannot succeed), load
+// shedding 503 (retryable), deadline expiry 504, caller cancellation 499, a
+// network fault that survived the retry budget 500 with its round/node
+// provenance in the body, anything else 500.
 func ErrStatus(err error) int {
 	switch {
 	case errors.Is(err, ErrInvalid):
