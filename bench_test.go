@@ -299,12 +299,12 @@ func BenchmarkPreparedMultiply(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a := matrix.Random(inst.Ahat, r, 1)
-	bm := matrix.Random(inst.Bhat, r, 2)
+	as := []*matrix.Sparse{matrix.Random(inst.Ahat, r, 1)}
+	bs := []*matrix.Sparse{matrix.Random(inst.Bhat, r, 2)}
 	b.ResetTimer()
 	rounds := 0
 	for i := 0; i < b.N; i++ {
-		_, res, err := p.Multiply(a, bm)
+		_, res, err := p.MultiplyBatch(as, bs)
 		if err != nil {
 			b.Fatal(err)
 		}

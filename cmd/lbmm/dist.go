@@ -105,7 +105,7 @@ func runDistRun(args []string) error {
 		return err
 	}
 	prep, err := core.Prepare(inst.Ahat, inst.Bhat, inst.Xhat, core.Options{
-		Ring: r, D: *d, Algorithm: *algName, Engine: "compiled",
+		Ring: r, D: *d, Algorithm: *algName,
 	})
 	if err != nil {
 		return err

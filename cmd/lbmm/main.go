@@ -14,7 +14,7 @@
 //	lbmm json [-full]       every experiment's data as JSON
 //	lbmm trace [-n N] [-d D] [-alg NAME] [-workload NAME] [-format json|csv|text] [-o FILE]
 //	                        structured trace export (schema lbmm.trace.v1)
-//	lbmm demo [-n N] [-d D] [-engine compiled|map]
+//	lbmm demo [-n N] [-d D]
 //	                        one multiplication with a full report + timeline
 //	lbmm gen  [-n N] [-d D] -o PREFIX   write a generated instance to files
 //	lbmm solve -a A.mtx -b B.mtx -x XHAT.mtx [-o OUT.mtx]   solve from files
@@ -145,7 +145,6 @@ func main() {
 	wlName := fs.String("workload", "blocks", "trace: workload (blocks|mixed|us|hotpair|powerlaw)")
 	format := fs.String("format", "json", "trace: output format (json|csv|text)")
 	profile := fs.Bool("profile", false, "table1: record per-point phase breakdowns")
-	engine := fs.String("engine", "", "demo: execution engine (compiled|map; default compiled)")
 	cases := fs.Int("cases", 200, "chaos: randomized differential cases")
 	seed := fs.Int64("seed", 1, "chaos: harness seed (equal seeds replay equal runs)")
 	verbose := fs.Bool("verbose", false, "chaos: log every detected fault")
@@ -184,7 +183,7 @@ func main() {
 			fmt.Println(string(data))
 		}
 	case "demo":
-		err = runDemo(*n, *d, *engine)
+		err = runDemo(*n, *d)
 	case "gen":
 		err = runGen(*n, *d, *outPath)
 	case "solve":
@@ -366,17 +365,17 @@ func runTrace(n, d int, algName, wlName, format, outPath string) error {
 	}
 }
 
-func runDemo(n, d int, engine string) error {
+func runDemo(n, d int) error {
 	inst := workload.Instance(matrix.US, matrix.US, matrix.US, n, d, 42)
 	r := ring.Counting{}
 	a := matrix.Random(inst.Ahat, r, 1)
 	b := matrix.Random(inst.Bhat, r, 2)
 	fmt.Printf("demo: %s\n", workload.Describe(inst))
-	prep, err := core.Prepare(inst.Ahat, inst.Bhat, inst.Xhat, core.Options{Ring: r, D: d, Engine: engine})
+	prep, err := core.Prepare(inst.Ahat, inst.Bhat, inst.Xhat, core.Options{Ring: r, D: d})
 	if err != nil {
 		return err
 	}
-	x, rep, err := prep.MultiplyTraced(a, b, true)
+	x, rep, err := prep.MultiplyOpts(a, b, core.ExecOpts{Trace: true})
 	if err != nil {
 		return err
 	}

@@ -66,9 +66,11 @@ type Result struct {
 	// structure-dissemination phase (zero in the supported model).
 	SupportWords        int
 	DisseminationRounds int
-	// Lanes is the number of value assignments a batched multiply carried
-	// (zero for a scalar Multiply). Stats/Rounds are per-batch, not
-	// per-lane: the whole batch paid one instruction walk.
+	// Lanes is the number of value assignments the compiled walk carried:
+	// k for MultiplyBatch, so 1 for a scalar multiply (a one-lane batch),
+	// and zero for the map engine and the one-shot algorithms. Stats/Rounds
+	// are per-batch, not per-lane: the whole batch paid one instruction
+	// walk.
 	Lanes int
 }
 
@@ -95,9 +97,8 @@ func Solve(r ring.Semiring, inst *graph.Instance, a, b *matrix.Sparse, alg Algor
 	}
 	res.Stats = m.Stats()
 	res.Rounds = res.Stats.Rounds
-	res.Profile = m.Profile()
-	if tr := m.Trace(); tr != nil {
-		res.Timeline = tr.Timeline()
+	if res.Profile = m.Profile(); res.Profile != nil {
+		res.Timeline = res.Profile.Timeline()
 	}
 	return res, got, nil
 }

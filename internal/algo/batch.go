@@ -9,35 +9,27 @@ import (
 	"lbmm/internal/ring"
 )
 
-// MultiplyBatch runs the prepared plans on k value sets at once. Every lane
-// must realize (a subset of) the prepared supports — same contract as
-// Multiply — and the lanes share one instruction-stream walk on the
-// compiled engine: the batch pays one presence check, one decode and one
-// stats update per instruction regardless of k, which is where the batching
-// throughput win lives. Outputs come back lane for lane: outs[l] is
-// as[l]·bs[l].
+// MultiplyBatch runs the prepared plans on k value sets at once: the one
+// production walk, a scalar multiply being the batch with k = 1. Every lane
+// must realize (a subset of) the prepared supports: positions outside the
+// known structure are rejected, positions inside it but absent load as the
+// ring Zero (the supported model's "indicator" semantics, §2.1). The lanes
+// share one instruction-stream walk: the batch pays one presence check, one
+// decode and one stats update per instruction regardless of k, which is
+// where the batching throughput win lives. Outputs come back lane for lane:
+// outs[l] is as[l]·bs[l].
 //
 // The returned Result describes the whole batch (Lanes = k); Stats and
 // Rounds are per-batch, not per-lane, because the batch really did execute
-// one round sequence.
-func (p *Prepared) MultiplyBatch(as, bs []*matrix.Sparse) ([]*matrix.Sparse, *Result, error) {
-	return p.MultiplyBatchWith(as, bs)
-}
-
-// MultiplyBatchWith is MultiplyBatch with per-call machine options — the
-// serving layer's entry point for batch tracing and fault injection. A
+// one round sequence. The machine options are per call — tracing
+// (lbm.WithTrace), fault injection (lbm.WithInjector), a transport — and a
 // fault fails the whole batch: lanes share every round, so there is no
 // per-lane partial success.
-func (p *Prepared) MultiplyBatchWith(as, bs []*matrix.Sparse, mopts ...lbm.Option) ([]*matrix.Sparse, *Result, error) {
-	return p.MultiplyBatchOn(p.engine(), as, bs, mopts...)
-}
-
-// MultiplyBatchOn is MultiplyBatchWith on an explicit engine. The map
-// engine runs k independent multiplies — definitionally the oracle the
-// compiled lane-strided walk is differentially tested against — so the two
-// engines return identical lane outputs, and the serving layer's
-// compiled→map fault fallback works for batches exactly as for scalars.
-func (p *Prepared) MultiplyBatchOn(e Engine, as, bs []*matrix.Sparse, mopts ...lbm.Option) ([]*matrix.Sparse, *Result, error) {
+//
+// MultiplyBatch is safe for concurrent use from multiple goroutines: every
+// call executes on its own pooled executor, and all prepared state is
+// read-only after Prepare.
+func (p *Prepared) MultiplyBatch(as, bs []*matrix.Sparse, mopts ...lbm.Option) ([]*matrix.Sparse, *Result, error) {
 	if len(as) == 0 {
 		return nil, nil, fmt.Errorf("algo: empty batch")
 	}
@@ -52,27 +44,12 @@ func (p *Prepared) MultiplyBatchOn(e Engine, as, bs []*matrix.Sparse, mopts ...l
 			return nil, nil, fmt.Errorf("algo: lane %d: B %w", l, err)
 		}
 	}
-	if e == EngineCompiled && p.compiled != nil {
-		return p.multiplyCompiledBatch(as, bs, mopts...)
-	}
-	outs := make([]*matrix.Sparse, len(as))
-	var res *Result
-	for l := range as {
-		out, r, err := p.MultiplyOn(EngineMap, as[l], bs[l], mopts...)
-		if err != nil {
-			return nil, nil, fmt.Errorf("lane %d: %w", l, err)
-		}
-		outs[l] = out
-		if res == nil {
-			res = r
-		}
-	}
-	res.Lanes = len(as)
-	return outs, res, nil
+	return p.multiplyCompiledBatch(as, bs, mopts...)
 }
 
-// multiplyCompiledBatch is the lane-strided compiled path: one executor
-// whose arenas carry k lanes per slot, loaded lane by lane and walked once.
+// multiplyCompiledBatch is the compiled value walk: one pooled executor
+// whose arenas carry k lanes per slot, loaded from the value sets and walked
+// once.
 func (p *Prepared) multiplyCompiledBatch(as, bs []*matrix.Sparse, mopts ...lbm.Option) ([]*matrix.Sparse, *Result, error) {
 	cp := p.compiled
 	K := len(as)
@@ -85,34 +62,39 @@ func (p *Prepared) multiplyCompiledBatch(as, bs []*matrix.Sparse, mopts ...lbm.O
 	// Load refs are in row-major sorted order (compilePrepared walks the
 	// support rows), and within() pinned every lane's entries inside the
 	// support — so one cursor per lane merge-walks the sorted rows instead
-	// of binary-searching every position, and PutLanes writes each slot's
-	// lanes contiguously.
+	// of binary-searching every position. The loader has two regimes, chosen
+	// by the lane count like lbm.Exec's gather: k > 1 fills a slot's lanes
+	// and writes them contiguously with PutLanes; k = 1 keeps its one cursor
+	// in registers and stores through PutSlot, because the per-lane arrays
+	// and PutLanes' copy cost a lone lane more than they save.
 	zero := p.R.Zero()
 	buf := make([]ring.Value, K)
 	rows := make([][]matrix.Cell, K)
 	pos := make([]int, K)
 	load := func(refs []loadRef, ms []*matrix.Sparse) {
 		row := int32(-1)
+		if K == 1 {
+			var cells []matrix.Cell
+			k := 0
+			for _, lr := range refs {
+				if lr.i != row {
+					row, cells, k = lr.i, ms[0].Rows[lr.i], 0
+				}
+				var v ring.Value
+				v, k = valueAt(cells, k, lr.j, zero)
+				x.PutSlot(lr.ref, v)
+			}
+			return
+		}
 		for _, lr := range refs {
 			if lr.i != row {
 				row = lr.i
 				for l, m := range ms {
-					rows[l] = m.Rows[row]
-					pos[l] = 0
+					rows[l], pos[l] = m.Rows[row], 0
 				}
 			}
-			for l := 0; l < K; l++ {
-				cells, k := rows[l], pos[l]
-				for k < len(cells) && cells[k].Col < lr.j {
-					k++
-				}
-				if k < len(cells) && cells[k].Col == lr.j {
-					buf[l] = cells[k].Val
-					k++
-				} else {
-					buf[l] = zero
-				}
-				pos[l] = k
+			for l := range buf {
+				buf[l], pos[l] = valueAt(rows[l], pos[l], lr.j, zero)
 			}
 			x.PutLanes(lr.ref, buf)
 		}
@@ -161,15 +143,27 @@ func (p *Prepared) multiplyCompiledBatch(as, bs []*matrix.Sparse, mopts ...lbm.O
 		}
 	}
 	res := p.meta
-	res.Engine = string(EngineCompiled)
+	res.Engine = "compiled"
 	res.Lanes = K
 	res.Stats = x.Stats()
 	res.Rounds = res.Stats.Rounds
 	res.Phase1Rounds = phase1
 	res.Phase2Rounds = res.Rounds - phase1
-	res.Profile = x.Profile()
-	if tr := x.Trace(); tr != nil {
-		res.Timeline = tr.Timeline()
+	if res.Profile = x.Profile(); res.Profile != nil {
+		res.Timeline = res.Profile.Timeline()
 	}
 	return outs, &res, nil
+}
+
+// valueAt advances the cursor k over one sorted row to column col and
+// returns the value stored there (zero when the row has none) with the
+// cursor for the next, larger column.
+func valueAt(cells []matrix.Cell, k int, col int32, zero ring.Value) (ring.Value, int) {
+	for k < len(cells) && cells[k].Col < col {
+		k++
+	}
+	if k < len(cells) && cells[k].Col == col {
+		return cells[k].Val, k + 1
+	}
+	return zero, k
 }

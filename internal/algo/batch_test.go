@@ -11,11 +11,42 @@ import (
 	"lbmm/internal/workload"
 )
 
+// multiplyFn is the shape MultiplyMap and multiplyOne share, so the engine
+// tables can hold either.
+type multiplyFn func(p *Prepared, a, b *matrix.Sparse, mopts ...lbm.Option) (*matrix.Sparse, *Result, error)
+
+// multiplyOne runs the compiled walk on one value set: the k = 1 batch.
+func multiplyOne(p *Prepared, a, b *matrix.Sparse, mopts ...lbm.Option) (*matrix.Sparse, *Result, error) {
+	outs, res, err := p.MultiplyBatch([]*matrix.Sparse{a}, []*matrix.Sparse{b}, mopts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return outs[0], res, nil
+}
+
+// partialValues draws values on sup and then drops every position whose
+// running index is ≡ lane (mod lane+2): each lane omits a different part of
+// the structure, and an omitted position is the ring zero (§2.1).
+func partialValues(sup *matrix.Support, r ring.Semiring, seed int64, lane int) *matrix.Sparse {
+	m := matrix.Random(sup, r, seed)
+	idx := 0
+	for i, row := range sup.Rows {
+		for _, j := range row {
+			if idx%(lane+2) == lane {
+				m.Set(i, int(j), r.Zero())
+			}
+			idx++
+		}
+	}
+	return m
+}
+
 // TestMultiplyBatchDifferential is the batched differential property test
-// over the full algorithm × ring matrix: MultiplyBatch over k random value
-// assignments must equal k independent Multiply calls, on both engines,
-// lane for lane — and the compiled batch's Stats must equal a scalar run's
-// (one shared walk, per-slot accounting).
+// over the full algorithm × ring matrix, on both arms of the value loader:
+// MultiplyBatch over k ∈ {1, 2, 5} value assignments that each omit a
+// different part of the structure must equal, lane for lane, the map
+// oracle's product of that lane and the k = 1 walk of that lane — and every
+// walk's Stats must be the same (one shared walk, per-slot accounting).
 func TestMultiplyBatchDifferential(t *testing.T) {
 	preps := []struct {
 		name string
@@ -44,45 +75,58 @@ func TestMultiplyBatchDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: prepare: %v", label, err)
 			}
-			const k = 5
-			as := make([]*matrix.Sparse, k)
-			bs := make([]*matrix.Sparse, k)
-			want := make([]*matrix.Sparse, k)
+			const maxK = 5
+			as := make([]*matrix.Sparse, maxK)
+			bs := make([]*matrix.Sparse, maxK)
+			want := make([]*matrix.Sparse, maxK)
 			var wantStats lbm.Stats
-			for l := 0; l < k; l++ {
-				as[l] = matrix.Random(p.Inst.Ahat, r, 100*seed+int64(2*l))
-				bs[l] = matrix.Random(p.Inst.Bhat, r, 100*seed+int64(2*l+1))
-				x, res, err := p.MultiplyOn(EngineCompiled, as[l], bs[l])
+			for l := 0; l < maxK; l++ {
+				as[l] = partialValues(p.Inst.Ahat, r, 100*seed+int64(2*l), l)
+				bs[l] = partialValues(p.Inst.Bhat, r, 100*seed+int64(2*l+1), l+1)
+				x, res, err := p.MultiplyMap(as[l], bs[l])
 				if err != nil {
-					t.Fatalf("%s: scalar lane %d: %v", label, l, err)
+					t.Fatalf("%s: map lane %d: %v", label, l, err)
+				}
+				if !matrix.Equal(x, matrix.MulReference(as[l], bs[l], p.Inst.Xhat)) {
+					t.Fatalf("%s: map lane %d: wrong product", label, l)
 				}
 				want[l] = x
+				if l > 0 && !reflect.DeepEqual(res.Stats, wantStats) {
+					t.Fatalf("%s: map lane %d: stats depend on the values", label, l)
+				}
 				wantStats = res.Stats
-			}
-			for _, e := range []struct {
-				name   string
-				engine Engine
-				opts   []lbm.Option
-			}{
-				{"map", EngineMap, nil},
-				{"compiled/seq", EngineCompiled, nil},
-				{"compiled/par", EngineCompiled, []lbm.Option{lbm.WithWorkers(4), lbm.WithParBatch(1)}},
-			} {
-				outs, res, err := p.MultiplyBatchOn(e.engine, as, bs, e.opts...)
+				one, res, err := multiplyOne(p, as[l], bs[l])
 				if err != nil {
-					t.Fatalf("%s: %s: %v", label, e.name, err)
+					t.Fatalf("%s: k=1 walk of lane %d: %v", label, l, err)
 				}
-				if len(outs) != k || res.Lanes != k {
-					t.Fatalf("%s: %s: got %d outputs, Lanes=%d, want %d", label, e.name, len(outs), res.Lanes, k)
+				if res.Lanes != 1 || !matrix.Equal(one, x) || !reflect.DeepEqual(res.Stats, wantStats) {
+					t.Errorf("%s: k=1 walk of lane %d differs from the map oracle (Lanes=%d)", label, l, res.Lanes)
 				}
-				for l := 0; l < k; l++ {
-					if !matrix.Equal(outs[l], want[l]) {
-						t.Errorf("%s: %s: lane %d output differs from independent Multiply", label, e.name, l)
+			}
+			for _, k := range []int{1, 2, maxK} {
+				for _, e := range []struct {
+					name string
+					opts []lbm.Option
+				}{
+					{"seq", nil},
+					{"par", []lbm.Option{lbm.WithWorkers(4), lbm.WithParBatch(1)}},
+				} {
+					outs, res, err := p.MultiplyBatch(as[:k], bs[:k], e.opts...)
+					if err != nil {
+						t.Fatalf("%s: k=%d/%s: %v", label, k, e.name, err)
 					}
-				}
-				if e.engine == EngineCompiled && !reflect.DeepEqual(res.Stats, wantStats) {
-					t.Errorf("%s: %s: batch stats differ from scalar run\n got %+v\nwant %+v",
-						label, e.name, res.Stats, wantStats)
+					if len(outs) != k || res.Lanes != k {
+						t.Fatalf("%s: k=%d/%s: got %d outputs, Lanes=%d", label, k, e.name, len(outs), res.Lanes)
+					}
+					for l := 0; l < k; l++ {
+						if !matrix.Equal(outs[l], want[l]) {
+							t.Errorf("%s: k=%d/%s: lane %d output differs from the map oracle", label, k, e.name, l)
+						}
+					}
+					if !reflect.DeepEqual(res.Stats, wantStats) {
+						t.Errorf("%s: k=%d/%s: batch stats differ from a one-lane run\n got %+v\nwant %+v",
+							label, k, e.name, res.Stats, wantStats)
+					}
 				}
 			}
 		}
@@ -113,28 +157,5 @@ func TestMultiplyBatchValidation(t *testing.T) {
 	}
 	if _, _, err := p.MultiplyBatch([]*matrix.Sparse{a, bad}, []*matrix.Sparse{b, b}); err == nil {
 		t.Error("out-of-structure lane accepted")
-	}
-}
-
-// TestMultiplyBatchSingleLane pins that a 1-lane batch goes through the
-// scalar pool and matches Multiply exactly (the coalescer's k=1 case).
-func TestMultiplyBatchSingleLane(t *testing.T) {
-	r := ring.Real{}
-	p, err := PrepareTheorem42(r, workload.Blocks(32, 4), Theorem42Opts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := matrix.Random(p.Inst.Ahat, r, 3)
-	b := matrix.Random(p.Inst.Bhat, r, 4)
-	want, _, err := p.Multiply(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, res, err := p.MultiplyBatch([]*matrix.Sparse{a}, []*matrix.Sparse{b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Lanes != 1 || !matrix.Equal(outs[0], want) {
-		t.Errorf("single-lane batch mismatch (Lanes=%d)", res.Lanes)
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // BenchmarkPreparedMultiply measures the serve-many shape both engines are
-// built for: structure prepared once, Multiply called repeatedly with fresh
+// built for: structure prepared once, multiplied repeatedly with fresh
 // values. The compiled engine amortizes planning into slot-addressed arrays
 // and recycles its arenas through a pool, so per-call allocation should be
 // near zero; the map engine rebuilds its stores every call.
@@ -34,12 +34,14 @@ func BenchmarkPreparedMultiply(b *testing.B) {
 		}
 		a := matrix.Random(p.Inst.Ahat, c.r, 1)
 		bm := matrix.Random(p.Inst.Bhat, c.r, 2)
-		for _, engine := range []Engine{EngineMap, EngineCompiled} {
-			p.Engine = engine
-			b.Run(fmt.Sprintf("%s/%s", c.name, engine), func(b *testing.B) {
+		for _, e := range []struct {
+			name string
+			run  multiplyFn
+		}{{"map", (*Prepared).MultiplyMap}, {"compiled", multiplyOne}} {
+			b.Run(fmt.Sprintf("%s/%s", c.name, e.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := p.MultiplyWith(a, bm); err != nil {
+					if _, _, err := e.run(p, a, bm); err != nil {
 						b.Fatal(err)
 					}
 				}

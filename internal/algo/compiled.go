@@ -1,28 +1,12 @@
 package algo
 
 import (
-	"fmt"
 	"sync"
 
 	"lbmm/internal/cluster"
 	"lbmm/internal/fewtri"
 	"lbmm/internal/lbm"
-	"lbmm/internal/matrix"
 	"lbmm/internal/ring"
-)
-
-// Engine selects the execution engine of a prepared multiplication.
-type Engine string
-
-const (
-	// EngineCompiled runs the slot-addressed compiled form (the default):
-	// value loading, every communication phase, the local products and the
-	// output collection all resolve to dense arena slots computed at Prepare
-	// time.
-	EngineCompiled Engine = "compiled"
-	// EngineMap runs the reference map-backed Machine — the differential
-	// oracle the compiled engine is tested against.
-	EngineMap Engine = "map"
 )
 
 // loadRef binds one matrix position (i, j) to its arena slot.
@@ -33,9 +17,9 @@ type loadRef struct {
 
 // compiledPrepared is the compiled twin of a Prepared: the whole pipeline
 // — input loading, phase-1 batches, the staging sweep, the Lemma 3.1 job
-// and output collection — lowered against one shared SlotSpace, so Multiply
-// is a pure array program. Executors are recycled through a pool; in steady
-// state a multiplication allocates no store memory at all.
+// and output collection — lowered against one shared SlotSpace, so
+// MultiplyBatch is a pure array program. Executors are recycled through
+// pools; in steady state a multiplication allocates no store memory at all.
 type compiledPrepared struct {
 	sizes        []int32
 	loadA, loadB []loadRef
@@ -47,23 +31,19 @@ type compiledPrepared struct {
 	few          *fewtri.CompiledJob
 	bytes        int64
 	r            ring.Semiring
-	pool         sync.Pool
-	// lanePools holds one executor pool per batched lane count (lanes > 1):
-	// arenas are sized slots×lanes, so executors only recycle within their
-	// own lane count. Key int → value *sync.Pool of *lbm.Exec.
-	lanePools sync.Map
+	// pools holds one executor pool per lane count: arenas are sized
+	// slots×lanes, so executors only recycle within their own lane count.
+	// Key int → value *sync.Pool of *lbm.Exec.
+	pools sync.Map
 }
 
 // execFor returns a pooled executor carrying the given lane count, plus the
 // pool to return it to after Reset.
 func (cp *compiledPrepared) execFor(lanes int) (*lbm.Exec, *sync.Pool) {
-	if lanes <= 1 {
-		return cp.pool.Get().(*lbm.Exec), &cp.pool
-	}
-	pi, ok := cp.lanePools.Load(lanes)
+	pi, ok := cp.pools.Load(lanes)
 	if !ok {
 		sizes, r := cp.sizes, cp.r
-		pi, _ = cp.lanePools.LoadOrStore(lanes, &sync.Pool{
+		pi, _ = cp.pools.LoadOrStore(lanes, &sync.Pool{
 			New: func() any { return lbm.NewExecBatch(sizes, lanes, r) },
 		})
 	}
@@ -123,7 +103,7 @@ func compilePrepared(p *Prepared) (*compiledPrepared, error) {
 
 // finish completes a compiled form whose instruction state is in place —
 // whether freshly lowered or decoded from a serialized snapshot: it prices
-// the resident size and arms the executor pool for the given ring.
+// the resident size and records the ring the executor pools build over.
 func (cp *compiledPrepared) finish(r ring.Semiring) {
 	cp.bytes = int64(len(cp.loadA)+len(cp.loadB)+len(cp.x)) * 16
 	cp.bytes += int64(len(cp.stagingClear)) * 8
@@ -134,9 +114,7 @@ func (cp *compiledPrepared) finish(r ring.Semiring) {
 	for _, sz := range cp.sizes {
 		cp.bytes += int64(sz) * 12 // arena value + epoch stamp
 	}
-	sizes := cp.sizes
 	cp.r = r
-	cp.pool.New = func() any { return lbm.NewExec(sizes, r) }
 }
 
 // CompiledBytes reports the estimated resident size of the compiled form
@@ -168,61 +146,4 @@ func (p *Prepared) NodeLoads() (send, recv []int64) {
 	}
 	cp.few.AddNodeLoads(send, recv)
 	return send, recv
-}
-
-// multiplyCompiled is MultiplyWith on the compiled engine.
-func (p *Prepared) multiplyCompiled(a, b *matrix.Sparse, mopts ...lbm.Option) (*matrix.Sparse, *Result, error) {
-	cp := p.compiled
-	x := cp.pool.Get().(*lbm.Exec)
-	x.Configure(mopts...)
-	defer func() {
-		x.Reset()
-		cp.pool.Put(x)
-	}()
-	for _, lr := range cp.loadA {
-		x.PutSlot(lr.ref, a.Get(int(lr.i), int(lr.j)))
-	}
-	for _, lr := range cp.loadB {
-		x.PutSlot(lr.ref, b.Get(int(lr.i), int(lr.j)))
-	}
-	zero := p.R.Zero()
-	for _, lr := range cp.x {
-		x.PutSlot(lr.ref, zero)
-	}
-	for _, cb := range cp.phase1 {
-		if err := cb.Run(x); err != nil {
-			return nil, nil, err
-		}
-	}
-	for _, ref := range cp.stagingClear {
-		x.ClearSlot(ref)
-	}
-	phase1 := x.Rounds()
-	if err := fewtri.RunCompiled(x, cp.few); err != nil {
-		return nil, nil, err
-	}
-	out := matrix.NewSparse(p.Inst.Xhat.N, p.R)
-	for _, lr := range cp.x {
-		if !x.Owns(lr.ref.Node) {
-			// A partitioned run collects each output at the participant that
-			// owns it; the coordinator merges the disjoint partials.
-			continue
-		}
-		v, ok := x.GetSlot(lr.ref)
-		if !ok {
-			return nil, nil, fmt.Errorf("lbm: owner of X(%d,%d) never received it", lr.i, lr.j)
-		}
-		out.Set(int(lr.i), int(lr.j), v)
-	}
-	res := p.meta
-	res.Engine = string(EngineCompiled)
-	res.Stats = x.Stats()
-	res.Rounds = res.Stats.Rounds
-	res.Phase1Rounds = phase1
-	res.Phase2Rounds = res.Rounds - phase1
-	res.Profile = x.Profile()
-	if tr := x.Trace(); tr != nil {
-		res.Timeline = tr.Timeline()
-	}
-	return out, &res, nil
 }

@@ -41,15 +41,16 @@ func TestEnginesDifferential(t *testing.T) {
 	// Strassen and its signed OpSub accumulation.
 	rings := []ring.Semiring{ring.Counting{}, ring.MinPlus{}, ring.Real{}, ring.NewGFp(1009)}
 
+	par := []lbm.Option{lbm.WithWorkers(4), lbm.WithParBatch(1)}
 	engines := []struct {
-		name   string
-		engine Engine
-		opts   []lbm.Option
+		name string
+		run  multiplyFn
+		opts []lbm.Option
 	}{
-		{"map/seq", EngineMap, nil},
-		{"map/par", EngineMap, []lbm.Option{lbm.WithWorkers(4), lbm.WithParBatch(1)}},
-		{"compiled/seq", EngineCompiled, nil},
-		{"compiled/par", EngineCompiled, []lbm.Option{lbm.WithWorkers(4), lbm.WithParBatch(1)}},
+		{"map/seq", (*Prepared).MultiplyMap, nil},
+		{"map/par", (*Prepared).MultiplyMap, par},
+		{"compiled/seq", multiplyOne, nil},
+		{"compiled/par", multiplyOne, par},
 	}
 
 	for _, pf := range preps {
@@ -65,8 +66,7 @@ func TestEnginesDifferential(t *testing.T) {
 				var refX *matrix.Sparse
 				var refStats lbm.Stats
 				for i, e := range engines {
-					p.Engine = e.engine
-					x, res, err := p.MultiplyWith(a, b, e.opts...)
+					x, res, err := e.run(p, a, b, e.opts...)
 					if err != nil {
 						t.Fatalf("%s: %s: %v", label, e.name, err)
 					}
@@ -104,14 +104,13 @@ func TestEnginesDifferentialProfiles(t *testing.T) {
 		a := matrix.Random(p.Inst.Ahat, r, 7)
 		b := matrix.Random(p.Inst.Bhat, r, 8)
 		var timelines []string
-		for _, engine := range []Engine{EngineMap, EngineCompiled} {
-			p.Engine = engine
-			_, res, err := p.MultiplyWith(a, b, lbm.WithTrace())
+		for _, run := range []multiplyFn{(*Prepared).MultiplyMap, multiplyOne} {
+			_, res, err := run(p, a, b, lbm.WithTrace())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Profile == nil {
-				t.Fatalf("%s/%s: no profile", r.Name(), engine)
+				t.Fatalf("%s/%s: no profile", r.Name(), res.Engine)
 			}
 			timelines = append(timelines, res.Profile.Summary())
 		}

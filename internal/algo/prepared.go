@@ -27,24 +27,10 @@ type Prepared struct {
 	R      ring.Semiring
 	Name   string
 
-	// Engine selects the execution engine for Multiply/MultiplyWith. The
-	// zero value runs the compiled engine; set EngineMap for the reference
-	// map-backed Machine.
-	Engine Engine
-
 	phase1   []*cluster.PlannedBatch
 	fewtri   *fewtri.Job
 	compiled *compiledPrepared
 	meta     Result
-}
-
-// engine resolves the effective engine: compiled by default, map when
-// requested (or when no compiled form exists).
-func (p *Prepared) engine() Engine {
-	if p.Engine == EngineMap || p.compiled == nil {
-		return EngineMap
-	}
-	return EngineCompiled
 }
 
 // PrepareLemma31 preprocesses the Lemma 3.1 (Theorems 5.3/5.11) algorithm.
@@ -134,40 +120,17 @@ func PrepareTheorem42(r ring.Semiring, inst *graph.Instance, opts Theorem42Opts)
 	return p, nil
 }
 
-// Multiply runs the prepared plans on one value set. The values must
-// realize (a subset of) the prepared supports: positions outside the known
-// structure are rejected, positions inside it but absent load as the ring
-// Zero (the supported model's "indicator" semantics, §2.1).
-//
-// Multiply is safe for concurrent use from multiple goroutines: every call
-// executes on its own fresh machine, and all prepared state (instance,
-// layout, planned batches, the Lemma 3.1 job) is read-only after Prepare.
-func (p *Prepared) Multiply(a, b *matrix.Sparse) (*matrix.Sparse, *Result, error) {
-	return p.MultiplyWith(a, b)
-}
-
-// MultiplyWith is Multiply with per-call machine options — the serving
-// layer's entry point for per-request tracing (lbm.WithTrace) and fault
-// injection (lbm.WithInjector) without touching shared prepared state.
-func (p *Prepared) MultiplyWith(a, b *matrix.Sparse, mopts ...lbm.Option) (*matrix.Sparse, *Result, error) {
-	return p.MultiplyOn(p.engine(), a, b, mopts...)
-}
-
-// MultiplyOn is MultiplyWith on an explicit engine, overriding the prepared
-// default for this call only. Concurrent callers may pick different engines
-// on one shared Prepared (the field-free dispatch the serving layer's
-// compiled→map fault fallback needs). A compiled request on a preparation
-// without a compiled form degrades to the map engine, mirroring the default
-// dispatch.
-func (p *Prepared) MultiplyOn(e Engine, a, b *matrix.Sparse, mopts ...lbm.Option) (*matrix.Sparse, *Result, error) {
+// MultiplyMap runs the prepared plans on one value set on the reference
+// map-backed Machine — the oracle the compiled walk (MultiplyBatch) is
+// differentially tested against, under the same value contract and the same
+// per-call machine options. It is safe for concurrent use: every call
+// executes on its own fresh machine.
+func (p *Prepared) MultiplyMap(a, b *matrix.Sparse, mopts ...lbm.Option) (*matrix.Sparse, *Result, error) {
 	if err := within(a, p.Inst.Ahat); err != nil {
 		return nil, nil, fmt.Errorf("algo: A %w", err)
 	}
 	if err := within(b, p.Inst.Bhat); err != nil {
 		return nil, nil, fmt.Errorf("algo: B %w", err)
-	}
-	if e == EngineCompiled && p.compiled != nil {
-		return p.multiplyCompiled(a, b, mopts...)
 	}
 	if p.fewtri == nil {
 		// Restored from a snapshot: the compiled form exists but the
@@ -205,14 +168,13 @@ func (p *Prepared) MultiplyOn(e Engine, a, b *matrix.Sparse, mopts ...lbm.Option
 		return nil, nil, err
 	}
 	res := p.meta
-	res.Engine = string(EngineMap)
+	res.Engine = "map"
 	res.Stats = m.Stats()
 	res.Rounds = res.Stats.Rounds
 	res.Phase1Rounds = phase1
 	res.Phase2Rounds = res.Rounds - phase1
-	res.Profile = m.Profile()
-	if tr := m.Trace(); tr != nil {
-		res.Timeline = tr.Timeline()
+	if res.Profile = m.Profile(); res.Profile != nil {
+		res.Timeline = res.Profile.Timeline()
 	}
 	return got, &res, nil
 }

@@ -32,7 +32,7 @@ func TestPreparedMultiplyManyValueSets(t *testing.T) {
 			for seed := int64(0); seed < 3; seed++ {
 				a := matrix.Random(p.Inst.Ahat, r, seed)
 				b := matrix.Random(p.Inst.Bhat, r, seed+50)
-				x, res, err := p.Multiply(a, b)
+				x, res, err := multiplyOne(p, a, b)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -73,7 +73,7 @@ func TestPreparedPartialValues(t *testing.T) {
 		}
 	}
 	b := matrix.Random(inst.Bhat, r, 2)
-	x, _, err := p.Multiply(a, b)
+	x, _, err := multiplyOne(p, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +95,12 @@ func TestPreparedRejectsOutsideStructure(t *testing.T) {
 		t.Skip("construction assumption failed")
 	}
 	b := matrix.Random(inst.Bhat, r, 2)
-	if _, _, err := p.Multiply(a, b); err == nil {
+	if _, _, err := multiplyOne(p, a, b); err == nil {
 		t.Error("value outside the prepared structure accepted")
 	}
 	// Dimension mismatch too.
 	small := matrix.NewSparse(8, r)
-	if _, _, err := p.Multiply(small, b); err == nil {
+	if _, _, err := multiplyOne(p, small, b); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
 }
@@ -123,7 +123,7 @@ func TestPreparedMatchesOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xPrep, resPrep, err := p.Multiply(a, b)
+	xPrep, resPrep, err := multiplyOne(p, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,9 +17,7 @@ import (
 // ErrNoMapForm reports that a Prepared holds only its compiled form: it was
 // restored from a serialized snapshot, which carries the lowered instruction
 // streams but not the map-engine planning state (planned batches, the
-// Lemma 3.1 job). Requesting EngineMap on such a preparation fails with this
-// error; callers that fall back to the map engine on faults must treat it as
-// "recompile from structure" rather than "execute differently".
+// Lemma 3.1 job). MultiplyMap on such a preparation fails with this error.
 var ErrNoMapForm = errors.New("algo: prepared form restored from snapshot has no map engine")
 
 // wireLoadRef is the exported form of loadRef.
@@ -108,9 +106,8 @@ func (p *Prepared) EncodeCompiled(w io.Writer) error {
 }
 
 // DecodeCompiledPrepared restores a Prepared from a stream written by
-// EncodeCompiled. The result is compiled-only: Multiply and MultiplyBatch
-// run exactly as on a freshly prepared form, while EngineMap requests fail
-// with ErrNoMapForm.
+// EncodeCompiled. The result is compiled-only: MultiplyBatch runs exactly
+// as on a freshly prepared form, while MultiplyMap fails with ErrNoMapForm.
 //
 // Decoded state crosses a trust boundary (the plan store's files are
 // outside the process), so everything is validated before an executor can

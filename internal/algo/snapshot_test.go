@@ -67,11 +67,11 @@ func TestSnapshotRoundTripDifferential(t *testing.T) {
 
 					a := matrix.Random(tc.inst.Ahat, r, 1)
 					b := matrix.Random(tc.inst.Bhat, r, 2)
-					want, wres, err := p.Multiply(a, b)
+					want, wres, err := multiplyOne(p, a, b)
 					if err != nil {
 						t.Fatalf("original multiply: %v", err)
 					}
-					got, gres, err := q.Multiply(a, b)
+					got, gres, err := multiplyOne(q, a, b)
 					if err != nil {
 						t.Fatalf("restored multiply: %v", err)
 					}
@@ -107,8 +107,8 @@ func TestSnapshotRoundTripDifferential(t *testing.T) {
 	}
 }
 
-// TestSnapshotHasNoMapForm checks that map-engine requests on a restored
-// preparation fail with the typed ErrNoMapForm, scalar and batched.
+// TestSnapshotHasNoMapForm checks that a restored preparation serves the
+// compiled walk and fails MultiplyMap with the typed ErrNoMapForm.
 func TestSnapshotHasNoMapForm(t *testing.T) {
 	inst := workload.Blocks(16, 4)
 	r := ring.Counting{}
@@ -123,15 +123,22 @@ func TestSnapshotHasNoMapForm(t *testing.T) {
 	}
 	a := matrix.Random(inst.Ahat, r, 1)
 	b := matrix.Random(inst.Bhat, r, 2)
-	if _, _, err := q.MultiplyOn(EngineMap, a, b); !errors.Is(err, ErrNoMapForm) {
+	if _, _, err := q.MultiplyMap(a, b); !errors.Is(err, ErrNoMapForm) {
 		t.Fatalf("map multiply on restored form: err=%v, want ErrNoMapForm", err)
 	}
-	if _, _, err := q.MultiplyBatchOn(EngineMap, []*matrix.Sparse{a}, []*matrix.Sparse{b}); !errors.Is(err, ErrNoMapForm) {
-		t.Fatalf("map batch on restored form: err=%v, want ErrNoMapForm", err)
+	// The compiled walk still serves, and agrees with the original's oracle.
+	want, _, err := p.MultiplyMap(a, b)
+	if err != nil {
+		t.Fatalf("map multiply on the original: %v", err)
 	}
-	// The compiled engine still works.
-	if _, _, err := q.Multiply(a, b); err != nil {
-		t.Fatalf("compiled multiply on restored form: %v", err)
+	outs, _, err := q.MultiplyBatch([]*matrix.Sparse{a, a}, []*matrix.Sparse{b, b})
+	if err != nil {
+		t.Fatalf("compiled batch on restored form: %v", err)
+	}
+	for l, x := range outs {
+		if !matrix.Equal(x, want) {
+			t.Fatalf("restored form lane %d differs from the map oracle", l)
+		}
 	}
 }
 

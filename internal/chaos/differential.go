@@ -219,8 +219,8 @@ func drawPlan(rng *rand.Rand, n int) (FaultPlan, bool) {
 	return p, true
 }
 
-// runEngine executes one engine under an optional injector and transport.
-func runEngine(dc *diffCase, e algo.Engine, inj lbm.Injector, t lbm.Transport) (*matrix.Sparse, lbm.Stats, error) {
+// machineOpts lowers an optional injector and transport to machine options.
+func machineOpts(inj lbm.Injector, t lbm.Transport) []lbm.Option {
 	var mopts []lbm.Option
 	if inj != nil {
 		mopts = append(mopts, lbm.WithInjector(inj))
@@ -228,38 +228,36 @@ func runEngine(dc *diffCase, e algo.Engine, inj lbm.Injector, t lbm.Transport) (
 	if t != nil {
 		mopts = append(mopts, lbm.WithTransport(t))
 	}
-	x, res, err := dc.prep.MultiplyOn(e, dc.a, dc.b, mopts...)
-	if err != nil {
-		return nil, lbm.Stats{}, err
-	}
-	return x, res.Stats, nil
+	return mopts
 }
 
-// runEngineBatch is runEngine over the case's batched lanes: one k-lane
-// walk through the shared plan instead of k scalar walks.
-func runEngineBatch(dc *diffCase, e algo.Engine, inj lbm.Injector, t lbm.Transport) ([]*matrix.Sparse, lbm.Stats, error) {
-	var mopts []lbm.Option
-	if inj != nil {
-		mopts = append(mopts, lbm.WithInjector(inj))
-	}
-	if t != nil {
-		mopts = append(mopts, lbm.WithTransport(t))
-	}
-	xs, res, err := dc.prep.MultiplyBatchOn(e, dc.as, dc.bs, mopts...)
+// runMap executes the map oracle on the case's scalar lane under an
+// optional injector.
+func runMap(dc *diffCase, inj lbm.Injector) (*matrix.Sparse, error) {
+	x, _, err := dc.prep.MultiplyMap(dc.a, dc.b, machineOpts(inj, nil)...)
+	return x, err
+}
+
+// runLanes executes the compiled walk on the given lanes — one for the
+// scalar phases, the case's three for the batched one — under an optional
+// injector and transport.
+func runLanes(dc *diffCase, as, bs []*matrix.Sparse, inj lbm.Injector, t lbm.Transport) ([]*matrix.Sparse, lbm.Stats, error) {
+	xs, res, err := dc.prep.MultiplyBatch(as, bs, machineOpts(inj, t)...)
 	if err != nil {
 		return nil, lbm.Stats{}, err
 	}
 	return xs, res.Stats, nil
 }
 
-// runMesh executes the compiled engine on every rank of the TCP trio at
+// runMeshLanes executes the compiled walk on every rank of the TCP trio at
 // once (the injector is a read-only hash, safe to share). It returns either
-// the merged product and merged statistics, or — when every rank detected
-// the identical typed fault — that fault. Divergent verdicts across ranks
-// are a differential violation and come back as an untyped error.
-func runMesh(dc *diffCase, meshes []*dist.Mesh, inj lbm.Injector) (*matrix.Sparse, lbm.Stats, error) {
+// the products merged lane for lane from the disjoint per-rank partials and
+// the merged statistics, or — when every rank detected the identical typed
+// fault — that fault. Divergent verdicts across ranks are a differential
+// violation and come back as an untyped error.
+func runMeshLanes(dc *diffCase, meshes []*dist.Mesh, as, bs []*matrix.Sparse, inj lbm.Injector) ([]*matrix.Sparse, lbm.Stats, error) {
 	n := len(meshes)
-	outs := make([]*matrix.Sparse, n)
+	outs := make([][]*matrix.Sparse, n)
 	stats := make([]lbm.Stats, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -267,7 +265,7 @@ func runMesh(dc *diffCase, meshes []*dist.Mesh, inj lbm.Injector) (*matrix.Spars
 		wg.Add(1)
 		go func(rk int) {
 			defer wg.Done()
-			outs[rk], stats[rk], errs[rk] = runEngine(dc, algo.EngineCompiled, inj, meshes[rk])
+			outs[rk], stats[rk], errs[rk] = runLanes(dc, as, bs, inj, meshes[rk])
 		}(rk)
 	}
 	wg.Wait()
@@ -287,51 +285,7 @@ func runMesh(dc *diffCase, meshes []*dist.Mesh, inj lbm.Injector) (*matrix.Spars
 			return nil, lbm.Stats{}, fmt.Errorf("mesh ranks diverged: rank 0 clean, rank %d %v", rk, errs[rk])
 		}
 	}
-	merged := matrix.NewSparse(dc.a.N, dc.a.R)
-	for _, x := range outs {
-		for i, row := range x.Rows {
-			for _, c := range row {
-				merged.Set(i, int(c.Col), c.Val)
-			}
-		}
-	}
-	return merged, lbm.MergeStats(stats...), nil
-}
-
-// runMeshBatch is runMesh over the case's batched lanes: every rank walks
-// the plan once with k lanes, and the disjoint per-rank partials merge lane
-// for lane.
-func runMeshBatch(dc *diffCase, meshes []*dist.Mesh, inj lbm.Injector) ([]*matrix.Sparse, lbm.Stats, error) {
-	n := len(meshes)
-	outs := make([][]*matrix.Sparse, n)
-	stats := make([]lbm.Stats, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for rk := range meshes {
-		wg.Add(1)
-		go func(rk int) {
-			defer wg.Done()
-			outs[rk], stats[rk], errs[rk] = runEngineBatch(dc, algo.EngineCompiled, inj, meshes[rk])
-		}(rk)
-	}
-	wg.Wait()
-
-	if errs[0] != nil {
-		f0, ok := lbm.AsFault(errs[0])
-		for rk := 1; rk < n; rk++ {
-			f, okk := lbm.AsFault(errs[rk])
-			if !ok || !okk || *f != *f0 {
-				return nil, lbm.Stats{}, fmt.Errorf("batched mesh ranks diverged: rank 0 %v, rank %d %v", errs[0], rk, errs[rk])
-			}
-		}
-		return nil, lbm.Stats{}, errs[0]
-	}
-	for rk := 1; rk < n; rk++ {
-		if errs[rk] != nil {
-			return nil, lbm.Stats{}, fmt.Errorf("batched mesh ranks diverged: rank 0 clean, rank %d %v", rk, errs[rk])
-		}
-	}
-	merged := make([]*matrix.Sparse, len(dc.as))
+	merged := make([]*matrix.Sparse, len(as))
 	for l := range merged {
 		merged[l] = matrix.NewSparse(dc.a.N, dc.a.R)
 	}
@@ -356,8 +310,9 @@ func runCase(res *DiffResult, c int, dc *diffCase, meshes []*dist.Mesh, logf fun
 
 	// Phase 1: fault-free differential (also the reference for replays).
 	want := matrix.MulReference(dc.a, dc.b, dc.prep.Inst.Xhat)
-	xMap, _, errMap := runEngine(dc, algo.EngineMap, nil, nil)
-	xComp, stComp, errComp := runEngine(dc, algo.EngineCompiled, nil, nil)
+	a1, b1 := dc.as[:1], dc.bs[:1] // the scalar lane as a one-lane batch
+	xMap, errMap := runMap(dc, nil)
+	xComp, stComp, errComp := runLanes(dc, a1, b1, nil, nil)
 	if errMap != nil || errComp != nil {
 		fail("fault-free run errored: map=%v compiled=%v", errMap, errComp)
 		return
@@ -366,7 +321,7 @@ func runCase(res *DiffResult, c int, dc *diffCase, meshes []*dist.Mesh, logf fun
 		fail("map engine product differs from the sequential reference")
 		return
 	}
-	if !matrix.Equal(xComp, want) {
+	if !matrix.Equal(xComp[0], want) {
 		fail("compiled engine product differs from the sequential reference")
 		return
 	}
@@ -376,12 +331,12 @@ func runCase(res *DiffResult, c int, dc *diffCase, meshes []*dist.Mesh, logf fun
 	// bit-identical to the nil-transport engine — product and Stats both —
 	// and a partitioned TCP mesh run must merge back to the same product
 	// and the same Stats.
-	xLoop, stLoop, errLoop := runEngine(dc, algo.EngineCompiled, nil, &lbm.Loopback{})
+	xLoop, stLoop, errLoop := runLanes(dc, a1, b1, nil, &lbm.Loopback{})
 	if errLoop != nil {
 		fail("loopback run errored: %v", errLoop)
 		return
 	}
-	if !matrix.Equal(xLoop, want) {
+	if !matrix.Equal(xLoop[0], want) {
 		fail("loopback product differs from the sequential reference")
 		return
 	}
@@ -390,12 +345,12 @@ func runCase(res *DiffResult, c int, dc *diffCase, meshes []*dist.Mesh, logf fun
 		return
 	}
 	if meshes != nil {
-		xTCP, stTCP, errTCP := runMesh(dc, meshes, nil)
+		xTCP, stTCP, errTCP := runMeshLanes(dc, meshes, a1, b1, nil)
 		if errTCP != nil {
 			fail("tcp mesh run errored: %v", errTCP)
 			return
 		}
-		if !matrix.Equal(xTCP, want) {
+		if !matrix.Equal(xTCP[0], want) {
 			fail("tcp mesh product differs from the sequential reference")
 			return
 		}
@@ -415,7 +370,7 @@ func runCase(res *DiffResult, c int, dc *diffCase, meshes []*dist.Mesh, logf fun
 	for l := 1; l < len(dc.as); l++ {
 		wants[l] = matrix.MulReference(dc.as[l], dc.bs[l], dc.prep.Inst.Xhat)
 	}
-	xsB, stB, errB := runEngineBatch(dc, algo.EngineCompiled, nil, nil)
+	xsB, stB, errB := runLanes(dc, dc.as, dc.bs, nil, nil)
 	if errB != nil {
 		fail("batched run errored: %v", errB)
 		return
@@ -426,7 +381,7 @@ func runCase(res *DiffResult, c int, dc *diffCase, meshes []*dist.Mesh, logf fun
 			return
 		}
 	}
-	xsBL, stBL, errBL := runEngineBatch(dc, algo.EngineCompiled, nil, &lbm.Loopback{})
+	xsBL, stBL, errBL := runLanes(dc, dc.as, dc.bs, nil, &lbm.Loopback{})
 	if errBL != nil {
 		fail("batched loopback run errored: %v", errBL)
 		return
@@ -442,7 +397,7 @@ func runCase(res *DiffResult, c int, dc *diffCase, meshes []*dist.Mesh, logf fun
 		return
 	}
 	if meshes != nil {
-		xsBM, stBM, errBM := runMeshBatch(dc, meshes, nil)
+		xsBM, stBM, errBM := runMeshLanes(dc, meshes, dc.as, dc.bs, nil)
 		if errBM != nil {
 			fail("batched tcp mesh run errored: %v", errBM)
 			return
@@ -463,7 +418,7 @@ func runCase(res *DiffResult, c int, dc *diffCase, meshes []*dist.Mesh, logf fun
 		// Quiet plans still exercise the injector seam: verdicts must all be
 		// clean and the products unchanged.
 		inj := dc.plan.MustInjector()
-		if x, _, err := runEngine(dc, algo.EngineCompiled, inj, nil); err != nil || !matrix.Equal(x, want) {
+		if xs, _, err := runLanes(dc, a1, b1, inj, nil); err != nil || !matrix.Equal(xs[0], want) {
 			fail("quiet injector perturbed the compiled engine: err=%v", err)
 		}
 		return
@@ -471,11 +426,11 @@ func runCase(res *DiffResult, c int, dc *diffCase, meshes []*dist.Mesh, logf fun
 
 	// Phase 2: the armed differential under one shared injector.
 	inj := dc.plan.MustInjector()
-	xMapF, _, errMapF := runEngine(dc, algo.EngineMap, inj, nil)
-	xCompF, _, errCompF := runEngine(dc, algo.EngineCompiled, inj, nil)
+	xMapF, errMapF := runMap(dc, inj)
+	xCompF, _, errCompF := runLanes(dc, a1, b1, inj, nil)
 	switch {
 	case errMapF == nil && errCompF == nil:
-		if !matrix.Equal(xMapF, want) || !matrix.Equal(xCompF, want) {
+		if !matrix.Equal(xMapF, want) || !matrix.Equal(xCompF[0], want) {
 			fail("injection survived but a product changed")
 			return
 		}
@@ -503,22 +458,22 @@ func runCase(res *DiffResult, c int, dc *diffCase, meshes []*dist.Mesh, logf fun
 	// run and every rank of the mesh must reach the identical verdict —
 	// the same typed fault as the nil-transport engines, or a survival
 	// with the reference product.
-	xLoopF, _, errLoopF := runEngine(dc, algo.EngineCompiled, inj, &lbm.Loopback{})
+	xLoopF, _, errLoopF := runLanes(dc, a1, b1, inj, &lbm.Loopback{})
 	if !sameVerdict(errCompF, errLoopF) {
 		fail("loopback verdict differs under injection: plain=%v loopback=%v", errCompF, errLoopF)
 		return
 	}
-	if errLoopF == nil && !matrix.Equal(xLoopF, want) {
+	if errLoopF == nil && !matrix.Equal(xLoopF[0], want) {
 		fail("loopback survived injection but the product changed")
 		return
 	}
 	if meshes != nil {
-		xTCPF, _, errTCPF := runMesh(dc, meshes, inj)
+		xTCPF, _, errTCPF := runMeshLanes(dc, meshes, a1, b1, inj)
 		if !sameVerdict(errCompF, errTCPF) {
 			fail("tcp mesh verdict differs under injection: plain=%v tcp=%v", errCompF, errTCPF)
 			return
 		}
-		if errTCPF == nil && !matrix.Equal(xTCPF, want) {
+		if errTCPF == nil && !matrix.Equal(xTCPF[0], want) {
 			fail("tcp mesh survived injection but the product changed")
 			return
 		}
@@ -526,13 +481,13 @@ func runCase(res *DiffResult, c int, dc *diffCase, meshes []*dist.Mesh, logf fun
 
 	// Phase 3: fault-free replay — a detection must leave no residue (the
 	// compiled engine recycles pooled executors across calls).
-	xMapR, _, errMapR := runEngine(dc, algo.EngineMap, nil, nil)
-	xCompR, _, errCompR := runEngine(dc, algo.EngineCompiled, nil, nil)
+	xMapR, errMapR := runMap(dc, nil)
+	xCompR, _, errCompR := runLanes(dc, a1, b1, nil, nil)
 	if errMapR != nil || errCompR != nil {
 		fail("fault-free replay errored: map=%v compiled=%v", errMapR, errCompR)
 		return
 	}
-	if !matrix.Equal(xMapR, want) || !matrix.Equal(xCompR, want) {
+	if !matrix.Equal(xMapR, want) || !matrix.Equal(xCompR[0], want) {
 		fail("fault-free replay product differs after an injected run")
 	}
 }

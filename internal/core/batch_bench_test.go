@@ -12,7 +12,7 @@ import (
 func BenchmarkBatch16Theorem42Real(b *testing.B) {
 	r := ring.Real{}
 	inst := workload.Instance(matrix.US, matrix.US, matrix.US, 64, 4, 42)
-	prep, err := core.Prepare(inst.Ahat, inst.Bhat, inst.Xhat, core.Options{Ring: r, D: 4, Algorithm: "theorem42", Engine: "compiled"})
+	prep, err := core.Prepare(inst.Ahat, inst.Bhat, inst.Xhat, core.Options{Ring: r, D: 4, Algorithm: "theorem42"})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -34,10 +34,6 @@ type Options struct {
 	// Algorithm forces a specific algorithm: "auto" (default),
 	// "theorem42", "lemma31", "trivial", "baseline".
 	Algorithm string
-	// Engine selects the prepared execution engine: "" or "compiled" (the
-	// slot-addressed compiled form, default) or "map" (the reference
-	// map-backed machine). Only the prepared path distinguishes engines.
-	Engine string
 	// Workers selects the goroutine execution engine (0 = sequential).
 	Workers int
 	// SkipVerify disables the built-in check against the sequential

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -255,6 +256,30 @@ func TestPrepareAndReuse(t *testing.T) {
 			t.Fatalf("rounds vary: %d vs %d", rep.Rounds, rounds)
 		}
 		rounds = rep.Rounds
+		// Multiply is the one-lane MultiplyBatch: same product, same
+		// Report, and under tracing the same exported profile.
+		if rep.Lanes != 1 {
+			t.Errorf("Multiply reports %d lanes, want 1", rep.Lanes)
+		}
+		as, bs := []*matrix.Sparse{a}, []*matrix.Sparse{b}
+		xs, brep, err := p.MultiplyBatch(as, bs, ExecOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matrix.Equal(xs[0], x) || !reflect.DeepEqual(brep, rep) {
+			t.Errorf("seed %d: Multiply differs from MultiplyBatch of one lane:\n got %+v\nwant %+v", seed, rep, brep)
+		}
+		_, trep, err := p.MultiplyOpts(a, b, ExecOpts{Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, tbrep, err := p.MultiplyBatch(as, bs, ExecOpts{Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trep.Profile == nil || !reflect.DeepEqual(trep.Profile.Export(), tbrep.Profile.Export()) || trep.Timeline != tbrep.Timeline {
+			t.Errorf("seed %d: traced Multiply and one-lane MultiplyBatch export different profiles", seed)
+		}
 	}
 	// Non-preparable algorithms are rejected.
 	if _, err := Prepare(inst.Ahat, inst.Bhat, inst.Xhat, Options{Ring: r, Algorithm: "trivial"}); err == nil {

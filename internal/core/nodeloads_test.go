@@ -30,7 +30,7 @@ func TestNodeLoadsMatchExecutedStats(t *testing.T) {
 			}
 			r := ring.Counting{}
 			prep, err := Prepare(inst.Ahat, inst.Bhat, inst.Xhat, Options{
-				Ring: r, D: 3, Algorithm: tc.alg, Engine: "compiled",
+				Ring: r, D: 3, Algorithm: tc.alg,
 			})
 			if err != nil {
 				t.Fatalf("prepare: %v", err)
@@ -62,29 +62,38 @@ func TestNodeLoadsMatchExecutedStats(t *testing.T) {
 }
 
 // TestNodeLoadsEngineIndependent pins that the load profile is a property
-// of the compiled structure, not the engine choice: a map-engine
-// preparation still compiles the plan, so both engines report the identical
-// profile.
+// of the structure, not of the engine that walks it: the map oracle and the
+// compiled walk both charge exactly the loads NodeLoads derives from the
+// compiled instruction streams.
 func TestNodeLoadsEngineIndependent(t *testing.T) {
 	inst := workload.Blocks(16, 2)
-	mk := func(engine string) (sendLoads, recvLoads []int64) {
-		prep, err := Prepare(inst.Ahat, inst.Bhat, inst.Xhat, Options{
-			Ring: ring.Counting{}, D: 2, Engine: engine,
-		})
-		if err != nil {
-			t.Fatalf("prepare %s: %v", engine, err)
+	r := ring.Counting{}
+	prep, err := Prepare(inst.Ahat, inst.Bhat, inst.Xhat, Options{Ring: r, D: 2})
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	send, recv := prep.NodeLoads()
+	if send == nil || recv == nil {
+		t.Fatal("compiled plan reports no load profile")
+	}
+	a := matrix.Random(inst.Ahat, r, 1)
+	b := matrix.Random(inst.Bhat, r, 2)
+	_, resMap, err := prep.inner.MultiplyMap(a, b)
+	if err != nil {
+		t.Fatalf("map multiply: %v", err)
+	}
+	_, repComp, err := prep.Multiply(a, b)
+	if err != nil {
+		t.Fatalf("compiled multiply: %v", err)
+	}
+	for v := range send {
+		if resMap.Stats.SendLoad[v] != send[v] || resMap.Stats.RecvLoad[v] != recv[v] {
+			t.Fatalf("node %d: map engine charged (%d,%d), profile says (%d,%d)",
+				v, resMap.Stats.SendLoad[v], resMap.Stats.RecvLoad[v], send[v], recv[v])
 		}
-		return prep.NodeLoads()
-	}
-	sendMap, recvMap := mk("map")
-	sendComp, recvComp := mk("compiled")
-	if sendMap == nil || sendComp == nil {
-		t.Fatal("an engine reported no load profile")
-	}
-	for v := range sendComp {
-		if sendMap[v] != sendComp[v] || recvMap[v] != recvComp[v] {
-			t.Fatalf("node %d: map engine profile (%d,%d) differs from compiled (%d,%d)",
-				v, sendMap[v], recvMap[v], sendComp[v], recvComp[v])
+		if repComp.Stats.SendLoad[v] != send[v] || repComp.Stats.RecvLoad[v] != recv[v] {
+			t.Fatalf("node %d: compiled walk charged (%d,%d), profile says (%d,%d)",
+				v, repComp.Stats.SendLoad[v], repComp.Stats.RecvLoad[v], send[v], recv[v])
 		}
 	}
 }

@@ -71,14 +71,6 @@ func Prepare(ahat, bhat, xhat *matrix.Support, opts Options) (*Prepared, error) 
 	if err != nil {
 		return nil, err
 	}
-	switch opts.Engine {
-	case "", string(algo.EngineCompiled):
-		inner.Engine = algo.EngineCompiled
-	case string(algo.EngineMap):
-		inner.Engine = algo.EngineMap
-	default:
-		return nil, fmt.Errorf("core: unknown engine %q (want %q or %q)", opts.Engine, algo.EngineCompiled, algo.EngineMap)
-	}
 	p.inner = inner
 	return p, nil
 }
@@ -110,20 +102,13 @@ func (p *Prepared) NodeLoads() (send, recv []int64) {
 // Multiply executes the prepared plans on one value set. The values must
 // lie within the prepared structure; positions of the structure without a
 // value are ring zeros. Multiply is safe for concurrent use: the prepared
-// plans are read-only and every call runs on a fresh machine.
+// plans are read-only and every call runs on its own executor.
 func (p *Prepared) Multiply(a, b *matrix.Sparse) (*matrix.Sparse, *Report, error) {
-	return p.MultiplyTraced(a, b, false)
+	return p.MultiplyOpts(a, b, ExecOpts{})
 }
 
-// MultiplyTraced is Multiply with an optional per-call execution profile
-// (Report.Profile / Report.Timeline), recorded without mutating the shared
-// prepared state — the serving layer uses it for per-request traces.
-func (p *Prepared) MultiplyTraced(a, b *matrix.Sparse, trace bool) (*matrix.Sparse, *Report, error) {
-	return p.MultiplyOpts(a, b, ExecOpts{Trace: trace})
-}
-
-// ExecOpts are per-call execution options for MultiplyOpts. The zero value
-// is a plain Multiply on the prepared engine.
+// ExecOpts are per-call execution options for MultiplyOpts and
+// MultiplyBatch. The zero value is a plain Multiply.
 type ExecOpts struct {
 	// Trace records a per-call execution profile into the Report.
 	Trace bool
@@ -137,8 +122,7 @@ type ExecOpts struct {
 	Transport lbm.Transport
 }
 
-// machineOpts lowers the per-call options to the machine options both
-// Multiply forms pass down.
+// machineOpts lowers the per-call options to machine options.
 func (o ExecOpts) machineOpts() []lbm.Option {
 	var mopts []lbm.Option
 	if o.Trace {
@@ -153,25 +137,25 @@ func (o ExecOpts) machineOpts() []lbm.Option {
 	return mopts
 }
 
-// MultiplyOpts executes the prepared plans on one value set with per-call
-// execution options. Like Multiply it is safe for concurrent use.
+// MultiplyOpts is Multiply with per-call execution options: a one-lane
+// MultiplyBatch (Report.Lanes = 1).
 func (p *Prepared) MultiplyOpts(a, b *matrix.Sparse, opts ExecOpts) (*matrix.Sparse, *Report, error) {
-	x, res, err := p.inner.MultiplyWith(a, b, opts.machineOpts()...)
+	outs, rep, err := p.MultiplyBatch([]*matrix.Sparse{a}, []*matrix.Sparse{b}, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	return x, &Report{Result: *res, Classes: p.Classes, D: p.D, Band: p.Band}, nil
+	return outs[0], rep, nil
 }
 
 // MultiplyBatch executes the prepared plans on k value sets in one batched
-// run: on the compiled engine every lane shares one instruction-stream
-// walk, so the batch pays roughly one multiply's decode and bookkeeping
-// regardless of k. Outputs come back lane for lane (outs[l] = as[l]·bs[l]);
-// the Report describes the whole batch (Report.Lanes = k). A fault fails
-// the whole batch — lanes share every round, so there is no partial
-// success. Safe for concurrent use, like Multiply.
+// run: every lane shares one instruction-stream walk, so the batch pays
+// roughly one multiply's decode and bookkeeping regardless of k. Outputs
+// come back lane for lane (outs[l] = as[l]·bs[l]); the Report describes the
+// whole batch (Report.Lanes = k). A fault fails the whole batch — lanes
+// share every round, so there is no partial success. Safe for concurrent
+// use, like Multiply.
 func (p *Prepared) MultiplyBatch(as, bs []*matrix.Sparse, opts ExecOpts) ([]*matrix.Sparse, *Report, error) {
-	outs, res, err := p.inner.MultiplyBatchWith(as, bs, opts.machineOpts()...)
+	outs, res, err := p.inner.MultiplyBatch(as, bs, opts.machineOpts()...)
 	if err != nil {
 		return nil, nil, err
 	}

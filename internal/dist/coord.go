@@ -251,12 +251,17 @@ func runRank(cfg RunConfig, job string, rk int, addr string, table []uint16, fp 
 		Prepared:    plan,
 		Lanes:       lanes,
 	}
-	if err := writeFrame(conn, &jf); err != nil {
-		return nil, err
-	}
+	// A worker that refuses the hello replies and closes without reading the
+	// job frame, so this write can fail with a reset while the refusal is
+	// already waiting to be read: a failed write still reads the reply, and
+	// reports the write error only when there is none.
+	werr := writeFrame(conn, &jf)
 	conn.SetReadDeadline(time.Now().Add(resultTO))
 	var rf resultFrame
 	if err := readFrame(conn, &rf); err != nil {
+		if werr != nil {
+			return nil, werr
+		}
 		return nil, fmt.Errorf("waiting for result: %w", err)
 	}
 	if rf.Job != job {

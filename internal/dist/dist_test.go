@@ -103,7 +103,7 @@ func prepCase(t *testing.T, alg string, r ring.Semiring, n, d int) (*core.Prepar
 	t.Helper()
 	inst := workload.Blocks(n, d)
 	prep, err := core.Prepare(inst.Ahat, inst.Bhat, inst.Xhat, core.Options{
-		Ring: r, D: d, Algorithm: alg, Engine: "compiled",
+		Ring: r, D: d, Algorithm: alg,
 	})
 	if err != nil {
 		t.Fatalf("prepare %s: %v", alg, err)

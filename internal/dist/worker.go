@@ -364,13 +364,6 @@ func (w *worker) execute(jf *jobFrame, counters *obsv.CounterSet) ([]*matrix.Spa
 	if w.opts.ReadTimeout > 0 {
 		mesh.ReadTimeout = w.opts.ReadTimeout
 	}
-	if len(as) == 1 {
-		x, rep, err := prep.MultiplyOpts(as[0], bs[0], core.ExecOpts{Transport: mesh})
-		if err != nil {
-			return nil, stats, err
-		}
-		return []*matrix.Sparse{x}, rep.Stats, nil
-	}
 	xs, rep, err := prep.MultiplyBatch(as, bs, core.ExecOpts{Transport: mesh})
 	if err != nil {
 		return nil, stats, err

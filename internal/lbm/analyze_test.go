@@ -63,53 +63,6 @@ func TestAnalyzePlanFindsViolations(t *testing.T) {
 	}
 }
 
-func TestTraceTimeline(t *testing.T) {
-	m := New(4, ring.Counting{}, WithTrace())
-	m.Put(0, AKey(0, 0), 1)
-	m.Put(1, AKey(1, 0), 2)
-	m.Mark("alpha")
-	_ = m.RunRound(Round{{From: 0, To: 1, Src: AKey(0, 0), Dst: TKey(0, 0, 0)}})
-	_ = m.RunRound(Round{{From: 1, To: 2, Src: AKey(1, 0), Dst: TKey(1, 0, 0)}})
-	m.Mark("beta")
-	_ = m.RunRound(Round{{From: 1, To: 0, Src: AKey(1, 0), Dst: TKey(9, 0, 0)}})
-	tr := m.Trace()
-	if tr == nil || len(tr.PerRound) != 3 {
-		t.Fatalf("trace = %+v", tr)
-	}
-	out := tr.Timeline()
-	if !strings.Contains(out, "alpha") || !strings.Contains(out, "beta") {
-		t.Errorf("timeline missing labels:\n%s", out)
-	}
-	// A machine without tracing marks freely and returns a nil trace.
-	m2 := New(2, ring.Counting{})
-	m2.Mark("noop")
-	if m2.Trace() != nil {
-		t.Error("trace should be nil when disabled")
-	}
-	var nilTrace *Trace
-	if !strings.Contains(nilTrace.Timeline(), "disabled") {
-		t.Error("nil trace timeline")
-	}
-}
-
-func TestSparkShapes(t *testing.T) {
-	if spark(nil, 0) != "" {
-		t.Error("empty spark")
-	}
-	s := spark([]int{1, 2, 4, 8}, 8)
-	if len([]rune(s)) != 4 {
-		t.Errorf("spark %q", s)
-	}
-	// Long inputs compress to 40 buckets.
-	long := make([]int, 200)
-	for i := range long {
-		long[i] = i
-	}
-	if got := len([]rune(spark(long, 199))); got != 40 {
-		t.Errorf("compressed spark length %d", got)
-	}
-}
-
 func TestCutTraffic(t *testing.T) {
 	p := &Plan{}
 	p.Append(Round{

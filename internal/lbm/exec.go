@@ -140,20 +140,6 @@ func (x *Exec) Profile() *obsv.Profile {
 	return nil
 }
 
-// Trace returns a snapshot of the recorded trace, or nil when no profile
-// collector is attached (mirrors Machine.Trace).
-func (x *Exec) Trace() *Trace {
-	p := x.Profile()
-	if p == nil {
-		return nil
-	}
-	tr := &Trace{PerRound: p.PerRoundMessages(), Marks: map[int][]string{}}
-	for _, mk := range p.Marks() {
-		tr.Marks[mk.Round] = append(tr.Marks[mk.Round], mk.Labels...)
-	}
-	return tr
-}
-
 // BeginPhase opens a nested phase span on the collector.
 func (x *Exec) BeginPhase(label string) {
 	if x.collector != nil {

@@ -16,7 +16,7 @@ import (
 // a duplicated message violates the one-receive invariant, a corrupted
 // payload fails its checksum. Detection surfaces as a typed *ErrFault
 // carrying the network round and the node that observed the violation, so a
-// supervisor (the serving layer's retry/fallback policy, the chaos
+// supervisor (the serving layer's retry policy, the chaos
 // differential harness) can reason about the failure instead of pattern
 // matching error strings.
 //

@@ -253,6 +253,18 @@ func WithCollector(c obsv.Collector) Option {
 	return func(m *Machine) { m.collector = c }
 }
 
+// WithTrace enables round tracing on a new machine by attaching a fresh
+// obsv.Profile collector.
+func WithTrace() Option { return func(m *Machine) { m.EnableTrace() } }
+
+// EnableTrace switches tracing on (no-op if a collector is already
+// attached).
+func (m *Machine) EnableTrace() {
+	if m.collector == nil {
+		m.collector = obsv.NewProfile()
+	}
+}
+
 // SetCollector attaches (or, with nil, detaches) a collector.
 func (m *Machine) SetCollector(c obsv.Collector) { m.collector = c }
 
@@ -287,6 +299,17 @@ func (m *Machine) EndPhase() {
 func (m *Machine) Counter(name string, delta float64) {
 	if m.collector != nil {
 		m.collector.Counter(name, delta)
+	}
+}
+
+// Mark annotates the current position in the round timeline with a phase
+// label (free; no-op when no collector is attached). The label anchors to
+// the next counted round: if the rounds that follow are all empty or
+// local-only, the label merges into the next real round's boundary instead
+// of vanishing.
+func (m *Machine) Mark(label string) {
+	if m.collector != nil {
+		m.collector.Mark(label)
 	}
 }
 

@@ -6,11 +6,11 @@ import (
 	"lbmm/internal/ring"
 )
 
-// MachineBatch is the map engine's batched execution path: k value
-// assignments ("lanes") over one shared plan sequence, executed the
-// trivially-correct way — one independent map-backed Machine per lane, each
-// walking every plan in full. It exists as the oracle the lane-strided
-// compiled batch (NewExecBatch) is differentially tested against: by
+// MachineBatch is the map engine run on k value assignments ("lanes") over
+// one shared plan sequence, executed the trivially-correct way — one
+// independent map-backed Machine per lane, each walking every plan in full.
+// It is a test helper: the oracle the lane-strided compiled batch
+// (NewExecBatch) is differentially tested against in execbatch_test.go. By
 // construction a MachineBatch run IS k independent Machine runs, so holding
 // Exec's one-walk-updates-all-lanes form to a MachineBatch's outputs and
 // per-lane Stats proves the batched walk equivalent to k sequential

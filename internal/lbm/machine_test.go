@@ -524,7 +524,7 @@ func TestReset(t *testing.T) {
 	if st.MaxSendLoad() != 0 {
 		t.Error("loads survive reset")
 	}
-	if tr := m.Trace(); tr == nil || len(tr.PerRound) != 0 {
+	if prof := m.Profile(); prof == nil || prof.NumRounds() != 0 {
 		t.Error("trace survives reset")
 	}
 	// The machine is usable again.

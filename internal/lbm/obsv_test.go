@@ -10,7 +10,7 @@ import (
 // TestMarkCarryForwardRegression pins the fix for the classic trace bug:
 // labels placed before rounds that end up free (local-only or empty) used to
 // vanish or mis-anchor; they must merge into the next counted round's
-// boundary, and trailing labels must survive at r == len(PerRound).
+// boundary, and trailing labels must survive at r == NumRounds.
 func TestMarkCarryForwardRegression(t *testing.T) {
 	m := New(4, ring.Counting{}, WithTrace())
 	m.Put(0, AKey(0, 0), 1)
@@ -27,23 +27,34 @@ func TestMarkCarryForwardRegression(t *testing.T) {
 	}
 	m.Mark("trailing")
 
-	tr := m.Trace()
-	if len(tr.PerRound) != 1 {
-		t.Fatalf("PerRound = %v, want one counted round", tr.PerRound)
+	prof := m.Profile()
+	if got := prof.PerRoundMessages(); len(got) != 1 {
+		t.Fatalf("PerRoundMessages = %v, want one counted round", got)
 	}
-	if got := tr.Marks[0]; len(got) != 2 || got[0] != "before-free" || got[1] != "before-real" {
+	marks := map[int][]string{}
+	for _, mk := range prof.Marks() {
+		marks[mk.Round] = mk.Labels
+	}
+	if got := marks[0]; len(got) != 2 || got[0] != "before-free" || got[1] != "before-real" {
 		t.Errorf("Marks[0] = %v, want both labels carried to the counted round", got)
 	}
-	if got := tr.Marks[1]; len(got) != 1 || got[0] != "trailing" {
+	if got := marks[1]; len(got) != 1 || got[0] != "trailing" {
 		t.Errorf("Marks[1] = %v, want the trailing label preserved", got)
 	}
 
-	tl := tr.Timeline()
+	tl := prof.Timeline()
 	if !strings.Contains(tl, "before-free+before-real") {
 		t.Errorf("timeline lost the merged labels:\n%s", tl)
 	}
 	if !strings.Contains(tl, "trailing") {
 		t.Errorf("timeline lost the trailing label:\n%s", tl)
+	}
+
+	// A machine without tracing marks freely and has no profile.
+	m2 := New(2, ring.Counting{})
+	m2.Mark("noop")
+	if m2.Profile() != nil {
+		t.Error("profile should be nil when tracing is disabled")
 	}
 }
 

@@ -41,7 +41,7 @@ type Collector interface {
 	// EndPhase closes the innermost open span (no-op at the root).
 	EndPhase()
 	// Mark attaches a flat boundary label that anchors to the *next*
-	// counted round (the legacy lbm.Trace annotation style). Marks that
+	// counted round (the annotation Profile.Timeline renders). Marks that
 	// never see another counted round are preserved as trailing marks.
 	Mark(label string)
 	// OnRound reports one counted round: its real cross-node message count

@@ -141,7 +141,7 @@ func (p *Profile) Rounds() []RoundSample {
 }
 
 // PerRoundMessages returns the per-counted-round real message counts — the
-// legacy lbm.Trace.PerRound view.
+// flat view Timeline renders.
 func (p *Profile) PerRoundMessages() []int {
 	out := make([]int, len(p.rounds))
 	for i, r := range p.rounds {

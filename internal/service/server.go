@@ -315,10 +315,6 @@ func (s *Server) release() {
 // quarantined by the store, and the request falls through to a compile
 // exactly as if the tier had missed.
 func (s *Server) prepared(ahat, bhat, xhat *matrix.Support, opts core.Options) (*core.Prepared, string, bool, error) {
-	// The serving layer always runs the default (compiled) engine; the
-	// fingerprint is engine-agnostic, so a cached plan must not inherit an
-	// engine override from whichever request compiled it first.
-	opts.Engine = ""
 	fp, err := core.Fingerprint(ahat, bhat, xhat, opts)
 	if err != nil {
 		return nil, "", false, err

@@ -65,10 +65,11 @@ func PageRank(g *Graph, damping float64, iters int) ([]float64, int, int, error)
 	totalRounds := 0
 	perIter := 0
 	for t := 0; t < iters; t++ {
-		y, res, err := prep.Multiply(m, x)
+		ys, res, err := prep.MultiplyBatch([]*matrix.Sparse{m}, []*matrix.Sparse{x})
 		if err != nil {
 			return nil, 0, 0, err
 		}
+		y := ys[0]
 		totalRounds += res.Rounds
 		perIter = res.Rounds
 		// Free local step at each computer: add the teleport term.
