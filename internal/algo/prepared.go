@@ -22,7 +22,10 @@ import (
 // costly-on-host) planning over repeated products with the same structure
 // is the natural API for iterative workloads.
 type Prepared struct {
-	Inst   *graph.Instance
+	Inst *graph.Instance
+	// Layout assigns matrix entries to computers. Compilation and
+	// MultiplyMap read it; it is nil on a restored plan, whose load refs
+	// already carry the owners.
 	Layout *lbm.Layout
 	R      ring.Semiring
 	Name   string

@@ -2,10 +2,14 @@ package algo
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"reflect"
 	"testing"
 
 	"lbmm/internal/graph"
+	"lbmm/internal/lbm"
 	"lbmm/internal/matrix"
 	"lbmm/internal/ring"
 	"lbmm/internal/workload"
@@ -30,6 +34,43 @@ func prepareFor(t *testing.T, r ring.Semiring, inst *graph.Instance, name string
 	return p
 }
 
+// snapshot writes p's compiled state as a sealed test envelope.
+func snapshot(t *testing.T, p *Prepared) []byte {
+	t.Helper()
+	w := lbm.NewWireWriter("algotest", 1)
+	if err := p.EncodeCompiled(w); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	env, err := w.Bytes()
+	if err != nil {
+		t.Fatalf("seal: %v", err)
+	}
+	return env
+}
+
+// restore reads a test envelope back, insisting the body is fully consumed.
+func restore(env []byte) (*Prepared, error) {
+	r, err := lbm.ReadWire(bytes.NewReader(env), "algotest", 1)
+	if err != nil {
+		return nil, err
+	}
+	q, err := DecodeCompiledPrepared(r)
+	if err == nil {
+		err = r.Close()
+	}
+	return q, err
+}
+
+// reseal rewrites an envelope's header for whatever body now follows it
+// (length at offset 12, CRC-32C at 16), so damage to the body reaches the
+// body reader instead of stopping at the checksum.
+func reseal(env []byte) []byte {
+	body := env[20:]
+	binary.LittleEndian.PutUint32(env[12:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(env[16:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	return env
+}
+
 // TestSnapshotRoundTripDifferential checks that a decoded snapshot computes
 // exactly what the original prepared form computes — scalar and batched —
 // across workloads, rings and both algorithms.
@@ -50,19 +91,27 @@ func TestSnapshotRoundTripDifferential(t *testing.T) {
 				t.Run(tc.name+"/"+r.Name()+"/"+alg, func(t *testing.T) {
 					p := prepareFor(t, r, tc.inst, alg)
 
-					var buf bytes.Buffer
-					if err := p.EncodeCompiled(&buf); err != nil {
-						t.Fatalf("encode: %v", err)
+					env := snapshot(t, p)
+					if !bytes.Equal(env, snapshot(t, p)) {
+						t.Fatalf("encoding the same plan twice gave different bytes")
 					}
-					q, err := DecodeCompiledPrepared(bytes.NewReader(buf.Bytes()))
+					q, err := restore(env)
 					if err != nil {
 						t.Fatalf("decode: %v", err)
+					}
+					if !bytes.Equal(snapshot(t, q), env) {
+						t.Fatalf("decode → encode is not a fixed point")
 					}
 					if q.Name != p.Name {
 						t.Fatalf("name %q != %q", q.Name, p.Name)
 					}
 					if q.CompiledBytes() != p.CompiledBytes() {
 						t.Fatalf("compiled bytes %d != %d", q.CompiledBytes(), p.CompiledBytes())
+					}
+					wsend, wrecv := p.NodeLoads()
+					gsend, grecv := q.NodeLoads()
+					if !reflect.DeepEqual(gsend, wsend) || !reflect.DeepEqual(grecv, wrecv) {
+						t.Fatalf("restored node loads differ")
 					}
 
 					a := matrix.Random(tc.inst.Ahat, r, 1)
@@ -88,13 +137,16 @@ func TestSnapshotRoundTripDifferential(t *testing.T) {
 					// Batched lanes through the restored form.
 					as := []*matrix.Sparse{a, matrix.Random(tc.inst.Ahat, r, 3)}
 					bs := []*matrix.Sparse{b, matrix.Random(tc.inst.Bhat, r, 4)}
-					wouts, _, err := p.MultiplyBatch(as, bs)
+					wouts, wres, err := p.MultiplyBatch(as, bs, lbm.WithTrace())
 					if err != nil {
 						t.Fatalf("original batch: %v", err)
 					}
-					gouts, _, err := q.MultiplyBatch(as, bs)
+					gouts, gres, err := q.MultiplyBatch(as, bs, lbm.WithTrace())
 					if err != nil {
 						t.Fatalf("restored batch: %v", err)
+					}
+					if !reflect.DeepEqual(gres.Profile.Export(), wres.Profile.Export()) {
+						t.Fatalf("restored batch traces a different profile")
 					}
 					for l := range wouts {
 						if !matrix.Equal(gouts[l], wouts[l]) {
@@ -113,13 +165,12 @@ func TestSnapshotHasNoMapForm(t *testing.T) {
 	inst := workload.Blocks(16, 4)
 	r := ring.Counting{}
 	p := prepareFor(t, r, inst, "lemma31")
-	var buf bytes.Buffer
-	if err := p.EncodeCompiled(&buf); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	q, err := DecodeCompiledPrepared(bytes.NewReader(buf.Bytes()))
+	q, err := restore(snapshot(t, p))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
+	}
+	if q.Layout != nil {
+		t.Fatalf("restored plan carries a layout nothing reads")
 	}
 	a := matrix.Random(inst.Ahat, r, 1)
 	b := matrix.Random(inst.Bhat, r, 2)
@@ -142,30 +193,23 @@ func TestSnapshotHasNoMapForm(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejectsTampering checks the decoder's validation: flipped
-// bytes either fail gob decoding or fail a structural check — they never
-// produce a usable Prepared that silently computes garbage refs.
+// TestSnapshotRejectsTampering checks the decoder's own validation, behind
+// the envelope checksum: a body cut short at any point — header resealed so
+// the cut reaches the body reader — fails a bounds check, and a GF(p)
+// snapshot restores its modulus rather than the default one.
 func TestSnapshotRejectsTampering(t *testing.T) {
 	inst := workload.Blocks(16, 4)
-	p := prepareFor(t, ring.Counting{}, inst, "lemma31")
-	var buf bytes.Buffer
-	if err := p.EncodeCompiled(&buf); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	raw := buf.Bytes()
-	// Truncations must always fail.
-	for _, n := range []int{0, 1, len(raw) / 2, len(raw) - 1} {
-		if _, err := DecodeCompiledPrepared(bytes.NewReader(raw[:n])); err == nil {
-			t.Fatalf("truncation to %d bytes decoded cleanly", n)
+	env := snapshot(t, prepareFor(t, ring.Counting{}, inst, "lemma31"))
+	for n := 20; n < len(env); n++ {
+		cut := reseal(append([]byte(nil), env[:n]...))
+		if _, err := restore(cut); err == nil {
+			t.Fatalf("body truncated to %d of %d bytes decoded cleanly", n-20, len(env)-20)
 		}
 	}
-	// A GFp snapshot with a composite modulus must be rejected.
-	pg := prepareFor(t, ring.NewGFp(257), inst, "lemma31")
-	var gbuf bytes.Buffer
-	if err := pg.EncodeCompiled(&gbuf); err != nil {
-		t.Fatalf("encode gfp: %v", err)
+	if _, err := restore(reseal(append(append([]byte(nil), env...), 0))); err == nil {
+		t.Fatalf("trailing byte after the body decoded cleanly")
 	}
-	q, err := DecodeCompiledPrepared(bytes.NewReader(gbuf.Bytes()))
+	q, err := restore(snapshot(t, prepareFor(t, ring.NewGFp(257), inst, "lemma31")))
 	if err != nil {
 		t.Fatalf("decode gfp: %v", err)
 	}

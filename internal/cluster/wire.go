@@ -1,43 +1,38 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"lbmm/internal/dense"
+	"lbmm/internal/lbm"
 )
 
-// wireBatch is the exported gob form of CompiledBatch. The dense programs
-// carry their own GobEncode/GobDecode, so the batch only records which of
-// the two routines the clustering used.
-type wireBatch struct {
-	Strassen *dense.CompiledStrassenProgram
-	Cube     *dense.CompiledCubeProgram
+// PutWire appends the compiled batch to an envelope body: a presence flag
+// and the program for each of the two dense routines the clustering can use.
+func (cb *CompiledBatch) PutWire(w *lbm.WireWriter) {
+	w.Bool(cb.strassen != nil)
+	if cb.strassen != nil {
+		cb.strassen.PutWire(w)
+	}
+	w.Bool(cb.cube != nil)
+	if cb.cube != nil {
+		cb.cube.PutWire(w)
+	}
 }
 
-// GobEncode implements gob.GobEncoder so compiled phase-1 batches can be
-// written into the persistent plan store and restored without re-running
-// the Lemma 4.13 clustering or the dense planning.
-func (cb *CompiledBatch) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&wireBatch{Strassen: cb.strassen, Cube: cb.cube}); err != nil {
-		return nil, err
+// GetBatch reads what PutWire wrote; failures are recorded on r.
+func GetBatch(r *lbm.WireReader) *CompiledBatch {
+	cb := &CompiledBatch{}
+	if r.Bool() {
+		cb.strassen = dense.GetStrassenProgram(r)
 	}
-	return buf.Bytes(), nil
-}
-
-// GobDecode implements gob.GobDecoder.
-func (cb *CompiledBatch) GobDecode(data []byte) error {
-	var w wireBatch
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
+	if r.Bool() {
+		cb.cube = dense.GetCubeProgram(r)
 	}
-	if w.Strassen == nil && w.Cube == nil {
-		return fmt.Errorf("cluster: decode batch: empty batch (no cube or strassen program)")
+	if cb.strassen == nil && cb.cube == nil {
+		r.Fail(fmt.Errorf("cluster: decode batch: empty batch (no cube or strassen program)"))
 	}
-	cb.strassen, cb.cube = w.Strassen, w.Cube
-	return nil
+	return cb
 }
 
 // ValidateRefs checks every slot reference the batch touches against the

@@ -1,81 +1,47 @@
 package dense
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"lbmm/internal/lbm"
 )
 
-// This file makes the compiled dense programs serializable. The compiled
-// forms are pure data — slot-addressed instruction streams plus slot-ref
-// tables — so a program computed once can be written into the persistent
-// plan store (internal/planstore) and reloaded by a later process without
-// redoing the Lemma 2.1 / Strassen planning.
-//
-// The wire structs exist because the runtime structs keep their fields
-// unexported (nothing outside this package should poke at a lowered
-// program). GobEncode/GobDecode convert through them, and decoding
-// re-validates every embedded lbm.CompiledPlan: serialized programs cross
-// the same trust boundary as serialized Plans, so a decoded program is
-// never handed to an executor unchecked.
+// This file writes the compiled dense programs into, and reads them out of,
+// the flat plan envelope (internal/lbm/wire.go): each program lists its
+// fields in order, straight from and into the runtime struct. The embedded
+// lbm.CompiledPlans are validated by the reader as they are read; the slot
+// references of the local work are checked by ValidateRefs, once the arena
+// geometry they must fit is known.
 
-// wireSlotProd is the exported form of slotProd.
-type wireSlotProd struct {
-	A, B, Dst lbm.SlotRef
+// leafWireMin is the least a compiledLeaf occupies: host, size and three
+// empty slot tables.
+const leafWireMin = 4 + 4 + 3*4
+
+// PutWire appends the cube program to an envelope body.
+func (ccp *CompiledCubeProgram) PutWire(w *lbm.WireWriter) {
+	w.Int(ccp.njobs)
+	w.Plan(ccp.dist)
+	w.Plan(ccp.agg)
+	w.Count(len(ccp.prods))
+	for _, p := range ccp.prods {
+		w.Ref(p.a)
+		w.Ref(p.b)
+		w.Ref(p.dst)
+	}
+	w.Refs(ccp.cleanup)
 }
 
-// wireCubeProgram is the exported gob form of CompiledCubeProgram.
-type wireCubeProgram struct {
-	NJobs     int
-	Dist, Agg *lbm.CompiledPlan
-	Prods     []wireSlotProd
-	Cleanup   []lbm.SlotRef
-}
-
-// GobEncode implements gob.GobEncoder.
-func (ccp *CompiledCubeProgram) GobEncode() ([]byte, error) {
-	w := wireCubeProgram{
-		NJobs:   ccp.njobs,
-		Dist:    ccp.dist,
-		Agg:     ccp.agg,
-		Prods:   make([]wireSlotProd, len(ccp.prods)),
-		Cleanup: ccp.cleanup,
+// GetCubeProgram reads what PutWire wrote; failures are recorded on r.
+func GetCubeProgram(r *lbm.WireReader) *CompiledCubeProgram {
+	ccp := &CompiledCubeProgram{njobs: r.Int(), dist: r.Plan(), agg: r.Plan()}
+	if n := r.Count(3 * 8); n > 0 {
+		ccp.prods = make([]slotProd, n)
 	}
-	for i, p := range ccp.prods {
-		w.Prods[i] = wireSlotProd{A: p.a, B: p.b, Dst: p.dst}
+	for i := range ccp.prods {
+		ccp.prods[i] = slotProd{a: r.Ref(), b: r.Ref(), dst: r.Ref()}
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// GobDecode implements gob.GobDecoder, re-validating the embedded compiled
-// plans.
-func (ccp *CompiledCubeProgram) GobDecode(data []byte) error {
-	var w wireCubeProgram
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
-	}
-	for _, cp := range []*lbm.CompiledPlan{w.Dist, w.Agg} {
-		if cp == nil {
-			return fmt.Errorf("dense: decode cube program: missing communication phase")
-		}
-		if err := cp.Validate(); err != nil {
-			return fmt.Errorf("dense: decode cube program: %w", err)
-		}
-	}
-	ccp.njobs = w.NJobs
-	ccp.dist, ccp.agg = w.Dist, w.Agg
-	ccp.prods = make([]slotProd, len(w.Prods))
-	for i, p := range w.Prods {
-		ccp.prods[i] = slotProd{a: p.A, b: p.B, dst: p.Dst}
-	}
-	ccp.cleanup = w.Cleanup
-	return nil
+	ccp.cleanup = r.Refs()
+	return ccp
 }
 
 // ValidateRefs checks every slot reference the cube program's local work
@@ -87,96 +53,67 @@ func (ccp *CompiledCubeProgram) ValidateRefs(sizes []int32) error {
 		return nil
 	}
 	for _, cp := range []*lbm.CompiledPlan{ccp.dist, ccp.agg} {
-		if err := checkPlanFits(cp, sizes); err != nil {
+		if err := cp.FitsArenas(sizes); err != nil {
 			return fmt.Errorf("dense: cube program: %w", err)
 		}
 	}
 	for _, p := range ccp.prods {
-		if err := checkRefs(sizes, p.a, p.b, p.dst); err != nil {
+		if err := lbm.CheckRefs(sizes, p.a, p.b, p.dst); err != nil {
 			return fmt.Errorf("dense: cube program product: %w", err)
 		}
 	}
-	if err := checkRefs(sizes, ccp.cleanup...); err != nil {
+	if err := lbm.CheckRefs(sizes, ccp.cleanup...); err != nil {
 		return fmt.Errorf("dense: cube program cleanup: %w", err)
 	}
 	return nil
 }
 
-// wireLeaf is the exported form of compiledLeaf.
-type wireLeaf struct {
-	Host    lbm.NodeID
-	Size    int32
-	A, B, C []int32
-}
-
-// wireStrassenProgram is the exported gob form of CompiledStrassenProgram.
-type wireStrassenProgram struct {
-	NJobs       int
-	Init, Final *lbm.CompiledPlan
-	Down, Up    []*lbm.CompiledPlan
-	LeafJobs    [][]wireLeaf
-	Cleanup     []lbm.SlotRef
-}
-
-// GobEncode implements gob.GobEncoder.
-func (csp *CompiledStrassenProgram) GobEncode() ([]byte, error) {
-	w := wireStrassenProgram{
-		NJobs:    csp.njobs,
-		Init:     csp.init,
-		Final:    csp.final,
-		Down:     csp.down,
-		Up:       csp.up,
-		LeafJobs: make([][]wireLeaf, len(csp.leafJobs)),
-		Cleanup:  csp.cleanup,
-	}
-	for j, leafs := range csp.leafJobs {
-		w.LeafJobs[j] = make([]wireLeaf, len(leafs))
-		for i, l := range leafs {
-			w.LeafJobs[j][i] = wireLeaf{Host: l.host, Size: l.size, A: l.a, B: l.b, C: l.c}
+// PutWire appends the Strassen program to an envelope body.
+func (csp *CompiledStrassenProgram) PutWire(w *lbm.WireWriter) {
+	w.Int(csp.njobs)
+	w.Plan(csp.init)
+	w.Plan(csp.final)
+	w.Plans(csp.down)
+	w.Plans(csp.up)
+	w.Count(len(csp.leafJobs))
+	for _, leafs := range csp.leafJobs {
+		w.Count(len(leafs))
+		for _, l := range leafs {
+			w.Int32(l.host)
+			w.Int32(l.size)
+			w.Int32s(l.a)
+			w.Int32s(l.b)
+			w.Int32s(l.c)
 		}
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	w.Refs(csp.cleanup)
 }
 
-// GobDecode implements gob.GobDecoder, re-validating the embedded compiled
-// plans and the leaf tables' internal consistency.
-func (csp *CompiledStrassenProgram) GobDecode(data []byte) error {
-	var w wireStrassenProgram
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
+// GetStrassenProgram reads what PutWire wrote, checking that every leaf's
+// slot tables have size² entries; failures are recorded on r.
+func GetStrassenProgram(r *lbm.WireReader) *CompiledStrassenProgram {
+	csp := &CompiledStrassenProgram{
+		njobs: r.Int(), init: r.Plan(), final: r.Plan(), down: r.Plans(), up: r.Plans(),
 	}
-	plans := []*lbm.CompiledPlan{w.Init, w.Final}
-	plans = append(plans, w.Down...)
-	plans = append(plans, w.Up...)
-	for _, cp := range plans {
-		if cp == nil {
-			return fmt.Errorf("dense: decode strassen program: missing communication phase")
-		}
-		if err := cp.Validate(); err != nil {
-			return fmt.Errorf("dense: decode strassen program: %w", err)
-		}
+	if n := r.Count(4); n > 0 {
+		csp.leafJobs = make([][]compiledLeaf, n)
 	}
-	csp.njobs = w.NJobs
-	csp.init, csp.final = w.Init, w.Final
-	csp.down, csp.up = w.Down, w.Up
-	csp.leafJobs = make([][]compiledLeaf, len(w.LeafJobs))
-	for j, leafs := range w.LeafJobs {
-		csp.leafJobs[j] = make([]compiledLeaf, len(leafs))
-		for i, l := range leafs {
-			want := int(l.Size) * int(l.Size)
-			if l.Size < 0 || len(l.A) != want || len(l.B) != want || len(l.C) != want {
-				return fmt.Errorf("dense: decode strassen program: leaf table size mismatch (size %d, %d/%d/%d entries)",
-					l.Size, len(l.A), len(l.B), len(l.C))
+	for j := range csp.leafJobs {
+		if n := r.Count(leafWireMin); n > 0 {
+			csp.leafJobs[j] = make([]compiledLeaf, n)
+		}
+		for i := range csp.leafJobs[j] {
+			l := compiledLeaf{host: r.Int32(), size: r.Int32(), a: r.Int32s(), b: r.Int32s(), c: r.Int32s()}
+			want := int(l.size) * int(l.size)
+			if l.size < 0 || len(l.a) != want || len(l.b) != want || len(l.c) != want {
+				r.Fail(fmt.Errorf("dense: decode strassen program: leaf table size mismatch (size %d, %d/%d/%d entries)",
+					l.size, len(l.a), len(l.b), len(l.c)))
 			}
-			csp.leafJobs[j][i] = compiledLeaf{host: l.Host, size: l.Size, a: l.A, b: l.B, c: l.C}
+			csp.leafJobs[j][i] = l
 		}
 	}
-	csp.cleanup = w.Cleanup
-	return nil
+	csp.cleanup = r.Refs()
+	return csp
 }
 
 // ValidateRefs checks every slot index the Strassen program's leaf products
@@ -190,7 +127,7 @@ func (csp *CompiledStrassenProgram) ValidateRefs(sizes []int32) error {
 	plans = append(plans, csp.down...)
 	plans = append(plans, csp.up...)
 	for _, cp := range plans {
-		if err := checkPlanFits(cp, sizes); err != nil {
+		if err := cp.FitsArenas(sizes); err != nil {
 			return fmt.Errorf("dense: strassen program: %w", err)
 		}
 	}
@@ -209,39 +146,8 @@ func (csp *CompiledStrassenProgram) ValidateRefs(sizes []int32) error {
 			}
 		}
 	}
-	if err := checkRefs(sizes, csp.cleanup...); err != nil {
+	if err := lbm.CheckRefs(sizes, csp.cleanup...); err != nil {
 		return fmt.Errorf("dense: strassen cleanup: %w", err)
-	}
-	return nil
-}
-
-// checkRefs validates slot refs against per-node arena sizes.
-func checkRefs(sizes []int32, refs ...lbm.SlotRef) error {
-	for _, r := range refs {
-		if r.Node < 0 || int(r.Node) >= len(sizes) {
-			return fmt.Errorf("node %d out of range (n=%d)", r.Node, len(sizes))
-		}
-		if r.Slot < 0 || r.Slot >= sizes[r.Node] {
-			return fmt.Errorf("slot %d out of range at node %d (%d slots)", r.Slot, r.Node, sizes[r.Node])
-		}
-	}
-	return nil
-}
-
-// checkPlanFits checks that a compiled plan's arena demands fit within the
-// executor arenas it will run in. The plan's own Validate bounds every
-// instruction by its NumSlots snapshot, so NumSlots ≤ sizes is sufficient.
-func checkPlanFits(cp *lbm.CompiledPlan, sizes []int32) error {
-	if cp == nil {
-		return nil
-	}
-	if cp.N != len(sizes) {
-		return fmt.Errorf("plan compiled for %d nodes, arenas have %d", cp.N, len(sizes))
-	}
-	for v, sz := range cp.NumSlots {
-		if sz > sizes[v] {
-			return fmt.Errorf("plan needs %d slots at node %d, arenas have %d", sz, v, sizes[v])
-		}
 	}
 	return nil
 }

@@ -104,8 +104,9 @@ type roundFrame struct {
 }
 
 // jobFrame assigns one worker its rank in a distributed multiplication. The
-// plan ships as a core.Prepared envelope addressed by its content
-// fingerprint — a worker holding Fingerprint in its plan cache skips the
+// plan ships as a core.Prepared envelope — Prepared holds its checksummed
+// flat bytes, opaque to this gob frame — addressed by its content
+// fingerprint: a worker holding Fingerprint in its plan cache skips the
 // envelope decode (and a coordinator that knows its workers are warm may
 // omit the envelope entirely). Values ship as Lanes, a lanePayload encoded
 // once by the coordinator: rank frames differ only in Rank, so the lane

@@ -12,7 +12,7 @@ import (
 // and `lbmm run` JSON).
 const (
 	// CounterPlanHits counts jobs whose prepared plan was served from the
-	// worker's fingerprint-keyed cache, skipping the envelope gob decode.
+	// worker's fingerprint-keyed cache, skipping the envelope decode.
 	CounterPlanHits = "dist/plan_hits"
 	// CounterPlanMisses counts jobs that had to decode the shipped envelope.
 	CounterPlanMisses = "dist/plan_misses"
@@ -21,8 +21,8 @@ const (
 // planCache is a worker-wide LRU of decoded core.Prepared plans keyed by
 // their content fingerprint. A prepared plan is immutable and safe for
 // concurrent use, so one decoded instance serves every job that names the
-// same fingerprint — repeat jobs skip the gob decode entirely, which for
-// compiled envelopes dominates the per-job setup cost.
+// same fingerprint — repeat jobs skip decoding and re-validating the
+// envelope entirely.
 type planCache struct {
 	mu  sync.Mutex
 	max int

@@ -1,82 +1,47 @@
 package fewtri
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"lbmm/internal/lbm"
 )
 
-// wireProd is the exported form of compiledProd.
-type wireProd struct {
-	A, B, Dst lbm.SlotRef
+// PutWire appends the compiled Lemma 3.1 job to an envelope body.
+func (cj *CompiledJob) PutWire(w *lbm.WireWriter) {
+	w.Int(cj.kappa)
+	w.Int(cj.virtualNodes)
+	w.Plans(cj.plans)
+	w.Count(len(cj.prods))
+	for _, prods := range cj.prods {
+		w.Count(len(prods))
+		for _, p := range prods {
+			w.Ref(p.a)
+			w.Ref(p.b)
+			w.Ref(p.dst)
+		}
+	}
+	w.Refs(cj.cleanup)
 }
 
-// wireJob is the exported gob form of CompiledJob.
-type wireJob struct {
-	Kappa        int
-	VirtualNodes int
-	Plans        []*lbm.CompiledPlan
-	Prods        [][]wireProd
-	Cleanup      []lbm.SlotRef
-}
-
-// GobEncode implements gob.GobEncoder so a compiled Lemma 3.1 job can be
-// written into the persistent plan store and restored without re-running
-// the virtual-computer assignment or the routing pipelines.
-func (cj *CompiledJob) GobEncode() ([]byte, error) {
-	w := wireJob{
-		Kappa:        cj.kappa,
-		VirtualNodes: cj.virtualNodes,
-		Plans:        cj.plans,
-		Prods:        make([][]wireProd, len(cj.prods)),
-		Cleanup:      cj.cleanup,
+// GetJob reads what PutWire wrote; failures are recorded on r.
+func GetJob(r *lbm.WireReader) *CompiledJob {
+	cj := &CompiledJob{kappa: r.Int(), virtualNodes: r.Int(), plans: r.Plans()}
+	if n := len(cj.plans); n != 0 && n != 9 {
+		r.Fail(fmt.Errorf("fewtri: decode job: %d communication plans (want 0 or 9)", n))
 	}
-	for g, prods := range cj.prods {
-		w.Prods[g] = make([]wireProd, len(prods))
-		for i, p := range prods {
-			w.Prods[g][i] = wireProd{A: p.a, B: p.b, Dst: p.dst}
+	if n := r.Count(4); n > 0 {
+		cj.prods = make([][]compiledProd, n)
+	}
+	for g := range cj.prods {
+		if n := r.Count(3 * 8); n > 0 {
+			cj.prods[g] = make([]compiledProd, n)
+		}
+		for i := range cj.prods[g] {
+			cj.prods[g][i] = compiledProd{a: r.Ref(), b: r.Ref(), dst: r.Ref()}
 		}
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// GobDecode implements gob.GobDecoder, re-validating every embedded
-// compiled plan: serialized jobs cross the same trust boundary as
-// serialized Plans and are never handed to an executor unchecked.
-func (cj *CompiledJob) GobDecode(data []byte) error {
-	var w wireJob
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
-	}
-	if n := len(w.Plans); n != 0 && n != 9 {
-		return fmt.Errorf("fewtri: decode job: %d communication plans (want 0 or 9)", n)
-	}
-	for i, cp := range w.Plans {
-		if cp == nil {
-			return fmt.Errorf("fewtri: decode job: plan %d missing", i)
-		}
-		if err := cp.Validate(); err != nil {
-			return fmt.Errorf("fewtri: decode job plan %d: %w", i, err)
-		}
-	}
-	cj.kappa = w.Kappa
-	cj.virtualNodes = w.VirtualNodes
-	cj.plans = w.Plans
-	cj.prods = make([][]compiledProd, len(w.Prods))
-	for g, prods := range w.Prods {
-		cj.prods[g] = make([]compiledProd, len(prods))
-		for i, p := range prods {
-			cj.prods[g][i] = compiledProd{a: p.A, b: p.B, dst: p.Dst}
-		}
-	}
-	cj.cleanup = w.Cleanup
-	return nil
+	cj.cleanup = r.Refs()
+	return cj
 }
 
 // ValidateRefs checks every slot reference the job touches against the
@@ -84,41 +49,20 @@ func (cj *CompiledJob) GobDecode(data []byte) error {
 // bounded by their own NumSlots snapshots; the triangle products and
 // cleanup refs are only checked here, where the arena geometry is known.
 func (cj *CompiledJob) ValidateRefs(sizes []int32) error {
-	if cj == nil {
-		return nil
-	}
 	for i, cp := range cj.plans {
-		if cp.N != len(sizes) {
-			return fmt.Errorf("fewtri: plan %d compiled for %d nodes, arenas have %d", i, cp.N, len(sizes))
+		if err := cp.FitsArenas(sizes); err != nil {
+			return fmt.Errorf("fewtri: plan %d: %w", i, err)
 		}
-		for v, sz := range cp.NumSlots {
-			if sz > sizes[v] {
-				return fmt.Errorf("fewtri: plan %d needs %d slots at node %d, arenas have %d", i, sz, v, sizes[v])
-			}
-		}
-	}
-	check := func(r lbm.SlotRef, what string) error {
-		if r.Node < 0 || int(r.Node) >= len(sizes) {
-			return fmt.Errorf("fewtri: %s node %d out of range (n=%d)", what, r.Node, len(sizes))
-		}
-		if r.Slot < 0 || r.Slot >= sizes[r.Node] {
-			return fmt.Errorf("fewtri: %s slot %d out of range at node %d (%d slots)", what, r.Slot, r.Node, sizes[r.Node])
-		}
-		return nil
 	}
 	for _, prods := range cj.prods {
 		for _, p := range prods {
-			for _, r := range [...]lbm.SlotRef{p.a, p.b, p.dst} {
-				if err := check(r, "product"); err != nil {
-					return err
-				}
+			if err := lbm.CheckRefs(sizes, p.a, p.b, p.dst); err != nil {
+				return fmt.Errorf("fewtri: product: %w", err)
 			}
 		}
 	}
-	for _, r := range cj.cleanup {
-		if err := check(r, "cleanup"); err != nil {
-			return err
-		}
+	if err := lbm.CheckRefs(sizes, cj.cleanup...); err != nil {
+		return fmt.Errorf("fewtri: cleanup: %w", err)
 	}
 	return nil
 }

@@ -1,10 +1,6 @@
 package lbm
 
-import (
-	"encoding/gob"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // This file is the lowering pass of the execution spine: it turns a Plan —
 // rounds of Sends addressed by (node, Key) — into a CompiledPlan, a flat
@@ -69,9 +65,6 @@ func (s *SlotSpace) Sizes() []int32 {
 	return out
 }
 
-// KeyOf returns the key assigned to a slot (the reverse of Slot).
-func (s *SlotSpace) KeyOf(node NodeID, slot int32) Key { return s.keys[node][slot] }
-
 // EachKey visits every assigned (node, key, slot) triple in deterministic
 // order (by node, then by slot assignment order).
 func (s *SlotSpace) EachKey(f func(node NodeID, k Key, slot int32)) {
@@ -82,21 +75,26 @@ func (s *SlotSpace) EachKey(f func(node NodeID, k Key, slot int32)) {
 	}
 }
 
-// KeyTable returns a copy of the per-node slot→key tables, used to make a
-// standalone CompiledPlan self-describing for serialization.
-func (s *SlotSpace) KeyTable() [][]Key {
-	out := make([][]Key, s.n)
-	for i := range out {
-		out[i] = append([]Key(nil), s.keys[i]...)
-	}
-	return out
-}
-
 // SlotRef addresses one arena slot of one computer — the compiled
 // equivalent of a (node, Key) pair.
 type SlotRef struct {
 	Node NodeID
 	Slot int32
+}
+
+// CheckRefs bounds-checks slot refs against the per-node arena sizes they
+// will be used in. Decoded programs run it over every ref their local work
+// touches (the ValidateRefs methods of dense, cluster, fewtri and algo).
+func CheckRefs(sizes []int32, refs ...SlotRef) error {
+	for _, r := range refs {
+		if r.Node < 0 || int(r.Node) >= len(sizes) {
+			return fmt.Errorf("node %d out of range (n=%d)", r.Node, len(sizes))
+		}
+		if r.Slot < 0 || r.Slot >= sizes[r.Node] {
+			return fmt.Errorf("slot %d out of range at node %d (%d slots)", r.Slot, r.Node, sizes[r.Node])
+		}
+	}
+	return nil
 }
 
 // CompiledPlan is a Plan lowered to a flat slot-addressed instruction
@@ -113,10 +111,6 @@ type CompiledPlan struct {
 	// executor's arenas must be at least this large; a shared SlotSpace may
 	// have grown past it by the time the pipeline's last plan is compiled.
 	NumSlots []int32
-	// Keys, when non-nil, is the slot→key table of a standalone compile —
-	// it makes a serialized CompiledPlan self-describing, so a decoder can
-	// resolve external (node, Key) addresses to slots.
-	Keys [][]Key
 
 	From, To         []int32
 	SrcSlot, DstSlot []int32
@@ -154,6 +148,21 @@ func (cp *CompiledPlan) AddNodeLoads(send, recv []int64) {
 	}
 }
 
+// FitsArenas checks that the plan's arena demands fit within the executor
+// arenas it will run in. Validate bounds every instruction by the plan's
+// own NumSlots snapshot, so NumSlots ≤ sizes is sufficient.
+func (cp *CompiledPlan) FitsArenas(sizes []int32) error {
+	if cp.N != len(sizes) {
+		return fmt.Errorf("plan compiled for %d nodes, arenas have %d", cp.N, len(sizes))
+	}
+	for v, sz := range cp.NumSlots {
+		if sz > sizes[v] {
+			return fmt.Errorf("plan needs %d slots at node %d, arenas have %d", sz, v, sizes[v])
+		}
+	}
+	return nil
+}
+
 // MemoryBytes estimates the resident size of the compiled form: the
 // instruction arrays plus the round index. Serving caches use it as the
 // LRU cost of a cached plan.
@@ -161,40 +170,10 @@ func (cp *CompiledPlan) MemoryBytes() int64 {
 	n := int64(len(cp.From)) * (4 + 4 + 4 + 4 + 1) // SoA instruction arrays
 	n += int64(len(cp.RoundOff)+len(cp.Real)) * 4
 	n += int64(len(cp.NumSlots)) * 4
-	for _, ks := range cp.Keys {
-		n += int64(len(ks)) * 16
-	}
 	for _, s := range cp.Spans {
 		n += int64(len(s.Label)) + 16 + int64(len(s.Metrics))*24
 	}
 	return n
-}
-
-// Compile lowers a plan to its slot-addressed executable form using a
-// fresh, self-contained slot space; the machine size is inferred from the
-// largest node ID referenced (use CompileInto with an explicit SlotSpace to
-// share a slot space — and hence arenas — across the several plans of a
-// pipeline). The result carries its own slot→key table, so it can be
-// serialized and later executed against freshly loaded arenas.
-func Compile(p *Plan) (*CompiledPlan, error) {
-	n := 1
-	for _, r := range p.Rounds {
-		for _, s := range r {
-			if int(s.From) >= n {
-				n = int(s.From) + 1
-			}
-			if int(s.To) >= n {
-				n = int(s.To) + 1
-			}
-		}
-	}
-	space := NewSlotSpace(n)
-	cp, err := CompileInto(space, p)
-	if err != nil {
-		return nil, err
-	}
-	cp.Keys = space.KeyTable()
-	return cp, nil
 }
 
 // CompileInto lowers a plan against a caller-owned slot space, assigning
@@ -272,24 +251,14 @@ func CompileInto(space *SlotSpace, p *Plan) (*CompiledPlan, error) {
 // Validate statically checks a compiled plan's invariants: consistent array
 // lengths, a monotone round index, node IDs in range, slots within the
 // declared arena sizes, one send and one receive per node per round, and
-// well-formed spans. Decoded compiled plans cross the same trust boundary
-// as decoded Plans, so they are never handed to an executor unchecked.
+// well-formed spans. Decoded compiled plans cross a trust boundary (plan-store
+// files, mesh job frames), so WireReader.Plan never returns one unchecked.
 func (cp *CompiledPlan) Validate() error {
 	if cp.N < 1 {
 		return fmt.Errorf("lbm: compiled plan: machine size %d", cp.N)
 	}
 	if len(cp.NumSlots) != cp.N {
 		return fmt.Errorf("lbm: compiled plan: %d arena sizes for %d nodes", len(cp.NumSlots), cp.N)
-	}
-	if cp.Keys != nil {
-		if len(cp.Keys) != cp.N {
-			return fmt.Errorf("lbm: compiled plan: %d key tables for %d nodes", len(cp.Keys), cp.N)
-		}
-		for v, ks := range cp.Keys {
-			if int32(len(ks)) != cp.NumSlots[v] {
-				return fmt.Errorf("lbm: compiled plan: node %d key table has %d entries for %d slots", v, len(ks), cp.NumSlots[v])
-			}
-		}
 	}
 	ni := len(cp.From)
 	if len(cp.To) != ni || len(cp.SrcSlot) != ni || len(cp.DstSlot) != ni || len(cp.Ops) != ni {
@@ -357,63 +326,4 @@ func (cp *CompiledPlan) Validate() error {
 		}
 	}
 	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Compiled plan serialization
-
-// CompiledPlanFormatVersion tags every serialized compiled plan; the same
-// bump discipline as PlanFormatVersion applies.
-const CompiledPlanFormatVersion = 1
-
-// compiledPlanMagic guards against feeding arbitrary gob streams (including
-// serialized *Plans*) to DecodeCompiledPlan.
-const compiledPlanMagic = "lbmm.cplan"
-
-type compiledPlanEnvelope struct {
-	Magic   string
-	Version int
-	Plan    CompiledPlan
-}
-
-// Encode writes the compiled plan in versioned gob form. Only standalone
-// compiles (which carry their slot→key table) are serializable: without the
-// table a decoder could not load values into the arenas.
-func (cp *CompiledPlan) Encode(w io.Writer) error {
-	if cp.Keys == nil {
-		return fmt.Errorf("lbm: encode compiled plan: no key table (compiled into a shared slot space)")
-	}
-	return gob.NewEncoder(w).Encode(compiledPlanEnvelope{
-		Magic: compiledPlanMagic, Version: CompiledPlanFormatVersion, Plan: *cp,
-	})
-}
-
-// DecodeCompiledPlan reads a compiled plan written by Encode and validates
-// it for a machine with n computers, with the same magic/version/validation
-// discipline as DecodePlan: bad magic, a version mismatch, a machine-size
-// mismatch, or any violated structural invariant fails loudly before the
-// plan can reach an executor.
-func DecodeCompiledPlan(r io.Reader, n int) (*CompiledPlan, error) {
-	var env compiledPlanEnvelope
-	if err := gob.NewDecoder(r).Decode(&env); err != nil {
-		return nil, fmt.Errorf("lbm: decode compiled plan: %w", err)
-	}
-	if env.Magic != compiledPlanMagic {
-		return nil, fmt.Errorf("lbm: decode compiled plan: bad magic %q (not a serialized compiled plan)", env.Magic)
-	}
-	if env.Version != CompiledPlanFormatVersion {
-		return nil, fmt.Errorf("lbm: decode compiled plan: format version %d, this build reads only %d",
-			env.Version, CompiledPlanFormatVersion)
-	}
-	cp := &env.Plan
-	if cp.N != n {
-		return nil, fmt.Errorf("lbm: decode compiled plan: compiled for %d computers, machine has %d", cp.N, n)
-	}
-	if cp.Keys == nil {
-		return nil, fmt.Errorf("lbm: decode compiled plan: missing key table")
-	}
-	if err := cp.Validate(); err != nil {
-		return nil, err
-	}
-	return cp, nil
 }

@@ -1,7 +1,6 @@
 package lbm
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -301,67 +300,6 @@ func TestCompiledResetReuse(t *testing.T) {
 	}
 }
 
-// TestCompiledPlanGobRoundtrip serializes a standalone compile (which
-// carries its slot→key table) and checks the decoded plan validates,
-// deep-equals the original, and executes to the same result.
-func TestCompiledPlanGobRoundtrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	p, loads := randomPlan(rng, 6, 6, false)
-	cp, err := Compile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.Keys == nil {
-		t.Fatal("standalone compile must carry its key table")
-	}
-	var buf bytes.Buffer
-	if err := cp.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeCompiledPlan(&buf, cp.N)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cp, back) {
-		t.Fatalf("roundtrip mismatch:\n%+v\nvs\n%+v", cp, back)
-	}
-	// The decoded plan is self-describing: rebuild the load addressing from
-	// its key table and execute. A standalone compile only has slots for
-	// keys the plan references, so restrict both engines to those loads.
-	slotOf := func(node NodeID, k Key) (int32, bool) {
-		for s, key := range back.Keys[node] {
-			if key == k {
-				return int32(s), true
-			}
-		}
-		return -1, false
-	}
-	var used []load
-	x := NewExec(back.NumSlots, ring.Counting{})
-	for _, l := range loads {
-		if s, ok := slotOf(l.node, l.key); ok {
-			x.PutSlot(SlotRef{Node: l.node, Slot: s}, l.val)
-			used = append(used, l)
-		}
-	}
-	if err := x.Run(back); err != nil {
-		t.Fatal(err)
-	}
-	m, merr := runMap(t, p, used, ring.Counting{})
-	if merr != nil {
-		t.Fatal(merr)
-	}
-	if !reflect.DeepEqual(m.Stats(), x.Stats()) {
-		t.Errorf("stats differ after roundtrip: %+v vs %+v", m.Stats(), x.Stats())
-	}
-	if _, err := DecodeCompiledPlan(bytes.NewReader([]byte("garbage")), cp.N); err == nil {
-		t.Error("garbage decoded")
-	}
-	if _, err := DecodeCompiledPlan(bytes.NewReader(buf.Bytes()), cp.N+1); err == nil {
-		t.Error("wrong machine size accepted")
-	}
-}
-
 // TestCompiledValidateCatchesCorruption mutates a valid compiled plan field
 // by field and checks Validate rejects each corruption — decoded plans
 // cross a trust boundary and must never reach the executor unchecked.
@@ -369,7 +307,7 @@ func TestCompiledValidateCatchesCorruption(t *testing.T) {
 	fresh := func() *CompiledPlan {
 		rng := rand.New(rand.NewSource(11))
 		p, _ := randomPlan(rng, 6, 5, false)
-		cp, err := Compile(p)
+		cp, err := CompileInto(NewSlotSpace(6), p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -474,14 +474,9 @@ func (x *Exec) gather(cp *CompiledPlan, lo, hi int, payload []ring.Value) error 
 	return nil
 }
 
-// missingErr names the missing source as helpfully as the slot addressing
-// allows (the key itself when the plan carries its key table).
+// missingErr names the missing source by its slot address.
 func (x *Exec) missingErr(cp *CompiledPlan, i int) error {
-	from, slot := cp.From[i], cp.SrcSlot[i]
-	if cp.Keys != nil {
-		return fmt.Errorf("lbm: node %d cannot send missing key %v", from, cp.Keys[from][slot])
-	}
-	return fmt.Errorf("lbm: node %d cannot send missing key (slot %d)", from, slot)
+	return fmt.Errorf("lbm: node %d cannot send missing key (slot %d)", cp.From[i], cp.SrcSlot[i])
 }
 
 // checkStoreLimit mirrors Machine.checkStoreLimit: distinct new destination

@@ -68,7 +68,8 @@ func runFaultPlanMap(inj Injector) error {
 
 // runFaultPlanCompiled executes the same plan on the compiled engine.
 func runFaultPlanCompiled(inj Injector) error {
-	cp, err := Compile(faultTestPlan())
+	sp := NewSlotSpace(4)
+	cp, err := CompileInto(sp, faultTestPlan())
 	if err != nil {
 		return err
 	}
@@ -78,11 +79,8 @@ func runFaultPlanCompiled(inj Injector) error {
 	}
 	x := NewExec(cp.NumSlots, ring.Counting{}, opts...)
 	loadFaultTestInputs(func(node NodeID, k Key, v ring.Value) {
-		for slot, key := range cp.Keys[node] {
-			if key == k {
-				x.PutSlot(SlotRef{Node: node, Slot: int32(slot)}, v)
-				return
-			}
+		if slot, ok := sp.Lookup(node, k); ok {
+			x.PutSlot(SlotRef{Node: node, Slot: slot}, v)
 		}
 	})
 	return x.Run(cp)

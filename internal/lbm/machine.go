@@ -1,9 +1,7 @@
 package lbm
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"runtime"
 	"sort"
 	"sync"
@@ -813,80 +811,6 @@ func (v *LocalView) Each(f func(k Key, val ring.Value)) {
 
 // Ring returns the machine's ring.
 func (v *LocalView) Ring() ring.Semiring { return v.m.R }
-
-// ---------------------------------------------------------------------------
-// Plan serialization
-
-// PlanFormatVersion tags every serialized plan. Bump it on any change to
-// the Plan layout so old bytes fail loudly at decode time instead of
-// misdecoding into a structurally wrong (and then misbehaving) plan.
-const PlanFormatVersion = 1
-
-// planMagic guards against feeding arbitrary gob streams to DecodePlan.
-const planMagic = "lbmm.plan"
-
-// planEnvelope is the on-disk form: a versioned wrapper around the plan.
-type planEnvelope struct {
-	Magic   string
-	Version int
-	Plan    Plan
-}
-
-// Encode writes the plan in versioned gob form; DecodePlan reads it back.
-// Plans are pure data (the supported-model preprocessing), so expensive
-// schedules — deep Strassen recursions, big clusterings — can be computed
-// once and cached on disk.
-func (p *Plan) Encode(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(planEnvelope{Magic: planMagic, Version: PlanFormatVersion, Plan: *p})
-}
-
-// DecodePlan reads a plan written by Encode and validates it for a machine
-// with n computers. Serialized plans cross a trust boundary (disk caches,
-// the serving layer), so a decoded plan is never handed to an executor
-// unchecked: the version must match, every send must respect the model
-// constraints (node IDs in range, one send and one receive per node per
-// round), and the phase spans must be sane round ranges.
-func DecodePlan(r io.Reader, n int) (*Plan, error) {
-	var env planEnvelope
-	if err := gob.NewDecoder(r).Decode(&env); err != nil {
-		return nil, fmt.Errorf("lbm: decode plan: %w", err)
-	}
-	if env.Magic != planMagic {
-		return nil, fmt.Errorf("lbm: decode plan: bad magic %q (not a serialized plan)", env.Magic)
-	}
-	if env.Version != PlanFormatVersion {
-		return nil, fmt.Errorf("lbm: decode plan: format version %d, this build reads only %d",
-			env.Version, PlanFormatVersion)
-	}
-	p := &env.Plan
-	if err := ValidatePlan(p, n); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// ValidatePlan statically checks a plan against a machine size: the model
-// constraints via AnalyzePlan (out-of-range or negative node IDs, duplicate
-// senders or receivers within a round) and well-formed phase spans
-// (0 ≤ Start ≤ End ≤ rounds). The executor re-checks constraints round by
-// round; validating up front keeps malformed plans out of caches and
-// long-lived services entirely.
-func ValidatePlan(p *Plan, n int) error {
-	if n < 1 {
-		return fmt.Errorf("lbm: validate plan: machine size %d", n)
-	}
-	a := AnalyzePlan(p, n)
-	if !a.Valid() {
-		return fmt.Errorf("lbm: invalid plan: %s (%d violation(s) total)", a.Violations[0], len(a.Violations))
-	}
-	for _, s := range p.Spans {
-		if s.Start < 0 || s.End < s.Start || s.End > len(p.Rounds) {
-			return fmt.Errorf("lbm: invalid plan: span %q covers rounds [%d,%d) of a %d-round plan",
-				s.Label, s.Start, s.End, len(p.Rounds))
-		}
-	}
-	return nil
-}
 
 // Reset clears all stores and statistics, returning the machine to its
 // freshly-constructed state (engine settings are kept). Prepared-plan

@@ -1,8 +1,6 @@
 package lbm
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -420,92 +418,6 @@ func TestStoreLimitEnforced(t *testing.T) {
 	err := m.RunRound(Round{{From: 0, To: 2, Src: AKey(0, 1), Dst: TKey(0, 0, 1)}})
 	if err == nil || !strings.Contains(err.Error(), "store limit") {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestPlanEncodeDecode(t *testing.T) {
-	p := &Plan{}
-	p.Append(Round{{From: 0, To: 1, Src: AKey(0, 0), Dst: TKey(1, 2, 3), Op: OpAcc}})
-	p.Append(Round{{From: 1, To: 0, Src: BKey(4, 5), Dst: XKey(6, 7), Op: OpSub}})
-	p.Annotate("roundtrip", map[string]float64{"kappa": 2})
-	var buf bytes.Buffer
-	if err := p.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodePlan(&buf, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumRounds() != 2 || back.Rounds[0][0] != p.Rounds[0][0] || back.Rounds[1][0] != p.Rounds[1][0] {
-		t.Fatalf("roundtrip mismatch: %+v", back)
-	}
-	if len(back.Spans) != 1 || back.Spans[0].Label != "roundtrip" {
-		t.Fatalf("spans lost in roundtrip: %+v", back.Spans)
-	}
-	if _, err := DecodePlan(bytes.NewReader([]byte("garbage")), 2); err == nil {
-		t.Error("garbage decoded")
-	}
-}
-
-// TestDecodePlanRejectsInvalid covers the trust boundary: a plan that
-// decodes cleanly but violates the model (or the declared machine size)
-// must be rejected before any executor sees it.
-func TestDecodePlanRejectsInvalid(t *testing.T) {
-	encode := func(p *Plan) *bytes.Buffer {
-		var buf bytes.Buffer
-		if err := p.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return &buf
-	}
-	// Node ID out of range for the declared machine size.
-	big := &Plan{}
-	big.Append(Round{{From: 0, To: 7, Src: AKey(0, 0), Dst: TKey(0, 0, 0)}})
-	if _, err := DecodePlan(encode(big), 4); err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Errorf("oversized node accepted: %v", err)
-	}
-	// Negative node ID.
-	neg := &Plan{}
-	neg.Append(Round{{From: -1, To: 1, Src: AKey(0, 0), Dst: TKey(0, 0, 0)}})
-	if _, err := DecodePlan(encode(neg), 4); err == nil {
-		t.Error("negative node accepted")
-	}
-	// Duplicate sender within one round.
-	dup := &Plan{}
-	dup.Append(Round{
-		{From: 0, To: 1, Src: AKey(0, 0), Dst: TKey(0, 0, 0)},
-		{From: 0, To: 2, Src: AKey(0, 1), Dst: TKey(0, 0, 1)},
-	})
-	if _, err := DecodePlan(encode(dup), 4); err == nil || !strings.Contains(err.Error(), "sends twice") {
-		t.Errorf("duplicate sender accepted: %v", err)
-	}
-	// Span range outside the plan's rounds.
-	spanned := &Plan{}
-	spanned.Append(Round{{From: 0, To: 1, Src: AKey(0, 0), Dst: TKey(0, 0, 0)}})
-	spanned.Spans = append(spanned.Spans, PhaseSpan{Label: "bogus", Start: 0, End: 9})
-	if _, err := DecodePlan(encode(spanned), 4); err == nil || !strings.Contains(err.Error(), "span") {
-		t.Errorf("bogus span accepted: %v", err)
-	}
-}
-
-// TestDecodePlanVersionGate checks that a future format version fails
-// loudly instead of misdecoding.
-func TestDecodePlanVersionGate(t *testing.T) {
-	var buf bytes.Buffer
-	env := planEnvelope{Magic: planMagic, Version: PlanFormatVersion + 1}
-	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodePlan(&buf, 2); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Errorf("future version accepted: %v", err)
-	}
-	buf.Reset()
-	env = planEnvelope{Magic: "not-a-plan", Version: PlanFormatVersion}
-	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodePlan(&buf, 2); err == nil || !strings.Contains(err.Error(), "magic") {
-		t.Errorf("bad magic accepted: %v", err)
 	}
 }
 

@@ -61,11 +61,11 @@ func sortInt32(xs []int32) {
 }
 
 // SupportFromRows rebuilds a support from its row lists — the inverse of
-// reading s.Rows, used when supports are decoded from serialized plans.
-// Unlike NewSupport it validates instead of panicking, because decoded rows
-// cross a trust boundary: every index must lie in [0, n) and every row must
-// be strictly ascending (the sortedness invariant the rest of the package
-// relies on).
+// reading s.Rows, used when supports are decoded from serialized plans; the
+// support takes ownership of rows. Unlike NewSupport it validates instead of
+// panicking, because decoded rows cross a trust boundary: every index must
+// lie in [0, n) and every row must be strictly ascending (the sortedness
+// invariant the rest of the package relies on).
 func SupportFromRows(n int, rows [][]int32) (*Support, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("matrix: support dimension %d", n)
@@ -73,7 +73,8 @@ func SupportFromRows(n int, rows [][]int32) (*Support, error) {
 	if len(rows) != n {
 		return nil, fmt.Errorf("matrix: %d row lists for dimension %d", len(rows), n)
 	}
-	s := &Support{N: n, Rows: make([][]int32, n), Cols: make([][]int32, n)}
+	s := &Support{N: n, Rows: rows, Cols: make([][]int32, n)}
+	colLen := make([]int32, n)
 	for i, row := range rows {
 		prev := int32(-1)
 		for _, j := range row {
@@ -84,15 +85,25 @@ func SupportFromRows(n int, rows [][]int32) (*Support, error) {
 				return nil, fmt.Errorf("matrix: support row %d not strictly ascending at column %d", i, j)
 			}
 			prev = j
+			colLen[j]++
 		}
-		s.Rows[i] = append([]int32(nil), row...)
 		s.NNZ += len(row)
+	}
+	// Cols is carved from one backing slice, each list's capacity clipped to
+	// the length counted above. Column lists inherit sortedness from the
+	// row-major fill (rows are visited in ascending i), so no per-column sort
+	// is needed.
+	back := make([]int32, s.NNZ)
+	for j, l := range colLen {
+		if l > 0 {
+			s.Cols[j], back = back[:0:l], back[l:]
+		}
+	}
+	for i, row := range rows {
 		for _, j := range row {
 			s.Cols[j] = append(s.Cols[j], int32(i))
 		}
 	}
-	// Column lists inherit sortedness from the row-major fill (rows are
-	// visited in ascending i), so no per-column sort is needed.
 	return s, nil
 }
 

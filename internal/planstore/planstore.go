@@ -12,7 +12,7 @@
 //
 // Trust model: files on disk are outside the process and may be truncated,
 // bit-flipped or stored under the wrong name. Every Get re-validates the
-// envelope (magic, versions, full structural checks on the embedded
+// envelope (magic, version, checksum, full structural checks on the embedded
 // instruction streams) and re-derives the content address from the decoded
 // structure, comparing it against the file name. Anything that fails is
 // moved into dir/quarantine — never deleted (it is evidence), never served,
@@ -137,28 +137,19 @@ func (s *Store) Get(fp string) (*core.Prepared, error) {
 	if !validFP(fp) {
 		return nil, fmt.Errorf("planstore: malformed fingerprint %q", fp)
 	}
-	f, err := os.Open(s.path(fp))
+	p, opened, err := s.check(fp)
 	if err != nil {
 		s.metrics.Add(MetricMisses, 1)
-		if errors.Is(err, fs.ErrNotExist) {
+		switch {
+		case errors.Is(err, fs.ErrNotExist):
 			return nil, ErrNotFound
+		case !opened:
+			return nil, fmt.Errorf("planstore: %w", err)
 		}
-		return nil, fmt.Errorf("planstore: %w", err)
-	}
-	p, derr := core.DecodePrepared(f)
-	f.Close()
-	if derr == nil {
-		var got string
-		if got, derr = p.Fingerprint(); derr == nil && got != fp {
-			derr = fmt.Errorf("content address %s does not match entry name", got)
-		}
-	}
-	if derr != nil {
-		s.metrics.Add(MetricMisses, 1)
 		if qerr := s.quarantine(fp); qerr != nil {
-			return nil, fmt.Errorf("%w: %w (quarantine failed: %v)", ErrCorrupt, derr, qerr)
+			return nil, fmt.Errorf("%w: %w (quarantine failed: %v)", ErrCorrupt, err, qerr)
 		}
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, derr)
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 	// Touch for LRU. Best-effort: a failed touch (entry evicted between the
 	// read and now) does not invalidate the decoded plan.
@@ -361,7 +352,7 @@ func (s *Store) Verify(fix bool) ([]Issue, error) {
 	}
 	var issues []Issue
 	for _, e := range entries {
-		err := s.check(e.Fingerprint)
+		_, _, err := s.check(e.Fingerprint)
 		if err == nil {
 			continue
 		}
@@ -380,25 +371,27 @@ func (s *Store) Verify(fix bool) ([]Issue, error) {
 	return issues, nil
 }
 
-// check decodes one entry and re-derives its content address, without
-// touching metrics or recency — Verify must not disturb the LRU order the
-// serving path builds.
-func (s *Store) check(fp string) error {
+// check is the one verify path, behind Get and Verify: open the entry,
+// decode it, re-derive its content address and compare it with the entry
+// name. opened reports whether the file could be opened at all — a failure
+// past that point is the entry's fault and is what quarantine is for. It
+// touches neither metrics nor recency: Verify must not disturb the LRU
+// order the serving path builds.
+func (s *Store) check(fp string) (p *core.Prepared, opened bool, err error) {
 	f, err := os.Open(s.path(fp))
 	if err != nil {
-		return err
+		return nil, false, err
 	}
 	defer f.Close()
-	p, err := core.DecodePrepared(f)
-	if err != nil {
-		return err
+	if p, err = core.DecodePrepared(f); err != nil {
+		return nil, true, err
 	}
 	got, err := p.Fingerprint()
 	if err != nil {
-		return err
+		return nil, true, err
 	}
 	if got != fp {
-		return fmt.Errorf("content address %s does not match entry name", got)
+		return nil, true, fmt.Errorf("content address %s does not match entry name", got)
 	}
-	return nil
+	return p, true, nil
 }

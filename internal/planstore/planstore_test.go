@@ -1,8 +1,7 @@
 package planstore_test
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"lbmm/internal/core"
-	"lbmm/internal/matrix"
 	"lbmm/internal/obsv"
 	"lbmm/internal/planstore"
 	"lbmm/internal/ring"
@@ -41,38 +39,17 @@ func entryPath(dir, fp string) string {
 	return filepath.Join(dir, fp[:2], fp+".prep")
 }
 
-// envFrame mirrors core's envelope frame field for field; gob matches
-// struct fields by name, so the test can re-frame entries without core
-// exporting its wire struct.
-type envFrame struct {
-	Magic       string
-	Version     int
-	PlanVersion int
-	Algorithm   string
-	Classes     [3]matrix.Class
-	Band        core.Band
-	D           int
-	Payload     []byte
-}
-
 // futureEnvelope rewrites the entry at path as a build one format
-// generation ahead would have written it: same payload, Version+1.
+// generation ahead would have written it: same body and checksum, the
+// header's version field (offset 8, docs/PLANSTORE.md) bumped to N+1.
 func futureEnvelope(t *testing.T, path string) {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var env envFrame
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&env); err != nil {
-		t.Fatalf("reframe decode: %v", err)
-	}
-	env.Version++
-	var out bytes.Buffer
-	if err := gob.NewEncoder(&out).Encode(&env); err != nil {
-		t.Fatalf("reframe encode: %v", err)
-	}
-	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+	binary.LittleEndian.PutUint32(raw[8:], core.PreparedFormatVersion+1)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -223,32 +200,73 @@ func TestStoreRejectsWrongContentAddress(t *testing.T) {
 	}
 }
 
+// TestStoreCrossVersionEntryRejected plants entries from the two other
+// build generations under a live fingerprint — a future build's (header
+// version N+1, checksum valid) and the retired gob generation's (a committed
+// v1 entry, which fails the magic check) — and checks that Verify reports
+// each, Get quarantines it with the right cause, and the plan recompiles
+// and serves from the store again.
 func TestStoreCrossVersionEntryRejected(t *testing.T) {
-	ms := obsv.NewCounterSet()
-	s, err := planstore.Open(t.TempDir(), 0, ms)
+	inst := workload.Blocks(8, 2)
+	opts := core.Options{Ring: ring.Counting{}}
+	p, err := core.Prepare(inst.Ahat, inst.Bhat, inst.Xhat, opts)
 	if err != nil {
-		t.Fatalf("open: %v", err)
+		t.Fatalf("prepare: %v", err)
 	}
-	p, fp := plan(t, 5)
-	if err := s.Put(fp, p); err != nil {
-		t.Fatalf("put: %v", err)
+	fp, err := p.Fingerprint()
+	if err != nil {
+		t.Fatalf("fingerprint: %v", err)
 	}
-	// Rewrite the entry as a future build would: same payload, version N+1.
-	// (core's own tests cover the envelope mechanics; here the store-level
-	// behavior is what's under test.)
-	path := entryPath(s.Dir(), fp)
-	futureEnvelope(t, path)
+	for _, tc := range []struct {
+		name  string
+		plant func(t *testing.T, path string)
+		cause error
+	}{
+		{"future", futureEnvelope, core.ErrEnvelopeVersion},
+		// testdata/v1-blocks-8-2.prep is core.Prepared.Encode of this very
+		// plan as the gob generation (PR 15) wrote it.
+		{"v1-gob", func(t *testing.T, path string) {
+			raw, err := os.ReadFile(filepath.Join("testdata", "v1-blocks-8-2.prep"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, core.ErrEnvelope},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := planstore.Open(t.TempDir(), 0, nil)
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			if err := s.Put(fp, p); err != nil {
+				t.Fatalf("put: %v", err)
+			}
+			tc.plant(t, entryPath(s.Dir(), fp))
 
-	_, err = s.Get(fp)
-	if !errors.Is(err, planstore.ErrCorrupt) {
-		t.Fatalf("cross-version get: err=%v, want ErrCorrupt wrapper", err)
-	}
-	if !errors.Is(err, core.ErrEnvelopeVersion) {
-		t.Fatalf("cross-version get: err=%v, want core.ErrEnvelopeVersion cause", err)
-	}
-	qs, _ := s.Quarantined()
-	if len(qs) != 1 {
-		t.Fatalf("cross-version entry not quarantined: %v", qs)
+			issues, err := s.Verify(false)
+			if err != nil {
+				t.Fatalf("verify: %v", err)
+			}
+			if len(issues) != 1 || issues[0].Fingerprint != fp || !errors.Is(issues[0].Err, tc.cause) {
+				t.Fatalf("verify found %v, want one %v issue on %s", issues, tc.cause, fp)
+			}
+			_, err = s.Get(fp)
+			if !errors.Is(err, planstore.ErrCorrupt) || !errors.Is(err, tc.cause) {
+				t.Fatalf("cross-version get: err=%v, want ErrCorrupt caused by %v", err, tc.cause)
+			}
+			if qs, _ := s.Quarantined(); len(qs) != 1 || qs[0] != fp {
+				t.Fatalf("cross-version entry not quarantined: %v", qs)
+			}
+			// The remedy: recompile from structure and store again.
+			if err := s.Put(fp, p); err != nil {
+				t.Fatalf("put after quarantine: %v", err)
+			}
+			if _, err := s.Get(fp); err != nil {
+				t.Fatalf("get after recompile: %v", err)
+			}
+		})
 	}
 }
 

@@ -44,7 +44,7 @@ func TestRequestFingerprintMatchesServer(t *testing.T) {
 		})},
 		{"/v1/multiply/batch", encode(wireMultiplyBatchRequest{
 			N: inst.N, Ring: "counting", Xhat: xpos,
-			Lanes: []wireBatchLane{
+			Lanes: []wireValueLane{
 				{A: sparseEntries(a), B: sparseEntries(b)},
 				{A: sparseEntries(matrix.Random(inst.Ahat, r, 3)), B: sparseEntries(matrix.Random(inst.Bhat, r, 4))},
 			},

@@ -60,8 +60,8 @@ type wireMultiplyResponse struct {
 	wireMultiplyReport
 }
 
-// wireBatchLane is one value set of POST /v1/multiply/batch.
-type wireBatchLane struct {
+// wireValueLane is one value set of POST /v1/multiply/batch.
+type wireValueLane struct {
 	A []wireEntry `json:"a"`
 	B []wireEntry `json:"b"`
 }
@@ -74,7 +74,7 @@ type wireMultiplyBatchRequest struct {
 	Ring      string          `json:"ring,omitempty"`
 	Algorithm string          `json:"algorithm,omitempty"`
 	D         int             `json:"d,omitempty"`
-	Lanes     []wireBatchLane `json:"lanes"`
+	Lanes     []wireValueLane `json:"lanes"`
 	Xhat      []wirePos       `json:"xhat"`
 	Trace     bool            `json:"trace,omitempty"`
 }

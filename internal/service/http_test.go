@@ -223,13 +223,13 @@ func TestHTTPMultiplyBatch(t *testing.T) {
 	xpos := supportPositions(inst.Xhat)
 
 	const k = 3
-	lanes := make([]wireBatchLane, k)
+	lanes := make([]wireValueLane, k)
 	as := make([]*matrix.Sparse, k)
 	bs := make([]*matrix.Sparse, k)
 	for i := 0; i < k; i++ {
 		as[i] = matrix.Random(inst.Ahat, r, int64(40*i+1))
 		bs[i] = matrix.Random(inst.Bhat, r, int64(40*i+2))
-		lanes[i] = wireBatchLane{A: sparseEntries(as[i]), B: sparseEntries(bs[i])}
+		lanes[i] = wireValueLane{A: sparseEntries(as[i]), B: sparseEntries(bs[i])}
 	}
 	rec := postJSON(t, h, "/v1/multiply/batch", wireMultiplyBatchRequest{
 		N: inst.N, Ring: "counting", Lanes: lanes, Xhat: xpos, Trace: true,
@@ -260,8 +260,8 @@ func TestHTTPMultiplyBatch(t *testing.T) {
 	// A lane with a different structure must be rejected as the caller's
 	// error, not served or crashed on.
 	other := workload.Blocks(32, 4)
-	bad := append([]wireBatchLane{}, lanes...)
-	bad[1] = wireBatchLane{
+	bad := append([]wireValueLane{}, lanes...)
+	bad[1] = wireValueLane{
 		A: sparseEntries(matrix.Random(other.Ahat, r, 1)),
 		B: sparseEntries(matrix.Random(other.Bhat, r, 2)),
 	}
