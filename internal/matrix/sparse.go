@@ -73,9 +73,29 @@ func (m *Sparse) NNZ() int {
 	return total
 }
 
-// Support returns the indicator of the stored entries.
+// Support returns the indicator of the stored entries. Rows is sorted by
+// invariant, so the row lists are copied straight out of it into one backing
+// slice and finished by SupportFromRows: linear, nothing sorted.
 func (m *Sparse) Support() *Support {
-	entries := make([][2]int, 0, m.NNZ())
+	back := make([]int32, 0, m.NNZ())
+	rows := make([][]int32, m.N)
+	for i, row := range m.Rows {
+		if len(row) == 0 {
+			continue
+		}
+		start := len(back)
+		for _, c := range row {
+			back = append(back, c.Col)
+		}
+		rows[i] = back[start:len(back):len(back)]
+	}
+	if s, err := SupportFromRows(m.N, rows); err == nil {
+		return s
+	}
+	// A caller broke the sortedness invariant of the exported Rows field (or
+	// the matrix is 0×0): the any-order constructor sorts, collapses
+	// duplicates and panics on an out-of-range column as it always did.
+	entries := make([][2]int, 0, len(back))
 	for i, row := range m.Rows {
 		for _, c := range row {
 			entries = append(entries, [2]int{i, int(c.Col)})

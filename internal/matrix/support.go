@@ -7,6 +7,7 @@ package matrix
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -25,47 +26,47 @@ type Support struct {
 	NNZ int
 }
 
-// NewSupport builds a support from a list of (row, col) entries. Duplicate
-// entries collapse; out-of-range entries panic.
+// NewSupport builds a support from a list of (row, col) entries in any
+// order. Duplicate entries collapse; out-of-range entries panic. Entries are
+// bucketed by row into one backing slice, each row is sorted and compacted
+// (a no-op pass when it arrives ascending), and Cols is derived from the
+// finished rows as SupportFromRows derives it.
 func NewSupport(n int, entries [][2]int) *Support {
-	s := &Support{
-		N:    n,
-		Rows: make([][]int32, n),
-		Cols: make([][]int32, n),
-	}
-	seen := make(map[[2]int]struct{}, len(entries))
+	rowLen := make([]int32, n)
 	for _, e := range entries {
 		i, j := e[0], e[1]
 		if i < 0 || i >= n || j < 0 || j >= n {
 			panic(fmt.Sprintf("matrix: entry (%d,%d) out of range for n=%d", i, j, n))
 		}
-		if _, dup := seen[e]; dup {
-			continue
+		rowLen[i]++
+	}
+	s := &Support{N: n, Rows: make([][]int32, n)}
+	back := make([]int32, len(entries))
+	for i, l := range rowLen {
+		if l > 0 {
+			s.Rows[i], back = back[:0:l], back[l:]
 		}
-		seen[e] = struct{}{}
-		s.Rows[i] = append(s.Rows[i], int32(j))
-		s.Cols[j] = append(s.Cols[j], int32(i))
-		s.NNZ++
 	}
-	for i := range s.Rows {
-		sortInt32(s.Rows[i])
+	for _, e := range entries {
+		s.Rows[e[0]] = append(s.Rows[e[0]], int32(e[1]))
 	}
-	for j := range s.Cols {
-		sortInt32(s.Cols[j])
+	for i, row := range s.Rows {
+		slices.Sort(row)
+		s.Rows[i] = slices.Compact(row)
+	}
+	if err := s.indexCols(); err != nil {
+		panic(err) // unreachable: rows were range-checked, sorted and compacted above
 	}
 	return s
 }
 
-func sortInt32(xs []int32) {
-	sort.Slice(xs, func(a, b int) bool { return xs[a] < xs[b] })
-}
-
 // SupportFromRows rebuilds a support from its row lists — the inverse of
-// reading s.Rows, used when supports are decoded from serialized plans; the
-// support takes ownership of rows. Unlike NewSupport it validates instead of
-// panicking, because decoded rows cross a trust boundary: every index must
-// lie in [0, n) and every row must be strictly ascending (the sortedness
-// invariant the rest of the package relies on).
+// reading s.Rows, used when supports are decoded from serialized plans or
+// built from input that is already row-major ascending; the support takes
+// ownership of rows. Unlike NewSupport it validates instead of panicking,
+// because decoded rows cross a trust boundary, and it never sorts: every
+// index must lie in [0, n) and every row must be strictly ascending (the
+// sortedness invariant the rest of the package relies on).
 func SupportFromRows(n int, rows [][]int32) (*Support, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("matrix: support dimension %d", n)
@@ -73,16 +74,27 @@ func SupportFromRows(n int, rows [][]int32) (*Support, error) {
 	if len(rows) != n {
 		return nil, fmt.Errorf("matrix: %d row lists for dimension %d", len(rows), n)
 	}
-	s := &Support{N: n, Rows: rows, Cols: make([][]int32, n)}
+	s := &Support{N: n, Rows: rows}
+	if err := s.indexCols(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// indexCols validates s.Rows (indices in range, rows strictly ascending) and
+// derives NNZ and Cols from them in two linear passes.
+func (s *Support) indexCols() error {
+	n := s.N
 	colLen := make([]int32, n)
-	for i, row := range rows {
+	s.NNZ = 0
+	for i, row := range s.Rows {
 		prev := int32(-1)
 		for _, j := range row {
 			if j < 0 || int(j) >= n {
-				return nil, fmt.Errorf("matrix: support entry (%d,%d) out of range for n=%d", i, j, n)
+				return fmt.Errorf("matrix: support entry (%d,%d) out of range for n=%d", i, j, n)
 			}
 			if j <= prev {
-				return nil, fmt.Errorf("matrix: support row %d not strictly ascending at column %d", i, j)
+				return fmt.Errorf("matrix: support row %d not strictly ascending at column %d", i, j)
 			}
 			prev = j
 			colLen[j]++
@@ -93,18 +105,19 @@ func SupportFromRows(n int, rows [][]int32) (*Support, error) {
 	// the length counted above. Column lists inherit sortedness from the
 	// row-major fill (rows are visited in ascending i), so no per-column sort
 	// is needed.
+	s.Cols = make([][]int32, n)
 	back := make([]int32, s.NNZ)
 	for j, l := range colLen {
 		if l > 0 {
 			s.Cols[j], back = back[:0:l], back[l:]
 		}
 	}
-	for i, row := range rows {
+	for i, row := range s.Rows {
 		for _, j := range row {
 			s.Cols[j] = append(s.Cols[j], int32(i))
 		}
 	}
-	return s, nil
+	return nil
 }
 
 // Has reports whether position (i, j) is in the support.

@@ -260,6 +260,25 @@ func TestServerMultiplyBatchExplicit(t *testing.T) {
 	if !strings.Contains(err.Error(), "lane 1") {
 		t.Errorf("error does not name the offending lane: %v", err)
 	}
+
+	// The smallest difference there is: lane 2's B has one entry moved to a
+	// free position, everything else — dimensions, counts, A — unchanged.
+	moved := lanes[2].B.Clone()
+	for i, row := range moved.Rows {
+		if k := len(row) - 1; k >= 0 && int(row[k].Col) < moved.N-1 {
+			moved.Rows[i][k].Col++
+			break
+		}
+	}
+	if sameStructure(moved, lanes[2].B) || moved.NNZ() != lanes[2].B.NNZ() {
+		t.Fatal("test matrix was not moved by exactly one position")
+	}
+	bad = append([]BatchLane{}, lanes...)
+	bad[2] = BatchLane{A: lanes[2].A, B: moved}
+	_, err = srv.MultiplyBatch(ctx, &MultiplyBatchRequest{Lanes: bad, Xhat: inst.Xhat, Options: opts})
+	if !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), "lane 2: structure differs from lane 0") {
+		t.Fatalf("batch with one moved position in lane 2's B: err = %v, want ErrInvalid naming lane 2", err)
+	}
 }
 
 // TestServerBatchDrain pins Close's contract: a request parked when the
@@ -431,11 +450,17 @@ func TestPipelineDifferential(t *testing.T) {
 	for _, mode := range pipelineModes {
 		srv := NewServer(mode.cfg)
 		h := NewHandler(srv)
-		overHTTP := func(req *MultiplyRequest) (*matrix.Sparse, error) {
-			rec := postJSON(t, h, "/v1/multiply", wireMultiplyRequest{
+		// shuffle sends the same entries in random order: past the scanner
+		// that is the Set/NewSupport fallback instead of the ordered path.
+		overHTTP := func(req *MultiplyRequest, shuffle bool) (*matrix.Sparse, error) {
+			wm := wireMultiplyRequest{
 				N: req.Xhat.N, Ring: req.Options.Ring.Name(),
 				A: sparseEntries(req.A), B: sparseEntries(req.B), Xhat: supportPositions(req.Xhat),
-			})
+			}
+			if shuffle {
+				wm = shuffledWire(rng, wm)
+			}
+			rec := postJSON(t, h, "/v1/multiply", wm)
 			if rec.Code == http.StatusServiceUnavailable {
 				return nil, ErrOverloaded
 			}
@@ -465,10 +490,12 @@ func TestPipelineDifferential(t *testing.T) {
 						t.Errorf("%s/%s/%s/%s: product differs from core.Multiply", mode.name, in.name, r.Name(), ep.name)
 					}
 				}
-				if got, err := overHTTP(last); err != nil {
-					t.Fatalf("%s/%s/%s/http: %v", mode.name, in.name, r.Name(), err)
-				} else if !matrix.Equal(got, want) {
-					t.Errorf("%s/%s/%s/http: product differs from core.Multiply", mode.name, in.name, r.Name())
+				for _, shuffle := range []bool{false, true} {
+					if got, err := overHTTP(last, shuffle); err != nil {
+						t.Fatalf("%s/%s/%s/http shuffled=%v: %v", mode.name, in.name, r.Name(), shuffle, err)
+					} else if !matrix.Equal(got, want) {
+						t.Errorf("%s/%s/%s/http shuffled=%v: product differs from core.Multiply", mode.name, in.name, r.Name(), shuffle)
+					}
 				}
 			}
 		}
@@ -478,7 +505,7 @@ func TestPipelineDifferential(t *testing.T) {
 				t.Errorf("%s/%s after Close: err = %v, want ErrOverloaded", mode.name, ep.name, err)
 			}
 		}
-		if _, err := overHTTP(last); !errors.Is(err, ErrOverloaded) {
+		if _, err := overHTTP(last, false); !errors.Is(err, ErrOverloaded) {
 			t.Errorf("%s/http after Close: err = %v, want ErrOverloaded", mode.name, err)
 		}
 		if m := srv.Metrics(); m[MetricShed] != 1+1+3+1 {

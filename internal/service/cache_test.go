@@ -86,12 +86,10 @@ func TestCacheSingleflight(t *testing.T) {
 
 	var wg sync.WaitGroup
 	plans := make([]*core.Prepared, n)
-	started := make(chan struct{}, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			started <- struct{}{}
 			p, hit, err := c.Get("same", compile)
 			if err != nil || hit {
 				t.Errorf("goroutine %d: hit=%v err=%v, want inflight miss", i, hit, err)
@@ -99,9 +97,10 @@ func TestCacheSingleflight(t *testing.T) {
 			plans[i] = p
 		}(i)
 	}
-	for i := 0; i < n; i++ {
-		<-started
-	}
+	// The gate opens only once every other Get has joined the flight: a Get
+	// that had merely started could still arrive after the compile finished
+	// and read a hit.
+	waitFor(t, func() bool { return m.Get(MetricCacheJoins) == n-1 })
 	close(gate)
 	wg.Wait()
 

@@ -1,12 +1,10 @@
 package service
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 
 	"lbmm/internal/core"
-	"lbmm/internal/matrix"
 )
 
 // ErrBadRequest marks a fingerprinting failure caused by the request
@@ -19,10 +17,12 @@ import (
 var ErrBadRequest = errors.New("service: unfingerprintable request")
 
 // RequestFingerprint computes the plan fingerprint a server would use for
-// the body of a serving-API request, without building value matrices or
-// compiling anything. This is what the shard tier routes by: a front-end
-// only needs the sparsity structure (entry positions), the ring, the
-// algorithm and d to know which shard owns the plan.
+// the body of a serving-API request, without compiling anything. This is what
+// the shard tier routes by. It is the handler's own front half — the same
+// scanner over the bytes, the same ParseWireMultiply, the same
+// Sparse.Support — so the routed fingerprint and the served one cannot
+// disagree, and a body in row-major ascending order costs one linear pass per
+// stage.
 //
 // path selects the wire schema: "/v1/multiply", "/v1/multiply/batch"
 // (fingerprinted by lane 0 — the handler enforces that all lanes share it)
@@ -40,75 +40,49 @@ func RequestFingerprint(path string, body []byte) (fp string, err error) {
 	switch path {
 	case "/v1/multiply":
 		var req wireMultiplyRequest
-		if err := json.Unmarshal(body, &req); err != nil {
+		if err := ScanDocument(body, req.Scan); err != nil {
 			return "", fmt.Errorf("bad request body: %w", err)
 		}
-		return structureFingerprint(req.N, req.Ring, req.Algorithm, req.D, req.A, req.B, req.Xhat)
+		return structureFingerprint(&req)
 	case "/v1/multiply/batch":
 		var req wireMultiplyBatchRequest
-		if err := json.Unmarshal(body, &req); err != nil {
+		if err := ScanDocument(body, req.Scan); err != nil {
 			return "", fmt.Errorf("bad request body: %w", err)
 		}
 		if len(req.Lanes) == 0 {
 			return "", fmt.Errorf("batch multiply needs lanes")
 		}
-		return structureFingerprint(req.N, req.Ring, req.Algorithm, req.D, req.Lanes[0].A, req.Lanes[0].B, req.Xhat)
+		return structureFingerprint(&wireMultiplyRequest{
+			N: req.N, Ring: req.Ring, Algorithm: req.Algorithm, D: req.D,
+			A: req.Lanes[0].A, B: req.Lanes[0].B, Xhat: req.Xhat,
+		})
 	case "/v1/prepare":
 		var req wirePrepareRequest
-		if err := json.Unmarshal(body, &req); err != nil {
+		if err := ScanDocument(body, req.Scan); err != nil {
 			return "", fmt.Errorf("bad request body: %w", err)
+		}
+		ringSR, err := resolveRing(req.Ring)
+		if err != nil {
+			return "", err
 		}
 		supports, err := buildSupports(req.N, req.Ahat, req.Bhat, req.Xhat)
 		if err != nil {
 			return "", err
 		}
-		return optionsFingerprint(supports[0], supports[1], supports[2], req.Ring, req.Algorithm, req.D)
+		return core.Fingerprint(supports[0], supports[1], supports[2],
+			core.Options{Ring: ringSR, D: req.D, Algorithm: req.Algorithm})
 	}
 	return "", fmt.Errorf("no fingerprint for path %q", path)
 }
 
-// structureFingerprint fingerprints a value-carrying request from the
-// positions of its entries: the structure is (A's positions, B's positions,
-// Xhat), exactly what (*Sparse).Support() of the built matrices would hold.
-func structureFingerprint(n int, ringName, alg string, d int, a, b []wireEntry, xhat []wirePos) (string, error) {
-	ahat, err := supportOfEntries(n, a, "a")
+// structureFingerprint fingerprints a value-carrying request the way
+// Server.submit keys it: the structure is (A.Support(), B.Support(), Xhat) of
+// the request ParseWireMultiply builds, so a duplicate cell or an explicit
+// zero routes exactly as it is served.
+func structureFingerprint(wm *wireMultiplyRequest) (string, error) {
+	req, err := ParseWireMultiply(wm)
 	if err != nil {
 		return "", err
 	}
-	bhat, err := supportOfEntries(n, b, "b")
-	if err != nil {
-		return "", err
-	}
-	xs, err := buildSupport(n, xhat, "xhat")
-	if err != nil {
-		return "", err
-	}
-	return optionsFingerprint(ahat, bhat, xs, ringName, alg, d)
-}
-
-// supportOfEntries builds the support of a wire value list (positions only,
-// duplicates collapsed — matching Sparse.Set overwrite semantics).
-func supportOfEntries(n int, entries []wireEntry, what string) (*matrix.Support, error) {
-	if err := checkN(n); err != nil {
-		return nil, err
-	}
-	pos := make([][2]int, 0, len(entries))
-	for _, e := range entries {
-		i, j := int(e[0]), int(e[1])
-		if float64(i) != e[0] || float64(j) != e[1] || i < 0 || i >= n || j < 0 || j >= n {
-			return nil, fmt.Errorf("%s: entry (%g,%g) is not a valid index pair for n=%d", what, e[0], e[1], n)
-		}
-		pos = append(pos, [2]int{i, j})
-	}
-	return matrix.NewSupport(n, pos), nil
-}
-
-// optionsFingerprint resolves the wire options the way Server.prepared does
-// (engine cleared: the fingerprint is engine-agnostic) and hashes.
-func optionsFingerprint(ahat, bhat, xhat *matrix.Support, ringName, alg string, d int) (string, error) {
-	r, err := resolveRing(ringName)
-	if err != nil {
-		return "", err
-	}
-	return core.Fingerprint(ahat, bhat, xhat, core.Options{Ring: r, D: d, Algorithm: alg})
+	return core.Fingerprint(req.A.Support(), req.B.Support(), req.Xhat, req.Options)
 }

@@ -1,9 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 
 	"lbmm/internal/core"
 	"lbmm/internal/matrix"
@@ -15,6 +18,11 @@ import (
 // allocate O(n) row slices before any entry is read, so an unauthenticated
 // request must not pick n freely.
 const maxWireN = 1 << 20
+
+// MaxBodyBytes bounds what is read before it is parsed, on every surface
+// that takes request bytes: an HTTP body (a longer one is a 413), one line of
+// a stream session, the body the shard router buffers to route by.
+const MaxBodyBytes = 128 << 20
 
 // wireEntry is one value cell [i, j, value]; wirePos one support position
 // [i, j]. Indices are written as JSON numbers and must be integers in
@@ -180,8 +188,8 @@ func NewHandler(s *Server) http.Handler {
 
 func handleMultiply(s *Server, w http.ResponseWriter, r *http.Request) {
 	var wm wireMultiplyRequest
-	if err := decodeBody(r, &wm); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if err := decodeBody(w, r, wm.Scan); err != nil {
+		writeDecodeErr(w, err)
 		return
 	}
 	req, err := ParseWireMultiply(&wm)
@@ -202,8 +210,8 @@ func handleMultiply(s *Server, w http.ResponseWriter, r *http.Request) {
 
 func handleMultiplyBatch(s *Server, w http.ResponseWriter, r *http.Request) {
 	var req wireMultiplyBatchRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if err := decodeBody(w, r, req.Scan); err != nil {
+		writeDecodeErr(w, err)
 		return
 	}
 	ringSR, err := resolveRing(req.Ring)
@@ -252,8 +260,8 @@ func handleMultiplyBatch(s *Server, w http.ResponseWriter, r *http.Request) {
 
 func handlePrepare(s *Server, w http.ResponseWriter, r *http.Request) {
 	var req wirePrepareRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if err := decodeBody(w, r, req.Scan); err != nil {
+		writeDecodeErr(w, err)
 		return
 	}
 	ringSR, err := resolveRing(req.Ring)
@@ -285,8 +293,8 @@ func handlePrepare(s *Server, w http.ResponseWriter, r *http.Request) {
 
 func handleClassify(s *Server, w http.ResponseWriter, r *http.Request) {
 	var req wireClassifyRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if err := decodeBody(w, r, req.Scan); err != nil {
+		writeDecodeErr(w, err)
 		return
 	}
 	supports, err := buildSupports(req.N, req.Ahat, req.Bhat, req.Xhat)
@@ -313,13 +321,50 @@ func handleClassify(s *Server, w http.ResponseWriter, r *http.Request) {
 // ---------------------------------------------------------------------------
 // wire helpers
 
-func decodeBody(r *http.Request, into any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
+// bodyPool recycles the buffers request bodies are read into. The scanner
+// copies everything it returns, so a buffer goes back as soon as the scan
+// ends; one that grew past maxPooledBody is dropped instead, so a rare huge
+// request does not pin its buffer for the life of the process.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
+
+// decodeBody reads the request body once, capped at MaxBodyBytes, and runs
+// one grammar function over it.
+func decodeBody(w http.ResponseWriter, r *http.Request, grammar func(*Scanner) error) error {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			bodyPool.Put(buf)
+		}
+	}()
+	buf.Reset()
+	if r.ContentLength > MaxBodyBytes {
+		// Declared over the cap: refused before a byte of it is buffered.
+		return fmt.Errorf("reading request body: %w", &http.MaxBytesError{Limit: MaxBodyBytes})
+	}
+	if r.ContentLength > 0 {
+		// Sized from the declared length (plus the spare room ReadFrom wants
+		// before it sees EOF), but never trusting it beyond the pooled size.
+		buf.Grow(int(min(r.ContentLength, maxPooledBody)) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes)); err != nil {
+		return fmt.Errorf("reading request body: %w", err)
+	}
+	if err := ScanDocument(buf.Bytes(), grammar); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
 	}
 	return nil
+}
+
+// writeDecodeErr answers a decodeBody failure: 413 for a body over
+// MaxBodyBytes, 400 for anything else.
+func writeDecodeErr(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, status, err)
 }
 
 func resolveRing(name string) (ring.Semiring, error) {
@@ -336,31 +381,107 @@ func checkN(n int) error {
 	return nil
 }
 
+// entryIndex is the one index check of a value triple: [i, j] may be
+// written 3 or 3.0 but must be integral and in [0, n).
+func entryIndex(n int, e wireEntry, what string) (i, j int, err error) {
+	i, j = int(e[0]), int(e[1])
+	if float64(i) != e[0] || float64(j) != e[1] || i < 0 || i >= n || j < 0 || j >= n {
+		return 0, 0, fmt.Errorf("%s: entry (%g,%g) is not a valid index pair for n=%d", what, e[0], e[1], n)
+	}
+	return i, j, nil
+}
+
+// buildSparse builds a value matrix from wire cells in any order, with
+// Sparse.Set semantics: the last write to a position wins and a zero removes
+// it. Cells that arrive strictly ascending in (i, j) — the order
+// WireEntries emits — are appended to one slab that Rows is carved from; the
+// first cell that breaks the order sends the rest through Set.
 func buildSparse(n int, r ring.Semiring, entries []wireEntry, what string) (*matrix.Sparse, error) {
 	if err := checkN(n); err != nil {
 		return nil, err
 	}
 	m := matrix.NewSparse(n, r)
-	for _, e := range entries {
-		i, j := int(e[0]), int(e[1])
-		if float64(i) != e[0] || float64(j) != e[1] || i < 0 || i >= n || j < 0 || j >= n {
-			return nil, fmt.Errorf("%s: entry (%g,%g) is not a valid index pair for n=%d", what, e[0], e[1], n)
+	zero := r.Zero()
+	slab := make([]matrix.Cell, 0, len(entries))
+	row, col, start := 0, -1, 0
+	// closeRow hands the open row its cells, capacity clipped so that a later
+	// Set on it reallocates instead of writing into the next row's cells.
+	closeRow := func() {
+		if len(slab) > start {
+			m.Rows[row] = slab[start:len(slab):len(slab)]
 		}
-		m.Set(i, j, e[2])
+		start = len(slab)
 	}
+	for k, e := range entries {
+		i, j, err := entryIndex(n, e, what)
+		if err != nil {
+			return nil, err
+		}
+		if i < row || (i == row && j <= col) {
+			closeRow()
+			for _, e := range entries[k:] {
+				i, j, err := entryIndex(n, e, what)
+				if err != nil {
+					return nil, err
+				}
+				m.Set(i, j, e[2])
+			}
+			return m, nil
+		}
+		if i != row {
+			closeRow()
+		}
+		row, col = i, j
+		if !r.Eq(e[2], zero) {
+			slab = append(slab, matrix.Cell{Col: int32(j), Val: e[2]})
+		}
+	}
+	closeRow()
 	return m, nil
 }
 
+// buildSupport builds a support from wire positions in any order, duplicates
+// collapsing. Positions that arrive strictly ascending in (i, j) — the order
+// Support.Entries emits — become row lists directly and finish through
+// matrix.SupportFromRows, linear and sort-free; anything else goes to
+// matrix.NewSupport.
 func buildSupport(n int, positions []wirePos, what string) (*matrix.Support, error) {
 	if err := checkN(n); err != nil {
 		return nil, err
 	}
-	for _, p := range positions {
-		if p[0] < 0 || p[0] >= n || p[1] < 0 || p[1] >= n {
-			return nil, fmt.Errorf("%s: position (%d,%d) out of range for n=%d", what, p[0], p[1], n)
+	rows := make([][]int32, n)
+	slab := make([]int32, 0, len(positions))
+	ordered := true
+	row, col, start := 0, -1, 0
+	closeRow := func() {
+		if len(slab) > start {
+			rows[row] = slab[start:len(slab):len(slab)]
 		}
+		start = len(slab)
 	}
-	return matrix.NewSupport(n, positions), nil
+	for _, p := range positions {
+		i, j := p[0], p[1]
+		if i < 0 || i >= n || j < 0 || j >= n {
+			return nil, fmt.Errorf("%s: position (%d,%d) out of range for n=%d", what, i, j, n)
+		}
+		if !ordered {
+			continue // only the range check is left to do
+		}
+		if i < row || (i == row && j <= col) {
+			ordered = false
+			continue
+		}
+		if i != row {
+			closeRow()
+		}
+		row, col = i, j
+		slab = append(slab, int32(j))
+	}
+	if !ordered {
+		return matrix.NewSupport(n, positions), nil
+	}
+	closeRow()
+	return matrix.SupportFromRows(n, rows)
 }
 
 func buildSupports(n int, ahat, bhat, xhat []wirePos) ([3]*matrix.Support, error) {

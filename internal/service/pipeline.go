@@ -40,6 +40,26 @@ func supportOf(m *matrix.Sparse) *matrix.Support {
 	return m.Support()
 }
 
+// sameStructure reports whether two value matrices store the same positions,
+// by walking their sorted rows in tandem: what comparing the fingerprints of
+// their supports decides, without building or hashing either.
+func sameStructure(a, b *matrix.Sparse) bool {
+	if a.N != b.N || len(a.Rows) != len(b.Rows) {
+		return false
+	}
+	for i, row := range a.Rows {
+		if len(row) != len(b.Rows[i]) {
+			return false
+		}
+		for k, c := range row {
+			if c.Col != b.Rows[i][k].Col {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // validate is the one nil/dimension check behind every request kind: what
 // prefixes the message (a lane index, or nothing) and needs names the
 // operands a complete request carries.
@@ -273,20 +293,17 @@ func (s *Server) MultiplyBatch(ctx context.Context, req *MultiplyBatchRequest) (
 	if k == 0 || req.Xhat == nil {
 		return nil, fmt.Errorf("%w: batch multiply needs lanes and Xhat", ErrInvalid)
 	}
-	var ahat0, bhat0 *matrix.Support
-	var fp0 string
-	for l, bl := range req.Lanes {
-		ahat, bhat := supportOf(bl.A), supportOf(bl.B)
-		if err := validate(fmt.Sprintf("lane %d: ", l), "missing A or B", ahat, bhat, req.Xhat); err != nil {
-			return nil, err
+	first := req.Lanes[0]
+	ahat0, bhat0 := supportOf(first.A), supportOf(first.B)
+	if err := validate("lane 0: ", "missing A or B", ahat0, bhat0, req.Xhat); err != nil {
+		return nil, err
+	}
+	for l := 1; l < k; l++ {
+		bl := req.Lanes[l]
+		if bl.A == nil || bl.B == nil {
+			return nil, fmt.Errorf("%w: lane %d: missing A or B", ErrInvalid, l)
 		}
-		fp, err := core.Fingerprint(ahat, bhat, req.Xhat, req.Options)
-		if err != nil {
-			return nil, fmt.Errorf("%w: lane %d: %v", ErrInvalid, l, err)
-		}
-		if l == 0 {
-			ahat0, bhat0, fp0 = ahat, bhat, fp
-		} else if fp != fp0 {
+		if !sameStructure(bl.A, first.A) || !sameStructure(bl.B, first.B) {
 			return nil, fmt.Errorf("%w: lane %d: structure differs from lane 0 (batched lanes must share one plan)",
 				ErrInvalid, l)
 		}

@@ -24,9 +24,12 @@ type (
 	WireReport = wireMultiplyReport
 )
 
-// ParseWireMultiply builds the in-memory request from its wire payload,
-// validating dimension bounds and indices exactly like the HTTP handler.
-// Errors are the caller's fault (map to ErrInvalid semantics).
+// ParseWireMultiply builds the in-memory request from its wire payload: it
+// is the HTTP handler's own build step, so dimension bounds, ring and indices
+// are validated exactly as there. Entries may come in any order (last write
+// wins, a zero removes); row-major ascending order — what WireEntries and
+// Support.Entries emit — builds A, B and Xhat in one linear, sort-free pass
+// each. Errors are the caller's fault (map to ErrInvalid semantics).
 func ParseWireMultiply(wm *WireMultiply) (*MultiplyRequest, error) {
 	ringSR, err := resolveRing(wm.Ring)
 	if err != nil {

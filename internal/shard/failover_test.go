@@ -372,6 +372,34 @@ func TestRouterPassesNonRoutedPathsThrough(t *testing.T) {
 	}
 }
 
+// TestRouterBodyCap: the router buffers a routed body under the serving
+// layer's own cap. One declared over it is refused with the handler's 413
+// without a byte of it being read — never cut to a prefix and passed on.
+func TestRouterBodyCap(t *testing.T) {
+	srv := service.NewServer(service.Config{})
+	defer srv.Close()
+	node := NewNode(Config{ID: "cap", Addr: "127.0.0.1:1"})
+	h := NewRouter(node, service.NewHandler(srv), nil, nil).Handler()
+	read := false
+	body := readerFunc(func([]byte) (int, error) { read = true; return 0, io.EOF })
+	for _, path := range []string{"/v1/multiply", "/v1/multiply/batch", "/v1/prepare"} {
+		req := httptest.NewRequest(http.MethodPost, path, body)
+		req.ContentLength = service.MaxBodyBytes + 1
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge || read {
+			t.Errorf("%s declared over the cap: status %d (body read: %v), want an unread 413: %s", path, rec.Code, read, rec.Body)
+		}
+		if got := rec.Header().Get(ShardHeader); got != "cap" {
+			t.Errorf("%s: shard header %q, want the local node", path, got)
+		}
+	}
+}
+
+type readerFunc func([]byte) (int, error)
+
+func (f readerFunc) Read(p []byte) (int, error) { return f(p) }
+
 // TestRouterRetryAfterOnForwardedOverload: a 503 relayed from the owning
 // shard must reach the client with a Retry-After header — supplied by the
 // router when the upstream answer lacks one, and passed through untouched

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net/http"
 	"strings"
@@ -19,11 +20,6 @@ const (
 	// ShardHeader names, on every response, the node that actually executed
 	// the request — the observable trail of forwards for tests and drills.
 	ShardHeader = "X-Lbmm-Shard"
-
-	// maxRouteBody bounds how much of a request body the router buffers to
-	// compute its fingerprint; it matches the support-size bound the wire
-	// layer enforces anyway. Larger bodies are passed through locally.
-	maxRouteBody = 128 << 20
 )
 
 // routedPaths are the endpoints routed by plan fingerprint. Everything else
@@ -80,13 +76,24 @@ func (rt *Router) Handler() http.Handler {
 	})
 }
 
-// route buffers the body, fingerprints it, and either serves locally (we
-// own it, the body defies fingerprinting, or the request already hopped
-// once) or proxies to the owner.
+// route buffers the body under the serving layer's own cap (a longer one is
+// the same 413 the handler would give, never a truncated prefix passed on),
+// fingerprints it, and either serves locally (we own it, the body defies
+// fingerprinting, or the request already hopped once) or proxies to the
+// owner.
 func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRouteBody))
+	if r.ContentLength > service.MaxBodyBytes {
+		// Declared over the cap: the local wire layer refuses it unread.
+		rt.serveLocal(w, r, nil)
+		return
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxBodyBytes))
 	if err != nil {
-		http.Error(w, "reading request body: "+err.Error(), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "reading request body: "+err.Error(), status)
 		return
 	}
 	fp, err := service.RequestFingerprint(r.URL.Path, body)

@@ -68,6 +68,36 @@ type Frame struct {
 	Error       string                `json:"error,omitempty"`
 }
 
+// scanFrame scans one client→server line with the serving layer's request
+// scanner: exactly the keys a client frame has (type, proto, id, submit,
+// same_xhat), the submit payload through the /v1/multiply grammar, nothing
+// after the object. On an error the frame holds what was scanned before it,
+// so an error frame can still name the id.
+func scanFrame(line []byte) (Frame, error) {
+	var f Frame
+	err := service.ScanDocument(line, func(s *service.Scanner) error {
+		return s.Object(func(key []byte) (err error) {
+			switch string(key) {
+			case "type":
+				f.Type, err = s.String()
+			case "proto":
+				f.Proto, err = s.String()
+			case "id":
+				f.ID, err = s.String()
+			case "submit":
+				f.Submit = new(service.WireMultiply)
+				err = f.Submit.Scan(s)
+			case "same_xhat":
+				f.SameXhat, err = s.Bool()
+			default:
+				err = s.UnknownKey(key)
+			}
+			return err
+		})
+	})
+	return f, err
+}
+
 // Counter names published by the streaming layer (gauges noted).
 const (
 	MetricSessions      = "stream/sessions" // gauge: open sessions

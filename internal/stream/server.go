@@ -1,9 +1,13 @@
 package stream
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -128,17 +132,17 @@ func serveSession(srv *service.Server, cfg Config, w http.ResponseWriter, r *htt
 	writerDone := make(chan struct{})
 	go s.writer(w, rc, writerDone)
 
-	dec := json.NewDecoder(r.Body)
+	br := bufio.NewReaderSize(r.Body, lineBuffer)
 	// Best-effort (like the write deadlines): a ResponseWriter that supports
 	// full duplex but not read deadlines still gets a working session, it
 	// just cannot reap silent peers.
 	_ = rc.SetReadDeadline(time.Now().Add(cfg.HelloTimeout))
-	if err := readHello(dec); err != nil {
+	if err := readHello(br); err != nil {
 		s.send(Frame{Type: TypeError, Code: http.StatusBadRequest, Error: err.Error()})
 		s.metrics.Add(MetricErrors, 1)
 	} else {
 		s.send(Frame{Type: TypeHello, Proto: Proto, MaxInflight: cfg.MaxInflight})
-		s.readLoop(srv, rc, dec)
+		s.readLoop(srv, rc, br)
 	}
 
 	// The client closed its side (or sent garbage): every accepted lane
@@ -149,9 +153,48 @@ func serveSession(srv *service.Server, cfg Config, w http.ResponseWriter, r *htt
 	<-writerDone
 }
 
-func readHello(dec *json.Decoder) error {
+// lineBuffer is the session reader's buffer: a frame line that fits is
+// scanned in place, a longer one is gathered into a slice of its own.
+const lineBuffer = 64 << 10
+
+var errLineTooLong = errors.New("stream: frame line too long")
+
+// readLine returns the next non-blank NDJSON line, giving up on one once it
+// has gathered more than max bytes of it. The line may alias br's buffer and
+// is valid until the next read; the last line of the body needs no newline.
+func readLine(br *bufio.Reader, max int) ([]byte, error) {
+	for {
+		line, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long := append([]byte(nil), line...)
+			for err == bufio.ErrBufferFull {
+				if len(long) > max {
+					return nil, fmt.Errorf("%w (over %d bytes)", errLineTooLong, max)
+				}
+				line, err = br.ReadSlice('\n')
+				long = append(long, line...)
+			}
+			line = long
+		}
+		if err != nil && err != io.EOF {
+			return nil, err
+		}
+		if len(bytes.Trim(line, " \t\r\n")) > 0 {
+			return line, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+func readHello(br *bufio.Reader) error {
 	var f Frame
-	if err := dec.Decode(&f); err != nil {
+	line, err := readLine(br, service.MaxBodyBytes)
+	if err == nil {
+		f, err = scanFrame(line)
+	}
+	if err != nil {
 		return fmt.Errorf("stream: session must open with a hello frame: %v", err)
 	}
 	if f.Type != TypeHello {
@@ -163,16 +206,28 @@ func readHello(dec *json.Decoder) error {
 	return nil
 }
 
-// readLoop decodes frames until the client closes, sends garbage, or idles
-// past IdleTimeout. It is the only goroutine that blocks in admission
-// control, so a saturated server stalls the session's intake — backpressure
-// by TCP — while already accepted lanes keep completing.
-func (s *session) readLoop(srv *service.Server, rc *http.ResponseController, dec *json.Decoder) {
+// readLoop scans one frame per line until the client closes, sends a line
+// that is not a frame, or idles past IdleTimeout. A malformed line (code 400)
+// or one over service.MaxBodyBytes (code 413) is answered with an error frame
+// and ends the session: the sticky support tracks frames shipped, so a frame
+// that could not be read leaves nothing safe to resume from. It is the only
+// goroutine that blocks in admission control, so a saturated server stalls
+// the session's intake — backpressure by TCP — while already accepted lanes
+// keep completing.
+func (s *session) readLoop(srv *service.Server, rc *http.ResponseController, br *bufio.Reader) {
 	for {
 		// Re-armed per frame: the deadline bounds silence, not session length.
 		_ = rc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		var f Frame
-		if err := dec.Decode(&f); err != nil {
+		line, err := readLine(br, service.MaxBodyBytes)
+		if err != nil {
+			if errors.Is(err, errLineTooLong) {
+				s.fail("", 0, http.StatusRequestEntityTooLarge, err)
+			}
+			return
+		}
+		f, err := scanFrame(line)
+		if err != nil {
+			s.fail(f.ID, 0, http.StatusBadRequest, fmt.Errorf("stream: bad frame: %v", err))
 			return
 		}
 		switch f.Type {
