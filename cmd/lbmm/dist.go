@@ -21,7 +21,7 @@ func runWorker(args []string) error {
 	addr := fs.String("addr", ":7070", "listen address for jobs and peer connections")
 	quiet := fs.Bool("q", false, "suppress per-connection logging")
 	peerTO := fs.Duration("peer-timeout", 30*time.Second, "how long a job waits for its mesh to form")
-	readTO := fs.Duration("read-timeout", 60*time.Second, "per-round barrier deadline")
+	readTO := fs.Duration("read-timeout", 60*time.Second, "per-round barrier deadline (peer reads and writes)")
 	parkTTL := fs.Duration("park-ttl", 0, "reap unclaimed parked peer connections after this long (0 = 2x peer-timeout)")
 	planCache := fs.Int("plan-cache", 0, "decoded plans kept in the fingerprint-keyed LRU (0 = 16, negative disables)")
 	authToken := fs.String("auth-token", "", "shared secret; hellos without it are refused (empty = open)")

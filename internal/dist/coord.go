@@ -258,7 +258,7 @@ func runRank(cfg RunConfig, job string, rk int, addr string, table []uint16, fp 
 	werr := writeFrame(conn, &jf)
 	conn.SetReadDeadline(time.Now().Add(resultTO))
 	var rf resultFrame
-	if err := readFrame(conn, &rf); err != nil {
+	if err := readFrame(conn, &rf, maxFrameBytes); err != nil {
 		if werr != nil {
 			return nil, werr
 		}

@@ -1,7 +1,10 @@
 package dist
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"sync"
@@ -15,9 +18,28 @@ import (
 	"lbmm/internal/workload"
 )
 
+// localMeshTable is NewLocalMesh with an explicit node→rank table shared by
+// every endpoint, closed with the test.
+func localMeshTable(t *testing.T, workers int, table []uint16) []*Mesh {
+	t.Helper()
+	conns, stop, err := localConns(workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(stop)
+	meshes := make([]*Mesh, workers)
+	for rk := range meshes {
+		if meshes[rk], err = NewMesh(Partition{Workers: workers, Rank: rk, Table: table}, conns[rk], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return meshes
+}
+
 // TestLocalMeshRouting drives a 3-participant localhost mesh by hand for
-// two rounds and checks that every payload lands at its owner's inbox and
-// that the wire counters move.
+// two rounds and checks that every payload reaches its owner in order, that
+// a frame costs exactly its header plus eight bytes per value, and that the
+// other wire counters move.
 func TestLocalMeshRouting(t *testing.T) {
 	meshes, stop, err := NewLocalMesh(3)
 	if err != nil {
@@ -25,70 +47,60 @@ func TestLocalMeshRouting(t *testing.T) {
 	}
 	defer stop()
 
-	// Round 0: rank 0 owns node 0's send targeting node 4 (rank 1), rank 1
-	// owns node 1's send targeting node 3 (rank 0), rank 2 sends to itself
-	// (node 5 → node 8, both rank 2: no wire).
-	sends := map[int][]struct {
-		dst  lbm.NodeID
-		vals []ring.Value
-	}{
-		0: {{4, []ring.Value{1.5}}},
-		1: {{3, []ring.Value{2.5}}},
-		2: {{8, []ring.Value{3.5}}},
-	}
-	got := make([]map[lbm.NodeID][]ring.Value, 3)
+	// Round 0, the same message set seen from every rank: node 0 (rank 0) →
+	// node 4 (rank 1), node 1 (rank 1) → node 3 (rank 0), node 5 → node 8
+	// (both rank 2: no wire).
+	msgs := []struct {
+		from, to lbm.NodeID
+		val      ring.Value
+	}{{0, 4, 1.5}, {1, 3, 2.5}, {5, 8, 3.5}}
 	var wg sync.WaitGroup
 	for rk := 0; rk < 3; rk++ {
 		wg.Add(1)
 		go func(rk int) {
 			defer wg.Done()
-			for _, s := range sends[rk] {
-				if err := meshes[rk].Send(0, s.dst, s.vals); err != nil {
-					t.Errorf("rank %d send: %v", rk, err)
+			m := meshes[rk]
+			for _, s := range msgs {
+				var err error
+				switch {
+				case m.Owns(s.from):
+					err = m.Send(0, s.from, s.to, []ring.Value{s.val})
+				case m.Owns(s.to):
+					err = m.Expect(0, s.from, s.to, 1)
+				}
+				if err != nil {
+					t.Errorf("rank %d queueing %d→%d: %v", rk, s.from, s.to, err)
 				}
 			}
-			in, err := meshes[rk].Deliver(0)
-			if err != nil {
+			if err := m.Deliver(0); err != nil {
 				t.Errorf("rank %d deliver: %v", rk, err)
+				return
 			}
-			got[rk] = in
-		}(rk)
-	}
-	wg.Wait()
-
-	want := []map[lbm.NodeID][]ring.Value{
-		{3: {2.5}},
-		{4: {1.5}},
-		{8: {3.5}},
-	}
-	for rk := range want {
-		if !reflect.DeepEqual(got[rk], want[rk]) {
-			t.Errorf("rank %d round 0 inbox = %v, want %v", rk, got[rk], want[rk])
-		}
-	}
-
-	// Round 1: nothing to say — every rank still acks the barrier.
-	for rk := 0; rk < 3; rk++ {
-		wg.Add(1)
-		go func(rk int) {
-			defer wg.Done()
-			in, err := meshes[rk].Deliver(1)
-			if err != nil {
+			for _, s := range msgs {
+				if !m.Owns(s.to) {
+					continue
+				}
+				var got [1]ring.Value
+				if err := m.Recv(s.from, s.to, got[:]); err != nil || got[0] != s.val {
+					t.Errorf("rank %d: node %d received (%v, %v), want %v", rk, s.to, got[0], err, s.val)
+				}
+			}
+			// Round 1: nothing to say — every rank still acks the barrier.
+			if err := m.Deliver(1); err != nil {
 				t.Errorf("rank %d deliver round 1: %v", rk, err)
 			}
-			if len(in) != 0 {
-				t.Errorf("rank %d round 1 inbox = %v, want empty", rk, in)
-			}
 		}(rk)
 	}
 	wg.Wait()
 
+	// Two rounds × two peers of 12-byte headers, plus one 8-byte value each
+	// from ranks 0 and 1.
+	wantBytes := []int64{56, 56, 48}
 	for rk := 0; rk < 3; rk++ {
 		c := meshes[rk].Counters()
-		if c.Get(CounterBytesSent) <= 0 {
-			t.Errorf("rank %d: net/bytes_sent = %d, want > 0", rk, c.Get(CounterBytesSent))
+		if got := c.Get(CounterBytesSent); got != wantBytes[rk] {
+			t.Errorf("rank %d: net/bytes_sent = %d, want %d", rk, got, wantBytes[rk])
 		}
-		// Two rounds × two peers.
 		if c.Get(CounterFlushes) != 4 {
 			t.Errorf("rank %d: net/flushes = %d, want 4", rk, c.Get(CounterFlushes))
 		}
@@ -99,7 +111,7 @@ func TestLocalMeshRouting(t *testing.T) {
 }
 
 // prepCase builds one prepared workload for the distributed tests.
-func prepCase(t *testing.T, alg string, r ring.Semiring, n, d int) (*core.Prepared, *matrix.Sparse, *matrix.Sparse, *matrix.Sparse) {
+func prepCase(t testing.TB, alg string, r ring.Semiring, n, d int) (*core.Prepared, *matrix.Sparse, *matrix.Sparse, *matrix.Sparse) {
 	t.Helper()
 	inst := workload.Blocks(n, d)
 	prep, err := core.Prepare(inst.Ahat, inst.Bhat, inst.Xhat, core.Options{
@@ -121,7 +133,9 @@ func prepCase(t *testing.T, alg string, r ring.Semiring, n, d int) (*core.Prepar
 // TCP mesh inside one process: each rank executes the identical prepared
 // plan with its mesh endpoint, the union of the partial outputs must equal
 // the single-process product, and the merged per-rank statistics must equal
-// the single-process Stats exactly.
+// the single-process Stats exactly. Every case runs under the modulo map and
+// under the load-balanced table, where what a peer owes follows from plan
+// order and the table alone, not from v mod p.
 func TestMeshMatrixMultiply(t *testing.T) {
 	for _, alg := range []string{"lemma31", "theorem42"} {
 		for _, r := range []ring.Semiring{ring.Real{}, ring.Counting{}} {
@@ -134,52 +148,50 @@ func TestMeshMatrixMultiply(t *testing.T) {
 				if !matrix.Equal(ref, want) {
 					t.Fatal("loopback product differs from the plain product")
 				}
-
-				meshes, stop, err := NewLocalMesh(3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer stop()
-				outs := make([]*matrix.Sparse, 3)
-				stats := make([]lbm.Stats, 3)
-				errs := make([]error, 3)
-				var wg sync.WaitGroup
-				for rk := 0; rk < 3; rk++ {
-					wg.Add(1)
-					go func(rk int) {
-						defer wg.Done()
-						x, rep, err := prep.MultiplyOpts(a, b, core.ExecOpts{Transport: meshes[rk]})
+				balanced := BalancedTable(refRep.Stats.SendLoad, refRep.Stats.RecvLoad, 3)
+				for _, table := range [][]uint16{nil, balanced} {
+					meshes := localMeshTable(t, 3, table)
+					outs := make([]*matrix.Sparse, 3)
+					stats := make([]lbm.Stats, 3)
+					errs := make([]error, 3)
+					var wg sync.WaitGroup
+					for rk := 0; rk < 3; rk++ {
+						wg.Add(1)
+						go func(rk int) {
+							defer wg.Done()
+							x, rep, err := prep.MultiplyOpts(a, b, core.ExecOpts{Transport: meshes[rk]})
+							if err != nil {
+								errs[rk] = err
+								return
+							}
+							outs[rk] = x
+							stats[rk] = rep.Stats
+						}(rk)
+					}
+					wg.Wait()
+					for rk, err := range errs {
 						if err != nil {
-							errs[rk] = err
-							return
-						}
-						outs[rk] = x
-						stats[rk] = rep.Stats
-					}(rk)
-				}
-				wg.Wait()
-				for rk, err := range errs {
-					if err != nil {
-						t.Fatalf("rank %d: %v", rk, err)
-					}
-				}
-				merged := matrix.NewSparse(a.N, r)
-				for _, x := range outs {
-					for i, row := range x.Rows {
-						for _, c := range row {
-							merged.Set(i, int(c.Col), c.Val)
+							t.Fatalf("table %v rank %d: %v", table != nil, rk, err)
 						}
 					}
-				}
-				if !matrix.Equal(merged, want) {
-					t.Error("merged distributed product differs from the single-process product")
-				}
-				if got := lbm.MergeStats(stats...); !reflect.DeepEqual(got, refRep.Stats) {
-					t.Errorf("merged stats = %+v, want %+v", got, refRep.Stats)
-				}
-				for rk := 0; rk < 3; rk++ {
-					if meshes[rk].Counters().Get(CounterBytesSent) <= 0 {
-						t.Errorf("rank %d moved no wire bytes", rk)
+					merged := matrix.NewSparse(a.N, r)
+					for _, x := range outs {
+						for i, row := range x.Rows {
+							for _, c := range row {
+								merged.Set(i, int(c.Col), c.Val)
+							}
+						}
+					}
+					if !matrix.Equal(merged, want) {
+						t.Errorf("table %v: merged distributed product differs from the single-process product", table != nil)
+					}
+					if got := lbm.MergeStats(stats...); !reflect.DeepEqual(got, refRep.Stats) {
+						t.Errorf("table %v: merged stats = %+v, want %+v", table != nil, got, refRep.Stats)
+					}
+					for rk := 0; rk < 3; rk++ {
+						if meshes[rk].Counters().Get(CounterBytesSent) <= 0 {
+							t.Errorf("table %v: rank %d moved no wire bytes", table != nil, rk)
+						}
 					}
 				}
 			})
@@ -234,31 +246,22 @@ func TestWorkerCoordinator(t *testing.T) {
 	}
 }
 
-// TestFrameLimits pins the framing error paths: an oversized length prefix
-// is rejected before any allocation, and a truncated body surfaces as an
-// error rather than a hang or panic.
+// TestFrameLimits pins the gob framing error paths of the once-per-job
+// frames: a length prefix over the caller's limit is rejected before any
+// body byte is read, and a truncated body surfaces as an error rather than a
+// hang or panic. (The round frames' limits are TestRoundFrameHostile's.)
 func TestFrameLimits(t *testing.T) {
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
-	go func() {
-		c1.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	}()
-	c2.SetReadDeadline(time.Now().Add(time.Second))
-	var f roundFrame
-	if err := readFrame(c2, &f); err == nil {
+	var f resultFrame
+	if err := readFrame(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff}), &f, maxFrameBytes); err == nil {
 		t.Fatal("oversized frame length was accepted")
 	}
-
-	c3, c4 := net.Pipe()
-	defer c4.Close()
-	go func() {
-		// Length says 100 bytes, then the connection dies after 3.
-		c3.Write([]byte{0, 0, 0, 100, 1, 2, 3})
-		c3.Close()
-	}()
-	c4.SetReadDeadline(time.Now().Add(time.Second))
-	if err := readFrame(c4, &f); err == nil {
-		t.Fatal("truncated frame was accepted")
+	// A hello may claim far less than a job frame may.
+	if err := readFrame(bytes.NewReader([]byte{0, 0, 0x10, 0x01}), &helloFrame{}, maxHelloBytes); err == nil {
+		t.Fatal("hello frame over the hello limit was accepted")
+	}
+	// Length says 100 bytes, then the stream ends after 3.
+	err := readFrame(bytes.NewReader([]byte{0, 0, 0, 100, 1, 2, 3}), &f, maxFrameBytes)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated frame = %v, want io.ErrUnexpectedEOF", err)
 	}
 }

@@ -1,10 +1,10 @@
 // Package dist executes compiled plans over real sockets: a mesh of worker
-// processes, each owning the stores of the nodes hashed to its rank, walks
+// processes, each owning the stores of the nodes assigned to its rank, walks
 // one shared plan in lockstep and exchanges every round's real messages as
-// gob-framed TCP batches (docs/DIST.md). The package provides the Mesh
-// transport (the lbm.Transport backend), the worker process loop, and the
-// coordinator that partitions a job across workers and merges the partial
-// results.
+// value-only binary frames over TCP (docs/DIST.md). The package provides the
+// Mesh transport (the lbm.Transport backend), the worker process loop, and
+// the coordinator that partitions a job across workers and merges the
+// partial results.
 package dist
 
 import (
@@ -17,19 +17,24 @@ import (
 	"lbmm/internal/lbm"
 )
 
-// maxFrameBytes bounds a single frame. A round frame carries at most one
-// payload per plan node; anything larger than this is a corrupt or hostile
-// length prefix, not a real message batch.
+// maxFrameBytes bounds a single frame of either kind. A round frame carries
+// at most one payload per plan node; anything larger than this is a corrupt
+// or hostile length, not a real message batch.
 const maxFrameBytes = 64 << 20
 
-// Every connection in the protocol speaks length-prefixed gob frames: a
+// maxHelloBytes bounds the hello frame, the only frame a worker reads
+// before it has checked the peer's token: a kind, a job id, a rank and the
+// token itself fit in a fraction of this.
+const maxHelloBytes = 4 << 10
+
+// The once-per-job frames (hello, job, result) are length-prefixed gob: a
 // 4-byte big-endian payload length followed by one gob-encoded value,
 // encoded with a fresh encoder per frame so a frame is self-contained and a
-// reader never depends on stream history (see docs/DIST.md for the wire
-// layout).
+// reader never depends on stream history. The per-round frames of a running
+// mesh are not gob; see roundHeaderBytes in mesh.go and docs/DIST.md for
+// both layouts.
 
-// writeFrame writes one frame to w. It does not flush: per-peer bufio
-// writers batch a round's frame with its length prefix into one syscall.
+// writeFrame writes one gob frame to w.
 func writeFrame(w io.Writer, v any) error {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
@@ -47,21 +52,26 @@ func writeFrame(w io.Writer, v any) error {
 	return err
 }
 
-// readFrame reads one frame from r into v.
-func readFrame(r io.Reader, v any) error {
+// readFrame reads one gob frame of at most limit bytes from r into v. The
+// body buffer grows as bytes actually arrive, never to the claimed length up
+// front: a length prefix costs its sender the bytes it promises.
+func readFrame(r io.Reader, v any, limit int) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrameBytes {
-		return fmt.Errorf("dist: frame length %d exceeds the %d-byte limit", n, maxFrameBytes)
+	n := int64(binary.BigEndian.Uint32(hdr[:]))
+	if n > int64(limit) {
+		return fmt.Errorf("dist: frame length %d exceeds the %d-byte limit", n, limit)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	var body bytes.Buffer
+	if _, err := io.CopyN(&body, r, n); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return err
 	}
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(v); err != nil {
+	if err := gob.NewDecoder(&body).Decode(v); err != nil {
 		return fmt.Errorf("dist: decode frame: %w", err)
 	}
 	return nil
@@ -85,22 +95,6 @@ type helloFrame struct {
 type wireVal struct {
 	I, J int32
 	V    float64
-}
-
-// wireMsg is one real message of a round: the destination node and one
-// payload value per lane.
-type wireMsg struct {
-	Dst  int32
-	Vals []float64
-}
-
-// roundFrame is one participant's message batch for one network round —
-// every real message it owns whose destination lives on the receiving peer.
-// An empty Msgs slice is the barrier ack: peers with nothing to say this
-// round still send the frame so everyone advances together.
-type roundFrame struct {
-	Round int32
-	Msgs  []wireMsg
 }
 
 // jobFrame assigns one worker its rank in a distributed multiplication. The

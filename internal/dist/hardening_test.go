@@ -109,7 +109,7 @@ func TestParkReleasedOnFailedJob(t *testing.T) {
 	}
 	var rf resultFrame
 	cw.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if err := readFrame(cw, &rf); err != nil {
+	if err := readFrame(cw, &rf, maxFrameBytes); err != nil {
 		t.Fatal(err)
 	}
 	if rf.Err == "" {
@@ -240,59 +240,61 @@ func TestExecuteRejectsMalformedJobs(t *testing.T) {
 	}
 }
 
-// TestMeshDuplicateDestination pins the one-receive-per-round contract on
-// the socket transport: a duplicate self-owned destination fails at Send,
-// and two remote ranks addressing the same node fail at the owner's Deliver
-// with the typed error (the regression was both paths silently clobbering
-// the first payload).
-func TestMeshDuplicateDestination(t *testing.T) {
-	t.Run("self", func(t *testing.T) {
-		meshes, stop, err := NewLocalMesh(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer stop()
-		if err := meshes[0].Send(0, 0, []ring.Value{1}); err != nil {
-			t.Fatal(err)
-		}
-		if err := meshes[0].Send(0, 0, []ring.Value{2}); !errors.Is(err, lbm.ErrDuplicateDelivery) {
-			t.Fatalf("second self-owned send = %v, want ErrDuplicateDelivery", err)
-		}
-	})
-	t.Run("remote", func(t *testing.T) {
-		meshes, stop, err := NewLocalMesh(3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer stop()
-		errs := make([]error, 3)
-		var wg sync.WaitGroup
-		for rk := 1; rk <= 2; rk++ {
-			wg.Add(1)
-			go func(rk int) {
-				defer wg.Done()
-				// Node 0 lives on rank 0; both remote ranks address it.
-				if err := meshes[rk].Send(0, 0, []ring.Value{float64(rk)}); err != nil {
-					errs[rk] = err
-					return
-				}
-				_, errs[rk] = meshes[rk].Deliver(0)
-			}(rk)
-		}
-		_, err = meshes[0].Deliver(0)
-		wg.Wait()
-		if !errors.Is(err, lbm.ErrDuplicateDelivery) {
-			t.Fatalf("owner's Deliver = %v, want ErrDuplicateDelivery", err)
-		}
-		for rk := 1; rk <= 2; rk++ {
-			if errs[rk] != nil {
-				t.Errorf("rank %d: %v", rk, errs[rk])
+// TestMeshRoundCount pins the one-send-one-receive rule where the bytes
+// arrive: a peer cannot name a destination any more, so the only way to
+// break the rule on the wire is to send a different number of values than
+// the receiver's walk of the plan says it is owed. Both directions — a peer
+// that sends values nobody expects and a peer whose frame comes up short —
+// fail the owner's Deliver with lbm.ErrRoundCount and kill its mesh, while
+// the well-behaved peers' barriers complete.
+func TestMeshRoundCount(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		sent, expect bool // rank 1 sends 1→0; rank 0 expects it
+	}{
+		{"unexpected", true, false},
+		{"short", false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			meshes, stop, err := NewLocalMesh(3)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if meshes[0].Err() == nil {
-			t.Error("duplicate delivery did not mark the mesh dead")
-		}
-	})
+			defer stop()
+			errs := make([]error, 3)
+			var wg sync.WaitGroup
+			for rk := 1; rk <= 2; rk++ {
+				wg.Add(1)
+				go func(rk int) {
+					defer wg.Done()
+					if rk == 1 && tc.sent {
+						if errs[rk] = meshes[rk].Send(0, 1, 0, []ring.Value{7}); errs[rk] != nil {
+							return
+						}
+					}
+					errs[rk] = meshes[rk].Deliver(0)
+				}(rk)
+			}
+			if tc.expect {
+				if err := meshes[0].Expect(0, 1, 0, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			err = meshes[0].Deliver(0)
+			wg.Wait()
+			if !errors.Is(err, lbm.ErrRoundCount) {
+				t.Fatalf("owner's Deliver = %v, want ErrRoundCount", err)
+			}
+			for rk := 1; rk <= 2; rk++ {
+				if errs[rk] != nil {
+					t.Errorf("rank %d: %v", rk, errs[rk])
+				}
+			}
+			if meshes[0].Err() == nil {
+				t.Error("a miscounted frame did not mark the mesh dead")
+			}
+		})
+	}
 }
 
 // TestMeshDeadAfterError pins the sticky lifecycle: a Deliver error leaves
@@ -312,20 +314,26 @@ func TestMeshDeadAfterError(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		// Rank 1 answers with round tag 5 while rank 0 expects round 0.
-		_, err1 = meshes[1].Deliver(5)
+		err1 = meshes[1].Deliver(5)
 	}()
-	_, err0 := meshes[0].Deliver(0)
+	err0 := meshes[0].Deliver(0)
 	wg.Wait()
 	if err0 == nil || err1 == nil {
 		t.Fatalf("desynced rounds delivered cleanly: rank0=%v rank1=%v", err0, err1)
 	}
+	if !errors.Is(err0, ErrRoundFrame) {
+		t.Fatalf("wrong round tag = %v, want ErrRoundFrame", err0)
+	}
 	if meshes[0].Err() == nil {
 		t.Fatal("Deliver error did not mark the mesh dead")
 	}
-	if err := meshes[0].Send(1, 1, []ring.Value{1}); err == nil {
+	if err := meshes[0].Send(1, 0, 1, []ring.Value{1}); err == nil {
 		t.Fatal("Send on a dead mesh succeeded")
 	}
-	if _, err := meshes[0].Deliver(1); err == nil {
+	if err := meshes[0].Expect(1, 1, 0, 1); err == nil {
+		t.Fatal("Expect on a dead mesh succeeded")
+	}
+	if err := meshes[0].Deliver(1); err == nil {
 		t.Fatal("Deliver on a dead mesh succeeded")
 	}
 }

@@ -101,27 +101,3 @@ func BalancedTable(send, recv []int64, workers int) []uint16 {
 	}
 	return table
 }
-
-// RankLoads folds per-node loads through an assignment table into per-rank
-// totals: the per-rank balance a table predicts from compile-time loads. What
-// a live mesh actually moves is the benchmark's dist.* per-layer metrics
-// (bench/README.md).
-func RankLoads(table []uint16, send, recv []int64, workers int) []int64 {
-	out := make([]int64, workers)
-	p := Partition{Workers: workers, Table: table}
-	n := len(send)
-	if len(recv) > n {
-		n = len(recv)
-	}
-	for v := 0; v < n; v++ {
-		var l int64
-		if v < len(send) {
-			l += send[v]
-		}
-		if v < len(recv) {
-			l += recv[v]
-		}
-		out[p.RankOf(lbm.NodeID(v))] += l
-	}
-	return out
-}

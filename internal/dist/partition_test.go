@@ -34,9 +34,17 @@ func TestBalancedTableBeatsModuloOnSkew(t *testing.T) {
 	// Hubs at nodes 0 and 4: both ≡ 0 mod 2, so modulo piles them on rank 0.
 	send := []int64{100, 1, 1, 1, 100, 1, 1, 1}
 	recv := make([]int64, 8)
-	moduloMax := maxLoad(RankLoads(nil, send, recv, 2))
+	maxRankLoad := func(table []uint16) int64 {
+		p := Partition{Workers: 2, Table: table}
+		var loads [2]int64
+		for v, l := range send {
+			loads[p.RankOf(lbm.NodeID(v))] += l
+		}
+		return max(loads[0], loads[1])
+	}
+	moduloMax := maxRankLoad(nil)
 	balanced := BalancedTable(send, recv, 2)
-	balancedMax := maxLoad(RankLoads(balanced, send, recv, 2))
+	balancedMax := maxRankLoad(balanced)
 	if balancedMax >= moduloMax {
 		t.Fatalf("balanced max rank load %d, modulo %d — balancer did not help", balancedMax, moduloMax)
 	}
@@ -91,29 +99,4 @@ func TestValidateTable(t *testing.T) {
 	if err := ValidateTable([]uint16{0, 2}, 2); err == nil {
 		t.Error("table naming rank 2 of 2 was accepted")
 	}
-}
-
-// TestRankLoads pins the fold: per-node loads must land on the owning rank
-// under both the explicit table and the modulo fallback.
-func TestRankLoads(t *testing.T) {
-	send := []int64{10, 20, 30, 40}
-	recv := []int64{1, 2, 3, 4}
-	got := RankLoads(nil, send, recv, 2)
-	if want := []int64{11 + 33, 22 + 44}; !reflect.DeepEqual(got, want) {
-		t.Errorf("modulo rank loads = %v, want %v", got, want)
-	}
-	got = RankLoads([]uint16{1, 1, 1, 0}, send, recv, 2)
-	if want := []int64{44, 11 + 22 + 33}; !reflect.DeepEqual(got, want) {
-		t.Errorf("tabled rank loads = %v, want %v", got, want)
-	}
-}
-
-func maxLoad(xs []int64) int64 {
-	var m int64
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

@@ -2,7 +2,10 @@ package dist
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -121,7 +124,7 @@ func TestWorkerAuthToken(t *testing.T) {
 		}
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 		var rf resultFrame
-		if err := readFrame(conn, &rf); err != nil {
+		if err := readFrame(conn, &rf, maxFrameBytes); err != nil {
 			t.Fatal(err)
 		}
 		if !strings.Contains(rf.Err, "unauthorized") {
@@ -140,7 +143,7 @@ func TestWorkerAuthToken(t *testing.T) {
 		}
 		// The worker closes the connection instead of parking it.
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if err := readFrame(conn, &resultFrame{}); err == nil {
+		if err := readFrame(conn, &resultFrame{}, maxFrameBytes); err == nil {
 			t.Fatal("unauthorized peer hello was answered")
 		}
 		deadline := time.Now().Add(2 * time.Second)
@@ -166,6 +169,49 @@ func TestWorkerAuthToken(t *testing.T) {
 			t.Fatalf("authorized peer hello was not parked: %v", err)
 		}
 		claimed.Close()
+	})
+}
+
+// TestWorkerHelloBound pins what a length prefix may cost the worker before
+// it has seen a byte of the frame it promises. The hello is read ahead of
+// the token check, so it is capped at a few KiB: four bytes claiming 64 MiB
+// from an unauthenticated peer are refused outright. Job and result frames
+// may be that large, but their body buffer grows with the bytes that
+// actually arrive. (That a bad-token job hello is still answered with the
+// typed result frame is TestWorkerAuthToken's first case.)
+func TestWorkerHelloBound(t *testing.T) {
+	claim := []byte{0x03, 0xff, 0xff, 0xff}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	t.Run("hello", func(t *testing.T) {
+		w := newWorker(WorkerOptions{AuthToken: "sesame"})
+		c1, c2 := net.Pipe()
+		defer c2.Close()
+		go c2.Write(claim)
+		if got := allocated(func() { w.handle(c1) }); got > 1<<20 {
+			t.Errorf("a 4-byte hello prefix cost the worker %d bytes", got)
+		}
+		c2.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := c2.Read(make([]byte, 1)); err == nil {
+			t.Error("the oversized hello was answered instead of dropped")
+		}
+	})
+	t.Run("job", func(t *testing.T) {
+		var err error
+		got := allocated(func() {
+			err = readFrame(bytes.NewReader(append(claim, make([]byte, 10)...)), &jobFrame{}, maxFrameBytes)
+		})
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("a job frame that stops after 10 bytes = %v, want io.ErrUnexpectedEOF", err)
+		}
+		if got > 1<<20 {
+			t.Errorf("a 64 MiB claim backed by 10 bytes cost %d bytes", got)
+		}
 	})
 }
 

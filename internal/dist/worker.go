@@ -23,7 +23,8 @@ type WorkerOptions struct {
 	// lower ranks (with retry — peers may still be starting) and claiming
 	// inbound connections from higher ranks. 0 means 30s.
 	PeerTimeout time.Duration
-	// ReadTimeout is the mesh's per-round barrier deadline. 0 means the
+	// ReadTimeout is the mesh's per-round barrier deadline, armed on the
+	// reads of the peers' frames and on the writes of ours. 0 means the
 	// Mesh default (60s).
 	ReadTimeout time.Duration
 	// ParkTTL bounds how long an unclaimed inbound peer connection may sit
@@ -128,7 +129,7 @@ func (w *worker) serve(l net.Listener) error {
 func (w *worker) handle(conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	var h helloFrame
-	if err := readFrame(conn, &h); err != nil {
+	if err := readFrame(conn, &h, maxHelloBytes); err != nil {
 		w.opts.logf("rejecting connection from %s: %v", conn.RemoteAddr(), err)
 		conn.Close()
 		return
@@ -253,7 +254,7 @@ func (w *worker) claim(job string, rank int, timeout time.Duration) (net.Conn, e
 func (w *worker) runJob(conn net.Conn) error {
 	var jf jobFrame
 	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	if err := readFrame(conn, &jf); err != nil {
+	if err := readFrame(conn, &jf, maxFrameBytes); err != nil {
 		return fmt.Errorf("reading job frame: %w", err)
 	}
 	conn.SetReadDeadline(time.Time{})

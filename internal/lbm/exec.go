@@ -47,6 +47,7 @@ type Exec struct {
 	// transport mirrors Machine's communication seam (transport.go); nil is
 	// the original single-process fast path.
 	transport Transport
+	owned     []bool // owned[v]: the transport hosts node v here (setTransport)
 
 	lanes int            // values per slot (≥1); see NewExecBatch
 	arena [][]ring.Value // lane-strided: slot s lane l at s*lanes+l
@@ -86,7 +87,6 @@ func NewExecBatch(sizes []int32, lanes int, r ring.Semiring, opts ...Option) *Ex
 		StoreLimit: probe.StoreLimit,
 		collector:  probe.collector,
 		injector:   probe.injector,
-		transport:  probe.transport,
 		lanes:      lanes,
 		arena:      make([][]ring.Value, len(sizes)),
 		stamp:      make([][]uint32, len(sizes)),
@@ -102,6 +102,7 @@ func NewExecBatch(sizes []int32, lanes int, r ring.Semiring, opts ...Option) *Ex
 	}
 	x.stats.SendLoad = make([]int64, len(sizes))
 	x.stats.RecvLoad = make([]int64, len(sizes))
+	x.setTransport(probe.transport)
 	return x
 }
 
@@ -122,7 +123,7 @@ func (x *Exec) Configure(opts ...Option) {
 	x.StoreLimit = probe.StoreLimit
 	x.collector = probe.collector
 	x.injector = probe.injector
-	x.transport = probe.transport
+	x.setTransport(probe.transport)
 }
 
 // SetCollector attaches (or, with nil, detaches) a collector.
@@ -233,7 +234,7 @@ func (x *Exec) PutSlot(r SlotRef, v ring.Value) { x.PutLane(r, 0, v) }
 // would expose stale values on its unwritten lanes. Under a transport,
 // writes to non-owned stores are dropped (see Machine.Put).
 func (x *Exec) PutLane(r SlotRef, lane int, v ring.Value) {
-	if x.transport != nil && !x.transport.Owns(r.Node) {
+	if !x.Owns(r.Node) {
 		return
 	}
 	x.arena[r.Node][int(r.Slot)*x.lanes+lane] = v
@@ -243,7 +244,7 @@ func (x *Exec) PutLane(r SlotRef, lane int, v ring.Value) {
 // PutLanes stores every lane of a slot at once (len(vs) = Lanes), with one
 // presence update — the bulk form of PutLane for batched loading.
 func (x *Exec) PutLanes(r SlotRef, vs []ring.Value) {
-	if x.transport != nil && !x.transport.Owns(r.Node) {
+	if !x.Owns(r.Node) {
 		return
 	}
 	i := int(r.Slot) * x.lanes
@@ -256,7 +257,7 @@ func (x *Exec) PutLanes(r SlotRef, vs []ring.Value) {
 // per-slot, so accumulating lane by lane into an absent slot would mark it
 // present after the first lane and read stale values on the rest.
 func (x *Exec) AccSlot(r SlotRef, v ring.Value) {
-	if x.transport != nil && !x.transport.Owns(r.Node) {
+	if !x.Owns(r.Node) {
 		return
 	}
 	cur := x.R.Zero()
@@ -283,7 +284,7 @@ func (x *Exec) MustLanes(r SlotRef) []ring.Value {
 // slot's presence resolved once before any lane is touched (an absent slot
 // reads as the ring Zero on every lane).
 func (x *Exec) AccLanes(r SlotRef, vs []ring.Value) {
-	if x.transport != nil && !x.transport.Owns(r.Node) {
+	if !x.Owns(r.Node) {
 		return
 	}
 	i := int(r.Slot) * x.lanes
@@ -334,7 +335,7 @@ func (x *Exec) Reset() {
 	}
 	x.collector = nil
 	x.injector = nil
-	x.transport = nil
+	x.setTransport(nil)
 	x.netRound = 0
 }
 
@@ -487,7 +488,7 @@ func (x *Exec) checkStoreLimit(cp *CompiledPlan, lo, hi int) error {
 	add := map[int32]int{}
 	for i := lo; i < hi; i++ {
 		to, dst := cp.To[i], cp.DstSlot[i]
-		if x.transport != nil && !x.transport.Owns(to) {
+		if !x.Owns(to) {
 			// Non-owned stores live (and are limit-checked) elsewhere.
 			continue
 		}

@@ -212,6 +212,8 @@ type Machine struct {
 	// machine to the stores the transport owns. nil is the original
 	// single-process fast path.
 	transport Transport
+	owned     []bool       // owned[v]: the transport hosts node v here
+	viaVals   []ring.Value // runRoundVia's round scratch, reused
 
 	// round-scoped scratch for O(1) constraint checks
 	sentAt, recvAt []int32
@@ -336,6 +338,7 @@ func New(n int, r ring.Semiring, opts ...Option) *Machine {
 	for _, o := range opts {
 		o(m)
 	}
+	m.owned = ownedTable(m.transport, n, nil)
 	return m
 }
 
@@ -371,7 +374,7 @@ func (m *Machine) MustGet(node NodeID, k Key) ring.Value {
 // to non-owned stores are dropped: every participant drives the same loading
 // code and keeps only its own share.
 func (m *Machine) Put(node NodeID, k Key, v ring.Value) {
-	if m.transport != nil && !m.transport.Owns(node) {
+	if !m.Owns(node) {
 		return
 	}
 	st := m.stores[node]
@@ -384,7 +387,7 @@ func (m *Machine) Put(node NodeID, k Key, v ring.Value) {
 // Acc adds v into the value at node under k (missing reads as Zero). Like
 // Put, it is a no-op on stores the transport does not own.
 func (m *Machine) Acc(node NodeID, k Key, v ring.Value) {
-	if m.transport != nil && !m.transport.Owns(node) {
+	if !m.Owns(node) {
 		return
 	}
 	st := m.stores[node]
@@ -502,7 +505,7 @@ func (m *Machine) checkStoreLimit(r Round) error {
 	var seen map[nodeKey]struct{}
 	add := map[NodeID]int{}
 	for _, s := range r {
-		if m.transport != nil && !m.transport.Owns(s.To) {
+		if !m.Owns(s.To) {
 			// Non-owned stores live (and are limit-checked) elsewhere.
 			continue
 		}

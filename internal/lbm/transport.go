@@ -13,29 +13,44 @@ import (
 // gather/deliver — is factored behind Transport so the same instruction walk
 // drives an in-process loopback or a mesh of TCP peers (internal/dist).
 //
-// The contract mirrors the model: rounds are synchronous barriers. Every
-// participant walks the identical plan, so all of them observe the same
-// round sequence and the same per-round real-message count; a round with at
-// least one real message performs exactly one Send per owned sender followed
-// by exactly one Deliver (the barrier), and the one-receive-per-round
-// invariant makes (round, destination) a unique payload address. Rounds of
-// only free local copies never touch the transport.
+// The contract mirrors the model: rounds are synchronous barriers, and only
+// values move. Every participant walks the identical plan with the identical
+// node→participant ownership, so all of them observe the same round sequence
+// and, per round and per peer, the same real messages in the same instruction
+// order. Nothing but payload values therefore crosses the seam: a round with
+// at least one real message walks its instructions once, calling Send for
+// each real message whose sender this participant owns and Expect for each
+// one it will receive from a node it does not own; then exactly one Deliver
+// (the barrier), which verifies that every peer supplied exactly the values
+// it owed; then one Recv per real message whose receiver is owned, again in
+// instruction order, each taking the next values of the sender's owner. The
+// receiver never reads a destination off the wire — it already knows it — so
+// the model's one-send-one-receive rule is enforced as a count at the
+// barrier (ErrRoundCount), before any store of the round is written. Rounds
+// of only free local copies never touch the transport.
+//
+// Send copies its payload and Recv copies into the caller's slice, so the
+// engines gather into and apply from their own reused round scratch and the
+// steady state allocates nothing. Ownership is fixed for a run: the engines
+// ask Owns once per node when the transport is attached and index the
+// resulting table inside the round loops.
 //
 // A nil transport is the default and is not merely Loopback spelled
 // differently: it selects the original single-process fast path, with no
-// ownership checks and no per-round map traffic. Loopback routes every real
+// ownership checks and no transport calls. Loopback routes every real
 // message through the full seam while owning every node, which the
 // differential tests hold to byte-identical results, Stats and fault
 // provenance against the nil-transport engines.
 
-// ErrDuplicateDelivery is the typed violation of the one-receive-per-round
-// contract: two payloads addressed to one destination node inside a single
-// network round. Transports reject the second send (or receipt) with an
-// error wrapping this sentinel instead of silently clobbering the first
-// payload — the engines never produce such a round (compile-time and
-// checkRound validation), so a duplicate means a corrupted peer or a broken
-// transport, and the execution must fail loudly.
-var ErrDuplicateDelivery = errors.New("lbm: duplicate payload for one destination in one round")
+// ErrRoundCount is the typed violation of the seam's delivery contract: the
+// values a round delivered are not the values the plan owes — a peer sent
+// more or fewer than this participant expected from it, or the engine
+// consumed more or fewer than were delivered. The engines never produce such
+// a round (compile-time and checkRound validation fix the message set, and
+// every participant derives the same set), so a miscount means a corrupted
+// peer, a peer on a different plan, or a broken transport, and the execution
+// must fail loudly before any store is written.
+var ErrRoundCount = errors.New("lbm: round delivery does not match the plan's message count")
 
 // valueWireBytes is the model-level size of one ring value on the wire
 // (ring.Value is a float64). Stats.RoundBytes counts payload values at this
@@ -49,52 +64,73 @@ const valueWireBytes = 8
 type Transport interface {
 	// Owns reports whether this participant hosts node v's store. Non-owned
 	// stores are inert: writes to them are dropped and their sends are some
-	// other participant's job.
+	// other participant's job. The answer is fixed for the transport's life.
 	Owns(v NodeID) bool
-	// Send queues the payload of one real message of the given network round
-	// for delivery to the store of dst (which may be local). The payload
-	// slice must remain untouched by the caller until Deliver returns; it
-	// carries one value per lane.
-	Send(round int, dst NodeID, payload []ring.Value) error
+	// Send queues a copy of the payload (one value per lane) of one real
+	// message of the given network round, from a node this participant owns
+	// to any node (which may be local). Calls within a round come in
+	// instruction order.
+	Send(round int, from, to NodeID, payload []ring.Value) error
+	// Expect announces one real message of the given network round that this
+	// participant will receive, lanes values wide, from a node it does not
+	// own. Deliver holds the sender's owner to the announced total.
+	Expect(round int, from, to NodeID, lanes int) error
 	// Deliver is the round barrier: it flushes queued sends, waits for every
-	// peer, and returns the payloads addressed to locally-owned nodes, keyed
-	// by destination (unique per round by the one-receive invariant). It is
+	// peer, and verifies that each supplied exactly the values announced by
+	// Expect — failing with an error wrapping ErrRoundCount otherwise. It is
 	// called exactly once per network round by every participant, after all
-	// of that participant's Sends for the round.
-	Deliver(round int) (map[NodeID][]ring.Value, error)
+	// of that participant's Sends and Expects for the round, and also checks
+	// that the previous round's deliveries were consumed in full.
+	Deliver(round int) error
+	// Recv copies the payload of the round's next real message from from's
+	// owner (this participant itself when it owns from) into dst, one value
+	// per lane. The engine calls it once per real message whose receiver it
+	// owns, in instruction order, after Deliver.
+	Recv(from, to NodeID, dst []ring.Value) error
 }
 
 // Loopback is the in-process Transport: it owns every node and stashes each
-// round's payloads in memory, so Deliver returns them without any wire. It
-// exists to exercise the full transport seam — ownership checks, Send and
-// barrier ordering — while staying bit-identical to the nil-transport
-// engines, which the differential tests assert.
+// round's payloads in one reused slab, so Recv hands them back in order
+// without any wire. It exists to exercise the full transport seam —
+// ownership table, Send, barrier and in-order consumption — while staying
+// bit-identical to the nil-transport engines, which the differential tests
+// assert. The zero value is ready to use.
 type Loopback struct {
-	inbox map[NodeID][]ring.Value
+	out, in []ring.Value // this round's sends; the delivered round being read
+	rd      int          // read position in in
 }
 
 // Owns reports true: a loopback participant hosts every node.
 func (lb *Loopback) Owns(NodeID) bool { return true }
 
-// Send stashes the payload under its destination. A second payload for the
-// same destination within one round is a contract violation and returns an
-// error wrapping ErrDuplicateDelivery.
-func (lb *Loopback) Send(round int, dst NodeID, payload []ring.Value) error {
-	if lb.inbox == nil {
-		lb.inbox = make(map[NodeID][]ring.Value)
-	}
-	if _, dup := lb.inbox[dst]; dup {
-		return fmt.Errorf("lbm: loopback round %d, node %d: %w", round, dst, ErrDuplicateDelivery)
-	}
-	lb.inbox[dst] = payload
+// Send appends a copy of the payload to the round's slab.
+func (lb *Loopback) Send(round int, from, to NodeID, payload []ring.Value) error {
+	lb.out = append(lb.out, payload...)
 	return nil
 }
 
-// Deliver hands back the round's stash.
-func (lb *Loopback) Deliver(round int) (map[NodeID][]ring.Value, error) {
-	in := lb.inbox
-	lb.inbox = nil
-	return in, nil
+// Expect always fails: a loopback participant owns every sender, so no
+// message can be owed to it by anyone else.
+func (lb *Loopback) Expect(round int, from, to NodeID, lanes int) error {
+	return fmt.Errorf("lbm: loopback round %d: expecting node %d's message from a peer, but loopback owns every node: %w", round, from, ErrRoundCount)
+}
+
+// Deliver turns the round's sends into its deliveries.
+func (lb *Loopback) Deliver(round int) error {
+	if lb.rd != len(lb.in) {
+		return fmt.Errorf("lbm: loopback round %d: %d delivered values of the previous round were never consumed: %w", round, len(lb.in)-lb.rd, ErrRoundCount)
+	}
+	lb.in, lb.out, lb.rd = lb.out, lb.in[:0], 0
+	return nil
+}
+
+// Recv copies out the next len(dst) delivered values.
+func (lb *Loopback) Recv(from, to NodeID, dst []ring.Value) error {
+	if len(lb.in)-lb.rd < len(dst) {
+		return fmt.Errorf("lbm: loopback: node %d wants %d values from node %d, %d delivered values left: %w", to, len(dst), from, len(lb.in)-lb.rd, ErrRoundCount)
+	}
+	lb.rd += copy(dst, lb.in[lb.rd:])
+	return nil
 }
 
 // MergeStats combines the per-participant statistics of one partitioned
@@ -142,16 +178,34 @@ func WithTransport(t Transport) Option {
 	return func(m *Machine) { m.transport = t }
 }
 
+// ownedTable asks the transport once per node which stores this participant
+// hosts, appending into reuse's storage (empty for a nil transport). The
+// round loops index the table instead of calling Owns per instruction.
+func ownedTable(t Transport, n int, reuse []bool) []bool {
+	owned := reuse[:0]
+	for v := 0; t != nil && v < n; v++ {
+		owned = append(owned, t.Owns(NodeID(v)))
+	}
+	return owned
+}
+
 // Owns reports whether this machine hosts node v's store (always true
 // without a transport).
 func (m *Machine) Owns(v NodeID) bool {
-	return m.transport == nil || m.transport.Owns(v)
+	return m.transport == nil || m.owned[v]
 }
 
 // Owns reports whether this executor hosts node v's store (always true
 // without a transport).
 func (x *Exec) Owns(v NodeID) bool {
-	return x.transport == nil || x.transport.Owns(v)
+	return x.transport == nil || x.owned[v]
+}
+
+// setTransport attaches (or, with nil, detaches) a transport and rebuilds
+// the ownership table for it.
+func (x *Exec) setTransport(t Transport) {
+	x.transport = t
+	x.owned = ownedTable(t, x.N, x.owned)
 }
 
 // runRoundVia executes one round through the machine's transport: validate,
@@ -172,11 +226,13 @@ func (m *Machine) runRoundVia(r Round) error {
 			return err
 		}
 	}
-	tr := m.transport
-	vals := make([]ring.Value, len(r))
-	have := make([]bool, len(r))
+	tr, owned := m.transport, m.owned
+	if cap(m.viaVals) < len(r) {
+		m.viaVals = make([]ring.Value, len(r))
+	}
+	vals := m.viaVals[:len(r)]
 	for idx, s := range r {
-		if !tr.Owns(s.From) {
+		if !owned[s.From] {
 			continue
 		}
 		v, ok := m.stores[s.From][s.Src]
@@ -184,46 +240,42 @@ func (m *Machine) runRoundVia(r Round) error {
 			return fmt.Errorf("lbm: node %d cannot send missing key %v", s.From, s.Src)
 		}
 		vals[idx] = v
-		have[idx] = true
 	}
 	if m.StoreLimit > 0 {
 		if err := m.checkStoreLimit(r); err != nil {
 			return err
 		}
 	}
-	var inbound map[NodeID][]ring.Value
 	if real > 0 {
 		rt := m.stats.Rounds // network round index: the pre-increment counter
 		for idx, s := range r {
-			if s.From == s.To || !have[idx] {
-				continue
+			switch {
+			case s.From == s.To:
+			case owned[s.From]:
+				err = tr.Send(rt, s.From, s.To, vals[idx:idx+1])
+			case owned[s.To]:
+				err = tr.Expect(rt, s.From, s.To, 1)
 			}
-			if err := tr.Send(rt, s.To, vals[idx:idx+1]); err != nil {
+			if err != nil {
 				return err
 			}
 		}
 		// The barrier runs whenever the round carries real messages, even on
 		// a participant that owns none of them: every peer must ack.
-		if inbound, err = tr.Deliver(rt); err != nil {
+		if err := tr.Deliver(rt); err != nil {
 			return err
 		}
 	}
 	for idx, s := range r {
-		if s.From == s.To {
-			if !have[idx] {
-				continue
+		if !owned[s.To] {
+			continue
+		}
+		if s.From != s.To {
+			if err := tr.Recv(s.From, s.To, vals[idx:idx+1]); err != nil {
+				return err
 			}
-			m.applyDelivery(s, vals[idx])
-			continue
 		}
-		if !tr.Owns(s.To) {
-			continue
-		}
-		vs, ok := inbound[s.To]
-		if !ok {
-			return fmt.Errorf("lbm: transport delivered no payload for node %d in network round %d", s.To, m.stats.Rounds)
-		}
-		m.applyDelivery(s, vs[0])
+		m.applyDelivery(s, vals[idx])
 	}
 	if real > 0 {
 		m.stats.Rounds++
@@ -232,19 +284,19 @@ func (m *Machine) runRoundVia(r Round) error {
 		var locals, ownedLocals, ownedReal int64
 		for _, s := range r {
 			if s.From != s.To {
-				if tr.Owns(s.From) {
+				if owned[s.From] {
 					ownedReal++
 					m.stats.SendLoad[s.From]++
 					if c != nil {
 						c.OnSend(s.From, s.To)
 					}
 				}
-				if tr.Owns(s.To) {
+				if owned[s.To] {
 					m.stats.RecvLoad[s.To]++
 				}
 			} else {
 				locals++
-				if tr.Owns(s.From) {
+				if owned[s.From] {
 					ownedLocals++
 				}
 			}
@@ -255,13 +307,13 @@ func (m *Machine) runRoundVia(r Round) error {
 			c.OnRound(int(real), int(locals))
 		}
 	} else if len(r) > 0 {
-		var owned int64
+		var ownedLocals int64
 		for _, s := range r {
-			if tr.Owns(s.From) {
-				owned++
+			if owned[s.From] {
+				ownedLocals++
 			}
 		}
-		m.stats.LocalCopies += owned
+		m.stats.LocalCopies += ownedLocals
 	}
 	return nil
 }
@@ -278,7 +330,10 @@ func (m *Machine) applyDelivery(s Send, v ring.Value) {
 
 // runRoundVia is the compiled engine's transport round: the same shape as
 // Machine.runRoundVia over the SoA instruction range, carrying all lanes of
-// each message in one payload.
+// each message in one payload. The round scratch has the fast path's layout
+// (instruction i's lanes at (i-lo)*lanes): owned senders gather into it,
+// Recv fills the positions of the messages that arrive from elsewhere, and
+// applyInstr delivers from it exactly as the nil-transport path does.
 func (x *Exec) runRoundVia(cp *CompiledPlan, t int) error {
 	lo, hi := int(cp.RoundOff[t]), int(cp.RoundOff[t+1])
 	if hi == lo {
@@ -289,25 +344,22 @@ func (x *Exec) runRoundVia(cp *CompiledPlan, t int) error {
 			return err
 		}
 	}
-	tr := x.transport
+	tr, owned := x.transport, x.owned
 	K := x.lanes
-	// Gather owned payloads against the round-start state into a fresh
-	// buffer: its sub-slices are handed to the transport, which may hold them
-	// until the barrier, so the shared scratch of the fast path cannot back
-	// them. Capacity is exact, so sub-slices never move.
-	buf := make([]ring.Value, 0, (hi-lo)*K)
-	vals := make([][]ring.Value, hi-lo)
+	size := (hi - lo) * K
+	if cap(x.payload) < size {
+		x.payload = make([]ring.Value, size)
+	}
+	payload := x.payload[:size]
 	for i := lo; i < hi; i++ {
 		from, slot := cp.From[i], cp.SrcSlot[i]
-		if !tr.Owns(from) {
+		if !owned[from] {
 			continue
 		}
 		if x.stamp[from][slot] != x.epoch {
 			return x.missingErr(cp, i)
 		}
-		n := len(buf)
-		buf = append(buf, x.arena[from][int(slot)*K:(int(slot)+1)*K]...)
-		vals[i-lo] = buf[n : n+K]
+		copy(payload[(i-lo)*K:(i-lo+1)*K], x.arena[from][int(slot)*K:])
 	}
 	if x.StoreLimit > 0 {
 		if err := x.checkStoreLimit(cp, lo, hi); err != nil {
@@ -315,42 +367,38 @@ func (x *Exec) runRoundVia(cp *CompiledPlan, t int) error {
 		}
 	}
 	real := int64(cp.Real[t])
-	var inbound map[NodeID][]ring.Value
 	if real > 0 {
 		rt := x.stats.Rounds
 		for i := lo; i < hi; i++ {
-			if cp.From[i] == cp.To[i] || vals[i-lo] == nil {
-				continue
+			from, to := cp.From[i], cp.To[i]
+			var err error
+			switch {
+			case from == to:
+			case owned[from]:
+				err = tr.Send(rt, from, to, payload[(i-lo)*K:(i-lo+1)*K])
+			case owned[to]:
+				err = tr.Expect(rt, from, to, K)
 			}
-			if err := tr.Send(rt, cp.To[i], vals[i-lo]); err != nil {
+			if err != nil {
 				return err
 			}
 		}
-		var err error
-		if inbound, err = tr.Deliver(rt); err != nil {
+		if err := tr.Deliver(rt); err != nil {
 			return err
 		}
 	}
 	for i := lo; i < hi; i++ {
-		to := cp.To[i]
-		if cp.From[i] == to {
-			if vals[i-lo] == nil {
-				continue
+		from, to := cp.From[i], cp.To[i]
+		if !owned[to] {
+			continue
+		}
+		if from != to {
+			if err := tr.Recv(from, to, payload[(i-lo)*K:(i-lo+1)*K]); err != nil {
+				return err
 			}
-			x.applyValues(cp, i, vals[i-lo])
-			continue
 		}
-		if !tr.Owns(to) {
-			continue
-		}
-		vs, ok := inbound[to]
-		if !ok {
-			return fmt.Errorf("lbm: transport delivered no payload for node %d in network round %d", to, x.stats.Rounds)
-		}
-		if len(vs) != K {
-			return fmt.Errorf("lbm: transport payload for node %d carries %d values, want %d lanes", to, len(vs), K)
-		}
-		x.applyValues(cp, i, vs)
+		x.applyInstr(cp, i, lo, payload)
+		x.markPresent(to, cp.DstSlot[i])
 	}
 	if real > 0 {
 		x.stats.Rounds++
@@ -360,19 +408,19 @@ func (x *Exec) runRoundVia(cp *CompiledPlan, t int) error {
 		for i := lo; i < hi; i++ {
 			from, to := cp.From[i], cp.To[i]
 			if from != to {
-				if tr.Owns(from) {
+				if owned[from] {
 					ownedReal++
 					x.stats.SendLoad[from]++
 					if c != nil {
 						c.OnSend(from, to)
 					}
 				}
-				if tr.Owns(to) {
+				if owned[to] {
 					x.stats.RecvLoad[to]++
 				}
 			} else {
 				locals++
-				if tr.Owns(from) {
+				if owned[from] {
 					ownedLocals++
 				}
 			}
@@ -383,70 +431,13 @@ func (x *Exec) runRoundVia(cp *CompiledPlan, t int) error {
 			c.OnRound(int(real), int(locals))
 		}
 	} else {
-		var owned int64
+		var ownedLocals int64
 		for i := lo; i < hi; i++ {
-			if tr.Owns(cp.From[i]) {
-				owned++
+			if owned[cp.From[i]] {
+				ownedLocals++
 			}
 		}
-		x.stats.LocalCopies += owned
+		x.stats.LocalCopies += ownedLocals
 	}
 	return nil
-}
-
-// applyValues delivers one instruction's payload lanes into the destination
-// slot and marks it present — applyInstr with an explicit payload slice
-// instead of the round scratch layout.
-func (x *Exec) applyValues(cp *CompiledPlan, i int, vs []ring.Value) {
-	to, dst := cp.To[i], cp.DstSlot[i]
-	K := x.lanes
-	if K == 1 {
-		v := vs[0]
-		switch cp.Ops[i] {
-		case OpAcc:
-			cur := x.R.Zero()
-			if x.present(to, dst) {
-				cur = x.arena[to][dst]
-			}
-			x.arena[to][dst] = x.R.Add(cur, v)
-		case OpSub:
-			cur := x.R.Zero()
-			if x.present(to, dst) {
-				cur = x.arena[to][dst]
-			}
-			x.arena[to][dst] = x.field.Sub(cur, v)
-		default:
-			x.arena[to][dst] = v
-		}
-		x.markPresent(to, dst)
-		return
-	}
-	ds := x.arena[to][int(dst)*K : (int(dst)+1)*K]
-	switch cp.Ops[i] {
-	case OpAcc:
-		if x.present(to, dst) {
-			for l, v := range vs {
-				ds[l] = x.R.Add(ds[l], v)
-			}
-		} else {
-			zero := x.R.Zero()
-			for l, v := range vs {
-				ds[l] = x.R.Add(zero, v)
-			}
-		}
-	case OpSub:
-		if x.present(to, dst) {
-			for l, v := range vs {
-				ds[l] = x.field.Sub(ds[l], v)
-			}
-		} else {
-			zero := x.R.Zero()
-			for l, v := range vs {
-				ds[l] = x.field.Sub(zero, v)
-			}
-		}
-	default:
-		copy(ds, vs)
-	}
-	x.markPresent(to, dst)
 }

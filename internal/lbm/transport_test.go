@@ -1,6 +1,7 @@
 package lbm
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -105,35 +106,46 @@ func TestLoopbackRoundBytes(t *testing.T) {
 // ---------------------------------------------------------------------------
 // In-process partitioned transport for testing: P participants over shared
 // memory with a real per-round barrier, the semantics dist.Mesh implements
-// over sockets.
+// over sockets — per round one slab of values per (sender rank, receiver
+// rank) pair in instruction order, a count check at the barrier, in-order
+// consumption afterwards.
 
 type testRouter struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	ranks   int
+	table   []int // node → rank; nil is the modulo map
 	arrived int
 	gen     int
-	pool    map[NodeID][]ring.Value
-	ready   map[NodeID][]ring.Value
+	pool    [][][]ring.Value // [src][dst] slabs of the round being collected
+	ready   [][][]ring.Value // the last completed round's slabs
 }
 
-func newTestRouter(ranks int) *testRouter {
-	r := &testRouter{ranks: ranks, pool: map[NodeID][]ring.Value{}}
+func newTestRouter(ranks int, table []int) *testRouter {
+	r := &testRouter{ranks: ranks, table: table, pool: make([][][]ring.Value, ranks)}
 	r.cond = sync.NewCond(&r.mu)
 	return r
 }
 
-func (r *testRouter) deliver(sent map[NodeID][]ring.Value) map[NodeID][]ring.Value {
+func (r *testRouter) rankOf(v NodeID) int {
+	if r.table != nil {
+		return r.table[v]
+	}
+	return int(v) % r.ranks
+}
+
+// exchange publishes one rank's outgoing slabs (indexed by receiver rank),
+// waits for every rank, and returns the slabs addressed to it, indexed by
+// sender rank.
+func (r *testRouter) exchange(rank int, out [][]ring.Value) [][]ring.Value {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	gen := r.gen
-	for k, v := range sent {
-		r.pool[k] = v
-	}
+	r.pool[rank] = out
 	r.arrived++
 	if r.arrived == r.ranks {
 		r.ready = r.pool
-		r.pool = map[NodeID][]ring.Value{}
+		r.pool = make([][][]ring.Value, r.ranks)
 		r.arrived = 0
 		r.gen++
 		r.cond.Broadcast()
@@ -142,30 +154,85 @@ func (r *testRouter) deliver(sent map[NodeID][]ring.Value) map[NodeID][]ring.Val
 			r.cond.Wait()
 		}
 	}
-	return r.ready
+	in := make([][]ring.Value, r.ranks)
+	for src := range in {
+		in[src] = r.ready[src][rank]
+	}
+	return in
 }
 
 type testTransport struct {
 	router *testRouter
 	rank   int
-	sent   map[NodeID][]ring.Value
+	out    [][]ring.Value // by receiver rank
+	owed   []int          // values announced by Expect, by sender rank
+	in     [][]ring.Value // by sender rank, consumed from the front
 }
 
-func (tt *testTransport) Owns(v NodeID) bool { return int(v)%tt.router.ranks == tt.rank }
+func (tt *testTransport) Owns(v NodeID) bool { return tt.router.rankOf(v) == tt.rank }
 
-func (tt *testTransport) Send(round int, dst NodeID, payload []ring.Value) error {
-	if tt.sent == nil {
-		tt.sent = map[NodeID][]ring.Value{}
+func (tt *testTransport) Send(round int, from, to NodeID, payload []ring.Value) error {
+	if !tt.Owns(from) {
+		return fmt.Errorf("rank %d asked to send for node %d it does not own", tt.rank, from)
 	}
-	tt.sent[dst] = payload
+	if tt.out == nil {
+		tt.out = make([][]ring.Value, tt.router.ranks)
+	}
+	dst := tt.router.rankOf(to)
+	tt.out[dst] = append(tt.out[dst], payload...)
 	return nil
 }
 
-func (tt *testTransport) Deliver(round int) (map[NodeID][]ring.Value, error) {
-	sent := tt.sent
-	tt.sent = nil
-	return tt.router.deliver(sent), nil
+func (tt *testTransport) Expect(round int, from, to NodeID, lanes int) error {
+	if tt.Owns(from) || !tt.Owns(to) {
+		return fmt.Errorf("rank %d expects %d→%d, which is not an inbound remote message", tt.rank, from, to)
+	}
+	if tt.owed == nil {
+		tt.owed = make([]int, tt.router.ranks)
+	}
+	tt.owed[tt.router.rankOf(from)] += lanes
+	return nil
 }
+
+func (tt *testTransport) Deliver(round int) error {
+	for src, slab := range tt.in {
+		if len(slab) != 0 {
+			return fmt.Errorf("rank %d round %d: %d values from rank %d left unconsumed: %w", tt.rank, round, len(slab), src, ErrRoundCount)
+		}
+	}
+	out := tt.out
+	if out == nil {
+		out = make([][]ring.Value, tt.router.ranks)
+	}
+	tt.out = nil // the receivers read these slabs while we move on
+	tt.in = tt.router.exchange(tt.rank, out)
+	for src, slab := range tt.in {
+		want := 0
+		if src != tt.rank && tt.owed != nil {
+			want = tt.owed[src]
+		}
+		if src != tt.rank && len(slab) != want {
+			return fmt.Errorf("rank %d round %d: rank %d delivered %d values, owes %d: %w", tt.rank, round, src, len(slab), want, ErrRoundCount)
+		}
+	}
+	tt.owed = nil
+	return nil
+}
+
+func (tt *testTransport) Recv(from, to NodeID, dst []ring.Value) error {
+	src := tt.router.rankOf(from)
+	if len(tt.in[src]) < len(dst) {
+		return fmt.Errorf("rank %d: node %d wants %d values of node %d, rank %d has %d left: %w", tt.rank, to, len(dst), from, src, len(tt.in[src]), ErrRoundCount)
+	}
+	copy(dst, tt.in[src])
+	tt.in[src] = tt.in[src][len(dst):]
+	return nil
+}
+
+// testTables are the node→rank maps the partitioned parity tests run under:
+// the modulo map, and an uneven one under which plan order, not v mod p,
+// decides what each peer owes.
+var testTables = [][]int{nil, {2, 2, 0, 1, 0, 0}}
 
 // TestPartitionedParityMachine runs the map engine split across 3 in-process
 // participants and checks that the union of their owned stores and the merge
@@ -173,13 +240,14 @@ func (tt *testTransport) Deliver(round int) (map[NodeID][]ring.Value, error) {
 func TestPartitionedParityMachine(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	const ranks = 3
-	for trial := 0; trial < 25; trial++ {
+	for trial := 0; trial < 50; trial++ {
+		table := testTables[trial%len(testTables)]
 		p, loads := randomPlan(rng, 6, 1+rng.Intn(6), true)
 		ref, err := runMap(t, p, loads, ring.Real{})
 		if err != nil {
 			t.Fatalf("trial %d: reference: %v", trial, err)
 		}
-		router := newTestRouter(ranks)
+		router := newTestRouter(ranks, table)
 		ms := make([]*Machine, ranks)
 		errs := make([]error, ranks)
 		var wg sync.WaitGroup
@@ -216,7 +284,8 @@ func TestPartitionedParityMachine(t *testing.T) {
 func TestPartitionedParityExec(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const ranks, lanes = 3, 2
-	for trial := 0; trial < 25; trial++ {
+	for trial := 0; trial < 50; trial++ {
+		table := testTables[trial%len(testTables)]
 		p, loads := randomPlan(rng, 6, 1+rng.Intn(6), true)
 		sp := NewSlotSpace(6)
 		for _, l := range loads {
@@ -239,7 +308,7 @@ func TestPartitionedParityExec(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: reference: %v", trial, err)
 		}
-		router := newTestRouter(ranks)
+		router := newTestRouter(ranks, table)
 		xs := make([]*Exec, ranks)
 		errs := make([]error, ranks)
 		var wg sync.WaitGroup
@@ -259,7 +328,7 @@ func TestPartitionedParityExec(t *testing.T) {
 			stats = append(stats, xs[rank].Stats())
 		}
 		sp.EachKey(func(node NodeID, k Key, slot int32) {
-			owner := int(node) % ranks
+			owner := router.rankOf(node)
 			for lane := 0; lane < lanes; lane++ {
 				rv, rok := ref.GetLane(SlotRef{Node: node, Slot: slot}, lane)
 				gv, gok := xs[owner].GetLane(SlotRef{Node: node, Slot: slot}, lane)
@@ -288,7 +357,7 @@ func TestPartitionedFaultIdentity(t *testing.T) {
 		t.Fatalf("reference run: want fault, got %v", err)
 	}
 	const ranks = 3
-	router := newTestRouter(ranks)
+	router := newTestRouter(ranks, nil)
 	errs := make([]error, ranks)
 	var wg sync.WaitGroup
 	for rank := 0; rank < ranks; rank++ {
