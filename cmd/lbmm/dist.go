@@ -21,7 +21,7 @@ func runWorker(args []string) error {
 	addr := fs.String("addr", ":7070", "listen address for jobs and peer connections")
 	quiet := fs.Bool("q", false, "suppress per-connection logging")
 	peerTO := fs.Duration("peer-timeout", 30*time.Second, "how long a job waits for its mesh to form")
-	readTO := fs.Duration("read-timeout", 60*time.Second, "per-round barrier deadline (peer reads and writes)")
+	readTO := fs.Duration("read-timeout", 60*time.Second, "per-barrier (exchange) deadline (peer reads and writes)")
 	parkTTL := fs.Duration("park-ttl", 0, "reap unclaimed parked peer connections after this long (0 = 2x peer-timeout)")
 	planCache := fs.Int("plan-cache", 0, "decoded plans kept in the fingerprint-keyed LRU (0 = 16, negative disables)")
 	authToken := fs.String("auth-token", "", "shared secret; hellos without it are refused (empty = open)")
@@ -44,7 +44,7 @@ func runWorker(args []string) error {
 
 // distRunReport is the JSON summary of one coordinated distributed
 // multiplication (schema lbmm.dist_run.v2). CI asserts on .match,
-// .net.bytes_sent and .dist.plan_hits.
+// .exchanges against .rounds, .net.bytes_sent and .dist.plan_hits.
 type distRunReport struct {
 	Schema    string `json:"schema"`
 	Workers   int    `json:"workers"`
@@ -56,10 +56,14 @@ type distRunReport struct {
 	Partition string `json:"partition"`
 	Lanes     int    `json:"lanes"`
 	Rounds    int    `json:"rounds"`
-	Messages  int64  `json:"messages"`
-	OutputNNZ int    `json:"output_nnz"`
-	Match     bool   `json:"match"`
-	WallNS    int64  `json:"wall_ns"`
+	// Exchanges is the number of barriers every rank blocked on for the
+	// Rounds network rounds of the model (docs/DIST.md): each rank's
+	// net/flushes over its Workers−1 peers, identical on every rank.
+	Exchanges int64 `json:"exchanges"`
+	Messages  int64 `json:"messages"`
+	OutputNNZ int   `json:"output_nnz"`
+	Match     bool  `json:"match"`
+	WallNS    int64 `json:"wall_ns"`
 	// Net sums the transport counters across ranks; PerRankNet keeps each
 	// rank's own set (the communication balance the partition achieved);
 	// Dist carries the plan-cache counters (plan_hits, plan_misses).
@@ -149,8 +153,16 @@ func runDistRun(args []string) error {
 		}
 	}
 	perRank := make([]map[string]int64, len(res.PerRankCounters))
+	var exchanges int64
 	for rk, c := range res.PerRankCounters {
 		perRank[rk] = counterGroup(c, "net/")
+		// Every rank derives the exchange schedule from the plan alone, so
+		// they must all have blocked on the same number of barriers.
+		got := c[dist.CounterFlushes] / int64(len(addrs)-1)
+		if rk > 0 && got != exchanges {
+			return fmt.Errorf("rank %d blocked on %d exchanges, rank 0 on %d", rk, got, exchanges)
+		}
+		exchanges = got
 	}
 	report := distRunReport{
 		Schema:     "lbmm.dist_run.v2",
@@ -163,6 +175,7 @@ func runDistRun(args []string) error {
 		Partition:  *partition,
 		Lanes:      *lanes,
 		Rounds:     res.Stats.Rounds,
+		Exchanges:  exchanges,
 		Messages:   res.Stats.Messages,
 		OutputNNZ:  res.X.NNZ(),
 		Match:      match,

@@ -14,6 +14,10 @@
 //	lbmm json [-full]       every experiment's data as JSON
 //	lbmm trace [-n N] [-d D] [-alg NAME] [-workload NAME] [-format json|csv|text] [-o FILE]
 //	                        structured trace export (schema lbmm.trace.v1)
+//	lbmm exchanges [-n N] [-d D]
+//	                        model rounds vs. physical exchanges per phase,
+//	                        for every workload under lemma31 and theorem42
+//	                        (EXPERIMENTS.md; docs/DIST.md)
 //	lbmm demo [-n N] [-d D]
 //	                        one multiplication with a full report + timeline
 //	lbmm gen  [-n N] [-d D] -o PREFIX   write a generated instance to files
@@ -63,6 +67,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"lbmm/internal/algo"
 	"lbmm/internal/core"
@@ -177,6 +182,8 @@ func main() {
 		err = runSupport(scale)
 	case "trace":
 		err = runTrace(*n, *d, *algName, *wlName, *format, *outPath)
+	case "exchanges":
+		err = runExchanges(*n, *d)
 	case "json":
 		var data []byte
 		if data, err = exper.JSON(scale); err == nil {
@@ -217,7 +224,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: lbmm <table1|table2|table3|table4|figure1|lower|ablation|support|json|trace|demo|gen|solve|serve|stream|worker|run|fingerprint|plans|chaos|all> [flags]`)
+	fmt.Fprintln(os.Stderr, `usage: lbmm <table1|table2|table3|table4|figure1|lower|ablation|support|json|trace|exchanges|demo|gen|solve|serve|stream|worker|run|fingerprint|plans|chaos|all> [flags]`)
 }
 
 func runTable1(scale exper.Scale, profile bool) error {
@@ -302,6 +309,38 @@ func workloadInstance(wlName string, n, d int) (*graph.Instance, error) {
 		return workload.PowerLaw(n, d, 42), nil
 	}
 	return nil, fmt.Errorf("unknown workload %q", wlName)
+}
+
+// runExchanges prints the rounds-versus-exchanges table of EXPERIMENTS.md:
+// for each workload and algorithm, per phase, the network rounds the model
+// charges and the exchanges a transport blocks on (core.Prepared.Exchanges),
+// with the dependency-depth floor. Everything is read off the compiled plans;
+// nothing is executed.
+func runExchanges(n, d int) error {
+	fmt.Printf("model rounds vs. physical exchanges, n=%d d=%d (rounds→exchanges per phase; phases without messages omitted)\n\n", n, d)
+	fmt.Println("| workload | algorithm | rounds | exchanges | depth floor | per phase |")
+	fmt.Println("|---|---|---|---|---|---|")
+	for _, wl := range []string{"us", "blocks", "powerlaw", "mixed"} {
+		inst, err := workloadInstance(wl, n, d)
+		if err != nil {
+			return err
+		}
+		for _, alg := range []string{"lemma31", "theorem42"} {
+			prep, err := core.Prepare(inst.Ahat, inst.Bhat, inst.Xhat, core.Options{Ring: ring.Counting{}, Algorithm: alg})
+			if err != nil {
+				return fmt.Errorf("%s/%s: %w", wl, alg, err)
+			}
+			rep := prep.Exchanges()
+			var phases []string
+			for _, ph := range rep.Phases {
+				if ph.Rounds > 0 {
+					phases = append(phases, fmt.Sprintf("%s %d→%d", ph.Phase, ph.Rounds, ph.Exchanges))
+				}
+			}
+			fmt.Printf("| %s | %s | %d | %d | %d | %s |\n", wl, alg, rep.Rounds, rep.Exchanges, rep.Depth, strings.Join(phases, ", "))
+		}
+	}
+	return nil
 }
 
 func runTrace(n, d int, algName, wlName, format, outPath string) error {

@@ -147,3 +147,22 @@ func (p *Prepared) NodeLoads() (send, recv []int64) {
 	cp.few.AddNodeLoads(send, recv)
 	return send, recv
 }
+
+// Exchanges returns the rounds-versus-exchanges table of the compiled
+// pipeline: per phase, the network rounds the model charges and the
+// exchanges a transport blocks on once the hazard pass (lbm/exchange.go) has
+// fused the rounds that do not depend on each other. Like NodeLoads it is a
+// property of the structure and needs no execution. Nil when no compiled
+// form exists.
+func (p *Prepared) Exchanges() *lbm.ExchangeReport {
+	cp := p.compiled
+	if cp == nil {
+		return nil
+	}
+	rep := &lbm.ExchangeReport{}
+	for _, cb := range cp.phase1 {
+		cb.AddExchanges(rep)
+	}
+	cp.few.AddExchanges(rep)
+	return rep
+}

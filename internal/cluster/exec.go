@@ -199,6 +199,12 @@ func (cb *CompiledBatch) AddNodeLoads(send, recv []int64) {
 	cb.cube.AddNodeLoads(send, recv)
 }
 
+// AddExchanges appends the batch's rounds-versus-exchanges rows.
+func (cb *CompiledBatch) AddExchanges(rep *lbm.ExchangeReport) {
+	cb.strassen.AddExchanges(rep)
+	cb.cube.AddExchanges(rep)
+}
+
 // Run executes a compiled batch, mirroring PlannedBatch.Run.
 func (cb *CompiledBatch) Run(x *lbm.Exec) error {
 	if cb.strassen != nil {

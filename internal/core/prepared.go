@@ -99,6 +99,21 @@ func (p *Prepared) NodeLoads() (send, recv []int64) {
 	return p.inner.NodeLoads()
 }
 
+// Exchanges returns the rounds-versus-exchanges table of the compiled
+// plans: per phase (A/anchor … out/deliver, dense/cube distribute and
+// aggregate), the network rounds the model charges and the exchanges a
+// transport blocks on — the lbm.Transport.Deliver calls of every participant
+// of a partitioned run — with the dependency-depth floor beside them. Derived
+// from the instruction streams without running anything, and independent of
+// the node→participant table. Nil when the prepared form has no compiled
+// twin.
+func (p *Prepared) Exchanges() *lbm.ExchangeReport {
+	if p == nil || p.inner == nil {
+		return nil
+	}
+	return p.inner.Exchanges()
+}
+
 // Multiply executes the prepared plans on one value set. The values must
 // lie within the prepared structure; positions of the structure without a
 // value are ring zeros. Multiply is safe for concurrent use: the prepared

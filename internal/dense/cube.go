@@ -402,6 +402,17 @@ func (ccp *CompiledCubeProgram) AddNodeLoads(send, recv []int64) {
 	ccp.agg.AddNodeLoads(send, recv)
 }
 
+// AddExchanges appends the program's rounds-versus-exchanges rows. The
+// products between distribute and aggregate end a chain, so each plan fuses
+// only within itself.
+func (ccp *CompiledCubeProgram) AddExchanges(rep *lbm.ExchangeReport) {
+	if ccp == nil {
+		return
+	}
+	rep.AddChain(ccp.dist.Chain(), "dense/cube distribute")
+	rep.AddChain(ccp.agg.Chain(), "dense/cube aggregate")
+}
+
 // Run executes the compiled cube program, mirroring RunCubeJobsWith phase
 // for phase.
 func (ccp *CompiledCubeProgram) Run(x *lbm.Exec) error {

@@ -740,6 +740,22 @@ func (csp *CompiledStrassenProgram) AddNodeLoads(send, recv []int64) {
 	csp.final.AddNodeLoads(send, recv)
 }
 
+// AddExchanges appends the program's rounds-versus-exchanges rows; every
+// plan runs as a chain of one.
+func (csp *CompiledStrassenProgram) AddExchanges(rep *lbm.ExchangeReport) {
+	if csp == nil {
+		return
+	}
+	rep.AddChain(csp.init.Chain(), "dense/strassen init")
+	for _, cp := range csp.down {
+		rep.AddChain(cp.Chain(), "dense/strassen down")
+	}
+	for _, cp := range csp.up {
+		rep.AddChain(cp.Chain(), "dense/strassen up")
+	}
+	rep.AddChain(csp.final.Chain(), "dense/strassen final")
+}
+
 // Run executes the compiled Strassen program, mirroring RunStrassenJobsWith
 // phase for phase.
 func (csp *CompiledStrassenProgram) Run(x *lbm.Exec) error {

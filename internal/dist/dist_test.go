@@ -37,8 +37,10 @@ func localMeshTable(t *testing.T, workers int, table []uint16) []*Mesh {
 }
 
 // TestLocalMeshRouting drives a 3-participant localhost mesh by hand for
-// two rounds and checks that every payload reaches its owner in order, that
-// a frame costs exactly its header plus eight bytes per value, and that the
+// two exchanges — the first carrying two model rounds behind one barrier, the
+// second none — and checks that every payload reaches its owner in order,
+// that a frame costs exactly its header plus eight bytes per value, that a
+// barrier is one flush per peer however many rounds it carries, and that the
 // other wire counters move.
 func TestLocalMeshRouting(t *testing.T) {
 	meshes, stop, err := NewLocalMesh(3)
@@ -47,55 +49,65 @@ func TestLocalMeshRouting(t *testing.T) {
 	}
 	defer stop()
 
-	// Round 0, the same message set seen from every rank: node 0 (rank 0) →
-	// node 4 (rank 1), node 1 (rank 1) → node 3 (rank 0), node 5 → node 8
-	// (both rank 2: no wire).
-	msgs := []struct {
+	// The exchange tagged 0, the same message set seen from every rank.
+	// Round 0: node 0 (rank 0) → node 4 (rank 1), node 1 (rank 1) → node 3
+	// (rank 0), node 5 → node 8 (both rank 2: no wire). Round 1, riding the
+	// same exchange: node 0 → node 4 again, node 2 (rank 2) → node 3.
+	type msg struct {
 		from, to lbm.NodeID
 		val      ring.Value
-	}{{0, 4, 1.5}, {1, 3, 2.5}, {5, 8, 3.5}}
+	}
+	rounds := [][]msg{
+		{{0, 4, 1.5}, {1, 3, 2.5}, {5, 8, 3.5}},
+		{{0, 4, 4.5}, {2, 3, 5.5}},
+	}
 	var wg sync.WaitGroup
 	for rk := 0; rk < 3; rk++ {
 		wg.Add(1)
 		go func(rk int) {
 			defer wg.Done()
 			m := meshes[rk]
-			for _, s := range msgs {
-				var err error
-				switch {
-				case m.Owns(s.from):
-					err = m.Send(0, s.from, s.to, []ring.Value{s.val})
-				case m.Owns(s.to):
-					err = m.Expect(0, s.from, s.to, 1)
-				}
-				if err != nil {
-					t.Errorf("rank %d queueing %d→%d: %v", rk, s.from, s.to, err)
+			for _, msgs := range rounds {
+				for _, s := range msgs {
+					var err error
+					switch {
+					case m.Owns(s.from):
+						err = m.Send(0, s.from, s.to, []ring.Value{s.val})
+					case m.Owns(s.to):
+						err = m.Expect(0, s.from, s.to, 1)
+					}
+					if err != nil {
+						t.Errorf("rank %d queueing %d→%d: %v", rk, s.from, s.to, err)
+					}
 				}
 			}
 			if err := m.Deliver(0); err != nil {
 				t.Errorf("rank %d deliver: %v", rk, err)
 				return
 			}
-			for _, s := range msgs {
-				if !m.Owns(s.to) {
-					continue
-				}
-				var got [1]ring.Value
-				if err := m.Recv(s.from, s.to, got[:]); err != nil || got[0] != s.val {
-					t.Errorf("rank %d: node %d received (%v, %v), want %v", rk, s.to, got[0], err, s.val)
+			for _, msgs := range rounds {
+				for _, s := range msgs {
+					if !m.Owns(s.to) {
+						continue
+					}
+					var got [1]ring.Value
+					if err := m.Recv(s.from, s.to, got[:]); err != nil || got[0] != s.val {
+						t.Errorf("rank %d: node %d received (%v, %v), want %v", rk, s.to, got[0], err, s.val)
+					}
 				}
 			}
-			// Round 1: nothing to say — every rank still acks the barrier.
-			if err := m.Deliver(1); err != nil {
-				t.Errorf("rank %d deliver round 1: %v", rk, err)
+			// The next exchange is tagged with its own first round, 2, and
+			// has nothing to say — every rank still acks the barrier.
+			if err := m.Deliver(2); err != nil {
+				t.Errorf("rank %d deliver exchange 2: %v", rk, err)
 			}
 		}(rk)
 	}
 	wg.Wait()
 
-	// Two rounds × two peers of 12-byte headers, plus one 8-byte value each
-	// from ranks 0 and 1.
-	wantBytes := []int64{56, 56, 48}
+	// Two exchanges × two peers of 12-byte headers, plus 8 bytes a value:
+	// two from rank 0 (both to rank 1), one each from ranks 1 and 2.
+	wantBytes := []int64{64, 56, 56}
 	for rk := 0; rk < 3; rk++ {
 		c := meshes[rk].Counters()
 		if got := c.Get(CounterBytesSent); got != wantBytes[rk] {
@@ -133,14 +145,20 @@ func prepCase(t testing.TB, alg string, r ring.Semiring, n, d int) (*core.Prepar
 // TCP mesh inside one process: each rank executes the identical prepared
 // plan with its mesh endpoint, the union of the partial outputs must equal
 // the single-process product, and the merged per-rank statistics must equal
-// the single-process Stats exactly. Every case runs under the modulo map and
-// under the load-balanced table, where what a peer owes follows from plan
-// order and the table alone, not from v mod p.
+// the nil-transport Stats exactly — model rounds do not know about
+// exchanges. Every rank blocks on exactly the exchanges the plan's schedule
+// has, never more than it has network rounds. Every case runs under the
+// modulo map and under the load-balanced table, where what a peer owes
+// follows from plan order and the table alone, not from v mod p.
 func TestMeshMatrixMultiply(t *testing.T) {
 	for _, alg := range []string{"lemma31", "theorem42"} {
 		for _, r := range []ring.Semiring{ring.Real{}, ring.Counting{}} {
 			t.Run(fmt.Sprintf("%s/%s", alg, r.Name()), func(t *testing.T) {
 				prep, a, b, want := prepCase(t, alg, r, 32, 3)
+				_, plain, err := prep.MultiplyOpts(a, b, core.ExecOpts{})
+				if err != nil {
+					t.Fatalf("nil-transport multiply: %v", err)
+				}
 				ref, refRep, err := prep.MultiplyOpts(a, b, core.ExecOpts{Transport: &lbm.Loopback{}})
 				if err != nil {
 					t.Fatalf("loopback multiply: %v", err)
@@ -148,7 +166,14 @@ func TestMeshMatrixMultiply(t *testing.T) {
 				if !matrix.Equal(ref, want) {
 					t.Fatal("loopback product differs from the plain product")
 				}
-				balanced := BalancedTable(refRep.Stats.SendLoad, refRep.Stats.RecvLoad, 3)
+				if !reflect.DeepEqual(refRep.Stats, plain.Stats) {
+					t.Fatalf("loopback stats = %+v, nil transport %+v", refRep.Stats, plain.Stats)
+				}
+				sched := prep.Exchanges()
+				if sched.Rounds != plain.Stats.Rounds || sched.Exchanges > sched.Rounds {
+					t.Fatalf("schedule: %d exchanges over %d rounds, the run has %d rounds", sched.Exchanges, sched.Rounds, plain.Stats.Rounds)
+				}
+				balanced := BalancedTable(plain.Stats.SendLoad, plain.Stats.RecvLoad, 3)
 				for _, table := range [][]uint16{nil, balanced} {
 					meshes := localMeshTable(t, 3, table)
 					outs := make([]*matrix.Sparse, 3)
@@ -185,15 +210,21 @@ func TestMeshMatrixMultiply(t *testing.T) {
 					if !matrix.Equal(merged, want) {
 						t.Errorf("table %v: merged distributed product differs from the single-process product", table != nil)
 					}
-					if got := lbm.MergeStats(stats...); !reflect.DeepEqual(got, refRep.Stats) {
-						t.Errorf("table %v: merged stats = %+v, want %+v", table != nil, got, refRep.Stats)
+					if got := lbm.MergeStats(stats...); !reflect.DeepEqual(got, plain.Stats) {
+						t.Errorf("table %v: merged stats = %+v, want %+v", table != nil, got, plain.Stats)
 					}
 					for rk := 0; rk < 3; rk++ {
-						if meshes[rk].Counters().Get(CounterBytesSent) <= 0 {
+						c := meshes[rk].Counters()
+						if c.Get(CounterBytesSent) <= 0 {
 							t.Errorf("table %v: rank %d moved no wire bytes", table != nil, rk)
+						}
+						if got := c.Get(CounterFlushes); got != int64(2*sched.Exchanges) {
+							t.Errorf("table %v: rank %d: net/flushes = %d, want one per peer for each of %d exchanges (%d rounds)",
+								table != nil, rk, got, sched.Exchanges, sched.Rounds)
 						}
 					}
 				}
+				t.Logf("%d network rounds in %d exchanges", sched.Rounds, sched.Exchanges)
 			})
 		}
 	}

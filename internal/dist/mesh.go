@@ -23,19 +23,21 @@ const (
 	// Compare with Stats.RoundBytes, the framing-free model volume.
 	CounterBytesSent = "net/bytes_sent"
 	// CounterRoundNS is the cumulative wall-clock time spent inside Deliver
-	// barriers.
+	// barriers: the time inside exchanges.
 	CounterRoundNS = "net/round_ns"
-	// CounterFlushes counts per-peer frame writes (one per peer per network
-	// round).
+	// CounterFlushes counts per-peer frame writes: one per peer per exchange
+	// (lbm/exchange.go), so flushes ÷ (Workers−1) is the number of barriers
+	// this endpoint blocked on.
 	CounterFlushes = "net/flushes"
 )
 
 // roundHeaderBytes is the fixed header of a round frame: three little-endian
-// uint32s — the frame's total length in bytes (header included), the network
-// round it belongs to, and the number of values that follow. The body is
-// exactly that many little-endian float64s: the payloads, lanes values each,
-// of the round's real messages from nodes the writer owns to nodes the
-// reader owns, in instruction order. No destination, no per-message length
+// uint32s — the frame's total length in bytes (header included), the tag of
+// the exchange it carries (the network round index of the exchange's first
+// round), and the number of values that follow. The body is exactly that
+// many little-endian float64s: the payloads, lanes values each, of the real
+// messages — of every round of the exchange, in model order — from nodes the
+// writer owns to nodes the reader owns, in instruction order within a round. No destination, no per-message length
 // and no type stream travel: both ends walk the same plan with the same
 // ownership table, so the reader knows which instruction each value belongs
 // to and how many it is owed (docs/DIST.md).
@@ -50,18 +52,18 @@ const roundHeaderBytes = 12
 var ErrRoundFrame = errors.New("dist: malformed round frame")
 
 // peerLink is one persistent connection to a fellow participant, reused for
-// every round of the execution, with the frame buffers of both directions.
+// every exchange of the execution, with the frame buffers of both directions.
 type peerLink struct {
 	conn net.Conn
 	r    *bufio.Reader
-	// wbuf is the round's outgoing frame: header room, then the values Send
-	// encodes in place. wn and werr are the outcome of writing it.
+	// wbuf is the exchange's outgoing frame: header room, then the values
+	// Send encodes in place. wn and werr are the outcome of writing it.
 	wbuf []byte
 	wn   int
 	werr error
 	// owed is the number of values Expect announced from this peer for the
-	// round; rbuf holds the delivered values, consumed by Recv from rd. It is
-	// sized from owed — never from the peer's length field — and reused.
+	// exchange; rbuf holds the delivered values, consumed by Recv from rd. It
+	// is sized from owed — never from the peer's length field — and reused.
 	owed int
 	hdr  [roundHeaderBytes]byte
 	rbuf []byte
@@ -71,11 +73,13 @@ type peerLink struct {
 // Mesh is the socket-backed lbm.Transport: one endpoint of a fully
 // connected mesh of participants walking one plan in lockstep. Send encodes
 // each outgoing payload straight into its owner rank's frame buffer; Deliver
-// writes one frame per peer (a header-only frame is the barrier ack), and
-// blocks until one round frame of exactly the expected size arrived from
-// every peer; Recv decodes the values back out in instruction order.
-// Connections and buffers are reused across rounds and across executions —
-// the per-round cost is one write and one read per peer, no dials and, in
+// — once per exchange — writes one frame per peer (a header-only frame is the
+// barrier ack), and blocks until one round frame of exactly the expected size
+// arrived from every peer; Recv decodes the values back out in the order they
+// were sent. The mesh does not know how many model rounds an exchange
+// carries: Send appends, Expect sums, Recv consumes from the front.
+// Connections and buffers are reused across exchanges and across executions —
+// the per-exchange cost is one write and one read per peer, no dials and, in
 // steady state, no allocation beyond the writer goroutines.
 type Mesh struct {
 	part     Partition
@@ -165,7 +169,7 @@ func (m *Mesh) Send(round int, from, to lbm.NodeID, payload []ring.Value) error 
 }
 
 // Expect implements lbm.Transport: the owner rank of from owes this endpoint
-// lanes more values this round.
+// lanes more values this exchange.
 func (m *Mesh) Expect(round int, from, to lbm.NodeID, lanes int) error {
 	if m.dead != nil {
 		return fmt.Errorf("dist: rank %d: expect on a dead mesh: %w", m.part.Rank, m.dead)
@@ -179,7 +183,7 @@ func (m *Mesh) Expect(round int, from, to lbm.NodeID, lanes int) error {
 }
 
 // Recv implements lbm.Transport: the next len(dst) values of the delivered
-// round from the rank owning from — off that peer's frame, or off the local
+// exchange from the rank owning from — off that peer's frame, or off the local
 // slab when we own both ends.
 func (m *Mesh) Recv(from, to lbm.NodeID, dst []ring.Value) error {
 	rk := m.part.RankOf(from)
@@ -200,8 +204,8 @@ func (m *Mesh) Recv(from, to lbm.NodeID, dst []ring.Value) error {
 
 // Deliver implements lbm.Transport: it writes one round frame to every peer
 // (concurrently, so frames larger than the socket buffers cannot write-write
-// deadlock the mesh), reads one from every peer, and holds each to the round
-// tag and to exactly the values Expect announced.
+// deadlock the mesh), reads one from every peer, and holds each to the
+// exchange's tag and to exactly the values Expect announced.
 //
 // Error lifecycle: an early error does not abandon the remaining peers —
 // their round frames are still read — and any Deliver error marks the mesh

@@ -45,27 +45,35 @@ func (c *scriptConn) SetDeadline(time.Time) error      { return nil }
 func (c *scriptConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *scriptConn) SetWriteDeadline(time.Time) error { return nil }
 
-// hostileRound is rank 0 of a 2-rank mesh walking a one-round, 2-lane plan
-// against a scripted rank 1. The round has everything a rank can see: two
-// messages in (1→0, 3→2), two out (0→1, 2→3) and a free local copy. It
+// hostileRound is rank 0 of a 2-rank mesh walking a two-round, 2-lane plan
+// against a scripted rank 1. The first round has everything a rank can see:
+// two messages in (1→0, 3→2), two out (0→1, 2→3) and a free local copy. The
+// second (0→1, 1→0 again) reads nothing the first wrote, so it rides the
+// first's exchange: one frame each way, tagged 0, carrying both rounds. It
 // returns the mesh, the scripted peer, every slot's (value bits, present)
 // before and after the run, and the run's error.
 func hostileRound(t testing.TB, script []byte) (mesh *Mesh, peer *scriptConn, before, after []uint64, err error) {
 	const lanes = 2
 	sp := lbm.NewSlotSpace(4)
-	round := lbm.Round{
+	rounds := []lbm.Round{{
 		{From: 0, To: 1, Src: lbm.AKey(0, 0), Dst: lbm.TKey(0, 1, 0), Op: lbm.OpSet},
 		{From: 1, To: 0, Src: lbm.AKey(1, 1), Dst: lbm.TKey(1, 0, 0), Op: lbm.OpSet},
 		{From: 2, To: 3, Src: lbm.AKey(2, 2), Dst: lbm.TKey(2, 3, 0), Op: lbm.OpSet},
 		{From: 3, To: 2, Src: lbm.AKey(3, 3), Dst: lbm.AKey(2, 2), Op: lbm.OpSet},
 		{From: 0, To: 0, Src: lbm.AKey(0, 0), Dst: lbm.TKey(0, 0, 1), Op: lbm.OpSet},
-	}
+	}, {
+		{From: 0, To: 1, Src: lbm.AKey(0, 0), Dst: lbm.TKey(0, 1, 1), Op: lbm.OpSet},
+		{From: 1, To: 0, Src: lbm.AKey(1, 1), Dst: lbm.TKey(1, 0, 1), Op: lbm.OpSet},
+	}}
 	for v := int32(0); v < 4; v++ {
 		sp.Slot(v, lbm.AKey(v, v))
 	}
-	cp, err := lbm.CompileInto(sp, &lbm.Plan{Rounds: []lbm.Round{round}})
+	cp, err := lbm.CompileInto(sp, &lbm.Plan{Rounds: rounds})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if s := cp.Chain().Schedule(); s.Rounds() != 2 || s.Exchanges() != 1 {
+		t.Fatalf("the hostile plan has %d rounds in %d exchanges, want 2 in 1", s.Rounds(), s.Exchanges())
 	}
 	peer = &scriptConn{in: bytes.NewReader(script)}
 	mesh, err = NewMesh(Partition{Workers: 2, Rank: 0}, []net.Conn{nil, peer}, nil)
@@ -96,12 +104,12 @@ func hostileRound(t testing.TB, script []byte) (mesh *Mesh, peer *scriptConn, be
 	return mesh, peer, before, snapshot(), err
 }
 
-// hostileOwed is what rank 1 owes rank 0 in hostileRound: two messages of
-// two lanes.
-const hostileOwed = 4
+// hostileOwed is what rank 1 owes rank 0 for hostileRound's exchange: two
+// messages of two lanes for its first round and one for its second.
+const hostileOwed = 6
 
 // checkRejected asserts the fail-closed contract for a script that is not
-// the frame rank 0 is owed: a typed error, a dead mesh, no store of the
+// the frame rank 0 is owed: a typed error, a dead mesh, no store of either
 // round written, and a body buffer no larger than the owed values.
 func checkRejected(t testing.TB, script []byte) error {
 	t.Helper()
@@ -131,7 +139,7 @@ func checkRejected(t testing.TB, script []byte) error {
 // checkRejected) with the right error class; the well-formed frame must
 // deliver, and what rank 0 writes in turn is pinned byte for byte.
 func TestRoundFrameHostile(t *testing.T) {
-	good := roundFrameBytes(0, 1.5, 2.5, 3.5, 4.5)
+	good := roundFrameBytes(0, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5)
 	withHeader := func(length, tag, count uint32) []byte {
 		b := append([]byte(nil), good...)
 		binary.LittleEndian.PutUint32(b[0:], length)
@@ -147,12 +155,16 @@ func TestRoundFrameHostile(t *testing.T) {
 		{"silence", nil, io.EOF},
 		{"short header", good[:5], io.ErrUnexpectedEOF},
 		{"truncated body", good[:len(good)-12], io.ErrUnexpectedEOF},
-		{"trailing bytes claimed", append(withHeader(52, 0, 4), make([]byte, 8)...), ErrRoundFrame},
-		{"length below count", withHeader(36, 0, 4), ErrRoundFrame},
+		{"trailing bytes claimed", append(withHeader(68, 0, 6), make([]byte, 8)...), ErrRoundFrame},
+		{"length below count", withHeader(52, 0, 6), ErrRoundFrame},
 		{"length over the cap", withHeader(12+8*0x0fffffff, 0, 0x0fffffff), ErrRoundFrame},
-		{"wrong round tag", withHeader(44, 1, 4), ErrRoundFrame},
-		{"one value short", roundFrameBytes(0, 1.5, 2.5, 3.5), lbm.ErrRoundCount},
-		{"one message extra", roundFrameBytes(0, 1, 2, 3, 4, 5, 6), lbm.ErrRoundCount},
+		// The tag is the exchange's first round; round 1, which the exchange
+		// also carries, has no tag of its own.
+		{"wrong round tag", withHeader(60, 1, 6), ErrRoundFrame},
+		{"one value short", roundFrameBytes(0, 1.5, 2.5, 3.5, 4.5, 5.5), lbm.ErrRoundCount},
+		{"one message extra", roundFrameBytes(0, 1, 2, 3, 4, 5, 6, 7, 8), lbm.ErrRoundCount},
+		// A peer on a schedule that did not fuse sends the first round alone.
+		{"first round of the exchange only", roundFrameBytes(0, 1.5, 2.5, 3.5, 4.5), lbm.ErrRoundCount},
 		{"barrier ack only", roundFrameBytes(0), lbm.ErrRoundCount},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -167,18 +179,21 @@ func TestRoundFrameHostile(t *testing.T) {
 		if err != nil || mesh.Err() != nil {
 			t.Fatalf("well-formed frame rejected: %v (mesh: %v)", err, mesh.Err())
 		}
-		// Instruction order: node 0's payload, then node 2's.
-		if want := roundFrameBytes(0, 10, 20, 12, 22); !bytes.Equal(peer.out.Bytes(), want) {
+		// One frame for the exchange, count = the sum of both rounds: round
+		// 0 in instruction order (node 0's payload, then node 2's), then
+		// round 1 (node 0's).
+		if want := roundFrameBytes(0, 10, 20, 12, 22, 10, 20); !bytes.Equal(peer.out.Bytes(), want) {
 			t.Errorf("rank 0 wrote %x, want %x", peer.out.Bytes(), want)
 		}
 		// Slots in EachKey order: node 0 holds A(0,0), T(1,0,0) ← node 1's
-		// message, T(0,0,1) ← the local copy; node 2 holds A(2,2) ← node 3's
-		// message. Nodes 1 and 3 are rank 1's.
+		// first message, T(0,0,1) ← the local copy, T(1,0,1) ← node 1's
+		// second message; node 2 holds A(2,2) ← node 3's message. Nodes 1
+		// (three slots) and 3 (two) are rank 1's.
 		p, a := uint64(1), uint64(0)
 		bits := math.Float64bits
 		want := []uint64{
-			bits(10), p, bits(20), p, bits(1.5), p, bits(2.5), p, bits(10), p, bits(20), p,
-			0, a, 0, a, 0, a, 0, a,
+			bits(10), p, bits(20), p, bits(1.5), p, bits(2.5), p, bits(10), p, bits(20), p, bits(5.5), p, bits(6.5), p,
+			0, a, 0, a, 0, a, 0, a, 0, a, 0, a,
 			bits(3.5), p, bits(4.5), p,
 			0, a, 0, a, 0, a, 0, a,
 		}
@@ -193,14 +208,15 @@ func TestRoundFrameHostile(t *testing.T) {
 // starts with exactly the frame rank 0 is owed; everything else must fail
 // closed.
 func FuzzRoundFrame(f *testing.F) {
-	good := roundFrameBytes(0, 1.5, 2.5, 3.5, 4.5)
+	good := roundFrameBytes(0, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5)
 	f.Add(good)
 	f.Add(append(append([]byte(nil), good...), 0xff))
 	f.Add(good[:5])
 	f.Add(good[:20])
 	f.Add(roundFrameBytes(0))
-	f.Add(roundFrameBytes(1, 1.5, 2.5, 3.5, 4.5))
-	f.Add(roundFrameBytes(0, 1, 2, 3, 4, 5))
+	f.Add(roundFrameBytes(1, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5))
+	f.Add(roundFrameBytes(0, 1.5, 2.5, 3.5, 4.5))
+	f.Add(roundFrameBytes(0, 1, 2, 3, 4, 5, 6, 7))
 	f.Add([]byte{0xff, 0xff, 0xff, 0x03, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x03})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) < len(good) || !bytes.Equal(script[:roundHeaderBytes], good[:roundHeaderBytes]) {
@@ -211,8 +227,9 @@ func FuzzRoundFrame(f *testing.F) {
 		if err != nil || mesh.Err() != nil {
 			t.Fatalf("the owed frame was rejected: %v", err)
 		}
-		// T(1,0,0) at node 0 and A(2,2) at node 2 hold the frame's values.
-		for i, at := range []int{4, 6, 20, 22} {
+		// T(1,0,0) at node 0, A(2,2) at node 2 and T(1,0,1) at node 0 hold
+		// the frame's values, in that order.
+		for i, at := range []int{4, 6, 28, 30, 12, 14} {
 			if want := binary.LittleEndian.Uint64(script[roundHeaderBytes+8*i:]); after[at] != want || after[at+1] != 1 {
 				t.Fatalf("value %d: slot holds %x (present %d), frame says %x", i, after[at], after[at+1], want)
 			}
@@ -220,10 +237,13 @@ func FuzzRoundFrame(f *testing.F) {
 	})
 }
 
-// meshRounds drives synthetic rounds on every rank of a local mesh at once:
-// in each round every rank sends msgs messages of lanes values to each other
+// meshRounds drives synthetic exchanges on every rank of a local mesh at
+// once, each carrying fused model rounds behind one barrier, the way the
+// executor's walk does: the sends of every round of the exchange, one Deliver
+// tagged with the exchange's first round, then the receives round by round.
+// In each round every rank sends msgs messages of lanes values to each other
 // rank (node v lives on rank v mod p) and checks what it gets back.
-func meshRounds(t *testing.T, meshes []*Mesh, first, rounds, msgs, lanes int) {
+func meshRounds(t *testing.T, meshes []*Mesh, first, exchanges, fused, msgs, lanes int) {
 	t.Helper()
 	p := len(meshes)
 	var wg sync.WaitGroup
@@ -233,46 +253,50 @@ func meshRounds(t *testing.T, meshes []*Mesh, first, rounds, msgs, lanes int) {
 			defer wg.Done()
 			m := meshes[rk]
 			buf := make([]ring.Value, lanes)
-			for round := first; round < first+rounds; round++ {
+			for tag := first; tag < first+exchanges*fused; tag += fused {
 				// Message i of the pair (src rank, dst rank) goes from node
 				// src+p*i to node dst+p*i.
-				for i := 0; i < msgs; i++ {
-					for peer := 0; peer < p; peer++ {
-						if peer == rk {
-							continue
-						}
-						from, to := lbm.NodeID(rk+p*i), lbm.NodeID(peer+p*i)
-						for l := range buf {
-							buf[l] = float64(round*1000 + int(from)*10 + l)
-						}
-						if err := m.Send(round, from, to, buf); err != nil {
-							t.Errorf("rank %d: %v", rk, err)
-							return
-						}
-						if err := m.Expect(round, to, from, lanes); err != nil {
-							t.Errorf("rank %d: %v", rk, err)
-							return
+				for round := tag; round < tag+fused; round++ {
+					for i := 0; i < msgs; i++ {
+						for peer := 0; peer < p; peer++ {
+							if peer == rk {
+								continue
+							}
+							from, to := lbm.NodeID(rk+p*i), lbm.NodeID(peer+p*i)
+							for l := range buf {
+								buf[l] = float64(round*1000 + int(from)*10 + l)
+							}
+							if err := m.Send(tag, from, to, buf); err != nil {
+								t.Errorf("rank %d: %v", rk, err)
+								return
+							}
+							if err := m.Expect(tag, to, from, lanes); err != nil {
+								t.Errorf("rank %d: %v", rk, err)
+								return
+							}
 						}
 					}
 				}
-				if err := m.Deliver(round); err != nil {
-					t.Errorf("rank %d round %d: %v", rk, round, err)
+				if err := m.Deliver(tag); err != nil {
+					t.Errorf("rank %d exchange %d: %v", rk, tag, err)
 					return
 				}
-				for i := 0; i < msgs; i++ {
-					for peer := 0; peer < p; peer++ {
-						if peer == rk {
-							continue
-						}
-						from, to := lbm.NodeID(peer+p*i), lbm.NodeID(rk+p*i)
-						if err := m.Recv(from, to, buf); err != nil {
-							t.Errorf("rank %d: %v", rk, err)
-							return
-						}
-						for l, v := range buf {
-							if want := float64(round*1000 + int(from)*10 + l); v != want {
-								t.Errorf("rank %d round %d: node %d lane %d = %v, want %v", rk, round, from, l, v, want)
+				for round := tag; round < tag+fused; round++ {
+					for i := 0; i < msgs; i++ {
+						for peer := 0; peer < p; peer++ {
+							if peer == rk {
+								continue
+							}
+							from, to := lbm.NodeID(peer+p*i), lbm.NodeID(rk+p*i)
+							if err := m.Recv(from, to, buf); err != nil {
+								t.Errorf("rank %d: %v", rk, err)
 								return
+							}
+							for l, v := range buf {
+								if want := float64(round*1000 + int(from)*10 + l); v != want {
+									t.Errorf("rank %d round %d: node %d lane %d = %v, want %v", rk, round, from, l, v, want)
+									return
+								}
 							}
 						}
 					}
@@ -283,29 +307,36 @@ func meshRounds(t *testing.T, meshes []*Mesh, first, rounds, msgs, lanes int) {
 	wg.Wait()
 }
 
-// TestMeshRoundAllocs pins the property the speedup rests on: a network
-// round on a kept-open mesh allocates nothing but the goroutines of its
-// concurrent frame writes — no codec state, no per-round buffers, no maps.
+// TestMeshRoundAllocs pins the property the speedup rests on: an exchange on
+// a kept-open mesh allocates nothing but the goroutines of its concurrent
+// frame writes — no codec state, no per-exchange buffers, no maps — however
+// many model rounds it carries.
 func TestMeshRoundAllocs(t *testing.T) {
 	meshes, stop, err := NewLocalMesh(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stop()
-	meshRounds(t, meshes, 0, 8, 4, 2) // warm: grow every buffer once
-	const rounds = 200
+	const fused = 3
+	meshRounds(t, meshes, 0, 8, fused, 4, 2) // warm: grow every buffer once
+	const exchanges = 200
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	meshRounds(t, meshes, 8, rounds, 4, 2)
+	meshRounds(t, meshes, 8*fused, exchanges, fused, 4, 2)
 	runtime.ReadMemStats(&after)
-	// Per round and rank: one closure per peer write. The bound leaves room
-	// for the runtime's own goroutine bookkeeping and the driver above.
-	perRound := float64(after.Mallocs-before.Mallocs) / (rounds * 3)
-	if perRound > 4 {
-		t.Errorf("%.1f allocations per round per rank, want at most 4", perRound)
+	// Per exchange and rank: one closure per peer write. The bound leaves
+	// room for the runtime's own goroutine bookkeeping and the driver above.
+	perExchange := float64(after.Mallocs-before.Mallocs) / (exchanges * 3)
+	if perExchange > 4 {
+		t.Errorf("%.1f allocations per exchange per rank, want at most 4", perExchange)
 	}
-	t.Logf("%.2f allocations, %.0f bytes per round per rank", perRound,
-		float64(after.TotalAlloc-before.TotalAlloc)/(rounds*3))
+	t.Logf("%.2f allocations, %.0f bytes per exchange of %d rounds per rank", perExchange,
+		float64(after.TotalAlloc-before.TotalAlloc)/(exchanges*3), fused)
+	for rk, m := range meshes {
+		if got := m.Counters().Get(CounterFlushes); got != (8+exchanges)*2 {
+			t.Errorf("rank %d: net/flushes = %d, want %d: one per peer per exchange", rk, got, (8+exchanges)*2)
+		}
+	}
 }
 
 // shrinkBuffers pins every connection's kernel buffers at 32 KiB a side
@@ -350,7 +381,7 @@ func TestMeshLargeFrames(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		meshRounds(t, meshes, 0, 3, 2048, 64)
+		meshRounds(t, meshes, 0, 3, 1, 2048, 64)
 	}()
 	select {
 	case <-done:

@@ -350,19 +350,6 @@ func Run(m *lbm.Machine, job *Job) error {
 	if len(job.plans) != 9 {
 		return fmt.Errorf("fewtri: internal error: %d plans", len(job.plans))
 	}
-	labels := [9]string{
-		"lemma31:A anchor", "lemma31:A spread", "lemma31:A forward",
-		"lemma31:B anchor", "lemma31:B spread", "lemma31:B forward",
-		"lemma31:out route", "lemma31:out reduce", "lemma31:out deliver",
-	}
-	// Structured phase names (the legacy Mark labels above are kept for the
-	// flat Trace view); anchor/spread/forward are §3.3's three input steps,
-	// route/aggregate/deliver their converses for the outputs.
-	phases := [9]string{
-		"A/anchor", "A/spread", "A/forward",
-		"B/anchor", "B/spread", "B/forward",
-		"out/route", "out/aggregate", "out/deliver",
-	}
 	m.BeginPhase("lemma31")
 	defer m.EndPhase()
 	m.Counter("kappa", float64(job.Kappa))
@@ -417,6 +404,11 @@ type CompiledJob struct {
 	kappa        int
 	virtualNodes int
 	plans        []*lbm.CompiledPlan
+	// in and out are the two runs of plans nothing but phase marks separates
+	// — the input routing (plans 0–5) and the output routing (plans 6–8),
+	// with the products between them — declared to the executor as chains so
+	// their rounds can share exchanges across plan boundaries.
+	in, out lbm.Chain
 	// prods keeps the per-virtual-computer grouping so counter replay
 	// matches the map engine's one Counter("triangles") per group.
 	prods   [][]compiledProd
@@ -460,7 +452,40 @@ func Compile(sp *lbm.SlotSpace, job *Job) (*CompiledJob, error) {
 	for _, ck := range job.cleanup {
 		cj.cleanup = append(cj.cleanup, sp.Ref(ck.host, ck.key))
 	}
+	cj.link()
 	return cj, nil
+}
+
+// link declares the job's chains once its nine plans are in place.
+func (cj *CompiledJob) link() {
+	cj.in.Plans, cj.out.Plans = cj.plans[:6], cj.plans[6:]
+}
+
+// phases are the structured phase names of the nine plans, in plan order:
+// anchor/spread/forward are §3.3's three input steps, route/aggregate/deliver
+// their converses for the outputs. labels are the legacy Mark labels of the
+// same plans, kept for the flat Trace view.
+var (
+	phases = [9]string{
+		"A/anchor", "A/spread", "A/forward",
+		"B/anchor", "B/spread", "B/forward",
+		"out/route", "out/aggregate", "out/deliver",
+	}
+	labels = [9]string{
+		"lemma31:A anchor", "lemma31:A spread", "lemma31:A forward",
+		"lemma31:B anchor", "lemma31:B spread", "lemma31:B forward",
+		"lemma31:out route", "lemma31:out reduce", "lemma31:out deliver",
+	}
+)
+
+// AddExchanges appends the job's rounds-versus-exchanges rows, one per
+// routing plan, to the report.
+func (cj *CompiledJob) AddExchanges(rep *lbm.ExchangeReport) {
+	if cj == nil || len(cj.plans) == 0 {
+		return
+	}
+	rep.AddChain(&cj.in, phases[:6]...)
+	rep.AddChain(&cj.out, phases[6:]...)
 }
 
 // MemoryBytes estimates the resident size of the compiled job.
@@ -494,34 +519,26 @@ func RunCompiled(x *lbm.Exec, cj *CompiledJob) error {
 	if len(cj.plans) == 0 {
 		return nil
 	}
-	labels := [9]string{
-		"lemma31:A anchor", "lemma31:A spread", "lemma31:A forward",
-		"lemma31:B anchor", "lemma31:B spread", "lemma31:B forward",
-		"lemma31:out route", "lemma31:out reduce", "lemma31:out deliver",
-	}
-	phases := [9]string{
-		"A/anchor", "A/spread", "A/forward",
-		"B/anchor", "B/spread", "B/forward",
-		"out/route", "out/aggregate", "out/deliver",
-	}
 	x.BeginPhase("lemma31")
 	defer x.EndPhase()
 	x.Counter("kappa", float64(cj.kappa))
 	x.Counter("virtual_nodes", float64(cj.virtualNodes))
-	runStep := func(i int, cp *lbm.CompiledPlan, what string) error {
-		x.Mark(labels[i])
-		x.BeginPhase(phases[i])
-		err := x.Run(cp)
-		x.EndPhase()
-		if err != nil {
-			return fmt.Errorf("fewtri %s routing: %w", what, err)
+	// runChain runs one of the job's two chains, plan by plan, with the
+	// marks and phase spans of plans[first:] around each.
+	runChain := func(c *lbm.Chain, first int, what string) error {
+		for i := range c.Plans {
+			x.Mark(labels[first+i])
+			x.BeginPhase(phases[first+i])
+			err := x.RunChained(c, i)
+			x.EndPhase()
+			if err != nil {
+				return fmt.Errorf("fewtri %s routing: %w", what, err)
+			}
 		}
 		return nil
 	}
-	for i, cp := range cj.plans[:6] {
-		if err := runStep(i, cp, "input"); err != nil {
-			return err
-		}
+	if err := runChain(&cj.in, 0, "input"); err != nil {
+		return err
 	}
 	x.BeginPhase("products")
 	if K := x.Lanes(); K == 1 {
@@ -554,10 +571,8 @@ func RunCompiled(x *lbm.Exec, cj *CompiledJob) error {
 		}
 	}
 	x.EndPhase()
-	for i, cp := range cj.plans[6:] {
-		if err := runStep(6+i, cp, "output"); err != nil {
-			return err
-		}
+	if err := runChain(&cj.out, 6, "output"); err != nil {
+		return err
 	}
 	for _, ref := range cj.cleanup {
 		x.ClearSlot(ref)

@@ -26,7 +26,11 @@ func (cj *CompiledJob) PutWire(w *lbm.WireWriter) {
 // GetJob reads what PutWire wrote; failures are recorded on r.
 func GetJob(r *lbm.WireReader) *CompiledJob {
 	cj := &CompiledJob{kappa: r.Int(), virtualNodes: r.Int(), plans: r.Plans()}
-	if n := len(cj.plans); n != 0 && n != 9 {
+	switch n := len(cj.plans); n {
+	case 0:
+	case 9:
+		cj.link()
+	default:
 		r.Fail(fmt.Errorf("fewtri: decode job: %d communication plans (want 0 or 9)", n))
 	}
 	if n := r.Count(4); n > 0 {

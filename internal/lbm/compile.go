@@ -1,6 +1,9 @@
 package lbm
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // This file is the lowering pass of the execution spine: it turns a Plan —
 // rounds of Sends addressed by (node, Key) — into a CompiledPlan, a flat
@@ -126,6 +129,10 @@ type CompiledPlan struct {
 	// HasSub records whether any instruction uses OpSub, so the executor
 	// can reject a non-field ring once per run instead of per instruction.
 	HasSub bool
+
+	// solo caches the plan as a chain of one (exchange.go): derived state,
+	// built on first use under a transport and never serialized.
+	solo atomic.Pointer[Chain]
 }
 
 // NumRounds returns the number of rounds in the compiled plan.

@@ -34,20 +34,21 @@ import (
 type Exec struct {
 	N int
 	R ring.Semiring
-	// Workers, ParBatch and StoreLimit have Machine's semantics.
-	Workers    int
-	ParBatch   int
-	StoreLimit int
+	// Workers, ParBatch, StoreLimit, the collector, the injector and the
+	// transport have Machine's semantics; a nil transport is the original
+	// single-process fast path.
+	settings
 
-	field     ring.Field
-	collector obsv.Collector
-	// injector and netRound mirror Machine's fault-injection seam (fault.go).
-	injector Injector
+	field ring.Field
+	// netRound mirrors Machine's fault-injection round counter (fault.go).
 	netRound int
-	// transport mirrors Machine's communication seam (transport.go); nil is
-	// the original single-process fast path.
-	transport Transport
-	owned     []bool // owned[v]: the transport hosts node v here (setTransport)
+	owned    []bool // owned[v]: the transport hosts node v here (setTransport)
+	// chain, chainPlan and exch are the transport walk's position in the
+	// exchange schedule of the chain being run (exchange.go): the plan of
+	// the chain now running and the next exchange to open.
+	chain     *Chain
+	chainPlan int
+	exch      int
 
 	lanes int            // values per slot (≥1); see NewExecBatch
 	arena [][]ring.Value // lane-strided: slot s lane l at s*lanes+l
@@ -74,24 +75,15 @@ func NewExecBatch(sizes []int32, lanes int, r ring.Semiring, opts ...Option) *Ex
 	if lanes < 1 {
 		lanes = 1
 	}
-	var probe Machine
-	probe.ParBatch = 4096
-	for _, o := range opts {
-		o(&probe)
-	}
 	x := &Exec{
-		N:          len(sizes),
-		R:          r,
-		Workers:    probe.Workers,
-		ParBatch:   probe.ParBatch,
-		StoreLimit: probe.StoreLimit,
-		collector:  probe.collector,
-		injector:   probe.injector,
-		lanes:      lanes,
-		arena:      make([][]ring.Value, len(sizes)),
-		stamp:      make([][]uint32, len(sizes)),
-		epoch:      1,
-		live:       make([]int32, len(sizes)),
+		N:        len(sizes),
+		R:        r,
+		settings: newSettings(opts),
+		lanes:    lanes,
+		arena:    make([][]ring.Value, len(sizes)),
+		stamp:    make([][]uint32, len(sizes)),
+		epoch:    1,
+		live:     make([]int32, len(sizes)),
 	}
 	for i, sz := range sizes {
 		x.arena[i] = make([]ring.Value, int(sz)*lanes)
@@ -102,7 +94,7 @@ func NewExecBatch(sizes []int32, lanes int, r ring.Semiring, opts ...Option) *Ex
 	}
 	x.stats.SendLoad = make([]int64, len(sizes))
 	x.stats.RecvLoad = make([]int64, len(sizes))
-	x.setTransport(probe.transport)
+	x.setTransport(x.transport)
 	return x
 }
 
@@ -113,17 +105,8 @@ func (x *Exec) Lanes() int { return x.lanes }
 // before a run. Unspecified options revert to their New defaults, so a
 // recycled executor behaves exactly like a fresh one.
 func (x *Exec) Configure(opts ...Option) {
-	var probe Machine
-	probe.ParBatch = 4096
-	for _, o := range opts {
-		o(&probe)
-	}
-	x.Workers = probe.Workers
-	x.ParBatch = probe.ParBatch
-	x.StoreLimit = probe.StoreLimit
-	x.collector = probe.collector
-	x.injector = probe.injector
-	x.setTransport(probe.transport)
+	x.settings = newSettings(opts)
+	x.setTransport(x.transport)
 }
 
 // SetCollector attaches (or, with nil, detaches) a collector.
@@ -340,8 +323,35 @@ func (x *Exec) Reset() {
 }
 
 // Run executes every round of the compiled plan, replaying its phase spans
-// on the collector exactly as the map engine replays Plan spans.
+// on the collector exactly as the map engine replays Plan spans. Under a
+// transport the plan is a chain of one: its rounds share exchanges with each
+// other, never with the plan run before or after it.
 func (x *Exec) Run(cp *CompiledPlan) error {
+	if x.transport != nil {
+		return x.RunChained(cp.Chain(), 0)
+	}
+	return x.run(cp)
+}
+
+// RunChained executes plan i of chain c. The plans of a chain run in order,
+// i = 0 first, with no local computation between them: under a transport the
+// sends of a later plan's rounds may already have left, from the state at
+// their exchange's first round, while an earlier plan's rounds are still
+// being received (exchange.go). Without a transport it is Run(c.Plans[i]).
+func (x *Exec) RunChained(c *Chain, i int) error {
+	if x.transport != nil {
+		switch {
+		case i == 0:
+			x.chain, x.exch = c, 0
+		case x.chain != c || x.chainPlan != i-1:
+			return fmt.Errorf("lbm: plan %d of a chain run out of order", i)
+		}
+		x.chainPlan = i
+	}
+	return x.run(c.Plans[i])
+}
+
+func (x *Exec) run(cp *CompiledPlan) error {
 	if len(cp.NumSlots) != x.N {
 		return fmt.Errorf("lbm: compiled plan for %d computers on a %d-computer executor", len(cp.NumSlots), x.N)
 	}

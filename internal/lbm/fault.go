@@ -140,7 +140,7 @@ type Injector interface {
 // injector (the default) is the zero-overhead path: the fault seam is a
 // single nil check per round.
 func WithInjector(inj Injector) Option {
-	return func(m *Machine) { m.injector = inj }
+	return func(s *settings) { s.injector = inj }
 }
 
 // injectRound is the shared detection walk: it visits the round's real

@@ -178,10 +178,10 @@ func maxInt64(xs []int64) int64 {
 	return m
 }
 
-// Machine is a low-bandwidth machine with N computers over ring R.
-type Machine struct {
-	N int
-	R ring.Semiring
+// settings are the execution settings the Options write. Machine and Exec
+// both embed them, so one Option list configures either engine and neither
+// has to build the other to read its options back.
+type settings struct {
 	// Workers sets the execution engine: ≤1 means the deterministic
 	// sequential engine, larger values use that many goroutines per round
 	// phase. Rounds are natural barriers, mirroring the bulk-synchronous
@@ -196,48 +196,66 @@ type Machine struct {
 	// (O(d) for sparse inputs, O(n) for dense ones, §2).
 	StoreLimit int
 
-	stores []map[Key]ring.Value
-	stats  Stats
-	field  ring.Field // non-nil iff R is a Field; required by OpSub
 	// collector receives observability events; nil (the default) is the
 	// zero-overhead path — every hook is behind a single nil check.
 	collector obsv.Collector
 	// injector, when non-nil, subjects every round to fault injection (see
-	// fault.go); netRound is the global network round counter it is indexed
-	// by.
+	// fault.go).
 	injector Injector
-	netRound int
 	// transport, when non-nil, routes every real message of every round
-	// through the communication seam (transport.go) and restricts this
-	// machine to the stores the transport owns. nil is the original
-	// single-process fast path.
+	// through the communication seam (transport.go) and restricts the engine
+	// to the stores the transport owns. nil is the original single-process
+	// fast path.
 	transport Transport
-	owned     []bool       // owned[v]: the transport hosts node v here
-	viaVals   []ring.Value // runRoundVia's round scratch, reused
+}
+
+// newSettings applies opts over the defaults.
+func newSettings(opts []Option) settings {
+	s := settings{ParBatch: 4096}
+	for _, o := range opts {
+		o(&s)
+	}
+	return s
+}
+
+// Machine is a low-bandwidth machine with N computers over ring R.
+type Machine struct {
+	N int
+	R ring.Semiring
+	settings
+
+	stores []map[Key]ring.Value
+	stats  Stats
+	field  ring.Field // non-nil iff R is a Field; required by OpSub
+	// netRound is the global network round counter the injector is indexed
+	// by.
+	netRound int
+	owned    []bool       // owned[v]: the transport hosts node v here
+	viaVals  []ring.Value // runRoundVia's round scratch, reused
 
 	// round-scoped scratch for O(1) constraint checks
 	sentAt, recvAt []int32
 	roundStamp     int32
 }
 
-// Option configures a Machine.
-type Option func(*Machine)
+// Option configures a Machine or an Exec.
+type Option func(*settings)
 
 // WithWorkers selects the goroutine engine with w workers.
-func WithWorkers(w int) Option { return func(m *Machine) { m.Workers = w } }
+func WithWorkers(w int) Option { return func(s *settings) { s.Workers = w } }
 
 // WithAutoWorkers selects the goroutine engine sized to the host CPU.
 func WithAutoWorkers() Option {
-	return func(m *Machine) { m.Workers = runtime.GOMAXPROCS(0) }
+	return func(s *settings) { s.Workers = runtime.GOMAXPROCS(0) }
 }
 
 // WithParBatch lowers the minimum per-round send count before the Workers
 // engine parallelizes (default 4096). Tests use small values to force the
 // parallel path on small instances.
 func WithParBatch(b int) Option {
-	return func(m *Machine) {
+	return func(s *settings) {
 		if b > 0 {
-			m.ParBatch = b
+			s.ParBatch = b
 		}
 	}
 }
@@ -245,17 +263,23 @@ func WithParBatch(b int) Option {
 // WithStoreLimit enables the per-computer memory check at the given number
 // of simultaneously stored values.
 func WithStoreLimit(limit int) Option {
-	return func(m *Machine) { m.StoreLimit = limit }
+	return func(s *settings) { s.StoreLimit = limit }
 }
 
 // WithCollector attaches an observability collector to a new machine.
 func WithCollector(c obsv.Collector) Option {
-	return func(m *Machine) { m.collector = c }
+	return func(s *settings) { s.collector = c }
 }
 
 // WithTrace enables round tracing on a new machine by attaching a fresh
 // obsv.Profile collector.
-func WithTrace() Option { return func(m *Machine) { m.EnableTrace() } }
+func WithTrace() Option {
+	return func(s *settings) {
+		if s.collector == nil {
+			s.collector = obsv.NewProfile()
+		}
+	}
+}
 
 // EnableTrace switches tracing on (no-op if a collector is already
 // attached).
@@ -318,7 +342,7 @@ func New(n int, r ring.Semiring, opts ...Option) *Machine {
 	m := &Machine{
 		N:        n,
 		R:        r,
-		ParBatch: 4096,
+		settings: newSettings(opts),
 		stores:   make([]map[Key]ring.Value, n),
 		sentAt:   make([]int32, n),
 		recvAt:   make([]int32, n),
@@ -334,9 +358,6 @@ func New(n int, r ring.Semiring, opts ...Option) *Machine {
 	for i := range m.sentAt {
 		m.sentAt[i] = -1
 		m.recvAt[i] = -1
-	}
-	for _, o := range opts {
-		o(m)
 	}
 	m.owned = ownedTable(m.transport, n, nil)
 	return m

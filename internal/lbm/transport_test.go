@@ -117,6 +117,7 @@ type testRouter struct {
 	table   []int // node → rank; nil is the modulo map
 	arrived int
 	gen     int
+	dead    bool             // a participant gave up: nobody waits for it
 	pool    [][][]ring.Value // [src][dst] slabs of the round being collected
 	ready   [][][]ring.Value // the last completed round's slabs
 }
@@ -134,9 +135,19 @@ func (r *testRouter) rankOf(v NodeID) int {
 	return int(v) % r.ranks
 }
 
+// fail releases every participant waiting at the barrier, now and later: a
+// participant whose run ended in an error calls it so the rest do not wait
+// for a barrier it will never reach.
+func (r *testRouter) fail() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.dead = true
+	r.cond.Broadcast()
+}
+
 // exchange publishes one rank's outgoing slabs (indexed by receiver rank),
 // waits for every rank, and returns the slabs addressed to it, indexed by
-// sender rank.
+// sender rank; nil once a participant has failed.
 func (r *testRouter) exchange(rank int, out [][]ring.Value) [][]ring.Value {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -150,9 +161,12 @@ func (r *testRouter) exchange(rank int, out [][]ring.Value) [][]ring.Value {
 		r.gen++
 		r.cond.Broadcast()
 	} else {
-		for gen == r.gen {
+		for gen == r.gen && !r.dead {
 			r.cond.Wait()
 		}
+	}
+	if gen == r.gen {
+		return nil // released by fail, not by the barrier completing
 	}
 	in := make([][]ring.Value, r.ranks)
 	for src := range in {
@@ -167,6 +181,8 @@ type testTransport struct {
 	out    [][]ring.Value // by receiver rank
 	owed   []int          // values announced by Expect, by sender rank
 	in     [][]ring.Value // by sender rank, consumed from the front
+	// delivers counts Deliver calls: the exchanges this participant blocked on.
+	delivers int
 }
 
 func (tt *testTransport) Owns(v NodeID) bool { return tt.router.rankOf(v) == tt.rank }
@@ -205,7 +221,10 @@ func (tt *testTransport) Deliver(round int) error {
 		out = make([][]ring.Value, tt.router.ranks)
 	}
 	tt.out = nil // the receivers read these slabs while we move on
-	tt.in = tt.router.exchange(tt.rank, out)
+	tt.delivers++
+	if tt.in = tt.router.exchange(tt.rank, out); tt.in == nil {
+		return fmt.Errorf("rank %d round %d: a participant failed", tt.rank, round)
+	}
 	for src, slab := range tt.in {
 		want := 0
 		if src != tt.rank && tt.owed != nil {
@@ -247,23 +266,15 @@ func TestPartitionedParityMachine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: reference: %v", trial, err)
 		}
-		router := newTestRouter(ranks, table)
 		ms := make([]*Machine, ranks)
-		errs := make([]error, ranks)
-		var wg sync.WaitGroup
-		for rank := 0; rank < ranks; rank++ {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				m := New(6, ring.Real{}, WithTransport(&testTransport{router: router, rank: rank}))
-				for _, l := range loads {
-					m.Put(l.node, l.key, l.val) // dropped unless owned
-				}
-				ms[rank] = m
-				errs[rank] = m.Run(p)
-			}(rank)
-		}
-		wg.Wait()
+		_, errs := runPartitioned(ranks, table, func(rank int, tt *testTransport) error {
+			m := New(6, ring.Real{}, WithTransport(tt))
+			for _, l := range loads {
+				m.Put(l.node, l.key, l.val) // dropped unless owned
+			}
+			ms[rank] = m
+			return m.Run(p)
+		})
 		for rank, err := range errs {
 			if err != nil {
 				t.Fatalf("trial %d rank %d: %v", trial, rank, err)
@@ -308,18 +319,12 @@ func TestPartitionedParityExec(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: reference: %v", trial, err)
 		}
-		router := newTestRouter(ranks, table)
+		rankOf := newTestRouter(ranks, table).rankOf
 		xs := make([]*Exec, ranks)
-		errs := make([]error, ranks)
-		var wg sync.WaitGroup
-		for rank := 0; rank < ranks; rank++ {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				xs[rank], errs[rank] = run(WithTransport(&testTransport{router: router, rank: rank}))
-			}(rank)
-		}
-		wg.Wait()
+		_, errs := runPartitioned(ranks, table, func(rank int, tt *testTransport) (err error) {
+			xs[rank], err = run(WithTransport(tt))
+			return err
+		})
 		var stats []Stats
 		for rank := 0; rank < ranks; rank++ {
 			if errs[rank] != nil {
@@ -328,7 +333,7 @@ func TestPartitionedParityExec(t *testing.T) {
 			stats = append(stats, xs[rank].Stats())
 		}
 		sp.EachKey(func(node NodeID, k Key, slot int32) {
-			owner := router.rankOf(node)
+			owner := rankOf(node)
 			for lane := 0; lane < lanes; lane++ {
 				rv, rok := ref.GetLane(SlotRef{Node: node, Slot: slot}, lane)
 				gv, gok := xs[owner].GetLane(SlotRef{Node: node, Slot: slot}, lane)
@@ -356,24 +361,13 @@ func TestPartitionedFaultIdentity(t *testing.T) {
 	if !ok {
 		t.Fatalf("reference run: want fault, got %v", err)
 	}
-	const ranks = 3
-	router := newTestRouter(ranks, nil)
-	errs := make([]error, ranks)
-	var wg sync.WaitGroup
-	for rank := 0; rank < ranks; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			m := New(6, ring.Real{},
-				WithTransport(&testTransport{router: router, rank: rank}),
-				WithInjector(inj))
-			for _, l := range loads {
-				m.Put(l.node, l.key, l.val)
-			}
-			errs[rank] = m.Run(p)
-		}(rank)
-	}
-	wg.Wait()
+	_, errs := runPartitioned(3, nil, func(rank int, tt *testTransport) error {
+		m := New(6, ring.Real{}, WithTransport(tt), WithInjector(inj))
+		for _, l := range loads {
+			m.Put(l.node, l.key, l.val)
+		}
+		return m.Run(p)
+	})
 	for rank, err := range errs {
 		f, ok := AsFault(err)
 		if !ok {

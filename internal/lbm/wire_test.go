@@ -213,11 +213,9 @@ func TestWireReaderBounds(t *testing.T) {
 	}
 
 	// A plan that decodes but breaks a model constraint is a reader failure.
-	_, _, _, cp := wirePlan(t, 5, false)
-	bad := *cp
-	bad.To = append([]int32(nil), cp.To...)
-	bad.To[0] = int32(cp.N)
-	r = open(func(w *WireWriter) { w.Plan(&bad) })
+	_, _, _, bad := wirePlan(t, 5, false)
+	bad.To[0] = int32(bad.N)
+	r = open(func(w *WireWriter) { w.Plan(bad) })
 	if r.Plan(); r.Err() == nil || !strings.Contains(r.Err().Error(), "out of range") {
 		t.Errorf("invalid plan read without a failure: %v", r.Err())
 	}
