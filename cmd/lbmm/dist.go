@@ -177,7 +177,7 @@ func runDistRun(args []string) error {
 		Rounds:     res.Stats.Rounds,
 		Exchanges:  exchanges,
 		Messages:   res.Stats.Messages,
-		OutputNNZ:  res.X.NNZ(),
+		OutputNNZ:  res.Xs[0].NNZ(),
 		Match:      match,
 		WallNS:     wall.Nanoseconds(),
 		Net:        counterGroup(res.Counters, "net/"),

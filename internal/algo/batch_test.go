@@ -104,29 +104,21 @@ func TestMultiplyBatchDifferential(t *testing.T) {
 				}
 			}
 			for _, k := range []int{1, 2, maxK} {
-				for _, e := range []struct {
-					name string
-					opts []lbm.Option
-				}{
-					{"seq", nil},
-					{"par", []lbm.Option{lbm.WithWorkers(4), lbm.WithParBatch(1)}},
-				} {
-					outs, res, err := p.MultiplyBatch(as[:k], bs[:k], e.opts...)
-					if err != nil {
-						t.Fatalf("%s: k=%d/%s: %v", label, k, e.name, err)
+				outs, res, err := p.MultiplyBatch(as[:k], bs[:k])
+				if err != nil {
+					t.Fatalf("%s: k=%d: %v", label, k, err)
+				}
+				if len(outs) != k || res.Lanes != k {
+					t.Fatalf("%s: k=%d: got %d outputs, Lanes=%d", label, k, len(outs), res.Lanes)
+				}
+				for l := 0; l < k; l++ {
+					if !matrix.Equal(outs[l], want[l]) {
+						t.Errorf("%s: k=%d: lane %d output differs from the map oracle", label, k, l)
 					}
-					if len(outs) != k || res.Lanes != k {
-						t.Fatalf("%s: k=%d/%s: got %d outputs, Lanes=%d", label, k, e.name, len(outs), res.Lanes)
-					}
-					for l := 0; l < k; l++ {
-						if !matrix.Equal(outs[l], want[l]) {
-							t.Errorf("%s: k=%d/%s: lane %d output differs from the map oracle", label, k, e.name, l)
-						}
-					}
-					if !reflect.DeepEqual(res.Stats, wantStats) {
-						t.Errorf("%s: k=%d/%s: batch stats differ from a one-lane run\n got %+v\nwant %+v",
-							label, k, e.name, res.Stats, wantStats)
-					}
+				}
+				if !reflect.DeepEqual(res.Stats, wantStats) {
+					t.Errorf("%s: k=%d: batch stats differ from a one-lane run\n got %+v\nwant %+v",
+						label, k, res.Stats, wantStats)
 				}
 			}
 		}

@@ -7,7 +7,7 @@
 // an EWMA of the key's arrival rate and the launch outcomes the coalescer
 // reports back:
 //
-//   - cold keys (expected lane-mates within the window < HotLanes) launch
+//   - cold keys (expected lane-mates within the window < hotLanes) launch
 //     immediately — no parked delay for traffic that will never coalesce;
 //   - hot keys grow their window toward the lane cap: the delay is the time
 //     the current rate needs to fill MaxBatch lanes, clamped to MaxDelay,
@@ -46,17 +46,6 @@ type Config struct {
 	MaxBatch int
 	// MaxDelay is the ceiling on any coalesce window (default 2ms).
 	MaxDelay time.Duration
-	// HotLanes is how many lane-mates must be expected inside a MaxDelay
-	// window before a key counts as hot (default 2: a window that cannot
-	// even pair requests is pure added latency).
-	HotLanes float64
-	// Alpha is the EWMA weight of the newest inter-arrival gap (default
-	// 0.3). Higher values track bursts faster; lower values smooth them.
-	Alpha float64
-	// ColdAfter forgets a key's rate estimate when its last arrival is older
-	// than this (default 10×MaxDelay... floored at 1s): yesterday's hot
-	// structure must re-earn its window.
-	ColdAfter time.Duration
 	// MaxKeys bounds the per-fingerprint state (default 4096). Beyond it
 	// the stalest key is evicted — the working set a serving process batches
 	// for is the plan cache's, which is far smaller.
@@ -75,18 +64,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxDelay <= 0 {
 		c.MaxDelay = 2 * time.Millisecond
 	}
-	if c.HotLanes <= 0 {
-		c.HotLanes = 2
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.3
-	}
-	if c.ColdAfter <= 0 {
-		c.ColdAfter = 10 * c.MaxDelay
-		if c.ColdAfter < time.Second {
-			c.ColdAfter = time.Second
-		}
-	}
 	if c.MaxKeys <= 0 {
 		c.MaxKeys = 4096
 	}
@@ -99,6 +76,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+const (
+	// hotLanes is how many lane-mates must be expected inside a MaxDelay
+	// window before a key counts as hot: a window that cannot even pair
+	// requests is pure added latency.
+	hotLanes = 2
+	// alpha is the EWMA weight of the newest inter-arrival gap.
+	alpha = 0.3
+)
+
 // keyState is one fingerprint's arrival model.
 type keyState struct {
 	last    time.Time     // previous arrival
@@ -109,8 +95,12 @@ type keyState struct {
 // safe for concurrent use; Decide is shaped to plug straight into
 // batch.Config.Decide and Observe into the launch callback.
 type Controller struct {
-	cfg     Config
-	metrics *obsv.CounterSet
+	cfg Config
+	// coldAfter is the silence after which a key's rate estimate is
+	// forgotten (10×MaxDelay, floored at 1s): yesterday's hot structure
+	// must re-earn its window.
+	coldAfter time.Duration
+	metrics   *obsv.CounterSet
 
 	mu   sync.Mutex
 	keys map[string]*keyState
@@ -120,15 +110,16 @@ type Controller struct {
 func New(cfg Config) *Controller {
 	cfg = cfg.withDefaults()
 	return &Controller{
-		cfg:     cfg,
-		metrics: cfg.Metrics,
-		keys:    map[string]*keyState{},
+		cfg:       cfg,
+		coldAfter: max(10*cfg.MaxDelay, time.Second),
+		metrics:   cfg.Metrics,
+		keys:      map[string]*keyState{},
 	}
 }
 
 // Decide records one arrival for the key and returns the policy governing
 // it right now. The first arrival of a key — and any arrival after a
-// ColdAfter silence — is cold by construction: there is no evidence a
+// coldAfter silence — is cold by construction: there is no evidence a
 // window would catch anything, so the lane launches immediately.
 func (c *Controller) Decide(key string) batch.Policy {
 	now := c.cfg.Clock()
@@ -145,7 +136,7 @@ func (c *Controller) Decide(key string) batch.Policy {
 	}
 	gap := now.Sub(st.last)
 	st.last = now
-	if gap > c.cfg.ColdAfter || st.ewmaGap > c.cfg.ColdAfter {
+	if gap > c.coldAfter || st.ewmaGap > c.coldAfter {
 		// The key went quiet: restart the estimate rather than average a
 		// silence into it.
 		st.ewmaGap = 0
@@ -156,7 +147,7 @@ func (c *Controller) Decide(key string) batch.Policy {
 	if st.ewmaGap == 0 {
 		st.ewmaGap = gap
 	} else {
-		st.ewmaGap = time.Duration((1-c.cfg.Alpha)*float64(st.ewmaGap) + c.cfg.Alpha*float64(gap))
+		st.ewmaGap = time.Duration((1-alpha)*float64(st.ewmaGap) + alpha*float64(gap))
 	}
 	pol := c.policyLocked(st)
 	c.mu.Unlock()
@@ -176,7 +167,7 @@ func (c *Controller) policyLocked(st *keyState) batch.Policy {
 	}
 	// Lanes a full MaxDelay window is expected to catch at the current rate.
 	expect := float64(c.cfg.MaxDelay) / float64(st.ewmaGap)
-	if expect < c.cfg.HotLanes {
+	if expect < hotLanes {
 		return batch.Policy{MaxBatch: 1}
 	}
 	target := int(expect)

@@ -34,8 +34,6 @@ type Options struct {
 	// Algorithm forces a specific algorithm: "auto" (default),
 	// "theorem42", "lemma31", "trivial", "baseline".
 	Algorithm string
-	// Workers selects the goroutine execution engine (0 = sequential).
-	Workers int
 	// SkipVerify disables the built-in check against the sequential
 	// reference product (useful for large benchmarks).
 	SkipVerify bool
@@ -100,9 +98,6 @@ func Multiply(a, b *matrix.Sparse, xhat *matrix.Support, opts Options) (*matrix.
 	}
 
 	var mopts []lbm.Option
-	if opts.Workers > 1 {
-		mopts = append(mopts, lbm.WithWorkers(opts.Workers))
-	}
 	if opts.Trace {
 		mopts = append(mopts, lbm.WithTrace())
 	}

@@ -80,24 +80,6 @@ func TestMultiplyInfersD(t *testing.T) {
 	}
 }
 
-func TestMultiplyWorkersEngine(t *testing.T) {
-	r := ring.NewGFp(101)
-	inst := workload.Instance(matrix.US, matrix.US, matrix.US, 24, 3, 9)
-	a := matrix.Random(inst.Ahat, r, 1)
-	b := matrix.Random(inst.Bhat, r, 2)
-	x1, _, err := Multiply(a, b, inst.Xhat, Options{Ring: r, D: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x2, _, err := Multiply(a, b, inst.Xhat, Options{Ring: r, D: 3, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matrix.Equal(x1, x2) {
-		t.Error("workers engine changed the result")
-	}
-}
-
 func TestClassifyBands(t *testing.T) {
 	cases := []struct {
 		a, b, x matrix.Class

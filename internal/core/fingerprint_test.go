@@ -93,7 +93,7 @@ func TestFingerprintDiscriminates(t *testing.T) {
 		t.Error("d change not reflected")
 	}
 	// Execution-engine fields are not part of the plan identity.
-	if got, _ := Fingerprint(a, b, x, Options{Ring: ring.Counting{}, Workers: 8, Trace: true, SkipVerify: true}); got != base {
+	if got, _ := Fingerprint(a, b, x, Options{Ring: ring.Counting{}, Trace: true, SkipVerify: true}); got != base {
 		t.Error("engine options must not change the key")
 	}
 

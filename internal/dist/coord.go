@@ -54,9 +54,8 @@ type RunConfig struct {
 
 // RunResult is the merged outcome of a distributed multiplication.
 type RunResult struct {
-	// X is the full product of lane 0, merged from the disjoint per-rank
-	// partials; Xs holds every lane of a batched run (len 1 otherwise).
-	X  *matrix.Sparse
+	// Xs holds the full product of every lane (len 1 for a scalar run), each
+	// merged from the disjoint per-rank partials.
 	Xs []*matrix.Sparse
 	// Stats is the whole-run view (lbm.MergeStats over the partitions);
 	// PerRank keeps each worker's own partition.
@@ -224,7 +223,6 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			out.Counters[k] += v
 		}
 	}
-	out.X = out.Xs[0]
 	out.Stats = lbm.MergeStats(out.PerRank...)
 	return out, nil
 }

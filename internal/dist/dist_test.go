@@ -260,7 +260,7 @@ func TestWorkerCoordinator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !matrix.Equal(res.X, want) {
+			if !matrix.Equal(res.Xs[0], want) {
 				t.Error("distributed product differs from the in-process product")
 			}
 			_, rep, err := prep.Multiply(a, b)

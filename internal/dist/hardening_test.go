@@ -359,7 +359,7 @@ func TestCoordinatorPlanCacheAndBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !matrix.Equal(res.X, want) {
+	if !matrix.Equal(res.Xs[0], want) {
 		t.Error("first run's product differs from the in-process product")
 	}
 	if res.Counters[CounterPlanMisses] != int64(len(addrs)) {

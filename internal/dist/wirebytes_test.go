@@ -247,7 +247,7 @@ func TestRunAuthEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("authorized run: %v", err)
 	}
-	if want := matrix.MulReference(a, b, inst.Xhat); !matrix.Equal(res.X, want) {
+	if want := matrix.MulReference(a, b, inst.Xhat); !matrix.Equal(res.Xs[0], want) {
 		t.Fatal("authorized run: wrong product")
 	}
 

@@ -138,9 +138,6 @@ type CompiledPlan struct {
 // NumRounds returns the number of rounds in the compiled plan.
 func (cp *CompiledPlan) NumRounds() int { return len(cp.RoundOff) - 1 }
 
-// NumInstr returns the total number of instructions.
-func (cp *CompiledPlan) NumInstr() int { return len(cp.From) }
-
 // AddNodeLoads accumulates the plan's per-node real-message loads into
 // send and recv (indexed by NodeID, length ≥ N). Loads are a compile-time
 // property of the structure: the same counts an execution would charge to

@@ -128,7 +128,7 @@ func compareStores(t *testing.T, sp *SlotSpace, m *Machine, x *Exec) {
 
 // TestCompiledParityRandom is the engine-parity property test at the lbm
 // layer: on randomized plans the compiled executor must reproduce the map
-// machine's stores and Stats exactly, sequentially and under Workers.
+// machine's stores and Stats exactly.
 func TestCompiledParityRandom(t *testing.T) {
 	rings := []struct {
 		r   ring.Semiring
@@ -147,20 +147,53 @@ func TestCompiledParityRandom(t *testing.T) {
 			if merr != nil {
 				t.Fatalf("%s seed %d: map: %v", rc.r.Name(), seed, merr)
 			}
-			for _, opts := range [][]Option{
-				nil,
-				{WithWorkers(3), WithParBatch(1)},
-			} {
-				sp, x, xerr := runCompiled(t, p, loads, rc.r, opts...)
-				if xerr != nil {
-					t.Fatalf("%s seed %d: compiled: %v", rc.r.Name(), seed, xerr)
-				}
-				compareStores(t, sp, m, x)
-				if !reflect.DeepEqual(m.Stats(), x.Stats()) {
-					t.Errorf("%s seed %d: stats differ:\n map      %+v\n compiled %+v",
-						rc.r.Name(), seed, m.Stats(), x.Stats())
+			sp, x, xerr := runCompiled(t, p, loads, rc.r)
+			if xerr != nil {
+				t.Fatalf("%s seed %d: compiled: %v", rc.r.Name(), seed, xerr)
+			}
+			compareStores(t, sp, m, x)
+			if !reflect.DeepEqual(m.Stats(), x.Stats()) {
+				t.Errorf("%s seed %d: stats differ:\n map      %+v\n compiled %+v",
+					rc.r.Name(), seed, m.Stats(), x.Stats())
+			}
+		}
+	}
+}
+
+// TestExecCycleAllocFree pins the pooled reuse cycle of the nil-transport
+// walk: load, Run and Reset of one executor over a multi-round plan with
+// real messages allocate nothing once a warm-up pass has sized RoundBytes
+// and the round scratch, at one lane and at several.
+func TestExecCycleAllocFree(t *testing.T) {
+	r := ring.Counting{}
+	p, loads := randomPlan(rand.New(rand.NewSource(1)), 6, 10, false)
+	sp := NewSlotSpace(6)
+	for _, l := range loads {
+		sp.Slot(l.node, l.key)
+	}
+	cp, err := CompileInto(sp, p)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	for _, lanes := range []int{1, 4} {
+		x := NewExecBatch(sp.Sizes(), lanes, r)
+		cycle := func() {
+			for _, l := range loads {
+				for lane := 0; lane < lanes; lane++ {
+					x.PutLane(sp.Ref(l.node, l.key), lane, l.val)
 				}
 			}
+			if err := x.Run(cp); err != nil {
+				t.Fatalf("lanes %d: %v", lanes, err)
+			}
+			if x.Rounds() == 0 {
+				t.Fatalf("lanes %d: the plan moved no real message", lanes)
+			}
+			x.Reset()
+		}
+		cycle()
+		if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+			t.Errorf("lanes %d: load+Run+Reset allocates %v times per cycle, want 0", lanes, allocs)
 		}
 	}
 }

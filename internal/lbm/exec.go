@@ -2,7 +2,6 @@ package lbm
 
 import (
 	"fmt"
-	"sync"
 
 	"lbmm/internal/obsv"
 	"lbmm/internal/ring"
@@ -34,9 +33,11 @@ import (
 type Exec struct {
 	N int
 	R ring.Semiring
-	// Workers, ParBatch, StoreLimit, the collector, the injector and the
-	// transport have Machine's semantics; a nil transport is the original
-	// single-process fast path.
+	// StoreLimit, the collector, the injector and the transport have
+	// Machine's semantics; a nil transport is the original single-process
+	// fast path. Workers and ParBatch are carried and not read: every round
+	// is walked sequentially, and parallelism comes from the callers, across
+	// requests (worker slots) and across lanes (batches).
 	settings
 
 	field ring.Field
@@ -61,8 +62,9 @@ type Exec struct {
 }
 
 // NewExec returns a single-lane executor with the given per-node arena
-// sizes over ring r. Machine options (WithWorkers, WithStoreLimit,
-// WithCollector, WithTrace) apply with identical meaning.
+// sizes over ring r. Machine options (WithStoreLimit, WithCollector,
+// WithTrace, WithInjector, WithTransport) apply with identical meaning;
+// WithWorkers, WithAutoWorkers and WithParBatch are accepted and ignored.
 func NewExec(sizes []int32, r ring.Semiring, opts ...Option) *Exec {
 	return NewExecBatch(sizes, 1, r, opts...)
 }
@@ -70,7 +72,7 @@ func NewExec(sizes []int32, r ring.Semiring, opts ...Option) *Exec {
 // NewExecBatch returns an executor whose every slot holds lanes values —
 // one per value-assignment of a batched run. One Run walks the instruction
 // stream once and moves all lanes; lane l of the arenas is loaded and read
-// through PutLane/GetLane. lanes < 1 is treated as 1.
+// through PutLane/GetLane. lanes < 1 is treated as 1. Options are NewExec's.
 func NewExecBatch(sizes []int32, lanes int, r ring.Semiring, opts ...Option) *Exec {
 	if lanes < 1 {
 		lanes = 1
@@ -435,52 +437,22 @@ func (x *Exec) runRound(cp *CompiledPlan, t int) error {
 
 func (x *Exec) gather(cp *CompiledPlan, lo, hi int, payload []ring.Value) error {
 	K := x.lanes
-	read := func(a, b int) error {
-		if K == 1 {
-			for i := a; i < b; i++ {
-				from, slot := cp.From[i], cp.SrcSlot[i]
-				if x.stamp[from][slot] != x.epoch {
-					return x.missingErr(cp, i)
-				}
-				payload[i-lo] = x.arena[from][slot]
-			}
-			return nil
-		}
-		for i := a; i < b; i++ {
+	if K == 1 {
+		for i := lo; i < hi; i++ {
 			from, slot := cp.From[i], cp.SrcSlot[i]
 			if x.stamp[from][slot] != x.epoch {
 				return x.missingErr(cp, i)
 			}
-			copy(payload[(i-lo)*K:(i-lo+1)*K], x.arena[from][int(slot)*K:])
+			payload[i-lo] = x.arena[from][slot]
 		}
 		return nil
 	}
-	if x.Workers <= 1 || hi-lo < x.ParBatch {
-		return read(lo, hi)
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, x.Workers)
-	chunk := (hi - lo + x.Workers - 1) / x.Workers
-	for w := 0; w < x.Workers; w++ {
-		a := lo + w*chunk
-		b := a + chunk
-		if b > hi {
-			b = hi
+	for i := lo; i < hi; i++ {
+		from, slot := cp.From[i], cp.SrcSlot[i]
+		if x.stamp[from][slot] != x.epoch {
+			return x.missingErr(cp, i)
 		}
-		if a >= b {
-			break
-		}
-		wg.Add(1)
-		go func(w, a, b int) {
-			defer wg.Done()
-			errs[w] = read(a, b)
-		}(w, a, b)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
+		copy(payload[(i-lo)*K:(i-lo+1)*K], x.arena[from][int(slot)*K:])
 	}
 	return nil
 }
@@ -577,47 +549,8 @@ func (x *Exec) applyInstr(cp *CompiledPlan, i, lo int, payload []ring.Value) {
 }
 
 func (x *Exec) deliver(cp *CompiledPlan, lo, hi int, payload []ring.Value) {
-	if x.Workers <= 1 || hi-lo < x.ParBatch {
-		for i := lo; i < hi; i++ {
-			x.applyInstr(cp, i, lo, payload)
-			x.markPresent(cp.To[i], cp.DstSlot[i])
-		}
-		return
+	for i := lo; i < hi; i++ {
+		x.applyInstr(cp, i, lo, payload)
+		x.markPresent(cp.To[i], cp.DstSlot[i])
 	}
-	// The parallel engine shards by receiver (a node may be the target of
-	// one real message and several local copies in one round); live counts
-	// and stamps are per-node state, so receiver sharding keeps them
-	// race-free. Peak tracking merges afterwards, as in the map engine.
-	var wg sync.WaitGroup
-	var peakMu sync.Mutex
-	peak := x.stats.PeakStore
-	for w := 0; w < x.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			localPeak := 0
-			for i := lo; i < hi; i++ {
-				to := cp.To[i]
-				if int(to)%x.Workers != w {
-					continue
-				}
-				dst := cp.DstSlot[i]
-				x.applyInstr(cp, i, lo, payload)
-				if x.stamp[to][dst] != x.epoch {
-					x.stamp[to][dst] = x.epoch
-					x.live[to]++
-				}
-				if int(x.live[to]) > localPeak {
-					localPeak = int(x.live[to])
-				}
-			}
-			peakMu.Lock()
-			if localPeak > peak {
-				peak = localPeak
-			}
-			peakMu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	x.stats.PeakStore = peak
 }

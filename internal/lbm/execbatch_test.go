@@ -100,19 +100,14 @@ func TestExecBatchParityRandom(t *testing.T) {
 				if merr != nil {
 					t.Fatalf("%s seed %d lanes %d: map: %v", rc.r.Name(), seed, lanes, merr)
 				}
-				for _, opts := range [][]Option{
-					nil,
-					{WithWorkers(3), WithParBatch(1)},
-				} {
-					sp, x, xerr := runExecBatch(t, p, perLane, rc.r, opts...)
-					if xerr != nil {
-						t.Fatalf("%s seed %d lanes %d: batched: %v", rc.r.Name(), seed, lanes, xerr)
-					}
-					compareLanes(t, sp, mb, x)
-					if !reflect.DeepEqual(mb.Stats(), x.Stats()) {
-						t.Errorf("%s seed %d lanes %d: stats differ:\n map     %+v\n batched %+v",
-							rc.r.Name(), seed, lanes, mb.Stats(), x.Stats())
-					}
+				sp, x, xerr := runExecBatch(t, p, perLane, rc.r)
+				if xerr != nil {
+					t.Fatalf("%s seed %d lanes %d: batched: %v", rc.r.Name(), seed, lanes, xerr)
+				}
+				compareLanes(t, sp, mb, x)
+				if !reflect.DeepEqual(mb.Stats(), x.Stats()) {
+					t.Errorf("%s seed %d lanes %d: stats differ:\n map     %+v\n batched %+v",
+						rc.r.Name(), seed, lanes, mb.Stats(), x.Stats())
 				}
 			}
 		}

@@ -182,13 +182,15 @@ func maxInt64(xs []int64) int64 {
 // both embed them, so one Option list configures either engine and neither
 // has to build the other to read its options back.
 type settings struct {
-	// Workers sets the execution engine: ≤1 means the deterministic
-	// sequential engine, larger values use that many goroutines per round
-	// phase. Rounds are natural barriers, mirroring the bulk-synchronous
-	// structure of the model.
+	// Workers sets the Machine's execution engine: ≤1 means the
+	// deterministic sequential engine, larger values use that many
+	// goroutines per round phase. Rounds are natural barriers, mirroring the
+	// bulk-synchronous structure of the model. Exec does not read it: the
+	// compiled engine is sequential.
 	Workers int
 	// ParBatch is the minimum round size worth parallelizing; smaller
-	// rounds run sequentially even under the goroutine engine.
+	// rounds run sequentially even under the goroutine engine. Exec does not
+	// read it.
 	ParBatch int
 	// StoreLimit, when positive, makes the executor fail a round whose
 	// deliveries would push any computer's store beyond this many values —
@@ -241,17 +243,19 @@ type Machine struct {
 // Option configures a Machine or an Exec.
 type Option func(*settings)
 
-// WithWorkers selects the goroutine engine with w workers.
+// WithWorkers selects the Machine's goroutine engine with w workers. An Exec
+// accepts and ignores it: the compiled engine is sequential.
 func WithWorkers(w int) Option { return func(s *settings) { s.Workers = w } }
 
-// WithAutoWorkers selects the goroutine engine sized to the host CPU.
+// WithAutoWorkers selects the Machine's goroutine engine sized to the host
+// CPU. An Exec accepts and ignores it.
 func WithAutoWorkers() Option {
 	return func(s *settings) { s.Workers = runtime.GOMAXPROCS(0) }
 }
 
-// WithParBatch lowers the minimum per-round send count before the Workers
-// engine parallelizes (default 4096). Tests use small values to force the
-// parallel path on small instances.
+// WithParBatch lowers the minimum per-round send count before the Machine's
+// Workers engine parallelizes (default 4096). Tests use small values to
+// force the parallel path on small instances. An Exec accepts and ignores it.
 func WithParBatch(b int) Option {
 	return func(s *settings) {
 		if b > 0 {
@@ -281,14 +285,6 @@ func WithTrace() Option {
 	}
 }
 
-// EnableTrace switches tracing on (no-op if a collector is already
-// attached).
-func (m *Machine) EnableTrace() {
-	if m.collector == nil {
-		m.collector = obsv.NewProfile()
-	}
-}
-
 // SetCollector attaches (or, with nil, detaches) a collector.
 func (m *Machine) SetCollector(c obsv.Collector) { m.collector = c }
 
@@ -296,7 +292,7 @@ func (m *Machine) SetCollector(c obsv.Collector) { m.collector = c }
 func (m *Machine) Collector() obsv.Collector { return m.collector }
 
 // Profile returns the attached collector as an *obsv.Profile when it is
-// one (the WithTrace/EnableTrace default), and nil otherwise.
+// one (the WithTrace default), and nil otherwise.
 func (m *Machine) Profile() *obsv.Profile {
 	if p, ok := m.collector.(*obsv.Profile); ok {
 		return p

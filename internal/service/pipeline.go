@@ -135,6 +135,10 @@ func (s *Server) await(ctx context.Context, done <-chan struct{}) error {
 	}
 }
 
+// faultBudget is how many times an execution that fails with a typed network
+// fault (lbm.ErrFault) is retried before the fault goes to the caller.
+const faultBudget = 1
+
 // runGroup executes one launched group — the coalescers' run callback, on
 // its own goroutine. It takes a single worker slot for the whole group, runs
 // the lanes under the fault policy and delivers every lane's outcome. It is
@@ -142,7 +146,7 @@ func (s *Server) await(ctx context.Context, done <-chan struct{}) error {
 // a multiply is counted served or, past plan resolution, failed.
 //
 // Fault policy: an attempt that fails with a typed network fault
-// (serve/faults) is retried up to FaultBudget times (serve/retries); a fault
+// (serve/faults) is retried faultBudget times (serve/retries); a fault
 // that survives the budget goes to every lane with its provenance intact.
 // Lanes share every round, so a fault fails the whole group. Non-fault
 // errors are never retried.
@@ -190,7 +194,7 @@ func (s *Server) runGroup(fp string, lanes []*lane, why batch.Reason) {
 			break
 		}
 		s.metrics.Add(MetricFaults, 1)
-		if attempt >= s.cfg.FaultBudget {
+		if attempt >= faultBudget {
 			break
 		}
 		s.metrics.Add(MetricRetries, 1)

@@ -46,11 +46,6 @@ type Config struct {
 	// (default 30s). Plan execution itself is not preempted; the deadline is
 	// admission control, not a watchdog.
 	Deadline time.Duration
-	// FaultBudget is how many times an execution that fails with a typed
-	// network fault (lbm.ErrFault) is retried before the fault goes to the
-	// caller (default 1; negative disables retries). Non-fault errors are
-	// never retried.
-	FaultBudget int
 	// FaultInjector, when non-nil, supplies the fault injector for each
 	// execution attempt — the hook chaos drills use to exercise the retry
 	// path on a live server. attempt counts from zero across one group. A
@@ -112,11 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Deadline <= 0 {
 		c.Deadline = 30 * time.Second
-	}
-	if c.FaultBudget == 0 {
-		c.FaultBudget = 1
-	} else if c.FaultBudget < 0 {
-		c.FaultBudget = 0
 	}
 	if c.BatchAdaptive && c.BatchSize <= 1 {
 		c.BatchSize = 16

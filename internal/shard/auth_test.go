@@ -23,8 +23,6 @@ func newAuthNode(t *testing.T, id, token string) *testNode {
 		HeartbeatEvery: 15 * time.Millisecond,
 		PingTimeout:    250 * time.Millisecond,
 		SuspectAfter:   2,
-		ElectionMin:    20 * time.Millisecond,
-		ElectionMax:    120 * time.Millisecond,
 		Metrics:        ms,
 		Logf:           t.Logf,
 		AuthToken:      token,

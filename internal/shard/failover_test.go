@@ -46,8 +46,6 @@ func newTestShard(t *testing.T, id, storeDir string) *testShard {
 		HeartbeatEvery: 15 * time.Millisecond,
 		PingTimeout:    250 * time.Millisecond,
 		SuspectAfter:   2,
-		ElectionMin:    20 * time.Millisecond,
-		ElectionMax:    120 * time.Millisecond,
 		Metrics:        ms,
 		Logf:           t.Logf,
 	})
@@ -72,7 +70,7 @@ func shardsConverged(shards []*testShard, ids ...string) bool {
 	}
 	for _, sh := range shards {
 		v := sh.node.View()
-		if len(v.Members) != len(ids) || !want[v.Leader] {
+		if len(v.Members) != len(ids) {
 			return false
 		}
 		for _, m := range v.Members {
@@ -425,7 +423,6 @@ func TestRouterRetryAfterOnForwardedOverload(t *testing.T) {
 		sh.node.mu.Lock()
 		sh.node.maybeAdoptLocked(View{
 			Epoch:   2,
-			Leader:  "ra-self",
 			Members: []Member{sh.node.Self(), stubMember},
 		}, "test")
 		sh.node.mu.Unlock()

@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"sort"
 	"strings"
@@ -23,10 +22,8 @@ const (
 	MetricMembers      = "shard/members"           // gauge: live members in this node's view
 	MetricEpoch        = "shard/epoch"             // gauge: view epoch
 	MetricOwnPermille  = "shard/own_permille"      // gauge: share of the key space owned
-	MetricIsLeader     = "shard/is_leader"         // gauge: 1 when this node leads
 	MetricRebalances   = "shard/rebalances"        // membership changes adopted (ownership remapped)
 	MetricRepairs      = "shard/repairs"           // successor deaths this node detected and repaired
-	MetricElections    = "shard/elections"         // leader claims this node made
 	MetricJoins        = "shard/joins"             // join requests handled
 	MetricPings        = "shard/pings"             // alive-checks sent
 	MetricPingFails    = "shard/ping_fails"        // alive-checks that failed
@@ -41,7 +38,6 @@ const (
 // nodes that bump concurrently still converge on one view.
 type View struct {
 	Epoch   uint64   `json:"epoch"`
-	Leader  string   `json:"leader"`
 	Members []Member `json:"members"`
 }
 
@@ -51,7 +47,6 @@ func (v View) digest() uint64 {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v.Epoch)
 	b.Write(buf[:])
-	b.WriteString(v.Leader)
 	ms := append([]Member(nil), v.Members...)
 	sort.Slice(ms, func(i, j int) bool { return ms[i].ID < ms[j].ID })
 	for _, m := range ms {
@@ -110,14 +105,10 @@ type Config struct {
 	// SuspectAfter is how many consecutive failed alive-checks declare the
 	// successor dead (default 2: one lost ping is weather, two is a corpse).
 	SuspectAfter int
-	// ElectionMin/ElectionMax bound the randomized wait before a node
-	// claims a vacant leadership (defaults 150ms / 600ms). The jitter makes
-	// one claimant likely; the epoch/digest rule resolves the rest.
-	ElectionMin, ElectionMax time.Duration
 	// Metrics receives the shard/* counters; a fresh set when nil.
 	Metrics *obsv.CounterSet
 	// Logf, when non-nil, receives membership events (joins, repairs,
-	// elections) — the operator trail.
+	// departures) — the operator trail.
 	Logf func(format string, args ...any)
 	// Client performs peer HTTP calls (default: a client with PingTimeout).
 	Client *http.Client
@@ -146,12 +137,6 @@ func (c Config) withDefaults() Config {
 	if c.SuspectAfter <= 0 {
 		c.SuspectAfter = 2
 	}
-	if c.ElectionMin <= 0 {
-		c.ElectionMin = 150 * time.Millisecond
-	}
-	if c.ElectionMax <= c.ElectionMin {
-		c.ElectionMax = c.ElectionMin + 450*time.Millisecond
-	}
 	if c.Metrics == nil {
 		c.Metrics = obsv.NewCounterSet()
 	}
@@ -165,10 +150,9 @@ func (c Config) withDefaults() Config {
 }
 
 // Node is one member of the shard ring: it tracks the membership view,
-// derives the ownership ring from it, alive-checks its successor, repairs
-// the ring through the twice-next pointer when the successor dies, and
-// participates in the minimal leader election. All methods are safe for
-// concurrent use.
+// derives the ownership ring from it, alive-checks its successor and repairs
+// the ring through the twice-next pointer when the successor dies. All
+// methods are safe for concurrent use.
 type Node struct {
 	cfg  Config
 	self Member
@@ -176,14 +160,12 @@ type Node struct {
 	mu       sync.Mutex
 	view     View
 	ring     *HashRing
-	failures int         // consecutive alive-check failures on the current successor
-	suspect  string      // the successor the failures count against
-	electAt  *time.Timer // pending leadership claim, nil when none
+	failures int    // consecutive alive-check failures on the current successor
+	suspect  string // the successor the failures count against
 
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
-	rng      *rand.Rand
 	metrics  *obsv.CounterSet
 }
 
@@ -195,11 +177,8 @@ func NewNode(cfg Config) *Node {
 		self:    Member{ID: cfg.ID, Addr: cfg.Addr},
 		stop:    make(chan struct{}),
 		metrics: cfg.Metrics,
-		// Seeded from the node identity: distinct jitter per node, and a
-		// deterministic replay for a given ID (no wall-clock in the seed).
-		rng: rand.New(rand.NewSource(int64(hash64(ringDomain, "jitter", cfg.ID)))),
 	}
-	n.adoptLocked(View{Epoch: 1, Leader: n.self.ID, Members: []Member{n.self}}, "boot")
+	n.adoptLocked(View{Epoch: 1, Members: []Member{n.self}}, "boot")
 	return n
 }
 
@@ -210,7 +189,7 @@ func (n *Node) Self() Member { return n.self }
 func (n *Node) View() View {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return View{Epoch: n.view.Epoch, Leader: n.view.Leader, Members: append([]Member(nil), n.view.Members...)}
+	return View{Epoch: n.view.Epoch, Members: append([]Member(nil), n.view.Members...)}
 }
 
 // Owner returns the member owning a fingerprint under the current view.
@@ -221,16 +200,9 @@ func (n *Node) Owner(fingerprint string) (Member, bool) {
 	return r.Owner(fingerprint)
 }
 
-// IsLeader reports whether this node currently leads the ring.
-func (n *Node) IsLeader() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.view.Leader == n.self.ID
-}
-
 // Start begins the alive-check loop. When join is non-empty the node first
 // announces itself to that address (any existing member) and adopts the
-// returned view; an empty join boots a fresh single-node ring, leader self.
+// returned view; an empty join boots a fresh single-node ring.
 // The join is retried for a short window so a fleet whose processes start
 // simultaneously (systemd, a test harness) does not die on the race between
 // the seed binding its listener and the joiners dialing it.
@@ -260,37 +232,23 @@ func (n *Node) Start(join string) error {
 	return nil
 }
 
-// Stop halts the alive-check loop and any pending election timer. It does
-// not announce a leave — a stopped node looks exactly like a crashed one,
-// which is the failure path the ring is built to absorb. Use Leave for a
-// graceful departure first.
+// Stop halts the alive-check loop. It does not announce a leave — a stopped
+// node looks exactly like a crashed one, which is the failure path the ring
+// is built to absorb. Use Leave for a graceful departure first.
 func (n *Node) Stop() {
 	n.stopOnce.Do(func() { close(n.stop) })
-	n.mu.Lock()
-	if n.electAt != nil {
-		n.electAt.Stop()
-		n.electAt = nil
-	}
-	n.mu.Unlock()
 	n.wg.Wait()
 }
 
-// Leave gracefully removes this node from the ring: it bumps the epoch,
-// hands leadership to the lowest surviving ID when it held it, and
-// broadcasts the view so survivors rebalance immediately instead of
-// waiting out an alive-check.
+// Leave gracefully removes this node from the ring: it bumps the epoch and
+// broadcasts the view so survivors rebalance immediately instead of waiting
+// out an alive-check.
 func (n *Node) Leave() {
 	n.mu.Lock()
-	next := View{Epoch: n.view.Epoch + 1, Leader: n.view.Leader}
+	next := View{Epoch: n.view.Epoch + 1}
 	for _, m := range n.view.Members {
 		if m.ID != n.self.ID {
 			next.Members = append(next.Members, m)
-		}
-	}
-	if next.Leader == n.self.ID {
-		next.Leader = ""
-		if len(next.Members) > 0 {
-			next.Leader = next.Members[0].ID // members are ID-sorted
 		}
 	}
 	peers := n.peersLocked()
@@ -320,18 +278,12 @@ func (n *Node) adoptLocked(v View, why string) {
 	n.metrics.Set(MetricMembers, int64(len(v.Members)))
 	n.metrics.Set(MetricEpoch, int64(v.Epoch))
 	n.metrics.Set(MetricOwnPermille, n.ring.OwnedPermille(n.self.ID))
-	lead := int64(0)
-	if v.Leader == n.self.ID {
-		lead = 1
-	}
-	n.metrics.Set(MetricIsLeader, lead)
-	n.cfg.Logf("shard %s: view epoch %d, %d members, leader %q (%s)",
-		n.self.ID, v.Epoch, len(v.Members), v.Leader, why)
+	n.cfg.Logf("shard %s: view epoch %d, %d members (%s)",
+		n.self.ID, v.Epoch, len(v.Members), why)
 }
 
 // maybeAdoptLocked applies the convergence rule: higher epoch wins, equal
-// epochs tie-break on the canonical digest. It schedules an election when
-// the adopted view has no live leader, and re-joins when this node was
+// epochs tie-break on the canonical digest. It re-joins when this node was
 // dropped from a view it is plainly alive to receive. Caller holds n.mu.
 // Returns whether v was adopted.
 func (n *Node) maybeAdoptLocked(v View, why string) bool {
@@ -344,21 +296,10 @@ func (n *Node) maybeAdoptLocked(v View, why string) bool {
 		// A failure detector somewhere declared us dead while we are alive
 		// (a stalled heartbeat, a partition that healed). Re-announce rather
 		// than wedge: bump the epoch with ourselves restored.
-		rejoined := View{Epoch: v.Epoch + 1, Leader: v.Leader, Members: append(v.Members, n.self)}
-		if rejoined.Leader == "" {
-			rejoined.Leader = n.self.ID
-		}
+		rejoined := View{Epoch: v.Epoch + 1, Members: append(v.Members, n.self)}
 		n.adoptLocked(rejoined, "rejoin")
 		peers := n.peersLocked()
 		go n.broadcast(rejoined, peers)
-		return true
-	}
-	if v.Leader == "" || !v.has(v.Leader) {
-		n.scheduleElectionLocked()
-	} else if n.electAt != nil {
-		// A leader emerged while we were waiting to claim: stand down.
-		n.electAt.Stop()
-		n.electAt = nil
 	}
 	return true
 }
@@ -452,14 +393,11 @@ func (n *Node) checkSuccessor() {
 	}
 	// The successor is dead: close the ring over it (the classic repair —
 	// our new successor is the old twice-next) and tell everyone.
-	repaired := View{Epoch: n.view.Epoch + 1, Leader: n.view.Leader}
+	repaired := View{Epoch: n.view.Epoch + 1}
 	for _, m := range n.view.Members {
 		if m.ID != next.ID {
 			repaired.Members = append(repaired.Members, m)
 		}
-	}
-	if repaired.Leader == next.ID {
-		repaired.Leader = "" // the dead node led; an election will follow
 	}
 	n.metrics.Add(MetricRepairs, 1)
 	n.cfg.Logf("shard %s: successor %s dead after %d failed checks, repairing ring toward %s (epoch %d)",
@@ -468,41 +406,6 @@ func (n *Node) checkSuccessor() {
 	peers := n.peersLocked()
 	n.mu.Unlock()
 	n.broadcast(repaired, peers)
-}
-
-// ---------------------------------------------------------------------------
-// leader election
-
-// scheduleElectionLocked arms a randomized-timeout leadership claim — the
-// minimal election the ring needs: leadership only drives anti-entropy
-// broadcasts, so the cost of a transient double-claim is one extra epoch
-// bump, and the epoch/digest rule resolves it. Caller holds n.mu.
-func (n *Node) scheduleElectionLocked() {
-	if n.electAt != nil {
-		return
-	}
-	jitter := n.cfg.ElectionMin +
-		time.Duration(n.rng.Int63n(int64(n.cfg.ElectionMax-n.cfg.ElectionMin)))
-	n.electAt = time.AfterFunc(jitter, func() {
-		select {
-		case <-n.stop:
-			return
-		default:
-		}
-		n.mu.Lock()
-		n.electAt = nil
-		if n.view.Leader != "" && n.view.has(n.view.Leader) {
-			n.mu.Unlock()
-			return // someone claimed while we waited
-		}
-		claimed := View{Epoch: n.view.Epoch + 1, Leader: n.self.ID, Members: n.view.Members}
-		n.metrics.Add(MetricElections, 1)
-		n.cfg.Logf("shard %s: claiming leadership (epoch %d)", n.self.ID, claimed.Epoch)
-		n.adoptLocked(claimed, "elected")
-		peers := n.peersLocked()
-		n.mu.Unlock()
-		n.broadcast(claimed, peers)
-	})
 }
 
 // ---------------------------------------------------------------------------
@@ -604,16 +507,13 @@ func (n *Node) Handler() http.Handler {
 		}
 		n.metrics.Add(MetricJoins, 1)
 		n.mu.Lock()
-		joined := View{Epoch: n.view.Epoch + 1, Leader: n.view.Leader}
+		joined := View{Epoch: n.view.Epoch + 1}
 		for _, m := range n.view.Members {
 			if m.ID != jr.Member.ID {
 				joined.Members = append(joined.Members, m)
 			}
 		}
 		joined.Members = append(joined.Members, jr.Member)
-		if joined.Leader == "" || !joined.has(joined.Leader) {
-			joined.Leader = n.self.ID
-		}
 		n.cfg.Logf("shard %s: %s joined at %s (epoch %d)", n.self.ID, jr.Member.ID, jr.Member.Addr, joined.Epoch)
 		n.adoptLocked(joined, "member-join")
 		peers := n.peersLocked()

@@ -38,8 +38,6 @@ func newTestNode(t *testing.T, id string) *testNode {
 		HeartbeatEvery: 15 * time.Millisecond,
 		PingTimeout:    250 * time.Millisecond,
 		SuspectAfter:   2,
-		ElectionMin:    20 * time.Millisecond,
-		ElectionMax:    120 * time.Millisecond,
 		Metrics:        ms,
 		Logf:           t.Logf,
 	})
@@ -63,7 +61,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // converged reports whether every listed node sees exactly the given member
-// IDs and a leader drawn from them.
+// IDs.
 func converged(nodes []*testNode, ids ...string) bool {
 	want := map[string]bool{}
 	for _, id := range ids {
@@ -71,7 +69,7 @@ func converged(nodes []*testNode, ids ...string) bool {
 	}
 	for _, tn := range nodes {
 		v := tn.node.View()
-		if len(v.Members) != len(ids) || !want[v.Leader] {
+		if len(v.Members) != len(ids) {
 			return false
 		}
 		for _, m := range v.Members {
@@ -84,9 +82,9 @@ func converged(nodes []*testNode, ids ...string) bool {
 }
 
 // TestMembershipLifecycle walks the full drill: three nodes join and
-// converge on one view, agree on ownership; the leader is killed and the
-// survivors repair the ring and elect a replacement; the dead identity
-// rejoins at a new address and the ring re-converges without wedging.
+// converge on one view, agree on ownership; the founding node is killed and
+// the survivors repair the ring; the dead identity rejoins at a new address
+// and the ring re-converges without wedging.
 func TestMembershipLifecycle(t *testing.T) {
 	a := newTestNode(t, "node-a")
 	b := newTestNode(t, "node-b")
@@ -119,35 +117,19 @@ func TestMembershipLifecycle(t *testing.T) {
 		}
 	}
 
-	// Kill the leader — the worst single failure: the ring loses both a
-	// member and its election anchor at once.
-	leader := a.node.View().Leader
-	var dead *testNode
-	var survivors []*testNode
-	for _, tn := range all {
-		if tn.node.Self().ID == leader {
-			dead = tn
-		} else {
-			survivors = append(survivors, tn)
-		}
-	}
-	t.Logf("killing leader %s", leader)
-	dead.kill()
-
-	survivorIDs := []string{survivors[0].node.Self().ID, survivors[1].node.Self().ID}
-	waitFor(t, "repair + election after leader death", func() bool {
-		return converged(survivors, survivorIDs...)
+	// Kill the node the other two joined through.
+	a.kill()
+	survivors := []*testNode{b, c}
+	waitFor(t, "repair after node-a's death", func() bool {
+		return converged(survivors, "node-b", "node-c")
 	})
 	if repairs := survivors[0].ms.Get(MetricRepairs) + survivors[1].ms.Get(MetricRepairs); repairs < 1 {
 		t.Fatalf("no survivor counted a ring repair (got %d)", repairs)
 	}
-	if elections := survivors[0].ms.Get(MetricElections) + survivors[1].ms.Get(MetricElections); elections < 1 {
-		t.Fatalf("leader died but nobody counted an election (got %d)", elections)
-	}
 
 	// The dead identity comes back on a fresh port (a restarted process) and
 	// joins through a survivor; the ring must fold it back in.
-	reborn := newTestNode(t, leader)
+	reborn := newTestNode(t, "node-a")
 	if err := reborn.node.Start(survivors[0].node.Self().Addr); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +177,7 @@ func TestRejoinOnDroppedView(t *testing.T) {
 	defer n.Stop()
 	h := n.Handler()
 
-	dropped := View{Epoch: 5, Leader: "other", Members: []Member{{ID: "other", Addr: "127.0.0.1:1"}}}
+	dropped := View{Epoch: 5, Members: []Member{{ID: "other", Addr: "127.0.0.1:1"}}}
 	body, _ := json.Marshal(dropped)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/shard/v1/view", bytes.NewReader(body)))
@@ -222,13 +204,13 @@ func TestViewConvergenceRule(t *testing.T) {
 	n := NewNode(Config{ID: "r", Addr: "127.0.0.1:0", Metrics: obsv.NewCounterSet()})
 	defer n.Stop()
 
-	newer := View{Epoch: 3, Leader: "r", Members: []Member{{ID: "r", Addr: "127.0.0.1:0"}, {ID: "s", Addr: "x"}}}
+	newer := View{Epoch: 3, Members: []Member{{ID: "r", Addr: "127.0.0.1:0"}, {ID: "s", Addr: "x"}}}
 	n.mu.Lock()
 	if !n.maybeAdoptLocked(newer, "test") {
 		n.mu.Unlock()
 		t.Fatal("newer epoch rejected")
 	}
-	stale := View{Epoch: 2, Leader: "s", Members: []Member{{ID: "s", Addr: "x"}, {ID: "r", Addr: "127.0.0.1:0"}}}
+	stale := View{Epoch: 2, Members: []Member{{ID: "s", Addr: "x"}, {ID: "r", Addr: "127.0.0.1:0"}}}
 	if n.maybeAdoptLocked(stale, "test") {
 		n.mu.Unlock()
 		t.Fatal("stale epoch adopted")
@@ -242,8 +224,8 @@ func TestViewConvergenceRule(t *testing.T) {
 
 	// Equal epoch, different digest: exactly one of the two orderings wins,
 	// and both nodes agree which — that is all convergence needs.
-	va := View{Epoch: 9, Leader: "a", Members: []Member{{ID: "a"}, {ID: "b"}}}
-	vb := View{Epoch: 9, Leader: "b", Members: []Member{{ID: "a"}, {ID: "b"}}}
+	va := View{Epoch: 9, Members: []Member{{ID: "a"}, {ID: "b"}}}
+	vb := View{Epoch: 9, Members: []Member{{ID: "a"}, {ID: "c"}}}
 	if (va.digest() <= vb.digest()) == (vb.digest() <= va.digest()) {
 		t.Fatalf("digest tiebreak not a strict order: %d vs %d", va.digest(), vb.digest())
 	}

@@ -18,9 +18,7 @@
 //
 // Membership follows the classic ring shape (next / twice-next pointers,
 // periodic alive-checks on the successor, ring repair through the
-// twice-next pointer when the successor dies, and a minimal
-// randomized-timeout leader election used only to drive anti-entropy view
-// broadcasts). Ownership is a pure function of the live membership view —
+// twice-next pointer when the successor dies). Ownership is a pure function of the live membership view —
 // consistent hashing with virtual nodes over the fingerprint space — so no
 // coordination is needed to route, and a membership change remaps only the
 // keys the departed (or arrived) shard owned.
