@@ -81,7 +81,7 @@ func runDistRun(args []string) error {
 	wlName := fs.String("workload", "blocks", "workload (blocks|mixed|us|hotpair|powerlaw)")
 	n := fs.Int("n", 48, "matrix dimension / computer count")
 	d := fs.Int("d", 4, "sparsity parameter")
-	algName := fs.String("alg", "lemma31", "algorithm (auto|theorem42|lemma31)")
+	algName := fs.String("alg", "lemma31", "algorithm (auto|trivial|lemma31|theorem42)")
 	ringName := fs.String("ring", "real", "semiring (boolean|counting|minplus|maxplus|gfp|real)")
 	seed := fs.Int64("seed", 1, "value seed (equal seeds replay equal values)")
 	partition := fs.String("partition", dist.PartitionModulo, "node ownership map (modulo|balanced)")

@@ -30,7 +30,7 @@ func runFingerprint(args []string) error {
 	bhatPath := fs.String("bhat", "", "file mode: B̂ support file")
 	xhatPath := fs.String("xhat", "", "file mode: X̂ support file")
 	ringName := fs.String("ring", "counting", "ring (boolean|counting|minplus|maxplus|gfp|real)")
-	algName := fs.String("alg", "auto", "algorithm (auto|theorem42|lemma31)")
+	algName := fs.String("alg", "auto", "algorithm (auto|trivial|lemma31|theorem42)")
 	shards := fs.String("shards", "", "comma-separated shard IDs: also print the owning shard")
 	vnodes := fs.Int("vnodes", 0, "virtual nodes per shard for -shards (0 = default)")
 	via := fs.String("via", "", "host:port of a live ring node: ask it who owns the fingerprint")

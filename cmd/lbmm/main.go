@@ -16,7 +16,8 @@
 //	                        structured trace export (schema lbmm.trace.v1)
 //	lbmm exchanges [-n N] [-d D]
 //	                        model rounds vs. physical exchanges per phase,
-//	                        for every workload under lemma31 and theorem42
+//	                        for every workload under trivial, lemma31,
+//	                        theorem42 and the plan auto keeps
 //	                        (EXPERIMENTS.md; docs/DIST.md)
 //	lbmm demo [-n N] [-d D]
 //	                        one multiplication with a full report + timeline
@@ -146,7 +147,7 @@ func main() {
 	xPath := fs.String("x", "", "solve: path to output support X̂")
 	outPath := fs.String("o", "", "solve: result path / gen: file prefix")
 	ringName := fs.String("ring", "", "solve: override the ring (boolean|counting|minplus|maxplus|gfp|real)")
-	algName := fs.String("alg", "auto", "trace: algorithm (auto|theorem42|lemma31|trivial|baseline)")
+	algName := fs.String("alg", "auto", "trace: algorithm (auto|trivial|lemma31|theorem42|baseline); auto traces the plan core.Prepare keeps")
 	wlName := fs.String("workload", "blocks", "trace: workload (blocks|mixed|us|hotpair|powerlaw)")
 	format := fs.String("format", "json", "trace: output format (json|csv|text)")
 	profile := fs.Bool("profile", false, "table1: record per-point phase breakdowns")
@@ -314,8 +315,8 @@ func workloadInstance(wlName string, n, d int) (*graph.Instance, error) {
 // runExchanges prints the rounds-versus-exchanges table of EXPERIMENTS.md:
 // for each workload and algorithm, per phase, the network rounds the model
 // charges and the exchanges a transport blocks on (core.Prepared.Exchanges),
-// with the dependency-depth floor. Everything is read off the compiled plans;
-// nothing is executed.
+// with the dependency-depth floor. The auto row names the plan it kept.
+// Everything is read off the compiled plans; nothing is executed.
 func runExchanges(n, d int) error {
 	fmt.Printf("model rounds vs. physical exchanges, n=%d d=%d (rounds→exchanges per phase; phases without messages omitted)\n\n", n, d)
 	fmt.Println("| workload | algorithm | rounds | exchanges | depth floor | per phase |")
@@ -325,10 +326,13 @@ func runExchanges(n, d int) error {
 		if err != nil {
 			return err
 		}
-		for _, alg := range []string{"lemma31", "theorem42"} {
+		for _, alg := range []string{"trivial", "lemma31", "theorem42", "auto"} {
 			prep, err := core.Prepare(inst.Ahat, inst.Bhat, inst.Xhat, core.Options{Ring: ring.Counting{}, Algorithm: alg})
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", wl, alg, err)
+			}
+			if alg == "auto" {
+				alg = "auto → " + prep.Resolved()
 			}
 			rep := prep.Exchanges()
 			var phases []string
@@ -351,9 +355,16 @@ func runTrace(n, d int, algName, wlName, format, outPath string) error {
 	r := ring.Counting{}
 	a := matrix.Random(inst.Ahat, r, 1)
 	b := matrix.Random(inst.Bhat, r, 2)
+	if algName == "auto" {
+		prep, err := core.Prepare(inst.Ahat, inst.Bhat, inst.Xhat, core.Options{Ring: r, D: inst.D})
+		if err != nil {
+			return err
+		}
+		algName = prep.Resolved()
+	}
 	var alg algo.Algorithm
 	switch algName {
-	case "auto", "theorem42":
+	case "theorem42":
 		alg = algo.Theorem42(algo.Theorem42Opts{})
 	case "lemma31":
 		alg = algo.LemmaOnly

@@ -36,7 +36,7 @@ func runPlans(args []string) error {
 	d := fs.Int("d", 4, "prewarm: sparsity parameter")
 	wlName := fs.String("workload", "blocks", "prewarm: workload (blocks|mixed|us|hotpair|powerlaw)")
 	ringName := fs.String("ring", "counting", "prewarm: ring (boolean|counting|minplus|maxplus|gfp|real)")
-	algName := fs.String("alg", "auto", "prewarm: algorithm (auto|theorem42|lemma31)")
+	algName := fs.String("alg", "auto", "prewarm: algorithm (auto|trivial|lemma31|theorem42)")
 	outPath := fs.String("o", "", "prewarm: also write a matching /v1/multiply request as JSON")
 	_ = fs.Parse(args[1:])
 	if fs.NArg() > 0 {

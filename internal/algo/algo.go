@@ -138,49 +138,13 @@ func Verify(got, a, b *matrix.Sparse, xhat *matrix.Support) error {
 // TrivialSparse processes every triangle at the computer owning its output
 // element: inputs are fetched by one h-relation whose degree is the
 // per-node triangle count — O(d²) rounds on uniformly sparse instances.
+// It is the job fewtri.PlanTrivial plans, run on the machine.
 func TrivialSparse(m *lbm.Machine, l *lbm.Layout, inst *graph.Instance) (*Result, error) {
 	tris := inst.Triangles()
-	res := &Result{Name: "trivial-sparse", Triangles: len(tris)}
-
-	type fetch struct {
-		to  lbm.NodeID
-		key lbm.Key
+	if err := fewtri.Run(m, fewtri.PlanTrivial(l, tris)); err != nil {
+		return nil, err
 	}
-	seen := map[fetch]bool{}
-	var msgs []routing.Msg
-	var clean []fetch
-	add := func(from, to lbm.NodeID, key lbm.Key) {
-		f := fetch{to, key}
-		if seen[f] {
-			return
-		}
-		seen[f] = true
-		msgs = append(msgs, routing.Msg{From: from, To: to, Src: key, Dst: key, Op: lbm.OpSet})
-		if from != to {
-			clean = append(clean, f)
-		}
-	}
-	for _, t := range tris {
-		xo := l.OwnerX(t.I, t.K)
-		add(l.OwnerA(t.I, t.J), xo, lbm.AKey(t.I, t.J))
-		add(l.OwnerB(t.J, t.K), xo, lbm.BKey(t.J, t.K))
-	}
-	if err := m.Run(routing.Schedule(msgs, routing.Auto)); err != nil {
-		return nil, fmt.Errorf("trivial-sparse: %w", err)
-	}
-	for _, t := range tris {
-		xo := l.OwnerX(t.I, t.K)
-		if !m.Owns(xo) {
-			continue
-		}
-		av := m.MustGet(xo, lbm.AKey(t.I, t.J))
-		bv := m.MustGet(xo, lbm.BKey(t.J, t.K))
-		m.Acc(xo, lbm.XKey(t.I, t.K), m.R.Mul(av, bv))
-	}
-	for _, f := range clean {
-		m.Del(f.to, f.key)
-	}
-	return res, nil
+	return &Result{Name: "trivial", Triangles: len(tris)}, nil
 }
 
 // ---------------------------------------------------------------------------

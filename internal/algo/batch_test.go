@@ -52,6 +52,12 @@ func TestMultiplyBatchDifferential(t *testing.T) {
 		name string
 		mk   func(r ring.Semiring, seed int64) (*Prepared, error)
 	}{
+		{"trivial/blocks", func(r ring.Semiring, seed int64) (*Prepared, error) {
+			return PrepareTrivial(r, workload.Blocks(32, 4))
+		}},
+		{"trivial/mixed", func(r ring.Semiring, seed int64) (*Prepared, error) {
+			return PrepareTrivial(r, workload.Mixed(40, 4, seed))
+		}},
 		{"lemma31/blocks", func(r ring.Semiring, seed int64) (*Prepared, error) {
 			return PrepareLemma31(r, workload.Blocks(32, 4))
 		}},

@@ -15,14 +15,20 @@ import (
 // the execution spine: the sequential map engine (the reference oracle),
 // the Workers>1 map engine, and the compiled engine (sequential only)
 // must produce identical outputs AND identical Stats on the same
-// prepared structure and values, across the algorithm matrix — lemma31 and
-// theorem42 (whose field variant takes the dense Strassen OpSub path) over
-// semirings and fields.
+// prepared structure and values, across the algorithm matrix — trivial,
+// lemma31 and theorem42 (whose field variant takes the dense Strassen OpSub
+// path) over semirings and fields.
 func TestEnginesDifferential(t *testing.T) {
 	preps := []struct {
 		name string
 		mk   func(r ring.Semiring, seed int64) (*Prepared, error)
 	}{
+		{"trivial/blocks", func(r ring.Semiring, seed int64) (*Prepared, error) {
+			return PrepareTrivial(r, workload.Blocks(32, 4))
+		}},
+		{"trivial/mixed", func(r ring.Semiring, seed int64) (*Prepared, error) {
+			return PrepareTrivial(r, workload.Mixed(40, 4, seed))
+		}},
 		{"lemma31/blocks", func(r ring.Semiring, seed int64) (*Prepared, error) {
 			return PrepareLemma31(r, workload.Blocks(32, 4))
 		}},
@@ -90,32 +96,40 @@ func TestEnginesDifferential(t *testing.T) {
 	}
 }
 
-// TestEnginesDifferentialDense drives the dense cube and Strassen routines
-// directly through a theorem42 preparation with aggressive clustering (the
-// blocks workload clusters fully), comparing profiles on top of outputs:
-// both engines must replay the identical phase-span tree.
+// TestEnginesDifferentialProfiles drives the dense cube and Strassen
+// routines directly through a theorem42 preparation with aggressive
+// clustering (the blocks workload clusters fully), and the trivial job's
+// fetch and products, comparing profiles on top of outputs: both engines
+// must replay the identical phase-span tree.
 func TestEnginesDifferentialProfiles(t *testing.T) {
+	inst := workload.Blocks(32, 4)
 	for _, r := range []ring.Semiring{ring.Counting{}, ring.Real{}} {
-		p, err := PrepareTheorem42(r, workload.Blocks(32, 4), Theorem42Opts{})
+		t42, err := PrepareTheorem42(r, inst, Theorem42Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := matrix.Random(p.Inst.Ahat, r, 7)
-		b := matrix.Random(p.Inst.Bhat, r, 8)
-		var timelines []string
-		for _, run := range []multiplyFn{(*Prepared).MultiplyMap, multiplyOne} {
-			_, res, err := run(p, a, b, lbm.WithTrace())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Profile == nil {
-				t.Fatalf("%s/%s: no profile", r.Name(), res.Engine)
-			}
-			timelines = append(timelines, res.Profile.Summary())
+		triv, err := PrepareTrivial(r, inst)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if timelines[0] != timelines[1] {
-			t.Errorf("%s: phase profiles differ\n--- map ---\n%s\n--- compiled ---\n%s",
-				r.Name(), timelines[0], timelines[1])
+		for _, p := range []*Prepared{t42, triv} {
+			a := matrix.Random(p.Inst.Ahat, r, 7)
+			b := matrix.Random(p.Inst.Bhat, r, 8)
+			var timelines []string
+			for _, run := range []multiplyFn{(*Prepared).MultiplyMap, multiplyOne} {
+				_, res, err := run(p, a, b, lbm.WithTrace())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Profile == nil {
+					t.Fatalf("%s/%s/%s: no profile", p.Name, r.Name(), res.Engine)
+				}
+				timelines = append(timelines, res.Profile.Summary())
+			}
+			if timelines[0] != timelines[1] {
+				t.Errorf("%s/%s: phase profiles differ\n--- map ---\n%s\n--- compiled ---\n%s",
+					p.Name, r.Name(), timelines[0], timelines[1])
+			}
 		}
 	}
 }

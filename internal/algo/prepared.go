@@ -36,33 +36,94 @@ type Prepared struct {
 	meta     Result
 }
 
+// PrepareTrivial preprocesses the trivial algorithm (TrivialSparse).
+func PrepareTrivial(r ring.Semiring, inst *graph.Instance) (*Prepared, error) {
+	return compile(NewPlanner(r, inst).Trivial())
+}
+
 // PrepareLemma31 preprocesses the Lemma 3.1 (Theorems 5.3/5.11) algorithm.
 func PrepareLemma31(r ring.Semiring, inst *graph.Instance) (*Prepared, error) {
-	l := ChooseLayout(inst)
-	tris := inst.Triangles()
-	job, err := fewtri.Plan(inst.N, l, tris, 0)
-	if err != nil {
-		return nil, err
-	}
-	p := &Prepared{
-		Inst: inst, Layout: l, R: r, Name: "lemma31",
-		fewtri: job,
-		meta:   Result{Name: "lemma31", Triangles: len(tris), Kappa: job.Kappa},
-	}
-	if p.compiled, err = compilePrepared(p); err != nil {
-		return nil, fmt.Errorf("algo: compile: %w", err)
-	}
-	return p, nil
+	return compile(NewPlanner(r, inst).Lemma31())
 }
 
 // PrepareTheorem42 preprocesses the two-phase algorithm: the full
 // Lemma 4.13 clustering schedule plus the Lemma 3.1 residual job.
 func PrepareTheorem42(r ring.Semiring, inst *graph.Instance, opts Theorem42Opts) (*Prepared, error) {
+	return compile(NewPlanner(r, inst).Theorem42(opts))
+}
+
+// compile finishes a Prepare: it compiles what a Planner planned.
+func compile(p *Prepared, err error) (*Prepared, error) {
+	if err != nil {
+		return nil, err
+	}
+	if err := p.Compile(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Planner plans the prepared algorithms of one structure on one shared
+// layout and one triangle list, so that pricing several candidates (Cost)
+// before compiling one of them repeats no work. What it returns is planned,
+// not compiled: MultiplyMap runs it, MultiplyBatch needs Compile first.
+type Planner struct {
+	r    ring.Semiring
+	inst *graph.Instance
+	l    *lbm.Layout
+	tris []graph.Triangle
+	// whole is the Lemma 3.1 job over every triangle, planned on first use:
+	// it is both Lemma31's plan and the plan of a Theorem42 whose phase 1
+	// keeps no batch.
+	whole *fewtri.Job
+}
+
+// NewPlanner returns a planner for the instance over ring r.
+func NewPlanner(r ring.Semiring, inst *graph.Instance) *Planner {
+	return &Planner{r: r, inst: inst, l: ChooseLayout(inst), tris: inst.Triangles()}
+}
+
+// wholeJob returns the Lemma 3.1 job over every triangle.
+func (pl *Planner) wholeJob() (*fewtri.Job, error) {
+	if pl.whole == nil {
+		job, err := fewtri.Plan(pl.inst.N, pl.l, pl.tris, 0)
+		if err != nil {
+			return nil, err
+		}
+		pl.whole = job
+	}
+	return pl.whole, nil
+}
+
+// Trivial plans the trivial algorithm: one fetch, then local products.
+func (pl *Planner) Trivial() (*Prepared, error) {
+	return &Prepared{
+		Inst: pl.inst, Layout: pl.l, R: pl.r, Name: "trivial",
+		fewtri: fewtri.PlanTrivial(pl.l, pl.tris),
+		meta:   Result{Name: "trivial", Triangles: len(pl.tris)},
+	}, nil
+}
+
+// Lemma31 plans Lemma 3.1 over the whole triangle set.
+func (pl *Planner) Lemma31() (*Prepared, error) {
+	job, err := pl.wholeJob()
+	if err != nil {
+		return nil, err
+	}
+	return &Prepared{
+		Inst: pl.inst, Layout: pl.l, R: pl.r, Name: "lemma31",
+		fewtri: job,
+		meta:   Result{Name: "lemma31", Triangles: len(pl.tris), Kappa: job.Kappa},
+	}, nil
+}
+
+// Theorem42 plans the two-phase algorithm.
+func (pl *Planner) Theorem42(opts Theorem42Opts) (*Prepared, error) {
 	if opts.NaivePhase2 {
 		return nil, fmt.Errorf("algo: the naive-phase-2 reconstruction has no prepared form")
 	}
-	l := ChooseLayout(inst)
-	_, isField := ring.AsField(r)
+	inst, l := pl.inst, pl.l
+	_, isField := ring.AsField(pl.r)
 	alpha := opts.Alpha
 	if alpha == 0 {
 		if isField {
@@ -72,16 +133,15 @@ func PrepareTheorem42(r ring.Semiring, inst *graph.Instance, opts Theorem42Opts)
 		}
 	}
 	d := inst.D
-	tris := inst.Triangles()
-	p := &Prepared{Inst: inst, Layout: l, R: r, Name: "theorem42"}
-	p.meta = Result{Name: "theorem42", Triangles: len(tris)}
+	p := &Prepared{Inst: inst, Layout: l, R: pl.r, Name: "theorem42"}
+	p.meta = Result{Name: "theorem42", Triangles: len(pl.tris)}
 
 	lambda := params.LambdaSemiring
 	if isField {
 		lambda = params.LambdaStrassen
 	}
 	net := vnet.Roles(inst.N)
-	residual := tris
+	residual := pl.tris
 	for _, st := range params.Schedule(lambda, 1e-5, alpha) {
 		targetResidual := int(math.Pow(float64(d), st.Beta) * float64(inst.N))
 		if len(residual) <= targetResidual {
@@ -111,16 +171,41 @@ func PrepareTheorem42(r ring.Semiring, inst *graph.Instance, opts Theorem42Opts)
 		residual = rest
 	}
 	p.meta.Residual = len(residual)
-	job, err := fewtri.Plan(inst.N, l, residual, 0)
+	var err error
+	if len(p.phase1) == 0 {
+		p.fewtri, err = pl.wholeJob()
+	} else {
+		p.fewtri, err = fewtri.Plan(inst.N, l, residual, 0)
+	}
 	if err != nil {
 		return nil, err
 	}
-	p.fewtri = job
-	p.meta.Kappa = job.Kappa
-	if p.compiled, err = compilePrepared(p); err != nil {
-		return nil, fmt.Errorf("algo: compile: %w", err)
-	}
+	p.meta.Kappa = p.fewtri.Kappa
 	return p, nil
+}
+
+// Compile lowers a planned Prepared to the compiled form MultiplyBatch walks.
+func (p *Prepared) Compile() error {
+	cp, err := compilePrepared(p)
+	if err != nil {
+		return fmt.Errorf("algo: compile: %w", err)
+	}
+	p.compiled = cp
+	return nil
+}
+
+// Cost is what every multiply of the prepared structure charges to
+// Stats.Rounds and Stats.Messages, summed over its plans (lbm.Plan.Cost)
+// without compiling or running anything. It reads the plans, which a form
+// restored from a snapshot does not have.
+func (p *Prepared) Cost() (rounds, messages int) {
+	rounds, messages = p.fewtri.Cost()
+	for _, pb := range p.phase1 {
+		r, m := pb.Cost()
+		rounds += r
+		messages += m
+	}
+	return rounds, messages
 }
 
 // MultiplyMap runs the prepared plans on one value set on the reference

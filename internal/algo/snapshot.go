@@ -49,8 +49,7 @@ func (p *Prepared) EncodeCompiled(w *lbm.WireWriter) error {
 		}
 	}
 	// The preparation-time Result skeleton: the fields that are functions
-	// of the structure, not of any particular run.
-	w.String(p.meta.Name)
+	// of the structure, not of any particular run. Its Name is p.Name.
 	w.Int(p.meta.Batches)
 	w.Int(p.meta.Cluster.CubeClusters)
 	w.Int(p.meta.Cluster.StrassenClusters)
@@ -95,7 +94,7 @@ func DecodeCompiledPrepared(r *lbm.WireReader) (*Prepared, error) {
 			rows[i][j] = r.Int32s()
 		}
 	}
-	meta := Result{Name: r.String(), Batches: r.Int()}
+	meta := Result{Name: name, Batches: r.Int()}
 	meta.Cluster.CubeClusters, meta.Cluster.StrassenClusters = r.Int(), r.Int()
 	meta.Kappa, meta.Triangles, meta.Residual = r.Int(), r.Int(), r.Int()
 	cp := &compiledPrepared{sizes: r.Int32s()}
@@ -115,6 +114,16 @@ func DecodeCompiledPrepared(r *lbm.WireReader) (*Prepared, error) {
 	rg, err := ringFromWire(ringName, ringP)
 	if err != nil {
 		return nil, fmt.Errorf("algo: decode prepared: %w", err)
+	}
+	switch name {
+	case "trivial", "lemma31", "theorem42":
+	default:
+		return nil, fmt.Errorf("algo: decode prepared: algorithm %q has no compiled form", name)
+	}
+	// The name says which plan the form runs: a trivial job, or a Lemma 3.1
+	// job that only theorem42 may precede with phase-1 batches.
+	if job := cp.few.Shape(); job != "" && (job == "trivial") != (name == "trivial") || len(cp.phase1) > 0 && name != "theorem42" {
+		return nil, fmt.Errorf("algo: decode prepared: %s with %d phase-1 batches and a %q job", name, len(cp.phase1), job)
 	}
 	if d < 1 {
 		return nil, fmt.Errorf("algo: decode prepared: sparsity parameter d=%d", d)

@@ -21,6 +21,8 @@ func prepareFor(t *testing.T, r ring.Semiring, inst *graph.Instance, name string
 	var p *Prepared
 	var err error
 	switch name {
+	case "trivial":
+		p, err = PrepareTrivial(r, inst)
 	case "lemma31":
 		p, err = PrepareLemma31(r, inst)
 	case "theorem42":
@@ -73,7 +75,7 @@ func reseal(env []byte) []byte {
 
 // TestSnapshotRoundTripDifferential checks that a decoded snapshot computes
 // exactly what the original prepared form computes — scalar and batched —
-// across workloads, rings and both algorithms.
+// across workloads, rings and every algorithm with a compiled form.
 func TestSnapshotRoundTripDifferential(t *testing.T) {
 	cases := []struct {
 		name string
@@ -87,7 +89,7 @@ func TestSnapshotRoundTripDifferential(t *testing.T) {
 	rings := []ring.Semiring{ring.Boolean{}, ring.MinPlus{}, ring.NewGFp(257), ring.Real{}}
 	for _, tc := range cases {
 		for _, r := range rings {
-			for _, alg := range []string{"lemma31", "theorem42"} {
+			for _, alg := range []string{"trivial", "lemma31", "theorem42"} {
 				t.Run(tc.name+"/"+r.Name()+"/"+alg, func(t *testing.T) {
 					p := prepareFor(t, r, tc.inst, alg)
 
@@ -199,15 +201,28 @@ func TestSnapshotHasNoMapForm(t *testing.T) {
 // snapshot restores its modulus rather than the default one.
 func TestSnapshotRejectsTampering(t *testing.T) {
 	inst := workload.Blocks(16, 4)
-	env := snapshot(t, prepareFor(t, ring.Counting{}, inst, "lemma31"))
-	for n := 20; n < len(env); n++ {
-		cut := reseal(append([]byte(nil), env[:n]...))
-		if _, err := restore(cut); err == nil {
-			t.Fatalf("body truncated to %d of %d bytes decoded cleanly", n-20, len(env)-20)
+	for _, alg := range []string{"trivial", "lemma31"} {
+		env := snapshot(t, prepareFor(t, ring.Counting{}, inst, alg))
+		for n := 20; n < len(env); n++ {
+			cut := reseal(append([]byte(nil), env[:n]...))
+			if _, err := restore(cut); err == nil {
+				t.Fatalf("%s: body truncated to %d of %d bytes decoded cleanly", alg, n-20, len(env)-20)
+			}
+		}
+		if _, err := restore(reseal(append(append([]byte(nil), env...), 0))); err == nil {
+			t.Fatalf("%s: trailing byte after the body decoded cleanly", alg)
 		}
 	}
-	if _, err := restore(reseal(append(append([]byte(nil), env...), 0))); err == nil {
-		t.Fatalf("trailing byte after the body decoded cleanly")
+	// The body opens with the plan's name, which must name an algorithm with
+	// a compiled form and agree with the plan's shape: "trivial" and
+	// "lemma31" are the same length, so each can be swapped for the other.
+	env := snapshot(t, prepareFor(t, ring.Counting{}, inst, "trivial"))
+	for _, name := range []string{"lemma31", "xrivial"} {
+		bad := append([]byte(nil), env...)
+		copy(bad[24:], name)
+		if _, err := restore(reseal(bad)); err == nil {
+			t.Fatalf("a trivial plan named %q decoded cleanly", name)
+		}
 	}
 	q, err := restore(snapshot(t, prepareFor(t, ring.NewGFp(257), inst, "lemma31")))
 	if err != nil {

@@ -153,12 +153,14 @@ func drawCase(c int, rng *rand.Rand) (*diffCase, error) {
 
 	var prep *algo.Prepared
 	var err error
-	algName := "lemma31"
-	if rng.Intn(2) == 0 {
-		algName = "theorem42"
-		prep, err = algo.PrepareTheorem42(r, inst, algo.Theorem42Opts{})
-	} else {
+	algName := [...]string{"trivial", "lemma31", "theorem42"}[rng.Intn(3)]
+	switch algName {
+	case "trivial":
+		prep, err = algo.PrepareTrivial(r, inst)
+	case "lemma31":
 		prep, err = algo.PrepareLemma31(r, inst)
+	default:
+		prep, err = algo.PrepareTheorem42(r, inst, algo.Theorem42Opts{})
 	}
 	dc := &diffCase{
 		label: fmt.Sprintf("%s/n%d/d%d/%s/%s", family, n, d, r.Name(), algName),

@@ -149,6 +149,25 @@ func PlanBatch(net *vnet.Net, n int, l *lbm.Layout, batch Batch, field bool) (*P
 	return pb, nil
 }
 
+// Cost is what running the batch charges to Stats.Rounds and
+// Stats.Messages, summed over its routing plans (lbm.Plan.Cost).
+func (pb *PlannedBatch) Cost() (rounds, messages int) {
+	var plans []*lbm.Plan
+	if sp := pb.strassenProg; sp != nil {
+		plans = append(append(append(plans, sp.Init), sp.Down...), sp.Up...)
+		plans = append(plans, sp.Final)
+	}
+	if cp := pb.cubeProg; cp != nil {
+		plans = append(plans, cp.Dist, cp.Agg)
+	}
+	for _, p := range plans {
+		r, m := p.Cost()
+		rounds += r
+		messages += m
+	}
+	return rounds, messages
+}
+
 // Run executes a planned batch. The two sub-batches run back to back.
 func (pb *PlannedBatch) Run(m *lbm.Machine) error {
 	if len(pb.strassenJobs) > 0 {

@@ -6,11 +6,15 @@
 //
 //	x, report, err := core.Multiply(a, b, xhat, core.Options{Ring: ring.Counting{}})
 //
-// which classifies the instance, picks the fastest applicable algorithm
-// (Theorem 4.2 for class-1 instances, Lemma 3.1 for class-2, the trivial
-// router otherwise), simulates it on n virtual computers at message
-// granularity, and returns the masked product together with the measured
-// round statistics.
+// which classifies the instance, picks an algorithm by the paper's Table 2
+// band (Theorem 4.2 for band-1 instances, Lemma 3.1 for every other band),
+// simulates it on n virtual computers at message granularity, and returns
+// the masked product together with the measured round statistics.
+//
+// Repeated products of one structure go through Prepare, whose "auto" does
+// not go by band: it plans every candidate — the trivial algorithm, Lemma 3.1
+// and, in band 1, Theorem 4.2 — and keeps the one whose plans charge the
+// fewest rounds, then messages.
 package core
 
 import (
@@ -32,7 +36,10 @@ type Options struct {
 	// (⌈max nnz/n⌉).
 	D int
 	// Algorithm forces a specific algorithm: "auto" (default),
-	// "theorem42", "lemma31", "trivial", "baseline".
+	// "theorem42", "lemma31", "trivial", "baseline". Multiply's "auto" picks
+	// by Table 2 band, because the Table 2 reproduction (exper.Table2) runs
+	// through it; Prepare's "auto" keeps the cheapest plan instead (see
+	// Prepare). Merging the two entry points is an open ROADMAP.md item.
 	Algorithm string
 	// SkipVerify disables the built-in check against the sequential
 	// reference product (useful for large benchmarks).

@@ -263,9 +263,23 @@ func TestPrepareAndReuse(t *testing.T) {
 			t.Errorf("seed %d: traced Multiply and one-lane MultiplyBatch export different profiles", seed)
 		}
 	}
-	// Non-preparable algorithms are rejected.
-	if _, err := Prepare(inst.Ahat, inst.Bhat, inst.Xhat, Options{Ring: r, Algorithm: "trivial"}); err == nil {
-		t.Error("trivial has no prepared form")
+	// The trivial algorithm prepares like the others; the baseline has no
+	// prepared form.
+	tp, err := Prepare(inst.Ahat, inst.Bhat, inst.Xhat, Options{Ring: r, Algorithm: "trivial"})
+	if err != nil {
+		t.Fatalf("prepare trivial: %v", err)
+	}
+	a, b := matrix.Random(inst.Ahat, r, 5), matrix.Random(inst.Bhat, r, 6)
+	x, rep, err := tp.Multiply(a, b)
+	if err != nil {
+		t.Fatalf("trivial multiply: %v", err)
+	}
+	if !matrix.Equal(x, matrix.MulReference(a, b, inst.Xhat)) || rep.Name != "trivial" || tp.Resolved() != "trivial" {
+		t.Errorf("trivial: product correct %v, report name %q, resolved %q",
+			matrix.Equal(x, matrix.MulReference(a, b, inst.Xhat)), rep.Name, tp.Resolved())
+	}
+	if _, err := Prepare(inst.Ahat, inst.Bhat, inst.Xhat, Options{Ring: r, Algorithm: "baseline"}); err == nil {
+		t.Error("baseline has no prepared form")
 	}
 	if _, err := Prepare(inst.Ahat, matrix.NewSupport(5, nil), inst.Xhat, Options{Ring: r}); err == nil {
 		t.Error("dimension mismatch accepted")

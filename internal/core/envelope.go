@@ -16,8 +16,10 @@ import (
 // fewtri programs and lbm's compiled plans). Bump it on any change to what
 // any of those put/get pairs list; readers reject other versions with
 // ErrEnvelopeVersion, so a store populated by one build is never
-// misinterpreted by another. Version 1 was the gob generation.
-const PreparedFormatVersion = 2
+// misinterpreted by another. Version 1 was the gob generation; version 2 had
+// no trivial plan, wrote a fewtri job as one list of nine plans where version
+// 3 writes its input and output chains apart, and repeated the plan's name.
+const PreparedFormatVersion = 3
 
 // preparedMagic opens every envelope (the layout is in internal/lbm/wire.go
 // and docs/PLANSTORE.md).
@@ -94,9 +96,12 @@ func DecodePrepared(r io.Reader) (*Prepared, error) {
 		return nil, fmt.Errorf("%w: %w", ErrEnvelope, err)
 	}
 	switch p.Algorithm {
-	case "auto", "theorem42", "lemma31":
+	case "auto", "trivial", "lemma31", "theorem42":
 	default:
 		return nil, fmt.Errorf("%w: algorithm %q", ErrEnvelope, p.Algorithm)
+	}
+	if p.Algorithm != "auto" && p.Algorithm != p.Resolved() {
+		return nil, fmt.Errorf("%w: algorithm %q runs a %s plan", ErrEnvelope, p.Algorithm, p.Resolved())
 	}
 	if p.D != p.inner.Inst.D {
 		return nil, fmt.Errorf("%w: envelope d=%d but plan compiled for d=%d", ErrEnvelope, p.D, p.inner.Inst.D)

@@ -34,8 +34,8 @@ type envShape struct {
 }
 
 // envShapes prepares one small plan per shape the envelope can carry: a
-// Lemma 3.1 job alone, a phase-1 cube batch, and — over a field — a phase-1
-// Strassen batch.
+// Lemma 3.1 job alone, a phase-1 cube batch, — over a field — a phase-1
+// Strassen batch, and the trivial job.
 func envShapes(t testing.TB) []envShape {
 	t.Helper()
 	inst := workload.Blocks(8, 2)
@@ -43,6 +43,7 @@ func envShapes(t testing.TB) []envShape {
 		{name: "lemma31", opts: Options{Ring: ring.Counting{}, Algorithm: "lemma31"}},
 		{name: "cube", opts: Options{Ring: ring.Counting{}, Algorithm: "theorem42"}},
 		{name: "strassen", opts: Options{Ring: ring.NewGFp(257), Algorithm: "theorem42"}},
+		{name: "trivial", opts: Options{Ring: ring.Counting{}, Algorithm: "trivial"}},
 	}
 	for i := range shapes {
 		s := &shapes[i]
@@ -55,7 +56,7 @@ func envShapes(t testing.TB) []envShape {
 		if err != nil {
 			t.Fatalf("multiply %s: %v", s.name, err)
 		}
-		if got := [2]int{rep.Cluster.CubeClusters, rep.Cluster.StrassenClusters}; (s.name == "lemma31") != (got == [2]int{}) ||
+		if got := [2]int{rep.Cluster.CubeClusters, rep.Cluster.StrassenClusters}; (s.name == "lemma31" || s.name == "trivial") != (got == [2]int{}) ||
 			(s.name == "cube" && got[0] == 0) || (s.name == "strassen" && got[1] == 0) {
 			t.Fatalf("shape %s has cube/strassen clusters %v", s.name, got)
 		}

@@ -77,9 +77,13 @@ func TestFingerprintDiscriminates(t *testing.T) {
 	if got, _ := Fingerprint(a, b, x, Options{Ring: ring.Boolean{}}); got == base {
 		t.Error("ring change not reflected")
 	}
-	// Different algorithm ("" normalizes to "auto").
-	if got, _ := Fingerprint(a, b, x, Options{Ring: ring.Counting{}, Algorithm: "lemma31"}); got == base {
-		t.Error("algorithm change not reflected")
+	// Different algorithm ("" normalizes to "auto"). The key is the request:
+	// an explicit "trivial" keys apart from an "auto" that keeps the trivial
+	// plan.
+	for _, alg := range []string{"trivial", "lemma31", "theorem42"} {
+		if got, _ := Fingerprint(a, b, x, Options{Ring: ring.Counting{}, Algorithm: alg}); got == base {
+			t.Errorf("algorithm change to %s not reflected", alg)
+		}
 	}
 	if got, _ := Fingerprint(a, b, x, Options{Ring: ring.Counting{}, Algorithm: "auto"}); got != base {
 		t.Error(`"" and "auto" should share a key`)

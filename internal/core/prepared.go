@@ -24,16 +24,22 @@ type Prepared struct {
 	// D is the sparsity parameter used.
 	D int
 	// Algorithm is the algorithm as requested at Prepare time ("auto",
-	// "theorem42" or "lemma31"; "" normalizes to "auto"). It is part of the
-	// content address: Fingerprint keys on the request, not on what "auto"
-	// resolved to, so the same field must survive a store round trip.
+	// "trivial", "lemma31" or "theorem42"; "" normalizes to "auto"). It is
+	// part of the content address: Fingerprint keys on the request, not on
+	// what "auto" resolved to, so the same field must survive a store round
+	// trip. Resolved names the plan that runs.
 	Algorithm string
 }
 
 // Prepare preprocesses the multiplication for the given supports. Options:
-// Ring and D as in Multiply; Algorithm may be "auto", "theorem42" or
-// "lemma31" (the trivial/baseline/unsupported algorithms have no prepared
-// form).
+// Ring and D as in Multiply; Algorithm may be "auto", "trivial", "lemma31"
+// or "theorem42" (the baseline and unsupported algorithms have no prepared
+// form). An explicit algorithm is obeyed. "auto" plans every candidate the
+// structure admits — the trivial algorithm and Lemma 3.1 always, Theorem 4.2
+// in band 1 — and keeps the one whose plans charge the fewest rounds, then
+// the fewest messages, ties going to that order; only the kept plan is
+// compiled. The choice is a function of the structure, the ring and d, so
+// the fingerprint of an "auto" request stays a content address.
 func Prepare(ahat, bhat, xhat *matrix.Support, opts Options) (*Prepared, error) {
 	if ahat.N != bhat.N || ahat.N != xhat.N {
 		return nil, fmt.Errorf("core: dimension mismatch %d/%d/%d", ahat.N, bhat.N, xhat.N)
@@ -54,17 +60,15 @@ func Prepare(ahat, bhat, xhat *matrix.Support, opts Options) (*Prepared, error) 
 
 	var inner *algo.Prepared
 	var err error
-	switch opts.Algorithm {
-	case "", "auto":
-		if p.Band == Band1Fast {
-			inner, err = algo.PrepareTheorem42(r, inst, algo.Theorem42Opts{})
-		} else {
-			inner, err = algo.PrepareLemma31(r, inst)
-		}
-	case "theorem42":
-		inner, err = algo.PrepareTheorem42(r, inst, algo.Theorem42Opts{})
+	switch alg {
+	case "auto":
+		inner, err = cheapest(r, inst, p.Band == Band1Fast)
+	case "trivial":
+		inner, err = algo.PrepareTrivial(r, inst)
 	case "lemma31":
 		inner, err = algo.PrepareLemma31(r, inst)
+	case "theorem42":
+		inner, err = algo.PrepareTheorem42(r, inst, algo.Theorem42Opts{})
 	default:
 		return nil, fmt.Errorf("core: algorithm %q has no prepared form", opts.Algorithm)
 	}
@@ -74,6 +78,38 @@ func Prepare(ahat, bhat, xhat *matrix.Support, opts Options) (*Prepared, error) 
 	p.inner = inner
 	return p, nil
 }
+
+// cheapest is Prepare's "auto": it plans the candidates on one layout and
+// one triangle list, prices each by the exact (rounds, messages) its plans
+// charge, and compiles the first of the cheapest.
+func cheapest(r ring.Semiring, inst *graph.Instance, band1 bool) (*algo.Prepared, error) {
+	pl := algo.NewPlanner(r, inst)
+	candidates := []func() (*algo.Prepared, error){pl.Trivial, pl.Lemma31}
+	if band1 {
+		candidates = append(candidates, func() (*algo.Prepared, error) { return pl.Theorem42(algo.Theorem42Opts{}) })
+	}
+	var best *algo.Prepared
+	var bestRounds, bestMessages int
+	for _, plan := range candidates {
+		c, err := plan()
+		if err != nil {
+			return nil, err
+		}
+		rounds, messages := c.Cost()
+		if best == nil || rounds < bestRounds || rounds == bestRounds && messages < bestMessages {
+			best, bestRounds, bestMessages = c, rounds, messages
+		}
+	}
+	if err := best.Compile(); err != nil {
+		return nil, err
+	}
+	return best, nil
+}
+
+// Resolved names the plan the prepared form runs: Algorithm itself, or the
+// candidate "auto" kept ("trivial", "lemma31" or "theorem42"). Report.Name
+// carries the same name.
+func (p *Prepared) Resolved() string { return p.inner.Name }
 
 // CompiledBytes reports the estimated resident size of the prepared
 // multiplication's compiled form (instruction streams, slot tables and one

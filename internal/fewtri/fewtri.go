@@ -24,6 +24,11 @@
 //     local aggregation at triple holders, parallel binary convergecast
 //     trees (O(log m)), and a final O(κ+d) h-relation accumulating each
 //     total into the computer that must report X_ik.
+//
+// The trivial algorithm of [13] is a job of a second, smaller shape
+// (PlanTrivial): one h-relation fetches every triangle's inputs to the
+// computer owning its output, whose products accumulate straight into X. Both
+// shapes share one map engine (Run), one compiled form and one wire form.
 package fewtri
 
 import (
@@ -36,16 +41,83 @@ import (
 	"lbmm/internal/routing"
 )
 
-// Job is a preprocessed Lemma 3.1 execution.
+// Job is a preprocessed Lemma 3.1 or trivial execution.
 type Job struct {
 	// Kappa is the per-virtual-computer triangle budget actually used.
 	Kappa int
 	// VirtualNodes is |V'|, the number of I-side virtual computers.
 	VirtualNodes int
 
+	// sh is the job's shape; nil for a job with no triangles, which runs
+	// nothing.
+	sh       *shape
 	plans    []*lbm.Plan
 	products []prodGroup
 	cleanup  []hostKey
+}
+
+// shape is the layout of a job: its outer phase, then the phase name and the
+// legacy Mark label of each routing plan, of which the first in run before
+// the products and the rest after them.
+type shape struct {
+	phase          string
+	phases, labels []string
+	in             int
+	// dst is the key the product of triangle t at virtual computer vid
+	// accumulates into.
+	dst func(t graph.Triangle, vid int32) lbm.Key
+}
+
+var (
+	// lemma31 is §3.3's layout: anchor/spread/forward for A and for B, then
+	// route/aggregate/deliver, their converses, for the per-virtual-computer
+	// partials.
+	lemma31 = shape{
+		phase: "lemma31",
+		phases: []string{
+			"A/anchor", "A/spread", "A/forward",
+			"B/anchor", "B/spread", "B/forward",
+			"out/route", "out/aggregate", "out/deliver",
+		},
+		labels: []string{
+			"lemma31:A anchor", "lemma31:A spread", "lemma31:A forward",
+			"lemma31:B anchor", "lemma31:B spread", "lemma31:B forward",
+			"lemma31:out route", "lemma31:out reduce", "lemma31:out deliver",
+		},
+		in:  6,
+		dst: func(t graph.Triangle, vid int32) lbm.Key { return lbm.PKey(t.I, t.K, vid) },
+	}
+	// trivial is one fetch and no output routing: the products already sit
+	// at the output owner.
+	trivial = shape{
+		phase:  "trivial",
+		phases: []string{"fetch"},
+		labels: []string{"trivial:fetch"},
+		in:     1,
+		dst:    func(t graph.Triangle, _ int32) lbm.Key { return lbm.XKey(t.I, t.K) },
+	}
+)
+
+// shapeOf returns the shape with nIn input and nOut output plans, or nil if
+// there is none.
+func shapeOf(nIn, nOut int) *shape {
+	for _, sh := range []*shape{&lemma31, &trivial} {
+		if sh.in == nIn && len(sh.phases) == nIn+nOut {
+			return sh
+		}
+	}
+	return nil
+}
+
+// Cost is what running the job charges to Stats.Rounds and Stats.Messages,
+// summed over its routing plans (lbm.Plan.Cost); the products are free.
+func (job *Job) Cost() (rounds, messages int) {
+	for _, p := range job.plans {
+		r, m := p.Cost()
+		rounds += r
+		messages += m
+	}
+	return rounds, messages
 }
 
 type hostKey struct {
@@ -53,8 +125,9 @@ type hostKey struct {
 	key  lbm.Key
 }
 
-// prodGroup is the free local work of one virtual computer: multiply each
-// triangle's pair and accumulate into the per-(i,k) partial key.
+// prodGroup is the free local work of one virtual computer (of one output
+// owner in a trivial job): multiply each triangle's pair and accumulate into
+// the shape's destination key.
 type prodGroup struct {
 	host lbm.NodeID
 	tris []graph.Triangle
@@ -132,7 +205,53 @@ func Plan(n int, l *lbm.Layout, tris []graph.Triangle, kappa int) (*Job, error) 
 	outPlans, outClean := planOutputRouting(n, kappa, order, vnodeOf, vnodeHost, l)
 	job.plans = append(job.plans, outPlans...)
 	job.cleanup = append(job.cleanup, outClean...)
+	job.sh = &lemma31
 	return job, nil
+}
+
+// PlanTrivial preprocesses the trivial algorithm: every triangle is processed
+// at the computer owning its output element, after one h-relation fetches
+// its inputs there. The h-relation's degree is the per-node triangle count,
+// so this is O(d²) rounds on uniformly sparse instances.
+func PlanTrivial(l *lbm.Layout, tris []graph.Triangle) *Job {
+	job := &Job{}
+	if len(tris) == 0 {
+		return job
+	}
+	type fetch struct {
+		to  lbm.NodeID
+		key lbm.Key
+	}
+	seen := map[fetch]bool{}
+	var msgs []routing.Msg
+	add := func(from, to lbm.NodeID, key lbm.Key) {
+		f := fetch{to, key}
+		if seen[f] {
+			return
+		}
+		seen[f] = true
+		msgs = append(msgs, routing.Msg{From: from, To: to, Src: key, Dst: key, Op: lbm.OpSet})
+		if from != to {
+			job.cleanup = append(job.cleanup, hostKey{to, key})
+		}
+	}
+	// Products are grouped by output owner; within a group the triangles keep
+	// their order, so every output accumulates in triangle order.
+	byOwner := make([][]graph.Triangle, l.N)
+	for _, t := range tris {
+		xo := l.OwnerX(t.I, t.K)
+		add(l.OwnerA(t.I, t.J), xo, lbm.AKey(t.I, t.J))
+		add(l.OwnerB(t.J, t.K), xo, lbm.BKey(t.J, t.K))
+		byOwner[xo] = append(byOwner[xo], t)
+	}
+	for host, ts := range byOwner {
+		if len(ts) > 0 {
+			job.products = append(job.products, prodGroup{host: lbm.NodeID(host), tris: ts})
+		}
+	}
+	job.plans = []*lbm.Plan{routing.Schedule(msgs, routing.Auto)}
+	job.sh = &trivial
+	return job
 }
 
 // triple is one entry of a §3.3 routing array.
@@ -339,35 +458,33 @@ func planOutputRouting(n, kappa int, order []graph.Triangle, vnodeOf []int32, vn
 	return []*lbm.Plan{step1, step2, step3}, cleanup
 }
 
-// Run executes the job: input routing plans, the free local products, then
-// the output routing plans, and finally cleans up all staged copies.
+// Run executes the job: the input routing plans, the free local products,
+// then the output routing plans, and finally cleans up all staged copies.
 func Run(m *lbm.Machine, job *Job) error {
-	// plans layout: [A1 A2 A3 B1 B2 B3 out1 out2 out3]; the products happen
-	// between B3 and out1.
-	if len(job.plans) == 0 {
+	sh := job.sh
+	if sh == nil {
 		return nil
 	}
-	if len(job.plans) != 9 {
-		return fmt.Errorf("fewtri: internal error: %d plans", len(job.plans))
-	}
-	m.BeginPhase("lemma31")
+	m.BeginPhase(sh.phase)
 	defer m.EndPhase()
-	m.Counter("kappa", float64(job.Kappa))
-	m.Counter("virtual_nodes", float64(job.VirtualNodes))
-	runStep := func(i int, p *lbm.Plan, what string) error {
-		m.Mark(labels[i])
-		m.BeginPhase(phases[i])
-		err := m.Run(p)
-		m.EndPhase()
-		if err != nil {
-			return fmt.Errorf("fewtri %s routing: %w", what, err)
+	if sh == &lemma31 {
+		m.Counter("kappa", float64(job.Kappa))
+		m.Counter("virtual_nodes", float64(job.VirtualNodes))
+	}
+	runSteps := func(first int, plans []*lbm.Plan, what string) error {
+		for i, p := range plans {
+			m.Mark(sh.labels[first+i])
+			m.BeginPhase(sh.phases[first+i])
+			err := m.Run(p)
+			m.EndPhase()
+			if err != nil {
+				return fmt.Errorf("fewtri %s routing: %w", what, err)
+			}
 		}
 		return nil
 	}
-	for i, p := range job.plans[:6] {
-		if err := runStep(i, p, "input"); err != nil {
-			return err
-		}
+	if err := runSteps(0, job.plans[:sh.in], "input"); err != nil {
+		return err
 	}
 	m.BeginPhase("products")
 	for _, pg := range job.products {
@@ -378,14 +495,12 @@ func Run(m *lbm.Machine, job *Job) error {
 		for _, t := range pg.tris {
 			av := m.MustGet(pg.host, lbm.AKey(t.I, t.J))
 			bv := m.MustGet(pg.host, lbm.BKey(t.J, t.K))
-			m.Acc(pg.host, lbm.PKey(t.I, t.K, pg.vid), m.R.Mul(av, bv))
+			m.Acc(pg.host, sh.dst(t, pg.vid), m.R.Mul(av, bv))
 		}
 	}
 	m.EndPhase()
-	for i, p := range job.plans[6:] {
-		if err := runStep(6+i, p, "output"); err != nil {
-			return err
-		}
+	if err := runSteps(sh.in, job.plans[sh.in:], "output"); err != nil {
+		return err
 	}
 	for _, ck := range job.cleanup {
 		m.Del(ck.host, ck.key)
@@ -403,33 +518,38 @@ type compiledProd struct {
 type CompiledJob struct {
 	kappa        int
 	virtualNodes int
+	sh           *shape
 	plans        []*lbm.CompiledPlan
 	// in and out are the two runs of plans nothing but phase marks separates
-	// — the input routing (plans 0–5) and the output routing (plans 6–8),
-	// with the products between them — declared to the executor as chains so
-	// their rounds can share exchanges across plan boundaries.
+	// — the input routing and the output routing, with the products between
+	// them — declared to the executor as chains so their rounds can share
+	// exchanges across plan boundaries.
 	in, out lbm.Chain
-	// prods keeps the per-virtual-computer grouping so counter replay
-	// matches the map engine's one Counter("triangles") per group.
+	// prods keeps the per-group grouping (virtual computer or output owner)
+	// so counter replay matches the map engine's one Counter("triangles") per
+	// group.
 	prods   [][]compiledProd
 	cleanup []lbm.SlotRef
 }
 
-// Compile lowers a job into the shared slot space.
+// Compile lowers a job into the shared slot space, in execution order.
 func Compile(sp *lbm.SlotSpace, job *Job) (*CompiledJob, error) {
-	cj := &CompiledJob{kappa: job.Kappa, virtualNodes: job.VirtualNodes}
-	if len(job.plans) == 0 {
+	cj := &CompiledJob{kappa: job.Kappa, virtualNodes: job.VirtualNodes, sh: job.sh}
+	if job.sh == nil {
 		return cj, nil
 	}
-	if len(job.plans) != 9 {
-		return nil, fmt.Errorf("fewtri: internal error: %d plans", len(job.plans))
-	}
-	for i, p := range job.plans[:6] {
-		cp, err := lbm.CompileInto(sp, p)
-		if err != nil {
-			return nil, fmt.Errorf("fewtri: compile input plan %d: %w", i, err)
+	compile := func(plans []*lbm.Plan, first int) error {
+		for i, p := range plans {
+			cp, err := lbm.CompileInto(sp, p)
+			if err != nil {
+				return fmt.Errorf("fewtri: compile plan %d: %w", first+i, err)
+			}
+			cj.plans = append(cj.plans, cp)
 		}
-		cj.plans = append(cj.plans, cp)
+		return nil
+	}
+	if err := compile(job.plans[:job.sh.in], 0); err != nil {
+		return nil, err
 	}
 	for _, pg := range job.products {
 		prods := make([]compiledProd, 0, len(pg.tris))
@@ -437,17 +557,13 @@ func Compile(sp *lbm.SlotSpace, job *Job) (*CompiledJob, error) {
 			prods = append(prods, compiledProd{
 				a:   sp.Ref(pg.host, lbm.AKey(t.I, t.J)),
 				b:   sp.Ref(pg.host, lbm.BKey(t.J, t.K)),
-				dst: sp.Ref(pg.host, lbm.PKey(t.I, t.K, pg.vid)),
+				dst: sp.Ref(pg.host, job.sh.dst(t, pg.vid)),
 			})
 		}
 		cj.prods = append(cj.prods, prods)
 	}
-	for i, p := range job.plans[6:] {
-		cp, err := lbm.CompileInto(sp, p)
-		if err != nil {
-			return nil, fmt.Errorf("fewtri: compile output plan %d: %w", 6+i, err)
-		}
-		cj.plans = append(cj.plans, cp)
+	if err := compile(job.plans[job.sh.in:], job.sh.in); err != nil {
+		return nil, err
 	}
 	for _, ck := range job.cleanup {
 		cj.cleanup = append(cj.cleanup, sp.Ref(ck.host, ck.key))
@@ -456,36 +572,21 @@ func Compile(sp *lbm.SlotSpace, job *Job) (*CompiledJob, error) {
 	return cj, nil
 }
 
-// link declares the job's chains once its nine plans are in place.
+// link declares the job's chains once its plans are in place.
 func (cj *CompiledJob) link() {
-	cj.in.Plans, cj.out.Plans = cj.plans[:6], cj.plans[6:]
+	cj.in.Plans, cj.out.Plans = cj.plans[:cj.sh.in], cj.plans[cj.sh.in:]
 }
-
-// phases are the structured phase names of the nine plans, in plan order:
-// anchor/spread/forward are §3.3's three input steps, route/aggregate/deliver
-// their converses for the outputs. labels are the legacy Mark labels of the
-// same plans, kept for the flat Trace view.
-var (
-	phases = [9]string{
-		"A/anchor", "A/spread", "A/forward",
-		"B/anchor", "B/spread", "B/forward",
-		"out/route", "out/aggregate", "out/deliver",
-	}
-	labels = [9]string{
-		"lemma31:A anchor", "lemma31:A spread", "lemma31:A forward",
-		"lemma31:B anchor", "lemma31:B spread", "lemma31:B forward",
-		"lemma31:out route", "lemma31:out reduce", "lemma31:out deliver",
-	}
-)
 
 // AddExchanges appends the job's rounds-versus-exchanges rows, one per
 // routing plan, to the report.
 func (cj *CompiledJob) AddExchanges(rep *lbm.ExchangeReport) {
-	if cj == nil || len(cj.plans) == 0 {
+	if cj == nil || cj.sh == nil {
 		return
 	}
-	rep.AddChain(&cj.in, phases[:6]...)
-	rep.AddChain(&cj.out, phases[6:]...)
+	rep.AddChain(&cj.in, cj.sh.phases[:cj.sh.in]...)
+	if len(cj.out.Plans) > 0 {
+		rep.AddChain(&cj.out, cj.sh.phases[cj.sh.in:]...)
+	}
 }
 
 // MemoryBytes estimates the resident size of the compiled job.
@@ -516,19 +617,22 @@ func (cj *CompiledJob) AddNodeLoads(send, recv []int64) {
 
 // RunCompiled executes a compiled job, mirroring Run phase for phase.
 func RunCompiled(x *lbm.Exec, cj *CompiledJob) error {
-	if len(cj.plans) == 0 {
+	sh := cj.sh
+	if sh == nil {
 		return nil
 	}
-	x.BeginPhase("lemma31")
+	x.BeginPhase(sh.phase)
 	defer x.EndPhase()
-	x.Counter("kappa", float64(cj.kappa))
-	x.Counter("virtual_nodes", float64(cj.virtualNodes))
+	if sh == &lemma31 {
+		x.Counter("kappa", float64(cj.kappa))
+		x.Counter("virtual_nodes", float64(cj.virtualNodes))
+	}
 	// runChain runs one of the job's two chains, plan by plan, with the
 	// marks and phase spans of plans[first:] around each.
 	runChain := func(c *lbm.Chain, first int, what string) error {
 		for i := range c.Plans {
-			x.Mark(labels[first+i])
-			x.BeginPhase(phases[first+i])
+			x.Mark(sh.labels[first+i])
+			x.BeginPhase(sh.phases[first+i])
 			err := x.RunChained(c, i)
 			x.EndPhase()
 			if err != nil {
@@ -571,7 +675,7 @@ func RunCompiled(x *lbm.Exec, cj *CompiledJob) error {
 		}
 	}
 	x.EndPhase()
-	if err := runChain(&cj.out, 6, "output"); err != nil {
+	if err := runChain(&cj.out, sh.in, "output"); err != nil {
 		return err
 	}
 	for _, ref := range cj.cleanup {

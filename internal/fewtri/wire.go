@@ -6,11 +6,13 @@ import (
 	"lbmm/internal/lbm"
 )
 
-// PutWire appends the compiled Lemma 3.1 job to an envelope body.
+// PutWire appends the compiled job to an envelope body. The input and output
+// chains go out as two plan lists, so their lengths record the job's shape.
 func (cj *CompiledJob) PutWire(w *lbm.WireWriter) {
 	w.Int(cj.kappa)
 	w.Int(cj.virtualNodes)
-	w.Plans(cj.plans)
+	w.Plans(cj.in.Plans)
+	w.Plans(cj.out.Plans)
 	w.Count(len(cj.prods))
 	for _, prods := range cj.prods {
 		w.Count(len(prods))
@@ -23,15 +25,19 @@ func (cj *CompiledJob) PutWire(w *lbm.WireWriter) {
 	w.Refs(cj.cleanup)
 }
 
-// GetJob reads what PutWire wrote; failures are recorded on r.
+// GetJob reads what PutWire wrote; failures are recorded on r. A job has
+// no plans, or a shape's: 6 input and 3 output plans for Lemma 3.1, 1 and 0
+// for the trivial algorithm.
 func GetJob(r *lbm.WireReader) *CompiledJob {
-	cj := &CompiledJob{kappa: r.Int(), virtualNodes: r.Int(), plans: r.Plans()}
-	switch n := len(cj.plans); n {
-	case 0:
-	case 9:
-		cj.link()
-	default:
-		r.Fail(fmt.Errorf("fewtri: decode job: %d communication plans (want 0 or 9)", n))
+	cj := &CompiledJob{kappa: r.Int(), virtualNodes: r.Int()}
+	in, out := r.Plans(), r.Plans()
+	if len(in)+len(out) > 0 {
+		if cj.sh = shapeOf(len(in), len(out)); cj.sh == nil {
+			r.Fail(fmt.Errorf("fewtri: decode job: %d input and %d output plans (want 6 and 3, or 1 and 0)", len(in), len(out)))
+		} else {
+			cj.plans = append(in, out...)
+			cj.link()
+		}
 	}
 	if n := r.Count(4); n > 0 {
 		cj.prods = make([][]compiledProd, n)
@@ -46,6 +52,15 @@ func GetJob(r *lbm.WireReader) *CompiledJob {
 	}
 	cj.cleanup = r.Refs()
 	return cj
+}
+
+// Shape names the job's shape: "lemma31", "trivial", or "" for a job with
+// no plans.
+func (cj *CompiledJob) Shape() string {
+	if cj.sh == nil {
+		return ""
+	}
+	return cj.sh.phase
 }
 
 // ValidateRefs checks every slot reference the job touches against the

@@ -91,6 +91,26 @@ func (p *Plan) Extend(q *Plan) {
 // NumRounds returns the number of (non-empty) rounds in the plan.
 func (p *Plan) NumRounds() int { return len(p.Rounds) }
 
+// Cost returns what running the plan charges to Stats.Rounds and
+// Stats.Messages: the rounds with at least one real (From ≠ To) send, and
+// those sends. Rounds are a function of the structure, so a plan's cost is
+// known before anything runs.
+func (p *Plan) Cost() (rounds, messages int) {
+	for _, r := range p.Rounds {
+		real := 0
+		for _, s := range r {
+			if s.From != s.To {
+				real++
+			}
+		}
+		if real > 0 {
+			rounds++
+			messages += real
+		}
+	}
+	return rounds, messages
+}
+
 // MergeParallel overlays several plans that use disjoint sets of computers:
 // round t of the result is the union of round t of every input. The
 // machine's validator still checks the per-node constraints, so an invalid

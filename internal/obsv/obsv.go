@@ -19,7 +19,8 @@
 //
 //	algo     phase1, phase2, unsupported/…
 //	fewtri   lemma31 with children A/anchor, A/spread, A/forward,
-//	         B/…, products, out/route, out/aggregate, out/deliver
+//	         B/…, products, out/route, out/aggregate, out/deliver;
+//	         trivial with children fetch, products
 //	cluster  cluster/batch
 //	dense    dense/cube, dense/strassen with children init, down.L<ℓ>,
 //	         leaf, up.L<ℓ>, final

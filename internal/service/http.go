@@ -36,7 +36,7 @@ type (
 type wireMultiplyRequest struct {
 	N         int         `json:"n"`
 	Ring      string      `json:"ring,omitempty"`      // boolean|counting|minplus|maxplus|gfp|real (default real)
-	Algorithm string      `json:"algorithm,omitempty"` // auto|theorem42|lemma31 (default auto)
+	Algorithm string      `json:"algorithm,omitempty"` // auto|trivial|lemma31|theorem42 (default auto)
 	D         int         `json:"d,omitempty"`
 	A         []wireEntry `json:"a"`
 	B         []wireEntry `json:"b"`

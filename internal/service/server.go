@@ -345,7 +345,7 @@ type MultiplyRequest struct {
 	A, B *matrix.Sparse
 	Xhat *matrix.Support
 	// Options: Ring, D and Algorithm select the plan as in core.Prepare
-	// ("auto", "theorem42" or "lemma31"; the execution-engine and
+	// ("auto", "trivial", "lemma31" or "theorem42"; the execution-engine and
 	// verification fields are ignored by the serving layer).
 	Options core.Options
 	// Trace records a per-request execution profile into the response.
