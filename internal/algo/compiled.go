@@ -1,6 +1,8 @@
 package algo
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 
 	"lbmm/internal/cluster"
@@ -15,17 +17,30 @@ type loadRef struct {
 	ref  lbm.SlotRef
 }
 
+// ErrLoadSlots reports a compiled form whose A, B and X load refs do not
+// number each node's slots 0, 1, 2, … in load order. The loader marks the
+// prefix [0, loaded[v]) present without writing presence per slot, so a gap
+// would expose whatever a pooled executor's previous run left in the slot.
+var ErrLoadSlots = errors.New("algo: load slots are not a prefix")
+
 // compiledPrepared is the compiled twin of a Prepared: the whole pipeline
 // — input loading, phase-1 batches, the staging sweep, the Lemma 3.1 job
 // and output collection — lowered against one shared SlotSpace, so
 // MultiplyBatch is a pure array program. Executors are recycled through
 // pools; in steady state a multiplication allocates no store memory at all.
+//
+// The A, B and X cells are the first keys the SlotSpace sees, and it numbers
+// slots on first sight, so on every node v the loaded slots are exactly the
+// prefix [0, loaded[v]). Loading is therefore a value copy: Exec.BeginLoad
+// marks the prefixes present and the loader writes values into the arenas.
 type compiledPrepared struct {
 	sizes        []int32
 	loadA, loadB []loadRef
 	// x holds the output slots in Xhat row order: zero-initialized before
 	// the run, collected after it.
-	x            []loadRef
+	x []loadRef
+	// loaded[v] is the number of slots node v holds once A, B and X are in.
+	loaded       []int32
 	phase1       []*cluster.CompiledBatch
 	stagingClear []lbm.SlotRef
 	few          *fewtri.CompiledJob
@@ -97,14 +112,28 @@ func compilePrepared(p *Prepared) (*compiledPrepared, error) {
 	}
 	cp.few = few
 	cp.sizes = sp.Sizes()
-	cp.finish(p.R)
+	if err := cp.finish(p.R); err != nil {
+		return nil, err
+	}
 	return cp, nil
 }
 
 // finish completes a compiled form whose instruction state is in place —
-// whether freshly lowered or decoded from a serialized snapshot: it prices
-// the resident size and records the ring the executor pools build over.
-func (cp *compiledPrepared) finish(r ring.Semiring) {
+// whether freshly lowered or decoded from a serialized snapshot: it records
+// the loaded prefixes, prices the resident size and records the ring the
+// executor pools build over. It fails with ErrLoadSlots when the load refs,
+// taken in order, do not number each node's slots from 0 without a gap.
+func (cp *compiledPrepared) finish(r ring.Semiring) error {
+	cp.loaded = make([]int32, len(cp.sizes))
+	for _, refs := range [][]loadRef{cp.loadA, cp.loadB, cp.x} {
+		for _, lr := range refs {
+			v := lr.ref.Node
+			if lr.ref.Slot != cp.loaded[v] {
+				return fmt.Errorf("%w: node %d loads slot %d where slot %d is next", ErrLoadSlots, v, lr.ref.Slot, cp.loaded[v])
+			}
+			cp.loaded[v]++
+		}
+	}
 	cp.bytes = int64(len(cp.loadA)+len(cp.loadB)+len(cp.x)) * 16
 	cp.bytes += int64(len(cp.stagingClear)) * 8
 	for _, cb := range cp.phase1 {
@@ -115,6 +144,7 @@ func (cp *compiledPrepared) finish(r ring.Semiring) {
 		cp.bytes += int64(sz) * 12 // arena value + epoch stamp
 	}
 	cp.r = r
+	return nil
 }
 
 // CompiledBytes reports the estimated resident size of the compiled form

@@ -79,7 +79,8 @@ func (p *Prepared) EncodeCompiled(w *lbm.WireWriter) error {
 // Decoded state crosses a trust boundary (the plan store's files are
 // outside the process), so everything is validated before an executor can
 // touch it: supports are rebuilt with range and sortedness checks, load
-// refs are matched one-to-one against the support entries, and every slot
+// refs are matched one-to-one against the support entries and must number
+// each node's slots from 0 without a gap (ErrLoadSlots), and every slot
 // reference in every embedded program is bounds-checked against the arena
 // geometry.
 func DecodeCompiledPrepared(r *lbm.WireReader) (*Prepared, error) {
@@ -158,7 +159,9 @@ func DecodeCompiledPrepared(r *lbm.WireReader) (*Prepared, error) {
 	if err := cp.few.ValidateRefs(cp.sizes); err != nil {
 		return nil, fmt.Errorf("algo: decode prepared: phase-2 job: %w", err)
 	}
-	cp.finish(rg)
+	if err := cp.finish(rg); err != nil {
+		return nil, fmt.Errorf("algo: decode prepared: %w", err)
+	}
 	return &Prepared{
 		Inst:     graph.NewInstance(d, sups[0], sups[1], sups[2]),
 		R:        rg,

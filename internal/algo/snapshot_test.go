@@ -232,3 +232,51 @@ func TestSnapshotRejectsTampering(t *testing.T) {
 		t.Fatalf("restored ring %#v, want GFp(257)", q.R)
 	}
 }
+
+// TestSnapshotRejectsLoadSlotGap checks the decoder's prefix rule: load refs
+// that leave a gap in a node's slot numbering, reuse a slot or take the
+// prefix out of order are refused with ErrLoadSlots. Each mutation stays
+// inside the arena bounds, so the prefix rule is what fires; a gap that got
+// through would mark a slot present that still holds whatever a pooled
+// executor's previous call left there.
+func TestSnapshotRejectsLoadSlotGap(t *testing.T) {
+	for _, alg := range []string{"trivial", "lemma31", "theorem42"} {
+		for _, tc := range []struct {
+			name   string
+			mutate func(cp *compiledPrepared) bool
+		}{
+			{"gap", func(cp *compiledPrepared) bool {
+				// The last X ref of a node with slots beyond its prefix
+				// skips one slot.
+				for i := len(cp.x) - 1; i >= 0; i-- {
+					if v := cp.x[i].ref.Node; cp.loaded[v] < cp.sizes[v] {
+						cp.x[i].ref.Slot++
+						return true
+					}
+				}
+				return false
+			}},
+			{"reused", func(cp *compiledPrepared) bool {
+				cp.loadB[0].ref = cp.loadA[0].ref
+				return true
+			}},
+			{"out-of-order", func(cp *compiledPrepared) bool {
+				for i := 1; i < len(cp.loadA); i++ {
+					if cp.loadA[i].ref.Node == cp.loadA[0].ref.Node {
+						cp.loadA[0].ref.Slot, cp.loadA[i].ref.Slot = cp.loadA[i].ref.Slot, cp.loadA[0].ref.Slot
+						return true
+					}
+				}
+				return false
+			}},
+		} {
+			p := prepareFor(t, ring.Counting{}, workload.Blocks(16, 4), alg)
+			if !tc.mutate(p.compiled) {
+				t.Fatalf("%s/%s: no load ref to mutate", alg, tc.name)
+			}
+			if _, err := restore(snapshot(t, p)); !errors.Is(err, ErrLoadSlots) {
+				t.Errorf("%s/%s: err = %v, want ErrLoadSlots", alg, tc.name, err)
+			}
+		}
+	}
+}

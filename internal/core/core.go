@@ -22,7 +22,6 @@ import (
 
 	"lbmm/internal/algo"
 	"lbmm/internal/graph"
-	"lbmm/internal/lbm"
 	"lbmm/internal/matrix"
 	"lbmm/internal/ring"
 )
@@ -41,11 +40,6 @@ type Options struct {
 	// through it; Prepare's "auto" keeps the cheapest plan instead (see
 	// Prepare). Merging the two entry points is an open ROADMAP.md item.
 	Algorithm string
-	// SkipVerify disables the built-in check against the sequential
-	// reference product (useful for large benchmarks).
-	SkipVerify bool
-	// Trace records a phase-annotated per-round timeline into the Report.
-	Trace bool
 	// Unsupported drops the supported-model assumption: the computers
 	// first disseminate the sparsity structure at run time
 	// (Θ(nnz + log n) rounds, reported in the Report), then run the
@@ -104,18 +98,12 @@ func Multiply(a, b *matrix.Sparse, xhat *matrix.Support, opts Options) (*matrix.
 		alg = algo.Unsupported(alg)
 	}
 
-	var mopts []lbm.Option
-	if opts.Trace {
-		mopts = append(mopts, lbm.WithTrace())
-	}
-	res, got, err := algo.Solve(r, inst, a, b, alg, mopts...)
+	res, got, err := algo.Solve(r, inst, a, b, alg)
 	if err != nil {
 		return nil, nil, err
 	}
-	if !opts.SkipVerify {
-		if err := algo.Verify(got, a, b, xhat); err != nil {
-			return nil, nil, fmt.Errorf("core: internal verification failed: %w", err)
-		}
+	if err := algo.Verify(got, a, b, xhat); err != nil {
+		return nil, nil, fmt.Errorf("core: internal verification failed: %w", err)
 	}
 	rep.Result = *res
 	return got, rep, nil

@@ -286,26 +286,21 @@ func TestPrepareAndReuse(t *testing.T) {
 	}
 }
 
-func TestMultiplyTraceOption(t *testing.T) {
-	r := ring.Counting{}
+// TestMultiplyDefaultRing checks that Multiply without a ring computes over
+// the reals: the product equals the one asked for with ring.Real explicitly.
+func TestMultiplyDefaultRing(t *testing.T) {
 	inst := workload.Instance(matrix.US, matrix.US, matrix.US, 16, 2, 5)
-	a := matrix.Random(inst.Ahat, r, 1)
-	b := matrix.Random(inst.Bhat, r, 2)
-	_, rep, err := Multiply(a, b, inst.Xhat, Options{Ring: r, D: 2, Trace: true})
+	a := matrix.Random(inst.Ahat, ring.Real{}, 1)
+	b := matrix.Random(inst.Bhat, ring.Real{}, 2)
+	got, rep, err := Multiply(a, b, inst.Xhat, Options{D: 2})
+	if err != nil || rep == nil {
+		t.Fatal(err)
+	}
+	want, _, err := Multiply(a, b, inst.Xhat, Options{Ring: ring.Real{}, D: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Timeline == "" {
-		t.Error("trace requested but no timeline")
-	}
-	// SkipVerify path.
-	if _, _, err := Multiply(a, b, inst.Xhat, Options{Ring: r, D: 2, SkipVerify: true}); err != nil {
-		t.Fatal(err)
-	}
-	// Default ring (Real).
-	ar := matrix.Random(inst.Ahat, ring.Real{}, 1)
-	br := matrix.Random(inst.Bhat, ring.Real{}, 2)
-	if _, rep, err := Multiply(ar, br, inst.Xhat, Options{D: 2}); err != nil || rep == nil {
-		t.Fatal(err)
+	if !matrix.Equal(got, want) {
+		t.Error("the default ring is not ring.Real")
 	}
 }

@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"lbmm/internal/algo"
 	"lbmm/internal/graph"
 	"lbmm/internal/matrix"
 	"lbmm/internal/ring"
@@ -293,5 +295,69 @@ func TestEnvelopeRejectsCorruption(t *testing.T) {
 		if _, err := DecodePrepared(bytes.NewReader(bad)); !errors.Is(err, ErrEnvelope) {
 			t.Fatalf("%s: err=%v, want ErrEnvelope", tc.name, err)
 		}
+	}
+}
+
+// loadSlotGap returns p's envelope with one load ref moved off its node's
+// slot prefix: the last X ref of a node whose arena has slots beyond the
+// prefix points one slot further, leaving a gap, and the header is resealed
+// so the body reader is what must refuse it. The offsets follow the body
+// layout of Encode and algo.EncodeCompiled up to the load refs.
+func loadSlotGap(t *testing.T, p *Prepared) []byte {
+	t.Helper()
+	env := encode(t, p)
+	u32 := func(off int) int { return int(binary.LittleEndian.Uint32(env[off:])) }
+	in := p.inner
+	off := hdrLen + 4 + len(p.Algorithm) + 8 + 4*4 // Algorithm, D, Classes, Band
+	off += 4 + len(in.Name) + 4 + len(in.R.Name()) + 3*8
+	for _, sup := range []*matrix.Support{in.Inst.Ahat, in.Inst.Bhat, in.Inst.Xhat} {
+		off += 4
+		for _, row := range sup.Rows {
+			off += 4 + 4*len(row)
+		}
+	}
+	off += 6 * 8 // the Result skeleton
+	sizes := make([]int, u32(off))
+	for v := range sizes {
+		sizes[v] = u32(off + 4 + 4*v)
+	}
+	off += 4 + 4*len(sizes)
+	// Walk the A, B and X ref slabs, counting each node's loaded slots and
+	// remembering where each node's last ref sits.
+	loaded := make([]int, len(sizes))
+	last := make([]int, len(sizes))
+	for section := 0; section < 3; section++ {
+		n := u32(off)
+		off += 4
+		for i := 0; i < n; i, off = i+1, off+8 {
+			v := u32(off)
+			loaded[v]++
+			last[v] = off
+		}
+	}
+	for v := range sizes {
+		if loaded[v] > 0 && loaded[v] < sizes[v] {
+			slot := last[v] + 4
+			binary.LittleEndian.PutUint32(env[slot:], uint32(u32(slot)+1))
+			return reseal(env)
+		}
+	}
+	t.Fatalf("no node of %s has slots beyond its load prefix", p.Algorithm)
+	return nil
+}
+
+// TestDecodeRejectsLoadSlotGap checks that an envelope whose load refs do
+// not tile each node's slot prefix is refused at decode, typed both as a
+// damaged envelope and as the prefix violation, for every plan shape — and
+// that the committed load-slot-gap fuzz seed still reaches that rule.
+func TestDecodeRejectsLoadSlotGap(t *testing.T) {
+	for _, s := range envShapes(t) {
+		if _, err := DecodePrepared(bytes.NewReader(loadSlotGap(t, s.p))); !errors.Is(err, ErrEnvelope) || !errors.Is(err, algo.ErrLoadSlots) {
+			t.Errorf("%s: err = %v, want ErrEnvelope wrapping algo.ErrLoadSlots", s.name, err)
+		}
+	}
+	seed := readSeed(t, filepath.Join("testdata", "fuzz", "FuzzDecodePrepared", "load-slot-gap"))
+	if _, err := DecodePrepared(bytes.NewReader(seed)); !errors.Is(err, algo.ErrLoadSlots) {
+		t.Errorf("load-slot-gap seed: err = %v, want algo.ErrLoadSlots", err)
 	}
 }

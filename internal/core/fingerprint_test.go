@@ -96,10 +96,6 @@ func TestFingerprintDiscriminates(t *testing.T) {
 	if got, _ := Fingerprint(a, b, x, Options{Ring: ring.Counting{}, D: d + 3}); got == base {
 		t.Error("d change not reflected")
 	}
-	// Execution-engine fields are not part of the plan identity.
-	if got, _ := Fingerprint(a, b, x, Options{Ring: ring.Counting{}, Trace: true, SkipVerify: true}); got != base {
-		t.Error("engine options must not change the key")
-	}
 
 	// Dimension mismatch errors.
 	if _, err := Fingerprint(a, b, matrix.NewSupport(n+1, nil), Options{}); err == nil {

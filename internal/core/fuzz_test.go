@@ -19,27 +19,34 @@ func TestFuzzSeedsDecode(t *testing.T) {
 		t.Fatalf("valid seeds %v (err=%v), want one per plan shape", seeds, err)
 	}
 	for _, path := range seeds {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lit := strings.TrimSuffix(strings.TrimPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte("), ")")
-		env, err := strconv.Unquote(lit)
-		if err != nil {
-			t.Fatalf("%s: not a []byte corpus entry: %v", path, err)
-		}
-		if _, err := DecodePrepared(strings.NewReader(env)); err != nil {
+		if _, err := DecodePrepared(bytes.NewReader(readSeed(t, path))); err != nil {
 			t.Fatalf("%s no longer decodes: %v", path, err)
 		}
 	}
 }
 
+// readSeed returns the input of one committed []byte corpus entry.
+func readSeed(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := strings.TrimSuffix(strings.TrimPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte("), ")")
+	env, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatalf("%s: not a []byte corpus entry: %v", path, err)
+	}
+	return []byte(env)
+}
+
 // FuzzDecodePrepared feeds arbitrary bytes to the one decoder that reads
 // compiled plans from outside the process (plan-store files, mesh job
 // frames). The seed corpus (testdata/fuzz/FuzzDecodePrepared) holds one
-// valid envelope per plan shape of envShapes, a body cut in half and a slab
-// length that exceeds the body, the last two resealed so they reach the
-// body reader. The property: a decode ends in a typed error, or in a
+// valid envelope per plan shape of envShapes, a body cut in half, a slab
+// length that exceeds the body and load refs with a gap in a node's slot
+// prefix (loadSlotGap), the last three resealed so they reach the body
+// reader. The property: a decode ends in a typed error, or in a
 // Prepared whose re-encoding decodes to the same plan — never a panic, and
 // never more heap than a fixed multiple of the input.
 func FuzzDecodePrepared(f *testing.F) {

@@ -82,7 +82,9 @@ func hostileRound(t testing.TB, script []byte) (mesh *Mesh, peer *scriptConn, be
 	}
 	x := lbm.NewExecBatch(sp.Sizes(), lanes, ring.Real{}, lbm.WithTransport(mesh))
 	for v := int32(0); v < 4; v++ {
-		x.PutLanes(sp.Ref(v, lbm.AKey(v, v)), []ring.Value{float64(10 + v), float64(20 + v)})
+		for lane := 0; lane < lanes; lane++ {
+			x.PutLane(sp.Ref(v, lbm.AKey(v, v)), lane, float64(10*(lane+1)+int(v)))
+		}
 	}
 	snapshot := func() []uint64 {
 		var s []uint64

@@ -163,37 +163,58 @@ func TestCompiledParityRandom(t *testing.T) {
 // TestExecCycleAllocFree pins the pooled reuse cycle of the nil-transport
 // walk: load, Run and Reset of one executor over a multi-round plan with
 // real messages allocate nothing once a warm-up pass has sized RoundBytes
-// and the round scratch, at one lane and at several.
+// and the round scratch, at one lane and at several, whether the inputs go
+// in slot by slot (PutLane) or as a value copy behind BeginLoad's prefix
+// stamp.
 func TestExecCycleAllocFree(t *testing.T) {
 	r := ring.Counting{}
 	p, loads := randomPlan(rand.New(rand.NewSource(1)), 6, 10, false)
 	sp := NewSlotSpace(6)
-	for _, l := range loads {
-		sp.Slot(l.node, l.key)
+	refs := make([]SlotRef, len(loads))
+	for i, l := range loads {
+		refs[i] = sp.Ref(l.node, l.key)
 	}
+	loaded := sp.Sizes()
 	cp, err := CompileInto(sp, p)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	for _, lanes := range []int{1, 4} {
 		x := NewExecBatch(sp.Sizes(), lanes, r)
-		cycle := func() {
-			for _, l := range loads {
+		put := func() {
+			for i, l := range loads {
 				for lane := 0; lane < lanes; lane++ {
-					x.PutLane(sp.Ref(l.node, l.key), lane, l.val)
+					x.PutLane(refs[i], lane, l.val)
 				}
 			}
-			if err := x.Run(cp); err != nil {
-				t.Fatalf("lanes %d: %v", lanes, err)
-			}
-			if x.Rounds() == 0 {
-				t.Fatalf("lanes %d: the plan moved no real message", lanes)
-			}
-			x.Reset()
 		}
-		cycle()
-		if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
-			t.Errorf("lanes %d: load+Run+Reset allocates %v times per cycle, want 0", lanes, allocs)
+		stamp := func() {
+			arena := x.BeginLoad(loaded)
+			for i, l := range loads {
+				dst := arena[refs[i].Node][int(refs[i].Slot)*lanes:][:lanes]
+				for lane := range dst {
+					dst[lane] = l.val
+				}
+			}
+		}
+		for _, ld := range []struct {
+			name string
+			load func()
+		}{{"put", put}, {"stamp", stamp}} {
+			cycle := func() {
+				ld.load()
+				if err := x.Run(cp); err != nil {
+					t.Fatalf("lanes %d %s: %v", lanes, ld.name, err)
+				}
+				if x.Rounds() == 0 {
+					t.Fatalf("lanes %d %s: the plan moved no real message", lanes, ld.name)
+				}
+				x.Reset()
+			}
+			cycle()
+			if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+				t.Errorf("lanes %d: %s load+Run+Reset allocates %v times per cycle, want 0", lanes, ld.name, allocs)
+			}
 		}
 	}
 }

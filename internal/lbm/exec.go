@@ -174,6 +174,9 @@ func (x *Exec) present(node int32, slot int32) bool {
 	return x.stamp[node][slot] == x.epoch
 }
 
+// Present reports whether a slot currently holds a value.
+func (x *Exec) Present(r SlotRef) bool { return x.present(int32(r.Node), r.Slot) }
+
 // markPresent flags a slot as holding a value, maintaining the live count
 // and the peak-store statistic exactly as the map engine's applyOp does.
 func (x *Exec) markPresent(node int32, slot int32) {
@@ -226,15 +229,32 @@ func (x *Exec) PutLane(r SlotRef, lane int, v ring.Value) {
 	x.markPresent(int32(r.Node), r.Slot)
 }
 
-// PutLanes stores every lane of a slot at once (len(vs) = Lanes), with one
-// presence update — the bulk form of PutLane for batched loading.
-func (x *Exec) PutLanes(r SlotRef, vs []ring.Value) {
-	if !x.Owns(r.Node) {
-		return
+// BeginLoad marks slots [0, loaded[v]) present on every owned node v and
+// returns the arenas, for the caller to fill every lane of those slots
+// (slot s lane l at arena[v][s*Lanes+l]) before the first Run. Live counts
+// and PeakStore end where putting the slots one by one would leave them.
+// It is the bulk load of a structure whose input slots were numbered first
+// on every node, so presence is known without looking at any value. Writes
+// to a non-owned node's arena are never read: its slots stay absent.
+func (x *Exec) BeginLoad(loaded []int32) [][]ring.Value {
+	for v, n := range loaded {
+		if !x.Owns(NodeID(v)) {
+			continue
+		}
+		st := x.stamp[v][:n]
+		added := int32(0)
+		for s := range st {
+			if st[s] != x.epoch {
+				st[s] = x.epoch
+				added++
+			}
+		}
+		x.live[v] += added
+		if int(x.live[v]) > x.stats.PeakStore {
+			x.stats.PeakStore = int(x.live[v])
+		}
 	}
-	i := int(r.Slot) * x.lanes
-	copy(x.arena[r.Node][i:i+x.lanes], vs)
-	x.markPresent(int32(r.Node), r.Slot)
+	return x.arena
 }
 
 // AccSlot adds v into the slot's lane-0 value (missing reads as the ring

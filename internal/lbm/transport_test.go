@@ -349,6 +349,80 @@ func TestPartitionedParityExec(t *testing.T) {
 	}
 }
 
+// TestLoadPrefixPartitioned checks BeginLoad under a 3-participant
+// partition, with 2 lanes: it stamps only the owned nodes' input prefixes,
+// and each participant then runs to the same stores and Stats as one loaded
+// slot by slot with PutLane (which drops non-owned writes).
+func TestLoadPrefixPartitioned(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	const ranks, lanes = 3, 2
+	for trial := 0; trial < 20; trial++ {
+		table := testTables[trial%len(testTables)]
+		p, loads := randomPlan(rng, 6, 1+rng.Intn(6), true)
+		sp := NewSlotSpace(6)
+		for _, l := range loads {
+			sp.Slot(l.node, l.key)
+		}
+		loaded := sp.Sizes()
+		cp, err := CompileInto(sp, p)
+		if err != nil {
+			t.Fatalf("trial %d: compile: %v", trial, err)
+		}
+		run := func(stamp bool) []*Exec {
+			xs := make([]*Exec, ranks)
+			_, errs := runPartitioned(ranks, table, func(rank int, tt *testTransport) error {
+				x := NewExecBatch(sp.Sizes(), lanes, ring.Real{}, WithTransport(tt))
+				xs[rank] = x
+				if !stamp {
+					for _, l := range loads {
+						for lane := 0; lane < lanes; lane++ {
+							x.PutLane(sp.Ref(l.node, l.key), lane, l.val+ring.Value(lane))
+						}
+					}
+					return x.Run(cp)
+				}
+				arena := x.BeginLoad(loaded)
+				for _, l := range loads {
+					ref := sp.Ref(l.node, l.key)
+					for lane := 0; lane < lanes; lane++ {
+						arena[ref.Node][int(ref.Slot)*lanes+lane] = l.val + ring.Value(lane)
+					}
+				}
+				for v, n := range loaded {
+					for slot := int32(0); slot < n; slot++ {
+						if got := x.Present(SlotRef{Node: NodeID(v), Slot: slot}); got != tt.Owns(NodeID(v)) {
+							return fmt.Errorf("rank %d: node %d slot %d present=%v after BeginLoad", rank, v, slot, got)
+						}
+					}
+				}
+				return x.Run(cp)
+			})
+			for rank, err := range errs {
+				if err != nil {
+					t.Fatalf("trial %d stamp %v rank %d: %v", trial, stamp, rank, err)
+				}
+			}
+			return xs
+		}
+		put, stamped := run(false), run(true)
+		for rank := 0; rank < ranks; rank++ {
+			sp.EachKey(func(node NodeID, k Key, slot int32) {
+				for lane := 0; lane < lanes; lane++ {
+					pv, pok := put[rank].GetLane(SlotRef{Node: node, Slot: slot}, lane)
+					sv, sok := stamped[rank].GetLane(SlotRef{Node: node, Slot: slot}, lane)
+					if pok != sok || pv != sv {
+						t.Errorf("trial %d rank %d node %d key %v lane %d: put (%v,%v) vs stamp (%v,%v)",
+							trial, rank, node, k, lane, pv, pok, sv, sok)
+					}
+				}
+			})
+			if !reflect.DeepEqual(put[rank].Stats(), stamped[rank].Stats()) {
+				t.Fatalf("trial %d rank %d: stats diverge:\n put   %+v\n stamp %+v", trial, rank, put[rank].Stats(), stamped[rank].Stats())
+			}
+		}
+	}
+}
+
 // TestPartitionedFaultIdentity checks that under a shared injector every
 // participant aborts with the same typed fault, before any frame is sent —
 // the property that keeps a real mesh from stranding peers at the barrier.

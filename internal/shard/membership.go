@@ -110,8 +110,6 @@ type Config struct {
 	// Logf, when non-nil, receives membership events (joins, repairs,
 	// departures) — the operator trail.
 	Logf func(format string, args ...any)
-	// Client performs peer HTTP calls (default: a client with PingTimeout).
-	Client *http.Client
 	// AuthToken, when non-empty, guards the state-mutating membership
 	// endpoints (POST /shard/v1/join|view|leave): requests must carry
 	// "Authorization: Bearer <token>" or are refused with 403. The node
@@ -143,9 +141,6 @@ func (c Config) withDefaults() Config {
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
-	if c.Client == nil {
-		c.Client = &http.Client{Timeout: c.PingTimeout}
-	}
 	return c
 }
 
@@ -167,6 +162,7 @@ type Node struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 	metrics  *obsv.CounterSet
+	client   *http.Client // peer calls, each bounded by PingTimeout
 }
 
 // NewNode builds a node; it does not join anything until Start.
@@ -177,6 +173,7 @@ func NewNode(cfg Config) *Node {
 		self:    Member{ID: cfg.ID, Addr: cfg.Addr},
 		stop:    make(chan struct{}),
 		metrics: cfg.Metrics,
+		client:  &http.Client{Timeout: cfg.PingTimeout},
 	}
 	n.adoptLocked(View{Epoch: 1, Members: []Member{n.self}}, "boot")
 	return n
@@ -472,7 +469,7 @@ func (n *Node) postJSON(addr, path string, body []byte) (View, error) {
 }
 
 func (n *Node) doView(req *http.Request) (View, error) {
-	resp, err := n.cfg.Client.Do(req)
+	resp, err := n.client.Do(req)
 	if err != nil {
 		return View{}, err
 	}
