@@ -202,10 +202,11 @@ func handleMultiply(s *Server, w http.ResponseWriter, r *http.Request) {
 		writeServeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, &wireMultiplyResponse{
+	out := &wireMultiplyResponse{
 		X:                  sparseEntries(resp.X),
 		wireMultiplyReport: BuildWireReport(resp),
-	})
+	}
+	writeBody(w, out.AppendJSON)
 }
 
 func handleMultiplyBatch(s *Server, w http.ResponseWriter, r *http.Request) {
@@ -255,7 +256,7 @@ func handleMultiplyBatch(s *Server, w http.ResponseWriter, r *http.Request) {
 	for l, x := range resp.X {
 		out.Lanes[l] = sparseEntries(x)
 	}
-	writeJSON(w, http.StatusOK, out)
+	writeBody(w, out.AppendJSON)
 }
 
 func handlePrepare(s *Server, w http.ResponseWriter, r *http.Request) {
@@ -518,6 +519,32 @@ func cacheWord(hit bool) string {
 		return "hit"
 	}
 	return "miss"
+}
+
+// respPool recycles the buffers success bodies are appended into, on the
+// bodyPool pattern: one that grew past maxPooledBody is dropped.
+var respPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeBody answers 200 with the body appendJSON writes, plus the newline
+// json.Encoder ends a value with, so the bytes are the ones writeJSON wrote
+// for the same value. A value encoding/json refuses (a non-finite product) is
+// a 500 naming it, before anything is written.
+func writeBody(w http.ResponseWriter, appendJSON func([]byte) ([]byte, error)) {
+	buf := respPool.Get().(*[]byte)
+	defer func() {
+		if cap(*buf) <= maxPooledBody {
+			respPool.Put(buf)
+		}
+	}()
+	var err error
+	if *buf, err = appendJSON((*buf)[:0]); err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	*buf = append(*buf, '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(*buf) // a client that hung up has nothing left to be told
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

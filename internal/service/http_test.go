@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -270,6 +271,95 @@ func TestHTTPMultiplyBatch(t *testing.T) {
 	})
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("mixed-structure batch: status %d, want 400: %s", rec.Code, rec.Body)
+	}
+}
+
+// reencode decodes a response body into v and encodes it again with
+// json.Encoder: the bytes writeJSON wrote for the same value.
+func reencode(t *testing.T, body []byte, v any) []byte {
+	t.Helper()
+	if err := json.Unmarshal(body, v); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestHTTPMultiplyBodiesMatchEncodingJSON pins the success bodies of
+// /v1/multiply and /v1/multiply/batch, written by the wire appenders, to
+// encoding/json's bytes for the same response — integral and fractional
+// products, with and without a profile, the trailing newline included.
+func TestHTTPMultiplyBodiesMatchEncodingJSON(t *testing.T) {
+	srv := NewServer(Config{CacheSize: 8})
+	defer srv.Close()
+	h := NewHandler(srv)
+	inst := workload.Blocks(16, 4)
+	xpos := supportPositions(inst.Xhat)
+	for _, rn := range []string{"counting", "real"} {
+		r, err := resolveRing(rn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, trace := range []bool{false, true} {
+			a := matrix.Random(inst.Ahat, r, 1)
+			b := matrix.Random(inst.Bhat, r, 2)
+			if rn == "real" {
+				// Fractional products, some under 1e-6: the 'e' form.
+				for _, row := range a.Rows {
+					for k := range row {
+						row[k].Val /= 3
+					}
+				}
+				for i, row := range b.Rows {
+					for k := range row {
+						row[k].Val *= math.Pow(10, -float64(i%9))
+					}
+				}
+			}
+			rec := postJSON(t, h, "/v1/multiply", wireMultiplyRequest{
+				N: inst.N, Ring: rn, A: sparseEntries(a), B: sparseEntries(b), Xhat: xpos, Trace: trace,
+			})
+			if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/json" {
+				t.Fatalf("%s multiply: status %d %q: %s", rn, rec.Code, rec.Header().Get("Content-Type"), rec.Body)
+			}
+			if want := reencode(t, rec.Body.Bytes(), new(wireMultiplyResponse)); !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Errorf("%s multiply (trace %v) body\n%s\nencoding/json\n%s", rn, trace, rec.Body, want)
+			}
+
+			lanes := []wireValueLane{
+				{A: sparseEntries(a), B: sparseEntries(b)},
+				{A: sparseEntries(matrix.Random(inst.Ahat, r, 3)), B: sparseEntries(matrix.Random(inst.Bhat, r, 4))},
+			}
+			rec = postJSON(t, h, "/v1/multiply/batch", wireMultiplyBatchRequest{
+				N: inst.N, Ring: rn, Lanes: lanes, Xhat: xpos, Trace: trace,
+			})
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s batch: status %d: %s", rn, rec.Code, rec.Body)
+			}
+			if want := reencode(t, rec.Body.Bytes(), new(wireMultiplyBatchResponse)); !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Errorf("%s batch (trace %v) body\n%s\nencoding/json\n%s", rn, trace, rec.Body, want)
+			}
+		}
+	}
+}
+
+// TestHTTPNonFiniteProduct pins the answer to a product JSON cannot carry:
+// 1e308·1e308 − 1e308·1e308 is +Inf + −Inf = NaN, and the response is a 500
+// naming it, not a 200 with an empty body.
+func TestHTTPNonFiniteProduct(t *testing.T) {
+	srv := NewServer(Config{})
+	defer srv.Close()
+	rec := postJSON(t, NewHandler(srv), "/v1/multiply", wireMultiplyRequest{
+		N: 2, A: []wireEntry{{0, 0, 1e308}, {0, 1, -1e308}}, B: []wireEntry{{0, 0, 1e308}, {1, 0, 1e308}},
+		Xhat: []wirePos{{0, 0}},
+	})
+	var body wireError
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code != http.StatusInternalServerError ||
+		body.Error != "json: unsupported value: NaN" {
+		t.Fatalf("status %d, body %q: want 500 with the unsupported value named", rec.Code, rec.Body)
 	}
 }
 

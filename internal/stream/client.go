@@ -53,12 +53,15 @@ type Client struct {
 	body io.ReadCloser
 
 	mu      sync.Mutex
-	enc     *json.Encoder
+	buf     []byte // the frame being written, reused across frames
 	pending map[string]*Call
 	closed  bool
 	// lastXhat is the support most recently shipped explicitly; a submit
 	// whose xhat matches it is sent as a same_xhat frame instead — the
-	// repeated-products regime pays for its (identical) support once.
+	// repeated-products regime pays for its (identical) support once. It
+	// advances only once a frame carrying a new support was written: a
+	// submit that fails to encode never reaches the server, so it must not
+	// move the client's elision state either.
 	lastXhat []service.WirePos
 
 	readerDone chan struct{}
@@ -90,11 +93,13 @@ func Dial(ctx context.Context, baseURL string, hc *http.Client) (*Client, error)
 	c := &Client{
 		pw:         pw,
 		body:       resp.Body,
-		enc:        json.NewEncoder(pw),
 		pending:    map[string]*Call{},
 		readerDone: make(chan struct{}),
 	}
-	if err := c.enc.Encode(Frame{Type: TypeHello, Proto: Proto}); err != nil {
+	c.mu.Lock()
+	err = c.write(&Frame{Type: TypeHello, Proto: Proto})
+	c.mu.Unlock()
+	if err != nil {
 		c.teardown()
 		return nil, fmt.Errorf("stream: hello: %w", err)
 	}
@@ -137,24 +142,34 @@ func (c *Client) Submit(id string, wm *service.WireMultiply) (*Call, error) {
 	}
 	c.pending[id] = call
 	f := Frame{Type: TypeSubmit, ID: id, Submit: wm}
-	if len(wm.Xhat) > 0 && slices.Equal(wm.Xhat, c.lastXhat) {
+	newXhat := len(wm.Xhat) > 0 && !slices.Equal(wm.Xhat, c.lastXhat)
+	if len(wm.Xhat) > 0 && !newXhat {
 		// Ship a copy with the support elided rather than mutating the
 		// caller's request.
 		elided := *wm
 		elided.Xhat = nil
 		f.Submit, f.SameXhat = &elided, true
-	} else if len(wm.Xhat) > 0 {
-		c.lastXhat = wm.Xhat
 	}
-	err := c.enc.Encode(f)
+	err := c.write(&f)
 	if err != nil {
 		delete(c.pending, id)
+	} else if newXhat {
+		c.lastXhat = wm.Xhat
 	}
 	c.mu.Unlock()
 	if err != nil {
 		return nil, fmt.Errorf("stream: submit: %w", err)
 	}
 	return call, nil
+}
+
+// write appends f into the client's buffer and ships it in one pipe write;
+// a frame that does not encode writes nothing. The caller holds c.mu.
+func (c *Client) write(f *Frame) (err error) {
+	if c.buf, err = appendFrame(c.buf[:0], f); err == nil {
+		_, err = c.pw.Write(c.buf)
+	}
+	return err
 }
 
 // readLoop fans incoming frames to their Call handles until the server

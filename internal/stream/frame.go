@@ -15,7 +15,11 @@
 // wrapping its request body in a frame, nothing else.
 package stream
 
-import "lbmm/internal/service"
+import (
+	"strconv"
+
+	"lbmm/internal/service"
+)
 
 // Proto is the protocol version pinned by the hello exchange.
 const Proto = "lbmm.stream.v1"
@@ -96,6 +100,54 @@ func scanFrame(line []byte) (Frame, error) {
 		})
 	})
 	return f, err
+}
+
+// appendFrame appends f as one NDJSON line, byte for byte what json.Encoder
+// writes for it (field order and omitempty rules of the struct tags, the
+// trailing newline), through the serving layer's wire appenders. A NaN or
+// ±Inf value is refused with *json.UnsupportedValueError and nothing is
+// appended.
+func appendFrame(b []byte, f *Frame) ([]byte, error) {
+	start := len(b)
+	b = service.AppendString(append(b, `{"type":`...), f.Type)
+	if f.Proto != "" {
+		b = service.AppendString(append(b, `,"proto":`...), f.Proto)
+	}
+	if f.MaxInflight != 0 {
+		b = strconv.AppendInt(append(b, `,"max_inflight":`...), int64(f.MaxInflight), 10)
+	}
+	if f.ID != "" {
+		b = service.AppendString(append(b, `,"id":`...), f.ID)
+	}
+	if f.Ticket != 0 {
+		b = strconv.AppendUint(append(b, `,"ticket":`...), f.Ticket, 10)
+	}
+	var err error
+	if f.Submit != nil {
+		if b, err = f.Submit.AppendJSON(append(b, `,"submit":`...)); err != nil {
+			return b[:start], err
+		}
+	}
+	if f.SameXhat {
+		b = append(b, `,"same_xhat":true`...)
+	}
+	if len(f.X) > 0 {
+		if b, err = service.AppendEntries(append(b, `,"x":`...), f.X); err != nil {
+			return b[:start], err
+		}
+	}
+	if f.Report != nil {
+		if b, err = f.Report.AppendJSON(append(b, `,"report":`...)); err != nil {
+			return b[:start], err
+		}
+	}
+	if f.Code != 0 {
+		b = strconv.AppendInt(append(b, `,"code":`...), int64(f.Code), 10)
+	}
+	if f.Error != "" {
+		b = service.AppendString(append(b, `,"error":`...), f.Error)
+	}
+	return append(b, '}', '\n'), nil
 }
 
 // Counter names published by the streaming layer (gauges noted).

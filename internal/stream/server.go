@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -317,12 +316,19 @@ func (s *session) send(f Frame) {
 }
 
 // writer is the session's single response writer: frames leave in enqueue
-// order, each bounded by WriteTimeout. A write failure (client gone, or a
-// peer that stopped reading past the deadline) cancels the session so
-// pending delivers drop their results instead of backing up into workers.
+// order, each appended into one reused buffer and bounded by WriteTimeout. A
+// write failure (client gone, or a peer that stopped reading past the
+// deadline) or a frame that does not encode cancels the session so pending
+// delivers drop their results instead of backing up into workers.
 func (s *session) writer(w http.ResponseWriter, rc *http.ResponseController, done chan<- struct{}) {
 	defer close(done)
-	enc := json.NewEncoder(w)
+	var buf []byte
+	write := func(f *Frame) (err error) {
+		if buf, err = appendFrame(buf[:0], f); err == nil {
+			_, err = w.Write(buf)
+		}
+		return err
+	}
 	fail := func() {
 		s.cancel()
 		for range s.out { // drain so enqueuers never block on a dead writer
@@ -330,7 +336,7 @@ func (s *session) writer(w http.ResponseWriter, rc *http.ResponseController, don
 	}
 	for f := range s.out {
 		_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		if err := enc.Encode(f); err != nil {
+		if err := write(&f); err != nil {
 			fail()
 			return
 		}
@@ -344,7 +350,7 @@ func (s *session) writer(w http.ResponseWriter, rc *http.ResponseController, don
 					_ = rc.Flush()
 					return
 				}
-				if err := enc.Encode(f); err != nil {
+				if err := write(&f); err != nil {
 					fail()
 					return
 				}

@@ -3,12 +3,16 @@ package stream
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -405,6 +409,86 @@ func TestStreamStickySupportSurvivesBackpressure(t *testing.T) {
 	}
 	if reuse := ms.Get(MetricXhatReuse); reuse != 1 {
 		t.Errorf("stream/xhat_reuse = %d, want 1 (only the retry elides)", reuse)
+	}
+}
+
+// countingTransport counts the request body bytes the transport reads — what
+// a client actually shipped on its session.
+type countingTransport struct{ sent atomic.Int64 }
+
+func (t *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	req = req.Clone(req.Context())
+	req.Body = countingBody{req.Body, &t.sent}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+type countingBody struct {
+	io.ReadCloser
+	n *atomic.Int64
+}
+
+func (b countingBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	b.n.Add(int64(n))
+	return n, err
+}
+
+// TestStreamStickyAfterFailedSubmit pins that the client's sticky support
+// advances only on a frame it shipped: a submit carrying a new xhat whose
+// values do not encode (NaN) fails without writing a byte, and the next
+// submit with that same new xhat must ship it explicitly — not elide it as
+// same_xhat and have the server compute over the previous support.
+func TestStreamStickyAfterFailedSubmit(t *testing.T) {
+	ms := obsv.NewCounterSet()
+	_, ts := newStreamServer(t, service.Config{Metrics: ms}, Config{Metrics: ms})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	tr := &countingTransport{}
+	c, err := Dial(ctx, ts.URL, &http.Client{Transport: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// X[0][1] = 2·5 = 10 and X[1][0] = 3·7 = 21.
+	a := []service.WireEntry{{0, 0, 2}, {1, 1, 3}}
+	b := []service.WireEntry{{0, 1, 5}, {1, 0, 7}}
+	lane := func(id string, a []service.WireEntry, xhat service.WirePos) (*Call, error) {
+		return c.Submit(id, &service.WireMultiply{N: 2, A: a, B: b, Xhat: []service.WirePos{xhat}})
+	}
+	outcome := func(call *Call) []service.WireEntry {
+		t.Helper()
+		f, err := call.Wait(ctx)
+		if err != nil || f.Type != TypeResult {
+			t.Fatalf("%s: %v / %+v", call.ID, err, f)
+		}
+		return f.X
+	}
+
+	first, err := lane("lane-1", a, service.WirePos{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := outcome(first); !reflect.DeepEqual(got, []service.WireEntry{{0, 1, 10}}) {
+		t.Fatalf("lane-1 = %v, want [[0 1 10]]", got)
+	}
+	shipped := tr.sent.Load()
+	_, err = lane("lane-2", []service.WireEntry{{0, 0, math.NaN()}, {1, 1, 3}}, service.WirePos{1, 0})
+	if uv := (*json.UnsupportedValueError)(nil); !errors.As(err, &uv) {
+		t.Fatalf("lane-2 with a NaN value: %v, want a *json.UnsupportedValueError", err)
+	}
+	if sent := tr.sent.Load(); sent != shipped {
+		t.Fatalf("the failed submit wrote %d bytes", sent-shipped)
+	}
+	third, err := lane("lane-3", a, service.WirePos{1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := outcome(third); !reflect.DeepEqual(got, []service.WireEntry{{1, 0, 21}}) {
+		t.Fatalf("lane-3 = %v, want [[1 0 21]]: computed over the support of a frame that never shipped", got)
+	}
+	if reuse := ms.Get(MetricXhatReuse); reuse != 0 {
+		t.Errorf("stream/xhat_reuse = %d, want 0 (every lane shipped a new support)", reuse)
 	}
 }
 
