@@ -295,7 +295,7 @@ func BenchmarkColoring(b *testing.B) {
 func BenchmarkPreparedMultiply(b *testing.B) {
 	r := ring.NewGFp(1009)
 	inst := workload.Blocks(128, 8)
-	p, err := algo.PrepareTheorem42(r, inst, algo.Theorem42Opts{})
+	p, err := algo.PrepareTheorem42(r, inst)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 // Classification explorer: Table 2 live. For each combination of sparsity
-// classes it generates a representative instance, classifies it, runs the
-// dispatcher's algorithm, and prints the measured cost next to the paper's
-// bounds.
+// classes it generates a representative instance, classifies it, runs it,
+// and prints the measured cost next to the paper's bounds. The full table
+// runs each band's algorithm (exper.Table2); a single row runs
+// core.Multiply's auto, the cheapest plan.
 //
 //	go run ./examples/classify [A B X]
 //

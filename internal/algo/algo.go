@@ -330,21 +330,66 @@ func LemmaOnlyKappa(kappa int) Algorithm {
 
 // Theorem42Opts tunes the two-phase driver.
 type Theorem42Opts struct {
-	// Alpha is the target exponent: the driver aims phase 2 at
-	// κ = d^Alpha. Defaults to 1.867 for semirings and 1.832 for fields —
-	// the paper's headline exponents.
-	Alpha float64
-	// MinGainDiv divides d³ for the cluster acceptance threshold
-	// (Lemma 4.7's /24 constant family). Default 48.
-	MinGainDiv int
 	// NaivePhase2 replaces Lemma 3.1 by the prior work's naive-routing
 	// phase 2 — the full SPAA 2022 algorithm reconstruction. With it the
-	// driver aims at the prior exponents (1.927/1.907) instead.
+	// driver aims at the prior exponents (1.927/1.907) instead. It has no
+	// prepared form.
 	NaivePhase2 bool
-	// FlatSchedule disables the Lemma 4.13 step schedule and uses a single
-	// partition pass with the final κ target (the pre-Table-3/4 driver;
-	// kept for ablation).
-	FlatSchedule bool
+}
+
+// theorem42Alpha is the exponent the driver aims phase 2 at (κ = d^α): the
+// paper's headline 1.867 for semirings and 1.832 for fields, or the prior
+// work's 1.927/1.907 under the naive phase 2.
+func theorem42Alpha(isField, naivePhase2 bool) float64 {
+	switch {
+	case naivePhase2 && isField:
+		return 1.907
+	case naivePhase2:
+		return 1.927
+	case isField:
+		return 1.832
+	default:
+		return 1.867
+	}
+}
+
+// clusterSchedule is Theorem 4.2's phase 1, Lemma 4.13's schedule, shared
+// by the one-shot driver (which runs each step's batches) and the Planner
+// (which plans them). Each step of the parameter table for the ring's λ and
+// the target α is one Lemma 4.11 application: cluster.Partition at the
+// step's cluster-density threshold d^{3-4ε}/24 (Lemma 4.7, at least 2) and
+// residual target d^β·n. A step whose target the residual already meets is
+// skipped; the walk ends at the first step that finds no batch. It returns
+// the residual left to phase 2.
+func clusterSchedule(inst *graph.Instance, isField bool, alpha float64, tris []graph.Triangle, step func([]cluster.Batch) error) ([]graph.Triangle, error) {
+	lambda := params.LambdaSemiring
+	if isField {
+		lambda = params.LambdaStrassen
+	}
+	d := float64(inst.D)
+	residual := tris
+	for _, st := range params.Schedule(lambda, 1e-5, alpha) {
+		targetResidual := int(math.Pow(d, st.Beta) * float64(inst.N))
+		if len(residual) <= targetResidual {
+			continue
+		}
+		minGain := int(math.Pow(d, 3-4*st.Epsilon) / 24)
+		if minGain < 2 {
+			minGain = 2
+		}
+		batches, rest := cluster.Partition(residual, inst.N, inst.D, cluster.PartitionOpts{
+			MinGain:        minGain,
+			TargetResidual: targetResidual,
+		})
+		if len(batches) == 0 {
+			break
+		}
+		if err := step(batches); err != nil {
+			return nil, err
+		}
+		residual = rest
+	}
+	return residual, nil
 }
 
 // Theorem42 returns the two-phase algorithm of §4: clustered dense batches
@@ -353,58 +398,14 @@ type Theorem42Opts struct {
 // where exact.
 func Theorem42(opts Theorem42Opts) Algorithm {
 	return func(m *lbm.Machine, l *lbm.Layout, inst *graph.Instance) (*Result, error) {
-		alpha := opts.Alpha
-		if alpha == 0 {
-			_, isField := ring.AsField(m.R)
-			switch {
-			case opts.NaivePhase2 && isField:
-				alpha = 1.907
-			case opts.NaivePhase2:
-				alpha = 1.927
-			case isField:
-				alpha = 1.832
-			default:
-				alpha = 1.867
-			}
-		}
-		gainDiv := opts.MinGainDiv
-		if gainDiv <= 0 {
-			gainDiv = 48
-		}
-		d := inst.D
+		_, isField := ring.AsField(m.R)
+		alpha := theorem42Alpha(isField, opts.NaivePhase2)
 		tris := inst.Triangles()
 		res := &Result{Name: "theorem42", Triangles: len(tris)}
 
-		kappaTarget := int(math.Ceil(math.Pow(float64(d), alpha)))
+		kappaTarget := int(math.Ceil(math.Pow(float64(inst.D), alpha)))
 		if kappaTarget < 1 {
 			kappaTarget = 1
-		}
-
-		// Phase 1 (Lemma 4.13's schedule): one Lemma 4.11 application per
-		// step of the parameter table, each with its own cluster-density
-		// threshold d^{3-4ε}/gainDiv and residual target d^β·n. The flat
-		// variant collapses the schedule into a single pass at the final
-		// target (ablation of the multi-step optimization).
-		type step struct {
-			minGain, targetResidual int
-		}
-		var steps []step
-		if opts.FlatSchedule {
-			mg := int(math.Pow(float64(d), 3)) / gainDiv
-			steps = []step{{minGain: mg, targetResidual: kappaTarget * inst.N}}
-		} else {
-			lambda := params.LambdaSemiring
-			if _, isField := ring.AsField(m.R); isField {
-				lambda = params.LambdaStrassen
-			}
-			for _, st := range params.Schedule(lambda, 1e-5, alpha) {
-				// Lemma 4.7's density threshold d^{3-4ε}/24 and
-				// Lemma 4.11's residual target d^β·n for this step.
-				steps = append(steps, step{
-					minGain:        int(math.Pow(float64(d), 3-4*st.Epsilon) / 24),
-					targetResidual: int(math.Pow(float64(d), st.Beta) * float64(inst.N)),
-				})
-			}
 		}
 
 		net := vnet.Roles(inst.N)
@@ -412,31 +413,16 @@ func Theorem42(opts Theorem42Opts) Algorithm {
 		m.Mark("phase1:clusters")
 		m.BeginPhase("phase1")
 		m.Counter("kappa_target", float64(kappaTarget))
-		residual := tris
-		for _, st := range steps {
-			if len(residual) <= st.targetResidual {
-				continue
-			}
-			mg := st.minGain
-			if mg < 2 {
-				mg = 2
-			}
-			batches, rest := cluster.Partition(residual, inst.N, d, cluster.PartitionOpts{
-				MinGain:        mg,
-				TargetResidual: st.targetResidual,
-			})
-			if len(batches) == 0 {
-				break
-			}
+		residual, err := clusterSchedule(inst, isField, alpha, tris, func(batches []cluster.Batch) error {
 			res.Batches += len(batches)
 			cs, err := cluster.RunBatches(m, net, inst.N, l, batches)
 			res.Cluster.CubeClusters += cs.CubeClusters
 			res.Cluster.StrassenClusters += cs.StrassenClusters
-			if err != nil {
-				m.EndPhase()
-				return nil, fmt.Errorf("theorem42 phase 1: %w", err)
-			}
-			residual = rest
+			return err
+		})
+		if err != nil {
+			m.EndPhase()
+			return nil, fmt.Errorf("theorem42 phase 1: %w", err)
 		}
 		res.Residual = len(residual)
 		res.Phase1Rounds = m.Rounds() - before

@@ -217,6 +217,10 @@ func TestUnsupportedMode(t *testing.T) {
 	if res.Name != "unsupported+lemma31" {
 		t.Errorf("name %q", res.Name)
 	}
+	// The supported run of the same instance must be much cheaper.
+	if sup := checkAlg(t, r, inst, LemmaOnly, 5); sup.Rounds >= res.Rounds {
+		t.Errorf("supported (%d) not cheaper than unsupported (%d)", sup.Rounds, res.Rounds)
+	}
 }
 
 func TestDisseminationDeliversTheStructure(t *testing.T) {

@@ -65,10 +65,10 @@ func TestMultiplyBatchDifferential(t *testing.T) {
 			return PrepareLemma31(r, workload.Mixed(40, 4, seed))
 		}},
 		{"theorem42/blocks", func(r ring.Semiring, seed int64) (*Prepared, error) {
-			return PrepareTheorem42(r, workload.Blocks(32, 4), Theorem42Opts{})
+			return PrepareTheorem42(r, workload.Blocks(32, 4))
 		}},
 		{"theorem42/mixed", func(r ring.Semiring, seed int64) (*Prepared, error) {
-			return PrepareTheorem42(r, workload.Mixed(40, 4, seed), Theorem42Opts{})
+			return PrepareTheorem42(r, workload.Mixed(40, 4, seed))
 		}},
 	}
 	rings := []ring.Semiring{ring.Counting{}, ring.MinPlus{}, ring.Real{}, ring.NewGFp(1009)}

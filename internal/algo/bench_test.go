@@ -24,7 +24,7 @@ func BenchmarkPreparedMultiply(b *testing.B) {
 			return PrepareLemma31(r, workload.Blocks(32, 4))
 		}, ring.Counting{}},
 		{"theorem42/real", func(r ring.Semiring) (*Prepared, error) {
-			return PrepareTheorem42(r, workload.Blocks(32, 4), Theorem42Opts{})
+			return PrepareTheorem42(r, workload.Blocks(32, 4))
 		}, ring.Real{}},
 	}
 	for _, c := range cases {

@@ -12,10 +12,9 @@ import (
 )
 
 // TestEnginesDifferential is the randomized differential property test of
-// the execution spine: the sequential map engine (the reference oracle),
-// the Workers>1 map engine, and the compiled engine (sequential only)
-// must produce identical outputs AND identical Stats on the same
-// prepared structure and values, across the algorithm matrix — trivial,
+// the execution spine: the map engine (the reference oracle) and the
+// compiled engine must produce identical outputs AND identical Stats on
+// the same prepared structure and values, across the algorithm matrix — trivial,
 // lemma31 and theorem42 (whose field variant takes the dense Strassen OpSub
 // path) over semirings and fields.
 func TestEnginesDifferential(t *testing.T) {
@@ -36,10 +35,10 @@ func TestEnginesDifferential(t *testing.T) {
 			return PrepareLemma31(r, workload.Mixed(40, 4, seed))
 		}},
 		{"theorem42/blocks", func(r ring.Semiring, seed int64) (*Prepared, error) {
-			return PrepareTheorem42(r, workload.Blocks(32, 4), Theorem42Opts{})
+			return PrepareTheorem42(r, workload.Blocks(32, 4))
 		}},
 		{"theorem42/mixed", func(r ring.Semiring, seed int64) (*Prepared, error) {
-			return PrepareTheorem42(r, workload.Mixed(40, 4, seed), Theorem42Opts{})
+			return PrepareTheorem42(r, workload.Mixed(40, 4, seed))
 		}},
 	}
 	// Counting and MinPlus are plain semirings (OpAcc only); Real and GF(p)
@@ -47,15 +46,12 @@ func TestEnginesDifferential(t *testing.T) {
 	// Strassen and its signed OpSub accumulation.
 	rings := []ring.Semiring{ring.Counting{}, ring.MinPlus{}, ring.Real{}, ring.NewGFp(1009)}
 
-	par := []lbm.Option{lbm.WithWorkers(4), lbm.WithParBatch(1)}
 	engines := []struct {
 		name string
 		run  multiplyFn
-		opts []lbm.Option
 	}{
-		{"map/seq", (*Prepared).MultiplyMap, nil},
-		{"map/par", (*Prepared).MultiplyMap, par},
-		{"compiled", multiplyOne, nil},
+		{"map", (*Prepared).MultiplyMap},
+		{"compiled", multiplyOne},
 	}
 
 	for _, pf := range preps {
@@ -71,7 +67,7 @@ func TestEnginesDifferential(t *testing.T) {
 				var refX *matrix.Sparse
 				var refStats lbm.Stats
 				for i, e := range engines {
-					x, res, err := e.run(p, a, b, e.opts...)
+					x, res, err := e.run(p, a, b)
 					if err != nil {
 						t.Fatalf("%s: %s: %v", label, e.name, err)
 					}
@@ -104,7 +100,7 @@ func TestEnginesDifferential(t *testing.T) {
 func TestEnginesDifferentialProfiles(t *testing.T) {
 	inst := workload.Blocks(32, 4)
 	for _, r := range []ring.Semiring{ring.Counting{}, ring.Real{}} {
-		t42, err := PrepareTheorem42(r, inst, Theorem42Opts{})
+		t42, err := PrepareTheorem42(r, inst)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,14 +2,12 @@ package algo
 
 import (
 	"fmt"
-	"math"
 
 	"lbmm/internal/cluster"
 	"lbmm/internal/fewtri"
 	"lbmm/internal/graph"
 	"lbmm/internal/lbm"
 	"lbmm/internal/matrix"
-	"lbmm/internal/params"
 	"lbmm/internal/ring"
 	"lbmm/internal/vnet"
 )
@@ -48,8 +46,8 @@ func PrepareLemma31(r ring.Semiring, inst *graph.Instance) (*Prepared, error) {
 
 // PrepareTheorem42 preprocesses the two-phase algorithm: the full
 // Lemma 4.13 clustering schedule plus the Lemma 3.1 residual job.
-func PrepareTheorem42(r ring.Semiring, inst *graph.Instance, opts Theorem42Opts) (*Prepared, error) {
-	return compile(NewPlanner(r, inst).Theorem42(opts))
+func PrepareTheorem42(r ring.Semiring, inst *graph.Instance) (*Prepared, error) {
+	return compile(NewPlanner(r, inst).Theorem42())
 }
 
 // compile finishes a Prepare: it compiles what a Planner planned.
@@ -117,61 +115,33 @@ func (pl *Planner) Lemma31() (*Prepared, error) {
 	}, nil
 }
 
-// Theorem42 plans the two-phase algorithm.
-func (pl *Planner) Theorem42(opts Theorem42Opts) (*Prepared, error) {
-	if opts.NaivePhase2 {
-		return nil, fmt.Errorf("algo: the naive-phase-2 reconstruction has no prepared form")
-	}
+// Theorem42 plans the two-phase algorithm: the one-shot driver's phase-1
+// schedule with every batch planned instead of run, then the Lemma 3.1
+// residual job.
+func (pl *Planner) Theorem42() (*Prepared, error) {
 	inst, l := pl.inst, pl.l
 	_, isField := ring.AsField(pl.r)
-	alpha := opts.Alpha
-	if alpha == 0 {
-		if isField {
-			alpha = 1.832
-		} else {
-			alpha = 1.867
-		}
-	}
-	d := inst.D
 	p := &Prepared{Inst: inst, Layout: l, R: pl.r, Name: "theorem42"}
 	p.meta = Result{Name: "theorem42", Triangles: len(pl.tris)}
 
-	lambda := params.LambdaSemiring
-	if isField {
-		lambda = params.LambdaStrassen
-	}
 	net := vnet.Roles(inst.N)
-	residual := pl.tris
-	for _, st := range params.Schedule(lambda, 1e-5, alpha) {
-		targetResidual := int(math.Pow(float64(d), st.Beta) * float64(inst.N))
-		if len(residual) <= targetResidual {
-			continue
-		}
-		minGain := int(math.Pow(float64(d), 3-4*st.Epsilon) / 24)
-		if minGain < 2 {
-			minGain = 2
-		}
-		batches, rest := cluster.Partition(residual, inst.N, d, cluster.PartitionOpts{
-			MinGain:        minGain,
-			TargetResidual: targetResidual,
-		})
-		if len(batches) == 0 {
-			break
-		}
+	residual, err := clusterSchedule(inst, isField, theorem42Alpha(isField, false), pl.tris, func(batches []cluster.Batch) error {
 		for _, b := range batches {
 			pb, err := cluster.PlanBatch(net, inst.N, l, b, isField)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			p.phase1 = append(p.phase1, pb)
 			p.meta.Batches++
 			p.meta.Cluster.CubeClusters += pb.Stats.CubeClusters
 			p.meta.Cluster.StrassenClusters += pb.Stats.StrassenClusters
 		}
-		residual = rest
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	p.meta.Residual = len(residual)
-	var err error
 	if len(p.phase1) == 0 {
 		p.fewtri, err = pl.wholeJob()
 	} else {

@@ -17,10 +17,10 @@ func TestPreparedMultiplyManyValueSets(t *testing.T) {
 			return PrepareLemma31(r, workload.Blocks(32, 4))
 		},
 		func(r ring.Semiring) (*Prepared, error) {
-			return PrepareTheorem42(r, workload.Blocks(32, 4), Theorem42Opts{})
+			return PrepareTheorem42(r, workload.Blocks(32, 4))
 		},
 		func(r ring.Semiring) (*Prepared, error) {
-			return PrepareTheorem42(r, workload.Mixed(32, 4, 9), Theorem42Opts{})
+			return PrepareTheorem42(r, workload.Mixed(32, 4, 9))
 		},
 	} {
 		for _, r := range []ring.Semiring{ring.Counting{}, ring.NewGFp(1009), ring.MinPlus{}} {
@@ -105,12 +105,6 @@ func TestPreparedRejectsOutsideStructure(t *testing.T) {
 	}
 }
 
-func TestPreparedTheorem42RejectsNaive(t *testing.T) {
-	if _, err := PrepareTheorem42(ring.Counting{}, workload.Blocks(16, 4), Theorem42Opts{NaivePhase2: true}); err == nil {
-		t.Error("naive phase 2 has no prepared form and must be rejected")
-	}
-}
-
 func TestPreparedMatchesOneShot(t *testing.T) {
 	// Prepared execution and the one-shot Algorithm produce identical
 	// results and (for theorem42 on the same structure) identical rounds.
@@ -119,7 +113,7 @@ func TestPreparedMatchesOneShot(t *testing.T) {
 	a := matrix.Random(inst.Ahat, r, 3)
 	b := matrix.Random(inst.Bhat, r, 4)
 
-	p, err := PrepareTheorem42(r, inst, Theorem42Opts{})
+	p, err := PrepareTheorem42(r, inst)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func prepareFor(t *testing.T, r ring.Semiring, inst *graph.Instance, name string
 	case "lemma31":
 		p, err = PrepareLemma31(r, inst)
 	case "theorem42":
-		p, err = PrepareTheorem42(r, inst, Theorem42Opts{})
+		p, err = PrepareTheorem42(r, inst)
 	default:
 		t.Fatalf("unknown algorithm %q", name)
 	}

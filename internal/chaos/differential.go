@@ -160,7 +160,7 @@ func drawCase(c int, rng *rand.Rand) (*diffCase, error) {
 	case "lemma31":
 		prep, err = algo.PrepareLemma31(r, inst)
 	default:
-		prep, err = algo.PrepareTheorem42(r, inst, algo.Theorem42Opts{})
+		prep, err = algo.PrepareTheorem42(r, inst)
 	}
 	dc := &diffCase{
 		label: fmt.Sprintf("%s/n%d/d%d/%s/%s", family, n, d, r.Name(), algName),

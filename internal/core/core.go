@@ -6,22 +6,20 @@
 //
 //	x, report, err := core.Multiply(a, b, xhat, core.Options{Ring: ring.Counting{}})
 //
-// which classifies the instance, picks an algorithm by the paper's Table 2
-// band (Theorem 4.2 for band-1 instances, Lemma 3.1 for every other band),
-// simulates it on n virtual computers at message granularity, and returns
-// the masked product together with the measured round statistics.
+// which prepares the structure (Prepare), runs the prepared plans once on
+// n virtual computers at message granularity, checks the result against the
+// sequential reference, and returns the masked product together with the
+// measured round statistics and the instance's Table 2 classification.
 //
-// Repeated products of one structure go through Prepare, whose "auto" does
-// not go by band: it plans every candidate — the trivial algorithm, Lemma 3.1
-// and, in band 1, Theorem 4.2 — and keeps the one whose plans charge the
-// fewest rounds, then messages.
+// "auto" means one thing everywhere: Prepare plans every candidate — the
+// trivial algorithm, Lemma 3.1 and, in band 1, Theorem 4.2 — and keeps the
+// one whose plans charge the fewest rounds, then messages.
 package core
 
 import (
 	"fmt"
 
 	"lbmm/internal/algo"
-	"lbmm/internal/graph"
 	"lbmm/internal/matrix"
 	"lbmm/internal/ring"
 )
@@ -34,18 +32,9 @@ type Options struct {
 	// the smallest d making all three matrices average-sparse
 	// (⌈max nnz/n⌉).
 	D int
-	// Algorithm forces a specific algorithm: "auto" (default),
-	// "theorem42", "lemma31", "trivial", "baseline". Multiply's "auto" picks
-	// by Table 2 band, because the Table 2 reproduction (exper.Table2) runs
-	// through it; Prepare's "auto" keeps the cheapest plan instead (see
-	// Prepare). Merging the two entry points is an open ROADMAP.md item.
+	// Algorithm forces a specific algorithm: "auto" (default, the cheapest
+	// plan; see Prepare), "theorem42", "lemma31" or "trivial".
 	Algorithm string
-	// Unsupported drops the supported-model assumption: the computers
-	// first disseminate the sparsity structure at run time
-	// (Θ(nnz + log n) rounds, reported in the Report), then run the
-	// selected algorithm. This is the trivial baseline for the paper's
-	// §1.6 open direction.
-	Unsupported bool
 }
 
 // Report describes how a product was computed.
@@ -62,62 +51,24 @@ type Report struct {
 }
 
 // Multiply computes the masked product X = A·B restricted to xhat in the
-// supported low-bandwidth model and returns it with a Report.
+// supported low-bandwidth model and returns it with a Report: Prepare on the
+// supports of a and b, one run of the prepared plans, and a check against
+// matrix.MulReference, so a caller of Multiply does not depend on the
+// compiled engine being right.
 func Multiply(a, b *matrix.Sparse, xhat *matrix.Support, opts Options) (*matrix.Sparse, *Report, error) {
 	if a.N != b.N || a.N != xhat.N {
 		return nil, nil, fmt.Errorf("core: dimension mismatch %d/%d/%d", a.N, b.N, xhat.N)
 	}
-	r := opts.Ring
-	if r == nil {
-		r = ring.Real{}
+	p, err := Prepare(a.Support(), b.Support(), xhat, opts)
+	if err != nil {
+		return nil, nil, err
 	}
-	ahat := a.Support()
-	bhat := b.Support()
-	d := ResolveD(opts.D, ahat, bhat, xhat)
-	inst := graph.NewInstance(d, ahat, bhat, xhat)
-	rep := &Report{D: d}
-	rep.Classes[0], rep.Classes[1], rep.Classes[2] = inst.Classify()
-	rep.Band = Classify(rep.Classes[0], rep.Classes[1], rep.Classes[2])
-
-	var alg algo.Algorithm
-	switch opts.Algorithm {
-	case "", "auto":
-		alg = autoSelect(rep.Band)
-	case "theorem42":
-		alg = algo.Theorem42(algo.Theorem42Opts{})
-	case "lemma31":
-		alg = algo.LemmaOnly
-	case "trivial":
-		alg = algo.TrivialSparse
-	case "baseline":
-		alg = algo.BaselineNaiveVirtual(0)
-	default:
-		return nil, nil, fmt.Errorf("core: unknown algorithm %q", opts.Algorithm)
-	}
-	if opts.Unsupported {
-		alg = algo.Unsupported(alg)
-	}
-
-	res, got, err := algo.Solve(r, inst, a, b, alg)
+	got, rep, err := p.Multiply(a, b)
 	if err != nil {
 		return nil, nil, err
 	}
 	if err := algo.Verify(got, a, b, xhat); err != nil {
 		return nil, nil, fmt.Errorf("core: internal verification failed: %w", err)
 	}
-	rep.Result = *res
 	return got, rep, nil
-}
-
-func autoSelect(b Band) algo.Algorithm {
-	switch b {
-	case Band1Fast:
-		return algo.Theorem42(algo.Theorem42Opts{})
-	case Band2Log:
-		return algo.LemmaOnly
-	default:
-		// Hard bands still have correct (if slow) algorithms: Lemma 3.1
-		// handles any triangle set; its cost simply reflects the hardness.
-		return algo.LemmaOnly
-	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,7 +12,6 @@ import (
 )
 
 func TestMultiplyAutoVariousRings(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
 	for _, r := range ring.All() {
 		n, d := 24, 3
 		inst := workload.Instance(matrix.US, matrix.US, matrix.US, n, d, 11)
@@ -34,27 +32,47 @@ func TestMultiplyAutoVariousRings(t *testing.T) {
 			t.Errorf("US:US:US classified as %v", rep.Band)
 		}
 	}
-	_ = rng
 }
 
+// TestMultiplyForcedAlgorithms checks that Multiply is Prepare then
+// Prepared.Multiply: for every algorithm with a prepared form (auto
+// included) both give the same product, name the plan that ran and charge
+// the same rounds. The baseline has no prepared form and is refused.
 func TestMultiplyForcedAlgorithms(t *testing.T) {
 	r := ring.Counting{}
 	inst := workload.Instance(matrix.US, matrix.BD, matrix.AS, 20, 2, 3)
 	a := matrix.Random(inst.Ahat, r, 1)
 	b := matrix.Random(inst.Bhat, r, 2)
 	want := matrix.MulReference(a, b, inst.Xhat)
-	for _, name := range []string{"auto", "theorem42", "lemma31", "trivial", "baseline"} {
-		x, rep, err := Multiply(a, b, inst.Xhat, Options{Ring: r, D: 2, Algorithm: name})
+	for _, name := range []string{"auto", "theorem42", "lemma31", "trivial"} {
+		opts := Options{Ring: r, D: 2, Algorithm: name}
+		x, rep, err := Multiply(a, b, inst.Xhat, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !matrix.Equal(x, want) {
 			t.Fatalf("%s: wrong product", name)
 		}
-		_ = rep
+		p, err := Prepare(inst.Ahat, inst.Bhat, inst.Xhat, opts)
+		if err != nil {
+			t.Fatalf("%s: prepare: %v", name, err)
+		}
+		px, prep, err := p.Multiply(a, b)
+		if err != nil {
+			t.Fatalf("%s: prepared multiply: %v", name, err)
+		}
+		if !matrix.Equal(x, px) {
+			t.Errorf("%s: Multiply and Prepare+Multiply products differ", name)
+		}
+		if rep.Name != p.Resolved() || rep.Rounds != prep.Rounds {
+			t.Errorf("%s: Multiply ran %q in %d rounds, Prepare resolved %q in %d",
+				name, rep.Name, rep.Rounds, p.Resolved(), prep.Rounds)
+		}
 	}
-	if _, _, err := Multiply(a, b, inst.Xhat, Options{Ring: r, Algorithm: "nope"}); err == nil {
-		t.Error("unknown algorithm accepted")
+	for _, name := range []string{"baseline", "nope"} {
+		if _, _, err := Multiply(a, b, inst.Xhat, Options{Ring: r, Algorithm: name}); err == nil {
+			t.Errorf("algorithm %q accepted", name)
+		}
 	}
 }
 
@@ -160,32 +178,6 @@ func TestBandStringsAndBounds(t *testing.T) {
 		if up == "?" || lo == "?" {
 			t.Errorf("band %v has no bounds", b)
 		}
-	}
-}
-
-func TestMultiplyUnsupportedMode(t *testing.T) {
-	r := ring.Counting{}
-	inst := workload.Instance(matrix.US, matrix.US, matrix.US, 20, 2, 3)
-	a := matrix.Random(inst.Ahat, r, 1)
-	b := matrix.Random(inst.Bhat, r, 2)
-	want := matrix.MulReference(a, b, inst.Xhat)
-	x, rep, err := Multiply(a, b, inst.Xhat, Options{Ring: r, D: 2, Unsupported: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matrix.Equal(x, want) {
-		t.Fatal("wrong product in unsupported mode")
-	}
-	if rep.SupportWords == 0 || rep.DisseminationRounds == 0 {
-		t.Errorf("dissemination not reported: %+v", rep.Result)
-	}
-	// The supported run of the same instance must be much cheaper.
-	_, supRep, err := Multiply(a, b, inst.Xhat, Options{Ring: r, D: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if supRep.Rounds >= rep.Rounds {
-		t.Errorf("supported (%d) not cheaper than unsupported (%d)", supRep.Rounds, rep.Rounds)
 	}
 }
 

@@ -68,7 +68,7 @@ func Prepare(ahat, bhat, xhat *matrix.Support, opts Options) (*Prepared, error) 
 	case "lemma31":
 		inner, err = algo.PrepareLemma31(r, inst)
 	case "theorem42":
-		inner, err = algo.PrepareTheorem42(r, inst, algo.Theorem42Opts{})
+		inner, err = algo.PrepareTheorem42(r, inst)
 	default:
 		return nil, fmt.Errorf("core: algorithm %q has no prepared form", opts.Algorithm)
 	}
@@ -86,7 +86,7 @@ func cheapest(r ring.Semiring, inst *graph.Instance, band1 bool) (*algo.Prepared
 	pl := algo.NewPlanner(r, inst)
 	candidates := []func() (*algo.Prepared, error){pl.Trivial, pl.Lemma31}
 	if band1 {
-		candidates = append(candidates, func() (*algo.Prepared, error) { return pl.Theorem42(algo.Theorem42Opts{}) })
+		candidates = append(candidates, pl.Theorem42)
 	}
 	var best *algo.Prepared
 	var bestRounds, bestMessages int

@@ -117,14 +117,14 @@ func (s *Series) Format(param string) string {
 }
 
 // runVerified executes an algorithm on an instance with random values over
-// r, verifies the product, and returns the result. The goroutine engine is
-// enabled; it only engages on rounds big enough to amortize (ParBatch) and
-// is equivalence-tested against the sequential engine.
-func runVerified(r ring.Semiring, inst *graph.Instance, alg algo.Algorithm, seed int64, extra ...lbm.Option) (*algo.Result, error) {
+// r on the sequential map machine, verifies the product, and returns the
+// result. It stays on the one-shot algo.Solve path: the experiments need the
+// one-shot-only variants (NaivePhase2, LemmaOnlyKappa, baseline,
+// unsupported) and theorem42's phase1/phase2/cluster spans.
+func runVerified(r ring.Semiring, inst *graph.Instance, alg algo.Algorithm, seed int64, opts ...lbm.Option) (*algo.Result, error) {
 	a := matrix.Random(inst.Ahat, r, seed)
 	b := matrix.Random(inst.Bhat, r, seed+1)
-	mopts := append([]lbm.Option{lbm.WithAutoWorkers()}, extra...)
-	res, got, err := algo.Solve(r, inst, a, b, alg, mopts...)
+	res, got, err := algo.Solve(r, inst, a, b, alg, opts...)
 	if err != nil {
 		return nil, err
 	}

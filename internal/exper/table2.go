@@ -16,15 +16,17 @@ type Table2Row struct {
 	Band      core.Band
 	Upper     string
 	Lower     string
-	Rounds    int // measured rounds of the auto-selected algorithm
+	Rounds    int // measured rounds of the band's algorithm
 	Triangles int
 	N, D      int
 }
 
 // Table2 regenerates the paper's Table 2: for every multiset of
 // {US, BD, AS, GM} it generates a representative instance, runs the
-// dispatcher's algorithm on it (verified), and reports the classification
-// band with its bounds plus the measured rounds.
+// paper's algorithm for the instance's band on it (verified) — Theorem 4.2
+// in band 1, Lemma 3.1 in every other band, whose cost then reflects the
+// hardness — and reports the classification band with its bounds plus the
+// measured rounds.
 func Table2(scale Scale) ([]Table2Row, error) {
 	n, d := 36, 3
 	if scale == Full {
@@ -35,13 +37,14 @@ func Table2(scale Scale) ([]Table2Row, error) {
 		inst := workload.Instance(tr.Classes[0], tr.Classes[1], tr.Classes[2], n, d, 7)
 		a := matrix.Random(inst.Ahat, ring.Counting{}, 1)
 		b := matrix.Random(inst.Bhat, ring.Counting{}, 2)
-		x, rep, err := core.Multiply(a, b, inst.Xhat, core.Options{Ring: ring.Counting{}, D: d})
+		alg := "lemma31"
+		if core.Classify(inst.Classify()) == core.Band1Fast {
+			alg = "theorem42"
+		}
+		// Multiply checks the product against matrix.MulReference.
+		_, rep, err := core.Multiply(a, b, inst.Xhat, core.Options{Ring: ring.Counting{}, D: d, Algorithm: alg})
 		if err != nil {
 			return nil, fmt.Errorf("row %v: %w", tr.Classes, err)
-		}
-		want := matrix.MulReference(a, b, inst.Xhat)
-		if !matrix.Equal(x, want) {
-			return nil, fmt.Errorf("row %v: wrong product", tr.Classes)
 		}
 		rows = append(rows, Table2Row{
 			Classes: tr.Classes, Band: tr.Band, Upper: tr.Upper, Lower: tr.Lower,

@@ -35,9 +35,8 @@ type Exec struct {
 	R ring.Semiring
 	// StoreLimit, the collector, the injector and the transport have
 	// Machine's semantics; a nil transport is the original single-process
-	// fast path. Workers and ParBatch are carried and not read: every round
-	// is walked sequentially, and parallelism comes from the callers, across
-	// requests (worker slots) and across lanes (batches).
+	// fast path. Every round is walked sequentially; parallelism comes from
+	// the callers, across requests (worker slots) and across lanes (batches).
 	settings
 
 	field ring.Field
@@ -63,8 +62,7 @@ type Exec struct {
 
 // NewExec returns a single-lane executor with the given per-node arena
 // sizes over ring r. Machine options (WithStoreLimit, WithCollector,
-// WithTrace, WithInjector, WithTransport) apply with identical meaning;
-// WithWorkers, WithAutoWorkers and WithParBatch are accepted and ignored.
+// WithTrace, WithInjector, WithTransport) apply with identical meaning.
 func NewExec(sizes []int32, r ring.Semiring, opts ...Option) *Exec {
 	return NewExecBatch(sizes, 1, r, opts...)
 }

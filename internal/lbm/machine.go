@@ -2,9 +2,7 @@ package lbm
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"lbmm/internal/obsv"
 	"lbmm/internal/ring"
@@ -202,16 +200,6 @@ func maxInt64(xs []int64) int64 {
 // both embed them, so one Option list configures either engine and neither
 // has to build the other to read its options back.
 type settings struct {
-	// Workers sets the Machine's execution engine: ≤1 means the
-	// deterministic sequential engine, larger values use that many
-	// goroutines per round phase. Rounds are natural barriers, mirroring the
-	// bulk-synchronous structure of the model. Exec does not read it: the
-	// compiled engine is sequential.
-	Workers int
-	// ParBatch is the minimum round size worth parallelizing; smaller
-	// rounds run sequentially even under the goroutine engine. Exec does not
-	// read it.
-	ParBatch int
 	// StoreLimit, when positive, makes the executor fail a round whose
 	// deliveries would push any computer's store beyond this many values —
 	// an opt-in check of the model's per-computer memory assumption
@@ -233,7 +221,7 @@ type settings struct {
 
 // newSettings applies opts over the defaults.
 func newSettings(opts []Option) settings {
-	s := settings{ParBatch: 4096}
+	var s settings
 	for _, o := range opts {
 		o(&s)
 	}
@@ -262,27 +250,6 @@ type Machine struct {
 
 // Option configures a Machine or an Exec.
 type Option func(*settings)
-
-// WithWorkers selects the Machine's goroutine engine with w workers. An Exec
-// accepts and ignores it: the compiled engine is sequential.
-func WithWorkers(w int) Option { return func(s *settings) { s.Workers = w } }
-
-// WithAutoWorkers selects the Machine's goroutine engine sized to the host
-// CPU. An Exec accepts and ignores it.
-func WithAutoWorkers() Option {
-	return func(s *settings) { s.Workers = runtime.GOMAXPROCS(0) }
-}
-
-// WithParBatch lowers the minimum per-round send count before the Machine's
-// Workers engine parallelizes (default 4096). Tests use small values to
-// force the parallel path on small instances. An Exec accepts and ignores it.
-func WithParBatch(b int) Option {
-	return func(s *settings) {
-		if b > 0 {
-			s.ParBatch = b
-		}
-	}
-}
 
 // WithStoreLimit enables the per-computer memory check at the given number
 // of simultaneously stored values.
@@ -567,94 +534,24 @@ func (m *Machine) checkStoreLimit(r Round) error {
 
 func (m *Machine) gather(r Round) ([]ring.Value, error) {
 	payloads := make([]ring.Value, len(r))
-	read := func(lo, hi int) error {
-		for idx := lo; idx < hi; idx++ {
-			s := r[idx]
-			v, ok := m.stores[s.From][s.Src]
-			if !ok {
-				return fmt.Errorf("lbm: node %d cannot send missing key %v", s.From, s.Src)
-			}
-			payloads[idx] = v
+	for idx, s := range r {
+		v, ok := m.stores[s.From][s.Src]
+		if !ok {
+			return nil, fmt.Errorf("lbm: node %d cannot send missing key %v", s.From, s.Src)
 		}
-		return nil
-	}
-	if m.Workers <= 1 || len(r) < m.ParBatch {
-		return payloads, read(0, len(r))
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, m.Workers)
-	chunk := (len(r) + m.Workers - 1) / m.Workers
-	for w := 0; w < m.Workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(r) {
-			hi = len(r)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			errs[w] = read(lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
+		payloads[idx] = v
 	}
 	return payloads, nil
 }
 
 func (m *Machine) deliver(r Round, payloads []ring.Value) {
-	write := func(lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			s := r[idx]
-			st := m.stores[s.To]
-			m.applyOp(st, s.Dst, s.Op, payloads[idx])
-			if len(st) > m.stats.PeakStore {
-				m.stats.PeakStore = len(st)
-			}
+	for idx, s := range r {
+		st := m.stores[s.To]
+		m.applyOp(st, s.Dst, s.Op, payloads[idx])
+		if len(st) > m.stats.PeakStore {
+			m.stats.PeakStore = len(st)
 		}
 	}
-	// Receivers are unique within a valid round except for local copies;
-	// local copies share From==To with at most ... still unique To? A node
-	// may appear as To of a local copy and of a real message in the same
-	// round. To stay race-free, the parallel engine shards by receiver.
-	if m.Workers <= 1 || len(r) < m.ParBatch {
-		write(0, len(r))
-		return
-	}
-	var wg sync.WaitGroup
-	var peakMu sync.Mutex
-	peak := m.stats.PeakStore
-	for w := 0; w < m.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			localPeak := 0
-			for idx := range r {
-				s := r[idx]
-				if int(s.To)%m.Workers != w {
-					continue
-				}
-				st := m.stores[s.To]
-				m.applyOp(st, s.Dst, s.Op, payloads[idx])
-				if len(st) > localPeak {
-					localPeak = len(st)
-				}
-			}
-			peakMu.Lock()
-			if localPeak > peak {
-				peak = localPeak
-			}
-			peakMu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	m.stats.PeakStore = peak
 }
 
 // applyOp merges a delivered payload into a store slot.
@@ -765,38 +662,12 @@ func sortedMetricKeys(m map[string]float64) []string {
 }
 
 // LocalAll applies a free local-computation step to every node. The callback
-// receives a view restricted to that node. With the goroutine engine the
-// nodes are processed in parallel.
+// receives a view restricted to that node; nodes run in order.
 func (m *Machine) LocalAll(f func(node NodeID, v *LocalView)) {
-	if m.Workers <= 1 {
-		for i := 0; i < m.N; i++ {
-			lv := LocalView{m: m, node: NodeID(i)}
-			f(NodeID(i), &lv)
-		}
-		m.refreshPeak()
-		return
+	for i := 0; i < m.N; i++ {
+		lv := LocalView{m: m, node: NodeID(i)}
+		f(NodeID(i), &lv)
 	}
-	var wg sync.WaitGroup
-	chunk := (m.N + m.Workers - 1) / m.Workers
-	for w := 0; w < m.Workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > m.N {
-			hi = m.N
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				lv := LocalView{m: m, node: NodeID(i)}
-				f(NodeID(i), &lv)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 	m.refreshPeak()
 }
 

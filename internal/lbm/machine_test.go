@@ -1,7 +1,6 @@
 package lbm
 
 import (
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -235,68 +234,6 @@ func TestLocalAllAndViews(t *testing.T) {
 		if _, ok := m.Get(i, TKey(i, 0, 0)); ok {
 			t.Error("Del failed")
 		}
-	}
-}
-
-func TestParallelEngineMatchesSequential(t *testing.T) {
-	// A random big round executed by both engines must give identical
-	// stores and stats.
-	rng := rand.New(rand.NewSource(123))
-	n := 200
-	build := func(workers int) (*Machine, *Plan) {
-		var opts []Option
-		if workers > 1 {
-			opts = append(opts, WithWorkers(workers))
-		}
-		m := New(n, ring.Counting{}, opts...)
-		m.ParBatch = 1 // force the parallel path even for small rounds
-		for i := 0; i < n; i++ {
-			m.Put(NodeID(i), AKey(int32(i), 0), ring.Value(i+1))
-		}
-		p := &Plan{}
-		for t := 0; t < 30; t++ {
-			perm := rng.Perm(n)
-			r := make(Round, 0, n)
-			for i := 0; i < n; i++ {
-				r = append(r, Send{
-					From: NodeID(i), To: NodeID(perm[i]),
-					Src: AKey(int32(i), 0), Dst: PKey(int32(t), int32(i), 0), Op: OpAcc,
-				})
-			}
-			p.Append(r)
-		}
-		return m, p
-	}
-	rng = rand.New(rand.NewSource(123))
-	m1, p1 := build(1)
-	rng = rand.New(rand.NewSource(123))
-	m2, p2 := build(8)
-	if err := m1.Run(p1); err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.Run(p2); err != nil {
-		t.Fatal(err)
-	}
-	s1, s2 := m1.Stats(), m2.Stats()
-	if s1.Rounds != s2.Rounds || s1.Messages != s2.Messages {
-		t.Fatalf("stats differ: %+v vs %+v", s1, s2)
-	}
-	for i := 0; i < n; i++ {
-		for k, v := range m1.stores[i] {
-			if v2, ok := m2.stores[i][k]; !ok || v2 != v {
-				t.Fatalf("store mismatch at node %d key %v: %v vs %v", i, k, v, v2)
-			}
-		}
-		if len(m1.stores[i]) != len(m2.stores[i]) {
-			t.Fatalf("store size mismatch at node %d", i)
-		}
-	}
-}
-
-func TestWithAutoWorkers(t *testing.T) {
-	m := New(2, ring.Counting{}, WithAutoWorkers())
-	if m.Workers < 1 {
-		t.Error("auto workers must be >= 1")
 	}
 }
 

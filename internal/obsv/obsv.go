@@ -27,9 +27,8 @@
 //	routing  routing/hrel, routing/broadcast, routing/convergecast
 //	vnet     vnet/compiled
 //
-// Collectors are invoked from the machine's driving goroutine only (the
-// goroutine engine parallelizes payload gathering and delivery, never the
-// accounting), so implementations need not be thread-safe.
+// Collectors are invoked from the machine's driving goroutine only (both
+// engines are sequential), so implementations need not be thread-safe.
 package obsv
 
 // Collector receives execution events. All methods must tolerate being
