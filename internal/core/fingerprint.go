@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
+	"sync"
 
 	"lbmm/internal/matrix"
 	"lbmm/internal/ring"
@@ -23,9 +25,7 @@ func ResolveD(d int, supports ...*matrix.Support) int {
 		return d
 	}
 	for _, s := range supports {
-		if need := (s.NNZ + s.N - 1) / s.N; need > d {
-			d = need
-		}
+		d = max(d, perRow(s.NNZ, s.N))
 	}
 	if d == 0 {
 		d = 1
@@ -49,6 +49,64 @@ func Fingerprint(ahat, bhat, xhat *matrix.Support, opts Options) (string, error)
 	if ahat.N != bhat.N || ahat.N != xhat.N {
 		return "", fmt.Errorf("core: dimension mismatch %d/%d/%d", ahat.N, bhat.N, xhat.N)
 	}
+	w := newFPWriter(opts, ResolveD(opts.D, ahat, bhat, xhat), ahat.N)
+	defer fpWriters.Put(w)
+	w.support(ahat)
+	w.support(bhat)
+	w.support(xhat)
+	return w.sum(), nil
+}
+
+// FingerprintValues is Fingerprint(a.Support(), b.Support(), xhat, opts)
+// without building either support: it hashes the column indices of the
+// value rows in place, which is what a cache hit needs of the operands. A
+// row that breaks Sparse's invariant (columns strictly ascending and in
+// range; the exported Rows field allows anything) sends the whole call to
+// the Support path, so the result is always that of Fingerprint.
+func FingerprintValues(a, b *matrix.Sparse, xhat *matrix.Support, opts Options) (string, error) {
+	n := a.N
+	if n != b.N || n != xhat.N {
+		return "", fmt.Errorf("core: dimension mismatch %d/%d/%d", n, b.N, xhat.N)
+	}
+	if n < 1 || len(a.Rows) != n || len(b.Rows) != n {
+		return Fingerprint(a.Support(), b.Support(), xhat, opts)
+	}
+	d := opts.D
+	if d <= 0 {
+		d = max(1, perRow(a.NNZ(), n), perRow(b.NNZ(), n), perRow(xhat.NNZ, n))
+	}
+	w := newFPWriter(opts, d, n)
+	defer fpWriters.Put(w)
+	if !w.values(a) || !w.values(b) {
+		return Fingerprint(a.Support(), b.Support(), xhat, opts)
+	}
+	w.support(xhat)
+	return w.sum(), nil
+}
+
+// perRow is the d that makes nnz entries average-sparse in dimension n.
+func perRow(nnz, n int) int { return (nnz + n - 1) / n }
+
+// fpWriter is the one serialization behind both fingerprints: the header,
+// then per matrix its entry count and each non-empty row as (index, length,
+// columns), integers as little-endian uint64 and columns as uint32. Fields
+// are appended to buf and handed to SHA-256 a buffer at a time.
+type fpWriter struct {
+	h   hash.Hash
+	buf []byte
+}
+
+// fpWriters recycles writers, hash state and buffer together.
+var fpWriters = sync.Pool{New: func() any {
+	return &fpWriter{h: sha256.New(), buf: make([]byte, 0, 1024)}
+}}
+
+// newFPWriter takes a writer from the pool and writes the header: domain,
+// ring, algorithm ("" is "auto"), resolved d and n.
+func newFPWriter(opts Options, d, n int) *fpWriter {
+	w := fpWriters.Get().(*fpWriter)
+	w.h.Reset()
+	w.buf = w.buf[:0]
 	r := opts.Ring
 	if r == nil {
 		r = ring.Real{}
@@ -57,36 +115,90 @@ func Fingerprint(ahat, bhat, xhat *matrix.Support, opts Options) (string, error)
 	if alg == "" {
 		alg = "auto"
 	}
-	d := ResolveD(opts.D, ahat, bhat, xhat)
+	w.str(fingerprintDomain)
+	w.str(r.Name())
+	w.str(alg)
+	w.int(d)
+	w.int(n)
+	return w
+}
 
-	h := sha256.New()
-	var buf [8]byte
-	writeInt := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
+func (w *fpWriter) flush() {
+	w.h.Write(w.buf)
+	w.buf = w.buf[:0]
+}
+
+// reserve makes room for k more bytes in buf, flushing it when they would
+// not fit.
+func (w *fpWriter) reserve(k int) {
+	if len(w.buf)+k > cap(w.buf) {
+		w.flush()
 	}
-	writeStr := func(s string) {
-		writeInt(int64(len(s)))
-		h.Write([]byte(s))
+}
+
+func (w *fpWriter) int(v int) {
+	w.reserve(8)
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(v))
+}
+
+// str writes a length-prefixed string; one longer than buf goes to the hash
+// directly.
+func (w *fpWriter) str(s string) {
+	w.int(len(s))
+	w.reserve(len(s))
+	if len(s) > cap(w.buf) {
+		w.h.Write([]byte(s))
+		return
 	}
-	writeStr(fingerprintDomain)
-	writeStr(r.Name())
-	writeStr(alg)
-	writeInt(int64(d))
-	writeInt(int64(ahat.N))
-	for _, s := range []*matrix.Support{ahat, bhat, xhat} {
-		writeInt(int64(s.NNZ))
-		for i, row := range s.Rows {
-			if len(row) == 0 {
-				continue
-			}
-			writeInt(int64(i))
-			writeInt(int64(len(row)))
+	w.buf = append(w.buf, s...)
+}
+
+// support writes a support: its entry count, then each non-empty row.
+func (w *fpWriter) support(s *matrix.Support) {
+	w.int(s.NNZ)
+	for i, row := range s.Rows {
+		if len(row) > 0 {
+			w.int(i)
+			w.int(len(row))
 			for _, j := range row {
-				binary.LittleEndian.PutUint32(buf[:4], uint32(j))
-				h.Write(buf[:4])
+				w.col(j)
 			}
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// values writes the support of m as support would, from its rows in place.
+// It reports false, having written part of it, at the first row whose
+// columns are not strictly ascending and in [0, n).
+func (w *fpWriter) values(m *matrix.Sparse) bool {
+	w.int(m.NNZ())
+	for i, row := range m.Rows {
+		if len(row) == 0 {
+			continue
+		}
+		w.int(i)
+		w.int(len(row))
+		prev := int32(-1)
+		for _, c := range row {
+			if c.Col <= prev || int(c.Col) >= m.N {
+				return false
+			}
+			prev = c.Col
+			w.col(c.Col)
+		}
+	}
+	return true
+}
+
+func (w *fpWriter) col(j int32) {
+	w.reserve(4)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(j))
+}
+
+// sum flushes buf and returns the digest in hex.
+func (w *fpWriter) sum() string {
+	w.flush()
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], w.h.Sum(w.buf[:0]))
+	return string(out[:])
 }

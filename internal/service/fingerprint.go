@@ -20,9 +20,9 @@ var ErrBadRequest = errors.New("service: unfingerprintable request")
 // the body of a serving-API request, without compiling anything. This is what
 // the shard tier routes by. It is the handler's own front half — the same
 // scanner over the bytes, the same ParseWireMultiply, the same
-// Sparse.Support — so the routed fingerprint and the served one cannot
-// disagree, and a body in row-major ascending order costs one linear pass per
-// stage.
+// core.FingerprintValues over the value rows — so the routed fingerprint and
+// the served one cannot disagree, and a body in row-major ascending order
+// costs one linear pass per stage.
 //
 // path selects the wire schema: "/v1/multiply", "/v1/multiply/batch"
 // (fingerprinted by lane 0 — the handler enforces that all lanes share it)
@@ -76,13 +76,13 @@ func RequestFingerprint(path string, body []byte) (fp string, err error) {
 }
 
 // structureFingerprint fingerprints a value-carrying request the way
-// Server.submit keys it: the structure is (A.Support(), B.Support(), Xhat) of
-// the request ParseWireMultiply builds, so a duplicate cell or an explicit
-// zero routes exactly as it is served.
+// Server.submit keys it: core.FingerprintValues of the request
+// ParseWireMultiply builds, so a duplicate cell or an explicit zero routes
+// exactly as it is served.
 func structureFingerprint(wm *wireMultiplyRequest) (string, error) {
 	req, err := ParseWireMultiply(wm)
 	if err != nil {
 		return "", err
 	}
-	return core.Fingerprint(req.A.Support(), req.B.Support(), req.Xhat, req.Options)
+	return core.FingerprintValues(req.A, req.B, req.Xhat, req.Options)
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"unsafe"
 
 	"lbmm/internal/core"
 	"lbmm/internal/matrix"
@@ -187,12 +188,16 @@ func NewHandler(s *Server) http.Handler {
 }
 
 func handleMultiply(s *Server, w http.ResponseWriter, r *http.Request) {
-	var wm wireMultiplyRequest
+	wm := multiplyPool.Get().(*wireMultiplyRequest)
+	defer putMultiply(wm)
+	// Only the slices survive from the last request, emptied: the grammar
+	// appends into them, and a key the body omits decodes as empty.
+	*wm = wireMultiplyRequest{A: wm.A[:0], B: wm.B[:0], Xhat: wm.Xhat[:0]}
 	if err := decodeBody(w, r, wm.Scan); err != nil {
 		writeDecodeErr(w, err)
 		return
 	}
-	req, err := ParseWireMultiply(&wm)
+	req, err := ParseWireMultiply(wm)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -329,6 +334,24 @@ func handleClassify(s *Server, w http.ResponseWriter, r *http.Request) {
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledBody = 1 << 20
+
+// multiplyPool recycles the requests /v1/multiply scans into, so a warm
+// request decodes its cells into slices it already holds. ParseWireMultiply
+// copies everything out of them, so a request goes back when its handler
+// returns; putMultiply drops one whose slices hold more than maxPooledBody
+// bytes, on bodyPool's rule.
+var multiplyPool = sync.Pool{New: func() any { return new(wireMultiplyRequest) }}
+
+func putMultiply(wm *wireMultiplyRequest) {
+	if heldBytes(wm) <= maxPooledBody {
+		multiplyPool.Put(wm)
+	}
+}
+
+// heldBytes is the size of the arrays behind a request's slices.
+func heldBytes(wm *wireMultiplyRequest) int {
+	return (cap(wm.A)+cap(wm.B))*int(unsafe.Sizeof(wireEntry{})) + cap(wm.Xhat)*int(unsafe.Sizeof(wirePos{}))
+}
 
 // decodeBody reads the request body once, capped at MaxBodyBytes, and runs
 // one grammar function over it.
@@ -521,21 +544,24 @@ func cacheWord(hit bool) string {
 	return "miss"
 }
 
-// respPool recycles the buffers success bodies are appended into, on the
-// bodyPool pattern: one that grew past maxPooledBody is dropped.
-var respPool = sync.Pool{New: func() any { return new([]byte) }}
+// appendPool recycles the buffers outgoing bodies are appended into —
+// success responses and marshaled multiply payloads — on the bodyPool
+// pattern: putAppendBuf drops one that grew past maxPooledBody.
+var appendPool = sync.Pool{New: func() any { return new([]byte) }}
+
+func putAppendBuf(buf *[]byte) {
+	if cap(*buf) <= maxPooledBody {
+		appendPool.Put(buf)
+	}
+}
 
 // writeBody answers 200 with the body appendJSON writes, plus the newline
 // json.Encoder ends a value with, so the bytes are the ones writeJSON wrote
 // for the same value. A value encoding/json refuses (a non-finite product) is
 // a 500 naming it, before anything is written.
 func writeBody(w http.ResponseWriter, appendJSON func([]byte) ([]byte, error)) {
-	buf := respPool.Get().(*[]byte)
-	defer func() {
-		if cap(*buf) <= maxPooledBody {
-			respPool.Put(buf)
-		}
-	}()
+	buf := appendPool.Get().(*[]byte)
+	defer putAppendBuf(buf)
 	var err error
 	if *buf, err = appendJSON((*buf)[:0]); err != nil {
 		writeErr(w, http.StatusInternalServerError, err)

@@ -31,15 +31,6 @@ type lane struct {
 	deliver  func(*MultiplyResponse, error)
 }
 
-// supportOf is Sparse.Support tolerating a nil matrix, so validate sees
-// missing operands as nil supports.
-func supportOf(m *matrix.Sparse) *matrix.Support {
-	if m == nil {
-		return nil
-	}
-	return m.Support()
-}
-
 // sameStructure reports whether two value matrices store the same positions,
 // by walking their sorted rows in tandem: what comparing the fingerprints of
 // their supports decides, without building or hashing either.
@@ -60,34 +51,56 @@ func sameStructure(a, b *matrix.Sparse) bool {
 	return true
 }
 
-// validate is the one nil/dimension check behind every request kind: what
-// prefixes the message (a lane index, or nothing) and needs names the
+// validate is the one nil/dimension check behind every structure request:
+// what prefixes the message (a lane index, or nothing) and needs names the
 // operands a complete request carries.
 func validate(what, needs string, ahat, bhat, xhat *matrix.Support) error {
 	if ahat == nil || bhat == nil || xhat == nil {
 		return fmt.Errorf("%w: %s%s", ErrInvalid, what, needs)
 	}
-	if ahat.N != bhat.N || ahat.N != xhat.N {
-		return fmt.Errorf("%w: %sdimension mismatch %d/%d/%d", ErrInvalid, what, ahat.N, bhat.N, xhat.N)
+	return sameN(what, ahat.N, bhat.N, xhat.N)
+}
+
+// validateValues is validate for a value request, checked on the matrices
+// themselves: a hit never builds their supports.
+func validateValues(what, needs string, a, b *matrix.Sparse, xhat *matrix.Support) error {
+	if a == nil || b == nil || xhat == nil {
+		return fmt.Errorf("%w: %s%s", ErrInvalid, what, needs)
+	}
+	return sameN(what, a.N, b.N, xhat.N)
+}
+
+func sameN(what string, na, nb, nx int) error {
+	if na != nb || na != nx {
+		return fmt.Errorf("%w: %sdimension mismatch %d/%d/%d", ErrInvalid, what, na, nb, nx)
 	}
 	return nil
 }
 
 // enter takes n lanes of one structure through the stages every multiply
-// shares: admission, plan resolution, park. park hands the resolved plan's
-// lanes to a coalescer without blocking. The admitted slot is held across
-// plan resolution only — a miss compiles, which is work — and released on
-// return, before any caller waits: the launched group takes its own slot,
-// so k coalesced lanes cost one worker and no caller holds a slot while its
-// group waits for one. Counters are in lanes.
-func (s *Server) enter(ctx context.Context, n int64, ahat, bhat, xhat *matrix.Support, opts core.Options,
+// shares: admission, plan resolution, park. The structure is that of the
+// values a and b over xhat: fingerprinted from their rows, and turned into
+// supports only when the plan must be compiled. park hands the resolved
+// plan's lanes to a coalescer without blocking. The admitted slot is held
+// across plan resolution only — a miss compiles, which is work — and
+// released on return, before any caller waits: the launched group takes its
+// own slot, so k coalesced lanes cost one worker and no caller holds a slot
+// while its group waits for one. Counters are in lanes.
+func (s *Server) enter(ctx context.Context, n int64, a, b *matrix.Sparse, xhat *matrix.Support, opts core.Options,
 	park func(fp string, prep *core.Prepared, hit bool) error) error {
 	release, err := s.admit(ctx, n)
 	if err != nil {
 		return err
 	}
 	defer release()
-	prep, fp, hit, err := s.prepared(ahat, bhat, xhat, opts)
+	fp, err := core.FingerprintValues(a, b, xhat, opts)
+	if err != nil {
+		s.metrics.Add(MetricErrors, n)
+		return err
+	}
+	prep, hit, err := s.prepared(fp, func() (ahat, bhat, x *matrix.Support) {
+		return a.Support(), b.Support(), xhat
+	}, opts)
 	if err != nil {
 		s.metrics.Add(MetricErrors, n)
 		return err
@@ -106,11 +119,10 @@ func (s *Server) enter(ctx context.Context, n int64, ahat, bhat, xhat *matrix.Su
 // means deliver will be called exactly once with the outcome; an error means
 // the lane was rejected before parking and deliver never runs.
 func (s *Server) submit(ctx context.Context, req *MultiplyRequest, deliver func(*MultiplyResponse, error)) error {
-	ahat, bhat := supportOf(req.A), supportOf(req.B)
-	if err := validate("", "multiply needs A, B and Xhat", ahat, bhat, req.Xhat); err != nil {
+	if err := validateValues("", "multiply needs A, B and Xhat", req.A, req.B, req.Xhat); err != nil {
 		return err
 	}
-	return s.enter(ctx, 1, ahat, bhat, req.Xhat, req.Options, func(fp string, prep *core.Prepared, hit bool) error {
+	return s.enter(ctx, 1, req.A, req.B, req.Xhat, req.Options, func(fp string, prep *core.Prepared, hit bool) error {
 		return s.coal.Submit(fp, &lane{
 			prep: prep, a: req.A, b: req.B, trace: req.Trace, hit: hit,
 			enqueued: time.Now(), deliver: deliver,
@@ -298,8 +310,7 @@ func (s *Server) MultiplyBatch(ctx context.Context, req *MultiplyBatchRequest) (
 		return nil, fmt.Errorf("%w: batch multiply needs lanes and Xhat", ErrInvalid)
 	}
 	first := req.Lanes[0]
-	ahat0, bhat0 := supportOf(first.A), supportOf(first.B)
-	if err := validate("lane 0: ", "missing A or B", ahat0, bhat0, req.Xhat); err != nil {
+	if err := validateValues("lane 0: ", "missing A or B", first.A, first.B, req.Xhat); err != nil {
 		return nil, err
 	}
 	for l := 1; l < k; l++ {
@@ -316,7 +327,7 @@ func (s *Server) MultiplyBatch(ctx context.Context, req *MultiplyBatchRequest) (
 	var runErr error
 	left := k
 	done := make(chan struct{})
-	err := s.enter(ctx, int64(k), ahat0, bhat0, req.Xhat, req.Options, func(fp string, prep *core.Prepared, hit bool) error {
+	err := s.enter(ctx, int64(k), first.A, first.B, req.Xhat, req.Options, func(fp string, prep *core.Prepared, hit bool) error {
 		now := time.Now()
 		lanes := make([]*lane, k)
 		for i, bl := range req.Lanes {

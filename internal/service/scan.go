@@ -73,11 +73,11 @@ func (w *wireMultiplyRequest) Scan(s *Scanner) error {
 		case "d":
 			w.D, err = s.integer()
 		case "a":
-			w.A, err = s.entries()
+			w.A, err = s.entries(w.A)
 		case "b":
-			w.B, err = s.entries()
+			w.B, err = s.entries(w.B)
 		case "xhat":
-			w.Xhat, err = s.positions()
+			w.Xhat, err = s.positions(w.Xhat)
 		case "trace":
 			w.Trace, err = s.Bool()
 		default:
@@ -101,7 +101,7 @@ func (w *wireMultiplyBatchRequest) Scan(s *Scanner) error {
 		case "lanes":
 			w.Lanes, err = s.lanes()
 		case "xhat":
-			w.Xhat, err = s.positions()
+			w.Xhat, err = s.positions(nil)
 		case "trace":
 			w.Trace, err = s.Bool()
 		default:
@@ -127,9 +127,9 @@ func (s *Scanner) lanes() ([]wireValueLane, error) {
 		err := s.Object(func(key []byte) (err error) {
 			switch string(key) {
 			case "a":
-				lane.A, err = s.entries()
+				lane.A, err = s.entries(nil)
 			case "b":
-				lane.B, err = s.entries()
+				lane.B, err = s.entries(nil)
 			default:
 				err = s.UnknownKey(key)
 			}
@@ -171,20 +171,21 @@ func (s *Scanner) structureKey(key []byte, n, d *int, ahat, bhat, xhat *[]wirePo
 	case "d":
 		*d, err = s.integer()
 	case "ahat":
-		*ahat, err = s.positions()
+		*ahat, err = s.positions(nil)
 	case "bhat":
-		*bhat, err = s.positions()
+		*bhat, err = s.positions(nil)
 	case "xhat":
-		*xhat, err = s.positions()
+		*xhat, err = s.positions(nil)
 	default:
 		err = s.UnknownKey(key)
 	}
 	return err
 }
 
-// entries scans [[i, j, value], ...], or null for none, into a slice sized
-// by a counting pre-pass.
-func (s *Scanner) entries() ([]wireEntry, error) {
+// entries scans [[i, j, value], ...], or null for none, appending to
+// dst[:0] — the slice a pooled request already holds, or nil — grown to the
+// size of a counting pre-pass.
+func (s *Scanner) entries(dst []wireEntry) ([]wireEntry, error) {
 	const shape = "an entry is [i, j, value]"
 	if s.null() {
 		return nil, nil
@@ -192,7 +193,7 @@ func (s *Scanner) entries() ([]wireEntry, error) {
 	if err := s.expect('['); err != nil {
 		return nil, err
 	}
-	out := make([]wireEntry, 0, s.countTuples(len("[0,0,0],")))
+	out := reuse(dst, s.countTuples(len("[0,0,0],")))
 	for i := 0; ; i++ {
 		if more, err := s.elem(i, ']'); err != nil || !more {
 			return out, err
@@ -220,9 +221,9 @@ func (s *Scanner) entries() ([]wireEntry, error) {
 	}
 }
 
-// positions scans [[i, j], ...], or null for none; both indices must be
-// written as integers.
-func (s *Scanner) positions() ([]wirePos, error) {
+// positions scans [[i, j], ...], or null for none, appending to dst[:0] as
+// entries does; both indices must be written as integers.
+func (s *Scanner) positions(dst []wirePos) ([]wirePos, error) {
 	const shape = "a position is [i, j]"
 	if s.null() {
 		return nil, nil
@@ -230,7 +231,7 @@ func (s *Scanner) positions() ([]wirePos, error) {
 	if err := s.expect('['); err != nil {
 		return nil, err
 	}
-	out := make([]wirePos, 0, s.countTuples(len("[0,0],")))
+	out := reuse(dst, s.countTuples(len("[0,0],")))
 	for i := 0; ; i++ {
 		if more, err := s.elem(i, ']'); err != nil || !more {
 			return out, err
@@ -256,6 +257,16 @@ func (s *Scanner) positions() ([]wirePos, error) {
 		}
 		out = append(out, p)
 	}
+}
+
+// reuse returns dst emptied with room for n elements, reallocated only when
+// it is too small, and never nil: an empty array decodes to an empty slice,
+// as in encoding/json.
+func reuse[T any](dst []T, n int) []T {
+	if cap(dst) < n || dst == nil {
+		return make([]T, 0, n)
+	}
+	return dst[:0]
 }
 
 // arity names the shape of a tuple in the error of one that ended early (the

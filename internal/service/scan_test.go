@@ -303,24 +303,30 @@ func TestDecodeOtherRequests(t *testing.T) {
 	}
 }
 
-// canonicalBody is the benchmark's edge request: n=256, d=4, US:US:US,
+// canonicalWire is the benchmark's edge request: n=256, d=4, US:US:US,
 // counting ring, entries in row-major order.
-func canonicalBody(tb testing.TB) []byte {
+func canonicalWire(tb testing.TB) *wireMultiplyRequest {
 	tb.Helper()
 	inst := workload.Instance(matrix.US, matrix.US, matrix.US, 256, 4, 1)
 	r := ring.Counting{}
-	body, err := json.Marshal(wireMultiplyRequest{
+	return &wireMultiplyRequest{
 		N: 256, Ring: "counting", Xhat: supportPositions(inst.Xhat),
 		A: sparseEntries(matrix.Random(inst.Ahat, r, 1)), B: sparseEntries(matrix.Random(inst.Bhat, r, 2)),
-	})
+	}
+}
+
+// canonicalBody is canonicalWire's bytes.
+func canonicalBody(tb testing.TB) []byte {
+	tb.Helper()
+	body, err := json.Marshal(canonicalWire(tb))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return body
 }
 
-// frontHalf is what a request pays before admission: decode, build, and the
-// two supports Server.submit derives.
+// frontHalf is what a request pays before its plan lookup: decode, build,
+// and the fingerprint Server.enter keys the cache by.
 func frontHalf(body []byte) error {
 	var wm wireMultiplyRequest
 	if err := DecodeWireMultiply(body, &wm); err != nil {
@@ -330,15 +336,15 @@ func frontHalf(body []byte) error {
 	if err != nil {
 		return err
 	}
-	supportOf(req.A)
-	supportOf(req.B)
-	return nil
+	_, err = core.FingerprintValues(req.A, req.B, req.Xhat, req.Options)
+	return err
 }
 
 // TestDecodeAllocs is the regression guard of the ordered path, as a count
 // and not a timing: the canonical request's front half took about 7,800
 // allocations when it went through encoding/json, Sparse.Set and three
-// NewSupport calls; it takes 30 now.
+// NewSupport calls, 30 when it still built the supports of A and B, and 19
+// now.
 func TestDecodeAllocs(t *testing.T) {
 	body := canonicalBody(t)
 	allocs := testing.AllocsPerRun(20, func() {
@@ -347,7 +353,7 @@ func TestDecodeAllocs(t *testing.T) {
 		}
 	})
 	if allocs > 40 {
-		t.Fatalf("decode + build + two supports: %.0f allocations, want at most 40", allocs)
+		t.Fatalf("decode + build + fingerprint: %.0f allocations, want at most 40", allocs)
 	}
 }
 
@@ -448,8 +454,9 @@ func deliberate(body []byte, off int, scanErr error) string {
 
 // FuzzDecodeMultiply holds the scanner against encoding/json on arbitrary
 // bytes: it never panics; what it accepts, encoding/json accepts to the same
-// struct; what encoding/json accepts and it refuses falls under one of the
-// documented differences.
+// struct, and json.Marshal writes back as reflection over the method-free
+// mirror does; what encoding/json accepts and it refuses falls under one of
+// the documented differences.
 func FuzzDecodeMultiply(f *testing.F) {
 	for _, tc := range seamCases {
 		f.Add([]byte(tc.body))
@@ -468,6 +475,11 @@ func FuzzDecodeMultiply(f *testing.F) {
 			}
 			if rest := bytes.TrimLeft(body[off:], " \t\r\n"); len(rest) > 0 {
 				t.Fatalf("scanner accepted bytes after the value: %q", body)
+			}
+			out, err := json.Marshal(&got)
+			ref, refErr := json.Marshal(plainMultiply(got))
+			if err != nil || refErr != nil || !bytes.Equal(out, ref) {
+				t.Fatalf("json.Marshal = %s, %v; reflection %s, %v: from %q", out, err, ref, refErr, body)
 			}
 		case oracleErr == nil:
 			if why := deliberate(body, off, scanErr); why == "" {

@@ -292,10 +292,12 @@ func (s *Server) release() {
 	s.metrics.Set(MetricActiveWorkers, s.active.Add(-1))
 }
 
-// prepared resolves the plan for the given supports and options through the
-// cache tiers — in-memory first, then the persistent store, compiling from
-// structure only when both miss — returning the plan, its fingerprint, and
-// whether it was served without compiling (either tier hit).
+// prepared resolves the plan with fingerprint fp through the cache tiers —
+// in-memory first, then the persistent store, compiling from structure only
+// when both miss — returning the plan and whether it was served without
+// compiling (either tier hit). supports builds the structure to compile
+// from; it is called only on that double miss, so a hit costs the
+// fingerprint and a lookup.
 //
 // The in-memory tier's singleflight covers both lower tiers: concurrent
 // requests for one fingerprint share a single store read or compile. A
@@ -304,11 +306,7 @@ func (s *Server) release() {
 // deliberately not fatal — a damaged or cross-version entry was already
 // quarantined by the store, and the request falls through to a compile
 // exactly as if the tier had missed.
-func (s *Server) prepared(ahat, bhat, xhat *matrix.Support, opts core.Options) (*core.Prepared, string, bool, error) {
-	fp, err := core.Fingerprint(ahat, bhat, xhat, opts)
-	if err != nil {
-		return nil, "", false, err
-	}
+func (s *Server) prepared(fp string, supports func() (ahat, bhat, xhat *matrix.Support), opts core.Options) (*core.Prepared, bool, error) {
 	storeHit := false
 	prep, hit, err := s.cache.Get(fp, func() (*core.Prepared, error) {
 		if s.cfg.Store != nil {
@@ -318,6 +316,7 @@ func (s *Server) prepared(ahat, bhat, xhat *matrix.Support, opts core.Options) (
 			}
 		}
 		s.metrics.Add(MetricCompiles, 1)
+		ahat, bhat, xhat := supports()
 		p, err := core.Prepare(ahat, bhat, xhat, opts)
 		if err == nil && s.cfg.Store != nil {
 			s.storeWG.Add(1)
@@ -331,9 +330,9 @@ func (s *Server) prepared(ahat, bhat, xhat *matrix.Support, opts core.Options) (
 		return p, err
 	})
 	if err != nil {
-		return nil, fp, false, err
+		return nil, false, err
 	}
-	return prep, fp, hit || storeHit, nil
+	return prep, hit || storeHit, nil
 }
 
 // MultiplyRequest is one serving-layer multiplication: values A and B, the
@@ -390,7 +389,14 @@ func (s *Server) Prepare(ctx context.Context, req *PrepareRequest) (*PrepareResp
 		return nil, err
 	}
 	defer release()
-	prep, fp, hit, err := s.prepared(req.Ahat, req.Bhat, req.Xhat, req.Options)
+	fp, err := core.Fingerprint(req.Ahat, req.Bhat, req.Xhat, req.Options)
+	if err != nil {
+		s.metrics.Add(MetricErrors, 1)
+		return nil, err
+	}
+	prep, hit, err := s.prepared(fp, func() (ahat, bhat, xhat *matrix.Support) {
+		return req.Ahat, req.Bhat, req.Xhat
+	}, req.Options)
 	if err != nil {
 		s.metrics.Add(MetricErrors, 1)
 		return nil, err

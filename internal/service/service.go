@@ -31,7 +31,9 @@
 // canonical serialization of the structure, ring, normalized algorithm and
 // resolved d, independent of construction order, process or machine — which
 // is what makes both cache tiers (and any future shared store) coherent
-// without coordination.
+// without coordination. A value request is keyed by core.FingerprintValues,
+// the same bytes hashed straight from the value rows: its supports are built
+// only when its plan must be compiled.
 //
 // Lock ordering: the Cache's mutex is the only lock in this package held
 // across another component's calls, and compile functions run *outside* it

@@ -148,3 +148,34 @@ func TestWarmRestartQuarantinesCorruptEntry(t *testing.T) {
 		t.Fatalf("store not repaired by write-back: serve/compiles = %d, want 0", got)
 	}
 }
+
+// TestPreparedBuildsSupportsOnlyToCompile: plan resolution asks for the
+// supports only when it compiles — not on an in-memory hit, not on a store
+// hit in a new process.
+func TestPreparedBuildsSupportsOnlyToCompile(t *testing.T) {
+	dir := t.TempDir()
+	inst := workload.Mixed(24, 3, 9)
+	opts := core.Options{Ring: ring.Counting{}}
+	fp, err := core.Fingerprint(inst.Ahat, inst.Bhat, inst.Xhat, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := 0
+	supports := func() (ahat, bhat, xhat *matrix.Support) {
+		built++
+		return inst.Ahat, inst.Bhat, inst.Xhat
+	}
+	resolve := func(s *Server, what string, wantBuilt int, wantHit bool) {
+		t.Helper()
+		if _, hit, err := s.prepared(fp, supports, opts); err != nil || hit != wantHit || built != wantBuilt {
+			t.Fatalf("%s: hit %v, %v, supports built %d times; want hit %v, built %d", what, hit, err, built, wantHit, wantBuilt)
+		}
+	}
+	s1, _ := storeServer(t, dir)
+	resolve(s1, "compile", 1, false)
+	resolve(s1, "memory hit", 1, true)
+	s1.Close() // drains the write-back
+	s2, _ := storeServer(t, dir)
+	defer s2.Close()
+	resolve(s2, "store hit", 1, true)
+}

@@ -17,6 +17,24 @@ import (
 // encoding/json returns, and a refused value appends nothing: each appender
 // returns its input unchanged with the error.
 
+// MarshalJSON is the twin of UnmarshalJSON: encoding/json callers get the
+// bytes AppendJSON writes, which are the ones its reflection would (strings
+// stay HTML-escaped, also under an Encoder's SetEscapeHTML(false)). They are
+// appended into a pooled buffer and returned as one exact-length copy; a NaN
+// or ±Inf value is the *json.UnsupportedValueError AppendJSON returns, which
+// encoding/json wraps in a *json.MarshalerError.
+func (w *wireMultiplyRequest) MarshalJSON() ([]byte, error) {
+	buf := appendPool.Get().(*[]byte)
+	defer putAppendBuf(buf)
+	var err error
+	if *buf, err = w.AppendJSON((*buf)[:0]); err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(*buf))
+	copy(out, *buf)
+	return out, nil
+}
+
 // AppendJSON appends the multiply payload as one JSON object.
 func (w *wireMultiplyRequest) AppendJSON(b []byte) ([]byte, error) {
 	start := len(b)
