@@ -8,13 +8,15 @@ import (
 	"lbmm/internal/cluster"
 	"lbmm/internal/fewtri"
 	"lbmm/internal/lbm"
+	"lbmm/internal/matrix"
 	"lbmm/internal/ring"
 )
 
-// loadRef binds one matrix position (i, j) to its arena slot.
+// loadRef binds one live matrix position (i, j) to its arena slot; at is
+// the position of column j within support row i.
 type loadRef struct {
-	i, j int32
-	ref  lbm.SlotRef
+	i, j, at int32
+	ref      lbm.SlotRef
 }
 
 // ErrLoadSlots reports a compiled form whose A, B and X load refs do not
@@ -23,24 +25,36 @@ type loadRef struct {
 // would expose whatever a pooled executor's previous run left in the slot.
 var ErrLoadSlots = errors.New("algo: load slots are not a prefix")
 
+// ErrDeadCell reports a plan that reaches an A, B or X cell lying on no
+// triangle. Such a cell has no slot in the loaded prefix, so the plan would
+// find it absent at run time.
+var ErrDeadCell = errors.New("algo: plan reaches a cell on no triangle")
+
 // compiledPrepared is the compiled twin of a Prepared: the whole pipeline
 // — input loading, phase-1 batches, the staging sweep, the Lemma 3.1 job
 // and output collection — lowered against one shared SlotSpace, so
 // MultiplyBatch is a pure array program. Executors are recycled through
 // pools; in steady state a multiplication allocates no store memory at all.
 //
-// The A, B and X cells are the first keys the SlotSpace sees, and it numbers
-// slots on first sight, so on every node v the loaded slots are exactly the
-// prefix [0, loaded[v]). Loading is therefore a value copy: Exec.BeginLoad
-// marks the prefixes present and the loader writes values into the arenas.
+// Only live cells take a slot: the A, B and X cells that lie on at least
+// one triangle (graph.Instance.Live). A dead cell never sends, never
+// receives and never changes the product, so it is neither loaded, zeroed
+// nor collected. The live cells are the first keys the SlotSpace sees, and
+// it numbers slots on first sight, so on every node v the loaded slots are
+// exactly the prefix [0, loaded[v]). Loading is therefore a value copy:
+// Exec.BeginLoad marks the prefixes present and the loader writes values
+// into the arenas. The map oracle still stores the dead cells, so BeginLoad
+// also counts dead[v] against each node's store: PeakStore, StoreLimit and
+// StoreLen stay the map engine's.
 type compiledPrepared struct {
 	sizes        []int32
 	loadA, loadB []loadRef
-	// x holds the output slots in Xhat row order: zero-initialized before
-	// the run, collected after it.
+	// x holds the live output slots in Xhat row order: zero-initialized
+	// before the run, collected after it.
 	x []loadRef
-	// loaded[v] is the number of slots node v holds once A, B and X are in.
-	loaded       []int32
+	// loaded[v] is the number of slots node v holds once A, B and X are in;
+	// dead[v] is the number of dead A, B and X cells node v owns.
+	loaded, dead []int32
 	phase1       []*cluster.CompiledBatch
 	stagingClear []lbm.SlotRef
 	few          *fewtri.CompiledJob
@@ -68,28 +82,17 @@ func (cp *compiledPrepared) execFor(lanes int) (*lbm.Exec, *sync.Pool) {
 
 // compilePrepared lowers a Prepared into its compiled twin. The lowering
 // order mirrors execution order, so the occupancy analysis sees keys in the
-// same sequence the map engine would create them.
+// same sequence the map engine would create them. It fails with ErrDeadCell
+// when a plan reaches a cell that lies on no triangle.
 func compilePrepared(p *Prepared) (*compiledPrepared, error) {
-	sp := lbm.NewSlotSpace(p.Inst.N)
-	cp := &compiledPrepared{}
-	for i, row := range p.Inst.Ahat.Rows {
-		for _, j := range row {
-			cp.loadA = append(cp.loadA, loadRef{i: int32(i), j: j,
-				ref: sp.Ref(p.Layout.OwnerA(int32(i), j), lbm.AKey(int32(i), j))})
-		}
-	}
-	for j, row := range p.Inst.Bhat.Rows {
-		for _, k := range row {
-			cp.loadB = append(cp.loadB, loadRef{i: int32(j), j: k,
-				ref: sp.Ref(p.Layout.OwnerB(int32(j), k), lbm.BKey(int32(j), k))})
-		}
-	}
-	for i, row := range p.Inst.Xhat.Rows {
-		for _, k := range row {
-			cp.x = append(cp.x, loadRef{i: int32(i), j: k,
-				ref: sp.Ref(p.Layout.OwnerX(int32(i), k), lbm.XKey(int32(i), k))})
-		}
-	}
+	inst, l := p.Inst, p.Layout
+	sp := lbm.NewSlotSpace(inst.N)
+	cp := &compiledPrepared{dead: make([]int32, inst.N)}
+	liveA, liveB, liveX := inst.Live()
+	cp.loadA = cp.slotLive(sp, inst.Ahat, liveA, l.OwnerA, lbm.AKey)
+	cp.loadB = cp.slotLive(sp, inst.Bhat, liveB, l.OwnerB, lbm.BKey)
+	cp.x = cp.slotLive(sp, inst.Xhat, liveX, l.OwnerX, lbm.XKey)
+	loaded := sp.Sizes()
 	for _, pb := range p.phase1 {
 		cb, err := pb.Compile(sp)
 		if err != nil {
@@ -111,11 +114,55 @@ func compilePrepared(p *Prepared) (*compiledPrepared, error) {
 		return nil, err
 	}
 	cp.few = few
+	// The guard: every A, B or X key the plans touch at its owner must be a
+	// loaded slot, or a plan reads a dead cell. Copies at other nodes are
+	// the plans' own scratch.
+	var reach error
+	sp.EachKey(func(node lbm.NodeID, k lbm.Key, slot int32) {
+		var owners map[[2]int32]lbm.NodeID
+		switch k.Kind {
+		case lbm.KA:
+			owners = l.A
+		case lbm.KB:
+			owners = l.B
+		case lbm.KX:
+			owners = l.X
+		default:
+			return
+		}
+		if o, ok := owners[[2]int32{k.I, k.J}]; ok && o == node && slot >= loaded[node] && reach == nil {
+			reach = fmt.Errorf("%w: %v at node %d", ErrDeadCell, k, node)
+		}
+	})
+	if reach != nil {
+		return nil, reach
+	}
 	cp.sizes = sp.Sizes()
 	if err := cp.finish(p.R); err != nil {
 		return nil, err
 	}
 	return cp, nil
+}
+
+// slotLive walks sup in row-major order: each live cell takes the next
+// slot of its owner and comes back as a load ref, each dead cell is counted
+// against its owner in cp.dead.
+func (cp *compiledPrepared) slotLive(sp *lbm.SlotSpace, sup *matrix.Support, live []bool,
+	owner func(i, j int32) lbm.NodeID, key func(i, j int32) lbm.Key) []loadRef {
+	var refs []loadRef
+	pos := 0
+	for i, row := range sup.Rows {
+		for at, j := range row {
+			o := owner(int32(i), j)
+			if live[pos] {
+				refs = append(refs, loadRef{i: int32(i), j: j, at: int32(at), ref: sp.Ref(o, key(int32(i), j))})
+			} else {
+				cp.dead[o]++
+			}
+			pos++
+		}
+	}
+	return refs
 }
 
 // finish completes a compiled form whose instruction state is in place —
@@ -134,7 +181,8 @@ func (cp *compiledPrepared) finish(r ring.Semiring) error {
 			cp.loaded[v]++
 		}
 	}
-	cp.bytes = int64(len(cp.loadA)+len(cp.loadB)+len(cp.x)) * 16
+	cp.bytes = int64(len(cp.loadA)+len(cp.loadB)+len(cp.x)) * 20
+	cp.bytes += int64(len(cp.dead)) * 4
 	cp.bytes += int64(len(cp.stagingClear)) * 8
 	for _, cb := range cp.phase1 {
 		cp.bytes += cb.MemoryBytes()

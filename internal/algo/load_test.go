@@ -34,7 +34,8 @@ func loadPrefixCases(t *testing.T) []*Prepared {
 // TestLoadPrefix pins the invariant the value loader rests on: on every
 // node the A, B and X load refs number the slots 0, 1, 2, … in load order,
 // so BeginLoad's prefix stamp leaves exactly what putting every loaded slot
-// one by one leaves — presence, live counts and Stats. On top of it, the
+// one by one leaves — presence, live counts and Stats — and the dead counts
+// raise each node's store by exactly its dead cells. On top of it, the
 // compiled walk must keep the map oracle's product and Stats (PeakStore and
 // the per-node loads included) at one lane and at three.
 func TestLoadPrefix(t *testing.T) {
@@ -56,7 +57,7 @@ func TestLoadPrefix(t *testing.T) {
 		}
 
 		stamped := lbm.NewExecBatch(cp.sizes, 1, p.R)
-		stamped.BeginLoad(cp.loaded)
+		stamped.BeginLoad(cp.loaded, nil)
 		put := lbm.NewExecBatch(cp.sizes, 1, p.R)
 		for _, refs := range [][]loadRef{cp.loadA, cp.loadB, cp.x} {
 			for _, lr := range refs {
@@ -77,6 +78,13 @@ func TestLoadPrefix(t *testing.T) {
 		}
 		if !reflect.DeepEqual(stamped.Stats(), put.Stats()) {
 			t.Fatalf("%s: stats after the load differ:\n stamp %+v\n put   %+v", label, stamped.Stats(), put.Stats())
+		}
+		withDead := lbm.NewExecBatch(cp.sizes, 1, p.R)
+		withDead.BeginLoad(cp.loaded, cp.dead)
+		for v := range cp.sizes {
+			if got, want := withDead.StoreLen(lbm.NodeID(v)), int(cp.loaded[v]+cp.dead[v]); got != want {
+				t.Fatalf("%s: node %d holds %d values with its dead cells, want %d", label, v, got, want)
+			}
 		}
 
 		checkOracle(t, label, p)

@@ -237,17 +237,27 @@ func (p *Prepared) MultiplyMap(a, b *matrix.Sparse, mopts ...lbm.Option) (*matri
 	return got, &res, nil
 }
 
-// within checks that m's stored entries all lie inside sup. It walks the
-// sparse rows directly — materializing m.Support() just to validate would
-// dominate the per-value-set cost of a prepared multiply.
+// within checks that m's stored entries all lie inside sup: the support
+// check of both engines and the compiled walk's containment pass. It walks
+// the sparse rows directly — materializing m.Support() just to validate
+// would dominate the per-value-set cost of a prepared multiply. A row as
+// long as its support row is compared column for column in one tight pass;
+// any other row, or one that pass rejects, takes the tandem walk, which
+// names the first cell outside the structure.
 func within(m *matrix.Sparse, sup *matrix.Support) error {
 	if m.N != sup.N {
 		return fmt.Errorf("dimension %d outside prepared structure %d", m.N, sup.N)
 	}
+	if len(m.Rows) != sup.N {
+		return fmt.Errorf("has %d rows for dimension %d", len(m.Rows), m.N)
+	}
 	for i, row := range m.Rows {
+		sr := sup.Rows[i]
+		if len(row) == len(sr) && sameCols(row, sr) {
+			continue
+		}
 		// Both row lists are sorted, so a tandem walk beats a binary search
 		// per entry.
-		sr := sup.Rows[i]
 		k := 0
 		for _, c := range row {
 			for k < len(sr) && sr[k] < c.Col {
@@ -260,4 +270,15 @@ func within(m *matrix.Sparse, sup *matrix.Support) error {
 		}
 	}
 	return nil
+}
+
+// sameCols reports whether cells holds exactly the columns cols, in order.
+func sameCols(cells []matrix.Cell, cols []int32) bool {
+	cols = cols[:len(cells)]
+	for k, c := range cells {
+		if c.Col != cols[k] {
+			return false
+		}
+	}
+	return true
 }

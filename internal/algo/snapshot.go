@@ -57,6 +57,7 @@ func (p *Prepared) EncodeCompiled(w *lbm.WireWriter) error {
 	w.Int(p.meta.Triangles)
 	w.Int(p.meta.Residual)
 	w.Int32s(cp.sizes)
+	w.Int32s(cp.dead)
 	for _, refs := range [][]loadRef{cp.loadA, cp.loadB, cp.x} {
 		w.Count(len(refs))
 		for _, lr := range refs {
@@ -78,11 +79,12 @@ func (p *Prepared) EncodeCompiled(w *lbm.WireWriter) error {
 //
 // Decoded state crosses a trust boundary (the plan store's files are
 // outside the process), so everything is validated before an executor can
-// touch it: supports are rebuilt with range and sortedness checks, load
-// refs are matched one-to-one against the support entries and must number
-// each node's slots from 0 without a gap (ErrLoadSlots), and every slot
-// reference in every embedded program is bounds-checked against the arena
-// geometry.
+// touch it: supports are rebuilt with range and sortedness checks, the
+// live cells are derived from them (graph.Instance.Live), load refs are
+// matched one-to-one against the live cells and must number each node's
+// slots from 0 without a gap (ErrLoadSlots), the per-node dead counts must
+// be non-negative and sum to the dead cells, and every slot reference in
+// every embedded program is bounds-checked against the arena geometry.
 func DecodeCompiledPrepared(r *lbm.WireReader) (*Prepared, error) {
 	name, ringName, ringP := r.String(), r.String(), int64(r.Int())
 	n, d := r.Int(), r.Int()
@@ -98,7 +100,7 @@ func DecodeCompiledPrepared(r *lbm.WireReader) (*Prepared, error) {
 	meta := Result{Name: name, Batches: r.Int()}
 	meta.Cluster.CubeClusters, meta.Cluster.StrassenClusters = r.Int(), r.Int()
 	meta.Kappa, meta.Triangles, meta.Residual = r.Int(), r.Int(), r.Int()
-	cp := &compiledPrepared{sizes: r.Int32s()}
+	cp := &compiledPrepared{sizes: r.Int32s(), dead: r.Int32s()}
 	refs := [3][]lbm.SlotRef{r.Refs(), r.Refs(), r.Refs()}
 	if k := r.Count(2); k > 0 {
 		cp.phase1 = make([]*cluster.CompiledBatch, k)
@@ -137,16 +139,37 @@ func DecodeCompiledPrepared(r *lbm.WireReader) (*Prepared, error) {
 			return nil, fmt.Errorf("algo: decode prepared: negative arena size at node %d", v)
 		}
 	}
-	// The supports, and the load refs matched one-to-one against them.
+	// The supports, and the load refs matched one-to-one against their live
+	// cells: liveness is derived from the supports, never carried.
 	var sups [3]*matrix.Support
-	loads := [3]*[]loadRef{&cp.loadA, &cp.loadB, &cp.x}
 	for i, m := range [3]string{"A", "B", "X"} {
 		if sups[i], err = matrix.SupportFromRows(n, rows[i]); err != nil {
 			return nil, fmt.Errorf("algo: decode prepared: %shat: %w", m, err)
 		}
-		if *loads[i], err = importRefs(refs[i], sups[i], cp.sizes); err != nil {
+	}
+	inst := graph.NewInstance(d, sups[0], sups[1], sups[2])
+	var live [3][]bool
+	live[0], live[1], live[2] = inst.Live()
+	loads := [3]*[]loadRef{&cp.loadA, &cp.loadB, &cp.x}
+	dead := 0
+	for i, m := range [3]string{"A", "B", "X"} {
+		if *loads[i], err = importRefs(refs[i], sups[i], live[i], cp.sizes); err != nil {
 			return nil, fmt.Errorf("algo: decode prepared: %s slots: %w", m, err)
 		}
+		dead += sups[i].NNZ - len(*loads[i])
+	}
+	if len(cp.dead) != n {
+		return nil, fmt.Errorf("algo: decode prepared: %d dead counts for %d nodes", len(cp.dead), n)
+	}
+	sum := 0
+	for v, c := range cp.dead {
+		if c < 0 {
+			return nil, fmt.Errorf("algo: decode prepared: negative dead count at node %d", v)
+		}
+		sum += int(c)
+	}
+	if sum != dead {
+		return nil, fmt.Errorf("algo: decode prepared: dead counts sum to %d, the supports have %d dead cells", sum, dead)
 	}
 	for i, cb := range cp.phase1 {
 		if err := cb.ValidateRefs(cp.sizes); err != nil {
@@ -163,7 +186,7 @@ func DecodeCompiledPrepared(r *lbm.WireReader) (*Prepared, error) {
 		return nil, fmt.Errorf("algo: decode prepared: %w", err)
 	}
 	return &Prepared{
-		Inst:     graph.NewInstance(d, sups[0], sups[1], sups[2]),
+		Inst:     inst,
 		R:        rg,
 		Name:     name,
 		compiled: cp,
@@ -171,21 +194,31 @@ func DecodeCompiledPrepared(r *lbm.WireReader) (*Prepared, error) {
 	}, nil
 }
 
-// importRefs pairs decoded slot refs with sup's entries in row-major order
-// — the order compilePrepared emits, EncodeCompiled writes and the batched
-// loader's merge-walk depends on — insisting on one ref per entry with
-// every slot in range.
-func importRefs(refs []lbm.SlotRef, sup *matrix.Support, sizes []int32) ([]loadRef, error) {
-	if len(refs) != sup.NNZ {
-		return nil, fmt.Errorf("%d refs for %d support entries", len(refs), sup.NNZ)
+// importRefs pairs decoded slot refs with sup's live entries in row-major
+// order — the order compilePrepared emits, EncodeCompiled writes and the
+// loader depends on — insisting on one ref per live entry with every slot
+// in range.
+func importRefs(refs []lbm.SlotRef, sup *matrix.Support, live []bool, sizes []int32) ([]loadRef, error) {
+	nLive := 0
+	for _, ok := range live {
+		if ok {
+			nLive++
+		}
+	}
+	if len(refs) != nLive {
+		return nil, fmt.Errorf("%d refs for %d live support entries", len(refs), nLive)
 	}
 	if err := lbm.CheckRefs(sizes, refs...); err != nil {
 		return nil, err
 	}
 	out := make([]loadRef, 0, len(refs))
+	pos := 0
 	for i, row := range sup.Rows {
-		for _, j := range row {
-			out = append(out, loadRef{i: int32(i), j: j, ref: refs[len(out)]})
+		for at, j := range row {
+			if live[pos] {
+				out = append(out, loadRef{i: int32(i), j: j, at: int32(at), ref: refs[len(out)]})
+			}
+			pos++
 		}
 	}
 	return out, nil

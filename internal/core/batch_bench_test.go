@@ -30,3 +30,23 @@ func BenchmarkBatch16Theorem42Real(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMultiplyUS256 is the benchmark harness's engine shape: one
+// multiply of a uniformly sparse n=256, d=4 structure over the counting
+// ring, prepared once with auto.
+func BenchmarkMultiplyUS256(b *testing.B) {
+	r := ring.Counting{}
+	inst := workload.Instance(matrix.US, matrix.US, matrix.US, 256, 4, 1)
+	prep, err := core.Prepare(inst.Ahat, inst.Bhat, inst.Xhat, core.Options{Ring: r, D: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, bm := matrix.Random(inst.Ahat, r, 1), matrix.Random(inst.Bhat, r, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := prep.Multiply(a, bm); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -19,7 +19,10 @@ import (
 // misinterpreted by another. Version 1 was the gob generation; version 2 had
 // no trivial plan, wrote a fewtri job as one list of nine plans where version
 // 3 writes its input and output chains apart, and repeated the plan's name.
-const PreparedFormatVersion = 3
+// Version 3 gave every support cell a load ref; version 4 gives one only to
+// the live cells, those on a triangle, and adds each node's count of dead
+// cells.
+const PreparedFormatVersion = 4
 
 // preparedMagic opens every envelope (the layout is in internal/lbm/wire.go
 // and docs/PLANSTORE.md).

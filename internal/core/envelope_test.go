@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"lbmm/internal/algo"
@@ -298,15 +299,10 @@ func TestEnvelopeRejectsCorruption(t *testing.T) {
 	}
 }
 
-// loadSlotGap returns p's envelope with one load ref moved off its node's
-// slot prefix: the last X ref of a node whose arena has slots beyond the
-// prefix points one slot further, leaving a gap, and the header is resealed
-// so the body reader is what must refuse it. The offsets follow the body
-// layout of Encode and algo.EncodeCompiled up to the load refs.
-func loadSlotGap(t *testing.T, p *Prepared) []byte {
-	t.Helper()
-	env := encode(t, p)
-	u32 := func(off int) int { return int(binary.LittleEndian.Uint32(env[off:])) }
+// bodyOffsets returns where the arena sizes, the dead counts and the A load
+// refs begin in p's envelope env, following the body layout of Encode and
+// algo.EncodeCompiled.
+func bodyOffsets(env []byte, p *Prepared) (sizes, dead, refs int) {
 	in := p.inner
 	off := hdrLen + 4 + len(p.Algorithm) + 8 + 4*4 // Algorithm, D, Classes, Band
 	off += 4 + len(in.Name) + 4 + len(in.R.Name()) + 3*8
@@ -316,12 +312,25 @@ func loadSlotGap(t *testing.T, p *Prepared) []byte {
 			off += 4 + 4*len(row)
 		}
 	}
-	off += 6 * 8 // the Result skeleton
-	sizes := make([]int, u32(off))
+	sizes = off + 6*8 // the Result skeleton
+	n := int(binary.LittleEndian.Uint32(env[sizes:]))
+	dead = sizes + 4 + 4*n
+	return sizes, dead, dead + 4 + 4*n
+}
+
+// loadSlotGap returns p's envelope with one load ref moved off its node's
+// slot prefix: the last X ref of a node whose arena has slots beyond the
+// prefix points one slot further, leaving a gap, and the header is resealed
+// so the body reader is what must refuse it.
+func loadSlotGap(t *testing.T, p *Prepared) []byte {
+	t.Helper()
+	env := encode(t, p)
+	u32 := func(off int) int { return int(binary.LittleEndian.Uint32(env[off:])) }
+	sizesOff, _, off := bodyOffsets(env, p)
+	sizes := make([]int, u32(sizesOff))
 	for v := range sizes {
-		sizes[v] = u32(off + 4 + 4*v)
+		sizes[v] = u32(sizesOff + 4 + 4*v)
 	}
-	off += 4 + 4*len(sizes)
 	// Walk the A, B and X ref slabs, counting each node's loaded slots and
 	// remembering where each node's last ref sits.
 	loaded := make([]int, len(sizes))
@@ -344,6 +353,106 @@ func loadSlotGap(t *testing.T, p *Prepared) []byte {
 	}
 	t.Fatalf("no node of %s has slots beyond its load prefix", p.Algorithm)
 	return nil
+}
+
+// deadShape prepares the trivial plan of a uniformly sparse instance on
+// which most cells lie on no triangle, so its envelope carries dead counts.
+func deadShape(t testing.TB) *Prepared {
+	t.Helper()
+	inst := workload.Instance(matrix.US, matrix.US, matrix.US, 16, 3, 7)
+	p, err := Prepare(inst.Ahat, inst.Bhat, inst.Xhat, Options{Ring: ring.Counting{}, Algorithm: "trivial"})
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	return p
+}
+
+// liveDamage is each resealed damage to an envelope's live-cell accounting,
+// with the decode error it must produce.
+var liveDamage = []struct {
+	name, want string
+	patch      func(env []byte, dead, refs int) []byte
+}{
+	{"dead-negative", "negative dead count", func(env []byte, dead, _ int) []byte {
+		binary.LittleEndian.PutUint32(env[dead+4:], 0xffffffff) // node 0: -1
+		return env
+	}},
+	{"dead-sum", "dead counts sum to", func(env []byte, dead, _ int) []byte {
+		env[dead+4]++
+		return env
+	}},
+	{"live-refs", "refs for", func(env []byte, _, refs int) []byte {
+		// One A ref fewer, the slab's count lowered to match.
+		n := binary.LittleEndian.Uint32(env[refs:])
+		binary.LittleEndian.PutUint32(env[refs:], n-1)
+		last := refs + 4 + 8*int(n-1)
+		return append(env[:last:last], env[last+8:]...)
+	}},
+}
+
+// damageLive returns deadShape's envelope with one liveDamage applied and
+// the header resealed.
+func damageLive(t testing.TB, i int) []byte {
+	t.Helper()
+	p := deadShape(t)
+	env := encode(t, p)
+	_, dead, refs := bodyOffsets(env, p)
+	return reseal(liveDamage[i].patch(env, dead, refs))
+}
+
+// TestDecodeRejectsLiveAccounting checks that an envelope whose dead counts
+// are negative or do not sum to the supports' dead cells, or whose ref slab
+// does not have one ref per live cell, is refused at decode by that rule —
+// and that the committed resealed seed of each still reaches it.
+func TestDecodeRejectsLiveAccounting(t *testing.T) {
+	for i, tc := range liveDamage {
+		seed := readSeed(t, filepath.Join("testdata", "fuzz", "FuzzDecodePrepared", tc.name+"-resealed"))
+		for _, env := range [][]byte{damageLive(t, i), seed} {
+			_, err := DecodePrepared(bytes.NewReader(env))
+			if !errors.Is(err, ErrEnvelope) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: err = %v, want ErrEnvelope saying %q", tc.name, err, tc.want)
+			}
+		}
+	}
+}
+
+// TestDecodeRejectsRoundOffsetPastStream replays the resealed one-byte
+// change that once made the decoder index past a compiled plan's
+// instruction stream: a theorem42 blocks envelope whose round index runs
+// beyond it must come back as ErrEnvelope, not a panic.
+func TestDecodeRejectsRoundOffsetPastStream(t *testing.T) {
+	seed := readSeed(t, filepath.Join("testdata", "fuzz", "FuzzDecodePrepared", "round-offset-resealed"))
+	_, err := DecodePrepared(bytes.NewReader(seed))
+	if !errors.Is(err, ErrEnvelope) || !strings.Contains(err.Error(), "covers instructions") {
+		t.Fatalf("err = %v, want ErrEnvelope from the round index bound", err)
+	}
+}
+
+// TestEnvelopeDeadCellsRoundTrip checks that a plan with dead cells
+// survives the envelope: the dead counts come back, and the restored plan
+// gives the original's product and Stats, PeakStore included.
+func TestEnvelopeDeadCellsRoundTrip(t *testing.T) {
+	p := deadShape(t)
+	q, err := DecodePrepared(bytes.NewReader(encode(t, p)))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	inst := p.inner.Inst
+	a, b := matrix.Random(inst.Ahat, ring.Counting{}, 1), matrix.Random(inst.Bhat, ring.Counting{}, 2)
+	want, wrep, err := p.Multiply(a, b)
+	if err != nil {
+		t.Fatalf("original multiply: %v", err)
+	}
+	got, grep, err := q.Multiply(a, b)
+	if err != nil {
+		t.Fatalf("restored multiply: %v", err)
+	}
+	if !matrix.Equal(got, want) || !reflect.DeepEqual(grep.Stats, wrep.Stats) {
+		t.Fatalf("restored plan differs: stats %+v, want %+v", grep.Stats, wrep.Stats)
+	}
+	if q.CompiledBytes() != p.CompiledBytes() {
+		t.Fatalf("compiled bytes %d, want %d", q.CompiledBytes(), p.CompiledBytes())
+	}
 }
 
 // TestDecodeRejectsLoadSlotGap checks that an envelope whose load refs do

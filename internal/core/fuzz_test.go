@@ -44,9 +44,10 @@ func readSeed(t *testing.T, path string) []byte {
 // compiled plans from outside the process (plan-store files, mesh job
 // frames). The seed corpus (testdata/fuzz/FuzzDecodePrepared) holds one
 // valid envelope per plan shape of envShapes, a body cut in half, a slab
-// length that exceeds the body and load refs with a gap in a node's slot
-// prefix (loadSlotGap), the last three resealed so they reach the body
-// reader. The property: a decode ends in a typed error, or in a
+// length that exceeds the body, load refs with a gap in a node's slot
+// prefix (loadSlotGap), a round index that runs past its plan's
+// instructions, and each liveDamage to the live-cell accounting, all but
+// the first resealed so they reach the body reader. The property: a decode ends in a typed error, or in a
 // Prepared whose re-encoding decodes to the same plan — never a panic, and
 // never more heap than a fixed multiple of the input.
 func FuzzDecodePrepared(f *testing.F) {

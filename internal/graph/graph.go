@@ -75,6 +75,50 @@ func (inst *Instance) Triangles() []Triangle {
 	return out
 }
 
+// Live marks the cells that lie on at least one triangle: a[p], b[p] and
+// x[p] report it for the p-th entry, in row-major order, of Â, B̂ and X̂.
+// It is Triangles' walk, recording positions instead of triangles. A cell
+// it leaves false never sends, never receives and never changes the
+// product.
+func (inst *Instance) Live() (a, b, x []bool) {
+	a, b, x = make([]bool, inst.Ahat.NNZ), make([]bool, inst.Bhat.NNZ), make([]bool, inst.Xhat.NNZ)
+	bStart, xStart := rowStarts(inst.Bhat), rowStarts(inst.Xhat)
+	pa := 0
+	for i, arow := range inst.Ahat.Rows {
+		xrow := inst.Xhat.Rows[i]
+		for _, j := range arow {
+			brow := inst.Bhat.Rows[j]
+			ai, bi := 0, 0
+			for ai < len(xrow) && bi < len(brow) {
+				switch {
+				case xrow[ai] < brow[bi]:
+					ai++
+				case xrow[ai] > brow[bi]:
+					bi++
+				default:
+					a[pa], b[bStart[j]+bi], x[xStart[i]+ai] = true, true, true
+					ai++
+					bi++
+				}
+			}
+			pa++
+		}
+	}
+	return a, b, x
+}
+
+// rowStarts returns, per row of s, the row-major position of its first
+// entry.
+func rowStarts(s *matrix.Support) []int {
+	out := make([]int, len(s.Rows))
+	p := 0
+	for i, row := range s.Rows {
+		out[i] = p
+		p += len(row)
+	}
+	return out
+}
+
 // CountTriangles returns |T̂| without materializing the set.
 func (inst *Instance) CountTriangles() int {
 	total := 0

@@ -66,6 +66,43 @@ func TestTrianglesAgainstBrute(t *testing.T) {
 	}
 }
 
+// TestLiveAgainstTriangles checks Live against the triangle list: a cell
+// is live exactly when some triangle uses it.
+func TestLiveAgainstTriangles(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 40; trial++ {
+		n := 3 + rng.Intn(12)
+		inst := NewInstance(n,
+			randomSupport(rng, n, rng.Intn(3*n)),
+			randomSupport(rng, n, rng.Intn(3*n)),
+			randomSupport(rng, n, rng.Intn(3*n)))
+		on := [3]map[[2]int32]bool{{}, {}, {}}
+		for _, tr := range bruteTriangles(inst) {
+			on[0][[2]int32{tr.I, tr.J}] = true
+			on[1][[2]int32{tr.J, tr.K}] = true
+			on[2][[2]int32{tr.I, tr.K}] = true
+		}
+		a, b, x := inst.Live()
+		for m, c := range []struct {
+			sup  *matrix.Support
+			live []bool
+		}{{inst.Ahat, a}, {inst.Bhat, b}, {inst.Xhat, x}} {
+			if len(c.live) != c.sup.NNZ {
+				t.Fatalf("trial %d matrix %d: %d marks for %d cells", trial, m, len(c.live), c.sup.NNZ)
+			}
+			pos := 0
+			for i, row := range c.sup.Rows {
+				for _, j := range row {
+					if c.live[pos] != on[m][[2]int32{int32(i), j}] {
+						t.Fatalf("trial %d matrix %d: cell (%d,%d) live=%v", trial, m, i, j, c.live[pos])
+					}
+					pos++
+				}
+			}
+		}
+	}
+}
+
 func TestTrianglesDeterministicOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 10

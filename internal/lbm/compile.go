@@ -286,6 +286,11 @@ func (cp *CompiledPlan) Validate() error {
 		if lo > hi {
 			return fmt.Errorf("lbm: compiled plan: round index not monotone at round %d", t)
 		}
+		// The first and last offsets are pinned above, but a middle one
+		// may still point outside the stream.
+		if lo < 0 || int(hi) > ni {
+			return fmt.Errorf("lbm: compiled plan: round %d covers instructions [%d,%d) of %d", t, lo, hi, ni)
+		}
 		var real int32
 		for i := lo; i < hi; i++ {
 			from, to := cp.From[i], cp.To[i]

@@ -189,7 +189,7 @@ func TestExecCycleAllocFree(t *testing.T) {
 			}
 		}
 		stamp := func() {
-			arena := x.BeginLoad(loaded)
+			arena := x.BeginLoad(loaded, nil)
 			for i, l := range loads {
 				dst := arena[refs[i].Node][int(refs[i].Slot)*lanes:][:lanes]
 				for lane := range dst {
@@ -380,6 +380,9 @@ func TestCompiledValidateCatchesCorruption(t *testing.T) {
 		{"negative slot", func(cp *CompiledPlan) { cp.DstSlot[0] = -1 }},
 		{"unknown op", func(cp *CompiledPlan) { cp.Ops[0] = OpSub + 1 }},
 		{"round offsets not monotone", func(cp *CompiledPlan) { cp.RoundOff[1] = cp.RoundOff[2] + 1 }},
+		// Round 0 ends past the stream before round 1 is seen to run
+		// backwards: the bound must be checked before indexing.
+		{"round offset past the stream", func(cp *CompiledPlan) { cp.RoundOff[1] = int32(len(cp.From)) + 5 }},
 		{"arrays inconsistent", func(cp *CompiledPlan) { cp.To = cp.To[:len(cp.To)-1] }},
 		{"span out of range", func(cp *CompiledPlan) { cp.Spans[0].End = cp.NumRounds() + 1 }},
 		{"machine size", func(cp *CompiledPlan) { cp.N = 0 }},

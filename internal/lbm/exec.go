@@ -229,12 +229,15 @@ func (x *Exec) PutLane(r SlotRef, lane int, v ring.Value) {
 
 // BeginLoad marks slots [0, loaded[v]) present on every owned node v and
 // returns the arenas, for the caller to fill every lane of those slots
-// (slot s lane l at arena[v][s*Lanes+l]) before the first Run. Live counts
-// and PeakStore end where putting the slots one by one would leave them.
-// It is the bulk load of a structure whose input slots were numbered first
-// on every node, so presence is known without looking at any value. Writes
-// to a non-owned node's arena are never read: its slots stay absent.
-func (x *Exec) BeginLoad(loaded []int32) [][]ring.Value {
+// (slot s lane l at arena[v][s*Lanes+l]) before the first Run. It is the
+// bulk load of a structure whose input slots were numbered first on every
+// node, so presence is known without looking at any value. dead[v] (nil for
+// none) counts values node v holds that no instruction ever touches and that
+// therefore have no slot: they count toward the store, as they do in the
+// map engine. Live counts and PeakStore end where putting every value one
+// by one would leave them. Writes to a non-owned node's arena are never
+// read: its slots stay absent.
+func (x *Exec) BeginLoad(loaded, dead []int32) [][]ring.Value {
 	for v, n := range loaded {
 		if !x.Owns(NodeID(v)) {
 			continue
@@ -246,6 +249,9 @@ func (x *Exec) BeginLoad(loaded []int32) [][]ring.Value {
 				st[s] = x.epoch
 				added++
 			}
+		}
+		if dead != nil {
+			added += dead[v]
 		}
 		x.live[v] += added
 		if int(x.live[v]) > x.stats.PeakStore {

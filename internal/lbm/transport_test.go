@@ -381,7 +381,7 @@ func TestLoadPrefixPartitioned(t *testing.T) {
 					}
 					return x.Run(cp)
 				}
-				arena := x.BeginLoad(loaded)
+				arena := x.BeginLoad(loaded, nil)
 				for _, l := range loads {
 					ref := sp.Ref(l.node, l.key)
 					for lane := 0; lane < lanes; lane++ {
