@@ -40,6 +40,10 @@ const (
 	// is policy-driven, not demand-driven — feedback consumers must not read
 	// it as evidence the key filled a batch the way ReasonFull is.
 	ReasonShrink Reason = "shrink"
+	// ReasonDrain: the submitter called Launch because it holds no further
+	// lane for the key — a streaming session that has read every byte it
+	// was sent. Like ReasonShrink it is caller-driven, not demand evidence.
+	ReasonDrain Reason = "drain"
 )
 
 // Policy is one launch decision: the lane cap and delay window governing a
@@ -156,6 +160,17 @@ func (c *Coalescer[T]) launchLocked(key string, g *group[T], why Reason) {
 		defer c.wg.Done()
 		c.run(key, items, why)
 	}()
+}
+
+// Launch starts the pending group of key now, with ReasonDrain: the caller
+// knows no lane-mate is on its way, so waiting out the window would only add
+// latency. It is a no-op when nothing is parked under key.
+func (c *Coalescer[T]) Launch(key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if g := c.groups[key]; g != nil {
+		c.launchLocked(key, g, ReasonDrain)
+	}
 }
 
 // Pending reports how many items are parked waiting for lane-mates

@@ -219,3 +219,56 @@ func TestCoalescerCloseRaceExactlyOnce(t *testing.T) {
 		mu.Unlock()
 	}
 }
+
+// TestCoalescerLaunchOnlyItsKey pins Launch: it starts the group parked
+// under its key at once, in submission order and with ReasonDrain, and
+// leaves every other key's group waiting.
+func TestCoalescerLaunchOnlyItsKey(t *testing.T) {
+	s := &sink{}
+	c := New[int](Config{MaxBatch: 8, MaxDelay: time.Hour}, s.run)
+	c.Submit("a", 1)
+	c.Submit("b", 2)
+	c.Submit("a", 3)
+	c.Launch("a")
+	if got := c.Pending(); got != 1 {
+		t.Fatalf("after Launch(a) %d items pending, want b's 1", got)
+	}
+	c.Close()
+	if len(s.groups) != 2 {
+		t.Fatalf("want 2 groups, got %v", s.groups)
+	}
+	for i, key := range s.keys {
+		switch {
+		case key == "a" && (s.whys[i] != ReasonDrain || len(s.groups[i]) != 2 || s.groups[i][0] != 1 || s.groups[i][1] != 3):
+			t.Errorf("a launched %v with %q, want [1 3] with %q", s.groups[i], s.whys[i], ReasonDrain)
+		case key == "b" && (s.whys[i] != ReasonFlush || len(s.groups[i]) != 1):
+			t.Errorf("b launched %v with %q, want [2] at Close", s.groups[i], s.whys[i])
+		}
+	}
+}
+
+// TestCoalescerLaunchNothingParked pins that Launch is a no-op for a key
+// with nothing parked: never seen, launched already, or launched
+// immediately by its policy — and after Close.
+func TestCoalescerLaunchNothingParked(t *testing.T) {
+	s := &sink{}
+	c := New[int](Config{MaxBatch: 2, MaxDelay: time.Hour}, s.run)
+	c.Launch("never")
+	c.Submit("full", 1)
+	c.Submit("full", 2)
+	c.Launch("full")
+	c.Close()
+	c.Launch("full")
+	if len(s.groups) != 1 || s.whys[0] != ReasonFull {
+		t.Fatalf("groups %v whys %v, want the one full launch", s.groups, s.whys)
+	}
+
+	s = &sink{}
+	c = New[int](Config{}, s.run)
+	c.Submit("now", 1)
+	c.Launch("now")
+	c.Close()
+	if len(s.groups) != 1 || s.whys[0] != ReasonImmediate {
+		t.Fatalf("groups %v whys %v, want the one immediate launch", s.groups, s.whys)
+	}
+}

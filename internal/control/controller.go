@@ -192,11 +192,12 @@ func (c *Controller) policyLocked(st *keyState) batch.Policy {
 // launched. A timeout launch of a single lane means the window was armed on
 // an overestimated rate — decay it so the next decision goes immediate
 // sooner; a full launch means the rate supports at least this batch —
-// tighten the gap estimate toward what the launch demonstrated. Shrink and
-// flush launches are policy artifacts, not demand evidence (a shrink fires
-// exactly when this controller judged the key colder — counting it as a
-// full launch would heat the estimate in positive feedback), so they leave
-// the estimate untouched.
+// tighten the gap estimate toward what the launch demonstrated. Shrink,
+// flush and drain launches are policy artifacts, not demand evidence (a
+// shrink fires exactly when this controller judged the key colder — counting
+// it as a full launch would heat the estimate in positive feedback; a drain
+// fires because the submitter ran out of lanes, not because the window was
+// wrong), so they leave the estimate untouched.
 func (c *Controller) Observe(key string, lanes int, why batch.Reason) {
 	c.mu.Lock()
 	st := c.keys[key]

@@ -227,6 +227,35 @@ func TestObserveFeedback(t *testing.T) {
 	}
 }
 
+// A drain launch means the submitter ran out of lanes, which says nothing
+// about the key's arrival rate: whatever it caught, the estimate and the
+// feedback counters stay as they were.
+func TestObserveIgnoresDrain(t *testing.T) {
+	clk := newManualClock()
+	ms := obsv.NewCounterSet()
+	c := newTestController(clk, ms)
+	c.Decide("k")
+	for i := 0; i < 20; i++ {
+		clk.Advance(150 * time.Microsecond)
+		c.Decide("k")
+	}
+	gap := func() time.Duration {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.keys["k"].ewmaGap
+	}
+	before := gap()
+	for _, lanes := range []int{1, 2, 16, 64} {
+		c.Observe("k", lanes, batch.ReasonDrain)
+	}
+	if after := gap(); after != before {
+		t.Fatalf("drain launches moved the gap estimate %v -> %v", before, after)
+	}
+	if ms.Get(MetricGrow) != 0 || ms.Get(MetricShrink) != 0 {
+		t.Fatalf("drain launches counted as feedback: grow=%d shrink=%d", ms.Get(MetricGrow), ms.Get(MetricShrink))
+	}
+}
+
 // The per-key state is bounded: the stalest fingerprint is evicted at the
 // MaxKeys cap.
 func TestKeyStateBounded(t *testing.T) {

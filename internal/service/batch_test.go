@@ -527,7 +527,7 @@ func TestServerCloseDrainsInFlightLane(t *testing.T) {
 	}})
 	req, want := faultReq(ring.Counting{}, 15)
 	var delivered atomic.Bool
-	err := srv.MultiplySubmit(context.Background(), req, func(resp *MultiplyResponse, err error) {
+	_, err := srv.MultiplySubmit(context.Background(), req, func(resp *MultiplyResponse, err error) {
 		if err != nil || !matrix.Equal(resp.X, want) {
 			t.Errorf("drained lane: err=%v, or a wrong product", err)
 		}

@@ -94,7 +94,7 @@ var entryPoints = []struct {
 			err  error
 		}
 		done := make(chan outcome, 1)
-		err := srv.MultiplySubmit(context.Background(), req, func(resp *MultiplyResponse, err error) {
+		_, err := srv.MultiplySubmit(context.Background(), req, func(resp *MultiplyResponse, err error) {
 			done <- outcome{resp, err}
 		})
 		if err != nil {

@@ -190,9 +190,6 @@ func NewHandler(s *Server) http.Handler {
 func handleMultiply(s *Server, w http.ResponseWriter, r *http.Request) {
 	wm := multiplyPool.Get().(*wireMultiplyRequest)
 	defer putMultiply(wm)
-	// Only the slices survive from the last request, emptied: the grammar
-	// appends into them, and a key the body omits decodes as empty.
-	*wm = wireMultiplyRequest{A: wm.A[:0], B: wm.B[:0], Xhat: wm.Xhat[:0]}
 	if err := decodeBody(w, r, wm.Scan); err != nil {
 		writeDecodeErr(w, err)
 		return
@@ -337,15 +334,26 @@ const maxPooledBody = 1 << 20
 
 // multiplyPool recycles the requests /v1/multiply scans into, so a warm
 // request decodes its cells into slices it already holds. ParseWireMultiply
-// copies everything out of them, so a request goes back when its handler
-// returns; putMultiply drops one whose slices hold more than maxPooledBody
-// bytes, on bodyPool's rule.
+// copies everything out of them, so a request goes back, Reset, when its
+// handler returns.
 var multiplyPool = sync.Pool{New: func() any { return new(wireMultiplyRequest) }}
 
 func putMultiply(wm *wireMultiplyRequest) {
-	if heldBytes(wm) <= maxPooledBody {
-		multiplyPool.Put(wm)
+	wm.Reset()
+	multiplyPool.Put(wm)
+}
+
+// Reset empties w for the next scan into it. Only its slices survive,
+// emptied: the grammar appends into them, and a key the next body omits
+// decodes as empty. Slices that together hold more than maxPooledBody bytes
+// are dropped instead, on bodyPool's rule, so one huge request does not pin
+// its arrays for the life of whoever reuses w.
+func (w *wireMultiplyRequest) Reset() {
+	if heldBytes(w) > maxPooledBody {
+		*w = wireMultiplyRequest{}
+		return
 	}
+	*w = wireMultiplyRequest{A: w.A[:0], B: w.B[:0], Xhat: w.Xhat[:0]}
 }
 
 // heldBytes is the size of the arrays behind a request's slices.

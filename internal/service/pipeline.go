@@ -115,19 +115,25 @@ func (s *Server) enter(ctx context.Context, n int64, a, b *matrix.Sparse, xhat *
 }
 
 // submit is the one way a value set reaches a plan: validate, then enter the
-// pipeline as a single lane keyed by its plan fingerprint. A nil return
-// means deliver will be called exactly once with the outcome; an error means
-// the lane was rejected before parking and deliver never runs.
-func (s *Server) submit(ctx context.Context, req *MultiplyRequest, deliver func(*MultiplyResponse, error)) error {
+// pipeline as a single lane keyed by its plan fingerprint, which it returns.
+// A nil error means deliver will be called exactly once with the outcome; an
+// error means the lane was rejected before parking and deliver never runs.
+func (s *Server) submit(ctx context.Context, req *MultiplyRequest, deliver func(*MultiplyResponse, error)) (string, error) {
 	if err := validateValues("", "multiply needs A, B and Xhat", req.A, req.B, req.Xhat); err != nil {
-		return err
+		return "", err
 	}
-	return s.enter(ctx, 1, req.A, req.B, req.Xhat, req.Options, func(fp string, prep *core.Prepared, hit bool) error {
+	var key string
+	err := s.enter(ctx, 1, req.A, req.B, req.Xhat, req.Options, func(fp string, prep *core.Prepared, hit bool) error {
+		key = fp
 		return s.coal.Submit(fp, &lane{
 			prep: prep, a: req.A, b: req.B, trace: req.Trace, hit: hit,
 			enqueued: time.Now(), deliver: deliver,
 		})
 	})
+	if err != nil {
+		return "", err
+	}
+	return key, nil
 }
 
 // await blocks until done closes or ctx ends, capped at Config.Deadline when
@@ -242,7 +248,7 @@ func (s *Server) Multiply(ctx context.Context, req *MultiplyRequest) (*MultiplyR
 		runErr error
 	)
 	done := make(chan struct{})
-	err := s.submit(ctx, req, func(r *MultiplyResponse, e error) {
+	_, err := s.submit(ctx, req, func(r *MultiplyResponse, e error) {
 		resp, runErr = r, e
 		close(done)
 	})
@@ -258,7 +264,8 @@ func (s *Server) Multiply(ctx context.Context, req *MultiplyRequest) (*MultiplyR
 // MultiplySubmit is the streaming entry point: it validates, admits and
 // plan-resolves the request like Multiply, but instead of waiting it
 // registers deliver to be invoked exactly once with the outcome and
-// returns. A non-nil return error means the request was rejected
+// returns the plan fingerprint the lane is parked under — the key Launch
+// takes. A non-nil return error means the request was rejected
 // synchronously (validation, admission, plan failure or a closed server)
 // and deliver will never be called.
 //
@@ -266,12 +273,18 @@ func (s *Server) Multiply(ctx context.Context, req *MultiplyRequest) (*MultiplyR
 // streaming session hands it a bounded outbox sized so that enqueueing a
 // result can never stall a worker. Backpressure is admission control: the
 // caller's read loop stalls in MultiplySubmit when every worker slot is busy.
-func (s *Server) MultiplySubmit(ctx context.Context, req *MultiplyRequest, deliver func(*MultiplyResponse, error)) error {
+func (s *Server) MultiplySubmit(ctx context.Context, req *MultiplyRequest, deliver func(*MultiplyResponse, error)) (string, error) {
 	if deliver == nil {
-		return fmt.Errorf("%w: submit needs a deliver callback", ErrInvalid)
+		return "", fmt.Errorf("%w: submit needs a deliver callback", ErrInvalid)
 	}
 	return s.submit(ctx, req, deliver)
 }
+
+// Launch starts the lanes parked under fingerprint fp now, without waiting
+// out their batch window (batch/launch_drain): the streaming session calls
+// it once it has read every byte its client sent, when no lane-mate can be
+// on its way from it. Nothing parked under fp is a no-op.
+func (s *Server) Launch(fp string) { s.coal.Launch(fp) }
 
 // BatchLane is one value set of an explicit batched multiply.
 type BatchLane struct {

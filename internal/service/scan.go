@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"unicode/utf16"
@@ -73,9 +74,9 @@ func (w *wireMultiplyRequest) Scan(s *Scanner) error {
 		case "d":
 			w.D, err = s.integer()
 		case "a":
-			w.A, err = s.entries(w.A)
+			w.A, err = s.Entries(w.A)
 		case "b":
-			w.B, err = s.entries(w.B)
+			w.B, err = s.Entries(w.B)
 		case "xhat":
 			w.Xhat, err = s.positions(w.Xhat)
 		case "trace":
@@ -85,6 +86,71 @@ func (w *wireMultiplyRequest) Scan(s *Scanner) error {
 		}
 		return err
 	})
+}
+
+// Scan is the grammar of a report object, the twin of AppendJSON: what a
+// stream client reads back from a result frame. Keys may come in any subset
+// and order, and a repeated key or report scans into the same struct, as
+// encoding/json decodes into one. The profile, a traced lane's free-form
+// tree, is the one member encoding/json decodes.
+func (r *wireMultiplyReport) Scan(s *Scanner) error {
+	return s.Object(func(key []byte) (err error) {
+		switch string(key) {
+		case "rounds":
+			r.Rounds, err = s.integer()
+		case "phase1_rounds":
+			r.Phase1Rounds, err = s.integer()
+		case "phase2_rounds":
+			r.Phase2Rounds, err = s.integer()
+		case "messages":
+			var m int
+			m, err = s.integer()
+			r.Messages = int64(m)
+		case "peak_store":
+			r.PeakStore, err = s.integer()
+		case "algorithm":
+			r.Algorithm, err = s.String()
+		case "classes":
+			err = s.classes(&r.Classes)
+		case "band":
+			r.Band, err = s.String()
+		case "d":
+			r.D, err = s.integer()
+		case "fingerprint":
+			r.Fingerprint, err = s.String()
+		case "cache":
+			r.Cache, err = s.String()
+		case "profile":
+			dec := json.NewDecoder(bytes.NewReader(s.buf[s.pos:]))
+			err = dec.Decode(&r.Profile)
+			s.pos += int(dec.InputOffset())
+		default:
+			err = s.UnknownKey(key)
+		}
+		return err
+	})
+}
+
+// classes scans exactly three strings.
+func (s *Scanner) classes(dst *[3]string) error {
+	if err := s.expect('['); err != nil {
+		return err
+	}
+	for k := 0; ; k++ {
+		more, err := s.elem(k, ']')
+		if err != nil || !more {
+			if err == nil && k < len(dst) {
+				err = s.errf("classes has %d names, want %d", k, len(dst))
+			}
+			return err
+		}
+		if k == len(dst) {
+			return s.errf("classes has more than %d names", len(dst))
+		}
+		if dst[k], err = s.String(); err != nil {
+			return err
+		}
+	}
 }
 
 func (w *wireMultiplyBatchRequest) Scan(s *Scanner) error {
@@ -127,9 +193,9 @@ func (s *Scanner) lanes() ([]wireValueLane, error) {
 		err := s.Object(func(key []byte) (err error) {
 			switch string(key) {
 			case "a":
-				lane.A, err = s.entries(nil)
+				lane.A, err = s.Entries(nil)
 			case "b":
-				lane.B, err = s.entries(nil)
+				lane.B, err = s.Entries(nil)
 			default:
 				err = s.UnknownKey(key)
 			}
@@ -182,10 +248,10 @@ func (s *Scanner) structureKey(key []byte, n, d *int, ahat, bhat, xhat *[]wirePo
 	return err
 }
 
-// entries scans [[i, j, value], ...], or null for none, appending to
+// Entries scans [[i, j, value], ...], or null for none, appending to
 // dst[:0] — the slice a pooled request already holds, or nil — grown to the
 // size of a counting pre-pass.
-func (s *Scanner) entries(dst []wireEntry) ([]wireEntry, error) {
+func (s *Scanner) Entries(dst []WireEntry) ([]WireEntry, error) {
 	const shape = "an entry is [i, j, value]"
 	if s.null() {
 		return nil, nil
@@ -194,9 +260,16 @@ func (s *Scanner) entries(dst []wireEntry) ([]wireEntry, error) {
 		return nil, err
 	}
 	out := reuse(dst, s.countTuples(len("[0,0,0],")))
+	var fast [3]uint64
 	for i := 0; ; i++ {
 		if more, err := s.elem(i, ']'); err != nil || !more {
 			return out, err
+		}
+		// The number fast path's bound: integers of up to 15 digits are
+		// exact float64s.
+		if s.compactTuple(fast[:], 15) {
+			out = append(out, wireEntry{float64(fast[0]), float64(fast[1]), float64(fast[2])})
+			continue
 		}
 		if err := s.expect('['); err != nil {
 			return nil, err
@@ -222,7 +295,7 @@ func (s *Scanner) entries(dst []wireEntry) ([]wireEntry, error) {
 }
 
 // positions scans [[i, j], ...], or null for none, appending to dst[:0] as
-// entries does; both indices must be written as integers.
+// Entries does; both indices must be written as integers.
 func (s *Scanner) positions(dst []wirePos) ([]wirePos, error) {
 	const shape = "a position is [i, j]"
 	if s.null() {
@@ -232,9 +305,15 @@ func (s *Scanner) positions(dst []wirePos) ([]wirePos, error) {
 		return nil, err
 	}
 	out := reuse(dst, s.countTuples(len("[0,0],")))
+	var fast [2]uint64
 	for i := 0; ; i++ {
 		if more, err := s.elem(i, ']'); err != nil || !more {
 			return out, err
+		}
+		// The integer fast path's bound: 9 digits always fit an int.
+		if s.compactTuple(fast[:], 9) {
+			out = append(out, wirePos{int(fast[0]), int(fast[1])})
+			continue
 		}
 		if err := s.expect('['); err != nil {
 			return nil, err
@@ -257,6 +336,39 @@ func (s *Scanner) positions(dst []wirePos) ([]wirePos, error) {
 		}
 		out = append(out, p)
 	}
+}
+
+// compactTuple is the fast path of one tuple element, the shape every
+// appender writes: '[', len(dst) plain non-negative integers of at most
+// maxDigits digits each (no sign, leading zero, fraction or exponent) split
+// by single commas, ']', no white space anywhere. On that shape it fills dst
+// and consumes the element; on any other byte it leaves the cursor on the
+// element's start, so the general path reads it — and reports its errors —
+// exactly as if there were no fast path.
+func (s *Scanner) compactTuple(dst []uint64, maxDigits int) bool {
+	buf, p := s.buf, s.pos
+	if p >= len(buf) || buf[p] != '[' {
+		return false
+	}
+	for k := range dst {
+		p++ // the '[' or the ',' before this number
+		start := p
+		var v uint64
+		for p < len(buf) && isDigit(buf[p]) && p-start < maxDigits {
+			v = v*10 + uint64(buf[p]-'0')
+			p++
+		}
+		sep := byte(',')
+		if k == len(dst)-1 {
+			sep = ']'
+		}
+		if p == start || p >= len(buf) || buf[p] != sep || (buf[start] == '0' && p-start > 1) {
+			return false
+		}
+		dst[k] = v
+	}
+	s.pos = p + 1
+	return true
 }
 
 // reuse returns dst emptied with room for n elements, reallocated only when
@@ -570,6 +682,20 @@ func (s *Scanner) integer() (int, error) {
 		return 0, s.errf("integer %.32s out of range", s.buf[start:p])
 	}
 	return int(wide), nil
+}
+
+// Int scans a number written as an integer within the range of int.
+func (s *Scanner) Int() (int, error) { return s.integer() }
+
+// Uint scans a number written as a non-negative integer within the range
+// of int.
+func (s *Scanner) Uint() (uint64, error) {
+	s.ws()
+	if s.pos < len(s.buf) && s.buf[s.pos] == '-' {
+		return 0, s.unexpected("a non-negative integer")
+	}
+	v, err := s.integer()
+	return uint64(v), err
 }
 
 // number scans a JSON number to the float64 strconv.ParseFloat gives its

@@ -133,6 +133,9 @@ var seamCases = []struct {
 		body: `{"\u006e":4,"r\u0069ng":"c\u006funting","a":[[0,1,2],[1,0,3],[1,2,4],[3,3,5]],"b":[[0,0,1],[1,2,2],[2,1,3]],"xhat":[[0,0],[0,2],[1,1],[3,1]]}`},
 	{name: "null where an array belongs is no array",
 		body: `{"n":4,"a":null,"b":null,"xhat":null}`, same: `{"n":4,"a":[],"b":[],"xhat":[]}`},
+	{name: "tuples at and past the compact fast path's bounds",
+		body: `{"n":4,"ring":"counting","a":[[0,1,999999999999999],[0,2,1000000000000000],[1,0,9007199254740993],[2,2,1.5],[3,3,2e3],[3,2,-7],[3,1,0]],"b":[[0,0,0],[1,2,10]],"xhat":[[0,0],[1,2],[3,0]]}`,
+		same: `{"n":4,"ring":"counting","a":[ [0,1,999999999999999],[ 0,2,1000000000000000],[ 1,0,9007199254740993],[ 2,2,1.5],[ 3,3,2e3],[ 3,2,-7],[ 3,1,0]],"b":[ [0,0,0],[ 1,2,10]],"xhat":[ [0,0],[ 1,2],[ 3,0]]}`},
 	{name: "real values", body: `{"n":2,"a":[[0,0,0.1],[1,1,-2.5e-3]],"b":[[0,1,1E2]],"xhat":[[0,1]]}`,
 		same: `{"n":2,"a":[[0,0,0.1],[1,1,-0.0025]],"b":[[0,1,100]],"xhat":[[0,1]]}`},
 
@@ -147,6 +150,10 @@ var seamCases = []struct {
 	{name: "n out of range", body: `{"n":99999999999999999999,"a":[],"b":[],"xhat":[]}`, reject: "integer 99999999999999999999 out of range"},
 	{name: "bare minus", body: `{"n":4,"a":[[0,0,-]],"b":[],"xhat":[]}`, reject: "want a number"},
 	{name: "leading zero", body: `{"n":4,"a":[[0,01,1]],"b":[],"xhat":[]}`, reject: "unexpected '1'"},
+	{name: "leading zero in a compact position", body: `{"n":4,"a":[],"b":[],"xhat":[[0,01]]}`, reject: "leading zero"},
+	{name: "nine-digit position", body: `{"n":4,"a":[],"b":[],"xhat":[[999999999,0]]}`, reject: "xhat: position (999999999,0) out of range for n=4"},
+	{name: "ten-digit position", body: `{"n":4,"a":[],"b":[],"xhat":[[0,1000000000]]}`, reject: "xhat: position (0,1000000000) out of range for n=4"},
+	{name: "negative compact position", body: `{"n":4,"a":[],"b":[],"xhat":[[0,-1]]}`, reject: "xhat: position (0,-1) out of range for n=4"},
 	{name: "leading zero in an integer", body: `{"n":04,"a":[],"b":[],"xhat":[]}`, reject: "leading zero"},
 	{name: "no digit after the point", body: `{"n":4,"a":[[0,0,1.]],"b":[],"xhat":[]}`, reject: "a digit after the decimal point"},
 	{name: "no digit in the exponent", body: `{"n":4,"a":[[0,0,1e+]],"b":[],"xhat":[]}`, reject: "a digit in the exponent"},

@@ -143,7 +143,7 @@ const (
 	MetricBatchSize   = "batch/size"
 	MetricBatchLanes  = "batch/lanes"   // gauge: lanes executing right now
 	MetricBatchWaitNs = "batch/wait_ns" // total ns lanes spent waiting to launch
-	MetricBatchLaunch = "batch/launch_" // + reason: full|timeout|immediate|flush|shrink
+	MetricBatchLaunch = "batch/launch_" // + reason: full|timeout|immediate|flush|shrink|drain
 
 	// MetricGoroutines is a scrape-time gauge of the process goroutine
 	// count — the streaming soak drill asserts it stays bounded while

@@ -31,6 +31,22 @@ type (
 // Support.Entries emit — builds A, B and Xhat in one linear, sort-free pass
 // each. Errors are the caller's fault (map to ErrInvalid semantics).
 func ParseWireMultiply(wm *WireMultiply) (*MultiplyRequest, error) {
+	xhat, err := WireSupport(wm.N, wm.Xhat)
+	return ParseWireValues(wm, xhat, err)
+}
+
+// WireSupport builds a payload's output support from its wire positions,
+// as ParseWireMultiply does: the same support, or the same error.
+func WireSupport(n int, xhat []WirePos) (*matrix.Support, error) {
+	return buildSupport(n, xhat, "xhat")
+}
+
+// ParseWireValues is ParseWireMultiply over an output support built
+// beforehand by WireSupport — a session that ships its support once builds
+// it once. xhat and xerr are what WireSupport returned: a build error is
+// reported where ParseWireMultiply reports it, after the ring's and the
+// values'. wm.Xhat is not read.
+func ParseWireValues(wm *WireMultiply, xhat *matrix.Support, xerr error) (*MultiplyRequest, error) {
 	ringSR, err := resolveRing(wm.Ring)
 	if err != nil {
 		return nil, err
@@ -43,9 +59,8 @@ func ParseWireMultiply(wm *WireMultiply) (*MultiplyRequest, error) {
 	if err != nil {
 		return nil, err
 	}
-	xhat, err := buildSupport(wm.N, wm.Xhat, "xhat")
-	if err != nil {
-		return nil, err
+	if xerr != nil {
+		return nil, xerr
 	}
 	return &MultiplyRequest{
 		A: a, B: b, Xhat: xhat,

@@ -157,6 +157,9 @@ type Node struct {
 	ring     *HashRing
 	failures int    // consecutive alive-check failures on the current successor
 	suspect  string // the successor the failures count against
+	// leaving is set by Leave: the node has removed itself, so a view that
+	// does not list it is its own doing, never a reason to rejoin.
+	leaving bool
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -237,11 +240,14 @@ func (n *Node) Stop() {
 	n.wg.Wait()
 }
 
-// Leave gracefully removes this node from the ring: it bumps the epoch and
-// broadcasts the view so survivors rebalance immediately instead of waiting
-// out an alive-check.
+// Leave gracefully removes this node from the ring: it bumps the epoch,
+// adopts the view without itself and broadcasts it so survivors rebalance
+// immediately instead of waiting out an alive-check. From then on the node
+// never rejoins — the survivors' replies to its own broadcast list it no
+// more — and no longer alive-checks anyone.
 func (n *Node) Leave() {
 	n.mu.Lock()
+	n.leaving = true
 	next := View{Epoch: n.view.Epoch + 1}
 	for _, m := range n.view.Members {
 		if m.ID != n.self.ID {
@@ -249,6 +255,7 @@ func (n *Node) Leave() {
 		}
 	}
 	peers := n.peersLocked()
+	n.adoptLocked(next, "leave")
 	n.mu.Unlock()
 	n.cfg.Logf("shard %s: leaving ring (epoch %d)", n.self.ID, next.Epoch)
 	n.broadcast(next, peers)
@@ -281,15 +288,15 @@ func (n *Node) adoptLocked(v View, why string) {
 
 // maybeAdoptLocked applies the convergence rule: higher epoch wins, equal
 // epochs tie-break on the canonical digest. It re-joins when this node was
-// dropped from a view it is plainly alive to receive. Caller holds n.mu.
-// Returns whether v was adopted.
+// dropped from a view it is plainly alive to receive, unless it is leaving.
+// Caller holds n.mu. Returns whether v was adopted.
 func (n *Node) maybeAdoptLocked(v View, why string) bool {
 	cur := n.view
 	if v.Epoch < cur.Epoch || (v.Epoch == cur.Epoch && v.digest() <= cur.digest()) {
 		return false
 	}
 	n.adoptLocked(v, why)
-	if !v.has(n.self.ID) {
+	if !v.has(n.self.ID) && !n.leaving {
 		// A failure detector somewhere declared us dead while we are alive
 		// (a stalled heartbeat, a partition that healed). Re-announce rather
 		// than wedge: bump the epoch with ourselves restored.
@@ -356,7 +363,7 @@ func (n *Node) heartbeatLoop() {
 func (n *Node) checkSuccessor() {
 	n.mu.Lock()
 	next, twiceNext, ok := n.successorsLocked()
-	if !ok {
+	if !ok || n.leaving {
 		n.failures, n.suspect = 0, ""
 		n.mu.Unlock()
 		return

@@ -169,6 +169,55 @@ func TestMembershipGracefulLeave(t *testing.T) {
 	})
 }
 
+// TestLeaveDoesNotRejoin pins that a leave is final: the survivors' replies
+// to the leaver's own broadcast list it no more, and it must not take them
+// for a failure detector's mistake and re-announce itself. The leaver keeps
+// running here — alive-checks, gossip and all — so any rejoin would reach
+// the survivors and keep them from settling on two members.
+func TestLeaveDoesNotRejoin(t *testing.T) {
+	a := newTestNode(t, "stay-a")
+	b := newTestNode(t, "stay-b")
+	c := newTestNode(t, "go-c")
+	if err := a.node.Start(""); err != nil {
+		t.Fatal(err)
+	}
+	for _, tn := range []*testNode{b, c} {
+		if err := tn.node.Start(a.node.Self().Addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "3-node convergence", func() bool {
+		return converged([]*testNode{a, b, c}, "stay-a", "stay-b", "go-c")
+	})
+
+	c.node.Leave()
+	readded := false
+	leaverView := func() bool {
+		if c.node.View().has("go-c") {
+			readded = true
+		}
+		return !readded
+	}
+	waitFor(t, "survivors adopt the leave", func() bool {
+		return leaverView() && converged([]*testNode{a, b}, "stay-a", "stay-b")
+	})
+	// Twenty heartbeats later nothing has moved back.
+	for deadline := time.Now().Add(300 * time.Millisecond); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if !leaverView() {
+			break
+		}
+	}
+	if readded {
+		t.Fatalf("the leaver re-added itself: its view is %+v", c.node.View())
+	}
+	if !converged([]*testNode{a, b}, "stay-a", "stay-b") {
+		t.Fatalf("survivors moved off the 2-member view: %+v / %+v", a.node.View(), b.node.View())
+	}
+	if got := c.ms.Get(MetricMembers); got != 2 {
+		t.Errorf("the leaver's %s = %d, want the 2 survivors", MetricMembers, got)
+	}
+}
+
 // TestRejoinOnDroppedView exercises the anti-wedge rule directly: a node
 // that receives a newer view not listing itself must re-announce instead of
 // serving forever as a ghost no ring member routes to.

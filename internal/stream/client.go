@@ -1,8 +1,8 @@
 package stream
 
 import (
+	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -103,9 +103,9 @@ func Dial(ctx context.Context, baseURL string, hc *http.Client) (*Client, error)
 		c.teardown()
 		return nil, fmt.Errorf("stream: hello: %w", err)
 	}
-	dec := json.NewDecoder(resp.Body)
-	var hello Frame
-	if err := dec.Decode(&hello); err != nil {
+	br := bufio.NewReaderSize(resp.Body, lineBuffer)
+	hello, err := readFrame(br)
+	if err != nil {
 		c.teardown()
 		return nil, fmt.Errorf("stream: hello: %w", err)
 	}
@@ -118,7 +118,7 @@ func Dial(ctx context.Context, baseURL string, hc *http.Client) (*Client, error)
 		return nil, fmt.Errorf("stream: unexpected hello %q/%q", hello.Type, hello.Proto)
 	}
 	c.maxInflight = hello.MaxInflight
-	go c.readLoop(dec)
+	go c.readLoop(br)
 	return c, nil
 }
 
@@ -173,12 +173,13 @@ func (c *Client) write(f *Frame) (err error) {
 }
 
 // readLoop fans incoming frames to their Call handles until the server
-// closes its side; it then fails every still-pending lane.
-func (c *Client) readLoop(dec *json.Decoder) {
+// closes its side or sends a line that is not a server frame; it then fails
+// every still-pending lane.
+func (c *Client) readLoop(br *bufio.Reader) {
 	defer close(c.readerDone)
 	for {
-		var f Frame
-		if err := dec.Decode(&f); err != nil {
+		f, err := readFrame(br)
+		if err != nil {
 			c.failPending(err)
 			return
 		}

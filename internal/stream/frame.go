@@ -16,6 +16,7 @@
 package stream
 
 import (
+	"bufio"
 	"strconv"
 
 	"lbmm/internal/service"
@@ -77,7 +78,14 @@ type Frame struct {
 // same_xhat), the submit payload through the /v1/multiply grammar, nothing
 // after the object. On an error the frame holds what was scanned before it,
 // so an error frame can still name the id.
-func scanFrame(line []byte) (Frame, error) {
+func scanFrame(line []byte) (Frame, error) { return scanFrameInto(line, new(service.WireMultiply)) }
+
+// scanFrameInto is scanFrame with the submit payload scanned into wm, which
+// the frame's Submit then points at: the session's one request, Reset
+// between frames, whose slices the payload's cells are appended into. A
+// repeated submit key scans into the same struct, as encoding/json decodes
+// into one.
+func scanFrameInto(line []byte, wm *service.WireMultiply) (Frame, error) {
 	var f Frame
 	err := service.ScanDocument(line, func(s *service.Scanner) error {
 		return s.Object(func(key []byte) (err error) {
@@ -89,8 +97,8 @@ func scanFrame(line []byte) (Frame, error) {
 			case "id":
 				f.ID, err = s.String()
 			case "submit":
-				f.Submit = new(service.WireMultiply)
-				err = f.Submit.Scan(s)
+				f.Submit = wm
+				err = wm.Scan(s)
 			case "same_xhat":
 				f.SameXhat, err = s.Bool()
 			default:
@@ -100,6 +108,55 @@ func scanFrame(line []byte) (Frame, error) {
 		})
 	})
 	return f, err
+}
+
+// scanServerFrame is the client's twin of scanFrame: one server→client line,
+// exactly the keys a server frame has (type, proto, max_inflight, id,
+// ticket, x, report, code, error), nothing after the object. A repeated key
+// overwrites, and a repeated report scans into the same struct, as
+// encoding/json decodes.
+func scanServerFrame(line []byte) (Frame, error) {
+	var f Frame
+	err := service.ScanDocument(line, func(s *service.Scanner) error {
+		return s.Object(func(key []byte) (err error) {
+			switch string(key) {
+			case "type":
+				f.Type, err = s.String()
+			case "proto":
+				f.Proto, err = s.String()
+			case "max_inflight":
+				f.MaxInflight, err = s.Int()
+			case "id":
+				f.ID, err = s.String()
+			case "ticket":
+				f.Ticket, err = s.Uint()
+			case "x":
+				f.X, err = s.Entries(f.X)
+			case "report":
+				if f.Report == nil {
+					f.Report = new(service.WireReport)
+				}
+				err = f.Report.Scan(s)
+			case "code":
+				f.Code, err = s.Int()
+			case "error":
+				f.Error, err = s.String()
+			default:
+				err = s.UnknownKey(key)
+			}
+			return err
+		})
+	})
+	return f, err
+}
+
+// readFrame reads and scans the next server frame of a session.
+func readFrame(br *bufio.Reader) (Frame, error) {
+	line, err := readLine(br, service.MaxBodyBytes)
+	if err != nil {
+		return Frame{}, err
+	}
+	return scanServerFrame(line)
 }
 
 // appendFrame appends f as one NDJSON line, byte for byte what json.Encoder

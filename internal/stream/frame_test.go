@@ -5,10 +5,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"go/parser"
+	"go/token"
 	"io"
 	"math"
 	"net/http"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -105,15 +109,21 @@ func TestReadLine(t *testing.T) {
 	}
 }
 
-// plainFrame is the client→server part of Frame with a submit payload that
-// has no UnmarshalJSON: what the lenient json.Decoder of the old read loop
-// made of a line.
+// plainFrame is Frame with a submit payload that has no UnmarshalJSON: what
+// the lenient json.Decoder of the old read loops — the session's and the
+// client's — made of a line.
 type plainFrame struct {
-	Type     string `json:"type"`
-	Proto    string `json:"proto"`
-	ID       string `json:"id"`
-	SameXhat bool   `json:"same_xhat"`
-	Submit   *struct {
+	Type        string              `json:"type"`
+	Proto       string              `json:"proto"`
+	MaxInflight int                 `json:"max_inflight"`
+	ID          string              `json:"id"`
+	Ticket      uint64              `json:"ticket"`
+	SameXhat    bool                `json:"same_xhat"`
+	X           []service.WireEntry `json:"x"`
+	Report      *shadowReport       `json:"report"`
+	Code        int                 `json:"code"`
+	Error       string              `json:"error"`
+	Submit      *struct {
 		N         int                 `json:"n"`
 		Ring      string              `json:"ring"`
 		Algorithm string              `json:"algorithm"`
@@ -357,4 +367,181 @@ func FuzzAppendFrame(f *testing.F) {
 			t.Fatalf("round trip submit %+v, scanned %+v: %q", b, g, line)
 		}
 	})
+}
+
+// serverLines are server frames of every type, as the server writes them or
+// with what encoding/json would also take: a traced report with a profile,
+// a ticket above 2³¹, keys in another order, white space.
+var serverLines = []string{
+	`{"type":"hello","proto":"lbmm.stream.v1","max_inflight":512}`,
+	`{"type":"ticket","id":"lane-0","ticket":7}` + "\n",
+	`{"type":"ticket","id":"big","ticket":4294967296}`,
+	`{"type":"result","id":"lane-0","ticket":1,"x":[[0,1,2],[3,4,-0.5e-7]],"report":{"rounds":3,` +
+		`"phase1_rounds":1,"phase2_rounds":2,"messages":12,"peak_store":7,"algorithm":"trivial",` +
+		`"classes":["US","US","AS"],"band":"d≤n","d":4,"fingerprint":"ab12","cache":"hit"}}`,
+	`{"report":{"cache":"miss","classes":["US","RS","CS"],"profile":{"schema":"lbmm.trace.v1",` +
+		`"meta":{"w":"<b>"},"rounds":3,"messages":12,"per_round":[4,4,4],"phases":[{"label":"p",` +
+		`"end":3,"rounds":3,"counters":{"share":1e-7}}]}}, "x" : [ [0, 0, 1.5] ], "type":"result","ticket":2}`,
+	`{"type":"error","id":"lane-1","ticket":3,"code":429,"error":"stream: session inflight cap 4 reached"}`,
+}
+
+// badServerLines are lines the reader refuses: an unknown key, two frames on
+// one line, a client frame.
+var badServerLines = []string{
+	`{"type":"ticket","id":"x","ticket":1,"colour":"red"}`,
+	`{"type":"ticket","id":"a","ticket":1}{"type":"ticket","id":"b","ticket":2}`,
+	`{"type":"submit","id":"x","same_xhat":true}`,
+}
+
+// TestReadFrame pins the client's reader on the fuzz seeds: it takes every
+// server frame, the traced profile included, and refuses the rest.
+func TestReadFrame(t *testing.T) {
+	for _, line := range serverLines {
+		f, err := readFrame(bufio.NewReader(strings.NewReader(line)))
+		if err != nil || f.Type == "" {
+			t.Errorf("%q: %+v, %v", line, f, err)
+		}
+	}
+	f, _ := readFrame(bufio.NewReader(strings.NewReader(serverLines[4])))
+	if f.Report == nil || f.Report.Classes[1] != "RS" || f.Report.Profile == nil ||
+		f.Report.Profile.Phases[0].Counters["share"] != 1e-7 {
+		t.Errorf("the traced report was not read whole: %+v", f.Report)
+	}
+	for _, line := range badServerLines {
+		if f, err := readFrame(bufio.NewReader(strings.NewReader(line))); err == nil {
+			t.Errorf("%q: accepted as %+v", line, f)
+		}
+	}
+}
+
+// FuzzReadFrame feeds whole lines to the client's frame reader: it never
+// panics, a line it accepts is one json.Decoder decodes into plainFrame to
+// the same frame, with nothing after it, and appendFrame writes an accepted
+// frame as a line the reader gives back as the same frame. It refuses more
+// than json.Decoder does: unknown keys, null scalars, tuples of the wrong
+// length, a ticket over the range of int64, a second frame on the line.
+func FuzzReadFrame(f *testing.F) {
+	for _, line := range append(serverLines, badServerLines...) {
+		f.Add([]byte(line))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		if nl := bytes.IndexByte(line, '\n'); nl >= 0 && nl < len(line)-1 {
+			return // the reader takes one line; what follows is the next frame
+		}
+		got, err := readFrame(bufio.NewReader(bytes.NewReader(line)))
+		if err != nil {
+			return
+		}
+		var want plainFrame
+		dec := json.NewDecoder(bytes.NewReader(line))
+		if err := dec.Decode(&want); err != nil {
+			t.Fatalf("the reader accepts what encoding/json rejects (%v): %q", err, line)
+		}
+		if rest := bytes.TrimLeft(line[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+			t.Fatalf("the reader accepted bytes after the frame: %q", line)
+		}
+		if want.Submit != nil || want.SameXhat {
+			t.Fatalf("the reader accepted a client key: %q", line)
+		}
+		fromJSON := Frame{Type: want.Type, Proto: want.Proto, MaxInflight: want.MaxInflight, ID: want.ID,
+			Ticket: want.Ticket, X: want.X, Code: want.Code, Error: want.Error}
+		if want.Report != nil {
+			rep := service.WireReport(*want.Report)
+			fromJSON.Report = &rep
+		}
+		if !sameFrame(got, fromJSON) {
+			t.Fatalf("reader %+v, encoding/json %+v: %q", got, fromJSON, line)
+		}
+
+		out, err := appendFrame(nil, &got)
+		if err != nil {
+			t.Fatalf("appendFrame refused a frame the reader accepted (%v): %q", err, line)
+		}
+		back, err := readFrame(bufio.NewReader(bytes.NewReader(out)))
+		if err != nil {
+			t.Fatalf("the reader refused appendFrame's own line %q: %v", out, err)
+		}
+		if len(got.X) == 0 {
+			got.X = nil // omitted on the wire when empty
+		}
+		if !sameFrame(back, got) {
+			t.Fatalf("round trip %+v, read %+v: %q", back, got, line)
+		}
+	})
+}
+
+// sameFrame reports whether two frames are equal field by field, values to
+// the float bits; profiles, whose empty members encoding/json omits, are
+// compared as the JSON they encode to.
+func sameFrame(a, b Frame) bool {
+	if !sameBits(a.X, b.X) || (a.Report == nil) != (b.Report == nil) {
+		return false
+	}
+	if a.Report != nil {
+		ra, rb := *a.Report, *b.Report
+		pa, errA := json.Marshal(ra.Profile)
+		pb, errB := json.Marshal(rb.Profile)
+		if errA != nil || errB != nil || !bytes.Equal(pa, pb) {
+			return false
+		}
+		ra.Profile, rb.Profile = nil, nil
+		if ra != rb {
+			return false
+		}
+	}
+	a.X, b.X, a.Report, b.Report = nil, nil, nil, nil
+	return reflect.DeepEqual(a, b)
+}
+
+// TestStreamImportsNoEncodingJSON pins that the stream package's program
+// code reads and writes every frame with the serving layer's scanner and
+// appenders: no file of it imports encoding/json.
+func TestStreamImportsNoEncodingJSON(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	checked := 0
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked++
+		for _, imp := range f.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); path == "encoding/json" {
+				t.Errorf("%s imports encoding/json", name)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no program files found")
+	}
+}
+
+// TestCaughtUp pins when a session drains: once its buffer holds nothing but
+// white space — blank lines included — and not while any byte of a next
+// frame is in it.
+func TestCaughtUp(t *testing.T) {
+	for _, tc := range []struct {
+		sent string
+		want bool
+	}{
+		{`{"type":"submit"}` + "\n", true},
+		{`{"type":"submit"}` + "\n\n \r\n", true},
+		{`{"type":"submit"}` + "\n" + `{"type":"sub`, false},
+		{`{"type":"submit"}` + "\n" + `{"type":"submit"}` + "\n", false},
+	} {
+		br := bufio.NewReader(strings.NewReader(tc.sent))
+		if _, err := readLine(br, 1<<10); err != nil {
+			t.Fatal(err)
+		}
+		if got := caughtUp(br); got != tc.want {
+			t.Errorf("after the first line of %q: caughtUp = %v, want %v", tc.sent, got, tc.want)
+		}
+	}
 }

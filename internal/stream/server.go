@@ -9,10 +9,12 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"lbmm/internal/matrix"
 	"lbmm/internal/obsv"
 	"lbmm/internal/service"
 )
@@ -92,11 +94,51 @@ type session struct {
 
 	inflight atomic.Int64
 	wg       sync.WaitGroup // outstanding delivers
-	ticket   uint64         // read loop only
-	// xhat is the session's sticky output support — the last one any submit
-	// frame carried, accepted or not, reused by same_xhat lanes. Read loop
-	// only.
-	xhat []service.WirePos
+
+	// The read loop's own state.
+	ticket uint64
+	// req is the one request every frame's submit payload is scanned into;
+	// it is Reset after each frame, so a warm session appends a lane's cells
+	// into slices it already holds.
+	req service.WireMultiply
+	// xhat is the session's sticky output support.
+	xhat stickySupport
+	// parked lists the fingerprints lanes were parked under since the last
+	// drain — usually one.
+	parked []string
+}
+
+// stickySupport is a session's sticky output support: a copy of the
+// positions the last submit frame carrying any shipped, accepted or not,
+// which same_xhat lanes reuse, and the support built from them for the n
+// the last lane declared — or the error building it gave. A shipped support
+// is built once per n, not once per lane, and every lane sees exactly the
+// support and error service.ParseWireMultiply would build from the same
+// positions.
+type stickySupport struct {
+	pos   []service.WirePos // nil until a frame ships a support
+	built bool
+	n     int
+	xhat  *matrix.Support
+	err   error
+}
+
+// ship records the positions a submit frame carried.
+func (st *stickySupport) ship(pos []service.WirePos) {
+	if slices.Equal(st.pos, pos) {
+		return // the same support again: what was built still stands
+	}
+	st.pos = append(st.pos[:0], pos...)
+	st.built = false
+}
+
+// support returns the shipped support built for dimension n.
+func (st *stickySupport) support(n int) (*matrix.Support, error) {
+	if !st.built || st.n != n {
+		st.xhat, st.err = service.WireSupport(n, st.pos)
+		st.built, st.n = true, n
+	}
+	return st.xhat, st.err
 }
 
 func serveSession(srv *service.Server, cfg Config, w http.ResponseWriter, r *http.Request) {
@@ -213,8 +255,19 @@ func readHello(br *bufio.Reader) error {
 // goroutine that blocks in admission control, so a saturated server stalls
 // the session's intake — backpressure by TCP — while already accepted lanes
 // keep completing.
+//
+// Before a read that can only wait on the client — every byte it sent so far
+// has been read — it drains: the lanes it parked are launched rather than
+// left to wait out their batch window for lane-mates. Batches form from the
+// lanes the session has received, the one whose line is partly in the buffer
+// included; a closed-loop client, which sends its next burst only after the
+// last result, would otherwise pay the whole window on every burst's tail.
 func (s *session) readLoop(srv *service.Server, rc *http.ResponseController, br *bufio.Reader) {
+	defer s.drain(srv)
 	for {
+		if caughtUp(br) {
+			s.drain(srv)
+		}
 		// Re-armed per frame: the deadline bounds silence, not session length.
 		_ = rc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		line, err := readLine(br, service.MaxBodyBytes)
@@ -224,20 +277,46 @@ func (s *session) readLoop(srv *service.Server, rc *http.ResponseController, br 
 			}
 			return
 		}
-		f, err := scanFrame(line)
-		if err != nil {
-			s.fail(f.ID, 0, http.StatusBadRequest, fmt.Errorf("stream: bad frame: %v", err))
+		if !s.frame(srv, line) {
 			return
 		}
-		switch f.Type {
-		case TypeSubmit:
-			s.submit(srv, f)
-		default:
-			s.metrics.Add(MetricErrors, 1)
-			s.send(Frame{Type: TypeError, ID: f.ID, Code: http.StatusBadRequest,
-				Error: fmt.Sprintf("stream: unknown frame type %q", f.Type)})
-		}
 	}
+}
+
+// caughtUp reports whether br holds nothing but white space: the next frame
+// is not even partly here, so reading it waits on the client.
+func caughtUp(br *bufio.Reader) bool {
+	buf, _ := br.Peek(br.Buffered())
+	return len(bytes.TrimLeft(buf, " \t\r\n")) == 0
+}
+
+// drain launches the groups the session parked lanes in since the last
+// drain.
+func (s *session) drain(srv *service.Server) {
+	for _, fp := range s.parked {
+		srv.Launch(fp)
+	}
+	s.parked = s.parked[:0]
+}
+
+// frame serves one line of the session and reports whether the session goes
+// on: a line that is not a frame ends it.
+func (s *session) frame(srv *service.Server, line []byte) bool {
+	defer s.req.Reset()
+	f, err := scanFrameInto(line, &s.req)
+	if err != nil {
+		s.fail(f.ID, 0, http.StatusBadRequest, fmt.Errorf("stream: bad frame: %v", err))
+		return false
+	}
+	switch f.Type {
+	case TypeSubmit:
+		s.submit(srv, f)
+	default:
+		s.metrics.Add(MetricErrors, 1)
+		s.send(Frame{Type: TypeError, ID: f.ID, Code: http.StatusBadRequest,
+			Error: fmt.Sprintf("stream: unknown frame type %q", f.Type)})
+	}
+	return true
 }
 
 func (s *session) submit(srv *service.Server, f Frame) {
@@ -249,7 +328,7 @@ func (s *session) submit(srv *service.Server, f Frame) {
 	// refresh the server's — or a retry elided as same_xhat would silently
 	// compute against the stale previous support.
 	if f.Submit != nil && len(f.Submit.Xhat) > 0 {
-		s.xhat = f.Submit.Xhat
+		s.xhat.ship(f.Submit.Xhat)
 	}
 	if s.inflight.Load() >= int64(s.cfg.MaxInflight) {
 		s.metrics.Add(MetricBackpressure, 1)
@@ -264,16 +343,24 @@ func (s *session) submit(srv *service.Server, f Frame) {
 		s.fail(f.ID, t, http.StatusBadRequest, fmt.Errorf("stream: submit frame carries no payload"))
 		return
 	}
-	if f.SameXhat && len(f.Submit.Xhat) == 0 {
-		if s.xhat == nil {
-			s.fail(f.ID, t, http.StatusBadRequest,
-				fmt.Errorf("stream: same_xhat set before any lane shipped a support"))
-			return
+	var (
+		req *service.MultiplyRequest
+		err error
+	)
+	if len(f.Submit.Xhat) > 0 || f.SameXhat {
+		if len(f.Submit.Xhat) == 0 {
+			if s.xhat.pos == nil {
+				s.fail(f.ID, t, http.StatusBadRequest,
+					fmt.Errorf("stream: same_xhat set before any lane shipped a support"))
+				return
+			}
+			s.metrics.Add(MetricXhatReuse, 1)
 		}
-		s.metrics.Add(MetricXhatReuse, 1)
-		f.Submit.Xhat = s.xhat
+		xhat, xerr := s.xhat.support(f.Submit.N)
+		req, err = service.ParseWireValues(f.Submit, xhat, xerr)
+	} else {
+		req, err = service.ParseWireMultiply(f.Submit)
 	}
-	req, err := service.ParseWireMultiply(f.Submit)
 	if err != nil {
 		s.fail(f.ID, t, http.StatusBadRequest, err)
 		return
@@ -281,7 +368,7 @@ func (s *session) submit(srv *service.Server, f Frame) {
 	id := f.ID
 	s.inflight.Add(1)
 	s.wg.Add(1)
-	err = srv.MultiplySubmit(s.ctx, req, func(resp *service.MultiplyResponse, err error) {
+	fp, err := srv.MultiplySubmit(s.ctx, req, func(resp *service.MultiplyResponse, err error) {
 		defer s.wg.Done()
 		defer s.inflight.Add(-1)
 		if err != nil {
@@ -298,6 +385,10 @@ func (s *session) submit(srv *service.Server, f Frame) {
 		s.wg.Done()
 		s.inflight.Add(-1)
 		s.fail(id, t, service.ErrStatus(err), err)
+		return
+	}
+	if !slices.Contains(s.parked, fp) {
+		s.parked = append(s.parked, fp)
 	}
 }
 

@@ -17,6 +17,8 @@ import (
 	"time"
 
 	"lbmm/internal/control"
+	"lbmm/internal/graph"
+	"lbmm/internal/lbm"
 	"lbmm/internal/matrix"
 	"lbmm/internal/obsv"
 	"lbmm/internal/ring"
@@ -185,13 +187,30 @@ func TestStreamColdImmediate(t *testing.T) {
 	}
 }
 
-// TestStreamBackpressure pins the session inflight cap: with lanes parked
-// behind a long static batch window, submits beyond the cap come back as
-// code-429 error frames, and every accepted lane still completes.
+// holdUntil is a FaultInjector that keeps every execution waiting until
+// release closes — how a test holds accepted lanes in flight while it
+// drives the session — giving up after 10s so a broken test cannot hang the
+// server's Close.
+func holdUntil(release <-chan struct{}) func(int) lbm.Injector {
+	return func(int) lbm.Injector {
+		select {
+		case <-release:
+		case <-time.After(10 * time.Second):
+		}
+		return nil
+	}
+}
+
+// TestStreamBackpressure pins the session inflight cap: with accepted lanes
+// held executing until a 429 frame has arrived, submits beyond the cap come
+// back as code-429 error frames, and every accepted lane still completes.
 func TestStreamBackpressure(t *testing.T) {
 	ms := obsv.NewCounterSet()
+	release := make(chan struct{})
 	srv, ts := newStreamServer(t,
-		service.Config{BatchSize: 64, BatchDelay: 300 * time.Millisecond, Metrics: ms},
+		// Enough workers that the held lanes never stall admission of the
+		// ones behind them.
+		service.Config{Workers: 8, FaultInjector: holdUntil(release), Metrics: ms},
 		Config{MaxInflight: 4, Metrics: ms})
 
 	r := ring.Counting{}
@@ -218,9 +237,11 @@ func TestStreamBackpressure(t *testing.T) {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
+	// The last lanes are the rejected ones: wait for them first, and let
+	// the held lanes go once a 429 has arrived.
 	results, rejected := 0, 0
-	for i, call := range calls {
-		f, err := call.Wait(ctx)
+	for i := total - 1; i >= 0; i-- {
+		f, err := calls[i].Wait(ctx)
 		if err != nil {
 			t.Fatalf("lane %d: %v", i, err)
 		}
@@ -228,6 +249,9 @@ func TestStreamBackpressure(t *testing.T) {
 		case f.Type == TypeResult:
 			results++
 		case f.Type == TypeError && f.Code == http.StatusTooManyRequests:
+			if rejected == 0 {
+				close(release)
+			}
 			rejected++
 		default:
 			t.Fatalf("lane %d: unexpected outcome %+v", i, f)
@@ -339,10 +363,11 @@ func TestStreamStickySupport(t *testing.T) {
 // silently reusing the stale one.
 func TestStreamStickySupportSurvivesBackpressure(t *testing.T) {
 	ms := obsv.NewCounterSet()
+	release := make(chan struct{})
 	_, ts := newStreamServer(t,
-		// A long static window parks the first lane so the second submit
-		// deterministically trips the inflight cap.
-		service.Config{BatchSize: 64, BatchDelay: 500 * time.Millisecond, Metrics: ms},
+		// The first lane is held executing until the second submit's 429
+		// has arrived, so that submit deterministically trips the cap.
+		service.Config{FaultInjector: holdUntil(release), Metrics: ms},
 		Config{MaxInflight: 1, Metrics: ms})
 
 	r := ring.Counting{}
@@ -381,6 +406,7 @@ func TestStreamStickySupportSurvivesBackpressure(t *testing.T) {
 	if f, err := rejected.Wait(ctx); err != nil || f.Type != TypeError || f.Code != http.StatusTooManyRequests {
 		t.Fatalf("second submit outcome %v / %+v, want a 429 error frame", err, f)
 	}
+	close(release)
 	if f, err := first.Wait(ctx); err != nil || f.Type != TypeResult {
 		t.Fatalf("first lane: %v / %+v", err, f)
 	}
@@ -586,5 +612,211 @@ func TestStreamBadSubmit(t *testing.T) {
 	}
 	if f, err := good.Wait(ctx); err != nil || f.Type != TypeResult {
 		t.Fatalf("good lane after bad one: %v / %+v", err, f)
+	}
+}
+
+// TestStreamDrainLaunchesParked pins the drain rule: a session that has read
+// every byte its client sent launches the lanes it parked rather than leave
+// them to wait out their batch window. One burst heats the key; after a
+// pause, which stretches the adaptive window to seconds, a last burst under
+// the lane cap parks a group that no lane-mate will ever join — a
+// closed-loop client sends nothing more until it has its results.
+func TestStreamDrainLaunchesParked(t *testing.T) {
+	ms := obsv.NewCounterSet()
+	srv, ts := newStreamServer(t,
+		service.Config{BatchAdaptive: true, BatchDelay: 10 * time.Second, Metrics: ms},
+		Config{Metrics: ms})
+	r := ring.Counting{}
+	inst := workload.Blocks(8, 2)
+	xpos := supportPositions(inst.Xhat)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	c, err := Dial(ctx, ts.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	seq := 0
+	burst := func(lanes int, within time.Duration) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(ctx, within)
+		defer cancel()
+		as := make([]*matrix.Sparse, lanes)
+		bs := make([]*matrix.Sparse, lanes)
+		calls := make([]*Call, lanes)
+		for i := range calls {
+			seq++
+			as[i] = matrix.Random(inst.Ahat, r, int64(2*seq+1))
+			bs[i] = matrix.Random(inst.Bhat, r, int64(2*seq+2))
+			calls[i], err = c.Submit(fmt.Sprintf("lane-%d", seq), &service.WireMultiply{
+				N: inst.N, Ring: "counting",
+				A: service.WireEntries(as[i]), B: service.WireEntries(bs[i]), Xhat: xpos,
+			})
+			if err != nil {
+				t.Fatalf("submit %d: %v", seq, err)
+			}
+		}
+		for i, call := range calls {
+			f, err := call.Wait(ctx)
+			if err != nil {
+				t.Fatalf("%s: no result within %v: %v", call.ID, within, err)
+			}
+			if f.Type != TypeResult {
+				t.Fatalf("%s: %s frame: %s", call.ID, f.Type, f.Error)
+			}
+			if !matrix.Equal(productOf(inst.N, r, f.X), matrix.MulReference(as[i], bs[i], inst.Xhat)) {
+				t.Fatalf("%s: wrong product", call.ID)
+			}
+		}
+	}
+	burst(32, 20*time.Second)
+	time.Sleep(time.Second)
+	burst(4, 2*time.Second)
+	if got := srv.Metrics()["batch/launch_drain"]; got < 1 {
+		t.Errorf("batch/launch_drain = %d, want at least the last burst's launch", got)
+	}
+}
+
+// productOf builds the product a result frame carries.
+func productOf(n int, r ring.Semiring, x []service.WireEntry) *matrix.Sparse {
+	m := matrix.NewSparse(n, r)
+	for _, e := range x {
+		m.Set(int(e[0]), int(e[1]), e[2])
+	}
+	return m
+}
+
+// TestStreamSessionReuse drives one session through what its reused request
+// and its built sticky support must get right, checking every product
+// against MulReference of the lane's own values: a large lane and then a
+// smaller one scanned into the same slices, a same_xhat lane at a new n, an
+// out-of-range sticky support — the lane that ships it and the same_xhat
+// lane after it both fail with ParseWireMultiply's error text — and a frame
+// over the 1 MiB the session keeps, followed by a small lane.
+func TestStreamSessionReuse(t *testing.T) {
+	ms := obsv.NewCounterSet()
+	_, ts := newStreamServer(t, service.Config{Metrics: ms}, Config{Metrics: ms})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	c, err := Dial(ctx, ts.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r := ring.Counting{}
+	seq := 0
+	lane := func(wm *service.WireMultiply) Frame {
+		t.Helper()
+		seq++
+		call, err := c.Submit(fmt.Sprintf("lane-%d", seq), wm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := call.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	multiply := func(n int, a, b *matrix.Sparse, xpos []service.WirePos, xhat *matrix.Support) {
+		t.Helper()
+		f := lane(&service.WireMultiply{N: n, Ring: "counting",
+			A: service.WireEntries(a), B: service.WireEntries(b), Xhat: xpos})
+		if f.Type != TypeResult {
+			t.Fatalf("n=%d: %s frame: %s", n, f.Type, f.Error)
+		}
+		if !matrix.Equal(productOf(n, r, f.X), matrix.MulReference(a, b, xhat)) {
+			t.Fatalf("n=%d: wrong product", n)
+		}
+	}
+
+	// Large, then small: the small lane is appended into the large one's
+	// slices, and no cell of the large one may survive into it.
+	var last []service.WirePos
+	for k, inst := range []*graph.Instance{workload.Blocks(64, 4), workload.Blocks(16, 2)} {
+		last = supportPositions(inst.Xhat)
+		multiply(inst.N, matrix.Random(inst.Ahat, r, int64(2*k+1)), matrix.Random(inst.Bhat, r, int64(2*k+2)),
+			last, inst.Xhat)
+	}
+
+	// The same positions at a new n: the client elides them, and the session
+	// builds its sticky support again for the new dimension.
+	reused := ms.Get(MetricXhatReuse)
+	wide := workload.Blocks(32, 2)
+	multiply(wide.N, matrix.Random(wide.Ahat, r, 5), matrix.Random(wide.Bhat, r, 6), last,
+		matrix.NewSupport(wide.N, last))
+	if got := ms.Get(MetricXhatReuse); got != reused+1 {
+		t.Fatalf("stream/xhat_reuse went %d -> %d: the lane at the new n was not sent as same_xhat", reused, got)
+	}
+
+	// A support out of range for its n: the lane that ships it and the
+	// same_xhat lane after it fail as ParseWireMultiply fails on it.
+	bad := &service.WireMultiply{N: 4, Ring: "counting",
+		A: []service.WireEntry{{0, 1, 2}}, B: []service.WireEntry{{1, 3, 5}}, Xhat: []service.WirePos{{0, 3}, {5, 5}}}
+	_, parseErr := service.ParseWireMultiply(bad)
+	if parseErr == nil {
+		t.Fatal("setup: the out-of-range support parses")
+	}
+	for i := 0; i < 2; i++ {
+		if f := lane(bad); f.Type != TypeError || f.Code != http.StatusBadRequest || f.Error != parseErr.Error() {
+			t.Fatalf("out-of-range sticky support, lane %d: %+v, want a 400 error frame %q", i, f, parseErr)
+		}
+	}
+	if got := ms.Get(MetricXhatReuse); got != reused+2 {
+		t.Fatalf("stream/xhat_reuse = %d, want %d: the second out-of-range lane was not sent as same_xhat", got, reused+2)
+	}
+
+	// Over the cap: 50,000 writes of one cell, 1.2 MB of entries in the
+	// session's request. The answer is right, and so is the next lane's.
+	over := &service.WireMultiply{N: 2, Ring: "counting",
+		A: make([]service.WireEntry, 50_000), B: []service.WireEntry{{0, 1, 7}}, Xhat: []service.WirePos{{0, 1}}}
+	for k := range over.A {
+		over.A[k] = service.WireEntry{0, 0, 3}
+	}
+	if f := lane(over); f.Type != TypeResult || !reflect.DeepEqual(f.X, []service.WireEntry{{0, 1, 21}}) {
+		t.Fatalf("lane over the cap: %+v, want x = [[0 1 21]]", f)
+	}
+	small := workload.Blocks(8, 2)
+	multiply(small.N, matrix.Random(small.Ahat, r, 7), matrix.Random(small.Bhat, r, 8),
+		supportPositions(small.Xhat), small.Xhat)
+}
+
+// TestSessionDropsOversizedRequest pins what a session keeps between frames:
+// the slices of its one request, emptied — unless a frame grew them past
+// the 1 MiB cap, in which case they go with that frame.
+func TestSessionDropsOversizedRequest(t *testing.T) {
+	srv := service.NewServer(service.Config{})
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := &session{cfg: Config{}.withDefaults(), metrics: obsv.NewCounterSet(), ctx: ctx, cancel: cancel,
+		out: make(chan Frame, 16)}
+	small := `{"type":"submit","id":"small","submit":{"n":2,"ring":"counting","a":[[0,0,3]],"b":[[0,1,7]],"xhat":[[0,1]]}}`
+	big := `{"type":"submit","id":"big","submit":{"n":2,"ring":"counting","a":[` +
+		strings.Repeat("[0,0,3],", 49_999) + `[0,0,3]],"b":[[0,1,7]],"xhat":[[0,1]]}}`
+	held := func() int { return cap(s.req.A) + cap(s.req.B) + cap(s.req.Xhat) }
+
+	if !s.frame(srv, []byte(small)) || held() == 0 || len(s.req.A) != 0 {
+		t.Fatalf("after a small frame the request holds %d cells (len %d), want its slices kept, emptied", held(), len(s.req.A))
+	}
+	if !s.frame(srv, []byte(big)) || held() != 0 {
+		t.Fatalf("after a frame over the cap the request still holds %d cells", held())
+	}
+	s.wg.Wait()
+	close(s.out)
+	results := 0
+	for f := range s.out {
+		if f.Type == TypeResult {
+			results++
+			if !reflect.DeepEqual(f.X, []service.WireEntry{{0, 1, 21}}) {
+				t.Errorf("%s: x = %v, want [[0 1 21]]", f.ID, f.X)
+			}
+		} else if f.Type != TypeTicket {
+			t.Errorf("%s: %+v", f.ID, f)
+		}
+	}
+	if results != 2 {
+		t.Fatalf("%d results, want 2", results)
 	}
 }
