@@ -40,9 +40,10 @@ const (
 	// is policy-driven, not demand-driven — feedback consumers must not read
 	// it as evidence the key filled a batch the way ReasonFull is.
 	ReasonShrink Reason = "shrink"
-	// ReasonDrain: the submitter called Launch because it holds no further
-	// lane for the key — a streaming session that has read every byte it
-	// was sent. Like ReasonShrink it is caller-driven, not demand evidence.
+	// ReasonDrain: the submitter of every item in the group called Launch
+	// because it holds no further lane for the key — a streaming session
+	// that has read every byte it was sent. Like ReasonShrink it is
+	// caller-driven, not demand evidence.
 	ReasonDrain Reason = "drain"
 )
 
@@ -162,15 +163,24 @@ func (c *Coalescer[T]) launchLocked(key string, g *group[T], why Reason) {
 	}()
 }
 
-// Launch starts the pending group of key now, with ReasonDrain: the caller
-// knows no lane-mate is on its way, so waiting out the window would only add
-// latency. It is a no-op when nothing is parked under key.
-func (c *Coalescer[T]) Launch(key string) {
+// Launch starts the pending group of key now, with ReasonDrain, if mine
+// holds for every item in it: the caller knows no lane-mate is on its way
+// from whoever submitted those, so waiting out the window would only add
+// latency. A group holding any other item keeps its window — its submitter
+// may still be sending. Nothing parked under key is a no-op.
+func (c *Coalescer[T]) Launch(key string, mine func(T) bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if g := c.groups[key]; g != nil {
-		c.launchLocked(key, g, ReasonDrain)
+	g := c.groups[key]
+	if g == nil {
+		return
 	}
+	for _, it := range g.items {
+		if !mine(it) {
+			return
+		}
+	}
+	c.launchLocked(key, g, ReasonDrain)
 }
 
 // Pending reports how many items are parked waiting for lane-mates

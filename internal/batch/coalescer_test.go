@@ -220,6 +220,9 @@ func TestCoalescerCloseRaceExactlyOnce(t *testing.T) {
 	}
 }
 
+// all is Launch's filter for a caller that owns every item.
+func all(int) bool { return true }
+
 // TestCoalescerLaunchOnlyItsKey pins Launch: it starts the group parked
 // under its key at once, in submission order and with ReasonDrain, and
 // leaves every other key's group waiting.
@@ -229,7 +232,7 @@ func TestCoalescerLaunchOnlyItsKey(t *testing.T) {
 	c.Submit("a", 1)
 	c.Submit("b", 2)
 	c.Submit("a", 3)
-	c.Launch("a")
+	c.Launch("a", all)
 	if got := c.Pending(); got != 1 {
 		t.Fatalf("after Launch(a) %d items pending, want b's 1", got)
 	}
@@ -253,12 +256,12 @@ func TestCoalescerLaunchOnlyItsKey(t *testing.T) {
 func TestCoalescerLaunchNothingParked(t *testing.T) {
 	s := &sink{}
 	c := New[int](Config{MaxBatch: 2, MaxDelay: time.Hour}, s.run)
-	c.Launch("never")
+	c.Launch("never", all)
 	c.Submit("full", 1)
 	c.Submit("full", 2)
-	c.Launch("full")
+	c.Launch("full", all)
 	c.Close()
-	c.Launch("full")
+	c.Launch("full", all)
 	if len(s.groups) != 1 || s.whys[0] != ReasonFull {
 		t.Fatalf("groups %v whys %v, want the one full launch", s.groups, s.whys)
 	}
@@ -266,9 +269,37 @@ func TestCoalescerLaunchNothingParked(t *testing.T) {
 	s = &sink{}
 	c = New[int](Config{}, s.run)
 	c.Submit("now", 1)
-	c.Launch("now")
+	c.Launch("now", all)
 	c.Close()
 	if len(s.groups) != 1 || s.whys[0] != ReasonImmediate {
 		t.Fatalf("groups %v whys %v, want the one immediate launch", s.groups, s.whys)
+	}
+}
+
+// TestCoalescerLaunchOnlyMine pins Launch's filter: a group holding one
+// item mine refuses keeps its window — that item's submitter may still be
+// sending — and a group of only mine launches with ReasonDrain.
+func TestCoalescerLaunchOnlyMine(t *testing.T) {
+	s := &sink{}
+	c := New[int](Config{MaxBatch: 8, MaxDelay: time.Hour}, s.run)
+	odd := func(v int) bool { return v%2 == 1 }
+	c.Submit("mixed", 1)
+	c.Submit("mixed", 2)
+	c.Submit("mixed", 3)
+	c.Submit("mine", 5)
+	c.Submit("mine", 7)
+	c.Launch("mixed", odd)
+	c.Launch("mine", odd)
+	if got := c.Pending(); got != 3 {
+		t.Fatalf("%d items pending, want the mixed group's 3", got)
+	}
+	c.Close()
+	for i, key := range s.keys {
+		switch {
+		case key == "mine" && (s.whys[i] != ReasonDrain || len(s.groups[i]) != 2):
+			t.Errorf("mine launched %v with %q, want [5 7] with %q", s.groups[i], s.whys[i], ReasonDrain)
+		case key == "mixed" && (s.whys[i] != ReasonFlush || len(s.groups[i]) != 3):
+			t.Errorf("mixed launched %v with %q, want [1 2 3] at Close", s.groups[i], s.whys[i])
+		}
 	}
 }

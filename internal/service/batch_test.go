@@ -584,3 +584,55 @@ func TestServerOneWorkerEveryEntryPoint(t *testing.T) {
 		checkBooks(t, srv)
 	}
 }
+
+// TestServerLaunchOnlyItsOwnLanes pins whose lanes Launch starts: a group
+// that also holds a lane submitted under another context keeps its batch
+// window, and a group of only the caller's lanes launches at once with
+// batch/launch_drain.
+func TestServerLaunchOnlyItsOwnLanes(t *testing.T) {
+	srv := NewServer(Config{CacheSize: 4, BatchSize: 64, BatchDelay: time.Hour})
+	mine, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	theirs, cancelTheirs := context.WithCancel(context.Background())
+	defer cancelTheirs()
+	var wg sync.WaitGroup
+	submit := func(ctx context.Context, seed int64) string {
+		t.Helper()
+		req, want := faultReq(ring.Counting{}, seed)
+		wg.Add(1)
+		fp, err := srv.MultiplySubmit(ctx, req, func(resp *MultiplyResponse, err error) {
+			defer wg.Done()
+			if err != nil || !matrix.Equal(resp.X, want) {
+				t.Errorf("lane %d: %v", seed, err)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fp
+	}
+
+	fp := submit(mine, 1)
+	submit(theirs, 3)
+	srv.Launch(mine, fp)
+	if got := srv.coal.Pending(); got != 2 {
+		t.Fatalf("Launch started a group holding another submitter's lane: %d lanes pending, want 2", got)
+	}
+	srv.Close() // flushes the mixed group
+	wg.Wait()
+
+	srv = NewServer(Config{CacheSize: 4, BatchSize: 64, BatchDelay: time.Hour})
+	defer srv.Close()
+	fp = submit(mine, 5)
+	submit(mine, 7)
+	srv.Launch(theirs, fp)
+	if got := srv.coal.Pending(); got != 2 {
+		t.Fatalf("Launch under another context started the group: %d lanes pending, want 2", got)
+	}
+	srv.Launch(mine, fp)
+	wg.Wait()
+	if m := srv.Metrics(); m[MetricBatchLaunch+"drain"] != 1 || m[MetricBatchSize+"/sum"] != 2 {
+		t.Errorf("launch_drain=%d batch lanes=%d, want one drain launch of 2 lanes",
+			m[MetricBatchLaunch+"drain"], m[MetricBatchSize+"/sum"])
+	}
+}

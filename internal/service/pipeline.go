@@ -23,6 +23,9 @@ import (
 // values, what it asked for, and the callback that receives its outcome
 // exactly once, on the group's goroutine.
 type lane struct {
+	// ctx is the submitter's context; Launch tells a session's lanes from
+	// everyone else's by it.
+	ctx      context.Context
 	prep     *core.Prepared
 	a, b     *matrix.Sparse
 	trace    bool
@@ -126,7 +129,7 @@ func (s *Server) submit(ctx context.Context, req *MultiplyRequest, deliver func(
 	err := s.enter(ctx, 1, req.A, req.B, req.Xhat, req.Options, func(fp string, prep *core.Prepared, hit bool) error {
 		key = fp
 		return s.coal.Submit(fp, &lane{
-			prep: prep, a: req.A, b: req.B, trace: req.Trace, hit: hit,
+			ctx: ctx, prep: prep, a: req.A, b: req.B, trace: req.Trace, hit: hit,
 			enqueued: time.Now(), deliver: deliver,
 		})
 	})
@@ -281,10 +284,16 @@ func (s *Server) MultiplySubmit(ctx context.Context, req *MultiplyRequest, deliv
 }
 
 // Launch starts the lanes parked under fingerprint fp now, without waiting
-// out their batch window (batch/launch_drain): the streaming session calls
-// it once it has read every byte its client sent, when no lane-mate can be
-// on its way from it. Nothing parked under fp is a no-op.
-func (s *Server) Launch(fp string) { s.coal.Launch(fp) }
+// out their batch window (batch/launch_drain), if every one of them was
+// submitted under ctx: the streaming session calls it with its own context
+// once it has read every byte its client sent, when no lane-mate can be on
+// its way from it. A group that also holds another submitter's lane keeps
+// its window: that submitter may still be sending. ctx is compared with ==,
+// so its type must be comparable, as every context the context package
+// returns is. Nothing parked under fp is a no-op.
+func (s *Server) Launch(ctx context.Context, fp string) {
+	s.coal.Launch(fp, func(ln *lane) bool { return ln.ctx == ctx })
+}
 
 // BatchLane is one value set of an explicit batched multiply.
 type BatchLane struct {

@@ -66,13 +66,13 @@ func (w *wireMultiplyRequest) Scan(s *Scanner) error {
 	return s.Object(func(key []byte) (err error) {
 		switch string(key) {
 		case "n":
-			w.N, err = s.integer()
+			w.N, err = s.Int()
 		case "ring":
 			w.Ring, err = s.String()
 		case "algorithm":
 			w.Algorithm, err = s.String()
 		case "d":
-			w.D, err = s.integer()
+			w.D, err = s.Int()
 		case "a":
 			w.A, err = s.Entries(w.A)
 		case "b":
@@ -97,17 +97,17 @@ func (r *wireMultiplyReport) Scan(s *Scanner) error {
 	return s.Object(func(key []byte) (err error) {
 		switch string(key) {
 		case "rounds":
-			r.Rounds, err = s.integer()
+			r.Rounds, err = s.Int()
 		case "phase1_rounds":
-			r.Phase1Rounds, err = s.integer()
+			r.Phase1Rounds, err = s.Int()
 		case "phase2_rounds":
-			r.Phase2Rounds, err = s.integer()
+			r.Phase2Rounds, err = s.Int()
 		case "messages":
 			var m int
-			m, err = s.integer()
+			m, err = s.Int()
 			r.Messages = int64(m)
 		case "peak_store":
-			r.PeakStore, err = s.integer()
+			r.PeakStore, err = s.Int()
 		case "algorithm":
 			r.Algorithm, err = s.String()
 		case "classes":
@@ -115,7 +115,7 @@ func (r *wireMultiplyReport) Scan(s *Scanner) error {
 		case "band":
 			r.Band, err = s.String()
 		case "d":
-			r.D, err = s.integer()
+			r.D, err = s.Int()
 		case "fingerprint":
 			r.Fingerprint, err = s.String()
 		case "cache":
@@ -157,13 +157,13 @@ func (w *wireMultiplyBatchRequest) Scan(s *Scanner) error {
 	return s.Object(func(key []byte) (err error) {
 		switch string(key) {
 		case "n":
-			w.N, err = s.integer()
+			w.N, err = s.Int()
 		case "ring":
 			w.Ring, err = s.String()
 		case "algorithm":
 			w.Algorithm, err = s.String()
 		case "d":
-			w.D, err = s.integer()
+			w.D, err = s.Int()
 		case "lanes":
 			w.Lanes, err = s.lanes()
 		case "xhat":
@@ -233,9 +233,9 @@ func (w *wireClassifyRequest) Scan(s *Scanner) error {
 func (s *Scanner) structureKey(key []byte, n, d *int, ahat, bhat, xhat *[]wirePos) (err error) {
 	switch string(key) {
 	case "n":
-		*n, err = s.integer()
+		*n, err = s.Int()
 	case "d":
-		*d, err = s.integer()
+		*d, err = s.Int()
 	case "ahat":
 		*ahat, err = s.positions(nil)
 	case "bhat":
@@ -325,7 +325,7 @@ func (s *Scanner) positions(dst []wirePos) ([]wirePos, error) {
 					return nil, s.arity(shape, err)
 				}
 			}
-			v, err := s.integer()
+			v, err := s.Int()
 			if err != nil {
 				return nil, s.arity(shape, err)
 			}
@@ -649,9 +649,9 @@ func (s *Scanner) digits(p int) int {
 	return p
 }
 
-// integer scans a number the schema types int: an optional minus and digits,
-// no fraction, no exponent, within the range of int.
-func (s *Scanner) integer() (int, error) {
+// Int scans a number the schema types int: an optional minus and digits, no
+// fraction, no exponent, within the range of int.
+func (s *Scanner) Int() (int, error) {
 	s.ws()
 	start := s.pos
 	p := start
@@ -682,20 +682,6 @@ func (s *Scanner) integer() (int, error) {
 		return 0, s.errf("integer %.32s out of range", s.buf[start:p])
 	}
 	return int(wide), nil
-}
-
-// Int scans a number written as an integer within the range of int.
-func (s *Scanner) Int() (int, error) { return s.integer() }
-
-// Uint scans a number written as a non-negative integer within the range
-// of int.
-func (s *Scanner) Uint() (uint64, error) {
-	s.ws()
-	if s.pos < len(s.buf) && s.buf[s.pos] == '-' {
-		return 0, s.unexpected("a non-negative integer")
-	}
-	v, err := s.integer()
-	return uint64(v), err
 }
 
 // number scans a JSON number to the float64 strconv.ParseFloat gives its

@@ -17,6 +17,8 @@ package stream
 
 import (
 	"bufio"
+	"fmt"
+	"math"
 	"strconv"
 
 	"lbmm/internal/service"
@@ -129,7 +131,11 @@ func scanServerFrame(line []byte) (Frame, error) {
 			case "id":
 				f.ID, err = s.String()
 			case "ticket":
-				f.Ticket, err = s.Uint()
+				var t int
+				if t, err = s.Int(); err == nil && t < 0 {
+					err = fmt.Errorf("ticket %d is negative", t)
+				}
+				f.Ticket = uint64(t)
 			case "x":
 				f.X, err = s.Entries(f.X)
 			case "report":
@@ -150,9 +156,12 @@ func scanServerFrame(line []byte) (Frame, error) {
 	return f, err
 }
 
-// readFrame reads and scans the next server frame of a session.
+// readFrame reads and scans the next server frame of a session. It gathers
+// a line of any length: service.MaxBodyBytes caps what a client sends, and
+// a result can be several times its submit — a same_xhat lane ships no
+// positions and gets X̂'s entries back.
 func readFrame(br *bufio.Reader) (Frame, error) {
-	line, err := readLine(br, service.MaxBodyBytes)
+	line, err := readLine(br, math.MaxInt)
 	if err != nil {
 		return Frame{}, err
 	}

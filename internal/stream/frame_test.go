@@ -386,11 +386,12 @@ var serverLines = []string{
 }
 
 // badServerLines are lines the reader refuses: an unknown key, two frames on
-// one line, a client frame.
+// one line, a client frame, a negative ticket.
 var badServerLines = []string{
 	`{"type":"ticket","id":"x","ticket":1,"colour":"red"}`,
 	`{"type":"ticket","id":"a","ticket":1}{"type":"ticket","id":"b","ticket":2}`,
 	`{"type":"submit","id":"x","same_xhat":true}`,
+	`{"type":"ticket","id":"x","ticket":-1}`,
 }
 
 // TestReadFrame pins the client's reader on the fuzz seeds: it takes every
@@ -414,12 +415,46 @@ func TestReadFrame(t *testing.T) {
 	}
 }
 
+// TestReadFrameOverBodyLimit pins that the client's reader caps no line: a
+// result line longer than service.MaxBodyBytes, the cap on what a client
+// sends, is read whole. (The padding is white space between x entries, so
+// the line costs its bytes and no more. Gathering it still takes ~350 MiB of
+// heap, ~1 GiB under the race detector, so -short and race builds skip it.)
+func TestReadFrameOverBodyLimit(t *testing.T) {
+	if testing.Short() || raceDetector {
+		t.Skip("gathers a line of service.MaxBodyBytes")
+	}
+	head := `{"type":"result","id":"big","ticket":1,"x":[[0,0,1],`
+	tail := `[2,3,4]]}` + "\n"
+	pad := int64(service.MaxBodyBytes - len(head) - len(tail) + 1)
+	br := bufio.NewReaderSize(io.MultiReader(strings.NewReader(head), io.LimitReader(spaces{}, pad),
+		strings.NewReader(tail)), lineBuffer)
+	f, err := readFrame(br)
+	if err != nil {
+		t.Fatalf("a %d-byte result line: %v", service.MaxBodyBytes+1, err)
+	}
+	if f.Type != TypeResult || f.ID != "big" || !sameBits(f.X, []service.WireEntry{{0, 0, 1}, {2, 3, 4}}) {
+		t.Fatalf("read %+v", f)
+	}
+}
+
+// spaces reads as an endless run of white space.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
 // FuzzReadFrame feeds whole lines to the client's frame reader: it never
 // panics, a line it accepts is one json.Decoder decodes into plainFrame to
 // the same frame, with nothing after it, and appendFrame writes an accepted
 // frame as a line the reader gives back as the same frame. It refuses more
 // than json.Decoder does: unknown keys, null scalars, tuples of the wrong
-// length, a ticket over the range of int64, a second frame on the line.
+// length, a ticket that is negative or over the range of int, a second frame
+// on the line.
 func FuzzReadFrame(f *testing.F) {
 	for _, line := range append(serverLines, badServerLines...) {
 		f.Add([]byte(line))

@@ -103,9 +103,9 @@ type session struct {
 	req service.WireMultiply
 	// xhat is the session's sticky output support.
 	xhat stickySupport
-	// parked lists the fingerprints lanes were parked under since the last
+	// parked holds the fingerprints lanes were parked under since the last
 	// drain — usually one.
-	parked []string
+	parked map[string]struct{}
 }
 
 // stickySupport is a session's sticky output support: a copy of the
@@ -164,7 +164,8 @@ func serveSession(srv *service.Server, cfg Config, w http.ResponseWriter, r *htt
 		// ticket and a result in flight at once, so a deliver callback's
 		// enqueue only ever waits on the writer, never on channel space
 		// contended by read-loop frames.
-		out: make(chan Frame, 2*cfg.MaxInflight+16),
+		out:    make(chan Frame, 2*cfg.MaxInflight+16),
+		parked: map[string]struct{}{},
 	}
 	s.metrics.Add(MetricSessionsTotal, 1)
 	s.metrics.Add(MetricSessions, 1)
@@ -257,11 +258,14 @@ func readHello(br *bufio.Reader) error {
 // keep completing.
 //
 // Before a read that can only wait on the client — every byte it sent so far
-// has been read — it drains: the lanes it parked are launched rather than
-// left to wait out their batch window for lane-mates. Batches form from the
-// lanes the session has received, the one whose line is partly in the buffer
-// included; a closed-loop client, which sends its next burst only after the
-// last result, would otherwise pay the whole window on every burst's tail.
+// has been read — it drains: the groups holding only lanes it parked are
+// launched rather than left to wait out their batch window for lane-mates.
+// Such a group forms from the lanes the session has received, the one whose
+// line is partly in the buffer included; a closed-loop client, which sends
+// its next burst only after the last result, would otherwise pay the whole
+// window on every burst's tail. A group another session or a /v1/multiply
+// caller also parked in keeps its window, since its other submitters may
+// still be sending.
 func (s *session) readLoop(srv *service.Server, rc *http.ResponseController, br *bufio.Reader) {
 	defer s.drain(srv)
 	for {
@@ -291,12 +295,12 @@ func caughtUp(br *bufio.Reader) bool {
 }
 
 // drain launches the groups the session parked lanes in since the last
-// drain.
+// drain, those that hold no one else's lanes.
 func (s *session) drain(srv *service.Server) {
-	for _, fp := range s.parked {
-		srv.Launch(fp)
+	for fp := range s.parked {
+		srv.Launch(s.ctx, fp)
 	}
-	s.parked = s.parked[:0]
+	clear(s.parked)
 }
 
 // frame serves one line of the session and reports whether the session goes
@@ -387,9 +391,7 @@ func (s *session) submit(srv *service.Server, f Frame) {
 		s.fail(id, t, service.ErrStatus(err), err)
 		return
 	}
-	if !slices.Contains(s.parked, fp) {
-		s.parked = append(s.parked, fp)
-	}
+	s.parked[fp] = struct{}{}
 }
 
 func (s *session) fail(id string, ticket uint64, code int, err error) {

@@ -791,7 +791,7 @@ func TestSessionDropsOversizedRequest(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s := &session{cfg: Config{}.withDefaults(), metrics: obsv.NewCounterSet(), ctx: ctx, cancel: cancel,
-		out: make(chan Frame, 16)}
+		out: make(chan Frame, 16), parked: map[string]struct{}{}}
 	small := `{"type":"submit","id":"small","submit":{"n":2,"ring":"counting","a":[[0,0,3]],"b":[[0,1,7]],"xhat":[[0,1]]}}`
 	big := `{"type":"submit","id":"big","submit":{"n":2,"ring":"counting","a":[` +
 		strings.Repeat("[0,0,3],", 49_999) + `[0,0,3]],"b":[[0,1,7]],"xhat":[[0,1]]}}`
