@@ -9,14 +9,15 @@ import (
 	"lbmm/internal/ring"
 )
 
-// MultiplyBatch runs the prepared plans on k value sets at once: the one
-// production walk, a scalar multiply being the batch with k = 1. Every lane
-// must realize (a subset of) the prepared supports: positions outside the
-// known structure are rejected, positions inside it but absent load as the
-// ring Zero (the supported model's "indicator" semantics, §2.1). The lanes
-// share one instruction-stream walk: the batch pays one presence check, one
-// decode and one stats update per instruction regardless of k, which is
-// where the batching throughput win lives. Outputs come back lane for lane:
+// MultiplyBatch runs the prepared plans on k value sets at once, a scalar
+// multiply being the batch with k = 1; MultiplyValues is the same walk over
+// values already in listing order, which is what the serving layer runs.
+// Every lane must realize (a subset of) the prepared supports: positions
+// outside the known structure are rejected, positions inside it but absent
+// load as the ring Zero (the supported model's "indicator" semantics,
+// §2.1). The lanes share one instruction-stream walk: the batch pays one
+// presence check, one decode and one stats update per instruction
+// regardless of k, which is where the batching throughput win lives. Outputs come back lane for lane:
 // outs[l] is as[l]·bs[l], each lane's cells carved from one slab.
 //
 // Only live values move in (compiledPrepared): which slots hold a value
@@ -74,6 +75,70 @@ func (p *Prepared) multiplyCompiledBatch(as, bs []*matrix.Sparse, mopts ...lbm.O
 	}
 	loadLive(arena, cp.loadA, p.Inst.Ahat, as, lanes, zero)
 	loadLive(arena, cp.loadB, p.Inst.Bhat, bs, lanes, zero)
+	phase1, err := p.walk(x, arena, K)
+	if err != nil {
+		return nil, nil, err
+	}
+	outs, err := p.collect(x, arena, K)
+	if err != nil {
+		return nil, nil, err
+	}
+	return outs, p.result(x, K, phase1), nil
+}
+
+// MultiplyValues is MultiplyBatch over flat lanes: as[l] and bs[l] hold
+// lane l's values at the positions of Inst.Ahat and Inst.Bhat in row-major
+// order, and xs[l] receives its product at the positions of Inst.Xhat, a
+// dead cell (on no triangle) receiving the ring zero. Each slice must be
+// exactly as long as its support. The caller vouches for the structure (the
+// values are those of the prepared supports, listed), so there is no
+// containment pass: each live cell is loaded by its index in the listing,
+// and the dead cells are never read.
+func (p *Prepared) MultiplyValues(as, bs, xs [][]ring.Value, mopts ...lbm.Option) (*Result, error) {
+	K := len(as)
+	if K == 0 {
+		return nil, fmt.Errorf("algo: empty batch")
+	}
+	if len(bs) != K || len(xs) != K {
+		return nil, fmt.Errorf("algo: batch lanes mismatched: %d A, %d B and %d X value sets", K, len(bs), len(xs))
+	}
+	inst := p.Inst
+	for l := range as {
+		for _, v := range [...]struct {
+			m    string
+			vals []ring.Value
+			nnz  int
+		}{{"A", as[l], inst.Ahat.NNZ}, {"B", bs[l], inst.Bhat.NNZ}, {"X", xs[l], inst.Xhat.NNZ}} {
+			if len(v.vals) != v.nnz {
+				return nil, fmt.Errorf("algo: lane %d: %d %s values for %d support positions", l, len(v.vals), v.m, v.nnz)
+			}
+		}
+	}
+	cp := p.compiled
+	x, pool := cp.execFor(K)
+	x.Configure(mopts...)
+	defer func() {
+		x.Reset()
+		pool.Put(x)
+	}()
+	arena := x.BeginLoad(cp.loaded, cp.dead)
+	loadFlat(arena, cp.loadA, as)
+	loadFlat(arena, cp.loadB, bs)
+	phase1, err := p.walk(x, arena, K)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.collectFlat(x, arena, xs); err != nil {
+		return nil, err
+	}
+	return p.result(x, K, phase1), nil
+}
+
+// walk runs a loaded executor through the plans: the live X slots zeroed,
+// the phase-1 batches, the staging sweep and the Lemma 3.1 job. It returns
+// the rounds phase 1 took.
+func (p *Prepared) walk(x *lbm.Exec, arena [][]ring.Value, K int) (int, error) {
+	cp, zero := p.compiled, p.R.Zero()
 	for _, lr := range cp.x {
 		dst := arena[lr.ref.Node][int(lr.ref.Slot)*K:][:K]
 		for l := range dst {
@@ -82,7 +147,7 @@ func (p *Prepared) multiplyCompiledBatch(as, bs []*matrix.Sparse, mopts ...lbm.O
 	}
 	for _, cb := range cp.phase1 {
 		if err := cb.Run(x); err != nil {
-			return nil, nil, err
+			return 0, err
 		}
 	}
 	for _, ref := range cp.stagingClear {
@@ -90,12 +155,13 @@ func (p *Prepared) multiplyCompiledBatch(as, bs []*matrix.Sparse, mopts ...lbm.O
 	}
 	phase1 := x.Rounds()
 	if err := fewtri.RunCompiled(x, cp.few); err != nil {
-		return nil, nil, err
+		return 0, err
 	}
-	outs, err := p.collect(x, arena, K)
-	if err != nil {
-		return nil, nil, err
-	}
+	return phase1, nil
+}
+
+// result is the Result of a finished walk of K lanes.
+func (p *Prepared) result(x *lbm.Exec, K, phase1 int) *Result {
 	res := p.meta
 	res.Engine = "compiled"
 	res.Lanes = K
@@ -106,7 +172,50 @@ func (p *Prepared) multiplyCompiledBatch(as, bs []*matrix.Sparse, mopts ...lbm.O
 	if res.Profile = x.Profile(); res.Profile != nil {
 		res.Timeline = res.Profile.Timeline()
 	}
-	return outs, &res, nil
+	return &res
+}
+
+// loadFlat copies the live cells refs into the arenas, lane l of each slot
+// from vals[l] at the cell's index in the listing.
+func loadFlat(arena [][]ring.Value, refs []loadRef, vals [][]ring.Value) {
+	K := len(vals)
+	if K == 1 {
+		v := vals[0]
+		for _, lr := range refs {
+			arena[lr.ref.Node][lr.ref.Slot] = v[lr.k]
+		}
+		return
+	}
+	for _, lr := range refs {
+		dst := arena[lr.ref.Node][int(lr.ref.Slot)*K:][:K]
+		for l := range dst {
+			dst[l] = vals[l][lr.k]
+		}
+	}
+}
+
+// collectFlat writes the product into xs: every position the ring zero,
+// then each owned live X slot's value at its index in the listing. Like
+// collect it fails on an owned slot that never received its value.
+func (p *Prepared) collectFlat(x *lbm.Exec, arena [][]ring.Value, xs [][]ring.Value) error {
+	K, zero := len(xs), p.R.Zero()
+	for _, out := range xs {
+		for k := range out {
+			out[k] = zero
+		}
+	}
+	for _, lr := range p.compiled.x {
+		if !x.Owns(lr.ref.Node) {
+			continue
+		}
+		if !x.Present(lr.ref) {
+			return fmt.Errorf("lbm: owner of X(%d,%d) never received it", lr.i, lr.j)
+		}
+		for l, v := range arena[lr.ref.Node][int(lr.ref.Slot)*K:][:K] {
+			xs[l][lr.k] = v
+		}
+	}
+	return nil
 }
 
 // laneRow is one lane's view of the support row the loader is in: the

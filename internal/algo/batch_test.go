@@ -157,3 +157,81 @@ func TestMultiplyBatchValidation(t *testing.T) {
 		t.Error("out-of-structure lane accepted")
 	}
 }
+
+// flatValues lists m's values at the positions of sup in row-major order,
+// a position m does not store being the ring zero.
+func flatValues(m *matrix.Sparse, sup *matrix.Support) []ring.Value {
+	out := make([]ring.Value, 0, sup.NNZ)
+	for i, row := range sup.Rows {
+		for _, j := range row {
+			out = append(out, m.Get(i, int(j)))
+		}
+	}
+	return out
+}
+
+// TestMultiplyValuesDifferential: the flat entry computes, lane for lane,
+// what MultiplyBatch computes over the same values — on freshly compiled
+// plans and on plans decoded from a snapshot, whose listing indices are
+// derived at decode — with the same Stats; a position on no triangle comes
+// back as the ring zero. Wrong lengths and lane counts are refused.
+func TestMultiplyValuesDifferential(t *testing.T) {
+	for _, name := range []string{"trivial", "lemma31", "theorem42"} {
+		for _, r := range []ring.Semiring{ring.Counting{}, ring.MinPlus{}, ring.NewGFp(1009)} {
+			fresh := prepareFor(t, r, workload.Mixed(40, 4, 3), name)
+			decoded, err := restore(snapshot(t, fresh))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range []*Prepared{fresh, decoded} {
+				label := fmt.Sprintf("%s/%s", name, r.Name())
+				const k = 3
+				as, bs := make([]*matrix.Sparse, k), make([]*matrix.Sparse, k)
+				av, bv, xv := make([][]ring.Value, k), make([][]ring.Value, k), make([][]ring.Value, k)
+				for l := range as {
+					as[l] = partialValues(p.Inst.Ahat, r, int64(2*l), l)
+					bs[l] = partialValues(p.Inst.Bhat, r, int64(2*l+1), l+1)
+					av[l], bv[l] = flatValues(as[l], p.Inst.Ahat), flatValues(bs[l], p.Inst.Bhat)
+					xv[l] = make([]ring.Value, p.Inst.Xhat.NNZ)
+					for i := range xv[l] {
+						xv[l][i] = 17 // overwritten, dead cells included
+					}
+				}
+				for _, kk := range []int{1, k} {
+					want, wantRes, err := p.MultiplyBatch(as[:kk], bs[:kk])
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := p.MultiplyValues(av[:kk], bv[:kk], xv[:kk])
+					if err != nil {
+						t.Fatalf("%s: k=%d: %v", label, kk, err)
+					}
+					for l := 0; l < kk; l++ {
+						if got := flatValues(want[l], p.Inst.Xhat); !reflect.DeepEqual(xv[l], got) {
+							t.Fatalf("%s: k=%d: lane %d product %v, MultiplyBatch %v", label, kk, l, xv[l], got)
+						}
+					}
+					if res.Lanes != kk || !reflect.DeepEqual(res.Stats, wantRes.Stats) || res.Rounds != wantRes.Rounds {
+						t.Fatalf("%s: k=%d: result differs from MultiplyBatch's", label, kk)
+					}
+				}
+			}
+		}
+	}
+	p := prepareFor(t, ring.Counting{}, workload.Blocks(16, 4), "trivial")
+	a, b, x := make([]ring.Value, p.Inst.Ahat.NNZ), make([]ring.Value, p.Inst.Bhat.NNZ), make([]ring.Value, p.Inst.Xhat.NNZ)
+	for _, tc := range []struct {
+		name       string
+		as, bs, xs [][]ring.Value
+	}{
+		{"empty batch", nil, nil, nil},
+		{"lane counts", [][]ring.Value{a, a}, [][]ring.Value{b}, [][]ring.Value{x, x}},
+		{"short A", [][]ring.Value{a[1:]}, [][]ring.Value{b}, [][]ring.Value{x}},
+		{"long B", [][]ring.Value{a}, [][]ring.Value{append(b, 1)}, [][]ring.Value{x}},
+		{"short X", [][]ring.Value{a}, [][]ring.Value{b}, [][]ring.Value{x[1:]}},
+	} {
+		if _, err := p.MultiplyValues(tc.as, tc.bs, tc.xs); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+}

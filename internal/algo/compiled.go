@@ -13,10 +13,12 @@ import (
 )
 
 // loadRef binds one live matrix position (i, j) to its arena slot; at is
-// the position of column j within support row i.
+// the position of column j within support row i, and k the position of
+// (i, j) in the whole support, row-major: the index of its value in a flat
+// lane (MultiplyValues). Both are derived from the support, never carried.
 type loadRef struct {
-	i, j, at int32
-	ref      lbm.SlotRef
+	i, j, at, k int32
+	ref         lbm.SlotRef
 }
 
 // ErrLoadSlots reports a compiled form whose A, B and X load refs do not
@@ -155,7 +157,7 @@ func (cp *compiledPrepared) slotLive(sp *lbm.SlotSpace, sup *matrix.Support, liv
 		for at, j := range row {
 			o := owner(int32(i), j)
 			if live[pos] {
-				refs = append(refs, loadRef{i: int32(i), j: j, at: int32(at), ref: sp.Ref(o, key(int32(i), j))})
+				refs = append(refs, loadRef{i: int32(i), j: j, at: int32(at), k: int32(pos), ref: sp.Ref(o, key(int32(i), j))})
 			} else {
 				cp.dead[o]++
 			}

@@ -216,7 +216,7 @@ func importRefs(refs []lbm.SlotRef, sup *matrix.Support, live []bool, sizes []in
 	for i, row := range sup.Rows {
 		for at, j := range row {
 			if live[pos] {
-				out = append(out, loadRef{i: int32(i), j: j, at: int32(at), ref: refs[len(out)]})
+				out = append(out, loadRef{i: int32(i), j: j, at: int32(at), k: int32(pos), ref: refs[len(out)]})
 			}
 			pos++
 		}

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"lbmm/internal/matrix"
-	"lbmm/internal/ring"
 )
 
 // fingerprintDomain versions the fingerprint serialization itself: any
@@ -57,40 +56,14 @@ func Fingerprint(ahat, bhat, xhat *matrix.Support, opts Options) (string, error)
 	return w.sum(), nil
 }
 
-// FingerprintValues is Fingerprint(a.Support(), b.Support(), xhat, opts)
-// without building either support: it hashes the column indices of the
-// value rows in place, which is what a cache hit needs of the operands. A
-// row that breaks Sparse's invariant (columns strictly ascending and in
-// range; the exported Rows field allows anything) sends the whole call to
-// the Support path, so the result is always that of Fingerprint.
-func FingerprintValues(a, b *matrix.Sparse, xhat *matrix.Support, opts Options) (string, error) {
-	n := a.N
-	if n != b.N || n != xhat.N {
-		return "", fmt.Errorf("core: dimension mismatch %d/%d/%d", n, b.N, xhat.N)
-	}
-	if n < 1 || len(a.Rows) != n || len(b.Rows) != n {
-		return Fingerprint(a.Support(), b.Support(), xhat, opts)
-	}
-	d := opts.D
-	if d <= 0 {
-		d = max(1, perRow(a.NNZ(), n), perRow(b.NNZ(), n), perRow(xhat.NNZ, n))
-	}
-	w := newFPWriter(opts, d, n)
-	defer fpWriters.Put(w)
-	if !w.values(a) || !w.values(b) {
-		return Fingerprint(a.Support(), b.Support(), xhat, opts)
-	}
-	w.support(xhat)
-	return w.sum(), nil
-}
-
 // perRow is the d that makes nnz entries average-sparse in dimension n.
 func perRow(nnz, n int) int { return (nnz + n - 1) / n }
 
-// fpWriter is the one serialization behind both fingerprints: the header,
-// then per matrix its entry count and each non-empty row as (index, length,
-// columns), integers as little-endian uint64 and columns as uint32. Fields
-// are appended to buf and handed to SHA-256 a buffer at a time.
+// fpWriter is the one serialization behind Fingerprint and
+// Listing.Fingerprint: the header, then per matrix its entry count and each
+// non-empty row as (index, length, columns), integers as little-endian
+// uint64 and columns as uint32. Fields are appended to buf and handed to
+// SHA-256 a buffer at a time.
 type fpWriter struct {
 	h   hash.Hash
 	buf []byte
@@ -107,16 +80,9 @@ func newFPWriter(opts Options, d, n int) *fpWriter {
 	w := fpWriters.Get().(*fpWriter)
 	w.h.Reset()
 	w.buf = w.buf[:0]
-	r := opts.Ring
-	if r == nil {
-		r = ring.Real{}
-	}
-	alg := opts.Algorithm
-	if alg == "" {
-		alg = "auto"
-	}
+	rn, alg := normalize(opts)
 	w.str(fingerprintDomain)
-	w.str(r.Name())
+	w.str(rn)
 	w.str(alg)
 	w.int(d)
 	w.int(n)
@@ -167,27 +133,18 @@ func (w *fpWriter) support(s *matrix.Support) {
 	}
 }
 
-// values writes the support of m as support would, from its rows in place.
-// It reports false, having written part of it, at the first row whose
-// columns are not strictly ascending and in [0, n).
-func (w *fpWriter) values(m *matrix.Sparse) bool {
-	w.int(m.NNZ())
-	for i, row := range m.Rows {
-		if len(row) == 0 {
-			continue
+// rows writes a listed matrix as support writes its support.
+func (w *fpWriter) rows(r *RowList) {
+	w.int(r.nnz)
+	for seq := r.seq; len(seq) > 0; {
+		k := int(seq[1])
+		w.int(int(seq[0]))
+		w.int(k)
+		for _, j := range seq[2 : 2+k] {
+			w.col(j)
 		}
-		w.int(i)
-		w.int(len(row))
-		prev := int32(-1)
-		for _, c := range row {
-			if c.Col <= prev || int(c.Col) >= m.N {
-				return false
-			}
-			prev = c.Col
-			w.col(c.Col)
-		}
+		seq = seq[2+k:]
 	}
-	return true
 }
 
 func (w *fpWriter) col(j int32) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -149,34 +148,33 @@ func TestFingerprintGolden(t *testing.T) {
 		if got != g.want {
 			t.Errorf("%s: fingerprint %s, want %s", g.name, got, g.want)
 		}
-		got, err = FingerprintValues(matrix.Random(a, r, 1), matrix.Random(b, r, 2), x, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != g.want {
-			t.Errorf("%s: value fingerprint %s, want %s", g.name, got, g.want)
+		if got := listSparse(t, matrix.Random(a, r, 1), matrix.Random(b, r, 2), x).Fingerprint(opts); got != g.want {
+			t.Errorf("%s: listing fingerprint %s, want %s", g.name, got, g.want)
 		}
 	}
 }
 
-// TestFingerprintValuesMatchesSupports is the contract of the hit path:
-// hashing the value rows in place gives Fingerprint of their supports, on
-// random structures over every ring, with the sparsity parameter inferred or
-// given, and on hand-built rows that are unsorted or repeat a column (the
-// Support fallback).
-func TestFingerprintValuesMatchesSupports(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	check := func(what string, a, b *matrix.Sparse, x *matrix.Support, opts Options) {
-		t.Helper()
-		want, err := Fingerprint(a.Support(), b.Support(), x, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := FingerprintValues(a, b, x, opts)
-		if err != nil || got != want {
-			t.Fatalf("%s: FingerprintValues = %s, %v; Fingerprint of the supports = %s", what, got, err, want)
-		}
+// listSparse lists a multiply the way a Go caller's values are listed.
+func listSparse(t testing.TB, a, b *matrix.Sparse, x *matrix.Support) *Listing {
+	t.Helper()
+	l := &Listing{N: a.N}
+	_, okA := l.A.AddSparse(a, nil)
+	_, okB := l.B.AddSparse(b, nil)
+	if !okA || !okB {
+		t.Fatalf("AddSparse refused a Sparse built through its API")
 	}
+	l.X.AddSupport(x)
+	return l
+}
+
+// TestListingMatchesSupports is the contract of the hit path: the listing
+// of the value rows fingerprints as Fingerprint of their supports, lists
+// exactly those supports and carries the values in support order, on random
+// structures over every ring, with the sparsity parameter inferred or given.
+// Hand-built rows that are unsorted, repeat a column or leave [0, n) are
+// refused.
+func TestListingMatchesSupports(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
 	random := func(n, k int) *matrix.Support {
 		entries := make([][2]int, k)
 		for e := range entries {
@@ -195,41 +193,86 @@ func TestFingerprintValuesMatchesSupports(t *testing.T) {
 			b := matrix.Random(random(n, rng.Intn(4*n)), r, rng.Int63())
 			x := random(n, rng.Intn(3*n))
 			opts := Options{Ring: r, D: rng.Intn(3), Algorithm: []string{"", "trivial", "lemma31"}[trial%3]}
-			check(fmt.Sprintf("%s trial %d", name, trial), a, b, x, opts)
+			want, err := Fingerprint(a.Support(), b.Support(), x, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := listSparse(t, a, b, x)
+			if got := l.Fingerprint(opts); got != want {
+				t.Fatalf("%s trial %d: listing fingerprint %s, Fingerprint of the supports %s", name, trial, got, want)
+			}
+			if !l.A.Lists(a.Support()) || !l.B.Lists(b.Support()) || !l.X.Lists(x) {
+				t.Fatalf("%s trial %d: the listing does not list its own supports", name, trial)
+			}
+			if other := ListSupports(a.Support(), b.Support(), x); !other.A.Equal(&l.A) || !other.B.Equal(&l.B) || !other.X.Equal(&l.X) {
+				t.Fatalf("%s trial %d: AddSparse and AddSupport list differently", name, trial)
+			}
+			var sa RowList
+			vals, _ := sa.AddSparse(a, nil)
+			k := 0
+			for i, row := range a.Support().Rows {
+				for _, j := range row {
+					if vals[k] != a.Get(i, int(j)) {
+						t.Fatalf("%s trial %d: value %d is not A(%d,%d)", name, trial, k, i, j)
+					}
+					k++
+				}
+			}
 		}
 	}
 
-	// Rows that break the invariant: out of order, a repeated column.
+	// A listing lists one structure: a moved, added or dropped cell is
+	// another.
+	x := matrix.NewSupport(5, [][2]int{{0, 1}, {2, 2}, {2, 4}})
+	var l RowList
+	l.AddSupport(x)
+	for _, other := range [][][2]int{{{0, 1}, {2, 2}}, {{0, 1}, {2, 2}, {2, 3}}, {{0, 1}, {2, 2}, {2, 4}, {4, 0}}, {{1, 1}, {2, 2}, {2, 4}}} {
+		if l.Lists(matrix.NewSupport(5, other)) {
+			t.Errorf("the listing of %v lists %v", x.Entries(), other)
+		}
+	}
+
+	// Rows that break the invariant: out of order, a repeated column, a
+	// column out of range, a row count other than n.
 	const n = 6
 	r := ring.Counting{}
-	a := matrix.NewSparse(n, r)
-	a.Rows[1] = []matrix.Cell{{Col: 4, Val: 1}, {Col: 2, Val: 1}}
-	a.Rows[3] = []matrix.Cell{{Col: 0, Val: 1}, {Col: 5, Val: 2}, {Col: 5, Val: 3}}
-	b := matrix.Random(random(n, 10), r, 1)
-	x := random(n, 8)
-	check("unsorted A", a, b, x, Options{Ring: r})
-	check("unsorted B", b, a, x, Options{Ring: r, D: 2})
-
-	// The dimension check is Fingerprint's.
-	if _, err := FingerprintValues(a, b, matrix.NewSupport(n+1, nil), Options{}); err == nil {
-		t.Error("dimension mismatch accepted")
+	for what, row := range map[string][]matrix.Cell{
+		"unsorted":  {{Col: 4, Val: 1}, {Col: 2, Val: 1}},
+		"repeated":  {{Col: 0, Val: 1}, {Col: 5, Val: 2}, {Col: 5, Val: 3}},
+		"too large": {{Col: n, Val: 1}},
+		"negative":  {{Col: -1, Val: 1}},
+	} {
+		a := matrix.NewSparse(n, r)
+		a.Rows[3] = row
+		var l RowList
+		if _, ok := l.AddSparse(a, nil); ok {
+			t.Errorf("%s row listed", what)
+		}
+	}
+	short := &matrix.Sparse{N: n, R: r, Rows: make([][]matrix.Cell, n-1)}
+	if _, ok := new(RowList).AddSparse(short, nil); ok {
+		t.Error("a matrix with n-1 rows listed")
 	}
 }
 
-// BenchmarkFingerprintValues times the fingerprint of a cache hit against
-// the support path it replaces, on the benchmark's edge structure (n=256,
-// d=4, US:US:US).
-func BenchmarkFingerprintValues(b *testing.B) {
+// BenchmarkListingFingerprint times listing a cache hit's values and
+// hashing the listing against the support path, on the benchmark's edge
+// structure (n=256, d=4, US:US:US).
+func BenchmarkListingFingerprint(b *testing.B) {
 	inst := workload.Instance(matrix.US, matrix.US, matrix.US, 256, 4, 1)
 	r := ring.Counting{}
 	ma, mb := matrix.Random(inst.Ahat, r, 1), matrix.Random(inst.Bhat, r, 2)
 	opts := Options{Ring: r}
-	b.Run("values", func(b *testing.B) {
+	b.Run("listing", func(b *testing.B) {
 		b.ReportAllocs()
+		var l Listing
+		var vals []ring.Value
 		for i := 0; i < b.N; i++ {
-			if _, err := FingerprintValues(ma, mb, inst.Xhat, opts); err != nil {
-				b.Fatal(err)
-			}
+			l.Reset(inst.N)
+			vals, _ = l.A.AddSparse(ma, vals[:0])
+			vals, _ = l.B.AddSparse(mb, vals)
+			l.X.AddSupport(inst.Xhat)
+			_ = l.Fingerprint(opts)
 		}
 	})
 	b.Run("supports", func(b *testing.B) {

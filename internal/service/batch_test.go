@@ -270,7 +270,10 @@ func TestServerMultiplyBatchExplicit(t *testing.T) {
 			break
 		}
 	}
-	if sameStructure(moved, lanes[2].B) || moved.NNZ() != lanes[2].B.NNZ() {
+	var movedList, keptList core.RowList
+	movedList.AddSparse(moved, nil)
+	keptList.AddSparse(lanes[2].B, nil)
+	if movedList.Equal(&keptList) || moved.NNZ() != lanes[2].B.NNZ() {
 		t.Fatal("test matrix was not moved by exactly one position")
 	}
 	bad = append([]BatchLane{}, lanes...)
@@ -526,9 +529,13 @@ func TestServerCloseDrainsInFlightLane(t *testing.T) {
 		return nil
 	}})
 	req, want := faultReq(ring.Counting{}, 15)
+	vr, err := listMultiply(req)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var delivered atomic.Bool
-	_, err := srv.MultiplySubmit(context.Background(), req, func(resp *MultiplyResponse, err error) {
-		if err != nil || !matrix.Equal(resp.X, want) {
+	_, err = srv.MultiplySubmit(context.Background(), vr, func(resp *MultiplyResponse, err error) {
+		if err != nil || !matrix.Equal(resp.Product.Sparse(), want) {
 			t.Errorf("drained lane: err=%v, or a wrong product", err)
 		}
 		delivered.Store(true)
@@ -599,10 +606,14 @@ func TestServerLaunchOnlyItsOwnLanes(t *testing.T) {
 	submit := func(ctx context.Context, seed int64) string {
 		t.Helper()
 		req, want := faultReq(ring.Counting{}, seed)
+		vr, err := listMultiply(req)
+		if err != nil {
+			t.Fatal(err)
+		}
 		wg.Add(1)
-		fp, err := srv.MultiplySubmit(ctx, req, func(resp *MultiplyResponse, err error) {
+		fp, err := srv.MultiplySubmit(ctx, vr, func(resp *MultiplyResponse, err error) {
 			defer wg.Done()
-			if err != nil || !matrix.Equal(resp.X, want) {
+			if err != nil || !matrix.Equal(resp.Product.Sparse(), want) {
 				t.Errorf("lane %d: %v", seed, err)
 			}
 		})

@@ -94,17 +94,20 @@ var entryPoints = []struct {
 			err  error
 		}
 		done := make(chan outcome, 1)
-		_, err := srv.MultiplySubmit(context.Background(), req, func(resp *MultiplyResponse, err error) {
-			done <- outcome{resp, err}
-		})
+		vr, err := listMultiply(req)
 		if err != nil {
+			return nil, err
+		}
+		if _, err := srv.MultiplySubmit(context.Background(), vr, func(resp *MultiplyResponse, err error) {
+			done <- outcome{resp, err}
+		}); err != nil {
 			return nil, err
 		}
 		out := <-done
 		if out.err != nil {
 			return nil, out.err
 		}
-		return out.resp.X, nil
+		return out.resp.Product.Sparse(), nil
 	}},
 	{"MultiplyBatch", 3, func(srv *Server, req *MultiplyRequest) (*matrix.Sparse, error) {
 		mate := func(seed int64) BatchLane {

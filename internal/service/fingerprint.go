@@ -19,10 +19,11 @@ var ErrBadRequest = errors.New("service: unfingerprintable request")
 // RequestFingerprint computes the plan fingerprint a server would use for
 // the body of a serving-API request, without compiling anything. This is what
 // the shard tier routes by. It is the handler's own front half — the same
-// scanner over the bytes, the same ParseWireMultiply, the same
-// core.FingerprintValues over the value rows — so the routed fingerprint and
-// the served one cannot disagree, and a body in row-major ascending order
-// costs one linear pass per stage.
+// scanner over the bytes and the same listing (ListWire) — hashed: the
+// listing's SHA-256 is the fingerprint the served plan carries, so the
+// routed fingerprint and the served one cannot disagree, and a body in
+// row-major ascending order is listed in one pass with no matrix or support
+// built.
 //
 // path selects the wire schema: "/v1/multiply", "/v1/multiply/batch"
 // (fingerprinted by lane 0 — the handler enforces that all lanes share it)
@@ -43,7 +44,7 @@ func RequestFingerprint(path string, body []byte) (fp string, err error) {
 		if err := ScanDocument(body, req.Scan); err != nil {
 			return "", fmt.Errorf("bad request body: %w", err)
 		}
-		return structureFingerprint(&req)
+		return listedFingerprint(&req)
 	case "/v1/multiply/batch":
 		var req wireMultiplyBatchRequest
 		if err := ScanDocument(body, req.Scan); err != nil {
@@ -52,7 +53,7 @@ func RequestFingerprint(path string, body []byte) (fp string, err error) {
 		if len(req.Lanes) == 0 {
 			return "", fmt.Errorf("batch multiply needs lanes")
 		}
-		return structureFingerprint(&wireMultiplyRequest{
+		return listedFingerprint(&wireMultiplyRequest{
 			N: req.N, Ring: req.Ring, Algorithm: req.Algorithm, D: req.D,
 			A: req.Lanes[0].A, B: req.Lanes[0].B, Xhat: req.Xhat,
 		})
@@ -65,24 +66,29 @@ func RequestFingerprint(path string, body []byte) (fp string, err error) {
 		if err != nil {
 			return "", err
 		}
-		supports, err := buildSupports(req.N, req.Ahat, req.Bhat, req.Xhat)
-		if err != nil {
-			return "", err
+		l := core.Listing{N: req.N}
+		for _, m := range []struct {
+			pos  []wirePos
+			what string
+			list *core.RowList
+		}{{req.Ahat, "ahat", &l.A}, {req.Bhat, "bhat", &l.B}, {req.Xhat, "xhat", &l.X}} {
+			if err := listPositions(req.N, m.pos, m.what, m.list); err != nil {
+				return "", err
+			}
 		}
-		return core.Fingerprint(supports[0], supports[1], supports[2],
-			core.Options{Ring: ringSR, D: req.D, Algorithm: req.Algorithm})
+		return l.Fingerprint(core.Options{Ring: ringSR, D: req.D, Algorithm: req.Algorithm}), nil
 	}
 	return "", fmt.Errorf("no fingerprint for path %q", path)
 }
 
-// structureFingerprint fingerprints a value-carrying request the way
-// Server.submit keys it: core.FingerprintValues of the request
-// ParseWireMultiply builds, so a duplicate cell or an explicit zero routes
-// exactly as it is served.
-func structureFingerprint(wm *wireMultiplyRequest) (string, error) {
-	req, err := ParseWireMultiply(wm)
-	if err != nil {
+// listedFingerprint fingerprints a value-carrying request the way
+// Server.resolve keys a miss: the fingerprint of the listing ListWire
+// gives, so a duplicate cell or an explicit zero routes exactly as it is
+// served.
+func listedFingerprint(wm *wireMultiplyRequest) (string, error) {
+	var vr ValueRequest
+	if err := ListWire(&vr, wm); err != nil {
 		return "", err
 	}
-	return core.FingerprintValues(req.A, req.B, req.Xhat, req.Options)
+	return vr.Fingerprint(), nil
 }

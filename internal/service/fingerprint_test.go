@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"math/rand"
 	"net/http"
 	"testing"
 
@@ -35,65 +36,96 @@ func TestRequestFingerprintMatchesServer(t *testing.T) {
 		return body
 	}
 
+	// Bodies the listing takes directly, and bodies it builds first: cells
+	// shuffled, a cell written twice, an explicit zero over an empty cell
+	// (the same structure) and over a stored one (another structure).
+	entries := func(m *matrix.Sparse) []wireEntry { return sparseEntries(m) }
+	shuffled := func(es []wireEntry) []wireEntry {
+		out := append([]wireEntry(nil), es...)
+		rand.New(rand.NewSource(int64(len(es)))).Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		return out
+	}
+	free := wireEntry{}
+	for i := 0; i < inst.N && free[2] == 0; i++ {
+		for j := 0; j < inst.N; j++ {
+			if a.Get(i, j) == 0 {
+				free = wireEntry{float64(i), float64(j), 1}
+				break
+			}
+		}
+	}
+	free[2] = 0
+	dupA := append(entries(a), entries(a)[0])
+	zeroFree := append(entries(a), free)
+	zeroStored := append(entries(a), wireEntry{entries(a)[0][0], entries(a)[0][1], 0})
+	multiply := func(as, bs []wireEntry, xs []wirePos) []byte {
+		return encode(wireMultiplyRequest{N: inst.N, Ring: "counting", A: as, B: bs, Xhat: xs})
+	}
+	batch := func(lanes ...wireValueLane) []byte {
+		return encode(wireMultiplyBatchRequest{N: inst.N, Ring: "counting", Xhat: shuffledPos(xpos), Lanes: lanes})
+	}
 	cases := []struct {
-		path string
-		body []byte
+		name, path string
+		body       []byte
+		other      bool // a different structure from the rest
 	}{
-		{"/v1/multiply", encode(wireMultiplyRequest{
-			N: inst.N, Ring: "counting", A: sparseEntries(a), B: sparseEntries(b), Xhat: xpos,
-		})},
-		{"/v1/multiply/batch", encode(wireMultiplyBatchRequest{
+		{"multiply", "/v1/multiply", multiply(entries(a), entries(b), xpos), false},
+		{"batch", "/v1/multiply/batch", encode(wireMultiplyBatchRequest{
 			N: inst.N, Ring: "counting", Xhat: xpos,
 			Lanes: []wireValueLane{
 				{A: sparseEntries(a), B: sparseEntries(b)},
 				{A: sparseEntries(matrix.Random(inst.Ahat, r, 3)), B: sparseEntries(matrix.Random(inst.Bhat, r, 4))},
 			},
-		})},
-		{"/v1/prepare", encode(wirePrepareRequest{
+		}), false},
+		{"prepare", "/v1/prepare", encode(wirePrepareRequest{
 			N: inst.N, Ring: "counting",
 			Ahat: supportPositions(inst.Ahat), Bhat: supportPositions(inst.Bhat), Xhat: xpos,
-		})},
+		}), false},
+		{"shuffled multiply", "/v1/multiply", multiply(shuffled(entries(a)), shuffled(entries(b)), shuffledPos(xpos)), false},
+		{"duplicate cell", "/v1/multiply", multiply(dupA, entries(b), xpos), false},
+		{"zero over an empty cell", "/v1/multiply", multiply(zeroFree, entries(b), xpos), false},
+		{"zero over a stored cell", "/v1/multiply", multiply(zeroStored, entries(b), xpos), true},
+		{"shuffled batch", "/v1/multiply/batch", batch(
+			wireValueLane{A: shuffled(entries(a)), B: entries(b)},
+			wireValueLane{A: dupA, B: shuffled(entries(b))},
+			wireValueLane{A: zeroFree, B: entries(b)},
+		), false},
+		{"shuffled prepare", "/v1/prepare", encode(wirePrepareRequest{
+			N: inst.N, Ring: "counting",
+			Ahat: shuffledPos(supportPositions(inst.Ahat)), Bhat: supportPositions(inst.Bhat), Xhat: append(xpos, xpos[0]),
+		}), false},
 	}
 
 	var want string
 	for _, tc := range cases {
 		routed, err := RequestFingerprint(tc.path, tc.body)
 		if err != nil {
-			t.Fatalf("RequestFingerprint(%s): %v", tc.path, err)
+			t.Fatalf("RequestFingerprint(%s): %v", tc.name, err)
 		}
 		var raw json.RawMessage = tc.body
 		rec := postJSON(t, h, tc.path, raw)
 		if rec.Code != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", tc.path, rec.Code, rec.Body)
+			t.Fatalf("%s: status %d: %s", tc.name, rec.Code, rec.Body)
 		}
 		var resp struct {
 			Fingerprint string `json:"fingerprint"`
 		}
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Fatalf("%s: %v", tc.path, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if resp.Fingerprint != routed {
-			t.Fatalf("%s: server fingerprint %s, router computed %s", tc.path, resp.Fingerprint, routed)
+			t.Fatalf("%s: server fingerprint %s, router computed %s", tc.name, resp.Fingerprint, routed)
 		}
-		// All three bodies describe the same structure over the same options,
-		// so the router must map them all to the same shard.
-		if want == "" {
+		// Every other body describes the same structure over the same
+		// options, so the router must map them all to the same shard.
+		switch {
+		case want == "":
 			want = routed
-		} else if routed != want {
-			t.Fatalf("%s: fingerprint %s differs from multiply's %s", tc.path, routed, want)
+		case routed == want && tc.other:
+			t.Fatalf("%s: a different structure kept the fingerprint %s", tc.name, routed)
+		case routed != want && !tc.other:
+			t.Fatalf("%s: fingerprint %s differs from multiply's %s", tc.name, routed, want)
 		}
-	}
-
-	// Duplicate entries collapse the way Sparse.Set overwrites, so a body
-	// with a repeated cell must not change the route.
-	dup := wireMultiplyRequest{N: inst.N, Ring: "counting", A: sparseEntries(a), B: sparseEntries(b), Xhat: xpos}
-	dup.A = append(dup.A, dup.A[0])
-	got, err := RequestFingerprint("/v1/multiply", encode(dup))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("duplicate entry changed the fingerprint: %s vs %s", got, want)
 	}
 
 	// Malformed bodies must error (the router then lets the wire layer 400)
@@ -111,6 +143,13 @@ func TestRequestFingerprintMatchesServer(t *testing.T) {
 	if _, err := RequestFingerprint("/v1/multiply", encode(bad)); err == nil {
 		t.Fatal("out-of-range index fingerprinted")
 	}
+}
+
+// shuffledPos returns the positions in another order.
+func shuffledPos(ps []wirePos) []wirePos {
+	out := append([]wirePos(nil), ps...)
+	rand.New(rand.NewSource(int64(len(ps)))).Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
 }
 
 // TestRequestFingerprintBadBodies is the regression suite for the routing

@@ -188,27 +188,36 @@ func NewHandler(s *Server) http.Handler {
 }
 
 func handleMultiply(s *Server, w http.ResponseWriter, r *http.Request) {
-	wm := multiplyPool.Get().(*wireMultiplyRequest)
-	defer putMultiply(wm)
-	if err := decodeBody(w, r, wm.Scan); err != nil {
+	m := multiplyPool.Get().(*pooledMultiply)
+	free := true
+	defer func() {
+		if free {
+			m.put()
+		}
+	}()
+	if err := decodeBody(w, r, m.wire.Scan); err != nil {
 		writeDecodeErr(w, err)
 		return
 	}
-	req, err := ParseWireMultiply(wm)
-	if err != nil {
+	if err := ListWire(&m.vals, &m.wire); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	resp, err := s.Multiply(r.Context(), req)
+	var (
+		resp *MultiplyResponse
+		err  error
+	)
+	// A lane whose wait ended before it ran still reads m's values, so m
+	// is not recycled then.
+	resp, free, err = s.multiply(r.Context(), &m.vals)
 	if err != nil {
 		writeServeErr(w, err)
 		return
 	}
-	out := &wireMultiplyResponse{
-		X:                  sparseEntries(resp.X),
-		wireMultiplyReport: BuildWireReport(resp),
-	}
-	writeBody(w, out.AppendJSON)
+	report := BuildWireReport(resp)
+	writeBody(w, func(b []byte) ([]byte, error) {
+		return appendMultiplyBody(b, resp.Product.AppendEntries, &report)
+	})
 }
 
 func handleMultiplyBatch(s *Server, w http.ResponseWriter, r *http.Request) {
@@ -241,7 +250,7 @@ func handleMultiplyBatch(s *Server, w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	resp, err := s.MultiplyBatch(r.Context(), &MultiplyBatchRequest{
+	resp, err := s.multiplyBatch(r.Context(), &MultiplyBatchRequest{
 		Lanes: lanes, Xhat: xhat,
 		Options: core.Options{Ring: ringSR, D: req.D, Algorithm: req.Algorithm},
 		Trace:   req.Trace,
@@ -250,15 +259,13 @@ func handleMultiplyBatch(s *Server, w http.ResponseWriter, r *http.Request) {
 		writeServeErr(w, err)
 		return
 	}
-	out := &wireMultiplyBatchResponse{
-		Lanes:              make([][]wireEntry, len(resp.X)),
-		BatchLanes:         len(resp.X),
-		wireMultiplyReport: multiplyReportWire(resp.Report, resp.Fingerprint, resp.CacheHit, resp.Profile),
-	}
-	for l, x := range resp.X {
-		out.Lanes[l] = sparseEntries(x)
-	}
-	writeBody(w, out.AppendJSON)
+	report := multiplyReportWire(resp.Report, resp.Fingerprint, resp.CacheHit, resp.Profile)
+	k := len(resp.Products)
+	writeBody(w, func(b []byte) ([]byte, error) {
+		return appendBatchBody(b, func(b []byte) ([]byte, error) {
+			return appendLanes(b, k, func(b []byte, l int) ([]byte, error) { return resp.Products[l].AppendEntries(b) })
+		}, k, &report)
+	})
 }
 
 func handlePrepare(s *Server, w http.ResponseWriter, r *http.Request) {
@@ -332,15 +339,22 @@ var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledBody = 1 << 20
 
-// multiplyPool recycles the requests /v1/multiply scans into, so a warm
-// request decodes its cells into slices it already holds. ParseWireMultiply
-// copies everything out of them, so a request goes back, Reset, when its
-// handler returns.
-var multiplyPool = sync.Pool{New: func() any { return new(wireMultiplyRequest) }}
+// pooledMultiply is what one /v1/multiply request is read into: the body
+// scanned, then listed. multiplyPool recycles them, so a warm request
+// decodes its cells into slices it already holds and lists them into
+// storage it already holds.
+type pooledMultiply struct {
+	wire wireMultiplyRequest
+	vals ValueRequest
+}
 
-func putMultiply(wm *wireMultiplyRequest) {
-	wm.Reset()
-	multiplyPool.Put(wm)
+var multiplyPool = sync.Pool{New: func() any { return new(pooledMultiply) }}
+
+// put returns m to the pool, its scan and its listing Reset.
+func (m *pooledMultiply) put() {
+	m.wire.Reset()
+	m.vals.Reset()
+	multiplyPool.Put(m)
 }
 
 // Reset empties w for the next scan into it. Only its slices survive,

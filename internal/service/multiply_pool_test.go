@@ -46,7 +46,7 @@ func answerError(h http.Handler, body, same []byte) error {
 		return fmt.Errorf("fresh parse: %w", err)
 	}
 	want := matrix.MulReference(req.A, req.B, req.Xhat)
-	fp, err := core.FingerprintValues(req.A, req.B, req.Xhat, req.Options)
+	fp, err := core.Fingerprint(req.A.Support(), req.B.Support(), req.Xhat, req.Options)
 	if err != nil {
 		return err
 	}
@@ -156,8 +156,11 @@ func TestHTTPMultiplyPooledScan(t *testing.T) {
 		t.Fatalf("over the pool cap: %v", err)
 	}
 	for i := 0; i < 64; i++ {
-		wm := multiplyPool.Get().(*wireMultiplyRequest)
-		held := heldBytes(wm)
+		m := multiplyPool.Get().(*pooledMultiply)
+		held := heldBytes(&m.wire)
+		if vals := (cap(m.vals.a) + cap(m.vals.b)) * 8; vals > maxPooledBody {
+			t.Fatalf("the pool kept a listing holding %d bytes of values, over the %d cap", vals, maxPooledBody)
+		}
 		if held > maxPooledBody {
 			t.Fatalf("the pool kept a request holding %d bytes, over the %d cap", held, maxPooledBody)
 		}

@@ -10,48 +10,31 @@ import (
 	"lbmm/internal/lbm"
 	"lbmm/internal/matrix"
 	"lbmm/internal/obsv"
+	"lbmm/internal/ring"
 )
 
 // The request pipeline (docs/SERVICE.md "Request pipeline"). Every multiply,
-// whichever entry point it came through, is a lane: it is validated,
-// admitted, resolved to a prepared plan and parked in a coalescer; the
-// coalescer launches groups of same-fingerprint lanes; runGroup executes a
-// group and delivers each lane's outcome. Multiply, MultiplySubmit and
-// MultiplyBatch differ only in how lanes enter and how the caller waits.
+// whichever entry point it came through, is a lane: it is listed (its
+// structure once, its values in listing order), admitted, resolved to a
+// prepared plan and parked in a coalescer; the coalescer launches groups of
+// same-fingerprint lanes; runGroup executes a group and delivers each
+// lane's outcome. Multiply, MultiplySubmit, MultiplyBatch and the handlers
+// differ only in how lanes enter and how the caller waits.
 
 // lane is one value set parked in a coalescer: the plan it resolved to, its
-// values, what it asked for, and the callback that receives its outcome
+// values in the plan's listing order, the slice its product is written
+// into, what it asked for, and the callback that receives its outcome
 // exactly once, on the group's goroutine.
 type lane struct {
 	// ctx is the submitter's context; Launch tells a session's lanes from
 	// everyone else's by it.
 	ctx      context.Context
 	prep     *core.Prepared
-	a, b     *matrix.Sparse
+	a, b, x  []ring.Value
 	trace    bool
 	hit      bool
 	enqueued time.Time
 	deliver  func(*MultiplyResponse, error)
-}
-
-// sameStructure reports whether two value matrices store the same positions,
-// by walking their sorted rows in tandem: what comparing the fingerprints of
-// their supports decides, without building or hashing either.
-func sameStructure(a, b *matrix.Sparse) bool {
-	if a.N != b.N || len(a.Rows) != len(b.Rows) {
-		return false
-	}
-	for i, row := range a.Rows {
-		if len(row) != len(b.Rows[i]) {
-			return false
-		}
-		for k, c := range row {
-			if c.Col != b.Rows[i][k].Col {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // validate is the one nil/dimension check behind every structure request:
@@ -64,15 +47,6 @@ func validate(what, needs string, ahat, bhat, xhat *matrix.Support) error {
 	return sameN(what, ahat.N, bhat.N, xhat.N)
 }
 
-// validateValues is validate for a value request, checked on the matrices
-// themselves: a hit never builds their supports.
-func validateValues(what, needs string, a, b *matrix.Sparse, xhat *matrix.Support) error {
-	if a == nil || b == nil || xhat == nil {
-		return fmt.Errorf("%w: %s%s", ErrInvalid, what, needs)
-	}
-	return sameN(what, a.N, b.N, xhat.N)
-}
-
 func sameN(what string, na, nb, nx int) error {
 	if na != nb || na != nx {
 		return fmt.Errorf("%w: %sdimension mismatch %d/%d/%d", ErrInvalid, what, na, nb, nx)
@@ -80,30 +54,21 @@ func sameN(what string, na, nb, nx int) error {
 	return nil
 }
 
-// enter takes n lanes of one structure through the stages every multiply
-// shares: admission, plan resolution, park. The structure is that of the
-// values a and b over xhat: fingerprinted from their rows, and turned into
-// supports only when the plan must be compiled. park hands the resolved
-// plan's lanes to a coalescer without blocking. The admitted slot is held
-// across plan resolution only — a miss compiles, which is work — and
-// released on return, before any caller waits: the launched group takes its
-// own slot, so k coalesced lanes cost one worker and no caller holds a slot
-// while its group waits for one. Counters are in lanes.
-func (s *Server) enter(ctx context.Context, n int64, a, b *matrix.Sparse, xhat *matrix.Support, opts core.Options,
+// enter takes n lanes of one listed structure through the stages every
+// multiply shares: admission, plan resolution, park. park hands the
+// resolved plan's lanes to a coalescer without blocking. The admitted slot
+// is held across plan resolution only — a miss compiles, which is work —
+// and released on return, before any caller waits: the launched group takes
+// its own slot, so k coalesced lanes cost one worker and no caller holds a
+// slot while its group waits for one. Counters are in lanes.
+func (s *Server) enter(ctx context.Context, n int64, l *core.Listing, opts core.Options,
 	park func(fp string, prep *core.Prepared, hit bool) error) error {
 	release, err := s.admit(ctx, n)
 	if err != nil {
 		return err
 	}
 	defer release()
-	fp, err := core.FingerprintValues(a, b, xhat, opts)
-	if err != nil {
-		s.metrics.Add(MetricErrors, n)
-		return err
-	}
-	prep, hit, err := s.prepared(fp, func() (ahat, bhat, x *matrix.Support) {
-		return a.Support(), b.Support(), xhat
-	}, opts)
+	prep, fp, hit, err := s.resolve(l, opts)
 	if err != nil {
 		s.metrics.Add(MetricErrors, n)
 		return err
@@ -117,26 +82,65 @@ func (s *Server) enter(ctx context.Context, n int64, a, b *matrix.Sparse, xhat *
 	return nil
 }
 
-// submit is the one way a value set reaches a plan: validate, then enter the
-// pipeline as a single lane keyed by its plan fingerprint, which it returns.
-// A nil error means deliver will be called exactly once with the outcome; an
-// error means the lane was rejected before parking and deliver never runs.
-func (s *Server) submit(ctx context.Context, req *MultiplyRequest, deliver func(*MultiplyResponse, error)) (string, error) {
-	if err := validateValues("", "multiply needs A, B and Xhat", req.A, req.B, req.Xhat); err != nil {
-		return "", err
+// resolve finds the plan for a listed structure and its fingerprint. A
+// memory hit is found by comparison (Cache.Find); only a miss hashes the
+// listing with SHA-256, and that fingerprint keys the store tier, the
+// compile and the new cache entry. Supports are built only to compile.
+func (s *Server) resolve(l *core.Listing, opts core.Options) (*core.Prepared, string, bool, error) {
+	if prep, fp, ok := s.cache.Find(l, opts); ok {
+		return prep, fp, true, nil
 	}
+	fp := l.Fingerprint(opts)
+	prep, hit, err := s.prepared(fp, l.Supports, opts)
+	return prep, fp, hit, err
+}
+
+// submit is the one way a value set reaches a plan: enter the pipeline as a
+// single lane keyed by its plan fingerprint, which it returns. The lane
+// reads vr's values until it is delivered, and keep says whether it may
+// read vr's own slices or takes a copy. A nil error means deliver will be
+// called exactly once with the outcome; an error means the lane was
+// rejected before parking and deliver never runs.
+func (s *Server) submit(ctx context.Context, vr *ValueRequest, keep bool, deliver func(*MultiplyResponse, error)) (string, error) {
 	var key string
-	err := s.enter(ctx, 1, req.A, req.B, req.Xhat, req.Options, func(fp string, prep *core.Prepared, hit bool) error {
+	err := s.enter(ctx, 1, &vr.list, vr.opts, func(fp string, prep *core.Prepared, hit bool) error {
 		key = fp
-		return s.coal.Submit(fp, &lane{
-			ctx: ctx, prep: prep, a: req.A, b: req.B, trace: req.Trace, hit: hit,
-			enqueued: time.Now(), deliver: deliver,
-		})
+		ln := &lane{ctx: ctx, prep: prep, trace: vr.trace, hit: hit, enqueued: time.Now(), deliver: deliver}
+		na, nb := len(vr.a), len(vr.b)
+		if keep {
+			ln.a, ln.b, ln.x = vr.a, vr.b, make([]ring.Value, vr.list.X.Len())
+		} else {
+			slab := make([]ring.Value, na+nb+vr.list.X.Len())
+			ln.a, ln.b, ln.x = slab[:na:na], slab[na:na+nb:na+nb], slab[na+nb:]
+			copy(ln.a, vr.a)
+			copy(ln.b, vr.b)
+		}
+		return s.coal.Submit(fp, ln)
 	})
 	if err != nil {
 		return "", err
 	}
 	return key, nil
+}
+
+// multiply serves one listed value set and waits for its outcome until ctx,
+// or Config.Deadline, ends. The lane reads vr's values in place: free
+// reports whether vr may be reused, which it may not when the wait ended
+// before the lane ran.
+func (s *Server) multiply(ctx context.Context, vr *ValueRequest) (resp *MultiplyResponse, free bool, err error) {
+	var runErr error
+	done := make(chan struct{})
+	_, err = s.submit(ctx, vr, true, func(r *MultiplyResponse, e error) {
+		resp, runErr = r, e
+		close(done)
+	})
+	if err != nil {
+		return nil, true, err
+	}
+	if err := s.await(ctx, done); err != nil {
+		return nil, false, err
+	}
+	return resp, true, runErr
 }
 
 // await blocks until done closes or ctx ends, capped at Config.Deadline when
@@ -194,23 +198,23 @@ func (s *Server) runGroup(fp string, lanes []*lane, why batch.Reason) {
 	// prepared plan serves the whole group.
 	prep := lanes[0].prep
 	trace := false
-	as := make([]*matrix.Sparse, len(lanes))
-	bs := make([]*matrix.Sparse, len(lanes))
+	as := make([][]ring.Value, len(lanes))
+	bs := make([][]ring.Value, len(lanes))
+	xs := make([][]ring.Value, len(lanes))
 	for i, ln := range lanes {
-		as[i], bs[i] = ln.a, ln.b
+		as[i], bs[i], xs[i] = ln.a, ln.b, ln.x
 		trace = trace || ln.trace
 	}
 	var (
-		outs []*matrix.Sparse
-		rep  *core.Report
-		err  error
+		rep *core.Report
+		err error
 	)
 	for attempt := 0; ; attempt++ {
 		opts := core.ExecOpts{Trace: trace}
 		if s.cfg.FaultInjector != nil {
 			opts.Injector = s.cfg.FaultInjector(attempt)
 		}
-		outs, rep, err = prep.MultiplyBatch(as, bs, opts)
+		rep, err = prep.MultiplyValues(as, bs, xs, opts)
 		if err == nil || !lbm.IsFault(err) {
 			break
 		}
@@ -234,8 +238,9 @@ func (s *Server) runGroup(fp string, lanes []*lane, why batch.Reason) {
 		profile = rep.Profile.Export()
 	}
 	s.metrics.Add(MetricServed, k)
-	for i, ln := range lanes {
-		resp := &MultiplyResponse{X: outs[i], Report: rep, Fingerprint: fp, CacheHit: ln.hit}
+	xhat, r := prep.Xhat(), prep.Options().Ring
+	for _, ln := range lanes {
+		resp := &MultiplyResponse{Product: Product{Xhat: xhat, Vals: ln.x, Ring: r}, Report: rep, Fingerprint: fp, CacheHit: ln.hit}
 		if ln.trace {
 			resp.Profile = profile
 		}
@@ -243,44 +248,49 @@ func (s *Server) runGroup(fp string, lanes []*lane, why batch.Reason) {
 	}
 }
 
-// Multiply serves one multiplication: submit the lane, then wait for its
-// outcome until the caller's context, or Config.Deadline, ends.
+// Multiply serves one multiplication: list the request, submit the lane,
+// then wait for its outcome until the caller's context, or Config.Deadline,
+// ends. The response carries the product both as X and as Product.
 func (s *Server) Multiply(ctx context.Context, req *MultiplyRequest) (*MultiplyResponse, error) {
-	var (
-		resp   *MultiplyResponse
-		runErr error
-	)
-	done := make(chan struct{})
-	_, err := s.submit(ctx, req, func(r *MultiplyResponse, e error) {
-		resp, runErr = r, e
-		close(done)
-	})
-	if err == nil {
-		err = s.await(ctx, done)
-	}
+	vr, err := listMultiply(req)
 	if err != nil {
 		return nil, err
 	}
-	return resp, runErr
+	resp, _, err := s.multiply(ctx, vr)
+	if err != nil {
+		return nil, err
+	}
+	resp.X = resp.Product.Sparse()
+	return resp, nil
 }
 
-// MultiplySubmit is the streaming entry point: it validates, admits and
-// plan-resolves the request like Multiply, but instead of waiting it
-// registers deliver to be invoked exactly once with the outcome and
-// returns the plan fingerprint the lane is parked under — the key Launch
-// takes. A non-nil return error means the request was rejected
-// synchronously (validation, admission, plan failure or a closed server)
-// and deliver will never be called.
+// listMultiply lists a Go caller's request.
+func listMultiply(req *MultiplyRequest) (*ValueRequest, error) {
+	vr := &ValueRequest{opts: req.Options, trace: req.Trace}
+	var err error
+	vr.a, vr.b, err = listRequest("", "multiply needs A, B and Xhat", req.A, req.B, req.Xhat, &vr.list)
+	return vr, err
+}
+
+// MultiplySubmit is the asynchronous entry point, which a stream session
+// submits through: it admits and plan-resolves a listed request (ListWire,
+// ListWireValues) like Multiply, but instead of waiting it registers
+// deliver to be invoked exactly once with the outcome and returns the plan
+// fingerprint the lane is parked under — the key Launch takes. The lane
+// takes a copy of vr's values, so vr may be reused as soon as it returns;
+// the response carries the product as Product. A non-nil return error
+// means the request was rejected synchronously (admission, plan failure or
+// a closed server) and deliver will never be called.
 //
 // deliver runs on the group's goroutine and must not block for long — the
 // streaming session hands it a bounded outbox sized so that enqueueing a
 // result can never stall a worker. Backpressure is admission control: the
 // caller's read loop stalls in MultiplySubmit when every worker slot is busy.
-func (s *Server) MultiplySubmit(ctx context.Context, req *MultiplyRequest, deliver func(*MultiplyResponse, error)) (string, error) {
+func (s *Server) MultiplySubmit(ctx context.Context, vr *ValueRequest, deliver func(*MultiplyResponse, error)) (string, error) {
 	if deliver == nil {
 		return "", fmt.Errorf("%w: submit needs a deliver callback", ErrInvalid)
 	}
-	return s.submit(ctx, req, deliver)
+	return s.submit(ctx, vr, false, deliver)
 }
 
 // Launch starts the lanes parked under fingerprint fp now, without waiting
@@ -316,6 +326,7 @@ type MultiplyBatchRequest struct {
 // report (Report.Lanes = k; Stats are per-batch, not per-lane).
 type MultiplyBatchResponse struct {
 	X           []*matrix.Sparse
+	Products    []Product
 	Report      *core.Report
 	Fingerprint string
 	CacheHit    bool
@@ -325,14 +336,32 @@ type MultiplyBatchResponse struct {
 // MultiplyBatch serves an explicit batch: every lane must share lane 0's
 // sparsity structure (same plan fingerprint). The batch is admitted once,
 // resolves its plan once and enters the pipeline as one ready-made group of
-// k lanes, launched at once whatever the batching policy.
+// k lanes, launched at once whatever the batching policy. The response
+// carries the products both as X and as Products.
 func (s *Server) MultiplyBatch(ctx context.Context, req *MultiplyBatchRequest) (*MultiplyBatchResponse, error) {
+	out, err := s.multiplyBatch(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	out.X = make([]*matrix.Sparse, len(out.Products))
+	for l, p := range out.Products {
+		out.X[l] = p.Sparse()
+	}
+	return out, nil
+}
+
+// multiplyBatch is MultiplyBatch with the products as Products only: every
+// lane is listed, and a lane whose listing is not lane 0's is refused.
+func (s *Server) multiplyBatch(ctx context.Context, req *MultiplyBatchRequest) (*MultiplyBatchResponse, error) {
 	k := len(req.Lanes)
 	if k == 0 || req.Xhat == nil {
 		return nil, fmt.Errorf("%w: batch multiply needs lanes and Xhat", ErrInvalid)
 	}
+	var list, other core.Listing
+	as, bs := make([][]ring.Value, k), make([][]ring.Value, k)
 	first := req.Lanes[0]
-	if err := validateValues("lane 0: ", "missing A or B", first.A, first.B, req.Xhat); err != nil {
+	var err error
+	if as[0], bs[0], err = listRequest("lane 0: ", "missing A or B", first.A, first.B, req.Xhat, &list); err != nil {
 		return nil, err
 	}
 	for l := 1; l < k; l++ {
@@ -340,29 +369,39 @@ func (s *Server) MultiplyBatch(ctx context.Context, req *MultiplyBatchRequest) (
 		if bl.A == nil || bl.B == nil {
 			return nil, fmt.Errorf("%w: lane %d: missing A or B", ErrInvalid, l)
 		}
-		if !sameStructure(bl.A, first.A) || !sameStructure(bl.B, first.B) {
+		other.Reset(list.N)
+		var okA, okB bool
+		as[l], okA = other.A.AddSparse(bl.A, nil)
+		bs[l], okB = other.B.AddSparse(bl.B, nil)
+		if !okA || !okB {
+			return nil, fmt.Errorf("%w: lane %d: a value row is not strictly ascending in [0, %d)", ErrInvalid, l, bl.A.N)
+		}
+		if bl.A.N != list.N || bl.B.N != list.N || !other.A.Equal(&list.A) || !other.B.Equal(&list.B) {
 			return nil, fmt.Errorf("%w: lane %d: structure differs from lane 0 (batched lanes must share one plan)",
 				ErrInvalid, l)
 		}
 	}
-	out := &MultiplyBatchResponse{X: make([]*matrix.Sparse, k)}
+	out := &MultiplyBatchResponse{Products: make([]Product, k)}
 	var runErr error
 	left := k
 	done := make(chan struct{})
-	err := s.enter(ctx, int64(k), first.A, first.B, req.Xhat, req.Options, func(fp string, prep *core.Prepared, hit bool) error {
+	err = s.enter(ctx, int64(k), &list, req.Options, func(fp string, prep *core.Prepared, hit bool) error {
 		now := time.Now()
 		lanes := make([]*lane, k)
-		for i, bl := range req.Lanes {
+		nx := list.X.Len()
+		xs := make([]ring.Value, k*nx)
+		for i := range lanes {
 			i := i
 			lanes[i] = &lane{
-				prep: prep, a: bl.A, b: bl.B, trace: req.Trace, hit: hit, enqueued: now,
+				prep: prep, a: as[i], b: bs[i], x: xs[i*nx : (i+1)*nx : (i+1)*nx],
+				trace: req.Trace, hit: hit, enqueued: now,
 				// One group delivers its lanes in turn on one goroutine, so the
 				// shared state below needs no lock.
 				deliver: func(r *MultiplyResponse, e error) {
 					if e != nil {
 						runErr = e
 					} else {
-						out.X[i] = r.X
+						out.Products[i] = r.Product
 						out.Report, out.Fingerprint, out.CacheHit, out.Profile = r.Report, r.Fingerprint, r.CacheHit, r.Profile
 					}
 					if left--; left == 0 {

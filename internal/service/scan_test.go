@@ -332,26 +332,26 @@ func canonicalBody(tb testing.TB) []byte {
 	return body
 }
 
-// frontHalf is what a request pays before its plan lookup: decode, build,
-// and the fingerprint Server.enter keys the cache by.
+// frontHalf is what a fresh request pays before its plan lookup — decode
+// and list — plus the fingerprint a miss keys the store and the compile by.
 func frontHalf(body []byte) error {
 	var wm wireMultiplyRequest
 	if err := DecodeWireMultiply(body, &wm); err != nil {
 		return err
 	}
-	req, err := ParseWireMultiply(&wm)
-	if err != nil {
+	var vr ValueRequest
+	if err := ListWire(&vr, &wm); err != nil {
 		return err
 	}
-	_, err = core.FingerprintValues(req.A, req.B, req.Xhat, req.Options)
-	return err
+	_ = vr.Fingerprint()
+	return nil
 }
 
 // TestDecodeAllocs is the regression guard of the ordered path, as a count
 // and not a timing: the canonical request's front half took about 7,800
 // allocations when it went through encoding/json, Sparse.Set and three
-// NewSupport calls, 30 when it still built the supports of A and B, and 19
-// now.
+// NewSupport calls, 30 when it still built the supports of A and B, 19
+// when it built A and B as matrices, and 11 now that it lists them.
 func TestDecodeAllocs(t *testing.T) {
 	body := canonicalBody(t)
 	allocs := testing.AllocsPerRun(20, func() {
@@ -359,8 +359,9 @@ func TestDecodeAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	t.Logf("decode + list + fingerprint: %.0f allocations", allocs)
 	if allocs > 40 {
-		t.Fatalf("decode + build + fingerprint: %.0f allocations, want at most 40", allocs)
+		t.Fatalf("decode + list + fingerprint: %.0f allocations, want at most 40", allocs)
 	}
 }
 

@@ -296,8 +296,7 @@ func (s *Server) release() {
 // in-memory first, then the persistent store, compiling from structure only
 // when both miss — returning the plan and whether it was served without
 // compiling (either tier hit). supports builds the structure to compile
-// from; it is called only on that double miss, so a hit costs the
-// fingerprint and a lookup.
+// from; it is called only on that double miss.
 //
 // The in-memory tier's singleflight covers both lower tiers: concurrent
 // requests for one fingerprint share a single store read or compile. A
@@ -306,7 +305,7 @@ func (s *Server) release() {
 // deliberately not fatal — a damaged or cross-version entry was already
 // quarantined by the store, and the request falls through to a compile
 // exactly as if the tier had missed.
-func (s *Server) prepared(fp string, supports func() (ahat, bhat, xhat *matrix.Support), opts core.Options) (*core.Prepared, bool, error) {
+func (s *Server) prepared(fp string, supports func() (ahat, bhat, xhat *matrix.Support, err error), opts core.Options) (*core.Prepared, bool, error) {
 	storeHit := false
 	prep, hit, err := s.cache.Get(fp, func() (*core.Prepared, error) {
 		if s.cfg.Store != nil {
@@ -316,7 +315,10 @@ func (s *Server) prepared(fp string, supports func() (ahat, bhat, xhat *matrix.S
 			}
 		}
 		s.metrics.Add(MetricCompiles, 1)
-		ahat, bhat, xhat := supports()
+		ahat, bhat, xhat, err := supports()
+		if err != nil {
+			return nil, err
+		}
 		p, err := core.Prepare(ahat, bhat, xhat, opts)
 		if err == nil && s.cfg.Store != nil {
 			s.storeWG.Add(1)
@@ -353,7 +355,12 @@ type MultiplyRequest struct {
 
 // MultiplyResponse carries the product and how it was served.
 type MultiplyResponse struct {
-	X           *matrix.Sparse
+	// X is the product as a matrix, set by Multiply, the entry point that
+	// takes matrices.
+	X *matrix.Sparse
+	// Product is the product as the pipeline computed it, values over the
+	// plan's output support; the wire writers append it directly.
+	Product     Product
 	Report      *core.Report
 	Fingerprint string
 	// CacheHit reports whether a ready prepared plan existed on arrival.
@@ -394,8 +401,8 @@ func (s *Server) Prepare(ctx context.Context, req *PrepareRequest) (*PrepareResp
 		s.metrics.Add(MetricErrors, 1)
 		return nil, err
 	}
-	prep, hit, err := s.prepared(fp, func() (ahat, bhat, xhat *matrix.Support) {
-		return req.Ahat, req.Bhat, req.Xhat
+	prep, hit, err := s.prepared(fp, func() (ahat, bhat, xhat *matrix.Support, err error) {
+		return req.Ahat, req.Bhat, req.Xhat, nil
 	}, req.Options)
 	if err != nil {
 		s.metrics.Add(MetricErrors, 1)

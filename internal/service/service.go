@@ -9,15 +9,16 @@
 // exactly this shape, so the layer consists of:
 //
 //   - a content-addressed plan cache (Cache): prepared plans keyed by the
-//     core.Fingerprint of (Â, B̂, X̂, ring, algorithm, d), with bounded-size
-//     LRU eviction and singleflight deduplication so N concurrent requests
-//     for the same new structure cost one compilation;
+//     core.Fingerprint of (Â, B̂, X̂, ring, algorithm, d) and indexed by the
+//     shape of their structure, with bounded-size LRU eviction and
+//     singleflight deduplication so N concurrent requests for the same new
+//     structure cost one compilation;
 //   - a Server with a bounded worker pool and admission control (queue
 //     depth limit, per-request deadline, typed load shedding via
 //     ErrOverloaded);
 //   - one request pipeline (pipeline.go) behind Multiply, MultiplySubmit
-//     and MultiplyBatch: validate, admit, resolve the plan, park the lane in
-//     an always-present coalescer, run the launched group under the fault
+//     and MultiplyBatch: list, admit, resolve the plan, park the lane in an
+//     always-present coalescer, run the launched group under the fault
 //     policy, deliver per lane;
 //   - an optional persistent tier (Config.Store, internal/planstore): on a
 //     memory miss the fingerprint is looked up on disk before compiling,
@@ -31,9 +32,12 @@
 // canonical serialization of the structure, ring, normalized algorithm and
 // resolved d, independent of construction order, process or machine — which
 // is what makes both cache tiers (and any future shared store) coherent
-// without coordination. A value request is keyed by core.FingerprintValues,
-// the same bytes hashed straight from the value rows: its supports are built
-// only when its plan must be compiled.
+// without coordination. A value request lists its structure once
+// (core.Listing) and finds its plan by comparison: the cache indexes its
+// plans by a per-process hash of their structure, and a candidate serves
+// only once its supports equal the listing. SHA-256 runs on a memory miss
+// only, where the listing's fingerprint keys the store and the compile, and
+// supports are built only when a plan must be compiled.
 //
 // Lock ordering: the Cache's mutex is the only lock in this package held
 // across another component's calls, and compile functions run *outside* it
@@ -47,6 +51,8 @@ package service
 
 import (
 	"container/list"
+	"hash/maphash"
+	"slices"
 	"sync"
 
 	"lbmm/internal/core"
@@ -54,19 +60,25 @@ import (
 )
 
 // Cache is a bounded, content-addressed store of prepared plans. It is safe
-// for concurrent use. Lookups of a cached fingerprint are O(1); misses run
-// the caller-supplied compile function outside the cache lock, and
-// concurrent misses on the same fingerprint collapse into a single
-// compilation whose result (or error) every waiter receives.
+// for concurrent use. Lookups of a cached fingerprint are O(1), and so are
+// lookups of a listed structure (Find) up to comparing it with the
+// candidate's supports; misses run the caller-supplied compile function
+// outside the cache lock, and concurrent misses on the same fingerprint
+// collapse into a single compilation whose result (or error) every waiter
+// receives.
 type Cache struct {
 	capacity int
 	maxBytes int64
 	metrics  *obsv.CounterSet
+	// shape hashes a listed structure under its options for the shape
+	// index; every entry is indexed under the shape of its own plan.
+	shape func(*core.Listing, core.Options) uint64
 
 	mu       sync.Mutex
-	entries  map[string]*list.Element // fingerprint → lru element
-	lru      *list.List               // front = most recently used
-	bytes    int64                    // sum of cached entries' compiled sizes
+	entries  map[string]*list.Element   // fingerprint → lru element
+	shapes   map[uint64][]*list.Element // shape hash → lru elements
+	lru      *list.List                 // front = most recently used
+	bytes    int64                      // sum of cached entries' compiled sizes
 	inflight map[string]*flight
 }
 
@@ -74,6 +86,10 @@ type cacheEntry struct {
 	key  string
 	prep *core.Prepared
 	cost int64
+	// shape is the entry's key in the shape index, if listed: a plan that
+	// lists no structure (a test stub) is found by fingerprint only.
+	shape  uint64
+	listed bool
 }
 
 // flight is one in-progress compilation; waiters block on done.
@@ -113,11 +129,14 @@ func NewCacheBytes(capacity int, maxBytes int64, metrics *obsv.CounterSet) *Cach
 	if metrics == nil {
 		metrics = obsv.NewCounterSet()
 	}
+	seed := maphash.MakeSeed()
 	return &Cache{
 		capacity: capacity,
 		maxBytes: maxBytes,
 		metrics:  metrics,
+		shape:    func(l *core.Listing, opts core.Options) uint64 { return l.Hash(seed, opts) },
 		entries:  map[string]*list.Element{},
+		shapes:   map[uint64][]*list.Element{},
 		lru:      list.New(),
 		inflight: map[string]*flight{},
 	}
@@ -176,16 +195,51 @@ func (c *Cache) Get(fingerprint string, compile func() (*core.Prepared, error)) 
 	c.mu.Unlock()
 
 	f.prep, f.err = compile()
+	ent := &cacheEntry{key: fingerprint, prep: f.prep}
+	if f.err == nil {
+		if l := f.prep.Listing(); l != nil {
+			ent.shape, ent.listed = c.shape(l, f.prep.Options()), true
+		}
+	}
 
 	c.mu.Lock()
 	delete(c.inflight, fingerprint)
 	c.metrics.Add(MetricCacheInflight, -1)
 	if f.err == nil {
-		c.insertLocked(fingerprint, f.prep)
+		c.insertLocked(ent)
 	}
 	c.mu.Unlock()
 	close(f.done)
 	return f.prep, false, f.err
+}
+
+// Find returns the cached plan prepared for exactly the structure l lists
+// under opts, with its fingerprint, and counts the hit as Get does; it
+// reports false, counting nothing, when no cached plan is. The shape index
+// names the candidates and comparing each one's supports with the listing
+// (core.Prepared.Matches) decides, so no fingerprint is computed and a
+// shape-hash collision is a miss, never a wrong plan.
+func (c *Cache) Find(l *core.Listing, opts core.Options) (*core.Prepared, string, bool) {
+	h := c.shape(l, opts)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range c.shapes[h] {
+		if ent := e.Value.(*cacheEntry); ent.prep.Matches(l, opts) {
+			c.lru.MoveToFront(e)
+			c.metrics.Add(MetricCacheHits, 1)
+			return ent.prep, ent.key, true
+		}
+	}
+	return nil, "", false
+}
+
+// unindexLocked takes e out of the shape index.
+func (c *Cache) unindexLocked(shape uint64, e *list.Element) {
+	if rest := slices.DeleteFunc(c.shapes[shape], func(o *list.Element) bool { return o == e }); len(rest) > 0 {
+		c.shapes[shape] = rest
+	} else {
+		delete(c.shapes, shape)
+	}
 }
 
 // Contains reports whether the fingerprint is cached, without touching the
@@ -197,26 +251,34 @@ func (c *Cache) Contains(fingerprint string) bool {
 	return ok
 }
 
-func (c *Cache) insertLocked(key string, prep *core.Prepared) {
-	cost := prep.CompiledBytes()
-	if e, ok := c.entries[key]; ok {
+func (c *Cache) insertLocked(ent *cacheEntry) {
+	ent.cost = ent.prep.CompiledBytes()
+	if e, ok := c.entries[ent.key]; ok {
 		// A racing compile of the same key finished first; keep the newer
-		// plan and refresh recency.
-		ent := e.Value.(*cacheEntry)
-		c.bytes += cost - ent.cost
-		ent.prep = prep
-		ent.cost = cost
+		// plan and refresh recency. Same key, same structure: the shape
+		// index stands.
+		old := e.Value.(*cacheEntry)
+		c.bytes += ent.cost - old.cost
+		old.prep = ent.prep
+		old.cost = ent.cost
 		c.lru.MoveToFront(e)
 		c.metrics.Set(MetricCacheBytes, c.bytes)
 		return
 	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, prep: prep, cost: cost})
-	c.bytes += cost
+	e := c.lru.PushFront(ent)
+	c.entries[ent.key] = e
+	if ent.listed {
+		c.shapes[ent.shape] = append(c.shapes[ent.shape], e)
+	}
+	c.bytes += ent.cost
 	for c.lru.Len() > c.capacity || (c.maxBytes > 0 && c.bytes > c.maxBytes && c.lru.Len() > 1) {
 		oldest := c.lru.Back()
 		c.lru.Remove(oldest)
 		ent := oldest.Value.(*cacheEntry)
 		delete(c.entries, ent.key)
+		if ent.listed {
+			c.unindexLocked(ent.shape, oldest)
+		}
 		c.bytes -= ent.cost
 		c.metrics.Add(MetricCacheEvictions, 1)
 	}

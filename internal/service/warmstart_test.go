@@ -161,9 +161,9 @@ func TestPreparedBuildsSupportsOnlyToCompile(t *testing.T) {
 		t.Fatal(err)
 	}
 	built := 0
-	supports := func() (ahat, bhat, xhat *matrix.Support) {
+	supports := func() (ahat, bhat, xhat *matrix.Support, err error) {
 		built++
-		return inst.Ahat, inst.Bhat, inst.Xhat
+		return inst.Ahat, inst.Bhat, inst.Xhat, nil
 	}
 	resolve := func(s *Server, what string, wantBuilt int, wantHit bool) {
 		t.Helper()

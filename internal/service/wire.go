@@ -24,29 +24,15 @@ type (
 	WireReport = wireMultiplyReport
 )
 
-// ParseWireMultiply builds the in-memory request from its wire payload: it
-// is the HTTP handler's own build step, so dimension bounds, ring and indices
-// are validated exactly as there. Entries may come in any order (last write
-// wins, a zero removes); row-major ascending order — what WireEntries and
-// Support.Entries emit — builds A, B and Xhat in one linear, sort-free pass
-// each. Errors are the caller's fault (map to ErrInvalid semantics).
+// ParseWireMultiply builds the in-memory request from its wire payload,
+// validating dimension bounds, ring and indices as the HTTP handler does:
+// ListWire lists exactly what it builds, or fails with its error. Entries
+// may come in any order (last write wins, a zero removes); row-major
+// ascending order — what WireEntries and Support.Entries emit — builds A, B
+// and Xhat in one linear, sort-free pass each. Errors are the caller's
+// fault (map to ErrInvalid semantics).
 func ParseWireMultiply(wm *WireMultiply) (*MultiplyRequest, error) {
-	xhat, err := WireSupport(wm.N, wm.Xhat)
-	return ParseWireValues(wm, xhat, err)
-}
-
-// WireSupport builds a payload's output support from its wire positions,
-// as ParseWireMultiply does: the same support, or the same error.
-func WireSupport(n int, xhat []WirePos) (*matrix.Support, error) {
-	return buildSupport(n, xhat, "xhat")
-}
-
-// ParseWireValues is ParseWireMultiply over an output support built
-// beforehand by WireSupport — a session that ships its support once builds
-// it once. xhat and xerr are what WireSupport returned: a build error is
-// reported where ParseWireMultiply reports it, after the ring's and the
-// values'. wm.Xhat is not read.
-func ParseWireValues(wm *WireMultiply, xhat *matrix.Support, xerr error) (*MultiplyRequest, error) {
+	xhat, xerr := WireSupport(wm.N, wm.Xhat)
 	ringSR, err := resolveRing(wm.Ring)
 	if err != nil {
 		return nil, err
@@ -67,6 +53,12 @@ func ParseWireValues(wm *WireMultiply, xhat *matrix.Support, xerr error) (*Multi
 		Options: core.Options{Ring: ringSR, D: wm.D, Algorithm: wm.Algorithm},
 		Trace:   wm.Trace,
 	}, nil
+}
+
+// WireSupport builds a payload's output support from its wire positions,
+// as ParseWireMultiply does: the same support, or the same error.
+func WireSupport(n int, xhat []WirePos) (*matrix.Support, error) {
+	return buildSupport(n, xhat, "xhat")
 }
 
 // WireEntries flattens a sparse matrix to wire cells.

@@ -66,10 +66,15 @@ func (w *wireMultiplyRequest) AppendJSON(b []byte) ([]byte, error) {
 // AppendJSON appends the body of a successful /v1/multiply: the product
 // entries, then the report's fields flattened into the same object.
 func (r *wireMultiplyResponse) AppendJSON(b []byte) ([]byte, error) {
+	return appendMultiplyBody(b, func(b []byte) ([]byte, error) { return AppendEntries(b, r.X) }, &r.wireMultiplyReport)
+}
+
+// appendMultiplyBody appends a /v1/multiply body whose entries x appends.
+func appendMultiplyBody(b []byte, x func([]byte) ([]byte, error), report *wireMultiplyReport) ([]byte, error) {
 	start := len(b)
-	b, err := AppendEntries(append(b, `{"x":`...), r.X)
+	b, err := x(append(b, `{"x":`...))
 	if err == nil {
-		b, err = r.appendFields(append(b, ','))
+		b, err = report.appendFields(append(b, ','))
 	}
 	if err != nil {
 		return b[:start], err
@@ -79,28 +84,43 @@ func (r *wireMultiplyResponse) AppendJSON(b []byte) ([]byte, error) {
 
 // AppendJSON appends the body of a successful /v1/multiply/batch.
 func (r *wireMultiplyBatchResponse) AppendJSON(b []byte) ([]byte, error) {
-	start := len(b)
-	b = append(b, `{"lanes":`...)
-	var err error
-	if r.Lanes == nil {
-		b = append(b, "null"...)
-	} else {
-		b = append(b, '[')
-		for l, x := range r.Lanes {
-			if l > 0 {
-				b = append(b, ',')
-			}
-			if b, err = AppendEntries(b, x); err != nil {
-				return b[:start], err
-			}
+	return appendBatchBody(b, func(b []byte) ([]byte, error) {
+		if r.Lanes == nil {
+			return append(b, "null"...), nil
 		}
-		b = append(b, ']')
+		return appendLanes(b, len(r.Lanes), func(b []byte, l int) ([]byte, error) { return AppendEntries(b, r.Lanes[l]) })
+	}, r.BatchLanes, &r.wireMultiplyReport)
+}
+
+// appendBatchBody appends a /v1/multiply/batch body whose lanes value
+// lanes appends.
+func appendBatchBody(b []byte, lanes func([]byte) ([]byte, error), batchLanes int, report *wireMultiplyReport) ([]byte, error) {
+	start := len(b)
+	b, err := lanes(append(b, `{"lanes":`...))
+	if err == nil {
+		b = strconv.AppendInt(append(b, `,"batch_lanes":`...), int64(batchLanes), 10)
+		b, err = report.appendFields(append(b, ','))
 	}
-	b = strconv.AppendInt(append(b, `,"batch_lanes":`...), int64(r.BatchLanes), 10)
-	if b, err = r.appendFields(append(b, ',')); err != nil {
+	if err != nil {
 		return b[:start], err
 	}
 	return append(b, '}'), nil
+}
+
+// appendLanes appends k lanes as a JSON array, lane l's entries appended by
+// lane.
+func appendLanes(b []byte, k int, lane func([]byte, int) ([]byte, error)) ([]byte, error) {
+	b = append(b, '[')
+	for l := 0; l < k; l++ {
+		if l > 0 {
+			b = append(b, ',')
+		}
+		var err error
+		if b, err = lane(b, l); err != nil {
+			return b, err
+		}
+	}
+	return append(b, ']'), nil
 }
 
 // AppendJSON appends the report as one JSON object (the report of a stream

@@ -73,6 +73,9 @@ type Frame struct {
 	Report      *service.WireReport   `json:"report,omitempty"`
 	Code        int                   `json:"code,omitempty"`
 	Error       string                `json:"error,omitempty"`
+	// product is a result's product as the server computed it, written as
+	// x in place of X.
+	product service.Product
 }
 
 // scanFrame scans one client→server line with the serving layer's request
@@ -199,6 +202,10 @@ func appendFrame(b []byte, f *Frame) ([]byte, error) {
 	}
 	if len(f.X) > 0 {
 		if b, err = service.AppendEntries(append(b, `,"x":`...), f.X); err != nil {
+			return b[:start], err
+		}
+	} else if f.product.Vals != nil && !f.product.Empty() {
+		if b, err = f.product.AppendEntries(append(b, `,"x":`...)); err != nil {
 			return b[:start], err
 		}
 	}

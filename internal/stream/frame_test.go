@@ -16,7 +16,9 @@ import (
 	"strings"
 	"testing"
 
+	"lbmm/internal/matrix"
 	"lbmm/internal/obsv"
+	"lbmm/internal/ring"
 	"lbmm/internal/service"
 )
 
@@ -577,6 +579,29 @@ func TestCaughtUp(t *testing.T) {
 		}
 		if got := caughtUp(br); got != tc.want {
 			t.Errorf("after the first line of %q: caughtUp = %v, want %v", tc.sent, got, tc.want)
+		}
+	}
+}
+
+// TestAppendFrameProduct: a result frame written from the product values is
+// byte for byte the frame written from the product's entries, and an empty
+// product omits x as an empty X does.
+func TestAppendFrameProduct(t *testing.T) {
+	r := ring.Counting{}
+	xhat := matrix.NewSupport(4, [][2]int{{0, 1}, {0, 3}, {2, 2}, {3, 0}})
+	rep := &service.WireReport{Rounds: 2, Algorithm: "trivial", Fingerprint: "f", Cache: "hit"}
+	for _, vals := range [][]ring.Value{{5, 0, 7, 1}, {0, 0, 0, 0}, {1, 2, 3, 4}} {
+		p := service.Product{Xhat: xhat, Vals: vals, Ring: r}
+		got, err := appendFrame(nil, &Frame{Type: TypeResult, ID: "x", Ticket: 3, product: p, Report: rep})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := appendFrame(nil, &Frame{Type: TypeResult, ID: "x", Ticket: 3, X: service.WireEntries(p.Sparse()), Report: rep})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("values %v: frame %s, want %s", vals, got, want)
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lbmm/internal/matrix"
+	"lbmm/internal/core"
 	"lbmm/internal/obsv"
 	"lbmm/internal/service"
 )
@@ -99,46 +99,47 @@ type session struct {
 	ticket uint64
 	// req is the one request every frame's submit payload is scanned into;
 	// it is Reset after each frame, so a warm session appends a lane's cells
-	// into slices it already holds.
-	req service.WireMultiply
+	// into slices it already holds. vals is the one listing every payload
+	// is read into; the lane takes a copy of its values.
+	req  service.WireMultiply
+	vals service.ValueRequest
 	// xhat is the session's sticky output support.
-	xhat stickySupport
+	xhat stickyXhat
 	// parked holds the fingerprints lanes were parked under since the last
 	// drain — usually one.
 	parked map[string]struct{}
 }
 
-// stickySupport is a session's sticky output support: a copy of the
-// positions the last submit frame carrying any shipped, accepted or not,
-// which same_xhat lanes reuse, and the support built from them for the n
-// the last lane declared — or the error building it gave. A shipped support
-// is built once per n, not once per lane, and every lane sees exactly the
-// support and error service.ParseWireMultiply would build from the same
-// positions.
-type stickySupport struct {
-	pos   []service.WirePos // nil until a frame ships a support
-	built bool
-	n     int
-	xhat  *matrix.Support
-	err   error
+// stickyXhat is a session's sticky output support: a copy of the positions
+// the last submit frame carrying any shipped, accepted or not, which
+// same_xhat lanes reuse, and their listing for the n the last lane
+// declared — or the error listing them gave. A shipped support is listed
+// once per n, not once per lane, and every lane sees exactly the listing
+// and error service.ListWire would give for the same positions.
+type stickyXhat struct {
+	pos    []service.WirePos // nil until a frame ships a support
+	listed bool
+	n      int
+	list   core.RowList
+	err    error
 }
 
 // ship records the positions a submit frame carried.
-func (st *stickySupport) ship(pos []service.WirePos) {
+func (st *stickyXhat) ship(pos []service.WirePos) {
 	if slices.Equal(st.pos, pos) {
-		return // the same support again: what was built still stands
+		return // the same support again: what was listed still stands
 	}
 	st.pos = append(st.pos[:0], pos...)
-	st.built = false
+	st.listed = false
 }
 
-// support returns the shipped support built for dimension n.
-func (st *stickySupport) support(n int) (*matrix.Support, error) {
-	if !st.built || st.n != n {
-		st.xhat, st.err = service.WireSupport(n, st.pos)
-		st.built, st.n = true, n
+// listing returns the shipped support listed for dimension n.
+func (st *stickyXhat) listing(n int) (*core.RowList, error) {
+	if !st.listed || st.n != n {
+		st.err = service.ListWireXhat(n, st.pos, &st.list)
+		st.listed, st.n = true, n
 	}
-	return st.xhat, st.err
+	return &st.list, st.err
 }
 
 func serveSession(srv *service.Server, cfg Config, w http.ResponseWriter, r *http.Request) {
@@ -307,6 +308,7 @@ func (s *session) drain(srv *service.Server) {
 // on: a line that is not a frame ends it.
 func (s *session) frame(srv *service.Server, line []byte) bool {
 	defer s.req.Reset()
+	defer s.vals.Reset()
 	f, err := scanFrameInto(line, &s.req)
 	if err != nil {
 		s.fail(f.ID, 0, http.StatusBadRequest, fmt.Errorf("stream: bad frame: %v", err))
@@ -347,10 +349,7 @@ func (s *session) submit(srv *service.Server, f Frame) {
 		s.fail(f.ID, t, http.StatusBadRequest, fmt.Errorf("stream: submit frame carries no payload"))
 		return
 	}
-	var (
-		req *service.MultiplyRequest
-		err error
-	)
+	var err error
 	if len(f.Submit.Xhat) > 0 || f.SameXhat {
 		if len(f.Submit.Xhat) == 0 {
 			if s.xhat.pos == nil {
@@ -360,10 +359,10 @@ func (s *session) submit(srv *service.Server, f Frame) {
 			}
 			s.metrics.Add(MetricXhatReuse, 1)
 		}
-		xhat, xerr := s.xhat.support(f.Submit.N)
-		req, err = service.ParseWireValues(f.Submit, xhat, xerr)
+		xhat, xerr := s.xhat.listing(f.Submit.N)
+		err = service.ListWireValues(&s.vals, f.Submit, xhat, xerr)
 	} else {
-		req, err = service.ParseWireMultiply(f.Submit)
+		err = service.ListWire(&s.vals, f.Submit)
 	}
 	if err != nil {
 		s.fail(f.ID, t, http.StatusBadRequest, err)
@@ -372,7 +371,7 @@ func (s *session) submit(srv *service.Server, f Frame) {
 	id := f.ID
 	s.inflight.Add(1)
 	s.wg.Add(1)
-	fp, err := srv.MultiplySubmit(s.ctx, req, func(resp *service.MultiplyResponse, err error) {
+	fp, err := srv.MultiplySubmit(s.ctx, &s.vals, func(resp *service.MultiplyResponse, err error) {
 		defer s.wg.Done()
 		defer s.inflight.Add(-1)
 		if err != nil {
@@ -382,7 +381,7 @@ func (s *session) submit(srv *service.Server, f Frame) {
 		}
 		rep := service.BuildWireReport(resp)
 		s.metrics.Add(MetricResults, 1)
-		s.send(Frame{Type: TypeResult, ID: id, Ticket: t, X: service.WireEntries(resp.X), Report: &rep})
+		s.send(Frame{Type: TypeResult, ID: id, Ticket: t, product: resp.Product, Report: &rep})
 	})
 	if err != nil {
 		// Rejected synchronously: the deliver callback will never run.

@@ -688,7 +688,7 @@ func productOf(n int, r ring.Semiring, x []service.WireEntry) *matrix.Sparse {
 }
 
 // TestStreamSessionReuse drives one session through what its reused request
-// and its built sticky support must get right, checking every product
+// and its listed sticky support must get right, checking every product
 // against MulReference of the lane's own values: a large lane and then a
 // smaller one scanned into the same slices, a same_xhat lane at a new n, an
 // out-of-range sticky support — the lane that ships it and the same_xhat
@@ -809,8 +809,8 @@ func TestSessionDropsOversizedRequest(t *testing.T) {
 	for f := range s.out {
 		if f.Type == TypeResult {
 			results++
-			if !reflect.DeepEqual(f.X, []service.WireEntry{{0, 1, 21}}) {
-				t.Errorf("%s: x = %v, want [[0 1 21]]", f.ID, f.X)
+			if x := service.WireEntries(f.product.Sparse()); !reflect.DeepEqual(x, []service.WireEntry{{0, 1, 21}}) {
+				t.Errorf("%s: x = %v, want [[0 1 21]]", f.ID, x)
 			}
 		} else if f.Type != TypeTicket {
 			t.Errorf("%s: %+v", f.ID, f)
