@@ -13,7 +13,6 @@
 package cluster
 
 import (
-	"math/rand"
 	"sort"
 
 	"lbmm/internal/graph"
@@ -224,100 +223,4 @@ func Partition(tris []graph.Triangle, n, d int, opts PartitionOpts) ([]Batch, []
 		remaining = rest
 	}
 	return batches, remaining
-}
-
-// ---------------------------------------------------------------------------
-// Sampling-based extraction (the alternative strategy to the greedy one)
-
-// FindClusterSampled extracts a cluster by weighted random restarts: each
-// attempt samples d nodes per side with probability proportional to their
-// triangle counts, and the densest induced set over all restarts wins.
-// With enough restarts this approaches the counting argument behind
-// Lemma 4.7 more closely than a single greedy pass on adversarial inputs;
-// it costs more preprocessing time (free in the model).
-func FindClusterSampled(tris []graph.Triangle, n, d int, excl *exclusions, restarts int, seed int64) (Assigned, bool) {
-	if excl == nil {
-		excl = newExclusions()
-	}
-	if restarts < 1 {
-		restarts = 8
-	}
-	rng := rand.New(rand.NewSource(seed))
-	best := Assigned{}
-	for attempt := 0; attempt < restarts; attempt++ {
-		cand, ok := sampleOnce(tris, n, d, excl, rng)
-		if ok && len(cand.Tris) > len(best.Tris) {
-			best = cand
-		}
-	}
-	// The greedy pass competes too; keep whichever is denser.
-	if greedy, ok := FindCluster(tris, n, d, excl); ok && len(greedy.Tris) > len(best.Tris) {
-		best = greedy
-	}
-	return best, len(best.Tris) > 0
-}
-
-func sampleOnce(tris []graph.Triangle, n, d int, excl *exclusions, rng *rand.Rand) (Assigned, bool) {
-	pick := func(count map[int32]int, excluded map[int32]bool) []int32 {
-		type wnode struct {
-			node int32
-			w    int
-		}
-		var pool []wnode
-		total := 0
-		for node, c := range count {
-			if c > 0 && !excluded[node] {
-				pool = append(pool, wnode{node, c})
-				total += c
-			}
-		}
-		sort.Slice(pool, func(a, b int) bool { return pool[a].node < pool[b].node })
-		var out []int32
-		chosen := map[int32]bool{}
-		for len(out) < d && len(pool) > 0 && total > 0 {
-			x := rng.Intn(total)
-			idx := 0
-			for ; idx < len(pool); idx++ {
-				if x < pool[idx].w {
-					break
-				}
-				x -= pool[idx].w
-			}
-			nd := pool[idx]
-			out = append(out, nd.node)
-			chosen[nd.node] = true
-			total -= nd.w
-			pool = append(pool[:idx], pool[idx+1:]...)
-		}
-		out = padTo(out, merge(excluded, chosen), n, d)
-		return out
-	}
-	ci := map[int32]int{}
-	cj := map[int32]int{}
-	ck := map[int32]int{}
-	for _, t := range tris {
-		ci[t.I]++
-		cj[t.J]++
-		ck[t.K]++
-	}
-	is := pick(ci, excl.i)
-	js := pick(cj, excl.j)
-	ks := pick(ck, excl.k)
-	if is == nil || js == nil || ks == nil {
-		return Assigned{}, false
-	}
-	c := graph.Cluster{I: is, J: js, K: ks}
-	return Assigned{Cluster: c, Tris: c.Induced(tris)}, true
-}
-
-// merge returns the union view of two exclusion sets (read-only use).
-func merge(a, b map[int32]bool) map[int32]bool {
-	out := make(map[int32]bool, len(a)+len(b))
-	for k := range a {
-		out[k] = true
-	}
-	for k := range b {
-		out[k] = true
-	}
-	return out
 }

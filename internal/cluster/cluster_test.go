@@ -274,39 +274,3 @@ func TestRunBatchUsesStrassenOverFields(t *testing.T) {
 		t.Fatal("strassen batch computed wrong products")
 	}
 }
-
-func TestFindClusterSampledAtLeastGreedy(t *testing.T) {
-	// By construction the sampled strategy returns something at least as
-	// dense as the greedy pass.
-	rng := rand.New(rand.NewSource(33))
-	for trial := 0; trial < 15; trial++ {
-		n, d := 24, 3
-		inst := randomInstance(rng, n, 5*n)
-		tris := inst.Triangles()
-		if len(tris) == 0 {
-			continue
-		}
-		greedy, gok := FindCluster(tris, n, d, nil)
-		sampled, sok := FindClusterSampled(tris, n, d, nil, 12, int64(trial))
-		if gok != sok && gok {
-			t.Fatal("sampled missed a cluster greedy found")
-		}
-		if sok && len(sampled.Tris) < len(greedy.Tris) {
-			t.Fatalf("sampled (%d) worse than greedy (%d)", len(sampled.Tris), len(greedy.Tris))
-		}
-		if sok && !sampled.Cluster.Valid(d) {
-			t.Fatal("invalid sampled cluster")
-		}
-	}
-}
-
-func TestSampledDeterministicForSeed(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	inst := randomInstance(rng, 30, 120)
-	tris := inst.Triangles()
-	a1, _ := FindClusterSampled(tris, 30, 3, nil, 10, 99)
-	a2, _ := FindClusterSampled(tris, 30, 3, nil, 10, 99)
-	if len(a1.Tris) != len(a2.Tris) {
-		t.Fatal("sampled extraction not deterministic for fixed seed")
-	}
-}

@@ -152,38 +152,6 @@ func Table2() []TableRow {
 	return rows
 }
 
-// FormatTable2 renders the classification like the paper's Table 2.
-func FormatTable2() string {
-	out := fmt.Sprintf("%-14s %-10s %-40s %s\n", "Sparsity", "Band", "Upper bound", "Lower bound")
-	for _, row := range Table2() {
-		name := fmt.Sprintf("[%v:%v:%v]", row.Classes[0], row.Classes[1], row.Classes[2])
-		out += fmt.Sprintf("%-14s %-10s %-40s %s\n", name, row.Band, row.Upper, row.Lower)
-	}
-	return out
-}
-
-// Table2Extended enumerates every multiset over all six classes
-// (US, RS, CS, BD, AS, GM) — the paper's table ranges over four; the
-// extension covers the row/column-sparse sub-cases explicitly.
-func Table2Extended() []TableRow {
-	classes := []matrix.Class{matrix.US, matrix.RS, matrix.CS, matrix.BD, matrix.AS, matrix.GM}
-	var rows []TableRow
-	for i, ca := range classes {
-		for j := i; j < len(classes); j++ {
-			for k := j; k < len(classes); k++ {
-				cb, cx := classes[j], classes[k]
-				band := Classify(ca, cb, cx)
-				up, lo := band.Bounds()
-				rows = append(rows, TableRow{
-					Classes: [3]matrix.Class{ca, cb, cx},
-					Band:    band, Upper: up, Lower: lo,
-				})
-			}
-		}
-	}
-	return rows
-}
-
 // MarshalJSON encodes the band by name.
 func (b Band) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + b.String() + `"`), nil

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"lbmm/internal/matrix"
@@ -163,10 +161,6 @@ func TestTable2Coverage(t *testing.T) {
 			t.Errorf("band %v missing from table", b)
 		}
 	}
-	out := FormatTable2()
-	if !strings.Contains(out, "[US:US:GM]") || !strings.Contains(out, "outlier") {
-		t.Error("formatted table incomplete")
-	}
 }
 
 func TestBandStringsAndBounds(t *testing.T) {
@@ -182,26 +176,32 @@ func TestBandStringsAndBounds(t *testing.T) {
 }
 
 func TestTable2Extended(t *testing.T) {
-	rows := Table2Extended()
+	// Classify over every multiset of all six classes; the paper's table
+	// ranges over four, and the RS/CS rows are the extension.
+	classes := []matrix.Class{matrix.US, matrix.RS, matrix.CS, matrix.BD, matrix.AS, matrix.GM}
+	found := map[[3]matrix.Class]Band{}
+	for i := range classes {
+		for j := i; j < len(classes); j++ {
+			for k := j; k < len(classes); k++ {
+				found[[3]matrix.Class{classes[i], classes[j], classes[k]}] = Classify(classes[i], classes[j], classes[k])
+			}
+		}
+	}
 	// C(6+3-1, 3) = 56 multisets.
-	if len(rows) != 56 {
-		t.Fatalf("extended table has %d rows, want 56", len(rows))
+	if len(found) != 56 {
+		t.Fatalf("extended table has %d rows, want 56", len(found))
 	}
 	// The RS/CS rows inherit their BD-based classification: e.g.
 	// {RS, CS, AS} is class 2 and {RS, CS, GM} carries the Ω(√n) bound
 	// (Lemma 6.23 is literally RS×CS=GM).
-	found := map[string]Band{}
-	for _, r := range rows {
-		found[fmt.Sprintf("%v%v%v", r.Classes[0], r.Classes[1], r.Classes[2])] = r.Band
+	if got := found[[3]matrix.Class{matrix.RS, matrix.CS, matrix.AS}]; got != Band2Log {
+		t.Errorf("[RS:CS:AS] = %v", got)
 	}
-	if found["RSCSAS"] != Band2Log {
-		t.Errorf("[RS:CS:AS] = %v", found["RSCSAS"])
+	if got := found[[3]matrix.Class{matrix.RS, matrix.CS, matrix.GM}]; got != Band3Sqrt {
+		t.Errorf("[RS:CS:GM] = %v", got)
 	}
-	if found["RSCSGM"] != Band3Sqrt {
-		t.Errorf("[RS:CS:GM] = %v", found["RSCSGM"])
-	}
-	if found["USRSCS"] != Band2Log {
-		t.Errorf("[US:RS:CS] = %v", found["USRSCS"])
+	if got := found[[3]matrix.Class{matrix.US, matrix.RS, matrix.CS}]; got != Band2Log {
+		t.Errorf("[US:RS:CS] = %v", got)
 	}
 }
 

@@ -137,6 +137,12 @@ func (l *Listing) Reset(n int) {
 	l.X.Reset()
 }
 
+// HeldBytes is the size of the arrays behind l's three listings: what l
+// pins while it is kept for reuse.
+func (l *Listing) HeldBytes() int {
+	return (cap(l.A.seq) + cap(l.B.seq) + cap(l.X.seq)) * int(unsafe.Sizeof(int32(0)))
+}
+
 // ListSupports lists three supports of one dimension.
 func ListSupports(ahat, bhat, xhat *matrix.Support) *Listing {
 	l := &Listing{N: ahat.N}

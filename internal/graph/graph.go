@@ -158,12 +158,6 @@ const (
 
 func (s Side) String() string { return [...]string{"I", "J", "K"}[s] }
 
-// NodeOf packs (side, index) into a single id in [0, 3n).
-func NodeOf(s Side, idx int, n int) int { return int(s)*n + idx }
-
-// SideIdx unpacks a node id.
-func SideIdx(v, n int) (Side, int) { return Side(v / n), v % n }
-
 // Nodes returns the three node ids of a triangle.
 func (t Triangle) Nodes(n int) [3]int {
 	return [3]int{int(t.I), n + int(t.J), 2*n + int(t.K)}
@@ -179,18 +173,6 @@ func NodeCounts(tris []Triangle, n int) []int {
 		t[2*n+int(tri.K)]++
 	}
 	return t
-}
-
-// MaxNodeCount returns max_v t(v), the imbalance the virtualization of
-// Lemma 3.1 removes.
-func MaxNodeCount(tris []Triangle, n int) int {
-	m := 0
-	for _, c := range NodeCounts(tris, n) {
-		if c > m {
-			m = c
-		}
-	}
-	return m
 }
 
 // PairKind identifies the three edge types of the tripartite graph.

@@ -109,12 +109,6 @@ func (x *Exec) Configure(opts ...Option) {
 	x.setTransport(x.transport)
 }
 
-// SetCollector attaches (or, with nil, detaches) a collector.
-func (x *Exec) SetCollector(c obsv.Collector) { x.collector = c }
-
-// Collector returns the attached collector, or nil.
-func (x *Exec) Collector() obsv.Collector { return x.collector }
-
 // Profile returns the attached collector as an *obsv.Profile when it is
 // one, mirroring Machine.Profile.
 func (x *Exec) Profile() *obsv.Profile {

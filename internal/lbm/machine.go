@@ -109,52 +109,6 @@ func (p *Plan) Cost() (rounds, messages int) {
 	return rounds, messages
 }
 
-// MergeParallel overlays several plans that use disjoint sets of computers:
-// round t of the result is the union of round t of every input. The
-// machine's validator still checks the per-node constraints, so an invalid
-// overlay (shared computers) is caught at execution time. Phase spans of the
-// inputs are carried over, prefixed with the input's position ("p3/label"),
-// so overlaid plans stay visible to the observability layer; span endpoints
-// are remapped when the union drops empty rounds.
-func MergeParallel(plans ...*Plan) *Plan {
-	out := &Plan{}
-	maxLen := 0
-	for _, p := range plans {
-		if len(p.Rounds) > maxLen {
-			maxLen = len(p.Rounds)
-		}
-	}
-	// outAt[t] is the index in the merged plan of the union round t; a
-	// dropped (all-empty) union round maps to the next kept one, so spans
-	// over it collapse to zero rounds instead of shifting onto neighbours.
-	outAt := make([]int, maxLen+1)
-	for t := 0; t < maxLen; t++ {
-		outAt[t] = len(out.Rounds)
-		var r Round
-		for _, p := range plans {
-			if t < len(p.Rounds) {
-				r = append(r, p.Rounds[t]...)
-			}
-		}
-		out.Append(r)
-	}
-	outAt[maxLen] = len(out.Rounds)
-	for pi, p := range plans {
-		for _, s := range p.Spans {
-			if s.Start < 0 || s.End < s.Start || s.End > len(p.Rounds) {
-				continue // malformed span; validation reports it elsewhere
-			}
-			out.Spans = append(out.Spans, PhaseSpan{
-				Label:   fmt.Sprintf("p%d/%s", pi, s.Label),
-				Start:   outAt[s.Start],
-				End:     outAt[s.End],
-				Metrics: s.Metrics,
-			})
-		}
-	}
-	return out
-}
-
 // Stats aggregates everything measured about an execution.
 type Stats struct {
 	// Rounds is the number of communication rounds executed.
@@ -271,12 +225,6 @@ func WithTrace() Option {
 		}
 	}
 }
-
-// SetCollector attaches (or, with nil, detaches) a collector.
-func (m *Machine) SetCollector(c obsv.Collector) { m.collector = c }
-
-// Collector returns the attached collector, or nil.
-func (m *Machine) Collector() obsv.Collector { return m.collector }
 
 // Profile returns the attached collector as an *obsv.Profile when it is
 // one (the WithTrace default), and nil otherwise.
@@ -407,9 +355,6 @@ func (m *Machine) Acc(node NodeID, k Key, v ring.Value) {
 
 // Del removes a key from a node's store (free local computation).
 func (m *Machine) Del(node NodeID, k Key) { delete(m.stores[node], k) }
-
-// StoreLen returns the number of values currently held by node.
-func (m *Machine) StoreLen(node NodeID) int { return len(m.stores[node]) }
 
 // checkRound validates the model constraints for one round and returns the
 // number of real messages, or an error naming the offending send.

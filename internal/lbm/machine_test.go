@@ -163,40 +163,6 @@ func TestPlanComposition(t *testing.T) {
 	}
 }
 
-func TestMergeParallel(t *testing.T) {
-	// Two plans on disjoint computers merge round-wise.
-	p1 := &Plan{}
-	p1.Append(Round{{From: 0, To: 1, Src: AKey(0, 0), Dst: AKey(0, 0)}})
-	p1.Append(Round{{From: 1, To: 0, Src: AKey(0, 0), Dst: TKey(0, 0, 0)}})
-	p2 := &Plan{}
-	p2.Append(Round{{From: 2, To: 3, Src: AKey(2, 0), Dst: AKey(2, 0)}})
-	merged := MergeParallel(p1, p2)
-	if merged.NumRounds() != 2 {
-		t.Fatalf("merged rounds = %d, want 2", merged.NumRounds())
-	}
-	if len(merged.Rounds[0]) != 2 || len(merged.Rounds[1]) != 1 {
-		t.Errorf("merge shape wrong: %d, %d", len(merged.Rounds[0]), len(merged.Rounds[1]))
-	}
-	m := New(4, ring.Counting{})
-	m.Put(0, AKey(0, 0), 1)
-	m.Put(2, AKey(2, 0), 2)
-	if err := m.Run(merged); err != nil {
-		t.Fatal(err)
-	}
-	if m.Rounds() != 2 {
-		t.Errorf("rounds = %d", m.Rounds())
-	}
-	// Conflicting merge is caught at run time.
-	p3 := &Plan{}
-	p3.Append(Round{{From: 0, To: 3, Src: AKey(0, 0), Dst: AKey(0, 0)}})
-	bad := MergeParallel(p1, p3)
-	m2 := New(4, ring.Counting{})
-	m2.Put(0, AKey(0, 0), 1)
-	if err := m2.Run(bad); err == nil {
-		t.Error("conflicting merged plan must fail validation")
-	}
-}
-
 func TestLocalAllAndViews(t *testing.T) {
 	m := New(8, ring.Counting{})
 	for i := int32(0); i < 8; i++ {
@@ -383,33 +349,6 @@ func TestReset(t *testing.T) {
 	}
 	if m.Rounds() != 1 {
 		t.Error("machine unusable after reset")
-	}
-}
-
-func TestMergeParallelCarriesSpans(t *testing.T) {
-	p1 := &Plan{}
-	p1.Append(Round{{From: 0, To: 1, Src: AKey(0, 0), Dst: AKey(0, 0)}})
-	p1.Append(Round{{From: 1, To: 0, Src: AKey(0, 0), Dst: TKey(0, 0, 0)}})
-	p1.Annotate("shuffle", map[string]float64{"kappa": 2})
-	p2 := &Plan{}
-	p2.Append(Round{{From: 2, To: 3, Src: AKey(2, 0), Dst: AKey(2, 0)}})
-	p2.Annotate("copy", nil)
-	merged := MergeParallel(p1, p2)
-	if len(merged.Spans) != 2 {
-		t.Fatalf("spans = %+v", merged.Spans)
-	}
-	if s := merged.Spans[0]; s.Label != "p0/shuffle" || s.Start != 0 || s.End != 2 || s.Metrics["kappa"] != 2 {
-		t.Errorf("span 0 = %+v", s)
-	}
-	if s := merged.Spans[1]; s.Label != "p1/copy" || s.Start != 0 || s.End != 1 {
-		t.Errorf("span 1 = %+v", s)
-	}
-	// A span over a round that the union drops (both inputs empty there)
-	// collapses to zero rounds instead of swallowing a neighbour's round.
-	p3 := &Plan{Rounds: []Round{}, Spans: []PhaseSpan{{Label: "empty", Start: 0, End: 0}}}
-	m2 := MergeParallel(p1, p3)
-	if s := m2.Spans[1]; s.Label != "p1/empty" || s.Start != s.End {
-		t.Errorf("empty-phase span = %+v", s)
 	}
 }
 

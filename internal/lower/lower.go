@@ -160,50 +160,6 @@ func RSCSInstance(n int) *graph.Instance {
 // one-for-one.
 func SqrtBound(n int) int { return int(math.Ceil(math.Sqrt(float64(n)))) }
 
-// ForcedReceivesRSCS computes, for the RS×CS=GM instance under a given
-// assignment of outputs to computers (rows of X̂ to computers owner[i]),
-// the Lemma 6.23 case bound: a computer owning outputs from ≥ √n rows of
-// one column must learn that many a_i values; a computer owning outputs
-// from < √n rows per column spans > √n columns and must learn that many
-// b_k values. Either way some computer receives ≥ ⌊√n⌋ foreign values when
-// outputs are spread n per computer.
-func ForcedReceivesRSCS(n int, ownerOfOutput func(i, k int) int) int {
-	// For every computer: rows-per-column histogram.
-	colRows := map[[2]int]int{}  // (owner, column) -> #rows owned
-	colCount := map[int]int{}    // owner -> #distinct columns touched
-	colSeen := map[[2]int]bool{} // (owner, column) seen
-	maxForced := 0
-	for i := 0; i < n; i++ {
-		for k := 0; k < n; k++ {
-			o := ownerOfOutput(i, k)
-			key := [2]int{o, k}
-			colRows[key]++
-			if !colSeen[key] {
-				colSeen[key] = true
-				colCount[o]++
-			}
-		}
-	}
-	sqrtN := int(math.Sqrt(float64(n)))
-	for key, rows := range colRows {
-		if rows >= sqrtN && rows-1 > maxForced {
-			// Case 1: ≥ √n outputs in one column need that many distinct
-			// a_i values; the owner holds at most one of them.
-			maxForced = rows - 1
-		}
-		_ = key
-	}
-	for o, cols := range colCount {
-		if cols >= sqrtN && cols-1 > maxForced {
-			// Case 2: outputs spanning ≥ √n columns need that many distinct
-			// b_k values; the owner holds at most one.
-			maxForced = cols - 1
-		}
-		_ = o
-	}
-	return maxForced
-}
-
 // ---------------------------------------------------------------------------
 // §6.2 — packing reduction (Lemma 6.17, Theorem 6.19)
 
@@ -234,47 +190,4 @@ func ReductionRounds(m, tOnPacked int) int { return m * tOnPacked }
 // semiring λ = 4/3 this is the paper's conjectured Ω(n^{1/6}).
 func ConditionalBound(n int, lambda float64) float64 {
 	return math.Pow(float64(n), (lambda-1)/2)
-}
-
-// LayoutCandidate names one of the canonical output layouts the
-// adversarial-layout search tries.
-type LayoutCandidate struct {
-	Name  string
-	Owner func(i, k int) int
-}
-
-// LayoutCandidates returns the canonical support-dependent output layouts
-// for an n×n dense output on n computers: by row, by column, by √n×√n
-// block, and round-robin.
-func LayoutCandidates(n int) []LayoutCandidate {
-	side := int(math.Sqrt(float64(n)))
-	if side < 1 {
-		side = 1
-	}
-	return []LayoutCandidate{
-		{"row", func(i, k int) int { return i }},
-		{"column", func(i, k int) int { return k }},
-		{"block", func(i, k int) int {
-			// √n×√n tiles in row-major tile order.
-			return ((i/side)*side + k/side) % n
-		}},
-		{"round-robin", func(i, k int) int { return (i*n + k) % n }},
-	}
-}
-
-// MinForcedReceivesRSCS evaluates Lemma 6.23's forced-receive bound on
-// every canonical layout and returns the minimum — demonstrating that the
-// √n hardness is layout-independent ("our lower bounds hold for any fixed
-// distribution of input and output", §2), at least across the natural
-// choices.
-func MinForcedReceivesRSCS(n int) (minForced int, worstLayout string) {
-	minForced = math.MaxInt32
-	for _, lc := range LayoutCandidates(n) {
-		f := ForcedReceivesRSCS(n, lc.Owner)
-		if f < minForced {
-			minForced = f
-			worstLayout = lc.Name
-		}
-	}
-	return minForced, worstLayout
 }

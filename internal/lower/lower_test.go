@@ -162,12 +162,6 @@ func TestRSCSInstanceShapeAndHardness(t *testing.T) {
 	if got := inst.CountTriangles(); got != n*n {
 		t.Errorf("triangles = %d, want %d", got, n*n)
 	}
-	// Row layout (computer i reports row i of X): every computer owns n
-	// outputs spanning n ≥ √n columns → forced receives ≥ √n − 1.
-	forced := ForcedReceivesRSCS(n, func(i, k int) int { return i })
-	if forced < SqrtBound(n)-1 {
-		t.Errorf("forced receives %d below √n bound %d", forced, SqrtBound(n)-1)
-	}
 }
 
 // TestRSCSExecutionPaysSqrt runs the outer-product hard instance and checks
@@ -370,18 +364,6 @@ func TestDegreeCalculusLemma64(t *testing.T) {
 		}
 		if got := deg(or); got > mx {
 			t.Fatalf("disjoint OR degree %d > max(%d,%d)", got, df, dg)
-		}
-	}
-}
-
-func TestSqrtBoundLayoutIndependent(t *testing.T) {
-	// Whatever canonical layout the adversary picks for the outer-product
-	// instance, some computer is forced to receive ≥ √n − 1 foreign values.
-	for _, n := range []int{16, 64, 144} {
-		forced, layout := MinForcedReceivesRSCS(n)
-		if forced < SqrtBound(n)-1 {
-			t.Errorf("n=%d: layout %q escapes with only %d forced receives (√n=%d)",
-				n, layout, forced, SqrtBound(n))
 		}
 	}
 }

@@ -116,45 +116,3 @@ func (s *Support) EliminationOrder() (int, []ElimStep) {
 	}
 	return degeneracy, order
 }
-
-// SplitRSCS decomposes s ∈ BD(d) as the disjoint union of a row-sparse part
-// (≤ d entries per row) and a column-sparse part (≤ d entries per column),
-// following the paper's §1.3: replay a degeneracy-d elimination; entries
-// deleted with a row go to the RS part, entries deleted with a column go to
-// the CS part. ok is false if the degeneracy of s exceeds d, in which case
-// both parts are nil.
-func (s *Support) SplitRSCS(d int) (rs, cs *Support, ok bool) {
-	degeneracy, order := s.EliminationOrder()
-	if degeneracy > d {
-		return nil, nil, false
-	}
-	n := s.N
-	// Replay the order, tracking which counterpart nodes are still alive.
-	rowAlive := make([]bool, n)
-	colAlive := make([]bool, n)
-	for i := range rowAlive {
-		rowAlive[i] = true
-		colAlive[i] = true
-	}
-	var rsEntries, csEntries [][2]int
-	for _, st := range order {
-		if st.IsRow {
-			i := st.Index
-			rowAlive[i] = false
-			for _, j := range s.Rows[i] {
-				if colAlive[j] {
-					rsEntries = append(rsEntries, [2]int{i, int(j)})
-				}
-			}
-		} else {
-			j := st.Index
-			colAlive[j] = false
-			for _, i := range s.Cols[j] {
-				if rowAlive[i] {
-					csEntries = append(csEntries, [2]int{int(i), j})
-				}
-			}
-		}
-	}
-	return NewSupport(n, rsEntries), NewSupport(n, csEntries), true
-}

@@ -22,14 +22,3 @@ func ExampleSupport_Classify() {
 	// degeneracy: 1
 	// class at d=1: BD
 }
-
-// ExampleSupport_SplitRSCS demonstrates the BD = RS + CS decomposition of
-// §1.3 that Theorem 5.11 builds on.
-func ExampleSupport_SplitRSCS() {
-	n := 4
-	s := matrix.NewSupport(n, [][2]int{{0, 0}, {0, 1}, {0, 2}, {1, 0}, {2, 0}})
-	rs, cs, ok := s.SplitRSCS(1)
-	fmt.Println(ok, rs.IsRS(1), cs.IsCS(1), rs.NNZ+cs.NNZ == s.NNZ)
-	// Output:
-	// true true true true
-}

@@ -244,44 +244,6 @@ func TestDegeneracyBounds(t *testing.T) {
 	}
 }
 
-func TestSplitRSCS(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 60; trial++ {
-		n := 4 + rng.Intn(24)
-		s := randomSupport(rng, n, rng.Intn(4*n))
-		d := s.Degeneracy()
-		rs, cs, ok := s.SplitRSCS(d)
-		if !ok {
-			t.Fatalf("SplitRSCS at exact degeneracy %d failed", d)
-		}
-		if !rs.IsRS(d) {
-			t.Fatalf("RS part has max row %d > d=%d", rs.MaxRowNNZ(), d)
-		}
-		if !cs.IsCS(d) {
-			t.Fatalf("CS part has max col %d > d=%d", cs.MaxColNNZ(), d)
-		}
-		if rs.NNZ+cs.NNZ != s.NNZ {
-			t.Fatalf("split loses entries: %d + %d != %d", rs.NNZ, cs.NNZ, s.NNZ)
-		}
-		for _, e := range rs.Entries() {
-			if !s.Has(e[0], e[1]) || cs.Has(e[0], e[1]) {
-				t.Fatal("RS part not a sub-support or overlaps CS part")
-			}
-		}
-		for _, e := range cs.Entries() {
-			if !s.Has(e[0], e[1]) {
-				t.Fatal("CS part not a sub-support")
-			}
-		}
-		// Below the degeneracy the split must refuse.
-		if d > 0 {
-			if _, _, ok := s.SplitRSCS(d - 1); ok {
-				t.Fatal("SplitRSCS below degeneracy must fail")
-			}
-		}
-	}
-}
-
 func TestSparseSetGet(t *testing.T) {
 	m := NewSparse(4, ring.Counting{})
 	m.Set(1, 2, 5)
@@ -385,11 +347,6 @@ func TestMulReferenceAgainstDense(t *testing.T) {
 func TestMaskedAndClone(t *testing.T) {
 	s := NewSupport(4, [][2]int{{0, 0}, {1, 1}, {2, 2}})
 	m := Random(s, ring.Counting{}, 3)
-	mask := NewSupport(4, [][2]int{{0, 0}, {3, 3}})
-	got := m.Masked(mask)
-	if got.NNZ() != 1 || got.Get(0, 0) != m.Get(0, 0) {
-		t.Error("Masked wrong")
-	}
 	c := m.Clone()
 	c.Set(1, 1, 99)
 	if m.Get(1, 1) == 99 {

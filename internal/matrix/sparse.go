@@ -129,19 +129,6 @@ func Random(s *Support, r ring.Semiring, seed int64) *Sparse {
 	return m
 }
 
-// Masked returns a copy of m restricted to the entries of s.
-func (m *Sparse) Masked(s *Support) *Sparse {
-	out := NewSparse(m.N, m.R)
-	for i, row := range m.Rows {
-		for _, c := range row {
-			if s.Has(i, int(c.Col)) {
-				out.Set(i, int(c.Col), c.Val)
-			}
-		}
-	}
-	return out
-}
-
 // MulReference computes the masked product X = A·B restricted to the output
 // support xhat, using plain sequential semiring arithmetic. It is the
 // correctness oracle for every distributed algorithm in this module.

@@ -1,9 +1,6 @@
 package obsv
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // CounterSet is a thread-safe registry of named int64 metrics. It is the
 // obsv-layer primitive behind long-lived components (the serving layer's
@@ -55,16 +52,4 @@ func (s *CounterSet) Snapshot() map[string]int64 {
 		out[k] = v
 	}
 	return out
-}
-
-// Names returns the sorted metric names present in the set.
-func (s *CounterSet) Names() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	names := make([]string, 0, len(s.counts))
-	for k := range s.counts {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -1,7 +1,6 @@
 package obsv
 
 import (
-	"sort"
 	"sync"
 	"testing"
 )
@@ -24,11 +23,6 @@ func TestCounterSet(t *testing.T) {
 	snap["hits"] = 99 // snapshots are copies
 	if c.Get("hits") != 5 {
 		t.Error("mutating a snapshot leaked into the set")
-	}
-	names := c.Names()
-	sort.Strings(names)
-	if len(names) != 2 || names[0] != "hits" || names[1] != "size" {
-		t.Errorf("names = %v", names)
 	}
 }
 

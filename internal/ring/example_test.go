@@ -6,18 +6,6 @@ import (
 	"lbmm/internal/ring"
 )
 
-// ExampleDot shows semiring dot products: the same vectors give a sum of
-// products over Counting and a shortest path relaxation over MinPlus.
-func ExampleDot() {
-	a := []ring.Value{1, 2, 3}
-	b := []ring.Value{4, 5, 6}
-	fmt.Println(ring.Dot(ring.Counting{}, a, b))
-	fmt.Println(ring.Dot(ring.MinPlus{}, a, b))
-	// Output:
-	// 32
-	// 5
-}
-
 // ExampleNewGFp shows exact prime-field arithmetic.
 func ExampleNewGFp() {
 	f := ring.NewGFp(7)

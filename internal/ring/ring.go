@@ -231,25 +231,3 @@ func AsField(r Semiring) (Field, bool) {
 	f, ok := r.(Field)
 	return f, ok
 }
-
-// Sum folds Add over vs, returning r.Zero() for an empty slice.
-func Sum(r Semiring, vs ...Value) Value {
-	acc := r.Zero()
-	for _, v := range vs {
-		acc = r.Add(acc, v)
-	}
-	return acc
-}
-
-// Dot returns the semiring dot product Σ_i a_i ⊗ b_i of two equal-length
-// vectors. It panics if the lengths differ.
-func Dot(r Semiring, a, b []Value) Value {
-	if len(a) != len(b) {
-		panic("ring: Dot length mismatch")
-	}
-	acc := r.Zero()
-	for i := range a {
-		acc = r.Add(acc, r.Mul(a[i], b[i]))
-	}
-	return acc
-}

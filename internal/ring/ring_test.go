@@ -160,29 +160,6 @@ func TestRandNeverZero(t *testing.T) {
 	}
 }
 
-func TestSumAndDot(t *testing.T) {
-	c := Counting{}
-	if got := Sum(c); got != 0 {
-		t.Errorf("empty Sum = %v", got)
-	}
-	if got := Sum(c, 1, 2, 3); got != 6 {
-		t.Errorf("Sum(1,2,3) = %v", got)
-	}
-	if got := Dot(c, []Value{1, 2, 3}, []Value{4, 5, 6}); got != 32 {
-		t.Errorf("Dot = %v, want 32", got)
-	}
-	mp := MinPlus{}
-	if got := Dot(mp, []Value{1, 2}, []Value{10, 5}); got != 7 {
-		t.Errorf("tropical Dot = %v, want 7", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Dot length mismatch did not panic")
-		}
-	}()
-	Dot(c, []Value{1}, []Value{})
-}
-
 func TestRealEqTolerance(t *testing.T) {
 	r := Real{}
 	if !r.Eq(1.0, 1.0+1e-12) {

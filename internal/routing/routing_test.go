@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"lbmm/internal/lbm"
-	"lbmm/internal/matrix"
 	"lbmm/internal/ring"
 )
 
@@ -88,19 +87,6 @@ func TestColoringEmptyAndParallelEdges(t *testing.T) {
 	}
 	ec := eulerColor(es, 1, 1)
 	properColoring(t, es, ec)
-}
-
-func runSchedule(t *testing.T, msgs []Msg, strategy Strategy, n int) (*lbm.Machine, *lbm.Plan) {
-	t.Helper()
-	m := lbm.New(n, ring.Counting{})
-	for _, msg := range msgs {
-		m.Put(msg.From, msg.Src, ring.Value(1+int(msg.From)))
-	}
-	plan := Schedule(msgs, strategy)
-	if err := m.Run(plan); err != nil {
-		t.Fatalf("schedule invalid: %v", err)
-	}
-	return m, plan
 }
 
 func TestScheduleDeliversEverything(t *testing.T) {
@@ -318,121 +304,6 @@ func TestStrategyAblation(t *testing.T) {
 		if auto > euler {
 			t.Fatalf("auto %d worse than euler %d", auto, euler)
 		}
-	}
-}
-
-func TestSortOddEven(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	key := lbm.TKey(5, 5, 5)
-	for trial := 0; trial < 30; trial++ {
-		n := 32
-		p := 1 + rng.Intn(20)
-		m := lbm.New(n, ring.MinPlus{})
-		perm := rng.Perm(n)
-		nodes := make([]lbm.NodeID, p)
-		vals := make([]ring.Value, p)
-		for i := range nodes {
-			nodes[i] = lbm.NodeID(perm[i])
-			vals[i] = ring.Value(rng.Intn(40))
-			m.Put(nodes[i], key, vals[i])
-		}
-		if err := SortOddEven(m, nodes, key); err != nil {
-			t.Fatal(err)
-		}
-		var prev ring.Value = -1
-		for i, node := range nodes {
-			v, ok := m.Get(node, key)
-			if !ok {
-				t.Fatalf("node %d lost its value", node)
-			}
-			if v < prev {
-				t.Fatalf("not sorted at position %d: %v < %v", i, v, prev)
-			}
-			prev = v
-			// No scratch leftovers.
-			if _, leak := m.Get(node, sortScratch(key)); leak {
-				t.Fatal("scratch leaked")
-			}
-		}
-		// Multiset preserved.
-		var got []float64
-		for _, node := range nodes {
-			v, _ := m.Get(node, key)
-			got = append(got, v)
-		}
-		want := append([]float64(nil), vals...)
-		sortFloats(want)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("multiset changed: %v vs %v", got, want)
-			}
-		}
-		if p > 1 && m.Rounds() > p {
-			t.Fatalf("sort of %d values took %d rounds", p, m.Rounds())
-		}
-	}
-	// Duplicate nodes rejected.
-	m := lbm.New(4, ring.Counting{})
-	m.Put(0, key, 1)
-	if err := SortOddEven(m, []lbm.NodeID{0, 0}, key); err == nil {
-		t.Error("duplicate nodes accepted")
-	}
-}
-
-func sortFloats(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-func TestRedistribute(t *testing.T) {
-	rng := rand.New(rand.NewSource(91))
-	n := 24
-	entries := func(nnz int) [][2]int {
-		var es [][2]int
-		for len(es) < nnz {
-			es = append(es, [2]int{rng.Intn(n), rng.Intn(n)})
-		}
-		return es
-	}
-	ahat := matrix.NewSupport(n, entries(3*n))
-	bhat := matrix.NewSupport(n, entries(3*n))
-	xhat := matrix.NewSupport(n, entries(n))
-	a := matrix.Random(ahat, ring.Counting{}, 1)
-	b := matrix.Random(bhat, ring.Counting{}, 2)
-
-	m := lbm.New(n, ring.Counting{})
-	rowL := lbm.RowLayout(ahat, bhat, xhat)
-	balL := lbm.BalancedLayout(ahat, bhat, xhat)
-	lbm.LoadInputs(m, rowL, a, b)
-	if err := Redistribute(m, rowL, balL, ahat, bhat); err != nil {
-		t.Fatal(err)
-	}
-	// Every element is now at its balanced owner (and only there if moved).
-	for i, row := range ahat.Rows {
-		for _, j := range row {
-			v, ok := m.Get(balL.OwnerA(int32(i), j), lbm.AKey(int32(i), j))
-			if !ok || v != a.Get(i, int(j)) {
-				t.Fatalf("A(%d,%d) not at balanced owner", i, j)
-			}
-			if src := rowL.OwnerA(int32(i), j); src != balL.OwnerA(int32(i), j) {
-				if _, stale := m.Get(src, lbm.AKey(int32(i), j)); stale {
-					t.Fatalf("A(%d,%d) left behind at old owner", i, j)
-				}
-			}
-		}
-	}
-	// Cost is O(max per-node elements): generous constant.
-	ra, rb, _ := rowL.MaxPerNode()
-	if m.Rounds() > 4*(ra+rb)+8 {
-		t.Errorf("redistribute took %d rounds for loads %d/%d", m.Rounds(), ra, rb)
-	}
-	// Dimension mismatch rejected.
-	other := lbm.RowLayout(matrix.NewSupport(4, nil), matrix.NewSupport(4, nil), matrix.NewSupport(4, nil))
-	if err := Redistribute(m, rowL, other, ahat, bhat); err == nil {
-		t.Error("dimension mismatch accepted")
 	}
 }
 

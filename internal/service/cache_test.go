@@ -17,7 +17,7 @@ func compileStub() (*core.Prepared, error) { return &core.Prepared{}, nil }
 
 func TestCacheHitMissCounting(t *testing.T) {
 	m := obsv.NewCounterSet()
-	c := NewCache(4, m)
+	c := NewCacheBytes(4, 0, m)
 
 	p1, hit, err := c.Get("a", compileStub)
 	if err != nil || hit {
@@ -44,7 +44,7 @@ func TestCacheHitMissCounting(t *testing.T) {
 // (not least recently inserted) key fell out.
 func TestCacheLRUEviction(t *testing.T) {
 	m := obsv.NewCounterSet()
-	c := NewCache(3, m)
+	c := NewCacheBytes(3, 0, m)
 	for _, k := range []string{"a", "b", "c"} {
 		c.Get(k, compileStub)
 	}
@@ -74,7 +74,7 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheSingleflight(t *testing.T) {
 	const n = 16
 	m := obsv.NewCounterSet()
-	c := NewCache(4, m)
+	c := NewCacheBytes(4, 0, m)
 
 	var compiles atomic.Int64
 	gate := make(chan struct{})
@@ -127,7 +127,7 @@ func TestCacheSingleflight(t *testing.T) {
 // TestCacheCompileError checks an error reaches every waiter and nothing is
 // cached, so the next Get retries the compile.
 func TestCacheCompileError(t *testing.T) {
-	c := NewCache(4, nil)
+	c := NewCacheBytes(4, 0, nil)
 	boom := errors.New("boom")
 	fail := func() (*core.Prepared, error) { return nil, boom }
 

@@ -24,10 +24,11 @@ type ValueRequest struct {
 }
 
 // Reset readies vr for the next read into it. Its storage survives unless
-// its values hold more than maxPooledBody bytes, on bodyPool's rule, so one
-// huge request does not pin its arrays for the life of whoever reuses vr.
+// its values and its listing together hold more than maxPooledBody bytes, on
+// bodyPool's rule, so one huge request does not pin its arrays for the life
+// of whoever reuses vr.
 func (vr *ValueRequest) Reset() {
-	if (cap(vr.a)+cap(vr.b))*int(unsafe.Sizeof(ring.Value(0))) > maxPooledBody {
+	if (cap(vr.a)+cap(vr.b))*int(unsafe.Sizeof(ring.Value(0)))+vr.list.HeldBytes() > maxPooledBody {
 		*vr = ValueRequest{}
 	}
 }

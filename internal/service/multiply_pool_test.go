@@ -148,28 +148,42 @@ func TestHTTPMultiplyPooledScan(t *testing.T) {
 		t.Fatalf("after a failed scan: %v", err)
 	}
 
-	// Over the cap: 50,000 writes of one cell hold 1.2 MB of entries. The
-	// answer is right, the request is not kept, and the next one is right.
-	over := fmt.Sprintf(`{"n":%d,"ring":"counting","a":[%s],"b":%s,"xhat":%s}`,
-		inst.N, strings.Repeat("[0,0,1],", 49_999)+"[0,0,1]", parts["b"], parts["xhat"])
-	if err := productError(h, []byte(over)); err != nil {
-		t.Fatalf("over the pool cap: %v", err)
-	}
-	for i := 0; i < 64; i++ {
-		m := multiplyPool.Get().(*pooledMultiply)
-		held := heldBytes(&m.wire)
-		if vals := (cap(m.vals.a) + cap(m.vals.b)) * 8; vals > maxPooledBody {
-			t.Fatalf("the pool kept a listing holding %d bytes of values, over the %d cap", vals, maxPooledBody)
-		}
-		if held > maxPooledBody {
-			t.Fatalf("the pool kept a request holding %d bytes, over the %d cap", held, maxPooledBody)
-		}
-		if held == 0 {
-			break // a fresh one: the pool is drained
+	// Over the cap, two ways: 50,000 writes of one cell hold 1.2 MB of
+	// entries; 307,200 X̂ positions around one A and one B cell list 1.2 MB
+	// of structure. Each answer is right, the request is not kept, and the
+	// next one is right.
+	var xhat strings.Builder
+	for i := 0; i < 300; i++ {
+		for j := 0; j < 1024; j++ {
+			fmt.Fprintf(&xhat, "[%d,%d],", i, j)
 		}
 	}
-	if err := productError(h, small); err != nil {
-		t.Fatalf("after a request over the cap: %v", err)
+	for _, tc := range []struct{ name, body string }{
+		{"entries", fmt.Sprintf(`{"n":%d,"ring":"counting","a":[%s],"b":%s,"xhat":%s}`,
+			inst.N, strings.Repeat("[0,0,1],", 49_999)+"[0,0,1]", parts["b"], parts["xhat"])},
+		{"xhat", fmt.Sprintf(`{"n":1024,"ring":"counting","a":[[0,0,1]],"b":[[0,0,1]],"xhat":[%s]}`,
+			strings.TrimSuffix(xhat.String(), ","))},
+	} {
+		if err := productError(h, []byte(tc.body)); err != nil {
+			t.Fatalf("%s over the pool cap: %v", tc.name, err)
+		}
+		for i := 0; i < 64; i++ {
+			m := multiplyPool.Get().(*pooledMultiply)
+			held := heldBytes(&m.wire)
+			if held > maxPooledBody {
+				t.Fatalf("%s: the pool kept a request holding %d bytes, over the %d cap", tc.name, held, maxPooledBody)
+			}
+			listed := (cap(m.vals.a)+cap(m.vals.b))*8 + m.vals.list.HeldBytes()
+			if listed > maxPooledBody {
+				t.Fatalf("%s: the pool kept a listing holding %d bytes, over the %d cap", tc.name, listed, maxPooledBody)
+			}
+			if held+listed == 0 {
+				break // a fresh one: the pool is drained
+			}
+		}
+		if err := productError(h, small); err != nil {
+			t.Fatalf("after %s over the pool cap: %v", tc.name, err)
+		}
 	}
 }
 

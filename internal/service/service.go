@@ -110,12 +110,6 @@ const (
 	MetricCacheInflight  = "cache/inflight" // gauge
 )
 
-// NewCache returns a cache holding at most capacity prepared plans
-// (capacity < 1 is treated as 1). Metrics may be nil to disable counting.
-func NewCache(capacity int, metrics *obsv.CounterSet) *Cache {
-	return NewCacheBytes(capacity, 0, metrics)
-}
-
 // NewCacheBytes returns a cache bounded by an entry count and, when
 // maxBytes > 0, by the total compiled size of the cached plans
 // (core.Prepared.CompiledBytes) — the LRU cost model that matches what a

@@ -66,19 +66,6 @@ func RandomBoundedDegree(n, d int, seed int64) *Graph {
 	return NewGraph(n, edges)
 }
 
-// Edges returns each undirected edge once (u < v).
-func (g *Graph) Edges() [][2]int {
-	var out [][2]int
-	for u, row := range g.adj {
-		for _, v := range row {
-			if int32(u) < v {
-				out = append(out, [2]int{u, int(v)})
-			}
-		}
-	}
-	return out
-}
-
 // MaxDegree returns the maximum vertex degree.
 func (g *Graph) MaxDegree() int {
 	m := 0

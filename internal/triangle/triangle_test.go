@@ -1,6 +1,7 @@
 package triangle
 
 import (
+	"reflect"
 	"testing"
 
 	"lbmm/internal/core"
@@ -13,9 +14,6 @@ func TestNewGraphDedupAndLoops(t *testing.T) {
 	}
 	if g.MaxDegree() != 2 {
 		t.Errorf("max degree = %d", g.MaxDegree())
-	}
-	if len(g.Edges()) != 2 {
-		t.Errorf("Edges() = %v", g.Edges())
 	}
 }
 
@@ -82,5 +80,91 @@ func TestRandomBoundedDegreeRespectsBound(t *testing.T) {
 		if g.MaxDegree() > d {
 			t.Errorf("degree %d exceeds bound %d", g.MaxDegree(), d)
 		}
+	}
+}
+
+func TestPageRankMatchesLocal(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		g := RandomBoundedDegree(40, 4, seed)
+		dist, total, perIter, err := PageRank(g, 0.85, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local := PageRankLocal(g, 0.85, 8)
+		if e := MaxRankError(dist, local); e > 1e-9 {
+			t.Fatalf("seed %d: rank error %v", seed, e)
+		}
+		if total != 8*perIter {
+			t.Errorf("rounds not identical per iteration: %d vs 8×%d", total, perIter)
+		}
+		// Mass conservation up to dangling leakage: sum ≤ 1 + ε.
+		sum := 0.0
+		for _, v := range dist {
+			sum += v
+		}
+		if sum > 1+1e-9 {
+			t.Errorf("rank mass %v > 1", sum)
+		}
+	}
+	if _, _, _, err := PageRank(RandomBoundedDegree(10, 2, 1), 0.85, 0); err == nil {
+		t.Error("zero iterations accepted")
+	}
+}
+
+func TestGeneratedGraphFamilies(t *testing.T) {
+	// Preferential attachment: heavy-tailed — max degree well above the
+	// mean; distributed triangle count still exact.
+	ba := PreferentialAttachment(120, 3, 5)
+	if ba.NumEdges() == 0 {
+		t.Fatal("BA graph empty")
+	}
+	mean := 2 * ba.NumEdges() / ba.N
+	if ba.MaxDegree() < 2*mean {
+		t.Errorf("BA max degree %d not heavy-tailed (mean %d)", ba.MaxDegree(), mean)
+	}
+	res, err := Count(ba, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Triangles != CountLocal(ba) {
+		t.Fatalf("BA count %d != %d", res.Triangles, CountLocal(ba))
+	}
+
+	// Small world: bounded degree, high clustering at beta=0.
+	sw := SmallWorld(60, 4, 0, 7)
+	if sw.MaxDegree() > 6 {
+		t.Errorf("SW degree %d too high", sw.MaxDegree())
+	}
+	if CountLocal(sw) == 0 {
+		t.Error("ring lattice with k=4 must have triangles")
+	}
+	res, err = Count(sw, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Triangles != CountLocal(sw) {
+		t.Fatalf("SW count %d != %d", res.Triangles, CountLocal(sw))
+	}
+	// Rewired variant still counts correctly.
+	swr := SmallWorld(60, 4, 0.3, 7)
+	res, err = Count(swr, core.Options{})
+	if err != nil || res.Triangles != CountLocal(swr) {
+		t.Fatalf("rewired SW mismatch: %v", err)
+	}
+}
+
+func TestGeneratorsDeterministic(t *testing.T) {
+	a := PreferentialAttachment(80, 3, 9)
+	b := PreferentialAttachment(80, 3, 9)
+	if a.NumEdges() != b.NumEdges() || CountLocal(a) != CountLocal(b) {
+		t.Error("PreferentialAttachment not deterministic")
+	}
+	if !reflect.DeepEqual(a.adj, b.adj) {
+		t.Fatal("edge lists differ")
+	}
+	s1 := SmallWorld(50, 4, 0.2, 3)
+	s2 := SmallWorld(50, 4, 0.2, 3)
+	if s1.NumEdges() != s2.NumEdges() || CountLocal(s1) != CountLocal(s2) {
+		t.Error("SmallWorld not deterministic")
 	}
 }
