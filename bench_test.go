@@ -184,13 +184,19 @@ func BenchmarkLowerSqrt(b *testing.B) {
 // Micro-benchmarks of the individual algorithms (host wall-clock of the
 // simulation; useful for tracking the simulator's own performance).
 
-func benchAlgorithm(b *testing.B, inst *graph.Instance, r ring.Semiring, alg algo.Algorithm) {
+// benchAlgorithm times planning an algorithm for the instance and running
+// the plan once on the map engine.
+func benchAlgorithm(b *testing.B, inst *graph.Instance, r ring.Semiring, plan func(*algo.Planner) (*algo.Prepared, error)) {
 	a := matrix.Random(inst.Ahat, r, 1)
 	bm := matrix.Random(inst.Bhat, r, 2)
 	b.ResetTimer()
 	rounds := 0
 	for i := 0; i < b.N; i++ {
-		res, _, err := algo.Solve(r, inst, a, bm, alg)
+		p, err := plan(algo.NewPlanner(r, inst))
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, res, err := p.MultiplyMap(a, bm)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -200,23 +206,23 @@ func benchAlgorithm(b *testing.B, inst *graph.Instance, r ring.Semiring, alg alg
 }
 
 func BenchmarkAlgoTrivial(b *testing.B) {
-	benchAlgorithm(b, workload.Blocks(128, 8), ring.Boolean{}, algo.TrivialSparse)
+	benchAlgorithm(b, workload.Blocks(128, 8), ring.Boolean{}, (*algo.Planner).Trivial)
 }
 
 func BenchmarkAlgoLemma31(b *testing.B) {
-	benchAlgorithm(b, workload.Blocks(128, 8), ring.Boolean{}, algo.LemmaOnly)
+	benchAlgorithm(b, workload.Blocks(128, 8), ring.Boolean{}, func(pl *algo.Planner) (*algo.Prepared, error) { return pl.Lemma31(0) })
 }
 
 func BenchmarkAlgoTheorem42Semiring(b *testing.B) {
-	benchAlgorithm(b, workload.Blocks(128, 8), ring.Boolean{}, algo.Theorem42(algo.Theorem42Opts{}))
+	benchAlgorithm(b, workload.Blocks(128, 8), ring.Boolean{}, (*algo.Planner).Theorem42)
 }
 
 func BenchmarkAlgoTheorem42Field(b *testing.B) {
-	benchAlgorithm(b, workload.Blocks(128, 8), ring.NewGFp(1009), algo.Theorem42(algo.Theorem42Opts{}))
+	benchAlgorithm(b, workload.Blocks(128, 8), ring.NewGFp(1009), (*algo.Planner).Theorem42)
 }
 
 func BenchmarkAlgoBaseline(b *testing.B) {
-	benchAlgorithm(b, workload.Blocks(128, 8), ring.Boolean{}, algo.BaselineNaiveVirtual(0))
+	benchAlgorithm(b, workload.Blocks(128, 8), ring.Boolean{}, func(pl *algo.Planner) (*algo.Prepared, error) { return pl.Baseline(0) })
 }
 
 // BenchmarkSupportCost measures the supported-vs-unsupported gap (§1.6).

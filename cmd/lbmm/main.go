@@ -347,6 +347,41 @@ func runExchanges(n, d int) error {
 	return nil
 }
 
+// traceRun runs one traced multiply on the map engine: for "auto" the plan
+// core.Prepare keeps, otherwise the named plan of algo.Planner.
+func traceRun(r ring.Semiring, inst *graph.Instance, a, b *matrix.Sparse, algName string) (*matrix.Sparse, *algo.Result, error) {
+	if algName == "auto" {
+		prep, err := core.Prepare(inst.Ahat, inst.Bhat, inst.Xhat, core.Options{Ring: r, D: inst.D})
+		if err != nil {
+			return nil, nil, err
+		}
+		got, rep, err := prep.MultiplyMap(a, b, core.ExecOpts{Trace: true})
+		if err != nil {
+			return nil, nil, err
+		}
+		return got, &rep.Result, nil
+	}
+	pl := algo.NewPlanner(r, inst)
+	var p *algo.Prepared
+	var err error
+	switch algName {
+	case "theorem42":
+		p, err = pl.Theorem42()
+	case "lemma31":
+		p, err = pl.Lemma31(0)
+	case "trivial":
+		p, err = pl.Trivial()
+	case "baseline":
+		p, err = pl.Baseline(0)
+	default:
+		return nil, nil, fmt.Errorf("unknown algorithm %q", algName)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return p.MultiplyMap(a, b, lbm.WithTrace())
+}
+
 func runTrace(n, d int, algName, wlName, format, outPath string) error {
 	inst, err := workloadInstance(wlName, n, d)
 	if err != nil {
@@ -355,27 +390,7 @@ func runTrace(n, d int, algName, wlName, format, outPath string) error {
 	r := ring.Counting{}
 	a := matrix.Random(inst.Ahat, r, 1)
 	b := matrix.Random(inst.Bhat, r, 2)
-	if algName == "auto" {
-		prep, err := core.Prepare(inst.Ahat, inst.Bhat, inst.Xhat, core.Options{Ring: r, D: inst.D})
-		if err != nil {
-			return err
-		}
-		algName = prep.Resolved()
-	}
-	var alg algo.Algorithm
-	switch algName {
-	case "theorem42":
-		alg = algo.Theorem42(algo.Theorem42Opts{})
-	case "lemma31":
-		alg = algo.LemmaOnly
-	case "trivial":
-		alg = algo.TrivialSparse
-	case "baseline":
-		alg = algo.BaselineNaiveVirtual(0)
-	default:
-		return fmt.Errorf("unknown algorithm %q", algName)
-	}
-	res, got, err := algo.Solve(r, inst, a, b, alg, lbm.WithTrace())
+	got, res, err := traceRun(r, inst, a, b, algName)
 	if err != nil {
 		return err
 	}

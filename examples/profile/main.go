@@ -28,10 +28,14 @@ func main() {
 	a := matrix.Random(inst.Ahat, r, 1)
 	b := matrix.Random(inst.Bhat, r, 2)
 
+	// Plan Theorem 4.2 for the structure, then run the plan on the values.
 	// lbm.WithTrace attaches the obsv.Profile collector; the returned
 	// Result then carries the structured profile alongside the round count.
-	res, got, err := algo.Solve(r, inst, a, b,
-		algo.Theorem42(algo.Theorem42Opts{}), lbm.WithTrace())
+	p, err := algo.NewPlanner(r, inst).Theorem42()
+	if err != nil {
+		log.Fatal(err)
+	}
+	got, res, err := p.MultiplyMap(a, b, lbm.WithTrace())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,9 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
-	"lbmm/internal/lbm"
-
 	"lbmm/internal/graph"
+	"lbmm/internal/lbm"
 	"lbmm/internal/matrix"
 	"lbmm/internal/ring"
 	"lbmm/internal/workload"
@@ -51,11 +50,32 @@ func usInstance(rng *rand.Rand, n, d int) *graph.Instance {
 	return graph.NewInstance(d, us(), us(), us())
 }
 
-func checkAlg(t *testing.T, r ring.Semiring, inst *graph.Instance, alg Algorithm, seed int64) *Result {
+// planFn is one algorithm as a plan: a Planner method with its arguments.
+type planFn func(*Planner) (*Prepared, error)
+
+var (
+	planTrivial   planFn = (*Planner).Trivial
+	planLemma31   planFn = func(pl *Planner) (*Prepared, error) { return pl.Lemma31(0) }
+	planBaseline  planFn = func(pl *Planner) (*Prepared, error) { return pl.Baseline(0) }
+	planTheorem42 planFn = (*Planner).Theorem42
+	planSPAA22    planFn = (*Planner).SPAA22
+)
+
+// solve plans alg for the instance and runs the plan on the map engine.
+func solve(r ring.Semiring, inst *graph.Instance, a, b *matrix.Sparse, alg planFn, mopts ...lbm.Option) (*matrix.Sparse, *Result, error) {
+	p, err := alg(NewPlanner(r, inst))
+	if err != nil {
+		return nil, nil, err
+	}
+	return p.MultiplyMap(a, b, mopts...)
+}
+
+// checkAlg runs alg on random values drawn from seed and checks the product.
+func checkAlg(t *testing.T, r ring.Semiring, inst *graph.Instance, alg planFn, seed int64) *Result {
 	t.Helper()
 	a := matrix.Random(inst.Ahat, r, seed)
 	b := matrix.Random(inst.Bhat, r, seed+1)
-	res, got, err := Solve(r, inst, a, b, alg)
+	got, res, err := solve(r, inst, a, b, alg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +87,7 @@ func checkAlg(t *testing.T, r ring.Semiring, inst *graph.Instance, alg Algorithm
 
 func TestAllAlgorithmsCorrectRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	algs := []Algorithm{TrivialSparse, BaselineNaiveVirtual(0), LemmaOnly, Theorem42(Theorem42Opts{})}
+	algs := []planFn{planTrivial, planBaseline, planLemma31, planTheorem42}
 	for _, r := range ring.All() {
 		for trial := 0; trial < 2; trial++ {
 			n := 12 + rng.Intn(12)
@@ -81,7 +101,7 @@ func TestAllAlgorithmsCorrectRandom(t *testing.T) {
 }
 
 func TestAllAlgorithmsCorrectBlocks(t *testing.T) {
-	algs := []Algorithm{TrivialSparse, BaselineNaiveVirtual(0), LemmaOnly, Theorem42(Theorem42Opts{})}
+	algs := []planFn{planTrivial, planBaseline, planLemma31, planTheorem42}
 	for _, r := range []ring.Semiring{ring.Counting{}, ring.NewGFp(1009), ring.Real{}, ring.MinPlus{}} {
 		inst := blockInstance(24, 4)
 		for _, alg := range algs {
@@ -96,7 +116,7 @@ func TestAllAlgorithmsCorrectBlocks(t *testing.T) {
 func TestAllAlgorithmsCorrectUS(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	inst := usInstance(rng, 32, 4)
-	algs := []Algorithm{TrivialSparse, BaselineNaiveVirtual(0), LemmaOnly, Theorem42(Theorem42Opts{})}
+	algs := []planFn{planTrivial, planBaseline, planLemma31, planTheorem42}
 	for _, alg := range algs {
 		checkAlg(t, ring.Counting{}, inst, alg, 3)
 	}
@@ -106,7 +126,7 @@ func TestTheorem42UsesClustersOnBlocks(t *testing.T) {
 	// The block instance is perfectly clusterable: phase 1 must fire and
 	// shrink the residual substantially.
 	inst := blockInstance(32, 4)
-	res := checkAlg(t, ring.Counting{}, inst, Theorem42(Theorem42Opts{}), 1)
+	res := checkAlg(t, ring.Counting{}, inst, planTheorem42, 1)
 	if res.Batches == 0 {
 		t.Error("no clustered batches on the block instance")
 	}
@@ -114,7 +134,7 @@ func TestTheorem42UsesClustersOnBlocks(t *testing.T) {
 		t.Error("phase 1 removed nothing")
 	}
 	// Field variant exercises Strassen clusters.
-	resF := checkAlg(t, ring.NewGFp(997), inst, Theorem42(Theorem42Opts{}), 1)
+	resF := checkAlg(t, ring.NewGFp(997), inst, planTheorem42, 1)
 	if resF.Cluster.StrassenClusters == 0 {
 		t.Error("field run used no Strassen clusters")
 	}
@@ -129,8 +149,8 @@ func TestTheorem42BeatsTrivialOnBlocks(t *testing.T) {
 	}
 	n, d := 256, 32
 	inst := blockInstance(n, d)
-	triv := checkAlg(t, ring.Boolean{}, inst, TrivialSparse, 2)
-	thm := checkAlg(t, ring.Boolean{}, inst, Theorem42(Theorem42Opts{}), 2)
+	triv := checkAlg(t, ring.Boolean{}, inst, planTrivial, 2)
+	thm := checkAlg(t, ring.Boolean{}, inst, planTheorem42, 2)
 	if thm.Rounds >= triv.Rounds {
 		t.Errorf("theorem42 (%d rounds) did not beat trivial (%d rounds)", thm.Rounds, triv.Rounds)
 	}
@@ -155,22 +175,8 @@ func TestLemma31BeatsBaselineOnHotPairs(t *testing.T) {
 	// Force fine-grained virtualization (κ=1) so the hot value has many
 	// virtual consumers.
 	r := ring.Counting{}
-	a := matrix.Random(inst.Ahat, r, 3)
-	b := matrix.Random(inst.Bhat, r, 4)
-	base, gotB, err := Solve(r, inst, a, b, BaselineNaiveVirtual(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Verify(gotB, a, b, inst.Xhat); err != nil {
-		t.Fatal(err)
-	}
-	lem, gotL, err := Solve(r, inst, a, b, LemmaOnlyKappa(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Verify(gotL, a, b, inst.Xhat); err != nil {
-		t.Fatal(err)
-	}
+	base := checkAlg(t, r, inst, func(pl *Planner) (*Prepared, error) { return pl.Baseline(1) }, 3)
+	lem := checkAlg(t, r, inst, func(pl *Planner) (*Prepared, error) { return pl.Lemma31(1) }, 3)
 	// The baseline's hot-value sender pays Θ(n) rounds; Lemma 3.1 pays
 	// Θ(log n + small). Demand a clear separation.
 	if lem.Rounds*2 >= base.Rounds {
@@ -183,7 +189,7 @@ func TestSPAA22ReconstructionCorrect(t *testing.T) {
 	// The prior-work full reconstruction (clusters + naive phase 2) must be
 	// exact on every ring and every instance family.
 	rng := rand.New(rand.NewSource(13))
-	alg := Theorem42(Theorem42Opts{NaivePhase2: true})
+	alg := planSPAA22
 	for _, r := range []ring.Semiring{ring.Counting{}, ring.MinPlus{}, ring.NewGFp(1009)} {
 		inst := graph.NewInstance(3,
 			randomSupport(rng, 20, 60), randomSupport(rng, 20, 60), randomSupport(rng, 20, 60))
@@ -196,30 +202,35 @@ func TestSPAA22ReconstructionCorrect(t *testing.T) {
 	checkAlg(t, ring.Counting{}, usInstance(rng, 32, 4), alg, 7)
 }
 
+// TestUnsupportedMode prices the unsupported model as exper.SupportCost
+// does: the structure disseminated on its own machine, beside the supported
+// plan, with the rounds summed.
 func TestUnsupportedMode(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	r := ring.Counting{}
 	inst := graph.NewInstance(3,
 		randomSupport(rng, 24, 60), randomSupport(rng, 24, 60), randomSupport(rng, 24, 40))
-	res := checkAlg(t, r, inst, Unsupported(LemmaOnly), 5)
-	words := inst.Ahat.NNZ + inst.Bhat.NNZ + inst.Xhat.NNZ
-	if res.SupportWords != words {
-		t.Errorf("support words %d, want %d", res.SupportWords, words)
+	sup := checkAlg(t, r, inst, planLemma31, 5)
+	m := lbm.New(inst.N, r)
+	words, err := DisseminateSupport(m, ChooseLayout(inst), inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := inst.Ahat.NNZ + inst.Bhat.NNZ + inst.Xhat.NNZ; words != want {
+		t.Errorf("support words %d, want %d", words, want)
 	}
 	// Dissemination dominates: ≥ words rounds (computer 0 receives them all
 	// one per round), ≤ ~3·words + log n.
-	if res.DisseminationRounds < words-24 { // entries already at 0 are local
-		t.Errorf("dissemination rounds %d below gather floor", res.DisseminationRounds)
+	dissemination := m.Rounds()
+	if dissemination < words-24 { // entries already at 0 are local
+		t.Errorf("dissemination rounds %d below gather floor", dissemination)
 	}
-	if res.DisseminationRounds > 4*words+40 {
-		t.Errorf("dissemination rounds %d above pipeline bound", res.DisseminationRounds)
-	}
-	if res.Name != "unsupported+lemma31" {
-		t.Errorf("name %q", res.Name)
+	if dissemination > 4*words+40 {
+		t.Errorf("dissemination rounds %d above pipeline bound", dissemination)
 	}
 	// The supported run of the same instance must be much cheaper.
-	if sup := checkAlg(t, r, inst, LemmaOnly, 5); sup.Rounds >= res.Rounds {
-		t.Errorf("supported (%d) not cheaper than unsupported (%d)", sup.Rounds, res.Rounds)
+	if unsupported := dissemination + sup.Rounds; sup.Rounds >= unsupported {
+		t.Errorf("supported (%d) not cheaper than unsupported (%d)", sup.Rounds, unsupported)
 	}
 }
 
@@ -248,8 +259,7 @@ func TestDisseminationDeliversTheStructure(t *testing.T) {
 func TestQuickAllAlgorithmsAllClasses(t *testing.T) {
 	rng := rand.New(rand.NewSource(314))
 	rings := ring.All()
-	algs := []Algorithm{TrivialSparse, LemmaOnly, Theorem42(Theorem42Opts{}),
-		BaselineNaiveVirtual(0), Theorem42(Theorem42Opts{NaivePhase2: true})}
+	algs := []planFn{planTrivial, planLemma31, planTheorem42, planBaseline, planSPAA22}
 	classes := []matrix.Class{matrix.US, matrix.RS, matrix.CS, matrix.BD, matrix.AS}
 	prop := func(seed int64) bool {
 		n := 12 + rng.Intn(20)
@@ -262,7 +272,7 @@ func TestQuickAllAlgorithmsAllClasses(t *testing.T) {
 		alg := algs[rng.Intn(len(algs))]
 		a := matrix.Random(inst.Ahat, r, seed)
 		b := matrix.Random(inst.Bhat, r, seed+1)
-		_, got, err := Solve(r, inst, a, b, alg)
+		got, _, err := solve(r, inst, a, b, alg)
 		if err != nil {
 			t.Logf("solve error: %v", err)
 			return false

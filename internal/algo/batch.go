@@ -135,8 +135,8 @@ func (p *Prepared) MultiplyValues(as, bs, xs [][]ring.Value, mopts ...lbm.Option
 }
 
 // walk runs a loaded executor through the plans: the live X slots zeroed,
-// the phase-1 batches, the staging sweep and the Lemma 3.1 job. It returns
-// the rounds phase 1 took.
+// the phase-1 batches, the staging sweep and the job, inside a two-phase
+// plan's phase spans. It returns the rounds phase 1 took.
 func (p *Prepared) walk(x *lbm.Exec, arena [][]ring.Value, K int) (int, error) {
 	cp, zero := p.compiled, p.R.Zero()
 	for _, lr := range cp.x {
@@ -145,6 +145,7 @@ func (p *Prepared) walk(x *lbm.Exec, arena [][]ring.Value, K int) (int, error) {
 			dst[l] = zero
 		}
 	}
+	p.beginPhase1(x)
 	for _, cb := range cp.phase1 {
 		if err := cb.Run(x); err != nil {
 			return 0, err
@@ -154,9 +155,11 @@ func (p *Prepared) walk(x *lbm.Exec, arena [][]ring.Value, K int) (int, error) {
 		x.ClearSlot(ref)
 	}
 	phase1 := x.Rounds()
+	p.beginPhase2(x)
 	if err := fewtri.RunCompiled(x, cp.few); err != nil {
 		return 0, err
 	}
+	p.endPhase2(x)
 	return phase1, nil
 }
 

@@ -15,8 +15,8 @@ import (
 // the execution spine: the map engine (the reference oracle) and the
 // compiled engine must produce identical outputs AND identical Stats on
 // the same prepared structure and values, across the algorithm matrix — trivial,
-// lemma31 and theorem42 (whose field variant takes the dense Strassen OpSub
-// path) over semirings and fields.
+// lemma31, theorem42 (whose field variant takes the dense Strassen OpSub
+// path) and the naive baseline — over semirings and fields.
 func TestEnginesDifferential(t *testing.T) {
 	preps := []struct {
 		name string
@@ -39,6 +39,12 @@ func TestEnginesDifferential(t *testing.T) {
 		}},
 		{"theorem42/mixed", func(r ring.Semiring, seed int64) (*Prepared, error) {
 			return PrepareTheorem42(r, workload.Mixed(40, 4, seed))
+		}},
+		{"baseline/blocks", func(r ring.Semiring, seed int64) (*Prepared, error) {
+			return compile(NewPlanner(r, workload.Blocks(32, 4)).Baseline(0))
+		}},
+		{"baseline/mixed", func(r ring.Semiring, seed int64) (*Prepared, error) {
+			return compile(NewPlanner(r, workload.Mixed(40, 4, seed)).Baseline(0))
 		}},
 	}
 	// Counting and MinPlus are plain semirings (OpAcc only); Real and GF(p)

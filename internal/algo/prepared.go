@@ -34,14 +34,14 @@ type Prepared struct {
 	meta     Result
 }
 
-// PrepareTrivial preprocesses the trivial algorithm (TrivialSparse).
+// PrepareTrivial preprocesses the trivial algorithm.
 func PrepareTrivial(r ring.Semiring, inst *graph.Instance) (*Prepared, error) {
 	return compile(NewPlanner(r, inst).Trivial())
 }
 
 // PrepareLemma31 preprocesses the Lemma 3.1 (Theorems 5.3/5.11) algorithm.
 func PrepareLemma31(r ring.Semiring, inst *graph.Instance) (*Prepared, error) {
-	return compile(NewPlanner(r, inst).Lemma31())
+	return compile(NewPlanner(r, inst).Lemma31(0))
 }
 
 // PrepareTheorem42 preprocesses the two-phase algorithm: the full
@@ -61,10 +61,10 @@ func compile(p *Prepared, err error) (*Prepared, error) {
 	return p, nil
 }
 
-// Planner plans the prepared algorithms of one structure on one shared
-// layout and one triangle list, so that pricing several candidates (Cost)
-// before compiling one of them repeats no work. What it returns is planned,
-// not compiled: MultiplyMap runs it, MultiplyBatch needs Compile first.
+// Planner plans the algorithms of one structure on one shared layout and
+// one triangle list, so that pricing several candidates (Cost) before
+// compiling one of them repeats no work. What it returns is planned, not
+// compiled: MultiplyMap runs it, MultiplyBatch needs Compile first.
 type Planner struct {
 	r    ring.Semiring
 	inst *graph.Instance
@@ -102,9 +102,20 @@ func (pl *Planner) Trivial() (*Prepared, error) {
 	}, nil
 }
 
-// Lemma31 plans Lemma 3.1 over the whole triangle set.
-func (pl *Planner) Lemma31() (*Prepared, error) {
-	job, err := pl.wholeJob()
+// Lemma31 plans Lemma 3.1 over the whole triangle set with budget κ;
+// kappa ≤ 0 selects the natural budget ⌈3|T̂|/n⌉, and an explicit κ must
+// meet the lemma's precondition |T̂| ≤ κn. For [US:AS:GM] instances
+// |T̂| ≤ d²n (Lemma 5.1) and for [BD:AS:AS] instances |T̂| ≤ 2d²n
+// (Lemma 5.9), so at the natural budget this runs in O(d² + log n) rounds —
+// Theorems 5.3 and 5.11.
+func (pl *Planner) Lemma31(kappa int) (*Prepared, error) {
+	var job *fewtri.Job
+	var err error
+	if kappa <= 0 {
+		job, err = pl.wholeJob()
+	} else {
+		job, err = fewtri.Plan(pl.inst.N, pl.l, pl.tris, kappa)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -115,17 +126,47 @@ func (pl *Planner) Lemma31() (*Prepared, error) {
 	}, nil
 }
 
-// Theorem42 plans the two-phase algorithm: the one-shot driver's phase-1
-// schedule with every batch planned instead of run, then the Lemma 3.1
-// residual job.
+// Baseline plans the prior work's naive phase 2 over the whole triangle set
+// (fewtri.PlanNaive), with κ as in Lemma31 but no precondition on it.
+func (pl *Planner) Baseline(kappa int) (*Prepared, error) {
+	job := fewtri.PlanNaive(pl.inst.N, pl.l, pl.tris, kappa)
+	return &Prepared{
+		Inst: pl.inst, Layout: pl.l, R: pl.r, Name: "baseline-naive",
+		fewtri: job,
+		meta:   Result{Name: "baseline-naive", Triangles: len(pl.tris), Kappa: job.Kappa},
+	}, nil
+}
+
+// spaa22 names the SPAA 2022 reconstruction's plans.
+const spaa22 = "spaa22-reconstruction"
+
+// Theorem42 plans the two-phase algorithm of §4: clustered dense batches
+// until the residual triangle count is at most d^α·n, then Lemma 3.1 on the
+// residual. Over a field the clustered batches use distributed Strassen
+// where exact.
 func (pl *Planner) Theorem42() (*Prepared, error) {
+	return pl.twoPhases("theorem42")
+}
+
+// SPAA22 plans the prior work's full algorithm as reconstructed here
+// (SPAA 2022, arXiv 2203.01297): Theorem42's phase 1 aimed at the prior
+// exponents 1.927/1.907, then the naive phase 2 (Baseline) on the residual.
+func (pl *Planner) SPAA22() (*Prepared, error) {
+	return pl.twoPhases(spaa22)
+}
+
+// twoPhases plans the phase-1 schedule with every batch planned, then phase
+// 2 on the residual: the naive router for the SPAA 2022 reconstruction,
+// Lemma 3.1 otherwise.
+func (pl *Planner) twoPhases(name string) (*Prepared, error) {
 	inst, l := pl.inst, pl.l
 	_, isField := ring.AsField(pl.r)
-	p := &Prepared{Inst: inst, Layout: l, R: pl.r, Name: "theorem42"}
-	p.meta = Result{Name: "theorem42", Triangles: len(pl.tris)}
+	naive := name == spaa22
+	p := &Prepared{Inst: inst, Layout: l, R: pl.r, Name: name}
+	p.meta = Result{Name: name, Triangles: len(pl.tris)}
 
 	net := vnet.Roles(inst.N)
-	residual, err := clusterSchedule(inst, isField, theorem42Alpha(isField, false), pl.tris, func(batches []cluster.Batch) error {
+	residual, err := clusterSchedule(inst, isField, theorem42Alpha(isField, naive), pl.tris, func(batches []cluster.Batch) error {
 		for _, b := range batches {
 			pb, err := cluster.PlanBatch(net, inst.N, l, b, isField)
 			if err != nil {
@@ -142,9 +183,12 @@ func (pl *Planner) Theorem42() (*Prepared, error) {
 		return nil, err
 	}
 	p.meta.Residual = len(residual)
-	if len(p.phase1) == 0 {
+	switch {
+	case naive:
+		p.fewtri = fewtri.PlanNaive(inst.N, l, residual, 0)
+	case len(p.phase1) == 0:
 		p.fewtri, err = pl.wholeJob()
-	} else {
+	default:
 		p.fewtri, err = fewtri.Plan(inst.N, l, residual, 0)
 	}
 	if err != nil {
@@ -210,17 +254,19 @@ func (p *Prepared) MultiplyMap(a, b *matrix.Sparse, mopts ...lbm.Option) (*matri
 	}
 	lbm.ZeroOutputs(m, p.Layout, p.Inst.Xhat)
 
-	before := 0
+	p.beginPhase1(m)
 	for _, pb := range p.phase1 {
 		if err := pb.Run(m); err != nil {
 			return nil, nil, err
 		}
 	}
 	vnet.CleanupStaging(m)
-	phase1 := m.Rounds() - before
+	phase1 := m.Rounds()
+	p.beginPhase2(m)
 	if err := fewtri.Run(m, p.fewtri); err != nil {
 		return nil, nil, err
 	}
+	p.endPhase2(m)
 	got, err := lbm.CollectX(m, p.Layout, p.Inst.Xhat)
 	if err != nil {
 		return nil, nil, err

@@ -104,31 +104,3 @@ func TestPreparedRejectsOutsideStructure(t *testing.T) {
 		t.Error("dimension mismatch accepted")
 	}
 }
-
-func TestPreparedMatchesOneShot(t *testing.T) {
-	// Prepared execution and the one-shot Algorithm produce identical
-	// results and (for theorem42 on the same structure) identical rounds.
-	r := ring.NewGFp(997)
-	inst := workload.Blocks(32, 4)
-	a := matrix.Random(inst.Ahat, r, 3)
-	b := matrix.Random(inst.Bhat, r, 4)
-
-	p, err := PrepareTheorem42(r, inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xPrep, resPrep, err := multiplyOne(p, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resShot, xShot, err := Solve(r, inst, a, b, Theorem42(Theorem42Opts{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matrix.Equal(xPrep, xShot) {
-		t.Fatal("prepared and one-shot products differ")
-	}
-	if resPrep.Rounds != resShot.Rounds {
-		t.Errorf("prepared %d rounds vs one-shot %d", resPrep.Rounds, resShot.Rounds)
-	}
-}

@@ -136,24 +136,3 @@ func VerifyDissemination(m *lbm.Machine, node lbm.NodeID, inst *graph.Instance) 
 	}
 	return check(2, inst.Xhat.Rows)
 }
-
-// Unsupported wraps a supported algorithm with the run-time support
-// dissemination phase. The returned Result's SupportWords field reports the
-// dissemination volume; its rounds are included in the total.
-func Unsupported(alg Algorithm) Algorithm {
-	return func(m *lbm.Machine, l *lbm.Layout, inst *graph.Instance) (*Result, error) {
-		words, err := DisseminateSupport(m, l, inst)
-		if err != nil {
-			return nil, err
-		}
-		disseminationRounds := m.Rounds()
-		res, err := alg(m, l, inst)
-		if err != nil {
-			return nil, err
-		}
-		res.Name = "unsupported+" + res.Name
-		res.SupportWords = words
-		res.DisseminationRounds = disseminationRounds
-		return res, nil
-	}
-}

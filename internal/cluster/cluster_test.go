@@ -169,10 +169,10 @@ func TestMaskProductExact(t *testing.T) {
 	}
 }
 
-// runBatchesAndVerify processes the FULL triangle set of an instance purely
-// with clustered batches (TargetResidual 0, MinGain 1 — every triangle ends
-// in some cluster or remains; remaining ones go into singleton batches via
-// a final sweep) and checks the product.
+// TestRunBatchesCorrect processes the FULL triangle set of an instance
+// purely with clustered batches (TargetResidual 0, MinGain 1 — every
+// triangle ends in some cluster or remains), each planned and then run, and
+// checks that exactly the batched triangles were processed.
 func TestRunBatchesCorrect(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, r := range []ring.Semiring{ring.Counting{}, ring.MinPlus{}, ring.NewGFp(1009), ring.Real{}} {
@@ -190,9 +190,17 @@ func TestRunBatchesCorrect(t *testing.T) {
 			lbm.LoadInputs(m, l, a, b)
 			lbm.ZeroOutputs(m, l, inst.Xhat)
 			net := vnet.Roles(n)
-			if _, err := RunBatches(m, net, n, l, batches); err != nil {
-				t.Fatal(err)
+			_, field := ring.AsField(r)
+			for _, bt := range batches {
+				pb, err := PlanBatch(net, n, l, bt, field)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := pb.Run(m); err != nil {
+					t.Fatal(err)
+				}
 			}
+			vnet.CleanupStaging(m)
 			// Expected: only the batched triangles processed.
 			want := matrix.NewSparse(n, r)
 			for i, row := range inst.Xhat.Rows {
@@ -247,11 +255,14 @@ func TestRunBatchUsesStrassenOverFields(t *testing.T) {
 	lbm.LoadInputs(m, l, a, b)
 	lbm.ZeroOutputs(m, l, inst.Xhat)
 	net := vnet.Roles(n)
-	st, err := RunBatch(m, net, n, l, batch)
+	pb, err := PlanBatch(net, n, l, batch, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.StrassenClusters == 0 {
+	if err := pb.Run(m); err != nil {
+		t.Fatal(err)
+	}
+	if pb.Stats.StrassenClusters == 0 {
 		t.Error("field batch used no Strassen clusters")
 	}
 	vnet.CleanupStaging(m)

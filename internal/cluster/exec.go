@@ -7,7 +7,6 @@ import (
 	"lbmm/internal/graph"
 	"lbmm/internal/lbm"
 	"lbmm/internal/matrix"
-	"lbmm/internal/ring"
 	"lbmm/internal/vnet"
 )
 
@@ -86,6 +85,36 @@ func pairSupports(a Assigned, n int) (sa, sb, sx *matrix.Support) {
 	return matrix.NewSupport(n, ae), matrix.NewSupport(n, be), matrix.NewSupport(n, xe)
 }
 
+// summary is what only planning knows of a batch, for its trace: the
+// clusters it holds (empty ones included), the triangles assigned to them
+// and their summed volume |I|·|J|·|K|.
+type summary struct {
+	clusters, triangles, volume int
+}
+
+// recorder is the part of both engines, *lbm.Machine and *lbm.Exec, that a
+// batch records its trace span on.
+type recorder interface {
+	BeginPhase(label string)
+	EndPhase()
+	Counter(name string, delta float64)
+}
+
+// begin opens a batch's cluster/batch span with its counters; st counts the
+// clusters each dense routine runs.
+func (s summary) begin(rec recorder, st ExecStats) {
+	rec.BeginPhase("cluster/batch")
+	rec.Counter("clusters", float64(s.clusters))
+	rec.Counter("cube_clusters", float64(st.CubeClusters))
+	rec.Counter("strassen_clusters", float64(st.StrassenClusters))
+	rec.Counter("triangles", float64(s.triangles))
+	if s.volume > 0 {
+		// Density = assigned triangles per unit of cluster volume: Lemma
+		// 4.7's gain criterion in measurable form.
+		rec.Counter("density", float64(s.triangles)/float64(s.volume))
+	}
+}
+
 // PlannedBatch is a clustering with its per-cluster dense jobs already
 // planned — reusable across value sets, since plans depend only on the
 // support (the supported model's preprocessing as a first-class artifact).
@@ -95,6 +124,7 @@ type PlannedBatch struct {
 	cubeProg     *dense.CubeProgram
 	strassenProg *dense.StrassenProgram
 	Stats        ExecStats
+	sum          summary
 }
 
 // PlanBatch preprocesses one clustering: every cluster gets a dense batch
@@ -103,8 +133,9 @@ type PlannedBatch struct {
 // clusters (and every cluster over a plain semiring) use the
 // triangle-masked cube.
 func PlanBatch(net *vnet.Net, n int, l *lbm.Layout, batch Batch, field bool) (*PlannedBatch, error) {
-	pb := &PlannedBatch{}
+	pb := &PlannedBatch{sum: summary{clusters: len(batch.Clusters), triangles: batch.Size()}}
 	for ci, a := range batch.Clusters {
+		pb.sum.volume += len(a.Cluster.I) * len(a.Cluster.J) * len(a.Cluster.K)
 		if len(a.Tris) == 0 {
 			continue
 		}
@@ -168,8 +199,11 @@ func (pb *PlannedBatch) Cost() (rounds, messages int) {
 	return rounds, messages
 }
 
-// Run executes a planned batch. The two sub-batches run back to back.
+// Run executes a planned batch inside its cluster/batch span. The two
+// sub-batches run back to back.
 func (pb *PlannedBatch) Run(m *lbm.Machine) error {
+	pb.sum.begin(m, pb.Stats)
+	defer m.EndPhase()
 	if len(pb.strassenJobs) > 0 {
 		if err := dense.RunStrassenJobsWith(m, pb.strassenJobs, pb.strassenProg); err != nil {
 			return err
@@ -188,11 +222,12 @@ func (pb *PlannedBatch) Run(m *lbm.Machine) error {
 type CompiledBatch struct {
 	strassen *dense.CompiledStrassenProgram
 	cube     *dense.CompiledCubeProgram
+	sum      summary
 }
 
 // Compile lowers a planned batch into the shared slot space.
 func (pb *PlannedBatch) Compile(sp *lbm.SlotSpace) (*CompiledBatch, error) {
-	cb := &CompiledBatch{}
+	cb := &CompiledBatch{sum: pb.sum}
 	var err error
 	if len(pb.strassenJobs) > 0 {
 		if cb.strassen, err = dense.CompileStrassenProgram(sp, pb.strassenJobs, pb.strassenProg); err != nil {
@@ -226,6 +261,8 @@ func (cb *CompiledBatch) AddExchanges(rep *lbm.ExchangeReport) {
 
 // Run executes a compiled batch, mirroring PlannedBatch.Run.
 func (cb *CompiledBatch) Run(x *lbm.Exec) error {
+	cb.sum.begin(x, ExecStats{CubeClusters: cb.cube.Jobs(), StrassenClusters: cb.strassen.Jobs()})
+	defer x.EndPhase()
 	if cb.strassen != nil {
 		if err := cb.strassen.Run(x); err != nil {
 			return err
@@ -237,45 +274,4 @@ func (cb *CompiledBatch) Run(x *lbm.Exec) error {
 		}
 	}
 	return nil
-}
-
-// RunBatch plans and executes one clustering in a single call.
-func RunBatch(m *lbm.Machine, net *vnet.Net, n int, l *lbm.Layout, batch Batch) (ExecStats, error) {
-	_, isField := ring.AsField(m.R)
-	pb, err := PlanBatch(net, n, l, batch, isField)
-	if err != nil {
-		return ExecStats{}, err
-	}
-	m.BeginPhase("cluster/batch")
-	defer m.EndPhase()
-	m.Counter("clusters", float64(len(batch.Clusters)))
-	m.Counter("cube_clusters", float64(pb.Stats.CubeClusters))
-	m.Counter("strassen_clusters", float64(pb.Stats.StrassenClusters))
-	m.Counter("triangles", float64(batch.Size()))
-	var volume float64
-	for _, a := range batch.Clusters {
-		volume += float64(len(a.Cluster.I)) * float64(len(a.Cluster.J)) * float64(len(a.Cluster.K))
-	}
-	if volume > 0 {
-		// Density = assigned triangles per unit of cluster volume: Lemma
-		// 4.7's gain criterion in measurable form.
-		m.Counter("density", float64(batch.Size())/volume)
-	}
-	return pb.Stats, pb.Run(m)
-}
-
-// RunBatches executes a sequence of clusterings and sweeps compiler staging
-// keys afterwards.
-func RunBatches(m *lbm.Machine, net *vnet.Net, n int, l *lbm.Layout, batches []Batch) (ExecStats, error) {
-	var total ExecStats
-	for _, b := range batches {
-		st, err := RunBatch(m, net, n, l, b)
-		total.CubeClusters += st.CubeClusters
-		total.StrassenClusters += st.StrassenClusters
-		if err != nil {
-			return total, err
-		}
-	}
-	vnet.CleanupStaging(m)
-	return total, nil
 }

@@ -21,8 +21,9 @@ import (
 // 3 writes its input and output chains apart, and repeated the plan's name.
 // Version 3 gave every support cell a load ref; version 4 gives one only to
 // the live cells, those on a triangle, and adds each node's count of dead
-// cells.
-const PreparedFormatVersion = 4
+// cells. Version 5 adds each phase-1 batch's cluster count, triangle count
+// and cluster volume, which its trace span reports.
+const PreparedFormatVersion = 5
 
 // preparedMagic opens every envelope (the layout is in internal/lbm/wire.go
 // and docs/PLANSTORE.md).

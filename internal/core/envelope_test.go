@@ -470,3 +470,39 @@ func TestDecodeRejectsLoadSlotGap(t *testing.T) {
 		t.Errorf("load-slot-gap seed: err = %v, want algo.ErrLoadSlots", err)
 	}
 }
+
+// naiveAsLemma31 returns the envelope of a compiled plan that runs the naive
+// router's job but is named lemma31: a Lemma 3.1 plan whose job was swapped
+// for algo.Planner's Baseline of the same structure. The envelope is sealed,
+// so the body reader's shape rule is what must refuse it.
+func naiveAsLemma31(t testing.TB) []byte {
+	t.Helper()
+	inst := workload.Blocks(8, 2)
+	p, err := Prepare(inst.Ahat, inst.Bhat, inst.Xhat, Options{Ring: ring.Counting{}, Algorithm: "lemma31"})
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	naive, err := algo.NewPlanner(ring.Counting{}, p.inner.Inst).Baseline(0)
+	if err != nil {
+		t.Fatalf("plan the naive router: %v", err)
+	}
+	naive.Name = "lemma31"
+	if err := naive.Compile(); err != nil {
+		t.Fatalf("compile the naive router: %v", err)
+	}
+	p.inner = naive
+	return encode(t, p)
+}
+
+// TestDecodeRejectsNaiveJobUnderLemma31 checks that the decoder holds each
+// name to the exact job shape it implies: a naive-router job under the name
+// lemma31 is refused, and so is the committed seed that carries one.
+func TestDecodeRejectsNaiveJobUnderLemma31(t *testing.T) {
+	seed := readSeed(t, filepath.Join("testdata", "fuzz", "FuzzDecodePrepared", "naive-as-lemma31"))
+	for _, env := range [][]byte{naiveAsLemma31(t), seed} {
+		_, err := DecodePrepared(bytes.NewReader(env))
+		if !errors.Is(err, ErrEnvelope) || !strings.Contains(err.Error(), `a "naive" job`) {
+			t.Errorf("err = %v, want ErrEnvelope refusing the naive job", err)
+		}
+	}
+}

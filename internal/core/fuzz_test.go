@@ -46,8 +46,9 @@ func readSeed(t *testing.T, path string) []byte {
 // valid envelope per plan shape of envShapes, a body cut in half, a slab
 // length that exceeds the body, load refs with a gap in a node's slot
 // prefix (loadSlotGap), a round index that runs past its plan's
-// instructions, and each liveDamage to the live-cell accounting, all but
-// the first resealed so they reach the body reader. The property: a decode ends in a typed error, or in a
+// instructions, each liveDamage to the live-cell accounting, all but the
+// first resealed so they reach the body reader, and a sealed naive-router
+// job under the name lemma31 (naiveAsLemma31). The property: a decode ends in a typed error, or in a
 // Prepared whose re-encoding decodes to the same plan — never a panic, and
 // never more heap than a fixed multiple of the input.
 func FuzzDecodePrepared(f *testing.F) {

@@ -33,13 +33,14 @@ type Prepared struct {
 
 // Prepare preprocesses the multiplication for the given supports. Options:
 // Ring and D as in Multiply; Algorithm may be "auto", "trivial", "lemma31"
-// or "theorem42" (the baseline and unsupported algorithms have no prepared
-// form). An explicit algorithm is obeyed. "auto" plans every candidate the
-// structure admits — the trivial algorithm and Lemma 3.1 always, Theorem 4.2
-// in band 1 — and keeps the one whose plans charge the fewest rounds, then
-// the fewest messages, ties going to that order; only the kept plan is
-// compiled. The choice is a function of the structure, the ring and d, so
-// the fingerprint of an "auto" request stays a content address.
+// or "theorem42" (algo.Planner's experiment-only plans, the naive baseline
+// and the SPAA 2022 reconstruction, are not served). An explicit algorithm
+// is obeyed. "auto" plans every candidate the structure admits — the
+// trivial algorithm and Lemma 3.1 always, Theorem 4.2 in band 1 — and keeps
+// the one whose plans charge the fewest rounds, then the fewest messages,
+// ties going to that order; only the kept plan is compiled. The choice is a
+// function of the structure, the ring and d, so the fingerprint of an
+// "auto" request stays a content address.
 func Prepare(ahat, bhat, xhat *matrix.Support, opts Options) (*Prepared, error) {
 	if ahat.N != bhat.N || ahat.N != xhat.N {
 		return nil, fmt.Errorf("core: dimension mismatch %d/%d/%d", ahat.N, bhat.N, xhat.N)
@@ -84,7 +85,8 @@ func Prepare(ahat, bhat, xhat *matrix.Support, opts Options) (*Prepared, error) 
 // charge, and compiles the first of the cheapest.
 func cheapest(r ring.Semiring, inst *graph.Instance, band1 bool) (*algo.Prepared, error) {
 	pl := algo.NewPlanner(r, inst)
-	candidates := []func() (*algo.Prepared, error){pl.Trivial, pl.Lemma31}
+	lemma31 := func() (*algo.Prepared, error) { return pl.Lemma31(0) }
+	candidates := []func() (*algo.Prepared, error){pl.Trivial, lemma31}
 	if band1 {
 		candidates = append(candidates, pl.Theorem42)
 	}
@@ -158,8 +160,21 @@ func (p *Prepared) Multiply(a, b *matrix.Sparse) (*matrix.Sparse, *Report, error
 	return p.MultiplyOpts(a, b, ExecOpts{})
 }
 
-// ExecOpts are per-call execution options for MultiplyOpts and
-// MultiplyBatch. The zero value is a plain Multiply.
+// MultiplyMap executes the prepared plans on one value set on the reference
+// map-backed machine instead of the compiled engine: the same rounds,
+// messages and trace, at simulation speed. It needs the planning state,
+// which a Prepared restored by DecodePrepared does not have
+// (algo.ErrNoMapForm).
+func (p *Prepared) MultiplyMap(a, b *matrix.Sparse, opts ExecOpts) (*matrix.Sparse, *Report, error) {
+	x, res, err := p.inner.MultiplyMap(a, b, opts.machineOpts()...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return x, &Report{Result: *res, Classes: p.Classes, D: p.D, Band: p.Band}, nil
+}
+
+// ExecOpts are per-call execution options for MultiplyOpts, MultiplyBatch
+// and MultiplyMap. The zero value is a plain Multiply.
 type ExecOpts struct {
 	// Trace records a per-call execution profile into the Report.
 	Trace bool

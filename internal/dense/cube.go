@@ -383,6 +383,14 @@ func CompileCubeProgram(sp *lbm.SlotSpace, jobs []*CubeJob, prog *CubeProgram) (
 	return ccp, nil
 }
 
+// Jobs is the number of cube jobs the program runs; zero for a nil program.
+func (ccp *CompiledCubeProgram) Jobs() int {
+	if ccp == nil {
+		return 0
+	}
+	return ccp.njobs
+}
+
 // MemoryBytes estimates the resident size of the compiled program.
 func (ccp *CompiledCubeProgram) MemoryBytes() int64 {
 	if ccp == nil {

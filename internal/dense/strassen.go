@@ -703,6 +703,15 @@ func CompileStrassenProgram(sp *lbm.SlotSpace, jobs []*StrassenJob, prog *Strass
 	return csp, nil
 }
 
+// Jobs is the number of Strassen jobs the program runs; zero for a nil
+// program.
+func (csp *CompiledStrassenProgram) Jobs() int {
+	if csp == nil {
+		return 0
+	}
+	return csp.njobs
+}
+
 // MemoryBytes estimates the resident size of the compiled program.
 func (csp *CompiledStrassenProgram) MemoryBytes() int64 {
 	if csp == nil {

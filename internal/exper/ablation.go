@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"lbmm/internal/algo"
 	"lbmm/internal/dense"
 	"lbmm/internal/lbm"
 	"lbmm/internal/matrix"
@@ -39,11 +38,11 @@ func AblationLemma31(scale Scale) ([]AblationRow, error) {
 
 	for _, n := range ns {
 		inst := workload.HotPair(n)
-		lem, err := runVerified(r, inst, algo.LemmaOnlyKappa(1), int64(n))
+		lem, err := runVerified(r, inst, lemma31(1), int64(n))
 		if err != nil {
 			return nil, err
 		}
-		base, err := runVerified(r, inst, algo.BaselineNaiveVirtual(1), int64(n))
+		base, err := runVerified(r, inst, baseline(1), int64(n))
 		if err != nil {
 			return nil, err
 		}
@@ -55,11 +54,11 @@ func AblationLemma31(scale Scale) ([]AblationRow, error) {
 
 	for _, n := range ns {
 		inst := workload.Instance(matrix.US, matrix.US, matrix.US, n, 4, int64(n))
-		lem, err := runVerified(r, inst, algo.LemmaOnly, int64(n))
+		lem, err := runVerified(r, inst, lemma31(0), int64(n))
 		if err != nil {
 			return nil, err
 		}
-		base, err := runVerified(r, inst, algo.BaselineNaiveVirtual(0), int64(n))
+		base, err := runVerified(r, inst, baseline(0), int64(n))
 		if err != nil {
 			return nil, err
 		}

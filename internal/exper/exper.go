@@ -116,15 +116,32 @@ func (s *Series) Format(param string) string {
 	return b.String()
 }
 
-// runVerified executes an algorithm on an instance with random values over
-// r on the sequential map machine, verifies the product, and returns the
-// result. It stays on the one-shot algo.Solve path: the experiments need the
-// one-shot-only variants (NaivePhase2, LemmaOnlyKappa, baseline,
-// unsupported) and theorem42's phase1/phase2/cluster spans.
-func runVerified(r ring.Semiring, inst *graph.Instance, alg algo.Algorithm, seed int64, opts ...lbm.Option) (*algo.Result, error) {
+// plan is one algorithm as algo.Planner plans it.
+type plan func(*algo.Planner) (*algo.Prepared, error)
+
+// lemma31 plans Lemma 3.1 with budget κ (0: the natural budget).
+func lemma31(kappa int) plan {
+	return func(pl *algo.Planner) (*algo.Prepared, error) { return pl.Lemma31(kappa) }
+}
+
+// baseline plans the naive phase 2 with budget κ (0: the natural budget).
+func baseline(kappa int) plan {
+	return func(pl *algo.Planner) (*algo.Prepared, error) { return pl.Baseline(kappa) }
+}
+
+// runVerified plans an algorithm for an instance, runs the plan once with
+// random values over r on the sequential map machine, verifies the product,
+// and returns the result. It never compiles: the map run records the same
+// rounds and trace as a compiled one, and several plans here (the naive
+// baseline, the SPAA 2022 reconstruction) have no served form.
+func runVerified(r ring.Semiring, inst *graph.Instance, alg plan, seed int64, opts ...lbm.Option) (*algo.Result, error) {
+	p, err := alg(algo.NewPlanner(r, inst))
+	if err != nil {
+		return nil, err
+	}
 	a := matrix.Random(inst.Ahat, r, seed)
 	b := matrix.Random(inst.Bhat, r, seed+1)
-	res, got, err := algo.Solve(r, inst, a, b, alg, opts...)
+	got, res, err := p.MultiplyMap(a, b, opts...)
 	if err != nil {
 		return nil, err
 	}

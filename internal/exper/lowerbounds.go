@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"lbmm/internal/algo"
 	"lbmm/internal/lower"
 	"lbmm/internal/ring"
 )
@@ -35,7 +34,7 @@ func LowerBounds(scale Scale) ([]LowerRow, error) {
 	for _, n := range ns {
 		// Sum (Theorem 6.15 via Corollary 6.10).
 		inst := lower.SumInstance(n)
-		res, err := runVerified(r, inst, algo.LemmaOnly, int64(n))
+		res, err := runVerified(r, inst, lemma31(0), int64(n))
 		if err != nil {
 			return nil, fmt.Errorf("sum n=%d: %w", n, err)
 		}
@@ -48,7 +47,7 @@ func LowerBounds(scale Scale) ([]LowerRow, error) {
 
 		// Broadcast (Lemma 6.13).
 		inst = lower.BroadcastInstance(n)
-		res, err = runVerified(r, inst, algo.LemmaOnly, int64(n))
+		res, err = runVerified(r, inst, lemma31(0), int64(n))
 		if err != nil {
 			return nil, fmt.Errorf("broadcast n=%d: %w", n, err)
 		}
@@ -68,7 +67,7 @@ func LowerBounds(scale Scale) ([]LowerRow, error) {
 	}
 	for _, n := range sqrtNs {
 		inst := lower.RSCSInstance(n)
-		res, err := runVerified(r, inst, algo.LemmaOnly, int64(n))
+		res, err := runVerified(r, inst, lemma31(0), int64(n))
 		if err != nil {
 			return nil, fmt.Errorf("rscs n=%d: %w", n, err)
 		}
@@ -78,7 +77,7 @@ func LowerBounds(scale Scale) ([]LowerRow, error) {
 		})
 
 		inst = lower.USGMInstance(n)
-		res, err = runVerified(r, inst, algo.LemmaOnly, int64(n))
+		res, err = runVerified(r, inst, lemma31(0), int64(n))
 		if err != nil {
 			return nil, fmt.Errorf("usgm n=%d: %w", n, err)
 		}
@@ -91,7 +90,7 @@ func LowerBounds(scale Scale) ([]LowerRow, error) {
 	// Theorem 6.19 packing reduction, executed.
 	for _, m := range []int{4, 6} {
 		inst := lower.PackDense(m)
-		res, err := runVerified(r, inst, algo.LemmaOnly, int64(m))
+		res, err := runVerified(r, inst, lemma31(0), int64(m))
 		if err != nil {
 			return nil, fmt.Errorf("packing m=%d: %w", m, err)
 		}

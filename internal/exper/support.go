@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"lbmm/internal/algo"
+	"lbmm/internal/lbm"
 	"lbmm/internal/matrix"
 	"lbmm/internal/ring"
 	"lbmm/internal/workload"
@@ -35,20 +36,23 @@ func SupportCost(scale Scale) ([]SupportRow, error) {
 	for _, n := range ns {
 		d := 3
 		inst := workload.Instance(matrix.US, matrix.US, matrix.US, n, d, int64(n))
-		sup, err := runVerified(r, inst, algo.LemmaOnly, 1)
+		sup, err := runVerified(r, inst, lemma31(0), 1)
 		if err != nil {
 			return nil, err
 		}
-		unsup, err := runVerified(r, inst, algo.Unsupported(algo.LemmaOnly), 1)
+		// The dissemination runs on its own machine; the unsupported protocol
+		// is it followed by the supported plan, so the rounds add.
+		m := lbm.New(inst.N, r)
+		words, err := algo.DisseminateSupport(m, algo.ChooseLayout(inst), inst)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, SupportRow{
 			N: n, D: d,
-			Words:               unsup.SupportWords,
+			Words:               words,
 			SupportedRounds:     sup.Rounds,
-			UnsupportedRounds:   unsup.Rounds,
-			DisseminationRounds: unsup.DisseminationRounds,
+			UnsupportedRounds:   m.Rounds() + sup.Rounds,
+			DisseminationRounds: m.Rounds(),
 		})
 	}
 	return rows, nil

@@ -117,14 +117,14 @@ func Table1(scale Scale, opts ...Opt) ([]Series, error) {
 		theory string
 		expo   float64
 		r      ring.Semiring
-		alg    algo.Algorithm
+		alg    plan
 	}
 	sparseRows := []sparseRow{
-		{"trivial sparse", "O(d^2)", 2, ring.Boolean{}, algo.TrivialSparse},
-		{"naive phase 2 ([13]'s bottleneck)", "O(d^{2-ε/2}) per residual", 2, ring.Boolean{}, algo.BaselineNaiveVirtual(0)},
-		{"prior work full ([13] reconstr.)", "O(d^{1.927})", 1.927, ring.Boolean{}, algo.Theorem42(algo.Theorem42Opts{NaivePhase2: true})},
-		{"this work semiring (Thm 4.2)", "O(d^{1.867})", 1.867, ring.Boolean{}, algo.Theorem42(algo.Theorem42Opts{})},
-		{"this work field (Thm 4.2)", "O(d^{1.832}) [repo: d^{1.858}]", 1.858, ring.NewGFp(1009), algo.Theorem42(algo.Theorem42Opts{})},
+		{"trivial sparse", "O(d^2)", 2, ring.Boolean{}, (*algo.Planner).Trivial},
+		{"naive phase 2 ([13]'s bottleneck)", "O(d^{2-ε/2}) per residual", 2, ring.Boolean{}, baseline(0)},
+		{"prior work full ([13] reconstr.)", "O(d^{1.927})", 1.927, ring.Boolean{}, (*algo.Planner).SPAA22},
+		{"this work semiring (Thm 4.2)", "O(d^{1.867})", 1.867, ring.Boolean{}, (*algo.Planner).Theorem42},
+		{"this work field (Thm 4.2)", "O(d^{1.832}) [repo: d^{1.858}]", 1.858, ring.NewGFp(1009), (*algo.Planner).Theorem42},
 	}
 	for _, sr := range sparseRows {
 		s := Series{Name: sr.name, Theory: sr.theory, Expo: sr.expo}
@@ -144,7 +144,7 @@ func Table1(scale Scale, opts ...Opt) ([]Series, error) {
 	mixed := Series{Name: "this work semiring (mixed)", Theory: "O(d^{1.867})", Expo: 1.867}
 	for _, d := range sparseDs {
 		inst := workload.Mixed(8*d, d, int64(d))
-		res, err := runVerified(ring.Boolean{}, inst, algo.Theorem42(algo.Theorem42Opts{}), int64(d), mopts...)
+		res, err := runVerified(ring.Boolean{}, inst, (*algo.Planner).Theorem42, int64(d), mopts...)
 		if err != nil {
 			return nil, err
 		}

@@ -27,8 +27,12 @@
 //
 // The trivial algorithm of [13] is a job of a second, smaller shape
 // (PlanTrivial): one h-relation fetches every triangle's inputs to the
-// computer owning its output, whose products accumulate straight into X. Both
-// shapes share one map engine (Run), one compiled form and one wire form.
+// computer owning its output, whose products accumulate straight into X. A
+// third shape (PlanNaive) reconstructs the prior work's phase 2 (SPAA 2022):
+// Lemma 3.1's virtualization with naive routing, one h-relation fetching
+// every input straight to each virtual computer that needs it and one
+// delivering each partial straight to its output owner. All shapes share one
+// map engine (Run), one compiled form and one wire form.
 package fewtri
 
 import (
@@ -41,7 +45,7 @@ import (
 	"lbmm/internal/routing"
 )
 
-// Job is a preprocessed Lemma 3.1 or trivial execution.
+// Job is a preprocessed Lemma 3.1, naive or trivial execution.
 type Job struct {
 	// Kappa is the per-virtual-computer triangle budget actually used.
 	Kappa int
@@ -96,12 +100,22 @@ var (
 		in:     1,
 		dst:    func(t graph.Triangle, _ int32) lbm.Key { return lbm.XKey(t.I, t.K) },
 	}
+	// naive is Lemma 3.1's virtual computers without its trees: one fetch
+	// from the input owners, one delivery of the partials to the output
+	// owners.
+	naive = shape{
+		phase:  "naive",
+		phases: []string{"fetch", "deliver"},
+		labels: []string{"naive:fetch", "naive:deliver"},
+		in:     1,
+		dst:    lemma31.dst,
+	}
 )
 
 // shapeOf returns the shape with nIn input and nOut output plans, or nil if
 // there is none.
 func shapeOf(nIn, nOut int) *shape {
-	for _, sh := range []*shape{&lemma31, &trivial} {
+	for _, sh := range []*shape{&lemma31, &trivial, &naive} {
 		if sh.in == nIn && len(sh.phases) == nIn+nOut {
 			return sh
 		}
@@ -138,11 +152,20 @@ type prodGroup struct {
 // (distinct from per-virtual-node partial keys, which use the vnode id).
 const aggSeq = -1
 
-// Plan preprocesses the processing of tris under Lemma 3.1. kappa ≤ 0
-// selects the natural budget ⌈3|T|/n⌉ (so that |V'| ≤ 2n). The layout maps
-// inputs and outputs to computers; outputs must be zero-initialized before
-// Run.
-func Plan(n int, l *lbm.Layout, tris []graph.Triangle, kappa int) (*Job, error) {
+// virtual is the §3.2 virtualization of a triangle set: the triangles in
+// sorted order, the virtual computer of each and the real host of each
+// virtual computer.
+type virtual struct {
+	order   []graph.Triangle
+	vnodeOf []int32
+	hosts   []lbm.NodeID
+}
+
+// virtualize splits each I-node's triangles into virtual computers of at most
+// κ triangles each, assigned round-robin to the n real computers, and records
+// the per-virtual-computer products on a new job. kappa ≤ 0 selects the
+// natural budget ⌈3|T|/n⌉ (so that |V'| ≤ 2n).
+func virtualize(n int, tris []graph.Triangle, kappa int) (*Job, *virtual) {
 	if kappa <= 0 {
 		kappa = (3*len(tris) + n - 1) / n
 		if kappa == 0 {
@@ -150,47 +173,52 @@ func Plan(n int, l *lbm.Layout, tris []graph.Triangle, kappa int) (*Job, error) 
 		}
 	}
 	job := &Job{Kappa: kappa}
+	v := &virtual{order: append([]graph.Triangle(nil), tris...)}
+	graph.SortTriangles(v.order)
+	v.vnodeOf = make([]int32, len(v.order))
+	count := 0 // triangles assigned to the current vnode
+	var curI int32 = -1
+	for idx, t := range v.order {
+		if t.I != curI || count == kappa {
+			// Open a new virtual computer, assigned round-robin.
+			v.hosts = append(v.hosts, lbm.NodeID(len(v.hosts)%n))
+			curI = t.I
+			count = 0
+		}
+		v.vnodeOf[idx] = int32(len(v.hosts) - 1)
+		count++
+	}
+	job.VirtualNodes = len(v.hosts)
+
+	// Local product tasks per virtual computer.
+	prodByVnode := make([][]graph.Triangle, len(v.hosts))
+	for idx, t := range v.order {
+		prodByVnode[v.vnodeOf[idx]] = append(prodByVnode[v.vnodeOf[idx]], t)
+	}
+	for vid, ts := range prodByVnode {
+		job.products = append(job.products, prodGroup{host: v.hosts[vid], tris: ts, vid: int32(vid)})
+	}
+	return job, v
+}
+
+// Plan preprocesses the processing of tris under Lemma 3.1. kappa ≤ 0
+// selects the natural budget ⌈3|T|/n⌉ (so that |V'| ≤ 2n). The layout maps
+// inputs and outputs to computers; outputs must be zero-initialized before
+// Run.
+func Plan(n int, l *lbm.Layout, tris []graph.Triangle, kappa int) (*Job, error) {
+	job, v := virtualize(n, tris, kappa)
 	if len(tris) == 0 {
 		return job, nil
 	}
 
-	// --- Virtualization: split each I-node into chunks of ≤ κ triangles.
-	// vnodeOf[t] is the virtual computer of triangle index t.
-	order := append([]graph.Triangle(nil), tris...)
-	graph.SortTriangles(order)
-	vnodeOf := make([]int32, len(order))
-	vnodeHost := []lbm.NodeID{}
-	count := 0 // triangles assigned to the current vnode
-	var curI int32 = -1
-	for idx, t := range order {
-		if t.I != curI || count == kappa {
-			// Open a new virtual computer, assigned round-robin.
-			vnodeHost = append(vnodeHost, lbm.NodeID(len(vnodeHost)%n))
-			curI = t.I
-			count = 0
-		}
-		vnodeOf[idx] = int32(len(vnodeHost) - 1)
-		count++
-	}
-	job.VirtualNodes = len(vnodeHost)
-
-	// Local product tasks per virtual computer.
-	prodByVnode := make([][]graph.Triangle, len(vnodeHost))
-	for idx, t := range order {
-		prodByVnode[vnodeOf[idx]] = append(prodByVnode[vnodeOf[idx]], t)
-	}
-	for v, ts := range prodByVnode {
-		job.products = append(job.products, prodGroup{host: vnodeHost[v], tris: ts, vid: int32(v)})
-	}
-
 	// --- Input routing for A and B.
-	planA, cleanA, err := planInputRouting(n, kappa, order, vnodeOf, vnodeHost,
+	planA, cleanA, err := planInputRouting(n, job.Kappa, v.order, v.vnodeOf, v.hosts,
 		func(t graph.Triangle) (int32, int32) { return t.I, t.J },
 		func(i, j int32) (lbm.NodeID, lbm.Key) { return l.OwnerA(i, j), lbm.AKey(i, j) })
 	if err != nil {
 		return nil, err
 	}
-	planB, cleanB, err := planInputRouting(n, kappa, order, vnodeOf, vnodeHost,
+	planB, cleanB, err := planInputRouting(n, job.Kappa, v.order, v.vnodeOf, v.hosts,
 		func(t graph.Triangle) (int32, int32) { return t.J, t.K },
 		func(j, k int32) (lbm.NodeID, lbm.Key) { return l.OwnerB(j, k), lbm.BKey(j, k) })
 	if err != nil {
@@ -202,11 +230,82 @@ func Plan(n int, l *lbm.Layout, tris []graph.Triangle, kappa int) (*Job, error) 
 	job.cleanup = append(job.cleanup, cleanB...)
 
 	// --- Output routing: triples (i, k, i') deduplicated, sorted by (i,k).
-	outPlans, outClean := planOutputRouting(n, kappa, order, vnodeOf, vnodeHost, l)
+	outPlans, outClean := planOutputRouting(n, job.Kappa, v.order, v.vnodeOf, v.hosts, l)
 	job.plans = append(job.plans, outPlans...)
 	job.cleanup = append(job.cleanup, outClean...)
 	job.sh = &lemma31
 	return job, nil
+}
+
+// PlanNaive preprocesses the prior work's naive phase 2 (SPAA 2022,
+// arXiv 2203.01297, as reconstructed here): Lemma 3.1's virtual computers,
+// but each input travels straight from its owner to every virtual computer
+// that needs it (a hot value is re-sent once per consumer), and each
+// per-virtual-computer partial travels straight to its output owner. On
+// skewed instances the input and output owners become serial bottlenecks,
+// the effect Lemma 3.1's anchors and trees remove. kappa is as in Plan; the
+// naive routing has no κn precondition.
+func PlanNaive(n int, l *lbm.Layout, tris []graph.Triangle, kappa int) *Job {
+	job, v := virtualize(n, tris, kappa)
+	if len(tris) == 0 {
+		return job
+	}
+	// Fetch: one message per (virtual computer, input element).
+	type need struct {
+		vnode int32
+		key   lbm.Key
+	}
+	seen := map[need]bool{}
+	var fetch []routing.Msg
+	add := func(vid int32, from lbm.NodeID, key lbm.Key) {
+		nd := need{vid, key}
+		if seen[nd] {
+			return
+		}
+		seen[nd] = true
+		host := v.hosts[vid]
+		fetch = append(fetch, routing.Msg{From: from, To: host, Src: key, Dst: key, Op: lbm.OpSet})
+		if from != host {
+			job.cleanup = append(job.cleanup, hostKey{host, key})
+		}
+	}
+	for idx, t := range v.order {
+		add(v.vnodeOf[idx], l.OwnerA(t.I, t.J), lbm.AKey(t.I, t.J))
+		add(v.vnodeOf[idx], l.OwnerB(t.J, t.K), lbm.BKey(t.J, t.K))
+	}
+	// Deliver: each partial straight to its output owner, ordered by sender,
+	// receiver, then partial key.
+	done := map[lbm.Key]bool{}
+	var deliver []routing.Msg
+	for idx, t := range v.order {
+		vid := v.vnodeOf[idx]
+		src := lbm.PKey(t.I, t.K, vid)
+		if done[src] {
+			continue
+		}
+		done[src] = true
+		deliver = append(deliver, routing.Msg{From: v.hosts[vid], To: l.OwnerX(t.I, t.K), Src: src, Dst: lbm.XKey(t.I, t.K), Op: lbm.OpAcc})
+		job.cleanup = append(job.cleanup, hostKey{v.hosts[vid], src})
+	}
+	sort.Slice(deliver, func(x, y int) bool {
+		a, b := deliver[x], deliver[y]
+		if a.From != b.From {
+			return a.From < b.From
+		}
+		if a.To != b.To {
+			return a.To < b.To
+		}
+		if a.Src.I != b.Src.I {
+			return a.Src.I < b.Src.I
+		}
+		if a.Src.J != b.Src.J {
+			return a.Src.J < b.Src.J
+		}
+		return a.Src.Seq < b.Src.Seq
+	})
+	job.plans = []*lbm.Plan{routing.Schedule(fetch, routing.Auto), routing.Schedule(deliver, routing.Auto)}
+	job.sh = &naive
+	return job
 }
 
 // PlanTrivial preprocesses the trivial algorithm: every triangle is processed
@@ -467,7 +566,7 @@ func Run(m *lbm.Machine, job *Job) error {
 	}
 	m.BeginPhase(sh.phase)
 	defer m.EndPhase()
-	if sh == &lemma31 {
+	if sh != &trivial { // a virtualized job reports its budget
 		m.Counter("kappa", float64(job.Kappa))
 		m.Counter("virtual_nodes", float64(job.VirtualNodes))
 	}
@@ -623,7 +722,7 @@ func RunCompiled(x *lbm.Exec, cj *CompiledJob) error {
 	}
 	x.BeginPhase(sh.phase)
 	defer x.EndPhase()
-	if sh == &lemma31 {
+	if sh != &trivial {
 		x.Counter("kappa", float64(cj.kappa))
 		x.Counter("virtual_nodes", float64(cj.virtualNodes))
 	}
@@ -682,16 +781,4 @@ func RunCompiled(x *lbm.Exec, cj *CompiledJob) error {
 		x.ClearSlot(ref)
 	}
 	return nil
-}
-
-// Process is the convenience wrapper: plan and run in one call.
-func Process(m *lbm.Machine, n int, l *lbm.Layout, tris []graph.Triangle, kappa int) (*Job, error) {
-	job, err := Plan(n, l, tris, kappa)
-	if err != nil {
-		return nil, err
-	}
-	if err := Run(m, job); err != nil {
-		return nil, err
-	}
-	return job, nil
 }

@@ -20,6 +20,15 @@ func randomSupport(rng *rand.Rand, n, nnz int) *matrix.Support {
 	return matrix.NewSupport(n, entries)
 }
 
+// process plans tris under Lemma 3.1 and runs the job on m.
+func process(m *lbm.Machine, n int, l *lbm.Layout, tris []graph.Triangle, kappa int) (*Job, error) {
+	job, err := Plan(n, l, tris, kappa)
+	if err != nil {
+		return nil, err
+	}
+	return job, Run(m, job)
+}
+
 // runInstance processes tris of inst via Lemma 3.1 and returns (result,
 // rounds).
 func runInstance(t *testing.T, r ring.Semiring, inst *graph.Instance,
@@ -31,7 +40,7 @@ func runInstance(t *testing.T, r ring.Semiring, inst *graph.Instance,
 	l := lbm.RowLayout(inst.Ahat, inst.Bhat, inst.Xhat)
 	lbm.LoadInputs(m, l, a, b)
 	lbm.ZeroOutputs(m, l, inst.Xhat)
-	if _, err := Process(m, inst.N, l, tris, kappa); err != nil {
+	if _, err := process(m, inst.N, l, tris, kappa); err != nil {
 		t.Fatal(err)
 	}
 	got, err := lbm.CollectX(m, l, inst.Xhat)
@@ -104,7 +113,7 @@ func TestProcessEmpty(t *testing.T) {
 	m := lbm.New(4, ring.Counting{})
 	sup := matrix.NewSupport(4, nil)
 	l := lbm.RowLayout(sup, sup, sup)
-	if _, err := Process(m, 4, l, nil, 0); err != nil {
+	if _, err := process(m, 4, l, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if m.Rounds() != 0 {
@@ -137,7 +146,7 @@ func TestSkewedInstanceBalanced(t *testing.T) {
 	l := lbm.RowLayout(inst.Ahat, inst.Bhat, inst.Xhat)
 	lbm.LoadInputs(m, l, a, b)
 	lbm.ZeroOutputs(m, l, inst.Xhat)
-	job, err := Process(m, n, l, tris, kappa)
+	job, err := process(m, n, l, tris, kappa)
 	if err != nil {
 		t.Fatal(err)
 	}

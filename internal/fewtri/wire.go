@@ -27,13 +27,13 @@ func (cj *CompiledJob) PutWire(w *lbm.WireWriter) {
 
 // GetJob reads what PutWire wrote; failures are recorded on r. A job has
 // no plans, or a shape's: 6 input and 3 output plans for Lemma 3.1, 1 and 0
-// for the trivial algorithm.
+// for the trivial algorithm, 1 and 1 for the naive router.
 func GetJob(r *lbm.WireReader) *CompiledJob {
 	cj := &CompiledJob{kappa: r.Int(), virtualNodes: r.Int()}
 	in, out := r.Plans(), r.Plans()
 	if len(in)+len(out) > 0 {
 		if cj.sh = shapeOf(len(in), len(out)); cj.sh == nil {
-			r.Fail(fmt.Errorf("fewtri: decode job: %d input and %d output plans (want 6 and 3, or 1 and 0)", len(in), len(out)))
+			r.Fail(fmt.Errorf("fewtri: decode job: %d input and %d output plans (want 6 and 3, 1 and 0, or 1 and 1)", len(in), len(out)))
 		} else {
 			cj.plans = append(in, out...)
 			cj.link()
@@ -54,8 +54,8 @@ func GetJob(r *lbm.WireReader) *CompiledJob {
 	return cj
 }
 
-// Shape names the job's shape: "lemma31", "trivial", or "" for a job with
-// no plans.
+// Shape names the job's shape: "lemma31", "trivial", "naive", or "" for a
+// job with no plans.
 func (cj *CompiledJob) Shape() string {
 	if cj.sh == nil {
 		return ""

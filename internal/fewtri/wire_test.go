@@ -11,7 +11,8 @@ import (
 )
 
 // TestGetJobShapes checks that a compiled job's wire form records its shape:
-// an empty job, Lemma 3.1's 6+3 plans and the trivial job's 1+0 plans each
+// an empty job, Lemma 3.1's 6+3 plans, the trivial job's 1+0 plans and the
+// naive router's 1+1 plans each
 // decode back to the same shape and bytes, and GetJob refuses any other split
 // of plans — here the trivial fetch followed by an output chain.
 func TestGetJobShapes(t *testing.T) {
@@ -58,6 +59,7 @@ func TestGetJobShapes(t *testing.T) {
 		{"", &Job{}},
 		{"lemma31", lemma},
 		{"trivial", PlanTrivial(l, tris)},
+		{"naive", PlanNaive(n, l, tris, 0)},
 	} {
 		cj := compile(tc.job)
 		env := seal(cj.PutWire)

@@ -7,6 +7,7 @@ import (
 
 	"lbmm/internal/algo"
 	"lbmm/internal/fewtri"
+	"lbmm/internal/graph"
 	lbmpkg "lbmm/internal/lbm"
 	"lbmm/internal/matrix"
 	"lbmm/internal/ring"
@@ -38,6 +39,16 @@ func TestBroadcastInstanceShape(t *testing.T) {
 	}
 }
 
+// runLemma31 plans Lemma 3.1 at its natural budget for the instance and
+// runs the plan on the values.
+func runLemma31(r ring.Semiring, inst *graph.Instance, a, b *matrix.Sparse) (*matrix.Sparse, *algo.Result, error) {
+	p, err := algo.NewPlanner(r, inst).Lemma31(0)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p.MultiplyMap(a, b)
+}
+
 // TestSumIsCorrectAndPaysLog runs the repository's algorithm on the sum
 // instance and verifies (a) correctness and (b) that it pays at least the
 // Ω(log n) of Theorem 6.15 (it must: the result aggregates n values).
@@ -51,7 +62,7 @@ func TestSumIsCorrectAndPaysLog(t *testing.T) {
 		for j := 0; j < n; j++ {
 			b.Set(j, 0, 1)
 		}
-		res, got, err := algo.Solve(r, inst, a, b, algo.LemmaOnly)
+		got, res, err := runLemma31(r, inst, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +93,7 @@ func TestBroadcastIsCorrectAndPaysLog(t *testing.T) {
 			a.Set(i, 0, 1) // ones per the construction
 		}
 		b := matrix.Random(inst.Bhat, r, int64(n))
-		res, got, err := algo.Solve(r, inst, a, b, algo.LemmaOnly)
+		got, res, err := runLemma31(r, inst, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +183,7 @@ func TestRSCSExecutionPaysSqrt(t *testing.T) {
 		inst := RSCSInstance(n)
 		a := matrix.Random(inst.Ahat, r, 3)
 		b := matrix.Random(inst.Bhat, r, 4)
-		res, got, err := algo.Solve(r, inst, a, b, algo.LemmaOnly)
+		got, res, err := runLemma31(r, inst, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +214,7 @@ func TestPackingReduction(t *testing.T) {
 	}
 	a := matrix.Random(inst.Ahat, r, 7)
 	b := matrix.Random(inst.Bhat, r, 8)
-	res, got, err := algo.Solve(r, inst, a, b, algo.LemmaOnly)
+	got, res, err := runLemma31(r, inst, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,8 +263,11 @@ func TestDegreeGrowthBound(t *testing.T) {
 			m.Put(l.OwnerB(int32(j), 0), lbmpkg.BKey(int32(j), 0), 1)
 		}
 		lbmpkg.ZeroOutputs(m, l, inst.Xhat)
-		tris := inst.Triangles()
-		if _, err := fewtri.Process(m, n, l, tris, 0); err != nil {
+		job, err := fewtri.Plan(n, l, inst.Triangles(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fewtri.Run(m, job); err != nil {
 			t.Fatal(err)
 		}
 		v, ok := m.Get(l.OwnerX(0, 0), lbmpkg.XKey(0, 0))
