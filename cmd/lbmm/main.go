@@ -454,6 +454,7 @@ func runDemo(n, d int) error {
 	fmt.Printf("triangles      %d (residual after phase 1: %d)\n", rep.Triangles, rep.Residual)
 	fmt.Printf("rounds         %d (phase1 %d, phase2 %d)\n", rep.Rounds, rep.Phase1Rounds, rep.Phase2Rounds)
 	fmt.Printf("messages       %d, peak store %d values/computer\n", rep.Stats.Messages, rep.Stats.PeakStore)
+	rep.Stats.SendLoad, rep.Stats.RecvLoad = prep.NodeLoads()
 	fmt.Printf("max send/recv  %d / %d per computer\n", rep.Stats.MaxSendLoad(), rep.Stats.MaxRecvLoad())
 	fmt.Printf("output nnz     %d (verified against the sequential reference)\n", x.NNZ())
 	fmt.Printf("\nround timeline:\n%s", rep.Timeline)

@@ -16,9 +16,10 @@ import (
 // outside the known structure are rejected, positions inside it but absent
 // load as the ring Zero (the supported model's "indicator" semantics,
 // §2.1). The lanes share one instruction-stream walk: the batch pays one
-// presence check, one decode and one stats update per instruction
-// regardless of k, which is where the batching throughput win lives. Outputs come back lane for lane:
-// outs[l] is as[l]·bs[l], each lane's cells carved from one slab.
+// presence check and one decode per instruction and one stats update per
+// round regardless of k, which is where the batching throughput win lives.
+// Outputs come back lane for lane: outs[l] is as[l]·bs[l], each lane's
+// cells carved from one slab.
 //
 // Only live values move in (compiledPrepared): which slots hold a value
 // after loading is fixed by the structure, so the load marks them present in
@@ -29,7 +30,8 @@ import (
 //
 // The returned Result describes the whole batch (Lanes = k); Stats and
 // Rounds are per-batch, not per-lane, because the batch really did execute
-// one round sequence. The machine options are per call — tracing
+// one round sequence. The Stats carry totals only: their SendLoad and
+// RecvLoad are nil, the per-node loads being NodeLoads. The machine options are per call — tracing
 // (lbm.WithTrace), fault injection (lbm.WithInjector), a transport — and a
 // fault fails the whole batch: lanes share every round, so there is no
 // per-lane partial success.

@@ -209,11 +209,12 @@ func (p *Prepared) CompiledBytes() int64 {
 
 // NodeLoads returns the per-node real-message loads of the prepared
 // multiplication's compiled pipeline: send[v] and recv[v] are exactly the
-// Stats.SendLoad[v]/RecvLoad[v] any execution of this structure will charge
-// — rounds are a function of the structure only, so the loads are a
-// compile-time property and need no execution. The load-aware partition
-// balancer (internal/dist) consumes them. Returns nils when no compiled
-// form exists (map-only algorithms).
+// Stats.SendLoad[v]/RecvLoad[v] the map engine charges on any execution of
+// this structure — rounds are a function of the structure only, so the
+// loads are a compile-time property and need no execution. A compiled run
+// leaves its Stats' loads nil; these are its loads. The load-aware
+// partition balancer (internal/dist) consumes them. Returns nils when no
+// compiled form exists (map-only algorithms).
 func (p *Prepared) NodeLoads() (send, recv []int64) {
 	cp := p.compiled
 	if cp == nil {

@@ -3,6 +3,7 @@ package algo
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"lbmm/internal/lbm"
@@ -11,10 +12,30 @@ import (
 	"lbmm/internal/workload"
 )
 
+// oracleStatsErr holds a compiled run's Stats on p to the map engine's
+// Stats of the same run: the same totals, RoundBytes and PeakStore, no
+// loads of its own, and the map's per-node loads equal to p.NodeLoads.
+func oracleStatsErr(p *Prepared, mapStats, compiled lbm.Stats) error {
+	if compiled.SendLoad != nil || compiled.RecvLoad != nil {
+		return fmt.Errorf("compiled run counted loads %v / %v", compiled.SendLoad, compiled.RecvLoad)
+	}
+	totals := mapStats
+	totals.SendLoad, totals.RecvLoad = nil, nil
+	if !reflect.DeepEqual(totals, compiled) {
+		return fmt.Errorf("stats differ from the map oracle\n got %+v\nwant %+v", compiled, mapStats)
+	}
+	send, recv := p.NodeLoads()
+	if !slices.Equal(send, mapStats.SendLoad) || !slices.Equal(recv, mapStats.RecvLoad) {
+		return fmt.Errorf("map oracle loads %v / %v, NodeLoads %v / %v", mapStats.SendLoad, mapStats.RecvLoad, send, recv)
+	}
+	return nil
+}
+
 // TestEnginesDifferential is the randomized differential property test of
 // the execution spine: the map engine (the reference oracle) and the
-// compiled engine must produce identical outputs AND identical Stats on
-// the same prepared structure and values, across the algorithm matrix — trivial,
+// compiled engine must produce identical outputs AND identical totals on
+// the same prepared structure and values, the map's per-node loads being
+// NodeLoads, across the algorithm matrix — trivial,
 // lemma31, theorem42 (whose field variant takes the dense Strassen OpSub
 // path) and the naive baseline — over semirings and fields.
 func TestEnginesDifferential(t *testing.T) {
@@ -88,9 +109,8 @@ func TestEnginesDifferential(t *testing.T) {
 					if !matrix.Equal(x, refX) {
 						t.Errorf("%s: %s: output differs from %s", label, e.name, engines[0].name)
 					}
-					if !reflect.DeepEqual(res.Stats, refStats) {
-						t.Errorf("%s: %s: stats differ from %s\n got %+v\nwant %+v",
-							label, e.name, engines[0].name, res.Stats, refStats)
+					if err := oracleStatsErr(p, refStats, res.Stats); err != nil {
+						t.Errorf("%s: %s: %v", label, e.name, err)
 					}
 				}
 			}
@@ -118,6 +138,7 @@ func TestEnginesDifferentialProfiles(t *testing.T) {
 			a := matrix.Random(p.Inst.Ahat, r, 7)
 			b := matrix.Random(p.Inst.Bhat, r, 8)
 			var timelines []string
+			send, recv := p.NodeLoads()
 			for _, run := range []multiplyFn{(*Prepared).MultiplyMap, multiplyOne} {
 				_, res, err := run(p, a, b, lbm.WithTrace())
 				if err != nil {
@@ -127,6 +148,11 @@ func TestEnginesDifferentialProfiles(t *testing.T) {
 					t.Fatalf("%s/%s/%s: no profile", p.Name, r.Name(), res.Engine)
 				}
 				timelines = append(timelines, res.Profile.Summary())
+				// The profile grows its load vectors to the last node that
+				// sent or received.
+				if ps, pr := res.Profile.SendLoad(), res.Profile.RecvLoad(); !slices.Equal(ps, send[:len(ps)]) || !slices.Equal(pr, recv[:len(pr)]) {
+					t.Errorf("%s/%s/%s: profiled loads %v / %v, NodeLoads %v / %v", p.Name, r.Name(), res.Engine, ps, pr, send, recv)
+				}
 			}
 			if timelines[0] != timelines[1] {
 				t.Errorf("%s/%s: phase profiles differ\n--- map ---\n%s\n--- compiled ---\n%s",

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
+	"lbmm/internal/algo"
 	"lbmm/internal/graph"
 	"lbmm/internal/matrix"
 	"lbmm/internal/ring"
@@ -75,5 +77,35 @@ func TestAutoKeepsCheapestPlan(t *testing.T) {
 			}
 			t.Logf("band %v:%s", Classify(inst.Classify()), line)
 		})
+	}
+}
+
+// TestCheapestSkipsFailingCandidate pins auto's failure rule: a candidate
+// whose planning fails is skipped, so the others still compete and the
+// cheapest of them is kept; only when every candidate fails is there an
+// error, and it carries each candidate's.
+func TestCheapestSkipsFailingCandidate(t *testing.T) {
+	inst := workload.Blocks(32, 4)
+	pl := algo.NewPlanner(ring.Counting{}, inst)
+	errA, errB := errors.New("stub candidate A cannot plan"), errors.New("stub candidate B cannot plan")
+	failA := func() (*algo.Prepared, error) { return nil, errA }
+	failB := func() (*algo.Prepared, error) { return nil, errB }
+	for _, order := range [][]func() (*algo.Prepared, error){{failA, pl.Trivial}, {pl.Trivial, failA}} {
+		p, err := cheapestOf(order)
+		if err != nil {
+			t.Fatalf("a failing candidate failed auto: %v", err)
+		}
+		if p.Name != "trivial" {
+			t.Fatalf("auto kept %q, want the one candidate that planned", p.Name)
+		}
+		a, b := matrix.Random(inst.Ahat, ring.Counting{}, 1), matrix.Random(inst.Bhat, ring.Counting{}, 2)
+		outs, _, err := p.MultiplyBatch([]*matrix.Sparse{a}, []*matrix.Sparse{b})
+		if err != nil || !matrix.Equal(outs[0], matrix.MulReference(a, b, inst.Xhat)) {
+			t.Fatalf("the kept plan is not compiled or multiplies wrong: %v", err)
+		}
+	}
+	_, err := cheapestOf([]func() (*algo.Prepared, error){failA, failB})
+	if !errors.Is(err, errA) || !errors.Is(err, errB) {
+		t.Fatalf("every candidate failed: err = %v, want both candidates' errors", err)
 	}
 }

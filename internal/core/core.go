@@ -54,7 +54,9 @@ type Report struct {
 // supported low-bandwidth model and returns it with a Report: Prepare on the
 // supports of a and b, one run of the prepared plans, and a check against
 // matrix.MulReference, so a caller of Multiply does not depend on the
-// compiled engine being right.
+// compiled engine being right. Unlike a Prepared's runs, whose loads are
+// Prepared.NodeLoads, the Report carries the per-node loads in
+// Stats.SendLoad and Stats.RecvLoad.
 func Multiply(a, b *matrix.Sparse, xhat *matrix.Support, opts Options) (*matrix.Sparse, *Report, error) {
 	if a.N != b.N || a.N != xhat.N {
 		return nil, nil, fmt.Errorf("core: dimension mismatch %d/%d/%d", a.N, b.N, xhat.N)
@@ -70,5 +72,6 @@ func Multiply(a, b *matrix.Sparse, xhat *matrix.Support, opts Options) (*matrix.
 	if err := algo.Verify(got, a, b, xhat); err != nil {
 		return nil, nil, fmt.Errorf("core: internal verification failed: %w", err)
 	}
+	rep.Stats.SendLoad, rep.Stats.RecvLoad = p.NodeLoads()
 	return got, rep, nil
 }

@@ -430,7 +430,8 @@ func TestDecodeRejectsRoundOffsetPastStream(t *testing.T) {
 
 // TestEnvelopeDeadCellsRoundTrip checks that a plan with dead cells
 // survives the envelope: the dead counts come back, and the restored plan
-// gives the original's product and Stats, PeakStore included.
+// gives the original's product and Stats, PeakStore included, which are
+// the map oracle's totals; its loads are the oracle's too.
 func TestEnvelopeDeadCellsRoundTrip(t *testing.T) {
 	p := deadShape(t)
 	q, err := DecodePrepared(bytes.NewReader(encode(t, p)))
@@ -449,6 +450,13 @@ func TestEnvelopeDeadCellsRoundTrip(t *testing.T) {
 	}
 	if !matrix.Equal(got, want) || !reflect.DeepEqual(grep.Stats, wrep.Stats) {
 		t.Fatalf("restored plan differs: stats %+v, want %+v", grep.Stats, wrep.Stats)
+	}
+	_, mrep, err := p.MultiplyMap(a, b, ExecOpts{})
+	if err != nil {
+		t.Fatalf("map multiply: %v", err)
+	}
+	if err := oracleStatsErr(q, mrep.Stats, grep.Stats); err != nil {
+		t.Fatalf("restored plan: %v", err)
 	}
 	if q.CompiledBytes() != p.CompiledBytes() {
 		t.Fatalf("compiled bytes %d, want %d", q.CompiledBytes(), p.CompiledBytes())

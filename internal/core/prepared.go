@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"lbmm/internal/algo"
@@ -90,17 +91,30 @@ func cheapest(r ring.Semiring, inst *graph.Instance, band1 bool) (*algo.Prepared
 	if band1 {
 		candidates = append(candidates, pl.Theorem42)
 	}
+	return cheapestOf(candidates)
+}
+
+// cheapestOf plans every candidate and compiles the first of the cheapest
+// that planned. A candidate whose planning fails is skipped, so one that
+// cannot plan a structure does not fail the others; only when none plans is
+// there an error, all of theirs joined.
+func cheapestOf(candidates []func() (*algo.Prepared, error)) (*algo.Prepared, error) {
 	var best *algo.Prepared
 	var bestRounds, bestMessages int
+	var errs []error
 	for _, plan := range candidates {
 		c, err := plan()
 		if err != nil {
-			return nil, err
+			errs = append(errs, err)
+			continue
 		}
 		rounds, messages := c.Cost()
 		if best == nil || rounds < bestRounds || rounds == bestRounds && messages < bestMessages {
 			best, bestRounds, bestMessages = c, rounds, messages
 		}
+	}
+	if best == nil {
+		return nil, errors.Join(errs...)
 	}
 	if err := best.Compile(); err != nil {
 		return nil, err
@@ -124,12 +138,14 @@ func (p *Prepared) CompiledBytes() int64 {
 	return p.inner.CompiledBytes()
 }
 
-// NodeLoads returns the per-node real-message loads recorded in the
-// compiled plans' stats profile: send[v]/recv[v] equal the SendLoad[v]/
-// RecvLoad[v] every execution of this structure charges, derived from the
-// instruction streams without running anything. Load-aware partitioning
-// (internal/dist, docs/DIST.md) bins nodes by these loads. Nil when the
-// prepared form has no compiled twin.
+// NodeLoads returns the per-node real-message loads of the compiled plans:
+// send[v]/recv[v] equal the SendLoad[v]/RecvLoad[v] the map engine
+// (MultiplyMap) charges on every execution of this structure, derived from
+// the instruction streams without running anything. A compiled run
+// (Multiply, MultiplyBatch, MultiplyValues) does not count them again: its
+// Report's SendLoad and RecvLoad are nil, and these are its loads.
+// Load-aware partitioning (internal/dist, docs/DIST.md) bins nodes by them.
+// Nil when the prepared form has no compiled twin.
 func (p *Prepared) NodeLoads() (send, recv []int64) {
 	if p == nil || p.inner == nil {
 		return nil, nil

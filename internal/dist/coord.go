@@ -36,8 +36,8 @@ type RunConfig struct {
 	N      int
 	Ring   string
 	// Partition selects node ownership: "" or PartitionModulo for the
-	// node-count map, PartitionBalanced to bin nodes by the per-node
-	// SendLoad/RecvLoad of the compiled plan (greedy LPT, BalancedTable).
+	// node-count map, PartitionBalanced to bin nodes by the per-node loads
+	// of the compiled plan (Prepared.NodeLoads; greedy LPT, BalancedTable).
 	// Table, when non-nil, overrides both with an explicit assignment.
 	Partition string
 	Table     []uint16

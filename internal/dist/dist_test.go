@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -141,15 +142,35 @@ func prepCase(t testing.TB, alg string, r ring.Semiring, n, d int) (*core.Prepar
 	return prep, a, b, want
 }
 
+// oracleStatsErr holds a compiled run's Stats on prep to the map engine's
+// Stats of the same run: the same totals, RoundBytes and PeakStore, no
+// loads of its own, and the map's per-node loads equal to prep.NodeLoads.
+func oracleStatsErr(prep *core.Prepared, mapStats, compiled lbm.Stats) error {
+	if compiled.SendLoad != nil || compiled.RecvLoad != nil {
+		return fmt.Errorf("compiled run counted loads %v / %v", compiled.SendLoad, compiled.RecvLoad)
+	}
+	totals := mapStats
+	totals.SendLoad, totals.RecvLoad = nil, nil
+	if !reflect.DeepEqual(totals, compiled) {
+		return fmt.Errorf("stats differ from the map oracle\n got %+v\nwant %+v", compiled, mapStats)
+	}
+	send, recv := prep.NodeLoads()
+	if !slices.Equal(send, mapStats.SendLoad) || !slices.Equal(recv, mapStats.RecvLoad) {
+		return fmt.Errorf("map oracle loads %v / %v, NodeLoads %v / %v", mapStats.SendLoad, mapStats.RecvLoad, send, recv)
+	}
+	return nil
+}
+
 // TestMeshMatrixMultiply runs the full compile matrix over a 3-participant
 // TCP mesh inside one process: each rank executes the identical prepared
 // plan with its mesh endpoint, the union of the partial outputs must equal
 // the single-process product, and the merged per-rank statistics must equal
 // the nil-transport Stats exactly — model rounds do not know about
-// exchanges. Every rank blocks on exactly the exchanges the plan's schedule
-// has, never more than it has network rounds. Every case runs under the
-// modulo map and under the load-balanced table, where what a peer owes
-// follows from plan order and the table alone, not from v mod p.
+// exchanges — which are the map oracle's totals. Every rank blocks on
+// exactly the exchanges the plan's schedule has, never more than it has
+// network rounds. Every case runs under the modulo map and under the
+// load-balanced table, where what a peer owes follows from plan order and
+// the table alone, not from v mod p.
 func TestMeshMatrixMultiply(t *testing.T) {
 	for _, alg := range []string{"lemma31", "theorem42"} {
 		for _, r := range []ring.Semiring{ring.Real{}, ring.Counting{}} {
@@ -169,11 +190,19 @@ func TestMeshMatrixMultiply(t *testing.T) {
 				if !reflect.DeepEqual(refRep.Stats, plain.Stats) {
 					t.Fatalf("loopback stats = %+v, nil transport %+v", refRep.Stats, plain.Stats)
 				}
+				_, mapRep, err := prep.MultiplyMap(a, b, core.ExecOpts{})
+				if err != nil {
+					t.Fatalf("map multiply: %v", err)
+				}
+				if err := oracleStatsErr(prep, mapRep.Stats, plain.Stats); err != nil {
+					t.Fatalf("nil transport: %v", err)
+				}
 				sched := prep.Exchanges()
 				if sched.Rounds != plain.Stats.Rounds || sched.Exchanges > sched.Rounds {
 					t.Fatalf("schedule: %d exchanges over %d rounds, the run has %d rounds", sched.Exchanges, sched.Rounds, plain.Stats.Rounds)
 				}
-				balanced := BalancedTable(plain.Stats.SendLoad, plain.Stats.RecvLoad, 3)
+				send, recv := prep.NodeLoads()
+				balanced := BalancedTable(send, recv, 3)
 				for _, table := range [][]uint16{nil, balanced} {
 					meshes := localMeshTable(t, 3, table)
 					outs := make([]*matrix.Sparse, 3)

@@ -12,9 +12,8 @@ import (
 // derives the same map from the (Workers, Rank) pair, so ownership never
 // travels on the wire. With a Table, ownership is the explicit node→rank
 // assignment Table[v]: a compact []uint16 shipped once in the job frame
-// (docs/DIST.md), letting a coordinator bin nodes by the per-node
-// SendLoad/RecvLoad recorded in the compiled plan's stats profile instead
-// of by node count. Nodes beyond the table (none, for a well-formed job)
+// (docs/DIST.md), letting a coordinator bin nodes by the per-node loads
+// of the compiled plan (core.Prepared.NodeLoads) instead of by node count. Nodes beyond the table (none, for a well-formed job)
 // fall back to the modulo map.
 type Partition struct {
 	Workers int

@@ -1,8 +1,10 @@
 package lbm
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -113,6 +115,42 @@ func runCompiled(t *testing.T, p *Plan, loads []load, r ring.Semiring, opts ...O
 	return sp, x, x.Run(cp)
 }
 
+// execStatsErr holds a compiled run's Stats x to the map engine's Stats m
+// of the same run: the same totals, RoundBytes and PeakStore, no loads of
+// its own, and m's per-node loads equal to those of the plans that ran, cps
+// (none for a run that stopped before its last round).
+func execStatsErr(m, x Stats, cps ...*CompiledPlan) error {
+	if x.SendLoad != nil || x.RecvLoad != nil {
+		return fmt.Errorf("compiled run counted loads %v / %v", x.SendLoad, x.RecvLoad)
+	}
+	totals := m
+	totals.SendLoad, totals.RecvLoad = nil, nil
+	if !reflect.DeepEqual(totals, x) {
+		return fmt.Errorf("stats differ:\n map      %+v\n compiled %+v", m, x)
+	}
+	if len(cps) == 0 {
+		return nil
+	}
+	send, recv := make([]int64, len(m.SendLoad)), make([]int64, len(m.RecvLoad))
+	for _, cp := range cps {
+		cp.AddNodeLoads(send, recv)
+	}
+	if !slices.Equal(send, m.SendLoad) || !slices.Equal(recv, m.RecvLoad) {
+		return fmt.Errorf("map loads %v / %v, the plans' %v / %v", m.SendLoad, m.RecvLoad, send, recv)
+	}
+	return nil
+}
+
+// compiledOf lowers p into a fresh slot space, for its loads.
+func compiledOf(t *testing.T, p *Plan) *CompiledPlan {
+	t.Helper()
+	cp, err := CompileInto(NewSlotSpace(6), p)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	return cp
+}
+
 // compareStores checks that the machine and the executor hold exactly the
 // same (node, key) → value mapping over the whole slot space.
 func compareStores(t *testing.T, sp *SlotSpace, m *Machine, x *Exec) {
@@ -128,7 +166,7 @@ func compareStores(t *testing.T, sp *SlotSpace, m *Machine, x *Exec) {
 
 // TestCompiledParityRandom is the engine-parity property test at the lbm
 // layer: on randomized plans the compiled executor must reproduce the map
-// machine's stores and Stats exactly.
+// machine's stores and totals exactly, and the map's loads are the plan's.
 func TestCompiledParityRandom(t *testing.T) {
 	rings := []struct {
 		r   ring.Semiring
@@ -152,9 +190,8 @@ func TestCompiledParityRandom(t *testing.T) {
 				t.Fatalf("%s seed %d: compiled: %v", rc.r.Name(), seed, xerr)
 			}
 			compareStores(t, sp, m, x)
-			if !reflect.DeepEqual(m.Stats(), x.Stats()) {
-				t.Errorf("%s seed %d: stats differ:\n map      %+v\n compiled %+v",
-					rc.r.Name(), seed, m.Stats(), x.Stats())
+			if err := execStatsErr(m.Stats(), x.Stats(), compiledOf(t, p)); err != nil {
+				t.Errorf("%s seed %d: %v", rc.r.Name(), seed, err)
 			}
 		}
 	}
@@ -244,8 +281,8 @@ func TestCompiledStoreLimitParity(t *testing.T) {
 	// Pre-delivery contract: the failed round left stores and stats alone,
 	// so the two engines agree on everything up to the failure.
 	compareStores(t, sp, m, x)
-	if !reflect.DeepEqual(m.Stats(), x.Stats()) {
-		t.Errorf("stats after failed round differ:\n map      %+v\n compiled %+v", m.Stats(), x.Stats())
+	if err := execStatsErr(m.Stats(), x.Stats()); err != nil {
+		t.Errorf("after the failed round: %v", err)
 	}
 	if x.Stats().Rounds != 1 {
 		t.Errorf("failed round must not count: %+v", x.Stats())

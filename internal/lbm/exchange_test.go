@@ -214,8 +214,8 @@ func TestExchangeScheduleParity(t *testing.T) {
 			}
 			mstats = append(mstats, ms[rank].Stats())
 		}
-		if got := MergeStats(mstats...); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: per-round machine stats diverge:\n nil    %+v\n merged %+v", trial, want, got)
+		if err := execStatsErr(MergeStats(mstats...), want, cps...); err != nil {
+			t.Fatalf("trial %d: per-round machine against the nil-transport engine: %v", trial, err)
 		}
 
 		// The fused walk under a given schedule (nil: the pass's own).

@@ -16,11 +16,16 @@ import (
 // clearing rather than an arena sweep, which is what makes pooled reuse by
 // the serving layer allocation-free in steady state.
 //
-// Exec mirrors the Machine's accounting exactly: the same Stats fields, the
-// same collector events, the same phase-span replay (via the shared
-// runWithSpans walk) and the same StoreLimit semantics. The map engine
-// stays the reference oracle; the differential tests in internal/algo hold
-// the two to identical outputs and identical Stats.
+// Exec mirrors the Machine's totals exactly: the same Rounds, Messages,
+// LocalCopies, RoundBytes and PeakStore, the same collector events, the
+// same phase-span replay (via the shared runWithSpans walk) and the same
+// StoreLimit semantics. It does not count per-node loads: every routing
+// decision is a function of the structure, so SendLoad and RecvLoad are a
+// property of the plan (CompiledPlan.AddNodeLoads), not of a run, and
+// Exec's Stats leave them nil. A traced run still sees them, through the
+// collector's OnSend events. The map engine stays the reference oracle; the
+// differential tests in internal/algo hold the two to identical outputs and
+// identical totals, and the map engine's loads to the plan's.
 //
 // An executor may carry more than one lane (NewExecBatch): each slot then
 // holds lanes contiguous values, one per value-assignment, and a single
@@ -76,15 +81,15 @@ func NewExecBatch(sizes []int32, lanes int, r ring.Semiring, opts ...Option) *Ex
 		lanes = 1
 	}
 	x := &Exec{
-		N:        len(sizes),
-		R:        r,
-		settings: newSettings(opts),
-		lanes:    lanes,
-		arena:    make([][]ring.Value, len(sizes)),
-		stamp:    make([][]uint32, len(sizes)),
-		epoch:    1,
-		live:     make([]int32, len(sizes)),
+		N:     len(sizes),
+		R:     r,
+		lanes: lanes,
+		arena: make([][]ring.Value, len(sizes)),
+		stamp: make([][]uint32, len(sizes)),
+		epoch: 1,
+		live:  make([]int32, len(sizes)),
 	}
+	x.settings.reset(opts)
 	for i, sz := range sizes {
 		x.arena[i] = make([]ring.Value, int(sz)*lanes)
 		x.stamp[i] = make([]uint32, sz)
@@ -92,8 +97,6 @@ func NewExecBatch(sizes []int32, lanes int, r ring.Semiring, opts ...Option) *Ex
 	if f, ok := ring.AsField(r); ok {
 		x.field = f
 	}
-	x.stats.SendLoad = make([]int64, len(sizes))
-	x.stats.RecvLoad = make([]int64, len(sizes))
 	x.setTransport(x.transport)
 	return x
 }
@@ -105,7 +108,7 @@ func (x *Exec) Lanes() int { return x.lanes }
 // before a run. Unspecified options revert to their New defaults, so a
 // recycled executor behaves exactly like a fresh one.
 func (x *Exec) Configure(opts ...Option) {
-	x.settings = newSettings(opts)
+	x.settings.reset(opts)
 	x.setTransport(x.transport)
 }
 
@@ -146,11 +149,10 @@ func (x *Exec) Mark(label string) {
 	}
 }
 
-// Stats returns a snapshot of the execution statistics so far.
+// Stats returns a snapshot of the execution statistics so far. SendLoad
+// and RecvLoad are nil: a compiled run's loads are its plan's.
 func (x *Exec) Stats() Stats {
 	s := x.stats
-	s.SendLoad = append([]int64(nil), x.stats.SendLoad...)
-	s.RecvLoad = append([]int64(nil), x.stats.RecvLoad...)
 	s.RoundBytes = append([]int64(nil), x.stats.RoundBytes...)
 	return s
 }
@@ -331,11 +333,7 @@ func (x *Exec) Reset() {
 	for i := range x.live {
 		x.live[i] = 0
 	}
-	x.stats = Stats{SendLoad: x.stats.SendLoad, RecvLoad: x.stats.RecvLoad, RoundBytes: x.stats.RoundBytes[:0]}
-	for i := range x.stats.SendLoad {
-		x.stats.SendLoad[i] = 0
-		x.stats.RecvLoad[i] = 0
-	}
+	x.stats = Stats{RoundBytes: x.stats.RoundBytes[:0]}
 	x.collector = nil
 	x.injector = nil
 	x.setTransport(nil)
@@ -423,32 +421,23 @@ func (x *Exec) runRound(cp *CompiledPlan, t int) error {
 	}
 	x.deliver(cp, lo, hi, payload)
 
-	real := cp.Real[t]
+	// Stats count plan instructions, not lane values, so the lane factor
+	// stays out; a round of only local copies costs nothing.
+	real := int64(cp.Real[t])
+	locals := int64(hi-lo) - real
+	x.stats.LocalCopies += locals
 	if real > 0 {
 		x.stats.Rounds++
-		x.stats.Messages += int64(real)
-		x.stats.RoundBytes = append(x.stats.RoundBytes, int64(real)*valueWireBytes)
-		c := x.collector
-		var locals int64
-		for i := lo; i < hi; i++ {
-			if cp.From[i] != cp.To[i] {
-				x.stats.SendLoad[cp.From[i]]++
-				x.stats.RecvLoad[cp.To[i]]++
-				if c != nil {
+		x.stats.Messages += real
+		x.stats.RoundBytes = append(x.stats.RoundBytes, real*valueWireBytes)
+		if c := x.collector; c != nil {
+			for i := lo; i < hi; i++ {
+				if cp.From[i] != cp.To[i] {
 					c.OnSend(cp.From[i], cp.To[i])
 				}
-			} else {
-				locals++
 			}
-		}
-		x.stats.LocalCopies += locals
-		if c != nil {
 			c.OnRound(int(real), int(locals))
 		}
-	} else {
-		// A round of only local copies costs nothing. Stats count plan
-		// instructions, not lane values, so the lane factor stays out.
-		x.stats.LocalCopies += int64(hi - lo)
 	}
 	return nil
 }

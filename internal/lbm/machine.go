@@ -119,7 +119,11 @@ type Stats struct {
 	LocalCopies int64
 	// SendLoad and RecvLoad are per-node totals of real messages. The
 	// maximum receive load is itself a lower bound on rounds for this
-	// execution, which the lower-bound experiments exploit.
+	// execution, which the lower-bound experiments exploit. The map engine
+	// (Machine, the oracle) fills them; a compiled run (Exec) leaves them
+	// nil, because they are a property of the plan: CompiledPlan's
+	// AddNodeLoads gives them without running anything, and a traced run's
+	// Profile records them too.
 	SendLoad, RecvLoad []int64
 	// RoundBytes is the model-level payload volume of each counted round:
 	// real messages × 8 bytes (one ring value), indexed by the Rounds
@@ -173,13 +177,14 @@ type settings struct {
 	transport Transport
 }
 
-// newSettings applies opts over the defaults.
-func newSettings(opts []Option) settings {
-	var s settings
+// reset sets s to the defaults with opts applied. It writes in place: a
+// settings value that options were applied to through a pointer would
+// escape to the heap on every Configure of a pooled executor.
+func (s *settings) reset(opts []Option) {
+	*s = settings{}
 	for _, o := range opts {
-		o(&s)
+		o(s)
 	}
-	return s
 }
 
 // Machine is a low-bandwidth machine with N computers over ring R.
@@ -271,13 +276,13 @@ func (m *Machine) Mark(label string) {
 // New returns a machine with n computers, all stores empty.
 func New(n int, r ring.Semiring, opts ...Option) *Machine {
 	m := &Machine{
-		N:        n,
-		R:        r,
-		settings: newSettings(opts),
-		stores:   make([]map[Key]ring.Value, n),
-		sentAt:   make([]int32, n),
-		recvAt:   make([]int32, n),
+		N:      n,
+		R:      r,
+		stores: make([]map[Key]ring.Value, n),
+		sentAt: make([]int32, n),
+		recvAt: make([]int32, n),
 	}
+	m.settings.reset(opts)
 	for i := range m.stores {
 		m.stores[i] = make(map[Key]ring.Value)
 	}

@@ -161,10 +161,12 @@ func (lb *Loopback) Recv(from, to NodeID, dst []ring.Value) error {
 
 // MergeStats combines the per-participant statistics of one partitioned
 // execution into the whole-run view a single-process engine would report.
-// Per-owned-node charges (Messages, LocalCopies, SendLoad, RecvLoad) sum
-// across the disjoint partitions; run-global measures every participant
-// observed identically (Rounds, RoundBytes, PeakStore as the max over the
-// per-node trajectories it hosts) merge by max.
+// Per-owned-node charges (Messages, LocalCopies, and the map engine's
+// SendLoad and RecvLoad) sum across the disjoint partitions; run-global
+// measures every participant observed identically (Rounds, RoundBytes,
+// PeakStore as the max over the per-node trajectories it hosts) merge by
+// max. Compiled participants report no loads, so their merge has none
+// either: the plan's loads are CompiledPlan.AddNodeLoads.
 func MergeStats(parts ...Stats) Stats {
 	var out Stats
 	for _, p := range parts {
@@ -476,13 +478,9 @@ func (x *Exec) runRoundVia(cp *CompiledPlan, t int) error {
 			if from != to {
 				if owned[from] {
 					ownedReal++
-					x.stats.SendLoad[from]++
 					if c != nil {
 						c.OnSend(from, to)
 					}
-				}
-				if owned[to] {
-					x.stats.RecvLoad[to]++
 				}
 			} else {
 				locals++

@@ -15,20 +15,21 @@ import (
 // listed once (core.Listing) and its values in the order the listing gives
 // them. The wire readers (ListWire, ListWireValues) fill one in place,
 // reusing its storage, so a warm reader allocates nothing; MultiplySubmit
-// takes one.
+// takes one. x is the buffer a lane served in place (Server.multiply)
+// writes its product into, reused like the rest.
 type ValueRequest struct {
-	list  core.Listing
-	a, b  []ring.Value
-	opts  core.Options
-	trace bool
+	list    core.Listing
+	a, b, x []ring.Value
+	opts    core.Options
+	trace   bool
 }
 
 // Reset readies vr for the next read into it. Its storage survives unless
-// its values and its listing together hold more than maxPooledBody bytes, on
-// bodyPool's rule, so one huge request does not pin its arrays for the life
-// of whoever reuses vr.
+// its values, its product buffer and its listing together hold more than
+// maxPooledBody bytes, on bodyPool's rule, so one huge request does not pin
+// its arrays for the life of whoever reuses vr.
 func (vr *ValueRequest) Reset() {
-	if (cap(vr.a)+cap(vr.b))*int(unsafe.Sizeof(ring.Value(0)))+vr.list.HeldBytes() > maxPooledBody {
+	if (cap(vr.a)+cap(vr.b)+cap(vr.x))*int(unsafe.Sizeof(ring.Value(0)))+vr.list.HeldBytes() > maxPooledBody {
 		*vr = ValueRequest{}
 	}
 }

@@ -188,8 +188,9 @@ func TestHTTPMultiplyPooledScan(t *testing.T) {
 }
 
 // TestHTTPMultiplyPooledHammer sends requests of mixed structures, sizes and
-// rings from several goroutines at once, so pooled requests pass between
-// shapes: every product must equal MulReference of its own values.
+// rings from several goroutines at once, so pooled requests, and the product
+// buffers they keep, pass between shapes: every product must equal
+// MulReference of its own values.
 func TestHTTPMultiplyPooledHammer(t *testing.T) {
 	srv := NewServer(Config{CacheSize: 8})
 	defer srv.Close()
@@ -264,5 +265,39 @@ func BenchmarkHandleMultiplyHit(b *testing.B) {
 		if err := post(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestSlabPoolAllocs pins the recycling of a submitted lane's slab: a warm
+// get-and-recycle cycle allocates nothing, a recycled slab comes back cut
+// to the next lane's length, one too short for it is not handed out, and a
+// second Recycle of one response does not hand its slab out twice.
+func TestSlabPoolAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector makes sync.Pool drop slabs")
+	}
+	resp := &MultiplyResponse{}
+	cycle := func() {
+		resp.slab = getSlab(700)
+		resp.Recycle()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a warm slab cycle allocates %v times, want 0", allocs)
+	}
+	resp.slab = getSlab(700)
+	held := resp.slab
+	resp.Recycle()
+	resp.Recycle()
+	if p := getSlab(600); p != held || len(*p) != 600 {
+		t.Fatalf("the recycled slab did not come back cut to 600 values (len %d)", len(*p))
+	}
+	if p := getSlab(600); p == held {
+		t.Fatal("a response recycled twice handed its slab out twice")
+	}
+	resp.slab = held
+	resp.Recycle()
+	if p := getSlab(701); p == held || len(*p) != 701 {
+		t.Fatalf("a slab of 700 values served a lane of 701 (len %d)", len(*p))
 	}
 }

@@ -3,7 +3,10 @@ package service
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
+	"unsafe"
 
 	"lbmm/internal/batch"
 	"lbmm/internal/core"
@@ -28,9 +31,12 @@ import (
 type lane struct {
 	// ctx is the submitter's context; Launch tells a session's lanes from
 	// everyone else's by it.
-	ctx      context.Context
-	prep     *core.Prepared
-	a, b, x  []ring.Value
+	ctx     context.Context
+	prep    *core.Prepared
+	a, b, x []ring.Value
+	// slab holds a, b and x when the lane copied its values (MultiplySubmit);
+	// its response hands it back to slabPool through Recycle.
+	slab     *[]ring.Value
 	trace    bool
 	hit      bool
 	enqueued time.Time
@@ -98,7 +104,8 @@ func (s *Server) resolve(l *core.Listing, opts core.Options) (*core.Prepared, st
 // submit is the one way a value set reaches a plan: enter the pipeline as a
 // single lane keyed by its plan fingerprint, which it returns. The lane
 // reads vr's values until it is delivered, and keep says whether it may
-// read vr's own slices or takes a copy. A nil error means deliver will be
+// use vr's own slices, its product landing in vr's X buffer, or copies its
+// values into a slab from slabPool. A nil error means deliver will be
 // called exactly once with the outcome; an error means the lane was
 // rejected before parking and deliver never runs.
 func (s *Server) submit(ctx context.Context, vr *ValueRequest, keep bool, deliver func(*MultiplyResponse, error)) (string, error) {
@@ -106,11 +113,13 @@ func (s *Server) submit(ctx context.Context, vr *ValueRequest, keep bool, delive
 	err := s.enter(ctx, 1, &vr.list, vr.opts, func(fp string, prep *core.Prepared, hit bool) error {
 		key = fp
 		ln := &lane{ctx: ctx, prep: prep, trace: vr.trace, hit: hit, enqueued: time.Now(), deliver: deliver}
-		na, nb := len(vr.a), len(vr.b)
+		na, nb, nx := len(vr.a), len(vr.b), vr.list.X.Len()
 		if keep {
-			ln.a, ln.b, ln.x = vr.a, vr.b, make([]ring.Value, vr.list.X.Len())
+			vr.x = slices.Grow(vr.x[:0], nx)[:nx]
+			ln.a, ln.b, ln.x = vr.a, vr.b, vr.x
 		} else {
-			slab := make([]ring.Value, na+nb+vr.list.X.Len())
+			ln.slab = getSlab(na + nb + nx)
+			slab := *ln.slab
 			ln.a, ln.b, ln.x = slab[:na:na], slab[na:na+nb:na+nb], slab[na+nb:]
 			copy(ln.a, vr.a)
 			copy(ln.b, vr.b)
@@ -124,9 +133,10 @@ func (s *Server) submit(ctx context.Context, vr *ValueRequest, keep bool, delive
 }
 
 // multiply serves one listed value set and waits for its outcome until ctx,
-// or Config.Deadline, ends. The lane reads vr's values in place: free
-// reports whether vr may be reused, which it may not when the wait ended
-// before the lane ran.
+// or Config.Deadline, ends. The lane reads vr's values in place and writes
+// its product into vr's X buffer, which the response's Product holds: free
+// reports whether vr may be reused once the response is written, which it
+// may not when the wait ended before the lane ran.
 func (s *Server) multiply(ctx context.Context, vr *ValueRequest) (resp *MultiplyResponse, free bool, err error) {
 	var runErr error
 	done := make(chan struct{})
@@ -159,6 +169,42 @@ func (s *Server) await(ctx context.Context, done <-chan struct{}) error {
 		return ctx.Err()
 	}
 }
+
+// slabPool recycles the value slabs of MultiplySubmit's lanes, A, B and X
+// of one lane in one slice: a lane's slab goes back when its response is
+// recycled (MultiplyResponse.Recycle), once the caller has written the
+// product out. A slab too short for the next lane is dropped, and so is one
+// over maxPooledBody bytes, on bodyPool's rule.
+var slabPool sync.Pool
+
+// getSlab returns a slab of n values from slabPool, or a new one.
+func getSlab(n int) *[]ring.Value {
+	if p, _ := slabPool.Get().(*[]ring.Value); p != nil && cap(*p) >= n {
+		*p = (*p)[:n]
+		return p
+	}
+	slab := make([]ring.Value, n)
+	return &slab
+}
+
+// Recycle hands the storage of the response's product back for a later
+// lane: a MultiplySubmit caller calls it once it no longer reads
+// Product.Vals, and reads neither afterwards. A response it is never called
+// on is simply collected; on a response of any other entry point it does
+// nothing.
+func (r *MultiplyResponse) Recycle() {
+	p := r.slab
+	r.slab = nil // a second call must not hand the slab out twice
+	if p != nil && cap(*p)*int(unsafe.Sizeof(ring.Value(0))) <= maxPooledBody {
+		slabPool.Put(p)
+	}
+}
+
+// groupScratch is runGroup's lane table, recycled across groups through
+// groupPool; it holds no lane's values between groups.
+type groupScratch struct{ as, bs, xs [][]ring.Value }
+
+var groupPool = sync.Pool{New: func() any { return new(groupScratch) }}
 
 // faultBudget is how many times an execution that fails with a typed network
 // fault (lbm.ErrFault) is retried before the fault goes to the caller.
@@ -198,11 +244,9 @@ func (s *Server) runGroup(fp string, lanes []*lane, why batch.Reason) {
 	// prepared plan serves the whole group.
 	prep := lanes[0].prep
 	trace := false
-	as := make([][]ring.Value, len(lanes))
-	bs := make([][]ring.Value, len(lanes))
-	xs := make([][]ring.Value, len(lanes))
-	for i, ln := range lanes {
-		as[i], bs[i], xs[i] = ln.a, ln.b, ln.x
+	g := groupPool.Get().(*groupScratch)
+	for _, ln := range lanes {
+		g.as, g.bs, g.xs = append(g.as, ln.a), append(g.bs, ln.b), append(g.xs, ln.x)
 		trace = trace || ln.trace
 	}
 	var (
@@ -214,7 +258,7 @@ func (s *Server) runGroup(fp string, lanes []*lane, why batch.Reason) {
 		if s.cfg.FaultInjector != nil {
 			opts.Injector = s.cfg.FaultInjector(attempt)
 		}
-		rep, err = prep.MultiplyValues(as, bs, xs, opts)
+		rep, err = prep.MultiplyValues(g.as, g.bs, g.xs, opts)
 		if err == nil || !lbm.IsFault(err) {
 			break
 		}
@@ -224,6 +268,11 @@ func (s *Server) runGroup(fp string, lanes []*lane, why batch.Reason) {
 		}
 		s.metrics.Add(MetricRetries, 1)
 	}
+	clear(g.as)
+	clear(g.bs)
+	clear(g.xs)
+	g.as, g.bs, g.xs = g.as[:0], g.bs[:0], g.xs[:0]
+	groupPool.Put(g)
 	if err != nil {
 		s.metrics.Add(MetricErrors, k)
 		for _, ln := range lanes {
@@ -240,7 +289,7 @@ func (s *Server) runGroup(fp string, lanes []*lane, why batch.Reason) {
 	s.metrics.Add(MetricServed, k)
 	xhat, r := prep.Xhat(), prep.Options().Ring
 	for _, ln := range lanes {
-		resp := &MultiplyResponse{Product: Product{Xhat: xhat, Vals: ln.x, Ring: r}, Report: rep, Fingerprint: fp, CacheHit: ln.hit}
+		resp := &MultiplyResponse{Product: Product{Xhat: xhat, Vals: ln.x, Ring: r}, Report: rep, Fingerprint: fp, CacheHit: ln.hit, slab: ln.slab}
 		if ln.trace {
 			resp.Profile = profile
 		}
@@ -278,7 +327,8 @@ func listMultiply(req *MultiplyRequest) (*ValueRequest, error) {
 // deliver to be invoked exactly once with the outcome and returns the plan
 // fingerprint the lane is parked under — the key Launch takes. The lane
 // takes a copy of vr's values, so vr may be reused as soon as it returns;
-// the response carries the product as Product. A non-nil return error
+// the response carries the product as Product, in storage the caller hands
+// back with Recycle once it has written the product out. A non-nil return error
 // means the request was rejected synchronously (admission, plan failure or
 // a closed server) and deliver will never be called.
 //

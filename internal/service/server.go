@@ -16,6 +16,7 @@ import (
 	"lbmm/internal/matrix"
 	"lbmm/internal/obsv"
 	"lbmm/internal/planstore"
+	"lbmm/internal/ring"
 )
 
 // ErrOverloaded is returned (and mapped to HTTP 503) when the server sheds
@@ -368,6 +369,9 @@ type MultiplyResponse struct {
 	// Profile is the lbmm.trace.v1 export of this execution when Trace was
 	// requested.
 	Profile *obsv.Export
+	// slab is the lane storage Product.Vals lies in when it came from
+	// slabPool (MultiplySubmit); Recycle hands it back.
+	slab *[]ring.Value
 }
 
 // PrepareRequest warms the cache for an explicit structure (no values).

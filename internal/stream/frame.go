@@ -73,9 +73,10 @@ type Frame struct {
 	Report      *service.WireReport   `json:"report,omitempty"`
 	Code        int                   `json:"code,omitempty"`
 	Error       string                `json:"error,omitempty"`
-	// product is a result's product as the server computed it, written as
-	// x in place of X.
-	product service.Product
+	// result is the response a result frame carries: its product, as the
+	// server computed it, is written as x in place of X, and its storage is
+	// recycled once the frame is appended.
+	result *service.MultiplyResponse
 }
 
 // scanFrame scans one client→server line with the serving layer's request
@@ -204,8 +205,8 @@ func appendFrame(b []byte, f *Frame) ([]byte, error) {
 		if b, err = service.AppendEntries(append(b, `,"x":`...), f.X); err != nil {
 			return b[:start], err
 		}
-	} else if f.product.Vals != nil && !f.product.Empty() {
-		if b, err = f.product.AppendEntries(append(b, `,"x":`...)); err != nil {
+	} else if f.result != nil && !f.result.Product.Empty() {
+		if b, err = f.result.Product.AppendEntries(append(b, `,"x":`...)); err != nil {
 			return b[:start], err
 		}
 	}

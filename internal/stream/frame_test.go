@@ -592,7 +592,7 @@ func TestAppendFrameProduct(t *testing.T) {
 	rep := &service.WireReport{Rounds: 2, Algorithm: "trivial", Fingerprint: "f", Cache: "hit"}
 	for _, vals := range [][]ring.Value{{5, 0, 7, 1}, {0, 0, 0, 0}, {1, 2, 3, 4}} {
 		p := service.Product{Xhat: xhat, Vals: vals, Ring: r}
-		got, err := appendFrame(nil, &Frame{Type: TypeResult, ID: "x", Ticket: 3, product: p, Report: rep})
+		got, err := appendFrame(nil, &Frame{Type: TypeResult, ID: "x", Ticket: 3, result: &service.MultiplyResponse{Product: p}, Report: rep})
 		if err != nil {
 			t.Fatal(err)
 		}

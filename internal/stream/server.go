@@ -381,7 +381,7 @@ func (s *session) submit(srv *service.Server, f Frame) {
 		}
 		rep := service.BuildWireReport(resp)
 		s.metrics.Add(MetricResults, 1)
-		s.send(Frame{Type: TypeResult, ID: id, Ticket: t, product: resp.Product, Report: &rep})
+		s.send(Frame{Type: TypeResult, ID: id, Ticket: t, Report: &rep, result: resp})
 	})
 	if err != nil {
 		// Rejected synchronously: the deliver callback will never run.
@@ -409,14 +409,19 @@ func (s *session) send(f Frame) {
 
 // writer is the session's single response writer: frames leave in enqueue
 // order, each appended into one reused buffer and bounded by WriteTimeout. A
-// write failure (client gone, or a peer that stopped reading past the
-// deadline) or a frame that does not encode cancels the session so pending
-// delivers drop their results instead of backing up into workers.
+// result's lane storage is recycled as soon as its frame is appended; a
+// frame that never gets that far leaves it to the collector. A write
+// failure (client gone, or a peer that stopped reading past the deadline)
+// or a frame that does not encode cancels the session so pending delivers
+// drop their results instead of backing up into workers.
 func (s *session) writer(w http.ResponseWriter, rc *http.ResponseController, done chan<- struct{}) {
 	defer close(done)
 	var buf []byte
 	write := func(f *Frame) (err error) {
 		if buf, err = appendFrame(buf[:0], f); err == nil {
+			if f.result != nil {
+				f.result.Recycle()
+			}
 			_, err = w.Write(buf)
 		}
 		return err

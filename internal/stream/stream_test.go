@@ -809,7 +809,7 @@ func TestSessionDropsOversizedRequest(t *testing.T) {
 	for f := range s.out {
 		if f.Type == TypeResult {
 			results++
-			if x := service.WireEntries(f.product.Sparse()); !reflect.DeepEqual(x, []service.WireEntry{{0, 1, 21}}) {
+			if x := service.WireEntries(f.result.Product.Sparse()); !reflect.DeepEqual(x, []service.WireEntry{{0, 1, 21}}) {
 				t.Errorf("%s: x = %v, want [[0 1 21]]", f.ID, x)
 			}
 		} else if f.Type != TypeTicket {
