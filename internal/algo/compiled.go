@@ -3,6 +3,7 @@ package algo
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"lbmm/internal/cluster"
@@ -139,8 +140,7 @@ func compilePrepared(p *Prepared) (*compiledPrepared, error) {
 	if reach != nil {
 		return nil, reach
 	}
-	cp.sizes = sp.Sizes()
-	if err := cp.finish(p.R); err != nil {
+	if err := cp.finish(inst.N, p.R); err != nil {
 		return nil, err
 	}
 	return cp, nil
@@ -168,12 +168,23 @@ func (cp *compiledPrepared) slotLive(sp *lbm.SlotSpace, sup *matrix.Support, liv
 }
 
 // finish completes a compiled form whose instruction state is in place —
-// whether freshly lowered or decoded from a serialized snapshot: it records
-// the loaded prefixes, prices the resident size and records the ring the
-// executor pools build over. It fails with ErrLoadSlots when the load refs,
-// taken in order, do not number each node's slots from 0 without a gap.
-func (cp *compiledPrepared) finish(r ring.Semiring) error {
-	cp.loaded = make([]int32, len(cp.sizes))
+// whether freshly lowered or decoded from a serialized snapshot: it derives
+// the arena sizes of an n-node machine and the loaded prefixes, prices the
+// resident size and records the ring the executor pools build over. It
+// fails when a ref is out of range or the arenas are not gap-free
+// (arenaWalk), when a plan subtracts over a ring that cannot, and with
+// ErrLoadSlots when the load refs, taken in order, do not number each
+// node's slots from 0 without a gap.
+func (cp *compiledPrepared) finish(n int, r ring.Semiring) error {
+	w := &arenaWalk{size: make([]int64, n)}
+	cp.visitRefs(w)
+	if w.err != nil {
+		return w.err
+	}
+	if _, field := ring.AsField(r); w.sub && !field {
+		return fmt.Errorf("a plan subtracts, and ring %s has no subtraction", r.Name())
+	}
+	cp.loaded = make([]int32, n)
 	for _, refs := range [][]loadRef{cp.loadA, cp.loadB, cp.x} {
 		for _, lr := range refs {
 			v := lr.ref.Node
@@ -182,6 +193,10 @@ func (cp *compiledPrepared) finish(r ring.Semiring) error {
 			}
 			cp.loaded[v]++
 		}
+	}
+	var err error
+	if cp.sizes, err = w.arenas(cp.visitRefs); err != nil {
+		return err
 	}
 	cp.bytes = int64(len(cp.loadA)+len(cp.loadB)+len(cp.x)) * 20
 	cp.bytes += int64(len(cp.dead)) * 4
@@ -195,6 +210,97 @@ func (cp *compiledPrepared) finish(r ring.Semiring) error {
 	}
 	cp.r = r
 	return nil
+}
+
+// visitRefs hands v every slot the compiled form touches, in execution
+// order: the loads, the phase-1 batches, the staging sweep and the job.
+func (cp *compiledPrepared) visitRefs(v lbm.RefVisitor) {
+	for _, refs := range [][]loadRef{cp.loadA, cp.loadB, cp.x} {
+		for _, lr := range refs {
+			v.Ref(lr.ref)
+		}
+	}
+	for _, cb := range cp.phase1 {
+		cb.VisitRefs(v)
+	}
+	for _, ref := range cp.stagingClear {
+		v.Ref(ref)
+	}
+	cp.few.VisitRefs(v)
+}
+
+// arenaWalk derives the arena sizes of a compiled form from the refs it
+// holds: per node, one past the highest slot any ref touches. It visits the
+// refs twice. The first visit bounds every ref and takes the extents; the
+// second, once the arenas are known to be no larger than the refs that
+// touch them, marks each touched slot, and every slot of every arena must
+// be marked. The compiler numbers slots on first sight, so a fresh form is
+// always gap-free; a decoded one that is not claims arena that nothing
+// uses, and is refused before any executor sizes an arena by it.
+type arenaWalk struct {
+	size []int64 // per node, one past the highest slot touched
+	refs int64   // refs visited
+	sub  bool    // some plan uses OpSub
+	err  error
+	// Second visit: node v's slots are seen[off[v]:off[v+1]].
+	off  []int64
+	seen []bool
+}
+
+// Plan takes a validated plan's instructions: their nodes are in range and
+// their slots non-negative already.
+func (w *arenaWalk) Plan(cp *lbm.CompiledPlan) {
+	if w.seen != nil {
+		for i, from := range cp.From {
+			w.seen[w.off[from]+int64(cp.SrcSlot[i])] = true
+			w.seen[w.off[cp.To[i]]+int64(cp.DstSlot[i])] = true
+		}
+		return
+	}
+	for i, from := range cp.From {
+		w.size[from] = max(w.size[from], int64(cp.SrcSlot[i])+1)
+		to := cp.To[i]
+		w.size[to] = max(w.size[to], int64(cp.DstSlot[i])+1)
+	}
+	w.refs += 2 * int64(len(cp.From))
+	w.sub = w.sub || cp.HasSub
+}
+
+func (w *arenaWalk) Ref(r lbm.SlotRef) {
+	if w.seen != nil {
+		w.seen[w.off[r.Node]+int64(r.Slot)] = true
+		return
+	}
+	if r.Node < 0 || int(r.Node) >= len(w.size) || r.Slot < 0 {
+		if w.err == nil {
+			w.err = fmt.Errorf("slot ref %d@%d out of range (n=%d)", r.Slot, r.Node, len(w.size))
+		}
+		return
+	}
+	w.size[r.Node] = max(w.size[r.Node], int64(r.Slot)+1)
+	w.refs++
+}
+
+// arenas runs the second visit and returns the arena sizes, or an error
+// unless they are gap-free.
+func (w *arenaWalk) arenas(visit func(lbm.RefVisitor)) ([]int32, error) {
+	w.off = make([]int64, len(w.size)+1)
+	for v, sz := range w.size {
+		w.off[v+1] = w.off[v] + sz
+	}
+	if total := w.off[len(w.size)]; total > w.refs {
+		return nil, fmt.Errorf("arenas of %d slots for %d refs are not gap-free", total, w.refs)
+	}
+	w.seen = make([]bool, w.off[len(w.size)])
+	visit(w)
+	sizes := make([]int32, len(w.size))
+	for v, sz := range w.size {
+		if i := slices.Index(w.seen[w.off[v]:w.off[v+1]], false); i >= 0 {
+			return nil, fmt.Errorf("slot %d of node %d's %d-slot arena is touched by nothing", i, v, sz)
+		}
+		sizes[v] = int32(sz)
+	}
+	return sizes, nil
 }
 
 // CompiledBytes reports the estimated resident size of the compiled form

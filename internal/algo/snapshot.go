@@ -56,7 +56,6 @@ func (p *Prepared) EncodeCompiled(w *lbm.WireWriter) error {
 	w.Int(p.meta.Kappa)
 	w.Int(p.meta.Triangles)
 	w.Int(p.meta.Residual)
-	w.Int32s(cp.sizes)
 	w.Int32s(cp.dead)
 	for _, refs := range [][]loadRef{cp.loadA, cp.loadB, cp.x} {
 		w.Count(len(refs))
@@ -78,13 +77,22 @@ func (p *Prepared) EncodeCompiled(w *lbm.WireWriter) error {
 // while MultiplyMap fails with ErrNoMapForm.
 //
 // Decoded state crosses a trust boundary (the plan store's files are
-// outside the process), so everything is validated before an executor can
-// touch it: supports are rebuilt with range and sortedness checks, the
-// live cells are derived from them (graph.Instance.Live), load refs are
-// matched one-to-one against the live cells and must number each node's
-// slots from 0 without a gap (ErrLoadSlots), the per-node dead counts must
-// be non-negative and sum to the dead cells, and every slot reference in
-// every embedded program is bounds-checked against the arena geometry.
+// outside the process), so it is checked before an executor can touch it,
+// for bounds and for the counts it implies. The supports are rebuilt with
+// range and sortedness checks, and every plan is read for the machine size
+// they pin and held to the model rules, with its per-round counts derived
+// from its instructions. The live cells are derived from the supports
+// (graph.Instance.Live), and the load refs are matched one-to-one against
+// them. The per-node dead counts must be non-negative and sum to the dead
+// cells. The load refs must number each node's slots from 0 without a gap
+// (ErrLoadSlots). The arena sizes are derived from every ref the form holds
+// and must be gap-free, so the arenas are never larger than the refs that
+// use them. A plan that subtracts needs a ring with subtraction.
+//
+// Meaning is not checked: a form that passes all of this can still read a
+// slot nothing wrote before it (a "missing slot" panic at run time) or
+// compute a wrong product. Catching those needs a def-before-use walk over
+// the plans and a certificate multiply; neither is done here.
 func DecodeCompiledPrepared(r *lbm.WireReader) (*Prepared, error) {
 	name, ringName, ringP := r.String(), r.String(), int64(r.Int())
 	n, d := r.Int(), r.Int()
@@ -97,19 +105,30 @@ func DecodeCompiledPrepared(r *lbm.WireReader) (*Prepared, error) {
 			rows[i][j] = r.Int32s()
 		}
 	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("algo: decode prepared: %w", err)
+	}
+	// The supports pin the machine size every plan below is read for.
+	var sups [3]*matrix.Support
+	var err error
+	for i, m := range [3]string{"A", "B", "X"} {
+		if sups[i], err = matrix.SupportFromRows(n, rows[i]); err != nil {
+			return nil, fmt.Errorf("algo: decode prepared: %shat: %w", m, err)
+		}
+	}
 	meta := Result{Name: name, Batches: r.Int()}
 	meta.Cluster.CubeClusters, meta.Cluster.StrassenClusters = r.Int(), r.Int()
 	meta.Kappa, meta.Triangles, meta.Residual = r.Int(), r.Int(), r.Int()
-	cp := &compiledPrepared{sizes: r.Int32s(), dead: r.Int32s()}
+	cp := &compiledPrepared{dead: r.Int32s()}
 	refs := [3][]lbm.SlotRef{r.Refs(), r.Refs(), r.Refs()}
 	if k := r.Count(2); k > 0 {
 		cp.phase1 = make([]*cluster.CompiledBatch, k)
 	}
 	for i := range cp.phase1 {
-		cp.phase1[i] = cluster.GetBatch(r)
+		cp.phase1[i] = cluster.GetBatch(r, n)
 	}
 	cp.stagingClear = r.Refs()
-	cp.few = fewtri.GetJob(r)
+	cp.few = fewtri.GetJob(r, n)
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("algo: decode prepared: %w", err)
 	}
@@ -136,29 +155,15 @@ func DecodeCompiledPrepared(r *lbm.WireReader) (*Prepared, error) {
 	if d < 1 {
 		return nil, fmt.Errorf("algo: decode prepared: sparsity parameter d=%d", d)
 	}
-	if len(cp.sizes) != n {
-		return nil, fmt.Errorf("algo: decode prepared: %d arenas for %d nodes", len(cp.sizes), n)
-	}
-	for v, sz := range cp.sizes {
-		if sz < 0 {
-			return nil, fmt.Errorf("algo: decode prepared: negative arena size at node %d", v)
-		}
-	}
-	// The supports, and the load refs matched one-to-one against their live
-	// cells: liveness is derived from the supports, never carried.
-	var sups [3]*matrix.Support
-	for i, m := range [3]string{"A", "B", "X"} {
-		if sups[i], err = matrix.SupportFromRows(n, rows[i]); err != nil {
-			return nil, fmt.Errorf("algo: decode prepared: %shat: %w", m, err)
-		}
-	}
+	// The load refs, matched one-to-one against the supports' live cells:
+	// liveness is derived from the supports, never carried.
 	inst := graph.NewInstance(d, sups[0], sups[1], sups[2])
 	var live [3][]bool
 	live[0], live[1], live[2] = inst.Live()
 	loads := [3]*[]loadRef{&cp.loadA, &cp.loadB, &cp.x}
 	dead := 0
 	for i, m := range [3]string{"A", "B", "X"} {
-		if *loads[i], err = importRefs(refs[i], sups[i], live[i], cp.sizes); err != nil {
+		if *loads[i], err = importRefs(refs[i], sups[i], live[i]); err != nil {
 			return nil, fmt.Errorf("algo: decode prepared: %s slots: %w", m, err)
 		}
 		dead += sups[i].NNZ - len(*loads[i])
@@ -176,18 +181,7 @@ func DecodeCompiledPrepared(r *lbm.WireReader) (*Prepared, error) {
 	if sum != dead {
 		return nil, fmt.Errorf("algo: decode prepared: dead counts sum to %d, the supports have %d dead cells", sum, dead)
 	}
-	for i, cb := range cp.phase1 {
-		if err := cb.ValidateRefs(cp.sizes); err != nil {
-			return nil, fmt.Errorf("algo: decode prepared: phase-1 batch %d: %w", i, err)
-		}
-	}
-	if err := lbm.CheckRefs(cp.sizes, cp.stagingClear...); err != nil {
-		return nil, fmt.Errorf("algo: decode prepared: staging sweep: %w", err)
-	}
-	if err := cp.few.ValidateRefs(cp.sizes); err != nil {
-		return nil, fmt.Errorf("algo: decode prepared: phase-2 job: %w", err)
-	}
-	if err := cp.finish(rg); err != nil {
+	if err := cp.finish(n, rg); err != nil {
 		return nil, fmt.Errorf("algo: decode prepared: %w", err)
 	}
 	return &Prepared{
@@ -201,9 +195,8 @@ func DecodeCompiledPrepared(r *lbm.WireReader) (*Prepared, error) {
 
 // importRefs pairs decoded slot refs with sup's live entries in row-major
 // order — the order compilePrepared emits, EncodeCompiled writes and the
-// loader depends on — insisting on one ref per live entry with every slot
-// in range.
-func importRefs(refs []lbm.SlotRef, sup *matrix.Support, live []bool, sizes []int32) ([]loadRef, error) {
+// loader depends on — insisting on one ref per live entry.
+func importRefs(refs []lbm.SlotRef, sup *matrix.Support, live []bool) ([]loadRef, error) {
 	nLive := 0
 	for _, ok := range live {
 		if ok {
@@ -212,9 +205,6 @@ func importRefs(refs []lbm.SlotRef, sup *matrix.Support, live []bool, sizes []in
 	}
 	if len(refs) != nLive {
 		return nil, fmt.Errorf("%d refs for %d live support entries", len(refs), nLive)
-	}
-	if err := lbm.CheckRefs(sizes, refs...); err != nil {
-		return nil, err
 	}
 	out := make([]loadRef, 0, len(refs))
 	pos := 0

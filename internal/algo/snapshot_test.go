@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lbmm/internal/graph"
@@ -197,7 +198,8 @@ func TestSnapshotHasNoMapForm(t *testing.T) {
 
 // TestSnapshotRejectsTampering checks the decoder's own validation, behind
 // the envelope checksum: a body cut short at any point — header resealed so
-// the cut reaches the body reader — fails a bounds check, and a GF(p)
+// the cut reaches the body reader — fails a bounds check, a plan that
+// subtracts over a ring without subtraction is refused, and a GF(p)
 // snapshot restores its modulus rather than the default one.
 func TestSnapshotRejectsTampering(t *testing.T) {
 	inst := workload.Blocks(16, 4)
@@ -223,6 +225,15 @@ func TestSnapshotRejectsTampering(t *testing.T) {
 		if _, err := restore(reseal(bad)); err == nil {
 			t.Fatalf("a trivial plan named %q decoded cleanly", name)
 		}
+	}
+	// An instruction that subtracts, in a plan over a ring that cannot, is
+	// refused at decode rather than at every multiply.
+	p := prepareFor(t, ring.Counting{}, inst, "lemma31")
+	var seen planSeen
+	p.compiled.visitRefs(&seen)
+	seen.plans[0].Ops[0] = lbm.OpSub
+	if _, err := restore(snapshot(t, p)); err == nil || !strings.Contains(err.Error(), "no subtraction") {
+		t.Fatalf("a counting plan that subtracts: err=%v, want it refused", err)
 	}
 	q, err := restore(snapshot(t, prepareFor(t, ring.NewGFp(257), inst, "lemma31")))
 	if err != nil {
@@ -276,6 +287,78 @@ func TestSnapshotRejectsLoadSlotGap(t *testing.T) {
 			}
 			if _, err := restore(snapshot(t, p)); !errors.Is(err, ErrLoadSlots) {
 				t.Errorf("%s/%s: err = %v, want ErrLoadSlots", alg, tc.name, err)
+			}
+		}
+	}
+}
+
+// planSeen collects, in visit order, the plans and slot refs a compiled form
+// hands a lbm.RefVisitor.
+type planSeen struct {
+	plans []*lbm.CompiledPlan
+	refs  []lbm.SlotRef
+}
+
+func (s *planSeen) Plan(cp *lbm.CompiledPlan) { s.plans = append(s.plans, cp) }
+func (s *planSeen) Ref(r lbm.SlotRef)         { s.refs = append(s.refs, r) }
+
+// TestDecodeDerivesWhatCompileKnew checks that what the envelope no longer
+// carries comes back at decode as the compiler had it: the arena sizes, and
+// every plan's per-round real-message counts and OpSub flag. It runs over
+// the plan shapes the core envelope tests use (a Lemma 3.1 job, a phase-1
+// cube batch, a phase-1 Strassen batch over a field, a trivial job; on
+// blocks of 8) and over six structures × three algorithms × two rings.
+func TestDecodeDerivesWhatCompileKnew(t *testing.T) {
+	type plan struct {
+		name string
+		r    ring.Semiring
+		inst *graph.Instance
+		alg  string
+	}
+	shapes := workload.Blocks(8, 2)
+	plans := []plan{
+		{"shape/lemma31", ring.Counting{}, shapes, "lemma31"},
+		{"shape/cube", ring.Counting{}, shapes, "theorem42"},
+		{"shape/strassen", ring.NewGFp(257), shapes, "theorem42"},
+		{"shape/trivial", ring.Counting{}, shapes, "trivial"},
+	}
+	for _, st := range []struct {
+		name string
+		inst *graph.Instance
+	}{
+		{"us256", workload.Instance(matrix.US, matrix.US, matrix.US, 256, 4, 1)},
+		{"blocks64", workload.Blocks(64, 8)},
+		{"blocks128", workload.Blocks(128, 8)},
+		{"mixed", workload.Mixed(128, 8, 1)},
+		{"powerlaw", workload.PowerLaw(128, 4, 1)},
+		{"hotpair", workload.HotPair(64)},
+	} {
+		for _, r := range []ring.Semiring{ring.Counting{}, ring.Real{}} {
+			for _, alg := range []string{"trivial", "lemma31", "theorem42"} {
+				plans = append(plans, plan{st.name + "/" + r.Name() + "/" + alg, r, st.inst, alg})
+			}
+		}
+	}
+	for _, pc := range plans {
+		p := prepareFor(t, pc.r, pc.inst, pc.alg)
+		q, err := restore(snapshot(t, p))
+		if err != nil {
+			t.Fatalf("%s: decode: %v", pc.name, err)
+		}
+		if !reflect.DeepEqual(q.compiled.sizes, p.compiled.sizes) {
+			t.Fatalf("%s: decoded arena sizes differ from the compiled ones", pc.name)
+		}
+		var fresh, back planSeen
+		p.compiled.visitRefs(&fresh)
+		q.compiled.visitRefs(&back)
+		if len(back.plans) != len(fresh.plans) || !reflect.DeepEqual(back.refs, fresh.refs) {
+			t.Fatalf("%s: decoded form holds %d plans and %d refs, compiled %d and %d",
+				pc.name, len(back.plans), len(back.refs), len(fresh.plans), len(fresh.refs))
+		}
+		for i, cp := range fresh.plans {
+			if !reflect.DeepEqual(back.plans[i].Real, cp.Real) || back.plans[i].HasSub != cp.HasSub {
+				t.Fatalf("%s: plan %d decodes with Real %v and HasSub %v, compiled %v and %v",
+					pc.name, i, back.plans[i].Real, back.plans[i].HasSub, cp.Real, cp.HasSub)
 			}
 		}
 	}

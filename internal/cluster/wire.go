@@ -24,16 +24,16 @@ func (cb *CompiledBatch) PutWire(w *lbm.WireWriter) {
 	}
 }
 
-// GetBatch reads what PutWire wrote; failures are recorded on r. The batch
-// must count at least one cluster per dense job, and no negative triangles
-// or volume.
-func GetBatch(r *lbm.WireReader) *CompiledBatch {
+// GetBatch reads what PutWire wrote for an n-node machine; failures are
+// recorded on r. The batch must count at least one cluster per dense job,
+// and no negative triangles or volume.
+func GetBatch(r *lbm.WireReader, n int) *CompiledBatch {
 	cb := &CompiledBatch{sum: summary{clusters: r.Int(), triangles: r.Int(), volume: r.Int()}}
 	if r.Bool() {
-		cb.strassen = dense.GetStrassenProgram(r)
+		cb.strassen = dense.GetStrassenProgram(r, n)
 	}
 	if r.Bool() {
-		cb.cube = dense.GetCubeProgram(r)
+		cb.cube = dense.GetCubeProgram(r, n)
 	}
 	if cb.strassen == nil && cb.cube == nil {
 		r.Fail(fmt.Errorf("cluster: decode batch: empty batch (no cube or strassen program)"))
@@ -45,11 +45,8 @@ func GetBatch(r *lbm.WireReader) *CompiledBatch {
 	return cb
 }
 
-// ValidateRefs checks every slot reference the batch touches against the
-// per-node arena sizes it will execute in.
-func (cb *CompiledBatch) ValidateRefs(sizes []int32) error {
-	if err := cb.strassen.ValidateRefs(sizes); err != nil {
-		return err
-	}
-	return cb.cube.ValidateRefs(sizes)
+// VisitRefs hands v every slot the batch touches.
+func (cb *CompiledBatch) VisitRefs(v lbm.RefVisitor) {
+	cb.strassen.VisitRefs(v)
+	cb.cube.VisitRefs(v)
 }

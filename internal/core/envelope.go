@@ -7,7 +7,6 @@ import (
 
 	"lbmm/internal/algo"
 	"lbmm/internal/lbm"
-	"lbmm/internal/matrix"
 )
 
 // PreparedFormatVersion is the one format version of a serialized prepared
@@ -22,8 +21,11 @@ import (
 // Version 3 gave every support cell a load ref; version 4 gives one only to
 // the live cells, those on a triangle, and adds each node's count of dead
 // cells. Version 5 adds each phase-1 batch's cluster count, triangle count
-// and cluster volume, which its trace span reports.
-const PreparedFormatVersion = 5
+// and cluster volume, which its trace span reports. Version 6 drops what
+// the decoder derives: the arena sizes, each plan's per-node slot counts,
+// per-round message counts and OpSub flag, the classification and the
+// second copy of d.
+const PreparedFormatVersion = 6
 
 // preparedMagic opens every envelope (the layout is in internal/lbm/wire.go
 // and docs/PLANSTORE.md).
@@ -52,14 +54,9 @@ func (p *Prepared) Encode(w io.Writer) error {
 	}
 	ww := lbm.NewWireWriter(preparedMagic, PreparedFormatVersion)
 	// Algorithm is the requested algorithm — fingerprint input, see
-	// Prepared.Algorithm. Classes and Band are derivable; the reader
-	// re-derives them and insists the stored copy agrees.
+	// Prepared.Algorithm. D, Classes and Band are not written: D is the
+	// inner plan's d, and the reader classifies the decoded supports.
 	ww.String(p.Algorithm)
-	ww.Int(p.D)
-	for _, c := range p.Classes {
-		ww.Int32(int32(c))
-	}
-	ww.Int32(int32(p.Band))
 	if err := p.inner.EncodeCompiled(ww); err != nil {
 		return fmt.Errorf("core: encode prepared: %w", err)
 	}
@@ -74,11 +71,11 @@ func (p *Prepared) Encode(w io.Writer) error {
 // DecodePrepared restores a Prepared from a stream written by Encode,
 // reading at most lbm.MaxWireBytes. Any structural damage — bad magic, a
 // length or checksum that does not match, a truncated slab, inner
-// validation failure, metadata that disagrees with the decoded structure —
-// returns an error wrapping ErrEnvelope; an intact header of another
-// version returns one wrapping ErrEnvelopeVersion. Callers (the plan store)
-// quarantine on the former and silently recompile on either; a decoded plan
-// is never served unchecked.
+// validation failure (algo.DecodeCompiledPrepared says what is checked),
+// an algorithm name that disagrees with the plan — returns an error
+// wrapping ErrEnvelope; an intact header of another version returns one
+// wrapping ErrEnvelopeVersion. Callers (the plan store) quarantine on the
+// former and silently recompile on either.
 func DecodePrepared(r io.Reader) (*Prepared, error) {
 	rd, err := lbm.ReadWire(r, preparedMagic, PreparedFormatVersion)
 	if errors.Is(err, lbm.ErrWireVersion) {
@@ -87,12 +84,7 @@ func DecodePrepared(r io.Reader) (*Prepared, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrEnvelope, err)
 	}
-	p := &Prepared{Algorithm: rd.String(), D: rd.Int()}
-	var classes [3]matrix.Class
-	for i := range classes {
-		classes[i] = matrix.Class(rd.Int32())
-	}
-	band := Band(rd.Int32())
+	p := &Prepared{Algorithm: rd.String()}
 	if p.inner, err = algo.DecodeCompiledPrepared(rd); err == nil {
 		err = rd.Close()
 	}
@@ -107,17 +99,9 @@ func DecodePrepared(r io.Reader) (*Prepared, error) {
 	if p.Algorithm != "auto" && p.Algorithm != p.Resolved() {
 		return nil, fmt.Errorf("%w: algorithm %q runs a %s plan", ErrEnvelope, p.Algorithm, p.Resolved())
 	}
-	if p.D != p.inner.Inst.D {
-		return nil, fmt.Errorf("%w: envelope d=%d but plan compiled for d=%d", ErrEnvelope, p.D, p.inner.Inst.D)
-	}
-	// Reclassify from the decoded supports rather than trusting the stored
-	// bands: classification is cheap and derivable.
+	p.D = p.inner.Inst.D
 	p.Classes[0], p.Classes[1], p.Classes[2] = p.inner.Inst.Classify()
 	p.Band = Classify(p.Classes[0], p.Classes[1], p.Classes[2])
-	if p.Classes != classes || p.Band != band {
-		return nil, fmt.Errorf("%w: stored classification %v/%v disagrees with structure %v/%v",
-			ErrEnvelope, classes, band, p.Classes, p.Band)
-	}
 	return p, nil
 }
 

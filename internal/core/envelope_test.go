@@ -281,7 +281,6 @@ func TestEnvelopeRejectsCorruption(t *testing.T) {
 	// Damage the checksum cannot see because the header was resealed over
 	// it, or that sits in the header itself.
 	env := encode(t, shapes[1].p)
-	dOff := hdrLen + 4 + len(shapes[1].p.Algorithm) // the body opens with Algorithm, then D
 	for _, tc := range []struct {
 		name  string
 		patch func(env []byte) []byte
@@ -289,7 +288,6 @@ func TestEnvelopeRejectsCorruption(t *testing.T) {
 		{"bad magic", func(env []byte) []byte { copy(env, "lbmmpost"); return env }},
 		{"trailing byte", func(env []byte) []byte { return append(env, 0) }},
 		{"trailing byte, resealed", func(env []byte) []byte { return reseal(append(env, 0)) }},
-		{"d disagrees with the plan", func(env []byte) []byte { env[dOff]++; return reseal(env) }},
 		{"unknown algorithm", func(env []byte) []byte { env[hdrLen+4] = 'x'; return reseal(env) }},
 	} {
 		bad := tc.patch(append([]byte(nil), env...))
@@ -299,12 +297,12 @@ func TestEnvelopeRejectsCorruption(t *testing.T) {
 	}
 }
 
-// bodyOffsets returns where the arena sizes, the dead counts and the A load
-// refs begin in p's envelope env, following the body layout of Encode and
+// bodyOffsets returns where the dead counts and the A load refs begin in
+// p's envelope env, following the body layout of Encode and
 // algo.EncodeCompiled.
-func bodyOffsets(env []byte, p *Prepared) (sizes, dead, refs int) {
+func bodyOffsets(env []byte, p *Prepared) (dead, refs int) {
 	in := p.inner
-	off := hdrLen + 4 + len(p.Algorithm) + 8 + 4*4 // Algorithm, D, Classes, Band
+	off := hdrLen + 4 + len(p.Algorithm)
 	off += 4 + len(in.Name) + 4 + len(in.R.Name()) + 3*8
 	for _, sup := range []*matrix.Support{in.Inst.Ahat, in.Inst.Bhat, in.Inst.Xhat} {
 		off += 4
@@ -312,47 +310,59 @@ func bodyOffsets(env []byte, p *Prepared) (sizes, dead, refs int) {
 			off += 4 + 4*len(row)
 		}
 	}
-	sizes = off + 6*8 // the Result skeleton
-	n := int(binary.LittleEndian.Uint32(env[sizes:]))
-	dead = sizes + 4 + 4*n
-	return sizes, dead, dead + 4 + 4*n
+	dead = off + 6*8 // the Result skeleton
+	n := int(binary.LittleEndian.Uint32(env[dead:]))
+	return dead, dead + 4 + 4*n
 }
 
 // loadSlotGap returns p's envelope with one load ref moved off its node's
-// slot prefix: the last X ref of a node whose arena has slots beyond the
-// prefix points one slot further, leaving a gap, and the header is resealed
-// so the body reader is what must refuse it.
+// slot prefix: the last X ref points one slot further, leaving a gap, and
+// the header is resealed so the body reader is what must refuse it.
 func loadSlotGap(t *testing.T, p *Prepared) []byte {
 	t.Helper()
 	env := encode(t, p)
 	u32 := func(off int) int { return int(binary.LittleEndian.Uint32(env[off:])) }
-	sizesOff, _, off := bodyOffsets(env, p)
-	sizes := make([]int, u32(sizesOff))
-	for v := range sizes {
-		sizes[v] = u32(sizesOff + 4 + 4*v)
+	_, off := bodyOffsets(env, p)
+	for section := 0; section < 2; section++ { // skip the A and B refs
+		off += 4 + 8*u32(off)
 	}
-	// Walk the A, B and X ref slabs, counting each node's loaded slots and
-	// remembering where each node's last ref sits.
-	loaded := make([]int, len(sizes))
-	last := make([]int, len(sizes))
-	for section := 0; section < 3; section++ {
-		n := u32(off)
-		off += 4
-		for i := 0; i < n; i, off = i+1, off+8 {
-			v := u32(off)
-			loaded[v]++
-			last[v] = off
+	n := u32(off)
+	if n == 0 {
+		t.Fatalf("%s has no X load refs", p.Algorithm)
+	}
+	slot := off + 4 + 8*(n-1) + 4
+	binary.LittleEndian.PutUint32(env[slot:], uint32(u32(slot)+1))
+	return reseal(env)
+}
+
+// hugeCleanupSlot returns p's envelope with the high byte of its last slot
+// set: the slot of the job's last cleanup ref, which closes the body. The
+// header is resealed so the body reader is what must refuse it.
+func hugeCleanupSlot(t testing.TB, p *Prepared) []byte {
+	t.Helper()
+	env := encode(t, p)
+	env[len(env)-1] = 0x7f
+	return reseal(env)
+}
+
+// TestDecodeRejectsOversizedArena checks that a cleanup ref far past every
+// other slot of its node is refused at decode rather than sizing an arena
+// of two billion slots, for each plan shape whose job has a cleanup sweep
+// (on envShapes' blocks, phase 1 of theorem42 leaves its job empty) and for
+// the committed seed that carries one.
+func TestDecodeRejectsOversizedArena(t *testing.T) {
+	envs := map[string][]byte{"seed": readSeed(t, filepath.Join("testdata", "fuzz", "FuzzDecodePrepared", "cleanup-slot-high-byte-resealed"))}
+	for _, s := range envShapes(t) {
+		if s.name == "lemma31" || s.name == "trivial" {
+			envs[s.name] = hugeCleanupSlot(t, s.p)
 		}
 	}
-	for v := range sizes {
-		if loaded[v] > 0 && loaded[v] < sizes[v] {
-			slot := last[v] + 4
-			binary.LittleEndian.PutUint32(env[slot:], uint32(u32(slot)+1))
-			return reseal(env)
+	for name, env := range envs {
+		_, err := DecodePrepared(bytes.NewReader(env))
+		if !errors.Is(err, ErrEnvelope) || !strings.Contains(err.Error(), "not gap-free") {
+			t.Errorf("%s: err = %v, want ErrEnvelope refusing the arena", name, err)
 		}
 	}
-	t.Fatalf("no node of %s has slots beyond its load prefix", p.Algorithm)
-	return nil
 }
 
 // deadShape prepares the trivial plan of a uniformly sparse instance on
@@ -396,7 +406,7 @@ func damageLive(t testing.TB, i int) []byte {
 	t.Helper()
 	p := deadShape(t)
 	env := encode(t, p)
-	_, dead, refs := bodyOffsets(env, p)
+	dead, refs := bodyOffsets(env, p)
 	return reseal(liveDamage[i].patch(env, dead, refs))
 }
 

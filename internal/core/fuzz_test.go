@@ -46,11 +46,13 @@ func readSeed(t *testing.T, path string) []byte {
 // valid envelope per plan shape of envShapes, a body cut in half, a slab
 // length that exceeds the body, load refs with a gap in a node's slot
 // prefix (loadSlotGap), a round index that runs past its plan's
-// instructions, each liveDamage to the live-cell accounting, all but the
-// first resealed so they reach the body reader, and a sealed naive-router
-// job under the name lemma31 (naiveAsLemma31). The property: a decode ends in a typed error, or in a
-// Prepared whose re-encoding decodes to the same plan — never a panic, and
-// never more heap than a fixed multiple of the input.
+// instructions, each liveDamage to the live-cell accounting, a cleanup ref
+// whose slot has its high byte set (hugeCleanupSlot), all but the first
+// resealed so they reach the body reader, and a sealed naive-router job
+// under the name lemma31 (naiveAsLemma31). The property: a decode ends in a
+// typed error, or in a Prepared whose re-encoding decodes to the same plan
+// and whose compiled size is at most compiledCap of the input — never a
+// panic, and never more heap than a fixed multiple of the input.
 func FuzzDecodePrepared(f *testing.F) {
 	f.Fuzz(func(t *testing.T, env []byte) {
 		p, got, err := decodeAllocs(env)
@@ -62,6 +64,9 @@ func FuzzDecodePrepared(f *testing.F) {
 				t.Fatalf("untyped decode error: %v", err)
 			}
 			return
+		}
+		if c := p.CompiledBytes(); c > compiledCap(env) {
+			t.Fatalf("decoded plan prices at %d compiled bytes for a %d-byte input", c, len(env))
 		}
 		again := encode(t, p)
 		q, err := DecodePrepared(bytes.NewReader(again))
@@ -77,4 +82,49 @@ func FuzzDecodePrepared(f *testing.F) {
 			t.Fatalf("content address changed over re-encoding: %s (%v) vs %s (%v)", pfp, perr, qfp, qerr)
 		}
 	})
+}
+
+// compiledCap bounds the compiled size of a plan decoded from env. Every
+// arena slot is touched by a ref the envelope holds (the gap-free rule), and
+// every resident structure is priced from slabs the envelope carries, so a
+// wire byte accounts for at most 4 bytes of compiled size; the cap doubles
+// that.
+func compiledCap(env []byte) int64 { return 8 * int64(len(env)) }
+
+// TestDecodeMutantArenas flips each of the two low bits of every body byte
+// of each committed valid-* seed, reseals it and decodes it: no mutant that
+// decodes may price its compiled form at more than 4× the seed's, nor past
+// compiledCap. When the envelope carried arena sizes, 32 mutants of each
+// seed decoded to arenas far larger than any ref reached.
+func TestDecodeMutantArenas(t *testing.T) {
+	seeds, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzDecodePrepared", "valid-*"))
+	if err != nil || len(seeds) == 0 {
+		t.Fatalf("valid seeds %v (err=%v)", seeds, err)
+	}
+	for _, path := range seeds {
+		env := readSeed(t, path)
+		p, err := DecodePrepared(bytes.NewReader(env))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		limit := 4 * p.CompiledBytes()
+		mutants, decoded, oversized := 0, 0, 0
+		for off := hdrLen; off < len(env); off++ {
+			for bit := 0; bit < 2; bit++ {
+				bad := append([]byte(nil), env...)
+				bad[off] ^= 1 << bit
+				mutants++
+				q, err := DecodePrepared(bytes.NewReader(reseal(bad)))
+				if err != nil {
+					continue
+				}
+				decoded++
+				if c := q.CompiledBytes(); c > limit || c > compiledCap(bad) {
+					oversized++
+					t.Errorf("%s: bit %d of byte %d flipped: compiled size %d, the seed's is %d", filepath.Base(path), bit, off, c, p.CompiledBytes())
+				}
+			}
+		}
+		t.Logf("%s: %d mutants, %d decode, %d oversized", filepath.Base(path), mutants, decoded, oversized)
+	}
 }

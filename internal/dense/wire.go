@@ -10,8 +10,8 @@ import (
 // the flat plan envelope (internal/lbm/wire.go): each program lists its
 // fields in order, straight from and into the runtime struct. The embedded
 // lbm.CompiledPlans are validated by the reader as they are read; the slot
-// references of the local work are checked by ValidateRefs, once the arena
-// geometry they must fit is known.
+// references of the local work are handed to a visitor (VisitRefs), which
+// derives the arena geometry they must fit.
 
 // leafWireMin is the least a compiledLeaf occupies: host, size and three
 // empty slot tables.
@@ -31,9 +31,10 @@ func (ccp *CompiledCubeProgram) PutWire(w *lbm.WireWriter) {
 	w.Refs(ccp.cleanup)
 }
 
-// GetCubeProgram reads what PutWire wrote; failures are recorded on r.
-func GetCubeProgram(r *lbm.WireReader) *CompiledCubeProgram {
-	ccp := &CompiledCubeProgram{njobs: r.Int(), dist: r.Plan(), agg: r.Plan()}
+// GetCubeProgram reads what PutWire wrote for an n-node machine; failures
+// are recorded on r.
+func GetCubeProgram(r *lbm.WireReader, n int) *CompiledCubeProgram {
+	ccp := &CompiledCubeProgram{njobs: r.Int(), dist: r.Plan(n), agg: r.Plan(n)}
 	if n := r.Count(3 * 8); n > 0 {
 		ccp.prods = make([]slotProd, n)
 	}
@@ -44,28 +45,22 @@ func GetCubeProgram(r *lbm.WireReader) *CompiledCubeProgram {
 	return ccp
 }
 
-// ValidateRefs checks every slot reference the cube program's local work
-// touches against the per-node arena sizes it will execute in. The embedded
-// plans validate their own instructions; the products and cleanup refs are
-// only checked here, where the full arena geometry is known.
-func (ccp *CompiledCubeProgram) ValidateRefs(sizes []int32) error {
+// VisitRefs hands v every slot the cube program touches: its two plans, then
+// each product's operands and destination, then the cleanup sweep.
+func (ccp *CompiledCubeProgram) VisitRefs(v lbm.RefVisitor) {
 	if ccp == nil {
-		return nil
+		return
 	}
-	for _, cp := range []*lbm.CompiledPlan{ccp.dist, ccp.agg} {
-		if err := cp.FitsArenas(sizes); err != nil {
-			return fmt.Errorf("dense: cube program: %w", err)
-		}
-	}
+	v.Plan(ccp.dist)
+	v.Plan(ccp.agg)
 	for _, p := range ccp.prods {
-		if err := lbm.CheckRefs(sizes, p.a, p.b, p.dst); err != nil {
-			return fmt.Errorf("dense: cube program product: %w", err)
-		}
+		v.Ref(p.a)
+		v.Ref(p.b)
+		v.Ref(p.dst)
 	}
-	if err := lbm.CheckRefs(sizes, ccp.cleanup...); err != nil {
-		return fmt.Errorf("dense: cube program cleanup: %w", err)
+	for _, ref := range ccp.cleanup {
+		v.Ref(ref)
 	}
-	return nil
 }
 
 // PutWire appends the Strassen program to an envelope body.
@@ -89,11 +84,12 @@ func (csp *CompiledStrassenProgram) PutWire(w *lbm.WireWriter) {
 	w.Refs(csp.cleanup)
 }
 
-// GetStrassenProgram reads what PutWire wrote, checking that every leaf's
-// slot tables have size² entries; failures are recorded on r.
-func GetStrassenProgram(r *lbm.WireReader) *CompiledStrassenProgram {
+// GetStrassenProgram reads what PutWire wrote for an n-node machine,
+// checking that every leaf is hosted on a node of it and has slot tables of
+// size² entries; failures are recorded on r.
+func GetStrassenProgram(r *lbm.WireReader, n int) *CompiledStrassenProgram {
 	csp := &CompiledStrassenProgram{
-		njobs: r.Int(), init: r.Plan(), final: r.Plan(), down: r.Plans(), up: r.Plans(),
+		njobs: r.Int(), init: r.Plan(n), final: r.Plan(n), down: r.Plans(n), up: r.Plans(n),
 	}
 	if n := r.Count(4); n > 0 {
 		csp.leafJobs = make([][]compiledLeaf, n)
@@ -109,6 +105,9 @@ func GetStrassenProgram(r *lbm.WireReader) *CompiledStrassenProgram {
 				r.Fail(fmt.Errorf("dense: decode strassen program: leaf table size mismatch (size %d, %d/%d/%d entries)",
 					l.size, len(l.a), len(l.b), len(l.c)))
 			}
+			if l.host < 0 || int(l.host) >= n {
+				r.Fail(fmt.Errorf("dense: decode strassen program: leaf host %d out of range (n=%d)", l.host, n))
+			}
 			csp.leafJobs[j][i] = l
 		}
 	}
@@ -116,38 +115,33 @@ func GetStrassenProgram(r *lbm.WireReader) *CompiledStrassenProgram {
 	return csp
 }
 
-// ValidateRefs checks every slot index the Strassen program's leaf products
-// and cleanup touch against the per-node arena sizes (-1 marks a
-// structurally absent element and is always legal).
-func (csp *CompiledStrassenProgram) ValidateRefs(sizes []int32) error {
+// VisitRefs hands v every slot the Strassen program touches: its plans, each
+// leaf's present elements (-1 marks a structurally absent one, which touches
+// nothing), then the cleanup sweep.
+func (csp *CompiledStrassenProgram) VisitRefs(v lbm.RefVisitor) {
 	if csp == nil {
-		return nil
+		return
 	}
-	plans := []*lbm.CompiledPlan{csp.init, csp.final}
-	plans = append(plans, csp.down...)
-	plans = append(plans, csp.up...)
-	for _, cp := range plans {
-		if err := cp.FitsArenas(sizes); err != nil {
-			return fmt.Errorf("dense: strassen program: %w", err)
-		}
+	v.Plan(csp.init)
+	v.Plan(csp.final)
+	for _, cp := range csp.down {
+		v.Plan(cp)
+	}
+	for _, cp := range csp.up {
+		v.Plan(cp)
 	}
 	for _, leafs := range csp.leafJobs {
 		for _, l := range leafs {
-			if l.host < 0 || int(l.host) >= len(sizes) {
-				return fmt.Errorf("dense: strassen leaf host %d out of range (n=%d)", l.host, len(sizes))
-			}
 			for _, slots := range [][]int32{l.a, l.b, l.c} {
 				for _, sl := range slots {
-					if sl != -1 && (sl < 0 || sl >= sizes[l.host]) {
-						return fmt.Errorf("dense: strassen leaf slot %d out of range at node %d (%d slots)",
-							sl, l.host, sizes[l.host])
+					if sl != -1 {
+						v.Ref(lbm.SlotRef{Node: l.host, Slot: sl})
 					}
 				}
 			}
 		}
 	}
-	if err := lbm.CheckRefs(sizes, csp.cleanup...); err != nil {
-		return fmt.Errorf("dense: strassen cleanup: %w", err)
+	for _, ref := range csp.cleanup {
+		v.Ref(ref)
 	}
-	return nil
 }

@@ -25,12 +25,13 @@ func (cj *CompiledJob) PutWire(w *lbm.WireWriter) {
 	w.Refs(cj.cleanup)
 }
 
-// GetJob reads what PutWire wrote; failures are recorded on r. A job has
-// no plans, or a shape's: 6 input and 3 output plans for Lemma 3.1, 1 and 0
-// for the trivial algorithm, 1 and 1 for the naive router.
-func GetJob(r *lbm.WireReader) *CompiledJob {
+// GetJob reads what PutWire wrote for an n-node machine; failures are
+// recorded on r. A job has no plans, or a shape's: 6 input and 3 output
+// plans for Lemma 3.1, 1 and 0 for the trivial algorithm, 1 and 1 for the
+// naive router.
+func GetJob(r *lbm.WireReader, n int) *CompiledJob {
 	cj := &CompiledJob{kappa: r.Int(), virtualNodes: r.Int()}
-	in, out := r.Plans(), r.Plans()
+	in, out := r.Plans(n), r.Plans(n)
 	if len(in)+len(out) > 0 {
 		if cj.sh = shapeOf(len(in), len(out)); cj.sh == nil {
 			r.Fail(fmt.Errorf("fewtri: decode job: %d input and %d output plans (want 6 and 3, 1 and 0, or 1 and 1)", len(in), len(out)))
@@ -63,25 +64,20 @@ func (cj *CompiledJob) Shape() string {
 	return cj.sh.phase
 }
 
-// ValidateRefs checks every slot reference the job touches against the
-// per-node arena sizes it will execute in. The plans' instructions are
-// bounded by their own NumSlots snapshots; the triangle products and
-// cleanup refs are only checked here, where the arena geometry is known.
-func (cj *CompiledJob) ValidateRefs(sizes []int32) error {
-	for i, cp := range cj.plans {
-		if err := cp.FitsArenas(sizes); err != nil {
-			return fmt.Errorf("fewtri: plan %d: %w", i, err)
-		}
+// VisitRefs hands v every slot the job touches: its plans, each triangle
+// product's operands and destination, then the cleanup sweep.
+func (cj *CompiledJob) VisitRefs(v lbm.RefVisitor) {
+	for _, cp := range cj.plans {
+		v.Plan(cp)
 	}
 	for _, prods := range cj.prods {
 		for _, p := range prods {
-			if err := lbm.CheckRefs(sizes, p.a, p.b, p.dst); err != nil {
-				return fmt.Errorf("fewtri: product: %w", err)
-			}
+			v.Ref(p.a)
+			v.Ref(p.b)
+			v.Ref(p.dst)
 		}
 	}
-	if err := lbm.CheckRefs(sizes, cj.cleanup...); err != nil {
-		return fmt.Errorf("fewtri: cleanup: %w", err)
+	for _, ref := range cj.cleanup {
+		v.Ref(ref)
 	}
-	return nil
 }

@@ -48,7 +48,7 @@ func TestGetJobShapes(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		cj := GetJob(r)
+		cj := GetJob(r, n)
 		return cj, r.Close()
 	}
 

@@ -37,8 +37,12 @@ func NewSlotSpace(n int) *SlotSpace {
 func (s *SlotSpace) N() int { return s.n }
 
 // Slot returns the slot of key k at node, assigning the next free slot on
-// first sight.
+// first sight. A node outside the space has no slot: it gets -1, and the
+// model-rule pass of the plan being compiled reports the node out of range.
 func (s *SlotSpace) Slot(node NodeID, k Key) int32 {
+	if node < 0 || int(node) >= s.n {
+		return -1
+	}
 	if sl, ok := s.idx[node][k]; ok {
 		return sl
 	}
@@ -85,19 +89,14 @@ type SlotRef struct {
 	Slot int32
 }
 
-// CheckRefs bounds-checks slot refs against the per-node arena sizes they
-// will be used in. Decoded programs run it over every ref their local work
-// touches (the ValidateRefs methods of dense, cluster, fewtri and algo).
-func CheckRefs(sizes []int32, refs ...SlotRef) error {
-	for _, r := range refs {
-		if r.Node < 0 || int(r.Node) >= len(sizes) {
-			return fmt.Errorf("node %d out of range (n=%d)", r.Node, len(sizes))
-		}
-		if r.Slot < 0 || r.Slot >= sizes[r.Node] {
-			return fmt.Errorf("slot %d out of range at node %d (%d slots)", r.Slot, r.Node, sizes[r.Node])
-		}
-	}
-	return nil
+// RefVisitor is handed every slot a compiled program touches: each of its
+// plans whole, and each slot ref of its local work (products, leaf tables,
+// cleanup sweeps) one at a time. A compiled pipeline derives its arena sizes
+// from what a visitor sees (internal/algo), so a program has no arena
+// geometry of its own to carry or to check.
+type RefVisitor interface {
+	Plan(cp *CompiledPlan)
+	Ref(r SlotRef)
 }
 
 // CompiledPlan is a Plan lowered to a flat slot-addressed instruction
@@ -105,29 +104,28 @@ func CheckRefs(sizes []int32, refs ...SlotRef) error {
 // SrcSlot[i] of node From[i] into slot DstSlot[i] of node To[i] under
 // Ops[i]. RoundOff is the round index: round t is the instruction range
 // [RoundOff[t], RoundOff[t+1]). The model constraints (node IDs in range,
-// one send and one receive per computer per round) are validated once at
-// compile time instead of on every execution.
+// one send and one receive per computer per round) are checked once, by
+// validate, instead of on every execution.
 type CompiledPlan struct {
 	// N is the machine size the plan was compiled for.
 	N int
-	// NumSlots are the per-node arena sizes observed at compile time. An
-	// executor's arenas must be at least this large; a shared SlotSpace may
-	// have grown past it by the time the pipeline's last plan is compiled.
-	NumSlots []int32
 
 	From, To         []int32
 	SrcSlot, DstSlot []int32
 	Ops              []Op
-	// RoundOff has len(rounds)+1 entries; Real[t] is the number of real
-	// (cross-node) messages of round t, precomputed so the executor's
-	// stats replay does no per-round counting work.
+	// RoundOff has len(rounds)+1 entries.
 	RoundOff []int32
-	Real     []int32
 	// Spans are the source plan's phase annotations, replayed identically
 	// to the map engine when a collector is attached.
 	Spans []PhaseSpan
-	// HasSub records whether any instruction uses OpSub, so the executor
-	// can reject a non-field ring once per run instead of per instruction.
+
+	// Real and HasSub are derived from the fields above by validate and
+	// never serialized. Real[t] is the number of real (cross-node) messages
+	// of round t, so the executor's stats replay does no per-round counting
+	// work; HasSub records whether any instruction uses OpSub, so the
+	// executor can reject a non-field ring once per run instead of per
+	// instruction.
+	Real   []int32
 	HasSub bool
 
 	// solo caches the plan as a chain of one (exchange.go): derived state,
@@ -152,28 +150,12 @@ func (cp *CompiledPlan) AddNodeLoads(send, recv []int64) {
 	}
 }
 
-// FitsArenas checks that the plan's arena demands fit within the executor
-// arenas it will run in. Validate bounds every instruction by the plan's
-// own NumSlots snapshot, so NumSlots ≤ sizes is sufficient.
-func (cp *CompiledPlan) FitsArenas(sizes []int32) error {
-	if cp.N != len(sizes) {
-		return fmt.Errorf("plan compiled for %d nodes, arenas have %d", cp.N, len(sizes))
-	}
-	for v, sz := range cp.NumSlots {
-		if sz > sizes[v] {
-			return fmt.Errorf("plan needs %d slots at node %d, arenas have %d", sz, v, sizes[v])
-		}
-	}
-	return nil
-}
-
 // MemoryBytes estimates the resident size of the compiled form: the
 // instruction arrays plus the round index. Serving caches use it as the
 // LRU cost of a cached plan.
 func (cp *CompiledPlan) MemoryBytes() int64 {
 	n := int64(len(cp.From)) * (4 + 4 + 4 + 4 + 1) // SoA instruction arrays
 	n += int64(len(cp.RoundOff)+len(cp.Real)) * 4
-	n += int64(len(cp.NumSlots)) * 4
 	for _, s := range cp.Spans {
 		n += int64(len(s.Label)) + 16 + int64(len(s.Metrics))*24
 	}
@@ -186,9 +168,6 @@ func (cp *CompiledPlan) MemoryBytes() int64 {
 // space so every artifact agrees on the addressing.
 func CompileInto(space *SlotSpace, p *Plan) (*CompiledPlan, error) {
 	n := space.N()
-	if n < 1 {
-		return nil, fmt.Errorf("lbm: compile: machine size %d", n)
-	}
 	total := 0
 	for _, r := range p.Rounds {
 		total += len(r)
@@ -201,68 +180,48 @@ func CompileInto(space *SlotSpace, p *Plan) (*CompiledPlan, error) {
 		DstSlot:  make([]int32, 0, total),
 		Ops:      make([]Op, 0, total),
 		RoundOff: make([]int32, 1, len(p.Rounds)+1),
-		Real:     make([]int32, 0, len(p.Rounds)),
 	}
-	sentAt := make([]int, n)
-	recvAt := make([]int, n)
-	for i := range sentAt {
-		sentAt[i] = -1
-		recvAt[i] = -1
-	}
-	for t, r := range p.Rounds {
-		var real int32
+	for _, r := range p.Rounds {
 		for _, s := range r {
-			if s.From < 0 || int(s.From) >= n || s.To < 0 || int(s.To) >= n {
-				return nil, fmt.Errorf("lbm: compile: round %d: send %v -> %v out of range (n=%d)", t, s.From, s.To, n)
-			}
-			if s.Op > OpSub {
-				return nil, fmt.Errorf("lbm: compile: round %d: unknown op %d", t, s.Op)
-			}
-			if s.Op == OpSub {
-				cp.HasSub = true
-			}
-			if s.From != s.To {
-				if sentAt[s.From] == t {
-					return nil, fmt.Errorf("lbm: compile: node %d sends twice in round %d (key %v)", s.From, t, s.Src)
-				}
-				if recvAt[s.To] == t {
-					return nil, fmt.Errorf("lbm: compile: node %d receives twice in round %d (key %v)", s.To, t, s.Dst)
-				}
-				sentAt[s.From] = t
-				recvAt[s.To] = t
-				real++
-			}
-			cp.From = append(cp.From, int32(s.From))
-			cp.To = append(cp.To, int32(s.To))
+			cp.From = append(cp.From, s.From)
+			cp.To = append(cp.To, s.To)
 			cp.SrcSlot = append(cp.SrcSlot, space.Slot(s.From, s.Src))
 			cp.DstSlot = append(cp.DstSlot, space.Slot(s.To, s.Dst))
 			cp.Ops = append(cp.Ops, s.Op)
 		}
 		cp.RoundOff = append(cp.RoundOff, int32(len(cp.From)))
-		cp.Real = append(cp.Real, real)
-	}
-	for _, s := range p.Spans {
-		if s.Start < 0 || s.End < s.Start || s.End > len(p.Rounds) {
-			return nil, fmt.Errorf("lbm: compile: span %q covers rounds [%d,%d) of a %d-round plan",
-				s.Label, s.Start, s.End, len(p.Rounds))
-		}
 	}
 	cp.Spans = append(cp.Spans, p.Spans...)
-	cp.NumSlots = space.Sizes()
+	if err := cp.validate(newRules(n)); err != nil {
+		return nil, err
+	}
 	return cp, nil
 }
 
-// Validate statically checks a compiled plan's invariants: consistent array
-// lengths, a monotone round index, node IDs in range, slots within the
-// declared arena sizes, one send and one receive per node per round, and
-// well-formed spans. Decoded compiled plans cross a trust boundary (plan-store
-// files, mesh job frames), so WireReader.Plan never returns one unchecked.
-func (cp *CompiledPlan) Validate() error {
+// rules is the scratch of the model-rule pass: per node, the last round it
+// sent in and the last round it received in. Rounds are numbered on across
+// every plan one rules checks, so a reader allocates it once per envelope
+// rather than once per plan.
+type rules struct {
+	sent, recv []int32
+	round      int32
+}
+
+func newRules(n int) *rules {
+	return &rules{sent: make([]int32, n), recv: make([]int32, n)}
+}
+
+// validate is the one pass over a compiled plan's instruction stream. It
+// checks the model rules — consistent array lengths, a round index that
+// covers the stream in order, node IDs in range, non-negative slots, known
+// ops, one send and one receive per node per round, spans inside the plan —
+// and derives what follows from the stream: Real and HasSub. CompileInto
+// runs it on what it lowered and WireReader.Plan on what it read, so a
+// fresh plan and a decoded one are checked and derived alike. rs must be
+// sized for cp.N nodes.
+func (cp *CompiledPlan) validate(rs *rules) error {
 	if cp.N < 1 {
 		return fmt.Errorf("lbm: compiled plan: machine size %d", cp.N)
-	}
-	if len(cp.NumSlots) != cp.N {
-		return fmt.Errorf("lbm: compiled plan: %d arena sizes for %d nodes", len(cp.NumSlots), cp.N)
 	}
 	ni := len(cp.From)
 	if len(cp.To) != ni || len(cp.SrcSlot) != ni || len(cp.DstSlot) != ni || len(cp.Ops) != ni {
@@ -271,17 +230,9 @@ func (cp *CompiledPlan) Validate() error {
 	if len(cp.RoundOff) < 1 || cp.RoundOff[0] != 0 || int(cp.RoundOff[len(cp.RoundOff)-1]) != ni {
 		return fmt.Errorf("lbm: compiled plan: round index does not cover the instruction stream")
 	}
-	if len(cp.Real) != len(cp.RoundOff)-1 {
-		return fmt.Errorf("lbm: compiled plan: %d per-round counts for %d rounds", len(cp.Real), len(cp.RoundOff)-1)
-	}
-	sentAt := make([]int, cp.N)
-	recvAt := make([]int, cp.N)
-	for i := range sentAt {
-		sentAt[i] = -1
-		recvAt[i] = -1
-	}
-	hasSub := false
-	for t := 0; t < len(cp.RoundOff)-1; t++ {
+	rounds := len(cp.RoundOff) - 1
+	cp.Real, cp.HasSub = make([]int32, rounds), false
+	for t := 0; t < rounds; t++ {
 		lo, hi := cp.RoundOff[t], cp.RoundOff[t+1]
 		if lo > hi {
 			return fmt.Errorf("lbm: compiled plan: round index not monotone at round %d", t)
@@ -291,43 +242,36 @@ func (cp *CompiledPlan) Validate() error {
 		if lo < 0 || int(hi) > ni {
 			return fmt.Errorf("lbm: compiled plan: round %d covers instructions [%d,%d) of %d", t, lo, hi, ni)
 		}
+		rs.round++
 		var real int32
 		for i := lo; i < hi; i++ {
 			from, to := cp.From[i], cp.To[i]
 			if from < 0 || int(from) >= cp.N || to < 0 || int(to) >= cp.N {
 				return fmt.Errorf("lbm: compiled plan: round %d: send %d -> %d out of range (n=%d)", t, from, to, cp.N)
 			}
-			if cp.SrcSlot[i] < 0 || cp.SrcSlot[i] >= cp.NumSlots[from] ||
-				cp.DstSlot[i] < 0 || cp.DstSlot[i] >= cp.NumSlots[to] {
-				return fmt.Errorf("lbm: compiled plan: round %d: slot out of range", t)
+			if cp.SrcSlot[i] < 0 || cp.DstSlot[i] < 0 {
+				return fmt.Errorf("lbm: compiled plan: round %d: negative slot", t)
 			}
 			if cp.Ops[i] > OpSub {
 				return fmt.Errorf("lbm: compiled plan: round %d: unknown op %d", t, cp.Ops[i])
 			}
 			if cp.Ops[i] == OpSub {
-				hasSub = true
+				cp.HasSub = true
 			}
 			if from == to {
 				continue
 			}
-			if sentAt[from] == t {
+			if rs.sent[from] == rs.round {
 				return fmt.Errorf("lbm: compiled plan: node %d sends twice in round %d", from, t)
 			}
-			if recvAt[to] == t {
+			if rs.recv[to] == rs.round {
 				return fmt.Errorf("lbm: compiled plan: node %d receives twice in round %d", to, t)
 			}
-			sentAt[from] = t
-			recvAt[to] = t
+			rs.sent[from], rs.recv[to] = rs.round, rs.round
 			real++
 		}
-		if real != cp.Real[t] {
-			return fmt.Errorf("lbm: compiled plan: round %d declares %d real messages, has %d", t, cp.Real[t], real)
-		}
+		cp.Real[t] = real
 	}
-	if hasSub != cp.HasSub {
-		return fmt.Errorf("lbm: compiled plan: HasSub=%v disagrees with the instruction stream", cp.HasSub)
-	}
-	rounds := len(cp.RoundOff) - 1
 	for _, s := range cp.Spans {
 		if s.Start < 0 || s.End < s.Start || s.End > rounds {
 			return fmt.Errorf("lbm: compiled plan: span %q covers rounds [%d,%d) of a %d-round plan",

@@ -105,9 +105,6 @@ func runCompiled(t *testing.T, p *Plan, loads []load, r ring.Semiring, opts ...O
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	if err := cp.Validate(); err != nil {
-		t.Fatalf("validate: %v", err)
-	}
 	x := NewExec(sp.Sizes(), r, opts...)
 	for _, l := range loads {
 		x.PutSlot(sp.Ref(l.node, l.key), l.val)
@@ -392,8 +389,9 @@ func TestCompiledResetReuse(t *testing.T) {
 }
 
 // TestCompiledValidateCatchesCorruption mutates a valid compiled plan field
-// by field and checks Validate rejects each corruption — decoded plans
-// cross a trust boundary and must never reach the executor unchecked.
+// by field and checks validate rejects each corruption — decoded plans
+// cross a trust boundary and must never reach the executor unchecked — and
+// that it derives Real and HasSub from the stream, whatever they held.
 func TestCompiledValidateCatchesCorruption(t *testing.T) {
 	fresh := func() *CompiledPlan {
 		rng := rand.New(rand.NewSource(11))
@@ -404,8 +402,14 @@ func TestCompiledValidateCatchesCorruption(t *testing.T) {
 		}
 		return cp
 	}
-	if err := fresh().Validate(); err != nil {
+	want := fresh()
+	got := fresh()
+	got.Real, got.HasSub = make([]int32, len(got.Real)), !got.HasSub
+	if err := got.validate(newRules(got.N)); err != nil {
 		t.Fatalf("valid plan rejected: %v", err)
+	}
+	if !reflect.DeepEqual(got.Real, want.Real) || got.HasSub != want.HasSub {
+		t.Fatalf("validate derived Real %v and HasSub %v, compile %v and %v", got.Real, got.HasSub, want.Real, want.HasSub)
 	}
 	cases := []struct {
 		name   string
@@ -413,7 +417,6 @@ func TestCompiledValidateCatchesCorruption(t *testing.T) {
 	}{
 		{"node out of range", func(cp *CompiledPlan) { cp.From[0] = int32(cp.N) }},
 		{"negative node", func(cp *CompiledPlan) { cp.To[0] = -1 }},
-		{"slot out of range", func(cp *CompiledPlan) { cp.SrcSlot[0] = cp.NumSlots[cp.From[0]] }},
 		{"negative slot", func(cp *CompiledPlan) { cp.DstSlot[0] = -1 }},
 		{"unknown op", func(cp *CompiledPlan) { cp.Ops[0] = OpSub + 1 }},
 		{"round offsets not monotone", func(cp *CompiledPlan) { cp.RoundOff[1] = cp.RoundOff[2] + 1 }},
@@ -427,7 +430,7 @@ func TestCompiledValidateCatchesCorruption(t *testing.T) {
 	for _, tc := range cases {
 		cp := fresh()
 		tc.mutate(cp)
-		if err := cp.Validate(); err == nil {
+		if err := cp.validate(newRules(cp.N)); err == nil {
 			t.Errorf("%s: corruption not caught", tc.name)
 		}
 	}

@@ -96,18 +96,20 @@ func (s *Schedule) PlanCounts(i int) (rounds, exchanges int) {
 	return rounds, exchanges
 }
 
-// slotIndex flattens (node, slot) over the chain's arenas: the per-slot
-// scratch of the passes below is one slab indexed by off[node]+slot.
+// slotIndex flattens (node, slot) over the slots the chain's plans touch:
+// the per-slot scratch of the passes below is one slab indexed by
+// off[node]+slot.
 func slotIndex(plans []*CompiledPlan) (off []int32) {
 	off = make([]int32, plans[0].N+1)
-	for v := 0; v < plans[0].N; v++ {
-		var most int32
-		for _, cp := range plans {
-			if cp.NumSlots[v] > most {
-				most = cp.NumSlots[v]
-			}
+	for _, cp := range plans {
+		for i, from := range cp.From {
+			off[from+1] = max(off[from+1], cp.SrcSlot[i]+1)
+			to := cp.To[i]
+			off[to+1] = max(off[to+1], cp.DstSlot[i]+1)
 		}
-		off[v+1] = off[v] + most
+	}
+	for v := 1; v < len(off); v++ {
+		off[v] += off[v-1]
 	}
 	return off
 }

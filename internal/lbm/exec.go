@@ -370,8 +370,8 @@ func (x *Exec) RunChained(c *Chain, i int) error {
 }
 
 func (x *Exec) run(cp *CompiledPlan) error {
-	if len(cp.NumSlots) != x.N {
-		return fmt.Errorf("lbm: compiled plan for %d computers on a %d-computer executor", len(cp.NumSlots), x.N)
+	if cp.N != x.N {
+		return fmt.Errorf("lbm: compiled plan for %d computers on a %d-computer executor", cp.N, x.N)
 	}
 	if cp.HasSub && x.field == nil {
 		return fmt.Errorf("lbm: OpSub requires a field, ring %s is not one", x.R.Name())

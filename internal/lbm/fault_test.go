@@ -77,7 +77,7 @@ func runFaultPlanCompiled(inj Injector) error {
 	if inj != nil {
 		opts = append(opts, WithInjector(inj))
 	}
-	x := NewExec(cp.NumSlots, ring.Counting{}, opts...)
+	x := NewExec(sp.Sizes(), ring.Counting{}, opts...)
 	loadFaultTestInputs(func(node NodeID, k Key, v ring.Value) {
 		if slot, ok := sp.Lookup(node, k); ok {
 			x.PutSlot(SlotRef{Node: node, Slot: slot}, v)

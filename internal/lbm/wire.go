@@ -37,9 +37,9 @@ const (
 	// trust when sizing its buffer, before any of the body has arrived.
 	wireReadAhead = 64 << 10
 
-	// planWireMin is the least a CompiledPlan occupies in a body: N, eight
-	// empty slabs and HasSub.
-	planWireMin = 8 + 8*4 + 1
+	// planWireMin is the least a CompiledPlan occupies in a body: N, six
+	// empty slabs and an empty span list.
+	planWireMin = 8 + 7*4
 )
 
 var (
@@ -124,18 +124,17 @@ func (w *WireWriter) Refs(s []SlotRef) {
 	}
 }
 
-// Plan writes a compiled plan field by field. Span metrics go out in key
-// order, so encoding one plan twice gives identical bytes.
+// Plan writes a compiled plan field by field: what the compiler chose, not
+// what validate derives from it. Span metrics go out in key order, so
+// encoding one plan twice gives identical bytes.
 func (w *WireWriter) Plan(cp *CompiledPlan) {
 	w.Int(cp.N)
-	w.Int32s(cp.NumSlots)
 	w.Int32s(cp.From)
 	w.Int32s(cp.To)
 	w.Int32s(cp.SrcSlot)
 	w.Int32s(cp.DstSlot)
 	w.Ops(cp.Ops)
 	w.Int32s(cp.RoundOff)
-	w.Int32s(cp.Real)
 	w.Count(len(cp.Spans))
 	for _, s := range cp.Spans {
 		w.String(s.Label)
@@ -152,7 +151,6 @@ func (w *WireWriter) Plan(cp *CompiledPlan) {
 			w.Float64(s.Metrics[k])
 		}
 	}
-	w.Bool(cp.HasSub)
 }
 
 func (w *WireWriter) Plans(cps []*CompiledPlan) {
@@ -167,8 +165,9 @@ func (w *WireWriter) Plans(cps []*CompiledPlan) {
 // its fields without checking each one and its caller asks Err once, before
 // it trusts what was read.
 type WireReader struct {
-	buf []byte // unread body
-	err error
+	buf   []byte // unread body
+	err   error
+	rules *rules // the model-rule scratch every plan of the body shares
 }
 
 // ReadWire reads one envelope from r: the header first — magic and version
@@ -335,51 +334,51 @@ func (r *WireReader) Refs() []SlotRef {
 	return out
 }
 
-// Plan reads a compiled plan and validates it: a plan that comes out of a
-// reader without a recorded failure satisfies CompiledPlan.Validate.
-func (r *WireReader) Plan() *CompiledPlan {
-	cp := &CompiledPlan{
-		N:        r.Int(),
-		NumSlots: r.Int32s(),
-		From:     r.Int32s(),
-		To:       r.Int32s(),
-		SrcSlot:  r.Int32s(),
-		DstSlot:  r.Int32s(),
-		Ops:      r.Ops(),
-		RoundOff: r.Int32s(),
-		Real:     r.Int32s(),
+// Plan reads a compiled plan for an n-node machine and validates it: a plan
+// that comes out of a reader without a recorded failure satisfies the model
+// rules and carries its derived Real and HasSub. A plan for another machine
+// size fails before anything is allocated for it, so the per-node scratch
+// of validate is sized by the caller's n, not by the bytes.
+func (r *WireReader) Plan(n int) *CompiledPlan {
+	cp := &CompiledPlan{N: r.Int()}
+	if r.err == nil && cp.N != n {
+		r.err = fmt.Errorf("lbm: compiled plan for %d nodes on a %d-node machine", cp.N, n)
 	}
-	if n := r.Count(4 + 8 + 8 + 4); n > 0 {
-		cp.Spans = make([]PhaseSpan, n)
+	cp.From, cp.To = r.Int32s(), r.Int32s()
+	cp.SrcSlot, cp.DstSlot = r.Int32s(), r.Int32s()
+	cp.Ops, cp.RoundOff = r.Ops(), r.Int32s()
+	if c := r.Count(4 + 8 + 8 + 4); c > 0 {
+		cp.Spans = make([]PhaseSpan, c)
 	}
 	for i := range cp.Spans {
 		s := &cp.Spans[i]
 		s.Label, s.Start, s.End = r.String(), r.Int(), r.Int()
-		if n := r.Count(4 + 8); n > 0 {
-			s.Metrics = make(map[string]float64, n)
-			for ; n > 0; n-- {
+		if c := r.Count(4 + 8); c > 0 {
+			s.Metrics = make(map[string]float64, c)
+			for ; c > 0; c-- {
 				k := r.String()
 				s.Metrics[k] = r.Float64()
 			}
 		}
 	}
-	cp.HasSub = r.Bool()
 	if r.err == nil {
-		if err := cp.Validate(); err != nil {
-			r.err = err
+		if r.rules == nil || len(r.rules.sent) != n {
+			r.rules = newRules(n)
 		}
+		r.err = cp.validate(r.rules)
 	}
 	return cp
 }
 
-func (r *WireReader) Plans() []*CompiledPlan {
-	n := r.Count(planWireMin)
-	if n == 0 {
+// Plans reads a list of plans for an n-node machine.
+func (r *WireReader) Plans(n int) []*CompiledPlan {
+	c := r.Count(planWireMin)
+	if c == 0 {
 		return nil
 	}
-	out := make([]*CompiledPlan, n)
+	out := make([]*CompiledPlan, c)
 	for i := range out {
-		out[i] = r.Plan()
+		out[i] = r.Plan(n)
 	}
 	return out
 }

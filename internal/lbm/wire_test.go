@@ -82,8 +82,8 @@ func TestWireRoundTrip(t *testing.T) {
 	if got := r.Refs(); !reflect.DeepEqual(got, refs) {
 		t.Fatalf("refs read back as %v", got)
 	}
-	back := r.Plan()
-	backs := r.Plans()
+	back := r.Plan(6)
+	backs := r.Plans(6)
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestWireRoundTrip(t *testing.T) {
 	// The slot space only has slots for keys the plan references, so both
 	// engines are restricted to those loads.
 	var used []load
-	x := NewExec(back.NumSlots, ring.Counting{})
+	x := NewExec(sp.Sizes(), ring.Counting{})
 	for _, l := range loads {
 		if s, ok := sp.Lookup(l.node, l.key); ok {
 			x.PutSlot(SlotRef{Node: l.node, Slot: s}, l.val)
@@ -184,7 +184,7 @@ func TestWireReaderBounds(t *testing.T) {
 		"Int32s": func(r *WireReader) int { return len(r.Int32s()) },
 		"Ops":    func(r *WireReader) int { return len(r.Ops()) },
 		"Refs":   func(r *WireReader) int { return len(r.Refs()) },
-		"Plans":  func(r *WireReader) int { return len(r.Plans()) },
+		"Plans":  func(r *WireReader) int { return len(r.Plans(6)) },
 	} {
 		r := open(func(w *WireWriter) { w.Count(1 << 30); w.Int(0) })
 		var n int
@@ -216,7 +216,13 @@ func TestWireReaderBounds(t *testing.T) {
 	_, _, _, bad := wirePlan(t, 5, false)
 	bad.To[0] = int32(bad.N)
 	r = open(func(w *WireWriter) { w.Plan(bad) })
-	if r.Plan(); r.Err() == nil || !strings.Contains(r.Err().Error(), "out of range") {
+	if r.Plan(bad.N); r.Err() == nil || !strings.Contains(r.Err().Error(), "out of range") {
 		t.Errorf("invalid plan read without a failure: %v", r.Err())
+	}
+	// So is a plan for another machine size, before its slabs are read.
+	_, _, _, good := wirePlan(t, 5, false)
+	r = open(func(w *WireWriter) { w.Plan(good) })
+	if r.Plan(good.N + 1); r.Err() == nil || !strings.Contains(r.Err().Error(), "7-node machine") {
+		t.Errorf("plan for %d nodes read as one for %d: %v", good.N, good.N+1, r.Err())
 	}
 }

@@ -232,7 +232,7 @@ func TestServerMultiplyBatchExplicit(t *testing.T) {
 		lanes[i] = BatchLane{A: a, B: b}
 		want[i] = matrix.MulReference(a, b, inst.Xhat)
 	}
-	resp, err := srv.MultiplyBatch(ctx, &MultiplyBatchRequest{Lanes: lanes, Xhat: inst.Xhat, Options: opts, Trace: true})
+	resp, err := srv.multiplyBatch(ctx, &MultiplyBatchRequest{Lanes: lanes, Xhat: inst.Xhat, Options: opts, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestServerMultiplyBatchExplicit(t *testing.T) {
 		t.Error("trace requested but no profile returned")
 	}
 	for i := range want {
-		if !matrix.Equal(resp.X[i], want[i]) {
+		if !matrix.Equal(resp.Products[i].Sparse(), want[i]) {
 			t.Errorf("lane %d: wrong product", i)
 		}
 	}
@@ -253,7 +253,7 @@ func TestServerMultiplyBatchExplicit(t *testing.T) {
 	other := workload.Blocks(16, 4)
 	bad := append([]BatchLane{}, lanes...)
 	bad[1] = BatchLane{A: matrix.Random(other.Ahat, r, 1), B: matrix.Random(other.Bhat, r, 2)}
-	_, err = srv.MultiplyBatch(ctx, &MultiplyBatchRequest{Lanes: bad, Xhat: inst.Xhat, Options: opts})
+	_, err = srv.multiplyBatch(ctx, &MultiplyBatchRequest{Lanes: bad, Xhat: inst.Xhat, Options: opts})
 	if !errors.Is(err, ErrInvalid) {
 		t.Fatalf("mixed-structure batch: err = %v, want ErrInvalid", err)
 	}
@@ -278,7 +278,7 @@ func TestServerMultiplyBatchExplicit(t *testing.T) {
 	}
 	bad = append([]BatchLane{}, lanes...)
 	bad[2] = BatchLane{A: lanes[2].A, B: moved}
-	_, err = srv.MultiplyBatch(ctx, &MultiplyBatchRequest{Lanes: bad, Xhat: inst.Xhat, Options: opts})
+	_, err = srv.multiplyBatch(ctx, &MultiplyBatchRequest{Lanes: bad, Xhat: inst.Xhat, Options: opts})
 	if !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), "lane 2: structure differs from lane 0") {
 		t.Fatalf("batch with one moved position in lane 2's B: err = %v, want ErrInvalid naming lane 2", err)
 	}
@@ -434,7 +434,7 @@ func TestServerCloseHammer(t *testing.T) {
 // TestPipelineDifferential extends the engines' oracle discipline to the
 // pipeline: over random instances, two rings and the three launch policies,
 // every way into the pipeline — Multiply, MultiplySubmit, a lane of
-// MultiplyBatch, POST /v1/multiply — returns the product core.Multiply
+// multiplyBatch, POST /v1/multiply — returns the product core.Multiply
 // computes. Afterwards every entry point is shed by the closed server and
 // the books balance, shed lanes included.
 func TestPipelineDifferential(t *testing.T) {

@@ -74,7 +74,7 @@ var pipelineModes = []struct {
 }
 
 // entryPoints drives one request through each way into the pipeline and
-// returns the product (lane 1 of a 3-lane batch for MultiplyBatch, so the
+// returns the product (lane 1 of a 3-lane batch for multiplyBatch, so the
 // request rides between lane-mates) or the error.
 var entryPoints = []struct {
 	name  string
@@ -116,7 +116,7 @@ var entryPoints = []struct {
 				B: matrix.Random(req.B.Support(), req.B.R, seed+1),
 			}
 		}
-		resp, err := srv.MultiplyBatch(context.Background(), &MultiplyBatchRequest{
+		resp, err := srv.multiplyBatch(context.Background(), &MultiplyBatchRequest{
 			Lanes:   []BatchLane{mate(101), {A: req.A, B: req.B}, mate(103)},
 			Xhat:    req.Xhat,
 			Options: req.Options,
@@ -124,7 +124,7 @@ var entryPoints = []struct {
 		if err != nil {
 			return nil, err
 		}
-		return resp.X[1], nil
+		return resp.Products[1].Sparse(), nil
 	}},
 }
 

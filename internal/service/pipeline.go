@@ -21,7 +21,7 @@ import (
 // structure once, its values in listing order), admitted, resolved to a
 // prepared plan and parked in a coalescer; the coalescer launches groups of
 // same-fingerprint lanes; runGroup executes a group and delivers each
-// lane's outcome. Multiply, MultiplySubmit, MultiplyBatch and the handlers
+// lane's outcome. Multiply, MultiplySubmit, multiplyBatch and the handlers
 // differ only in how lanes enter and how the caller waits.
 
 // lane is one value set parked in a coalescer: the plan it resolved to, its
@@ -375,7 +375,6 @@ type MultiplyBatchRequest struct {
 // MultiplyBatchResponse carries the per-lane products and the shared batch
 // report (Report.Lanes = k; Stats are per-batch, not per-lane).
 type MultiplyBatchResponse struct {
-	X           []*matrix.Sparse
 	Products    []Product
 	Report      *core.Report
 	Fingerprint string
@@ -383,25 +382,12 @@ type MultiplyBatchResponse struct {
 	Profile     *obsv.Export
 }
 
-// MultiplyBatch serves an explicit batch: every lane must share lane 0's
-// sparsity structure (same plan fingerprint). The batch is admitted once,
-// resolves its plan once and enters the pipeline as one ready-made group of
-// k lanes, launched at once whatever the batching policy. The response
-// carries the products both as X and as Products.
-func (s *Server) MultiplyBatch(ctx context.Context, req *MultiplyBatchRequest) (*MultiplyBatchResponse, error) {
-	out, err := s.multiplyBatch(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	out.X = make([]*matrix.Sparse, len(out.Products))
-	for l, p := range out.Products {
-		out.X[l] = p.Sparse()
-	}
-	return out, nil
-}
-
-// multiplyBatch is MultiplyBatch with the products as Products only: every
-// lane is listed, and a lane whose listing is not lane 0's is refused.
+// multiplyBatch serves an explicit batch (POST /v1/multiply/batch): every
+// lane must share lane 0's sparsity structure (same plan fingerprint). Every
+// lane is listed, and a lane whose listing is not lane 0's is refused. The
+// batch is admitted once, resolves its plan once and enters the pipeline as
+// one ready-made group of k lanes, launched at once whatever the batching
+// policy.
 func (s *Server) multiplyBatch(ctx context.Context, req *MultiplyBatchRequest) (*MultiplyBatchResponse, error) {
 	k := len(req.Lanes)
 	if k == 0 || req.Xhat == nil {

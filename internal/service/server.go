@@ -165,7 +165,7 @@ type Server struct {
 	// The lane pipeline (pipeline.go): every multiply parks in coal keyed by
 	// its plan fingerprint — under the immediate policy when batching is off
 	// — and runGroup executes each launched group on one worker slot.
-	// explicit carries the ready-made groups of MultiplyBatch, always under
+	// explicit carries the ready-made groups of multiplyBatch, always under
 	// the immediate policy. ctrl is non-nil only under BatchAdaptive: it
 	// decides each key's launch policy and is fed every launch outcome.
 	coal      *batch.Coalescer[*lane]

@@ -17,7 +17,7 @@
 //     depth limit, per-request deadline, typed load shedding via
 //     ErrOverloaded);
 //   - one request pipeline (pipeline.go) behind Multiply, MultiplySubmit
-//     and MultiplyBatch: list, admit, resolve the plan, park the lane in an
+//     and the batch route: list, admit, resolve the plan, park the lane in an
 //     always-present coalescer, run the launched group under the fault
 //     policy, deliver per lane;
 //   - an optional persistent tier (Config.Store, internal/planstore): on a
