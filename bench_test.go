@@ -27,7 +27,9 @@ import (
 	"lbmm/internal/exper"
 	"lbmm/internal/graph"
 	"lbmm/internal/matrix"
+	"lbmm/internal/obsv"
 	"lbmm/internal/params"
+	"lbmm/internal/planstore"
 	"lbmm/internal/ring"
 	"lbmm/internal/service"
 	"lbmm/internal/workload"
@@ -373,4 +375,54 @@ func BenchmarkServeCacheMiss(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(srv.Metrics()[service.MetricCacheMisses]), "cache_misses")
+}
+
+// BenchmarkServeStoreHit measures the store-hit path: a store-backed server
+// whose one-plan cache is smaller than its two n=256, d=4 structures,
+// requested in turn, so every request misses memory, decodes its plan from
+// the store and runs it. None compiles.
+func BenchmarkServeStoreHit(b *testing.B) {
+	ms := obsv.NewCounterSet()
+	store, err := planstore.Open(b.TempDir(), 0, ms)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := ring.Counting{}
+	opts := core.Options{Ring: r}
+	reqs := make([]*service.MultiplyRequest, 2)
+	for i := range reqs {
+		inst := workload.Instance(matrix.US, matrix.US, matrix.US, 256, 4, int64(i+1))
+		p, err := core.Prepare(inst.Ahat, inst.Bhat, inst.Xhat, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fp, err := core.Fingerprint(inst.Ahat, inst.Bhat, inst.Xhat, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := store.Put(fp, p); err != nil {
+			b.Fatal(err)
+		}
+		reqs[i] = &service.MultiplyRequest{
+			A:    matrix.Random(inst.Ahat, r, int64(2*i+1)),
+			B:    matrix.Random(inst.Bhat, r, int64(2*i+2)),
+			Xhat: inst.Xhat, Options: opts,
+		}
+	}
+	srv := service.NewServer(service.Config{CacheSize: 1, Store: store, Metrics: ms})
+	defer srv.Close()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := srv.Multiply(ctx, reqs[i%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	m := srv.Metrics()
+	if m[service.MetricCompiles] != 0 || m[planstore.MetricHits] != int64(b.N) {
+		b.Fatalf("%d compiles and %d store hits over %d requests, want 0 and %d", m[service.MetricCompiles], m[planstore.MetricHits], b.N, b.N)
+	}
+	b.ReportMetric(float64(m[planstore.MetricHits]), "store_hits")
 }

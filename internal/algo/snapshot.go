@@ -79,9 +79,10 @@ func (p *Prepared) EncodeCompiled(w *lbm.WireWriter) error {
 // Decoded state crosses a trust boundary (the plan store's files are
 // outside the process), so it is checked before an executor can touch it,
 // for bounds and for the counts it implies. The supports are rebuilt with
-// range and sortedness checks, and every plan is read for the machine size
-// they pin and held to the model rules, with its per-round counts derived
-// from its instructions. The live cells are derived from the supports
+// range and sortedness checks, each from one slab of rows
+// (lbm.WireReader.Int32Rows) and with no column index, and every plan is
+// read for the machine size they pin and held to the model rules, with its
+// per-round counts derived from its instructions. The live cells are derived from the supports
 // (graph.Instance.Live), and the load refs are matched one-to-one against
 // them. The per-node dead counts must be non-negative and sum to the dead
 // cells. The load refs must number each node's slots from 0 without a gap
@@ -93,18 +94,13 @@ func (p *Prepared) EncodeCompiled(w *lbm.WireWriter) error {
 // slot nothing wrote before it (a "missing slot" panic at run time) or
 // compute a wrong product. Catching those needs a def-before-use walk over
 // the plans and a certificate multiply; neither is done here.
+//
+// Everything decoded is copied out of r, so the result holds nothing of the
+// body buffer; the caller closes r, which hands that buffer back.
 func DecodeCompiledPrepared(r *lbm.WireReader) (*Prepared, error) {
 	name, ringName, ringP := r.String(), r.String(), int64(r.Int())
 	n, d := r.Int(), r.Int()
-	var rows [3][][]int32
-	for i := range rows {
-		if k := r.Count(4); k > 0 {
-			rows[i] = make([][]int32, k)
-		}
-		for j := range rows[i] {
-			rows[i][j] = r.Int32s()
-		}
-	}
+	rows := [3][][]int32{r.Int32Rows(), r.Int32Rows(), r.Int32Rows()}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("algo: decode prepared: %w", err)
 	}

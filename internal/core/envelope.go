@@ -85,8 +85,10 @@ func DecodePrepared(r io.Reader) (*Prepared, error) {
 		return nil, fmt.Errorf("%w: %w", ErrEnvelope, err)
 	}
 	p := &Prepared{Algorithm: rd.String()}
-	if p.inner, err = algo.DecodeCompiledPrepared(rd); err == nil {
-		err = rd.Close()
+	p.inner, err = algo.DecodeCompiledPrepared(rd)
+	// Close on every path: it hands the body buffer back to its pool.
+	if cerr := rd.Close(); err == nil {
+		err = cerr
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrEnvelope, err)

@@ -473,6 +473,54 @@ func TestEnvelopeDeadCellsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodedPlanOwnsItsState: an envelope's body is read into a pooled
+// buffer that the next decode reuses, so a decoded plan must hold nothing
+// of it. Decode P, then decode envelopes of other structures and shapes —
+// and a damaged one — over the same buffer: P still multiplies to the
+// reference product and re-encodes to its own bytes.
+func TestDecodedPlanOwnsItsState(t *testing.T) {
+	var others [][]byte
+	for _, s := range envShapes(t) {
+		others = append(others, encode(t, s.p))
+	}
+	for _, inst := range []*graph.Instance{workload.Mixed(12, 3, 4), workload.Instance(matrix.US, matrix.US, matrix.US, 16, 3, 5)} {
+		q, err := Prepare(inst.Ahat, inst.Bhat, inst.Xhat, Options{Ring: ring.Counting{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		others = append(others, encode(t, q))
+	}
+	damaged := append([]byte(nil), others[len(others)-1]...)
+	damaged[len(damaged)-1] ^= 1
+	for _, s := range envShapes(t) {
+		env := encode(t, s.p)
+		p, err := DecodePrepared(bytes.NewReader(env))
+		if err != nil {
+			t.Fatalf("%s: decode: %v", s.name, err)
+		}
+		for _, o := range others {
+			if _, err := DecodePrepared(bytes.NewReader(o)); err != nil {
+				t.Fatalf("%s: decode of another envelope: %v", s.name, err)
+			}
+		}
+		if _, err := DecodePrepared(bytes.NewReader(damaged)); !errors.Is(err, ErrEnvelope) {
+			t.Fatalf("%s: damaged envelope: err=%v", s.name, err)
+		}
+		r := s.opts.Ring
+		a, b := matrix.Random(s.inst.Ahat, r, 7), matrix.Random(s.inst.Bhat, r, 8)
+		got, _, err := p.Multiply(a, b)
+		if err != nil {
+			t.Fatalf("%s: multiply: %v", s.name, err)
+		}
+		if !matrix.Equal(got, matrix.MulReference(a, b, s.inst.Xhat)) {
+			t.Fatalf("%s: a decoded plan's product changed when its buffer was reused", s.name)
+		}
+		if !bytes.Equal(encode(t, p), env) {
+			t.Fatalf("%s: a decoded plan re-encodes differently once its buffer was reused", s.name)
+		}
+	}
+}
+
 // TestDecodeRejectsLoadSlotGap checks that an envelope whose load refs do
 // not tile each node's slot prefix is refused at decode, typed both as a
 // damaged envelope and as the prefix violation, for every plan shape — and

@@ -235,16 +235,6 @@ func (p *Prepared) Matches(l *Listing, opts Options) bool {
 		l.N == inst.N && l.A.Lists(inst.Ahat) && l.B.Lists(inst.Bhat) && l.X.Lists(inst.Xhat)
 }
 
-// Listing lists the structure p was prepared for; nil for a Prepared that
-// was not (the zero value).
-func (p *Prepared) Listing() *Listing {
-	if p == nil || p.inner == nil {
-		return nil
-	}
-	inst := p.inner.Inst
-	return ListSupports(inst.Ahat, inst.Bhat, inst.Xhat)
-}
-
 // Options returns the options p's fingerprint keys on: its ring, its
 // algorithm as requested and its resolved d.
 func (p *Prepared) Options() Options {

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"sync"
 )
 
 // This file is the one serialized form of compiled state. A compiled plan
@@ -36,6 +37,11 @@ const (
 	// wireReadAhead is how much of a declared body length ReadWire takes on
 	// trust when sizing its buffer, before any of the body has arrived.
 	wireReadAhead = 64 << 10
+
+	// maxPooledWire is the largest body buffer Close returns to wireBufs; a
+	// larger one is dropped, so one huge envelope does not pin its buffer
+	// for the life of the process.
+	maxPooledWire = 1 << 20
 
 	// planWireMin is the least a CompiledPlan occupies in a body: N, six
 	// empty slabs and an empty span list.
@@ -163,11 +169,23 @@ func (w *WireWriter) Plans(cps []*CompiledPlan) {
 // WireReader reads an envelope body front to back. The first failure
 // sticks: every later read returns a zero value, so a get function lists
 // its fields without checking each one and its caller asks Err once, before
-// it trusts what was read.
+// it trusts what was read. Every getter copies what it returns, so nothing
+// read aliases the body buffer, which Close hands back to a pool.
 type WireReader struct {
-	buf   []byte // unread body
+	buf   []byte        // unread body
+	body  *bytes.Buffer // the pooled buffer buf lies in; nil once released
 	err   error
 	rules *rules // the model-rule scratch every plan of the body shares
+}
+
+// wireBufs recycles the buffers ReadWire reads bodies into.
+var wireBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// putWireBuf returns b to wireBufs unless it grew past maxPooledWire.
+func putWireBuf(b *bytes.Buffer) {
+	if b.Cap() <= maxPooledWire {
+		wireBufs.Put(b)
+	}
 }
 
 // ReadWire reads one envelope from r: the header first — magic and version
@@ -176,6 +194,11 @@ type WireReader struct {
 // the header declares, whose checksum must match. The stream must end where
 // the header says it does. At most MaxWireBytes are read, and the buffer
 // grows toward a declared length only as the bytes actually arrive.
+//
+// The body is read into a buffer from a pool, and the reader owns it until
+// Close hands it back; on failure ReadWire hands it back itself. A pooled
+// buffer keeps the capacity an earlier body gave it, but is grown from
+// there by the same rule as a fresh one.
 func ReadWire(r io.Reader, magic string, version uint32) (*WireReader, error) {
 	var hdr [wireHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -191,23 +214,33 @@ func ReadWire(r io.Reader, magic string, version uint32) (*WireReader, error) {
 	if n > MaxWireBytes-wireHeaderLen {
 		return nil, fmt.Errorf("lbm: envelope declares a %d-byte body, over the %d-byte limit", n, MaxWireBytes)
 	}
-	var body bytes.Buffer
+	body := wireBufs.Get().(*bytes.Buffer)
+	body.Reset()
 	body.Grow(int(min(n, wireReadAhead)) + bytes.MinRead)
+	if err := readBody(body, r, n, le.Uint32(hdr[wireMagicLen+8:])); err != nil {
+		putWireBuf(body)
+		return nil, err
+	}
+	return &WireReader{buf: body.Bytes(), body: body}, nil
+}
+
+// readBody reads exactly the n-byte body into body and checks its sum.
+func readBody(body *bytes.Buffer, r io.Reader, n int64, sum uint32) error {
 	// Ask for one byte past the body: a well-formed stream stops short of it.
-	got, err := io.CopyN(&body, r, n+1)
+	got, err := io.CopyN(body, r, n+1)
 	if err != nil && err != io.EOF {
-		return nil, fmt.Errorf("lbm: envelope body: %w", err)
+		return fmt.Errorf("lbm: envelope body: %w", err)
 	}
 	switch {
 	case got < n:
-		return nil, fmt.Errorf("lbm: envelope declares a %d-byte body, stream ends after %d", n, got)
+		return fmt.Errorf("lbm: envelope declares a %d-byte body, stream ends after %d", n, got)
 	case got > n:
-		return nil, fmt.Errorf("lbm: envelope has bytes after its %d-byte body", n)
+		return fmt.Errorf("lbm: envelope has bytes after its %d-byte body", n)
 	}
-	if want, sum := le.Uint32(hdr[wireMagicLen+8:]), crc32.Checksum(body.Bytes(), wireCRC); want != sum {
-		return nil, fmt.Errorf("lbm: envelope checksum %08x, body hashes to %08x", want, sum)
+	if got := crc32.Checksum(body.Bytes(), wireCRC); got != sum {
+		return fmt.Errorf("lbm: envelope checksum %08x, body hashes to %08x", sum, got)
 	}
-	return &WireReader{buf: body.Bytes()}, nil
+	return nil
 }
 
 // Fail records err as the reader's failure unless one is already recorded.
@@ -221,10 +254,17 @@ func (r *WireReader) Fail(err error) {
 // Err returns the first failure, if any.
 func (r *WireReader) Err() error { return r.err }
 
-// Close returns the first failure, or an error if body bytes remain unread.
+// Close returns the first failure, or an error if body bytes remain unread,
+// and hands the body buffer back to ReadWire's pool. Call it once decoding
+// ends, on every path: what was read stays valid (getters copy), but the
+// reader reads nothing more, and a second Close only repeats the result.
 func (r *WireReader) Close() error {
 	if r.err == nil && len(r.buf) > 0 {
 		r.err = fmt.Errorf("lbm: envelope has %d trailing bytes", len(r.buf))
+	}
+	if r.body != nil {
+		putWireBuf(r.body)
+		r.body, r.buf = nil, nil
 	}
 	return r.err
 }
@@ -305,6 +345,40 @@ func (r *WireReader) Int32s() []int32 {
 		out[i] = int32(le.Uint32(b[4*i:]))
 	}
 	return out
+}
+
+// Int32Rows reads a list of rows as a count followed by that many Int32s
+// slabs — the bytes Int32s would read row by row — into one backing array,
+// each row's capacity clipped to its length and an empty row nil. The
+// length prefixes are walked first, with Count's checks, so the array is
+// sized from rows that fit in the bytes that remain.
+func (r *WireReader) Int32Rows() [][]int32 {
+	k := r.Count(4)
+	if k == 0 {
+		return nil
+	}
+	peek, total := WireReader{buf: r.buf}, 0
+	for range k {
+		c := peek.Count(4)
+		peek.take(4 * c)
+		total += c
+	}
+	if peek.err != nil {
+		r.Fail(peek.err)
+		return nil
+	}
+	rows, back := make([][]int32, k), make([]int32, total)
+	for i := range rows {
+		c := int(r.u32())
+		b := r.take(4 * c)
+		if c > 0 {
+			rows[i], back = back[:c:c], back[c:]
+			for j := range rows[i] {
+				rows[i][j] = int32(le.Uint32(b[4*j:]))
+			}
+		}
+	}
+	return rows
 }
 
 func (r *WireReader) Ops() []Op {

@@ -180,11 +180,12 @@ func TestWireReaderBounds(t *testing.T) {
 		return r
 	}
 	for name, read := range map[string]func(r *WireReader) int{
-		"String": func(r *WireReader) int { return len(r.String()) },
-		"Int32s": func(r *WireReader) int { return len(r.Int32s()) },
-		"Ops":    func(r *WireReader) int { return len(r.Ops()) },
-		"Refs":   func(r *WireReader) int { return len(r.Refs()) },
-		"Plans":  func(r *WireReader) int { return len(r.Plans(6)) },
+		"String":    func(r *WireReader) int { return len(r.String()) },
+		"Int32s":    func(r *WireReader) int { return len(r.Int32s()) },
+		"Ops":       func(r *WireReader) int { return len(r.Ops()) },
+		"Refs":      func(r *WireReader) int { return len(r.Refs()) },
+		"Plans":     func(r *WireReader) int { return len(r.Plans(6)) },
+		"Int32Rows": func(r *WireReader) int { return len(r.Int32Rows()) },
 	} {
 		r := open(func(w *WireWriter) { w.Count(1 << 30); w.Int(0) })
 		var n int
@@ -199,7 +200,16 @@ func TestWireReaderBounds(t *testing.T) {
 		}
 	}
 
-	r := open(func(w *WireWriter) { w.Int32(1) })
+	// A hostile count inside a row list fails before the list's rows are
+	// allocated.
+	r := open(func(w *WireWriter) { w.Count(3); w.Int32s([]int32{1}); w.Count(1 << 30); w.Int(0) })
+	var rows [][]int32
+	if allocs := testing.AllocsPerRun(1, func() { rows = r.Int32Rows() }); rows != nil || allocs > 4 ||
+		r.Err() == nil || !strings.Contains(r.Err().Error(), "declares") {
+		t.Errorf("Int32Rows with a hostile row count returned %d rows in %v allocations, err=%v", len(rows), allocs, r.Err())
+	}
+
+	r = open(func(w *WireWriter) { w.Int32(1) })
 	if r.Int() != 0 || r.Err() == nil || !strings.Contains(r.Err().Error(), "truncated") {
 		t.Errorf("8-byte read of a 4-byte body: err=%v", r.Err())
 	}
@@ -224,5 +234,120 @@ func TestWireReaderBounds(t *testing.T) {
 	r = open(func(w *WireWriter) { w.Plan(good) })
 	if r.Plan(good.N + 1); r.Err() == nil || !strings.Contains(r.Err().Error(), "7-node machine") {
 		t.Errorf("plan for %d nodes read as one for %d: %v", good.N, good.N+1, r.Err())
+	}
+}
+
+// TestWireInt32Rows: Int32Rows reads exactly what a count and that many
+// Int32s read — the same rows, an empty row nil, and on every truncation of
+// the body the same failure or success — with every row clipped to its
+// length in one backing array.
+func TestWireInt32Rows(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		rows := make([][]int32, rng.Intn(6))
+		for i := range rows {
+			if rng.Intn(3) > 0 {
+				rows[i] = make([]int32, 1+rng.Intn(5))
+				for j := range rows[i] {
+					rows[i][j] = rng.Int31() - 1<<30
+				}
+			}
+		}
+		w := NewWireWriter(testMagic, testVersion)
+		w.Count(len(rows))
+		for _, row := range rows {
+			w.Int32s(row)
+		}
+		w.Int32(-9)
+		body := seal(t, w)[wireHeaderLen:]
+		for cut := 0; cut <= len(body); cut++ {
+			one := &WireReader{buf: body[:cut]}
+			var want [][]int32
+			if k := one.Count(4); k > 0 {
+				want = make([][]int32, k)
+			}
+			for i := range want {
+				want[i] = one.Int32s()
+			}
+			all := &WireReader{buf: body[:cut]}
+			got := all.Int32Rows()
+			if (one.Err() == nil) != (all.Err() == nil) || one.Err() == nil && len(one.buf) != len(all.buf) {
+				t.Fatalf("trial %d, %d of %d bytes: row by row err=%v with %d left, Int32Rows err=%v with %d left",
+					trial, cut, len(body), one.Err(), len(one.buf), all.Err(), len(all.buf))
+			}
+			if all.Err() != nil {
+				continue
+			}
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got, rows) && len(rows) > 0 {
+				t.Fatalf("trial %d: Int32Rows read %v, row by row %v, written %v", trial, got, want, rows)
+			}
+			for i, row := range got {
+				if cap(row) != len(row) {
+					t.Fatalf("trial %d: row %d has length %d, capacity %d", trial, i, len(row), cap(row))
+				}
+			}
+		}
+	}
+}
+
+// TestWireBufferPool: ReadWire reads bodies into pooled buffers that Close
+// hands back. A closed reader reads nothing more, a failed read returns its
+// buffer too, and a buffer grown past maxPooledWire is dropped, not pooled.
+func TestWireBufferPool(t *testing.T) {
+	read := func(env []byte) *WireReader {
+		t.Helper()
+		r, err := ReadWire(bytes.NewReader(env), testMagic, testVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	w := NewWireWriter(testMagic, testVersion)
+	w.Int32s([]int32{5, 6, 7})
+	small := seal(t, w)
+
+	r := read(small)
+	held := r.body
+	if got := r.Int32s(); !reflect.DeepEqual(got, []int32{5, 6, 7}) || r.Close() != nil {
+		t.Fatalf("read %v, close err=%v", got, r.Err())
+	}
+	if r.body != nil || r.Int32() != 0 || r.Err() == nil {
+		t.Fatal("a closed reader kept its buffer or went on reading")
+	}
+	if !raceDetector {
+		// The race detector makes sync.Pool drop a share of what is put
+		// back; without it, the next read on this goroutine reuses the
+		// buffer.
+		if r := read(small); r.body != held {
+			t.Error("the next read did not reuse the returned buffer")
+		} else {
+			r.Close()
+		}
+		bad := append([]byte(nil), small...)
+		bad[len(bad)-1] ^= 1
+		if _, err := ReadWire(bytes.NewReader(bad), testMagic, testVersion); err == nil {
+			t.Fatal("a damaged body read")
+		}
+		if r := read(small); r.body != held {
+			t.Error("a failed read did not return its buffer")
+		} else {
+			r.Close()
+		}
+	}
+
+	w = NewWireWriter(testMagic, testVersion)
+	w.Int32s(make([]int32, maxPooledWire/4+1))
+	r = read(seal(t, w))
+	if r.body.Cap() <= maxPooledWire {
+		t.Fatalf("a %d-byte body fit a %d-byte buffer", maxPooledWire+4, r.body.Cap())
+	}
+	r.Int32s()
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for range 64 {
+		if b := wireBufs.Get().(*bytes.Buffer); b.Cap() > maxPooledWire {
+			t.Fatalf("the pool holds a %d-byte buffer", b.Cap())
+		}
 	}
 }

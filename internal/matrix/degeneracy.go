@@ -31,11 +31,12 @@ func (s *Support) Degeneracy() int {
 func (s *Support) EliminationOrder() (int, []ElimStep) {
 	n := s.N
 	// Node ids: rows are 0..n-1, columns are n..2n-1.
+	cols := s.cols()
 	deg := make([]int, 2*n)
 	for i, row := range s.Rows {
 		deg[i] = len(row)
 	}
-	for j, col := range s.Cols {
+	for j, col := range cols {
 		deg[n+j] = len(col)
 	}
 
@@ -99,7 +100,7 @@ func (s *Support) EliminationOrder() (int, []ElimStep) {
 			neigh = s.Rows[v]
 			offset = n
 		} else {
-			neigh = s.Cols[v-n]
+			neigh = cols[v-n]
 			offset = 0
 		}
 		for _, w := range neigh {

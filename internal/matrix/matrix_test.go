@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -180,6 +181,7 @@ func TestEliminationOrderWitness(t *testing.T) {
 		n := 4 + rng.Intn(24)
 		s := randomSupport(rng, n, rng.Intn(4*n))
 		deg, order := s.EliminationOrder()
+		cols := colsOf(s)
 
 		rowAlive := make([]bool, n)
 		colAlive := make([]bool, n)
@@ -205,7 +207,7 @@ func TestEliminationOrderWitness(t *testing.T) {
 					return false
 				}
 				colAlive[st.Index] = false
-				for _, i := range s.Cols[st.Index] {
+				for _, i := range cols[st.Index] {
 					if rowAlive[i] {
 						cnt++
 					}
@@ -219,6 +221,46 @@ func TestEliminationOrderWitness(t *testing.T) {
 		return remaining == 0 && len(order) == 2*n
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// colsOf lists each column's row indices, ascending, from a scan of every
+// cell: the reference the package's own column walks are checked against.
+func colsOf(s *Support) [][]int32 {
+	cols := make([][]int32, s.N)
+	for i := 0; i < s.N; i++ {
+		for j := 0; j < s.N; j++ {
+			if s.Has(i, j) {
+				cols[j] = append(cols[j], int32(i))
+			}
+		}
+	}
+	return cols
+}
+
+// TestColumnWalks: the readers that derive columns from rows agree with a
+// scan of every cell. MaxColNNZ is the longest scanned column and the
+// transpose's longest row; the transpose's rows are the scanned columns;
+// transposing twice gives the original rows back.
+func TestColumnWalks(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	prop := func(seed int64) bool {
+		n := 1 + rng.Intn(24)
+		s := randomSupport(rng, n, rng.Intn(4*n))
+		cols := colsOf(s)
+		longest := 0
+		for _, col := range cols {
+			longest = max(longest, len(col))
+		}
+		tr := s.Transpose()
+		back := tr.Transpose()
+		return s.MaxColNNZ() == longest && s.MaxColNNZ() == tr.MaxRowNNZ() &&
+			tr.NNZ == s.NNZ && back.NNZ == s.NNZ &&
+			slices.EqualFunc(tr.Rows, cols, slices.Equal[[]int32]) &&
+			slices.EqualFunc(back.Rows, s.Rows, slices.Equal[[]int32])
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

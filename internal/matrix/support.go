@@ -16,12 +16,14 @@ import (
 // records which positions are potentially nonzero (for inputs) or of
 // interest (for the output). The support is what the supported model reveals
 // in advance; all communication plans are functions of supports only.
+//
+// A support is stored by rows only. The few readers that walk columns
+// (EliminationOrder, Transpose, MaxColNNZ) derive them when they run, so a
+// support decoded from a stored plan carries no column index it never reads.
 type Support struct {
 	N int
 	// Rows[i] lists the column indices of row i's entries, sorted ascending.
 	Rows [][]int32
-	// Cols[j] lists the row indices of column j's entries, sorted ascending.
-	Cols [][]int32
 	// NNZ is the total number of entries.
 	NNZ int
 }
@@ -29,8 +31,8 @@ type Support struct {
 // NewSupport builds a support from a list of (row, col) entries in any
 // order. Duplicate entries collapse; out-of-range entries panic. Entries are
 // bucketed by row into one backing slice, each row is sorted and compacted
-// (a no-op pass when it arrives ascending), and Cols is derived from the
-// finished rows as SupportFromRows derives it.
+// (a no-op pass when it arrives ascending), and NNZ is counted from the
+// finished rows as SupportFromRows counts it.
 func NewSupport(n int, entries [][2]int) *Support {
 	rowLen := make([]int32, n)
 	for _, e := range entries {
@@ -54,7 +56,7 @@ func NewSupport(n int, entries [][2]int) *Support {
 		slices.Sort(row)
 		s.Rows[i] = slices.Compact(row)
 	}
-	if err := s.indexCols(); err != nil {
+	if err := s.checkRows(); err != nil {
 		panic(err) // unreachable: rows were range-checked, sorted and compacted above
 	}
 	return s
@@ -75,49 +77,61 @@ func SupportFromRows(n int, rows [][]int32) (*Support, error) {
 		return nil, fmt.Errorf("matrix: %d row lists for dimension %d", len(rows), n)
 	}
 	s := &Support{N: n, Rows: rows}
-	if err := s.indexCols(); err != nil {
+	if err := s.checkRows(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// indexCols validates s.Rows (indices in range, rows strictly ascending) and
-// derives NNZ and Cols from them in two linear passes.
-func (s *Support) indexCols() error {
-	n := s.N
-	colLen := make([]int32, n)
+// checkRows validates s.Rows (indices in range, rows strictly ascending)
+// and counts NNZ from them in one linear pass.
+func (s *Support) checkRows() error {
 	s.NNZ = 0
 	for i, row := range s.Rows {
 		prev := int32(-1)
 		for _, j := range row {
-			if j < 0 || int(j) >= n {
-				return fmt.Errorf("matrix: support entry (%d,%d) out of range for n=%d", i, j, n)
+			if j < 0 || int(j) >= s.N {
+				return fmt.Errorf("matrix: support entry (%d,%d) out of range for n=%d", i, j, s.N)
 			}
 			if j <= prev {
 				return fmt.Errorf("matrix: support row %d not strictly ascending at column %d", i, j)
 			}
 			prev = j
-			colLen[j]++
 		}
 		s.NNZ += len(row)
 	}
-	// Cols is carved from one backing slice, each list's capacity clipped to
-	// the length counted above. Column lists inherit sortedness from the
-	// row-major fill (rows are visited in ascending i), so no per-column sort
-	// is needed.
-	s.Cols = make([][]int32, n)
+	return nil
+}
+
+// colLens counts the entries of each column.
+func (s *Support) colLens() []int32 {
+	colLen := make([]int32, s.N)
+	for _, row := range s.Rows {
+		for _, j := range row {
+			colLen[j]++
+		}
+	}
+	return colLen
+}
+
+// cols lists each column's row indices, ascending, in lists carved from one
+// backing slice with capacities clipped to their lengths. Column lists
+// inherit sortedness from the row-major fill (rows are visited in ascending
+// i), so no per-column sort is needed.
+func (s *Support) cols() [][]int32 {
+	cols := make([][]int32, s.N)
 	back := make([]int32, s.NNZ)
-	for j, l := range colLen {
+	for j, l := range s.colLens() {
 		if l > 0 {
-			s.Cols[j], back = back[:0:l], back[l:]
+			cols[j], back = back[:0:l], back[l:]
 		}
 	}
 	for i, row := range s.Rows {
 		for _, j := range row {
-			s.Cols[j] = append(s.Cols[j], int32(i))
+			cols[j] = append(cols[j], int32(i))
 		}
 	}
-	return nil
+	return cols
 }
 
 // Has reports whether position (i, j) is in the support.
@@ -139,15 +153,9 @@ func (s *Support) Entries() [][2]int {
 }
 
 // Transpose returns the support of the transposed matrix.
+// Its rows are s's columns, in storage of its own.
 func (s *Support) Transpose() *Support {
-	t := &Support{N: s.N, NNZ: s.NNZ, Rows: make([][]int32, s.N), Cols: make([][]int32, s.N)}
-	for i := range s.Rows {
-		t.Cols[i] = append([]int32(nil), s.Rows[i]...)
-	}
-	for j := range s.Cols {
-		t.Rows[j] = append([]int32(nil), s.Cols[j]...)
-	}
-	return t
+	return &Support{N: s.N, NNZ: s.NNZ, Rows: s.cols()}
 }
 
 // Union returns the support containing the entries of both arguments. The
@@ -174,13 +182,11 @@ func (s *Support) MaxRowNNZ() int {
 
 // MaxColNNZ returns the maximum number of entries in any column.
 func (s *Support) MaxColNNZ() int {
-	m := 0
-	for _, col := range s.Cols {
-		if len(col) > m {
-			m = len(col)
-		}
+	m := int32(0)
+	for _, l := range s.colLens() {
+		m = max(m, l)
 	}
-	return m
+	return int(m)
 }
 
 // ---------------------------------------------------------------------------
@@ -291,12 +297,13 @@ func (s *Support) InClass(c Class, d int) bool {
 // Classify returns the smallest class containing s at parameter d, with US
 // preferred, then RS, then CS, then BD, AS, GM.
 func (s *Support) Classify(d int) Class {
+	rs, cs := s.IsRS(d), s.IsCS(d)
 	switch {
-	case s.IsUS(d):
+	case rs && cs:
 		return US
-	case s.IsRS(d):
+	case rs:
 		return RS
-	case s.IsCS(d):
+	case cs:
 		return CS
 	case s.IsBD(d):
 		return BD

@@ -12,9 +12,11 @@ import (
 
 // newSupportOracle is NewSupport as it was before it lost its map and its
 // per-list sorts, kept as the reference the bucketed construction is compared
-// against.
-func newSupportOracle(n int, entries [][2]int) *Support {
-	s := &Support{N: n, Rows: make([][]int32, n), Cols: make([][]int32, n)}
+// against. It also returns the column lists it builds alongside the rows,
+// which the derived columns (Transpose's rows) are compared against.
+func newSupportOracle(n int, entries [][2]int) (*Support, [][]int32) {
+	s := &Support{N: n, Rows: make([][]int32, n)}
+	cols := make([][]int32, n)
 	seen := make(map[[2]int]struct{}, len(entries))
 	for _, e := range entries {
 		i, j := e[0], e[1]
@@ -26,22 +28,21 @@ func newSupportOracle(n int, entries [][2]int) *Support {
 		}
 		seen[e] = struct{}{}
 		s.Rows[i] = append(s.Rows[i], int32(j))
-		s.Cols[j] = append(s.Cols[j], int32(i))
+		cols[j] = append(cols[j], int32(i))
 		s.NNZ++
 	}
-	for _, lists := range [][][]int32{s.Rows, s.Cols} {
+	for _, lists := range [][][]int32{s.Rows, cols} {
 		for _, xs := range lists {
 			sort.Slice(xs, func(a, b int) bool { return xs[a] < xs[b] })
 		}
 	}
-	return s
+	return s, cols
 }
 
 // sameSupport compares field by field, an empty list equal to a nil one.
 func sameSupport(a, b *Support) bool {
 	return a.N == b.N && a.NNZ == b.NNZ &&
-		slices.EqualFunc(a.Rows, b.Rows, slices.Equal[[]int32]) &&
-		slices.EqualFunc(a.Cols, b.Cols, slices.Equal[[]int32])
+		slices.EqualFunc(a.Rows, b.Rows, slices.Equal[[]int32])
 }
 
 // TestNewSupportMatchesOracle: over random entry lists with duplicates, in
@@ -61,10 +62,13 @@ func TestNewSupportMatchesOracle(t *testing.T) {
 				return entries[a][0] < entries[b][0] || (entries[a][0] == entries[b][0] && entries[a][1] < entries[b][1])
 			})
 		}
-		want := newSupportOracle(n, entries)
+		want, wantCols := newSupportOracle(n, entries)
 		got := NewSupport(n, entries)
 		if !sameSupport(got, want) {
 			t.Fatalf("trial %d: NewSupport(%d, %v) = %+v, oracle %+v", trial, n, entries, got, want)
+		}
+		if cols := got.Transpose().Rows; !slices.EqualFunc(cols, wantCols, slices.Equal[[]int32]) {
+			t.Fatalf("trial %d: columns of NewSupport(%d, %v) = %v, oracle %v", trial, n, entries, cols, wantCols)
 		}
 		m := NewSparse(n, ring.Counting{})
 		for _, e := range entries {

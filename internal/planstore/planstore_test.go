@@ -3,6 +3,7 @@ package planstore_test
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -10,6 +11,8 @@ import (
 	"time"
 
 	"lbmm/internal/core"
+	"lbmm/internal/graph"
+	"lbmm/internal/matrix"
 	"lbmm/internal/obsv"
 	"lbmm/internal/planstore"
 	"lbmm/internal/ring"
@@ -429,6 +432,62 @@ func TestStoreConcurrentWritersAndReaders(t *testing.T) {
 	}
 	if qs, _ := s.Quarantined(); len(qs) != 0 {
 		t.Fatalf("concurrent writes quarantined entries: %v", qs)
+	}
+}
+
+// TestStoreConcurrentGets: concurrent Gets of distinct entries, each
+// decoding into pooled buffers the others reuse, every one return the plan
+// stored under its own fingerprint, multiplying to the reference product.
+func TestStoreConcurrentGets(t *testing.T) {
+	s, err := planstore.Open(t.TempDir(), 0, nil)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	type entry struct {
+		fp   string
+		inst *graph.Instance
+	}
+	var entries []entry
+	for seed := int64(30); seed < 34; seed++ {
+		inst := workload.Mixed(20, 3, seed)
+		p, fp := plan(t, seed)
+		if err := s.Put(fp, p); err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, entry{fp, inst})
+	}
+	r := ring.Counting{}
+	var wg sync.WaitGroup
+	errs := make(chan error, 64)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 6; j++ {
+				e := entries[(g+j)%len(entries)]
+				p, err := s.Get(e.fp)
+				if err != nil {
+					errs <- err
+					return
+				}
+				got, err := p.Fingerprint()
+				if err != nil || got != e.fp {
+					errs <- fmt.Errorf("Get(%s) returned a plan fingerprinting to %s (%v)", e.fp, got, err)
+					return
+				}
+				a, b := matrix.Random(e.inst.Ahat, r, int64(g)), matrix.Random(e.inst.Bhat, r, int64(j))
+				x, _, err := p.Multiply(a, b)
+				if err != nil || !matrix.Equal(x, matrix.MulReference(a, b, e.inst.Xhat)) {
+					errs <- fmt.Errorf("Get(%s) returned a plan with a wrong product (%v)", e.fp, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

@@ -49,7 +49,7 @@ func TestCacheByteBudgetEvictionOrder(t *testing.T) {
 
 	get := func(fp string, p *core.Prepared) {
 		t.Helper()
-		if _, _, err := c.Get(fp, func() (*core.Prepared, error) { return p, nil }); err != nil {
+		if _, _, err := c.Get(fp, nil, core.Options{}, func() (*core.Prepared, error) { return p, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -87,11 +87,11 @@ func TestCacheByteBudgetOversizedEntry(t *testing.T) {
 	fp1, p1 := realPlan(t, 32)
 	fp2, p2 := realPlan(t, 16)
 	c := NewCacheBytes(16, p1.CompiledBytes()/2, nil)
-	c.Get(fp1, func() (*core.Prepared, error) { return p1, nil })
+	c.Get(fp1, nil, core.Options{}, func() (*core.Prepared, error) { return p1, nil })
 	if !c.Contains(fp1) || c.Len() != 1 {
 		t.Fatal("oversized single entry was not cached")
 	}
-	c.Get(fp2, func() (*core.Prepared, error) { return p2, nil })
+	c.Get(fp2, nil, core.Options{}, func() (*core.Prepared, error) { return p2, nil })
 	if c.Len() != 1 {
 		t.Errorf("len=%d after second insert over budget, want 1", c.Len())
 	}
@@ -115,7 +115,7 @@ func TestCacheBytesZeroDisablesBudget(t *testing.T) {
 		p  *core.Prepared
 	}{{fp1, p1}, {fp2, p2}, {fp3, p3}} {
 		e := e
-		c.Get(e.fp, func() (*core.Prepared, error) { return e.p, nil })
+		c.Get(e.fp, nil, core.Options{}, func() (*core.Prepared, error) { return e.p, nil })
 	}
 	if c.Len() != 3 {
 		t.Fatalf("len=%d, want 3 (byte bound disabled)", c.Len())
@@ -143,7 +143,7 @@ func TestCacheByteBudgetSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, _, err := c.Get(fp, func() (*core.Prepared, error) {
+			got, _, err := c.Get(fp, nil, core.Options{}, func() (*core.Prepared, error) {
 				compiles.Add(1)
 				<-gate // hold the compile so every other request joins it
 				return p, nil

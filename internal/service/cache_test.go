@@ -19,11 +19,11 @@ func TestCacheHitMissCounting(t *testing.T) {
 	m := obsv.NewCounterSet()
 	c := NewCacheBytes(4, 0, m)
 
-	p1, hit, err := c.Get("a", compileStub)
+	p1, hit, err := c.Get("a", nil, core.Options{}, compileStub)
 	if err != nil || hit {
 		t.Fatalf("first Get: hit=%v err=%v, want miss", hit, err)
 	}
-	p2, hit, err := c.Get("a", compileStub)
+	p2, hit, err := c.Get("a", nil, core.Options{}, compileStub)
 	if err != nil || !hit {
 		t.Fatalf("second Get: hit=%v err=%v, want hit", hit, err)
 	}
@@ -46,10 +46,10 @@ func TestCacheLRUEviction(t *testing.T) {
 	m := obsv.NewCounterSet()
 	c := NewCacheBytes(3, 0, m)
 	for _, k := range []string{"a", "b", "c"} {
-		c.Get(k, compileStub)
+		c.Get(k, nil, core.Options{}, compileStub)
 	}
-	c.Get("a", compileStub) // hit: refreshes a; LRU order now a,c,b
-	c.Get("d", compileStub) // evicts b
+	c.Get("a", nil, core.Options{}, compileStub) // hit: refreshes a; LRU order now a,c,b
+	c.Get("d", nil, core.Options{}, compileStub) // evicts b
 
 	if c.Contains("b") {
 		t.Error("b should have been evicted (least recently used)")
@@ -90,7 +90,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, hit, err := c.Get("same", compile)
+			p, hit, err := c.Get("same", nil, core.Options{}, compile)
 			if err != nil || hit {
 				t.Errorf("goroutine %d: hit=%v err=%v, want inflight miss", i, hit, err)
 			}
@@ -131,13 +131,13 @@ func TestCacheCompileError(t *testing.T) {
 	boom := errors.New("boom")
 	fail := func() (*core.Prepared, error) { return nil, boom }
 
-	if _, _, err := c.Get("k", fail); !errors.Is(err, boom) {
+	if _, _, err := c.Get("k", nil, core.Options{}, fail); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if c.Contains("k") || c.Len() != 0 {
 		t.Error("failed compile was cached")
 	}
-	if _, hit, err := c.Get("k", compileStub); err != nil || hit {
+	if _, hit, err := c.Get("k", nil, core.Options{}, compileStub); err != nil || hit {
 		t.Errorf("retry after error: hit=%v err=%v, want fresh miss", hit, err)
 	}
 }

@@ -97,7 +97,7 @@ func (s *Server) resolve(l *core.Listing, opts core.Options) (*core.Prepared, st
 		return prep, fp, true, nil
 	}
 	fp := l.Fingerprint(opts)
-	prep, hit, err := s.prepared(fp, l.Supports, opts)
+	prep, hit, err := s.prepared(fp, l, l.Supports, opts)
 	return prep, fp, hit, err
 }
 

@@ -296,8 +296,9 @@ func (s *Server) release() {
 // prepared resolves the plan with fingerprint fp through the cache tiers —
 // in-memory first, then the persistent store, compiling from structure only
 // when both miss — returning the plan and whether it was served without
-// compiling (either tier hit). supports builds the structure to compile
-// from; it is called only on that double miss.
+// compiling (either tier hit). l lists the structure fp was taken of, and a
+// newly cached plan is indexed under it (Cache.Get). supports builds the
+// structure to compile from; it is called only on that double miss.
 //
 // The in-memory tier's singleflight covers both lower tiers: concurrent
 // requests for one fingerprint share a single store read or compile. A
@@ -306,9 +307,9 @@ func (s *Server) release() {
 // deliberately not fatal — a damaged or cross-version entry was already
 // quarantined by the store, and the request falls through to a compile
 // exactly as if the tier had missed.
-func (s *Server) prepared(fp string, supports func() (ahat, bhat, xhat *matrix.Support, err error), opts core.Options) (*core.Prepared, bool, error) {
+func (s *Server) prepared(fp string, l *core.Listing, supports func() (ahat, bhat, xhat *matrix.Support, err error), opts core.Options) (*core.Prepared, bool, error) {
 	storeHit := false
-	prep, hit, err := s.cache.Get(fp, func() (*core.Prepared, error) {
+	prep, hit, err := s.cache.Get(fp, l, opts, func() (*core.Prepared, error) {
 		if s.cfg.Store != nil {
 			if p, err := s.cfg.Store.Get(fp); err == nil {
 				storeHit = true
@@ -400,12 +401,9 @@ func (s *Server) Prepare(ctx context.Context, req *PrepareRequest) (*PrepareResp
 		return nil, err
 	}
 	defer release()
-	fp, err := core.Fingerprint(req.Ahat, req.Bhat, req.Xhat, req.Options)
-	if err != nil {
-		s.metrics.Add(MetricErrors, 1)
-		return nil, err
-	}
-	prep, hit, err := s.prepared(fp, func() (ahat, bhat, xhat *matrix.Support, err error) {
+	l := core.ListSupports(req.Ahat, req.Bhat, req.Xhat)
+	fp := l.Fingerprint(req.Options)
+	prep, hit, err := s.prepared(fp, l, func() (ahat, bhat, xhat *matrix.Support, err error) {
 		return req.Ahat, req.Bhat, req.Xhat, nil
 	}, req.Options)
 	if err != nil {

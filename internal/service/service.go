@@ -71,7 +71,8 @@ type Cache struct {
 	maxBytes int64
 	metrics  *obsv.CounterSet
 	// shape hashes a listed structure under its options for the shape
-	// index; every entry is indexed under the shape of its own plan.
+	// index; an entry is indexed under the shape of the listing Get was
+	// handed with it.
 	shape func(*core.Listing, core.Options) uint64
 
 	mu       sync.Mutex
@@ -86,8 +87,8 @@ type cacheEntry struct {
 	key  string
 	prep *core.Prepared
 	cost int64
-	// shape is the entry's key in the shape index, if listed: a plan that
-	// lists no structure (a test stub) is found by fingerprint only.
+	// shape is the entry's key in the shape index, if listed: a plan Get
+	// was handed no listing for is found by fingerprint only.
 	shape  uint64
 	listed bool
 }
@@ -167,7 +168,14 @@ func (c *Cache) Keys() []string {
 // the cache (a request that joined another request's in-flight compilation
 // counts as a miss: no ready plan existed when it arrived). Compile errors
 // are returned to every waiter and nothing is cached.
-func (c *Cache) Get(fingerprint string, compile func() (*core.Prepared, error)) (*core.Prepared, bool, error) {
+//
+// l and opts are the structure and options the fingerprint was taken of: a
+// compiled plan is indexed under their shape for Find, read before Get
+// returns and not kept. The index is the caller's word, not the plan's, and
+// needs no more: Find serves a candidate only once Prepared.Matches confirms
+// it, so a listing that is not the plan's costs a miss, never a wrong plan.
+// A nil l leaves the plan found by fingerprint only.
+func (c *Cache) Get(fingerprint string, l *core.Listing, opts core.Options, compile func() (*core.Prepared, error)) (*core.Prepared, bool, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[fingerprint]; ok {
 		c.lru.MoveToFront(e)
@@ -190,10 +198,8 @@ func (c *Cache) Get(fingerprint string, compile func() (*core.Prepared, error)) 
 
 	f.prep, f.err = compile()
 	ent := &cacheEntry{key: fingerprint, prep: f.prep}
-	if f.err == nil {
-		if l := f.prep.Listing(); l != nil {
-			ent.shape, ent.listed = c.shape(l, f.prep.Options()), true
-		}
+	if f.err == nil && l != nil {
+		ent.shape, ent.listed = c.shape(l, opts), true
 	}
 
 	c.mu.Lock()

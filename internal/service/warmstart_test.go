@@ -156,10 +156,8 @@ func TestPreparedBuildsSupportsOnlyToCompile(t *testing.T) {
 	dir := t.TempDir()
 	inst := workload.Mixed(24, 3, 9)
 	opts := core.Options{Ring: ring.Counting{}}
-	fp, err := core.Fingerprint(inst.Ahat, inst.Bhat, inst.Xhat, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := core.ListSupports(inst.Ahat, inst.Bhat, inst.Xhat)
+	fp := l.Fingerprint(opts)
 	built := 0
 	supports := func() (ahat, bhat, xhat *matrix.Support, err error) {
 		built++
@@ -167,7 +165,7 @@ func TestPreparedBuildsSupportsOnlyToCompile(t *testing.T) {
 	}
 	resolve := func(s *Server, what string, wantBuilt int, wantHit bool) {
 		t.Helper()
-		if _, hit, err := s.prepared(fp, supports, opts); err != nil || hit != wantHit || built != wantBuilt {
+		if _, hit, err := s.prepared(fp, l, supports, opts); err != nil || hit != wantHit || built != wantBuilt {
 			t.Fatalf("%s: hit %v, %v, supports built %d times; want hit %v, built %d", what, hit, err, built, wantHit, wantBuilt)
 		}
 	}
