@@ -25,7 +25,8 @@ type loadRef struct {
 // ErrLoadSlots reports a compiled form whose A, B and X load refs do not
 // number each node's slots 0, 1, 2, … in load order. The loader marks the
 // prefix [0, loaded[v]) present without writing presence per slot, so a gap
-// would expose whatever a pooled executor's previous run left in the slot.
+// would expose whatever a pooled executor's previous run — of this plan or,
+// the pools being the machine's, of any other — left in the slot.
 var ErrLoadSlots = errors.New("algo: load slots are not a prefix")
 
 // ErrDeadCell reports a plan that reaches an A, B or X cell lying on no
@@ -36,8 +37,11 @@ var ErrDeadCell = errors.New("algo: plan reaches a cell on no triangle")
 // compiledPrepared is the compiled twin of a Prepared: the whole pipeline
 // — input loading, phase-1 batches, the staging sweep, the Lemma 3.1 job
 // and output collection — lowered against one shared SlotSpace, so
-// MultiplyBatch is a pure array program. Executors are recycled through
-// pools; in steady state a multiplication allocates no store memory at all.
+// MultiplyBatch is a pure array program. It owns no executor: a run takes
+// one from the pool of its machine (execFor), shared by every plan over the
+// same n and lane count, and lays it out for its arena sizes. In steady
+// state a multiplication allocates no store memory at all, the first one
+// of a freshly decoded plan included.
 //
 // Only live cells take a slot: the A, B and X cells that lie on at least
 // one triangle (graph.Instance.Live). A dead cell never sends, never
@@ -63,24 +67,32 @@ type compiledPrepared struct {
 	few          *fewtri.CompiledJob
 	bytes        int64
 	r            ring.Semiring
-	// pools holds one executor pool per lane count: arenas are sized
-	// slots×lanes, so executors only recycle within their own lane count.
-	// Key int → value *sync.Pool of *lbm.Exec.
-	pools sync.Map
 }
 
-// execFor returns a pooled executor carrying the given lane count, plus the
-// pool to return it to after Reset.
+// execPools holds one executor pool per machine: key execShape, value
+// *sync.Pool of *lbm.Exec. Arenas are sized slots×lanes and an executor
+// serves any plan over its n and lane count once Fit has laid it out.
+var execPools sync.Map
+
+type execShape struct{ n, lanes int }
+
+// execFor returns an executor of the plan's machine carrying the given lane
+// count, laid out for the plan, plus the pool to return it to after Reset.
+// Reuse across plans is safe because of the load-prefix rule (ErrLoadSlots):
+// the loader writes every slot a run reads before the run reads it, so what
+// another plan's run left in a slot is never read, as for this plan's own.
 func (cp *compiledPrepared) execFor(lanes int) (*lbm.Exec, *sync.Pool) {
-	pi, ok := cp.pools.Load(lanes)
+	shape := execShape{n: len(cp.sizes), lanes: lanes}
+	pi, ok := execPools.Load(shape)
 	if !ok {
-		sizes, r := cp.sizes, cp.r
-		pi, _ = cp.pools.LoadOrStore(lanes, &sync.Pool{
-			New: func() any { return lbm.NewExecBatch(sizes, lanes, r) },
-		})
+		pi, _ = execPools.LoadOrStore(shape, new(sync.Pool))
 	}
 	pool := pi.(*sync.Pool)
-	return pool.Get().(*lbm.Exec), pool
+	if x, ok := pool.Get().(*lbm.Exec); ok {
+		x.Fit(cp.sizes, cp.r)
+		return x, pool
+	}
+	return lbm.NewExecBatch(cp.sizes, lanes, cp.r), pool
 }
 
 // compilePrepared lowers a Prepared into its compiled twin. The lowering
@@ -170,7 +182,7 @@ func (cp *compiledPrepared) slotLive(sp *lbm.SlotSpace, sup *matrix.Support, liv
 // finish completes a compiled form whose instruction state is in place —
 // whether freshly lowered or decoded from a serialized snapshot: it derives
 // the arena sizes of an n-node machine and the loaded prefixes, prices the
-// resident size and records the ring the executor pools build over. It
+// resident size and records the ring its executors run over. It
 // fails when a ref is out of range or the arenas are not gap-free
 // (arenaWalk), when a plan subtracts over a ring that cannot, and with
 // ErrLoadSlots when the load refs, taken in order, do not number each
@@ -205,9 +217,6 @@ func (cp *compiledPrepared) finish(n int, r ring.Semiring) error {
 		cp.bytes += cb.MemoryBytes()
 	}
 	cp.bytes += cp.few.MemoryBytes()
-	for _, sz := range cp.sizes {
-		cp.bytes += int64(sz) * 12 // arena value + epoch stamp
-	}
 	cp.r = r
 	return nil
 }
@@ -304,8 +313,9 @@ func (w *arenaWalk) arenas(visit func(lbm.RefVisitor)) ([]int32, error) {
 }
 
 // CompiledBytes reports the estimated resident size of the compiled form
-// (instruction streams, slot tables and one executor's arenas). Serving
-// caches use it as the memory cost of a cached Prepared.
+// (instruction streams and slot tables; the executors a run takes belong to
+// the machine's pool, not to the plan). Serving caches use it as the memory
+// cost of a cached Prepared.
 func (p *Prepared) CompiledBytes() int64 {
 	if p.compiled == nil {
 		return 0

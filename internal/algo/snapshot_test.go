@@ -249,7 +249,8 @@ func TestSnapshotRejectsTampering(t *testing.T) {
 // prefix out of order are refused with ErrLoadSlots. Each mutation stays
 // inside the arena bounds, so the prefix rule is what fires; a gap that got
 // through would mark a slot present that still holds whatever a pooled
-// executor's previous call left there.
+// executor's previous call, of this plan or another, left there. A form
+// that gets through is run on a poisoned executor and the outcome reported.
 func TestSnapshotRejectsLoadSlotGap(t *testing.T) {
 	for _, alg := range []string{"trivial", "lemma31", "theorem42"} {
 		for _, tc := range []struct {
@@ -285,9 +286,19 @@ func TestSnapshotRejectsLoadSlotGap(t *testing.T) {
 			if !tc.mutate(p.compiled) {
 				t.Fatalf("%s/%s: no load ref to mutate", alg, tc.name)
 			}
-			if _, err := restore(snapshot(t, p)); !errors.Is(err, ErrLoadSlots) {
-				t.Errorf("%s/%s: err = %v, want ErrLoadSlots", alg, tc.name, err)
+			q, err := restore(snapshot(t, p))
+			if errors.Is(err, ErrLoadSlots) {
+				continue
 			}
+			if err == nil {
+				// What the refusal prevents: executors are shared by every
+				// plan of a machine, so the damaged form runs on one that
+				// another run left poisoned.
+				poison(q, 1)
+				t.Errorf("%s/%s: decoded without ErrLoadSlots; its run on a poisoned executor: %v", alg, tc.name, sharedRunErr(q, 1, 1))
+				continue
+			}
+			t.Errorf("%s/%s: err = %v, want ErrLoadSlots", alg, tc.name, err)
 		}
 	}
 }

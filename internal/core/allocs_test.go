@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -62,6 +64,83 @@ func TestWarmMultiplyAllocs(t *testing.T) {
 	}
 	if got := listed(want, inst.Xhat); !slices.Equal(got, xs[0]) {
 		t.Fatal("MultiplyValues wrote a product other than Multiply's")
+	}
+}
+
+// TestDecodedFirstMultiplyAllocs pins that executors belong to the
+// machine, not the plan: in a process that has multiplied at n=256 before,
+// the first MultiplyValues of a plan just decoded from its envelope
+// allocates exactly what a warm plan's does (warmValuesAllocs), though each
+// decoded plan is new to the pool and every other call runs another
+// structure, so every call re-lays the executor it takes.
+func TestDecodedFirstMultiplyAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector makes sync.Pool drop executors")
+	}
+	r := ring.Counting{}
+	type plan struct {
+		prep       *Prepared
+		as, bs, xs [][]ring.Value
+	}
+	plans := make([]plan, 2)
+	for k := range plans {
+		inst := workload.Instance(matrix.US, matrix.US, matrix.US, 256, 4, int64(k+1))
+		prep, err := Prepare(inst.Ahat, inst.Bhat, inst.Xhat, Options{Ring: r, D: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := matrix.Random(inst.Ahat, r, 1), matrix.Random(inst.Bhat, r, 2)
+		plans[k] = plan{prep, [][]ring.Value{listed(a, inst.Ahat)}, [][]ring.Value{listed(b, inst.Bhat)},
+			[][]ring.Value{make([]ring.Value, inst.Xhat.NNZ)}}
+		if _, err := prep.MultiplyValues(plans[k].as, plans[k].bs, plans[k].xs, ExecOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var env bytes.Buffer
+	if err := plans[0].prep.Encode(&env); err != nil {
+		t.Fatal(err)
+	}
+	const decodes = 20
+	decoded := make([]*Prepared, decodes)
+	for i := range decoded {
+		var err error
+		if decoded[i], err = DecodePrepared(bytes.NewReader(env.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := slices.Clone(plans[0].xs[0])
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// Finish the collection the decodes may have started, which would
+	// otherwise empty the pools partway through the loop. The executor
+	// survives it in its pool's victim cache; one run takes it back and
+	// rebuilds the pool's per-processor table before the count starts.
+	runtime.GC()
+	o := plans[1]
+	if _, err := o.prep.MultiplyValues(o.as, o.bs, o.xs, ExecOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, q := range decoded {
+		if _, err := q.MultiplyValues(plans[0].as, plans[0].bs, plans[0].xs, ExecOpts{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := o.prep.MultiplyValues(o.as, o.bs, o.xs, ExecOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// Whole allocations per call, as testing.AllocsPerRun counts them: the
+	// runtime's own work after the collection above adds a stray few to
+	// the total now and then, where an executor built for each decoded
+	// plan adds over a hundred per call.
+	allocs := (after.Mallocs - before.Mallocs) / (2 * decodes)
+	t.Logf("first MultiplyValues of a decoded plan at n=256, alternating with another plan: %d allocations", allocs)
+	if allocs != warmValuesAllocs {
+		t.Errorf("first MultiplyValues of a decoded plan at n=256: %d allocations, want %d as warm", allocs, warmValuesAllocs)
+	}
+	if !slices.Equal(plans[0].xs[0], want) {
+		t.Error("a decoded plan wrote a product other than its source's")
 	}
 }
 

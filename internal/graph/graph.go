@@ -77,46 +77,47 @@ func (inst *Instance) Triangles() []Triangle {
 
 // Live marks the cells that lie on at least one triangle: a[p], b[p] and
 // x[p] report it for the p-th entry, in row-major order, of Â, B̂ and X̂.
-// It is Triangles' walk, recording positions instead of triangles. A cell
-// it leaves false never sends, never receives and never changes the
-// product.
+// A cell it leaves false never sends, never receives and never changes the
+// product. Per row i, the columns of X̂ row i are stamped into one n-entry
+// table with their positions; each A cell (i, j) then probes that table once
+// per cell of B̂ row j, so the work is O(Σ_(i,j)∈Â |B̂ row j| + nnz(X̂)).
 func (inst *Instance) Live() (a, b, x []bool) {
 	a, b, x = make([]bool, inst.Ahat.NNZ), make([]bool, inst.Bhat.NNZ), make([]bool, inst.Xhat.NNZ)
-	bStart, xStart := rowStarts(inst.Bhat), rowStarts(inst.Xhat)
-	pa := 0
+	n := inst.N
+	// bStart[j] is the position of B̂ row j's first entry; xAt[k] is one
+	// past the position of X̂ cell (i, k) while row i is stamped. Positions
+	// of different rows never overlap, so a stamp left by an earlier row
+	// falls outside the current row's range and reads as no cell.
+	tables := make([]int, 2*n)
+	bStart, xAt := tables[:n], tables[n:]
+	p := 0
+	for j, row := range inst.Bhat.Rows {
+		bStart[j] = p
+		p += len(row)
+	}
+	pa, px := 0, 0
 	for i, arow := range inst.Ahat.Rows {
 		xrow := inst.Xhat.Rows[i]
+		lo := px + 1
+		for _, k := range xrow {
+			px++
+			xAt[k] = px
+		}
+		if len(xrow) == 0 {
+			pa += len(arow)
+			continue
+		}
 		for _, j := range arow {
-			brow := inst.Bhat.Rows[j]
-			ai, bi := 0, 0
-			for ai < len(xrow) && bi < len(brow) {
-				switch {
-				case xrow[ai] < brow[bi]:
-					ai++
-				case xrow[ai] > brow[bi]:
-					bi++
-				default:
-					a[pa], b[bStart[j]+bi], x[xStart[i]+ai] = true, true, true
-					ai++
-					bi++
+			pb := bStart[j]
+			for at, k := range inst.Bhat.Rows[j] {
+				if q := xAt[k]; q >= lo {
+					a[pa], b[pb+at], x[q-1] = true, true, true
 				}
 			}
 			pa++
 		}
 	}
 	return a, b, x
-}
-
-// rowStarts returns, per row of s, the row-major position of its first
-// entry.
-func rowStarts(s *matrix.Support) []int {
-	out := make([]int, len(s.Rows))
-	p := 0
-	for i, row := range s.Rows {
-		out[i] = p
-		p += len(row)
-	}
-	return out
 }
 
 // CountTriangles returns |T̂| without materializing the set.

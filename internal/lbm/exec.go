@@ -35,6 +35,14 @@ import (
 // are checked once per instruction, not once per lane. That is the batching
 // win: the walk, the presence bookkeeping and the stats replay amortize
 // over lanes, leaving only the per-lane value arithmetic.
+//
+// An executor belongs to the machine (N computers, a lane count), not to a
+// plan: the per-node arenas and stamps are capped views into one value slab
+// and one stamp slab, and Fit re-lays them for another plan's arena sizes,
+// growing a slab only when that plan needs more slots than it holds. What a
+// previous run — of this plan or another — left in a slot is never read as
+// a value: every slot is absent after Reset, and a slot is read only once
+// the run has written it.
 type Exec struct {
 	N int
 	R ring.Semiring
@@ -58,8 +66,13 @@ type Exec struct {
 	lanes int            // values per slot (≥1); see NewExecBatch
 	arena [][]ring.Value // lane-strided: slot s lane l at s*lanes+l
 	stamp [][]uint32     // slot present iff stamp == epoch
-	epoch uint32
-	live  []int32 // per-node count of present slots (the map engine's len(store))
+	// vals and stamps are the slabs arena and stamp view, node by node;
+	// laid is the sizes slice the views were last laid out for (Fit).
+	vals   []ring.Value
+	stamps []uint32
+	laid   []int32
+	epoch  uint32
+	live   []int32 // per-node count of present slots (the map engine's len(store))
 
 	stats   Stats
 	payload []ring.Value // gather scratch, reused across rounds
@@ -76,13 +89,14 @@ func NewExec(sizes []int32, r ring.Semiring, opts ...Option) *Exec {
 // one per value-assignment of a batched run. One Run walks the instruction
 // stream once and moves all lanes; lane l of the arenas is loaded and read
 // through PutLane/GetLane. lanes < 1 is treated as 1. Options are NewExec's.
+// The arenas are laid out by Fit, so construction makes a constant number
+// of allocations whatever the number of nodes.
 func NewExecBatch(sizes []int32, lanes int, r ring.Semiring, opts ...Option) *Exec {
 	if lanes < 1 {
 		lanes = 1
 	}
 	x := &Exec{
 		N:     len(sizes),
-		R:     r,
 		lanes: lanes,
 		arena: make([][]ring.Value, len(sizes)),
 		stamp: make([][]uint32, len(sizes)),
@@ -90,15 +104,49 @@ func NewExecBatch(sizes []int32, lanes int, r ring.Semiring, opts ...Option) *Ex
 		live:  make([]int32, len(sizes)),
 	}
 	x.settings.reset(opts)
-	for i, sz := range sizes {
-		x.arena[i] = make([]ring.Value, int(sz)*lanes)
-		x.stamp[i] = make([]uint32, sz)
-	}
-	if f, ok := ring.AsField(r); ok {
-		x.field = f
-	}
+	x.Fit(sizes, r)
 	x.setTransport(x.transport)
 	return x
+}
+
+// Fit lays the executor out for a plan over ring r whose node v needs
+// sizes[v] slots, on the same N computers and lane count: node v's arena
+// and stamps become capped views (len = cap) of the next sizes[v] slots of
+// the slabs, so no node can append into its neighbour. A slab is replaced
+// by a larger, zeroed one only when the plan needs more slots than it
+// holds. Called again with the sizes slice it was last laid out for, Fit
+// only sets the ring. It must follow construction or Reset: every slot is
+// then absent, since every stamp Reset leaves is below the epoch and a new
+// slab is zero, and Fit keeps it so. The sizes slice must not change while
+// the executor is laid out for it.
+func (x *Exec) Fit(sizes []int32, r ring.Semiring) {
+	if len(sizes) != x.N {
+		panic(fmt.Sprintf("lbm: fitting a %d-computer plan to a %d-computer executor", len(sizes), x.N))
+	}
+	x.R = r
+	x.field, _ = ring.AsField(r)
+	if len(sizes) == len(x.laid) && (len(sizes) == 0 || &sizes[0] == &x.laid[0]) {
+		return
+	}
+	total := 0
+	for _, sz := range sizes {
+		total += int(sz)
+	}
+	if total > len(x.stamps) {
+		x.stamps = make([]uint32, total)
+	}
+	K := x.lanes
+	if total*K > len(x.vals) {
+		x.vals = make([]ring.Value, total*K)
+	}
+	lo := 0
+	for v, sz := range sizes {
+		hi := lo + int(sz)
+		x.stamp[v] = x.stamps[lo:hi:hi]
+		x.arena[v] = x.vals[lo*K : hi*K : hi*K]
+		lo = hi
+	}
+	x.laid = sizes
 }
 
 // Lanes returns the number of values each slot holds (1 for NewExec).
@@ -319,15 +367,15 @@ func (x *Exec) ClearSlot(r SlotRef) {
 // Reset clears all arenas and statistics, returning the executor to its
 // freshly-constructed state (engine settings kept, collector detached so a
 // pooled executor never leaks a previous request's profile). Presence is
-// epoch-stamped, so no arena is swept.
+// epoch-stamped, so no arena is swept: every slot is absent, whatever its
+// stamp or value, and ready for Fit.
 func (x *Exec) Reset() {
 	x.epoch++
 	if x.epoch == 0 { // stamp wrap: hard-clear once every 2^32 resets
-		for i := range x.stamp {
-			for j := range x.stamp[i] {
-				x.stamp[i][j] = 0
-			}
-		}
+		// The whole slab, not only the current views: a slot another
+		// layout left stamped would be present again once the epoch
+		// climbed back to its stamp.
+		clear(x.stamps)
 		x.epoch = 1
 	}
 	for i := range x.live {

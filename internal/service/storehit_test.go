@@ -76,6 +76,6 @@ func TestStoreHitAllocs(t *testing.T) {
 	}
 }
 
-// storeHitAllocs bounds TestStoreHitAllocs, which reads 416 or 417: the
+// storeHitAllocs bounds TestStoreHitAllocs, which reads 183 or 184: the
 // lane's hand-off between goroutines varies by an allocation.
-const storeHitAllocs = 420
+const storeHitAllocs = 187
