@@ -140,8 +140,9 @@ func (faultAt) Straggles(int, lbm.NodeID) bool { return false }
 
 // TestSharedExecutorAcrossPlans runs two plans on one machine's executor
 // pool, in turn, at 1, 3 and 16 lanes: P on an executor another run left
-// poisoned, then Q, whose larger arenas grow the slabs, then P on what Q
-// and a second poisoning left, then Q again. Runs that fail mid-walk, one
+// poisoned, then Q, whose larger arenas need more slots than P's layout
+// (the slabs grow unless an earlier run grew them), then P on what Q and a
+// second poisoning left, then Q again. Runs that fail mid-walk, one
 // under a store limit one below Q's peak and one under a dropped message,
 // leave present slots and written values behind them; the good runs after
 // them must not see either. Every product must be MulReference's. That a
@@ -156,13 +157,12 @@ func TestSharedExecutorAcrossPlans(t *testing.T) {
 		}
 	}
 	for _, k := range []int{1, 3, 16} {
-		if poison(p, k) != poison(q, k) {
+		pool := poison(p, k)
+		run("P after a poisoned run", p, k, 1)
+		run("Q, re-laying for larger arenas", q, k, 2)
+		if poison(q, k) != pool {
 			t.Fatalf("k=%d: P and Q take executors from different pools", k)
 		}
-		poison(p, k)
-		run("P after a poisoned run", p, k, 1)
-		run("Q, growing the slabs", q, k, 2)
-		poison(q, k)
 		run("P after Q and a poisoned run", p, k, 3)
 		run("Q again", q, k, 4)
 
