@@ -149,8 +149,8 @@ func plansPrewarm(st *planstore.Store, wlName string, n, d int, ringName, algNam
 		return out
 	}
 	xhat := make([][2]int, 0, inst.Xhat.NNZ)
-	for i, row := range inst.Xhat.Rows {
-		for _, j := range row {
+	for i := range inst.Xhat.N {
+		for _, j := range inst.Xhat.Row(i) {
 			xhat = append(xhat, [2]int{i, int(j)})
 		}
 	}

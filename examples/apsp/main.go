@@ -94,10 +94,11 @@ func main() {
 // supportProduct returns the boolean product support of two supports.
 func supportProduct(a, b *matrix.Support) *matrix.Support {
 	var es [][2]int
-	for i, row := range a.Rows {
+	for i := range a.N {
+		row := a.Row(i)
 		seen := map[int32]bool{}
 		for _, j := range row {
-			for _, k := range b.Rows[j] {
+			for _, k := range b.Row(int(j)) {
 				if !seen[k] {
 					seen[k] = true
 					es = append(es, [2]int{i, int(k)})

@@ -31,6 +31,9 @@ func main() {
 		CacheSize:  16,
 		BatchSize:  16, // up to 16 lanes per batched run
 		BatchDelay: 2 * time.Millisecond,
+		// Room for the whole burst to wait: the default, 4 per worker,
+		// would let admission shed lanes before the coalescer groups them.
+		QueueDepth: k,
 	})
 	defer srv.Close()
 	ctx := context.Background()

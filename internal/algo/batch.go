@@ -249,7 +249,7 @@ func loadLive(arena [][]ring.Value, refs []loadRef, sup *matrix.Support, ms []*m
 			if lr.i != row {
 				row = lr.i
 				cells := ms[0].Rows[row]
-				ln = laneRow{cells: cells, full: len(cells) == len(sup.Rows[row])}
+				ln = laneRow{cells: cells, full: len(cells) == sup.RowLen(int(row))}
 			}
 			dst := &arena[lr.ref.Node][lr.ref.Slot]
 			if ln.full {
@@ -264,7 +264,7 @@ func loadLive(arena [][]ring.Value, refs []loadRef, sup *matrix.Support, ms []*m
 	for _, lr := range refs {
 		if lr.i != row {
 			row = lr.i
-			n := len(sup.Rows[row])
+			n := sup.RowLen(int(row))
 			for l, m := range ms {
 				cells := m.Rows[row]
 				lanes[l] = laneRow{cells: cells, full: len(cells) == n}

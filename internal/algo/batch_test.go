@@ -30,8 +30,8 @@ func multiplyOne(p *Prepared, a, b *matrix.Sparse, mopts ...lbm.Option) (*matrix
 func partialValues(sup *matrix.Support, r ring.Semiring, seed int64, lane int) *matrix.Sparse {
 	m := matrix.Random(sup, r, seed)
 	idx := 0
-	for i, row := range sup.Rows {
-		for _, j := range row {
+	for i := range sup.N {
+		for _, j := range sup.Row(i) {
 			if idx%(lane+2) == lane {
 				m.Set(i, int(j), r.Zero())
 			}
@@ -164,8 +164,8 @@ func TestMultiplyBatchValidation(t *testing.T) {
 // a position m does not store being the ring zero.
 func flatValues(m *matrix.Sparse, sup *matrix.Support) []ring.Value {
 	out := make([]ring.Value, 0, sup.NNZ)
-	for i, row := range sup.Rows {
-		for _, j := range row {
+	for i := range sup.N {
+		for _, j := range sup.Row(i) {
 			out = append(out, m.Get(i, int(j)))
 		}
 	}

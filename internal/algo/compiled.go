@@ -165,8 +165,8 @@ func (cp *compiledPrepared) slotLive(sp *lbm.SlotSpace, sup *matrix.Support, liv
 	owner func(i, j int32) lbm.NodeID, key func(i, j int32) lbm.Key) []loadRef {
 	var refs []loadRef
 	pos := 0
-	for i, row := range sup.Rows {
-		for at, j := range row {
+	for i := range sup.N {
+		for at, j := range sup.Row(i) {
 			o := owner(int32(i), j)
 			if live[pos] {
 				refs = append(refs, loadRef{i: int32(i), j: j, at: int32(at), k: int32(pos), ref: sp.Ref(o, key(int32(i), j))})

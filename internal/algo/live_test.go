@@ -119,8 +119,8 @@ func TestLiveGuardRejectsDeadReach(t *testing.T) {
 	}
 	t0 := inst.Triangles()[0]
 	var bs [][2]int
-	for j, row := range inst.Bhat.Rows {
-		for _, k := range row {
+	for j := range inst.Bhat.N {
+		for _, k := range inst.Bhat.Row(j) {
 			if int32(j) != t0.J || k != t0.K {
 				bs = append(bs, [2]int{j, int(k)})
 			}
@@ -223,10 +223,10 @@ func TestLiveContainment(t *testing.T) {
 	r := ring.Counting{}
 	p := prepareFor(t, r, workload.Mixed(32, 4, 3), "trivial")
 	i := 0
-	for len(p.Inst.Ahat.Rows[i]) < 2 {
+	for p.Inst.Ahat.RowLen(i) < 2 {
 		i++
 	}
-	c0 := p.Inst.Ahat.Rows[i][0]
+	c0 := p.Inst.Ahat.Row(i)[0]
 	outside := int32(0)
 	for p.Inst.Ahat.Has(i, int(outside)) {
 		outside++

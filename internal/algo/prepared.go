@@ -242,13 +242,13 @@ func (p *Prepared) MultiplyMap(a, b *matrix.Sparse, mopts ...lbm.Option) (*matri
 	m := lbm.New(p.Inst.N, p.R, mopts...)
 	// Load every support position explicitly (absent value = ring Zero, per
 	// Sparse.Get), so the fixed plans find all their sources.
-	for i, row := range p.Inst.Ahat.Rows {
-		for _, j := range row {
+	for i := range p.Inst.Ahat.N {
+		for _, j := range p.Inst.Ahat.Row(i) {
 			m.Put(p.Layout.OwnerA(int32(i), j), lbm.AKey(int32(i), j), a.Get(i, int(j)))
 		}
 	}
-	for j, row := range p.Inst.Bhat.Rows {
-		for _, k := range row {
+	for j := range p.Inst.Bhat.N {
+		for _, k := range p.Inst.Bhat.Row(j) {
 			m.Put(p.Layout.OwnerB(int32(j), k), lbm.BKey(int32(j), k), b.Get(j, int(k)))
 		}
 	}
@@ -298,7 +298,7 @@ func within(m *matrix.Sparse, sup *matrix.Support) error {
 		return fmt.Errorf("has %d rows for dimension %d", len(m.Rows), m.N)
 	}
 	for i, row := range m.Rows {
-		sr := sup.Rows[i]
+		sr := sup.Row(i)
 		if len(row) == len(sr) && sameCols(row, sr) {
 			continue
 		}

@@ -64,8 +64,8 @@ func TestPreparedPartialValues(t *testing.T) {
 	a := matrix.Random(inst.Ahat, r, 1)
 	// Zero out half of A's entries.
 	cnt := 0
-	for i, row := range inst.Ahat.Rows {
-		for _, j := range row {
+	for i := range inst.Ahat.N {
+		for _, j := range inst.Ahat.Row(i) {
 			if cnt%2 == 0 {
 				a.Set(i, int(j), 0)
 			}

@@ -118,8 +118,8 @@ func sharedRunErr(p *Prepared, k int, seed int64) error {
 // order, a position m does not hold reading as zero.
 func listedValues(m *matrix.Sparse, sup *matrix.Support) []ring.Value {
 	var vals []ring.Value
-	for i, row := range sup.Rows {
-		for _, j := range row {
+	for i := range sup.N {
+		for _, j := range sup.Row(i) {
 			vals = append(vals, m.Get(i, int(j)))
 		}
 	}

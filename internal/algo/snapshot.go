@@ -40,12 +40,12 @@ func (p *Prepared) EncodeCompiled(w *lbm.WireWriter) error {
 	w.Int(int(ringP))
 	w.Int(p.Inst.N)
 	w.Int(p.Inst.D)
-	// Supports go out as one slab of column indices per row; Cols is
-	// derivable and not stored.
+	// Supports go out as a row count and then one slab of column indices
+	// per row; columns are derivable and not stored.
 	for _, sup := range []*matrix.Support{p.Inst.Ahat, p.Inst.Bhat, p.Inst.Xhat} {
-		w.Count(len(sup.Rows))
-		for _, row := range sup.Rows {
-			w.Int32s(row)
+		w.Count(sup.N)
+		for i := range sup.N {
+			w.Int32s(sup.Row(i))
 		}
 	}
 	// The preparation-time Result skeleton: the fields that are functions
@@ -78,11 +78,13 @@ func (p *Prepared) EncodeCompiled(w *lbm.WireWriter) error {
 //
 // Decoded state crosses a trust boundary (the plan store's files are
 // outside the process), so it is checked before an executor can touch it,
-// for bounds and for the counts it implies. The supports are rebuilt with
-// range and sortedness checks, each from one slab of rows
-// (lbm.WireReader.Int32Rows) and with no column index, and every plan is
+// for bounds and for the counts it implies. The three supports are read
+// into one row-offsets slab and one column slab (lbm.WireReader.RowLists),
+// each support a view of its part held to matrix.SupportFromCSR's offset,
+// range and sortedness checks, and no column index is built. Every plan is
 // read for the machine size they pin and held to the model rules, with its
-// per-round counts derived from its instructions. The live cells are derived from the supports
+// per-round counts derived from its instructions. The live cells are
+// derived from the supports
 // (graph.Instance.Live), and the load refs are matched one-to-one against
 // them. The per-node dead counts must be non-negative and sum to the dead
 // cells. The load refs must number each node's slots from 0 without a gap
@@ -100,7 +102,7 @@ func (p *Prepared) EncodeCompiled(w *lbm.WireWriter) error {
 func DecodeCompiledPrepared(r *lbm.WireReader) (*Prepared, error) {
 	name, ringName, ringP := r.String(), r.String(), int64(r.Int())
 	n, d := r.Int(), r.Int()
-	rows := [3][][]int32{r.Int32Rows(), r.Int32Rows(), r.Int32Rows()}
+	off, col := r.RowLists(3, n)
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("algo: decode prepared: %w", err)
 	}
@@ -108,9 +110,12 @@ func DecodeCompiledPrepared(r *lbm.WireReader) (*Prepared, error) {
 	var sups [3]*matrix.Support
 	var err error
 	for i, m := range [3]string{"A", "B", "X"} {
-		if sups[i], err = matrix.SupportFromRows(n, rows[i]); err != nil {
+		o := off[i*(n+1) : (i+1)*(n+1) : (i+1)*(n+1)]
+		nnz := int(o[n])
+		if sups[i], err = matrix.SupportFromCSR(n, o, col[:nnz:nnz]); err != nil {
 			return nil, fmt.Errorf("algo: decode prepared: %shat: %w", m, err)
 		}
+		col = col[nnz:]
 	}
 	meta := Result{Name: name, Batches: r.Int()}
 	meta.Cluster.CubeClusters, meta.Cluster.StrassenClusters = r.Int(), r.Int()
@@ -204,8 +209,8 @@ func importRefs(refs []lbm.SlotRef, sup *matrix.Support, live []bool) ([]loadRef
 	}
 	out := make([]loadRef, 0, len(refs))
 	pos := 0
-	for i, row := range sup.Rows {
-		for at, j := range row {
+	for i := range sup.N {
+		for at, j := range sup.Row(i) {
 			if live[pos] {
 				out = append(out, loadRef{i: int32(i), j: j, at: int32(at), k: int32(pos), ref: refs[len(out)]})
 			}

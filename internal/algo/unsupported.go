@@ -5,6 +5,7 @@ import (
 
 	"lbmm/internal/graph"
 	"lbmm/internal/lbm"
+	"lbmm/internal/matrix"
 	"lbmm/internal/routing"
 )
 
@@ -49,18 +50,18 @@ func DisseminateSupport(m *lbm.Machine, l *lbm.Layout, inst *graph.Instance) (in
 		code  float64
 	}
 	var entries []entry
-	for i, row := range inst.Ahat.Rows {
-		for _, j := range row {
+	for i := range inst.Ahat.N {
+		for _, j := range inst.Ahat.Row(i) {
 			entries = append(entries, entry{l.OwnerA(int32(i), j), encodeEntry(0, i, int(j), inst.N)})
 		}
 	}
-	for j, row := range inst.Bhat.Rows {
-		for _, k := range row {
+	for j := range inst.Bhat.N {
+		for _, k := range inst.Bhat.Row(j) {
 			entries = append(entries, entry{l.OwnerB(int32(j), k), encodeEntry(1, j, int(k), inst.N)})
 		}
 	}
-	for i, row := range inst.Xhat.Rows {
-		for _, k := range row {
+	for i := range inst.Xhat.N {
+		for _, k := range inst.Xhat.Row(i) {
 			entries = append(entries, entry{l.OwnerX(int32(i), k), encodeEntry(2, i, int(k), inst.N)})
 		}
 	}
@@ -118,9 +119,9 @@ func VerifyDissemination(m *lbm.Machine, node lbm.NodeID, inst *graph.Instance) 
 		}
 		seen[which][[2]int{i, j}] = true
 	}
-	check := func(which int, rows [][]int32) error {
-		for i, row := range rows {
-			for _, j := range row {
+	check := func(which int, s *matrix.Support) error {
+		for i := range s.N {
+			for _, j := range s.Row(i) {
 				if !seen[which][[2]int{i, int(j)}] {
 					return fmt.Errorf("computer %d missing entry %d:(%d,%d)", node, which, i, j)
 				}
@@ -128,11 +129,11 @@ func VerifyDissemination(m *lbm.Machine, node lbm.NodeID, inst *graph.Instance) 
 		}
 		return nil
 	}
-	if err := check(0, inst.Ahat.Rows); err != nil {
+	if err := check(0, inst.Ahat); err != nil {
 		return err
 	}
-	if err := check(1, inst.Bhat.Rows); err != nil {
+	if err := check(1, inst.Bhat); err != nil {
 		return err
 	}
-	return check(2, inst.Xhat.Rows)
+	return check(2, inst.Xhat)
 }

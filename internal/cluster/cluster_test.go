@@ -203,8 +203,8 @@ func TestRunBatchesCorrect(t *testing.T) {
 			vnet.CleanupStaging(m)
 			// Expected: only the batched triangles processed.
 			want := matrix.NewSparse(n, r)
-			for i, row := range inst.Xhat.Rows {
-				for _, k := range row {
+			for i := range inst.Xhat.N {
+				for _, k := range inst.Xhat.Row(i) {
 					want.Set(i, int(k), r.Zero())
 				}
 			}
@@ -271,8 +271,8 @@ func TestRunBatchUsesStrassenOverFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := matrix.NewSparse(n, r)
-	for i, row := range inst.Xhat.Rows {
-		for _, k := range row {
+	for i := range inst.Xhat.N {
+		for _, k := range inst.Xhat.Row(i) {
 			want.Set(i, int(k), r.Zero())
 		}
 	}

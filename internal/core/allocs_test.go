@@ -154,8 +154,8 @@ const (
 // position m does not hold reading as zero.
 func listed(m *matrix.Sparse, sup *matrix.Support) []ring.Value {
 	var vals []ring.Value
-	for i, row := range sup.Rows {
-		for _, j := range row {
+	for i := range sup.N {
+		for _, j := range sup.Row(i) {
 			vals = append(vals, m.Get(i, int(j)))
 		}
 	}

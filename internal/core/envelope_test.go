@@ -305,10 +305,7 @@ func bodyOffsets(env []byte, p *Prepared) (dead, refs int) {
 	off := hdrLen + 4 + len(p.Algorithm)
 	off += 4 + len(in.Name) + 4 + len(in.R.Name()) + 3*8
 	for _, sup := range []*matrix.Support{in.Inst.Ahat, in.Inst.Bhat, in.Inst.Xhat} {
-		off += 4
-		for _, row := range sup.Rows {
-			off += 4 + 4*len(row)
-		}
+		off += 4 + 4*sup.N + 4*sup.NNZ
 	}
 	dead = off + 6*8 // the Result skeleton
 	n := int(binary.LittleEndian.Uint32(env[dead:]))

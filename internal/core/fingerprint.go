@@ -122,8 +122,8 @@ func (w *fpWriter) str(s string) {
 // support writes a support: its entry count, then each non-empty row.
 func (w *fpWriter) support(s *matrix.Support) {
 	w.int(s.NNZ)
-	for i, row := range s.Rows {
-		if len(row) > 0 {
+	for i := range s.N {
+		if row := s.Row(i); len(row) > 0 {
 			w.int(i)
 			w.int(len(row))
 			for _, j := range row {

@@ -209,9 +209,9 @@ func TestListingMatchesSupports(t *testing.T) {
 			}
 			var sa RowList
 			vals, _ := sa.AddSparse(a, nil)
-			k := 0
-			for i, row := range a.Support().Rows {
-				for _, j := range row {
+			k, asup := 0, a.Support()
+			for i := range asup.N {
+				for _, j := range asup.Row(i) {
 					if vals[k] != a.Get(i, int(j)) {
 						t.Fatalf("%s trial %d: value %d is not A(%d,%d)", name, trial, k, i, j)
 					}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"hash/maphash"
 	"slices"
 	"unsafe"
@@ -48,12 +49,12 @@ func (r *RowList) Grow(cells, n int) {
 
 // AddSupport lists every row of s, which must be all r lists.
 func (r *RowList) AddSupport(s *matrix.Support) {
-	for i, row := range s.Rows {
-		if len(row) > 0 {
+	for i := range s.N {
+		if row := s.Row(i); len(row) > 0 {
 			r.seq = append(append(r.seq, int32(i), int32(len(row))), row...)
-			r.nnz += len(row)
 		}
 	}
+	r.nnz += s.NNZ
 	r.open = 0
 }
 
@@ -90,15 +91,15 @@ func (r *RowList) Set(o *RowList) {
 func (r *RowList) Equal(o *RowList) bool { return slices.Equal(r.seq, o.seq) }
 
 // Lists reports whether r lists exactly the structure of s: the same cell
-// count, and every listed row equal to s's row, so every other row of s is
-// empty.
+// count, and every listed row's columns equal to s's columns of that row, so
+// every other row of s is empty.
 func (r *RowList) Lists(s *matrix.Support) bool {
 	if r.nnz != s.NNZ {
 		return false
 	}
 	for seq := r.seq; len(seq) > 0; {
 		i, k := int(seq[0]), int(seq[1])
-		if i >= len(s.Rows) || !slices.Equal(s.Rows[i], seq[2:2+k]) {
+		if i >= s.N || !slices.Equal(s.Col[s.Off[i]:s.Off[i+1]], seq[2:2+k]) {
 			return false
 		}
 		seq = seq[2+k:]
@@ -107,18 +108,29 @@ func (r *RowList) Lists(s *matrix.Support) bool {
 }
 
 // Support builds the listed structure as a support of dimension n, into
-// storage of its own.
+// storage of its own: the row offsets and the column slab in one pass over
+// the listing, a row left out of it given no columns.
 func (r *RowList) Support(n int) (*matrix.Support, error) {
-	rows := make([][]int32, n)
-	slab := make([]int32, 0, r.nnz)
+	if n < 1 {
+		return matrix.SupportFromCSR(n, nil, nil)
+	}
+	off, col := make([]int32, n+1), make([]int32, 0, r.nnz)
+	next := 0 // the first row whose offset is not yet set
 	for seq := r.seq; len(seq) > 0; {
-		i, k := seq[0], int(seq[1])
-		start := len(slab)
-		slab = append(slab, seq[2:2+k]...)
-		rows[i] = slab[start:len(slab):len(slab)]
+		i, k := int(seq[0]), int(seq[1])
+		if i < next || i >= n {
+			return nil, fmt.Errorf("core: listed row %d out of order for n=%d", i, n)
+		}
+		for ; next <= i; next++ {
+			off[next] = int32(len(col))
+		}
+		col = append(col, seq[2:2+k]...)
 		seq = seq[2+k:]
 	}
-	return matrix.SupportFromRows(n, rows)
+	for ; next <= n; next++ {
+		off[next] = int32(len(col))
+	}
+	return matrix.SupportFromCSR(n, off, col)
 }
 
 // Listing is the structure of one multiply — A, B and X̂ in dimension N —

@@ -67,21 +67,8 @@ func TestTrivialGatherCorrectAndExactRounds(t *testing.T) {
 		})
 		// Exactly one round per foreign element in/out of computer 0.
 		want := 0
-		for i, row := range inst.Ahat.Rows {
-			_ = row
-			if i != 0 {
-				want += len(row)
-			}
-		}
-		for j, row := range inst.Bhat.Rows {
-			if j != 0 {
-				want += len(row)
-			}
-		}
-		for i, row := range inst.Xhat.Rows {
-			if i != 0 {
-				want += len(row)
-			}
+		for _, s := range []*matrix.Support{inst.Ahat, inst.Bhat, inst.Xhat} {
+			want += s.NNZ - s.RowLen(0)
 		}
 		if rounds != want {
 			t.Errorf("%s: trivial used %d rounds, want %d", r.Name(), rounds, want)
@@ -196,8 +183,8 @@ func TestCubeClusterBatchParallel(t *testing.T) {
 	// Verify: exactly the induced triangles processed.
 	processed := append(append([]graph.Triangle{}, in1...), in2...)
 	want := matrix.NewSparse(n, r)
-	for i, row := range xhat.Rows {
-		for _, k := range row {
+	for i := range xhat.N {
+		for _, k := range xhat.Row(i) {
 			want.Set(i, int(k), r.Zero())
 		}
 	}

@@ -19,14 +19,14 @@ func TrivialGather(m *lbm.Machine, l *lbm.Layout, inst *graph.Instance) error {
 
 	// Phase 1: gather. One foreign element per round.
 	var gather []lbm.Send
-	for i, row := range inst.Ahat.Rows {
-		for _, j := range row {
+	for i := range inst.Ahat.N {
+		for _, j := range inst.Ahat.Row(i) {
 			from := l.OwnerA(int32(i), j)
 			gather = append(gather, lbm.Send{From: from, To: sink, Src: lbm.AKey(int32(i), j), Dst: lbm.AKey(int32(i), j), Op: lbm.OpSet})
 		}
 	}
-	for j, row := range inst.Bhat.Rows {
-		for _, k := range row {
+	for j := range inst.Bhat.N {
+		for _, k := range inst.Bhat.Row(j) {
 			from := l.OwnerB(int32(j), k)
 			gather = append(gather, lbm.Send{From: from, To: sink, Src: lbm.BKey(int32(j), k), Dst: lbm.BKey(int32(j), k), Op: lbm.OpSet})
 		}
@@ -41,8 +41,9 @@ func TrivialGather(m *lbm.Machine, l *lbm.Layout, inst *graph.Instance) error {
 	// machine only the participant hosting the sink computes.
 	if m.Owns(sink) {
 		r := m.R
-		for i, arow := range inst.Ahat.Rows {
-			xrow := inst.Xhat.Rows[i]
+		for i := range inst.Ahat.N {
+			arow := inst.Ahat.Row(i)
+			xrow := inst.Xhat.Row(i)
 			if len(xrow) == 0 {
 				continue
 			}
@@ -52,7 +53,7 @@ func TrivialGather(m *lbm.Machine, l *lbm.Layout, inst *graph.Instance) error {
 			}
 			for _, j := range arow {
 				av := m.MustGet(sink, lbm.AKey(int32(i), j))
-				for _, k := range inst.Bhat.Rows[j] {
+				for _, k := range inst.Bhat.Row(int(j)) {
 					if cur, wanted := acc[k]; wanted {
 						bv := m.MustGet(sink, lbm.BKey(int32(j), k))
 						acc[k] = r.Add(cur, r.Mul(av, bv))
@@ -66,8 +67,8 @@ func TrivialGather(m *lbm.Machine, l *lbm.Layout, inst *graph.Instance) error {
 	}
 
 	// Phase 3: distribute outputs, one per round.
-	for i, row := range inst.Xhat.Rows {
-		for _, k := range row {
+	for i := range inst.Xhat.N {
+		for _, k := range inst.Xhat.Row(i) {
 			to := l.OwnerX(int32(i), k)
 			s := lbm.Send{From: sink, To: to, Src: lbm.XKey(int32(i), k), Dst: lbm.XKey(int32(i), k), Op: lbm.OpSet}
 			if err := m.RunRound(lbm.Round{s}); err != nil {
@@ -78,22 +79,22 @@ func TrivialGather(m *lbm.Machine, l *lbm.Layout, inst *graph.Instance) error {
 
 	// Free cleanup of the gathered copies at computer 0 (inputs whose owner
 	// is computer 0 itself are kept).
-	for i, row := range inst.Ahat.Rows {
-		for _, j := range row {
+	for i := range inst.Ahat.N {
+		for _, j := range inst.Ahat.Row(i) {
 			if l.OwnerA(int32(i), j) != sink {
 				m.Del(sink, lbm.AKey(int32(i), j))
 			}
 		}
 	}
-	for j, row := range inst.Bhat.Rows {
-		for _, k := range row {
+	for j := range inst.Bhat.N {
+		for _, k := range inst.Bhat.Row(j) {
 			if l.OwnerB(int32(j), k) != sink {
 				m.Del(sink, lbm.BKey(int32(j), k))
 			}
 		}
 	}
-	for i, row := range inst.Xhat.Rows {
-		for _, k := range row {
+	for i := range inst.Xhat.N {
+		for _, k := range inst.Xhat.Row(i) {
 			if l.OwnerX(int32(i), k) != sink {
 				m.Del(sink, lbm.XKey(int32(i), k))
 			}

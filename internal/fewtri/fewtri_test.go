@@ -48,8 +48,8 @@ func runInstance(t *testing.T, r ring.Semiring, inst *graph.Instance,
 		t.Fatal(err)
 	}
 	want := matrix.NewSparse(inst.N, r)
-	for i, row := range inst.Xhat.Rows {
-		for _, k := range row {
+	for i := range inst.Xhat.N {
+		for _, k := range inst.Xhat.Row(i) {
 			want.Set(i, int(k), r.Zero())
 		}
 	}
@@ -287,8 +287,8 @@ func TestRunTwiceAccumulates(t *testing.T) {
 		t.Fatal(err)
 	}
 	once := matrix.MulReference(a, b, inst.Xhat)
-	for i, row := range inst.Xhat.Rows {
-		for _, k := range row {
+	for i := range inst.Xhat.N {
+		for _, k := range inst.Xhat.Row(i) {
 			if got.Get(i, int(k)) != 2*once.Get(i, int(k)) {
 				t.Fatalf("X(%d,%d) = %v after two runs, want %v", i, k,
 					got.Get(i, int(k)), 2*once.Get(i, int(k)))

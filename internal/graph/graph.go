@@ -31,9 +31,11 @@ func NewInstance(d int, ahat, bhat, xhat *matrix.Support) *Instance {
 	return &Instance{N: ahat.N, D: d, Ahat: ahat, Bhat: bhat, Xhat: xhat}
 }
 
-// Classify returns the sparsity classes of Â, B̂ and X̂ at parameter D.
+// Classify returns the sparsity classes of Â, B̂ and X̂ at parameter D,
+// counting their columns in one shared n-entry table.
 func (inst *Instance) Classify() (a, b, x matrix.Class) {
-	return inst.Ahat.Classify(inst.D), inst.Bhat.Classify(inst.D), inst.Xhat.Classify(inst.D)
+	colLen := make([]int32, inst.N)
+	return inst.Ahat.ClassifyWith(inst.D, colLen), inst.Bhat.ClassifyWith(inst.D, colLen), inst.Xhat.ClassifyWith(inst.D, colLen)
 }
 
 // Triangle is a support triangle {i, j, k}: the product A_ij·B_jk
@@ -50,13 +52,13 @@ func (t Triangle) String() string { return fmt.Sprintf("{%d,%d,%d}", t.I, t.J, t
 // O(Σ_(i,j)∈Â (|B̂ row j| + |X̂ row i|)) plus the output size.
 func (inst *Instance) Triangles() []Triangle {
 	var out []Triangle
-	for i, arow := range inst.Ahat.Rows {
-		xrow := inst.Xhat.Rows[i]
+	for i := range inst.N {
+		xrow := inst.Xhat.Row(i)
 		if len(xrow) == 0 {
 			continue
 		}
-		for _, j := range arow {
-			brow := inst.Bhat.Rows[j]
+		for _, j := range inst.Ahat.Row(i) {
+			brow := inst.Bhat.Row(int(j))
 			ai, bi := 0, 0
 			for ai < len(xrow) && bi < len(brow) {
 				switch {
@@ -82,39 +84,31 @@ func (inst *Instance) Triangles() []Triangle {
 // table with their positions; each A cell (i, j) then probes that table once
 // per cell of B̂ row j, so the work is O(Σ_(i,j)∈Â |B̂ row j| + nnz(X̂)).
 func (inst *Instance) Live() (a, b, x []bool) {
-	a, b, x = make([]bool, inst.Ahat.NNZ), make([]bool, inst.Bhat.NNZ), make([]bool, inst.Xhat.NNZ)
-	n := inst.N
-	// bStart[j] is the position of B̂ row j's first entry; xAt[k] is one
-	// past the position of X̂ cell (i, k) while row i is stamped. Positions
-	// of different rows never overlap, so a stamp left by an earlier row
-	// falls outside the current row's range and reads as no cell.
-	tables := make([]int, 2*n)
-	bStart, xAt := tables[:n], tables[n:]
-	p := 0
-	for j, row := range inst.Bhat.Rows {
-		bStart[j] = p
-		p += len(row)
-	}
-	pa, px := 0, 0
-	for i, arow := range inst.Ahat.Rows {
-		xrow := inst.Xhat.Rows[i]
-		lo := px + 1
-		for _, k := range xrow {
-			px++
-			xAt[k] = px
-		}
-		if len(xrow) == 0 {
-			pa += len(arow)
+	ahat, bhat, xhat := inst.Ahat, inst.Bhat, inst.Xhat
+	marks := make([]bool, ahat.NNZ+bhat.NNZ+xhat.NNZ)
+	na, nb := ahat.NNZ, ahat.NNZ+bhat.NNZ
+	a, b, x = marks[:na:na], marks[na:nb:nb], marks[nb:]
+	// xAt[k] is one past the position of X̂ cell (i, k) while row i is
+	// stamped. Positions of different rows never overlap, so a stamp left
+	// by an earlier row falls below the current row's start and reads as no
+	// cell. A cell's position in Â or B̂ is its index into Col.
+	xAt := make([]int32, inst.N)
+	for i := range inst.N {
+		lo, hi := xhat.Off[i], xhat.Off[i+1]
+		if lo == hi {
 			continue
 		}
-		for _, j := range arow {
-			pb := bStart[j]
-			for at, k := range inst.Bhat.Rows[j] {
-				if q := xAt[k]; q >= lo {
-					a[pa], b[pb+at], x[q-1] = true, true, true
+		for q, k := range xhat.Col[lo:hi] {
+			xAt[k] = lo + int32(q) + 1
+		}
+		for pa := ahat.Off[i]; pa < ahat.Off[i+1]; pa++ {
+			j := ahat.Col[pa]
+			pb := bhat.Off[j]
+			for at, k := range bhat.Col[pb:bhat.Off[j+1]] {
+				if q := xAt[k]; q > lo {
+					a[pa], b[pb+int32(at)], x[q-1] = true, true, true
 				}
 			}
-			pa++
 		}
 	}
 	return a, b, x
@@ -123,10 +117,10 @@ func (inst *Instance) Live() (a, b, x []bool) {
 // CountTriangles returns |T̂| without materializing the set.
 func (inst *Instance) CountTriangles() int {
 	total := 0
-	for i, row := range inst.Ahat.Rows {
-		for _, j := range row {
-			xrow := inst.Xhat.Rows[i]
-			brow := inst.Bhat.Rows[j]
+	for i := range inst.N {
+		xrow := inst.Xhat.Row(i)
+		for _, j := range inst.Ahat.Row(i) {
+			brow := inst.Bhat.Row(int(j))
 			ai, bi := 0, 0
 			for ai < len(xrow) && bi < len(brow) {
 				switch {

@@ -91,8 +91,8 @@ func TestLiveAgainstTriangles(t *testing.T) {
 				t.Fatalf("trial %d matrix %d: %d marks for %d cells", trial, m, len(c.live), c.sup.NNZ)
 			}
 			pos := 0
-			for i, row := range c.sup.Rows {
-				for _, j := range row {
+			for i := range c.sup.N {
+				for _, j := range c.sup.Row(i) {
 					if c.live[pos] != on[m][[2]int32{int32(i), j}] {
 						t.Fatalf("trial %d matrix %d: cell (%d,%d) live=%v", trial, m, i, j, c.live[pos])
 					}

@@ -16,9 +16,10 @@ import (
 func mergeLive(inst *graph.Instance) (a, b, x []bool) {
 	a, b, x = make([]bool, inst.Ahat.NNZ), make([]bool, inst.Bhat.NNZ), make([]bool, inst.Xhat.NNZ)
 	starts := func(s *matrix.Support) []int {
-		out := make([]int, len(s.Rows))
+		out := make([]int, s.N)
 		p := 0
-		for i, row := range s.Rows {
+		for i := range s.N {
+			row := s.Row(i)
 			out[i] = p
 			p += len(row)
 		}
@@ -26,10 +27,11 @@ func mergeLive(inst *graph.Instance) (a, b, x []bool) {
 	}
 	bStart, xStart := starts(inst.Bhat), starts(inst.Xhat)
 	pa := 0
-	for i, arow := range inst.Ahat.Rows {
-		xrow := inst.Xhat.Rows[i]
+	for i := range inst.Ahat.N {
+		arow := inst.Ahat.Row(i)
+		xrow := inst.Xhat.Row(i)
 		for _, j := range arow {
-			brow := inst.Bhat.Rows[j]
+			brow := inst.Bhat.Row(int(j))
 			ai, bi := 0, 0
 			for ai < len(xrow) && bi < len(brow) {
 				switch {

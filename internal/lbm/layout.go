@@ -61,18 +61,18 @@ func RowLayout(ahat, bhat, xhat *matrix.Support) *Layout {
 		B: make(map[[2]int32]NodeID, bhat.NNZ),
 		X: make(map[[2]int32]NodeID, xhat.NNZ),
 	}
-	for i, row := range ahat.Rows {
-		for _, j := range row {
+	for i := range ahat.N {
+		for _, j := range ahat.Row(i) {
 			l.A[[2]int32{int32(i), j}] = NodeID(i)
 		}
 	}
-	for j, row := range bhat.Rows {
-		for _, k := range row {
+	for j := range bhat.N {
+		for _, k := range bhat.Row(j) {
 			l.B[[2]int32{int32(j), k}] = NodeID(j)
 		}
 	}
-	for i, row := range xhat.Rows {
-		for _, k := range row {
+	for i := range xhat.N {
+		for _, k := range xhat.Row(i) {
 			l.X[[2]int32{int32(i), k}] = NodeID(i)
 		}
 	}
@@ -92,8 +92,8 @@ func BalancedLayout(ahat, bhat, xhat *matrix.Support) *Layout {
 	}
 	assign := func(s *matrix.Support, dst map[[2]int32]NodeID) {
 		next := 0
-		for i, row := range s.Rows {
-			for _, j := range row {
+		for i := range s.N {
+			for _, j := range s.Row(i) {
 				dst[[2]int32{int32(i), j}] = NodeID(next % s.N)
 				next++
 			}
@@ -129,8 +129,8 @@ func LoadInputs(m *Machine, l *Layout, a, b *matrix.Sparse) {
 // merges the disjoint partials.
 func CollectX(m *Machine, l *Layout, xhat *matrix.Support) (*matrix.Sparse, error) {
 	out := matrix.NewSparse(xhat.N, m.R)
-	for i, row := range xhat.Rows {
-		for _, k := range row {
+	for i := range xhat.N {
+		for _, k := range xhat.Row(i) {
 			owner := l.OwnerX(int32(i), k)
 			if !m.Owns(owner) {
 				continue
@@ -151,8 +151,8 @@ func CollectX(m *Machine, l *Layout, xhat *matrix.Support) (*matrix.Sparse, erro
 // reported.
 func ZeroOutputs(m *Machine, l *Layout, xhat *matrix.Support) {
 	zero := m.R.Zero()
-	for i, row := range xhat.Rows {
-		for _, k := range row {
+	for i := range xhat.N {
+		for _, k := range xhat.Row(i) {
 			m.Put(l.OwnerX(int32(i), k), XKey(int32(i), k), zero)
 		}
 	}

@@ -347,38 +347,51 @@ func (r *WireReader) Int32s() []int32 {
 	return out
 }
 
-// Int32Rows reads a list of rows as a count followed by that many Int32s
-// slabs — the bytes Int32s would read row by row — into one backing array,
-// each row's capacity clipped to its length and an empty row nil. The
-// length prefixes are walked first, with Count's checks, so the array is
-// sized from rows that fit in the bytes that remain.
-func (r *WireReader) Int32Rows() [][]int32 {
-	k := r.Count(4)
-	if k == 0 {
-		return nil
+// RowLists reads k lists of n rows each — a row count, which must be n,
+// then each row as Int32s writes it — into one offsets slab of k·(n+1)
+// entries and one column slab. List t's offsets are
+// off[t·(n+1) : (t+1)·(n+1)], counted from 0 at its first column, and its
+// columns follow list t-1's in col. The counts are walked first, with
+// Count's checks, so both slabs are sized from rows that fit in the bytes
+// that remain; on a failure nothing is allocated and both are nil.
+func (r *WireReader) RowLists(k, n int) (off, col []int32) {
+	if r.err != nil {
+		return nil, nil
 	}
 	peek, total := WireReader{buf: r.buf}, 0
 	for range k {
-		c := peek.Count(4)
-		peek.take(4 * c)
-		total += c
+		if rows := peek.Count(4); peek.err == nil && rows != n {
+			peek.Fail(fmt.Errorf("lbm: envelope row list of %d rows, want %d", rows, n))
+		}
+		for range n {
+			if peek.err != nil {
+				break
+			}
+			c := peek.Count(4)
+			peek.take(4 * c)
+			total += c
+		}
 	}
 	if peek.err != nil {
 		r.Fail(peek.err)
-		return nil
+		return nil, nil
 	}
-	rows, back := make([][]int32, k), make([]int32, total)
-	for i := range rows {
-		c := int(r.u32())
-		b := r.take(4 * c)
-		if c > 0 {
-			rows[i], back = back[:c:c], back[c:]
-			for j := range rows[i] {
-				rows[i][j] = int32(le.Uint32(b[4*j:]))
+	off, col = make([]int32, k*(n+1)), make([]int32, total)
+	at := 0
+	for t := range k {
+		r.u32()
+		lo := t * (n + 1)
+		for i := range n {
+			c := int(r.u32())
+			b := r.take(4 * c)
+			for j := range c {
+				col[at+j] = int32(le.Uint32(b[4*j:]))
 			}
+			at += c
+			off[lo+i+1] = off[lo+i] + int32(c)
 		}
 	}
-	return rows
+	return off, col
 }
 
 func (r *WireReader) Ops() []Op {

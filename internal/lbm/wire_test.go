@@ -3,8 +3,10 @@ package lbm
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -180,12 +182,12 @@ func TestWireReaderBounds(t *testing.T) {
 		return r
 	}
 	for name, read := range map[string]func(r *WireReader) int{
-		"String":    func(r *WireReader) int { return len(r.String()) },
-		"Int32s":    func(r *WireReader) int { return len(r.Int32s()) },
-		"Ops":       func(r *WireReader) int { return len(r.Ops()) },
-		"Refs":      func(r *WireReader) int { return len(r.Refs()) },
-		"Plans":     func(r *WireReader) int { return len(r.Plans(6)) },
-		"Int32Rows": func(r *WireReader) int { return len(r.Int32Rows()) },
+		"String":   func(r *WireReader) int { return len(r.String()) },
+		"Int32s":   func(r *WireReader) int { return len(r.Int32s()) },
+		"Ops":      func(r *WireReader) int { return len(r.Ops()) },
+		"Refs":     func(r *WireReader) int { return len(r.Refs()) },
+		"Plans":    func(r *WireReader) int { return len(r.Plans(6)) },
+		"RowLists": func(r *WireReader) int { _, col := r.RowLists(1, 1<<30); return len(col) },
 	} {
 		r := open(func(w *WireWriter) { w.Count(1 << 30); w.Int(0) })
 		var n int
@@ -200,13 +202,17 @@ func TestWireReaderBounds(t *testing.T) {
 		}
 	}
 
-	// A hostile count inside a row list fails before the list's rows are
-	// allocated.
+	// A hostile count inside a row list fails before the slabs are
+	// allocated, and so does a list of another row count.
 	r := open(func(w *WireWriter) { w.Count(3); w.Int32s([]int32{1}); w.Count(1 << 30); w.Int(0) })
-	var rows [][]int32
-	if allocs := testing.AllocsPerRun(1, func() { rows = r.Int32Rows() }); rows != nil || allocs > 4 ||
+	var off, col []int32
+	if allocs := testing.AllocsPerRun(1, func() { off, col = r.RowLists(1, 3) }); off != nil || col != nil || allocs > 4 ||
 		r.Err() == nil || !strings.Contains(r.Err().Error(), "declares") {
-		t.Errorf("Int32Rows with a hostile row count returned %d rows in %v allocations, err=%v", len(rows), allocs, r.Err())
+		t.Errorf("RowLists with a hostile row count returned %d offsets in %v allocations, err=%v", len(off), allocs, r.Err())
+	}
+	r = open(func(w *WireWriter) { w.Count(2); w.Int32s([]int32{1}); w.Int32s(nil) })
+	if off, col = r.RowLists(1, 3); off != nil || col != nil || r.Err() == nil || !strings.Contains(r.Err().Error(), "want 3") {
+		t.Errorf("RowLists of 2 rows read as 3: %d offsets, err=%v", len(off), r.Err())
 	}
 
 	r = open(func(w *WireWriter) { w.Int32(1) })
@@ -237,54 +243,76 @@ func TestWireReaderBounds(t *testing.T) {
 	}
 }
 
-// TestWireInt32Rows: Int32Rows reads exactly what a count and that many
-// Int32s read — the same rows, an empty row nil, and on every truncation of
-// the body the same failure or success — with every row clipped to its
-// length in one backing array.
-func TestWireInt32Rows(t *testing.T) {
+// TestWireRowLists: RowLists reads exactly what, per list, a row count and
+// that many Int32s read — the same rows, as offsets counted from each
+// list's first column, and on every truncation of the body the same failure
+// or success — into one offsets slab and one column slab.
+func TestWireRowLists(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
-		rows := make([][]int32, rng.Intn(6))
-		for i := range rows {
-			if rng.Intn(3) > 0 {
-				rows[i] = make([]int32, 1+rng.Intn(5))
-				for j := range rows[i] {
-					rows[i][j] = rng.Int31() - 1<<30
+		k, n := 1+rng.Intn(3), rng.Intn(6)
+		lists := make([][][]int32, k)
+		for l := range lists {
+			lists[l] = make([][]int32, n)
+			for i := range lists[l] {
+				if rng.Intn(3) > 0 {
+					lists[l][i] = make([]int32, 1+rng.Intn(5))
+					for j := range lists[l][i] {
+						lists[l][i][j] = rng.Int31() - 1<<30
+					}
 				}
 			}
 		}
 		w := NewWireWriter(testMagic, testVersion)
-		w.Count(len(rows))
-		for _, row := range rows {
-			w.Int32s(row)
+		for _, rows := range lists {
+			w.Count(len(rows))
+			for _, row := range rows {
+				w.Int32s(row)
+			}
 		}
 		w.Int32(-9)
 		body := seal(t, w)[wireHeaderLen:]
 		for cut := 0; cut <= len(body); cut++ {
 			one := &WireReader{buf: body[:cut]}
-			var want [][]int32
-			if k := one.Count(4); k > 0 {
-				want = make([][]int32, k)
-			}
-			for i := range want {
-				want[i] = one.Int32s()
+			want := make([][][]int32, k)
+			for l := range want {
+				if rows := one.Count(4); rows != n && one.Err() == nil {
+					one.Fail(fmt.Errorf("%d rows", rows))
+				}
+				want[l] = make([][]int32, n)
+				for i := range want[l] {
+					want[l][i] = one.Int32s()
+				}
 			}
 			all := &WireReader{buf: body[:cut]}
-			got := all.Int32Rows()
+			off, col := all.RowLists(k, n)
 			if (one.Err() == nil) != (all.Err() == nil) || one.Err() == nil && len(one.buf) != len(all.buf) {
-				t.Fatalf("trial %d, %d of %d bytes: row by row err=%v with %d left, Int32Rows err=%v with %d left",
+				t.Fatalf("trial %d, %d of %d bytes: row by row err=%v with %d left, RowLists err=%v with %d left",
 					trial, cut, len(body), one.Err(), len(one.buf), all.Err(), len(all.buf))
 			}
 			if all.Err() != nil {
+				if off != nil || col != nil {
+					t.Fatalf("trial %d, %d of %d bytes: a failed RowLists returned slabs", trial, cut, len(body))
+				}
 				continue
 			}
-			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got, rows) && len(rows) > 0 {
-				t.Fatalf("trial %d: Int32Rows read %v, row by row %v, written %v", trial, got, want, rows)
+			if len(off) != k*(n+1) {
+				t.Fatalf("trial %d: %d offsets for %d lists of %d rows", trial, len(off), k, n)
 			}
-			for i, row := range got {
-				if cap(row) != len(row) {
-					t.Fatalf("trial %d: row %d has length %d, capacity %d", trial, i, len(row), cap(row))
+			for l := range want {
+				o := off[l*(n+1) : (l+1)*(n+1)]
+				if o[0] != 0 {
+					t.Fatalf("trial %d list %d: first offset %d", trial, l, o[0])
 				}
+				for i, row := range want[l] {
+					if got := col[o[i]:o[i+1]]; !slices.Equal(got, row) || !slices.Equal(row, lists[l][i]) {
+						t.Fatalf("trial %d list %d row %d: RowLists read %v, row by row %v, written %v", trial, l, i, got, row, lists[l][i])
+					}
+				}
+				col = col[o[n]:]
+			}
+			if len(col) != 0 {
+				t.Fatalf("trial %d: %d columns left over", trial, len(col))
 			}
 		}
 	}

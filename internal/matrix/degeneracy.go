@@ -31,13 +31,10 @@ func (s *Support) Degeneracy() int {
 func (s *Support) EliminationOrder() (int, []ElimStep) {
 	n := s.N
 	// Node ids: rows are 0..n-1, columns are n..2n-1.
-	cols := s.cols()
+	t := s.Transpose()
 	deg := make([]int, 2*n)
-	for i, row := range s.Rows {
-		deg[i] = len(row)
-	}
-	for j, col := range cols {
-		deg[n+j] = len(col)
+	for i := range n {
+		deg[i], deg[n+i] = s.RowLen(i), t.RowLen(i)
 	}
 
 	// Bucket queue over degrees. Degrees only decrease between removals, so
@@ -97,10 +94,10 @@ func (s *Support) EliminationOrder() (int, []ElimStep) {
 		var neigh []int32
 		var offset int
 		if v < n {
-			neigh = s.Rows[v]
+			neigh = s.Row(v)
 			offset = n
 		} else {
-			neigh = cols[v-n]
+			neigh = t.Row(v - n)
 			offset = 0
 		}
 		for _, w := range neigh {

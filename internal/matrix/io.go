@@ -25,8 +25,8 @@ import (
 func WriteSupport(w io.Writer, s *Support) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "%%%%lbmm support\n%d %d\n", s.N, s.NNZ)
-	for i, row := range s.Rows {
-		for _, j := range row {
+	for i := range s.N {
+		for _, j := range s.Row(i) {
 			fmt.Fprintf(bw, "%d %d\n", i, j)
 		}
 	}

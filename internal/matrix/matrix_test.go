@@ -197,7 +197,7 @@ func TestEliminationOrderWitness(t *testing.T) {
 					return false
 				}
 				rowAlive[st.Index] = false
-				for _, j := range s.Rows[st.Index] {
+				for _, j := range s.Row(st.Index) {
 					if colAlive[j] {
 						cnt++
 					}
@@ -257,8 +257,8 @@ func TestColumnWalks(t *testing.T) {
 		back := tr.Transpose()
 		return s.MaxColNNZ() == longest && s.MaxColNNZ() == tr.MaxRowNNZ() &&
 			tr.NNZ == s.NNZ && back.NNZ == s.NNZ &&
-			slices.EqualFunc(tr.Rows, cols, slices.Equal[[]int32]) &&
-			slices.EqualFunc(back.Rows, s.Rows, slices.Equal[[]int32])
+			slices.EqualFunc(rowsOf(tr), cols, slices.Equal[[]int32]) &&
+			slices.EqualFunc(rowsOf(back), rowsOf(s), slices.Equal[[]int32])
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -74,28 +74,26 @@ func (m *Sparse) NNZ() int {
 }
 
 // Support returns the indicator of the stored entries. Rows is sorted by
-// invariant, so the row lists are copied straight out of it into one backing
-// slice and finished by SupportFromRows: linear, nothing sorted.
+// invariant, so the columns are copied straight out of it into one slab and
+// finished by SupportFromCSR: linear, nothing sorted.
 func (m *Sparse) Support() *Support {
-	back := make([]int32, 0, m.NNZ())
-	rows := make([][]int32, m.N)
-	for i, row := range m.Rows {
-		if len(row) == 0 {
-			continue
+	if len(m.Rows) == m.N {
+		off := make([]int32, m.N+1)
+		col := make([]int32, 0, m.NNZ())
+		for i, row := range m.Rows {
+			for _, c := range row {
+				col = append(col, c.Col)
+			}
+			off[i+1] = int32(len(col))
 		}
-		start := len(back)
-		for _, c := range row {
-			back = append(back, c.Col)
+		if s, err := SupportFromCSR(m.N, off, col); err == nil {
+			return s
 		}
-		rows[i] = back[start:len(back):len(back)]
-	}
-	if s, err := SupportFromRows(m.N, rows); err == nil {
-		return s
 	}
 	// A caller broke the sortedness invariant of the exported Rows field (or
 	// the matrix is 0×0): the any-order constructor sorts, collapses
 	// duplicates and panics on an out-of-range column as it always did.
-	entries := make([][2]int, 0, len(back))
+	entries := make([][2]int, 0, m.NNZ())
 	for i, row := range m.Rows {
 		for _, c := range row {
 			entries = append(entries, [2]int{i, int(c.Col)})
@@ -119,7 +117,8 @@ func (m *Sparse) Clone() *Sparse {
 func Random(s *Support, r ring.Semiring, seed int64) *Sparse {
 	rng := rand.New(rand.NewSource(seed))
 	m := NewSparse(s.N, r)
-	for i, row := range s.Rows {
+	for i := range s.N {
+		row := s.Row(i)
 		cells := make([]Cell, len(row))
 		for k, j := range row {
 			cells[k] = Cell{Col: j, Val: r.Rand(rng)}
@@ -139,13 +138,14 @@ func MulReference(a, b *Sparse, xhat *Support) *Sparse {
 	r := a.R
 	x := NewSparse(a.N, r)
 	for i := 0; i < a.N; i++ {
-		if len(xhat.Rows[i]) == 0 || len(a.Rows[i]) == 0 {
+		xrow := xhat.Row(i)
+		if len(xrow) == 0 || len(a.Rows[i]) == 0 {
 			continue
 		}
 		// acc accumulates row i of the product over the columns of interest.
-		acc := make(map[int32]ring.Value, len(xhat.Rows[i]))
-		wanted := make(map[int32]bool, len(xhat.Rows[i]))
-		for _, k := range xhat.Rows[i] {
+		acc := make(map[int32]ring.Value, len(xrow))
+		wanted := make(map[int32]bool, len(xrow))
+		for _, k := range xrow {
 			wanted[k] = true
 		}
 		for _, ac := range a.Rows[i] {
@@ -164,7 +164,7 @@ func MulReference(a, b *Sparse, xhat *Support) *Sparse {
 		}
 		// Every requested output position is reported, including explicit
 		// zeros: the model requires each computer to learn its X values.
-		for _, k := range xhat.Rows[i] {
+		for _, k := range xrow {
 			if v, ok := acc[k]; ok {
 				x.Set(i, int(k), v)
 			}

@@ -8,7 +8,6 @@ package matrix
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -17,145 +16,144 @@ import (
 // interest (for the output). The support is what the supported model reveals
 // in advance; all communication plans are functions of supports only.
 //
-// A support is stored by rows only. The few readers that walk columns
-// (EliminationOrder, Transpose, MaxColNNZ) derive them when they run, so a
-// support decoded from a stored plan carries no column index it never reads.
+// A support is stored by rows only, in compressed sparse row form: row i's
+// columns are Col[Off[i]:Off[i+1]], ascending. The few readers that walk
+// columns (EliminationOrder, Transpose, MaxColNNZ) derive them when they
+// run, so a support decoded from a stored plan carries no column index it
+// never reads.
 type Support struct {
 	N int
-	// Rows[i] lists the column indices of row i's entries, sorted ascending.
-	Rows [][]int32
-	// NNZ is the total number of entries.
+	// NNZ is the total number of entries, len(Col).
 	NNZ int
+	// Off holds N+1 row offsets into Col: Off[0] = 0, non-decreasing,
+	// Off[N] = NNZ.
+	Off []int32
+	// Col holds every row's column indices in row order, each row strictly
+	// ascending.
+	Col []int32
 }
+
+// Row returns the column indices of row i's entries, ascending: a view into
+// Col, capped at its length, that must not be modified.
+func (s *Support) Row(i int) []int32 {
+	lo, hi := s.Off[i], s.Off[i+1]
+	return s.Col[lo:hi:hi]
+}
+
+// RowLen is the number of entries in row i.
+func (s *Support) RowLen(i int) int { return int(s.Off[i+1] - s.Off[i]) }
 
 // NewSupport builds a support from a list of (row, col) entries in any
 // order. Duplicate entries collapse; out-of-range entries panic. Entries are
-// bucketed by row into one backing slice, each row is sorted and compacted
-// (a no-op pass when it arrives ascending), and NNZ is counted from the
-// finished rows as SupportFromRows counts it.
+// bucketed by row into one column slab, and each row is sorted (a no-op
+// pass when it arrives ascending) and compacted in place.
 func NewSupport(n int, entries [][2]int) *Support {
-	rowLen := make([]int32, n)
+	off := make([]int32, n+1)
 	for _, e := range entries {
 		i, j := e[0], e[1]
 		if i < 0 || i >= n || j < 0 || j >= n {
 			panic(fmt.Sprintf("matrix: entry (%d,%d) out of range for n=%d", i, j, n))
 		}
-		rowLen[i]++
+		off[i+1]++
 	}
-	s := &Support{N: n, Rows: make([][]int32, n)}
-	back := make([]int32, len(entries))
-	for i, l := range rowLen {
-		if l > 0 {
-			s.Rows[i], back = back[:0:l], back[l:]
-		}
+	for i := range n {
+		off[i+1] += off[i]
 	}
+	// Fill with off[i] as row i's cursor; it ends at row i+1's start, so
+	// the offsets are shifted back one place after.
+	col := make([]int32, len(entries))
 	for _, e := range entries {
-		s.Rows[e[0]] = append(s.Rows[e[0]], int32(e[1]))
+		col[off[e[0]]] = int32(e[1])
+		off[e[0]]++
 	}
-	for i, row := range s.Rows {
+	copy(off[1:], off[:n])
+	off[0] = 0
+	// Sort and compact row by row, moving each row down over the entries
+	// earlier rows dropped. Row i's start is read before it is rewritten.
+	w := int32(0)
+	for i := range n {
+		row := col[off[i]:off[i+1]]
 		slices.Sort(row)
-		s.Rows[i] = slices.Compact(row)
+		off[i] = w
+		w += int32(copy(col[w:], slices.Compact(row)))
 	}
-	if err := s.checkRows(); err != nil {
-		panic(err) // unreachable: rows were range-checked, sorted and compacted above
-	}
-	return s
+	off[n] = w
+	return &Support{N: n, NNZ: int(w), Off: off, Col: col[:w]}
 }
 
-// SupportFromRows rebuilds a support from its row lists — the inverse of
-// reading s.Rows, used when supports are decoded from serialized plans or
-// built from input that is already row-major ascending; the support takes
-// ownership of rows. Unlike NewSupport it validates instead of panicking,
-// because decoded rows cross a trust boundary, and it never sorts: every
-// index must lie in [0, n) and every row must be strictly ascending (the
-// sortedness invariant the rest of the package relies on).
-func SupportFromRows(n int, rows [][]int32) (*Support, error) {
+// SupportFromCSR builds a support from its row offsets and columns as they
+// are, taking ownership of both. Unlike NewSupport it validates instead of
+// panicking, because the slabs may cross a trust boundary (a decoded plan),
+// and it never sorts: off must hold n+1 non-decreasing offsets from 0 to
+// len(col), every column must lie in [0, n) and every row must be strictly
+// ascending (the sortedness invariant the rest of the package relies on).
+func SupportFromCSR(n int, off, col []int32) (*Support, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("matrix: support dimension %d", n)
 	}
-	if len(rows) != n {
-		return nil, fmt.Errorf("matrix: %d row lists for dimension %d", len(rows), n)
+	if len(off) != n+1 {
+		return nil, fmt.Errorf("matrix: %d row offsets for dimension %d", len(off), n)
 	}
-	s := &Support{N: n, Rows: rows}
-	if err := s.checkRows(); err != nil {
-		return nil, err
+	if off[0] != 0 || int(off[n]) != len(col) {
+		return nil, fmt.Errorf("matrix: row offsets run from %d to %d over %d columns", off[0], off[n], len(col))
 	}
-	return s, nil
-}
-
-// checkRows validates s.Rows (indices in range, rows strictly ascending)
-// and counts NNZ from them in one linear pass.
-func (s *Support) checkRows() error {
-	s.NNZ = 0
-	for i, row := range s.Rows {
+	for i := range n {
+		lo, hi := off[i], off[i+1]
+		if hi < lo || int(hi) > len(col) {
+			return nil, fmt.Errorf("matrix: row %d offsets run from %d to %d over %d columns", i, lo, hi, len(col))
+		}
 		prev := int32(-1)
-		for _, j := range row {
-			if j < 0 || int(j) >= s.N {
-				return fmt.Errorf("matrix: support entry (%d,%d) out of range for n=%d", i, j, s.N)
+		for _, j := range col[lo:hi] {
+			if j < 0 || int(j) >= n {
+				return nil, fmt.Errorf("matrix: support entry (%d,%d) out of range for n=%d", i, j, n)
 			}
 			if j <= prev {
-				return fmt.Errorf("matrix: support row %d not strictly ascending at column %d", i, j)
+				return nil, fmt.Errorf("matrix: support row %d not strictly ascending at column %d", i, j)
 			}
 			prev = j
 		}
-		s.NNZ += len(row)
 	}
-	return nil
-}
-
-// colLens counts the entries of each column.
-func (s *Support) colLens() []int32 {
-	colLen := make([]int32, s.N)
-	for _, row := range s.Rows {
-		for _, j := range row {
-			colLen[j]++
-		}
-	}
-	return colLen
-}
-
-// cols lists each column's row indices, ascending, in lists carved from one
-// backing slice with capacities clipped to their lengths. Column lists
-// inherit sortedness from the row-major fill (rows are visited in ascending
-// i), so no per-column sort is needed.
-func (s *Support) cols() [][]int32 {
-	cols := make([][]int32, s.N)
-	back := make([]int32, s.NNZ)
-	for j, l := range s.colLens() {
-		if l > 0 {
-			cols[j], back = back[:0:l], back[l:]
-		}
-	}
-	for i, row := range s.Rows {
-		for _, j := range row {
-			cols[j] = append(cols[j], int32(i))
-		}
-	}
-	return cols
+	return &Support{N: n, NNZ: len(col), Off: off, Col: col}, nil
 }
 
 // Has reports whether position (i, j) is in the support.
 func (s *Support) Has(i, j int) bool {
-	row := s.Rows[i]
-	k := sort.Search(len(row), func(k int) bool { return row[k] >= int32(j) })
-	return k < len(row) && row[k] == int32(j)
+	_, ok := slices.BinarySearch(s.Row(i), int32(j))
+	return ok
 }
 
 // Entries returns all (row, col) entries in row-major order.
 func (s *Support) Entries() [][2]int {
 	out := make([][2]int, 0, s.NNZ)
-	for i, row := range s.Rows {
-		for _, j := range row {
+	for i := range s.N {
+		for _, j := range s.Row(i) {
 			out = append(out, [2]int{i, int(j)})
 		}
 	}
 	return out
 }
 
-// Transpose returns the support of the transposed matrix.
-// Its rows are s's columns, in storage of its own.
+// Transpose returns the support of the transposed matrix: its rows are s's
+// columns, in storage of its own. Rows are visited in ascending order, so
+// every column comes out ascending and nothing is sorted.
 func (s *Support) Transpose() *Support {
-	return &Support{N: s.N, NNZ: s.NNZ, Rows: s.cols()}
+	off := make([]int32, s.N+1)
+	for _, j := range s.Col {
+		off[j+1]++
+	}
+	for j := range s.N {
+		off[j+1] += off[j]
+	}
+	col := make([]int32, s.NNZ)
+	for i := range s.N {
+		for _, j := range s.Row(i) {
+			col[off[j]] = int32(i)
+			off[j]++
+		}
+	}
+	copy(off[1:], off[:s.N])
+	off[0] = 0
+	return &Support{N: s.N, NNZ: s.NNZ, Off: off, Col: col}
 }
 
 // Union returns the support containing the entries of both arguments. The
@@ -171,20 +169,24 @@ func Union(a, b *Support) *Support {
 
 // MaxRowNNZ returns the maximum number of entries in any row.
 func (s *Support) MaxRowNNZ() int {
-	m := 0
-	for _, row := range s.Rows {
-		if len(row) > m {
-			m = len(row)
-		}
+	m := int32(0)
+	for i := range s.N {
+		m = max(m, s.Off[i+1]-s.Off[i])
 	}
-	return m
+	return int(m)
 }
 
 // MaxColNNZ returns the maximum number of entries in any column.
-func (s *Support) MaxColNNZ() int {
+func (s *Support) MaxColNNZ() int { return s.maxColNNZ(make([]int32, s.N)) }
+
+// maxColNNZ is MaxColNNZ counting columns in colLen, an n-entry scratch
+// table it clears first.
+func (s *Support) maxColNNZ(colLen []int32) int {
+	clear(colLen)
 	m := int32(0)
-	for _, l := range s.colLens() {
-		m = max(m, l)
+	for _, j := range s.Col {
+		colLen[j]++
+		m = max(m, colLen[j])
 	}
 	return int(m)
 }
@@ -296,8 +298,13 @@ func (s *Support) InClass(c Class, d int) bool {
 
 // Classify returns the smallest class containing s at parameter d, with US
 // preferred, then RS, then CS, then BD, AS, GM.
-func (s *Support) Classify(d int) Class {
-	rs, cs := s.IsRS(d), s.IsCS(d)
+func (s *Support) Classify(d int) Class { return s.ClassifyWith(d, make([]int32, s.N)) }
+
+// ClassifyWith is Classify counting columns in colLen, an n-entry scratch
+// table it overwrites: supports of one dimension classified in turn can
+// share one.
+func (s *Support) ClassifyWith(d int, colLen []int32) Class {
+	rs, cs := s.IsRS(d), s.maxColNNZ(colLen) <= d
 	switch {
 	case rs && cs:
 		return US

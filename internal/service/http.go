@@ -488,23 +488,16 @@ func buildSparse(n int, r ring.Semiring, entries []wireEntry, what string) (*mat
 
 // buildSupport builds a support from wire positions in any order, duplicates
 // collapsing. Positions that arrive strictly ascending in (i, j) — the order
-// Support.Entries emits — become row lists directly and finish through
-// matrix.SupportFromRows, linear and sort-free; anything else goes to
-// matrix.NewSupport.
+// Support.Entries emits — become row offsets and a column slab directly and
+// finish through matrix.SupportFromCSR, linear and sort-free; anything else
+// goes to matrix.NewSupport.
 func buildSupport(n int, positions []wirePos, what string) (*matrix.Support, error) {
 	if err := checkN(n); err != nil {
 		return nil, err
 	}
-	rows := make([][]int32, n)
-	slab := make([]int32, 0, len(positions))
+	off, col := make([]int32, n+1), make([]int32, 0, len(positions))
 	ordered := true
-	row, col, start := 0, -1, 0
-	closeRow := func() {
-		if len(slab) > start {
-			rows[row] = slab[start:len(slab):len(slab)]
-		}
-		start = len(slab)
-	}
+	row, last := 0, -1 // the row being filled and its last column
 	for _, p := range positions {
 		i, j := p[0], p[1]
 		if i < 0 || i >= n || j < 0 || j >= n {
@@ -513,21 +506,23 @@ func buildSupport(n int, positions []wirePos, what string) (*matrix.Support, err
 		if !ordered {
 			continue // only the range check is left to do
 		}
-		if i < row || (i == row && j <= col) {
+		if i < row || (i == row && j <= last) {
 			ordered = false
 			continue
 		}
-		if i != row {
-			closeRow()
+		for ; row < i; row++ {
+			off[row+1] = int32(len(col))
 		}
-		row, col = i, j
-		slab = append(slab, int32(j))
+		last = j
+		col = append(col, int32(j))
 	}
 	if !ordered {
 		return matrix.NewSupport(n, positions), nil
 	}
-	closeRow()
-	return matrix.SupportFromRows(n, rows)
+	for ; row < n; row++ {
+		off[row+1] = int32(len(col))
+	}
+	return matrix.SupportFromCSR(n, off, col)
 }
 
 func buildSupports(n int, ahat, bhat, xhat []wirePos) ([3]*matrix.Support, error) {

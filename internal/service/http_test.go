@@ -40,8 +40,8 @@ func getJSON(t *testing.T, h http.Handler, path string, into any) {
 
 func supportPositions(s *matrix.Support) []wirePos {
 	var out []wirePos
-	for i, row := range s.Rows {
-		for _, j := range row {
+	for i := range s.N {
+		for _, j := range s.Row(i) {
 			out = append(out, wirePos{i, int(j)})
 		}
 	}

@@ -196,7 +196,8 @@ func (p Product) Sparse() *matrix.Sparse {
 	}
 	slab := make([]matrix.Cell, 0, nnz)
 	k := 0
-	for i, row := range p.Xhat.Rows {
+	for i := range p.Xhat.N {
+		row := p.Xhat.Row(i)
 		start := len(slab)
 		for _, j := range row {
 			if v := p.Vals[k]; !p.Ring.Eq(v, zero) {
@@ -229,8 +230,8 @@ func (p Product) AppendEntries(b []byte) ([]byte, error) {
 	start := len(b)
 	b = append(b, '[')
 	zero, k, first := p.Ring.Zero(), 0, true
-	for i, row := range p.Xhat.Rows {
-		for _, j := range row {
+	for i := range p.Xhat.N {
+		for _, j := range p.Xhat.Row(i) {
 			v := p.Vals[k]
 			k++
 			if p.Ring.Eq(v, zero) {

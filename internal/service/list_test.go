@@ -116,15 +116,15 @@ func checkServed(t *testing.T, srv *Server, vr *ValueRequest, wantHit bool) {
 	}
 	ma, mb := matrix.NewSparse(vr.list.N, vr.opts.Ring), matrix.NewSparse(vr.list.N, vr.opts.Ring)
 	k := 0
-	for i, row := range a.Rows {
-		for _, j := range row {
+	for i := range a.N {
+		for _, j := range a.Row(i) {
 			ma.Set(i, int(j), vr.a[k])
 			k++
 		}
 	}
 	k = 0
-	for i, row := range b.Rows {
-		for _, j := range row {
+	for i := range b.N {
+		for _, j := range b.Row(i) {
 			mb.Set(i, int(j), vr.b[k])
 			k++
 		}

@@ -93,11 +93,10 @@ func sameCells(a, b *matrix.Sparse) bool {
 	})
 }
 
-// sameSupport compares dimension, cell count and rows: a support is its
-// rows, and its columns are derived from them.
+// sameSupport compares dimension, cell count, row offsets and columns: a
+// support is its rows, and its columns are derived from them.
 func sameSupport(a, b *matrix.Support) bool {
-	return a.N == b.N && a.NNZ == b.NNZ &&
-		slices.EqualFunc(a.Rows, b.Rows, slices.Equal[[]int32])
+	return a.N == b.N && a.NNZ == b.NNZ && slices.Equal(a.Off, b.Off) && slices.Equal(a.Col, b.Col)
 }
 
 const seamCanonical = `{"n":4,"ring":"counting","a":[[0,1,2],[1,0,3],[1,2,4],[3,3,5]],"b":[[0,0,1],[1,2,2],[2,1,3]],"xhat":[[0,0],[0,2],[1,1],[3,1]]}`

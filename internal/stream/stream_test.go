@@ -51,8 +51,8 @@ func newStreamServer(t *testing.T, svcCfg service.Config, strCfg Config) (*servi
 
 func supportPositions(s *matrix.Support) []service.WirePos {
 	var out []service.WirePos
-	for i, row := range s.Rows {
-		for _, j := range row {
+	for i := range s.N {
+		for _, j := range s.Row(i) {
 			out = append(out, service.WirePos{i, int(j)})
 		}
 	}
