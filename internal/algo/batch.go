@@ -3,7 +3,6 @@ package algo
 import (
 	"fmt"
 
-	"lbmm/internal/fewtri"
 	"lbmm/internal/lbm"
 	"lbmm/internal/matrix"
 	"lbmm/internal/ring"
@@ -136,9 +135,9 @@ func (p *Prepared) MultiplyValues(as, bs, xs [][]ring.Value, mopts ...lbm.Option
 	return p.result(x, K, phase1), nil
 }
 
-// walk runs a loaded executor through the plans: the live X slots zeroed,
-// the phase-1 batches, the staging sweep and the job, inside a two-phase
-// plan's phase spans. It returns the rounds phase 1 took.
+// walk runs a loaded executor through the program, the live X slots
+// zeroed first. It returns the rounds phase 1 took: those the program
+// counted before its split, where the job starts.
 func (p *Prepared) walk(x *lbm.Exec, arena [][]ring.Value, K int) (int, error) {
 	cp, zero := p.compiled, p.R.Zero()
 	for _, lr := range cp.x {
@@ -147,22 +146,7 @@ func (p *Prepared) walk(x *lbm.Exec, arena [][]ring.Value, K int) (int, error) {
 			dst[l] = zero
 		}
 	}
-	p.beginPhase1(x)
-	for _, cb := range cp.phase1 {
-		if err := cb.Run(x); err != nil {
-			return 0, err
-		}
-	}
-	for _, ref := range cp.stagingClear {
-		x.ClearSlot(ref)
-	}
-	phase1 := x.Rounds()
-	p.beginPhase2(x)
-	if err := fewtri.RunCompiled(x, cp.few); err != nil {
-		return 0, err
-	}
-	p.endPhase2(x)
-	return phase1, nil
+	return x.RunProgram(cp.prog)
 }
 
 // result is the Result of a finished walk of K lanes.
@@ -214,13 +198,20 @@ func (p *Prepared) collectFlat(x *lbm.Exec, arena [][]ring.Value, xs [][]ring.Va
 			continue
 		}
 		if !x.Present(lr.ref) {
-			return fmt.Errorf("lbm: owner of X(%d,%d) never received it", lr.i, lr.j)
+			return p.neverReceived(lr)
 		}
 		for l, v := range arena[lr.ref.Node][int(lr.ref.Slot)*K:][:K] {
 			xs[l][lr.k] = v
 		}
 	}
 	return nil
+}
+
+// neverReceived reports the owned X slot of lr that holds no value after
+// the walk.
+func (p *Prepared) neverReceived(lr loadRef) error {
+	xhat := p.Inst.Xhat
+	return fmt.Errorf("lbm: owner of X(%d,%d) never received it", rowOf(xhat.Off, 0, lr.k), xhat.Col[lr.k])
 }
 
 // laneRow is one lane's view of the support row the loader is in: the
@@ -233,37 +224,38 @@ type laneRow struct {
 }
 
 // loadLive copies the values of the live cells refs into the arenas, lane
-// l of each slot from ms[l]. refs are in row-major order and every lane's
-// rows lie inside sup, so a lane that holds a whole row finds a cell at its
-// support position; a partial row is merge-walked with one cursor, and a
-// cell it lacks loads as zero. Like lbm.Exec's gather, the copy has two
-// regimes chosen by the lane count: k > 1 walks slot-major with one
-// laneRow per lane, k = 1 keeps its one row in registers, which measured
-// ~5% faster on BenchmarkMultiplyUS256.
+// l of each slot from ms[l]. refs are in row-major order, so one row cursor
+// over sup's offsets places each cell, and every lane's rows lie inside sup,
+// so a lane that holds a whole row finds a cell at its support position; a
+// partial row is merge-walked with one cursor, and a cell it lacks loads as
+// zero. Like lbm.Exec's gather, the copy has two regimes chosen by the lane
+// count: k > 1 walks slot-major with one laneRow per lane, k = 1 keeps its
+// one row in registers, which measured ~5% faster on BenchmarkMultiplyUS256.
 func loadLive(arena [][]ring.Value, refs []loadRef, sup *matrix.Support, ms []*matrix.Sparse, lanes []laneRow, zero ring.Value) {
 	K := len(ms)
+	off, col := sup.Off, sup.Col
 	row := int32(-1)
 	if K == 1 {
 		var ln laneRow
 		for _, lr := range refs {
-			if lr.i != row {
-				row = lr.i
+			if lr.k >= off[row+1] {
+				row = rowOf(off, row+1, lr.k)
 				cells := ms[0].Rows[row]
 				ln = laneRow{cells: cells, full: len(cells) == sup.RowLen(int(row))}
 			}
 			dst := &arena[lr.ref.Node][lr.ref.Slot]
 			if ln.full {
-				*dst = ln.cells[lr.at].Val
+				*dst = ln.cells[lr.k-off[row]].Val
 				continue
 			}
-			*dst, ln.k = valueAt(ln.cells, ln.k, lr.j, zero)
+			*dst, ln.k = valueAt(ln.cells, ln.k, col[lr.k], zero)
 		}
 		return
 	}
 	lanes = lanes[:K]
 	for _, lr := range refs {
-		if lr.i != row {
-			row = lr.i
+		if lr.k >= off[row+1] {
+			row = rowOf(off, row+1, lr.k)
 			n := sup.RowLen(int(row))
 			for l, m := range ms {
 				cells := m.Rows[row]
@@ -271,13 +263,14 @@ func loadLive(arena [][]ring.Value, refs []loadRef, sup *matrix.Support, ms []*m
 			}
 		}
 		dst := arena[lr.ref.Node][int(lr.ref.Slot)*K:][:K]
+		at := lr.k - off[row]
 		for l := range dst {
 			ln := &lanes[l]
 			if ln.full {
-				dst[l] = ln.cells[lr.at].Val
+				dst[l] = ln.cells[at].Val
 				continue
 			}
-			dst[l], ln.k = valueAt(ln.cells, ln.k, lr.j, zero)
+			dst[l], ln.k = valueAt(ln.cells, ln.k, col[lr.k], zero)
 		}
 	}
 }
@@ -292,13 +285,14 @@ func loadLive(arena [][]ring.Value, refs []loadRef, sup *matrix.Support, ms []*m
 // participant that owns it; the coordinator merges the disjoint partials.
 func (p *Prepared) collect(x *lbm.Exec, arena [][]ring.Value, K int) ([]*matrix.Sparse, error) {
 	cp, r, zero := p.compiled, p.R, p.R.Zero()
+	off, col := p.Inst.Xhat.Off, p.Inst.Xhat.Col
 	nnz := make([]int, 2*K)
 	for _, lr := range cp.x {
 		if !x.Owns(lr.ref.Node) {
 			continue
 		}
 		if !x.Present(lr.ref) {
-			return nil, fmt.Errorf("lbm: owner of X(%d,%d) never received it", lr.i, lr.j)
+			return nil, p.neverReceived(lr)
 		}
 		for l, v := range arena[lr.ref.Node][int(lr.ref.Slot)*K:][:K] {
 			if !r.Eq(v, zero) {
@@ -327,15 +321,15 @@ func (p *Prepared) collect(x *lbm.Exec, arena [][]ring.Value, K int) ([]*matrix.
 		if !x.Owns(lr.ref.Node) {
 			continue
 		}
-		if lr.i != row {
+		if lr.k >= off[row+1] {
 			if row >= 0 {
 				closeRow()
 			}
-			row = lr.i
+			row = rowOf(off, row+1, lr.k)
 		}
 		for l, v := range arena[lr.ref.Node][int(lr.ref.Slot)*K:][:K] {
 			if !r.Eq(v, zero) {
-				slabs[l] = append(slabs[l], matrix.Cell{Col: lr.j, Val: v})
+				slabs[l] = append(slabs[l], matrix.Cell{Col: col[lr.k], Val: v})
 			}
 		}
 	}

@@ -6,20 +6,31 @@ import (
 	"slices"
 	"sync"
 
-	"lbmm/internal/cluster"
 	"lbmm/internal/fewtri"
 	"lbmm/internal/lbm"
 	"lbmm/internal/matrix"
 	"lbmm/internal/ring"
 )
 
-// loadRef binds one live matrix position (i, j) to its arena slot; at is
-// the position of column j within support row i, and k the position of
-// (i, j) in the whole support, row-major: the index of its value in a flat
-// lane (MultiplyValues). Both are derived from the support, never carried.
+// loadRef binds one live matrix position to its arena slot; k is the
+// position's index in the support's column slab (sup.Col), row-major: the
+// index of its value in a flat lane (MultiplyValues). Its row i, column
+// sup.Col[k] and place in the row k-sup.Off[i] follow from k and the
+// support's row offsets, which a walk over refs in order tracks with one
+// row cursor (rowOf).
 type loadRef struct {
-	i, j, at, k int32
-	ref         lbm.SlotRef
+	k   int32
+	ref lbm.SlotRef
+}
+
+// rowOf advances the row cursor i over the offsets off until row i holds
+// the k-th entry: refs are in row-major order, so each walk moves the
+// cursor forward only.
+func rowOf(off []int32, i, k int32) int32 {
+	for k >= off[i+1] {
+		i++
+	}
+	return i
 }
 
 // ErrLoadSlots reports a compiled form whose A, B and X load refs do not
@@ -35,11 +46,12 @@ var ErrLoadSlots = errors.New("algo: load slots are not a prefix")
 var ErrDeadCell = errors.New("algo: plan reaches a cell on no triangle")
 
 // compiledPrepared is the compiled twin of a Prepared: the whole pipeline
-// — input loading, phase-1 batches, the staging sweep, the Lemma 3.1 job
-// and output collection — lowered against one shared SlotSpace, so
-// MultiplyBatch is a pure array program. It owns no executor: a run takes
-// one from the pool of its machine (execFor), shared by every plan over the
-// same n and lane count, and lays it out for its arena sizes. In steady
+// — input loading, then one lbm.Program of the phase-1 batches, the staging
+// sweep and the Lemma 3.1 job, then output collection — lowered against one
+// shared SlotSpace, so MultiplyBatch is a pure array program. It owns no
+// executor: a run takes one from the pool of its machine (execFor), shared
+// by every plan over the same n and lane count, and lays it out for its
+// arena sizes. In steady
 // state a multiplication allocates no store memory at all, the first one
 // of a freshly decoded plan included.
 //
@@ -62,11 +74,11 @@ type compiledPrepared struct {
 	// loaded[v] is the number of slots node v holds once A, B and X are in;
 	// dead[v] is the number of dead A, B and X cells node v owns.
 	loaded, dead []int32
-	phase1       []*cluster.CompiledBatch
-	stagingClear []lbm.SlotRef
-	few          *fewtri.CompiledJob
-	bytes        int64
-	r            ring.Semiring
+	// prog runs the plans in execution order; its split is where the job
+	// starts, so its rounds before it are phase 1's.
+	prog  *lbm.Program
+	bytes int64
+	r     ring.Semiring
 }
 
 // execPools holds one executor pool per machine: key execShape, value
@@ -108,27 +120,31 @@ func compilePrepared(p *Prepared) (*compiledPrepared, error) {
 	cp.loadB = cp.slotLive(sp, inst.Bhat, liveB, l.OwnerB, lbm.BKey)
 	cp.x = cp.slotLive(sp, inst.Xhat, liveX, l.OwnerX, lbm.XKey)
 	loaded := sp.Sizes()
+	cp.prog = lbm.NewProgram(inst.N)
+	p.beginPhase1(cp.prog)
 	for _, pb := range p.phase1 {
-		cb, err := pb.Compile(sp)
-		if err != nil {
+		if err := pb.Emit(cp.prog, sp); err != nil {
 			return nil, err
 		}
-		cp.phase1 = append(cp.phase1, cb)
 	}
 	// The staging sweep: every vnet staging key the phase-1 plans can have
-	// created is known now (fewtri routes with plain keys only), so snapshot
+	// created is known now (fewtri routes with plain keys only), so clear
 	// their slots — clearing an absent slot is a no-op, exactly like
 	// vnet.CleanupStaging deleting only present keys.
 	sp.EachKey(func(node lbm.NodeID, k lbm.Key, slot int32) {
 		if k.Kind == lbm.KStage {
-			cp.stagingClear = append(cp.stagingClear, lbm.SlotRef{Node: node, Slot: slot})
+			cp.prog.Clear(lbm.SlotRef{Node: node, Slot: slot})
 		}
 	})
-	few, err := fewtri.Compile(sp, p.fewtri)
-	if err != nil {
+	p.beginPhase2(cp.prog)
+	cp.prog.MarkSplit()
+	if err := fewtri.Emit(cp.prog, sp, p.fewtri); err != nil {
 		return nil, err
 	}
-	cp.few = few
+	p.endPhase2(cp.prog)
+	if err := cp.prog.Finish(); err != nil {
+		return nil, err
+	}
 	// The guard: every A, B or X key the plans touch at its owner must be a
 	// loaded slot, or a plan reads a dead cell. Copies at other nodes are
 	// the plans' own scratch.
@@ -164,37 +180,37 @@ func compilePrepared(p *Prepared) (*compiledPrepared, error) {
 func (cp *compiledPrepared) slotLive(sp *lbm.SlotSpace, sup *matrix.Support, live []bool,
 	owner func(i, j int32) lbm.NodeID, key func(i, j int32) lbm.Key) []loadRef {
 	var refs []loadRef
-	pos := 0
-	for i := range sup.N {
-		for at, j := range sup.Row(i) {
-			o := owner(int32(i), j)
-			if live[pos] {
-				refs = append(refs, loadRef{i: int32(i), j: j, at: int32(at), k: int32(pos), ref: sp.Ref(o, key(int32(i), j))})
-			} else {
-				cp.dead[o]++
-			}
-			pos++
+	i := int32(0)
+	for k, j := range sup.Col {
+		i = rowOf(sup.Off, i, int32(k))
+		o := owner(i, j)
+		if live[k] {
+			refs = append(refs, loadRef{k: int32(k), ref: sp.Ref(o, key(i, j))})
+		} else {
+			cp.dead[o]++
 		}
 	}
 	return refs
 }
 
 // finish completes a compiled form whose instruction state is in place —
-// whether freshly lowered or decoded from a serialized snapshot: it derives
-// the arena sizes of an n-node machine and the loaded prefixes, prices the
-// resident size and records the ring its executors run over. It
-// fails when a ref is out of range or the arenas are not gap-free
-// (arenaWalk), when a plan subtracts over a ring that cannot, and with
-// ErrLoadSlots when the load refs, taken in order, do not number each
-// node's slots from 0 without a gap.
+// whether freshly lowered or decoded from a serialized snapshot; its program
+// is finished (lbm.Program.Finish). It derives the arena sizes of an n-node
+// machine and the loaded prefixes, checks that every slot the program reads
+// is defined first (lbm.Program.CheckDefs), prices the resident size and
+// records the ring its executors run over. It fails when a ref is out of
+// range or the arenas are not gap-free (arenaWalk), when the program needs a
+// field and the ring is not one, with ErrLoadSlots when the load refs, taken
+// in order, do not number each node's slots from 0 without a gap, and with
+// lbm.ErrUseBeforeDef when a step reads a slot nothing defined.
 func (cp *compiledPrepared) finish(n int, r ring.Semiring) error {
 	w := &arenaWalk{size: make([]int64, n)}
 	cp.visitRefs(w)
 	if w.err != nil {
 		return w.err
 	}
-	if _, field := ring.AsField(r); w.sub && !field {
-		return fmt.Errorf("a plan subtracts, and ring %s has no subtraction", r.Name())
+	if _, field := ring.AsField(r); cp.prog.NeedsField() && !field {
+		return fmt.Errorf("the program subtracts or multiplies leaf blocks, and ring %s has no subtraction", r.Name())
 	}
 	cp.loaded = make([]int32, n)
 	for _, refs := range [][]loadRef{cp.loadA, cp.loadB, cp.x} {
@@ -210,32 +226,34 @@ func (cp *compiledPrepared) finish(n int, r ring.Semiring) error {
 	if cp.sizes, err = w.arenas(cp.visitRefs); err != nil {
 		return err
 	}
-	cp.bytes = int64(len(cp.loadA)+len(cp.loadB)+len(cp.x)) * 20
-	cp.bytes += int64(len(cp.dead)) * 4
-	cp.bytes += int64(len(cp.stagingClear)) * 8
-	for _, cb := range cp.phase1 {
-		cp.bytes += cb.MemoryBytes()
+	// The def-before-use walk reuses the second visit's marks, all set now:
+	// the loaded prefixes are defined before the first step, nothing else.
+	clear(w.seen)
+	for v, l := range cp.loaded {
+		prefix := w.seen[w.off[v]:][:l]
+		for s := range prefix {
+			prefix[s] = true
+		}
 	}
-	cp.bytes += cp.few.MemoryBytes()
+	if err := cp.prog.CheckDefs(w.seen, w.off); err != nil {
+		return err
+	}
+	cp.bytes = int64(len(cp.loadA)+len(cp.loadB)+len(cp.x)) * 12
+	cp.bytes += int64(len(cp.dead)) * 4
+	cp.bytes += cp.prog.MemoryBytes()
 	cp.r = r
 	return nil
 }
 
 // visitRefs hands v every slot the compiled form touches, in execution
-// order: the loads, the phase-1 batches, the staging sweep and the job.
+// order: the loads, then the program.
 func (cp *compiledPrepared) visitRefs(v lbm.RefVisitor) {
 	for _, refs := range [][]loadRef{cp.loadA, cp.loadB, cp.x} {
 		for _, lr := range refs {
 			v.Ref(lr.ref)
 		}
 	}
-	for _, cb := range cp.phase1 {
-		cb.VisitRefs(v)
-	}
-	for _, ref := range cp.stagingClear {
-		v.Ref(ref)
-	}
-	cp.few.VisitRefs(v)
+	cp.prog.VisitRefs(v)
 }
 
 // arenaWalk derives the arena sizes of a compiled form from the refs it
@@ -249,7 +267,6 @@ func (cp *compiledPrepared) visitRefs(v lbm.RefVisitor) {
 type arenaWalk struct {
 	size []int64 // per node, one past the highest slot touched
 	refs int64   // refs visited
-	sub  bool    // some plan uses OpSub
 	err  error
 	// Second visit: node v's slots are seen[off[v]:off[v+1]].
 	off  []int64
@@ -272,7 +289,6 @@ func (w *arenaWalk) Plan(cp *lbm.CompiledPlan) {
 		w.size[to] = max(w.size[to], int64(cp.DstSlot[i])+1)
 	}
 	w.refs += 2 * int64(len(cp.From))
-	w.sub = w.sub || cp.HasSub
 }
 
 func (w *arenaWalk) Ref(r lbm.SlotRef) {
@@ -338,10 +354,7 @@ func (p *Prepared) NodeLoads() (send, recv []int64) {
 	}
 	send = make([]int64, p.Inst.N)
 	recv = make([]int64, p.Inst.N)
-	for _, cb := range cp.phase1 {
-		cb.AddNodeLoads(send, recv)
-	}
-	cp.few.AddNodeLoads(send, recv)
+	cp.prog.AddNodeLoads(send, recv)
 	return send, recv
 }
 
@@ -357,9 +370,6 @@ func (p *Prepared) Exchanges() *lbm.ExchangeReport {
 		return nil
 	}
 	rep := &lbm.ExchangeReport{}
-	for _, cb := range cp.phase1 {
-		cb.AddExchanges(rep)
-	}
-	cp.few.AddExchanges(rep)
+	cp.prog.AddExchanges(rep)
 	return rep
 }

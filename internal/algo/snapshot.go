@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"lbmm/internal/cluster"
-	"lbmm/internal/fewtri"
 	"lbmm/internal/graph"
 	"lbmm/internal/lbm"
 	"lbmm/internal/matrix"
@@ -63,12 +61,7 @@ func (p *Prepared) EncodeCompiled(w *lbm.WireWriter) error {
 			w.Ref(lr.ref)
 		}
 	}
-	w.Count(len(cp.phase1))
-	for _, cb := range cp.phase1 {
-		cb.PutWire(w)
-	}
-	w.Refs(cp.stagingClear)
-	cp.few.PutWire(w)
+	w.Program(cp.prog)
 	return nil
 }
 
@@ -78,7 +71,7 @@ func (p *Prepared) EncodeCompiled(w *lbm.WireWriter) error {
 //
 // Decoded state crosses a trust boundary (the plan store's files are
 // outside the process), so it is checked before an executor can touch it,
-// for bounds and for the counts it implies. The three supports are read
+// for bounds, for the counts it implies and for definition before use. The three supports are read
 // into one row-offsets slab and one column slab (lbm.WireReader.RowLists),
 // each support a view of its part held to matrix.SupportFromCSR's offset,
 // range and sortedness checks, and no column index is built. Every plan is
@@ -90,12 +83,15 @@ func (p *Prepared) EncodeCompiled(w *lbm.WireWriter) error {
 // cells. The load refs must number each node's slots from 0 without a gap
 // (ErrLoadSlots). The arena sizes are derived from every ref the form holds
 // and must be gap-free, so the arenas are never larger than the refs that
-// use them. A plan that subtracts needs a ring with subtraction.
+// use them. A program that subtracts or multiplies leaf blocks needs a ring
+// with subtraction. Walked once in execution order — the loads, then every
+// step — no step may read a slot before a load, a route delivery, a product
+// or a leaf defines it, nor after a clear undefines it
+// (lbm.ErrUseBeforeDef): a decoded form never panics on a missing slot.
 //
-// Meaning is not checked: a form that passes all of this can still read a
-// slot nothing wrote before it (a "missing slot" panic at run time) or
-// compute a wrong product. Catching those needs a def-before-use walk over
-// the plans and a certificate multiply; neither is done here.
+// The product is not checked: a form that passes all of this can still
+// compute a wrong one. Catching that needs a certificate multiply, which is
+// not done here.
 //
 // Everything decoded is copied out of r, so the result holds nothing of the
 // body buffer; the caller closes r, which hands that buffer back.
@@ -122,14 +118,7 @@ func DecodeCompiledPrepared(r *lbm.WireReader) (*Prepared, error) {
 	meta.Kappa, meta.Triangles, meta.Residual = r.Int(), r.Int(), r.Int()
 	cp := &compiledPrepared{dead: r.Int32s()}
 	refs := [3][]lbm.SlotRef{r.Refs(), r.Refs(), r.Refs()}
-	if k := r.Count(2); k > 0 {
-		cp.phase1 = make([]*cluster.CompiledBatch, k)
-	}
-	for i := range cp.phase1 {
-		cp.phase1[i] = cluster.GetBatch(r, n)
-	}
-	cp.stagingClear = r.Refs()
-	cp.few = fewtri.GetJob(r, n)
+	cp.prog = r.Program(n)
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("algo: decode prepared: %w", err)
 	}
@@ -144,14 +133,18 @@ func DecodeCompiledPrepared(r *lbm.WireReader) (*Prepared, error) {
 		return nil, fmt.Errorf("algo: decode prepared: algorithm %q has no compiled form", name)
 	}
 	// The name says which plan the form runs: a trivial job, or a Lemma 3.1
-	// job that only theorem42 may precede with phase-1 batches. A job with
-	// no plans (no triangles) fits every name.
+	// job that only theorem42 may precede with phase-1 routes. The job
+	// starts at the program's split with its span, labelled by its shape
+	// ("lemma31", "trivial" or "naive"); a job with no triangles has no span
+	// and no routes, and fits every name.
 	want := "lemma31"
 	if name == "trivial" {
 		want = "trivial"
 	}
-	if job := cp.few.Shape(); job != "" && job != want || len(cp.phase1) > 0 && name != "theorem42" {
-		return nil, fmt.Errorf("algo: decode prepared: %s with %d phase-1 batches and a %q job", name, len(cp.phase1), job)
+	prog := cp.prog
+	job, phase1 := prog.SpanAt(prog.Split), prog.Runs(0, prog.Split)
+	if job != "" && job != want || job == "" && prog.Runs(prog.Split, len(prog.Steps)) || phase1 && name != "theorem42" {
+		return nil, fmt.Errorf("algo: decode prepared: %s with phase-1 routes %v and a %q job", name, phase1, job)
 	}
 	if d < 1 {
 		return nil, fmt.Errorf("algo: decode prepared: sparsity parameter d=%d", d)
@@ -208,13 +201,9 @@ func importRefs(refs []lbm.SlotRef, sup *matrix.Support, live []bool) ([]loadRef
 		return nil, fmt.Errorf("%d refs for %d live support entries", len(refs), nLive)
 	}
 	out := make([]loadRef, 0, len(refs))
-	pos := 0
-	for i := range sup.N {
-		for at, j := range sup.Row(i) {
-			if live[pos] {
-				out = append(out, loadRef{i: int32(i), j: j, at: int32(at), k: int32(pos), ref: refs[len(out)]})
-			}
-			pos++
+	for k, ok := range live {
+		if ok {
+			out = append(out, loadRef{k: int32(k), ref: refs[len(out)]})
 		}
 	}
 	return out, nil

@@ -92,8 +92,9 @@ type summary struct {
 	clusters, triangles, volume int
 }
 
-// recorder is the part of both engines, *lbm.Machine and *lbm.Exec, that a
-// batch records its trace span on.
+// recorder is what a batch records its trace span on: the map engine
+// (*lbm.Machine) as it runs, or the compiled program (*lbm.Program) it is
+// lowered into.
 type recorder interface {
 	BeginPhase(label string)
 	EndPhase()
@@ -217,61 +218,20 @@ func (pb *PlannedBatch) Run(m *lbm.Machine) error {
 	return nil
 }
 
-// CompiledBatch is a planned batch lowered to the slot-addressed executable
-// form.
-type CompiledBatch struct {
-	strassen *dense.CompiledStrassenProgram
-	cube     *dense.CompiledCubeProgram
-	sum      summary
-}
-
-// Compile lowers a planned batch into the shared slot space.
-func (pb *PlannedBatch) Compile(sp *lbm.SlotSpace) (*CompiledBatch, error) {
-	cb := &CompiledBatch{sum: pb.sum}
-	var err error
+// Emit lowers a planned batch into the shared slot space and appends it to
+// prog in the order Run runs it.
+func (pb *PlannedBatch) Emit(prog *lbm.Program, sp *lbm.SlotSpace) error {
+	pb.sum.begin(prog, pb.Stats)
 	if len(pb.strassenJobs) > 0 {
-		if cb.strassen, err = dense.CompileStrassenProgram(sp, pb.strassenJobs, pb.strassenProg); err != nil {
-			return nil, err
+		if err := dense.EmitStrassenProgram(prog, sp, pb.strassenJobs, pb.strassenProg); err != nil {
+			return err
 		}
 	}
 	if len(pb.cubeJobs) > 0 {
-		if cb.cube, err = dense.CompileCubeProgram(sp, pb.cubeJobs, pb.cubeProg); err != nil {
-			return nil, err
-		}
-	}
-	return cb, nil
-}
-
-// MemoryBytes estimates the resident size of the compiled batch.
-func (cb *CompiledBatch) MemoryBytes() int64 {
-	return cb.strassen.MemoryBytes() + cb.cube.MemoryBytes()
-}
-
-// AddNodeLoads accumulates the batch's per-node real-message loads.
-func (cb *CompiledBatch) AddNodeLoads(send, recv []int64) {
-	cb.strassen.AddNodeLoads(send, recv)
-	cb.cube.AddNodeLoads(send, recv)
-}
-
-// AddExchanges appends the batch's rounds-versus-exchanges rows.
-func (cb *CompiledBatch) AddExchanges(rep *lbm.ExchangeReport) {
-	cb.strassen.AddExchanges(rep)
-	cb.cube.AddExchanges(rep)
-}
-
-// Run executes a compiled batch, mirroring PlannedBatch.Run.
-func (cb *CompiledBatch) Run(x *lbm.Exec) error {
-	cb.sum.begin(x, ExecStats{CubeClusters: cb.cube.Jobs(), StrassenClusters: cb.strassen.Jobs()})
-	defer x.EndPhase()
-	if cb.strassen != nil {
-		if err := cb.strassen.Run(x); err != nil {
+		if err := dense.EmitCubeProgram(prog, sp, pb.cubeJobs, pb.cubeProg); err != nil {
 			return err
 		}
 	}
-	if cb.cube != nil {
-		if err := cb.cube.Run(x); err != nil {
-			return err
-		}
-	}
+	prog.EndPhase()
 	return nil
 }

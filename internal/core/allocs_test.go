@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"lbmm/internal/graph"
 	"lbmm/internal/matrix"
 	"lbmm/internal/ring"
 	"lbmm/internal/workload"
@@ -17,7 +18,10 @@ import (
 // only: the Result, the core.Report around it and the RoundBytes copy.
 // Multiply adds the product matrix and the one-lane batch around its
 // operands. Neither copies per-node loads, which are NodeLoads, nor
-// allocates to configure the pooled executor.
+// allocates to configure the pooled executor. MultiplyValues allocates its
+// report only whatever the lanes and the plan — at k=16 lanes, and on
+// Theorem 4.2's phase-1 cube and Strassen batches (blocks(32,4)): the lane
+// and leaf-block scratch belong to the executor.
 func TestWarmMultiplyAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector makes sync.Pool drop executors")
@@ -31,19 +35,25 @@ func TestWarmMultiplyAllocs(t *testing.T) {
 	a, b := matrix.Random(inst.Ahat, r, 1), matrix.Random(inst.Bhat, r, 2)
 	as, bs := [][]ring.Value{listed(a, inst.Ahat)}, [][]ring.Value{listed(b, inst.Bhat)}
 	xs := [][]ring.Value{make([]ring.Value, inst.Xhat.NNZ)}
+	blocks := workload.Blocks(32, 4)
 	for _, tc := range []struct {
 		name string
 		max  float64
 		run  func() error
 	}{
-		{"MultiplyValues", warmValuesAllocs, func() error {
+		{"MultiplyValues at n=256", warmValuesAllocs, func() error {
 			_, err := prep.MultiplyValues(as, bs, xs, ExecOpts{})
 			return err
 		}},
-		{"Multiply", warmMultiplyAllocs, func() error {
+		{"Multiply at n=256", warmMultiplyAllocs, func() error {
 			_, _, err := prep.Multiply(a, b)
 			return err
 		}},
+		{"MultiplyValues at n=256, k=16", warmValuesAllocs, warmLanes(t, prep, inst, r, 16)},
+		{"theorem42 on blocks(32,4) over GF(1009), k=16", warmValuesAllocs,
+			warmLanes(t, prepareClusters(t, blocks, ring.NewGFp(1009), false), blocks, ring.NewGFp(1009), 16)},
+		{"theorem42 on blocks(32,4) over counting, k=16", warmValuesAllocs,
+			warmLanes(t, prepareClusters(t, blocks, r, true), blocks, r, 16)},
 	} {
 		if err := tc.run(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -53,9 +63,9 @@ func TestWarmMultiplyAllocs(t *testing.T) {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 		})
-		t.Logf("warm %s at n=256: %.1f allocations", tc.name, allocs)
+		t.Logf("warm %s: %.1f allocations", tc.name, allocs)
 		if allocs > tc.max {
-			t.Errorf("warm %s at n=256: %.1f allocations, want at most %v", tc.name, allocs, tc.max)
+			t.Errorf("warm %s: %.1f allocations, want at most %v", tc.name, allocs, tc.max)
 		}
 	}
 	want, _, err := prep.Multiply(a, b)
@@ -149,6 +159,40 @@ const (
 	warmValuesAllocs   = 3
 	warmMultiplyAllocs = 9
 )
+
+// prepareClusters prepares Theorem 4.2 on inst over r and checks phase 1
+// keeps cube clusters only (cube) or some Strassen clusters.
+func prepareClusters(t *testing.T, inst *graph.Instance, r ring.Semiring, cube bool) *Prepared {
+	t.Helper()
+	prep, err := Prepare(inst.Ahat, inst.Bhat, inst.Xhat, Options{Ring: r, Algorithm: "theorem42"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := prep.Multiply(matrix.Random(inst.Ahat, r, 1), matrix.Random(inst.Bhat, r, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := rep.Cluster; c.CubeClusters+c.StrassenClusters == 0 || (c.StrassenClusters == 0) != cube {
+		t.Fatalf("theorem42 over %s keeps %d cube and %d Strassen clusters", r.Name(), c.CubeClusters, c.StrassenClusters)
+	}
+	return prep
+}
+
+// warmLanes returns a MultiplyValues of k random lanes on prep, a plan of
+// inst over r, into buffers made once.
+func warmLanes(t *testing.T, prep *Prepared, inst *graph.Instance, r ring.Semiring, k int) func() error {
+	t.Helper()
+	as, bs, xs := make([][]ring.Value, k), make([][]ring.Value, k), make([][]ring.Value, k)
+	for l := range k {
+		as[l] = listed(matrix.Random(inst.Ahat, r, int64(2*l+1)), inst.Ahat)
+		bs[l] = listed(matrix.Random(inst.Bhat, r, int64(2*l+2)), inst.Bhat)
+		xs[l] = make([]ring.Value, inst.Xhat.NNZ)
+	}
+	return func() error {
+		_, err := prep.MultiplyValues(as, bs, xs, ExecOpts{})
+		return err
+	}
+}
 
 // listed returns m's values at the positions of sup in row-major order, a
 // position m does not hold reading as zero.

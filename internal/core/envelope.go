@@ -11,8 +11,8 @@ import (
 
 // PreparedFormatVersion is the one format version of a serialized prepared
 // plan: the envelope header carries it, and it covers every byte of the
-// body (the core metadata here, algo's snapshot, the dense, cluster and
-// fewtri programs and lbm's compiled plans). Bump it on any change to what
+// body (the core metadata here, algo's snapshot, and lbm's program with its
+// compiled plans). Bump it on any change to what
 // any of those put/get pairs list; readers reject other versions with
 // ErrEnvelopeVersion, so a store populated by one build is never
 // misinterpreted by another. Version 1 was the gob generation; version 2 had
@@ -24,8 +24,10 @@ import (
 // and cluster volume, which its trace span reports. Version 6 drops what
 // the decoder derives: the arena sizes, each plan's per-node slot counts,
 // per-round message counts and OpSub flag, the classification and the
-// second copy of d.
-const PreparedFormatVersion = 6
+// second copy of d. Version 7 writes the phase-1 batches, the staging sweep
+// and the job as one lbm.Program of steps, where version 6 wrote a batch
+// list, a sweep and a job each in its own layout.
+const PreparedFormatVersion = 7
 
 // preparedMagic opens every envelope (the layout is in internal/lbm/wire.go
 // and docs/PLANSTORE.md).

@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"lbmm/internal/matrix"
 )
 
 // TestFuzzSeedsDecode keeps the committed valid-* seeds honest: they must be
@@ -94,8 +96,12 @@ func compiledCap(env []byte) int64 { return 8 * int64(len(env)) }
 // TestDecodeMutantArenas flips each of the two low bits of every body byte
 // of each committed valid-* seed, reseals it and decodes it: no mutant that
 // decodes may price its compiled form at more than 4× the seed's, nor past
-// compiledCap. When the envelope carried arena sizes, 32 mutants of each
-// seed decoded to arenas far larger than any ref reached.
+// compiledCap, nor panic when it multiplies. When the envelope carried
+// arena sizes, 32 mutants of each seed decoded to arenas far larger than
+// any ref reached; before the decoder walked the program for definition
+// before use, 48 lemma31, 32 cube and 48 trivial mutants decoded and then
+// panicked on a missing slot. Wrong products are logged, not failed: no
+// decode-time check catches them yet.
 func TestDecodeMutantArenas(t *testing.T) {
 	seeds, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzDecodePrepared", "valid-*"))
 	if err != nil || len(seeds) == 0 {
@@ -108,7 +114,7 @@ func TestDecodeMutantArenas(t *testing.T) {
 			t.Fatalf("%s: %v", path, err)
 		}
 		limit := 4 * p.CompiledBytes()
-		mutants, decoded, oversized := 0, 0, 0
+		mutants, decoded, oversized, wrong, panics := 0, 0, 0, 0, 0
 		for off := hdrLen; off < len(env); off++ {
 			for bit := 0; bit < 2; bit++ {
 				bad := append([]byte(nil), env...)
@@ -123,8 +129,26 @@ func TestDecodeMutantArenas(t *testing.T) {
 					oversized++
 					t.Errorf("%s: bit %d of byte %d flipped: compiled size %d, the seed's is %d", filepath.Base(path), bit, off, c, p.CompiledBytes())
 				}
+				switch panicked, bad := multiplyMutant(q); {
+				case panicked != nil:
+					panics++
+					t.Errorf("%s: bit %d of byte %d flipped: multiply panics: %v", filepath.Base(path), bit, off, panicked)
+				case bad:
+					wrong++
+				}
 			}
 		}
-		t.Logf("%s: %d mutants, %d decode, %d oversized", filepath.Base(path), mutants, decoded, oversized)
+		t.Logf("%s: %d mutants, %d decode, %d wrong product, %d panic, %d oversized", filepath.Base(path), mutants, decoded, wrong, panics, oversized)
 	}
+}
+
+// multiplyMutant multiplies a decoded plan once on random values of its
+// ring and reports a panic, or whether it returned a product other than
+// MulReference's. A multiply that fails with an error is neither.
+func multiplyMutant(q *Prepared) (panicked any, wrong bool) {
+	defer func() { panicked = recover() }()
+	r, inst := q.inner.R, q.inner.Inst
+	a, b := matrix.Random(inst.Ahat, r, 1), matrix.Random(inst.Bhat, r, 2)
+	got, _, err := q.Multiply(a, b)
+	return nil, err == nil && !matrix.Equal(got, matrix.MulReference(a, b, inst.Xhat))
 }

@@ -24,7 +24,6 @@ import (
 
 	"lbmm/internal/graph"
 	"lbmm/internal/lbm"
-	"lbmm/internal/ring"
 	"lbmm/internal/routing"
 	"lbmm/internal/vnet"
 )
@@ -340,130 +339,37 @@ func RunCubeJobsWith(m *lbm.Machine, jobs []*CubeJob, prog *CubeProgram) error {
 	return nil
 }
 
-// slotProd is a local product lowered to arena addressing: dst += a*b.
-type slotProd struct {
-	a, b, dst lbm.SlotRef
-}
-
-// CompiledCubeProgram is a cube program lowered to the slot-addressed
-// executable form: compiled communication phases plus slot-resolved local
-// products and cleanup.
-type CompiledCubeProgram struct {
-	njobs     int
-	dist, agg *lbm.CompiledPlan
-	prods     []slotProd
-	cleanup   []lbm.SlotRef
-}
-
-// CompileCubeProgram lowers a cube program and its jobs' local work into
-// the shared slot space.
-func CompileCubeProgram(sp *lbm.SlotSpace, jobs []*CubeJob, prog *CubeProgram) (*CompiledCubeProgram, error) {
-	ccp := &CompiledCubeProgram{njobs: len(jobs)}
-	var err error
-	if ccp.dist, err = lbm.CompileInto(sp, prog.Dist); err != nil {
-		return nil, fmt.Errorf("dense: compile distribute: %w", err)
+// EmitCubeProgram lowers a cube program and its jobs' local work into the
+// shared slot space and appends it to prog in the order RunCubeJobsWith
+// runs it. The products between distribute and aggregate end a chain, so
+// each plan is a chain of its own.
+func EmitCubeProgram(prog *lbm.Program, sp *lbm.SlotSpace, jobs []*CubeJob, cube *CubeProgram) error {
+	dist, err := lbm.CompileInto(sp, cube.Dist)
+	if err != nil {
+		return fmt.Errorf("dense: compile distribute: %w", err)
 	}
+	prog.BeginPhase("dense/cube")
+	prog.Counter("jobs", float64(len(jobs)))
+	prog.BeginPhase("distribute")
+	prog.Route(dist, "dense/cube distribute", "dense: distribute", false)
+	prog.EndPhase()
 	for _, j := range jobs {
 		for _, p := range j.prods {
-			ccp.prods = append(ccp.prods, slotProd{
-				a:   sp.Ref(p.host, p.a),
-				b:   sp.Ref(p.host, p.b),
-				dst: sp.Ref(p.host, p.ds),
-			})
+			prog.MulAcc(sp.Ref(p.host, p.a), sp.Ref(p.host, p.b), sp.Ref(p.host, p.ds))
 		}
 	}
-	if ccp.agg, err = lbm.CompileInto(sp, prog.Agg); err != nil {
-		return nil, fmt.Errorf("dense: compile aggregate: %w", err)
+	agg, err := lbm.CompileInto(sp, cube.Agg)
+	if err != nil {
+		return fmt.Errorf("dense: compile aggregate: %w", err)
 	}
+	prog.BeginPhase("aggregate")
+	prog.Route(agg, "dense/cube aggregate", "dense: aggregate", false)
+	prog.EndPhase()
 	for _, j := range jobs {
 		for _, ck := range j.cleanup {
-			ccp.cleanup = append(ccp.cleanup, sp.Ref(ck.host, ck.key))
+			prog.Clear(sp.Ref(ck.host, ck.key))
 		}
 	}
-	return ccp, nil
-}
-
-// Jobs is the number of cube jobs the program runs; zero for a nil program.
-func (ccp *CompiledCubeProgram) Jobs() int {
-	if ccp == nil {
-		return 0
-	}
-	return ccp.njobs
-}
-
-// MemoryBytes estimates the resident size of the compiled program.
-func (ccp *CompiledCubeProgram) MemoryBytes() int64 {
-	if ccp == nil {
-		return 0
-	}
-	return ccp.dist.MemoryBytes() + ccp.agg.MemoryBytes() +
-		int64(len(ccp.prods))*24 + int64(len(ccp.cleanup))*8
-}
-
-// AddNodeLoads accumulates the program's per-node real-message loads
-// (distribute and aggregate phases; local products move no messages).
-func (ccp *CompiledCubeProgram) AddNodeLoads(send, recv []int64) {
-	if ccp == nil {
-		return
-	}
-	ccp.dist.AddNodeLoads(send, recv)
-	ccp.agg.AddNodeLoads(send, recv)
-}
-
-// AddExchanges appends the program's rounds-versus-exchanges rows. The
-// products between distribute and aggregate end a chain, so each plan fuses
-// only within itself.
-func (ccp *CompiledCubeProgram) AddExchanges(rep *lbm.ExchangeReport) {
-	if ccp == nil {
-		return
-	}
-	rep.AddChain(ccp.dist.Chain(), "dense/cube distribute")
-	rep.AddChain(ccp.agg.Chain(), "dense/cube aggregate")
-}
-
-// Run executes the compiled cube program, mirroring RunCubeJobsWith phase
-// for phase.
-func (ccp *CompiledCubeProgram) Run(x *lbm.Exec) error {
-	x.BeginPhase("dense/cube")
-	defer x.EndPhase()
-	x.Counter("jobs", float64(ccp.njobs))
-	x.BeginPhase("distribute")
-	err := x.Run(ccp.dist)
-	x.EndPhase()
-	if err != nil {
-		return fmt.Errorf("dense: distribute: %w", err)
-	}
-	if K := x.Lanes(); K == 1 {
-		for _, p := range ccp.prods {
-			if !x.Owns(p.a.Node) {
-				continue
-			}
-			av := x.MustGetSlot(p.a)
-			bv := x.MustGetSlot(p.b)
-			x.AccSlot(p.dst, x.R.Mul(av, bv))
-		}
-	} else {
-		buf := make([]ring.Value, K)
-		for _, p := range ccp.prods {
-			if !x.Owns(p.a.Node) {
-				continue
-			}
-			as := x.MustLanes(p.a)
-			bs := x.MustLanes(p.b)
-			for l := 0; l < K; l++ {
-				buf[l] = x.R.Mul(as[l], bs[l])
-			}
-			x.AccLanes(p.dst, buf)
-		}
-	}
-	x.BeginPhase("aggregate")
-	err = x.Run(ccp.agg)
-	x.EndPhase()
-	if err != nil {
-		return fmt.Errorf("dense: aggregate: %w", err)
-	}
-	for _, ref := range ccp.cleanup {
-		x.ClearSlot(ref)
-	}
+	prog.EndPhase()
 	return nil
 }

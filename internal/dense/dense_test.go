@@ -243,31 +243,6 @@ func TestCubeMaskedExcludesUnassigned(t *testing.T) {
 	}
 }
 
-func TestLocalMulMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for _, f := range ring.Fields() {
-		for _, size := range []int{0, 1, 3, 64, 96, 128} {
-			a := make([]ring.Value, size*size)
-			b := make([]ring.Value, size*size)
-			for i := range a {
-				a[i] = f.Rand(rng)
-				b[i] = f.Rand(rng)
-			}
-			got := LocalMul(f, a, b, size)
-			want := make([]ring.Value, size*size)
-			for i := range want {
-				want[i] = f.Zero()
-			}
-			naiveMulInto(f, a, b, want, size)
-			for i := range want {
-				if !f.Eq(got[i], want[i]) {
-					t.Fatalf("%s size %d: LocalMul[%d] = %v, want %v", f.Name(), size, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 func TestGridDimAndChunk(t *testing.T) {
 	cases := map[int]int{1: 1, 7: 1, 8: 2, 26: 2, 27: 3, 63: 3, 64: 4}
 	for p, want := range cases {

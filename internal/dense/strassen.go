@@ -623,233 +623,78 @@ func RunStrassenJobsWith(m *lbm.Machine, jobs []*StrassenJob, prog *StrassenProg
 	return nil
 }
 
-// compiledLeaf is a leaf product task lowered to arena addressing: per
-// flattened element a slot index at the host, or -1 for a structurally
-// absent element.
-type compiledLeaf struct {
-	host    lbm.NodeID
-	size    int32
-	a, b, c []int32
-}
-
-// CompiledStrassenProgram is a Strassen program lowered to the
-// slot-addressed executable form.
-type CompiledStrassenProgram struct {
-	njobs       int
-	init, final *lbm.CompiledPlan
-	down, up    []*lbm.CompiledPlan
-	// leafJobs keeps the per-job grouping so counter replay matches the map
-	// engine's one Counter("leaf_products") per job.
-	leafJobs [][]compiledLeaf
-	cleanup  []lbm.SlotRef
-}
-
-// CompileStrassenProgram lowers a Strassen program and its jobs' local work
-// into the shared slot space.
-func CompileStrassenProgram(sp *lbm.SlotSpace, jobs []*StrassenJob, prog *StrassenProgram) (*CompiledStrassenProgram, error) {
-	csp := &CompiledStrassenProgram{njobs: len(jobs)}
-	var err error
-	if csp.init, err = lbm.CompileInto(sp, prog.Init); err != nil {
-		return nil, fmt.Errorf("dense: compile strassen init: %w", err)
-	}
-	for l, p := range prog.Down {
+// EmitStrassenProgram lowers a Strassen program and its jobs' local work
+// into the shared slot space and appends it to prog in the order
+// RunStrassenJobsWith runs it; every plan is a chain of one. A leaf's slot
+// tables hold, per flattened element, a slot at the host or -1 for a
+// structurally absent element. The program needs a field: it has leaves,
+// and its combinations subtract.
+func EmitStrassenProgram(prog *lbm.Program, sp *lbm.SlotSpace, jobs []*StrassenJob, st *StrassenProgram) error {
+	route := func(p *lbm.Plan, phase, row string) error {
 		cp, err := lbm.CompileInto(sp, p)
 		if err != nil {
-			return nil, fmt.Errorf("dense: compile strassen down.L%d: %w", l+1, err)
+			return fmt.Errorf("dense: compile strassen %s: %w", phase, err)
 		}
-		csp.down = append(csp.down, cp)
+		prog.BeginPhase(phase)
+		prog.Route(cp, "dense/strassen "+row, "dense: strassen "+phase, false)
+		prog.EndPhase()
+		return nil
+	}
+	prog.BeginPhase("dense/strassen")
+	prog.Counter("jobs", float64(len(jobs)))
+	prog.Counter("levels", float64(len(st.Down)))
+	if err := route(st.Init, "init", "init"); err != nil {
+		return err
+	}
+	for l, p := range st.Down {
+		if err := route(p, fmt.Sprintf("down.L%d", l+1), "down"); err != nil {
+			return err
+		}
+	}
+	prog.BeginPhase("leaf")
+	// The per-job counters go first: a leaf product records nothing, so the
+	// span reads as the map engine's, one count then one job's leaves.
+	for _, j := range jobs {
+		prog.Counter("leaf_products", float64(len(j.leafs)))
 	}
 	for _, j := range jobs {
-		leafs := make([]compiledLeaf, 0, len(j.leafs))
 		for _, lt := range j.leafs {
-			cl := compiledLeaf{host: lt.host, size: lt.size}
-			cl.a = make([]int32, lt.size*lt.size)
-			cl.b = make([]int32, lt.size*lt.size)
-			cl.c = make([]int32, lt.size*lt.size)
+			area := lt.size * lt.size
+			a, b, c := make([]int32, area), make([]int32, area), make([]int32, area)
 			for u := int32(0); u < lt.size; u++ {
 				for v := int32(0); v < lt.size; v++ {
 					i := u*lt.size + v
-					cl.a[i], cl.b[i], cl.c[i] = -1, -1, -1
+					a[i], b[i], c[i] = -1, -1, -1
 					if lt.presA[i] {
-						cl.a[i] = sp.Slot(lt.host, elemKey(kindA(lt.lvl), u, v, lt.s))
+						a[i] = sp.Slot(lt.host, elemKey(kindA(lt.lvl), u, v, lt.s))
 					}
 					if lt.presB[i] {
-						cl.b[i] = sp.Slot(lt.host, elemKey(kindB(lt.lvl), u, v, lt.s))
+						b[i] = sp.Slot(lt.host, elemKey(kindB(lt.lvl), u, v, lt.s))
 					}
 					if lt.presC[i] {
-						cl.c[i] = sp.Slot(lt.host, elemKey(kindC(lt.lvl), u, v, lt.s))
+						c[i] = sp.Slot(lt.host, elemKey(kindC(lt.lvl), u, v, lt.s))
 					}
 				}
 			}
-			leafs = append(leafs, cl)
+			prog.Leaf(lt.host, lt.size, a, b, c)
 		}
-		csp.leafJobs = append(csp.leafJobs, leafs)
 	}
-	for l, p := range prog.Up {
-		cp, err := lbm.CompileInto(sp, p)
-		if err != nil {
-			return nil, fmt.Errorf("dense: compile strassen up.L%d: %w", len(prog.Up)-l, err)
+	prog.EndPhase()
+	for l, p := range st.Up {
+		if err := route(p, fmt.Sprintf("up.L%d", len(st.Up)-l), "up"); err != nil {
+			return err
 		}
-		csp.up = append(csp.up, cp)
 	}
-	if csp.final, err = lbm.CompileInto(sp, prog.Final); err != nil {
-		return nil, fmt.Errorf("dense: compile strassen final: %w", err)
+	if err := route(st.Final, "final", "final"); err != nil {
+		return err
 	}
 	for _, j := range jobs {
 		for _, ck := range j.cleanup {
-			csp.cleanup = append(csp.cleanup, sp.Ref(ck.host, ck.key))
+			prog.Clear(sp.Ref(ck.host, ck.key))
 		}
 	}
-	return csp, nil
-}
-
-// Jobs is the number of Strassen jobs the program runs; zero for a nil
-// program.
-func (csp *CompiledStrassenProgram) Jobs() int {
-	if csp == nil {
-		return 0
-	}
-	return csp.njobs
-}
-
-// MemoryBytes estimates the resident size of the compiled program.
-func (csp *CompiledStrassenProgram) MemoryBytes() int64 {
-	if csp == nil {
-		return 0
-	}
-	n := csp.init.MemoryBytes() + csp.final.MemoryBytes()
-	for _, cp := range csp.down {
-		n += cp.MemoryBytes()
-	}
-	for _, cp := range csp.up {
-		n += cp.MemoryBytes()
-	}
-	for _, leafs := range csp.leafJobs {
-		for _, cl := range leafs {
-			n += int64(len(cl.a)+len(cl.b)+len(cl.c)) * 4
-		}
-	}
-	return n + int64(len(csp.cleanup))*8
-}
-
-// AddNodeLoads accumulates the program's per-node real-message loads over
-// every communication phase (init, down sweeps, up sweeps, final); leaf
-// products are local work and move no messages.
-func (csp *CompiledStrassenProgram) AddNodeLoads(send, recv []int64) {
-	if csp == nil {
-		return
-	}
-	csp.init.AddNodeLoads(send, recv)
-	for _, cp := range csp.down {
-		cp.AddNodeLoads(send, recv)
-	}
-	for _, cp := range csp.up {
-		cp.AddNodeLoads(send, recv)
-	}
-	csp.final.AddNodeLoads(send, recv)
-}
-
-// AddExchanges appends the program's rounds-versus-exchanges rows; every
-// plan runs as a chain of one.
-func (csp *CompiledStrassenProgram) AddExchanges(rep *lbm.ExchangeReport) {
-	if csp == nil {
-		return
-	}
-	rep.AddChain(csp.init.Chain(), "dense/strassen init")
-	for _, cp := range csp.down {
-		rep.AddChain(cp.Chain(), "dense/strassen down")
-	}
-	for _, cp := range csp.up {
-		rep.AddChain(cp.Chain(), "dense/strassen up")
-	}
-	rep.AddChain(csp.final.Chain(), "dense/strassen final")
-}
-
-// Run executes the compiled Strassen program, mirroring RunStrassenJobsWith
-// phase for phase.
-func (csp *CompiledStrassenProgram) Run(x *lbm.Exec) error {
-	f, ok := ring.AsField(x.R)
-	if !ok {
-		return fmt.Errorf("dense: strassen requires a field, ring %s is not one", x.R.Name())
-	}
-	runPhase := func(cp *lbm.CompiledPlan, what string) error {
-		x.BeginPhase(what)
-		err := x.Run(cp)
-		x.EndPhase()
-		if err != nil {
-			return fmt.Errorf("dense: strassen %s: %w", what, err)
-		}
-		return nil
-	}
-
-	x.BeginPhase("dense/strassen")
-	defer x.EndPhase()
-	x.Counter("jobs", float64(csp.njobs))
-	x.Counter("levels", float64(len(csp.down)))
-	if err := runPhase(csp.init, "init"); err != nil {
-		return err
-	}
-	for l, cp := range csp.down {
-		if err := runPhase(cp, fmt.Sprintf("down.L%d", l+1)); err != nil {
-			return err
-		}
-	}
-	x.BeginPhase("leaf")
-	for _, leafs := range csp.leafJobs {
-		x.Counter("leaf_products", float64(len(leafs)))
-		for _, cl := range leafs {
-			if !x.Owns(cl.host) {
-				continue
-			}
-			runCompiledLeaf(x, f, cl)
-		}
-	}
-	x.EndPhase()
-	maxUp := len(csp.up)
-	for l, cp := range csp.up {
-		if err := runPhase(cp, fmt.Sprintf("up.L%d", maxUp-l)); err != nil {
-			return err
-		}
-	}
-	if err := runPhase(csp.final, "final"); err != nil {
-		return err
-	}
-	for _, ref := range csp.cleanup {
-		x.ClearSlot(ref)
-	}
+	prog.EndPhase()
 	return nil
-}
-
-// runCompiledLeaf multiplies one leaf subproblem locally at its host,
-// reading and writing arena slots instead of map keys. On a lane-strided
-// executor the local product runs once per lane (local math is free in the
-// model either way); every lane of each output slot is written, as PutLane
-// requires.
-func runCompiledLeaf(x *lbm.Exec, f ring.Field, cl compiledLeaf) {
-	size := cl.size
-	a := make([]ring.Value, size*size)
-	b := make([]ring.Value, size*size)
-	for lane := 0; lane < x.Lanes(); lane++ {
-		for i := range a {
-			a[i], b[i] = 0, 0
-			if cl.a[i] >= 0 {
-				if v, ok := x.GetLane(lbm.SlotRef{Node: cl.host, Slot: cl.a[i]}, lane); ok {
-					a[i] = v
-				}
-			}
-			if cl.b[i] >= 0 {
-				if v, ok := x.GetLane(lbm.SlotRef{Node: cl.host, Slot: cl.b[i]}, lane); ok {
-					b[i] = v
-				}
-			}
-		}
-		c := LocalMul(f, a, b, int(size))
-		for i := range c {
-			if cl.c[i] >= 0 {
-				x.PutLane(lbm.SlotRef{Node: cl.host, Slot: cl.c[i]}, lane, c[i])
-			}
-		}
-	}
 }
 
 // runLeaf multiplies one leaf subproblem locally at its host. Local
@@ -873,7 +718,8 @@ func runLeaf(m *lbm.Machine, f ring.Field, lt leafTask) {
 			}
 		}
 	}
-	c := LocalMul(f, a, b, int(size))
+	c := make([]ring.Value, size*size)
+	ring.LocalMul(f, a, b, c, int(size))
 	for u := int32(0); u < size; u++ {
 		for v := int32(0); v < size; v++ {
 			if lt.presC[u*size+v] {

@@ -32,7 +32,7 @@
 // Lemma 3.1's virtualization with naive routing, one h-relation fetching
 // every input straight to each virtual computer that needs it and one
 // delivering each partial straight to its output owner. All shapes share one
-// map engine (Run), one compiled form and one wire form.
+// map engine (Run) and one lowering into a compiled lbm.Program (Emit).
 package fewtri
 
 import (
@@ -41,7 +41,6 @@ import (
 
 	"lbmm/internal/graph"
 	"lbmm/internal/lbm"
-	"lbmm/internal/ring"
 	"lbmm/internal/routing"
 )
 
@@ -111,17 +110,6 @@ var (
 		dst:    lemma31.dst,
 	}
 )
-
-// shapeOf returns the shape with nIn input and nOut output plans, or nil if
-// there is none.
-func shapeOf(nIn, nOut int) *shape {
-	for _, sh := range []*shape{&lemma31, &trivial, &naive} {
-		if sh.in == nIn && len(sh.phases) == nIn+nOut {
-			return sh
-		}
-	}
-	return nil
-}
 
 // Cost is what running the job charges to Stats.Rounds and Stats.Messages,
 // summed over its routing plans (lbm.Plan.Cost); the products are free.
@@ -607,178 +595,55 @@ func Run(m *lbm.Machine, job *Job) error {
 	return nil
 }
 
-// compiledProd is one triangle product lowered to arena addressing:
-// dst += a*b.
-type compiledProd struct {
-	a, b, dst lbm.SlotRef
-}
-
-// CompiledJob is a Job lowered to the slot-addressed executable form.
-type CompiledJob struct {
-	kappa        int
-	virtualNodes int
-	sh           *shape
-	plans        []*lbm.CompiledPlan
-	// in and out are the two runs of plans nothing but phase marks separates
-	// — the input routing and the output routing, with the products between
-	// them — declared to the executor as chains so their rounds can share
-	// exchanges across plan boundaries.
-	in, out lbm.Chain
-	// prods keeps the per-group grouping (virtual computer or output owner)
-	// so counter replay matches the map engine's one Counter("triangles") per
-	// group.
-	prods   [][]compiledProd
-	cleanup []lbm.SlotRef
-}
-
-// Compile lowers a job into the shared slot space, in execution order.
-func Compile(sp *lbm.SlotSpace, job *Job) (*CompiledJob, error) {
-	cj := &CompiledJob{kappa: job.Kappa, virtualNodes: job.VirtualNodes, sh: job.sh}
-	if job.sh == nil {
-		return cj, nil
-	}
-	compile := func(plans []*lbm.Plan, first int) error {
-		for i, p := range plans {
-			cp, err := lbm.CompileInto(sp, p)
-			if err != nil {
-				return fmt.Errorf("fewtri: compile plan %d: %w", first+i, err)
-			}
-			cj.plans = append(cj.plans, cp)
-		}
-		return nil
-	}
-	if err := compile(job.plans[:job.sh.in], 0); err != nil {
-		return nil, err
-	}
-	for _, pg := range job.products {
-		prods := make([]compiledProd, 0, len(pg.tris))
-		for _, t := range pg.tris {
-			prods = append(prods, compiledProd{
-				a:   sp.Ref(pg.host, lbm.AKey(t.I, t.J)),
-				b:   sp.Ref(pg.host, lbm.BKey(t.J, t.K)),
-				dst: sp.Ref(pg.host, job.sh.dst(t, pg.vid)),
-			})
-		}
-		cj.prods = append(cj.prods, prods)
-	}
-	if err := compile(job.plans[job.sh.in:], job.sh.in); err != nil {
-		return nil, err
-	}
-	for _, ck := range job.cleanup {
-		cj.cleanup = append(cj.cleanup, sp.Ref(ck.host, ck.key))
-	}
-	cj.link()
-	return cj, nil
-}
-
-// link declares the job's chains once its plans are in place.
-func (cj *CompiledJob) link() {
-	cj.in.Plans, cj.out.Plans = cj.plans[:cj.sh.in], cj.plans[cj.sh.in:]
-}
-
-// AddExchanges appends the job's rounds-versus-exchanges rows, one per
-// routing plan, to the report.
-func (cj *CompiledJob) AddExchanges(rep *lbm.ExchangeReport) {
-	if cj == nil || cj.sh == nil {
-		return
-	}
-	rep.AddChain(&cj.in, cj.sh.phases[:cj.sh.in]...)
-	if len(cj.out.Plans) > 0 {
-		rep.AddChain(&cj.out, cj.sh.phases[cj.sh.in:]...)
-	}
-}
-
-// MemoryBytes estimates the resident size of the compiled job.
-func (cj *CompiledJob) MemoryBytes() int64 {
-	if cj == nil {
-		return 0
-	}
-	var n int64
-	for _, cp := range cj.plans {
-		n += cp.MemoryBytes()
-	}
-	for _, prods := range cj.prods {
-		n += int64(len(prods)) * 24
-	}
-	return n + int64(len(cj.cleanup))*8
-}
-
-// AddNodeLoads accumulates the job's per-node real-message loads over every
-// compiled routing plan (local triangle products move no messages).
-func (cj *CompiledJob) AddNodeLoads(send, recv []int64) {
-	if cj == nil {
-		return
-	}
-	for _, cp := range cj.plans {
-		cp.AddNodeLoads(send, recv)
-	}
-}
-
-// RunCompiled executes a compiled job, mirroring Run phase for phase.
-func RunCompiled(x *lbm.Exec, cj *CompiledJob) error {
-	sh := cj.sh
+// Emit lowers a job into the shared slot space and appends it to prog in
+// the order Run runs it. The input plans form one chain and the output plans
+// another: nothing but marks and phase spans separates the plans of each, so
+// their rounds may share exchanges across plan boundaries. A job with no
+// triangles appends nothing.
+func Emit(prog *lbm.Program, sp *lbm.SlotSpace, job *Job) error {
+	sh := job.sh
 	if sh == nil {
 		return nil
 	}
-	x.BeginPhase(sh.phase)
-	defer x.EndPhase()
+	prog.BeginPhase(sh.phase)
 	if sh != &trivial {
-		x.Counter("kappa", float64(cj.kappa))
-		x.Counter("virtual_nodes", float64(cj.virtualNodes))
+		prog.Counter("kappa", float64(job.Kappa))
+		prog.Counter("virtual_nodes", float64(job.VirtualNodes))
 	}
-	// runChain runs one of the job's two chains, plan by plan, with the
-	// marks and phase spans of plans[first:] around each.
-	runChain := func(c *lbm.Chain, first int, what string) error {
-		for i := range c.Plans {
-			x.Mark(sh.labels[first+i])
-			x.BeginPhase(sh.phases[first+i])
-			err := x.RunChained(c, i)
-			x.EndPhase()
+	route := func(first, last int, what string) error {
+		for i := first; i < last; i++ {
+			cp, err := lbm.CompileInto(sp, job.plans[i])
 			if err != nil {
-				return fmt.Errorf("fewtri %s routing: %w", what, err)
+				return fmt.Errorf("fewtri: compile plan %d: %w", i, err)
 			}
+			prog.Mark(sh.labels[i])
+			prog.BeginPhase(sh.phases[i])
+			prog.Route(cp, sh.phases[i], "fewtri "+what+" routing", i > first)
+			prog.EndPhase()
 		}
 		return nil
 	}
-	if err := runChain(&cj.in, 0, "input"); err != nil {
+	if err := route(0, sh.in, "input"); err != nil {
 		return err
 	}
-	x.BeginPhase("products")
-	if K := x.Lanes(); K == 1 {
-		for _, prods := range cj.prods {
-			if len(prods) > 0 && !x.Owns(prods[0].a.Node) {
-				continue // whole group lives at one host
-			}
-			x.Counter("triangles", float64(len(prods)))
-			for _, p := range prods {
-				av := x.MustGetSlot(p.a)
-				bv := x.MustGetSlot(p.b)
-				x.AccSlot(p.dst, x.R.Mul(av, bv))
-			}
-		}
-	} else {
-		buf := make([]ring.Value, K)
-		for _, prods := range cj.prods {
-			if len(prods) > 0 && !x.Owns(prods[0].a.Node) {
-				continue // whole group lives at one host
-			}
-			x.Counter("triangles", float64(len(prods)))
-			for _, p := range prods {
-				as := x.MustLanes(p.a)
-				bs := x.MustLanes(p.b)
-				for l := 0; l < K; l++ {
-					buf[l] = x.R.Mul(as[l], bs[l])
-				}
-				x.AccLanes(p.dst, buf)
-			}
+	prog.BeginPhase("products")
+	// The per-group counters go first: a product records nothing, so the
+	// span reads as the map engine's, one count per group at its host.
+	for _, pg := range job.products {
+		prog.CounterAt("triangles", pg.host, float64(len(pg.tris)))
+	}
+	for _, pg := range job.products {
+		for _, t := range pg.tris {
+			prog.MulAcc(sp.Ref(pg.host, lbm.AKey(t.I, t.J)), sp.Ref(pg.host, lbm.BKey(t.J, t.K)), sp.Ref(pg.host, sh.dst(t, pg.vid)))
 		}
 	}
-	x.EndPhase()
-	if err := runChain(&cj.out, sh.in, "output"); err != nil {
+	prog.EndPhase()
+	if err := route(sh.in, len(job.plans), "output"); err != nil {
 		return err
 	}
-	for _, ref := range cj.cleanup {
-		x.ClearSlot(ref)
+	for _, ck := range job.cleanup {
+		prog.Clear(sp.Ref(ck.host, ck.key))
 	}
+	prog.EndPhase()
 	return nil
 }

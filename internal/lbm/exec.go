@@ -76,6 +76,10 @@ type Exec struct {
 
 	stats   Stats
 	payload []ring.Value // gather scratch, reused across rounds
+	// lane is a product's per-lane scratch, Lanes long; leaf is a leaf
+	// block product's A, B and C scratch, grown to the largest leaf of a
+	// program run (RunProgram).
+	lane, leaf []ring.Value
 }
 
 // NewExec returns a single-lane executor with the given per-node arena
@@ -125,6 +129,9 @@ func (x *Exec) Fit(sizes []int32, r ring.Semiring) {
 	}
 	x.R = r
 	x.field, _ = ring.AsField(r)
+	if len(x.lane) != x.lanes {
+		x.lane = make([]ring.Value, x.lanes)
+	}
 	if len(sizes) == len(x.laid) && (len(sizes) == 0 || &sizes[0] == &x.laid[0]) {
 		return
 	}

@@ -12,14 +12,14 @@ import (
 	"sync"
 )
 
-// This file is the one serialized form of compiled state. A compiled plan
-// is already flat slot-addressed integer arrays, so writing it down is
-// copying those arrays: an envelope is a fixed header (magic, format
+// This file is the one serialized form of compiled state. A compiled
+// program is already flat slot-addressed integer slabs, so writing it down
+// is copying those slabs: an envelope is a fixed header (magic, format
 // version, body length, CRC-32C of the body) followed by a body of
 // little-endian scalars and length-prefixed slabs, in the order the owning
-// packages list their fields — CompiledPlan here; dense, cluster, fewtri,
-// algo and core each contribute one put/get pair over WireWriter and
-// WireReader. docs/PLANSTORE.md has the layout table.
+// packages list their fields — Program and CompiledPlan here; algo and core
+// each contribute one put/get pair over WireWriter and WireReader.
+// docs/PLANSTORE.md has the layout table.
 //
 // Envelopes cross a trust boundary (plan-store files, mesh job frames), so
 // the reader checks every count against the bytes that remain before it
@@ -46,6 +46,9 @@ const (
 	// planWireMin is the least a CompiledPlan occupies in a body: N, six
 	// empty slabs and an empty span list.
 	planWireMin = 8 + 7*4
+
+	// stepWire is a Step's size in a body: kind, arg, lo and hi.
+	stepWire = 1 + 3*4
 )
 
 var (
@@ -159,11 +162,48 @@ func (w *WireWriter) Plan(cp *CompiledPlan) {
 	}
 }
 
-func (w *WireWriter) Plans(cps []*CompiledPlan) {
-	w.Count(len(cps))
-	for _, cp := range cps {
-		w.Plan(cp)
+// Program writes a program's slabs, the clears last: what Finish derives
+// is not written.
+func (w *WireWriter) Program(p *Program) {
+	w.Int(p.N)
+	w.Int(p.Split)
+	w.Count(len(p.Labels))
+	for _, l := range p.Labels {
+		w.String(l)
 	}
+	w.Count(len(p.Steps))
+	for _, s := range p.Steps {
+		w.buf = append(w.buf, byte(s.Kind))
+		w.Int32(s.Arg)
+		w.Int32(s.Lo)
+		w.Int32(s.Hi)
+	}
+	w.Count(len(p.Routes))
+	for _, r := range p.Routes {
+		w.Int32(r.Row)
+		w.Int32(r.Fail)
+		w.Bool(r.Join)
+		w.Plan(r.Plan)
+	}
+	w.Count(len(p.Prods))
+	for _, pr := range p.Prods {
+		w.Ref(pr.A)
+		w.Ref(pr.B)
+		w.Ref(pr.Dst)
+	}
+	w.Count(len(p.Leaves))
+	for _, l := range p.Leaves {
+		w.Int32(l.Host)
+		w.Int32(l.Size)
+		w.Int32(l.Tab)
+	}
+	w.Int32s(p.Tables)
+	w.Count(len(p.Counts))
+	for _, c := range p.Counts {
+		w.Int32(c.Host)
+		w.Float64(c.V)
+	}
+	w.Refs(p.Clears)
 }
 
 // WireReader reads an envelope body front to back. The first failure
@@ -457,15 +497,58 @@ func (r *WireReader) Plan(n int) *CompiledPlan {
 	return cp
 }
 
-// Plans reads a list of plans for an n-node machine.
-func (r *WireReader) Plans(n int) []*CompiledPlan {
-	c := r.Count(planWireMin)
-	if c == 0 {
-		return nil
+// Program reads a program for an n-node machine and finishes it: a
+// program that comes out of a reader without a recorded failure has plans
+// that satisfy the model rules and steps that fit its slabs and machine
+// (Program.Finish). A program for another machine size fails before
+// anything is allocated for it.
+func (r *WireReader) Program(n int) *Program {
+	p := &Program{N: r.Int(), Split: r.Int()}
+	if r.err == nil && p.N != n {
+		r.err = fmt.Errorf("lbm: program for %d nodes on a %d-node machine", p.N, n)
 	}
-	out := make([]*CompiledPlan, c)
-	for i := range out {
-		out[i] = r.Plan(n)
+	if c := r.Count(4); c > 0 {
+		p.Labels = make([]string, c)
+		for i := range p.Labels {
+			p.Labels[i] = r.String()
+		}
 	}
-	return out
+	if c := r.Count(stepWire); c > 0 {
+		b := r.take(stepWire * c)
+		p.Steps = make([]Step, c)
+		for i := range p.Steps {
+			e := b[stepWire*i:]
+			p.Steps[i] = Step{Kind: StepKind(e[0]), Arg: int32(le.Uint32(e[1:])), Lo: int32(le.Uint32(e[5:])), Hi: int32(le.Uint32(e[9:]))}
+		}
+	}
+	if c := r.Count(2*4 + 1 + planWireMin); c > 0 {
+		p.Routes = make([]Route, c)
+		for i := range p.Routes {
+			p.Routes[i] = Route{Row: r.Int32(), Fail: r.Int32(), Join: r.Bool(), Plan: r.Plan(n)}
+		}
+	}
+	if c := r.Count(3 * 8); c > 0 {
+		p.Prods = make([]Prod, c)
+		for i := range p.Prods {
+			p.Prods[i] = Prod{A: r.Ref(), B: r.Ref(), Dst: r.Ref()}
+		}
+	}
+	if c := r.Count(3 * 4); c > 0 {
+		p.Leaves = make([]Leaf, c)
+		for i := range p.Leaves {
+			p.Leaves[i] = Leaf{Host: r.Int32(), Size: r.Int32(), Tab: r.Int32()}
+		}
+	}
+	p.Tables = r.Int32s()
+	if c := r.Count(4 + 8); c > 0 {
+		p.Counts = make([]Count, c)
+		for i := range p.Counts {
+			p.Counts[i] = Count{Host: r.Int32(), V: r.Float64()}
+		}
+	}
+	p.Clears = r.Refs()
+	if r.err == nil {
+		r.err = p.Finish()
+	}
+	return p
 }

@@ -42,7 +42,7 @@ func seal(t *testing.T, w *WireWriter) []byte {
 	return env
 }
 
-// TestWireRoundTrip writes one value of every encoding and two compiled
+// TestWireRoundTrip writes one value of every encoding and three compiled
 // plans, and checks the reader returns them deep-equal, that the decoded
 // plan executes to the map engine's stats, and that writing is byte-stable.
 func TestWireRoundTrip(t *testing.T) {
@@ -61,7 +61,8 @@ func TestWireRoundTrip(t *testing.T) {
 		w.Int32s(nil)
 		w.Refs(refs)
 		w.Plan(cp)
-		w.Plans([]*CompiledPlan{cp, cpSub})
+		w.Plan(cp)
+		w.Plan(cpSub)
 		return seal(t, w)
 	}
 	env := write()
@@ -85,7 +86,7 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Fatalf("refs read back as %v", got)
 	}
 	back := r.Plan(6)
-	backs := r.Plans(6)
+	backs := []*CompiledPlan{r.Plan(6), r.Plan(6)}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,6 @@ func TestWireReaderBounds(t *testing.T) {
 		"Int32s":   func(r *WireReader) int { return len(r.Int32s()) },
 		"Ops":      func(r *WireReader) int { return len(r.Ops()) },
 		"Refs":     func(r *WireReader) int { return len(r.Refs()) },
-		"Plans":    func(r *WireReader) int { return len(r.Plans(6)) },
 		"RowLists": func(r *WireReader) int { _, col := r.RowLists(1, 1<<30); return len(col) },
 	} {
 		r := open(func(w *WireWriter) { w.Count(1 << 30); w.Int(0) })

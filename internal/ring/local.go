@@ -1,32 +1,30 @@
-package dense
-
-import "lbmm/internal/ring"
+package ring
 
 // localStrassenCutoff is the block size below which LocalMul falls back to
 // the schoolbook product. Local computation is free in the model; Strassen
 // here only speeds up the host simulation for larger leaves.
 const localStrassenCutoff = 64
 
-// LocalMul multiplies two size×size row-major matrices over a field,
-// using local Strassen recursion above a cutoff. Inputs are read-only.
-func LocalMul(f ring.Field, a, b []ring.Value, size int) []ring.Value {
-	c := make([]ring.Value, size*size)
-	if size == 0 {
-		return c
-	}
+// LocalMul writes the product of two size×size row-major matrices over a
+// field into c (size² entries, overwritten), using local Strassen recursion
+// above a cutoff. Inputs are read-only and must not alias c. It is the local
+// block product at a Strassen leaf, for both engines.
+func LocalMul(f Field, a, b, c []Value, size int) {
 	zero := f.Zero()
-	for i := range c {
+	for i := range c[:size*size] {
 		c[i] = zero
+	}
+	if size == 0 {
+		return
 	}
 	if size < localStrassenCutoff || size%2 != 0 {
 		naiveMulInto(f, a, b, c, size)
-		return c
+		return
 	}
 	strassenMulInto(f, a, b, c, size)
-	return c
 }
 
-func naiveMulInto(f ring.Field, a, b, c []ring.Value, size int) {
+func naiveMulInto(f Field, a, b, c []Value, size int) {
 	for i := 0; i < size; i++ {
 		arow := a[i*size : (i+1)*size]
 		crow := c[i*size : (i+1)*size]
@@ -44,44 +42,51 @@ func naiveMulInto(f ring.Field, a, b, c []ring.Value, size int) {
 }
 
 // quad extracts quadrant q (0=11,1=12,2=21,3=22) of an s×s matrix.
-func quad(m []ring.Value, s, q int) []ring.Value {
+func quad(m []Value, s, q int) []Value {
 	h := s / 2
 	r0, c0 := (q/2)*h, (q%2)*h
-	out := make([]ring.Value, h*h)
+	out := make([]Value, h*h)
 	for i := 0; i < h; i++ {
 		copy(out[i*h:(i+1)*h], m[(r0+i)*s+c0:(r0+i)*s+c0+h])
 	}
 	return out
 }
 
-func addVec(f ring.Field, a, b []ring.Value) []ring.Value {
-	out := make([]ring.Value, len(a))
+func addVec(f Field, a, b []Value) []Value {
+	out := make([]Value, len(a))
 	for i := range a {
 		out[i] = f.Add(a[i], b[i])
 	}
 	return out
 }
 
-func subVec(f ring.Field, a, b []ring.Value) []ring.Value {
-	out := make([]ring.Value, len(a))
+func subVec(f Field, a, b []Value) []Value {
+	out := make([]Value, len(a))
 	for i := range a {
 		out[i] = f.Sub(a[i], b[i])
 	}
 	return out
 }
 
-func strassenMulInto(f ring.Field, a, b, c []ring.Value, s int) {
+// mul is LocalMul into a fresh h×h matrix.
+func mul(f Field, a, b []Value, h int) []Value {
+	c := make([]Value, h*h)
+	LocalMul(f, a, b, c, h)
+	return c
+}
+
+func strassenMulInto(f Field, a, b, c []Value, s int) {
 	h := s / 2
 	a11, a12, a21, a22 := quad(a, s, 0), quad(a, s, 1), quad(a, s, 2), quad(a, s, 3)
 	b11, b12, b21, b22 := quad(b, s, 0), quad(b, s, 1), quad(b, s, 2), quad(b, s, 3)
 
-	m1 := LocalMul(f, addVec(f, a11, a22), addVec(f, b11, b22), h)
-	m2 := LocalMul(f, addVec(f, a21, a22), b11, h)
-	m3 := LocalMul(f, a11, subVec(f, b12, b22), h)
-	m4 := LocalMul(f, a22, subVec(f, b21, b11), h)
-	m5 := LocalMul(f, addVec(f, a11, a12), b22, h)
-	m6 := LocalMul(f, subVec(f, a21, a11), addVec(f, b11, b12), h)
-	m7 := LocalMul(f, subVec(f, a12, a22), addVec(f, b21, b22), h)
+	m1 := mul(f, addVec(f, a11, a22), addVec(f, b11, b22), h)
+	m2 := mul(f, addVec(f, a21, a22), b11, h)
+	m3 := mul(f, a11, subVec(f, b12, b22), h)
+	m4 := mul(f, a22, subVec(f, b21, b11), h)
+	m5 := mul(f, addVec(f, a11, a12), b22, h)
+	m6 := mul(f, subVec(f, a21, a11), addVec(f, b11, b12), h)
+	m7 := mul(f, subVec(f, a12, a22), addVec(f, b21, b22), h)
 
 	c11 := addVec(f, subVec(f, addVec(f, m1, m4), m5), m7)
 	c12 := addVec(f, m3, m5)

@@ -184,3 +184,32 @@ func TestAsField(t *testing.T) {
 		t.Error("GFp must be a field")
 	}
 }
+
+func TestLocalMulMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, f := range Fields() {
+		for _, size := range []int{0, 1, 3, 64, 96, 128} {
+			a := make([]Value, size*size)
+			b := make([]Value, size*size)
+			for i := range a {
+				a[i] = f.Rand(rng)
+				b[i] = f.Rand(rng)
+			}
+			got := make([]Value, size*size)
+			for i := range got {
+				got[i] = f.One() // LocalMul overwrites c
+			}
+			LocalMul(f, a, b, got, size)
+			want := make([]Value, size*size)
+			for i := range want {
+				want[i] = f.Zero()
+			}
+			naiveMulInto(f, a, b, want, size)
+			for i := range want {
+				if !f.Eq(got[i], want[i]) {
+					t.Fatalf("%s size %d: LocalMul[%d] = %v, want %v", f.Name(), size, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
