@@ -347,15 +347,15 @@ func runExchanges(n, d int) error {
 	return nil
 }
 
-// traceRun runs one traced multiply on the map engine: for "auto" the plan
-// core.Prepare keeps, otherwise the named plan of algo.Planner.
+// traceRun runs one traced multiply on the compiled program: for "auto"
+// the plan core.Prepare keeps, otherwise the named plan of algo.Planner.
 func traceRun(r ring.Semiring, inst *graph.Instance, a, b *matrix.Sparse, algName string) (*matrix.Sparse, *algo.Result, error) {
 	if algName == "auto" {
 		prep, err := core.Prepare(inst.Ahat, inst.Bhat, inst.Xhat, core.Options{Ring: r, D: inst.D})
 		if err != nil {
 			return nil, nil, err
 		}
-		got, rep, err := prep.MultiplyMap(a, b, core.ExecOpts{Trace: true})
+		got, rep, err := prep.MultiplyOpts(a, b, core.ExecOpts{Trace: true})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -376,10 +376,17 @@ func traceRun(r ring.Semiring, inst *graph.Instance, a, b *matrix.Sparse, algNam
 	default:
 		return nil, nil, fmt.Errorf("unknown algorithm %q", algName)
 	}
+	if err == nil {
+		err = p.Compile()
+	}
 	if err != nil {
 		return nil, nil, err
 	}
-	return p.MultiplyMap(a, b, lbm.WithTrace())
+	got, res, err := p.MultiplyBatch([]*matrix.Sparse{a}, []*matrix.Sparse{b}, lbm.WithTrace())
+	if err != nil {
+		return nil, nil, err
+	}
+	return got[0], res, nil
 }
 
 func runTrace(n, d int, algName, wlName, format, outPath string) error {

@@ -28,18 +28,19 @@ func main() {
 	a := matrix.Random(inst.Ahat, r, 1)
 	b := matrix.Random(inst.Bhat, r, 2)
 
-	// Plan Theorem 4.2 for the structure, then run the plan on the values.
-	// lbm.WithTrace attaches the obsv.Profile collector; the returned
-	// Result then carries the structured profile alongside the round count.
-	p, err := algo.NewPlanner(r, inst).Theorem42()
+	// Plan and compile Theorem 4.2 for the structure, then run the compiled
+	// program on the values as a one-lane batch. lbm.WithTrace attaches the
+	// obsv.Profile collector; the returned Result then carries the
+	// structured profile alongside the round count.
+	p, err := algo.PrepareTheorem42(r, inst)
 	if err != nil {
 		log.Fatal(err)
 	}
-	got, res, err := p.MultiplyMap(a, b, lbm.WithTrace())
+	got, res, err := p.MultiplyBatch([]*matrix.Sparse{a}, []*matrix.Sparse{b}, lbm.WithTrace())
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := algo.Verify(got, a, b, inst.Xhat); err != nil {
+	if err := algo.Verify(got[0], a, b, inst.Xhat); err != nil {
 		log.Fatal(err)
 	}
 

@@ -1,9 +1,12 @@
 // Package algo assembles the paper's end-to-end algorithms from the
 // building blocks. Every algorithm is a plan: the structure is known in
 // advance and only values move, so a Planner plans an algorithm once per
-// structure and the plan runs on any number of value sets — on the
-// reference map Machine (Prepared.MultiplyMap) or, once compiled, on the
-// slot-addressed engine (Prepared.MultiplyBatch). The Planner's plans:
+// structure and the plan, once compiled, runs on any number of value sets
+// on the slot-addressed engine (Prepared.MultiplyBatch): the program that
+// serves, and the one every reported number and trace comes from. The
+// reference map Machine (Prepared.MultiplyMap) runs a fresh plan as the
+// oracle the tests and chaos.Differential check that program with, and
+// nothing else. The Planner's plans:
 //
 //   - Trivial — the O(d²)-round baseline for uniformly sparse instances
 //     ([13]'s starting point): every triangle is processed at the computer

@@ -8,7 +8,6 @@ import (
 
 	"lbmm/internal/fewtri"
 	"lbmm/internal/lbm"
-	"lbmm/internal/matrix"
 	"lbmm/internal/ring"
 )
 
@@ -116,9 +115,9 @@ func compilePrepared(p *Prepared) (*compiledPrepared, error) {
 	sp := lbm.NewSlotSpace(inst.N)
 	cp := &compiledPrepared{dead: make([]int32, inst.N)}
 	liveA, liveB, liveX := inst.Live()
-	cp.loadA = cp.slotLive(sp, inst.Ahat, liveA, l.OwnerA, lbm.AKey)
-	cp.loadB = cp.slotLive(sp, inst.Bhat, liveB, l.OwnerB, lbm.BKey)
-	cp.x = cp.slotLive(sp, inst.Xhat, liveX, l.OwnerX, lbm.XKey)
+	cp.loadA = cp.slotLive(sp, &l.A, liveA, lbm.AKey)
+	cp.loadB = cp.slotLive(sp, &l.B, liveB, lbm.BKey)
+	cp.x = cp.slotLive(sp, &l.X, liveX, lbm.XKey)
 	loaded := sp.Sizes()
 	cp.prog = lbm.NewProgram(inst.N)
 	p.beginPhase1(cp.prog)
@@ -150,18 +149,18 @@ func compilePrepared(p *Prepared) (*compiledPrepared, error) {
 	// the plans' own scratch.
 	var reach error
 	sp.EachKey(func(node lbm.NodeID, k lbm.Key, slot int32) {
-		var owners map[[2]int32]lbm.NodeID
+		var owners *lbm.Owners
 		switch k.Kind {
 		case lbm.KA:
-			owners = l.A
+			owners = &l.A
 		case lbm.KB:
-			owners = l.B
+			owners = &l.B
 		case lbm.KX:
-			owners = l.X
+			owners = &l.X
 		default:
 			return
 		}
-		if o, ok := owners[[2]int32{k.I, k.J}]; ok && o == node && slot >= loaded[node] && reach == nil {
+		if o, ok := owners.Of(k.I, k.J); ok && o == node && slot >= loaded[node] && reach == nil {
 			reach = fmt.Errorf("%w: %v at node %d", ErrDeadCell, k, node)
 		}
 	})
@@ -174,16 +173,17 @@ func compilePrepared(p *Prepared) (*compiledPrepared, error) {
 	return cp, nil
 }
 
-// slotLive walks sup in row-major order: each live cell takes the next
-// slot of its owner and comes back as a load ref, each dead cell is counted
-// against its owner in cp.dead.
-func (cp *compiledPrepared) slotLive(sp *lbm.SlotSpace, sup *matrix.Support, live []bool,
-	owner func(i, j int32) lbm.NodeID, key func(i, j int32) lbm.Key) []loadRef {
+// slotLive walks a support of the instance in row-major order, reading the
+// owner of the cell at position k off its layout, which lays out that same
+// support: each live cell takes the next slot of its owner and comes back
+// as a load ref, each dead cell is counted against its owner in cp.dead.
+func (cp *compiledPrepared) slotLive(sp *lbm.SlotSpace, owners *lbm.Owners, live []bool, key func(i, j int32) lbm.Key) []loadRef {
 	var refs []loadRef
+	sup := owners.Sup
 	i := int32(0)
 	for k, j := range sup.Col {
 		i = rowOf(sup.Off, i, int32(k))
-		o := owner(i, j)
+		o := owners.Node[k]
 		if live[k] {
 			refs = append(refs, loadRef{k: int32(k), ref: sp.Ref(o, key(i, j))})
 		} else {
@@ -346,7 +346,7 @@ func (p *Prepared) CompiledBytes() int64 {
 // loads are a compile-time property and need no execution. A compiled run
 // leaves its Stats' loads nil; these are its loads. The load-aware
 // partition balancer (internal/dist) consumes them. Returns nils when no
-// compiled form exists (map-only algorithms).
+// compiled form exists (a plan not compiled yet).
 func (p *Prepared) NodeLoads() (send, recv []int64) {
 	cp := p.compiled
 	if cp == nil {

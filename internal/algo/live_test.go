@@ -108,9 +108,10 @@ func TestLiveGuard(t *testing.T) {
 }
 
 // TestLiveGuardRejectsDeadReach plans the trivial algorithm on one
-// structure and compiles it against the same structure minus one
-// triangle's B cell. The plan still reads that cell, which now lies on no
-// triangle and has no slot, and compilation must refuse it.
+// structure and compiles it against the same structure minus the A cells of
+// one triangle's column J, laid out anew. The plan still reads the B cells
+// of row J, which now lie on no triangle and have no slot, and compilation
+// must refuse them.
 func TestLiveGuardRejectsDeadReach(t *testing.T) {
 	inst := workload.Instance(matrix.US, matrix.US, matrix.US, 32, 4, 3)
 	p, err := NewPlanner(ring.Counting{}, inst).Trivial()
@@ -118,15 +119,16 @@ func TestLiveGuardRejectsDeadReach(t *testing.T) {
 		t.Fatal(err)
 	}
 	t0 := inst.Triangles()[0]
-	var bs [][2]int
-	for j := range inst.Bhat.N {
-		for _, k := range inst.Bhat.Row(j) {
-			if int32(j) != t0.J || k != t0.K {
-				bs = append(bs, [2]int{j, int(k)})
+	var as [][2]int
+	for i := range inst.Ahat.N {
+		for _, j := range inst.Ahat.Row(i) {
+			if j != t0.J {
+				as = append(as, [2]int{i, int(j)})
 			}
 		}
 	}
-	p.Inst = graph.NewInstance(inst.D, inst.Ahat, matrix.NewSupport(inst.N, bs), inst.Xhat)
+	p.Inst = graph.NewInstance(inst.D, matrix.NewSupport(inst.N, as), inst.Bhat, inst.Xhat)
+	p.Layout = ChooseLayout(p.Inst)
 	if err := p.Compile(); !errors.Is(err, ErrDeadCell) {
 		t.Fatalf("err = %v, want ErrDeadCell", err)
 	}

@@ -21,9 +21,9 @@ import (
 // is the natural API for iterative workloads.
 type Prepared struct {
 	Inst *graph.Instance
-	// Layout assigns matrix entries to computers. Compilation and
-	// MultiplyMap read it; it is nil on a restored plan, whose load refs
-	// already carry the owners.
+	// Layout assigns matrix entries to computers. Compilation and the map
+	// oracle read it; it is nil on a restored plan, whose load refs already
+	// carry the owners.
 	Layout *lbm.Layout
 	R      ring.Semiring
 	Name   string
@@ -64,7 +64,8 @@ func compile(p *Prepared, err error) (*Prepared, error) {
 // Planner plans the algorithms of one structure on one shared layout and
 // one triangle list, so that pricing several candidates (Cost) before
 // compiling one of them repeats no work. What it returns is planned, not
-// compiled: MultiplyMap runs it, MultiplyBatch needs Compile first.
+// compiled: MultiplyBatch needs Compile first, and MultiplyMap, the oracle,
+// runs it as planned.
 type Planner struct {
 	r    ring.Semiring
 	inst *graph.Instance
@@ -223,21 +224,18 @@ func (p *Prepared) Cost() (rounds, messages int) {
 }
 
 // MultiplyMap runs the prepared plans on one value set on the reference
-// map-backed Machine — the oracle the compiled walk (MultiplyBatch) is
+// map-backed Machine: the oracle the compiled program (MultiplyBatch) is
 // differentially tested against, under the same value contract and the same
-// per-call machine options. It is safe for concurrent use: every call
-// executes on its own fresh machine.
+// per-call machine options, and nothing else. Reported numbers and traces
+// come from the compiled program. It runs the plans a Planner made, so it
+// needs a planned form: a form decoded from a snapshot has none. It is safe
+// for concurrent use: every call executes on its own fresh machine.
 func (p *Prepared) MultiplyMap(a, b *matrix.Sparse, mopts ...lbm.Option) (*matrix.Sparse, *Result, error) {
 	if err := within(a, p.Inst.Ahat); err != nil {
 		return nil, nil, fmt.Errorf("algo: A %w", err)
 	}
 	if err := within(b, p.Inst.Bhat); err != nil {
 		return nil, nil, fmt.Errorf("algo: B %w", err)
-	}
-	if p.fewtri == nil {
-		// Restored from a snapshot: the compiled form exists but the
-		// map-engine planning state was never serialized.
-		return nil, nil, ErrNoMapForm
 	}
 	m := lbm.New(p.Inst.N, p.R, mopts...)
 	// Load every support position explicitly (absent value = ring Zero, per

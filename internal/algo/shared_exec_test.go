@@ -68,20 +68,20 @@ func laneValues(p *Prepared, k int, seed int64) (as, bs []*matrix.Sparse) {
 
 // sharedRunErr multiplies k lanes on p, by MultiplyBatch and again by
 // MultiplyValues, and holds every product to MulReference and, unless p was
-// decoded and has no map form, both runs' Stats to the map oracle's: a slot
-// present before the run wrote it would show in PeakStore even where its
-// stale value was the ring zero.
+// decoded and has no plan for the map oracle to run, both runs' Stats to
+// the oracle's: a slot present before the run wrote it would show in
+// PeakStore even where its stale value was the ring zero.
 func sharedRunErr(p *Prepared, k int, seed int64) error {
 	as, bs := laneValues(p, k, seed)
 	outs, res, err := p.MultiplyBatch(as, bs)
 	if err != nil {
 		return err
 	}
-	_, mres, err := p.MultiplyMap(as[0], bs[0])
-	if err != nil && !errors.Is(err, ErrNoMapForm) {
-		return err
-	}
-	if err == nil {
+	var mres *Result
+	if p.Layout != nil {
+		if _, mres, err = p.MultiplyMap(as[0], bs[0]); err != nil {
+			return err
+		}
 		if err := oracleStatsErr(p, mres.Stats, res.Stats); err != nil {
 			return fmt.Errorf("MultiplyBatch: %w", err)
 		}

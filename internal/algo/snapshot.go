@@ -1,7 +1,6 @@
 package algo
 
 import (
-	"errors"
 	"fmt"
 
 	"lbmm/internal/graph"
@@ -9,12 +8,6 @@ import (
 	"lbmm/internal/matrix"
 	"lbmm/internal/ring"
 )
-
-// ErrNoMapForm reports that a Prepared holds only its compiled form: it was
-// restored from a serialized snapshot, which carries the lowered instruction
-// streams but not the map-engine planning state (planned batches, the
-// Lemma 3.1 job). MultiplyMap on such a preparation fails with this error.
-var ErrNoMapForm = errors.New("algo: prepared form restored from snapshot has no map engine")
 
 // EncodeCompiled appends the prepared form's compiled state to an envelope
 // body: the supports (so the decoded form can validate inputs and rebuild
@@ -67,7 +60,7 @@ func (p *Prepared) EncodeCompiled(w *lbm.WireWriter) error {
 
 // DecodeCompiledPrepared reads what EncodeCompiled wrote. The result is
 // compiled-only: MultiplyBatch runs exactly as on a freshly prepared form,
-// while MultiplyMap fails with ErrNoMapForm.
+// and there is no plan for the map engine to run.
 //
 // Decoded state crosses a trust boundary (the plan store's files are
 // outside the process), so it is checked before an executor can touch it,

@@ -88,7 +88,10 @@ type diffCase struct {
 // and requires either a clean survival with agreeing outputs or the
 // identical typed lbm.ErrFault (same kind, same network round, same node)
 // from both. Fault-free replays after a fault check that a detection leaves
-// no state behind (the compiled engine recycles pooled executors).
+// no state behind (the compiled engine recycles pooled executors). It is
+// the map oracle's one program caller, and it plans every case fresh
+// (algo.Prepare*), so the oracle always has the plans it runs: a form
+// decoded from a plan store has none.
 //
 // The harness also spans the transport axis: each case re-runs the compiled
 // engine through the loopback seam and across a three-participant localhost

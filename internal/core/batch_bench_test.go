@@ -50,3 +50,17 @@ func BenchmarkMultiplyUS256(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPrepareUS256 prepares BenchmarkMultiplyUS256's structure with
+// the trivial algorithm: layout, plan and lowering, which is what a plan
+// cache miss with no plan store pays.
+func BenchmarkPrepareUS256(b *testing.B) {
+	inst := workload.Instance(matrix.US, matrix.US, matrix.US, 256, 4, 1)
+	opts := core.Options{Ring: ring.Counting{}, D: 4, Algorithm: "trivial"}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Prepare(inst.Ahat, inst.Bhat, inst.Xhat, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -46,10 +46,10 @@ var ErrEnvelope = errors.New("core: invalid prepared-plan envelope")
 var ErrEnvelopeVersion = errors.New("core: prepared-plan envelope version mismatch")
 
 // Encode writes the prepared multiplication as one checksummed flat
-// envelope; encoding the same plan twice gives identical bytes. Only the
-// compiled execution state is serialized; a Prepared restored from the
-// stream serves compiled multiplies identically but has no map-engine form
-// (see algo.ErrNoMapForm).
+// envelope; encoding the same plan twice, or the same structure in any
+// process, gives identical bytes. Only the compiled execution state is
+// serialized; a Prepared restored from the stream serves compiled
+// multiplies identically and holds no plan for the map oracle.
 func (p *Prepared) Encode(w io.Writer) error {
 	if p == nil || p.inner == nil {
 		return fmt.Errorf("core: nothing to encode")

@@ -77,6 +77,34 @@ func encode(t testing.TB, p *Prepared) []byte {
 	return buf.Bytes()
 }
 
+// TestCubeEnvelopeIsByteStable: a cube batch is planned through maps, whose
+// iteration order differs run to run, yet one structure must encode to the
+// same bytes in every process, or a plan store holds a different entry under
+// one fingerprint each time it is written. Prepare the same blocks
+// theorem42 counting structure five times and compare the envelopes.
+func TestCubeEnvelopeIsByteStable(t *testing.T) {
+	inst := workload.Blocks(32, 4)
+	var first []byte
+	for run := range 5 {
+		p, err := Prepare(inst.Ahat, inst.Bhat, inst.Xhat, Options{Ring: ring.Counting{}, D: 4, Algorithm: "theorem42"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := encode(t, p)
+		if run == 0 {
+			_, rep, err := p.Multiply(matrix.Random(inst.Ahat, ring.Counting{}, 1), matrix.Random(inst.Bhat, ring.Counting{}, 2))
+			if err != nil || rep.Cluster.CubeClusters == 0 {
+				t.Fatalf("want a plan with cube batches: err %v", err)
+			}
+			first = env
+			continue
+		}
+		if !bytes.Equal(env, first) {
+			t.Fatalf("run %d encodes %d bytes that differ from run 0's %d", run, len(env), len(first))
+		}
+	}
+}
+
 // reseal rewrites env's header length and checksum for whatever body now
 // follows, so damage to the body reaches the body reader instead of
 // stopping at the checksum.
@@ -458,11 +486,11 @@ func TestEnvelopeDeadCellsRoundTrip(t *testing.T) {
 	if !matrix.Equal(got, want) || !reflect.DeepEqual(grep.Stats, wrep.Stats) {
 		t.Fatalf("restored plan differs: stats %+v, want %+v", grep.Stats, wrep.Stats)
 	}
-	_, mrep, err := p.MultiplyMap(a, b, ExecOpts{})
+	_, mres, err := p.inner.MultiplyMap(a, b)
 	if err != nil {
 		t.Fatalf("map multiply: %v", err)
 	}
-	if err := oracleStatsErr(q, mrep.Stats, grep.Stats); err != nil {
+	if err := oracleStatsErr(q, mres.Stats, grep.Stats); err != nil {
 		t.Fatalf("restored plan: %v", err)
 	}
 	if q.CompiledBytes() != p.CompiledBytes() {

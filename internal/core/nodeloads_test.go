@@ -64,7 +64,7 @@ func TestNodeLoadsMatchExecutedStats(t *testing.T) {
 			}
 			a := matrix.Random(inst.Ahat, r, 1)
 			b := matrix.Random(inst.Bhat, r, 2)
-			_, mrep, err := prep.MultiplyMap(a, b, ExecOpts{})
+			_, mres, err := prep.inner.MultiplyMap(a, b)
 			if err != nil {
 				t.Fatalf("map multiply: %v", err)
 			}
@@ -72,7 +72,7 @@ func TestNodeLoadsMatchExecutedStats(t *testing.T) {
 			if err != nil {
 				t.Fatalf("multiply: %v", err)
 			}
-			if err := oracleStatsErr(prep, mrep.Stats, rep.Stats); err != nil {
+			if err := oracleStatsErr(prep, mres.Stats, rep.Stats); err != nil {
 				t.Error(err)
 			}
 		})

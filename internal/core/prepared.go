@@ -139,13 +139,13 @@ func (p *Prepared) CompiledBytes() int64 {
 }
 
 // NodeLoads returns the per-node real-message loads of the compiled plans:
-// send[v]/recv[v] equal the SendLoad[v]/RecvLoad[v] the map engine
-// (MultiplyMap) charges on every execution of this structure, derived from
-// the instruction streams without running anything. A compiled run
-// (Multiply, MultiplyBatch, MultiplyValues) does not count them again: its
-// Report's SendLoad and RecvLoad are nil, and these are its loads.
-// Load-aware partitioning (internal/dist, docs/DIST.md) bins nodes by them.
-// Nil when the prepared form has no compiled twin.
+// send[v]/recv[v] equal the SendLoad[v]/RecvLoad[v] the map oracle
+// (algo.Prepared.MultiplyMap) charges on every execution of this structure,
+// derived from the instruction streams without running anything. A
+// compiled run (Multiply, MultiplyBatch, MultiplyValues) does not count them
+// again: its Report's SendLoad and RecvLoad are nil, and these are its
+// loads. Load-aware partitioning (internal/dist, docs/DIST.md) bins nodes by
+// them. Nil when the prepared form has no compiled twin.
 func (p *Prepared) NodeLoads() (send, recv []int64) {
 	if p == nil || p.inner == nil {
 		return nil, nil
@@ -176,21 +176,8 @@ func (p *Prepared) Multiply(a, b *matrix.Sparse) (*matrix.Sparse, *Report, error
 	return p.MultiplyOpts(a, b, ExecOpts{})
 }
 
-// MultiplyMap executes the prepared plans on one value set on the reference
-// map-backed machine instead of the compiled engine: the same rounds,
-// messages and trace, at simulation speed. It needs the planning state,
-// which a Prepared restored by DecodePrepared does not have
-// (algo.ErrNoMapForm).
-func (p *Prepared) MultiplyMap(a, b *matrix.Sparse, opts ExecOpts) (*matrix.Sparse, *Report, error) {
-	x, res, err := p.inner.MultiplyMap(a, b, opts.machineOpts()...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return x, &Report{Result: *res, Classes: p.Classes, D: p.D, Band: p.Band}, nil
-}
-
-// ExecOpts are per-call execution options for MultiplyOpts, MultiplyBatch
-// and MultiplyMap. The zero value is a plain Multiply.
+// ExecOpts are per-call execution options for MultiplyOpts and
+// MultiplyBatch. The zero value is a plain Multiply.
 type ExecOpts struct {
 	// Trace records a per-call execution profile into the Report.
 	Trace bool

@@ -170,34 +170,35 @@ func PlanCube(net *vnet.Net, spec *CubeSpec) (*CubeJob, error) {
 
 	job := &CubeJob{prods: prods}
 
-	// Phase 1: distribute the needed A and B copies (one h-relation).
+	// Phase 1: distribute the needed A and B copies (one h-relation). The
+	// cleanup list is read off the sorted sends, never off the maps, so the
+	// emitted program is the same in every process.
 	var dist []vnet.Send
-	for nd := range needA {
-		dist = append(dist, vnet.Send{From: nd.from, To: nd.dst, Src: nd.key, Dst: nd.key, Op: lbm.OpSet})
-		if net.Host[nd.from] != net.Host[nd.dst] {
-			job.cleanup = append(job.cleanup, hostKeyPair{net.Host[nd.dst], nd.key})
-		}
-	}
-	for nd := range needB {
-		dist = append(dist, vnet.Send{From: nd.from, To: nd.dst, Src: nd.key, Dst: nd.key, Op: lbm.OpSet})
-		if net.Host[nd.from] != net.Host[nd.dst] {
-			job.cleanup = append(job.cleanup, hostKeyPair{net.Host[nd.dst], nd.key})
+	for _, need := range [...]map[pairDst]struct{}{needA, needB} {
+		for nd := range need {
+			dist = append(dist, vnet.Send{From: nd.from, To: nd.dst, Src: nd.key, Dst: nd.key, Op: lbm.OpSet})
 		}
 	}
 	sortSends(dist)
+	for _, s := range dist {
+		if net.Host[s.From] != net.Host[s.To] {
+			job.cleanup = append(job.cleanup, hostKeyPair{net.Host[s.To], s.Dst})
+		}
+	}
 	job.distribute = vnet.ScheduleVirtual(dist, routing.Auto)
 
 	// Phase 2: aggregate partials into the X owners.
 	var agg []vnet.Send
 	for pt, p := range partialProc {
-		key := lbm.PKey(pt.i, pt.k, int32(pt.b))
 		agg = append(agg, vnet.Send{
 			From: p, To: int32(spec.Layout.OwnerX(pt.i, pt.k)),
-			Src: key, Dst: lbm.XKey(pt.i, pt.k), Op: lbm.OpAcc,
+			Src: lbm.PKey(pt.i, pt.k, int32(pt.b)), Dst: lbm.XKey(pt.i, pt.k), Op: lbm.OpAcc,
 		})
-		job.cleanup = append(job.cleanup, hostKeyPair{net.Host[p], key})
 	}
 	sortSends(agg)
+	for _, s := range agg {
+		job.cleanup = append(job.cleanup, hostKeyPair{net.Host[s.From], s.Src})
+	}
 	job.aggregate = vnet.ScheduleVirtual(agg, routing.Auto)
 	return job, nil
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"lbmm/internal/algo"
 	"lbmm/internal/core"
 	"lbmm/internal/lbm"
 	"lbmm/internal/matrix"
@@ -142,10 +143,26 @@ func prepCase(t testing.TB, alg string, r ring.Semiring, n, d int) (*core.Prepar
 	return prep, a, b, want
 }
 
-// oracleStatsErr holds a compiled run's Stats on prep to the map engine's
-// Stats of the same run: the same totals, RoundBytes and PeakStore, no
-// loads of its own, and the map's per-node loads equal to prep.NodeLoads.
-func oracleStatsErr(prep *core.Prepared, mapStats, compiled lbm.Stats) error {
+// oracleStatsErr holds a compiled run's Stats on prep, a prepCase plan of
+// alg over r, to the Stats the map oracle records for the same values on a
+// fresh algo plan of the same structure: the same totals, RoundBytes and
+// PeakStore, no loads of its own, and the map's per-node loads equal to
+// prep.NodeLoads.
+func oracleStatsErr(prep *core.Prepared, alg string, r ring.Semiring, a, b *matrix.Sparse, compiled lbm.Stats) error {
+	pl := algo.NewPlanner(r, workload.Blocks(a.N, prep.D))
+	plan := pl.Theorem42
+	if alg == "lemma31" {
+		plan = func() (*algo.Prepared, error) { return pl.Lemma31(0) }
+	}
+	p, err := plan()
+	if err != nil {
+		return err
+	}
+	_, res, err := p.MultiplyMap(a, b)
+	if err != nil {
+		return fmt.Errorf("map multiply: %w", err)
+	}
+	mapStats := res.Stats
 	if compiled.SendLoad != nil || compiled.RecvLoad != nil {
 		return fmt.Errorf("compiled run counted loads %v / %v", compiled.SendLoad, compiled.RecvLoad)
 	}
@@ -190,11 +207,7 @@ func TestMeshMatrixMultiply(t *testing.T) {
 				if !reflect.DeepEqual(refRep.Stats, plain.Stats) {
 					t.Fatalf("loopback stats = %+v, nil transport %+v", refRep.Stats, plain.Stats)
 				}
-				_, mapRep, err := prep.MultiplyMap(a, b, core.ExecOpts{})
-				if err != nil {
-					t.Fatalf("map multiply: %v", err)
-				}
-				if err := oracleStatsErr(prep, mapRep.Stats, plain.Stats); err != nil {
+				if err := oracleStatsErr(prep, alg, r, a, b, plain.Stats); err != nil {
 					t.Fatalf("nil transport: %v", err)
 				}
 				sched := prep.Exchanges()

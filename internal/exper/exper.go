@@ -1,5 +1,7 @@
 // Package exper is the experiment harness: it regenerates every table and
 // figure of the paper from live simulations and the analytic machinery.
+// Every algorithm row runs its plan compiled, the program a server runs
+// (runVerified). Only Table 1's dense black-box rows run on the map machine.
 // The cmd/lbmm CLI and the repository benchmarks are thin wrappers around
 // this package, so "the numbers in EXPERIMENTS.md" and "what the benches
 // print" are by construction the same code path.
@@ -129,25 +131,29 @@ func baseline(kappa int) plan {
 	return func(pl *algo.Planner) (*algo.Prepared, error) { return pl.Baseline(kappa) }
 }
 
-// runVerified plans an algorithm for an instance, runs the plan once with
-// random values over r on the sequential map machine, verifies the product,
-// and returns the result. It never compiles: the map run records the same
-// rounds and trace as a compiled one, and several plans here (the naive
-// baseline, the SPAA 2022 reconstruction) have no served form.
+// runVerified plans an algorithm for an instance, compiles the plan and
+// runs it once with random values over r as a one-lane batch — the program
+// a server would run — verifies the product, and returns the result. The
+// compiled run counts no per-node loads, so the result's Stats carry the
+// plan's NodeLoads instead, which are the loads of every run.
 func runVerified(r ring.Semiring, inst *graph.Instance, alg plan, seed int64, opts ...lbm.Option) (*algo.Result, error) {
 	p, err := alg(algo.NewPlanner(r, inst))
+	if err == nil {
+		err = p.Compile()
+	}
 	if err != nil {
 		return nil, err
 	}
 	a := matrix.Random(inst.Ahat, r, seed)
 	b := matrix.Random(inst.Bhat, r, seed+1)
-	got, res, err := p.MultiplyMap(a, b, opts...)
+	got, res, err := p.MultiplyBatch([]*matrix.Sparse{a}, []*matrix.Sparse{b}, opts...)
 	if err != nil {
 		return nil, err
 	}
-	if err := algo.Verify(got, a, b, inst.Xhat); err != nil {
+	if err := algo.Verify(got[0], a, b, inst.Xhat); err != nil {
 		return nil, fmt.Errorf("%s on %s: %w", res.Name, describe(inst), err)
 	}
+	res.Stats.SendLoad, res.Stats.RecvLoad = p.NodeLoads()
 	return res, nil
 }
 

@@ -2,6 +2,7 @@ package lbm
 
 import (
 	"fmt"
+	"slices"
 
 	"lbmm/internal/matrix"
 )
@@ -12,23 +13,43 @@ import (
 // are insensitive to the distribution up to an additive O(d) permutation
 // cost, while lower bounds hold for any fixed support-dependent layout.
 type Layout struct {
-	N int
-	A map[[2]int32]NodeID
-	B map[[2]int32]NodeID
-	X map[[2]int32]NodeID
+	N       int
+	A, B, X Owners
+}
+
+// Owners is one matrix's part of a layout: its support, and the owner of
+// every support position in a slab aligned with the support's Col, so
+// Node[k] owns the entry whose column is Sup.Col[k].
+type Owners struct {
+	Sup  *matrix.Support
+	Node []NodeID
+}
+
+// Of returns the owner of position (i, j), or false when the support has no
+// such position.
+func (o *Owners) Of(i, j int32) (NodeID, bool) {
+	if i < 0 || int(i) >= o.Sup.N {
+		return 0, false
+	}
+	lo := o.Sup.Off[i]
+	k, ok := slices.BinarySearch(o.Sup.Row(int(i)), j)
+	if !ok {
+		return 0, false
+	}
+	return o.Node[int(lo)+k], true
 }
 
 // OwnerA returns the computer initially holding A_ij (the p(i,j) of §3.3).
-func (l *Layout) OwnerA(i, j int32) NodeID { return l.owner(l.A, i, j, "A") }
+func (l *Layout) OwnerA(i, j int32) NodeID { return l.A.must(i, j, "A") }
 
 // OwnerB returns the computer initially holding B_jk.
-func (l *Layout) OwnerB(j, k int32) NodeID { return l.owner(l.B, j, k, "B") }
+func (l *Layout) OwnerB(j, k int32) NodeID { return l.B.must(j, k, "B") }
 
 // OwnerX returns the computer that must report X_ik.
-func (l *Layout) OwnerX(i, k int32) NodeID { return l.owner(l.X, i, k, "X") }
+func (l *Layout) OwnerX(i, k int32) NodeID { return l.X.must(i, k, "X") }
 
-func (l *Layout) owner(m map[[2]int32]NodeID, i, j int32, what string) NodeID {
-	v, ok := m[[2]int32{i, j}]
+func (o *Owners) must(i, j int32, what string) NodeID {
+	v, ok := o.Of(i, j)
 	if !ok {
 		panic(fmt.Sprintf("lbm: layout has no owner for %s(%d,%d)", what, i, j))
 	}
@@ -38,10 +59,10 @@ func (l *Layout) owner(m map[[2]int32]NodeID, i, j int32, what string) NodeID {
 // MaxPerNode returns, per matrix, the largest number of elements any single
 // computer owns — the d of Lemma 3.1's input assumption.
 func (l *Layout) MaxPerNode() (a, b, x int) {
-	count := func(m map[[2]int32]NodeID) int {
+	count := func(o Owners) int {
 		per := make([]int, l.N)
 		mx := 0
-		for _, v := range m {
+		for _, v := range o.Node {
 			per[v]++
 			if per[v] > mx {
 				mx = per[v]
@@ -55,28 +76,7 @@ func (l *Layout) MaxPerNode() (a, b, x int) {
 // RowLayout is the paper's canonical layout for uniformly sparse instances:
 // computer i holds row i of A, row i of B, and reports row i of X.
 func RowLayout(ahat, bhat, xhat *matrix.Support) *Layout {
-	l := &Layout{
-		N: ahat.N,
-		A: make(map[[2]int32]NodeID, ahat.NNZ),
-		B: make(map[[2]int32]NodeID, bhat.NNZ),
-		X: make(map[[2]int32]NodeID, xhat.NNZ),
-	}
-	for i := range ahat.N {
-		for _, j := range ahat.Row(i) {
-			l.A[[2]int32{int32(i), j}] = NodeID(i)
-		}
-	}
-	for j := range bhat.N {
-		for _, k := range bhat.Row(j) {
-			l.B[[2]int32{int32(j), k}] = NodeID(j)
-		}
-	}
-	for i := range xhat.N {
-		for _, k := range xhat.Row(i) {
-			l.X[[2]int32{int32(i), k}] = NodeID(i)
-		}
-	}
-	return l
+	return newLayout(ahat, bhat, xhat, func(i int32, _ int) NodeID { return i })
 }
 
 // BalancedLayout spreads the entries of each matrix over the n computers in
@@ -84,25 +84,23 @@ func RowLayout(ahat, bhat, xhat *matrix.Support) *Layout {
 // elements of each matrix. This is the "each computer holds at most d
 // elements" layout the paper assumes for average-sparse inputs.
 func BalancedLayout(ahat, bhat, xhat *matrix.Support) *Layout {
-	l := &Layout{
-		N: ahat.N,
-		A: make(map[[2]int32]NodeID, ahat.NNZ),
-		B: make(map[[2]int32]NodeID, bhat.NNZ),
-		X: make(map[[2]int32]NodeID, xhat.NNZ),
-	}
-	assign := func(s *matrix.Support, dst map[[2]int32]NodeID) {
-		next := 0
+	n := ahat.N
+	return newLayout(ahat, bhat, xhat, func(_ int32, k int) NodeID { return NodeID(k % n) })
+}
+
+// newLayout lays out the three supports, owner naming the computer of the
+// entry at row-major position k, which lies in row i.
+func newLayout(ahat, bhat, xhat *matrix.Support, owner func(i int32, k int) NodeID) *Layout {
+	lay := func(s *matrix.Support) Owners {
+		o := Owners{Sup: s, Node: make([]NodeID, s.NNZ)}
 		for i := range s.N {
-			for _, j := range s.Row(i) {
-				dst[[2]int32{int32(i), j}] = NodeID(next % s.N)
-				next++
+			for k := s.Off[i]; k < s.Off[i+1]; k++ {
+				o.Node[k] = owner(int32(i), int(k))
 			}
 		}
+		return o
 	}
-	assign(ahat, l.A)
-	assign(bhat, l.B)
-	assign(xhat, l.X)
-	return l
+	return &Layout{N: ahat.N, A: lay(ahat), B: lay(bhat), X: lay(xhat)}
 }
 
 // LoadInputs places the values of A and B into their owners' stores. The

@@ -258,6 +258,15 @@ func TestLayoutsAndLoading(t *testing.T) {
 	if ba != 1 || bb != 1 || bx != 1 {
 		t.Errorf("BalancedLayout MaxPerNode = %d %d %d", ba, bb, bx)
 	}
+	// A balanced owner is the row-major position mod n, per matrix.
+	if bl.OwnerA(0, 1) != 0 || bl.OwnerA(0, 2) != 1 || bl.OwnerA(3, 4) != 2 || bl.OwnerB(2, 0) != 1 || bl.OwnerX(0, 5) != 1 {
+		t.Error("BalancedLayout owners wrong")
+	}
+	for _, ij := range [][2]int32{{0, 0}, {0, 3}, {5, 1}, {-1, 1}, {6, 0}} {
+		if o, ok := bl.A.Of(ij[0], ij[1]); ok {
+			t.Errorf("A%v outside the support has owner %d", ij, o)
+		}
+	}
 
 	am := matrix.Random(ahat, ring.Counting{}, 1)
 	bm := matrix.Random(bhat, ring.Counting{}, 2)
