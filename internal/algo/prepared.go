@@ -64,8 +64,10 @@ func compile(p *Prepared, err error) (*Prepared, error) {
 // Planner plans the algorithms of one structure on one shared layout and
 // one triangle list, so that pricing several candidates (Cost) before
 // compiling one of them repeats no work. What it returns is planned, not
-// compiled: MultiplyBatch needs Compile first, and MultiplyMap, the oracle,
-// runs it as planned.
+// coloured nor compiled: its h-relations are message sets, which Cost prices
+// from their degrees and Compile colours. MultiplyBatch needs Compile first;
+// MultiplyMap, the oracle, runs it as planned, colouring afresh on every
+// call until Compile.
 type Planner struct {
 	r    ring.Semiring
 	inst *graph.Instance
@@ -199,8 +201,10 @@ func (pl *Planner) twoPhases(name string) (*Prepared, error) {
 	return p, nil
 }
 
-// Compile lowers a planned Prepared to the compiled form MultiplyBatch walks.
+// Compile colours the planned Prepared's h-relations and lowers it to the
+// compiled form MultiplyBatch walks. A compiled Prepared is read-only.
 func (p *Prepared) Compile() error {
+	p.fewtri.Colour()
 	cp, err := compilePrepared(p)
 	if err != nil {
 		return fmt.Errorf("algo: compile: %w", err)
@@ -211,8 +215,9 @@ func (p *Prepared) Compile() error {
 
 // Cost is what every multiply of the prepared structure charges to
 // Stats.Rounds and Stats.Messages, summed over its plans (lbm.Plan.Cost)
-// without compiling or running anything. It reads the plans, which a form
-// restored from a snapshot does not have.
+// without compiling or running anything; on a planned form it prices the
+// uncoloured h-relations from their degrees (fewtri.Job.Cost). It reads the
+// plans, which a form restored from a snapshot does not have.
 func (p *Prepared) Cost() (rounds, messages int) {
 	rounds, messages = p.fewtri.Cost()
 	for _, pb := range p.phase1 {

@@ -160,6 +160,30 @@ const (
 	warmMultiplyAllocs = 9
 )
 
+// TestPrepareAutoAllocs pins what an auto Prepare of
+// BenchmarkPrepareAutoUS256's structure allocates: a plan cache miss with
+// no plan store behind it. Auto prices the trivial and Lemma 3.1 candidates
+// from their h-relations' degrees and colours and lowers only the kept one,
+// into one slot index. Colouring every candidate, with one slot map per node,
+// took 2,264 allocations; this reads 289.
+func TestPrepareAutoAllocs(t *testing.T) {
+	inst := workload.Instance(matrix.US, matrix.US, matrix.US, 256, 4, 1)
+	opts := Options{Ring: ring.Counting{}, D: 4}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Prepare(inst.Ahat, inst.Bhat, inst.Xhat, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("auto Prepare at n=256, d=4: %.0f allocations", allocs)
+	if allocs > prepareAutoAllocs {
+		t.Errorf("auto Prepare at n=256, d=4: %.0f allocations, want at most %d", allocs, prepareAutoAllocs)
+	}
+}
+
+// prepareAutoAllocs is TestPrepareAutoAllocs' bound, about 5% over what it
+// reads.
+const prepareAutoAllocs = 302
+
 // prepareClusters prepares Theorem 4.2 on inst over r and checks phase 1
 // keeps cube clusters only (cube) or some Strassen clusters.
 func prepareClusters(t *testing.T, inst *graph.Instance, r ring.Semiring, cube bool) *Prepared {

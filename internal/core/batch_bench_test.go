@@ -52,11 +52,23 @@ func BenchmarkMultiplyUS256(b *testing.B) {
 }
 
 // BenchmarkPrepareUS256 prepares BenchmarkMultiplyUS256's structure with
-// the trivial algorithm: layout, plan and lowering, which is what a plan
-// cache miss with no plan store pays.
+// the trivial algorithm named: layout, one plan and its lowering, with no
+// other candidate priced.
 func BenchmarkPrepareUS256(b *testing.B) {
+	benchmarkPrepare(b, "trivial")
+}
+
+// BenchmarkPrepareAutoUS256 prepares the same structure with auto, the
+// serving default: layout, the trivial and Lemma 3.1 candidates priced, and
+// the kept one coloured and lowered. This is what a plan cache miss with no
+// plan store pays.
+func BenchmarkPrepareAutoUS256(b *testing.B) {
+	benchmarkPrepare(b, "auto")
+}
+
+func benchmarkPrepare(b *testing.B, alg string) {
 	inst := workload.Instance(matrix.US, matrix.US, matrix.US, 256, 4, 1)
-	opts := core.Options{Ring: ring.Counting{}, D: 4, Algorithm: "trivial"}
+	opts := core.Options{Ring: ring.Counting{}, D: 4, Algorithm: alg}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Prepare(inst.Ahat, inst.Bhat, inst.Xhat, opts); err != nil {

@@ -11,9 +11,10 @@
 // sequential reference, and returns the masked product together with the
 // measured round statistics and the instance's Table 2 classification.
 //
-// "auto" means one thing everywhere: Prepare plans every candidate — the
-// trivial algorithm, Lemma 3.1 and, in band 1, Theorem 4.2 — and keeps the
-// one whose plans charge the fewest rounds, then messages.
+// "auto" means one thing everywhere: Prepare prices every candidate — the
+// trivial algorithm, Lemma 3.1 and, in band 1, Theorem 4.2 — from its
+// h-relations' degrees and keeps the one whose plans charge the fewest
+// rounds, then messages; only that one is coloured and compiled.
 package core
 
 import (

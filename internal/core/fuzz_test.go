@@ -27,6 +27,20 @@ func TestFuzzSeedsDecode(t *testing.T) {
 	}
 }
 
+// TestFuzzSeedsAreFresh pins every committed valid-* seed to a fresh
+// encoding of its envShapes plan, so a change that moves one byte of a plan
+// shows here, and a seed the encoder no longer writes is regenerated rather
+// than fuzzed from. A seed is the envelope as a corpus entry:
+// "go test fuzz v1\n[]byte(%q)\n".
+func TestFuzzSeedsAreFresh(t *testing.T) {
+	for _, s := range envShapes(t) {
+		path := filepath.Join("testdata", "fuzz", "FuzzDecodePrepared", "valid-"+s.name)
+		if got, want := readSeed(t, path), encode(t, s.p); !bytes.Equal(got, want) {
+			t.Errorf("%s differs from a fresh encoding of its plan (%d bytes, fresh %d)", path, len(got), len(want))
+		}
+	}
+}
+
 // readSeed returns the input of one committed []byte corpus entry.
 func readSeed(t *testing.T, path string) []byte {
 	t.Helper()

@@ -36,12 +36,14 @@ type Prepared struct {
 // Ring and D as in Multiply; Algorithm may be "auto", "trivial", "lemma31"
 // or "theorem42" (algo.Planner's experiment-only plans, the naive baseline
 // and the SPAA 2022 reconstruction, are not served). An explicit algorithm
-// is obeyed. "auto" plans every candidate the structure admits — the
-// trivial algorithm and Lemma 3.1 always, Theorem 4.2 in band 1 — and keeps
-// the one whose plans charge the fewest rounds, then the fewest messages,
-// ties going to that order; only the kept plan is compiled. The choice is a
-// function of the structure, the ring and d, so the fingerprint of an
-// "auto" request stays a content address.
+// is obeyed. "auto" prices every candidate the structure admits — the
+// trivial algorithm and Lemma 3.1 always, Theorem 4.2 in band 1 — by the
+// rounds, then the messages, its plans charge, read off its h-relations'
+// degrees, and keeps the cheapest, ties going to that order; only the kept
+// one is coloured and compiled (see cheapestOf). The choice is a function of
+// the structure, the ring and d, so the fingerprint of an "auto" request
+// stays a content address. The Prepared returned is fully coloured and
+// read-only.
 func Prepare(ahat, bhat, xhat *matrix.Support, opts Options) (*Prepared, error) {
 	if ahat.N != bhat.N || ahat.N != xhat.N {
 		return nil, fmt.Errorf("core: dimension mismatch %d/%d/%d", ahat.N, bhat.N, xhat.N)
@@ -83,7 +85,7 @@ func Prepare(ahat, bhat, xhat *matrix.Support, opts Options) (*Prepared, error) 
 
 // cheapest is Prepare's "auto": it plans the candidates on one layout and
 // one triangle list, prices each by the exact (rounds, messages) its plans
-// charge, and compiles the first of the cheapest.
+// charge, and colours and compiles the first of the cheapest.
 func cheapest(r ring.Semiring, inst *graph.Instance, band1 bool) (*algo.Prepared, error) {
 	pl := algo.NewPlanner(r, inst)
 	lemma31 := func() (*algo.Prepared, error) { return pl.Lemma31(0) }
@@ -94,10 +96,15 @@ func cheapest(r ring.Semiring, inst *graph.Instance, band1 bool) (*algo.Prepared
 	return cheapestOf(candidates)
 }
 
-// cheapestOf plans every candidate and compiles the first of the cheapest
-// that planned. A candidate whose planning fails is skipped, so one that
-// cannot plan a structure does not fail the others; only when none plans is
-// there an error, all of theirs joined.
+// cheapestOf plans every candidate uncoloured, prices it (algo.Prepared.Cost),
+// and colours, emits and compiles only the first of the cheapest that
+// planned. A routing step's length depends only on its h-relation's send and
+// receive degrees: an exact König schedule has exactly Δ rounds, so pricing a
+// candidate colours nothing, except an h-relation so large that routing.Auto
+// splits it by Euler, whose rounds only its colouring tells. A candidate
+// whose planning fails is skipped, so one that cannot plan a structure does
+// not fail the others; only when none plans is there an error, all of theirs
+// joined.
 func cheapestOf(candidates []func() (*algo.Prepared, error)) (*algo.Prepared, error) {
 	var best *algo.Prepared
 	var bestRounds, bestMessages int

@@ -36,7 +36,9 @@
 package fewtri
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"lbmm/internal/graph"
@@ -53,10 +55,28 @@ type Job struct {
 
 	// sh is the job's shape; nil for a job with no triangles, which runs
 	// nothing.
-	sh       *shape
-	plans    []*lbm.Plan
+	sh *shape
+	// routes are the routing steps in run order, one per phase of the shape.
+	routes   []route
 	products []prodGroup
 	cleanup  []hostKey
+}
+
+// route is one routing step of a job. An h-relation stays a message set,
+// priced from its degrees (routing.Price), until Colour schedules it; a
+// broadcast or convergecast tree is a plan from the start.
+type route struct {
+	msgs []routing.Msg
+	plan *lbm.Plan
+}
+
+// planned returns the step's plan: its own, or, for an h-relation Colour has
+// not scheduled, a fresh schedule of it.
+func (r *route) planned() *lbm.Plan {
+	if r.plan != nil {
+		return r.plan
+	}
+	return routing.Schedule(r.msgs, routing.Auto)
 }
 
 // shape is the layout of a job: its outer phase, then the phase name and the
@@ -112,14 +132,39 @@ var (
 )
 
 // Cost is what running the job charges to Stats.Rounds and Stats.Messages,
-// summed over its routing plans (lbm.Plan.Cost); the products are free.
+// summed over its routing steps as lbm.Plan.Cost counts them; the products
+// are free. A tree or a scheduled h-relation is read off its plan. An
+// h-relation Colour has not scheduled is priced from its degrees, which
+// colours nothing unless routing.Auto would split it by Euler, whose rounds
+// only a (discarded) schedule tells.
 func (job *Job) Cost() (rounds, messages int) {
-	for _, p := range job.plans {
-		r, m := p.Cost()
+	for i := range job.routes {
+		rt := &job.routes[i]
+		r, m, exact := 0, 0, false
+		if rt.plan == nil {
+			r, m, exact = routing.Price(rt.msgs)
+		}
+		if !exact {
+			r, m = rt.planned().Cost()
+		}
 		rounds += r
 		messages += m
 	}
 	return rounds, messages
+}
+
+// Colour schedules every h-relation of the job that is still a message set,
+// so that Run, Emit and Cost read its plan and nothing colours it again. A
+// job is planned uncoloured, to be priced; the one a caller keeps is
+// coloured before it runs or lowers, and is read-only from then on. An
+// uncoloured job runs and lowers all the same, colouring afresh each time.
+func (job *Job) Colour() {
+	for i := range job.routes {
+		if rt := &job.routes[i]; rt.plan == nil {
+			rt.plan = routing.Schedule(rt.msgs, routing.Auto)
+			rt.msgs = nil
+		}
+	}
 }
 
 type hostKey struct {
@@ -161,7 +206,7 @@ func virtualize(n int, tris []graph.Triangle, kappa int) (*Job, *virtual) {
 		}
 	}
 	job := &Job{Kappa: kappa}
-	v := &virtual{order: append([]graph.Triangle(nil), tris...)}
+	v := &virtual{order: slices.Clone(tris)}
 	graph.SortTriangles(v.order)
 	v.vnodeOf = make([]int32, len(v.order))
 	count := 0 // triangles assigned to the current vnode
@@ -178,13 +223,16 @@ func virtualize(n int, tris []graph.Triangle, kappa int) (*Job, *virtual) {
 	}
 	job.VirtualNodes = len(v.hosts)
 
-	// Local product tasks per virtual computer.
-	prodByVnode := make([][]graph.Triangle, len(v.hosts))
-	for idx, t := range v.order {
-		prodByVnode[v.vnodeOf[idx]] = append(prodByVnode[v.vnodeOf[idx]], t)
-	}
-	for vid, ts := range prodByVnode {
-		job.products = append(job.products, prodGroup{host: v.hosts[vid], tris: ts, vid: int32(vid)})
+	// Local product tasks per virtual computer: each one's triangles are a
+	// run of the sorted order.
+	job.products = make([]prodGroup, 0, len(v.hosts))
+	start := 0
+	for idx := 1; idx <= len(v.order); idx++ {
+		if idx == len(v.order) || v.vnodeOf[idx] != v.vnodeOf[start] {
+			vid := v.vnodeOf[start]
+			job.products = append(job.products, prodGroup{host: v.hosts[vid], tris: v.order[start:idx:idx], vid: vid})
+			start = idx
+		}
 	}
 	return job, v
 }
@@ -212,14 +260,14 @@ func Plan(n int, l *lbm.Layout, tris []graph.Triangle, kappa int) (*Job, error) 
 	if err != nil {
 		return nil, err
 	}
-	job.plans = append(job.plans, planA...)
-	job.plans = append(job.plans, planB...)
+	job.routes = append(job.routes, planA...)
+	job.routes = append(job.routes, planB...)
 	job.cleanup = append(job.cleanup, cleanA...)
 	job.cleanup = append(job.cleanup, cleanB...)
 
 	// --- Output routing: triples (i, k, i') deduplicated, sorted by (i,k).
 	outPlans, outClean := planOutputRouting(n, job.Kappa, v.order, v.vnodeOf, v.hosts, l)
-	job.plans = append(job.plans, outPlans...)
+	job.routes = append(job.routes, outPlans...)
 	job.cleanup = append(job.cleanup, outClean...)
 	job.sh = &lemma31
 	return job, nil
@@ -291,7 +339,7 @@ func PlanNaive(n int, l *lbm.Layout, tris []graph.Triangle, kappa int) *Job {
 		}
 		return a.Src.Seq < b.Src.Seq
 	})
-	job.plans = []*lbm.Plan{routing.Schedule(fetch, routing.Auto), routing.Schedule(deliver, routing.Auto)}
+	job.routes = []route{{msgs: fetch}, {msgs: deliver}}
 	job.sh = &naive
 	return job
 }
@@ -309,34 +357,47 @@ func PlanTrivial(l *lbm.Layout, tris []graph.Triangle) *Job {
 		to  lbm.NodeID
 		key lbm.Key
 	}
-	seen := map[fetch]bool{}
-	var msgs []routing.Msg
+	seen := make(map[fetch]struct{}, len(tris))
+	msgs := make([]routing.Msg, 0, len(tris))
 	add := func(from, to lbm.NodeID, key lbm.Key) {
 		f := fetch{to, key}
-		if seen[f] {
+		if _, dup := seen[f]; dup {
 			return
 		}
-		seen[f] = true
+		seen[f] = struct{}{}
 		msgs = append(msgs, routing.Msg{From: from, To: to, Src: key, Dst: key, Op: lbm.OpSet})
 		if from != to {
 			job.cleanup = append(job.cleanup, hostKey{to, key})
 		}
 	}
-	// Products are grouped by output owner; within a group the triangles keep
-	// their order, so every output accumulates in triangle order.
-	byOwner := make([][]graph.Triangle, l.N)
-	for _, t := range tris {
+	// Products are grouped by output owner, each group a window of one slab;
+	// within a group the triangles keep their order, so every output
+	// accumulates in triangle order.
+	owner := make([]lbm.NodeID, len(tris))
+	next := make([]int, l.N+1)
+	for idx, t := range tris {
 		xo := l.OwnerX(t.I, t.K)
 		add(l.OwnerA(t.I, t.J), xo, lbm.AKey(t.I, t.J))
 		add(l.OwnerB(t.J, t.K), xo, lbm.BKey(t.J, t.K))
-		byOwner[xo] = append(byOwner[xo], t)
+		owner[idx] = xo
+		next[xo+1]++
 	}
-	for host, ts := range byOwner {
-		if len(ts) > 0 {
-			job.products = append(job.products, prodGroup{host: lbm.NodeID(host), tris: ts})
+	for host := range l.N {
+		next[host+1] += next[host]
+	}
+	byOwner := make([]graph.Triangle, len(tris))
+	for idx, t := range tris {
+		byOwner[next[owner[idx]]] = t
+		next[owner[idx]]++
+	}
+	start := 0
+	for host, end := range next[:l.N] {
+		if end > start {
+			job.products = append(job.products, prodGroup{host: lbm.NodeID(host), tris: byOwner[start:end:end]})
 		}
+		start = end
 	}
-	job.plans = []*lbm.Plan{routing.Schedule(msgs, routing.Auto)}
+	job.routes = []route{{msgs: msgs}}
 	job.sh = &trivial
 	return job
 }
@@ -352,29 +413,14 @@ type triple struct {
 // computer h-relation.
 func planInputRouting(n, kappa int, order []graph.Triangle, vnodeOf []int32, vnodeHost []lbm.NodeID,
 	pairOf func(graph.Triangle) (int32, int32),
-	ownerOf func(a, b int32) (lbm.NodeID, lbm.Key)) ([]*lbm.Plan, []hostKey, error) {
+	ownerOf func(a, b int32) (lbm.NodeID, lbm.Key)) ([]route, []hostKey, error) {
 
-	// Deduplicated triples (a, b, vnode).
-	seen := map[triple]struct{}{}
-	var triples []triple
+	triples := make([]triple, len(order))
 	for idx, t := range order {
 		a, b := pairOf(t)
-		tr := triple{a: a, b: b, vnode: vnodeOf[idx]}
-		if _, dup := seen[tr]; dup {
-			continue
-		}
-		seen[tr] = struct{}{}
-		triples = append(triples, tr)
+		triples[idx] = triple{a: a, b: b, vnode: vnodeOf[idx]}
 	}
-	sort.Slice(triples, func(x, y int) bool {
-		if triples[x].a != triples[y].a {
-			return triples[x].a < triples[y].a
-		}
-		if triples[x].b != triples[y].b {
-			return triples[x].b < triples[y].b
-		}
-		return triples[x].vnode < triples[y].vnode
-	})
+	triples = sortedTriples(triples)
 
 	// Chunk the array over the computers, ≤ κ triples each.
 	per := (len(triples) + n - 1) / n
@@ -391,7 +437,6 @@ func planInputRouting(n, kappa int, order []graph.Triangle, vnodeOf []int32, vno
 	var cleanup []hostKey
 
 	// Step 1: owner → anchor.
-	var anchorMsgs []routing.Msg
 	groupStart := 0
 	type span struct {
 		a, b     int32
@@ -404,6 +449,7 @@ func planInputRouting(n, kappa int, order []graph.Triangle, vnodeOf []int32, vno
 			groupStart = idx
 		}
 	}
+	anchorMsgs := make([]routing.Msg, 0, len(spans))
 	for _, sp := range spans {
 		owner, key := ownerOf(sp.a, sp.b)
 		anchor := holder(sp.from)
@@ -412,7 +458,6 @@ func planInputRouting(n, kappa int, order []graph.Triangle, vnodeOf []int32, vno
 			cleanup = append(cleanup, hostKey{anchor, key})
 		}
 	}
-	step1 := routing.Schedule(anchorMsgs, routing.Auto)
 
 	// Step 2: spread along each group's computer range by broadcast trees.
 	var groups []routing.Group
@@ -438,7 +483,7 @@ func planInputRouting(n, kappa int, order []graph.Triangle, vnodeOf []int32, vno
 	step2 := routing.BroadcastPlan(groups)
 
 	// Step 3: triple holder → virtual computer host.
-	var fwd []routing.Msg
+	fwd := make([]routing.Msg, 0, len(triples))
 	for idx, tr := range triples {
 		_, key := ownerOf(tr.a, tr.b)
 		dst := vnodeHost[tr.vnode]
@@ -449,58 +494,51 @@ func planInputRouting(n, kappa int, order []graph.Triangle, vnodeOf []int32, vno
 			cleanup = append(cleanup, hostKey{dst, key})
 		}
 	}
-	step3 := routing.Schedule(fwd, routing.Auto)
 
-	return []*lbm.Plan{step1, step2, step3}, cleanup, nil
+	return []route{{msgs: anchorMsgs}, {plan: step2}, {msgs: fwd}}, cleanup, nil
+}
+
+// sortedTriples sorts a routing array by pair, then virtual computer, and
+// drops the repeats.
+func sortedTriples(triples []triple) []triple {
+	slices.SortFunc(triples, func(x, y triple) int {
+		return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b), cmp.Compare(x.vnode, y.vnode))
+	})
+	return slices.Compact(triples)
 }
 
 // planOutputRouting builds the converse of the input routing for the
 // products: virtual computer → triple holder (with local aggregation),
 // convergecast trees, anchor → output owner.
 func planOutputRouting(n, kappa int, order []graph.Triangle, vnodeOf []int32, vnodeHost []lbm.NodeID,
-	l *lbm.Layout) ([]*lbm.Plan, []hostKey) {
+	l *lbm.Layout) ([]route, []hostKey) {
 
-	seen := map[triple]struct{}{}
-	var triples []triple
+	triples := make([]triple, len(order))
 	for idx, t := range order {
-		tr := triple{a: t.I, b: t.K, vnode: vnodeOf[idx]}
-		if _, dup := seen[tr]; dup {
-			continue
-		}
-		seen[tr] = struct{}{}
-		triples = append(triples, tr)
+		triples[idx] = triple{a: t.I, b: t.K, vnode: vnodeOf[idx]}
 	}
-	sort.Slice(triples, func(x, y int) bool {
-		if triples[x].a != triples[y].a {
-			return triples[x].a < triples[y].a
-		}
-		if triples[x].b != triples[y].b {
-			return triples[x].b < triples[y].b
-		}
-		return triples[x].vnode < triples[y].vnode
-	})
+	triples = sortedTriples(triples)
 	per := (len(triples) + n - 1) / n
 	if per < 1 {
 		per = 1
 	}
 	holder := func(idx int) lbm.NodeID { return lbm.NodeID(idx / per) }
 
-	var cleanup []hostKey
+	cleanup := make([]hostKey, 0, 2*len(triples))
 
 	// Step 1: route each virtual computer's pre-aggregated partial to its
 	// triple holder, accumulating co-located partials on arrival.
-	var route []routing.Msg
+	toHolder := make([]routing.Msg, 0, len(triples))
 	for idx, tr := range triples {
 		src := lbm.PKey(tr.a, tr.b, tr.vnode)
 		dst := lbm.PKey(tr.a, tr.b, aggSeq)
-		route = append(route, routing.Msg{
+		toHolder = append(toHolder, routing.Msg{
 			From: vnodeHost[tr.vnode], To: holder(idx),
 			Src: src, Dst: dst, Op: lbm.OpAcc,
 		})
 		cleanup = append(cleanup, hostKey{vnodeHost[tr.vnode], src})
 		cleanup = append(cleanup, hostKey{holder(idx), dst})
 	}
-	step1 := routing.Schedule(route, routing.Auto)
 
 	// Step 2: convergecast each (i,k) group's partials into its anchor.
 	var groups []routing.Group
@@ -531,7 +569,7 @@ func planOutputRouting(n, kappa int, order []graph.Triangle, vnodeOf []int32, vn
 	step2 := routing.ConvergecastPlan(groups)
 
 	// Step 3: anchor → output owner, accumulated into X.
-	var final []routing.Msg
+	final := make([]routing.Msg, 0, len(spans))
 	for _, sp := range spans {
 		anchor := holder(sp.from)
 		owner := l.OwnerX(sp.a, sp.b)
@@ -540,9 +578,8 @@ func planOutputRouting(n, kappa int, order []graph.Triangle, vnodeOf []int32, vn
 			Src: lbm.PKey(sp.a, sp.b, aggSeq), Dst: lbm.XKey(sp.a, sp.b), Op: lbm.OpAcc,
 		})
 	}
-	step3 := routing.Schedule(final, routing.Auto)
 
-	return []*lbm.Plan{step1, step2, step3}, cleanup
+	return []route{{msgs: toHolder}, {plan: step2}, {msgs: final}}, cleanup
 }
 
 // Run executes the job: the input routing plans, the free local products,
@@ -558,11 +595,11 @@ func Run(m *lbm.Machine, job *Job) error {
 		m.Counter("kappa", float64(job.Kappa))
 		m.Counter("virtual_nodes", float64(job.VirtualNodes))
 	}
-	runSteps := func(first int, plans []*lbm.Plan, what string) error {
-		for i, p := range plans {
-			m.Mark(sh.labels[first+i])
-			m.BeginPhase(sh.phases[first+i])
-			err := m.Run(p)
+	runSteps := func(first, last int, what string) error {
+		for i := first; i < last; i++ {
+			m.Mark(sh.labels[i])
+			m.BeginPhase(sh.phases[i])
+			err := m.Run(job.routes[i].planned())
 			m.EndPhase()
 			if err != nil {
 				return fmt.Errorf("fewtri %s routing: %w", what, err)
@@ -570,7 +607,7 @@ func Run(m *lbm.Machine, job *Job) error {
 		}
 		return nil
 	}
-	if err := runSteps(0, job.plans[:sh.in], "input"); err != nil {
+	if err := runSteps(0, sh.in, "input"); err != nil {
 		return err
 	}
 	m.BeginPhase("products")
@@ -586,7 +623,7 @@ func Run(m *lbm.Machine, job *Job) error {
 		}
 	}
 	m.EndPhase()
-	if err := runSteps(sh.in, job.plans[sh.in:], "output"); err != nil {
+	if err := runSteps(sh.in, len(job.routes), "output"); err != nil {
 		return err
 	}
 	for _, ck := range job.cleanup {
@@ -610,9 +647,9 @@ func Emit(prog *lbm.Program, sp *lbm.SlotSpace, job *Job) error {
 		prog.Counter("kappa", float64(job.Kappa))
 		prog.Counter("virtual_nodes", float64(job.VirtualNodes))
 	}
-	route := func(first, last int, what string) error {
+	lower := func(first, last int, what string) error {
 		for i := first; i < last; i++ {
-			cp, err := lbm.CompileInto(sp, job.plans[i])
+			cp, err := lbm.CompileInto(sp, job.routes[i].planned())
 			if err != nil {
 				return fmt.Errorf("fewtri: compile plan %d: %w", i, err)
 			}
@@ -623,7 +660,7 @@ func Emit(prog *lbm.Program, sp *lbm.SlotSpace, job *Job) error {
 		}
 		return nil
 	}
-	if err := route(0, sh.in, "input"); err != nil {
+	if err := lower(0, sh.in, "input"); err != nil {
 		return err
 	}
 	prog.BeginPhase("products")
@@ -638,7 +675,7 @@ func Emit(prog *lbm.Program, sp *lbm.SlotSpace, job *Job) error {
 		}
 	}
 	prog.EndPhase()
-	if err := route(sh.in, len(job.plans), "output"); err != nil {
+	if err := lower(sh.in, len(job.routes), "output"); err != nil {
 		return err
 	}
 	for _, ck := range job.cleanup {

@@ -7,8 +7,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"lbmm/internal/matrix"
 )
@@ -269,13 +270,7 @@ func int32Set(xs []int32) map[int32]bool {
 
 // SortTriangles orders triangles lexicographically by (I, J, K) in place.
 func SortTriangles(ts []Triangle) {
-	sort.Slice(ts, func(a, b int) bool {
-		if ts[a].I != ts[b].I {
-			return ts[a].I < ts[b].I
-		}
-		if ts[a].J != ts[b].J {
-			return ts[a].J < ts[b].J
-		}
-		return ts[a].K < ts[b].K
+	slices.SortFunc(ts, func(a, b Triangle) int {
+		return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J), cmp.Compare(a.K, b.K))
 	})
 }

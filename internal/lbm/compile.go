@@ -19,18 +19,28 @@ import (
 // (plans, local product tasks, cleanup sweeps), so a key staged by one plan
 // and consumed by a later one resolves to the same slot.
 type SlotSpace struct {
-	n    int
-	idx  []map[Key]int32
-	keys [][]Key
+	n int
+	// idx is the one slot index of every node; seen lists its keys in the
+	// order they were first seen, and sizes counts each node's slots.
+	idx   map[nodeKey]int32
+	seen  []nodeKey
+	sizes []int32
 }
+
+// nodeKey is key k at one node, its fields widened to leave no padding, so
+// that the map hashes it as one block of memory.
+type nodeKey struct {
+	node          NodeID
+	kind, i, j, q int32
+}
+
+func nodeKeyOf(node NodeID, k Key) nodeKey { return nodeKey{node, int32(k.Kind), k.I, k.J, k.Seq} }
+
+func (nk nodeKey) key() Key { return Key{Kind: Kind(nk.kind), I: nk.i, J: nk.j, Seq: nk.q} }
 
 // NewSlotSpace returns an empty slot space for n computers.
 func NewSlotSpace(n int) *SlotSpace {
-	s := &SlotSpace{n: n, idx: make([]map[Key]int32, n), keys: make([][]Key, n)}
-	for i := range s.idx {
-		s.idx[i] = map[Key]int32{}
-	}
-	return s
+	return &SlotSpace{n: n, idx: map[nodeKey]int32{}, sizes: make([]int32, n)}
 }
 
 // N returns the number of computers the space was built for.
@@ -43,18 +53,20 @@ func (s *SlotSpace) Slot(node NodeID, k Key) int32 {
 	if node < 0 || int(node) >= s.n {
 		return -1
 	}
-	if sl, ok := s.idx[node][k]; ok {
+	nk := nodeKeyOf(node, k)
+	if sl, ok := s.idx[nk]; ok {
 		return sl
 	}
-	sl := int32(len(s.keys[node]))
-	s.idx[node][k] = sl
-	s.keys[node] = append(s.keys[node], k)
+	sl := s.sizes[node]
+	s.idx[nk] = sl
+	s.seen = append(s.seen, nk)
+	s.sizes[node]++
 	return sl
 }
 
 // Lookup returns the slot of key k at node without assigning one.
 func (s *SlotSpace) Lookup(node NodeID, k Key) (int32, bool) {
-	sl, ok := s.idx[node][k]
+	sl, ok := s.idx[nodeKeyOf(node, k)]
 	return sl, ok
 }
 
@@ -65,20 +77,28 @@ func (s *SlotSpace) Ref(node NodeID, k Key) SlotRef {
 
 // Sizes returns the per-node arena sizes (number of assigned slots).
 func (s *SlotSpace) Sizes() []int32 {
-	out := make([]int32, s.n)
-	for i := range out {
-		out[i] = int32(len(s.keys[i]))
-	}
-	return out
+	return append([]int32(nil), s.sizes...)
 }
 
 // EachKey visits every assigned (node, key, slot) triple in deterministic
 // order (by node, then by slot assignment order).
 func (s *SlotSpace) EachKey(f func(node NodeID, k Key, slot int32)) {
-	for node := range s.keys {
-		for slot, k := range s.keys[node] {
-			f(NodeID(node), k, int32(slot))
+	// Bucket the keys by node; within a node, order of sight is slot order.
+	next := make([]int, s.n+1)
+	for v, sz := range s.sizes {
+		next[v+1] = next[v] + int(sz)
+	}
+	keys := make([]Key, len(s.seen))
+	for _, nk := range s.seen {
+		keys[next[nk.node]] = nk.key()
+		next[nk.node]++
+	}
+	start := 0
+	for v, end := range next[:s.n] {
+		for slot, k := range keys[start:end] {
+			f(NodeID(v), k, int32(slot))
 		}
+		start = end
 	}
 }
 

@@ -23,24 +23,6 @@ type edge struct {
 	l, r int32
 }
 
-// maxDegree returns the maximum degree over all left and right nodes.
-func maxDegree(edges []edge, nl, nr int) int {
-	dl := make([]int, nl)
-	dr := make([]int, nr)
-	m := 0
-	for _, e := range edges {
-		dl[e.l]++
-		dr[e.r]++
-		if dl[e.l] > m {
-			m = dl[e.l]
-		}
-		if dr[e.r] > m {
-			m = dr[e.r]
-		}
-	}
-	return m
-}
-
 // eulerColor colours edge indices (into edges) with colours such that no two
 // edges sharing an endpoint get the same colour. It returns colour classes
 // as slices of edge indices.
@@ -162,21 +144,17 @@ func eulerPartition(edges []edge, idx []int32, nl, nr int) (half1, half2 []int32
 }
 
 // konigColor computes an exact Δ-edge-colouring of the bipartite multigraph
-// via alternating-path augmentation.
-func konigColor(edges []edge, nl, nr int) [][]int32 {
-	delta := maxDegree(edges, nl, nr)
+// via alternating-path augmentation; delta is its largest degree.
+func konigColor(edges []edge, nl, nr, delta int) [][]int32 {
 	if delta == 0 {
 		return nil
 	}
-	// colourAtL[u][c] = edge index using colour c at left node u, -1 if free.
-	colourAtL := make([][]int32, nl)
-	colourAtR := make([][]int32, nr)
-	for u := range colourAtL {
-		colourAtL[u] = filled(delta, -1)
-	}
-	for v := range colourAtR {
-		colourAtR[v] = filled(delta, -1)
-	}
+	// atL[u*delta+c] = edge index using colour c at left node u, -1 if free;
+	// atR likewise at right nodes.
+	slots := filled((nl+nr)*delta, -1)
+	atL, atR := slots[:nl*delta], slots[nl*delta:]
+	colourAtL := func(u int32) []int32 { return atL[int(u)*delta:][:delta] }
+	colourAtR := func(v int32) []int32 { return atR[int(v)*delta:][:delta] }
 	colourOf := filled(len(edges), -1)
 
 	freeAt := func(slots []int32) int32 {
@@ -187,13 +165,20 @@ func konigColor(edges []edge, nl, nr int) [][]int32 {
 		}
 		return -1
 	}
+	assign := func(ei, c int32) {
+		e := edges[ei]
+		colourAtL(e.l)[c] = ei
+		colourAtR(e.r)[c] = ei
+		colourOf[ei] = c
+	}
 
+	var path []int32
 	for ei := range edges {
 		e := edges[ei]
-		cl := freeAt(colourAtL[e.l])
-		cr := freeAt(colourAtR[e.r])
+		cl := freeAt(colourAtL(e.l))
+		cr := freeAt(colourAtR(e.r))
 		if cl == cr {
-			assign(colourAtL, colourAtR, colourOf, edges, int32(ei), cl)
+			assign(int32(ei), cl)
 			continue
 		}
 		// Collect the alternating (cl, cr)-path starting at the right node
@@ -201,15 +186,15 @@ func konigColor(edges []edge, nl, nr int) [][]int32 {
 		// swap the two colours along it. This frees cl at e.r while keeping
 		// it free at e.l (the path cannot reach e.l: it would have to arrive
 		// by an edge coloured cl, but cl is free at e.l).
-		var path []int32
+		path = path[:0]
 		u, vSide := e.r, true // current node; vSide=true means right side
 		cur, oth := cl, cr
 		for {
 			var slots []int32
 			if vSide {
-				slots = colourAtR[u]
+				slots = colourAtR(u)
 			} else {
-				slots = colourAtL[u]
+				slots = colourAtL(u)
 			}
 			next := slots[cur]
 			if next == -1 {
@@ -230,42 +215,37 @@ func konigColor(edges []edge, nl, nr int) [][]int32 {
 		for _, pe := range path {
 			ne := edges[pe]
 			c := colourOf[pe]
-			colourAtL[ne.l][c] = -1
-			colourAtR[ne.r][c] = -1
+			colourAtL(ne.l)[c] = -1
+			colourAtR(ne.r)[c] = -1
 		}
 		for _, pe := range path {
-			ne := edges[pe]
 			nc := cl
 			if colourOf[pe] == cl {
 				nc = cr
 			}
-			colourOf[pe] = nc
-			colourAtL[ne.l][nc] = pe
-			colourAtR[ne.r][nc] = pe
+			assign(pe, nc)
 		}
-		assign(colourAtL, colourAtR, colourOf, edges, int32(ei), cl)
-		_ = oth
+		assign(int32(ei), cl)
 	}
 
+	// The classes are windows of one slab, each listing its edges in index
+	// order. A vertex of degree Δ meets every colour, so none is empty.
+	count := make([]int32, delta+1)
+	for _, c := range colourOf {
+		count[c+1]++
+	}
+	for c := 1; c <= delta; c++ {
+		count[c] += count[c-1]
+	}
+	slab := make([]int32, len(edges))
 	classes := make([][]int32, delta)
+	for c := range classes {
+		classes[c] = slab[count[c]:count[c]:count[c+1]]
+	}
 	for ei, c := range colourOf {
 		classes[c] = append(classes[c], int32(ei))
 	}
-	// Drop empty classes (possible when delta > needed for tiny graphs).
-	out := classes[:0]
-	for _, cl := range classes {
-		if len(cl) > 0 {
-			out = append(out, cl)
-		}
-	}
-	return out
-}
-
-func assign(colourAtL, colourAtR [][]int32, colourOf []int32, edges []edge, ei, c int32) {
-	e := edges[ei]
-	colourAtL[e.l][c] = ei
-	colourAtR[e.r][c] = ei
-	colourOf[ei] = c
+	return classes
 }
 
 func filled(n int, v int32) []int32 {

@@ -36,6 +36,24 @@ func properColoring(t *testing.T, edges []edge, classes [][]int32) {
 	}
 }
 
+// maxDegree returns the maximum degree over all left and right nodes.
+func maxDegree(edges []edge, nl, nr int) int {
+	dl := make([]int, nl)
+	dr := make([]int, nr)
+	m := 0
+	for _, e := range edges {
+		dl[e.l]++
+		dr[e.r]++
+		if dl[e.l] > m {
+			m = dl[e.l]
+		}
+		if dr[e.r] > m {
+			m = dr[e.r]
+		}
+	}
+	return m
+}
+
 func randomEdges(rng *rand.Rand, nl, nr, m int) []edge {
 	es := make([]edge, m)
 	for i := range es {
@@ -64,7 +82,7 @@ func TestKonigColorOptimal(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		nl, nr := 1+rng.Intn(15), 1+rng.Intn(15)
 		es := randomEdges(rng, nl, nr, rng.Intn(100))
-		classes := konigColor(es, nl, nr)
+		classes := konigColor(es, nl, nr, maxDegree(es, nl, nr))
 		properColoring(t, es, classes)
 		delta := maxDegree(es, nl, nr)
 		if len(classes) != 0 && len(classes) > delta {
@@ -77,12 +95,12 @@ func TestColoringEmptyAndParallelEdges(t *testing.T) {
 	if got := eulerColor(nil, 3, 3); len(got) != 0 {
 		t.Error("empty euler")
 	}
-	if got := konigColor(nil, 3, 3); len(got) != 0 {
+	if got := konigColor(nil, 3, 3, 0); len(got) != 0 {
 		t.Error("empty könig")
 	}
 	// 5 parallel edges between the same pair need 5 colours.
 	es := []edge{{0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0}}
-	if got := konigColor(es, 1, 1); len(got) != 5 {
+	if got := konigColor(es, 1, 1, 5); len(got) != 5 {
 		t.Errorf("parallel edges könig: %d colours", len(got))
 	}
 	ec := eulerColor(es, 1, 1)
@@ -121,7 +139,7 @@ func TestScheduleDeliversEverything(t *testing.T) {
 			}
 			// Round bound: König pays exactly max(S,R)+[has local]; Euler
 			// pays < 2*max(S,R) rounds (+1 for a local-only extra round).
-			s, r := MaxDegrees(msgs)
+			s, r, _ := degreeMax(msgs)
 			delta := s
 			if r > delta {
 				delta = r
@@ -156,9 +174,58 @@ func TestMaxDegrees(t *testing.T) {
 	msgs := []Msg{
 		{From: 0, To: 1}, {From: 0, To: 2}, {From: 3, To: 2}, {From: 4, To: 4},
 	}
-	s, r := MaxDegrees(msgs)
-	if s != 2 || r != 2 {
-		t.Errorf("MaxDegrees = %d,%d", s, r)
+	s, r, e := degreeMax(msgs)
+	if s != 2 || r != 2 || e != 3 {
+		t.Errorf("degreeMax = %d,%d,%d, want 2,2,3", s, r, e)
+	}
+}
+
+// TestPriceIsAutoCost pins Price against Schedule(msgs, Auto): on random
+// h-relations with local copies, and on none or local copies only, the price
+// is exact and equals the schedule's lbm.Plan.Cost. On a star whose E·Δ
+// exceeds autoKonigBudget, Auto splits by Euler, so the price is not exact:
+// it has the schedule's messages and Δ rounds, a lower bound of its rounds.
+func TestPriceIsAutoCost(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	cases := [][]Msg{nil, {{From: 3, To: 3}, {From: 5, To: 5}}}
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(40)
+		msgs := make([]Msg, rng.Intn(300))
+		for i := range msgs {
+			msgs[i] = Msg{From: lbm.NodeID(rng.Intn(n)), To: lbm.NodeID(rng.Intn(n)),
+				Src: lbm.TKey(int32(i), 0, 0), Dst: lbm.TKey(int32(i), 1, 0)}
+		}
+		cases = append(cases, msgs)
+	}
+	for i, msgs := range cases {
+		rounds, messages, exact := Price(msgs)
+		wantRounds, wantMessages := Schedule(msgs, Auto).Cost()
+		if !exact || rounds != wantRounds || messages != wantMessages {
+			t.Fatalf("case %d: priced %d/%d (exact %v), Auto schedule costs %d/%d", i, rounds, messages, exact, wantRounds, wantMessages)
+		}
+	}
+
+	// A star: computer 0 sends E messages over 16 spokes, so Δ = E and
+	// E·Δ > 2^27.
+	e := 1
+	for e*e <= autoKonigBudget {
+		e++
+	}
+	star := make([]Msg, e)
+	for i := range star {
+		star[i] = Msg{From: 0, To: lbm.NodeID(1 + i%16), Src: lbm.TKey(0, int32(i), 0), Dst: lbm.TKey(0, int32(i), 0)}
+	}
+	rounds, messages, exact := Price(star)
+	if exact || rounds != e || messages != e {
+		t.Fatalf("star of %d: priced %d/%d exact=%v, want %d/%d and not exact", e, rounds, messages, exact, e, e)
+	}
+	auto := Schedule(star, Auto)
+	autoRounds, autoMessages := auto.Cost()
+	if eulerRounds, _ := Schedule(star, Euler).Cost(); autoRounds != eulerRounds {
+		t.Fatalf("star: Auto schedule has %d rounds, Euler's %d: Auto did not pick Euler", autoRounds, eulerRounds)
+	}
+	if autoMessages != messages || autoRounds < rounds {
+		t.Fatalf("star: Auto schedule costs %d/%d, below the price %d/%d", autoRounds, autoMessages, rounds, messages)
 	}
 }
 
@@ -287,7 +354,7 @@ func TestStrategyAblation(t *testing.T) {
 			msgs = append(msgs, Msg{From: from, To: to,
 				Src: lbm.TKey(int32(i), 0, 0), Dst: lbm.TKey(int32(i), 1, 0)})
 		}
-		s, r := MaxDegrees(msgs)
+		s, r, _ := degreeMax(msgs)
 		delta := s
 		if r > delta {
 			delta = r

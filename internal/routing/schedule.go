@@ -30,47 +30,86 @@ const (
 // autoKonigBudget caps the König work E·Δ (colour scans) Auto will accept.
 const autoKonigBudget = 1 << 27
 
+// konigAffordable reports whether Auto colours e real messages of largest
+// degree delta by König.
+func konigAffordable(e, delta int) bool {
+	return delta > 0 && e*delta <= autoKonigBudget
+}
+
+// Price returns what Schedule(msgs, Auto) charges, as lbm.Plan.Cost counts
+// it, without colouring anything: one pass over the per-computer send and
+// receive degrees of the real (From ≠ To) messages decides it. messages is
+// their count E. Where Auto colours by König — E·Δ within autoKonigBudget, Δ
+// the largest degree — the schedule has exactly Δ rounds (König's theorem:
+// a vertex of degree Δ meets every colour), and exact is true; so it is for
+// an h-relation of local copies only, which costs nothing. Otherwise Auto
+// splits by Euler, whose round count lies between Δ and 2^⌈log₂ Δ⌉ and is
+// known only once coloured: rounds is then Δ, a lower bound, and exact is
+// false.
+func Price(msgs []Msg) (rounds, messages int, exact bool) {
+	maxSend, maxRecv, remote := degreeMax(msgs)
+	delta := max(maxSend, maxRecv)
+	return delta, remote, remote == 0 || konigAffordable(remote, delta)
+}
+
+// degreeMax returns the largest per-computer send and receive
+// multiplicities of the real messages of msgs, and their count: the lower
+// bound any schedule of them must pay. The degrees are counted in tables
+// indexed by NodeID.
+func degreeMax(msgs []Msg) (maxSend, maxRecv, remote int) {
+	lo, span, remote := nodeSpan(msgs)
+	deg := make([]int32, 2*span)
+	send, recv := deg[:span], deg[span:]
+	for _, m := range msgs {
+		if m.From == m.To {
+			continue
+		}
+		s, r := &send[m.From-lo], &recv[m.To-lo]
+		*s++
+		*r++
+		maxSend = max(maxSend, int(*s))
+		maxRecv = max(maxRecv, int(*r))
+	}
+	return maxSend, maxRecv, remote
+}
+
+// nodeSpan returns the count of the real messages of msgs, the smallest
+// NodeID lo among their ends and the length of the range [lo, hi] those
+// span, so that tables indexed by NodeID−lo cover every sender and receiver.
+func nodeSpan(msgs []Msg) (lo lbm.NodeID, span, remote int) {
+	var hi lbm.NodeID
+	for _, m := range msgs {
+		if m.From == m.To {
+			continue
+		}
+		if remote == 0 {
+			lo, hi = m.From, m.From
+		}
+		lo, hi = min(lo, m.From, m.To), max(hi, m.From, m.To)
+		remote++
+	}
+	if remote == 0 {
+		return 0, 0, 0
+	}
+	return lo, int(hi-lo) + 1, remote
+}
+
 // Schedule arranges an arbitrary set of messages into rounds that respect
 // the one-send/one-receive constraint, using bipartite edge colouring on the
 // sender/receiver multigraph. The number of rounds is O(S + R) where S and R
 // are the maximum per-node send and receive multiplicities — the h-relation
-// bound used throughout the paper's §3.3.
+// bound used throughout the paper's §3.3. What an Auto schedule charges is
+// known before colouring (Price), so a planner that prices several
+// candidates colours only the one it keeps.
 //
 // Self-messages (From == To) are free local copies; they are all placed in
 // the first round.
 func Schedule(msgs []Msg, strategy Strategy) *lbm.Plan {
-	var local []Msg
-	var remote []Msg
-	for _, m := range msgs {
-		if m.From == m.To {
-			local = append(local, m)
-		} else {
-			remote = append(remote, m)
-		}
-	}
-
-	// Compact the node ids appearing as senders/receivers so colouring
-	// works on dense indices.
-	lIdx := map[lbm.NodeID]int32{}
-	rIdx := map[lbm.NodeID]int32{}
-	edges := make([]edge, len(remote))
-	for i, m := range remote {
-		l, ok := lIdx[m.From]
-		if !ok {
-			l = int32(len(lIdx))
-			lIdx[m.From] = l
-		}
-		r, ok := rIdx[m.To]
-		if !ok {
-			r = int32(len(rIdx))
-			rIdx[m.To] = r
-		}
-		edges[i] = edge{l: l, r: r}
-	}
-
+	h := compact(msgs)
+	maxSend, maxRecv, _ := degreeMax(msgs)
+	delta := max(maxSend, maxRecv)
 	if strategy == Auto {
-		delta := maxDegree(edges, len(lIdx), len(rIdx))
-		if delta > 0 && len(edges)*delta <= autoKonigBudget {
+		if konigAffordable(len(h.edges), delta) {
 			strategy = Konig
 		} else {
 			strategy = Euler
@@ -78,37 +117,37 @@ func Schedule(msgs []Msg, strategy Strategy) *lbm.Plan {
 	}
 	var classes [][]int32
 	if strategy == Konig {
-		classes = konigColor(edges, len(lIdx), len(rIdx))
+		classes = konigColor(h.edges, h.nl, h.nr, delta)
 	} else {
-		classes = eulerColor(edges, len(lIdx), len(rIdx))
+		classes = eulerColor(h.edges, h.nl, h.nr)
 	}
 
-	plan := &lbm.Plan{}
-	for ci, class := range classes {
-		round := make(lbm.Round, 0, len(class)+len(local))
-		if ci == 0 {
-			for _, m := range local {
-				round = append(round, lbm.Send{From: m.From, To: m.To, Src: m.Src, Dst: m.Dst, Op: m.Op})
-			}
+	// Every round is a window of one slab of sends. The local copies lead
+	// round 0, or make up the only round when nothing is remote.
+	send := func(m Msg) lbm.Send { return lbm.Send{From: m.From, To: m.To, Src: m.Src, Dst: m.Dst, Op: m.Op} }
+	plan := &lbm.Plan{Rounds: make([]lbm.Round, 0, max(len(classes), 1))}
+	sends := make([]lbm.Send, 0, len(msgs))
+	for _, m := range msgs {
+		if m.From == m.To {
+			sends = append(sends, send(m))
 		}
-		for _, ei := range class {
-			m := remote[ei]
-			round = append(round, lbm.Send{From: m.From, To: m.To, Src: m.Src, Dst: m.Dst, Op: m.Op})
-		}
-		plan.Append(round)
 	}
-	if len(classes) == 0 && len(local) > 0 {
-		round := make(lbm.Round, 0, len(local))
-		for _, m := range local {
-			round = append(round, lbm.Send{From: m.From, To: m.To, Src: m.Src, Dst: m.Dst, Op: m.Op})
+	local := len(sends)
+	start := 0
+	for _, class := range classes {
+		for _, ei := range class {
+			sends = append(sends, send(msgs[h.remote[ei]]))
 		}
-		plan.Append(round)
+		plan.Append(sends[start:len(sends):len(sends)])
+		start = len(sends)
+	}
+	if len(classes) == 0 {
+		plan.Append(sends)
 	}
 	if len(msgs) > 0 {
-		maxSend, maxRecv := MaxDegrees(msgs)
 		plan.Annotate("routing/hrel", map[string]float64{
-			"messages":   float64(len(remote)),
-			"local":      float64(len(local)),
+			"messages":   float64(len(h.remote)),
+			"local":      float64(local),
 			"delta_send": float64(maxSend),
 			"delta_recv": float64(maxRecv),
 		})
@@ -116,25 +155,40 @@ func Schedule(msgs []Msg, strategy Strategy) *lbm.Plan {
 	return plan
 }
 
-// MaxDegrees returns the maximum per-node send and receive multiplicities of
-// a message set — the lower bound any schedule of it must pay.
-func MaxDegrees(msgs []Msg) (maxSend, maxRecv int) {
-	s := map[lbm.NodeID]int{}
-	r := map[lbm.NodeID]int{}
-	for _, m := range msgs {
+// hrel is the real messages of an h-relation laid out for colouring: edge e
+// is message remote[e], between sender and receiver indices dense from 0 and
+// numbered in order of first appearance.
+type hrel struct {
+	remote []int32
+	edges  []edge
+	nl, nr int
+}
+
+// compact lays the real messages of msgs out for colouring, numbering their
+// senders and receivers through tables indexed by NodeID.
+func compact(msgs []Msg) hrel {
+	lo, span, remote := nodeSpan(msgs)
+	h := hrel{remote: make([]int32, 0, remote), edges: make([]edge, 0, remote)}
+	// Per NodeID−lo: sender index+1 and receiver index+1, 0 while unseen.
+	tab := make([]int32, 2*span)
+	lIdx, rIdx := tab[:span], tab[span:]
+	for i, m := range msgs {
 		if m.From == m.To {
 			continue
 		}
-		s[m.From]++
-		r[m.To]++
-		if s[m.From] > maxSend {
-			maxSend = s[m.From]
+		f, t := m.From-lo, m.To-lo
+		if lIdx[f] == 0 {
+			h.nl++
+			lIdx[f] = int32(h.nl)
 		}
-		if r[m.To] > maxRecv {
-			maxRecv = r[m.To]
+		if rIdx[t] == 0 {
+			h.nr++
+			rIdx[t] = int32(h.nr)
 		}
+		h.remote = append(h.remote, int32(i))
+		h.edges = append(h.edges, edge{l: lIdx[f] - 1, r: rIdx[t] - 1})
 	}
-	return maxSend, maxRecv
+	return h
 }
 
 // ---------------------------------------------------------------------------
