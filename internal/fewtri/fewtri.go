@@ -353,23 +353,14 @@ func PlanTrivial(l *lbm.Layout, tris []graph.Triangle) *Job {
 	if len(tris) == 0 {
 		return job
 	}
+	// Every triangle fetches its A and then its B input; first numbers
+	// those sights in order.
 	type fetch struct {
-		to  lbm.NodeID
-		key lbm.Key
+		first    int32
+		from, to lbm.NodeID
+		key      lbm.Key
 	}
-	seen := make(map[fetch]struct{}, len(tris))
-	msgs := make([]routing.Msg, 0, len(tris))
-	add := func(from, to lbm.NodeID, key lbm.Key) {
-		f := fetch{to, key}
-		if _, dup := seen[f]; dup {
-			return
-		}
-		seen[f] = struct{}{}
-		msgs = append(msgs, routing.Msg{From: from, To: to, Src: key, Dst: key, Op: lbm.OpSet})
-		if from != to {
-			job.cleanup = append(job.cleanup, hostKey{to, key})
-		}
-	}
+	fetches := make([]fetch, 0, 2*len(tris))
 	// Products are grouped by output owner, each group a window of one slab;
 	// within a group the triangles keep their order, so every output
 	// accumulates in triangle order.
@@ -377,10 +368,32 @@ func PlanTrivial(l *lbm.Layout, tris []graph.Triangle) *Job {
 	next := make([]int, l.N+1)
 	for idx, t := range tris {
 		xo := l.OwnerX(t.I, t.K)
-		add(l.OwnerA(t.I, t.J), xo, lbm.AKey(t.I, t.J))
-		add(l.OwnerB(t.J, t.K), xo, lbm.BKey(t.J, t.K))
+		fetches = append(fetches,
+			fetch{int32(2 * idx), l.OwnerA(t.I, t.J), xo, lbm.AKey(t.I, t.J)},
+			fetch{int32(2*idx + 1), l.OwnerB(t.J, t.K), xo, lbm.BKey(t.J, t.K)})
 		owner[idx] = xo
 		next[xo+1]++
+	}
+	// One fetch per (to, key), its first sight kept, sent in first-sight
+	// order: the message order is König's edge order.
+	slices.SortFunc(fetches, func(x, y fetch) int {
+		switch {
+		case x.to != y.to:
+			return cmp.Compare(x.to, y.to)
+		case x.key != y.key:
+			return cmp.Or(cmp.Compare(x.key.Kind, y.key.Kind), cmp.Compare(x.key.I, y.key.I),
+				cmp.Compare(x.key.J, y.key.J), cmp.Compare(x.key.Seq, y.key.Seq))
+		}
+		return cmp.Compare(x.first, y.first)
+	})
+	fetches = slices.CompactFunc(fetches, func(x, y fetch) bool { return x.to == y.to && x.key == y.key })
+	slices.SortFunc(fetches, func(x, y fetch) int { return cmp.Compare(x.first, y.first) })
+	msgs := make([]routing.Msg, len(fetches))
+	for i, f := range fetches {
+		msgs[i] = routing.Msg{From: f.from, To: f.to, Src: f.key, Dst: f.key, Op: lbm.OpSet}
+		if f.from != f.to {
+			job.cleanup = append(job.cleanup, hostKey{f.to, f.key})
+		}
 	}
 	for host := range l.N {
 		next[host+1] += next[host]

@@ -18,10 +18,19 @@
 // moved into dir/quarantine — never deleted (it is evidence), never served,
 // and never picked up again by Get or GC.
 //
+// Accounting: the store/bytes gauge is a running total, not a listing. It
+// is the sum of the listing made by the last Open, GC or Verify -fix, plus
+// this process's writes and quarantines since. A Put into an unbudgeted
+// store lists nothing, so filling a store costs linear, not quadratic,
+// directory reads; a budgeted Put still lists and evicts after every write,
+// since only that listing sees what other processes sharing the directory
+// wrote.
+//
 // Concurrency: a Store is safe for concurrent use by multiple goroutines,
 // and the directory may be shared by multiple processes. The only lock is
-// an in-process mutex serializing GC scans with budget enforcement; all
-// cross-process coordination rides on rename atomicity.
+// an in-process mutex serializing GC scans, budget enforcement and the
+// renames that move the running total; all cross-process coordination
+// rides on rename atomicity.
 package planstore
 
 import (
@@ -69,14 +78,18 @@ const (
 // usable; call Open.
 type Store struct {
 	dir string
-	// budget bounds the total entry bytes; 0 disables GC.
+	// budget bounds the total entry bytes; 0 disables eviction.
 	budget  int64
 	metrics *obsv.CounterSet
-	// gcMu serializes in-process GC scans. It deliberately does not cover
-	// Get/Put file operations: those are already atomic at the filesystem
-	// level, and holding a store-wide lock across plan decoding would
+	// gcMu serializes in-process GC scans with the renames that publish or
+	// quarantine an entry, so a scan and a rename never both count one
+	// entry's bytes. It deliberately does not cover encoding, decoding or
+	// fsyncs: holding a store-wide lock across plan decoding would
 	// serialize the warm path.
 	gcMu sync.Mutex
+	// bytes is the running total behind store/bytes (package doc,
+	// "Accounting"). Guarded by gcMu.
+	bytes int64
 }
 
 // Open ensures dir exists and returns a store over it. budgetBytes bounds
@@ -97,7 +110,7 @@ func Open(dir string, budgetBytes int64, metrics *obsv.CounterSet) (*Store, erro
 		metrics = obsv.NewCounterSet()
 	}
 	s := &Store{dir: dir, budget: budgetBytes, metrics: metrics}
-	if _, err := s.publishBytes(); err != nil {
+	if err := s.rebase(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -137,16 +150,16 @@ func (s *Store) Get(fp string) (*core.Prepared, error) {
 	if !validFP(fp) {
 		return nil, fmt.Errorf("planstore: malformed fingerprint %q", fp)
 	}
-	p, opened, err := s.check(fp)
+	p, bad, err := s.check(fp)
 	if err != nil {
 		s.metrics.Add(MetricMisses, 1)
 		switch {
 		case errors.Is(err, fs.ErrNotExist):
 			return nil, ErrNotFound
-		case !opened:
+		case bad == nil:
 			return nil, fmt.Errorf("planstore: %w", err)
 		}
-		if qerr := s.quarantine(fp); qerr != nil {
+		if qerr := s.quarantine(fp, bad); qerr != nil {
 			return nil, fmt.Errorf("%w: %w (quarantine failed: %v)", ErrCorrupt, err, qerr)
 		}
 		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
@@ -159,11 +172,14 @@ func (s *Store) Get(fp string) (*core.Prepared, error) {
 	return p, nil
 }
 
-// Put writes p under fp atomically and enforces the byte budget. The entry
-// only becomes visible under its final name once fully written and synced,
-// so concurrent readers and writers — same process or not — never observe
-// a torn entry; double-writes of the same fingerprint are idempotent by
+// Put writes p under fp atomically and adds its bytes, less those of the
+// entry it replaces, to the store/bytes total. The entry only becomes
+// visible under its final name once fully written and synced, so
+// concurrent readers and writers — same process or not — never observe a
+// torn entry; double-writes of the same fingerprint are idempotent by
 // content addressing (last rename wins, both contents are equivalent).
+// With a byte budget set, Put then runs GC, which lists the store and
+// evicts past the budget; with none, Put lists nothing.
 func (s *Store) Put(fp string, p *core.Prepared) error {
 	if !validFP(fp) {
 		return fmt.Errorf("planstore: malformed fingerprint %q", fp)
@@ -190,18 +206,49 @@ func (s *Store) Put(fp string, p *core.Prepared) error {
 		tmp.Close()
 		return fmt.Errorf("planstore: sync: %w", err)
 	}
+	info, err := tmp.Stat()
+	if err != nil {
+		tmp.Close()
+		return fmt.Errorf("planstore: %w", err)
+	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("planstore: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), s.path(fp)); err != nil {
+	if err := s.publish(tmp.Name(), fp, info.Size()); err != nil {
 		return fmt.Errorf("planstore: publish: %w", err)
 	}
 	syncDir(fan)
 	s.metrics.Add(MetricWrites, 1)
-	if _, _, err := s.GC(); err != nil {
-		return fmt.Errorf("planstore: entry stored, but: %w", err)
+	if s.budget > 0 {
+		if _, _, err := s.GC(); err != nil {
+			return fmt.Errorf("planstore: entry stored, but: %w", err)
+		}
 	}
 	return nil
+}
+
+// publish renames the written temp file over fp's entry and moves the
+// running total by its size, less that of the entry it replaces. Holding
+// gcMu across the Lstat, the rename and the add keeps a concurrent GC, Put
+// or quarantine from counting either entry twice.
+func (s *Store) publish(tmp, fp string, size int64) error {
+	final := s.path(fp)
+	s.gcMu.Lock()
+	defer s.gcMu.Unlock()
+	if old, err := os.Lstat(final); err == nil {
+		size -= old.Size()
+	}
+	if err := os.Rename(tmp, final); err != nil {
+		return err
+	}
+	s.setBytes(s.bytes + size)
+	return nil
+}
+
+// setBytes sets the running total and publishes it. The caller holds gcMu.
+func (s *Store) setBytes(total int64) {
+	s.bytes = total
+	s.metrics.Set(MetricBytes, total)
 }
 
 // syncDir fsyncs a directory so a rename survives power loss. Best-effort:
@@ -215,15 +262,27 @@ func syncDir(dir string) {
 }
 
 // quarantine moves a damaged entry aside so it is preserved for inspection
-// but never scanned, served or re-validated again.
-func (s *Store) quarantine(fp string) error {
+// but never scanned, served or re-validated again, and takes its bytes off
+// the running total. bad is the damaged file as check opened it: if a
+// writer has since replaced it with a fresh entry, the damage is already
+// gone from the serving path and the fresh entry stays where it is.
+func (s *Store) quarantine(fp string, bad fs.FileInfo) error {
 	qdir := filepath.Join(s.dir, quarantineDir)
 	if err := os.MkdirAll(qdir, 0o755); err != nil {
 		return err
 	}
-	if err := os.Rename(s.path(fp), filepath.Join(qdir, fp+entrySuffix)); err != nil {
+	final := s.path(fp)
+	s.gcMu.Lock()
+	defer s.gcMu.Unlock()
+	if cur, err := os.Lstat(final); err != nil {
+		return err
+	} else if !os.SameFile(cur, bad) {
+		return nil
+	}
+	if err := os.Rename(final, filepath.Join(qdir, fp+entrySuffix)); err != nil {
 		return err
 	}
+	s.setBytes(s.bytes - bad.Size())
 	s.metrics.Add(MetricQuarantined, 1)
 	return nil
 }
@@ -289,8 +348,10 @@ func (s *Store) Quarantined() ([]string, error) {
 
 // GC enforces the byte budget: while the resident entries exceed it, the
 // least recently used entry is removed. It returns how many entries were
-// evicted and how many bytes were freed. With no budget it only refreshes
-// the store/bytes gauge.
+// evicted and how many bytes were freed. It re-bases the store/bytes total
+// on its listing, so entries other processes wrote or removed count from
+// here on; with no budget that is all it does. Put runs it after every
+// write only when a budget is set.
 func (s *Store) GC() (evicted int, freed int64, err error) {
 	s.gcMu.Lock()
 	defer s.gcMu.Unlock()
@@ -298,10 +359,7 @@ func (s *Store) GC() (evicted int, freed int64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	var total int64
-	for _, e := range entries {
-		total += e.Bytes
-	}
+	total := sumBytes(entries)
 	if s.budget > 0 {
 		// entries are MRU-first; evict from the tail.
 		for i := len(entries) - 1; i >= 0 && total > s.budget; i-- {
@@ -317,22 +375,29 @@ func (s *Store) GC() (evicted int, freed int64, err error) {
 			s.metrics.Add(MetricGCEvicted, int64(evicted))
 		}
 	}
-	s.metrics.Set(MetricBytes, total)
+	s.setBytes(total)
 	return evicted, freed, nil
 }
 
-// publishBytes refreshes the store/bytes gauge and returns the total.
-func (s *Store) publishBytes() (int64, error) {
+// rebase sets the store/bytes total to the sum of a fresh listing, without
+// enforcing the budget.
+func (s *Store) rebase() error {
+	s.gcMu.Lock()
+	defer s.gcMu.Unlock()
 	entries, err := s.List()
 	if err != nil {
-		return 0, err
+		return err
 	}
+	s.setBytes(sumBytes(entries))
+	return nil
+}
+
+func sumBytes(entries []Entry) int64 {
 	var total int64
 	for _, e := range entries {
 		total += e.Bytes
 	}
-	s.metrics.Set(MetricBytes, total)
-	return total, nil
+	return total
 }
 
 // Issue is one problem Verify found.
@@ -352,19 +417,19 @@ func (s *Store) Verify(fix bool) ([]Issue, error) {
 	}
 	var issues []Issue
 	for _, e := range entries {
-		_, _, err := s.check(e.Fingerprint)
+		_, bad, err := s.check(e.Fingerprint)
 		if err == nil {
 			continue
 		}
-		if fix {
-			if qerr := s.quarantine(e.Fingerprint); qerr != nil {
+		if fix && bad != nil {
+			if qerr := s.quarantine(e.Fingerprint, bad); qerr != nil {
 				err = fmt.Errorf("%w (quarantine failed: %v)", err, qerr)
 			}
 		}
 		issues = append(issues, Issue{Fingerprint: e.Fingerprint, Err: err})
 	}
 	if fix && len(issues) > 0 {
-		if _, err := s.publishBytes(); err != nil {
+		if err := s.rebase(); err != nil {
 			return issues, err
 		}
 	}
@@ -373,25 +438,25 @@ func (s *Store) Verify(fix bool) ([]Issue, error) {
 
 // check is the one verify path, behind Get and Verify: open the entry,
 // decode it, re-derive its content address and compare it with the entry
-// name. opened reports whether the file could be opened at all — a failure
-// past that point is the entry's fault and is what quarantine is for. It
-// touches neither metrics nor recency: Verify must not disturb the LRU
-// order the serving path builds.
-func (s *Store) check(fp string) (p *core.Prepared, opened bool, err error) {
+// name. A failure past the open is the entry's fault and is what
+// quarantine is for: bad is then the opened file's Stat, nil when the file
+// could not be opened or stat'ed at all. It touches neither metrics nor
+// recency: Verify must not disturb the LRU order the serving path builds.
+func (s *Store) check(fp string) (p *core.Prepared, bad fs.FileInfo, err error) {
 	f, err := os.Open(s.path(fp))
 	if err != nil {
-		return nil, false, err
+		return nil, nil, err
 	}
 	defer f.Close()
-	if p, err = core.DecodePrepared(f); err != nil {
-		return nil, true, err
+	if p, err = core.DecodePrepared(f); err == nil {
+		var got string
+		if got, err = p.Fingerprint(); err == nil && got != fp {
+			err = fmt.Errorf("content address %s does not match entry name", got)
+		}
 	}
-	got, err := p.Fingerprint()
 	if err != nil {
-		return nil, true, err
+		bad, _ = f.Stat() // nil when the stat fails too
+		return nil, bad, err
 	}
-	if got != fp {
-		return nil, true, fmt.Errorf("content address %s does not match entry name", got)
-	}
-	return p, true, nil
+	return p, nil, nil
 }

@@ -1,6 +1,7 @@
 package planstore_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -388,7 +389,8 @@ func TestStoreGCEvictsLRU(t *testing.T) {
 }
 
 func TestStoreConcurrentWritersAndReaders(t *testing.T) {
-	s, err := planstore.Open(t.TempDir(), 0, nil)
+	ms := obsv.NewCounterSet()
+	s, err := planstore.Open(t.TempDir(), 0, ms)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -432,6 +434,9 @@ func TestStoreConcurrentWritersAndReaders(t *testing.T) {
 	}
 	if qs, _ := s.Quarantined(); len(qs) != 0 {
 		t.Fatalf("concurrent writes quarantined entries: %v", qs)
+	}
+	if got, want := ms.Get(planstore.MetricBytes), listedBytes(t, s); got != want {
+		t.Fatalf("after concurrent writes store/bytes = %d, listing sums to %d", got, want)
 	}
 }
 
@@ -557,5 +562,195 @@ func TestStoreGetTouchesLRU(t *testing.T) {
 	}
 	if !survivors[fps[2]] {
 		t.Fatalf("newest entry %s evicted", fps[2])
+	}
+}
+
+// listedBytes is the sum of List's entry sizes: what store/bytes reads
+// right after an Open or a GC.
+func listedBytes(t *testing.T, s *planstore.Store) int64 {
+	t.Helper()
+	entries, err := s.List()
+	if err != nil {
+		t.Fatalf("list: %v", err)
+	}
+	var total int64
+	for _, e := range entries {
+		total += e.Bytes
+	}
+	return total
+}
+
+// envelopeBytes is the size of p's entry on disk.
+func envelopeBytes(t *testing.T, p *core.Prepared) int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := p.Encode(&buf); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	return int64(buf.Len())
+}
+
+// TestStoreBytesTracksWrites: the store/bytes running total equals the
+// listing after every step of new writes, a re-write of a resident entry,
+// a quarantine and a GC — without any of the writes listing the store.
+func TestStoreBytesTracksWrites(t *testing.T) {
+	ms := obsv.NewCounterSet()
+	s, err := planstore.Open(t.TempDir(), 0, ms)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	step := func(what string) {
+		t.Helper()
+		if got, want := ms.Get(planstore.MetricBytes), listedBytes(t, s); got != want {
+			t.Fatalf("after %s: store/bytes = %d, listing sums to %d", what, got, want)
+		}
+	}
+	var fps []string
+	for seed := int64(40); seed < 43; seed++ {
+		p, fp := plan(t, seed)
+		if err := s.Put(fp, p); err != nil {
+			t.Fatalf("put: %v", err)
+		}
+		fps = append(fps, fp)
+		step(fmt.Sprintf("put of seed %d", seed))
+	}
+	p, fp := plan(t, 41)
+	if err := s.Put(fp, p); err != nil {
+		t.Fatalf("re-put: %v", err)
+	}
+	step("re-put of a resident entry")
+
+	// A bit flip keeps the entry's size: the quarantine takes off exactly
+	// what the write put on.
+	path := entryPath(s.Dir(), fps[0])
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0xff
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get(fps[0]); !errors.Is(err, planstore.ErrCorrupt) {
+		t.Fatalf("get of damaged entry: err=%v, want ErrCorrupt", err)
+	}
+	step("quarantine")
+	if _, _, err := s.GC(); err != nil {
+		t.Fatalf("gc: %v", err)
+	}
+	step("gc")
+	if got := ms.Get(planstore.MetricWrites); got != 4 {
+		t.Fatalf("store/writes = %d, want 4", got)
+	}
+}
+
+// TestStoreUnbudgetedPutListsNothing: an entry copied into the directory
+// behind the store's back is not counted by the next Put — an unbudgeted
+// Put lists nothing — but is by the next GC and by the next Open.
+func TestStoreUnbudgetedPutListsNothing(t *testing.T) {
+	ms := obsv.NewCounterSet()
+	dir := t.TempDir()
+	s, err := planstore.Open(dir, 0, ms)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	pa, fpa := plan(t, 50)
+	if err := s.Put(fpa, pa); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	before := ms.Get(planstore.MetricBytes)
+
+	// Another writer's entry appears by a plain copy.
+	other, err := planstore.Open(t.TempDir(), 0, nil)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	pb, fpb := plan(t, 51)
+	if err := other.Put(fpb, pb); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	raw, err := os.ReadFile(entryPath(other.Dir(), fpb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(entryPath(dir, fpb)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(entryPath(dir, fpb), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	pc, fpc := plan(t, 52)
+	if err := s.Put(fpc, pc); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	if got, want := ms.Get(planstore.MetricBytes), before+envelopeBytes(t, pc); got != want {
+		t.Fatalf("after put: store/bytes = %d, want %d (this process's writes only)", got, want)
+	}
+	want := listedBytes(t, s)
+	if want != ms.Get(planstore.MetricBytes)+int64(len(raw)) {
+		t.Fatalf("listing sums to %d, want the gauge plus the %d copied bytes", want, len(raw))
+	}
+	if _, _, err := s.GC(); err != nil {
+		t.Fatalf("gc: %v", err)
+	}
+	if got := ms.Get(planstore.MetricBytes); got != want {
+		t.Fatalf("after gc: store/bytes = %d, want %d", got, want)
+	}
+	reopened := obsv.NewCounterSet()
+	if _, err := planstore.Open(dir, 0, reopened); err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if got := reopened.Get(planstore.MetricBytes); got != want {
+		t.Fatalf("after open: store/bytes = %d, want %d", got, want)
+	}
+}
+
+// TestStoreBudgetedPutEvicts: with a budget set, the Put that crosses it
+// evicts the least recently used entry itself, with no explicit GC.
+func TestStoreBudgetedPutEvicts(t *testing.T) {
+	var plans []*core.Prepared
+	var fps []string
+	var sizes int64
+	for seed := int64(60); seed < 63; seed++ {
+		p, fp := plan(t, seed)
+		plans, fps = append(plans, p), append(fps, fp)
+		sizes += envelopeBytes(t, p)
+	}
+	ms := obsv.NewCounterSet()
+	dir := t.TempDir()
+	// Room for any two of the three entries, not for all three.
+	s, err := planstore.Open(dir, sizes-1, ms)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	base := time.Now().Add(-time.Hour)
+	for i := range 2 {
+		if err := s.Put(fps[i], plans[i]); err != nil {
+			t.Fatalf("put: %v", err)
+		}
+		when := base.Add(time.Duration(i) * time.Minute)
+		if err := os.Chtimes(entryPath(dir, fps[i]), when, when); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := ms.Get(planstore.MetricGCEvicted); got != 0 {
+		t.Fatalf("store/gc_evicted = %d under the budget, want 0", got)
+	}
+	if err := s.Put(fps[2], plans[2]); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	if got := ms.Get(planstore.MetricGCEvicted); got != 1 {
+		t.Fatalf("store/gc_evicted = %d after crossing the budget, want 1", got)
+	}
+	entries, err := s.List()
+	if err != nil {
+		t.Fatalf("list: %v", err)
+	}
+	if len(entries) != 2 || entries[0].Fingerprint != fps[2] || entries[1].Fingerprint != fps[1] {
+		t.Fatalf("store holds %v, want %s then %s (the LRU %s evicted)", entries, fps[2], fps[1], fps[0])
+	}
+	if got, want := ms.Get(planstore.MetricBytes), listedBytes(t, s); got != want {
+		t.Fatalf("store/bytes = %d, listing sums to %d", got, want)
 	}
 }
