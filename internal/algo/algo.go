@@ -3,10 +3,11 @@
 // advance and only values move, so a Planner plans an algorithm once per
 // structure and the plan, once compiled, runs on any number of value sets
 // on the slot-addressed engine (Prepared.MultiplyBatch): the program that
-// serves, and the one every reported number and trace comes from. The
-// reference map Machine (Prepared.MultiplyMap) runs a fresh plan as the
-// oracle the tests and chaos.Differential check that program with, and
-// nothing else. The Planner's plans:
+// serves, and the one every reported number and trace comes from. A plan
+// writes its step order once, to an lbm.Emitter: compiling lowers it into
+// that program, and the reference map Machine (Prepared.MultiplyMap) runs
+// it as the oracle the tests and chaos.Differential check the program
+// with, and nothing else. The Planner's plans:
 //
 //   - Trivial — the O(d²)-round baseline for uniformly sparse instances
 //     ([13]'s starting point): every triangle is processed at the computer
@@ -25,6 +26,8 @@
 //   - SPAA22 — the prior work's full algorithm as reconstructed here:
 //     Theorem42's phase 1 aimed at the prior exponents, then the naive
 //     phase 2.
+//   - Dense — a whole-instance dense routine of package dense (Table 1's
+//     dense rows).
 package algo
 
 import (
@@ -159,15 +162,6 @@ func clusterSchedule(inst *graph.Instance, isField bool, alpha float64, tris []g
 	return residual, nil
 }
 
-// recorder is the part of both engines, *lbm.Machine and *lbm.Exec, that a
-// two-phase plan records its phase spans on.
-type recorder interface {
-	Mark(label string)
-	BeginPhase(label string)
-	EndPhase()
-	Counter(name string, delta float64)
-}
-
 // twoPhase reports whether p is a two-phase plan (Theorem 4.2 or the
 // SPAA 2022 reconstruction), whose trace splits into phase1 and phase2.
 func (p *Prepared) twoPhase() bool {
@@ -176,7 +170,7 @@ func (p *Prepared) twoPhase() bool {
 
 // beginPhase1 opens a two-phase plan's phase-1 span, with the κ target
 // ⌈d^α⌉ that phase 1 shrinks the residual toward.
-func (p *Prepared) beginPhase1(rec recorder) {
+func (p *Prepared) beginPhase1(rec lbm.Emitter) {
 	if !p.twoPhase() {
 		return
 	}
@@ -189,7 +183,7 @@ func (p *Prepared) beginPhase1(rec recorder) {
 
 // beginPhase2 closes the phase-1 span with its batch and residual counts and
 // opens phase 2's on the residual.
-func (p *Prepared) beginPhase2(rec recorder) {
+func (p *Prepared) beginPhase2(rec lbm.Emitter) {
 	if !p.twoPhase() {
 		return
 	}
@@ -202,7 +196,7 @@ func (p *Prepared) beginPhase2(rec recorder) {
 }
 
 // endPhase2 closes a two-phase plan's phase-2 span.
-func (p *Prepared) endPhase2(rec recorder) {
+func (p *Prepared) endPhase2(rec lbm.Emitter) {
 	if p.twoPhase() {
 		rec.EndPhase()
 	}

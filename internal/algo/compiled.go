@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync"
 
-	"lbmm/internal/fewtri"
 	"lbmm/internal/lbm"
 	"lbmm/internal/ring"
 )
@@ -45,19 +44,18 @@ var ErrLoadSlots = errors.New("algo: load slots are not a prefix")
 var ErrDeadCell = errors.New("algo: plan reaches a cell on no triangle")
 
 // compiledPrepared is the compiled twin of a Prepared: the whole pipeline
-// — input loading, then one lbm.Program of the phase-1 batches, the staging
-// sweep and the Lemma 3.1 job, then output collection — lowered against one
-// shared SlotSpace, so MultiplyBatch is a pure array program. It owns no
-// executor: a run takes one from the pool of its machine (execFor), shared
-// by every plan over the same n and lane count, and lays it out for its
-// arena sizes. In steady
-// state a multiplication allocates no store memory at all, the first one
-// of a freshly decoded plan included.
+// — input loading, then one lbm.Program of the plan's steps (emit), then
+// output collection — lowered by one lbm.Lowering, so MultiplyBatch is a
+// pure array program. It owns no executor: a run takes one from the pool of
+// its machine (execFor), shared by every plan over the same n and lane
+// count, and lays it out for its arena sizes. In steady state a
+// multiplication allocates no store memory at all, the first one of a
+// freshly decoded plan included.
 //
 // Only live cells take a slot: the A, B and X cells that lie on at least
 // one triangle (graph.Instance.Live). A dead cell never sends, never
 // receives and never changes the product, so it is neither loaded, zeroed
-// nor collected. The live cells are the first keys the SlotSpace sees, and
+// nor collected. The live cells are the first keys the lowering sees, and
 // it numbers slots on first sight, so on every node v the loaded slots are
 // exactly the prefix [0, loaded[v]). Loading is therefore a value copy:
 // Exec.BeginLoad marks the prefixes present and the loader writes values
@@ -106,41 +104,22 @@ func (cp *compiledPrepared) execFor(lanes int) (*lbm.Exec, *sync.Pool) {
 	return lbm.NewExecBatch(cp.sizes, lanes, cp.r), pool
 }
 
-// compilePrepared lowers a Prepared into its compiled twin. The lowering
-// order mirrors execution order, so the occupancy analysis sees keys in the
-// same sequence the map engine would create them. It fails with ErrDeadCell
-// when a plan reaches a cell that lies on no triangle.
+// compilePrepared lowers a Prepared into its compiled twin: the loads, then
+// the plan's one step order (emit) written to a lowering. It fails with
+// ErrDeadCell when a plan reaches a cell that lies on no triangle.
 func compilePrepared(p *Prepared) (*compiledPrepared, error) {
 	inst, l := p.Inst, p.Layout
-	sp := lbm.NewSlotSpace(inst.N)
+	lw := lbm.NewLowering(inst.N)
 	cp := &compiledPrepared{dead: make([]int32, inst.N)}
 	liveA, liveB, liveX := inst.Live()
-	cp.loadA = cp.slotLive(sp, &l.A, liveA, lbm.AKey)
-	cp.loadB = cp.slotLive(sp, &l.B, liveB, lbm.BKey)
-	cp.x = cp.slotLive(sp, &l.X, liveX, lbm.XKey)
-	loaded := sp.Sizes()
-	cp.prog = lbm.NewProgram(inst.N)
-	p.beginPhase1(cp.prog)
-	for _, pb := range p.phase1 {
-		if err := pb.Emit(cp.prog, sp); err != nil {
-			return nil, err
-		}
-	}
-	// The staging sweep: every vnet staging key the phase-1 plans can have
-	// created is known now (fewtri routes with plain keys only), so clear
-	// their slots — clearing an absent slot is a no-op, exactly like
-	// vnet.CleanupStaging deleting only present keys.
-	sp.EachKey(func(node lbm.NodeID, k lbm.Key, slot int32) {
-		if k.Kind == lbm.KStage {
-			cp.prog.Clear(lbm.SlotRef{Node: node, Slot: slot})
-		}
-	})
-	p.beginPhase2(cp.prog)
-	cp.prog.MarkSplit()
-	if err := fewtri.Emit(cp.prog, sp, p.fewtri); err != nil {
+	cp.loadA = cp.slotLive(lw, &l.A, liveA, lbm.AKey)
+	cp.loadB = cp.slotLive(lw, &l.B, liveB, lbm.BKey)
+	cp.x = cp.slotLive(lw, &l.X, liveX, lbm.XKey)
+	loaded := lw.Sizes()
+	if err := p.emit(lw); err != nil {
 		return nil, err
 	}
-	p.endPhase2(cp.prog)
+	cp.prog = lw.Program()
 	if err := cp.prog.Finish(); err != nil {
 		return nil, err
 	}
@@ -148,7 +127,7 @@ func compilePrepared(p *Prepared) (*compiledPrepared, error) {
 	// loaded slot, or a plan reads a dead cell. Copies at other nodes are
 	// the plans' own scratch.
 	var reach error
-	sp.EachKey(func(node lbm.NodeID, k lbm.Key, slot int32) {
+	lw.EachKey(func(node lbm.NodeID, k lbm.Key, slot int32) {
 		var owners *lbm.Owners
 		switch k.Kind {
 		case lbm.KA:
@@ -177,7 +156,7 @@ func compilePrepared(p *Prepared) (*compiledPrepared, error) {
 // owner of the cell at position k off its layout, which lays out that same
 // support: each live cell takes the next slot of its owner and comes back
 // as a load ref, each dead cell is counted against its owner in cp.dead.
-func (cp *compiledPrepared) slotLive(sp *lbm.SlotSpace, owners *lbm.Owners, live []bool, key func(i, j int32) lbm.Key) []loadRef {
+func (cp *compiledPrepared) slotLive(lw *lbm.Lowering, owners *lbm.Owners, live []bool, key func(i, j int32) lbm.Key) []loadRef {
 	var refs []loadRef
 	sup := owners.Sup
 	i := int32(0)
@@ -185,7 +164,7 @@ func (cp *compiledPrepared) slotLive(sp *lbm.SlotSpace, owners *lbm.Owners, live
 		i = rowOf(sup.Off, i, int32(k))
 		o := owners.Node[k]
 		if live[k] {
-			refs = append(refs, loadRef{k: int32(k), ref: sp.Ref(o, key(i, j))})
+			refs = append(refs, loadRef{k: int32(k), ref: lw.Ref(o, key(i, j))})
 		} else {
 			cp.dead[o]++
 		}

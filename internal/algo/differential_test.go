@@ -2,10 +2,13 @@ package algo
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 
+	"lbmm/internal/dense"
+	"lbmm/internal/graph"
 	"lbmm/internal/lbm"
 	"lbmm/internal/matrix"
 	"lbmm/internal/ring"
@@ -37,35 +40,78 @@ func oracleStatsErr(p *Prepared, mapStats, compiled lbm.Stats) error {
 // the same prepared structure and values, the map's per-node loads being
 // NodeLoads, across the algorithm matrix — trivial,
 // lemma31, theorem42 (whose field variant takes the dense Strassen OpSub
-// path) and the naive baseline — over semirings and fields.
+// path), the naive baseline and Table 1's whole-instance dense routines
+// (gather, cube, and Strassen over the fields) on a dense and a
+// masked-sparse instance — over semirings and fields.
 func TestEnginesDifferential(t *testing.T) {
+	// full is the dense 8×8 instance; masked a random sparse 12×12 one,
+	// whose dead cells the dense routines must leave alone.
+	full := func() *graph.Instance {
+		var es [][2]int
+		for i := range 8 {
+			for j := range 8 {
+				es = append(es, [2]int{i, j})
+			}
+		}
+		s := matrix.NewSupport(8, es)
+		return graph.NewInstance(8, s, s, s)
+	}
+	masked := func(seed int64) *graph.Instance {
+		rng := rand.New(rand.NewSource(seed))
+		return graph.NewInstance(12, randomSupport(rng, 12, 48), randomSupport(rng, 12, 48), randomSupport(rng, 12, 36))
+	}
+	strassen := func(l *lbm.Layout, inst *graph.Instance) (dense.Routine, error) {
+		return dense.WholeStrassen(l, inst, nil)
+	}
+	routine := func(name string, inst *graph.Instance, r ring.Semiring, plan func(*lbm.Layout, *graph.Instance) (dense.Routine, error)) (*Prepared, error) {
+		return compile(NewPlanner(r, inst).Dense(name, plan))
+	}
 	preps := []struct {
-		name string
-		mk   func(r ring.Semiring, seed int64) (*Prepared, error)
+		name  string
+		field bool // the plan needs a field
+		mk    func(r ring.Semiring, seed int64) (*Prepared, error)
 	}{
-		{"trivial/blocks", func(r ring.Semiring, seed int64) (*Prepared, error) {
+		{"trivial/blocks", false, func(r ring.Semiring, seed int64) (*Prepared, error) {
 			return PrepareTrivial(r, workload.Blocks(32, 4))
 		}},
-		{"trivial/mixed", func(r ring.Semiring, seed int64) (*Prepared, error) {
+		{"trivial/mixed", false, func(r ring.Semiring, seed int64) (*Prepared, error) {
 			return PrepareTrivial(r, workload.Mixed(40, 4, seed))
 		}},
-		{"lemma31/blocks", func(r ring.Semiring, seed int64) (*Prepared, error) {
+		{"lemma31/blocks", false, func(r ring.Semiring, seed int64) (*Prepared, error) {
 			return PrepareLemma31(r, workload.Blocks(32, 4))
 		}},
-		{"lemma31/mixed", func(r ring.Semiring, seed int64) (*Prepared, error) {
+		{"lemma31/mixed", false, func(r ring.Semiring, seed int64) (*Prepared, error) {
 			return PrepareLemma31(r, workload.Mixed(40, 4, seed))
 		}},
-		{"theorem42/blocks", func(r ring.Semiring, seed int64) (*Prepared, error) {
+		{"theorem42/blocks", false, func(r ring.Semiring, seed int64) (*Prepared, error) {
 			return PrepareTheorem42(r, workload.Blocks(32, 4))
 		}},
-		{"theorem42/mixed", func(r ring.Semiring, seed int64) (*Prepared, error) {
+		{"theorem42/mixed", false, func(r ring.Semiring, seed int64) (*Prepared, error) {
 			return PrepareTheorem42(r, workload.Mixed(40, 4, seed))
 		}},
-		{"baseline/blocks", func(r ring.Semiring, seed int64) (*Prepared, error) {
+		{"baseline/blocks", false, func(r ring.Semiring, seed int64) (*Prepared, error) {
 			return compile(NewPlanner(r, workload.Blocks(32, 4)).Baseline(0))
 		}},
-		{"baseline/mixed", func(r ring.Semiring, seed int64) (*Prepared, error) {
+		{"baseline/mixed", false, func(r ring.Semiring, seed int64) (*Prepared, error) {
 			return compile(NewPlanner(r, workload.Mixed(40, 4, seed)).Baseline(0))
+		}},
+		{"gather/dense", false, func(r ring.Semiring, seed int64) (*Prepared, error) {
+			return routine("dense-gather", full(), r, dense.Gather)
+		}},
+		{"gather/masked", false, func(r ring.Semiring, seed int64) (*Prepared, error) {
+			return routine("dense-gather", masked(seed), r, dense.Gather)
+		}},
+		{"cube/dense", false, func(r ring.Semiring, seed int64) (*Prepared, error) {
+			return routine("dense-cube", full(), r, dense.WholeCube)
+		}},
+		{"cube/masked", false, func(r ring.Semiring, seed int64) (*Prepared, error) {
+			return routine("dense-cube", masked(seed), r, dense.WholeCube)
+		}},
+		{"strassen/dense", true, func(r ring.Semiring, seed int64) (*Prepared, error) {
+			return routine("dense-strassen", full(), r, strassen)
+		}},
+		{"strassen/masked", true, func(r ring.Semiring, seed int64) (*Prepared, error) {
+			return routine("dense-strassen", masked(seed), r, strassen)
 		}},
 	}
 	// Counting and MinPlus are plain semirings (OpAcc only); Real and GF(p)
@@ -83,6 +129,9 @@ func TestEnginesDifferential(t *testing.T) {
 
 	for _, pf := range preps {
 		for _, r := range rings {
+			if _, isField := ring.AsField(r); pf.field && !isField {
+				continue
+			}
 			for seed := int64(1); seed <= 3; seed++ {
 				label := fmt.Sprintf("%s/%s/seed%d", pf.name, r.Name(), seed)
 				p, err := pf.mk(r, seed)

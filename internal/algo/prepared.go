@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"lbmm/internal/cluster"
+	"lbmm/internal/dense"
 	"lbmm/internal/fewtri"
 	"lbmm/internal/graph"
 	"lbmm/internal/lbm"
@@ -32,6 +33,9 @@ type Prepared struct {
 	fewtri   *fewtri.Job
 	compiled *compiledPrepared
 	meta     Result
+	// routine is a whole-instance dense routine (Planner.Dense); it runs
+	// where phase 1's batches would.
+	routine dense.Routine
 }
 
 // PrepareTrivial preprocesses the trivial algorithm.
@@ -140,6 +144,22 @@ func (pl *Planner) Baseline(kappa int) (*Prepared, error) {
 	}, nil
 }
 
+// Dense plans a whole-instance dense routine of package dense (Gather,
+// WholeCube, WholeStrassen) on the planner's layout, as a plan named name:
+// Table 1's dense rows. It runs where a two-phase plan's phase 1 would, and
+// an empty job follows it. Cost does not price it.
+func (pl *Planner) Dense(name string, plan func(*lbm.Layout, *graph.Instance) (dense.Routine, error)) (*Prepared, error) {
+	routine, err := plan(pl.l, pl.inst)
+	if err != nil {
+		return nil, err
+	}
+	return &Prepared{
+		Inst: pl.inst, Layout: pl.l, R: pl.r, Name: name,
+		routine: routine, fewtri: &fewtri.Job{},
+		meta: Result{Name: name, Triangles: len(pl.tris)},
+	}, nil
+}
+
 // spaa22 names the SPAA 2022 reconstruction's plans.
 const spaa22 = "spaa22-reconstruction"
 
@@ -228,13 +248,41 @@ func (p *Prepared) Cost() (rounds, messages int) {
 	return rounds, messages
 }
 
+// emit writes the plan's steps to e in execution order: phase 1's batches
+// or a dense routine, the staging sweep, then the job. It is the plan's one
+// step order: compilePrepared lowers it and MultiplyMap runs it.
+func (p *Prepared) emit(e lbm.Emitter) error {
+	p.beginPhase1(e)
+	for _, pb := range p.phase1 {
+		if err := pb.Emit(e); err != nil {
+			return err
+		}
+	}
+	if p.routine != nil {
+		if err := p.routine(e); err != nil {
+			return err
+		}
+	}
+	// Every vnet staging key the plans so far can have left; the job
+	// routes with plain keys only.
+	e.ClearStaging()
+	p.beginPhase2(e)
+	e.MarkSplit()
+	if err := fewtri.Emit(e, p.fewtri); err != nil {
+		return err
+	}
+	p.endPhase2(e)
+	return nil
+}
+
 // MultiplyMap runs the prepared plans on one value set on the reference
 // map-backed Machine: the oracle the compiled program (MultiplyBatch) is
 // differentially tested against, under the same value contract and the same
 // per-call machine options, and nothing else. Reported numbers and traces
-// come from the compiled program. It runs the plans a Planner made, so it
-// needs a planned form: a form decoded from a snapshot has none. It is safe
-// for concurrent use: every call executes on its own fresh machine.
+// come from the compiled program. The machine is the second sink of the
+// plan's one step order (emit), so it needs a planned form: a form decoded
+// from a snapshot has none. It is safe for concurrent use: every call
+// executes on its own fresh machine.
 func (p *Prepared) MultiplyMap(a, b *matrix.Sparse, mopts ...lbm.Option) (*matrix.Sparse, *Result, error) {
 	if err := within(a, p.Inst.Ahat); err != nil {
 		return nil, nil, fmt.Errorf("algo: A %w", err)
@@ -243,33 +291,11 @@ func (p *Prepared) MultiplyMap(a, b *matrix.Sparse, mopts ...lbm.Option) (*matri
 		return nil, nil, fmt.Errorf("algo: B %w", err)
 	}
 	m := lbm.New(p.Inst.N, p.R, mopts...)
-	// Load every support position explicitly (absent value = ring Zero, per
-	// Sparse.Get), so the fixed plans find all their sources.
-	for i := range p.Inst.Ahat.N {
-		for _, j := range p.Inst.Ahat.Row(i) {
-			m.Put(p.Layout.OwnerA(int32(i), j), lbm.AKey(int32(i), j), a.Get(i, int(j)))
-		}
-	}
-	for j := range p.Inst.Bhat.N {
-		for _, k := range p.Inst.Bhat.Row(j) {
-			m.Put(p.Layout.OwnerB(int32(j), k), lbm.BKey(int32(j), k), b.Get(j, int(k)))
-		}
-	}
+	lbm.LoadInputs(m, p.Layout, a, b)
 	lbm.ZeroOutputs(m, p.Layout, p.Inst.Xhat)
-
-	p.beginPhase1(m)
-	for _, pb := range p.phase1 {
-		if err := pb.Run(m); err != nil {
-			return nil, nil, err
-		}
-	}
-	vnet.CleanupStaging(m)
-	phase1 := m.Rounds()
-	p.beginPhase2(m)
-	if err := fewtri.Run(m, p.fewtri); err != nil {
+	if err := p.emit(m); err != nil {
 		return nil, nil, err
 	}
-	p.endPhase2(m)
 	got, err := lbm.CollectX(m, p.Layout, p.Inst.Xhat)
 	if err != nil {
 		return nil, nil, err
@@ -278,8 +304,8 @@ func (p *Prepared) MultiplyMap(a, b *matrix.Sparse, mopts ...lbm.Option) (*matri
 	res.Engine = "map"
 	res.Stats = m.Stats()
 	res.Rounds = res.Stats.Rounds
-	res.Phase1Rounds = phase1
-	res.Phase2Rounds = res.Rounds - phase1
+	res.Phase1Rounds = m.Split()
+	res.Phase2Rounds = res.Rounds - res.Phase1Rounds
 	if res.Profile = m.Profile(); res.Profile != nil {
 		res.Timeline = res.Profile.Timeline()
 	}

@@ -196,11 +196,11 @@ func TestRunBatchesCorrect(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := pb.Run(m); err != nil {
+				if err := pb.Emit(m); err != nil {
 					t.Fatal(err)
 				}
 			}
-			vnet.CleanupStaging(m)
+			m.ClearStaging()
 			// Expected: only the batched triangles processed.
 			want := matrix.NewSparse(n, r)
 			for i := range inst.Xhat.N {
@@ -259,13 +259,13 @@ func TestRunBatchUsesStrassenOverFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pb.Run(m); err != nil {
+	if err := pb.Emit(m); err != nil {
 		t.Fatal(err)
 	}
 	if pb.Stats.StrassenClusters == 0 {
 		t.Error("field batch used no Strassen clusters")
 	}
-	vnet.CleanupStaging(m)
+	m.ClearStaging()
 	got, err := lbm.CollectX(m, l, inst.Xhat)
 	if err != nil {
 		t.Fatal(err)

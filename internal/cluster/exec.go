@@ -92,18 +92,9 @@ type summary struct {
 	clusters, triangles, volume int
 }
 
-// recorder is what a batch records its trace span on: the map engine
-// (*lbm.Machine) as it runs, or the compiled program (*lbm.Program) it is
-// lowered into.
-type recorder interface {
-	BeginPhase(label string)
-	EndPhase()
-	Counter(name string, delta float64)
-}
-
 // begin opens a batch's cluster/batch span with its counters; st counts the
 // clusters each dense routine runs.
-func (s summary) begin(rec recorder, st ExecStats) {
+func (s summary) begin(rec lbm.Emitter, st ExecStats) {
 	rec.BeginPhase("cluster/batch")
 	rec.Counter("clusters", float64(s.clusters))
 	rec.Counter("cube_clusters", float64(st.CubeClusters))
@@ -165,7 +156,7 @@ func PlanBatch(net *vnet.Net, n int, l *lbm.Layout, batch Batch, field bool) (*P
 		pb.Stats.CubeClusters++
 	}
 	// Lower the merged per-phase communication to real plans now: plans
-	// depend only on the support, so this is free preprocessing and Run does
+	// depend only on the support, so this is free preprocessing and Emit does
 	// no vnet compilation.
 	var err error
 	if len(pb.strassenJobs) > 0 {
@@ -200,38 +191,20 @@ func (pb *PlannedBatch) Cost() (rounds, messages int) {
 	return rounds, messages
 }
 
-// Run executes a planned batch inside its cluster/batch span. The two
-// sub-batches run back to back.
-func (pb *PlannedBatch) Run(m *lbm.Machine) error {
-	pb.sum.begin(m, pb.Stats)
-	defer m.EndPhase()
+// Emit writes a planned batch to e inside its cluster/batch span: the
+// Strassen sub-batch, then the cube sub-batch, back to back.
+func (pb *PlannedBatch) Emit(e lbm.Emitter) error {
+	pb.sum.begin(e, pb.Stats)
 	if len(pb.strassenJobs) > 0 {
-		if err := dense.RunStrassenJobsWith(m, pb.strassenJobs, pb.strassenProg); err != nil {
+		if err := dense.EmitStrassenProgram(e, pb.strassenJobs, pb.strassenProg); err != nil {
 			return err
 		}
 	}
 	if len(pb.cubeJobs) > 0 {
-		if err := dense.RunCubeJobsWith(m, pb.cubeJobs, pb.cubeProg); err != nil {
+		if err := dense.EmitCubeProgram(e, pb.cubeJobs, pb.cubeProg); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// Emit lowers a planned batch into the shared slot space and appends it to
-// prog in the order Run runs it.
-func (pb *PlannedBatch) Emit(prog *lbm.Program, sp *lbm.SlotSpace) error {
-	pb.sum.begin(prog, pb.Stats)
-	if len(pb.strassenJobs) > 0 {
-		if err := dense.EmitStrassenProgram(prog, sp, pb.strassenJobs, pb.strassenProg); err != nil {
-			return err
-		}
-	}
-	if len(pb.cubeJobs) > 0 {
-		if err := dense.EmitCubeProgram(prog, sp, pb.cubeJobs, pb.cubeProg); err != nil {
-			return err
-		}
-	}
-	prog.EndPhase()
+	e.EndPhase()
 	return nil
 }

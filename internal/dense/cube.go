@@ -1,7 +1,7 @@
 // Package dense implements the in-model dense (and dense-batch) matrix
 // multiplication routines the paper uses as black boxes:
 //
-//   - TrivialGather: the O(n²)-round baseline of §1.1 (ship everything to
+//   - Gather: the O(n²)-round baseline of §1.1 (ship everything to
 //     computer 1, solve locally, ship results back).
 //   - Cube: the semiring "3D" algorithm in the style of Censor-Hillel et
 //     al. [3], O(p^{... }) communication realized as h-relations; on a
@@ -16,6 +16,10 @@
 // exact set of triangles assigned to the batch, so a batch never processes
 // a triangle that belongs to another batch. This is what makes the
 // two-phase Theorem 4.2 algorithm exact over semirings without subtraction.
+//
+// Every routine writes its steps once, to an lbm.Emitter: a batch through
+// EmitCubeProgram or EmitStrassenProgram, a whole instance as a Routine
+// (Gather, WholeCube, WholeStrassen).
 package dense
 
 import (
@@ -262,9 +266,9 @@ func permutedPositionMap(xs []int32, seed uint64) map[int32]int32 {
 }
 
 // CubeProgram is a batch of cube jobs with the merged distribute/aggregate
-// communication lowered to real plans once, at plan time. Before the
-// program form, RunCubeJobs re-ran the vnet compilation on every execution
-// — per-request work the supported model says is free preprocessing.
+// communication lowered to real plans once, at plan time: the vnet
+// compilation is free preprocessing in the supported model, never
+// per-request work.
 type CubeProgram struct {
 	Dist, Agg *lbm.Plan
 }
@@ -293,84 +297,33 @@ func PlanCubeProgram(net *vnet.Net, jobs []*CubeJob) (*CubeProgram, error) {
 	return &CubeProgram{Dist: dist, Agg: agg}, nil
 }
 
-// RunCubeJobs executes a batch of cube jobs concurrently: the merged
-// distribute plan, then all local products, then the merged aggregation
-// plan.
-func RunCubeJobs(m *lbm.Machine, net *vnet.Net, jobs []*CubeJob) error {
-	prog, err := PlanCubeProgram(net, jobs)
-	if err != nil {
+// EmitCubeProgram writes a batch of cube jobs to e: the merged distribute
+// plan, every job's local products, the merged aggregate plan, then the
+// clearing of the staged copies. The products between distribute and
+// aggregate end a chain, so each plan is a chain of its own.
+func EmitCubeProgram(e lbm.Emitter, jobs []*CubeJob, cube *CubeProgram) error {
+	e.BeginPhase("dense/cube")
+	e.Counter("jobs", float64(len(jobs)))
+	e.BeginPhase("distribute")
+	if err := e.Route(cube.Dist, "dense/cube distribute", "dense: distribute", false); err != nil {
 		return err
 	}
-	return RunCubeJobsWith(m, jobs, prog)
-}
-
-// RunCubeJobsWith executes a batch of cube jobs against its preplanned
-// program.
-func RunCubeJobsWith(m *lbm.Machine, jobs []*CubeJob, prog *CubeProgram) error {
-	m.BeginPhase("dense/cube")
-	defer m.EndPhase()
-	m.Counter("jobs", float64(len(jobs)))
-	m.BeginPhase("distribute")
-	err := m.Run(prog.Dist)
-	m.EndPhase()
-	if err != nil {
-		return fmt.Errorf("dense: distribute: %w", err)
-	}
+	e.EndPhase()
 	for _, j := range jobs {
 		for _, p := range j.prods {
-			if !m.Owns(p.host) {
-				continue
-			}
-			av := m.MustGet(p.host, p.a)
-			bv := m.MustGet(p.host, p.b)
-			m.Acc(p.host, p.ds, m.R.Mul(av, bv))
+			e.MulAcc(p.host, p.a, p.b, p.ds)
 		}
 	}
-	m.BeginPhase("aggregate")
-	err = m.Run(prog.Agg)
-	m.EndPhase()
-	if err != nil {
-		return fmt.Errorf("dense: aggregate: %w", err)
+	e.BeginPhase("aggregate")
+	if err := e.Route(cube.Agg, "dense/cube aggregate", "dense: aggregate", false); err != nil {
+		return err
 	}
+	e.EndPhase()
 	for _, j := range jobs {
 		for _, ck := range j.cleanup {
-			m.Del(ck.host, ck.key)
+			e.Clear(ck.host, ck.key)
 		}
 	}
-	return nil
-}
-
-// EmitCubeProgram lowers a cube program and its jobs' local work into the
-// shared slot space and appends it to prog in the order RunCubeJobsWith
-// runs it. The products between distribute and aggregate end a chain, so
-// each plan is a chain of its own.
-func EmitCubeProgram(prog *lbm.Program, sp *lbm.SlotSpace, jobs []*CubeJob, cube *CubeProgram) error {
-	dist, err := lbm.CompileInto(sp, cube.Dist)
-	if err != nil {
-		return fmt.Errorf("dense: compile distribute: %w", err)
-	}
-	prog.BeginPhase("dense/cube")
-	prog.Counter("jobs", float64(len(jobs)))
-	prog.BeginPhase("distribute")
-	prog.Route(dist, "dense/cube distribute", "dense: distribute", false)
-	prog.EndPhase()
-	for _, j := range jobs {
-		for _, p := range j.prods {
-			prog.MulAcc(sp.Ref(p.host, p.a), sp.Ref(p.host, p.b), sp.Ref(p.host, p.ds))
-		}
-	}
-	agg, err := lbm.CompileInto(sp, cube.Agg)
-	if err != nil {
-		return fmt.Errorf("dense: compile aggregate: %w", err)
-	}
-	prog.BeginPhase("aggregate")
-	prog.Route(agg, "dense/cube aggregate", "dense: aggregate", false)
-	prog.EndPhase()
-	for _, j := range jobs {
-		for _, ck := range j.cleanup {
-			prog.Clear(sp.Ref(ck.host, ck.key))
-		}
-	}
-	prog.EndPhase()
+	e.EndPhase()
 	return nil
 }

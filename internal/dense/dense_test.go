@@ -56,19 +56,52 @@ func runAndVerify(t *testing.T, r ring.Semiring, inst *graph.Instance, seed int6
 	return m.Rounds()
 }
 
+// routine runs a whole-instance routine, planned on the machine's layout,
+// on the machine: the map-oracle sink of its emitter.
+func routine(inst *graph.Instance, plan func(*lbm.Layout, *graph.Instance) (Routine, error)) func(*lbm.Machine, *lbm.Layout) error {
+	return func(m *lbm.Machine, l *lbm.Layout) error {
+		r, err := plan(l, inst)
+		if err != nil {
+			return err
+		}
+		return r(m)
+	}
+}
+
+// strassen plans WholeStrassen with the given bilinear scheme.
+func strassen(v *bilinear) func(*lbm.Layout, *graph.Instance) (Routine, error) {
+	return func(l *lbm.Layout, inst *graph.Instance) (Routine, error) { return WholeStrassen(l, inst, v) }
+}
+
+// runCubeJobs runs a batch of cube jobs on the machine.
+func runCubeJobs(m *lbm.Machine, net *vnet.Net, jobs []*CubeJob) error {
+	prog, err := PlanCubeProgram(net, jobs)
+	if err != nil {
+		return err
+	}
+	return EmitCubeProgram(m, jobs, prog)
+}
+
 func TestTrivialGatherCorrectAndExactRounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, r := range ring.All() {
 		n := 8 + rng.Intn(8)
 		inst := graph.NewInstance(n,
 			randomSupport(rng, n, 3*n), randomSupport(rng, n, 3*n), randomSupport(rng, n, 2*n))
-		rounds := runAndVerify(t, r, inst, 42, func(m *lbm.Machine, l *lbm.Layout) error {
-			return TrivialGather(m, l, inst)
-		})
-		// Exactly one round per foreign element in/out of computer 0.
+		rounds := runAndVerify(t, r, inst, 42, routine(inst, Gather))
+		// Exactly one round per foreign live element in/out of computer 0:
+		// under the row layout, one outside row 0.
 		want := 0
-		for _, s := range []*matrix.Support{inst.Ahat, inst.Bhat, inst.Xhat} {
-			want += s.NNZ - s.RowLen(0)
+		liveA, liveB, liveX := inst.Live()
+		for _, s := range []struct {
+			sup  *matrix.Support
+			live []bool
+		}{{inst.Ahat, liveA}, {inst.Bhat, liveB}, {inst.Xhat, liveX}} {
+			for _, live := range s.live[s.sup.RowLen(0):] {
+				if live {
+					want++
+				}
+			}
 		}
 		if rounds != want {
 			t.Errorf("%s: trivial used %d rounds, want %d", r.Name(), rounds, want)
@@ -83,9 +116,7 @@ func TestWholeCubeCorrectAllRings(t *testing.T) {
 			n := 6 + rng.Intn(14)
 			inst := graph.NewInstance(n,
 				randomSupport(rng, n, 4*n), randomSupport(rng, n, 4*n), randomSupport(rng, n, 3*n))
-			runAndVerify(t, r, inst, int64(trial), func(m *lbm.Machine, l *lbm.Layout) error {
-				return RunWholeCube(m, l, inst)
-			})
+			runAndVerify(t, r, inst, int64(trial), routine(inst, WholeCube))
 		}
 	}
 }
@@ -95,9 +126,7 @@ func TestWholeCubeDense(t *testing.T) {
 	full := fullSupport(n)
 	inst := graph.NewInstance(n, full, full, full)
 	for _, r := range []ring.Semiring{ring.Counting{}, ring.MinPlus{}} {
-		runAndVerify(t, r, inst, 7, func(m *lbm.Machine, l *lbm.Layout) error {
-			return RunWholeCube(m, l, inst)
-		})
+		runAndVerify(t, r, inst, 7, routine(inst, WholeCube))
 	}
 }
 
@@ -106,9 +135,7 @@ func TestWholeStrassenDense(t *testing.T) {
 		for _, n := range []int{4, 7, 8, 12, 16} {
 			full := fullSupport(n)
 			inst := graph.NewInstance(n, full, full, full)
-			runAndVerify(t, f, inst, int64(n), func(m *lbm.Machine, l *lbm.Layout) error {
-				return RunWholeStrassen(m, l, inst)
-			})
+			runAndVerify(t, f, inst, int64(n), routine(inst, strassen(nil)))
 		}
 	}
 }
@@ -120,9 +147,7 @@ func TestWholeStrassenSparseMasked(t *testing.T) {
 			n := 5 + rng.Intn(12)
 			inst := graph.NewInstance(n,
 				randomSupport(rng, n, 3*n), randomSupport(rng, n, 3*n), randomSupport(rng, n, 2*n))
-			runAndVerify(t, f, inst, int64(trial+50), func(m *lbm.Machine, l *lbm.Layout) error {
-				return RunWholeStrassen(m, l, inst)
-			})
+			runAndVerify(t, f, inst, int64(trial+50), routine(inst, strassen(nil)))
 		}
 	}
 }
@@ -177,7 +202,7 @@ func TestCubeClusterBatchParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := RunCubeJobs(m, net, []*CubeJob{j1, j2}); err != nil {
+	if err := runCubeJobs(m, net, []*CubeJob{j1, j2}); err != nil {
 		t.Fatal(err)
 	}
 	// Verify: exactly the induced triangles processed.
@@ -227,7 +252,7 @@ func TestCubeMaskedExcludesUnassigned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := RunCubeJobs(m, net, []*CubeJob{job}); err != nil {
+	if err := runCubeJobs(m, net, []*CubeJob{job}); err != nil {
 		t.Fatal(err)
 	}
 	want := matrix.NewSparse(n, r)
@@ -299,7 +324,7 @@ func TestStrassenRejectsNonField(t *testing.T) {
 	m := lbm.New(n, ring.Counting{})
 	l := lbm.RowLayout(full, full, full)
 	lbm.LoadInputs(m, l, matrix.Random(full, ring.Counting{}, 1), matrix.Random(full, ring.Counting{}, 2))
-	if err := RunWholeStrassen(m, l, inst); err == nil {
+	if err := routine(inst, strassen(nil))(m, l); err == nil {
 		t.Error("strassen over a semiring must be rejected")
 	}
 }
@@ -323,9 +348,7 @@ func TestCubeRoundsScaleLikeDN13(t *testing.T) {
 			return matrix.NewSupport(n, es)
 		}
 		inst := graph.NewInstance(d, us(), us(), us())
-		rounds[n] = runAndVerify(t, r, inst, int64(n), func(m *lbm.Machine, l *lbm.Layout) error {
-			return RunWholeCube(m, l, inst)
-		})
+		rounds[n] = runAndVerify(t, r, inst, int64(n), routine(inst, WholeCube))
 	}
 	// n grew by 8, n^{1/3} by 2; allow generous slack but demand clearly
 	// sublinear growth.
@@ -344,9 +367,7 @@ func TestWholeStrassenDeepRecursion(t *testing.T) {
 	n := 120
 	full := fullSupport(n)
 	inst := graph.NewInstance(n, full, full, full)
-	rounds := runAndVerify(t, ring.NewGFp(1009), inst, 3, func(m *lbm.Machine, l *lbm.Layout) error {
-		return RunWholeStrassen(m, l, inst)
-	})
+	rounds := runAndVerify(t, ring.NewGFp(1009), inst, 3, routine(inst, strassen(nil)))
 	if rounds == 0 {
 		t.Fatal("no rounds")
 	}
@@ -359,18 +380,7 @@ func TestWholeStrassenWinogradVariant(t *testing.T) {
 		for _, n := range []int{5, 8, 13} {
 			full := fullSupport(n)
 			inst := graph.NewInstance(n, full, full, full)
-			runAndVerify(t, f, inst, int64(n), func(m *lbm.Machine, l *lbm.Layout) error {
-				job, err := PlanStrassen(vnet.Roles(inst.N), &StrassenSpec{
-					N: inst.N, Procs: allIndices(3 * inst.N),
-					I: allIndices(inst.N), J: allIndices(inst.N), K: allIndices(inst.N),
-					SA: inst.Ahat, SB: inst.Bhat, SX: inst.Xhat,
-					Layout: l, Variant: VariantWinograd(),
-				})
-				if err != nil {
-					return err
-				}
-				return RunStrassenJobs(m, vnet.Roles(inst.N), []*StrassenJob{job})
-			})
+			runAndVerify(t, f, inst, int64(n), routine(inst, strassen(VariantWinograd())))
 		}
 	}
 	rng := rand.New(rand.NewSource(77))
@@ -378,17 +388,6 @@ func TestWholeStrassenWinogradVariant(t *testing.T) {
 		n := 6 + rng.Intn(10)
 		inst := graph.NewInstance(n,
 			randomSupport(rng, n, 3*n), randomSupport(rng, n, 3*n), randomSupport(rng, n, 2*n))
-		runAndVerify(t, ring.NewGFp(1009), inst, int64(trial), func(m *lbm.Machine, l *lbm.Layout) error {
-			job, err := PlanStrassen(vnet.Roles(inst.N), &StrassenSpec{
-				N: inst.N, Procs: allIndices(3 * inst.N),
-				I: allIndices(inst.N), J: allIndices(inst.N), K: allIndices(inst.N),
-				SA: inst.Ahat, SB: inst.Bhat, SX: inst.Xhat,
-				Layout: l, Variant: VariantWinograd(),
-			})
-			if err != nil {
-				return err
-			}
-			return RunStrassenJobs(m, vnet.Roles(inst.N), []*StrassenJob{job})
-		})
+		runAndVerify(t, ring.NewGFp(1009), inst, int64(trial), routine(inst, strassen(VariantWinograd())))
 	}
 }

@@ -28,7 +28,6 @@ import (
 
 	"lbmm/internal/lbm"
 	"lbmm/internal/matrix"
-	"lbmm/internal/ring"
 	"lbmm/internal/routing"
 	"lbmm/internal/vnet"
 )
@@ -549,100 +548,25 @@ func PlanStrassenProgram(net *vnet.Net, jobs []*StrassenJob) (*StrassenProgram, 
 	return prog, nil
 }
 
-// RunStrassenJobs executes a batch of Strassen jobs concurrently (their
-// processor sets and index rows must be disjoint). The machine's ring must
-// be a field.
-func RunStrassenJobs(m *lbm.Machine, net *vnet.Net, jobs []*StrassenJob) error {
-	if _, ok := ring.AsField(m.R); !ok {
-		return fmt.Errorf("dense: strassen requires a field, ring %s is not one", m.R.Name())
-	}
-	prog, err := PlanStrassenProgram(net, jobs)
-	if err != nil {
-		return err
-	}
-	return RunStrassenJobsWith(m, jobs, prog)
-}
-
-// RunStrassenJobsWith executes a batch of Strassen jobs against the
-// preplanned program of their merged communication phases.
-func RunStrassenJobsWith(m *lbm.Machine, jobs []*StrassenJob, prog *StrassenProgram) error {
-	if _, ok := ring.AsField(m.R); !ok {
-		return fmt.Errorf("dense: strassen requires a field, ring %s is not one", m.R.Name())
-	}
-	runPhase := func(p *lbm.Plan, what string) error {
-		m.BeginPhase(what)
-		err := m.Run(p)
-		m.EndPhase()
-		if err != nil {
-			return fmt.Errorf("dense: strassen %s: %w", what, err)
-		}
-		return nil
-	}
-
-	m.BeginPhase("dense/strassen")
-	defer m.EndPhase()
-	m.Counter("jobs", float64(len(jobs)))
-	// len(prog.Down) is the recursion depth k: each level transition is one
-	// down (and later one up) phase, labelled with its level.
-	m.Counter("levels", float64(len(prog.Down)))
-	if err := runPhase(prog.Init, "init"); err != nil {
-		return err
-	}
-	for l, p := range prog.Down {
-		if err := runPhase(p, fmt.Sprintf("down.L%d", l+1)); err != nil {
-			return err
-		}
-	}
-	// Leaf products (free local computation).
-	m.BeginPhase("leaf")
-	f, _ := ring.AsField(m.R)
-	for _, j := range jobs {
-		m.Counter("leaf_products", float64(len(j.leafs)))
-		for _, lt := range j.leafs {
-			if !m.Owns(lt.host) {
-				continue
-			}
-			runLeaf(m, f, lt)
-		}
-	}
-	m.EndPhase()
-	maxUp := len(prog.Up)
-	for l, p := range prog.Up {
-		if err := runPhase(p, fmt.Sprintf("up.L%d", maxUp-l)); err != nil {
-			return err
-		}
-	}
-	if err := runPhase(prog.Final, "final"); err != nil {
-		return err
-	}
-	for _, j := range jobs {
-		for _, ck := range j.cleanup {
-			m.Del(ck.host, ck.key)
-		}
-	}
-	return nil
-}
-
-// EmitStrassenProgram lowers a Strassen program and its jobs' local work
-// into the shared slot space and appends it to prog in the order
-// RunStrassenJobsWith runs it; every plan is a chain of one. A leaf's slot
-// tables hold, per flattened element, a slot at the host or -1 for a
-// structurally absent element. The program needs a field: it has leaves,
-// and its combinations subtract.
-func EmitStrassenProgram(prog *lbm.Program, sp *lbm.SlotSpace, jobs []*StrassenJob, st *StrassenProgram) error {
+// EmitStrassenProgram writes a batch of Strassen jobs to e: the merged
+// init and down plans, every job's leaf block products, the merged up and
+// final plans, then the clearing of the staged copies; every plan is a
+// chain of one. It needs a field: its leaves multiply blocks, and its
+// combinations subtract.
+func EmitStrassenProgram(e lbm.Emitter, jobs []*StrassenJob, st *StrassenProgram) error {
 	route := func(p *lbm.Plan, phase, row string) error {
-		cp, err := lbm.CompileInto(sp, p)
-		if err != nil {
-			return fmt.Errorf("dense: compile strassen %s: %w", phase, err)
+		e.BeginPhase(phase)
+		if err := e.Route(p, "dense/strassen "+row, "dense: strassen "+phase, false); err != nil {
+			return err
 		}
-		prog.BeginPhase(phase)
-		prog.Route(cp, "dense/strassen "+row, "dense: strassen "+phase, false)
-		prog.EndPhase()
+		e.EndPhase()
 		return nil
 	}
-	prog.BeginPhase("dense/strassen")
-	prog.Counter("jobs", float64(len(jobs)))
-	prog.Counter("levels", float64(len(st.Down)))
+	e.BeginPhase("dense/strassen")
+	e.Counter("jobs", float64(len(jobs)))
+	// len(st.Down) is the recursion depth k: each level transition is one
+	// down (and later one up) phase, labelled with its level.
+	e.Counter("levels", float64(len(st.Down)))
 	if err := route(st.Init, "init", "init"); err != nil {
 		return err
 	}
@@ -651,35 +575,24 @@ func EmitStrassenProgram(prog *lbm.Program, sp *lbm.SlotSpace, jobs []*StrassenJ
 			return err
 		}
 	}
-	prog.BeginPhase("leaf")
-	// The per-job counters go first: a leaf product records nothing, so the
-	// span reads as the map engine's, one count then one job's leaves.
+	e.BeginPhase("leaf")
+	// The per-job counters go ahead of every leaf: a leaf records nothing,
+	// so the span reads the same in either order, and this is the order
+	// stored programs hold.
 	for _, j := range jobs {
-		prog.Counter("leaf_products", float64(len(j.leafs)))
+		e.Counter("leaf_products", float64(len(j.leafs)))
 	}
 	for _, j := range jobs {
 		for _, lt := range j.leafs {
-			area := lt.size * lt.size
-			a, b, c := make([]int32, area), make([]int32, area), make([]int32, area)
-			for u := int32(0); u < lt.size; u++ {
-				for v := int32(0); v < lt.size; v++ {
-					i := u*lt.size + v
-					a[i], b[i], c[i] = -1, -1, -1
-					if lt.presA[i] {
-						a[i] = sp.Slot(lt.host, elemKey(kindA(lt.lvl), u, v, lt.s))
-					}
-					if lt.presB[i] {
-						b[i] = sp.Slot(lt.host, elemKey(kindB(lt.lvl), u, v, lt.s))
-					}
-					if lt.presC[i] {
-						c[i] = sp.Slot(lt.host, elemKey(kindC(lt.lvl), u, v, lt.s))
-					}
-				}
+			a := lbm.Block{Kind: kindA(lt.lvl), Seq: lt.s, Present: lt.presA}
+			b := lbm.Block{Kind: kindB(lt.lvl), Seq: lt.s, Present: lt.presB}
+			c := lbm.Block{Kind: kindC(lt.lvl), Seq: lt.s, Present: lt.presC}
+			if err := e.Leaf(lt.host, lt.size, a, b, c); err != nil {
+				return fmt.Errorf("dense: strassen leaf: %w", err)
 			}
-			prog.Leaf(lt.host, lt.size, a, b, c)
 		}
 	}
-	prog.EndPhase()
+	e.EndPhase()
 	for l, p := range st.Up {
 		if err := route(p, fmt.Sprintf("up.L%d", len(st.Up)-l), "up"); err != nil {
 			return err
@@ -690,41 +603,9 @@ func EmitStrassenProgram(prog *lbm.Program, sp *lbm.SlotSpace, jobs []*StrassenJ
 	}
 	for _, j := range jobs {
 		for _, ck := range j.cleanup {
-			prog.Clear(sp.Ref(ck.host, ck.key))
+			e.Clear(ck.host, ck.key)
 		}
 	}
-	prog.EndPhase()
+	e.EndPhase()
 	return nil
-}
-
-// runLeaf multiplies one leaf subproblem locally at its host. Local
-// computation is free in the model; we use local Strassen above a small
-// cutoff purely for host wall-clock speed.
-func runLeaf(m *lbm.Machine, f ring.Field, lt leafTask) {
-	size := lt.size
-	a := make([]ring.Value, size*size)
-	b := make([]ring.Value, size*size)
-	for u := int32(0); u < size; u++ {
-		for v := int32(0); v < size; v++ {
-			if lt.presA[u*size+v] {
-				if val, ok := m.Get(lt.host, elemKey(kindA(lt.lvl), u, v, lt.s)); ok {
-					a[u*size+v] = val
-				}
-			}
-			if lt.presB[u*size+v] {
-				if val, ok := m.Get(lt.host, elemKey(kindB(lt.lvl), u, v, lt.s)); ok {
-					b[u*size+v] = val
-				}
-			}
-		}
-	}
-	c := make([]ring.Value, size*size)
-	ring.LocalMul(f, a, b, c, int(size))
-	for u := int32(0); u < size; u++ {
-		for v := int32(0); v < size; v++ {
-			if lt.presC[u*size+v] {
-				m.Put(lt.host, elemKey(kindC(lt.lvl), u, v, lt.s), c[u*size+v])
-			}
-		}
-	}
 }

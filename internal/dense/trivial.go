@@ -1,104 +1,67 @@
 package dense
 
 import (
-	"fmt"
-
 	"lbmm/internal/graph"
 	"lbmm/internal/lbm"
-	"lbmm/internal/ring"
+	"lbmm/internal/matrix"
 )
 
-// TrivialGather is the paper's O(n²)-round baseline (§1.1): every computer
-// ships all of its input elements to computer 0, which multiplies locally
-// and ships each requested output to its owner. The round count is exactly
-// the number of foreign elements computer 0 receives plus the number of
-// outputs it distributes — Θ(nnz(A)+nnz(B)+nnz(X̂)), i.e. Θ(n²) on dense
-// inputs, because computer 0 can receive only one message per round.
-func TrivialGather(m *lbm.Machine, l *lbm.Layout, inst *graph.Instance) error {
+// Gather plans the paper's O(n²)-round baseline (§1.1): every computer
+// ships its input elements to computer 0, one per round, which multiplies
+// locally and ships each output to its owner, one per round. The round
+// count is exactly the number of foreign elements computer 0 receives plus
+// the number of foreign outputs it distributes: Θ(n²) on dense inputs,
+// because computer 0 can receive only one message per round. An element
+// that lies on no triangle changes no product, so the gather ships the
+// live elements only (graph.Instance.Live); on a dense instance that is
+// every element.
+func Gather(l *lbm.Layout, inst *graph.Instance) (Routine, error) {
 	const sink lbm.NodeID = 0
-
-	// Phase 1: gather. One foreign element per round.
-	var gather []lbm.Send
-	for i := range inst.Ahat.N {
-		for _, j := range inst.Ahat.Row(i) {
-			from := l.OwnerA(int32(i), j)
-			gather = append(gather, lbm.Send{From: from, To: sink, Src: lbm.AKey(int32(i), j), Dst: lbm.AKey(int32(i), j), Op: lbm.OpSet})
-		}
-	}
-	for j := range inst.Bhat.N {
-		for _, k := range inst.Bhat.Row(j) {
-			from := l.OwnerB(int32(j), k)
-			gather = append(gather, lbm.Send{From: from, To: sink, Src: lbm.BKey(int32(j), k), Dst: lbm.BKey(int32(j), k), Op: lbm.OpSet})
-		}
-	}
-	for _, s := range gather {
-		if err := m.RunRound(lbm.Round{s}); err != nil {
-			return fmt.Errorf("dense: trivial gather: %w", err)
-		}
-	}
-
-	// Phase 2: computer 0 multiplies locally (free). On a partitioned
-	// machine only the participant hosting the sink computes.
-	if m.Owns(sink) {
-		r := m.R
-		for i := range inst.Ahat.N {
-			arow := inst.Ahat.Row(i)
-			xrow := inst.Xhat.Row(i)
-			if len(xrow) == 0 {
-				continue
-			}
-			acc := make(map[int32]ring.Value, len(xrow))
-			for _, k := range xrow {
-				acc[k] = r.Zero()
-			}
-			for _, j := range arow {
-				av := m.MustGet(sink, lbm.AKey(int32(i), j))
-				for _, k := range inst.Bhat.Row(int(j)) {
-					if cur, wanted := acc[k]; wanted {
-						bv := m.MustGet(sink, lbm.BKey(int32(j), k))
-						acc[k] = r.Add(cur, r.Mul(av, bv))
-					}
+	liveA, liveB, liveX := inst.Live()
+	gather, scatter := &lbm.Plan{}, &lbm.Plan{}
+	// cleanup lists the gathered copies at computer 0, in the order A, B,
+	// X; a copy whose owner is computer 0 itself is kept.
+	var cleanup []lbm.Key
+	each := func(sup *matrix.Support, live []bool, f func(i, j int32)) {
+		for i := range sup.N {
+			for k := sup.Off[i]; k < sup.Off[i+1]; k++ {
+				if live[k] {
+					f(int32(i), sup.Col[k])
 				}
 			}
-			for _, k := range xrow {
-				m.Put(sink, lbm.XKey(int32(i), k), acc[k])
-			}
 		}
 	}
-
-	// Phase 3: distribute outputs, one per round.
-	for i := range inst.Xhat.N {
-		for _, k := range inst.Xhat.Row(i) {
-			to := l.OwnerX(int32(i), k)
-			s := lbm.Send{From: sink, To: to, Src: lbm.XKey(int32(i), k), Dst: lbm.XKey(int32(i), k), Op: lbm.OpSet}
-			if err := m.RunRound(lbm.Round{s}); err != nil {
-				return fmt.Errorf("dense: trivial distribute: %w", err)
-			}
+	ship := func(from lbm.NodeID, k lbm.Key) {
+		gather.Append(lbm.Round{{From: from, To: sink, Src: k, Dst: k, Op: lbm.OpSet}})
+		if from != sink {
+			cleanup = append(cleanup, k)
 		}
 	}
-
-	// Free cleanup of the gathered copies at computer 0 (inputs whose owner
-	// is computer 0 itself are kept).
-	for i := range inst.Ahat.N {
-		for _, j := range inst.Ahat.Row(i) {
-			if l.OwnerA(int32(i), j) != sink {
-				m.Del(sink, lbm.AKey(int32(i), j))
-			}
+	each(inst.Ahat, liveA, func(i, j int32) { ship(l.OwnerA(i, j), lbm.AKey(i, j)) })
+	each(inst.Bhat, liveB, func(j, k int32) { ship(l.OwnerB(j, k), lbm.BKey(j, k)) })
+	each(inst.Xhat, liveX, func(i, k int32) {
+		to, key := l.OwnerX(i, k), lbm.XKey(i, k)
+		scatter.Append(lbm.Round{{From: sink, To: to, Src: key, Dst: key, Op: lbm.OpSet}})
+		if to != sink {
+			cleanup = append(cleanup, key)
 		}
-	}
-	for j := range inst.Bhat.N {
-		for _, k := range inst.Bhat.Row(j) {
-			if l.OwnerB(int32(j), k) != sink {
-				m.Del(sink, lbm.BKey(int32(j), k))
-			}
+	})
+	tris := inst.Triangles()
+	return func(e lbm.Emitter) error {
+		if err := e.Route(gather, "dense/gather", "dense: trivial gather", false); err != nil {
+			return err
 		}
-	}
-	for i := range inst.Xhat.N {
-		for _, k := range inst.Xhat.Row(i) {
-			if l.OwnerX(int32(i), k) != sink {
-				m.Del(sink, lbm.XKey(int32(i), k))
-			}
+		// Computer 0 multiplies locally (free); on a partitioned machine
+		// only the participant hosting it computes.
+		for _, t := range tris {
+			e.MulAcc(sink, lbm.AKey(t.I, t.J), lbm.BKey(t.J, t.K), lbm.XKey(t.I, t.K))
 		}
-	}
-	return nil
+		if err := e.Route(scatter, "dense/distribute", "dense: trivial distribute", false); err != nil {
+			return err
+		}
+		for _, k := range cleanup {
+			e.Clear(sink, k)
+		}
+		return nil
+	}, nil
 }

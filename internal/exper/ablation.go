@@ -5,10 +5,10 @@ import (
 	"strings"
 
 	"lbmm/internal/dense"
+	"lbmm/internal/graph"
 	"lbmm/internal/lbm"
 	"lbmm/internal/matrix"
 	"lbmm/internal/ring"
-	"lbmm/internal/vnet"
 	"lbmm/internal/workload"
 )
 
@@ -110,43 +110,26 @@ func AblationStrassenVariant(scale Scale) ([]VariantRow, error) {
 	var rows []VariantRow
 	for _, n := range ns {
 		inst := denseInstance(n)
-		run := func(variant bool) (int, error) {
-			return runDense(inst, ring.NewGFp(1009), func(m *lbm.Machine, l *lbm.Layout) error {
-				spec := &dense.StrassenSpec{
-					N: inst.N, Procs: denseAll(3 * inst.N),
-					I: denseAll(inst.N), J: denseAll(inst.N), K: denseAll(inst.N),
-					SA: inst.Ahat, SB: inst.Bhat, SX: inst.Xhat, Layout: l,
-				}
-				if variant {
-					spec.Variant = dense.VariantWinograd()
-				}
-				net := vnet.Roles(inst.N)
-				job, err := dense.PlanStrassen(net, spec)
-				if err != nil {
-					return err
-				}
-				return dense.RunStrassenJobs(m, net, []*dense.StrassenJob{job})
-			})
+		run := func(name string, routine func(*lbm.Layout, *graph.Instance) (dense.Routine, error)) (int, error) {
+			res, err := runVerified(ring.NewGFp(1009), inst, denseRoutine(name, routine), 11)
+			if err != nil {
+				return 0, err
+			}
+			return res.Rounds, nil
 		}
-		classic, err := run(false)
+		classic, err := run("dense-strassen", strassen)
 		if err != nil {
 			return nil, err
 		}
-		winograd, err := run(true)
+		winograd, err := run("dense-strassen-winograd", func(l *lbm.Layout, in *graph.Instance) (dense.Routine, error) {
+			return dense.WholeStrassen(l, in, dense.VariantWinograd())
+		})
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, VariantRow{N: n, ClassicRounds: classic, WinogradRounds: winograd})
 	}
 	return rows, nil
-}
-
-func denseAll(n int) []int32 {
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(i)
-	}
-	return out
 }
 
 // FormatVariantAblation renders the bilinear-scheme comparison.

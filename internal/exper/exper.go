@@ -1,7 +1,7 @@
 // Package exper is the experiment harness: it regenerates every table and
 // figure of the paper from live simulations and the analytic machinery.
 // Every algorithm row runs its plan compiled, the program a server runs
-// (runVerified). Only Table 1's dense black-box rows run on the map machine.
+// (runVerified), Table 1's dense black-box rows included.
 // The cmd/lbmm CLI and the repository benchmarks are thin wrappers around
 // this package, so "the numbers in EXPERIMENTS.md" and "what the benches
 // print" are by construction the same code path.
@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"lbmm/internal/algo"
+	"lbmm/internal/dense"
 	"lbmm/internal/graph"
 	"lbmm/internal/lbm"
 	"lbmm/internal/matrix"
@@ -129,6 +130,17 @@ func lemma31(kappa int) plan {
 // baseline plans the naive phase 2 with budget κ (0: the natural budget).
 func baseline(kappa int) plan {
 	return func(pl *algo.Planner) (*algo.Prepared, error) { return pl.Baseline(kappa) }
+}
+
+// denseRoutine plans a whole-instance routine of package dense as the plan
+// named name (algo.Planner.Dense).
+func denseRoutine(name string, routine func(*lbm.Layout, *graph.Instance) (dense.Routine, error)) plan {
+	return func(pl *algo.Planner) (*algo.Prepared, error) { return pl.Dense(name, routine) }
+}
+
+// strassen plans classic distributed Strassen on a whole instance.
+func strassen(l *lbm.Layout, inst *graph.Instance) (dense.Routine, error) {
+	return dense.WholeStrassen(l, inst, nil)
 }
 
 // runVerified plans an algorithm for an instance, compiles the plan and

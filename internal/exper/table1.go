@@ -54,13 +54,11 @@ func Table1(scale Scale, opts ...Opt) ([]Series, error) {
 	row1 := Series{Name: "trivial dense gather", Theory: "O(n^2)", Expo: 2}
 	for _, n := range denseNs {
 		inst := denseInstance(n)
-		rounds, err := runDense(inst, ring.Counting{}, func(m *lbm.Machine, l *lbm.Layout) error {
-			return dense.TrivialGather(m, l, inst)
-		})
+		res, err := runVerified(ring.Counting{}, inst, denseRoutine("dense-gather", dense.Gather), 11)
 		if err != nil {
 			return nil, err
 		}
-		row1.Points = append(row1.Points, Point{X: float64(n), Rounds: rounds})
+		row1.Points = append(row1.Points, Point{X: float64(n), Rounds: res.Rounds})
 	}
 	out = append(out, row1)
 
@@ -68,13 +66,11 @@ func Table1(scale Scale, opts ...Opt) ([]Series, error) {
 	row2 := Series{Name: "dense 3D semiring [3]", Theory: "O(n^{4/3})", Expo: 4.0 / 3.0}
 	for _, n := range denseNs {
 		inst := denseInstance(n)
-		rounds, err := runDense(inst, ring.MinPlus{}, func(m *lbm.Machine, l *lbm.Layout) error {
-			return dense.RunWholeCube(m, l, inst)
-		})
+		res, err := runVerified(ring.MinPlus{}, inst, denseRoutine("dense-cube", dense.WholeCube), 11)
 		if err != nil {
 			return nil, err
 		}
-		row2.Points = append(row2.Points, Point{X: float64(n), Rounds: rounds})
+		row2.Points = append(row2.Points, Point{X: float64(n), Rounds: res.Rounds})
 	}
 	out = append(out, row2)
 
@@ -83,13 +79,11 @@ func Table1(scale Scale, opts ...Opt) ([]Series, error) {
 	row3 := Series{Name: "dense Strassen field (this repo)", Theory: "O(n^{1.288}) [paper: n^{1.157}]", Expo: 1.288}
 	for _, n := range strassenNs {
 		inst := denseInstance(n)
-		rounds, err := runDense(inst, ring.NewGFp(1009), func(m *lbm.Machine, l *lbm.Layout) error {
-			return dense.RunWholeStrassen(m, l, inst)
-		})
+		res, err := runVerified(ring.NewGFp(1009), inst, denseRoutine("dense-strassen", strassen), 11)
 		if err != nil {
 			return nil, err
 		}
-		row3.Points = append(row3.Points, Point{X: float64(n), Rounds: rounds})
+		row3.Points = append(row3.Points, Point{X: float64(n), Rounds: res.Rounds})
 	}
 	out = append(out, row3)
 
@@ -101,13 +95,11 @@ func Table1(scale Scale, opts ...Opt) ([]Series, error) {
 	}
 	for _, n := range ns {
 		inst := workload.Blocks(n, 4)
-		rounds, err := runDense(inst, ring.Boolean{}, func(m *lbm.Machine, l *lbm.Layout) error {
-			return dense.RunWholeCube(m, l, inst)
-		})
+		res, err := runVerified(ring.Boolean{}, inst, denseRoutine("dense-cube", dense.WholeCube), 11)
 		if err != nil {
 			return nil, err
 		}
-		row4.Points = append(row4.Points, Point{X: float64(n), Rounds: rounds})
+		row4.Points = append(row4.Points, Point{X: float64(n), Rounds: res.Rounds})
 	}
 	out = append(out, row4)
 
@@ -163,28 +155,6 @@ func denseInstance(n int) *graph.Instance {
 	}
 	s := matrix.NewSupport(n, es)
 	return graph.NewInstance(n, s, s, s)
-}
-
-// runDense loads a random instance, runs the given in-model routine and
-// verifies the product.
-func runDense(inst *graph.Instance, r ring.Semiring, run func(*lbm.Machine, *lbm.Layout) error) (int, error) {
-	a := matrix.Random(inst.Ahat, r, 11)
-	b := matrix.Random(inst.Bhat, r, 12)
-	m := lbm.New(inst.N, r)
-	l := algo.ChooseLayout(inst)
-	lbm.LoadInputs(m, l, a, b)
-	lbm.ZeroOutputs(m, l, inst.Xhat)
-	if err := run(m, l); err != nil {
-		return 0, err
-	}
-	got, err := lbm.CollectX(m, l, inst.Xhat)
-	if err != nil {
-		return 0, err
-	}
-	if err := algo.Verify(got, a, b, inst.Xhat); err != nil {
-		return 0, err
-	}
-	return m.Rounds(), nil
 }
 
 // FormatTable1 renders the Table 1 reproduction.

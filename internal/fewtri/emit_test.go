@@ -57,10 +57,11 @@ func TestEmitShapes(t *testing.T) {
 		{"trivial", PlanTrivial(l, tris), []int{1}},
 		{"naive", PlanNaive(n, l, tris, 0), []int{1, 1}},
 	} {
-		p := lbm.NewProgram(n)
-		if err := Emit(p, lbm.NewSlotSpace(n), tc.job); err != nil {
+		lw := lbm.NewLowering(n)
+		if err := Emit(lw, tc.job); err != nil {
 			t.Fatalf("%q job: %v", tc.shape, err)
 		}
+		p := lw.Program()
 		if err := p.Finish(); err != nil {
 			t.Fatalf("%q job: %v", tc.shape, err)
 		}

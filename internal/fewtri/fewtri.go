@@ -31,8 +31,8 @@
 // third shape (PlanNaive) reconstructs the prior work's phase 2 (SPAA 2022):
 // Lemma 3.1's virtualization with naive routing, one h-relation fetching
 // every input straight to each virtual computer that needs it and one
-// delivering each partial straight to its output owner. All shapes share one
-// map engine (Run) and one lowering into a compiled lbm.Program (Emit).
+// delivering each partial straight to its output owner. All shapes write
+// their steps once (Emit), to the compiled lbm.Program or to the map oracle.
 package fewtri
 
 import (
@@ -154,10 +154,10 @@ func (job *Job) Cost() (rounds, messages int) {
 }
 
 // Colour schedules every h-relation of the job that is still a message set,
-// so that Run, Emit and Cost read its plan and nothing colours it again. A
+// so that Emit and Cost read its plan and nothing colours it again. A
 // job is planned uncoloured, to be priced; the one a caller keeps is
 // coloured before it runs or lowers, and is read-only from then on. An
-// uncoloured job runs and lowers all the same, colouring afresh each time.
+// uncoloured job emits all the same, colouring afresh each time.
 func (job *Job) Colour() {
 	for i := range job.routes {
 		if rt := &job.routes[i]; rt.plan == nil {
@@ -595,105 +595,55 @@ func planOutputRouting(n, kappa int, order []graph.Triangle, vnodeOf []int32, vn
 	return []route{{msgs: toHolder}, {plan: step2}, {msgs: final}}, cleanup
 }
 
-// Run executes the job: the input routing plans, the free local products,
-// then the output routing plans, and finally cleans up all staged copies.
-func Run(m *lbm.Machine, job *Job) error {
+// Emit writes the job to e: the input routing plans, the free local
+// products, the output routing plans, then the clearing of every staged
+// copy. The input plans form one chain and the output plans another:
+// nothing but marks and phase spans separates the plans of each, so their
+// rounds may share exchanges across plan boundaries. A job with no
+// triangles writes nothing.
+func Emit(e lbm.Emitter, job *Job) error {
 	sh := job.sh
 	if sh == nil {
 		return nil
 	}
-	m.BeginPhase(sh.phase)
-	defer m.EndPhase()
+	e.BeginPhase(sh.phase)
 	if sh != &trivial { // a virtualized job reports its budget
-		m.Counter("kappa", float64(job.Kappa))
-		m.Counter("virtual_nodes", float64(job.VirtualNodes))
+		e.Counter("kappa", float64(job.Kappa))
+		e.Counter("virtual_nodes", float64(job.VirtualNodes))
 	}
-	runSteps := func(first, last int, what string) error {
+	route := func(first, last int, what string) error {
 		for i := first; i < last; i++ {
-			m.Mark(sh.labels[i])
-			m.BeginPhase(sh.phases[i])
-			err := m.Run(job.routes[i].planned())
-			m.EndPhase()
-			if err != nil {
-				return fmt.Errorf("fewtri %s routing: %w", what, err)
+			e.Mark(sh.labels[i])
+			e.BeginPhase(sh.phases[i])
+			if err := e.Route(job.routes[i].planned(), sh.phases[i], "fewtri "+what+" routing", i > first); err != nil {
+				return err
 			}
+			e.EndPhase()
 		}
 		return nil
 	}
-	if err := runSteps(0, sh.in, "input"); err != nil {
+	if err := route(0, sh.in, "input"); err != nil {
 		return err
 	}
-	m.BeginPhase("products")
+	e.BeginPhase("products")
+	// The per-group counters go ahead of every product: a product records
+	// nothing, so the span reads the same in either order, and this is the
+	// order stored programs hold.
 	for _, pg := range job.products {
-		if !m.Owns(pg.host) {
-			continue
-		}
-		m.Counter("triangles", float64(len(pg.tris)))
-		for _, t := range pg.tris {
-			av := m.MustGet(pg.host, lbm.AKey(t.I, t.J))
-			bv := m.MustGet(pg.host, lbm.BKey(t.J, t.K))
-			m.Acc(pg.host, sh.dst(t, pg.vid), m.R.Mul(av, bv))
-		}
-	}
-	m.EndPhase()
-	if err := runSteps(sh.in, len(job.routes), "output"); err != nil {
-		return err
-	}
-	for _, ck := range job.cleanup {
-		m.Del(ck.host, ck.key)
-	}
-	return nil
-}
-
-// Emit lowers a job into the shared slot space and appends it to prog in
-// the order Run runs it. The input plans form one chain and the output plans
-// another: nothing but marks and phase spans separates the plans of each, so
-// their rounds may share exchanges across plan boundaries. A job with no
-// triangles appends nothing.
-func Emit(prog *lbm.Program, sp *lbm.SlotSpace, job *Job) error {
-	sh := job.sh
-	if sh == nil {
-		return nil
-	}
-	prog.BeginPhase(sh.phase)
-	if sh != &trivial {
-		prog.Counter("kappa", float64(job.Kappa))
-		prog.Counter("virtual_nodes", float64(job.VirtualNodes))
-	}
-	lower := func(first, last int, what string) error {
-		for i := first; i < last; i++ {
-			cp, err := lbm.CompileInto(sp, job.routes[i].planned())
-			if err != nil {
-				return fmt.Errorf("fewtri: compile plan %d: %w", i, err)
-			}
-			prog.Mark(sh.labels[i])
-			prog.BeginPhase(sh.phases[i])
-			prog.Route(cp, sh.phases[i], "fewtri "+what+" routing", i > first)
-			prog.EndPhase()
-		}
-		return nil
-	}
-	if err := lower(0, sh.in, "input"); err != nil {
-		return err
-	}
-	prog.BeginPhase("products")
-	// The per-group counters go first: a product records nothing, so the
-	// span reads as the map engine's, one count per group at its host.
-	for _, pg := range job.products {
-		prog.CounterAt("triangles", pg.host, float64(len(pg.tris)))
+		e.CounterAt("triangles", pg.host, float64(len(pg.tris)))
 	}
 	for _, pg := range job.products {
 		for _, t := range pg.tris {
-			prog.MulAcc(sp.Ref(pg.host, lbm.AKey(t.I, t.J)), sp.Ref(pg.host, lbm.BKey(t.J, t.K)), sp.Ref(pg.host, sh.dst(t, pg.vid)))
+			e.MulAcc(pg.host, lbm.AKey(t.I, t.J), lbm.BKey(t.J, t.K), sh.dst(t, pg.vid))
 		}
 	}
-	prog.EndPhase()
-	if err := lower(sh.in, len(job.routes), "output"); err != nil {
+	e.EndPhase()
+	if err := route(sh.in, len(job.routes), "output"); err != nil {
 		return err
 	}
 	for _, ck := range job.cleanup {
-		prog.Clear(sp.Ref(ck.host, ck.key))
+		e.Clear(ck.host, ck.key)
 	}
-	prog.EndPhase()
+	e.EndPhase()
 	return nil
 }

@@ -26,7 +26,7 @@ func process(m *lbm.Machine, n int, l *lbm.Layout, tris []graph.Triangle, kappa 
 	if err != nil {
 		return nil, err
 	}
-	return job, Run(m, job)
+	return job, Emit(m, job)
 }
 
 // runInstance processes tris of inst via Lemma 3.1 and returns (result,
@@ -276,10 +276,10 @@ func TestRunTwiceAccumulates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Run(m, job); err != nil {
+	if err := Emit(m, job); err != nil {
 		t.Fatal(err)
 	}
-	if err := Run(m, job); err != nil {
+	if err := Emit(m, job); err != nil {
 		t.Fatal(err)
 	}
 	got, err := lbm.CollectX(m, l, inst.Xhat)

@@ -103,20 +103,21 @@ func newLayout(ahat, bhat, xhat *matrix.Support, owner func(i int32, k int) Node
 	return &Layout{N: ahat.N, A: lay(ahat), B: lay(bhat), X: lay(xhat)}
 }
 
-// LoadInputs places the values of A and B into their owners' stores. The
-// value matrices must realize exactly the supports the layout was built
-// from.
+// LoadInputs places A and B at their owners: every position of the
+// layout's supports, an absent value as the ring Zero (matrix.Sparse.Get),
+// so that a fixed plan finds all its sources.
 func LoadInputs(m *Machine, l *Layout, a, b *matrix.Sparse) {
-	for i, row := range a.Rows {
-		for _, c := range row {
-			m.Put(l.OwnerA(int32(i), c.Col), AKey(int32(i), c.Col), c.Val)
+	load := func(o *Owners, v *matrix.Sparse, key func(i, j int32) Key) {
+		i := 0
+		for k, j := range o.Sup.Col {
+			for int32(k) >= o.Sup.Off[i+1] {
+				i++
+			}
+			m.Put(o.Node[k], key(int32(i), j), v.Get(i, int(j)))
 		}
 	}
-	for j, row := range b.Rows {
-		for _, c := range row {
-			m.Put(l.OwnerB(int32(j), c.Col), BKey(int32(j), c.Col), c.Val)
-		}
-	}
+	load(&l.A, a, AKey)
+	load(&l.B, b, BKey)
 }
 
 // CollectX gathers the output values from their owners into a sparse matrix

@@ -201,6 +201,9 @@ type Machine struct {
 	netRound int
 	owned    []bool       // owned[v]: the transport hosts node v here
 	viaVals  []ring.Value // runRoundVia's round scratch, reused
+	// split is the rounds counted at MarkSplit (emit.go), and open the
+	// phase spans open now, which a failing Route closes.
+	split, open int
 
 	// round-scoped scratch for O(1) constraint checks
 	sentAt, recvAt []int32
@@ -243,6 +246,7 @@ func (m *Machine) Profile() *obsv.Profile {
 // BeginPhase opens a nested phase span on the collector (free no-op when
 // observability is off).
 func (m *Machine) BeginPhase(label string) {
+	m.open++
 	if m.collector != nil {
 		m.collector.BeginPhase(label)
 	}
@@ -250,6 +254,7 @@ func (m *Machine) BeginPhase(label string) {
 
 // EndPhase closes the innermost open phase span.
 func (m *Machine) EndPhase() {
+	m.open--
 	if m.collector != nil {
 		m.collector.EndPhase()
 	}
@@ -358,8 +363,8 @@ func (m *Machine) Acc(node NodeID, k Key, v ring.Value) {
 	}
 }
 
-// Del removes a key from a node's store (free local computation).
-func (m *Machine) Del(node NodeID, k Key) { delete(m.stores[node], k) }
+// Clear removes a key from a node's store (free local computation).
+func (m *Machine) Clear(node NodeID, k Key) { delete(m.stores[node], k) }
 
 // checkRound validates the model constraints for one round and returns the
 // number of real messages, or an error naming the offending send.
@@ -611,68 +616,6 @@ func sortedMetricKeys(m map[string]float64) []string {
 	return keys
 }
 
-// LocalAll applies a free local-computation step to every node. The callback
-// receives a view restricted to that node; nodes run in order.
-func (m *Machine) LocalAll(f func(node NodeID, v *LocalView)) {
-	for i := 0; i < m.N; i++ {
-		lv := LocalView{m: m, node: NodeID(i)}
-		f(NodeID(i), &lv)
-	}
-	m.refreshPeak()
-}
-
-func (m *Machine) refreshPeak() {
-	for i := range m.stores {
-		if len(m.stores[i]) > m.stats.PeakStore {
-			m.stats.PeakStore = len(m.stores[i])
-		}
-	}
-}
-
-// LocalView is a node-restricted store handle passed to local steps. Local
-// steps must only touch their own node's data; the view makes that the path
-// of least resistance.
-type LocalView struct {
-	m    *Machine
-	node NodeID
-}
-
-// Node returns the node this view belongs to.
-func (v *LocalView) Node() NodeID { return v.node }
-
-// Get reads a local value.
-func (v *LocalView) Get(k Key) (ring.Value, bool) { return v.m.Get(v.node, k) }
-
-// Put writes a local value.
-func (v *LocalView) Put(k Key, val ring.Value) {
-	// Peak tracking happens in LocalAll's refresh; write directly.
-	v.m.stores[v.node][k] = val
-}
-
-// Acc accumulates into a local value.
-func (v *LocalView) Acc(k Key, val ring.Value) {
-	st := v.m.stores[v.node]
-	cur, ok := st[k]
-	if !ok {
-		cur = v.m.R.Zero()
-	}
-	st[k] = v.m.R.Add(cur, val)
-}
-
-// Del removes a local value.
-func (v *LocalView) Del(k Key) { delete(v.m.stores[v.node], k) }
-
-// Each iterates over the node's current store. Mutating during iteration is
-// not allowed; collect keys first.
-func (v *LocalView) Each(f func(k Key, val ring.Value)) {
-	for k, val := range v.m.stores[v.node] {
-		f(k, val)
-	}
-}
-
-// Ring returns the machine's ring.
-func (v *LocalView) Ring() ring.Semiring { return v.m.R }
-
 // Reset clears all stores and statistics, returning the machine to its
 // freshly-constructed state (engine settings are kept). Prepared-plan
 // workloads reuse one machine across many value sets without reallocating
@@ -690,7 +633,7 @@ func (m *Machine) Reset() {
 		m.stats.SendLoad[i] = 0
 		m.stats.RecvLoad[i] = 0
 	}
-	m.netRound = 0
+	m.netRound, m.split, m.open = 0, 0, 0
 	if p := m.Profile(); p != nil {
 		p.Reset()
 	}

@@ -163,43 +163,70 @@ func TestPlanComposition(t *testing.T) {
 	}
 }
 
-func TestLocalAllAndViews(t *testing.T) {
+// TestMachineLocalSteps drives the Machine's local emitter steps: MulAcc
+// accumulates at its host, Clear deletes, ClearStaging deletes every staging
+// snapshot and nothing else, and none of them costs a round.
+func TestMachineLocalSteps(t *testing.T) {
 	m := New(8, ring.Counting{})
+	stage := func(i int32) Key { return Key{Kind: KStage, I: i} }
 	for i := int32(0); i < 8; i++ {
 		m.Put(i, AKey(i, 0), ring.Value(i))
+		m.Put(i, BKey(0, i), 2)
+		m.Put(i, stage(i), 5)
 	}
-	m.LocalAll(func(node NodeID, v *LocalView) {
-		if v.Node() != node {
-			t.Error("view node mismatch")
-		}
-		val, _ := v.Get(AKey(node, 0))
-		v.Put(TKey(node, 0, 0), v.Ring().Mul(val, 2))
-		v.Acc(TKey(node, 0, 0), 1)
-	})
+	var e Emitter = m
 	for i := int32(0); i < 8; i++ {
-		if v, _ := m.Get(i, TKey(i, 0, 0)); v != ring.Value(2*i+1) {
+		e.MulAcc(i, AKey(i, 0), BKey(0, i), TKey(i, 0, 0))
+		e.MulAcc(i, BKey(0, i), BKey(0, i), TKey(i, 0, 0))
+	}
+	for i := int32(0); i < 8; i++ {
+		if v, _ := m.Get(i, TKey(i, 0, 0)); v != ring.Value(2*i+4) {
 			t.Errorf("node %d: %v", i, v)
 		}
 	}
 	if m.Rounds() != 0 {
 		t.Error("local steps are free")
 	}
-	// Each + Del.
-	m.LocalAll(func(node NodeID, v *LocalView) {
-		var keys []Key
-		v.Each(func(k Key, _ ring.Value) {
-			if k.Kind == KT {
-				keys = append(keys, k)
-			}
-		})
-		for _, k := range keys {
-			v.Del(k)
-		}
-	})
+	e.ClearStaging()
 	for i := int32(0); i < 8; i++ {
+		e.Clear(i, TKey(i, 0, 0))
 		if _, ok := m.Get(i, TKey(i, 0, 0)); ok {
-			t.Error("Del failed")
+			t.Error("Clear failed")
 		}
+		if _, ok := m.Get(i, stage(i)); ok {
+			t.Error("a staging snapshot survives ClearStaging")
+		}
+		if _, ok := m.Get(i, AKey(i, 0)); !ok {
+			t.Error("ClearStaging deleted an input")
+		}
+	}
+}
+
+// spanDepth is a collector that counts the phase spans open on it.
+type spanDepth struct{ open int }
+
+func (c *spanDepth) BeginPhase(string)       { c.open++ }
+func (c *spanDepth) EndPhase()               { c.open-- }
+func (c *spanDepth) Mark(string)             {}
+func (c *spanDepth) OnRound(int, int)        {}
+func (c *spanDepth) OnSend(int32, int32)     {}
+func (c *spanDepth) Counter(string, float64) {}
+
+// TestMachineRouteFailureClosesSpans fails a route two spans deep on the
+// map engine: the error names the route's context and no span stays open,
+// as on the compiled engine (RunProgram).
+func TestMachineRouteFailureClosesSpans(t *testing.T) {
+	c := &spanDepth{}
+	var e Emitter = New(2, ring.Counting{}, WithCollector(c))
+	e.BeginPhase("outer")
+	e.BeginPhase("inner")
+	missing := &Plan{Rounds: []Round{{{From: 0, To: 1, Src: AKey(0, 0), Dst: AKey(0, 0)}}}}
+	err := e.Route(missing, "row", "step", false)
+	if err == nil || !strings.HasPrefix(err.Error(), "step: round 0: ") {
+		t.Fatalf("route error %v", err)
+	}
+	if c.open != 0 {
+		t.Fatalf("%d phase spans left open", c.open)
 	}
 }
 

@@ -12,11 +12,11 @@ import (
 // every plan here is a fixed bilinear program: route, multiply locally,
 // route again, clear the staged copies. A Program writes that alternation
 // down as one flat list of steps over typed slabs. Every planner (dense,
-// cluster, fewtri) appends its steps to one program against one shared
-// SlotSpace, one executor loop (Exec.RunProgram) runs it, one wire form
-// (WireWriter.Program, WireReader.Program) stores it, and every reader of a
-// plan (VisitRefs, AddNodeLoads, AddExchanges, CheckDefs) walks the same
-// list. Steps are a switch over slab ranges, never an interface call per
+// cluster, fewtri) writes its steps to one Lowering (emit.go), which
+// appends them to one program against one slot space; one executor loop
+// (Exec.RunProgram) runs it, one wire form (WireWriter.Program,
+// WireReader.Program) stores it, and every reader of a plan (VisitRefs,
+// AddNodeLoads, AddExchanges, CheckDefs) walks the same list. Steps are a switch over slab ranges, never an interface call per
 // product.
 
 // StepKind names what one step of a Program does.
@@ -91,7 +91,7 @@ type Count struct {
 // N-node machine. Split is a step index: RunProgram reports the rounds
 // counted before it, which is how a two-phase plan learns phase 1's rounds.
 // A program is built by appending (Route, MulAcc, Leaf, Clear and the
-// collector events) or read from a wire body, and is checked and completed
+// collector events, which a Lowering calls) or read from a wire body, and is checked and completed
 // by Finish before it runs. It is read-only after Finish.
 type Program struct {
 	N      int
@@ -116,9 +116,6 @@ type Program struct {
 	// it.
 	label map[string]int32
 }
-
-// NewProgram returns an empty program for an n-node machine.
-func NewProgram(n int) *Program { return &Program{N: n} }
 
 // labelOf returns the index of s in Labels, appending it on first use.
 func (p *Program) labelOf(s string) int32 {
@@ -452,8 +449,8 @@ func (p *Program) CheckDefs(defined []bool, off []int64) error {
 
 // RunProgram runs every step of a finished program and returns the rounds
 // counted before step p.Split. A failing route ends the run with the
-// program's open phase spans closed, as the map engine's deferred ends close
-// its own.
+// program's open phase spans closed, as it ends the map engine's
+// (Machine.Route).
 func (x *Exec) RunProgram(p *Program) (split int, err error) {
 	if p.N != x.N {
 		return 0, fmt.Errorf("lbm: program for %d computers on a %d-computer executor", p.N, x.N)

@@ -36,7 +36,7 @@ func testProgram(t *testing.T) (*Program, *SlotSpace, programSlots) {
 		}
 		return cp
 	}
-	p := NewProgram(3)
+	p := &Program{N: 3}
 	p.BeginPhase("job")
 	p.Counter("jobs", 1)
 	p.Mark("job:fetch")
@@ -232,7 +232,7 @@ func TestCompiledProgramDefs(t *testing.T) {
 	if err := p.CheckDefs(loads(s.a, s.e, s.x, s.y), off); !errors.Is(err, ErrUseBeforeDef) {
 		t.Fatalf("a fetch of an unloaded slot: err = %v, want ErrUseBeforeDef", err)
 	}
-	q := NewProgram(3)
+	q := &Program{N: 3}
 	q.Clear(s.a)
 	q.MulAcc(s.a, s.a, s.x)
 	if err := q.Finish(); err != nil {

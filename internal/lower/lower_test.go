@@ -267,7 +267,7 @@ func TestDegreeGrowthBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := fewtri.Run(m, job); err != nil {
+		if err := fewtri.Emit(m, job); err != nil {
 			t.Fatal(err)
 		}
 		v, ok := m.Get(l.OwnerX(0, 0), lbmpkg.XKey(0, 0))

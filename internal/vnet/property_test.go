@@ -113,7 +113,7 @@ func TestCompileMatchesReference(t *testing.T) {
 		if err := m.Run(real); err != nil {
 			t.Fatal(err)
 		}
-		CleanupStaging(m)
+		m.ClearStaging()
 		for v := 0; v < nV; v++ {
 			for k, want := range stores[v] {
 				got, ok := m.Get(host[v], k)

@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"lbmm/internal/lbm"
-	"lbmm/internal/ring"
 	"lbmm/internal/routing"
 )
 
@@ -92,7 +91,7 @@ func (p *Plan) Extend(q *Plan) { p.Rounds = append(p.Rounds, q.Rounds...) }
 // the exact semantics by snapshotting every such source into a reserved
 // staging key (a free local copy executed before the round's deliveries)
 // and sending from the snapshot. Staging keys are overwritten round to
-// round; call CleanupStaging after running the plan to drop the leftovers.
+// round; an emitter's ClearStaging drops the leftovers (lbm.Emitter).
 func (nt *Net) Compile(p *Plan, strategy routing.Strategy) (*lbm.Plan, error) {
 	out := &lbm.Plan{}
 	sentAt := make([]int, nt.V())
@@ -163,22 +162,6 @@ func (nt *Net) Compile(p *Plan, strategy routing.Strategy) (*lbm.Plan, error) {
 		})
 	}
 	return out, nil
-}
-
-// CleanupStaging deletes all staging snapshots left behind by compiled
-// plans (a free local sweep).
-func CleanupStaging(m *lbm.Machine) {
-	m.LocalAll(func(_ lbm.NodeID, v *lbm.LocalView) {
-		var keys []lbm.Key
-		v.Each(func(k lbm.Key, _ ring.Value) {
-			if k.Kind == lbm.KStage {
-				keys = append(keys, k)
-			}
-		})
-		for _, k := range keys {
-			v.Del(k)
-		}
-	})
 }
 
 type hostKey struct {
