@@ -12,7 +12,7 @@
 //	lbmm ablation [-full]   Lemma 3.1 vs naive-routing ablation
 //	lbmm support [-full]    supported vs unsupported model (§1.6 baseline)
 //	lbmm json [-full]       every experiment's data as JSON
-//	lbmm trace [-n N] [-d D] [-alg NAME] [-workload NAME] [-format json|csv|text] [-o FILE]
+//	lbmm trace [-n N] [-d D] [-alg NAME] [-workload NAME] [-ring R] [-format json|csv|text] [-o FILE]
 //	                        structured trace export (schema lbmm.trace.v1)
 //	lbmm exchanges [-n N] [-d D]
 //	                        model rounds vs. physical exchanges per phase,
@@ -146,7 +146,7 @@ func main() {
 	bPath := fs.String("b", "", "solve: path to matrix B")
 	xPath := fs.String("x", "", "solve: path to output support X̂")
 	outPath := fs.String("o", "", "solve: result path / gen: file prefix")
-	ringName := fs.String("ring", "", "solve: override the ring (boolean|counting|minplus|maxplus|gfp|real)")
+	ringName := fs.String("ring", "", "solve/trace: override the ring (boolean|counting|minplus|maxplus|gfp|real); trace defaults to counting")
 	algName := fs.String("alg", "auto", "trace: algorithm (auto|trivial|lemma31|theorem42|baseline); auto traces the plan core.Prepare keeps")
 	wlName := fs.String("workload", "blocks", "trace: workload (blocks|mixed|us|hotpair|powerlaw)")
 	format := fs.String("format", "json", "trace: output format (json|csv|text)")
@@ -182,7 +182,7 @@ func main() {
 	case "support":
 		err = runSupport(scale)
 	case "trace":
-		err = runTrace(*n, *d, *algName, *wlName, *format, *outPath)
+		err = runTrace(*n, *d, *algName, *wlName, *ringName, *format, *outPath)
 	case "exchanges":
 		err = runExchanges(*n, *d)
 	case "json":
@@ -389,12 +389,17 @@ func traceRun(r ring.Semiring, inst *graph.Instance, a, b *matrix.Sparse, algNam
 	return got[0], res, nil
 }
 
-func runTrace(n, d int, algName, wlName, format, outPath string) error {
+func runTrace(n, d int, algName, wlName, ringName, format, outPath string) error {
 	inst, err := workloadInstance(wlName, n, d)
 	if err != nil {
 		return err
 	}
-	r := ring.Counting{}
+	var r ring.Semiring = ring.Counting{}
+	if ringName != "" {
+		if r, err = matrix.RingByName(ringName); err != nil {
+			return err
+		}
+	}
 	a := matrix.Random(inst.Ahat, r, 1)
 	b := matrix.Random(inst.Bhat, r, 2)
 	got, res, err := traceRun(r, inst, a, b, algName)

@@ -80,23 +80,23 @@ type Result struct {
 }
 
 // ChooseLayout picks the canonical input/output distribution for an
-// instance: the paper's row layout when every computer would hold O(d)
-// elements of each matrix under it, and the balanced ⌈nnz/n⌉-per-computer
-// layout otherwise (§2: sparse matrices come distributed d elements per
-// computer; the algorithms may permute at O(d) extra cost, which the
-// balanced layout realizes for free at load time).
+// instance (choosePlacement) and lays the supports out by it.
 func ChooseLayout(inst *graph.Instance) *lbm.Layout {
-	limit := inst.D
-	if limit < 1 {
-		limit = 1
+	return choosePlacement(inst).Layout(inst.Ahat, inst.Bhat, inst.Xhat)
+}
+
+// choosePlacement decides the layout of an instance: the paper's row layout
+// when every computer would hold O(d) elements of each matrix under it, and
+// the balanced ⌈nnz/n⌉-per-computer layout otherwise (§2: sparse matrices
+// come distributed d elements per computer; the algorithms may permute at
+// O(d) extra cost, which the balanced layout realizes for free at load
+// time). A decoded plan derives its load slots from the same decision.
+func choosePlacement(inst *graph.Instance) lbm.Placement {
+	limit := max(inst.D, 1)
+	if inst.Ahat.MaxRowNNZ() <= limit && inst.Bhat.MaxRowNNZ() <= limit && inst.Xhat.MaxRowNNZ() <= limit {
+		return lbm.ByRow
 	}
-	rowOK := inst.Ahat.MaxRowNNZ() <= limit &&
-		inst.Bhat.MaxRowNNZ() <= limit &&
-		inst.Xhat.MaxRowNNZ() <= limit
-	if rowOK {
-		return lbm.RowLayout(inst.Ahat, inst.Bhat, inst.Xhat)
-	}
-	return lbm.BalancedLayout(inst.Ahat, inst.Bhat, inst.Xhat)
+	return lbm.Balanced
 }
 
 // Verify checks an algorithm's output against the sequential reference.

@@ -6,7 +6,9 @@ import (
 	"slices"
 	"sync"
 
+	"lbmm/internal/graph"
 	"lbmm/internal/lbm"
+	"lbmm/internal/matrix"
 	"lbmm/internal/ring"
 )
 
@@ -31,13 +33,6 @@ func rowOf(off []int32, i, k int32) int32 {
 	return i
 }
 
-// ErrLoadSlots reports a compiled form whose A, B and X load refs do not
-// number each node's slots 0, 1, 2, … in load order. The loader marks the
-// prefix [0, loaded[v]) present without writing presence per slot, so a gap
-// would expose whatever a pooled executor's previous run — of this plan or,
-// the pools being the machine's, of any other — left in the slot.
-var ErrLoadSlots = errors.New("algo: load slots are not a prefix")
-
 // ErrDeadCell reports a plan that reaches an A, B or X cell lying on no
 // triangle. Such a cell has no slot in the loaded prefix, so the plan would
 // find it absent at run time.
@@ -55,13 +50,15 @@ var ErrDeadCell = errors.New("algo: plan reaches a cell on no triangle")
 // Only live cells take a slot: the A, B and X cells that lie on at least
 // one triangle (graph.Instance.Live). A dead cell never sends, never
 // receives and never changes the product, so it is neither loaded, zeroed
-// nor collected. The live cells are the first keys the lowering sees, and
-// it numbers slots on first sight, so on every node v the loaded slots are
-// exactly the prefix [0, loaded[v]). Loading is therefore a value copy:
-// Exec.BeginLoad marks the prefixes present and the loader writes values
-// into the arenas. The map oracle still stores the dead cells, so BeginLoad
-// also counts dead[v] against each node's store: PeakStore, StoreLimit and
-// StoreLen stay the map engine's.
+// nor collected. numberLoads numbers the live cells' slots from the
+// supports and the layout alone, on every node v the prefix
+// [0, loaded[v]); compilation hands them to the lowering before any step,
+// and a decoded form derives the same numbering, so an envelope carries
+// none of it. Loading is therefore a value copy: Exec.BeginLoad marks the
+// prefixes present and the loader writes values into the arenas. The map
+// oracle still stores the dead cells, so BeginLoad also counts dead[v]
+// against each node's store: PeakStore, StoreLimit and StoreLen stay the
+// map engine's.
 type compiledPrepared struct {
 	sizes        []int32
 	loadA, loadB []loadRef
@@ -87,8 +84,10 @@ type execShape struct{ n, lanes int }
 
 // execFor returns an executor of the plan's machine carrying the given lane
 // count, laid out for the plan, plus the pool to return it to after Reset.
-// Reuse across plans is safe because of the load-prefix rule (ErrLoadSlots):
-// the loader writes every slot a run reads before the run reads it, so what
+// Reuse across plans is safe because the load slots are derived, a prefix
+// of each node's arena by construction (numberLoads), and every other slot
+// is defined by a step before a step reads it (lbm.Program.CheckDefs): the
+// loader writes every slot a run reads before the run reads it, so what
 // another plan's run left in a slot is never read, as for this plan's own.
 func (cp *compiledPrepared) execFor(lanes int) (*lbm.Exec, *sync.Pool) {
 	shape := execShape{n: len(cp.sizes), lanes: lanes}
@@ -110,12 +109,10 @@ func (cp *compiledPrepared) execFor(lanes int) (*lbm.Exec, *sync.Pool) {
 func compilePrepared(p *Prepared) (*compiledPrepared, error) {
 	inst, l := p.Inst, p.Layout
 	lw := lbm.NewLowering(inst.N)
-	cp := &compiledPrepared{dead: make([]int32, inst.N)}
-	liveA, liveB, liveX := inst.Live()
-	cp.loadA = cp.slotLive(lw, &l.A, liveA, lbm.AKey)
-	cp.loadB = cp.slotLive(lw, &l.B, liveB, lbm.BKey)
-	cp.x = cp.slotLive(lw, &l.X, liveX, lbm.XKey)
-	loaded := lw.Sizes()
+	cp := &compiledPrepared{}
+	// The lowering numbers keys on first sight, so handing it the loads
+	// first gives each the slot numberLoads derived.
+	cp.numberLoads(inst, choosePlacement(inst), func(node lbm.NodeID, k lbm.Key) { lw.Ref(node, k) })
 	if err := p.emit(lw); err != nil {
 		return nil, err
 	}
@@ -139,7 +136,7 @@ func compilePrepared(p *Prepared) (*compiledPrepared, error) {
 		default:
 			return
 		}
-		if o, ok := owners.Of(k.I, k.J); ok && o == node && slot >= loaded[node] && reach == nil {
+		if o, ok := owners.Of(k.I, k.J); ok && o == node && slot >= cp.loaded[node] && reach == nil {
 			reach = fmt.Errorf("%w: %v at node %d", ErrDeadCell, k, node)
 		}
 	})
@@ -152,35 +149,60 @@ func compilePrepared(p *Prepared) (*compiledPrepared, error) {
 	return cp, nil
 }
 
-// slotLive walks a support of the instance in row-major order, reading the
-// owner of the cell at position k off its layout, which lays out that same
-// support: each live cell takes the next slot of its owner and comes back
-// as a load ref, each dead cell is counted against its owner in cp.dead.
-func (cp *compiledPrepared) slotLive(lw *lbm.Lowering, owners *lbm.Owners, live []bool, key func(i, j int32) lbm.Key) []loadRef {
-	var refs []loadRef
-	sup := owners.Sup
-	i := int32(0)
-	for k, j := range sup.Col {
-		i = rowOf(sup.Off, i, int32(k))
-		o := owners.Node[k]
-		if live[k] {
-			refs = append(refs, loadRef{k: int32(k), ref: lw.Ref(o, key(i, j))})
-		} else {
-			cp.dead[o]++
+// numberLoads numbers the load slots of inst laid out by pl, the one rule
+// compilation and decoding share: every live A cell, then every live B
+// cell, then every live X cell, each support in row-major order, takes the
+// next slot of its owner (lbm.Placement.Owner), and each dead cell is
+// counted against its owner. It sets loadA, loadB, x, loaded and dead, so
+// the loaded slots of node v are [0, loaded[v]) by construction. lower, if
+// not nil, is handed each live cell's owner and key in that order.
+func (cp *compiledPrepared) numberLoads(inst *graph.Instance, pl lbm.Placement, lower func(lbm.NodeID, lbm.Key)) {
+	n := inst.N
+	liveA, liveB, liveX := inst.Live()
+	lives := [3][]bool{liveA, liveB, liveX}
+	nLive := 0
+	for _, live := range lives {
+		for _, ok := range live {
+			if ok {
+				nLive++
+			}
 		}
 	}
-	return refs
+	refs := make([]loadRef, 0, nLive)
+	counts := make([]int32, 2*n)
+	loaded, dead := counts[:n:n], counts[n:]
+	keys := [3]func(i, j int32) lbm.Key{lbm.AKey, lbm.BKey, lbm.XKey}
+	var loads [3][]loadRef
+	for m, sup := range []*matrix.Support{inst.Ahat, inst.Bhat, inst.Xhat} {
+		live, off, start := lives[m], sup.Off, len(refs)
+		for i := range int32(sup.N) {
+			for k := off[i]; k < off[i+1]; k++ {
+				o := pl.Owner(n, i, k)
+				if !live[k] {
+					dead[o]++
+					continue
+				}
+				refs = append(refs, loadRef{k: k, ref: lbm.SlotRef{Node: o, Slot: loaded[o]}})
+				loaded[o]++
+				if lower != nil {
+					lower(o, keys[m](i, sup.Col[k]))
+				}
+			}
+		}
+		loads[m] = refs[start:len(refs):len(refs)]
+	}
+	cp.loaded, cp.dead = loaded, dead
+	cp.loadA, cp.loadB, cp.x = loads[0], loads[1], loads[2]
 }
 
-// finish completes a compiled form whose instruction state is in place —
-// whether freshly lowered or decoded from a serialized snapshot; its program
-// is finished (lbm.Program.Finish). It derives the arena sizes of an n-node
-// machine and the loaded prefixes, checks that every slot the program reads
-// is defined first (lbm.Program.CheckDefs), prices the resident size and
-// records the ring its executors run over. It fails when a ref is out of
-// range or the arenas are not gap-free (arenaWalk), when the program needs a
-// field and the ring is not one, with ErrLoadSlots when the load refs, taken
-// in order, do not number each node's slots from 0 without a gap, and with
+// finish completes a compiled form whose loads are numbered (numberLoads)
+// and whose program is in place — whether freshly lowered or decoded from
+// a serialized snapshot; its program is finished (lbm.Program.Finish). It
+// derives the arena sizes of an n-node machine, checks that every slot the
+// program reads is defined first (lbm.Program.CheckDefs), prices the
+// resident size and records the ring its executors run over. It fails when
+// a ref is out of range or the arenas are not gap-free (arenaWalk), when
+// the program needs a field and the ring is not one, and with
 // lbm.ErrUseBeforeDef when a step reads a slot nothing defined.
 func (cp *compiledPrepared) finish(n int, r ring.Semiring) error {
 	w := &arenaWalk{size: make([]int64, n)}
@@ -190,16 +212,6 @@ func (cp *compiledPrepared) finish(n int, r ring.Semiring) error {
 	}
 	if _, field := ring.AsField(r); cp.prog.NeedsField() && !field {
 		return fmt.Errorf("the program subtracts or multiplies leaf blocks, and ring %s has no subtraction", r.Name())
-	}
-	cp.loaded = make([]int32, n)
-	for _, refs := range [][]loadRef{cp.loadA, cp.loadB, cp.x} {
-		for _, lr := range refs {
-			v := lr.ref.Node
-			if lr.ref.Slot != cp.loaded[v] {
-				return fmt.Errorf("%w: node %d loads slot %d where slot %d is next", ErrLoadSlots, v, lr.ref.Slot, cp.loaded[v])
-			}
-			cp.loaded[v]++
-		}
 	}
 	var err error
 	if cp.sizes, err = w.arenas(cp.visitRefs); err != nil {

@@ -23,8 +23,8 @@ import (
 type Prepared struct {
 	Inst *graph.Instance
 	// Layout assigns matrix entries to computers. Compilation and the map
-	// oracle read it; it is nil on a restored plan, whose load refs already
-	// carry the owners.
+	// oracle read it; it is nil on a restored plan, whose load slots are
+	// derived from the supports without it (numberLoads).
 	Layout *lbm.Layout
 	R      ring.Semiring
 	Name   string

@@ -146,8 +146,8 @@ func (faultAt) Straggles(int, lbm.NodeID) bool { return false }
 // under a store limit one below Q's peak and one under a dropped message,
 // leave present slots and written values behind them; the good runs after
 // them must not see either. Every product must be MulReference's. That a
-// previous run of another plan is harmless rests on the load-prefix rule
-// (ErrLoadSlots): a run writes every slot it reads before reading it.
+// previous run of another plan is harmless rests on the load prefixes,
+// derived by numberLoads: a run writes every slot it reads before reading it.
 func TestSharedExecutorAcrossPlans(t *testing.T) {
 	p, q := sharedPlans(t)
 	run := func(label string, pl *Prepared, k int, seed int64) {

@@ -47,13 +47,8 @@ func (p *Prepared) EncodeCompiled(w *lbm.WireWriter) error {
 	w.Int(p.meta.Kappa)
 	w.Int(p.meta.Triangles)
 	w.Int(p.meta.Residual)
-	w.Int32s(cp.dead)
-	for _, refs := range [][]loadRef{cp.loadA, cp.loadB, cp.x} {
-		w.Count(len(refs))
-		for _, lr := range refs {
-			w.Ref(lr.ref)
-		}
-	}
+	// The load slots are not written: the decoder derives them from the
+	// supports and d (numberLoads).
 	w.Program(cp.prog)
 	return nil
 }
@@ -64,23 +59,23 @@ func (p *Prepared) EncodeCompiled(w *lbm.WireWriter) error {
 //
 // Decoded state crosses a trust boundary (the plan store's files are
 // outside the process), so it is checked before an executor can touch it,
-// for bounds, for the counts it implies and for definition before use. The three supports are read
-// into one row-offsets slab and one column slab (lbm.WireReader.RowLists),
-// each support a view of its part held to matrix.SupportFromCSR's offset,
-// range and sortedness checks, and no column index is built. Every plan is
-// read for the machine size they pin and held to the model rules, with its
-// per-round counts derived from its instructions. The live cells are
-// derived from the supports
-// (graph.Instance.Live), and the load refs are matched one-to-one against
-// them. The per-node dead counts must be non-negative and sum to the dead
-// cells. The load refs must number each node's slots from 0 without a gap
-// (ErrLoadSlots). The arena sizes are derived from every ref the form holds
-// and must be gap-free, so the arenas are never larger than the refs that
-// use them. A program that subtracts or multiplies leaf blocks needs a ring
-// with subtraction. Walked once in execution order — the loads, then every
-// step — no step may read a slot before a load, a route delivery, a product
-// or a leaf defines it, nor after a clear undefines it
-// (lbm.ErrUseBeforeDef): a decoded form never panics on a missing slot.
+// for bounds, for the counts it implies and for definition before use. The
+// three supports are read into one row-offsets slab and one column slab
+// (lbm.WireReader.RowLists), each support a view of its part held to
+// matrix.SupportFromCSR's offset, range and sortedness checks, and no
+// column index is built. Every plan is read for the machine size they pin
+// and held to the model rules, with its per-round counts derived from its
+// instructions. The load slots and the per-node dead counts are not read
+// but derived, as compilation derived them (numberLoads): from the
+// supports' live cells (graph.Instance.Live) and the layout d implies
+// (choosePlacement), with no lbm.Layout built. The arena sizes are derived
+// from every ref the form holds and must be gap-free, so the arenas are
+// never larger than the refs that use them. A program that subtracts or
+// multiplies leaf blocks needs a ring with subtraction. Walked once in
+// execution order — the loads, then every step — no step may read a slot
+// before a load, a route delivery, a product or a leaf defines it, nor
+// after a clear undefines it (lbm.ErrUseBeforeDef): a decoded form never
+// panics on a missing slot.
 //
 // The product is not checked: a form that passes all of this can still
 // compute a wrong one. Catching that needs a certificate multiply, which is
@@ -109,9 +104,7 @@ func DecodeCompiledPrepared(r *lbm.WireReader) (*Prepared, error) {
 	meta := Result{Name: name, Batches: r.Int()}
 	meta.Cluster.CubeClusters, meta.Cluster.StrassenClusters = r.Int(), r.Int()
 	meta.Kappa, meta.Triangles, meta.Residual = r.Int(), r.Int(), r.Int()
-	cp := &compiledPrepared{dead: r.Int32s()}
-	refs := [3][]lbm.SlotRef{r.Refs(), r.Refs(), r.Refs()}
-	cp.prog = r.Program(n)
+	cp := &compiledPrepared{prog: r.Program(n)}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("algo: decode prepared: %w", err)
 	}
@@ -142,32 +135,8 @@ func DecodeCompiledPrepared(r *lbm.WireReader) (*Prepared, error) {
 	if d < 1 {
 		return nil, fmt.Errorf("algo: decode prepared: sparsity parameter d=%d", d)
 	}
-	// The load refs, matched one-to-one against the supports' live cells:
-	// liveness is derived from the supports, never carried.
 	inst := graph.NewInstance(d, sups[0], sups[1], sups[2])
-	var live [3][]bool
-	live[0], live[1], live[2] = inst.Live()
-	loads := [3]*[]loadRef{&cp.loadA, &cp.loadB, &cp.x}
-	dead := 0
-	for i, m := range [3]string{"A", "B", "X"} {
-		if *loads[i], err = importRefs(refs[i], sups[i], live[i]); err != nil {
-			return nil, fmt.Errorf("algo: decode prepared: %s slots: %w", m, err)
-		}
-		dead += sups[i].NNZ - len(*loads[i])
-	}
-	if len(cp.dead) != n {
-		return nil, fmt.Errorf("algo: decode prepared: %d dead counts for %d nodes", len(cp.dead), n)
-	}
-	sum := 0
-	for v, c := range cp.dead {
-		if c < 0 {
-			return nil, fmt.Errorf("algo: decode prepared: negative dead count at node %d", v)
-		}
-		sum += int(c)
-	}
-	if sum != dead {
-		return nil, fmt.Errorf("algo: decode prepared: dead counts sum to %d, the supports have %d dead cells", sum, dead)
-	}
+	cp.numberLoads(inst, choosePlacement(inst), nil)
 	if err := cp.finish(n, rg); err != nil {
 		return nil, fmt.Errorf("algo: decode prepared: %w", err)
 	}
@@ -178,28 +147,6 @@ func DecodeCompiledPrepared(r *lbm.WireReader) (*Prepared, error) {
 		compiled: cp,
 		meta:     meta,
 	}, nil
-}
-
-// importRefs pairs decoded slot refs with sup's live entries in row-major
-// order — the order compilePrepared emits, EncodeCompiled writes and the
-// loader depends on — insisting on one ref per live entry.
-func importRefs(refs []lbm.SlotRef, sup *matrix.Support, live []bool) ([]loadRef, error) {
-	nLive := 0
-	for _, ok := range live {
-		if ok {
-			nLive++
-		}
-	}
-	if len(refs) != nLive {
-		return nil, fmt.Errorf("%d refs for %d live support entries", len(refs), nLive)
-	}
-	out := make([]loadRef, 0, len(refs))
-	for k, ok := range live {
-		if ok {
-			out = append(out, loadRef{k: int32(k), ref: refs[len(out)]})
-		}
-	}
-	return out, nil
 }
 
 // ringFromWire reconstructs the ring a snapshot was prepared over. GF(p)

@@ -3,7 +3,6 @@ package algo
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"hash/crc32"
 	"reflect"
 	"strings"
@@ -242,61 +241,72 @@ func TestSnapshotRejectsTampering(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejectsLoadSlotGap checks the decoder's prefix rule: load refs
-// that leave a gap in a node's slot numbering, reuse a slot or take the
-// prefix out of order are refused with ErrLoadSlots. Each mutation stays
-// inside the arena bounds, so the prefix rule is what fires; a gap that got
-// through would mark a slot present that still holds whatever a pooled
-// executor's previous call, of this plan or another, left there. A form
-// that gets through is run on a poisoned executor and the outcome reported.
-func TestSnapshotRejectsLoadSlotGap(t *testing.T) {
-	for _, alg := range []string{"trivial", "lemma31", "theorem42"} {
-		for _, tc := range []struct {
-			name   string
-			mutate func(cp *compiledPrepared) bool
+// envShapePlans are the plan shapes the core envelope tests use
+// (core.envShapes): a Lemma 3.1 job, a phase-1 cube batch, a phase-1
+// Strassen batch over a field and a trivial job, on blocks of 8.
+func envShapePlans(t *testing.T) map[string]*Prepared {
+	t.Helper()
+	shapes := workload.Blocks(8, 2)
+	return map[string]*Prepared{
+		"shape/lemma31":  prepareFor(t, ring.Counting{}, shapes, "lemma31"),
+		"shape/cube":     prepareFor(t, ring.Counting{}, shapes, "theorem42"),
+		"shape/strassen": prepareFor(t, ring.NewGFp(257), shapes, "theorem42"),
+		"shape/trivial":  prepareFor(t, ring.Counting{}, shapes, "trivial"),
+	}
+}
+
+// TestDecodeDerivesLoads checks that the load slots and dead counts a
+// decoded form derives are the ones compilation numbered — loadA, loadB, x,
+// loaded and dead — and that the decoded form multiplies to the fresh
+// form's product and Stats, PeakStore included, which rest on them. It runs
+// over every envelope plan shape and a trivial plan on each layout: a
+// uniformly sparse instance under the row layout, and one whose rows are
+// longer than d (power-law) under the balanced one.
+func TestDecodeDerivesLoads(t *testing.T) {
+	plans := envShapePlans(t)
+	for name, tc := range map[string]struct {
+		inst *graph.Instance
+		want lbm.Placement
+	}{
+		"row/trivial":      {workload.Instance(matrix.US, matrix.US, matrix.US, 64, 4, 1), lbm.ByRow},
+		"balanced/trivial": {workload.PowerLaw(64, 4, 1), lbm.Balanced},
+	} {
+		if got := choosePlacement(tc.inst); got != tc.want {
+			t.Fatalf("%s: placement %v, want %v", name, got, tc.want)
+		}
+		plans[name] = prepareFor(t, ring.Counting{}, tc.inst, "trivial")
+	}
+	for name, p := range plans {
+		q, err := restore(snapshot(t, p))
+		if err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		fresh, back := p.compiled, q.compiled
+		for _, f := range []struct {
+			what      string
+			got, want any
 		}{
-			{"gap", func(cp *compiledPrepared) bool {
-				// The last X ref of a node with slots beyond its prefix
-				// skips one slot.
-				for i := len(cp.x) - 1; i >= 0; i-- {
-					if v := cp.x[i].ref.Node; cp.loaded[v] < cp.sizes[v] {
-						cp.x[i].ref.Slot++
-						return true
-					}
-				}
-				return false
-			}},
-			{"reused", func(cp *compiledPrepared) bool {
-				cp.loadB[0].ref = cp.loadA[0].ref
-				return true
-			}},
-			{"out-of-order", func(cp *compiledPrepared) bool {
-				for i := 1; i < len(cp.loadA); i++ {
-					if cp.loadA[i].ref.Node == cp.loadA[0].ref.Node {
-						cp.loadA[0].ref.Slot, cp.loadA[i].ref.Slot = cp.loadA[i].ref.Slot, cp.loadA[0].ref.Slot
-						return true
-					}
-				}
-				return false
-			}},
+			{"loadA", back.loadA, fresh.loadA},
+			{"loadB", back.loadB, fresh.loadB},
+			{"x", back.x, fresh.x},
+			{"loaded", back.loaded, fresh.loaded},
+			{"dead", back.dead, fresh.dead},
 		} {
-			p := prepareFor(t, ring.Counting{}, workload.Blocks(16, 4), alg)
-			if !tc.mutate(p.compiled) {
-				t.Fatalf("%s/%s: no load ref to mutate", alg, tc.name)
+			if !reflect.DeepEqual(f.got, f.want) {
+				t.Fatalf("%s: decoded %s differs from the compiled one", name, f.what)
 			}
-			q, err := restore(snapshot(t, p))
-			if errors.Is(err, ErrLoadSlots) {
-				continue
-			}
-			if err == nil {
-				// What the refusal prevents: executors are shared by every
-				// plan of a machine, so the damaged form runs on one that
-				// another run left poisoned.
-				poison(q, 1)
-				t.Errorf("%s/%s: decoded without ErrLoadSlots; its run on a poisoned executor: %v", alg, tc.name, sharedRunErr(q, 1, 1))
-				continue
-			}
-			t.Errorf("%s/%s: err = %v, want ErrLoadSlots", alg, tc.name, err)
+		}
+		a, b := matrix.Random(p.Inst.Ahat, p.R, 1), matrix.Random(p.Inst.Bhat, p.R, 2)
+		want, wres, err := multiplyOne(p, a, b)
+		if err != nil {
+			t.Fatalf("%s: fresh multiply: %v", name, err)
+		}
+		got, gres, err := multiplyOne(q, a, b)
+		if err != nil {
+			t.Fatalf("%s: decoded multiply: %v", name, err)
+		}
+		if !matrix.Equal(got, want) || !reflect.DeepEqual(gres.Stats, wres.Stats) {
+			t.Fatalf("%s: decoded plan differs: stats %+v, want %+v", name, gres.Stats, wres.Stats)
 		}
 	}
 }
@@ -318,19 +328,7 @@ func (s *planSeen) Ref(r lbm.SlotRef)         { s.refs = append(s.refs, r) }
 // cube batch, a phase-1 Strassen batch over a field, a trivial job; on
 // blocks of 8) and over six structures × three algorithms × two rings.
 func TestDecodeDerivesWhatCompileKnew(t *testing.T) {
-	type plan struct {
-		name string
-		r    ring.Semiring
-		inst *graph.Instance
-		alg  string
-	}
-	shapes := workload.Blocks(8, 2)
-	plans := []plan{
-		{"shape/lemma31", ring.Counting{}, shapes, "lemma31"},
-		{"shape/cube", ring.Counting{}, shapes, "theorem42"},
-		{"shape/strassen", ring.NewGFp(257), shapes, "theorem42"},
-		{"shape/trivial", ring.Counting{}, shapes, "trivial"},
-	}
+	plans := envShapePlans(t)
 	for _, st := range []struct {
 		name string
 		inst *graph.Instance
@@ -344,30 +342,29 @@ func TestDecodeDerivesWhatCompileKnew(t *testing.T) {
 	} {
 		for _, r := range []ring.Semiring{ring.Counting{}, ring.Real{}} {
 			for _, alg := range []string{"trivial", "lemma31", "theorem42"} {
-				plans = append(plans, plan{st.name + "/" + r.Name() + "/" + alg, r, st.inst, alg})
+				plans[st.name+"/"+r.Name()+"/"+alg] = prepareFor(t, r, st.inst, alg)
 			}
 		}
 	}
-	for _, pc := range plans {
-		p := prepareFor(t, pc.r, pc.inst, pc.alg)
+	for name, p := range plans {
 		q, err := restore(snapshot(t, p))
 		if err != nil {
-			t.Fatalf("%s: decode: %v", pc.name, err)
+			t.Fatalf("%s: decode: %v", name, err)
 		}
 		if !reflect.DeepEqual(q.compiled.sizes, p.compiled.sizes) {
-			t.Fatalf("%s: decoded arena sizes differ from the compiled ones", pc.name)
+			t.Fatalf("%s: decoded arena sizes differ from the compiled ones", name)
 		}
 		var fresh, back planSeen
 		p.compiled.visitRefs(&fresh)
 		q.compiled.visitRefs(&back)
 		if len(back.plans) != len(fresh.plans) || !reflect.DeepEqual(back.refs, fresh.refs) {
 			t.Fatalf("%s: decoded form holds %d plans and %d refs, compiled %d and %d",
-				pc.name, len(back.plans), len(back.refs), len(fresh.plans), len(fresh.refs))
+				name, len(back.plans), len(back.refs), len(fresh.plans), len(fresh.refs))
 		}
 		for i, cp := range fresh.plans {
 			if !reflect.DeepEqual(back.plans[i].Real, cp.Real) || back.plans[i].HasSub != cp.HasSub {
 				t.Fatalf("%s: plan %d decodes with Real %v and HasSub %v, compiled %v and %v",
-					pc.name, i, back.plans[i].Real, back.plans[i].HasSub, cp.Real, cp.HasSub)
+					name, i, back.plans[i].Real, back.plans[i].HasSub, cp.Real, cp.HasSub)
 			}
 		}
 	}

@@ -186,7 +186,7 @@ func TestRunBatchesCorrect(t *testing.T) {
 			a := matrix.Random(inst.Ahat, r, int64(trial))
 			b := matrix.Random(inst.Bhat, r, int64(trial+9))
 			m := lbm.New(n, r)
-			l := lbm.RowLayout(inst.Ahat, inst.Bhat, inst.Xhat)
+			l := lbm.ByRow.Layout(inst.Ahat, inst.Bhat, inst.Xhat)
 			lbm.LoadInputs(m, l, a, b)
 			lbm.ZeroOutputs(m, l, inst.Xhat)
 			net := vnet.Roles(n)
@@ -251,7 +251,7 @@ func TestRunBatchUsesStrassenOverFields(t *testing.T) {
 	a := matrix.Random(inst.Ahat, r, 1)
 	b := matrix.Random(inst.Bhat, r, 2)
 	m := lbm.New(n, r)
-	l := lbm.RowLayout(inst.Ahat, inst.Bhat, inst.Xhat)
+	l := lbm.ByRow.Layout(inst.Ahat, inst.Bhat, inst.Xhat)
 	lbm.LoadInputs(m, l, a, b)
 	lbm.ZeroOutputs(m, l, inst.Xhat)
 	net := vnet.Roles(n)

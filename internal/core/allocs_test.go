@@ -166,7 +166,8 @@ const (
 // from their h-relations' degrees and colours and lowers only the kept one,
 // into one slot index. Colouring every candidate, with one slot map per node,
 // took 2,264 allocations; with the trivial plan's fetches deduplicated by
-// sorting instead of a map, this reads 284.
+// sorting instead of a map, 284; with the load slots numbered into one slab
+// sized from the live cells instead of grown per support, this reads 259.
 func TestPrepareAutoAllocs(t *testing.T) {
 	inst := workload.Instance(matrix.US, matrix.US, matrix.US, 256, 4, 1)
 	opts := Options{Ring: ring.Counting{}, D: 4}
@@ -183,7 +184,7 @@ func TestPrepareAutoAllocs(t *testing.T) {
 
 // prepareAutoAllocs is TestPrepareAutoAllocs' bound, about 5% over what it
 // reads.
-const prepareAutoAllocs = 298
+const prepareAutoAllocs = 272
 
 // prepareClusters prepares Theorem 4.2 on inst over r and checks phase 1
 // keeps cube clusters only (cube) or some Strassen clusters.

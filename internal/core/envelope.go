@@ -26,8 +26,11 @@ import (
 // per-round message counts and OpSub flag, the classification and the
 // second copy of d. Version 7 writes the phase-1 batches, the staging sweep
 // and the job as one lbm.Program of steps, where version 6 wrote a batch
-// list, a sweep and a job each in its own layout.
-const PreparedFormatVersion = 7
+// list, a sweep and a job each in its own layout. Version 8 drops the dead
+// counts and the load refs, which the decoder derives from the supports and
+// d (algo.DecodeCompiledPrepared); a version-7 store entry is read as
+// ErrEnvelopeVersion and recompiled.
+const PreparedFormatVersion = 8
 
 // preparedMagic opens every envelope (the layout is in internal/lbm/wire.go
 // and docs/PLANSTORE.md).

@@ -202,13 +202,14 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 }
 
 // TestEnvelopeRejectsFutureVersion stamps an intact envelope with other
-// format versions — the next one, as a future build would write it, and the
+// format versions — the next one, as a future build would write it, the
+// previous one, as a store written before the upgrade holds it, and the
 // retired gob generation's number — and checks the reader rejects each with
 // the typed version error, cleanly, not as corruption: the checksum covers
 // the body only and is still valid.
 func TestEnvelopeRejectsFutureVersion(t *testing.T) {
 	env := encode(t, envShapes(t)[1].p)
-	for _, v := range []uint32{PreparedFormatVersion + 1, 1} {
+	for _, v := range []uint32{PreparedFormatVersion + 1, PreparedFormatVersion - 1, 1} {
 		other := append([]byte(nil), env...)
 		binary.LittleEndian.PutUint32(other[hdrVersion:], v)
 		_, err := DecodePrepared(bytes.NewReader(other))
@@ -325,41 +326,6 @@ func TestEnvelopeRejectsCorruption(t *testing.T) {
 	}
 }
 
-// bodyOffsets returns where the dead counts and the A load refs begin in
-// p's envelope env, following the body layout of Encode and
-// algo.EncodeCompiled.
-func bodyOffsets(env []byte, p *Prepared) (dead, refs int) {
-	in := p.inner
-	off := hdrLen + 4 + len(p.Algorithm)
-	off += 4 + len(in.Name) + 4 + len(in.R.Name()) + 3*8
-	for _, sup := range []*matrix.Support{in.Inst.Ahat, in.Inst.Bhat, in.Inst.Xhat} {
-		off += 4 + 4*sup.N + 4*sup.NNZ
-	}
-	dead = off + 6*8 // the Result skeleton
-	n := int(binary.LittleEndian.Uint32(env[dead:]))
-	return dead, dead + 4 + 4*n
-}
-
-// loadSlotGap returns p's envelope with one load ref moved off its node's
-// slot prefix: the last X ref points one slot further, leaving a gap, and
-// the header is resealed so the body reader is what must refuse it.
-func loadSlotGap(t *testing.T, p *Prepared) []byte {
-	t.Helper()
-	env := encode(t, p)
-	u32 := func(off int) int { return int(binary.LittleEndian.Uint32(env[off:])) }
-	_, off := bodyOffsets(env, p)
-	for section := 0; section < 2; section++ { // skip the A and B refs
-		off += 4 + 8*u32(off)
-	}
-	n := u32(off)
-	if n == 0 {
-		t.Fatalf("%s has no X load refs", p.Algorithm)
-	}
-	slot := off + 4 + 8*(n-1) + 4
-	binary.LittleEndian.PutUint32(env[slot:], uint32(u32(slot)+1))
-	return reseal(env)
-}
-
 // hugeCleanupSlot returns p's envelope with the high byte of its last slot
 // set: the slot of the job's last cleanup ref, which closes the body. The
 // header is resealed so the body reader is what must refuse it.
@@ -391,7 +357,7 @@ func TestDecodeRejectsOversizedArena(t *testing.T) {
 }
 
 // deadShape prepares the trivial plan of a uniformly sparse instance on
-// which most cells lie on no triangle, so its envelope carries dead counts.
+// which most cells lie on no triangle, so its decode derives dead counts.
 func deadShape(t testing.TB) *Prepared {
 	t.Helper()
 	inst := workload.Instance(matrix.US, matrix.US, matrix.US, 16, 3, 7)
@@ -400,55 +366,6 @@ func deadShape(t testing.TB) *Prepared {
 		t.Fatalf("prepare: %v", err)
 	}
 	return p
-}
-
-// liveDamage is each resealed damage to an envelope's live-cell accounting,
-// with the decode error it must produce.
-var liveDamage = []struct {
-	name, want string
-	patch      func(env []byte, dead, refs int) []byte
-}{
-	{"dead-negative", "negative dead count", func(env []byte, dead, _ int) []byte {
-		binary.LittleEndian.PutUint32(env[dead+4:], 0xffffffff) // node 0: -1
-		return env
-	}},
-	{"dead-sum", "dead counts sum to", func(env []byte, dead, _ int) []byte {
-		env[dead+4]++
-		return env
-	}},
-	{"live-refs", "refs for", func(env []byte, _, refs int) []byte {
-		// One A ref fewer, the slab's count lowered to match.
-		n := binary.LittleEndian.Uint32(env[refs:])
-		binary.LittleEndian.PutUint32(env[refs:], n-1)
-		last := refs + 4 + 8*int(n-1)
-		return append(env[:last:last], env[last+8:]...)
-	}},
-}
-
-// damageLive returns deadShape's envelope with one liveDamage applied and
-// the header resealed.
-func damageLive(t testing.TB, i int) []byte {
-	t.Helper()
-	p := deadShape(t)
-	env := encode(t, p)
-	dead, refs := bodyOffsets(env, p)
-	return reseal(liveDamage[i].patch(env, dead, refs))
-}
-
-// TestDecodeRejectsLiveAccounting checks that an envelope whose dead counts
-// are negative or do not sum to the supports' dead cells, or whose ref slab
-// does not have one ref per live cell, is refused at decode by that rule —
-// and that the committed resealed seed of each still reaches it.
-func TestDecodeRejectsLiveAccounting(t *testing.T) {
-	for i, tc := range liveDamage {
-		seed := readSeed(t, filepath.Join("testdata", "fuzz", "FuzzDecodePrepared", tc.name+"-resealed"))
-		for _, env := range [][]byte{damageLive(t, i), seed} {
-			_, err := DecodePrepared(bytes.NewReader(env))
-			if !errors.Is(err, ErrEnvelope) || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("%s: err = %v, want ErrEnvelope saying %q", tc.name, err, tc.want)
-			}
-		}
-	}
 }
 
 // TestDecodeRejectsRoundOffsetPastStream replays the resealed one-byte
@@ -464,9 +381,10 @@ func TestDecodeRejectsRoundOffsetPastStream(t *testing.T) {
 }
 
 // TestEnvelopeDeadCellsRoundTrip checks that a plan with dead cells
-// survives the envelope: the dead counts come back, and the restored plan
-// gives the original's product and Stats, PeakStore included, which are
-// the map oracle's totals; its loads are the oracle's too.
+// survives the envelope: the dead counts are derived again, and the
+// restored plan gives the original's product and Stats, PeakStore
+// included, which are the map oracle's totals; its loads are the oracle's
+// too.
 func TestEnvelopeDeadCellsRoundTrip(t *testing.T) {
 	p := deadShape(t)
 	q, err := DecodePrepared(bytes.NewReader(encode(t, p)))
@@ -543,22 +461,6 @@ func TestDecodedPlanOwnsItsState(t *testing.T) {
 		if !bytes.Equal(encode(t, p), env) {
 			t.Fatalf("%s: a decoded plan re-encodes differently once its buffer was reused", s.name)
 		}
-	}
-}
-
-// TestDecodeRejectsLoadSlotGap checks that an envelope whose load refs do
-// not tile each node's slot prefix is refused at decode, typed both as a
-// damaged envelope and as the prefix violation, for every plan shape — and
-// that the committed load-slot-gap fuzz seed still reaches that rule.
-func TestDecodeRejectsLoadSlotGap(t *testing.T) {
-	for _, s := range envShapes(t) {
-		if _, err := DecodePrepared(bytes.NewReader(loadSlotGap(t, s.p))); !errors.Is(err, ErrEnvelope) || !errors.Is(err, algo.ErrLoadSlots) {
-			t.Errorf("%s: err = %v, want ErrEnvelope wrapping algo.ErrLoadSlots", s.name, err)
-		}
-	}
-	seed := readSeed(t, filepath.Join("testdata", "fuzz", "FuzzDecodePrepared", "load-slot-gap"))
-	if _, err := DecodePrepared(bytes.NewReader(seed)); !errors.Is(err, algo.ErrLoadSlots) {
-		t.Errorf("load-slot-gap seed: err = %v, want algo.ErrLoadSlots", err)
 	}
 }
 

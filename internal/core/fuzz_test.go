@@ -59,16 +59,16 @@ func readSeed(t *testing.T, path string) []byte {
 // FuzzDecodePrepared feeds arbitrary bytes to the one decoder that reads
 // compiled plans from outside the process (plan-store files, mesh job
 // frames). The seed corpus (testdata/fuzz/FuzzDecodePrepared) holds one
-// valid envelope per plan shape of envShapes, a body cut in half, a slab
-// length that exceeds the body, load refs with a gap in a node's slot
-// prefix (loadSlotGap), a round index that runs past its plan's
-// instructions, each liveDamage to the live-cell accounting, a cleanup ref
-// whose slot has its high byte set (hugeCleanupSlot), all but the first
-// resealed so they reach the body reader, and a sealed naive-router job
-// under the name lemma31 (naiveAsLemma31). The property: a decode ends in a
-// typed error, or in a Prepared whose re-encoding decodes to the same plan
-// and whose compiled size is at most compiledCap of the input — never a
-// panic, and never more heap than a fixed multiple of the input.
+// valid envelope per plan shape of envShapes, a header declaring a body
+// that never comes, and — each damage applied to a fresh encoding and
+// resealed so it reaches the body reader — a body cut in half, a slab
+// length that exceeds the body, a round index that runs past its plan's
+// instructions and a cleanup ref whose slot has its high byte set
+// (hugeCleanupSlot); plus a sealed naive-router job under the name lemma31
+// (naiveAsLemma31). The property: a decode ends in a typed error, or in a
+// Prepared whose re-encoding decodes to the same plan and whose compiled
+// size is at most compiledCap of the input — never a panic, and never more
+// heap than a fixed multiple of the input.
 func FuzzDecodePrepared(f *testing.F) {
 	f.Fuzz(func(t *testing.T, env []byte) {
 		p, got, err := decodeAllocs(env)
@@ -101,10 +101,13 @@ func FuzzDecodePrepared(f *testing.F) {
 }
 
 // compiledCap bounds the compiled size of a plan decoded from env. Every
-// arena slot is touched by a ref the envelope holds (the gap-free rule), and
-// every resident structure is priced from slabs the envelope carries, so a
-// wire byte accounts for at most 4 bytes of compiled size; the cap doubles
-// that.
+// arena slot is touched by a ref the envelope holds or by a load (the
+// gap-free rule), and the loads are derived, one per live support cell,
+// which the envelope carries as a 4-byte column index. Every resident
+// structure is priced from what the envelope carries: a 12-byte load per
+// such cell, a 4-byte dead count per node against the 12 bytes of its
+// three support rows, and the program from its slabs. So a wire byte
+// accounts for at most 4 bytes of compiled size; the cap doubles that.
 func compiledCap(env []byte) int64 { return 8 * int64(len(env)) }
 
 // TestDecodeMutantArenas flips each of the two low bits of every body byte

@@ -96,7 +96,7 @@ func chunkIndex(pos, size, q int) int {
 // PlanCube preprocesses one masked cube batch. All routing decisions depend
 // only on the support (the triangle set), per the supported model.
 //
-// Data layout convention (RowLayout over role vnodes): A(i,j) at vnode i,
+// Data layout convention (the row layout over role vnodes): A(i,j) at vnode i,
 // B(j,k) at vnode N+j, X(i,k) owned by vnode i.
 func PlanCube(net *vnet.Net, spec *CubeSpec) (*CubeJob, error) {
 	if len(spec.Procs) == 0 {

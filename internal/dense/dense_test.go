@@ -40,7 +40,7 @@ func runAndVerify(t *testing.T, r ring.Semiring, inst *graph.Instance, seed int6
 	want := matrix.MulReference(a, b, inst.Xhat)
 
 	m := lbm.New(inst.N, r)
-	l := lbm.RowLayout(inst.Ahat, inst.Bhat, inst.Xhat)
+	l := lbm.ByRow.Layout(inst.Ahat, inst.Bhat, inst.Xhat)
 	lbm.LoadInputs(m, l, a, b)
 	lbm.ZeroOutputs(m, l, inst.Xhat)
 	if err := alg(m, l); err != nil {
@@ -176,7 +176,7 @@ func TestCubeClusterBatchParallel(t *testing.T) {
 	a := matrix.Random(ahat, r, 1)
 	b := matrix.Random(bhat, r, 2)
 	m := lbm.New(n, r)
-	l := lbm.RowLayout(ahat, bhat, xhat)
+	l := lbm.ByRow.Layout(ahat, bhat, xhat)
 	lbm.LoadInputs(m, l, a, b)
 	lbm.ZeroOutputs(m, l, xhat)
 
@@ -241,7 +241,7 @@ func TestCubeMaskedExcludesUnassigned(t *testing.T) {
 	a := matrix.Random(inst.Ahat, r, 9)
 	b := matrix.Random(inst.Bhat, r, 10)
 	m := lbm.New(n, r)
-	l := lbm.RowLayout(inst.Ahat, inst.Bhat, inst.Xhat)
+	l := lbm.ByRow.Layout(inst.Ahat, inst.Bhat, inst.Xhat)
 	lbm.LoadInputs(m, l, a, b)
 	lbm.ZeroOutputs(m, l, inst.Xhat)
 	net := vnet.Roles(n)
@@ -322,7 +322,7 @@ func TestStrassenRejectsNonField(t *testing.T) {
 	full := fullSupport(n)
 	inst := graph.NewInstance(n, full, full, full)
 	m := lbm.New(n, ring.Counting{})
-	l := lbm.RowLayout(full, full, full)
+	l := lbm.ByRow.Layout(full, full, full)
 	lbm.LoadInputs(m, l, matrix.Random(full, ring.Counting{}, 1), matrix.Random(full, ring.Counting{}, 2))
 	if err := routine(inst, strassen(nil))(m, l); err == nil {
 		t.Error("strassen over a semiring must be rejected")

@@ -259,7 +259,7 @@ func PlanStrassen(net *vnet.Net, spec *StrassenSpec) (*StrassenJob, error) {
 	presA[0][0] = make([]bool, D*D)
 	presB[0][0] = make([]bool, D*D)
 
-	// Level 0 init: route A(i,j) and B(j,k) from their RowLayout owners to
+	// Level 0 init: route A(i,j) and B(j,k) from their row-layout owners to
 	// the level-0 element owners.
 	var initMsgs []vnet.Send
 	addInit := func(pres []bool, sup *matrix.Support, rowSet, colSet []int32,

@@ -20,7 +20,7 @@ func TestEmitShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 16
 	inst := graph.NewInstance(n, randomSupport(rng, n, 4*n), randomSupport(rng, n, 4*n), randomSupport(rng, n, 3*n))
-	l := lbm.RowLayout(inst.Ahat, inst.Bhat, inst.Xhat)
+	l := lbm.ByRow.Layout(inst.Ahat, inst.Bhat, inst.Xhat)
 	tris := inst.Triangles()
 	lemma, err := Plan(n, l, tris, 0)
 	if err != nil {

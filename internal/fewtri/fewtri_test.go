@@ -37,7 +37,7 @@ func runInstance(t *testing.T, r ring.Semiring, inst *graph.Instance,
 	a := matrix.Random(inst.Ahat, r, seed)
 	b := matrix.Random(inst.Bhat, r, seed+1)
 	m := lbm.New(inst.N, r)
-	l := lbm.RowLayout(inst.Ahat, inst.Bhat, inst.Xhat)
+	l := lbm.ByRow.Layout(inst.Ahat, inst.Bhat, inst.Xhat)
 	lbm.LoadInputs(m, l, a, b)
 	lbm.ZeroOutputs(m, l, inst.Xhat)
 	if _, err := process(m, inst.N, l, tris, kappa); err != nil {
@@ -112,7 +112,7 @@ func TestProcessVariousKappa(t *testing.T) {
 func TestProcessEmpty(t *testing.T) {
 	m := lbm.New(4, ring.Counting{})
 	sup := matrix.NewSupport(4, nil)
-	l := lbm.RowLayout(sup, sup, sup)
+	l := lbm.ByRow.Layout(sup, sup, sup)
 	if _, err := process(m, 4, l, nil, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestSkewedInstanceBalanced(t *testing.T) {
 	a := matrix.Random(inst.Ahat, r, 1)
 	b := matrix.Random(inst.Bhat, r, 2)
 	m := lbm.New(n, r)
-	l := lbm.RowLayout(inst.Ahat, inst.Bhat, inst.Xhat)
+	l := lbm.ByRow.Layout(inst.Ahat, inst.Bhat, inst.Xhat)
 	lbm.LoadInputs(m, l, a, b)
 	lbm.ZeroOutputs(m, l, inst.Xhat)
 	job, err := process(m, n, l, tris, kappa)
@@ -215,7 +215,7 @@ func TestPlanRejectsTooManyTriangles(t *testing.T) {
 		}
 	}
 	sup := matrix.NewSupport(n, [][2]int{{0, 0}})
-	l := lbm.RowLayout(sup, sup, sup)
+	l := lbm.ByRow.Layout(sup, sup, sup)
 	if _, err := Plan(n, l, tris, 1); err == nil {
 		t.Error("expected κn overflow error")
 	}
@@ -269,7 +269,7 @@ func TestRunTwiceAccumulates(t *testing.T) {
 	a := matrix.Random(inst.Ahat, r, 1)
 	b := matrix.Random(inst.Bhat, r, 2)
 	m := lbm.New(n, r)
-	l := lbm.RowLayout(inst.Ahat, inst.Bhat, inst.Xhat)
+	l := lbm.ByRow.Layout(inst.Ahat, inst.Bhat, inst.Xhat)
 	lbm.LoadInputs(m, l, a, b)
 	lbm.ZeroOutputs(m, l, inst.Xhat)
 	job, err := Plan(n, l, tris, 0)

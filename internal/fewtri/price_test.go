@@ -84,7 +84,7 @@ func (job *Job) shapeName() string {
 func layoutFor(inst *graph.Instance) *lbm.Layout {
 	d := max(inst.D, 1)
 	if inst.Ahat.MaxRowNNZ() <= d && inst.Bhat.MaxRowNNZ() <= d && inst.Xhat.MaxRowNNZ() <= d {
-		return lbm.RowLayout(inst.Ahat, inst.Bhat, inst.Xhat)
+		return lbm.ByRow.Layout(inst.Ahat, inst.Bhat, inst.Xhat)
 	}
-	return lbm.BalancedLayout(inst.Ahat, inst.Bhat, inst.Xhat)
+	return lbm.Balanced.Layout(inst.Ahat, inst.Bhat, inst.Xhat)
 }

@@ -73,34 +73,44 @@ func (l *Layout) MaxPerNode() (a, b, x int) {
 	return count(l.A), count(l.B), count(l.X)
 }
 
-// RowLayout is the paper's canonical layout for uniformly sparse instances:
-// computer i holds row i of A, row i of B, and reports row i of X.
-func RowLayout(ahat, bhat, xhat *matrix.Support) *Layout {
-	return newLayout(ahat, bhat, xhat, func(i int32, _ int) NodeID { return i })
+// Placement is the rule a layout places each support's entries by: ByRow,
+// the paper's canonical layout for uniformly sparse instances, where
+// computer i holds row i of A, row i of B and reports row i of X; or
+// Balanced, which spreads each matrix's entries over the n computers in
+// row-major round-robin order, so each owns at most ⌈nnz/n⌉ of them — the
+// "each computer holds at most d elements" layout the paper assumes for
+// average-sparse inputs.
+type Placement uint8
+
+const (
+	ByRow Placement = iota
+	Balanced
+)
+
+// Owner returns the computer of an n-computer machine that owns the entry
+// at row-major position k of a support, which lies in row i. It is the one
+// owner rule: Layout builds every layout by it, and a plan decoded from its
+// envelope derives its load slots by it without building one.
+func (p Placement) Owner(n int, i, k int32) NodeID {
+	if p == Balanced {
+		return k % int32(n)
+	}
+	return i
 }
 
-// BalancedLayout spreads the entries of each matrix over the n computers in
-// row-major round-robin order, so each computer owns at most ⌈nnz/n⌉
-// elements of each matrix. This is the "each computer holds at most d
-// elements" layout the paper assumes for average-sparse inputs.
-func BalancedLayout(ahat, bhat, xhat *matrix.Support) *Layout {
+// Layout lays out the three supports by p.
+func (p Placement) Layout(ahat, bhat, xhat *matrix.Support) *Layout {
 	n := ahat.N
-	return newLayout(ahat, bhat, xhat, func(_ int32, k int) NodeID { return NodeID(k % n) })
-}
-
-// newLayout lays out the three supports, owner naming the computer of the
-// entry at row-major position k, which lies in row i.
-func newLayout(ahat, bhat, xhat *matrix.Support, owner func(i int32, k int) NodeID) *Layout {
 	lay := func(s *matrix.Support) Owners {
 		o := Owners{Sup: s, Node: make([]NodeID, s.NNZ)}
-		for i := range s.N {
+		for i := range int32(s.N) {
 			for k := s.Off[i]; k < s.Off[i+1]; k++ {
-				o.Node[k] = owner(int32(i), int(k))
+				o.Node[k] = p.Owner(n, i, k)
 			}
 		}
 		return o
 	}
-	return &Layout{N: ahat.N, A: lay(ahat), B: lay(bhat), X: lay(xhat)}
+	return &Layout{N: n, A: lay(ahat), B: lay(bhat), X: lay(xhat)}
 }
 
 // LoadInputs places A and B at their owners: every position of the

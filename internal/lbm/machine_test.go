@@ -272,22 +272,22 @@ func TestLayoutsAndLoading(t *testing.T) {
 	ahat := matrix.NewSupport(n, [][2]int{{0, 1}, {0, 2}, {3, 4}})
 	bhat := matrix.NewSupport(n, [][2]int{{1, 5}, {2, 0}})
 	xhat := matrix.NewSupport(n, [][2]int{{0, 5}, {0, 0}})
-	rl := RowLayout(ahat, bhat, xhat)
+	rl := ByRow.Layout(ahat, bhat, xhat)
 	if rl.OwnerA(0, 1) != 0 || rl.OwnerA(3, 4) != 3 || rl.OwnerB(2, 0) != 2 || rl.OwnerX(0, 5) != 0 {
-		t.Error("RowLayout owners wrong")
+		t.Error("row layout owners wrong")
 	}
 	a, b, x := rl.MaxPerNode()
 	if a != 2 || b != 1 || x != 2 {
 		t.Errorf("MaxPerNode = %d %d %d", a, b, x)
 	}
-	bl := BalancedLayout(ahat, bhat, xhat)
+	bl := Balanced.Layout(ahat, bhat, xhat)
 	ba, bb, bx := bl.MaxPerNode()
 	if ba != 1 || bb != 1 || bx != 1 {
-		t.Errorf("BalancedLayout MaxPerNode = %d %d %d", ba, bb, bx)
+		t.Errorf("balanced layout MaxPerNode = %d %d %d", ba, bb, bx)
 	}
 	// A balanced owner is the row-major position mod n, per matrix.
 	if bl.OwnerA(0, 1) != 0 || bl.OwnerA(0, 2) != 1 || bl.OwnerA(3, 4) != 2 || bl.OwnerB(2, 0) != 1 || bl.OwnerX(0, 5) != 1 {
-		t.Error("BalancedLayout owners wrong")
+		t.Error("balanced layout owners wrong")
 	}
 	for _, ij := range [][2]int32{{0, 0}, {0, 3}, {5, 1}, {-1, 1}, {6, 0}} {
 		if o, ok := bl.A.Of(ij[0], ij[1]); ok {
@@ -326,7 +326,7 @@ func TestLayoutsAndLoading(t *testing.T) {
 }
 
 func TestLayoutMissingOwnerPanics(t *testing.T) {
-	l := RowLayout(matrix.NewSupport(2, nil), matrix.NewSupport(2, nil), matrix.NewSupport(2, nil))
+	l := ByRow.Layout(matrix.NewSupport(2, nil), matrix.NewSupport(2, nil), matrix.NewSupport(2, nil))
 	defer func() {
 		if recover() == nil {
 			t.Error("missing owner must panic")

@@ -250,7 +250,7 @@ func TestDegreeGrowthBound(t *testing.T) {
 		// (including zeros) for every support position directly — the plan
 		// must depend only on the support, never on the values.
 		m := lbmpkg.New(n, r)
-		l := lbmpkg.BalancedLayout(inst.Ahat, inst.Bhat, inst.Xhat)
+		l := lbmpkg.Balanced.Layout(inst.Ahat, inst.Bhat, inst.Xhat)
 		// Load A values (including zeros) per the support.
 		for j := 0; j < n; j++ {
 			v := ring.Value(0)

@@ -47,5 +47,5 @@ func TestGetAllocs(t *testing.T) {
 	}
 }
 
-// getAllocs bounds TestGetAllocs, which reads 77.
-const getAllocs = 78
+// getAllocs bounds TestGetAllocs, which reads 71.
+const getAllocs = 72
