@@ -21,6 +21,7 @@ var exportAllowlist = map[string]string{
 	"lbm.Exec.PutSlot":        "test seam: seeds one store slot of a bare executor",
 	"lbm.Exec.GetSlot":        "test seam: reads one store slot of a bare executor",
 	"lbm.SlotSpace.Lookup":    "test seam: reads the slot a key was given",
+	"lbm.SlotSpace.Sizes":     "test seam: sizes a bare executor's arenas for a hand-compiled plan",
 	"lbm.WithStoreLimit":      "test seam: drives the store-capacity fault",
 	"lbm.WithCollector":       "test seam: docs/OBSERVABILITY.md's attach point for a machine's counters",
 	"batch.Coalescer.Pending": "test seam: observes parked lanes without launching them",

@@ -38,32 +38,28 @@ func tracedRun(t *testing.T, r ring.Semiring, inst *graph.Instance, alg planFn) 
 	return p, a, b, res
 }
 
-// goldenExport runs the fixed-seed reference execution whose trace is pinned
-// in testdata: Lemma 3.1 on the extremal block instance. Everything in the
-// pipeline is deterministic (seeded values, sorted message sets, sequential
-// engine), so the JSON must be byte-identical run to run.
-func goldenExport(t *testing.T) *obsv.Export {
+// traceJSON returns a profile's export under meta as JSON.
+func traceJSON(t *testing.T, prof *obsv.Profile, meta map[string]string) []byte {
 	t.Helper()
-	_, _, _, res := tracedRun(t, ring.Counting{}, workload.Blocks(16, 2), planLemma31)
-	e := res.Profile.Export()
-	e.Meta = map[string]string{"algorithm": res.Name, "workload": "blocks(16,2)"}
-	return e
-}
-
-// checkGolden compares an exported trace with its golden file in testdata,
-// rewriting the file first under -update.
-func checkGolden(t *testing.T, e *obsv.Export, file string) {
-	t.Helper()
+	e := prof.Export()
+	e.Meta = meta
 	var buf bytes.Buffer
 	if err := e.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
+	return buf.Bytes()
+}
+
+// golden returns the golden trace file in testdata, rewriting it with got
+// first under -update.
+func golden(t *testing.T, file string, got []byte) []byte {
+	t.Helper()
 	path := filepath.Join("testdata", file)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -71,34 +67,35 @@ func checkGolden(t *testing.T, e *obsv.Export, file string) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to regenerate)", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("trace export drifted from golden file %s (run with -update if intended)\ngot:\n%s", path, buf.String())
-	}
+	return want
 }
 
-func TestTraceExportGolden(t *testing.T) {
-	checkGolden(t, goldenExport(t), "trace_lemma31_blocks.json")
-}
-
-// TestTheorem42TraceGolden pins the two-phase plan's trace: its phase1 and
-// phase2 marks and spans with their counters, and one cluster/batch span
-// per phase-1 batch, on Mixed(32,4,7) over the Boolean semiring, whose
-// phase 1 keeps no batch, and on Blocks(32,4) over GF(1009), whose batch
-// runs distributed Strassen. The compiled walk, and a plan restored from
-// its snapshot, must record the same profile as the map run.
+// TestTheorem42TraceGolden pins three traces byte for byte on both engines:
+// the map run, the compiled walk and a plan restored from its snapshot must
+// each export the golden file's JSON. Lemma 3.1 runs on the extremal block
+// instance (goldenTrace's). The two-phase plan shows its phase1 and phase2
+// marks and spans with their counters, and one cluster/batch span per
+// phase-1 batch, on Mixed(32,4,7) over the Boolean semiring, whose phase 1
+// keeps no batch, and on Blocks(32,4) over GF(1009), whose batch runs
+// distributed Strassen.
 func TestTheorem42TraceGolden(t *testing.T) {
 	for _, g := range []struct {
 		file, workload string
 		inst           *graph.Instance
 		r              ring.Semiring
+		plan           planFn
 	}{
-		{"trace_theorem42_mixed.json", "mixed(32,4,7)", workload.Mixed(32, 4, 7), ring.Boolean{}},
-		{"trace_theorem42_blocks_gfp.json", "blocks(32,4)", workload.Blocks(32, 4), ring.NewGFp(1009)},
+		{"trace_lemma31_blocks.json", "blocks(16,2)", workload.Blocks(16, 2), ring.Counting{}, planLemma31},
+		{"trace_theorem42_mixed.json", "mixed(32,4,7)", workload.Mixed(32, 4, 7), ring.Boolean{}, planTheorem42},
+		{"trace_theorem42_blocks_gfp.json", "blocks(32,4)", workload.Blocks(32, 4), ring.NewGFp(1009), planTheorem42},
 	} {
-		p, a, b, res := tracedRun(t, g.r, g.inst, planTheorem42)
-		e := res.Profile.Export()
-		e.Meta = map[string]string{"algorithm": res.Name, "workload": g.workload}
-		checkGolden(t, e, g.file)
+		p, a, b, res := tracedRun(t, g.r, g.inst, g.plan)
+		meta := map[string]string{"algorithm": res.Name, "workload": g.workload}
+		got := traceJSON(t, res.Profile, meta)
+		want := golden(t, g.file, got)
+		if !bytes.Equal(got, want) {
+			t.Errorf("map trace drifted from golden file %s (run with -update if intended)\ngot:\n%s", g.file, got)
+		}
 
 		if err := p.Compile(); err != nil {
 			t.Fatal(err)
@@ -107,28 +104,34 @@ func TestTheorem42TraceGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := res.Profile.Summary()
-		for _, pp := range []*Prepared{p, q} {
-			_, cres, err := multiplyOne(pp, a, b, lbm.WithTrace())
+		for _, w := range []struct {
+			walk string
+			p    *Prepared
+		}{{"compiled", p}, {"restored", q}} {
+			_, cres, err := multiplyOne(w.p, a, b, lbm.WithTrace())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := cres.Profile.Summary(); got != want {
-				t.Errorf("%s: compiled profile differs from the map run's\n--- map ---\n%s\n--- compiled ---\n%s", g.workload, want, got)
+			if got := traceJSON(t, cres.Profile, meta); !bytes.Equal(got, want) {
+				t.Errorf("%s: the %s walk's trace differs from golden file %s\ngot:\n%s", g.workload, w.walk, g.file, got)
 			}
 		}
 	}
 }
 
+// goldenTrace runs the fixed-seed reference execution whose trace is pinned
+// in testdata/trace_lemma31_blocks.json: Lemma 3.1 on the extremal block
+// instance. Everything in the pipeline is deterministic (seeded values,
+// sorted message sets, sequential engine), so the JSON must be
+// byte-identical run to run.
+func goldenTrace(t *testing.T) []byte {
+	t.Helper()
+	_, _, _, res := tracedRun(t, ring.Counting{}, workload.Blocks(16, 2), planLemma31)
+	return traceJSON(t, res.Profile, map[string]string{"algorithm": res.Name, "workload": "blocks(16,2)"})
+}
+
 func TestTraceExportDeterministic(t *testing.T) {
-	var a, b bytes.Buffer
-	if err := goldenExport(t).WriteJSON(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := goldenExport(t).WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !bytes.Equal(goldenTrace(t), goldenTrace(t)) {
 		t.Error("two identical runs exported different traces")
 	}
 }

@@ -40,8 +40,9 @@ func decodeEntry(v float64, n int) (which, i, j int) {
 // the number of structure words moved. Afterwards every computer holds all
 // support entries under Key{kindSupport, t, 0, 0} for t = 0..words-1.
 func DisseminateSupport(m *lbm.Machine, l *lbm.Layout, inst *graph.Instance) (int, error) {
+	// Route runs each plan inside its phase and closes every open span
+	// when it fails.
 	m.BeginPhase("unsupported")
-	defer m.EndPhase()
 	m.Mark("unsupported:gather")
 	m.BeginPhase("gather")
 	// Each owner sends the code word of each entry it holds to computer 0.
@@ -77,11 +78,10 @@ func DisseminateSupport(m *lbm.Machine, l *lbm.Layout, inst *graph.Instance) (in
 		dst := lbm.Key{Kind: kindSupport, I: int32(t), J: 0, Seq: 0}
 		msgs = append(msgs, routing.Msg{From: e.owner, To: 0, Src: src, Dst: dst, Op: lbm.OpSet})
 	}
-	err := m.Run(routing.Schedule(msgs, routing.Auto))
-	m.EndPhase()
-	if err != nil {
-		return 0, fmt.Errorf("unsupported gather: %w", err)
+	if err := m.Route(routing.Schedule(msgs, routing.Auto), "", "unsupported gather", false); err != nil {
+		return 0, err
 	}
+	m.EndPhase()
 
 	// Pipeline-broadcast the words to everyone.
 	m.Mark("unsupported:broadcast")
@@ -94,11 +94,11 @@ func DisseminateSupport(m *lbm.Machine, l *lbm.Layout, inst *graph.Instance) (in
 	plan := routing.PipelinedBroadcast(nodes, len(entries), func(t int) lbm.Key {
 		return lbm.Key{Kind: kindSupport, I: int32(t), J: 0, Seq: 0}
 	})
-	err = m.Run(plan)
-	m.EndPhase()
-	if err != nil {
-		return 0, fmt.Errorf("unsupported broadcast: %w", err)
+	if err := m.Route(plan, "", "unsupported broadcast", false); err != nil {
+		return 0, err
 	}
+	m.EndPhase()
+	m.EndPhase()
 	return len(entries), nil
 }
 

@@ -167,7 +167,9 @@ const (
 // into one slot index. Colouring every candidate, with one slot map per node,
 // took 2,264 allocations; with the trivial plan's fetches deduplicated by
 // sorting instead of a map, 284; with the load slots numbered into one slab
-// sized from the live cells instead of grown per support, this reads 259.
+// sized from the live cells instead of grown per support, 259; with the
+// layout owning its cells by rule instead of by a slab per support, this
+// reads 257.
 func TestPrepareAutoAllocs(t *testing.T) {
 	inst := workload.Instance(matrix.US, matrix.US, matrix.US, 256, 4, 1)
 	opts := Options{Ring: ring.Counting{}, D: 4}
@@ -184,7 +186,7 @@ func TestPrepareAutoAllocs(t *testing.T) {
 
 // prepareAutoAllocs is TestPrepareAutoAllocs' bound, about 5% over what it
 // reads.
-const prepareAutoAllocs = 272
+const prepareAutoAllocs = 270
 
 // prepareClusters prepares Theorem 4.2 on inst over r and checks phase 1
 // keeps cube clusters only (cube) or some Strassen clusters.

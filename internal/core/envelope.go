@@ -28,9 +28,11 @@ import (
 // and the job as one lbm.Program of steps, where version 6 wrote a batch
 // list, a sweep and a job each in its own layout. Version 8 drops the dead
 // counts and the load refs, which the decoder derives from the supports and
-// d (algo.DecodeCompiledPrepared); a version-7 store entry is read as
+// d (algo.DecodeCompiledPrepared). Version 9 drops each compiled plan's
+// span list: a route's phase is written as program steps around it
+// (lbm.Lowering.Route); a version-8 store entry is read as
 // ErrEnvelopeVersion and recompiled.
-const PreparedFormatVersion = 8
+const PreparedFormatVersion = 9
 
 // preparedMagic opens every envelope (the layout is in internal/lbm/wire.go
 // and docs/PLANSTORE.md).

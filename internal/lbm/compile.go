@@ -135,9 +135,6 @@ type CompiledPlan struct {
 	Ops              []Op
 	// RoundOff has len(rounds)+1 entries.
 	RoundOff []int32
-	// Spans are the source plan's phase annotations, replayed identically
-	// to the map engine when a collector is attached.
-	Spans []PhaseSpan
 
 	// Real and HasSub are derived from the fields above by validate and
 	// never serialized. Real[t] is the number of real (cross-node) messages
@@ -176,9 +173,6 @@ func (cp *CompiledPlan) AddNodeLoads(send, recv []int64) {
 func (cp *CompiledPlan) MemoryBytes() int64 {
 	n := int64(len(cp.From)) * (4 + 4 + 4 + 4 + 1) // SoA instruction arrays
 	n += int64(len(cp.RoundOff)+len(cp.Real)) * 4
-	for _, s := range cp.Spans {
-		n += int64(len(s.Label)) + 16 + int64(len(s.Metrics))*24
-	}
 	return n
 }
 
@@ -211,7 +205,6 @@ func CompileInto(space *SlotSpace, p *Plan) (*CompiledPlan, error) {
 		}
 		cp.RoundOff = append(cp.RoundOff, int32(len(cp.From)))
 	}
-	cp.Spans = append(cp.Spans, p.Spans...)
 	if err := cp.validate(newRules(n)); err != nil {
 		return nil, err
 	}
@@ -234,11 +227,11 @@ func newRules(n int) *rules {
 // validate is the one pass over a compiled plan's instruction stream. It
 // checks the model rules — consistent array lengths, a round index that
 // covers the stream in order, node IDs in range, non-negative slots, known
-// ops, one send and one receive per node per round, spans inside the plan —
-// and derives what follows from the stream: Real and HasSub. CompileInto
-// runs it on what it lowered and WireReader.Plan on what it read, so a
-// fresh plan and a decoded one are checked and derived alike. rs must be
-// sized for cp.N nodes.
+// ops, one send and one receive per node per round — and derives what
+// follows from the stream: Real and HasSub. CompileInto runs it on what it
+// lowered and WireReader.Plan on what it read, so a fresh plan and a
+// decoded one are checked and derived alike. rs must be sized for cp.N
+// nodes.
 func (cp *CompiledPlan) validate(rs *rules) error {
 	if cp.N < 1 {
 		return fmt.Errorf("lbm: compiled plan: machine size %d", cp.N)
@@ -291,12 +284,6 @@ func (cp *CompiledPlan) validate(rs *rules) error {
 			real++
 		}
 		cp.Real[t] = real
-	}
-	for _, s := range cp.Spans {
-		if s.Start < 0 || s.End < s.Start || s.End > rounds {
-			return fmt.Errorf("lbm: compiled plan: span %q covers rounds [%d,%d) of a %d-round plan",
-				s.Label, s.Start, s.End, rounds)
-		}
 	}
 	return nil
 }

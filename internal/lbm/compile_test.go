@@ -79,7 +79,6 @@ func randomPlan(rng *rand.Rand, n, rounds int, sub bool) (*Plan, []load) {
 			}
 		}
 	}
-	p.Annotate("random", map[string]float64{"rounds": float64(rounds)})
 	return p, loads
 }
 
@@ -424,7 +423,6 @@ func TestCompiledValidateCatchesCorruption(t *testing.T) {
 		// backwards: the bound must be checked before indexing.
 		{"round offset past the stream", func(cp *CompiledPlan) { cp.RoundOff[1] = int32(len(cp.From)) + 5 }},
 		{"arrays inconsistent", func(cp *CompiledPlan) { cp.To = cp.To[:len(cp.To)-1] }},
-		{"span out of range", func(cp *CompiledPlan) { cp.Spans[0].End = cp.NumRounds() + 1 }},
 		{"machine size", func(cp *CompiledPlan) { cp.N = 0 }},
 	}
 	for _, tc := range cases {

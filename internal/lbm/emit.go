@@ -2,6 +2,7 @@ package lbm
 
 import (
 	"fmt"
+	"slices"
 
 	"lbmm/internal/ring"
 )
@@ -17,9 +18,10 @@ import (
 
 // Emitter is what a planner writes its steps to, in execution order.
 type Emitter interface {
-	// Route runs plan p. Row labels its row of the rounds-versus-exchanges
-	// table, fail the context a failure is reported in ("fail: err"), and
-	// join says it rides the chain of the route before it (Program.Route).
+	// Route runs plan p inside its phase, if it has one (routePhase). Row
+	// labels its row of the rounds-versus-exchanges table, fail the context
+	// a failure is reported in ("fail: err"), and join says it rides the
+	// chain of the route before it (Program.Route).
 	Route(p *Plan, row, fail string, join bool) error
 	// MulAcc adds a·b into dst, all three at host.
 	MulAcc(host NodeID, a, b, dst Key)
@@ -78,21 +80,45 @@ func (lw *Lowering) Program() *Program { return &lw.prog }
 // pipeline slots the values it loads before its first step.
 func (lw *Lowering) Ref(node NodeID, k Key) SlotRef { return lw.sp.Ref(node, k) }
 
-// Sizes returns each node's number of slots so far.
-func (lw *Lowering) Sizes() []int32 { return lw.sp.Sizes() }
-
 // EachKey visits every slotted (node, key, slot), by node, then by slot.
 func (lw *Lowering) EachKey(f func(node NodeID, k Key, slot int32)) { lw.sp.EachKey(f) }
 
-// Route compiles p into the slot space and appends a step running it; a
-// plan that breaks a model rule fails as "fail: err".
-func (lw *Lowering) Route(p *Plan, row, fail string, join bool) error {
-	cp, err := CompileInto(&lw.sp, p)
-	if err != nil {
-		return fmt.Errorf("%s: %w", fail, err)
+// routePhase writes p's phase around route to e: BeginPhase, one Counter
+// per metric in key order, the route, then EndPhase. A plan without a phase
+// is the route alone. A failing route leaves the phase open, for the sink
+// closes every open span when a route fails (Machine.Route,
+// Exec.RunProgram).
+func routePhase(e Emitter, p *Plan, route func() error) error {
+	if p.phase == "" {
+		return route()
 	}
-	lw.prog.Route(cp, row, fail, join)
+	e.BeginPhase(p.phase)
+	keys := make([]string, 0, 8) // room for a phase's few metrics on the stack
+	for k := range p.metrics {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		e.Counter(k, p.metrics[k])
+	}
+	if err := route(); err != nil {
+		return err
+	}
+	e.EndPhase()
 	return nil
+}
+
+// Route compiles p into the slot space and appends a step running it inside
+// p's phase steps; a plan that breaks a model rule fails as "fail: err".
+func (lw *Lowering) Route(p *Plan, row, fail string, join bool) error {
+	return routePhase(lw, p, func() error {
+		cp, err := CompileInto(&lw.sp, p)
+		if err != nil {
+			return fmt.Errorf("%s: %w", fail, err)
+		}
+		lw.prog.Route(cp, row, fail, join)
+		return nil
+	})
 }
 
 // MulAcc slots a, b and dst at host and appends the product.
@@ -151,16 +177,19 @@ func (lw *Lowering) CounterAt(name string, host NodeID, v float64) {
 // BeginPhase, EndPhase, Mark and Counter are its collector calls
 // (machine.go).
 
-// Route runs p. A failure is reported as "fail: err" and ends the run with
-// every open phase span closed, as Exec.RunProgram ends a failing program.
+// Route runs p inside its phase. A failure is reported as "fail: err" and
+// ends the run with every open phase span closed, as Exec.RunProgram ends a
+// failing program.
 func (m *Machine) Route(p *Plan, _, fail string, _ bool) error {
-	if err := m.Run(p); err != nil {
-		for m.open > 0 {
-			m.EndPhase()
+	return routePhase(m, p, func() error {
+		if err := m.Run(p); err != nil {
+			for m.open > 0 {
+				m.EndPhase()
+			}
+			return fmt.Errorf("%s: %w", fail, err)
 		}
-		return fmt.Errorf("%s: %w", fail, err)
-	}
-	return nil
+		return nil
+	})
 }
 
 // MulAcc adds a·b into dst at host, if the machine owns host.

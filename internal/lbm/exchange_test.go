@@ -67,7 +67,6 @@ func randomChain(rng *rand.Rand) ([]*Plan, []load) {
 				present[s.To] = append(present[s.To], s.Dst)
 			}
 		}
-		p.Annotate(fmt.Sprintf("plan %d", pi), nil)
 		plans[pi] = p
 	}
 	return plans, loads

@@ -17,8 +17,8 @@ import (
 // the serving layer allocation-free in steady state.
 //
 // Exec mirrors the Machine's totals exactly: the same Rounds, Messages,
-// LocalCopies, RoundBytes and PeakStore, the same collector events, the
-// same phase-span replay (via the shared runWithSpans walk) and the same
+// LocalCopies, RoundBytes and PeakStore, the same collector events (a
+// plan's phase is a step of the program both run, emit.go) and the same
 // StoreLimit semantics. It does not count per-node loads: every routing
 // decision is a function of the structure, so SendLoad and RecvLoad are a
 // property of the plan (CompiledPlan.AddNodeLoads), not of a run, and
@@ -395,10 +395,9 @@ func (x *Exec) Reset() {
 	x.netRound = 0
 }
 
-// Run executes every round of the compiled plan, replaying its phase spans
-// on the collector exactly as the map engine replays Plan spans. Under a
-// transport the plan is a chain of one: its rounds share exchanges with each
-// other, never with the plan run before or after it.
+// Run executes every round of the compiled plan. Under a transport the plan
+// is a chain of one: its rounds share exchanges with each other, never with
+// the plan run before or after it.
 func (x *Exec) Run(cp *CompiledPlan) error {
 	if x.transport != nil {
 		return x.RunChained(cp.Chain(), 0)
@@ -431,18 +430,12 @@ func (x *Exec) run(cp *CompiledPlan) error {
 	if cp.HasSub && x.field == nil {
 		return fmt.Errorf("lbm: OpSub requires a field, ring %s is not one", x.R.Name())
 	}
-	rounds := cp.NumRounds()
-	if x.collector == nil || len(cp.Spans) == 0 {
-		for t := 0; t < rounds; t++ {
-			if err := x.runRound(cp, t); err != nil {
-				return fmt.Errorf("round %d: %w", t, err)
-			}
+	for t := range cp.NumRounds() {
+		if err := x.runRound(cp, t); err != nil {
+			return fmt.Errorf("round %d: %w", t, err)
 		}
-		return nil
 	}
-	return runWithSpans(x.collector, cp.Spans, rounds, func(t int) error {
-		return x.runRound(cp, t)
-	})
+	return nil
 }
 
 // runRound executes one compiled round: gather against the round-start

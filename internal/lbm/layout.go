@@ -17,12 +17,12 @@ type Layout struct {
 	A, B, X Owners
 }
 
-// Owners is one matrix's part of a layout: its support, and the owner of
-// every support position in a slab aligned with the support's Col, so
-// Node[k] owns the entry whose column is Sup.Col[k].
+// Owners is one matrix's part of a layout: its support, and the rule that
+// owns each support position on an n-computer machine.
 type Owners struct {
-	Sup  *matrix.Support
-	Node []NodeID
+	Sup   *matrix.Support
+	place Placement
+	n     int
 }
 
 // Of returns the owner of position (i, j), or false when the support has no
@@ -31,12 +31,21 @@ func (o *Owners) Of(i, j int32) (NodeID, bool) {
 	if i < 0 || int(i) >= o.Sup.N {
 		return 0, false
 	}
-	lo := o.Sup.Off[i]
 	k, ok := slices.BinarySearch(o.Sup.Row(int(i)), j)
 	if !ok {
 		return 0, false
 	}
-	return o.Node[int(lo)+k], true
+	return o.place.Owner(o.n, i, o.Sup.Off[i]+int32(k)), true
+}
+
+// each hands f every support position, in row-major order: its owner, its
+// row i and its index k in the support's Col.
+func (o *Owners) each(f func(owner NodeID, i, k int32)) {
+	for i := range int32(o.Sup.N) {
+		for k := o.Sup.Off[i]; k < o.Sup.Off[i+1]; k++ {
+			f(o.place.Owner(o.n, i, k), i, k)
+		}
+	}
 }
 
 // OwnerA returns the computer initially holding A_ij (the p(i,j) of §3.3).
@@ -62,12 +71,10 @@ func (l *Layout) MaxPerNode() (a, b, x int) {
 	count := func(o Owners) int {
 		per := make([]int, l.N)
 		mx := 0
-		for _, v := range o.Node {
+		o.each(func(v NodeID, _, _ int32) {
 			per[v]++
-			if per[v] > mx {
-				mx = per[v]
-			}
-		}
+			mx = max(mx, per[v])
+		})
 		return mx
 	}
 	return count(l.A), count(l.B), count(l.X)
@@ -89,8 +96,8 @@ const (
 
 // Owner returns the computer of an n-computer machine that owns the entry
 // at row-major position k of a support, which lies in row i. It is the one
-// owner rule: Layout builds every layout by it, and a plan decoded from its
-// envelope derives its load slots by it without building one.
+// owner rule: every layout owns its entries by it, and a plan decoded from
+// its envelope derives its load slots by it without building one.
 func (p Placement) Owner(n int, i, k int32) NodeID {
 	if p == Balanced {
 		return k % int32(n)
@@ -101,15 +108,7 @@ func (p Placement) Owner(n int, i, k int32) NodeID {
 // Layout lays out the three supports by p.
 func (p Placement) Layout(ahat, bhat, xhat *matrix.Support) *Layout {
 	n := ahat.N
-	lay := func(s *matrix.Support) Owners {
-		o := Owners{Sup: s, Node: make([]NodeID, s.NNZ)}
-		for i := range int32(s.N) {
-			for k := s.Off[i]; k < s.Off[i+1]; k++ {
-				o.Node[k] = p.Owner(n, i, k)
-			}
-		}
-		return o
-	}
+	lay := func(s *matrix.Support) Owners { return Owners{Sup: s, place: p, n: n} }
 	return &Layout{N: n, A: lay(ahat), B: lay(bhat), X: lay(xhat)}
 }
 
@@ -118,13 +117,10 @@ func (p Placement) Layout(ahat, bhat, xhat *matrix.Support) *Layout {
 // so that a fixed plan finds all its sources.
 func LoadInputs(m *Machine, l *Layout, a, b *matrix.Sparse) {
 	load := func(o *Owners, v *matrix.Sparse, key func(i, j int32) Key) {
-		i := 0
-		for k, j := range o.Sup.Col {
-			for int32(k) >= o.Sup.Off[i+1] {
-				i++
-			}
-			m.Put(o.Node[k], key(int32(i), j), v.Get(i, int(j)))
-		}
+		o.each(func(owner NodeID, i, k int32) {
+			j := o.Sup.Col[k]
+			m.Put(owner, key(i, j), v.Get(int(i), int(j)))
+		})
 	}
 	load(&l.A, a, AKey)
 	load(&l.B, b, BKey)

@@ -2,7 +2,6 @@ package lbm
 
 import (
 	"fmt"
-	"sort"
 
 	"lbmm/internal/obsv"
 	"lbmm/internal/ring"
@@ -40,23 +39,14 @@ type Send struct {
 // Round is the set of messages exchanged in one synchronous round.
 type Round []Send
 
-// Plan is a sequence of rounds, precomputed from the support.
+// Plan is a sequence of rounds, precomputed from the support, and at most
+// one phase over all of them: a label and structural metrics (κ, tree
+// depth, Δ, …) set by Annotate. An Emitter's Route writes the phase around
+// the plan's rounds (emit.go).
 type Plan struct {
-	Rounds []Round
-	// Spans are builder-attached phase annotations over round index ranges
-	// of this plan; when the plan runs on a machine with a collector, the
-	// executor replays them as phase spans (see Machine.Run).
-	Spans []PhaseSpan
-}
-
-// PhaseSpan annotates rounds [Start, End) of a plan with a builder phase
-// and optional structural metrics (κ, tree depth, Δ, …). Start == End marks
-// a zero-round phase, which the executor still reports so phases that
-// happened to need no communication stay visible.
-type PhaseSpan struct {
-	Label      string
-	Start, End int
-	Metrics    map[string]float64
+	Rounds  []Round
+	phase   string
+	metrics map[string]float64
 }
 
 // Append adds a round to the plan. Empty rounds are dropped: a round in
@@ -67,24 +57,16 @@ func (p *Plan) Append(r Round) {
 	}
 }
 
-// Annotate attaches a phase span covering every round currently in the
-// plan. Builders call it on a finished sub-plan; Extend keeps the span
-// anchored when plans are composed.
+// Annotate sets the plan's phase: label and metrics cover every round of the
+// plan, a plan of no rounds included. A later Annotate replaces the phase.
 func (p *Plan) Annotate(label string, metrics map[string]float64) {
-	p.Spans = append(p.Spans, PhaseSpan{Label: label, Start: 0, End: len(p.Rounds), Metrics: metrics})
+	p.phase, p.metrics = label, metrics
 }
 
 // Extend appends all rounds of q after the rounds of p (sequential
-// composition). Phase spans of q shift with its rounds.
-func (p *Plan) Extend(q *Plan) {
-	off := len(p.Rounds)
-	p.Rounds = append(p.Rounds, q.Rounds...)
-	for _, s := range q.Spans {
-		s.Start += off
-		s.End += off
-		p.Spans = append(p.Spans, s)
-	}
-}
+// composition). q's phase is not kept: a phase covers a whole plan, so a
+// composed plan is annotated as a whole.
+func (p *Plan) Extend(q *Plan) { p.Rounds = append(p.Rounds, q.Rounds...) }
 
 // NumRounds returns the number of (non-empty) rounds in the plan.
 func (p *Plan) NumRounds() int { return len(p.Rounds) }
@@ -529,91 +511,15 @@ func (m *Machine) applyOp(st map[Key]ring.Value, dst Key, op Op, payload ring.Va
 	}
 }
 
-// Run executes every round of the plan in order. When a collector is
-// attached and the plan carries builder phase spans, the spans are replayed
-// as phases around the rounds they cover.
+// Run executes every round of the plan in order. The plan's phase is
+// written by Route, not by Run.
 func (m *Machine) Run(p *Plan) error {
-	if m.collector == nil || len(p.Spans) == 0 {
-		for t, r := range p.Rounds {
-			if err := m.RunRound(r); err != nil {
-				return fmt.Errorf("round %d: %w", t, err)
-			}
-		}
-		return nil
-	}
-	return m.runSpanned(p)
-}
-
-// runSpanned executes a plan while opening and closing its phase spans on
-// the collector. Spans must be non-overlapping or properly nested (builders
-// produce them that way); they are replayed outermost-first.
-func (m *Machine) runSpanned(p *Plan) error {
-	return runWithSpans(m.collector, p.Spans, len(p.Rounds), func(t int) error {
-		return m.RunRound(p.Rounds[t])
-	})
-}
-
-// runWithSpans drives a round executor while replaying phase spans on a
-// collector. It is shared by the map engine (Machine.runSpanned) and the
-// compiled engine (Exec.Run), so both report byte-identical span trees.
-func runWithSpans(c obsv.Collector, planSpans []PhaseSpan, rounds int, runRound func(t int) error) error {
-	spans := append([]PhaseSpan(nil), planSpans...)
-	sort.SliceStable(spans, func(i, j int) bool {
-		if spans[i].Start != spans[j].Start {
-			return spans[i].Start < spans[j].Start
-		}
-		return spans[i].End > spans[j].End
-	})
-	si := 0
-	var stack []PhaseSpan
-	closeTo := func(t int) {
-		for len(stack) > 0 && stack[len(stack)-1].End <= t {
-			c.EndPhase()
-			stack = stack[:len(stack)-1]
-		}
-	}
-	emit := func(sp PhaseSpan) {
-		c.BeginPhase(sp.Label)
-		for _, k := range sortedMetricKeys(sp.Metrics) {
-			c.Counter(k, sp.Metrics[k])
-		}
-	}
-	for t := 0; t <= rounds; t++ {
-		closeTo(t)
-		for si < len(spans) && spans[si].Start == t {
-			sp := spans[si]
-			si++
-			if sp.End <= sp.Start {
-				// Zero-round phase: report and close immediately.
-				emit(sp)
-				c.EndPhase()
-				continue
-			}
-			emit(sp)
-			stack = append(stack, sp)
-		}
-		if t == rounds {
-			break
-		}
-		if err := runRound(t); err != nil {
-			closeTo(rounds + 1)
+	for t, r := range p.Rounds {
+		if err := m.RunRound(r); err != nil {
 			return fmt.Errorf("round %d: %w", t, err)
 		}
 	}
-	closeTo(rounds + 1)
 	return nil
-}
-
-func sortedMetricKeys(m map[string]float64) []string {
-	if len(m) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Reset clears all stores and statistics, returning the machine to its

@@ -1,6 +1,7 @@
 package lbm
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -58,55 +59,101 @@ func TestMarkCarryForwardRegression(t *testing.T) {
 	}
 }
 
-// TestPlanSpanReplay checks that spans attached to a plan by a builder are
-// replayed into the collector's phase tree by Run, anchored at the machine's
-// current round position.
+// TestPlanSpanReplay routes a plan carrying a phase through both sinks of
+// an Emitter — the map engine (Machine.Route) and a Lowering whose program
+// Exec.RunProgram runs — and requires byte-identical trace exports: for a
+// plan of two rounds, for a plan of none, whose span must still report
+// Start == End, and for a failing route inside an open span, which both
+// sinks must close. Every case runs one counted round first, so the plan's
+// span does not start at round 0, and opens a top-level span last, which
+// lands at the top only if the run left no span open.
 func TestPlanSpanReplay(t *testing.T) {
-	m := New(4, ring.Counting{}, WithTrace())
-	m.Put(0, AKey(0, 0), 1)
-	m.Put(1, AKey(1, 1), 2)
+	const n = 4
+	loads := []struct {
+		node NodeID
+		k    Key
+	}{{0, AKey(0, 0)}, {1, AKey(1, 1)}}
+	lead := &Plan{Rounds: []Round{{{From: 0, To: 3, Src: AKey(0, 0), Dst: TKey(0, 0, 0)}}}}
+	two := &Plan{}
+	two.Append(Round{{From: 1, To: 2, Src: AKey(1, 1), Dst: TKey(1, 1, 0)}})
+	two.Append(Round{{From: 2, To: 0, Src: TKey(1, 1, 0), Dst: TKey(1, 1, 1)}})
+	two.Annotate("planned", map[string]float64{"k": 3, "depth": 2})
+	none := &Plan{}
+	none.Annotate("empty", map[string]float64{"k": 0})
+	missing := &Plan{Rounds: []Round{{{From: 3, To: 1, Src: AKey(3, 3), Dst: AKey(3, 3)}}}}
+	missing.Annotate("fails", map[string]float64{"k": 1})
+	for _, tc := range []struct {
+		plan       *Plan
+		label      string
+		start, end int
+		fail       bool
+	}{
+		{two, "planned", 1, 3, false},
+		{none, "empty", 1, 1, false},
+		{missing, "fails", 1, 1, true},
+	} {
+		emit := func(e Emitter) error {
+			e.BeginPhase("outer")
+			if err := e.Route(lead, "lead", "lead", false); err != nil {
+				return err
+			}
+			if err := e.Route(tc.plan, "row", "step", false); err != nil {
+				return err
+			}
+			e.EndPhase()
+			return nil
+		}
+		m := New(n, ring.Counting{}, WithTrace())
+		lw := NewLowering(n)
+		for _, l := range loads {
+			m.Put(l.node, l.k, 1)
+			lw.Ref(l.node, l.k)
+		}
+		merr := emit(m)
+		if err := emit(lw); err != nil {
+			t.Fatal(err)
+		}
+		p := lw.Program()
+		if err := p.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		sizes := make([]int32, n)
+		lw.EachKey(func(node NodeID, _ Key, slot int32) { sizes[node] = max(sizes[node], slot+1) })
+		x := NewExec(sizes, ring.Counting{}, WithTrace())
+		for _, l := range loads {
+			x.PutSlot(lw.Ref(l.node, l.k), 1)
+		}
+		_, xerr := x.RunProgram(p)
+		if (merr != nil) != tc.fail || (xerr != nil) != tc.fail {
+			t.Fatalf("%s: map run error %v, compiled %v; want failure %v", tc.label, merr, xerr, tc.fail)
+		}
+		m.BeginPhase("after")
+		m.EndPhase()
+		x.BeginPhase("after")
+		x.EndPhase()
 
-	// One counted round before the plan shifts its spans.
-	if err := m.RunRound(Round{{From: 0, To: 3, Src: AKey(0, 0), Dst: TKey(0, 0, 0), Op: OpSet}}); err != nil {
-		t.Fatal(err)
-	}
-
-	p := &Plan{}
-	p.Append(Round{{From: 1, To: 2, Src: AKey(1, 1), Dst: TKey(1, 1, 0), Op: OpSet}})
-	p.Append(Round{{From: 2, To: 0, Src: TKey(1, 1, 0), Dst: TKey(1, 1, 1), Op: OpSet}})
-	p.Annotate("planned", map[string]float64{"k": 3})
-	if err := m.Run(p); err != nil {
-		t.Fatal(err)
-	}
-
-	root := m.Profile().Root()
-	if len(root.Children) != 1 {
-		t.Fatalf("spans = %d, want the plan's span replayed", len(root.Children))
-	}
-	s := root.Children[0]
-	if s.Label != "planned" || s.Start != 1 || s.End != 3 {
-		t.Errorf("span = %q [%d,%d), want planned [1,3)", s.Label, s.Start, s.End)
-	}
-	if s.Counters["k"] != 3 {
-		t.Errorf("counters = %v", s.Counters)
-	}
-}
-
-// TestPlanSpanExtendShifts checks that Extend re-anchors the extension's
-// spans after the receiver's rounds.
-func TestPlanSpanExtendShifts(t *testing.T) {
-	p := &Plan{}
-	p.Append(Round{{From: 0, To: 1, Src: AKey(0, 0), Dst: AKey(0, 0), Op: OpSet}})
-	p.Annotate("first", nil)
-	q := &Plan{}
-	q.Append(Round{{From: 1, To: 2, Src: AKey(0, 0), Dst: AKey(0, 0), Op: OpSet}})
-	q.Annotate("second", nil)
-	p.Extend(q)
-	if len(p.Spans) != 2 {
-		t.Fatalf("spans = %+v", p.Spans)
-	}
-	if p.Spans[1].Label != "second" || p.Spans[1].Start != 1 || p.Spans[1].End != 2 {
-		t.Errorf("extended span = %+v, want second [1,2)", p.Spans[1])
+		var mj, xj bytes.Buffer
+		if err := m.Profile().Export().WriteJSON(&mj); err != nil {
+			t.Fatal(err)
+		}
+		if err := x.Profile().Export().WriteJSON(&xj); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(mj.Bytes(), xj.Bytes()) {
+			t.Fatalf("%s: the sinks export different traces\n--- map ---\n%s\n--- compiled ---\n%s", tc.label, mj.String(), xj.String())
+		}
+		root := m.Profile().Root()
+		if len(root.Children) != 2 || root.Children[1].Label != "after" {
+			t.Fatalf("%s: top-level spans %d, want outer and after: a span stayed open", tc.label, len(root.Children))
+		}
+		outer := root.Children[0]
+		if len(outer.Children) != 1 {
+			t.Fatalf("%s: outer holds %d spans, want the plan's", tc.label, len(outer.Children))
+		}
+		s := outer.Children[0]
+		if s.Label != tc.label || s.Start != tc.start || s.End != tc.end || s.Counters["k"] != tc.plan.metrics["k"] {
+			t.Errorf("span %q [%d,%d) counters %v, want %s [%d,%d)", s.Label, s.Start, s.End, s.Counters, tc.label, tc.start, tc.end)
+		}
 	}
 }
 

@@ -241,8 +241,9 @@ func (p *Program) Finish() error {
 		}
 	}
 	for i, l := range p.Leaves {
+		// area < 2^62, but 3·area can overflow: bound it by the tables left.
 		area := int64(l.Size) * int64(l.Size)
-		if !node(l.Host) || l.Size < 0 || l.Tab < 0 || int64(l.Tab)+3*area > int64(len(p.Tables)) {
+		if !node(l.Host) || l.Size < 0 || l.Tab < 0 || int(l.Tab) > len(p.Tables) || area > int64(len(p.Tables)-int(l.Tab))/3 {
 			return bad("leaf %d: host %d, size %d, tables from %d of %d", i, l.Host, l.Size, l.Tab, len(p.Tables))
 		}
 		p.leafArea = max(p.leafArea, int(area))

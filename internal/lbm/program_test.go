@@ -192,6 +192,7 @@ func TestCompiledProgramRefusals(t *testing.T) {
 		{"route label", func(q *Program) { q.Routes[0].Fail = -1 }},
 		{"leaf host", func(q *Program) { q.Leaves[0].Host = 3 }},
 		{"leaf table size", func(q *Program) { q.Leaves[0].Size = 3 }},
+		{"leaf size whose 3·size² overflows", func(q *Program) { q.Leaves[0].Size = 1<<31 - 1 }},
 		{"product nodes", func(q *Program) { q.Prods[0].B.Node = 1 }},
 		{"count host", func(q *Program) { q.Counts[0].Host = 3 }},
 		{"clear node", func(q *Program) { q.Clears[0].Node = -1 }},

@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -43,9 +42,9 @@ const (
 	// for the life of the process.
 	maxPooledWire = 1 << 20
 
-	// planWireMin is the least a CompiledPlan occupies in a body: N, six
-	// empty slabs and an empty span list.
-	planWireMin = 8 + 7*4
+	// planWireMin is the least a CompiledPlan occupies in a body: N and six
+	// empty slabs.
+	planWireMin = 8 + 6*4
 
 	// stepWire is a Step's size in a body: kind, arg, lo and hi.
 	stepWire = 1 + 3*4
@@ -134,8 +133,7 @@ func (w *WireWriter) Refs(s []SlotRef) {
 }
 
 // Plan writes a compiled plan field by field: what the compiler chose, not
-// what validate derives from it. Span metrics go out in key order, so
-// encoding one plan twice gives identical bytes.
+// what validate derives from it.
 func (w *WireWriter) Plan(cp *CompiledPlan) {
 	w.Int(cp.N)
 	w.Int32s(cp.From)
@@ -144,22 +142,6 @@ func (w *WireWriter) Plan(cp *CompiledPlan) {
 	w.Int32s(cp.DstSlot)
 	w.Ops(cp.Ops)
 	w.Int32s(cp.RoundOff)
-	w.Count(len(cp.Spans))
-	for _, s := range cp.Spans {
-		w.String(s.Label)
-		w.Int(s.Start)
-		w.Int(s.End)
-		keys := make([]string, 0, len(s.Metrics))
-		for k := range s.Metrics {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		w.Count(len(keys))
-		for _, k := range keys {
-			w.String(k)
-			w.Float64(s.Metrics[k])
-		}
-	}
 }
 
 // Program writes a program's slabs, the clears last: what Finish derives
@@ -474,20 +456,6 @@ func (r *WireReader) Plan(n int) *CompiledPlan {
 	cp.From, cp.To = r.Int32s(), r.Int32s()
 	cp.SrcSlot, cp.DstSlot = r.Int32s(), r.Int32s()
 	cp.Ops, cp.RoundOff = r.Ops(), r.Int32s()
-	if c := r.Count(4 + 8 + 8 + 4); c > 0 {
-		cp.Spans = make([]PhaseSpan, c)
-	}
-	for i := range cp.Spans {
-		s := &cp.Spans[i]
-		s.Label, s.Start, s.End = r.String(), r.Int(), r.Int()
-		if c := r.Count(4 + 8); c > 0 {
-			s.Metrics = make(map[string]float64, c)
-			for ; c > 0; c-- {
-				k := r.String()
-				s.Metrics[k] = r.Float64()
-			}
-		}
-	}
 	if r.err == nil {
 		if r.rules == nil || len(r.rules.sent) != n {
 			r.rules = newRules(n)

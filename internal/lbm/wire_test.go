@@ -18,12 +18,10 @@ const (
 	testVersion = 7
 )
 
-// wirePlan compiles a random plan with a multi-key span annotation (so the
-// metric ordering matters) into a slot space of its own.
+// wirePlan compiles a random plan into a slot space of its own.
 func wirePlan(t *testing.T, seed int64, sub bool) (*Plan, []load, *SlotSpace, *CompiledPlan) {
 	t.Helper()
 	p, loads := randomPlan(rand.New(rand.NewSource(seed)), 6, 8, sub)
-	p.Annotate("wire", map[string]float64{"kappa": 2, "delta": 0.5, "depth": 3, "alpha": 1.867})
 	sp := NewSlotSpace(6)
 	cp, err := CompileInto(sp, p)
 	if err != nil {

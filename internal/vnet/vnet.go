@@ -150,12 +150,11 @@ func (nt *Net) Compile(p *Plan, strategy routing.Strategy) (*lbm.Plan, error) {
 		}
 		out.Extend(routing.Schedule(msgs, strategy))
 	}
-	// One coarse span for the whole compiled plan: per-virtual-round hrel
-	// spans would drown a profile in noise, and the interesting quantities
-	// are the simulation overhead (real rounds per virtual round, ≤ 2·c)
-	// and the multiplicity c itself.
+	// One coarse phase for the whole compiled plan (Extend keeps none of the
+	// per-virtual-round hrel phases, which would drown a profile in noise):
+	// the interesting quantities are the simulation overhead (real rounds
+	// per virtual round, ≤ 2·c) and the multiplicity c itself.
 	if len(out.Rounds) > 0 || len(p.Rounds) > 0 {
-		out.Spans = nil
 		out.Annotate("vnet/compiled", map[string]float64{
 			"virtual_rounds": float64(len(p.Rounds)),
 			"max_load":       float64(nt.MaxLoad),
