@@ -70,53 +70,54 @@ func golden(t *testing.T, file string, got []byte) []byte {
 	return want
 }
 
-// TestTheorem42TraceGolden pins three traces byte for byte on both engines:
-// the map run, the compiled walk and a plan restored from its snapshot must
-// each export the golden file's JSON. Lemma 3.1 runs on the extremal block
-// instance (goldenTrace's). The two-phase plan shows its phase1 and phase2
-// marks and spans with their counters, and one cluster/batch span per
-// phase-1 batch, on Mixed(32,4,7) over the Boolean semiring, whose phase 1
-// keeps no batch, and on Blocks(32,4) over GF(1009), whose batch runs
-// distributed Strassen.
-func TestTheorem42TraceGolden(t *testing.T) {
-	for _, g := range []struct {
-		file, workload string
-		inst           *graph.Instance
-		r              ring.Semiring
-		plan           planFn
-	}{
-		{"trace_lemma31_blocks.json", "blocks(16,2)", workload.Blocks(16, 2), ring.Counting{}, planLemma31},
-		{"trace_theorem42_mixed.json", "mixed(32,4,7)", workload.Mixed(32, 4, 7), ring.Boolean{}, planTheorem42},
-		{"trace_theorem42_blocks_gfp.json", "blocks(32,4)", workload.Blocks(32, 4), ring.NewGFp(1009), planTheorem42},
-	} {
-		p, a, b, res := tracedRun(t, g.r, g.inst, g.plan)
-		meta := map[string]string{"algorithm": res.Name, "workload": g.workload}
-		got := traceJSON(t, res.Profile, meta)
-		want := golden(t, g.file, got)
-		if !bytes.Equal(got, want) {
-			t.Errorf("map trace drifted from golden file %s (run with -update if intended)\ngot:\n%s", g.file, got)
-		}
+// checkTraceGolden pins a plan's trace byte for byte on both engines: the
+// map run, the compiled walk and a plan restored from its snapshot must each
+// export the golden file's JSON.
+func checkTraceGolden(t *testing.T, file, wl string, inst *graph.Instance, r ring.Semiring, plan planFn) {
+	t.Helper()
+	p, a, b, res := tracedRun(t, r, inst, plan)
+	meta := map[string]string{"algorithm": res.Name, "workload": wl}
+	got := traceJSON(t, res.Profile, meta)
+	want := golden(t, file, got)
+	if !bytes.Equal(got, want) {
+		t.Errorf("map trace drifted from golden file %s (run with -update if intended)\ngot:\n%s", file, got)
+	}
 
-		if err := p.Compile(); err != nil {
-			t.Fatal(err)
-		}
-		q, err := restore(snapshot(t, p))
+	if err := p.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	q, err := restore(snapshot(t, p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []struct {
+		walk string
+		p    *Prepared
+	}{{"compiled", p}, {"restored", q}} {
+		_, cres, err := multiplyOne(w.p, a, b, lbm.WithTrace())
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range []struct {
-			walk string
-			p    *Prepared
-		}{{"compiled", p}, {"restored", q}} {
-			_, cres, err := multiplyOne(w.p, a, b, lbm.WithTrace())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := traceJSON(t, cres.Profile, meta); !bytes.Equal(got, want) {
-				t.Errorf("%s: the %s walk's trace differs from golden file %s\ngot:\n%s", g.workload, w.walk, g.file, got)
-			}
+		if got := traceJSON(t, cres.Profile, meta); !bytes.Equal(got, want) {
+			t.Errorf("%s: the %s walk's trace differs from golden file %s\ngot:\n%s", wl, w.walk, file, got)
 		}
 	}
+}
+
+// TestTraceExportGolden pins the reference trace of Lemma 3.1 on the
+// extremal block instance (goldenTrace's) on both engines.
+func TestTraceExportGolden(t *testing.T) {
+	checkTraceGolden(t, "trace_lemma31_blocks.json", "blocks(16,2)", workload.Blocks(16, 2), ring.Counting{}, planLemma31)
+}
+
+// TestTheorem42TraceGolden pins the two-phase plan's trace on both engines:
+// its phase1 and phase2 marks and spans with their counters, and one
+// cluster/batch span per phase-1 batch, on Mixed(32,4,7) over the Boolean
+// semiring, whose phase 1 keeps no batch, and on Blocks(32,4) over
+// GF(1009), whose batch runs distributed Strassen.
+func TestTheorem42TraceGolden(t *testing.T) {
+	checkTraceGolden(t, "trace_theorem42_mixed.json", "mixed(32,4,7)", workload.Mixed(32, 4, 7), ring.Boolean{}, planTheorem42)
+	checkTraceGolden(t, "trace_theorem42_blocks_gfp.json", "blocks(32,4)", workload.Blocks(32, 4), ring.NewGFp(1009), planTheorem42)
 }
 
 // goldenTrace runs the fixed-seed reference execution whose trace is pinned
