@@ -20,7 +20,7 @@ var exportAllowlist = map[string]string{
 	"lbm.NewExec":             "test seam: a bare executor for the compiled-engine unit tests",
 	"lbm.Exec.PutSlot":        "test seam: seeds one store slot of a bare executor",
 	"lbm.Exec.GetSlot":        "test seam: reads one store slot of a bare executor",
-	"lbm.SlotSpace.Lookup":    "test seam: reads the slot a key was given",
+	"lbm.SlotSpace.EachKey":   "test seam: visits a hand-compiled plan's slots to compare its stores with the map engine's",
 	"lbm.SlotSpace.Sizes":     "test seam: sizes a bare executor's arenas for a hand-compiled plan",
 	"lbm.WithStoreLimit":      "test seam: drives the store-capacity fault",
 	"lbm.WithCollector":       "test seam: docs/OBSERVABILITY.md's attach point for a machine's counters",

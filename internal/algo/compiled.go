@@ -113,6 +113,7 @@ func compilePrepared(p *Prepared) (*compiledPrepared, error) {
 	// The lowering numbers keys on first sight, so handing it the loads
 	// first gives each the slot numberLoads derived.
 	cp.numberLoads(inst, choosePlacement(inst), func(node lbm.NodeID, k lbm.Key) { lw.Ref(node, k) })
+	loads := lw.Slotted()
 	if err := p.emit(lw); err != nil {
 		return nil, err
 	}
@@ -121,10 +122,11 @@ func compilePrepared(p *Prepared) (*compiledPrepared, error) {
 		return nil, err
 	}
 	// The guard: every A, B or X key the plans touch at its owner must be a
-	// loaded slot, or a plan reads a dead cell. Copies at other nodes are
-	// the plans' own scratch.
+	// loaded slot, or a plan reads a dead cell. The loads are slotted first,
+	// so such a key is exactly one the plans slotted at its owner; copies
+	// at other nodes are the plans' own scratch.
 	var reach error
-	lw.EachKey(func(node lbm.NodeID, k lbm.Key, slot int32) {
+	lw.EachKeyFrom(loads, func(node lbm.NodeID, k lbm.Key) {
 		var owners *lbm.Owners
 		switch k.Kind {
 		case lbm.KA:
@@ -136,7 +138,7 @@ func compilePrepared(p *Prepared) (*compiledPrepared, error) {
 		default:
 			return
 		}
-		if o, ok := owners.Of(k.I, k.J); ok && o == node && slot >= cp.loaded[node] && reach == nil {
+		if o, ok := owners.Of(k.I, k.J); ok && o == node && reach == nil {
 			reach = fmt.Errorf("%w: %v at node %d", ErrDeadCell, k, node)
 		}
 	})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"runtime"
 	"slices"
 	"testing"
@@ -168,25 +169,46 @@ const (
 // took 2,264 allocations; with the trivial plan's fetches deduplicated by
 // sorting instead of a map, 284; with the load slots numbered into one slab
 // sized from the live cells instead of grown per support, 259; with the
-// layout owning its cells by rule instead of by a slab per support, this
-// reads 257.
+// layout owning its cells by rule instead of by a slab per support, 257;
+// with the slot index one flat table sized for two keys per node instead of
+// a Go map, and the staging sweep and dead-cell guard walking only the keys
+// they need, this reads 231.
 func TestPrepareAutoAllocs(t *testing.T) {
+	prepareAllocs(t, "", prepareAutoAllocs)
+}
+
+// TestPrepareTrivialAllocs pins the trivial Prepare of
+// BenchmarkPrepareUS256, the plan auto keeps on that structure with no
+// other candidate priced. Under the Go map slot index it read 148; it reads
+// 122.
+func TestPrepareTrivialAllocs(t *testing.T) {
+	prepareAllocs(t, "trivial", prepareTrivialAllocs)
+}
+
+// prepareAllocs fails t when a Prepare of algorithm alg on US n=256, d=4
+// allocates more than bound times.
+func prepareAllocs(t *testing.T, alg string, bound int) {
+	t.Helper()
 	inst := workload.Instance(matrix.US, matrix.US, matrix.US, 256, 4, 1)
-	opts := Options{Ring: ring.Counting{}, D: 4}
+	opts := Options{Ring: ring.Counting{}, D: 4, Algorithm: alg}
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := Prepare(inst.Ahat, inst.Bhat, inst.Xhat, opts); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("auto Prepare at n=256, d=4: %.0f allocations", allocs)
-	if allocs > prepareAutoAllocs {
-		t.Errorf("auto Prepare at n=256, d=4: %.0f allocations, want at most %d", allocs, prepareAutoAllocs)
+	name := cmp.Or(alg, "auto")
+	t.Logf("%s Prepare at n=256, d=4: %.0f allocations", name, allocs)
+	if allocs > float64(bound) {
+		t.Errorf("%s Prepare at n=256, d=4: %.0f allocations, want at most %d", name, allocs, bound)
 	}
 }
 
-// prepareAutoAllocs is TestPrepareAutoAllocs' bound, about 5% over what it
-// reads.
-const prepareAutoAllocs = 270
+// The bounds of TestPrepareAutoAllocs and TestPrepareTrivialAllocs, about
+// 5% over what they read.
+const (
+	prepareAutoAllocs    = 243
+	prepareTrivialAllocs = 128
+)
 
 // prepareClusters prepares Theorem 4.2 on inst over r and checks phase 1
 // keeps cube clusters only (cube) or some Strassen clusters.

@@ -124,11 +124,7 @@ func (w *fpWriter) support(s *matrix.Support) {
 	w.int(s.NNZ)
 	for i := range s.N {
 		if row := s.Row(i); len(row) > 0 {
-			w.int(i)
-			w.int(len(row))
-			for _, j := range row {
-				w.col(j)
-			}
+			w.row(i, row)
 		}
 	}
 }
@@ -138,18 +134,32 @@ func (w *fpWriter) rows(r *RowList) {
 	w.int(r.nnz)
 	for seq := r.seq; len(seq) > 0; {
 		k := int(seq[1])
-		w.int(int(seq[0]))
-		w.int(k)
-		for _, j := range seq[2 : 2+k] {
-			w.col(j)
-		}
+		w.row(int(seq[0]), seq[2:2+k])
 		seq = seq[2+k:]
 	}
 }
 
-func (w *fpWriter) col(j int32) {
-	w.reserve(4)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(j))
+// row writes one row: its index, its length, then its columns. It makes
+// room for the whole row at once; a row longer than buf goes in the
+// buffer-sized pieces that fit after each flush.
+func (w *fpWriter) row(i int, cols []int32) {
+	w.reserve(16 + 4*len(cols))
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(i))
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(len(cols)))
+	for {
+		n := len(w.buf)
+		k := min(len(cols), (cap(w.buf)-n)/4)
+		w.buf = w.buf[:n+4*k]
+		b := w.buf[n:]
+		for _, j := range cols[:k] {
+			binary.LittleEndian.PutUint32(b, uint32(j))
+			b = b[4:]
+		}
+		if cols = cols[k:]; len(cols) == 0 {
+			return
+		}
+		w.flush()
+	}
 }
 
 // sum flushes buf and returns the digest in hex.

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"strings"
 	"testing"
@@ -283,4 +286,67 @@ func BenchmarkListingFingerprint(b *testing.B) {
 			}
 		}
 	})
+}
+
+// fpReference is the fingerprint serialization written out plainly, one
+// value at a time into one buffer: the oracle of TestFingerprintRowPieces.
+func fpReference(a, b, x *matrix.Support, opts Options) string {
+	var buf []byte
+	u64 := func(v int) { buf = binary.LittleEndian.AppendUint64(buf, uint64(v)) }
+	str := func(s string) { u64(len(s)); buf = append(buf, s...) }
+	rn, alg := normalize(opts)
+	str(fingerprintDomain)
+	str(rn)
+	str(alg)
+	u64(ResolveD(opts.D, a, b, x))
+	u64(a.N)
+	for _, s := range []*matrix.Support{a, b, x} {
+		u64(s.NNZ)
+		for i := range s.N {
+			if row := s.Row(i); len(row) > 0 {
+				u64(i)
+				u64(len(row))
+				for _, j := range row {
+					buf = binary.LittleEndian.AppendUint32(buf, uint32(j))
+				}
+			}
+		}
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestFingerprintRowPieces holds both fingerprint paths to fpReference on
+// rows around and beyond the writer's buffer: a row is written whole when
+// it fits and in buffer-sized pieces when it does not, and the bytes must
+// not show which.
+func TestFingerprintRowPieces(t *testing.T) {
+	const n = 1200
+	rng := rand.New(rand.NewSource(5))
+	var entries [][2]int
+	for i, k := range []int{1, 200, 249, 250, 251, 252, 253, 256, 500, 507, 1024, 1199} {
+		for _, j := range rng.Perm(n)[:k] {
+			entries = append(entries, [2]int{3 * i, j})
+		}
+	}
+	for range 2 * n {
+		entries = append(entries, [2]int{rng.Intn(n), rng.Intn(n)})
+	}
+	a := matrix.NewSupport(n, entries)
+	b := matrix.NewSupport(n, entries[len(entries)/3:])
+	x := matrix.NewSupport(n, entries[:len(entries)/2])
+	r := ring.Counting{}
+	for _, opts := range []Options{{Ring: r}, {Ring: r, D: 7, Algorithm: "lemma31"}} {
+		want := fpReference(a, b, x, opts)
+		got, err := Fingerprint(a, b, x, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%+v: fingerprint %s, want %s", opts, got, want)
+		}
+		if got := listSparse(t, matrix.Random(a, r, 1), matrix.Random(b, r, 2), x).Fingerprint(opts); got != want {
+			t.Errorf("%+v: listing fingerprint %s, want %s", opts, got, want)
+		}
+	}
 }

@@ -48,53 +48,52 @@ type Triangle struct {
 func (t Triangle) String() string { return fmt.Sprintf("{%d,%d,%d}", t.I, t.J, t.K) }
 
 // Triangles enumerates every triangle of the instance, in deterministic
-// (i, j, k) lexicographic order. For each entry (i, j) of Â the sorted B̂
-// row j is merge-intersected with the sorted X̂ row i, so the total work is
-// O(Σ_(i,j)∈Â (|B̂ row j| + |X̂ row i|)) plus the output size.
+// (i, j, k) lexicographic order (walk).
 func (inst *Instance) Triangles() []Triangle {
 	var out []Triangle
-	for i := range inst.N {
-		xrow := inst.Xhat.Row(i)
-		if len(xrow) == 0 {
-			continue
-		}
-		for _, j := range inst.Ahat.Row(i) {
-			brow := inst.Bhat.Row(int(j))
-			ai, bi := 0, 0
-			for ai < len(xrow) && bi < len(brow) {
-				switch {
-				case xrow[ai] < brow[bi]:
-					ai++
-				case xrow[ai] > brow[bi]:
-					bi++
-				default:
-					out = append(out, Triangle{I: int32(i), J: j, K: xrow[ai]})
-					ai++
-					bi++
-				}
-			}
-		}
-	}
+	ahat, bhat := inst.Ahat, inst.Bhat
+	inst.walk(func(i, pa, pb, _ int32) {
+		out = append(out, Triangle{I: i, J: ahat.Col[pa], K: bhat.Col[pb]})
+	})
 	return out
 }
 
 // Live marks the cells that lie on at least one triangle: a[p], b[p] and
 // x[p] report it for the p-th entry, in row-major order, of Â, B̂ and X̂.
 // A cell it leaves false never sends, never receives and never changes the
-// product. Per row i, the columns of X̂ row i are stamped into one n-entry
-// table with their positions; each A cell (i, j) then probes that table once
-// per cell of B̂ row j, so the work is O(Σ_(i,j)∈Â |B̂ row j| + nnz(X̂)).
+// product.
 func (inst *Instance) Live() (a, b, x []bool) {
-	ahat, bhat, xhat := inst.Ahat, inst.Bhat, inst.Xhat
-	marks := make([]bool, ahat.NNZ+bhat.NNZ+xhat.NNZ)
-	na, nb := ahat.NNZ, ahat.NNZ+bhat.NNZ
+	marks := make([]bool, inst.Ahat.NNZ+inst.Bhat.NNZ+inst.Xhat.NNZ)
+	na, nb := inst.Ahat.NNZ, inst.Ahat.NNZ+inst.Bhat.NNZ
 	a, b, x = marks[:na:na], marks[na:nb:nb], marks[nb:]
+	inst.walk(func(_, pa, pb, px int32) {
+		a[pa], b[pb], x[px] = true, true, true
+	})
+	return a, b, x
+}
+
+// CountTriangles returns |T̂| without materializing the set.
+func (inst *Instance) CountTriangles() int {
+	total := 0
+	inst.walk(func(_, _, _, _ int32) { total++ })
+	return total
+}
+
+// walk hands f every triangle {i, j, k} in (i, j, k) lexicographic order,
+// as its row i and the positions pa, pb and px of its cells (i, j), (j, k)
+// and (i, k) in Â, B̂ and X̂ — a cell's position is its index into Col.
+// Per row i, the columns of X̂ row i are stamped into one n-entry table
+// with their positions; each A cell (i, j) then probes that table once per
+// cell of B̂ row j, in B̂'s sorted column order, so the work is
+// O(Σ_(i,j)∈Â |B̂ row j| + nnz(X̂)) plus one call per triangle.
+func (inst *Instance) walk(f func(i, pa, pb, px int32)) {
+	ahat, bhat, xhat := inst.Ahat, inst.Bhat, inst.Xhat
 	// xAt[k] is one past the position of X̂ cell (i, k) while row i is
 	// stamped. Positions of different rows never overlap, so a stamp left
 	// by an earlier row falls below the current row's start and reads as no
-	// cell. A cell's position in Â or B̂ is its index into Col.
+	// cell.
 	xAt := make([]int32, inst.N)
-	for i := range inst.N {
+	for i := range int32(inst.N) {
 		lo, hi := xhat.Off[i], xhat.Off[i+1]
 		if lo == hi {
 			continue
@@ -107,37 +106,11 @@ func (inst *Instance) Live() (a, b, x []bool) {
 			pb := bhat.Off[j]
 			for at, k := range bhat.Col[pb:bhat.Off[j+1]] {
 				if q := xAt[k]; q > lo {
-					a[pa], b[pb+int32(at)], x[q-1] = true, true, true
+					f(i, pa, pb+int32(at), q-1)
 				}
 			}
 		}
 	}
-	return a, b, x
-}
-
-// CountTriangles returns |T̂| without materializing the set.
-func (inst *Instance) CountTriangles() int {
-	total := 0
-	for i := range inst.N {
-		xrow := inst.Xhat.Row(i)
-		for _, j := range inst.Ahat.Row(i) {
-			brow := inst.Bhat.Row(int(j))
-			ai, bi := 0, 0
-			for ai < len(xrow) && bi < len(brow) {
-				switch {
-				case xrow[ai] < brow[bi]:
-					ai++
-				case xrow[ai] > brow[bi]:
-					bi++
-				default:
-					total++
-					ai++
-					bi++
-				}
-			}
-		}
-	}
-	return total
 }
 
 // ---------------------------------------------------------------------------

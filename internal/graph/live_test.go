@@ -51,9 +51,38 @@ func mergeLive(inst *graph.Instance) (a, b, x []bool) {
 	return a, b, x
 }
 
-// TestLiveMatchesMergeWalk holds Live to the merge walk on random members
-// of the workload families: uniformly sparse, mixed, power-law, blocks and
-// the hot pair, at sizes and degrees testing/quick draws.
+// mergeTriangles is the walk Triangles used to make, kept as the oracle of
+// TestLiveMatchesMergeWalk: for every A cell (i, j), merge-intersect X̂ row
+// i with B̂ row j and list every match.
+func mergeTriangles(inst *graph.Instance) []graph.Triangle {
+	var out []graph.Triangle
+	for i := range inst.N {
+		xrow := inst.Xhat.Row(i)
+		for _, j := range inst.Ahat.Row(i) {
+			brow := inst.Bhat.Row(int(j))
+			ai, bi := 0, 0
+			for ai < len(xrow) && bi < len(brow) {
+				switch {
+				case xrow[ai] < brow[bi]:
+					ai++
+				case xrow[ai] > brow[bi]:
+					bi++
+				default:
+					out = append(out, graph.Triangle{I: int32(i), J: j, K: xrow[ai]})
+					ai++
+					bi++
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestLiveMatchesMergeWalk holds the stamped walk to the merge walk on
+// random members of the workload families: uniformly sparse, mixed,
+// power-law, blocks and the hot pair, at sizes and degrees testing/quick
+// draws. Live must mark the same cells, and Triangles and CountTriangles
+// must find the same triangles in the same order.
 func TestLiveMatchesMergeWalk(t *testing.T) {
 	families := []func(n, d int, seed int64) *graph.Instance{
 		func(n, d int, seed int64) *graph.Instance {
@@ -74,6 +103,12 @@ func TestLiveMatchesMergeWalk(t *testing.T) {
 			t.Logf("family %d, n=%d, d=%d, seed %d: Live differs from the merge walk", int(family)%len(families), n, d, seed)
 			return false
 		}
+		tris, want := inst.Triangles(), mergeTriangles(inst)
+		if !slices.Equal(tris, want) || inst.CountTriangles() != len(want) {
+			t.Logf("family %d, n=%d, d=%d, seed %d: %d triangles (%d counted), the merge walk finds %d",
+				int(family)%len(families), n, d, seed, len(tris), inst.CountTriangles(), len(want))
+			return false
+		}
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
@@ -88,5 +123,16 @@ func BenchmarkLive(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		inst.Live()
+	}
+}
+
+// BenchmarkTriangles times Triangles on the same structure: the stamped
+// walk a Prepare lists its triangles with.
+func BenchmarkTriangles(b *testing.B) {
+	inst := workload.Instance(matrix.US, matrix.US, matrix.US, 256, 4, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inst.Triangles()
 	}
 }

@@ -2,6 +2,9 @@ package lbm
 
 import (
 	"fmt"
+	"math/bits"
+	"math/rand/v2"
+	"slices"
 	"sync/atomic"
 )
 
@@ -20,15 +23,24 @@ import (
 // and consumed by a later one resolves to the same slot.
 type SlotSpace struct {
 	n int
-	// idx is the one slot index of every node; seen lists its keys in the
-	// order they were first seen, and sizes counts each node's slots.
-	idx   map[nodeKey]int32
+	// tab is the one slot index of every node: an open-addressed table of
+	// power-of-two size, probed linearly and doubled before it is half
+	// full, so every probe ends at an empty entry. seen lists its keys in
+	// the order they were first seen, and sizes counts each node's slots.
+	tab   []slotEntry
 	seen  []nodeKey
 	sizes []int32
 }
 
+// slotEntry is one entry of the slot index: a key at its node and its slot
+// plus one, so the zero entry is an empty one.
+type slotEntry struct {
+	nk   nodeKey
+	slot int32
+}
+
 // nodeKey is key k at one node, its fields widened to leave no padding, so
-// that the map hashes it as one block of memory.
+// that two keys compare as one block of memory.
 type nodeKey struct {
 	node          NodeID
 	kind, i, j, q int32
@@ -38,27 +50,82 @@ func nodeKeyOf(node NodeID, k Key) nodeKey { return nodeKey{node, int32(k.Kind),
 
 func (nk nodeKey) key() Key { return Key{Kind: Kind(nk.kind), I: nk.i, J: nk.j, Seq: nk.q} }
 
-// NewSlotSpace returns an empty slot space for n computers.
+// slotSeed keys the slot index's hash. It is drawn once per process, so
+// supports sent in a request cannot be chosen to put their keys on one
+// probe chain.
+var slotSeed = [3]uint64{rand.Uint64(), rand.Uint64(), rand.Uint64()}
+
+// hash mixes the key's fields with slotSeed: two 64×64→128-bit multiplies,
+// each folded to 64 bits.
+func (nk nodeKey) hash() uint64 {
+	a := uint64(uint32(nk.node))<<32 | uint64(uint32(nk.kind))
+	b := uint64(uint32(nk.i))<<32 | uint64(uint32(nk.j))
+	h := mix(a^slotSeed[0], b^slotSeed[1])
+	return mix(h^uint64(uint32(nk.q)), slotSeed[2])
+}
+
+func mix(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
+}
+
+// minSlotTable is the least first size of the slot index, in entries.
+const minSlotTable = 64
+
+// NewSlotSpace returns an empty slot space for n computers. Its first
+// index holds two keys per node before it doubles.
 func NewSlotSpace(n int) *SlotSpace {
-	return &SlotSpace{n: n, idx: map[nodeKey]int32{}, sizes: make([]int32, n)}
+	size := max(minSlotTable, 1<<bits.Len(uint(max(4*n-1, 1))))
+	return &SlotSpace{n: n, tab: make([]slotEntry, size), seen: make([]nodeKey, 0, size/2), sizes: make([]int32, n)}
 }
 
 // N returns the number of computers the space was built for.
 func (s *SlotSpace) N() int { return s.n }
 
+// find returns the index of nk's entry in tab, or of the empty entry that
+// ends its probe chain.
+func (s *SlotSpace) find(nk nodeKey) int {
+	mask := uint64(len(s.tab) - 1)
+	for p := nk.hash() & mask; ; p = (p + 1) & mask {
+		if e := &s.tab[p]; e.slot == 0 || e.nk == nk {
+			return int(p)
+		}
+	}
+}
+
+// grow doubles the slot index and re-enters every key, and gives seen room
+// for as many keys as the new index takes.
+func (s *SlotSpace) grow() {
+	old := s.tab
+	s.tab = make([]slotEntry, 2*len(old))
+	for _, e := range old {
+		if e.slot != 0 {
+			s.tab[s.find(e.nk)] = e
+		}
+	}
+	s.seen = slices.Grow(s.seen, len(s.tab)/2-len(s.seen))
+}
+
 // Slot returns the slot of key k at node, assigning the next free slot on
 // first sight. A node outside the space has no slot: it gets -1, and the
 // model-rule pass of the plan being compiled reports the node out of range.
+// The slot of a key already slotted is only read, so goroutines may ask
+// for those at once, as they may Lookup.
 func (s *SlotSpace) Slot(node NodeID, k Key) int32 {
 	if node < 0 || int(node) >= s.n {
 		return -1
 	}
 	nk := nodeKeyOf(node, k)
-	if sl, ok := s.idx[nk]; ok {
-		return sl
+	p := s.find(nk)
+	if sl := s.tab[p].slot; sl != 0 {
+		return sl - 1
+	}
+	if 2*(len(s.seen)+1) > len(s.tab) {
+		s.grow()
+		p = s.find(nk)
 	}
 	sl := s.sizes[node]
-	s.idx[nk] = sl
+	s.tab[p] = slotEntry{nk: nk, slot: sl + 1}
 	s.seen = append(s.seen, nk)
 	s.sizes[node]++
 	return sl
@@ -66,8 +133,11 @@ func (s *SlotSpace) Slot(node NodeID, k Key) int32 {
 
 // Lookup returns the slot of key k at node without assigning one.
 func (s *SlotSpace) Lookup(node NodeID, k Key) (int32, bool) {
-	sl, ok := s.idx[nodeKeyOf(node, k)]
-	return sl, ok
+	sl := s.tab[s.find(nodeKeyOf(node, k))].slot
+	if sl == 0 {
+		return 0, false
+	}
+	return sl - 1, true
 }
 
 // Ref returns a SlotRef for key k at node, assigning a slot if needed.

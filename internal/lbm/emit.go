@@ -1,6 +1,7 @@
 package lbm
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -80,8 +81,17 @@ func (lw *Lowering) Program() *Program { return &lw.prog }
 // pipeline slots the values it loads before its first step.
 func (lw *Lowering) Ref(node NodeID, k Key) SlotRef { return lw.sp.Ref(node, k) }
 
-// EachKey visits every slotted (node, key, slot), by node, then by slot.
-func (lw *Lowering) EachKey(f func(node NodeID, k Key, slot int32)) { lw.sp.EachKey(f) }
+// Slotted returns the number of keys slotted so far.
+func (lw *Lowering) Slotted() int { return len(lw.sp.seen) }
+
+// EachKeyFrom visits, in order of first sight, every (node, key) slotted
+// after the first `from`: how a pipeline checks the keys its plans
+// introduced, without a pass over the ones it loaded.
+func (lw *Lowering) EachKeyFrom(from int, f func(node NodeID, k Key)) {
+	for _, nk := range lw.sp.seen[from:] {
+		f(nk.node, nk.key())
+	}
+}
 
 // routePhase writes p's phase around route to e: BeginPhase, one Counter
 // per metric in key order, the route, then EndPhase. A plan without a phase
@@ -155,11 +165,18 @@ func (lw *Lowering) Clear(node NodeID, k Key) { lw.prog.Clear(lw.sp.Ref(node, k)
 // clearing an absent value is a no-op, as the map engine deletes only
 // present keys.
 func (lw *Lowering) ClearStaging() {
-	lw.sp.EachKey(func(node NodeID, k Key, slot int32) {
-		if k.Kind == KStage {
-			lw.prog.Clear(SlotRef{Node: node, Slot: slot})
+	var staged []SlotRef
+	for _, nk := range lw.sp.seen {
+		if Kind(nk.kind) == KStage {
+			sl, _ := lw.sp.Lookup(nk.node, nk.key())
+			staged = append(staged, SlotRef{Node: nk.node, Slot: sl})
 		}
-	})
+	}
+	// By node, then by slot: a node's keys are seen in slot order.
+	slices.SortStableFunc(staged, func(a, b SlotRef) int { return cmp.Compare(a.Node, b.Node) })
+	for _, r := range staged {
+		lw.prog.Clear(r)
+	}
 }
 
 // The recorder calls append themselves as steps.

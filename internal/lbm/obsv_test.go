@@ -118,7 +118,7 @@ func TestPlanSpanReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		sizes := make([]int32, n)
-		lw.EachKey(func(node NodeID, _ Key, slot int32) { sizes[node] = max(sizes[node], slot+1) })
+		lw.sp.EachKey(func(node NodeID, _ Key, slot int32) { sizes[node] = max(sizes[node], slot+1) })
 		x := NewExec(sizes, ring.Counting{}, WithTrace())
 		for _, l := range loads {
 			x.PutSlot(lw.Ref(l.node, l.k), 1)
