@@ -20,7 +20,7 @@
 //	                        theorem42 and the plan auto keeps
 //	                        (EXPERIMENTS.md; docs/DIST.md)
 //	lbmm demo [-n N] [-d D]
-//	                        one multiplication with a full report + timeline
+//	                        one multiplication with a full report + phase summary
 //	lbmm gen  [-n N] [-d D] -o PREFIX   write a generated instance to files
 //	lbmm solve -a A.mtx -b B.mtx -x XHAT.mtx [-o OUT.mtx]   solve from files
 //	lbmm serve [-addr :8080] [-cache N] [-cache-mb MB] [-workers N] [-queue N] [-deadline D] [-batch K] [-batch-delay D]
@@ -435,7 +435,6 @@ func runTrace(n, d int, algName, wlName, ringName, format, outPath string) error
 		fmt.Fprintf(w, "%s on %s\n", res.Name, workload.Describe(inst))
 		fmt.Fprintf(w, "total %d rounds, %d messages\n\n", res.Rounds, res.Stats.Messages)
 		fmt.Fprint(w, res.Profile.Summary())
-		fmt.Fprintf(w, "\nround timeline:\n%s", res.Timeline)
 		return nil
 	default:
 		return fmt.Errorf("unknown format %q (want json, csv or text)", format)
@@ -469,7 +468,7 @@ func runDemo(n, d int) error {
 	rep.Stats.SendLoad, rep.Stats.RecvLoad = prep.NodeLoads()
 	fmt.Printf("max send/recv  %d / %d per computer\n", rep.Stats.MaxSendLoad(), rep.Stats.MaxRecvLoad())
 	fmt.Printf("output nnz     %d (verified against the sequential reference)\n", x.NNZ())
-	fmt.Printf("\nround timeline:\n%s", rep.Timeline)
+	fmt.Printf("\n%s", rep.Profile.Summary())
 	return nil
 }
 

@@ -65,9 +65,6 @@ type Result struct {
 	Triangles, Residual int
 	// Stats is the machine's full measurement.
 	Stats lbm.Stats
-	// Timeline is the phase-annotated round profile, present when the
-	// machine ran with tracing enabled.
-	Timeline string
 	// Profile is the full structured observability profile (phase spans,
 	// per-node loads, counters), present when the machine ran with a
 	// Profile collector (lbm.WithTrace or lbm.WithCollector).
@@ -176,7 +173,6 @@ func (p *Prepared) beginPhase1(rec lbm.Emitter) {
 	}
 	_, isField := ring.AsField(p.R)
 	target := int(math.Ceil(math.Pow(float64(p.Inst.D), theorem42Alpha(isField, p.Name == spaa22))))
-	rec.Mark("phase1:clusters")
 	rec.BeginPhase("phase1")
 	rec.Counter("kappa_target", float64(max(target, 1)))
 }
@@ -190,7 +186,6 @@ func (p *Prepared) beginPhase2(rec lbm.Emitter) {
 	rec.Counter("batches", float64(p.meta.Batches))
 	rec.Counter("residual", float64(p.meta.Residual))
 	rec.EndPhase()
-	rec.Mark("phase2:residual")
 	rec.BeginPhase("phase2")
 	rec.Counter("triangles", float64(p.meta.Residual))
 }

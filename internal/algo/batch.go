@@ -158,9 +158,7 @@ func (p *Prepared) result(x *lbm.Exec, K, phase1 int) *Result {
 	res.Rounds = res.Stats.Rounds
 	res.Phase1Rounds = phase1
 	res.Phase2Rounds = res.Rounds - phase1
-	if res.Profile = x.Profile(); res.Profile != nil {
-		res.Timeline = res.Profile.Timeline()
-	}
+	res.Profile = x.Profile()
 	return &res
 }
 

@@ -186,7 +186,7 @@ func TestEnginesDifferentialProfiles(t *testing.T) {
 		for _, p := range []*Prepared{t42, triv} {
 			a := matrix.Random(p.Inst.Ahat, r, 7)
 			b := matrix.Random(p.Inst.Bhat, r, 8)
-			var timelines []string
+			var summaries []string
 			send, recv := p.NodeLoads()
 			for _, run := range []multiplyFn{(*Prepared).MultiplyMap, multiplyOne} {
 				_, res, err := run(p, a, b, lbm.WithTrace())
@@ -196,16 +196,16 @@ func TestEnginesDifferentialProfiles(t *testing.T) {
 				if res.Profile == nil {
 					t.Fatalf("%s/%s/%s: no profile", p.Name, r.Name(), res.Engine)
 				}
-				timelines = append(timelines, res.Profile.Summary())
+				summaries = append(summaries, res.Profile.Summary())
 				// The profile grows its load vectors to the last node that
 				// sent or received.
 				if ps, pr := res.Profile.SendLoad(), res.Profile.RecvLoad(); !slices.Equal(ps, send[:len(ps)]) || !slices.Equal(pr, recv[:len(pr)]) {
 					t.Errorf("%s/%s/%s: profiled loads %v / %v, NodeLoads %v / %v", p.Name, r.Name(), res.Engine, ps, pr, send, recv)
 				}
 			}
-			if timelines[0] != timelines[1] {
+			if summaries[0] != summaries[1] {
 				t.Errorf("%s/%s: phase profiles differ\n--- map ---\n%s\n--- compiled ---\n%s",
-					p.Name, r.Name(), timelines[0], timelines[1])
+					p.Name, r.Name(), summaries[0], summaries[1])
 			}
 		}
 	}

@@ -306,9 +306,7 @@ func (p *Prepared) MultiplyMap(a, b *matrix.Sparse, mopts ...lbm.Option) (*matri
 	res.Rounds = res.Stats.Rounds
 	res.Phase1Rounds = m.Split()
 	res.Phase2Rounds = res.Rounds - res.Phase1Rounds
-	if res.Profile = m.Profile(); res.Profile != nil {
-		res.Timeline = res.Profile.Timeline()
-	}
+	res.Profile = m.Profile()
 	return got, &res, nil
 }
 

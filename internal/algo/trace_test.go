@@ -111,7 +111,7 @@ func TestTraceExportGolden(t *testing.T) {
 }
 
 // TestTheorem42TraceGolden pins the two-phase plan's trace on both engines:
-// its phase1 and phase2 marks and spans with their counters, and one
+// its phase1 and phase2 spans with their counters, and one
 // cluster/batch span per phase-1 batch, on Mixed(32,4,7) over the Boolean
 // semiring, whose phase 1 keeps no batch, and on Blocks(32,4) over
 // GF(1009), whose batch runs distributed Strassen.

@@ -43,7 +43,6 @@ func DisseminateSupport(m *lbm.Machine, l *lbm.Layout, inst *graph.Instance) (in
 	// Route runs each plan inside its phase and closes every open span
 	// when it fails.
 	m.BeginPhase("unsupported")
-	m.Mark("unsupported:gather")
 	m.BeginPhase("gather")
 	// Each owner sends the code word of each entry it holds to computer 0.
 	type entry struct {
@@ -84,7 +83,6 @@ func DisseminateSupport(m *lbm.Machine, l *lbm.Layout, inst *graph.Instance) (in
 	m.EndPhase()
 
 	// Pipeline-broadcast the words to everyone.
-	m.Mark("unsupported:broadcast")
 	m.BeginPhase("broadcast")
 	m.Counter("words", float64(len(entries)))
 	nodes := make([]lbm.NodeID, m.N)

@@ -30,9 +30,11 @@ import (
 // counts and the load refs, which the decoder derives from the supports and
 // d (algo.DecodeCompiledPrepared). Version 9 drops each compiled plan's
 // span list: a route's phase is written as program steps around it
-// (lbm.Lowering.Route); a version-8 store entry is read as
+// (lbm.Lowering.Route). Version 10 drops the flat timeline marks: no
+// program step or label is a mark any more, and the step kinds after it are
+// renumbered. A store entry of an older version is read as
 // ErrEnvelopeVersion and recompiled.
-const PreparedFormatVersion = 9
+const PreparedFormatVersion = 10
 
 // preparedMagic opens every envelope (the layout is in internal/lbm/wire.go
 // and docs/PLANSTORE.md).

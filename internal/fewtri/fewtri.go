@@ -32,7 +32,9 @@
 // Lemma 3.1's virtualization with naive routing, one h-relation fetching
 // every input straight to each virtual computer that needs it and one
 // delivering each partial straight to its output owner. All shapes write
-// their steps once (Emit), to the compiled lbm.Program or to the map oracle.
+// their steps once (Emit), to the compiled lbm.Program or to the map oracle:
+// the job inside one phase span named after its shape, each routing step
+// inside a child span named after its step (A/anchor, …, out/deliver).
 package fewtri
 
 import (
@@ -79,13 +81,13 @@ func (r *route) planned() *lbm.Plan {
 	return routing.Schedule(r.msgs, routing.Auto)
 }
 
-// shape is the layout of a job: its outer phase, then the phase name and the
-// legacy Mark label of each routing plan, of which the first in run before
-// the products and the rest after them.
+// shape is the layout of a job: its outer phase, then the phase name of each
+// routing plan, of which the first in run before the products and the rest
+// after them.
 type shape struct {
-	phase          string
-	phases, labels []string
-	in             int
+	phase  string
+	phases []string
+	in     int
 	// dst is the key the product of triangle t at virtual computer vid
 	// accumulates into.
 	dst func(t graph.Triangle, vid int32) lbm.Key
@@ -102,11 +104,6 @@ var (
 			"B/anchor", "B/spread", "B/forward",
 			"out/route", "out/aggregate", "out/deliver",
 		},
-		labels: []string{
-			"lemma31:A anchor", "lemma31:A spread", "lemma31:A forward",
-			"lemma31:B anchor", "lemma31:B spread", "lemma31:B forward",
-			"lemma31:out route", "lemma31:out reduce", "lemma31:out deliver",
-		},
 		in:  6,
 		dst: func(t graph.Triangle, vid int32) lbm.Key { return lbm.PKey(t.I, t.K, vid) },
 	}
@@ -115,7 +112,6 @@ var (
 	trivial = shape{
 		phase:  "trivial",
 		phases: []string{"fetch"},
-		labels: []string{"trivial:fetch"},
 		in:     1,
 		dst:    func(t graph.Triangle, _ int32) lbm.Key { return lbm.XKey(t.I, t.K) },
 	}
@@ -125,7 +121,6 @@ var (
 	naive = shape{
 		phase:  "naive",
 		phases: []string{"fetch", "deliver"},
-		labels: []string{"naive:fetch", "naive:deliver"},
 		in:     1,
 		dst:    lemma31.dst,
 	}
@@ -598,7 +593,7 @@ func planOutputRouting(n, kappa int, order []graph.Triangle, vnodeOf []int32, vn
 // Emit writes the job to e: the input routing plans, the free local
 // products, the output routing plans, then the clearing of every staged
 // copy. The input plans form one chain and the output plans another:
-// nothing but marks and phase spans separates the plans of each, so their
+// nothing but phase spans separates the plans of each, so their
 // rounds may share exchanges across plan boundaries. A job with no
 // triangles writes nothing.
 func Emit(e lbm.Emitter, job *Job) error {
@@ -613,7 +608,6 @@ func Emit(e lbm.Emitter, job *Job) error {
 	}
 	route := func(first, last int, what string) error {
 		for i := first; i < last; i++ {
-			e.Mark(sh.labels[i])
 			e.BeginPhase(sh.phases[i])
 			if err := e.Route(job.routes[i].planned(), sh.phases[i], "fewtri "+what+" routing", i > first); err != nil {
 				return err

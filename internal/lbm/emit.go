@@ -34,11 +34,10 @@ type Emitter interface {
 	// ClearStaging removes every vnet staging snapshot (KStage) any route so
 	// far can have left.
 	ClearStaging()
-	// The recorder calls: phase spans, timeline marks and span metrics.
+	// The recorder calls: phase spans and span metrics.
 	// CounterAt counts only where host is owned (anywhere, for host -1).
 	BeginPhase(label string)
 	EndPhase()
-	Mark(label string)
 	Counter(name string, v float64)
 	CounterAt(name string, host NodeID, v float64)
 	// MarkSplit marks where the plan's rounds split: a run reports the
@@ -183,7 +182,6 @@ func (lw *Lowering) ClearStaging() {
 
 func (lw *Lowering) BeginPhase(label string)        { lw.prog.BeginPhase(label) }
 func (lw *Lowering) EndPhase()                      { lw.prog.EndPhase() }
-func (lw *Lowering) Mark(label string)              { lw.prog.Mark(label) }
 func (lw *Lowering) Counter(name string, v float64) { lw.prog.Counter(name, v) }
 func (lw *Lowering) MarkSplit()                     { lw.prog.MarkSplit() }
 func (lw *Lowering) CounterAt(name string, host NodeID, v float64) {
@@ -191,7 +189,7 @@ func (lw *Lowering) CounterAt(name string, host NodeID, v float64) {
 }
 
 // The Machine is the other Emitter: it runs each step as it is written.
-// BeginPhase, EndPhase, Mark and Counter are its collector calls
+// BeginPhase, EndPhase and Counter are its collector calls
 // (machine.go).
 
 // Route runs p inside its phase. A failure is reported as "fail: err" and

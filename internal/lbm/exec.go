@@ -3,7 +3,6 @@ package lbm
 import (
 	"fmt"
 
-	"lbmm/internal/obsv"
 	"lbmm/internal/ring"
 )
 
@@ -167,15 +166,6 @@ func (x *Exec) Configure(opts ...Option) {
 	x.setTransport(x.transport)
 }
 
-// Profile returns the attached collector as an *obsv.Profile when it is
-// one, mirroring Machine.Profile.
-func (x *Exec) Profile() *obsv.Profile {
-	if p, ok := x.collector.(*obsv.Profile); ok {
-		return p
-	}
-	return nil
-}
-
 // BeginPhase opens a nested phase span on the collector.
 func (x *Exec) BeginPhase(label string) {
 	if x.collector != nil {
@@ -187,20 +177,6 @@ func (x *Exec) BeginPhase(label string) {
 func (x *Exec) EndPhase() {
 	if x.collector != nil {
 		x.collector.EndPhase()
-	}
-}
-
-// Counter adds delta to a named metric on the current phase span.
-func (x *Exec) Counter(name string, delta float64) {
-	if x.collector != nil {
-		x.collector.Counter(name, delta)
-	}
-}
-
-// Mark annotates the round timeline with a flat phase label.
-func (x *Exec) Mark(label string) {
-	if x.collector != nil {
-		x.collector.Mark(label)
 	}
 }
 

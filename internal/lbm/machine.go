@@ -169,6 +169,27 @@ func (s *settings) reset(opts []Option) {
 	}
 }
 
+// Profile and Counter are the collector calls both engines share. Each
+// engine has its own BeginPhase and EndPhase: the Machine counts its open
+// spans, which a failing Route closes.
+
+// Profile returns the attached collector as an *obsv.Profile when it is
+// one (the WithTrace default), and nil otherwise.
+func (s *settings) Profile() *obsv.Profile {
+	if p, ok := s.collector.(*obsv.Profile); ok {
+		return p
+	}
+	return nil
+}
+
+// Counter adds delta to a named metric on the current phase span (a free
+// no-op when no collector is attached).
+func (s *settings) Counter(name string, delta float64) {
+	if s.collector != nil {
+		s.collector.Counter(name, delta)
+	}
+}
+
 // Machine is a low-bandwidth machine with N computers over ring R.
 type Machine struct {
 	N int
@@ -216,15 +237,6 @@ func WithTrace() Option {
 	}
 }
 
-// Profile returns the attached collector as an *obsv.Profile when it is
-// one (the WithTrace default), and nil otherwise.
-func (m *Machine) Profile() *obsv.Profile {
-	if p, ok := m.collector.(*obsv.Profile); ok {
-		return p
-	}
-	return nil
-}
-
 // BeginPhase opens a nested phase span on the collector (free no-op when
 // observability is off).
 func (m *Machine) BeginPhase(label string) {
@@ -239,24 +251,6 @@ func (m *Machine) EndPhase() {
 	m.open--
 	if m.collector != nil {
 		m.collector.EndPhase()
-	}
-}
-
-// Counter adds delta to a named metric on the current phase span.
-func (m *Machine) Counter(name string, delta float64) {
-	if m.collector != nil {
-		m.collector.Counter(name, delta)
-	}
-}
-
-// Mark annotates the current position in the round timeline with a phase
-// label (free; no-op when no collector is attached). The label anchors to
-// the next counted round: if the rounds that follow are all empty or
-// local-only, the label merges into the next real round's boundary instead
-// of vanishing.
-func (m *Machine) Mark(label string) {
-	if m.collector != nil {
-		m.collector.Mark(label)
 	}
 }
 

@@ -207,7 +207,6 @@ type spanDepth struct{ open int }
 
 func (c *spanDepth) BeginPhase(string)       { c.open++ }
 func (c *spanDepth) EndPhase()               { c.open-- }
-func (c *spanDepth) Mark(string)             {}
 func (c *spanDepth) OnRound(int, int)        {}
 func (c *spanDepth) OnSend(int32, int32)     {}
 func (c *spanDepth) Counter(string, float64) {}

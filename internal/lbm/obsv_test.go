@@ -2,58 +2,58 @@ package lbm
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"lbmm/internal/ring"
 )
 
-// TestMarkCarryForwardRegression pins the fix for the classic trace bug:
-// labels placed before rounds that end up free (local-only or empty) used to
-// vanish or mis-anchor; they must merge into the next counted round's
-// boundary, and trailing labels must survive at r == NumRounds.
-func TestMarkCarryForwardRegression(t *testing.T) {
+// TestFreeRoundSpanRegression pins what the trace does with a round the
+// model does not charge: a local-only round is not counted, so a span opened
+// around it keeps Start == End and the next real round is counted round 0,
+// inside the span opened for it; a zero-round span after the last counted
+// round is kept at r == NumRounds. A machine without tracing opens spans
+// and counts for free and has no profile.
+func TestFreeRoundSpanRegression(t *testing.T) {
 	m := New(4, ring.Counting{}, WithTrace())
 	m.Put(0, AKey(0, 0), 1)
 	m.Put(1, AKey(1, 1), 2)
 
-	m.Mark("before-free")
+	m.BeginPhase("free")
 	// A local-only round: free, not counted.
 	if err := m.RunRound(Round{{From: 0, To: 0, Src: AKey(0, 0), Dst: TKey(0, 0, 0), Op: OpSet}}); err != nil {
 		t.Fatal(err)
 	}
-	m.Mark("before-real")
+	m.EndPhase()
+	m.BeginPhase("real")
 	if err := m.RunRound(Round{{From: 1, To: 2, Src: AKey(1, 1), Dst: TKey(1, 1, 0), Op: OpSet}}); err != nil {
 		t.Fatal(err)
 	}
-	m.Mark("trailing")
+	m.EndPhase()
+	m.BeginPhase("trailing")
+	m.EndPhase()
 
 	prof := m.Profile()
-	if got := prof.PerRoundMessages(); len(got) != 1 {
-		t.Fatalf("PerRoundMessages = %v, want one counted round", got)
+	if got := prof.PerRoundMessages(); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("PerRoundMessages = %v, want one counted round of one message", got)
 	}
-	marks := map[int][]string{}
-	for _, mk := range prof.Marks() {
-		marks[mk.Round] = mk.Labels
+	want := []struct {
+		label      string
+		start, end int
+	}{{"free", 0, 0}, {"real", 0, 1}, {"trailing", 1, 1}}
+	spans := prof.Root().Children
+	if len(spans) != len(want) {
+		t.Fatalf("%d top-level spans, want %d", len(spans), len(want))
 	}
-	if got := marks[0]; len(got) != 2 || got[0] != "before-free" || got[1] != "before-real" {
-		t.Errorf("Marks[0] = %v, want both labels carried to the counted round", got)
-	}
-	if got := marks[1]; len(got) != 1 || got[0] != "trailing" {
-		t.Errorf("Marks[1] = %v, want the trailing label preserved", got)
-	}
-
-	tl := prof.Timeline()
-	if !strings.Contains(tl, "before-free+before-real") {
-		t.Errorf("timeline lost the merged labels:\n%s", tl)
-	}
-	if !strings.Contains(tl, "trailing") {
-		t.Errorf("timeline lost the trailing label:\n%s", tl)
+	for i, w := range want {
+		if s := spans[i]; s.Label != w.label || s.Start != w.start || s.End != w.end {
+			t.Errorf("span %d = %q [%d,%d), want %q [%d,%d)", i, s.Label, s.Start, s.End, w.label, w.start, w.end)
+		}
 	}
 
-	// A machine without tracing marks freely and has no profile.
 	m2 := New(2, ring.Counting{})
-	m2.Mark("noop")
+	m2.BeginPhase("noop")
+	m2.Counter("k", 1)
+	m2.EndPhase()
 	if m2.Profile() != nil {
 		t.Error("profile should be nil when tracing is disabled")
 	}

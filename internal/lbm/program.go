@@ -38,8 +38,6 @@ const (
 	StepBegin
 	// StepEnd closes the innermost open phase span.
 	StepEnd
-	// StepMark marks Labels[Arg] on the round timeline.
-	StepMark
 	// StepCounter adds each value of Counts[Lo:Hi] to the metric Labels[Arg]
 	// of the current span, a count with a host only where this executor owns
 	// that host.
@@ -181,11 +179,6 @@ func (p *Program) BeginPhase(label string) {
 // EndPhase appends the closing of the innermost phase span.
 func (p *Program) EndPhase() { p.Steps = append(p.Steps, Step{Kind: StepEnd}) }
 
-// Mark appends a timeline mark.
-func (p *Program) Mark(label string) {
-	p.Steps = append(p.Steps, Step{Kind: StepMark, Arg: p.labelOf(label)})
-}
-
 // Counter appends a metric increment every executor records.
 func (p *Program) Counter(name string, v float64) { p.CounterAt(name, -1, v) }
 
@@ -295,8 +288,6 @@ func (p *Program) Finish() error {
 		case StepEnd:
 			depth--
 			ok = depth >= 0
-		case StepMark:
-			ok = label
 		case StepCounter:
 			ok = label && inRange(len(p.Counts))
 		default:
@@ -493,8 +484,6 @@ func (x *Exec) RunProgram(p *Program) (split int, err error) {
 		case StepEnd:
 			depth--
 			x.EndPhase()
-		case StepMark:
-			x.Mark(p.Labels[s.Arg])
 		case StepCounter:
 			if x.collector == nil {
 				continue

@@ -17,8 +17,8 @@ type programSlots struct {
 
 // testProgram builds a 3-node program that uses every step kind: a chain of
 // two fetches (the second joined to the first), two products, a 2×2 leaf
-// block, a subtracting route, a sweep of clears, nested spans, a mark, plain
-// and host-owned counters, and a split after the fetches.
+// block, a subtracting route, a sweep of clears, nested spans, plain and
+// host-owned counters, and a split after the fetches.
 func testProgram(t *testing.T) (*Program, *SlotSpace, programSlots) {
 	t.Helper()
 	sp := NewSlotSpace(3)
@@ -39,7 +39,6 @@ func testProgram(t *testing.T) (*Program, *SlotSpace, programSlots) {
 	p := &Program{N: 3}
 	p.BeginPhase("job")
 	p.Counter("jobs", 1)
-	p.Mark("job:fetch")
 	p.BeginPhase("fetch")
 	p.Route(route(Send{From: 1, To: 0, Src: BKey(0, 0), Dst: BKey(0, 0)}), "fetch", "test fetch", false)
 	p.Route(route(Send{From: 2, To: 0, Src: AKey(1, 1), Dst: AKey(1, 1)}), "fetch", "test fetch", true)
@@ -188,7 +187,7 @@ func TestCompiledProgramRefusals(t *testing.T) {
 		{"route order", func(q *Program) { q.Steps[step(StepRoute)].Arg = 1 }},
 		{"slab range", func(q *Program) { q.Steps[step(StepMulAcc)].Hi = int32(len(q.Prods) + 1) }},
 		{"reversed range", func(q *Program) { q.Steps[step(StepClear)].Lo = q.Steps[step(StepClear)].Hi + 1 }},
-		{"label", func(q *Program) { q.Steps[step(StepMark)].Arg = int32(len(q.Labels)) }},
+		{"span label", func(q *Program) { q.Steps[step(StepBegin)].Arg = int32(len(q.Labels)) }},
 		{"route label", func(q *Program) { q.Routes[0].Fail = -1 }},
 		{"leaf host", func(q *Program) { q.Leaves[0].Host = 3 }},
 		{"leaf table size", func(q *Program) { q.Leaves[0].Size = 3 }},

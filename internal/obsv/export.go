@@ -37,8 +37,6 @@ type Export struct {
 	// "(unphased)" entries, so the top-level round counts always sum to
 	// Rounds.
 	Phases []*ExportSpan `json:"phases"`
-	// Marks are the legacy flat boundary labels.
-	Marks []MarkEntry `json:"marks,omitempty"`
 }
 
 // ExportSpan is one phase in the export tree.
@@ -66,7 +64,6 @@ func (p *Profile) Export() *Export {
 		PerRound: p.PerRoundMessages(),
 		SendLoad: p.SendLoad(),
 		RecvLoad: p.RecvLoad(),
-		Marks:    p.Marks(),
 	}
 	for _, r := range rounds {
 		e.LocalCopies += int64(r.LocalCopies)

@@ -10,7 +10,8 @@
 // are free in the model and are not counted). A Profile records, per
 // counted round, the message volume; per node, the cumulative send and
 // receive loads; and, as a tree of phase spans, which builder or algorithm
-// phase each round belongs to.
+// phase each round belongs to. The span tree is the one view of where the
+// rounds went: Summary renders it as text, Export as lbmm.trace.v1.
 //
 // Phase naming convention (documented in docs/OBSERVABILITY.md): a label is
 // one short path segment such as "phase1", "lemma31", "A/anchor" or
@@ -40,10 +41,6 @@ type Collector interface {
 	BeginPhase(label string)
 	// EndPhase closes the innermost open span (no-op at the root).
 	EndPhase()
-	// Mark attaches a flat boundary label that anchors to the *next*
-	// counted round (the annotation Profile.Timeline renders). Marks that
-	// never see another counted round are preserved as trailing marks.
-	Mark(label string)
 	// OnRound reports one counted round: its real cross-node message count
 	// (≥ 1) and the number of free local copies that rode along.
 	OnRound(messages, localCopies int)

@@ -112,32 +112,6 @@ func TestSendRecvLoadsSumToPerRound(t *testing.T) {
 	}
 }
 
-func TestMarkCarryForward(t *testing.T) {
-	p := NewProfile()
-	p.Mark("a")
-	p.Mark("b")
-	p.OnRound(5, 0)
-	p.Mark("tail")
-
-	want := []MarkEntry{
-		{Round: 0, Labels: []string{"a", "b"}},
-		{Round: 1, Labels: []string{"tail"}},
-	}
-	if got := p.Marks(); !reflect.DeepEqual(got, want) {
-		t.Errorf("marks = %+v, want %+v", got, want)
-	}
-	// Reading marks must not consume the pending tail.
-	if got := p.Marks(); !reflect.DeepEqual(got, want) {
-		t.Errorf("second read = %+v, want %+v", got, want)
-	}
-	// A later round resolves the tail at its recorded position.
-	p.OnRound(1, 0)
-	want[1] = MarkEntry{Round: 1, Labels: []string{"tail"}}
-	if got := p.Marks(); !reflect.DeepEqual(got, want) {
-		t.Errorf("after round, marks = %+v, want %+v", got, want)
-	}
-}
-
 func TestCounterAccumulatesOnCurrentSpan(t *testing.T) {
 	p := NewProfile()
 	p.BeginPhase("x")
@@ -198,6 +172,9 @@ func TestExportJSONRoundTrips(t *testing.T) {
 	var buf bytes.Buffer
 	if err := e.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
+	}
+	if bytes.Contains(buf.Bytes(), []byte(`"marks"`)) {
+		t.Errorf("the export carries a marks key:\n%s", buf.String())
 	}
 	var back Export
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
@@ -266,10 +243,9 @@ func TestReset(t *testing.T) {
 	p.BeginPhase("x")
 	p.OnSend(0, 1)
 	p.OnRound(1, 0)
-	p.Mark("m")
 	p.Reset()
-	if p.NumRounds() != 0 || len(p.Marks()) != 0 || len(p.SendLoad()) != 0 || len(p.Root().Children) != 0 {
-		t.Errorf("reset left state: rounds=%d marks=%v", p.NumRounds(), p.Marks())
+	if p.NumRounds() != 0 || len(p.SendLoad()) != 0 || len(p.RecvLoad()) != 0 || len(p.Root().Children) != 0 {
+		t.Errorf("reset left state: rounds=%d spans=%d", p.NumRounds(), len(p.Root().Children))
 	}
 	// Still usable after reset.
 	p.BeginPhase("y")
@@ -277,5 +253,23 @@ func TestReset(t *testing.T) {
 	p.EndPhase()
 	if p.Root().Children[0].Label != "y" {
 		t.Error("profile unusable after reset")
+	}
+}
+
+func TestSparkShapes(t *testing.T) {
+	if sparkline(nil, 0) != "" {
+		t.Error("empty sparkline")
+	}
+	s := []rune(sparkline([]int{1, 2, 4, 8}, 8))
+	if len(s) != 4 || s[3] != '█' {
+		t.Errorf("sparkline %q, want 4 buckets ending at the peak", string(s))
+	}
+	// Long inputs compress to 24 buckets.
+	long := make([]int, 200)
+	for i := range long {
+		long[i] = i
+	}
+	if got := len([]rune(sparkline(long, 199))); got != 24 {
+		t.Errorf("compressed sparkline length %d", got)
 	}
 }

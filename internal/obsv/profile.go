@@ -24,14 +24,6 @@ type Span struct {
 	open   bool
 }
 
-// MarkEntry is one resolved flat mark: Labels anchored at the boundary
-// before counted round Round (Round == number of counted rounds for
-// trailing marks that never saw another round).
-type MarkEntry struct {
-	Round  int
-	Labels []string
-}
-
 // Profile is the standard Collector: it accumulates the full round/phase/
 // load picture of one execution. The zero value is not ready; use
 // NewProfile.
@@ -41,8 +33,6 @@ type Profile struct {
 	cur      *Span
 	sendLoad []int64
 	recvLoad []int64
-	marks    []MarkEntry
-	pending  []string
 }
 
 // NewProfile returns an empty profile ready to collect.
@@ -70,20 +60,8 @@ func (p *Profile) EndPhase() {
 	p.cur = p.cur.parent
 }
 
-// Mark implements Collector: the label is carried forward to the next
-// counted round, so labels placed before rounds that end up empty (and are
-// therefore never counted) merge into the next counted round's boundary
-// instead of silently vanishing or mis-anchoring.
-func (p *Profile) Mark(label string) {
-	p.pending = append(p.pending, label)
-}
-
 // OnRound implements Collector.
 func (p *Profile) OnRound(messages, localCopies int) {
-	if len(p.pending) > 0 {
-		p.marks = append(p.marks, MarkEntry{Round: len(p.rounds), Labels: p.pending})
-		p.pending = nil
-	}
 	p.rounds = append(p.rounds, RoundSample{Messages: messages, LocalCopies: localCopies})
 }
 
@@ -119,8 +97,6 @@ func (p *Profile) Reset() {
 	p.cur = root
 	p.sendLoad = nil
 	p.recvLoad = nil
-	p.marks = nil
-	p.pending = nil
 }
 
 // NumRounds returns the number of counted rounds.
@@ -140,8 +116,7 @@ func (p *Profile) Rounds() []RoundSample {
 	return append([]RoundSample(nil), p.rounds...)
 }
 
-// PerRoundMessages returns the per-counted-round real message counts — the
-// flat view Timeline renders.
+// PerRoundMessages returns the per-counted-round real message counts.
 func (p *Profile) PerRoundMessages() []int {
 	out := make([]int, len(p.rounds))
 	for i, r := range p.rounds {
@@ -156,16 +131,6 @@ func (p *Profile) SendLoad() []int64 { return append([]int64(nil), p.sendLoad...
 
 // RecvLoad returns a copy of the cumulative per-node receive loads.
 func (p *Profile) RecvLoad() []int64 { return append([]int64(nil), p.recvLoad...) }
-
-// Marks returns the resolved marks, including pending trailing marks
-// (anchored at NumRounds) without mutating the profile.
-func (p *Profile) Marks() []MarkEntry {
-	out := append([]MarkEntry(nil), p.marks...)
-	if len(p.pending) > 0 {
-		out = append(out, MarkEntry{Round: len(p.rounds), Labels: append([]string(nil), p.pending...)})
-	}
-	return out
-}
 
 // Root returns a snapshot of the span tree: a copy in which every span
 // still open is closed at the current round position, so exports see a
