@@ -112,7 +112,7 @@ func compilePrepared(p *Prepared) (*compiledPrepared, error) {
 	cp := &compiledPrepared{}
 	// The lowering numbers keys on first sight, so handing it the loads
 	// first gives each the slot numberLoads derived.
-	cp.numberLoads(inst, choosePlacement(inst), func(node lbm.NodeID, k lbm.Key) { lw.Ref(node, k) })
+	cp.numberLoads(inst, choosePlacement(inst), p.live, func(node lbm.NodeID, k lbm.Key) { lw.Ref(node, k) })
 	loads := lw.Slotted()
 	if err := p.emit(lw); err != nil {
 		return nil, err
@@ -157,11 +157,15 @@ func compilePrepared(p *Prepared) (*compiledPrepared, error) {
 // next slot of its owner (lbm.Placement.Owner), and each dead cell is
 // counted against its owner. It sets loadA, loadB, x, loaded and dead, so
 // the loaded slots of node v are [0, loaded[v]) by construction. lower, if
-// not nil, is handed each live cell's owner and key in that order.
-func (cp *compiledPrepared) numberLoads(inst *graph.Instance, pl lbm.Placement, lower func(lbm.NodeID, lbm.Key)) {
+// not nil, is handed each live cell's owner and key in that order. lives
+// marks the live cells of Â, B̂ and X̂ (graph.Instance.Live), as the
+// planner's own triangle walk marked them; a restored plan has no planner
+// and passes the zero value, and they are marked here.
+func (cp *compiledPrepared) numberLoads(inst *graph.Instance, pl lbm.Placement, lives [3][]bool, lower func(lbm.NodeID, lbm.Key)) {
 	n := inst.N
-	liveA, liveB, liveX := inst.Live()
-	lives := [3][]bool{liveA, liveB, liveX}
+	if lives[0] == nil {
+		lives[0], lives[1], lives[2] = inst.Live()
+	}
 	nLive := 0
 	for _, live := range lives {
 		for _, ok := range live {

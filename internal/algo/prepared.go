@@ -36,6 +36,9 @@ type Prepared struct {
 	// routine is a whole-instance dense routine (Planner.Dense); it runs
 	// where phase 1's batches would.
 	routine dense.Routine
+	// live marks the live cells (graph.Instance.Live) of a planned form
+	// until Compile numbers its load slots from them.
+	live [3][]bool
 }
 
 // PrepareTrivial preprocesses the trivial algorithm.
@@ -66,26 +69,48 @@ func compile(p *Prepared, err error) (*Prepared, error) {
 }
 
 // Planner plans the algorithms of one structure on one shared layout and
-// one triangle list, so that pricing several candidates (Cost) before
-// compiling one of them repeats no work. What it returns is planned, not
-// coloured nor compiled: its h-relations are message sets, which Cost prices
-// from their degrees and Compile colours. MultiplyBatch needs Compile first;
+// one triangle list, so that pricing several candidates before compiling
+// one of them repeats no work. What it returns is planned, not coloured nor
+// compiled: its h-relations are message sets, which Cost prices from their
+// degrees and Compile colours. MultiplyBatch needs Compile first;
 // MultiplyMap, the oracle, runs it as planned, colouring afresh on every
-// call until Compile.
+// call until Compile. A chooser prices its Candidates instead: Lemma 3.1's
+// job is priced from counts and built only if kept.
 type Planner struct {
 	r    ring.Semiring
 	inst *graph.Instance
 	l    *lbm.Layout
 	tris []graph.Triangle
-	// whole is the Lemma 3.1 job over every triangle, planned on first use:
-	// it is both Lemma31's plan and the plan of a Theorem42 whose phase 1
-	// keeps no batch.
-	whole *fewtri.Job
+	// live marks the cells that lie on a triangle, from the walk that
+	// listed tris; compiling a plan numbers its load slots from it.
+	live [3][]bool
+	// whole is the Lemma 3.1 job over every triangle, planned on first use,
+	// and wholePrice its price, priced on first use: it is both Lemma31's
+	// plan and the plan of a Theorem42 whose phase 1 keeps no batch.
+	whole      *fewtri.Job
+	wholePrice *price
+}
+
+// price is what pricing a candidate returned.
+type price struct {
+	rounds, messages int
+	err              error
 }
 
 // NewPlanner returns a planner for the instance over ring r.
 func NewPlanner(r ring.Semiring, inst *graph.Instance) *Planner {
-	return &Planner{r: r, inst: inst, l: ChooseLayout(inst), tris: inst.Triangles()}
+	pl := &Planner{r: r, inst: inst, l: ChooseLayout(inst)}
+	pl.tris, pl.live[0], pl.live[1], pl.live[2] = inst.TrianglesLive()
+	return pl
+}
+
+// prepared returns an empty plan named name on the planner's structure,
+// layout and ring.
+func (pl *Planner) prepared(name string) *Prepared {
+	return &Prepared{
+		Inst: pl.inst, Layout: pl.l, R: pl.r, Name: name, live: pl.live,
+		meta: Result{Name: name, Triangles: len(pl.tris)},
+	}
 }
 
 // wholeJob returns the Lemma 3.1 job over every triangle.
@@ -100,13 +125,119 @@ func (pl *Planner) wholeJob() (*fewtri.Job, error) {
 	return pl.whole, nil
 }
 
+// priceWhole returns the price of the Lemma 3.1 job over every triangle
+// (priceLemma31), pricing it on first use.
+func (pl *Planner) priceWhole() (rounds, messages int, err error) {
+	if pl.wholePrice == nil {
+		rounds, messages, err := pl.priceLemma31(pl.tris, pl.wholeJob)
+		pl.wholePrice = &price{rounds, messages, err}
+	}
+	return pl.wholePrice.rounds, pl.wholePrice.messages, pl.wholePrice.err
+}
+
+// Candidate is one plan a chooser may keep, priced before it is built:
+// Price returns the (rounds, messages) the plan's Cost would read, or the
+// error planning it would return, and Plan builds the plan, planned but not
+// coloured, reusing whatever Price built. Plan is called at most once, and
+// only after Price succeeded.
+type Candidate struct {
+	Price func() (rounds, messages int, err error)
+	Plan  func() (*Prepared, error)
+}
+
+// planned returns the candidate of a plan priced by building it: Price
+// plans and reads Cost, Plan returns that plan.
+func planned(plan func() (*Prepared, error)) Candidate {
+	var p *Prepared
+	return Candidate{
+		Price: func() (int, int, error) {
+			var err error
+			if p, err = plan(); err != nil {
+				return 0, 0, err
+			}
+			rounds, messages := p.Cost()
+			return rounds, messages, nil
+		},
+		Plan: func() (*Prepared, error) { return p, nil },
+	}
+}
+
+// TrivialCandidate is Trivial as a candidate, priced by planning it: its
+// one h-relation is most of what it plans.
+func (pl *Planner) TrivialCandidate() Candidate { return planned(pl.Trivial) }
+
+// Lemma31Candidate is Lemma31 at the natural budget as a candidate: its job
+// is priced from counts (priceWhole) and built only by Plan.
+func (pl *Planner) Lemma31Candidate() Candidate {
+	return Candidate{
+		Price: pl.priceWhole,
+		Plan:  func() (*Prepared, error) { return pl.Lemma31(0) },
+	}
+}
+
+// Theorem42Candidate is Theorem42 as a candidate. Price plans phase 1's
+// batches and prices each off its plan, then prices the Lemma 3.1 job on
+// the residual from counts — the whole job, as Lemma31Candidate prices it,
+// when phase 1 keeps no batch. Plan builds that job.
+func (pl *Planner) Theorem42Candidate() Candidate {
+	var p *Prepared
+	var residual []graph.Triangle
+	var job *fewtri.Job // planned by Price where the counts did not decide
+	return Candidate{
+		Price: func() (rounds, messages int, err error) {
+			if p, residual, err = pl.phase1("theorem42"); err != nil {
+				return 0, 0, err
+			}
+			if len(p.phase1) == 0 {
+				rounds, messages, err = pl.priceWhole()
+			} else {
+				rounds, messages, err = pl.priceLemma31(residual, func() (*fewtri.Job, error) {
+					var err error
+					job, err = fewtri.Plan(pl.inst.N, pl.l, residual, 0)
+					return job, err
+				})
+			}
+			if err != nil {
+				return 0, 0, err
+			}
+			for _, pb := range p.phase1 {
+				r, m := pb.Cost()
+				rounds += r
+				messages += m
+			}
+			return rounds, messages, nil
+		},
+		Plan: func() (*Prepared, error) {
+			if err := pl.phase2(p, residual, job); err != nil {
+				return nil, err
+			}
+			return p, nil
+		},
+	}
+}
+
+// priceLemma31 returns the Cost of the Lemma 3.1 job over tris at the
+// natural budget from counts (fewtri.Price), without building it. Where the
+// counts leave its rounds open, an h-relation so large that routing.Auto
+// splits it by Euler, it builds the job with plan and reads its Cost.
+func (pl *Planner) priceLemma31(tris []graph.Triangle, plan func() (*fewtri.Job, error)) (rounds, messages int, err error) {
+	rounds, messages, exact, err := fewtri.Price(pl.inst.N, pl.l, tris, 0)
+	if err != nil || exact {
+		return rounds, messages, err
+	}
+	job, err := plan()
+	if err != nil {
+		return 0, 0, err
+	}
+	rounds, messages = job.Cost()
+	return rounds, messages, nil
+}
+
 // Trivial plans the trivial algorithm: one fetch, then local products.
 func (pl *Planner) Trivial() (*Prepared, error) {
-	return &Prepared{
-		Inst: pl.inst, Layout: pl.l, R: pl.r, Name: "trivial",
-		fewtri: fewtri.PlanTrivial(pl.l, pl.tris),
-		meta:   Result{Name: "trivial", Triangles: len(pl.tris)},
-	}, nil
+	p := pl.prepared("trivial")
+	p.fewtri = fewtri.PlanTrivial(pl.l, pl.tris)
+	return p, nil
 }
 
 // Lemma31 plans Lemma 3.1 over the whole triangle set with budget κ;
@@ -126,22 +257,18 @@ func (pl *Planner) Lemma31(kappa int) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{
-		Inst: pl.inst, Layout: pl.l, R: pl.r, Name: "lemma31",
-		fewtri: job,
-		meta:   Result{Name: "lemma31", Triangles: len(pl.tris), Kappa: job.Kappa},
-	}, nil
+	p := pl.prepared("lemma31")
+	p.fewtri, p.meta.Kappa = job, job.Kappa
+	return p, nil
 }
 
 // Baseline plans the prior work's naive phase 2 over the whole triangle set
 // (fewtri.PlanNaive), with κ as in Lemma31 but no precondition on it.
 func (pl *Planner) Baseline(kappa int) (*Prepared, error) {
-	job := fewtri.PlanNaive(pl.inst.N, pl.l, pl.tris, kappa)
-	return &Prepared{
-		Inst: pl.inst, Layout: pl.l, R: pl.r, Name: "baseline-naive",
-		fewtri: job,
-		meta:   Result{Name: "baseline-naive", Triangles: len(pl.tris), Kappa: job.Kappa},
-	}, nil
+	p := pl.prepared("baseline-naive")
+	p.fewtri = fewtri.PlanNaive(pl.inst.N, pl.l, pl.tris, kappa)
+	p.meta.Kappa = p.fewtri.Kappa
+	return p, nil
 }
 
 // Dense plans a whole-instance dense routine of package dense (Gather,
@@ -153,11 +280,9 @@ func (pl *Planner) Dense(name string, plan func(*lbm.Layout, *graph.Instance) (d
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{
-		Inst: pl.inst, Layout: pl.l, R: pl.r, Name: name,
-		routine: routine, fewtri: &fewtri.Job{},
-		meta: Result{Name: name, Triangles: len(pl.tris)},
-	}, nil
+	p := pl.prepared(name)
+	p.routine, p.fewtri = routine, &fewtri.Job{}
+	return p, nil
 }
 
 // spaa22 names the SPAA 2022 reconstruction's plans.
@@ -182,14 +307,25 @@ func (pl *Planner) SPAA22() (*Prepared, error) {
 // 2 on the residual: the naive router for the SPAA 2022 reconstruction,
 // Lemma 3.1 otherwise.
 func (pl *Planner) twoPhases(name string) (*Prepared, error) {
+	p, residual, err := pl.phase1(name)
+	if err != nil {
+		return nil, err
+	}
+	if err := pl.phase2(p, residual, nil); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// phase1 plans the phase-1 schedule of the two-phase plan name with every
+// batch planned, and returns the plan so far and the residual triangles it
+// leaves to phase 2.
+func (pl *Planner) phase1(name string) (*Prepared, []graph.Triangle, error) {
 	inst, l := pl.inst, pl.l
 	_, isField := ring.AsField(pl.r)
-	naive := name == spaa22
-	p := &Prepared{Inst: inst, Layout: l, R: pl.r, Name: name}
-	p.meta = Result{Name: name, Triangles: len(pl.tris)}
-
+	p := pl.prepared(name)
 	net := vnet.Roles(inst.N)
-	residual, err := clusterSchedule(inst, isField, theorem42Alpha(isField, naive), pl.tris, func(batches []cluster.Batch) error {
+	residual, err := clusterSchedule(inst, isField, theorem42Alpha(isField, name == spaa22), pl.tris, func(batches []cluster.Batch) error {
 		for _, b := range batches {
 			pb, err := cluster.PlanBatch(net, inst.N, l, b, isField)
 			if err != nil {
@@ -203,22 +339,33 @@ func (pl *Planner) twoPhases(name string) (*Prepared, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p.meta.Residual = len(residual)
+	return p, residual, nil
+}
+
+// phase2 completes the plan phase1 left with the job on its residual: job
+// if not nil, already planned on it; the naive router for the SPAA 2022
+// reconstruction; Lemma 3.1 otherwise, the whole job when phase 1 keeps no
+// batch.
+func (pl *Planner) phase2(p *Prepared, residual []graph.Triangle, job *fewtri.Job) error {
+	var err error
 	switch {
-	case naive:
-		p.fewtri = fewtri.PlanNaive(inst.N, l, residual, 0)
+	case job != nil:
+		p.fewtri = job
+	case p.Name == spaa22:
+		p.fewtri = fewtri.PlanNaive(pl.inst.N, pl.l, residual, 0)
 	case len(p.phase1) == 0:
 		p.fewtri, err = pl.wholeJob()
 	default:
-		p.fewtri, err = fewtri.Plan(inst.N, l, residual, 0)
+		p.fewtri, err = fewtri.Plan(pl.inst.N, pl.l, residual, 0)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	p.meta.Kappa = p.fewtri.Kappa
-	return p, nil
+	return nil
 }
 
 // Compile colours the planned Prepared's h-relations and lowers it to the
@@ -229,7 +376,7 @@ func (p *Prepared) Compile() error {
 	if err != nil {
 		return fmt.Errorf("algo: compile: %w", err)
 	}
-	p.compiled = cp
+	p.compiled, p.live = cp, [3][]bool{}
 	return nil
 }
 

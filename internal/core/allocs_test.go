@@ -163,24 +163,28 @@ const (
 
 // TestPrepareAutoAllocs pins what an auto Prepare of
 // BenchmarkPrepareAutoUS256's structure allocates: a plan cache miss with
-// no plan store behind it. Auto prices the trivial and Lemma 3.1 candidates
-// from their h-relations' degrees and colours and lowers only the kept one,
-// into one slot index. Colouring every candidate, with one slot map per node,
+// no plan store behind it. Auto prices the trivial candidate off its plan's
+// h-relation degrees and Lemma 3.1, alone and as Theorem 4.2's phase 2, from
+// counts without planning it, and colours and lowers only the kept one, into
+// one slot index. Colouring every candidate, with one slot map per node,
 // took 2,264 allocations; with the trivial plan's fetches deduplicated by
 // sorting instead of a map, 284; with the load slots numbered into one slab
 // sized from the live cells instead of grown per support, 259; with the
 // layout owning its cells by rule instead of by a slab per support, 257;
 // with the slot index one flat table sized for two keys per node instead of
 // a Go map, and the staging sweep and dead-cell guard walking only the keys
-// they need, this reads 231.
+// they need, 231; with Lemma 3.1 priced from counts instead of planned, and
+// the load slots numbered from the planner's own triangle walk, this reads
+// 146.
 func TestPrepareAutoAllocs(t *testing.T) {
 	prepareAllocs(t, "", prepareAutoAllocs)
 }
 
 // TestPrepareTrivialAllocs pins the trivial Prepare of
 // BenchmarkPrepareUS256, the plan auto keeps on that structure with no
-// other candidate priced. Under the Go map slot index it read 148; it reads
-// 122.
+// other candidate priced. Under the Go map slot index it read 148; then
+// 122; with the load slots numbered from the planner's triangle walk instead
+// of a second walk, it reads 120.
 func TestPrepareTrivialAllocs(t *testing.T) {
 	prepareAllocs(t, "trivial", prepareTrivialAllocs)
 }
@@ -206,8 +210,8 @@ func prepareAllocs(t *testing.T, alg string, bound int) {
 // The bounds of TestPrepareAutoAllocs and TestPrepareTrivialAllocs, about
 // 5% over what they read.
 const (
-	prepareAutoAllocs    = 243
-	prepareTrivialAllocs = 128
+	prepareAutoAllocs    = 153
+	prepareTrivialAllocs = 126
 )
 
 // prepareClusters prepares Theorem 4.2 on inst over r and checks phase 1

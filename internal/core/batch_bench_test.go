@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lbmm/internal/core"
+	"lbmm/internal/graph"
 	"lbmm/internal/matrix"
 	"lbmm/internal/ring"
 	"lbmm/internal/workload"
@@ -55,20 +56,28 @@ func BenchmarkMultiplyUS256(b *testing.B) {
 // the trivial algorithm named: layout, one plan and its lowering, with no
 // other candidate priced.
 func BenchmarkPrepareUS256(b *testing.B) {
-	benchmarkPrepare(b, "trivial")
+	benchmarkPrepare(b, workload.Instance(matrix.US, matrix.US, matrix.US, 256, 4, 1), "trivial")
 }
 
 // BenchmarkPrepareAutoUS256 prepares the same structure with auto, the
-// serving default: layout, the trivial and Lemma 3.1 candidates priced, and
-// the kept one coloured and lowered. This is what a plan cache miss with no
-// plan store pays.
+// serving default: layout, the trivial candidate planned and priced, Lemma
+// 3.1 and Theorem 4.2 priced (Lemma 3.1 from counts, never planned unless
+// kept), and the kept one coloured and lowered. This is what a plan cache
+// miss with no plan store pays.
 func BenchmarkPrepareAutoUS256(b *testing.B) {
-	benchmarkPrepare(b, "auto")
+	benchmarkPrepare(b, workload.Instance(matrix.US, matrix.US, matrix.US, 256, 4, 1), "auto")
 }
 
-func benchmarkPrepare(b *testing.B, alg string) {
-	inst := workload.Instance(matrix.US, matrix.US, matrix.US, 256, 4, 1)
-	opts := core.Options{Ring: ring.Counting{}, D: 4, Algorithm: alg}
+// BenchmarkPrepareAutoMixed256 prepares Mixed(256, 8, 1) with auto: a
+// structure with hot rows, whose Lemma 3.1 candidate has input routing far
+// larger than its trivial plan's one fetch, so pricing that candidate by
+// planning it would dominate the Prepare.
+func BenchmarkPrepareAutoMixed256(b *testing.B) {
+	benchmarkPrepare(b, workload.Mixed(256, 8, 1), "auto")
+}
+
+func benchmarkPrepare(b *testing.B, inst *graph.Instance, alg string) {
+	opts := core.Options{Ring: ring.Counting{}, D: inst.D, Algorithm: alg}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Prepare(inst.Ahat, inst.Bhat, inst.Xhat, opts); err != nil {

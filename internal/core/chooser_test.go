@@ -81,16 +81,27 @@ func TestAutoKeepsCheapestPlan(t *testing.T) {
 }
 
 // TestCheapestSkipsFailingCandidate pins auto's failure rule: a candidate
-// whose planning fails is skipped, so the others still compete and the
+// whose pricing fails is skipped, so the others still compete and the
 // cheapest of them is kept; only when every candidate fails is there an
 // error, and it carries each candidate's.
 func TestCheapestSkipsFailingCandidate(t *testing.T) {
 	inst := workload.Blocks(32, 4)
-	pl := algo.NewPlanner(ring.Counting{}, inst)
 	errA, errB := errors.New("stub candidate A cannot plan"), errors.New("stub candidate B cannot plan")
-	failA := func() (*algo.Prepared, error) { return nil, errA }
-	failB := func() (*algo.Prepared, error) { return nil, errB }
-	for _, order := range [][]func() (*algo.Prepared, error){{failA, pl.Trivial}, {pl.Trivial, failA}} {
+	failing := func(err error) algo.Candidate {
+		return algo.Candidate{
+			Price: func() (int, int, error) { return 0, 0, err },
+			Plan: func() (*algo.Prepared, error) {
+				t.Error("a candidate that failed to price was planned")
+				return nil, err
+			},
+		}
+	}
+	for _, first := range []bool{true, false} {
+		trivial := algo.NewPlanner(ring.Counting{}, inst).TrivialCandidate()
+		order := []algo.Candidate{failing(errA), trivial}
+		if !first {
+			order = []algo.Candidate{trivial, failing(errA)}
+		}
 		p, err := cheapestOf(order)
 		if err != nil {
 			t.Fatalf("a failing candidate failed auto: %v", err)
@@ -104,7 +115,7 @@ func TestCheapestSkipsFailingCandidate(t *testing.T) {
 			t.Fatalf("the kept plan is not compiled or multiplies wrong: %v", err)
 		}
 	}
-	_, err := cheapestOf([]func() (*algo.Prepared, error){failA, failB})
+	_, err := cheapestOf([]algo.Candidate{failing(errA), failing(errB)})
 	if !errors.Is(err, errA) || !errors.Is(err, errB) {
 		t.Fatalf("every candidate failed: err = %v, want both candidates' errors", err)
 	}

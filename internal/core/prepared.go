@@ -39,8 +39,9 @@ type Prepared struct {
 // is obeyed. "auto" prices every candidate the structure admits — the
 // trivial algorithm and Lemma 3.1 always, Theorem 4.2 in band 1 — by the
 // rounds, then the messages, its plans charge, read off its h-relations'
-// degrees, and keeps the cheapest, ties going to that order; only the kept
-// one is coloured and compiled (see cheapestOf). The choice is a function of
+// degrees, Lemma 3.1's counted without planning it, and keeps the cheapest,
+// ties going to that order; only the kept one is built, coloured and
+// compiled (see cheapestOf). The choice is a function of
 // the structure, the ring and d, so the fingerprint of an "auto" request
 // stays a content address. The Prepared returned is fully coloured and
 // read-only.
@@ -83,50 +84,53 @@ func Prepare(ahat, bhat, xhat *matrix.Support, opts Options) (*Prepared, error) 
 	return p, nil
 }
 
-// cheapest is Prepare's "auto": it plans the candidates on one layout and
-// one triangle list, prices each by the exact (rounds, messages) its plans
-// charge, and colours and compiles the first of the cheapest.
+// cheapest is Prepare's "auto": it prices the candidates on one layout and
+// one triangle list by the exact (rounds, messages) their plans charge, and
+// builds, colours and compiles the first of the cheapest.
 func cheapest(r ring.Semiring, inst *graph.Instance, band1 bool) (*algo.Prepared, error) {
 	pl := algo.NewPlanner(r, inst)
-	lemma31 := func() (*algo.Prepared, error) { return pl.Lemma31(0) }
-	candidates := []func() (*algo.Prepared, error){pl.Trivial, lemma31}
+	candidates := []algo.Candidate{pl.TrivialCandidate(), pl.Lemma31Candidate()}
 	if band1 {
-		candidates = append(candidates, pl.Theorem42)
+		candidates = append(candidates, pl.Theorem42Candidate())
 	}
 	return cheapestOf(candidates)
 }
 
-// cheapestOf plans every candidate uncoloured, prices it (algo.Prepared.Cost),
-// and colours, emits and compiles only the first of the cheapest that
-// planned. A routing step's length depends only on its h-relation's send and
-// receive degrees: an exact König schedule has exactly Δ rounds, so pricing a
-// candidate colours nothing, except an h-relation so large that routing.Auto
-// splits it by Euler, whose rounds only its colouring tells. A candidate
-// whose planning fails is skipped, so one that cannot plan a structure does
-// not fail the others; only when none plans is there an error, all of theirs
-// joined.
-func cheapestOf(candidates []func() (*algo.Prepared, error)) (*algo.Prepared, error) {
-	var best *algo.Prepared
+// cheapestOf prices every candidate, then plans, colours, emits and compiles
+// only the first of the cheapest that priced. A routing step's length
+// depends only on its h-relation's send and receive degrees: an exact König
+// schedule has exactly Δ rounds, so pricing a candidate colours nothing,
+// except an h-relation so large that routing.Auto splits it by Euler, whose
+// rounds only its colouring tells. The trivial candidate is priced off its
+// plan; Lemma 3.1's job, alone or as Theorem 4.2's phase 2, is priced from
+// counts and built only if kept (algo.Candidate). A candidate whose pricing
+// fails is skipped, so one that cannot plan a structure does not fail the
+// others; only when none prices is there an error, all of theirs joined.
+func cheapestOf(candidates []algo.Candidate) (*algo.Prepared, error) {
+	best := -1
 	var bestRounds, bestMessages int
 	var errs []error
-	for _, plan := range candidates {
-		c, err := plan()
+	for i, c := range candidates {
+		rounds, messages, err := c.Price()
 		if err != nil {
 			errs = append(errs, err)
 			continue
 		}
-		rounds, messages := c.Cost()
-		if best == nil || rounds < bestRounds || rounds == bestRounds && messages < bestMessages {
-			best, bestRounds, bestMessages = c, rounds, messages
+		if best < 0 || rounds < bestRounds || rounds == bestRounds && messages < bestMessages {
+			best, bestRounds, bestMessages = i, rounds, messages
 		}
 	}
-	if best == nil {
+	if best < 0 {
 		return nil, errors.Join(errs...)
 	}
-	if err := best.Compile(); err != nil {
+	p, err := candidates[best].Plan()
+	if err != nil {
 		return nil, err
 	}
-	return best, nil
+	if err := p.Compile(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // Resolved names the plan the prepared form runs: Algorithm itself, or the

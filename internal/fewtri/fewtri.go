@@ -190,20 +190,20 @@ type virtual struct {
 }
 
 // virtualize splits each I-node's triangles into virtual computers of at most
-// κ triangles each, assigned round-robin to the n real computers, and records
-// the per-virtual-computer products on a new job. kappa ≤ 0 selects the
-// natural budget ⌈3|T|/n⌉ (so that |V'| ≤ 2n).
-func virtualize(n int, tris []graph.Triangle, kappa int) (*Job, *virtual) {
+// κ triangles each, assigned round-robin to the n real computers, and
+// returns the budget used. kappa ≤ 0 selects the natural budget ⌈3|T|/n⌉
+// (so that |V'| ≤ 2n).
+func virtualize(n int, tris []graph.Triangle, kappa int) (int, *virtual) {
 	if kappa <= 0 {
 		kappa = (3*len(tris) + n - 1) / n
 		if kappa == 0 {
 			kappa = 1
 		}
 	}
-	job := &Job{Kappa: kappa}
-	v := &virtual{order: slices.Clone(tris)}
+	v := &virtual{order: slices.Clone(tris), vnodeOf: make([]int32, len(tris))}
 	graph.SortTriangles(v.order)
-	v.vnodeOf = make([]int32, len(v.order))
+	// No I-node opens more virtual computers than it has triangles.
+	v.hosts = make([]lbm.NodeID, 0, len(tris))
 	count := 0 // triangles assigned to the current vnode
 	var curI int32 = -1
 	for idx, t := range v.order {
@@ -216,10 +216,14 @@ func virtualize(n int, tris []graph.Triangle, kappa int) (*Job, *virtual) {
 		v.vnodeOf[idx] = int32(len(v.hosts) - 1)
 		count++
 	}
-	job.VirtualNodes = len(v.hosts)
+	return kappa, v
+}
 
-	// Local product tasks per virtual computer: each one's triangles are a
-	// run of the sorted order.
+// newJob returns a job of the virtualized triangles v with budget kappa,
+// holding the per-virtual-computer products: each one's triangles are a run
+// of the sorted order.
+func newJob(kappa int, v *virtual) *Job {
+	job := &Job{Kappa: kappa, VirtualNodes: len(v.hosts)}
 	job.products = make([]prodGroup, 0, len(v.hosts))
 	start := 0
 	for idx := 1; idx <= len(v.order); idx++ {
@@ -229,7 +233,7 @@ func virtualize(n int, tris []graph.Triangle, kappa int) (*Job, *virtual) {
 			start = idx
 		}
 	}
-	return job, v
+	return job
 }
 
 // Plan preprocesses the processing of tris under Lemma 3.1. kappa ≤ 0
@@ -237,35 +241,40 @@ func virtualize(n int, tris []graph.Triangle, kappa int) (*Job, *virtual) {
 // inputs and outputs to computers; outputs must be zero-initialized before
 // Run.
 func Plan(n int, l *lbm.Layout, tris []graph.Triangle, kappa int) (*Job, error) {
-	job, v := virtualize(n, tris, kappa)
+	kappa, v := virtualize(n, tris, kappa)
+	job := newJob(kappa, v)
 	if len(tris) == 0 {
 		return job, nil
 	}
-
-	// --- Input routing for A and B.
-	planA, cleanA, err := planInputRouting(n, job.Kappa, v.order, v.vnodeOf, v.hosts,
-		func(t graph.Triangle) (int32, int32) { return t.I, t.J },
-		func(i, j int32) (lbm.NodeID, lbm.Key) { return l.OwnerA(i, j), lbm.AKey(i, j) })
-	if err != nil {
+	// An input array sends at most one anchor and one forward per triple,
+	// the output array at most one partial and one delivery: 6|T| messages.
+	ps := &planSink{routes: make([]route, 0, len(lemma31.phases)), msgs: make([]routing.Msg, 0, 6*len(tris))}
+	if err := routeLemma31(ps, n, kappa, l, v); err != nil {
 		return nil, err
 	}
-	planB, cleanB, err := planInputRouting(n, job.Kappa, v.order, v.vnodeOf, v.hosts,
-		func(t graph.Triangle) (int32, int32) { return t.J, t.K },
-		func(j, k int32) (lbm.NodeID, lbm.Key) { return l.OwnerB(j, k), lbm.BKey(j, k) })
-	if err != nil {
-		return nil, err
-	}
-	job.routes = append(job.routes, planA...)
-	job.routes = append(job.routes, planB...)
-	job.cleanup = append(job.cleanup, cleanA...)
-	job.cleanup = append(job.cleanup, cleanB...)
-
-	// --- Output routing: triples (i, k, i') deduplicated, sorted by (i,k).
-	outPlans, outClean := planOutputRouting(n, job.Kappa, v.order, v.vnodeOf, v.hosts, l)
-	job.routes = append(job.routes, outPlans...)
-	job.cleanup = append(job.cleanup, outClean...)
+	job.routes, job.cleanup = ps.routes, ps.cleanup
 	job.sh = &lemma31
 	return job, nil
+}
+
+// Price returns what Plan(n, l, tris, kappa) followed by Job.Cost returns,
+// and the error Plan returns, without building the job: the same walk of
+// the §3.3 routing arrays tallies each h-relation's per-computer degrees
+// (routing.Degrees) and each tree step's group sizes (routing.TreeCost)
+// where Plan writes messages and groups. exact is false where an h-relation
+// is so large that routing.Auto splits it by Euler, whose rounds only its
+// colouring tells; rounds is then a lower bound, and only planning the job
+// and calling Cost tells the price.
+func Price(n int, l *lbm.Layout, tris []graph.Triangle, kappa int) (rounds, messages int, exact bool, err error) {
+	if len(tris) == 0 {
+		return 0, 0, true, nil
+	}
+	kappa, v := virtualize(n, tris, kappa)
+	ps := &priceSink{deg: routing.NewDegrees(n), exact: true}
+	if err := routeLemma31(ps, n, kappa, l, v); err != nil {
+		return 0, 0, false, err
+	}
+	return ps.rounds, ps.messages, ps.exact, nil
 }
 
 // PlanNaive preprocesses the prior work's naive phase 2 (SPAA 2022,
@@ -277,7 +286,8 @@ func Plan(n int, l *lbm.Layout, tris []graph.Triangle, kappa int) (*Job, error) 
 // the effect Lemma 3.1's anchors and trees remove. kappa is as in Plan; the
 // naive routing has no κn precondition.
 func PlanNaive(n int, l *lbm.Layout, tris []graph.Triangle, kappa int) *Job {
-	job, v := virtualize(n, tris, kappa)
+	kappa, v := virtualize(n, tris, kappa)
+	job := newJob(kappa, v)
 	if len(tris) == 0 {
 		return job
 	}
@@ -416,19 +426,62 @@ type triple struct {
 	vnode int32
 }
 
-// planInputRouting builds the three §3.3 steps for one input matrix:
-// owner → anchor h-relation, anchor broadcast trees, triple-holder → virtual
-// computer h-relation.
-func planInputRouting(n, kappa int, order []graph.Triangle, vnodeOf []int32, vnodeHost []lbm.NodeID,
-	pairOf func(graph.Triangle) (int32, int32),
-	ownerOf func(a, b int32) (lbm.NodeID, lbm.Key)) ([]route, []hostKey, error) {
+// sink takes §3.3's routing of a job step by step as routeLemma31 walks it:
+// the messages of an h-relation step or the groups of a tree step, then the
+// step's end; and, as they arise, the staged copies the job clears after
+// its run. The planner (planSink) writes them down, the pricer (priceSink)
+// counts them.
+type sink interface {
+	send(m routing.Msg)
+	// group adds the computers first … last, holding or summing key, to a
+	// tree step.
+	group(first, last lbm.NodeID, key lbm.Key)
+	clean(host lbm.NodeID, key lbm.Key)
+	// hrel ends an h-relation step; tree ends a tree step, a convergecast
+	// if converge and a broadcast otherwise.
+	hrel()
+	tree(converge bool)
+}
 
-	triples := make([]triple, len(order))
-	for idx, t := range order {
-		a, b := pairOf(t)
-		triples[idx] = triple{a: a, b: b, vnode: vnodeOf[idx]}
+// routeLemma31 walks §3.3's routing of the virtualized triangles v with
+// budget kappa over the layout l into s: the input routing of A, then of B,
+// then the output routing, three steps each. One routing array is built and
+// reused for all three.
+func routeLemma31(s sink, n, kappa int, l *lbm.Layout, v *virtual) error {
+	triples := make([]triple, len(v.order))
+	// A's array (i, j, i') needs no sort: the (i, j, k) order, whose virtual
+	// computers only grow, already runs in it.
+	for idx, t := range v.order {
+		triples[idx] = triple{a: t.I, b: t.J, vnode: v.vnodeOf[idx]}
 	}
-	triples = sortedTriples(triples)
+	err := inputRouting(s, n, kappa, slices.Compact(triples), v.hosts,
+		func(i, j int32) (lbm.NodeID, lbm.Key) { return l.OwnerA(i, j), lbm.AKey(i, j) })
+	if err != nil {
+		return err
+	}
+	triples = triples[:len(v.order)]
+	for idx, t := range v.order {
+		triples[idx] = triple{a: t.J, b: t.K, vnode: v.vnodeOf[idx]}
+	}
+	err = inputRouting(s, n, kappa, sortedTriples(triples), v.hosts,
+		func(j, k int32) (lbm.NodeID, lbm.Key) { return l.OwnerB(j, k), lbm.BKey(j, k) })
+	if err != nil {
+		return err
+	}
+	// Output routing: triples (i, k, i') deduplicated, sorted by (i,k).
+	triples = triples[:len(v.order)]
+	for idx, t := range v.order {
+		triples[idx] = triple{a: t.I, b: t.K, vnode: v.vnodeOf[idx]}
+	}
+	outputRouting(s, n, sortedTriples(triples), v.hosts, l)
+	return nil
+}
+
+// inputRouting walks the three §3.3 steps for one input matrix over its
+// sorted routing array: owner → anchor h-relation, anchor broadcast trees,
+// triple-holder → virtual computer h-relation.
+func inputRouting(s sink, n, kappa int, triples []triple, vnodeHost []lbm.NodeID,
+	ownerOf func(a, b int32) (lbm.NodeID, lbm.Key)) error {
 
 	// Chunk the array over the computers, ≤ κ triples each.
 	per := (len(triples) + n - 1) / n
@@ -437,73 +490,49 @@ func planInputRouting(n, kappa int, order []graph.Triangle, vnodeOf []int32, vno
 		// caller picked κ too small.
 		per = kappa
 		if per*n < len(triples) {
-			return nil, nil, fmt.Errorf("fewtri: %d triples exceed κn = %d·%d", len(triples), kappa, n)
+			return fmt.Errorf("fewtri: %d triples exceed κn = %d·%d", len(triples), kappa, n)
 		}
 	}
 	holder := func(idx int) lbm.NodeID { return lbm.NodeID(idx / per) }
 
-	var cleanup []hostKey
-
-	// Step 1: owner → anchor.
-	groupStart := 0
-	type span struct {
-		a, b     int32
-		from, to int // triple index range [from, to)
-	}
-	var spans []span
-	for idx := 1; idx <= len(triples); idx++ {
-		if idx == len(triples) || triples[idx].a != triples[groupStart].a || triples[idx].b != triples[groupStart].b {
-			spans = append(spans, span{a: triples[groupStart].a, b: triples[groupStart].b, from: groupStart, to: idx})
-			groupStart = idx
-		}
-	}
-	anchorMsgs := make([]routing.Msg, 0, len(spans))
-	for _, sp := range spans {
-		owner, key := ownerOf(sp.a, sp.b)
-		anchor := holder(sp.from)
-		anchorMsgs = append(anchorMsgs, routing.Msg{From: owner, To: anchor, Src: key, Dst: key, Op: lbm.OpSet})
+	// Step 1: owner → anchor, the holder of each group's first triple.
+	for from := 0; from < len(triples); from = spanEnd(triples, from) {
+		owner, key := ownerOf(triples[from].a, triples[from].b)
+		anchor := holder(from)
+		s.send(routing.Msg{From: owner, To: anchor, Src: key, Dst: key, Op: lbm.OpSet})
 		if anchor != owner {
-			cleanup = append(cleanup, hostKey{anchor, key})
+			s.clean(anchor, key)
 		}
 	}
+	s.hrel()
 
 	// Step 2: spread along each group's computer range by broadcast trees.
-	var groups []routing.Group
-	for _, sp := range spans {
-		first := holder(sp.from)
-		last := holder(sp.to - 1)
-		if first == last {
-			continue
-		}
-		_, key := ownerOf(sp.a, sp.b)
-		nodes := make([]lbm.NodeID, 0, int(last-first)+1)
-		for c := first; c <= last; c++ {
-			nodes = append(nodes, c)
-			if c != first {
-				owner, _ := ownerOf(sp.a, sp.b)
+	for from := 0; from < len(triples); {
+		to := spanEnd(triples, from)
+		if first, last := holder(from), holder(to-1); first != last {
+			owner, key := ownerOf(triples[from].a, triples[from].b)
+			s.group(first, last, key)
+			for c := first + 1; c <= last; c++ {
 				if c != owner {
-					cleanup = append(cleanup, hostKey{c, key})
+					s.clean(c, key)
 				}
 			}
 		}
-		groups = append(groups, routing.Group{Nodes: nodes, Key: key})
+		from = to
 	}
-	step2 := routing.BroadcastPlan(groups)
+	s.tree(false)
 
 	// Step 3: triple holder → virtual computer host.
-	fwd := make([]routing.Msg, 0, len(triples))
 	for idx, tr := range triples {
-		_, key := ownerOf(tr.a, tr.b)
+		owner, key := ownerOf(tr.a, tr.b)
 		dst := vnodeHost[tr.vnode]
-		src := holder(idx)
-		fwd = append(fwd, routing.Msg{From: src, To: dst, Src: key, Dst: key, Op: lbm.OpSet})
-		owner, _ := ownerOf(tr.a, tr.b)
+		s.send(routing.Msg{From: holder(idx), To: dst, Src: key, Dst: key, Op: lbm.OpSet})
 		if dst != owner {
-			cleanup = append(cleanup, hostKey{dst, key})
+			s.clean(dst, key)
 		}
 	}
-
-	return []route{{msgs: anchorMsgs}, {plan: step2}, {msgs: fwd}}, cleanup, nil
+	s.hrel()
+	return nil
 }
 
 // sortedTriples sorts a routing array by pair, then virtual computer, and
@@ -515,79 +544,126 @@ func sortedTriples(triples []triple) []triple {
 	return slices.Compact(triples)
 }
 
-// planOutputRouting builds the converse of the input routing for the
-// products: virtual computer → triple holder (with local aggregation),
-// convergecast trees, anchor → output owner.
-func planOutputRouting(n, kappa int, order []graph.Triangle, vnodeOf []int32, vnodeHost []lbm.NodeID,
-	l *lbm.Layout) ([]route, []hostKey) {
+// spanEnd returns the end of the group of a sorted routing array that
+// starts at from: the index past the last triple sharing its pair.
+func spanEnd(triples []triple, from int) int {
+	to := from + 1
+	for to < len(triples) && triples[to].a == triples[from].a && triples[to].b == triples[from].b {
+		to++
+	}
+	return to
+}
 
-	triples := make([]triple, len(order))
-	for idx, t := range order {
-		triples[idx] = triple{a: t.I, b: t.K, vnode: vnodeOf[idx]}
-	}
-	triples = sortedTriples(triples)
-	per := (len(triples) + n - 1) / n
-	if per < 1 {
-		per = 1
-	}
+// outputRouting walks the converse of the input routing for the products
+// over their sorted routing array: virtual computer → triple holder (with
+// local aggregation), convergecast trees, anchor → output owner.
+func outputRouting(s sink, n int, triples []triple, vnodeHost []lbm.NodeID, l *lbm.Layout) {
+	per := max((len(triples)+n-1)/n, 1)
 	holder := func(idx int) lbm.NodeID { return lbm.NodeID(idx / per) }
-
-	cleanup := make([]hostKey, 0, 2*len(triples))
 
 	// Step 1: route each virtual computer's pre-aggregated partial to its
 	// triple holder, accumulating co-located partials on arrival.
-	toHolder := make([]routing.Msg, 0, len(triples))
 	for idx, tr := range triples {
 		src := lbm.PKey(tr.a, tr.b, tr.vnode)
 		dst := lbm.PKey(tr.a, tr.b, aggSeq)
-		toHolder = append(toHolder, routing.Msg{
-			From: vnodeHost[tr.vnode], To: holder(idx),
-			Src: src, Dst: dst, Op: lbm.OpAcc,
-		})
-		cleanup = append(cleanup, hostKey{vnodeHost[tr.vnode], src})
-		cleanup = append(cleanup, hostKey{holder(idx), dst})
+		s.send(routing.Msg{From: vnodeHost[tr.vnode], To: holder(idx), Src: src, Dst: dst, Op: lbm.OpAcc})
+		s.clean(vnodeHost[tr.vnode], src)
+		s.clean(holder(idx), dst)
 	}
+	s.hrel()
 
 	// Step 2: convergecast each (i,k) group's partials into its anchor.
-	var groups []routing.Group
-	groupStart := 0
-	type span struct {
-		a, b     int32
-		from, to int
-	}
-	var spans []span
-	for idx := 1; idx <= len(triples); idx++ {
-		if idx == len(triples) || triples[idx].a != triples[groupStart].a || triples[idx].b != triples[groupStart].b {
-			spans = append(spans, span{a: triples[groupStart].a, b: triples[groupStart].b, from: groupStart, to: idx})
-			groupStart = idx
+	for from := 0; from < len(triples); {
+		to := spanEnd(triples, from)
+		if first, last := holder(from), holder(to-1); first != last {
+			s.group(first, last, lbm.PKey(triples[from].a, triples[from].b, aggSeq))
 		}
+		from = to
 	}
-	for _, sp := range spans {
-		first := holder(sp.from)
-		last := holder(sp.to - 1)
-		if first == last {
-			continue
-		}
-		nodes := make([]lbm.NodeID, 0, int(last-first)+1)
-		for c := first; c <= last; c++ {
-			nodes = append(nodes, c)
-		}
-		groups = append(groups, routing.Group{Nodes: nodes, Key: lbm.PKey(sp.a, sp.b, aggSeq)})
-	}
-	step2 := routing.ConvergecastPlan(groups)
+	s.tree(true)
 
 	// Step 3: anchor → output owner, accumulated into X.
-	final := make([]routing.Msg, 0, len(spans))
-	for _, sp := range spans {
-		anchor := holder(sp.from)
-		owner := l.OwnerX(sp.a, sp.b)
-		final = append(final, routing.Msg{
-			From: anchor, To: owner,
-			Src: lbm.PKey(sp.a, sp.b, aggSeq), Dst: lbm.XKey(sp.a, sp.b), Op: lbm.OpAcc,
+	for from := 0; from < len(triples); from = spanEnd(triples, from) {
+		a, b := triples[from].a, triples[from].b
+		s.send(routing.Msg{
+			From: holder(from), To: l.OwnerX(a, b),
+			Src: lbm.PKey(a, b, aggSeq), Dst: lbm.XKey(a, b), Op: lbm.OpAcc,
 		})
 	}
+	s.hrel()
+}
 
-	return []route{{msgs: toHolder}, {plan: step2}, {msgs: final}}, cleanup
+// planSink writes a job's routing down: each h-relation as its message set,
+// each tree step as its plan, and the staged copies in order.
+type planSink struct {
+	routes  []route
+	msgs    []routing.Msg
+	groups  []routing.Group
+	cleanup []hostKey
+}
+
+func (p *planSink) send(m routing.Msg) { p.msgs = append(p.msgs, m) }
+
+func (p *planSink) group(first, last lbm.NodeID, key lbm.Key) {
+	nodes := make([]lbm.NodeID, 0, int(last-first)+1)
+	for c := first; c <= last; c++ {
+		nodes = append(nodes, c)
+	}
+	p.groups = append(p.groups, routing.Group{Nodes: nodes, Key: key})
+}
+
+func (p *planSink) clean(host lbm.NodeID, key lbm.Key) {
+	p.cleanup = append(p.cleanup, hostKey{host, key})
+}
+
+func (p *planSink) hrel() {
+	p.routes = append(p.routes, route{msgs: slices.Clip(p.msgs)})
+	p.msgs = p.msgs[len(p.msgs):]
+}
+
+func (p *planSink) tree(converge bool) {
+	plan := routing.BroadcastPlan
+	if converge {
+		plan = routing.ConvergecastPlan
+	}
+	p.routes = append(p.routes, route{plan: plan(p.groups)})
+	p.groups = p.groups[:0]
+}
+
+// priceSink counts a job's routing: each h-relation's per-computer degrees
+// and each tree step's group sizes, summed into what the job's Cost charges.
+type priceSink struct {
+	deg              routing.Degrees
+	rounds, messages int
+	exact            bool
+	groups, members  int
+	maxGroup         int
+}
+
+func (p *priceSink) send(m routing.Msg) { p.deg.Add(m.From, m.To) }
+
+func (p *priceSink) group(first, last lbm.NodeID, _ lbm.Key) {
+	size := int(last-first) + 1
+	p.groups++
+	p.members += size
+	p.maxGroup = max(p.maxGroup, size)
+}
+
+func (p *priceSink) clean(lbm.NodeID, lbm.Key) {}
+
+func (p *priceSink) hrel() {
+	r, m, exact := p.deg.Price()
+	p.rounds += r
+	p.messages += m
+	p.exact = p.exact && exact
+	p.deg.Reset()
+}
+
+func (p *priceSink) tree(bool) {
+	r, m := routing.TreeCost(p.groups, p.members, p.maxGroup)
+	p.rounds += r
+	p.messages += m
+	p.groups, p.members, p.maxGroup = 0, 0, 0
 }
 
 // Emit writes the job to e: the input routing plans, the free local

@@ -63,13 +63,29 @@ func (inst *Instance) Triangles() []Triangle {
 // A cell it leaves false never sends, never receives and never changes the
 // product.
 func (inst *Instance) Live() (a, b, x []bool) {
-	marks := make([]bool, inst.Ahat.NNZ+inst.Bhat.NNZ+inst.Xhat.NNZ)
-	na, nb := inst.Ahat.NNZ, inst.Ahat.NNZ+inst.Bhat.NNZ
-	a, b, x = marks[:na:na], marks[na:nb:nb], marks[nb:]
+	a, b, x = inst.liveMarks()
 	inst.walk(func(_, pa, pb, px int32) {
 		a[pa], b[pb], x[px] = true, true, true
 	})
 	return a, b, x
+}
+
+// TrianglesLive returns Triangles and Live from one walk.
+func (inst *Instance) TrianglesLive() (tris []Triangle, a, b, x []bool) {
+	a, b, x = inst.liveMarks()
+	ahat, bhat := inst.Ahat, inst.Bhat
+	inst.walk(func(i, pa, pb, px int32) {
+		tris = append(tris, Triangle{I: i, J: ahat.Col[pa], K: bhat.Col[pb]})
+		a[pa], b[pb], x[px] = true, true, true
+	})
+	return tris, a, b, x
+}
+
+// liveMarks returns Live's tables, every cell unmarked, cut from one slab.
+func (inst *Instance) liveMarks() (a, b, x []bool) {
+	marks := make([]bool, inst.Ahat.NNZ+inst.Bhat.NNZ+inst.Xhat.NNZ)
+	na, nb := inst.Ahat.NNZ, inst.Ahat.NNZ+inst.Bhat.NNZ
+	return marks[:na:na], marks[na:nb:nb], marks[nb:]
 }
 
 // CountTriangles returns |T̂| without materializing the set.

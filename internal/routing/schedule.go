@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"math/bits"
+
 	"lbmm/internal/lbm"
 )
 
@@ -37,40 +39,87 @@ func konigAffordable(e, delta int) bool {
 }
 
 // Price returns what Schedule(msgs, Auto) charges, as lbm.Plan.Cost counts
-// it, without colouring anything: one pass over the per-computer send and
-// receive degrees of the real (From ≠ To) messages decides it. messages is
-// their count E. Where Auto colours by König — E·Δ within autoKonigBudget, Δ
-// the largest degree — the schedule has exactly Δ rounds (König's theorem:
-// a vertex of degree Δ meets every colour), and exact is true; so it is for
-// an h-relation of local copies only, which costs nothing. Otherwise Auto
-// splits by Euler, whose round count lies between Δ and 2^⌈log₂ Δ⌉ and is
-// known only once coloured: rounds is then Δ, a lower bound, and exact is
-// false.
+// it, without colouring anything: the per-computer send and receive degrees
+// of the real (From ≠ To) messages decide it (Degrees.Price).
 func Price(msgs []Msg) (rounds, messages int, exact bool) {
-	maxSend, maxRecv, remote := degreeMax(msgs)
-	delta := max(maxSend, maxRecv)
-	return delta, remote, remote == 0 || konigAffordable(remote, delta)
+	d := degreesOf(msgs)
+	return d.Price()
 }
 
 // degreeMax returns the largest per-computer send and receive
 // multiplicities of the real messages of msgs, and their count: the lower
-// bound any schedule of them must pay. The degrees are counted in tables
-// indexed by NodeID.
+// bound any schedule of them must pay.
 func degreeMax(msgs []Msg) (maxSend, maxRecv, remote int) {
-	lo, span, remote := nodeSpan(msgs)
+	d := degreesOf(msgs)
+	return d.maxSend, d.maxRecv, d.remote
+}
+
+// Degrees tallies an h-relation one message at a time: the per-computer
+// send and receive degrees of its real messages, in tables indexed by
+// NodeID − lo, and their count. A pricer that never builds the message set
+// (fewtri.Price) keeps one tally for all its h-relations, Reset between
+// them.
+type Degrees struct {
+	lo               lbm.NodeID
+	send, recv       []int32
+	maxSend, maxRecv int
+	remote           int
+}
+
+// NewDegrees returns an empty tally of h-relations among the computers
+// 0 … n−1.
+func NewDegrees(n int) Degrees { return newDegrees(0, n) }
+
+// newDegrees returns an empty tally of h-relations among the computers
+// lo … lo+span−1.
+func newDegrees(lo lbm.NodeID, span int) Degrees {
 	deg := make([]int32, 2*span)
-	send, recv := deg[:span], deg[span:]
+	return Degrees{lo: lo, send: deg[:span:span], recv: deg[span:]}
+}
+
+// degreesOf tallies msgs in tables that span exactly their real messages'
+// ends.
+func degreesOf(msgs []Msg) Degrees {
+	lo, span, _ := nodeSpan(msgs)
+	d := newDegrees(lo, span)
 	for _, m := range msgs {
-		if m.From == m.To {
-			continue
-		}
-		s, r := &send[m.From-lo], &recv[m.To-lo]
-		*s++
-		*r++
-		maxSend = max(maxSend, int(*s))
-		maxRecv = max(maxRecv, int(*r))
+		d.Add(m.From, m.To)
 	}
-	return maxSend, maxRecv, remote
+	return d
+}
+
+// Add tallies one message from → to; a local copy (from == to) is free and
+// counts nothing.
+func (d *Degrees) Add(from, to lbm.NodeID) {
+	if from == to {
+		return
+	}
+	s, r := &d.send[from-d.lo], &d.recv[to-d.lo]
+	*s++
+	*r++
+	d.maxSend = max(d.maxSend, int(*s))
+	d.maxRecv = max(d.maxRecv, int(*r))
+	d.remote++
+}
+
+// Price returns what Schedule(…, Auto) charges for the messages tallied,
+// as lbm.Plan.Cost counts it. messages is their count E. Where Auto colours
+// by König — E·Δ within autoKonigBudget, Δ the largest degree — the
+// schedule has exactly Δ rounds (König's theorem: a vertex of degree Δ
+// meets every colour), and exact is true; so it is for an h-relation of
+// local copies only, which costs nothing. Otherwise Auto splits by Euler,
+// whose round count lies between Δ and 2^⌈log₂ Δ⌉ and is known only once
+// coloured: rounds is then Δ, a lower bound, and exact is false.
+func (d *Degrees) Price() (rounds, messages int, exact bool) {
+	delta := max(d.maxSend, d.maxRecv)
+	return delta, d.remote, d.remote == 0 || konigAffordable(d.remote, delta)
+}
+
+// Reset empties the tally for the next h-relation.
+func (d *Degrees) Reset() {
+	clear(d.send)
+	clear(d.recv)
+	d.maxSend, d.maxRecv, d.remote = 0, 0, 0
 }
 
 // nodeSpan returns the count of the real messages of msgs, the smallest
@@ -232,6 +281,18 @@ func BroadcastPlan(groups []Group) *lbm.Plan {
 	}
 	annotateTreePlan(plan, "routing/broadcast", groups)
 	return plan
+}
+
+// TreeCost returns what BroadcastPlan or ConvergecastPlan charges, as
+// lbm.Plan.Cost counts it, for the given number of groups holding members
+// computers in all, the largest of them maxGroup: ⌈log₂ maxGroup⌉ rounds,
+// and one real message into (out of) every computer but each group's first,
+// since a group's computers are distinct.
+func TreeCost(groups, members, maxGroup int) (rounds, messages int) {
+	if groups == 0 {
+		return 0, 0
+	}
+	return bits.Len(uint(maxGroup - 1)), members - groups
 }
 
 // annotateTreePlan attaches the tree-phase span: depth (= rounds), group
