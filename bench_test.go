@@ -17,19 +17,16 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
-	lbmpkg "lbmm/internal/lbm"
-	"lbmm/internal/routing"
-
 	"lbmm/internal/algo"
 	"lbmm/internal/core"
 	"lbmm/internal/exper"
 	"lbmm/internal/graph"
+	lbmpkg "lbmm/internal/lbm"
 	"lbmm/internal/matrix"
 	"lbmm/internal/obsv"
 	"lbmm/internal/params"
@@ -268,38 +265,6 @@ func BenchmarkSimulatorRound(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(n), "messages/round")
-}
-
-// BenchmarkColoring compares the two edge-colouring backends' planning cost.
-func BenchmarkColoring(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	var msgs []routing.Msg
-	n := 512
-	for i := 0; i < 16*n; i++ {
-		from := lbmpkg.NodeID(rng.Intn(n))
-		to := lbmpkg.NodeID(rng.Intn(n))
-		if from == to {
-			continue
-		}
-		msgs = append(msgs, routing.Msg{From: from, To: to,
-			Src: lbmpkg.TKey(int32(i), 0, 0), Dst: lbmpkg.TKey(int32(i), 1, 0)})
-	}
-	b.Run("euler", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p := routing.Schedule(msgs, routing.Euler)
-			if i == 0 {
-				b.ReportMetric(float64(p.NumRounds()), "rounds")
-			}
-		}
-	})
-	b.Run("konig", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p := routing.Schedule(msgs, routing.Konig)
-			if i == 0 {
-				b.ReportMetric(float64(p.NumRounds()), "rounds")
-			}
-		}
-	})
 }
 
 // BenchmarkPreparedMultiply measures the amortized host cost of repeated

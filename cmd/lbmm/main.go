@@ -184,7 +184,7 @@ func main() {
 	case "trace":
 		err = runTrace(*n, *d, *algName, *wlName, *ringName, *format, *outPath)
 	case "exchanges":
-		err = runExchanges(*n, *d)
+		err = runExchanges(os.Stdout, *n, *d)
 	case "json":
 		var data []byte
 		if data, err = exper.JSON(scale); err == nil {
@@ -312,15 +312,15 @@ func workloadInstance(wlName string, n, d int) (*graph.Instance, error) {
 	return nil, fmt.Errorf("unknown workload %q", wlName)
 }
 
-// runExchanges prints the rounds-versus-exchanges table of EXPERIMENTS.md:
+// runExchanges writes the rounds-versus-exchanges table of EXPERIMENTS.md:
 // for each workload and algorithm, per phase, the network rounds the model
 // charges and the exchanges a transport blocks on (core.Prepared.Exchanges),
 // with the dependency-depth floor. The auto row names the plan it kept.
 // Everything is read off the compiled plans; nothing is executed.
-func runExchanges(n, d int) error {
-	fmt.Printf("model rounds vs. physical exchanges, n=%d d=%d (rounds→exchanges per phase; phases without messages omitted)\n\n", n, d)
-	fmt.Println("| workload | algorithm | rounds | exchanges | depth floor | per phase |")
-	fmt.Println("|---|---|---|---|---|---|")
+func runExchanges(w io.Writer, n, d int) error {
+	fmt.Fprintf(w, "model rounds vs. physical exchanges, n=%d d=%d (rounds→exchanges per phase; phases without messages omitted)\n\n", n, d)
+	fmt.Fprintln(w, "| workload | algorithm | rounds | exchanges | depth floor | per phase |")
+	fmt.Fprintln(w, "|---|---|---|---|---|---|")
 	for _, wl := range []string{"us", "blocks", "powerlaw", "mixed"} {
 		inst, err := workloadInstance(wl, n, d)
 		if err != nil {
@@ -341,7 +341,7 @@ func runExchanges(n, d int) error {
 					phases = append(phases, fmt.Sprintf("%s %d→%d", ph.Phase, ph.Rounds, ph.Exchanges))
 				}
 			}
-			fmt.Printf("| %s | %s | %d | %d | %d | %s |\n", wl, alg, rep.Rounds, rep.Exchanges, rep.Depth, strings.Join(phases, ", "))
+			fmt.Fprintf(w, "| %s | %s | %d | %d | %d | %s |\n", wl, alg, rep.Rounds, rep.Exchanges, rep.Depth, strings.Join(phases, ", "))
 		}
 	}
 	return nil

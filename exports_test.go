@@ -45,11 +45,12 @@ var exportAllowlist = map[string]string{
 	"ring.Fields":            "test helper: the rings with subtraction, for the field-only tests",
 	"vnet.New":               "test helper: a virtual network from an explicit host assignment",
 	"workload.BlocksShifted": "test helper: distinct structures for BenchmarkServeCacheMiss",
-	// internal/cclique is README's §1.5 row; ROADMAP item 11 plans its caller.
-	"cclique.Simulate": "README §1.5 row: waits for the clique-fusion property test",
-	"cclique.AllToAll": "README §1.5 row: waits for the clique-fusion property test",
-	"cclique.DenseMM":  "README §1.5 row: waits for the clique-fusion property test",
-	"cclique.LocalMM":  "README §1.5 row: waits for the clique-fusion property test",
+	// internal/cclique is README's §1.5 row: its tests hold the simulation to
+	// a clique oracle, and no program path runs it.
+	"cclique.Simulate": "README §1.5 row: the n·T(n) simulation, checked by TestCliqueRoundReadsStartState",
+	"cclique.AllToAll": "README §1.5 row: the all-to-all round the simulation theorem is tested on",
+	"cclique.DenseMM":  "README §1.5 row: the folklore clique dense multiplication the simulation is tested on",
+	"cclique.LocalMM":  "README §1.5 row: DenseMM's local products",
 }
 
 // stdlibCalls are the method names the standard library calls through an

@@ -218,7 +218,7 @@ func (pl *Planner) Theorem42Candidate() Candidate {
 
 // priceLemma31 returns the Cost of the Lemma 3.1 job over tris at the
 // natural budget from counts (fewtri.Price), without building it. Where the
-// counts leave its rounds open, an h-relation so large that routing.Auto
+// counts leave its rounds open, an h-relation so large that routing.Schedule
 // splits it by Euler, it builds the job with plan and reads its Cost.
 func (pl *Planner) priceLemma31(tris []graph.Triangle, plan func() (*fewtri.Job, error)) (rounds, messages int, err error) {
 	rounds, messages, exact, err := fewtri.Price(pl.inst.N, pl.l, tris, 0)

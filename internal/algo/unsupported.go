@@ -69,15 +69,15 @@ func DisseminateSupport(m *lbm.Machine, l *lbm.Layout, inst *graph.Instance) (in
 	// Stage the code words locally at their owners (free: the owner knows
 	// its own entries), then gather.
 	perOwner := map[lbm.NodeID]int32{}
-	var msgs []routing.Msg
+	var msgs []lbm.Send
 	for t, e := range entries {
 		src := lbm.Key{Kind: kindSupport, I: -1 - perOwner[e.owner], J: int32(e.owner), Seq: 0}
 		perOwner[e.owner]++
 		m.Put(e.owner, src, e.code)
 		dst := lbm.Key{Kind: kindSupport, I: int32(t), J: 0, Seq: 0}
-		msgs = append(msgs, routing.Msg{From: e.owner, To: 0, Src: src, Dst: dst, Op: lbm.OpSet})
+		msgs = append(msgs, lbm.Send{From: e.owner, To: 0, Src: src, Dst: dst, Op: lbm.OpSet})
 	}
-	if err := m.Route(routing.Schedule(msgs, routing.Auto), "", "unsupported gather", false); err != nil {
+	if err := m.Route(routing.Schedule(msgs), "", "unsupported gather", false); err != nil {
 		return 0, err
 	}
 	m.EndPhase()

@@ -4,44 +4,24 @@
 // (n−1 sends and n−1 receives), and "any algorithm that runs in T(n) rounds
 // in the congested clique model can be simulated in n·T(n) rounds in the
 // low-bandwidth model". The Simulate function is that theorem made
-// executable: each congested-clique round is an h-relation of degree at
-// most n−1, which the edge-colouring scheduler realizes in at most n−1
-// low-bandwidth rounds.
+// executable: a clique plan is an lbm.Plan whose rounds Validate accepts,
+// and each of its rounds is an h-relation of degree at most n−1, which
+// routing.ScheduleRound — the lowering vnet's virtual rounds share —
+// realizes in at most n−1 low-bandwidth rounds, every message reading the
+// clique round's start state.
 package cclique
 
 import (
 	"fmt"
+	"slices"
 
 	"lbmm/internal/lbm"
 	"lbmm/internal/routing"
 )
 
-// Send is one congested-clique message.
-type Send struct {
-	From, To lbm.NodeID
-	Src, Dst lbm.Key
-	Op       lbm.Op
-}
-
-// Round is one congested-clique round: at most one message per ordered
-// (From, To) pair.
-type Round []Send
-
-// Plan is a congested-clique communication plan.
-type Plan struct {
-	Rounds []Round
-}
-
-// Append adds a non-empty round.
-func (p *Plan) Append(r Round) {
-	if len(r) > 0 {
-		p.Rounds = append(p.Rounds, r)
-	}
-}
-
-// Validate checks the congested-clique constraint: within a round, every
-// ordered pair of computers exchanges at most one message.
-func (p *Plan) Validate(n int) error {
+// Validate checks that p is a congested-clique plan on n computers: within
+// a round, every ordered pair of computers exchanges at most one message.
+func Validate(p *lbm.Plan, n int) error {
 	for t, r := range p.Rounds {
 		seen := make(map[[2]lbm.NodeID]bool, len(r))
 		for _, s := range r {
@@ -59,19 +39,18 @@ func (p *Plan) Validate(n int) error {
 }
 
 // Simulate compiles a congested-clique plan into a low-bandwidth plan
-// (§1.5): each congested-clique round becomes at most n−1 low-bandwidth
-// rounds, so a T-round clique algorithm costs at most (n−1)·T ≤ n·T rounds.
-func Simulate(p *Plan, n int) (*lbm.Plan, error) {
-	if err := p.Validate(n); err != nil {
+// (§1.5): each congested-clique round is lowered by routing.ScheduleRound,
+// so it reads the clique round's start state and becomes at most n−1
+// low-bandwidth rounds (plus a free round of snapshot copies where the
+// round overwrites a key it also sends), and a T-round clique algorithm
+// costs at most (n−1)·T ≤ n·T rounds.
+func Simulate(p *lbm.Plan, n int) (*lbm.Plan, error) {
+	if err := Validate(p, n); err != nil {
 		return nil, err
 	}
 	out := &lbm.Plan{}
 	for _, r := range p.Rounds {
-		msgs := make([]routing.Msg, len(r))
-		for i, s := range r {
-			msgs[i] = routing.Msg{From: s.From, To: s.To, Src: s.Src, Dst: s.Dst, Op: s.Op}
-		}
-		out.Extend(routing.Schedule(msgs, routing.Auto))
+		routing.ScheduleRound(out, slices.Clone(r))
 	}
 	return out, nil
 }
@@ -81,20 +60,20 @@ func Simulate(p *Plan, n int) (*lbm.Plan, error) {
 // (stored under a per-sender destination key built by dst). Simulating it
 // in the low-bandwidth model costs exactly n−1 rounds — the gap between
 // the models the paper's §1.5 calls out.
-func AllToAll(n int, src func(from lbm.NodeID) lbm.Key, dst func(from lbm.NodeID) lbm.Key) *Plan {
-	var r Round
+func AllToAll(n int, src func(from lbm.NodeID) lbm.Key, dst func(from lbm.NodeID) lbm.Key) *lbm.Plan {
+	var r lbm.Round
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
 			if u == v {
 				continue
 			}
-			r = append(r, Send{
+			r = append(r, lbm.Send{
 				From: lbm.NodeID(u), To: lbm.NodeID(v),
 				Src: src(lbm.NodeID(u)), Dst: dst(lbm.NodeID(u)), Op: lbm.OpSet,
 			})
 		}
 	}
-	p := &Plan{}
+	p := &lbm.Plan{}
 	p.Append(r)
 	return p
 }
@@ -110,17 +89,17 @@ func AllToAll(n int, src func(from lbm.NodeID) lbm.Key, dst func(from lbm.NodeID
 //
 // The returned plan only moves B; the caller runs the local products
 // afterwards (LocalMM below).
-func DenseMM(n int) *Plan {
-	p := &Plan{}
+func DenseMM(n int) *lbm.Plan {
+	p := &lbm.Plan{}
 	for t := 0; t < n; t++ {
-		var r Round
+		var r lbm.Round
 		for j := 0; j < n; j++ {
 			for i := 0; i < n; i++ {
 				if i == j {
 					continue
 				}
 				k := (t + i + j) % n
-				r = append(r, Send{
+				r = append(r, lbm.Send{
 					From: lbm.NodeID(j), To: lbm.NodeID(i),
 					Src: lbm.BKey(int32(j), int32(k)),
 					Dst: lbm.BKey(int32(j), int32(k)),

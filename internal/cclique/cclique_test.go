@@ -1,6 +1,7 @@
 package cclique
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,23 +11,23 @@ import (
 )
 
 func TestValidateRejectsDuplicatesAndRange(t *testing.T) {
-	p := &Plan{}
-	p.Append(Round{
+	p := &lbm.Plan{}
+	p.Append(lbm.Round{
 		{From: 0, To: 1, Src: lbm.TKey(0, 0, 0), Dst: lbm.TKey(0, 0, 1)},
 		{From: 0, To: 1, Src: lbm.TKey(0, 0, 0), Dst: lbm.TKey(0, 0, 2)},
 	})
-	if err := p.Validate(4); err == nil || !strings.Contains(err.Error(), "duplicate") {
+	if err := Validate(p, 4); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("err = %v", err)
 	}
-	p2 := &Plan{}
-	p2.Append(Round{{From: 0, To: 9, Src: lbm.TKey(0, 0, 0), Dst: lbm.TKey(0, 0, 1)}})
-	if err := p2.Validate(4); err == nil {
+	p2 := &lbm.Plan{}
+	p2.Append(lbm.Round{{From: 0, To: 9, Src: lbm.TKey(0, 0, 0), Dst: lbm.TKey(0, 0, 1)}})
+	if err := Validate(p2, 4); err == nil {
 		t.Error("range violation accepted")
 	}
 	// A full clique round is valid: n(n-1) messages, one per ordered pair.
 	p3 := AllToAll(5, func(u lbm.NodeID) lbm.Key { return lbm.TKey(int32(u), 0, 0) },
 		func(u lbm.NodeID) lbm.Key { return lbm.TKey(int32(u), 1, 0) })
-	if err := p3.Validate(5); err != nil {
+	if err := Validate(p3, 5); err != nil {
 		t.Error(err)
 	}
 }
@@ -70,8 +71,8 @@ func TestSimulationTheorem(t *testing.T) {
 }
 
 func TestSimulateRejectsInvalid(t *testing.T) {
-	p := &Plan{}
-	p.Append(Round{
+	p := &lbm.Plan{}
+	p.Append(lbm.Round{
 		{From: 1, To: 1, Src: lbm.TKey(0, 0, 0), Dst: lbm.TKey(0, 0, 1)},
 		{From: 1, To: 1, Src: lbm.TKey(0, 0, 0), Dst: lbm.TKey(0, 0, 1)},
 	})
@@ -90,11 +91,11 @@ func TestMultiRoundPipelines(t *testing.T) {
 	for u := 0; u < n; u++ {
 		m.Put(lbm.NodeID(u), key(0), ring.Value(u))
 	}
-	p := &Plan{}
+	p := &lbm.Plan{}
 	for hop := 0; hop < 2; hop++ {
-		var r Round
+		var r lbm.Round
 		for u := 0; u < n; u++ {
-			r = append(r, Send{
+			r = append(r, lbm.Send{
 				From: lbm.NodeID(u), To: lbm.NodeID((u + 1) % n),
 				Src: key(hop), Dst: key(hop + 1), Op: lbm.OpSet,
 			})
@@ -140,7 +141,7 @@ func TestDenseMMSimulation(t *testing.T) {
 		}
 	}
 	cc := DenseMM(n)
-	if err := cc.Validate(n); err != nil {
+	if err := Validate(cc, n); err != nil {
 		t.Fatal(err)
 	}
 	if len(cc.Rounds) != n {
@@ -169,5 +170,147 @@ func TestDenseMMSimulation(t *testing.T) {
 				t.Fatalf("X(%d,%d) = %v, want %v", i, k, got, want)
 			}
 		}
+	}
+}
+
+// cliqueOracle runs a clique plan on per-computer stores the way the model
+// defines a round: every message reads the round's start state, then all of
+// them are delivered. It is the specification Simulate must match.
+func cliqueOracle(p *lbm.Plan, stores []map[lbm.Key]ring.Value, r ring.Semiring) {
+	for _, round := range p.Rounds {
+		vals := make([]ring.Value, len(round))
+		for i, s := range round {
+			vals[i] = stores[s.From][s.Src]
+		}
+		for i, s := range round {
+			if s.Op == lbm.OpAcc {
+				cur, ok := stores[s.To][s.Dst]
+				if !ok {
+					cur = r.Zero()
+				}
+				vals[i] = r.Add(cur, vals[i])
+			}
+			stores[s.To][s.Dst] = vals[i]
+		}
+	}
+}
+
+// conflicted reports whether some message of round reads a (computer, key)
+// that the round also writes: the case a schedule spread over several
+// machine rounds would read torn.
+func conflicted(round lbm.Round) bool {
+	type held struct {
+		node lbm.NodeID
+		key  lbm.Key
+	}
+	written := map[held]bool{}
+	for _, s := range round {
+		written[held{s.To, s.Dst}] = true
+	}
+	for _, s := range round {
+		if written[held{s.From, s.Src}] {
+			return true
+		}
+	}
+	return false
+}
+
+// TestCliqueRoundReadsStartState holds Simulate to cliqueOracle: on a
+// three-computer round where every computer's key is both sent and
+// overwritten, and on random Validate-clean plans that include such rounds.
+// Each simulation also costs no fewer exchanges than its dependency depth
+// and no more than its clique rounds: one clique round's messages read only
+// its start state, so its rounds never need a second barrier.
+func TestCliqueRoundReadsStartState(t *testing.T) {
+	r := ring.NewGFp(1009)
+	key := func(slot int) lbm.Key { return lbm.TKey(int32(slot), 5, 0) }
+	check := func(name string, n int, cc *lbm.Plan, start func(u, slot int) ring.Value, slots int) {
+		t.Helper()
+		if err := Validate(cc, n); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		m := lbm.New(n, r)
+		stores := make([]map[lbm.Key]ring.Value, n)
+		for u := range stores {
+			stores[u] = map[lbm.Key]ring.Value{}
+			for slot := range slots {
+				v := start(u, slot)
+				stores[u][key(slot)] = v
+				m.Put(lbm.NodeID(u), key(slot), v)
+			}
+		}
+		low, err := Simulate(cc, n)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := m.Run(low); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cliqueOracle(cc, stores, r)
+		for u := range stores {
+			for k, want := range stores[u] {
+				if got, ok := m.Get(lbm.NodeID(u), k); !ok || got != want {
+					t.Fatalf("%s: computer %d key %v = %v,%v, want %v", name, u, k, got, ok, want)
+				}
+			}
+		}
+		cp, err := lbm.CompileInto(lbm.NewSlotSpace(n), low)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ch := cp.Chain()
+		depth, exchanges := ch.Depth(), ch.Schedule().Exchanges()
+		if depth > exchanges || exchanges > len(cc.Rounds) {
+			t.Fatalf("%s: depth %d, %d exchanges, %d clique rounds: want depth ≤ exchanges ≤ clique rounds",
+				name, depth, exchanges, len(cc.Rounds))
+		}
+	}
+
+	// Computer u sends K to u+1 into K, and to u+2 into K2: every K is read
+	// and overwritten in the same round.
+	const n = 3
+	var round lbm.Round
+	for u := range n {
+		round = append(round,
+			lbm.Send{From: lbm.NodeID(u), To: lbm.NodeID((u + 1) % n), Src: key(0), Dst: key(0), Op: lbm.OpSet},
+			lbm.Send{From: lbm.NodeID(u), To: lbm.NodeID((u + 2) % n), Src: key(0), Dst: key(1), Op: lbm.OpSet})
+	}
+	ring3 := &lbm.Plan{}
+	ring3.Append(round)
+	check("ring of three", n, ring3, func(u, slot int) ring.Value { return ring.Value(10 + u + 100*slot) }, 2)
+
+	rng := rand.New(rand.NewSource(52))
+	withConflicts := 0
+	for trial := range 60 {
+		n := 2 + rng.Intn(7)
+		slots := 1 + rng.Intn(3)
+		cc := &lbm.Plan{}
+		for range 1 + rng.Intn(5) {
+			var round lbm.Round
+			taken := map[[2]int]bool{} // (receiver, destination slot) written this round
+			for u := range n {
+				for v := range n {
+					dst := rng.Intn(slots)
+					if rng.Intn(2) == 0 || taken[[2]int{v, dst}] {
+						continue
+					}
+					taken[[2]int{v, dst}] = true
+					op := lbm.OpSet
+					if rng.Intn(2) == 0 {
+						op = lbm.OpAcc
+					}
+					round = append(round, lbm.Send{From: lbm.NodeID(u), To: lbm.NodeID(v),
+						Src: key(rng.Intn(slots)), Dst: key(dst), Op: op})
+				}
+			}
+			if conflicted(round) {
+				withConflicts++
+			}
+			cc.Append(round)
+		}
+		check(fmt.Sprintf("trial %d", trial), n, cc, func(u, slot int) ring.Value { return ring.Value(rng.Intn(1009)) }, slots)
+	}
+	if withConflicts == 0 {
+		t.Fatal("no random clique round reads a key it also writes")
 	}
 }

@@ -177,7 +177,7 @@ const (
 // the load slots numbered from the planner's own triangle walk, this reads
 // 146.
 func TestPrepareAutoAllocs(t *testing.T) {
-	prepareAllocs(t, "", prepareAutoAllocs)
+	prepareAllocs(t, "US n=256, d=4", workload.Instance(matrix.US, matrix.US, matrix.US, 256, 4, 1), "", prepareAutoAllocs)
 }
 
 // TestPrepareTrivialAllocs pins the trivial Prepare of
@@ -186,32 +186,49 @@ func TestPrepareAutoAllocs(t *testing.T) {
 // 122; with the load slots numbered from the planner's triangle walk instead
 // of a second walk, it reads 120.
 func TestPrepareTrivialAllocs(t *testing.T) {
-	prepareAllocs(t, "trivial", prepareTrivialAllocs)
+	prepareAllocs(t, "US n=256, d=4", workload.Instance(matrix.US, matrix.US, matrix.US, 256, 4, 1), "trivial", prepareTrivialAllocs)
 }
 
-// prepareAllocs fails t when a Prepare of algorithm alg on US n=256, d=4
-// allocates more than bound times.
-func prepareAllocs(t *testing.T, alg string, bound int) {
+// TestPrepareAutoBlocks64Allocs pins the auto Prepare of
+// BenchmarkPrepareAutoBlocks64, which plans Theorem 4.2's cube batches and
+// lowers them through vnet to price them, then keeps the trivial plan. With
+// every virtual message copied from its own struct type into the
+// scheduler's and back it read 4,946; scheduled as lbm.Send throughout, it
+// reads 4,442.
+func TestPrepareAutoBlocks64Allocs(t *testing.T) {
+	prepareAllocs(t, "Blocks(64, 8)", workload.Blocks(64, 8), "", prepareAutoBlocksAllocs)
+}
+
+// TestPrepareMixed256Allocs pins the trivial Prepare of
+// BenchmarkPrepareMixed256: one fetch h-relation of 18,230 triangles. It
+// reads 193.
+func TestPrepareMixed256Allocs(t *testing.T) {
+	prepareAllocs(t, "Mixed(256, 8, 1)", workload.Mixed(256, 8, 1), "trivial", prepareMixedAllocs)
+}
+
+// prepareAllocs fails t when a Prepare of algorithm alg on inst, the
+// structure called name, allocates more than bound times.
+func prepareAllocs(t *testing.T, name string, inst *graph.Instance, alg string, bound int) {
 	t.Helper()
-	inst := workload.Instance(matrix.US, matrix.US, matrix.US, 256, 4, 1)
-	opts := Options{Ring: ring.Counting{}, D: 4, Algorithm: alg}
+	opts := Options{Ring: ring.Counting{}, D: inst.D, Algorithm: alg}
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := Prepare(inst.Ahat, inst.Bhat, inst.Xhat, opts); err != nil {
 			t.Fatal(err)
 		}
 	})
-	name := cmp.Or(alg, "auto")
-	t.Logf("%s Prepare at n=256, d=4: %.0f allocations", name, allocs)
+	alg = cmp.Or(alg, "auto")
+	t.Logf("%s Prepare of %s: %.0f allocations", alg, name, allocs)
 	if allocs > float64(bound) {
-		t.Errorf("%s Prepare at n=256, d=4: %.0f allocations, want at most %d", name, allocs, bound)
+		t.Errorf("%s Prepare of %s: %.0f allocations, want at most %d", alg, name, allocs, bound)
 	}
 }
 
-// The bounds of TestPrepareAutoAllocs and TestPrepareTrivialAllocs, about
-// 5% over what they read.
+// The bounds of the Prepare allocation pins, about 5% over what they read.
 const (
-	prepareAutoAllocs    = 153
-	prepareTrivialAllocs = 126
+	prepareAutoAllocs       = 153
+	prepareTrivialAllocs    = 126
+	prepareAutoBlocksAllocs = 4664
+	prepareMixedAllocs      = 203
 )
 
 // prepareClusters prepares Theorem 4.2 on inst over r and checks phase 1

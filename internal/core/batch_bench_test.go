@@ -76,6 +76,20 @@ func BenchmarkPrepareAutoMixed256(b *testing.B) {
 	benchmarkPrepare(b, workload.Mixed(256, 8, 1), "auto")
 }
 
+// BenchmarkPrepareAutoBlocks64 prepares Blocks(64, 8) with auto: it keeps
+// the trivial plan, but Theorem 4.2's candidate is planned in full to be
+// priced, cube batches lowered through vnet included.
+func BenchmarkPrepareAutoBlocks64(b *testing.B) {
+	benchmarkPrepare(b, workload.Blocks(64, 8), "auto")
+}
+
+// BenchmarkPrepareMixed256 prepares Mixed(256, 8, 1) with the trivial
+// algorithm named: its one fetch h-relation coloured by routing.Schedule,
+// the plan auto keeps there, with no other candidate priced.
+func BenchmarkPrepareMixed256(b *testing.B) {
+	benchmarkPrepare(b, workload.Mixed(256, 8, 1), "trivial")
+}
+
 func benchmarkPrepare(b *testing.B, inst *graph.Instance, alg string) {
 	opts := core.Options{Ring: ring.Counting{}, D: inst.D, Algorithm: alg}
 	b.ReportAllocs()

@@ -100,7 +100,7 @@ func cheapest(r ring.Semiring, inst *graph.Instance, band1 bool) (*algo.Prepared
 // only the first of the cheapest that priced. A routing step's length
 // depends only on its h-relation's send and receive degrees: an exact König
 // schedule has exactly Δ rounds, so pricing a candidate colours nothing,
-// except an h-relation so large that routing.Auto splits it by Euler, whose
+// except an h-relation so large that routing.Schedule splits it by Euler, whose
 // rounds only its colouring tells. The trivial candidate is priced off its
 // plan; Lemma 3.1's job, alone or as Theorem 4.2's phase 2, is priced from
 // counts and built only if kept (algo.Candidate). A candidate whose pricing

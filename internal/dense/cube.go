@@ -54,8 +54,8 @@ type CubeSpec struct {
 // CubeJob is a planned batch: two virtual communication phases with a free
 // local multiplication step between them.
 type CubeJob struct {
-	distribute *vnet.Plan
-	aggregate  *vnet.Plan
+	distribute *lbm.Plan
+	aggregate  *lbm.Plan
 	// prods are the free local products: host computes a*b into dst.
 	prods []prodTask
 	// cleanup lists staged copies to delete after the batch (the original
@@ -177,10 +177,10 @@ func PlanCube(net *vnet.Net, spec *CubeSpec) (*CubeJob, error) {
 	// Phase 1: distribute the needed A and B copies (one h-relation). The
 	// cleanup list is read off the sorted sends, never off the maps, so the
 	// emitted program is the same in every process.
-	var dist []vnet.Send
+	var dist []lbm.Send
 	for _, need := range [...]map[pairDst]struct{}{needA, needB} {
 		for nd := range need {
-			dist = append(dist, vnet.Send{From: nd.from, To: nd.dst, Src: nd.key, Dst: nd.key, Op: lbm.OpSet})
+			dist = append(dist, lbm.Send{From: nd.from, To: nd.dst, Src: nd.key, Dst: nd.key, Op: lbm.OpSet})
 		}
 	}
 	sortSends(dist)
@@ -189,12 +189,12 @@ func PlanCube(net *vnet.Net, spec *CubeSpec) (*CubeJob, error) {
 			job.cleanup = append(job.cleanup, hostKeyPair{net.Host[s.To], s.Dst})
 		}
 	}
-	job.distribute = vnet.ScheduleVirtual(dist, routing.Auto)
+	job.distribute = routing.Schedule(dist)
 
 	// Phase 2: aggregate partials into the X owners.
-	var agg []vnet.Send
+	var agg []lbm.Send
 	for pt, p := range partialProc {
-		agg = append(agg, vnet.Send{
+		agg = append(agg, lbm.Send{
 			From: p, To: int32(spec.Layout.OwnerX(pt.i, pt.k)),
 			Src: lbm.PKey(pt.i, pt.k, int32(pt.b)), Dst: lbm.XKey(pt.i, pt.k), Op: lbm.OpAcc,
 		})
@@ -203,13 +203,13 @@ func PlanCube(net *vnet.Net, spec *CubeSpec) (*CubeJob, error) {
 	for _, s := range agg {
 		job.cleanup = append(job.cleanup, hostKeyPair{net.Host[s.From], s.Src})
 	}
-	job.aggregate = vnet.ScheduleVirtual(agg, routing.Auto)
+	job.aggregate = routing.Schedule(agg)
 	return job, nil
 }
 
 // sortSends orders virtual messages deterministically so that plans built
 // from map iteration are reproducible run to run.
-func sortSends(msgs []vnet.Send) {
+func sortSends(msgs []lbm.Send) {
 	sort.Slice(msgs, func(a, b int) bool {
 		x, y := msgs[a], msgs[b]
 		if x.From != y.From {
@@ -277,7 +277,7 @@ type CubeProgram struct {
 // processors and disjoint input rows — true for the disjoint clusters of
 // one clustering) and compiles them to real plans.
 func PlanCubeProgram(net *vnet.Net, jobs []*CubeJob) (*CubeProgram, error) {
-	var distPlans, aggPlans []*vnet.Plan
+	var distPlans, aggPlans []*lbm.Plan
 	for _, j := range jobs {
 		if j.distribute != nil {
 			distPlans = append(distPlans, j.distribute)
@@ -286,11 +286,11 @@ func PlanCubeProgram(net *vnet.Net, jobs []*CubeJob) (*CubeProgram, error) {
 			aggPlans = append(aggPlans, j.aggregate)
 		}
 	}
-	dist, err := net.Compile(vnet.MergeParallel(distPlans...), routing.Auto)
+	dist, err := net.Compile(vnet.MergeParallel(distPlans...))
 	if err != nil {
 		return nil, fmt.Errorf("dense: distribute: %w", err)
 	}
-	agg, err := net.Compile(vnet.MergeParallel(aggPlans...), routing.Auto)
+	agg, err := net.Compile(vnet.MergeParallel(aggPlans...))
 	if err != nil {
 		return nil, fmt.Errorf("dense: aggregate: %w", err)
 	}

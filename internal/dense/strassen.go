@@ -143,10 +143,10 @@ func VariantWinograd() *bilinear { return Winograd }
 
 // StrassenJob is a planned batch.
 type StrassenJob struct {
-	down  []*vnet.Plan // one per level transition, A and B combined
-	up    []*vnet.Plan // one per level transition (reverse order: deepest first)
-	final *vnet.Plan   // C(0) -> X owners
-	init  *vnet.Plan   // A,B -> level-0 element owners
+	down  []*lbm.Plan // one per level transition, A and B combined
+	up    []*lbm.Plan // one per level transition (reverse order: deepest first)
+	final *lbm.Plan   // C(0) -> X owners
+	init  *lbm.Plan   // A,B -> level-0 element owners
 	leafs []leafTask
 	// cleanup: every scratch element key created, to delete after the run.
 	cleanup []hostKeyPair
@@ -261,7 +261,7 @@ func PlanStrassen(net *vnet.Net, spec *StrassenSpec) (*StrassenJob, error) {
 
 	// Level 0 init: route A(i,j) and B(j,k) from their row-layout owners to
 	// the level-0 element owners.
-	var initMsgs []vnet.Send
+	var initMsgs []lbm.Send
 	addInit := func(pres []bool, sup *matrix.Support, rowSet, colSet []int32,
 		srcOf func(g1, g2 int32) (int32, lbm.Key), kind lbm.Kind) {
 		for up, g1 := range rowSet {
@@ -274,7 +274,7 @@ func PlanStrassen(net *vnet.Net, spec *StrassenSpec) (*StrassenJob, error) {
 				from, src := srcOf(g1, g2)
 				to := owner(procs, 0, k, 0, u, v, int32(D))
 				dst := elemKey(kind, u, v, seqOf(spec.Tag, 0))
-				initMsgs = append(initMsgs, vnet.Send{From: from, To: to, Src: src, Dst: dst, Op: lbm.OpSet})
+				initMsgs = append(initMsgs, lbm.Send{From: from, To: to, Src: src, Dst: dst, Op: lbm.OpSet})
 				job.cleanup = append(job.cleanup, hostKeyPair{net.Host[to], dst})
 			}
 		}
@@ -286,13 +286,13 @@ func PlanStrassen(net *vnet.Net, spec *StrassenSpec) (*StrassenJob, error) {
 		return n + int32(spec.Layout.OwnerB(g1, g2)), lbm.BKey(g1, g2)
 	}, kindB(0))
 	sortSends(initMsgs)
-	job.init = vnet.ScheduleVirtual(initMsgs, routing.Auto)
+	job.init = routing.Schedule(initMsgs)
 
 	// Downward phases.
 	for l := 0; l < k; l++ {
 		size := int32(D >> l)
 		half := size / 2
-		var msgs []vnet.Send
+		var msgs []lbm.Send
 		for s := 0; s < pow7(l); s++ {
 			pa := presA[l][s]
 			pb := presB[l][s]
@@ -322,7 +322,7 @@ func PlanStrassen(net *vnet.Net, spec *StrassenSpec) (*StrassenJob, error) {
 							from := owner(procs, l, k, s, pu, pv, size)
 							to := owner(procs, l+1, k, child, u, v, half)
 							dst := elemKey(kindA(l+1), u, v, seqOf(spec.Tag, child))
-							msgs = append(msgs, vnet.Send{
+							msgs = append(msgs, lbm.Send{
 								From: from, To: to,
 								Src: elemKey(kindA(l), pu, pv, seqOf(spec.Tag, s)), Dst: dst, Op: op,
 							})
@@ -346,7 +346,7 @@ func PlanStrassen(net *vnet.Net, spec *StrassenSpec) (*StrassenJob, error) {
 							from := owner(procs, l, k, s, pu, pv, size)
 							to := owner(procs, l+1, k, child, u, v, half)
 							dst := elemKey(kindB(l+1), u, v, seqOf(spec.Tag, child))
-							msgs = append(msgs, vnet.Send{
+							msgs = append(msgs, lbm.Send{
 								From: from, To: to,
 								Src: elemKey(kindB(l), pu, pv, seqOf(spec.Tag, s)), Dst: dst, Op: op,
 							})
@@ -359,7 +359,7 @@ func PlanStrassen(net *vnet.Net, spec *StrassenSpec) (*StrassenJob, error) {
 			}
 		}
 		sortSends(msgs)
-		job.down = append(job.down, vnet.ScheduleVirtual(msgs, routing.Auto))
+		job.down = append(job.down, routing.Schedule(msgs))
 	}
 
 	// Leaf products and their C presence (support product of presA, presB).
@@ -409,7 +409,7 @@ func PlanStrassen(net *vnet.Net, spec *StrassenSpec) (*StrassenJob, error) {
 	for l := k - 1; l >= 0; l-- {
 		size := int32(D >> l)
 		half := size / 2
-		var msgs []vnet.Send
+		var msgs []lbm.Send
 		for s := 0; s < pow7(l); s++ {
 			var pc []bool
 			for q := 0; q < 4; q++ {
@@ -437,7 +437,7 @@ func PlanStrassen(net *vnet.Net, spec *StrassenSpec) (*StrassenJob, error) {
 							from := owner(procs, l+1, k, child, u, v, half)
 							to := owner(procs, l, k, s, pu, pv, size)
 							dst := elemKey(kindC(l), pu, pv, seqOf(spec.Tag, s))
-							msgs = append(msgs, vnet.Send{
+							msgs = append(msgs, lbm.Send{
 								From: from, To: to,
 								Src: elemKey(kindC(l+1), u, v, seqOf(spec.Tag, child)), Dst: dst, Op: op,
 							})
@@ -449,11 +449,11 @@ func PlanStrassen(net *vnet.Net, spec *StrassenSpec) (*StrassenJob, error) {
 			presC[l][s] = pc
 		}
 		sortSends(msgs)
-		job.up = append(job.up, vnet.ScheduleVirtual(msgs, routing.Auto))
+		job.up = append(job.up, routing.Schedule(msgs))
 	}
 
 	// Final phase: C(0) elements -> X owners, masked by SX.
-	var finals []vnet.Send
+	var finals []lbm.Send
 	pc := presC[0][0]
 	if pc != nil {
 		for up, gi := range spec.I {
@@ -466,7 +466,7 @@ func PlanStrassen(net *vnet.Net, spec *StrassenSpec) (*StrassenJob, error) {
 					continue
 				}
 				from := owner(procs, 0, k, 0, u, v, int32(D))
-				finals = append(finals, vnet.Send{
+				finals = append(finals, lbm.Send{
 					From: from, To: int32(spec.Layout.OwnerX(gi, gk)),
 					Src: elemKey(kindC(0), u, v, seqOf(spec.Tag, 0)), Dst: lbm.XKey(gi, gk), Op: lbm.OpAcc,
 				})
@@ -474,7 +474,7 @@ func PlanStrassen(net *vnet.Net, spec *StrassenSpec) (*StrassenJob, error) {
 		}
 	}
 	sortSends(finals)
-	job.final = vnet.ScheduleVirtual(finals, routing.Auto)
+	job.final = routing.Schedule(finals)
 	return job, nil
 }
 
@@ -489,14 +489,14 @@ type StrassenProgram struct {
 // PlanStrassenProgram merges each phase of the jobs' virtual plans and
 // compiles them to real plans.
 func PlanStrassenProgram(net *vnet.Net, jobs []*StrassenJob) (*StrassenProgram, error) {
-	compilePhase := func(pick func(*StrassenJob) *vnet.Plan, what string) (*lbm.Plan, error) {
-		var plans []*vnet.Plan
+	compilePhase := func(pick func(*StrassenJob) *lbm.Plan, what string) (*lbm.Plan, error) {
+		var plans []*lbm.Plan
 		for _, j := range jobs {
 			if p := pick(j); p != nil {
 				plans = append(plans, p)
 			}
 		}
-		real, err := net.Compile(vnet.MergeParallel(plans...), routing.Auto)
+		real, err := net.Compile(vnet.MergeParallel(plans...))
 		if err != nil {
 			return nil, fmt.Errorf("dense: strassen %s: %w", what, err)
 		}
@@ -513,12 +513,12 @@ func PlanStrassenProgram(net *vnet.Net, jobs []*StrassenJob) (*StrassenProgram, 
 	}
 	prog := &StrassenProgram{}
 	var err error
-	if prog.Init, err = compilePhase(func(j *StrassenJob) *vnet.Plan { return j.init }, "init"); err != nil {
+	if prog.Init, err = compilePhase(func(j *StrassenJob) *lbm.Plan { return j.init }, "init"); err != nil {
 		return nil, err
 	}
 	for l := 0; l < maxDown; l++ {
 		l := l
-		p, err := compilePhase(func(j *StrassenJob) *vnet.Plan {
+		p, err := compilePhase(func(j *StrassenJob) *lbm.Plan {
 			if l < len(j.down) {
 				return j.down[l]
 			}
@@ -531,7 +531,7 @@ func PlanStrassenProgram(net *vnet.Net, jobs []*StrassenJob) (*StrassenProgram, 
 	}
 	for l := 0; l < maxUp; l++ {
 		l := l
-		p, err := compilePhase(func(j *StrassenJob) *vnet.Plan {
+		p, err := compilePhase(func(j *StrassenJob) *lbm.Plan {
 			if l < len(j.up) {
 				return j.up[l]
 			}
@@ -542,7 +542,7 @@ func PlanStrassenProgram(net *vnet.Net, jobs []*StrassenJob) (*StrassenProgram, 
 		}
 		prog.Up = append(prog.Up, p)
 	}
-	if prog.Final, err = compilePhase(func(j *StrassenJob) *vnet.Plan { return j.final }, "final"); err != nil {
+	if prog.Final, err = compilePhase(func(j *StrassenJob) *lbm.Plan { return j.final }, "final"); err != nil {
 		return nil, err
 	}
 	return prog, nil

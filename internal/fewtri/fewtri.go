@@ -68,7 +68,7 @@ type Job struct {
 // priced from its degrees (routing.Price), until Colour schedules it; a
 // broadcast or convergecast tree is a plan from the start.
 type route struct {
-	msgs []routing.Msg
+	msgs []lbm.Send
 	plan *lbm.Plan
 }
 
@@ -78,7 +78,7 @@ func (r *route) planned() *lbm.Plan {
 	if r.plan != nil {
 		return r.plan
 	}
-	return routing.Schedule(r.msgs, routing.Auto)
+	return routing.Schedule(r.msgs)
 }
 
 // shape is the layout of a job: its outer phase, then the phase name of each
@@ -130,7 +130,7 @@ var (
 // summed over its routing steps as lbm.Plan.Cost counts them; the products
 // are free. A tree or a scheduled h-relation is read off its plan. An
 // h-relation Colour has not scheduled is priced from its degrees, which
-// colours nothing unless routing.Auto would split it by Euler, whose rounds
+// colours nothing unless routing.Schedule would split it by Euler, whose rounds
 // only a (discarded) schedule tells.
 func (job *Job) Cost() (rounds, messages int) {
 	for i := range job.routes {
@@ -156,7 +156,7 @@ func (job *Job) Cost() (rounds, messages int) {
 func (job *Job) Colour() {
 	for i := range job.routes {
 		if rt := &job.routes[i]; rt.plan == nil {
-			rt.plan = routing.Schedule(rt.msgs, routing.Auto)
+			rt.plan = routing.Schedule(rt.msgs)
 			rt.msgs = nil
 		}
 	}
@@ -248,7 +248,7 @@ func Plan(n int, l *lbm.Layout, tris []graph.Triangle, kappa int) (*Job, error) 
 	}
 	// An input array sends at most one anchor and one forward per triple,
 	// the output array at most one partial and one delivery: 6|T| messages.
-	ps := &planSink{routes: make([]route, 0, len(lemma31.phases)), msgs: make([]routing.Msg, 0, 6*len(tris))}
+	ps := &planSink{routes: make([]route, 0, len(lemma31.phases)), msgs: make([]lbm.Send, 0, 6*len(tris))}
 	if err := routeLemma31(ps, n, kappa, l, v); err != nil {
 		return nil, err
 	}
@@ -262,7 +262,7 @@ func Plan(n int, l *lbm.Layout, tris []graph.Triangle, kappa int) (*Job, error) 
 // the §3.3 routing arrays tallies each h-relation's per-computer degrees
 // (routing.Degrees) and each tree step's group sizes (routing.TreeCost)
 // where Plan writes messages and groups. exact is false where an h-relation
-// is so large that routing.Auto splits it by Euler, whose rounds only its
+// is so large that routing.Schedule splits it by Euler, whose rounds only its
 // colouring tells; rounds is then a lower bound, and only planning the job
 // and calling Cost tells the price.
 func Price(n int, l *lbm.Layout, tris []graph.Triangle, kappa int) (rounds, messages int, exact bool, err error) {
@@ -297,7 +297,7 @@ func PlanNaive(n int, l *lbm.Layout, tris []graph.Triangle, kappa int) *Job {
 		key   lbm.Key
 	}
 	seen := map[need]bool{}
-	var fetch []routing.Msg
+	var fetch []lbm.Send
 	add := func(vid int32, from lbm.NodeID, key lbm.Key) {
 		nd := need{vid, key}
 		if seen[nd] {
@@ -305,7 +305,7 @@ func PlanNaive(n int, l *lbm.Layout, tris []graph.Triangle, kappa int) *Job {
 		}
 		seen[nd] = true
 		host := v.hosts[vid]
-		fetch = append(fetch, routing.Msg{From: from, To: host, Src: key, Dst: key, Op: lbm.OpSet})
+		fetch = append(fetch, lbm.Send{From: from, To: host, Src: key, Dst: key, Op: lbm.OpSet})
 		if from != host {
 			job.cleanup = append(job.cleanup, hostKey{host, key})
 		}
@@ -317,7 +317,7 @@ func PlanNaive(n int, l *lbm.Layout, tris []graph.Triangle, kappa int) *Job {
 	// Deliver: each partial straight to its output owner, ordered by sender,
 	// receiver, then partial key.
 	done := map[lbm.Key]bool{}
-	var deliver []routing.Msg
+	var deliver []lbm.Send
 	for idx, t := range v.order {
 		vid := v.vnodeOf[idx]
 		src := lbm.PKey(t.I, t.K, vid)
@@ -325,7 +325,7 @@ func PlanNaive(n int, l *lbm.Layout, tris []graph.Triangle, kappa int) *Job {
 			continue
 		}
 		done[src] = true
-		deliver = append(deliver, routing.Msg{From: v.hosts[vid], To: l.OwnerX(t.I, t.K), Src: src, Dst: lbm.XKey(t.I, t.K), Op: lbm.OpAcc})
+		deliver = append(deliver, lbm.Send{From: v.hosts[vid], To: l.OwnerX(t.I, t.K), Src: src, Dst: lbm.XKey(t.I, t.K), Op: lbm.OpAcc})
 		job.cleanup = append(job.cleanup, hostKey{v.hosts[vid], src})
 	}
 	sort.Slice(deliver, func(x, y int) bool {
@@ -393,9 +393,9 @@ func PlanTrivial(l *lbm.Layout, tris []graph.Triangle) *Job {
 	})
 	fetches = slices.CompactFunc(fetches, func(x, y fetch) bool { return x.to == y.to && x.key == y.key })
 	slices.SortFunc(fetches, func(x, y fetch) int { return cmp.Compare(x.first, y.first) })
-	msgs := make([]routing.Msg, len(fetches))
+	msgs := make([]lbm.Send, len(fetches))
 	for i, f := range fetches {
-		msgs[i] = routing.Msg{From: f.from, To: f.to, Src: f.key, Dst: f.key, Op: lbm.OpSet}
+		msgs[i] = lbm.Send{From: f.from, To: f.to, Src: f.key, Dst: f.key, Op: lbm.OpSet}
 		if f.from != f.to {
 			job.cleanup = append(job.cleanup, hostKey{f.to, f.key})
 		}
@@ -432,7 +432,7 @@ type triple struct {
 // its run. The planner (planSink) writes them down, the pricer (priceSink)
 // counts them.
 type sink interface {
-	send(m routing.Msg)
+	send(m lbm.Send)
 	// group adds the computers first … last, holding or summing key, to a
 	// tree step.
 	group(first, last lbm.NodeID, key lbm.Key)
@@ -499,7 +499,7 @@ func inputRouting(s sink, n, kappa int, triples []triple, vnodeHost []lbm.NodeID
 	for from := 0; from < len(triples); from = spanEnd(triples, from) {
 		owner, key := ownerOf(triples[from].a, triples[from].b)
 		anchor := holder(from)
-		s.send(routing.Msg{From: owner, To: anchor, Src: key, Dst: key, Op: lbm.OpSet})
+		s.send(lbm.Send{From: owner, To: anchor, Src: key, Dst: key, Op: lbm.OpSet})
 		if anchor != owner {
 			s.clean(anchor, key)
 		}
@@ -526,7 +526,7 @@ func inputRouting(s sink, n, kappa int, triples []triple, vnodeHost []lbm.NodeID
 	for idx, tr := range triples {
 		owner, key := ownerOf(tr.a, tr.b)
 		dst := vnodeHost[tr.vnode]
-		s.send(routing.Msg{From: holder(idx), To: dst, Src: key, Dst: key, Op: lbm.OpSet})
+		s.send(lbm.Send{From: holder(idx), To: dst, Src: key, Dst: key, Op: lbm.OpSet})
 		if dst != owner {
 			s.clean(dst, key)
 		}
@@ -566,7 +566,7 @@ func outputRouting(s sink, n int, triples []triple, vnodeHost []lbm.NodeID, l *l
 	for idx, tr := range triples {
 		src := lbm.PKey(tr.a, tr.b, tr.vnode)
 		dst := lbm.PKey(tr.a, tr.b, aggSeq)
-		s.send(routing.Msg{From: vnodeHost[tr.vnode], To: holder(idx), Src: src, Dst: dst, Op: lbm.OpAcc})
+		s.send(lbm.Send{From: vnodeHost[tr.vnode], To: holder(idx), Src: src, Dst: dst, Op: lbm.OpAcc})
 		s.clean(vnodeHost[tr.vnode], src)
 		s.clean(holder(idx), dst)
 	}
@@ -585,7 +585,7 @@ func outputRouting(s sink, n int, triples []triple, vnodeHost []lbm.NodeID, l *l
 	// Step 3: anchor → output owner, accumulated into X.
 	for from := 0; from < len(triples); from = spanEnd(triples, from) {
 		a, b := triples[from].a, triples[from].b
-		s.send(routing.Msg{
+		s.send(lbm.Send{
 			From: holder(from), To: l.OwnerX(a, b),
 			Src: lbm.PKey(a, b, aggSeq), Dst: lbm.XKey(a, b), Op: lbm.OpAcc,
 		})
@@ -597,12 +597,12 @@ func outputRouting(s sink, n int, triples []triple, vnodeHost []lbm.NodeID, l *l
 // each tree step as its plan, and the staged copies in order.
 type planSink struct {
 	routes  []route
-	msgs    []routing.Msg
+	msgs    []lbm.Send
 	groups  []routing.Group
 	cleanup []hostKey
 }
 
-func (p *planSink) send(m routing.Msg) { p.msgs = append(p.msgs, m) }
+func (p *planSink) send(m lbm.Send) { p.msgs = append(p.msgs, m) }
 
 func (p *planSink) group(first, last lbm.NodeID, key lbm.Key) {
 	nodes := make([]lbm.NodeID, 0, int(last-first)+1)
@@ -640,7 +640,7 @@ type priceSink struct {
 	maxGroup         int
 }
 
-func (p *priceSink) send(m routing.Msg) { p.deg.Add(m.From, m.To) }
+func (p *priceSink) send(m lbm.Send) { p.deg.Add(m.From, m.To) }
 
 func (p *priceSink) group(first, last lbm.NodeID, _ lbm.Key) {
 	size := int(last-first) + 1

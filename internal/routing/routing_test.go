@@ -8,6 +8,10 @@ import (
 	"lbmm/internal/ring"
 )
 
+// byKonig and byEuler pin schedule's colouring backend, for the ablations.
+func byKonig(_, _ int) bool { return true }
+func byEuler(_, _ int) bool { return false }
+
 // properColoring checks that no two edges in a class share an endpoint and
 // that every edge is coloured exactly once.
 func properColoring(t *testing.T, edges []edge, classes [][]int32) {
@@ -109,14 +113,14 @@ func TestColoringEmptyAndParallelEdges(t *testing.T) {
 
 func TestScheduleDeliversEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, strategy := range []Strategy{Euler, Konig} {
+	for _, konig := range []bool{false, true} {
 		for trial := 0; trial < 30; trial++ {
 			n := 4 + rng.Intn(20)
-			var msgs []Msg
+			var msgs []lbm.Send
 			for i := 0; i < rng.Intn(80); i++ {
 				from := lbm.NodeID(rng.Intn(n))
 				to := lbm.NodeID(rng.Intn(n))
-				msgs = append(msgs, Msg{
+				msgs = append(msgs, lbm.Send{
 					From: from, To: to,
 					Src: lbm.TKey(int32(from), int32(i), 0),
 					Dst: lbm.TKey(int32(from), int32(i), 1),
@@ -127,7 +131,11 @@ func TestScheduleDeliversEverything(t *testing.T) {
 			for _, msg := range msgs {
 				m.Put(msg.From, msg.Src, ring.Value(int(msg.Src.J)+7))
 			}
-			plan := Schedule(msgs, strategy)
+			pick := byEuler
+			if konig {
+				pick = byKonig
+			}
+			plan := schedule(msgs, pick)
 			if err := m.Run(plan); err != nil {
 				t.Fatal(err)
 			}
@@ -144,10 +152,10 @@ func TestScheduleDeliversEverything(t *testing.T) {
 			if r > delta {
 				delta = r
 			}
-			if strategy == Konig && m.Rounds() > delta {
+			if konig && m.Rounds() > delta {
 				t.Fatalf("könig schedule used %d rounds for Δ=%d", m.Rounds(), delta)
 			}
-			if strategy == Euler && delta > 0 && m.Rounds() >= 2*delta {
+			if !konig && delta > 0 && m.Rounds() >= 2*delta {
 				t.Fatalf("euler schedule used %d rounds for Δ=%d", m.Rounds(), delta)
 			}
 		}
@@ -155,10 +163,10 @@ func TestScheduleDeliversEverything(t *testing.T) {
 }
 
 func TestScheduleLocalOnly(t *testing.T) {
-	msgs := []Msg{{From: 2, To: 2, Src: lbm.TKey(0, 0, 0), Dst: lbm.TKey(0, 0, 1), Op: lbm.OpSet}}
+	msgs := []lbm.Send{{From: 2, To: 2, Src: lbm.TKey(0, 0, 0), Dst: lbm.TKey(0, 0, 1), Op: lbm.OpSet}}
 	m := lbm.New(4, ring.Counting{})
 	m.Put(2, lbm.TKey(0, 0, 0), 9)
-	plan := Schedule(msgs, Euler)
+	plan := schedule(msgs, byEuler)
 	if err := m.Run(plan); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +179,7 @@ func TestScheduleLocalOnly(t *testing.T) {
 }
 
 func TestMaxDegrees(t *testing.T) {
-	msgs := []Msg{
+	msgs := []lbm.Send{
 		{From: 0, To: 1}, {From: 0, To: 2}, {From: 3, To: 2}, {From: 4, To: 4},
 	}
 	s, r, e := degreeMax(msgs)
@@ -180,28 +188,28 @@ func TestMaxDegrees(t *testing.T) {
 	}
 }
 
-// TestPriceIsAutoCost pins Price against Schedule(msgs, Auto): on random
+// TestPriceIsAutoCost pins Price against Schedule(msgs): on random
 // h-relations with local copies, and on none or local copies only, the price
 // is exact and equals the schedule's lbm.Plan.Cost. On a star whose E·Δ
-// exceeds autoKonigBudget, Auto splits by Euler, so the price is not exact:
+// exceeds autoKonigBudget, Schedule splits by Euler, so the price is not exact:
 // it has the schedule's messages and Δ rounds, a lower bound of its rounds.
 func TestPriceIsAutoCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
-	cases := [][]Msg{nil, {{From: 3, To: 3}, {From: 5, To: 5}}}
+	cases := [][]lbm.Send{nil, {{From: 3, To: 3}, {From: 5, To: 5}}}
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + rng.Intn(40)
-		msgs := make([]Msg, rng.Intn(300))
+		msgs := make([]lbm.Send, rng.Intn(300))
 		for i := range msgs {
-			msgs[i] = Msg{From: lbm.NodeID(rng.Intn(n)), To: lbm.NodeID(rng.Intn(n)),
+			msgs[i] = lbm.Send{From: lbm.NodeID(rng.Intn(n)), To: lbm.NodeID(rng.Intn(n)),
 				Src: lbm.TKey(int32(i), 0, 0), Dst: lbm.TKey(int32(i), 1, 0)}
 		}
 		cases = append(cases, msgs)
 	}
 	for i, msgs := range cases {
 		rounds, messages, exact := Price(msgs)
-		wantRounds, wantMessages := Schedule(msgs, Auto).Cost()
+		wantRounds, wantMessages := Schedule(msgs).Cost()
 		if !exact || rounds != wantRounds || messages != wantMessages {
-			t.Fatalf("case %d: priced %d/%d (exact %v), Auto schedule costs %d/%d", i, rounds, messages, exact, wantRounds, wantMessages)
+			t.Fatalf("case %d: priced %d/%d (exact %v), the schedule costs %d/%d", i, rounds, messages, exact, wantRounds, wantMessages)
 		}
 	}
 
@@ -211,21 +219,21 @@ func TestPriceIsAutoCost(t *testing.T) {
 	for e*e <= autoKonigBudget {
 		e++
 	}
-	star := make([]Msg, e)
+	star := make([]lbm.Send, e)
 	for i := range star {
-		star[i] = Msg{From: 0, To: lbm.NodeID(1 + i%16), Src: lbm.TKey(0, int32(i), 0), Dst: lbm.TKey(0, int32(i), 0)}
+		star[i] = lbm.Send{From: 0, To: lbm.NodeID(1 + i%16), Src: lbm.TKey(0, int32(i), 0), Dst: lbm.TKey(0, int32(i), 0)}
 	}
 	rounds, messages, exact := Price(star)
 	if exact || rounds != e || messages != e {
 		t.Fatalf("star of %d: priced %d/%d exact=%v, want %d/%d and not exact", e, rounds, messages, exact, e, e)
 	}
-	auto := Schedule(star, Auto)
+	auto := Schedule(star)
 	autoRounds, autoMessages := auto.Cost()
-	if eulerRounds, _ := Schedule(star, Euler).Cost(); autoRounds != eulerRounds {
-		t.Fatalf("star: Auto schedule has %d rounds, Euler's %d: Auto did not pick Euler", autoRounds, eulerRounds)
+	if eulerRounds, _ := schedule(star, byEuler).Cost(); autoRounds != eulerRounds {
+		t.Fatalf("star: the schedule has %d rounds, Euler's %d: Schedule did not pick Euler", autoRounds, eulerRounds)
 	}
 	if autoMessages != messages || autoRounds < rounds {
-		t.Fatalf("star: Auto schedule costs %d/%d, below the price %d/%d", autoRounds, autoMessages, rounds, messages)
+		t.Fatalf("star: the schedule costs %d/%d, below the price %d/%d", autoRounds, autoMessages, rounds, messages)
 	}
 }
 
@@ -339,19 +347,19 @@ func ceilLog2(n int) int {
 
 // TestStrategyAblation compares the two colouring backends on random
 // h-relations: König is exact (Δ rounds), Euler pays at most the
-// next power of two, and Auto never does worse than Euler.
+// next power of two, and Schedule's pick never does worse than Euler.
 func TestStrategyAblation(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	for trial := 0; trial < 25; trial++ {
 		n := 8 + rng.Intn(24)
-		var msgs []Msg
+		var msgs []lbm.Send
 		for i := 0; i < 20+rng.Intn(200); i++ {
 			from := lbm.NodeID(rng.Intn(n))
 			to := lbm.NodeID(rng.Intn(n))
 			if from == to {
 				continue
 			}
-			msgs = append(msgs, Msg{From: from, To: to,
+			msgs = append(msgs, lbm.Send{From: from, To: to,
 				Src: lbm.TKey(int32(i), 0, 0), Dst: lbm.TKey(int32(i), 1, 0)})
 		}
 		s, r, _ := degreeMax(msgs)
@@ -359,9 +367,9 @@ func TestStrategyAblation(t *testing.T) {
 		if r > delta {
 			delta = r
 		}
-		konig := Schedule(msgs, Konig).NumRounds()
-		euler := Schedule(msgs, Euler).NumRounds()
-		auto := Schedule(msgs, Auto).NumRounds()
+		konig := schedule(msgs, byKonig).NumRounds()
+		euler := schedule(msgs, byEuler).NumRounds()
+		auto := Schedule(msgs).NumRounds()
 		if konig != delta && delta > 0 {
 			t.Fatalf("könig %d != Δ %d", konig, delta)
 		}
@@ -410,5 +418,34 @@ func TestPipelinedBroadcast(t *testing.T) {
 	// Degenerate cases cost nothing.
 	if PipelinedBroadcast([]lbm.NodeID{3}, 5, func(int) lbm.Key { return lbm.TKey(0, 0, 0) }).NumRounds() != 0 {
 		t.Error("single node broadcast should be free")
+	}
+}
+
+// BenchmarkColoring compares the two edge-colouring backends' planning cost.
+func BenchmarkColoring(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	var msgs []lbm.Send
+	n := 512
+	for i := 0; i < 16*n; i++ {
+		from := lbm.NodeID(rng.Intn(n))
+		to := lbm.NodeID(rng.Intn(n))
+		if from == to {
+			continue
+		}
+		msgs = append(msgs, lbm.Send{From: from, To: to,
+			Src: lbm.TKey(int32(i), 0, 0), Dst: lbm.TKey(int32(i), 1, 0)})
+	}
+	for _, bc := range []struct {
+		name string
+		pick func(e, delta int) bool
+	}{{"euler", byEuler}, {"konig", byKonig}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p := schedule(msgs, bc.pick)
+				if i == 0 {
+					b.ReportMetric(float64(p.NumRounds()), "rounds")
+				}
+			}
+		})
 	}
 }

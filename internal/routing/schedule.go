@@ -6,42 +6,22 @@ import (
 	"lbmm/internal/lbm"
 )
 
-// Msg is one pending message of an h-relation.
-type Msg struct {
-	From, To lbm.NodeID
-	Src, Dst lbm.Key
-	Op       lbm.Op
-}
-
-// Strategy selects the edge-colouring backend used to schedule h-relations.
-type Strategy uint8
-
-const (
-	// Euler uses recursive Euler splitting: at most 2^⌈log₂ Δ⌉ < 2Δ rounds
-	// in O(E log Δ) time. The default.
-	Euler Strategy = iota
-	// Konig uses exact Δ-round schedules in O(E·(V+Δ)) time; right for
-	// small instances and for measuring the model's exact constants.
-	Konig
-	// Auto picks König when its O(E·Δ) cost is affordable and Euler
-	// otherwise. Exact schedules avoid the ≤2^⌈log₂Δ⌉ rounding of the
-	// Euler split, which otherwise staircases measured round counts.
-	Auto
-)
-
-// autoKonigBudget caps the König work E·Δ (colour scans) Auto will accept.
+// autoKonigBudget caps the König work E·Δ (colour scans) Schedule accepts.
 const autoKonigBudget = 1 << 27
 
-// konigAffordable reports whether Auto colours e real messages of largest
-// degree delta by König.
+// konigAffordable reports whether Schedule colours e real messages of
+// largest degree delta by König: exact Δ-round schedules in O(E·(V+Δ))
+// time. Past the budget it splits by Euler: at most 2^⌈log₂ Δ⌉ < 2Δ rounds
+// in O(E log Δ) time. Exact schedules avoid the Euler split's rounding,
+// which otherwise staircases measured round counts.
 func konigAffordable(e, delta int) bool {
 	return delta > 0 && e*delta <= autoKonigBudget
 }
 
-// Price returns what Schedule(msgs, Auto) charges, as lbm.Plan.Cost counts
+// Price returns what Schedule(msgs) charges, as lbm.Plan.Cost counts
 // it, without colouring anything: the per-computer send and receive degrees
 // of the real (From ≠ To) messages decide it (Degrees.Price).
-func Price(msgs []Msg) (rounds, messages int, exact bool) {
+func Price(msgs []lbm.Send) (rounds, messages int, exact bool) {
 	d := degreesOf(msgs)
 	return d.Price()
 }
@@ -49,7 +29,7 @@ func Price(msgs []Msg) (rounds, messages int, exact bool) {
 // degreeMax returns the largest per-computer send and receive
 // multiplicities of the real messages of msgs, and their count: the lower
 // bound any schedule of them must pay.
-func degreeMax(msgs []Msg) (maxSend, maxRecv, remote int) {
+func degreeMax(msgs []lbm.Send) (maxSend, maxRecv, remote int) {
 	d := degreesOf(msgs)
 	return d.maxSend, d.maxRecv, d.remote
 }
@@ -79,7 +59,7 @@ func newDegrees(lo lbm.NodeID, span int) Degrees {
 
 // degreesOf tallies msgs in tables that span exactly their real messages'
 // ends.
-func degreesOf(msgs []Msg) Degrees {
+func degreesOf(msgs []lbm.Send) Degrees {
 	lo, span, _ := nodeSpan(msgs)
 	d := newDegrees(lo, span)
 	for _, m := range msgs {
@@ -102,12 +82,12 @@ func (d *Degrees) Add(from, to lbm.NodeID) {
 	d.remote++
 }
 
-// Price returns what Schedule(…, Auto) charges for the messages tallied,
-// as lbm.Plan.Cost counts it. messages is their count E. Where Auto colours
+// Price returns what Schedule charges for the messages tallied, as
+// lbm.Plan.Cost counts it. messages is their count E. Where Schedule colours
 // by König — E·Δ within autoKonigBudget, Δ the largest degree — the
 // schedule has exactly Δ rounds (König's theorem: a vertex of degree Δ
 // meets every colour), and exact is true; so it is for an h-relation of
-// local copies only, which costs nothing. Otherwise Auto splits by Euler,
+// local copies only, which costs nothing. Otherwise Schedule splits by Euler,
 // whose round count lies between Δ and 2^⌈log₂ Δ⌉ and is known only once
 // coloured: rounds is then Δ, a lower bound, and exact is false.
 func (d *Degrees) Price() (rounds, messages int, exact bool) {
@@ -125,7 +105,7 @@ func (d *Degrees) Reset() {
 // nodeSpan returns the count of the real messages of msgs, the smallest
 // NodeID lo among their ends and the length of the range [lo, hi] those
 // span, so that tables indexed by NodeID−lo cover every sender and receiver.
-func nodeSpan(msgs []Msg) (lo lbm.NodeID, span, remote int) {
+func nodeSpan(msgs []lbm.Send) (lo lbm.NodeID, span, remote int) {
 	var hi lbm.NodeID
 	for _, m := range msgs {
 		if m.From == m.To {
@@ -145,27 +125,25 @@ func nodeSpan(msgs []Msg) (lo lbm.NodeID, span, remote int) {
 
 // Schedule arranges an arbitrary set of messages into rounds that respect
 // the one-send/one-receive constraint, using bipartite edge colouring on the
-// sender/receiver multigraph. The number of rounds is O(S + R) where S and R
+// sender/receiver multigraph: by König where konigAffordable allows, by
+// Euler splitting otherwise. The number of rounds is O(S + R) where S and R
 // are the maximum per-node send and receive multiplicities — the h-relation
-// bound used throughout the paper's §3.3. What an Auto schedule charges is
-// known before colouring (Price), so a planner that prices several
-// candidates colours only the one it keeps.
+// bound used throughout the paper's §3.3. What a schedule charges is known
+// before colouring (Price), so a planner that prices several candidates
+// colours only the one it keeps.
 //
 // Self-messages (From == To) are free local copies; they are all placed in
 // the first round.
-func Schedule(msgs []Msg, strategy Strategy) *lbm.Plan {
+func Schedule(msgs []lbm.Send) *lbm.Plan { return schedule(msgs, konigAffordable) }
+
+// schedule is Schedule with the backend picked by byKonig(E, Δ), which the
+// colouring ablations set to one backend or the other.
+func schedule(msgs []lbm.Send, byKonig func(e, delta int) bool) *lbm.Plan {
 	h := compact(msgs)
 	maxSend, maxRecv, _ := degreeMax(msgs)
 	delta := max(maxSend, maxRecv)
-	if strategy == Auto {
-		if konigAffordable(len(h.edges), delta) {
-			strategy = Konig
-		} else {
-			strategy = Euler
-		}
-	}
 	var classes [][]int32
-	if strategy == Konig {
+	if byKonig(len(h.edges), delta) {
 		classes = konigColor(h.edges, h.nl, h.nr, delta)
 	} else {
 		classes = eulerColor(h.edges, h.nl, h.nr)
@@ -173,19 +151,18 @@ func Schedule(msgs []Msg, strategy Strategy) *lbm.Plan {
 
 	// Every round is a window of one slab of sends. The local copies lead
 	// round 0, or make up the only round when nothing is remote.
-	send := func(m Msg) lbm.Send { return lbm.Send{From: m.From, To: m.To, Src: m.Src, Dst: m.Dst, Op: m.Op} }
 	plan := &lbm.Plan{Rounds: make([]lbm.Round, 0, max(len(classes), 1))}
 	sends := make([]lbm.Send, 0, len(msgs))
 	for _, m := range msgs {
 		if m.From == m.To {
-			sends = append(sends, send(m))
+			sends = append(sends, m)
 		}
 	}
 	local := len(sends)
 	start := 0
 	for _, class := range classes {
 		for _, ei := range class {
-			sends = append(sends, send(msgs[h.remote[ei]]))
+			sends = append(sends, msgs[h.remote[ei]])
 		}
 		plan.Append(sends[start:len(sends):len(sends)])
 		start = len(sends)
@@ -204,6 +181,48 @@ func Schedule(msgs []Msg, strategy Strategy) *lbm.Plan {
 	return plan
 }
 
+// ScheduleRound appends to out one round of messages that all read the
+// round's start state — a virtual round of §3.2 mapped onto its hosts, or a
+// congested-clique round of §1.5 — lowered as one h-relation (Schedule).
+//
+// The schedule spans several machine rounds, so a message whose source the
+// same round also writes would read a torn value. ScheduleRound keeps the
+// round's semantics by snapshotting every such source into a staging key
+// (KStage, numbered from 0 per round in order of first use) with a free
+// local copy in a round before the deliveries, and sending from the
+// snapshot: messages sharing a source share it. It rewrites those messages'
+// Src in r, which the caller hands over. Staging keys are overwritten round
+// to round; an emitter's ClearStaging drops the leftovers (lbm.Emitter).
+func ScheduleRound(out *lbm.Plan, r lbm.Round) {
+	written := make(map[nodeKey]struct{}, len(r))
+	for _, m := range r {
+		written[nodeKey{m.To, m.Dst}] = struct{}{}
+	}
+	var staging lbm.Round
+	slot := map[nodeKey]lbm.Key{}
+	for i := range r {
+		src := nodeKey{r[i].From, r[i].Src}
+		if _, clash := written[src]; !clash {
+			continue
+		}
+		sk, ok := slot[src]
+		if !ok {
+			sk = lbm.Key{Kind: lbm.KStage, I: int32(len(slot))}
+			slot[src] = sk
+			staging = append(staging, lbm.Send{From: src.node, To: src.node, Src: src.key, Dst: sk, Op: lbm.OpSet})
+		}
+		r[i].Src = sk
+	}
+	out.Append(staging)
+	out.Extend(Schedule(r))
+}
+
+// nodeKey is a key held at one computer.
+type nodeKey struct {
+	node lbm.NodeID
+	key  lbm.Key
+}
+
 // hrel is the real messages of an h-relation laid out for colouring: edge e
 // is message remote[e], between sender and receiver indices dense from 0 and
 // numbered in order of first appearance.
@@ -215,7 +234,7 @@ type hrel struct {
 
 // compact lays the real messages of msgs out for colouring, numbering their
 // senders and receivers through tables indexed by NodeID.
-func compact(msgs []Msg) hrel {
+func compact(msgs []lbm.Send) hrel {
 	lo, span, remote := nodeSpan(msgs)
 	h := hrel{remote: make([]int32, 0, remote), edges: make([]edge, 0, remote)}
 	// Per NodeID−lo: sender index+1 and receiver index+1, 0 while unseen.

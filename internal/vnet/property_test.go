@@ -6,13 +6,12 @@ import (
 
 	"lbmm/internal/lbm"
 	"lbmm/internal/ring"
-	"lbmm/internal/routing"
 )
 
 // refExec executes a virtual plan directly on per-vnode stores with exact
 // virtual-round semantics (gather all payloads against round-start state,
 // then deliver). It is the specification Compile must match.
-func refExec(nt *Net, p *Plan, stores []map[lbm.Key]float64, r ring.Semiring) {
+func refExec(nt *Net, p *lbm.Plan, stores []map[lbm.Key]float64, r ring.Semiring) {
 	for _, round := range p.Rounds {
 		type delivery struct {
 			to  int32
@@ -78,9 +77,9 @@ func TestCompileMatchesReference(t *testing.T) {
 		}
 
 		// Random multi-round virtual plan respecting vnode constraints.
-		p := &Plan{}
+		p := &lbm.Plan{}
 		for t2 := 0; t2 < 1+rng.Intn(6); t2++ {
-			var round Round
+			var round lbm.Round
 			sent := map[int32]bool{}
 			recv := map[int32]bool{}
 			for attempts := 0; attempts < 2*nV; attempts++ {
@@ -95,7 +94,7 @@ func TestCompileMatchesReference(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					op = lbm.OpAcc
 				}
-				round = append(round, Send{
+				round = append(round, lbm.Send{
 					From: from, To: to,
 					Src: key(from, int32(rng.Intn(slots))),
 					Dst: key(to, int32(rng.Intn(slots))),
@@ -106,7 +105,7 @@ func TestCompileMatchesReference(t *testing.T) {
 		}
 
 		refExec(nt, p, stores, r)
-		real, err := nt.Compile(p, routing.Auto)
+		real, err := nt.Compile(p)
 		if err != nil {
 			t.Fatal(err)
 		}

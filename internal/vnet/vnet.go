@@ -1,11 +1,14 @@
 // Package vnet provides the virtual-computer abstraction the paper's
 // algorithms rely on: a set of V virtual nodes is assigned to the n real
 // computers with bounded multiplicity c, and a communication plan written
-// against virtual nodes is compiled into a real low-bandwidth plan. Because
-// each virtual node sends and receives at most one message per virtual
-// round, the induced real h-relation has degree at most c, so each virtual
-// round costs O(c) real rounds (§3.2: "we can simulate their work in the
-// real computer network with constant overhead").
+// against virtual nodes — an lbm.Plan whose From and To are virtual node
+// ids, typically a routing.Schedule of virtual messages — is compiled into a
+// real low-bandwidth plan. Because each virtual node sends and receives at
+// most one message per virtual round, the induced real h-relation has
+// degree at most c, so each virtual round costs O(c) real rounds (§3.2: "we
+// can simulate their work in the real computer network with constant
+// overhead"). Each virtual round is lowered by routing.ScheduleRound, the
+// same lowering the congested clique's simulation uses.
 //
 // Two users: the tripartite role-nodes (every computer simulates its I, J
 // and K role, c = 3), and the balanced virtual instance of Lemma 3.1
@@ -54,45 +57,12 @@ func Roles(n int) *Net {
 // V returns the number of virtual nodes.
 func (nt *Net) V() int { return len(nt.Host) }
 
-// Send is one planned virtual message.
-type Send struct {
-	From, To int32
-	Src, Dst lbm.Key
-	Op       lbm.Op
-}
-
-// Round is the set of virtual messages of one virtual round; each virtual
-// node may send at most one and receive at most one.
-type Round []Send
-
-// Plan is a sequence of virtual rounds.
-type Plan struct {
-	Rounds []Round
-}
-
-// Append adds a non-empty round.
-func (p *Plan) Append(r Round) {
-	if len(r) > 0 {
-		p.Rounds = append(p.Rounds, r)
-	}
-}
-
-// Extend appends all rounds of q.
-func (p *Plan) Extend(q *Plan) { p.Rounds = append(p.Rounds, q.Rounds...) }
-
-// Compile lowers a virtual plan to a real plan. Every virtual round is
-// checked (each virtual node sends ≤ 1 and receives ≤ 1), mapped to host
-// messages, and scheduled as an h-relation of degree ≤ MaxLoad via edge
-// colouring.
-//
-// A virtual round executes against its round-start state, but its compiled
-// form spans several machine rounds, so a message whose source slot is also
-// written by the same virtual round would read a torn value. Compile keeps
-// the exact semantics by snapshotting every such source into a reserved
-// staging key (a free local copy executed before the round's deliveries)
-// and sending from the snapshot. Staging keys are overwritten round to
-// round; an emitter's ClearStaging drops the leftovers (lbm.Emitter).
-func (nt *Net) Compile(p *Plan, strategy routing.Strategy) (*lbm.Plan, error) {
+// Compile lowers a virtual plan — an lbm.Plan whose From and To are virtual
+// node ids — to a real plan. Every virtual round is checked (each virtual
+// node sends ≤ 1 and receives ≤ 1), mapped to host messages, and lowered by
+// routing.ScheduleRound: an h-relation of degree ≤ MaxLoad, scheduled by
+// edge colouring, that reads the virtual round's start state.
+func (nt *Net) Compile(p *lbm.Plan) (*lbm.Plan, error) {
 	out := &lbm.Plan{}
 	sentAt := make([]int, nt.V())
 	recvAt := make([]int, nt.V())
@@ -101,9 +71,8 @@ func (nt *Net) Compile(p *Plan, strategy routing.Strategy) (*lbm.Plan, error) {
 		recvAt[i] = -1
 	}
 	for t, vr := range p.Rounds {
-		msgs := make([]routing.Msg, 0, len(vr))
-		written := make(map[hostKey]struct{}, len(vr))
-		for _, s := range vr {
+		msgs := make(lbm.Round, len(vr))
+		for i, s := range vr {
 			if s.From < 0 || int(s.From) >= nt.V() || s.To < 0 || int(s.To) >= nt.V() {
 				return nil, fmt.Errorf("vnet: round %d: vnode out of range in %v->%v", t, s.From, s.To)
 			}
@@ -118,37 +87,10 @@ func (nt *Net) Compile(p *Plan, strategy routing.Strategy) (*lbm.Plan, error) {
 				sentAt[s.From] = t
 				recvAt[s.To] = t
 			}
-			written[hostKey{nt.Host[s.To], s.Dst}] = struct{}{}
-			msgs = append(msgs, routing.Msg{
-				From: nt.Host[s.From], To: nt.Host[s.To],
-				Src: s.Src, Dst: s.Dst, Op: s.Op,
-			})
+			msgs[i] = s
+			msgs[i].From, msgs[i].To = nt.Host[s.From], nt.Host[s.To]
 		}
-		// Snapshot conflicted sources. Distinct staging slots per (host,
-		// key) pair of this round; messages sharing a source share the
-		// snapshot.
-		var staging lbm.Round
-		slot := map[hostKey]lbm.Key{}
-		for i := range msgs {
-			src := hostKey{msgs[i].From, msgs[i].Src}
-			if _, clash := written[src]; !clash {
-				continue
-			}
-			sk, ok := slot[src]
-			if !ok {
-				sk = lbm.Key{Kind: lbm.KStage, I: int32(len(slot)), J: 0, Seq: 0}
-				slot[src] = sk
-				staging = append(staging, lbm.Send{
-					From: msgs[i].From, To: msgs[i].From,
-					Src: msgs[i].Src, Dst: sk, Op: lbm.OpSet,
-				})
-			}
-			msgs[i].Src = sk
-		}
-		if len(staging) > 0 {
-			out.Append(staging)
-		}
-		out.Extend(routing.Schedule(msgs, strategy))
+		routing.ScheduleRound(out, msgs)
 	}
 	// One coarse phase for the whole compiled plan (Extend keeps none of the
 	// per-virtual-round hrel phases, which would drown a profile in noise):
@@ -163,14 +105,9 @@ func (nt *Net) Compile(p *Plan, strategy routing.Strategy) (*lbm.Plan, error) {
 	return out, nil
 }
 
-type hostKey struct {
-	host lbm.NodeID
-	key  lbm.Key
-}
-
 // MergeParallel overlays virtual plans that use disjoint virtual nodes.
-func MergeParallel(plans ...*Plan) *Plan {
-	out := &Plan{}
+func MergeParallel(plans ...*lbm.Plan) *lbm.Plan {
+	out := &lbm.Plan{}
 	maxLen := 0
 	for _, p := range plans {
 		if len(p.Rounds) > maxLen {
@@ -178,7 +115,7 @@ func MergeParallel(plans ...*Plan) *Plan {
 		}
 	}
 	for t := 0; t < maxLen; t++ {
-		var r Round
+		var r lbm.Round
 		for _, p := range plans {
 			if t < len(p.Rounds) {
 				r = append(r, p.Rounds[t]...)

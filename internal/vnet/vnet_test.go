@@ -28,18 +28,18 @@ func TestCompileDeliversWithBoundedOverhead(t *testing.T) {
 	nt := Roles(n)
 	m := lbm.New(n, ring.Counting{})
 	perm := rng.Perm(nt.V())
-	var vr Round
+	var vr lbm.Round
 	for v := 0; v < nt.V(); v++ {
 		src := lbm.TKey(int32(v), 0, 0)
 		m.Put(nt.Host[v], src, ring.Value(v+1))
-		vr = append(vr, Send{
+		vr = append(vr, lbm.Send{
 			From: int32(v), To: int32(perm[v]),
 			Src: src, Dst: lbm.TKey(int32(v), 1, 0), Op: lbm.OpSet,
 		})
 	}
-	p := &Plan{}
+	p := &lbm.Plan{}
 	p.Append(vr)
-	real, err := nt.Compile(p, routing.Euler)
+	real, err := nt.Compile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,25 +61,25 @@ func TestCompileDeliversWithBoundedOverhead(t *testing.T) {
 
 func TestCompileRejectsVirtualViolations(t *testing.T) {
 	nt := Roles(4)
-	p := &Plan{}
-	p.Append(Round{
+	p := &lbm.Plan{}
+	p.Append(lbm.Round{
 		{From: 0, To: 1, Src: lbm.TKey(0, 0, 0), Dst: lbm.TKey(0, 0, 1)},
 		{From: 0, To: 2, Src: lbm.TKey(0, 0, 0), Dst: lbm.TKey(0, 0, 2)},
 	})
-	if _, err := nt.Compile(p, routing.Euler); err == nil || !strings.Contains(err.Error(), "sends twice") {
+	if _, err := nt.Compile(p); err == nil || !strings.Contains(err.Error(), "sends twice") {
 		t.Errorf("err = %v", err)
 	}
-	p2 := &Plan{}
-	p2.Append(Round{
+	p2 := &lbm.Plan{}
+	p2.Append(lbm.Round{
 		{From: 0, To: 2, Src: lbm.TKey(0, 0, 0), Dst: lbm.TKey(0, 0, 1)},
 		{From: 1, To: 2, Src: lbm.TKey(0, 0, 0), Dst: lbm.TKey(0, 0, 2)},
 	})
-	if _, err := nt.Compile(p2, routing.Euler); err == nil || !strings.Contains(err.Error(), "receives twice") {
+	if _, err := nt.Compile(p2); err == nil || !strings.Contains(err.Error(), "receives twice") {
 		t.Errorf("err = %v", err)
 	}
-	p3 := &Plan{}
-	p3.Append(Round{{From: -1, To: 0, Src: lbm.TKey(0, 0, 0), Dst: lbm.TKey(0, 0, 0)}})
-	if _, err := nt.Compile(p3, routing.Euler); err == nil {
+	p3 := &lbm.Plan{}
+	p3.Append(lbm.Round{{From: -1, To: 0, Src: lbm.TKey(0, 0, 0), Dst: lbm.TKey(0, 0, 0)}})
+	if _, err := nt.Compile(p3); err == nil {
 		t.Error("out of range accepted")
 	}
 }
@@ -96,12 +96,12 @@ func TestCompileStagesConflictedSources(t *testing.T) {
 	m := lbm.New(n, ring.Counting{})
 	m.Put(0, k, 111)                 // round-start value at host 0
 	m.Put(2, lbm.TKey(2, 2, 2), 222) // the value that overwrites k
-	p := &Plan{}
-	p.Append(Round{
+	p := &lbm.Plan{}
+	p.Append(lbm.Round{
 		{From: 0, To: 1, Src: k, Dst: lbm.TKey(1, 1, 1), Op: lbm.OpSet},        // host 0 reads k
 		{From: 2, To: int32(n), Src: lbm.TKey(2, 2, 2), Dst: k, Op: lbm.OpSet}, // host 0 writes k
 	})
-	real, err := nt.Compile(p, routing.Euler)
+	real, err := nt.Compile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +135,11 @@ func TestCompileStagesConflictedSources(t *testing.T) {
 }
 
 func TestMergeParallelVirtual(t *testing.T) {
-	p1 := &Plan{}
-	p1.Append(Round{{From: 0, To: 1, Src: lbm.TKey(0, 0, 0), Dst: lbm.TKey(0, 0, 1)}})
-	p1.Append(Round{{From: 1, To: 0, Src: lbm.TKey(0, 0, 1), Dst: lbm.TKey(0, 0, 2)}})
-	p2 := &Plan{}
-	p2.Append(Round{{From: 2, To: 3, Src: lbm.TKey(1, 0, 0), Dst: lbm.TKey(1, 0, 1)}})
+	p1 := &lbm.Plan{}
+	p1.Append(lbm.Round{{From: 0, To: 1, Src: lbm.TKey(0, 0, 0), Dst: lbm.TKey(0, 0, 1)}})
+	p1.Append(lbm.Round{{From: 1, To: 0, Src: lbm.TKey(0, 0, 1), Dst: lbm.TKey(0, 0, 2)}})
+	p2 := &lbm.Plan{}
+	p2.Append(lbm.Round{{From: 2, To: 3, Src: lbm.TKey(1, 0, 0), Dst: lbm.TKey(1, 0, 1)}})
 	merged := MergeParallel(p1, p2)
 	if len(merged.Rounds) != 2 || len(merged.Rounds[0]) != 2 {
 		t.Errorf("merge shape: %d rounds", len(merged.Rounds))
@@ -156,9 +156,9 @@ func TestNewExplicitHosts(t *testing.T) {
 func TestCompileErrorsPropagate(t *testing.T) {
 	nt := Roles(4)
 	// Missing source key at execution time.
-	p := &Plan{}
-	p.Append(Round{{From: 0, To: 1, Src: lbm.TKey(9, 9, 9), Dst: lbm.TKey(0, 0, 1), Op: lbm.OpSet}})
-	real, err := nt.Compile(p, routing.Euler)
+	p := &lbm.Plan{}
+	p.Append(lbm.Round{{From: 0, To: 1, Src: lbm.TKey(9, 9, 9), Dst: lbm.TKey(0, 0, 1), Op: lbm.OpSet}})
+	real, err := nt.Compile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,9 +169,9 @@ func TestCompileErrorsPropagate(t *testing.T) {
 	// OpSub over a non-field fails at run time too.
 	m2 := lbm.New(4, ring.Counting{})
 	m2.Put(0, lbm.TKey(1, 1, 1), 3)
-	p2 := &Plan{}
-	p2.Append(Round{{From: 0, To: 1, Src: lbm.TKey(1, 1, 1), Dst: lbm.TKey(0, 0, 1), Op: lbm.OpSub}})
-	real2, err := nt.Compile(p2, routing.Euler)
+	p2 := &lbm.Plan{}
+	p2.Append(lbm.Round{{From: 0, To: 1, Src: lbm.TKey(1, 1, 1), Dst: lbm.TKey(0, 0, 1), Op: lbm.OpSub}})
+	real2, err := nt.Compile(p2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,13 +180,16 @@ func TestCompileErrorsPropagate(t *testing.T) {
 	}
 }
 
+// TestScheduleVirtualRoundTrip checks the planners' path into Compile: a
+// multiset of virtual messages scheduled by routing.Schedule over virtual
+// node ids is a virtual plan Compile accepts, and its lowering delivers.
 func TestScheduleVirtualRoundTrip(t *testing.T) {
-	msgs := []Send{
+	msgs := []lbm.Send{
 		{From: 0, To: 1, Src: lbm.TKey(0, 0, 0), Dst: lbm.TKey(0, 0, 1), Op: lbm.OpSet},
 		{From: 0, To: 2, Src: lbm.TKey(0, 0, 0), Dst: lbm.TKey(0, 0, 2), Op: lbm.OpSet},
 		{From: 3, To: 3, Src: lbm.TKey(3, 0, 0), Dst: lbm.TKey(3, 0, 1), Op: lbm.OpSet},
 	}
-	p := ScheduleVirtual(msgs, routing.Konig)
+	p := routing.Schedule(msgs)
 	// vnode 0 sends twice → two rounds; local copy shares the first.
 	if len(p.Rounds) != 2 {
 		t.Fatalf("scheduled into %d rounds", len(p.Rounds))
@@ -197,5 +200,25 @@ func TestScheduleVirtualRoundTrip(t *testing.T) {
 	}
 	if total != 3 {
 		t.Fatalf("lost messages: %d", total)
+	}
+	nt := Roles(2) // vnodes 0 and 2 share host 0, 1 and 3 share host 1
+	real, err := nt.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := lbm.New(2, ring.Counting{})
+	m.Put(0, lbm.TKey(0, 0, 0), 5)
+	m.Put(1, lbm.TKey(3, 0, 0), 7)
+	if err := m.Run(real); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct {
+		node lbm.NodeID
+		key  lbm.Key
+		val  ring.Value
+	}{{1, lbm.TKey(0, 0, 1), 5}, {0, lbm.TKey(0, 0, 2), 5}, {1, lbm.TKey(3, 0, 1), 7}} {
+		if got, ok := m.Get(want.node, want.key); !ok || got != want.val {
+			t.Errorf("host %d key %v: got %v,%v want %v", want.node, want.key, got, ok, want.val)
+		}
 	}
 }
