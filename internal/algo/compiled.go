@@ -1,7 +1,6 @@
 package algo
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -32,11 +31,6 @@ func rowOf(off []int32, i, k int32) int32 {
 	}
 	return i
 }
-
-// ErrDeadCell reports a plan that reaches an A, B or X cell lying on no
-// triangle. Such a cell has no slot in the loaded prefix, so the plan would
-// find it absent at run time.
-var ErrDeadCell = errors.New("algo: plan reaches a cell on no triangle")
 
 // compiledPrepared is the compiled twin of a Prepared: the whole pipeline
 // — input loading, then one lbm.Program of the plan's steps (emit), then
@@ -104,46 +98,29 @@ func (cp *compiledPrepared) execFor(lanes int) (*lbm.Exec, *sync.Pool) {
 }
 
 // compilePrepared lowers a Prepared into its compiled twin: the loads, then
-// the plan's one step order (emit) written to a lowering. It fails with
-// ErrDeadCell when a plan reaches a cell that lies on no triangle.
+// the plan's one step order (emit) written to a lowering. The lowering
+// takes each loaded cell's slot by its support position, as numberLoads
+// numbered it, and indexes only the keys the plan stages. It fails with
+// lbm.ErrDeadCell when a plan reaches a cell that lies on no triangle.
 func compilePrepared(p *Prepared) (*compiledPrepared, error) {
-	inst, l := p.Inst, p.Layout
-	lw := lbm.NewLowering(inst.N)
+	inst := p.Inst
 	cp := &compiledPrepared{}
-	// The lowering numbers keys on first sight, so handing it the loads
-	// first gives each the slot numberLoads derived.
-	cp.numberLoads(inst, choosePlacement(inst), p.live, func(node lbm.NodeID, k lbm.Key) { lw.Ref(node, k) })
-	loads := lw.Slotted()
+	nA, nB := inst.Ahat.NNZ, inst.Ahat.NNZ+inst.Bhat.NNZ
+	slab := make([]int32, nB+inst.Xhat.NNZ)
+	slots := [3][]int32{slab[:nA:nA], slab[nA:nB:nB], slab[nB:]}
+	cp.numberLoads(inst, p.Layout.Placement(), p.live, slots)
+	products, staged := p.fewtri.Extent()
+	lw := lbm.NewLowering(inst.N, &lbm.Loads{Layout: p.Layout, Slot: slots, Prefix: cp.loaded}, products, staged)
 	if err := p.emit(lw); err != nil {
 		return nil, err
 	}
-	cp.prog = lw.Program()
-	if err := cp.prog.Finish(); err != nil {
+	prog, err := lw.Program()
+	if err != nil {
 		return nil, err
 	}
-	// The guard: every A, B or X key the plans touch at its owner must be a
-	// loaded slot, or a plan reads a dead cell. The loads are slotted first,
-	// so such a key is exactly one the plans slotted at its owner; copies
-	// at other nodes are the plans' own scratch.
-	var reach error
-	lw.EachKeyFrom(loads, func(node lbm.NodeID, k lbm.Key) {
-		var owners *lbm.Owners
-		switch k.Kind {
-		case lbm.KA:
-			owners = &l.A
-		case lbm.KB:
-			owners = &l.B
-		case lbm.KX:
-			owners = &l.X
-		default:
-			return
-		}
-		if o, ok := owners.Of(k.I, k.J); ok && o == node && reach == nil {
-			reach = fmt.Errorf("%w: %v at node %d", ErrDeadCell, k, node)
-		}
-	})
-	if reach != nil {
-		return nil, reach
+	cp.prog = prog
+	if err := cp.prog.Finish(); err != nil {
+		return nil, err
 	}
 	if err := cp.finish(inst.N, p.R); err != nil {
 		return nil, err
@@ -156,12 +133,13 @@ func compilePrepared(p *Prepared) (*compiledPrepared, error) {
 // cell, then every live X cell, each support in row-major order, takes the
 // next slot of its owner (lbm.Placement.Owner), and each dead cell is
 // counted against its owner. It sets loadA, loadB, x, loaded and dead, so
-// the loaded slots of node v are [0, loaded[v]) by construction. lower, if
-// not nil, is handed each live cell's owner and key in that order. lives
-// marks the live cells of Â, B̂ and X̂ (graph.Instance.Live), as the
-// planner's own triangle walk marked them; a restored plan has no planner
-// and passes the zero value, and they are marked here.
-func (cp *compiledPrepared) numberLoads(inst *graph.Instance, pl lbm.Placement, lives [3][]bool, lower func(lbm.NodeID, lbm.Key)) {
+// the loaded slots of node v are [0, loaded[v]) by construction. slots, if
+// not the zero value, takes each live cell's slot plus one by support
+// position and leaves a dead cell's zero (lbm.Loads): compilation lowers by
+// it, decoding needs none of it. lives marks the live cells of Â, B̂ and X̂ (graph.Instance.Live), as
+// the planner's own triangle walk marked them; a restored plan has no
+// planner and passes the zero value, and they are marked here.
+func (cp *compiledPrepared) numberLoads(inst *graph.Instance, pl lbm.Placement, lives [3][]bool, slots [3][]int32) {
 	n := inst.N
 	if lives[0] == nil {
 		lives[0], lives[1], lives[2] = inst.Live()
@@ -177,21 +155,22 @@ func (cp *compiledPrepared) numberLoads(inst *graph.Instance, pl lbm.Placement, 
 	refs := make([]loadRef, 0, nLive)
 	counts := make([]int32, 2*n)
 	loaded, dead := counts[:n:n], counts[n:]
-	keys := [3]func(i, j int32) lbm.Key{lbm.AKey, lbm.BKey, lbm.XKey}
 	var loads [3][]loadRef
 	for m, sup := range []*matrix.Support{inst.Ahat, inst.Bhat, inst.Xhat} {
-		live, off, start := lives[m], sup.Off, len(refs)
+		// Every cell counts against its owner as dead until it loads.
+		pl.Owned(n, sup, dead)
+		live, off, start, slot := lives[m], sup.Off, len(refs), slots[m]
 		for i := range int32(sup.N) {
 			for k := off[i]; k < off[i+1]; k++ {
-				o := pl.Owner(n, i, k)
 				if !live[k] {
-					dead[o]++
 					continue
 				}
+				o := pl.Owner(n, i, k)
 				refs = append(refs, loadRef{k: k, ref: lbm.SlotRef{Node: o, Slot: loaded[o]}})
 				loaded[o]++
-				if lower != nil {
-					lower(o, keys[m](i, sup.Col[k]))
+				dead[o]--
+				if slot != nil {
+					slot[k] = loaded[o]
 				}
 			}
 		}

@@ -129,7 +129,7 @@ func TestLiveGuardRejectsDeadReach(t *testing.T) {
 	}
 	p.Inst = graph.NewInstance(inst.D, matrix.NewSupport(inst.N, as), inst.Bhat, inst.Xhat)
 	p.Layout = ChooseLayout(p.Inst)
-	if err := p.Compile(); !errors.Is(err, ErrDeadCell) {
+	if err := p.Compile(); !errors.Is(err, lbm.ErrDeadCell) {
 		t.Fatalf("err = %v, want ErrDeadCell", err)
 	}
 }

@@ -81,8 +81,10 @@ type Planner struct {
 	inst *graph.Instance
 	l    *lbm.Layout
 	tris []graph.Triangle
-	// live marks the cells that lie on a triangle, from the walk that
-	// listed tris; compiling a plan numbers its load slots from it.
+	// pos are the cell positions of tris, which own the cells, and live
+	// marks the cells that lie on a triangle, both from the walk that listed
+	// tris; compiling a plan numbers its load slots from live.
+	pos  []graph.Pos
 	live [3][]bool
 	// whole is the Lemma 3.1 job over every triangle, planned on first use,
 	// and wholePrice its price, priced on first use: it is both Lemma31's
@@ -100,7 +102,7 @@ type price struct {
 // NewPlanner returns a planner for the instance over ring r.
 func NewPlanner(r ring.Semiring, inst *graph.Instance) *Planner {
 	pl := &Planner{r: r, inst: inst, l: ChooseLayout(inst)}
-	pl.tris, pl.live[0], pl.live[1], pl.live[2] = inst.TrianglesLive()
+	pl.tris, pl.pos, pl.live[0], pl.live[1], pl.live[2] = inst.TrianglesLive()
 	return pl
 }
 
@@ -116,7 +118,7 @@ func (pl *Planner) prepared(name string) *Prepared {
 // wholeJob returns the Lemma 3.1 job over every triangle.
 func (pl *Planner) wholeJob() (*fewtri.Job, error) {
 	if pl.whole == nil {
-		job, err := fewtri.Plan(pl.inst.N, pl.l, pl.tris, 0)
+		job, err := fewtri.Plan(pl.inst.N, pl.l, pl.tris, pl.pos, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -129,7 +131,7 @@ func (pl *Planner) wholeJob() (*fewtri.Job, error) {
 // (priceLemma31), pricing it on first use.
 func (pl *Planner) priceWhole() (rounds, messages int, err error) {
 	if pl.wholePrice == nil {
-		rounds, messages, err := pl.priceLemma31(pl.tris, pl.wholeJob)
+		rounds, messages, err := pl.priceLemma31(pl.tris, pl.pos, pl.wholeJob)
 		pl.wholePrice = &price{rounds, messages, err}
 	}
 	return pl.wholePrice.rounds, pl.wholePrice.messages, pl.wholePrice.err
@@ -182,18 +184,19 @@ func (pl *Planner) Lemma31Candidate() Candidate {
 func (pl *Planner) Theorem42Candidate() Candidate {
 	var p *Prepared
 	var residual []graph.Triangle
+	var rpos []graph.Pos
 	var job *fewtri.Job // planned by Price where the counts did not decide
 	return Candidate{
 		Price: func() (rounds, messages int, err error) {
-			if p, residual, err = pl.phase1("theorem42"); err != nil {
+			if p, residual, rpos, err = pl.phase1("theorem42"); err != nil {
 				return 0, 0, err
 			}
 			if len(p.phase1) == 0 {
 				rounds, messages, err = pl.priceWhole()
 			} else {
-				rounds, messages, err = pl.priceLemma31(residual, func() (*fewtri.Job, error) {
+				rounds, messages, err = pl.priceLemma31(residual, rpos, func() (*fewtri.Job, error) {
 					var err error
-					job, err = fewtri.Plan(pl.inst.N, pl.l, residual, 0)
+					job, err = fewtri.Plan(pl.inst.N, pl.l, residual, rpos, 0)
 					return job, err
 				})
 			}
@@ -208,7 +211,7 @@ func (pl *Planner) Theorem42Candidate() Candidate {
 			return rounds, messages, nil
 		},
 		Plan: func() (*Prepared, error) {
-			if err := pl.phase2(p, residual, job); err != nil {
+			if err := pl.phase2(p, residual, rpos, job); err != nil {
 				return nil, err
 			}
 			return p, nil
@@ -216,12 +219,13 @@ func (pl *Planner) Theorem42Candidate() Candidate {
 	}
 }
 
-// priceLemma31 returns the Cost of the Lemma 3.1 job over tris at the
-// natural budget from counts (fewtri.Price), without building it. Where the
-// counts leave its rounds open, an h-relation so large that routing.Schedule
-// splits it by Euler, it builds the job with plan and reads its Cost.
-func (pl *Planner) priceLemma31(tris []graph.Triangle, plan func() (*fewtri.Job, error)) (rounds, messages int, err error) {
-	rounds, messages, exact, err := fewtri.Price(pl.inst.N, pl.l, tris, 0)
+// priceLemma31 returns the Cost of the Lemma 3.1 job over tris, whose cell
+// positions are pos, at the natural budget from counts (fewtri.Price),
+// without building it. Where the counts leave its rounds open, an
+// h-relation so large that routing.Schedule splits it by Euler, it builds
+// the job with plan and reads its Cost.
+func (pl *Planner) priceLemma31(tris []graph.Triangle, pos []graph.Pos, plan func() (*fewtri.Job, error)) (rounds, messages int, err error) {
+	rounds, messages, exact, err := fewtri.Price(pl.inst.N, pl.l, tris, pos, 0)
 	if err != nil || exact {
 		return rounds, messages, err
 	}
@@ -236,7 +240,7 @@ func (pl *Planner) priceLemma31(tris []graph.Triangle, plan func() (*fewtri.Job,
 // Trivial plans the trivial algorithm: one fetch, then local products.
 func (pl *Planner) Trivial() (*Prepared, error) {
 	p := pl.prepared("trivial")
-	p.fewtri = fewtri.PlanTrivial(pl.l, pl.tris)
+	p.fewtri = fewtri.PlanTrivial(pl.l, pl.tris, pl.pos)
 	return p, nil
 }
 
@@ -252,7 +256,7 @@ func (pl *Planner) Lemma31(kappa int) (*Prepared, error) {
 	if kappa <= 0 {
 		job, err = pl.wholeJob()
 	} else {
-		job, err = fewtri.Plan(pl.inst.N, pl.l, pl.tris, kappa)
+		job, err = fewtri.Plan(pl.inst.N, pl.l, pl.tris, pl.pos, kappa)
 	}
 	if err != nil {
 		return nil, err
@@ -266,7 +270,7 @@ func (pl *Planner) Lemma31(kappa int) (*Prepared, error) {
 // (fewtri.PlanNaive), with κ as in Lemma31 but no precondition on it.
 func (pl *Planner) Baseline(kappa int) (*Prepared, error) {
 	p := pl.prepared("baseline-naive")
-	p.fewtri = fewtri.PlanNaive(pl.inst.N, pl.l, pl.tris, kappa)
+	p.fewtri = fewtri.PlanNaive(pl.inst.N, pl.l, pl.tris, pl.pos, kappa)
 	p.meta.Kappa = p.fewtri.Kappa
 	return p, nil
 }
@@ -307,11 +311,11 @@ func (pl *Planner) SPAA22() (*Prepared, error) {
 // 2 on the residual: the naive router for the SPAA 2022 reconstruction,
 // Lemma 3.1 otherwise.
 func (pl *Planner) twoPhases(name string) (*Prepared, error) {
-	p, residual, err := pl.phase1(name)
+	p, residual, rpos, err := pl.phase1(name)
 	if err != nil {
 		return nil, err
 	}
-	if err := pl.phase2(p, residual, nil); err != nil {
+	if err := pl.phase2(p, residual, rpos, nil); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -319,8 +323,8 @@ func (pl *Planner) twoPhases(name string) (*Prepared, error) {
 
 // phase1 plans the phase-1 schedule of the two-phase plan name with every
 // batch planned, and returns the plan so far and the residual triangles it
-// leaves to phase 2.
-func (pl *Planner) phase1(name string) (*Prepared, []graph.Triangle, error) {
+// leaves to phase 2, with their cell positions.
+func (pl *Planner) phase1(name string) (*Prepared, []graph.Triangle, []graph.Pos, error) {
 	inst, l := pl.inst, pl.l
 	_, isField := ring.AsField(pl.r)
 	p := pl.prepared(name)
@@ -339,27 +343,45 @@ func (pl *Planner) phase1(name string) (*Prepared, []graph.Triangle, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	p.meta.Residual = len(residual)
-	return p, residual, nil
+	return p, residual, pl.positions(residual), nil
 }
 
-// phase2 completes the plan phase1 left with the job on its residual: job
-// if not nil, already planned on it; the naive router for the SPAA 2022
-// reconstruction; Lemma 3.1 otherwise, the whole job when phase 1 keeps no
-// batch.
-func (pl *Planner) phase2(p *Prepared, residual []graph.Triangle, job *fewtri.Job) error {
+// positions returns the cell positions of sub, a subsequence of the
+// planner's triangles, as a phase-1 residual is, by one merge walk.
+func (pl *Planner) positions(sub []graph.Triangle) []graph.Pos {
+	if len(sub) == len(pl.tris) {
+		return pl.pos
+	}
+	pos := make([]graph.Pos, len(sub))
+	at := 0
+	for s, t := range sub {
+		for pl.tris[at] != t {
+			at++
+		}
+		pos[s] = pl.pos[at]
+		at++
+	}
+	return pos
+}
+
+// phase2 completes the plan phase1 left with the job on its residual, whose
+// cell positions are rpos: job if not nil, already planned on it; the naive
+// router for the SPAA 2022 reconstruction; Lemma 3.1 otherwise, the whole
+// job when phase 1 keeps no batch.
+func (pl *Planner) phase2(p *Prepared, residual []graph.Triangle, rpos []graph.Pos, job *fewtri.Job) error {
 	var err error
 	switch {
 	case job != nil:
 		p.fewtri = job
 	case p.Name == spaa22:
-		p.fewtri = fewtri.PlanNaive(pl.inst.N, pl.l, residual, 0)
+		p.fewtri = fewtri.PlanNaive(pl.inst.N, pl.l, residual, rpos, 0)
 	case len(p.phase1) == 0:
 		p.fewtri, err = pl.wholeJob()
 	default:
-		p.fewtri, err = fewtri.Plan(pl.inst.N, pl.l, residual, 0)
+		p.fewtri, err = fewtri.Plan(pl.inst.N, pl.l, residual, rpos, 0)
 	}
 	if err != nil {
 		return err

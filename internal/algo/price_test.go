@@ -34,8 +34,9 @@ func TestPriceIsPlannedCost(t *testing.T) {
 				{"blocks", workload.Blocks(n, d)},
 			} {
 				inst := w.inst
-				l := ChooseLayout(inst)
-				sets := map[string][]graph.Triangle{"whole": inst.Triangles()}
+				pl := NewPlanner(ring.Counting{}, inst)
+				l := pl.l
+				sets := map[string][]graph.Triangle{"whole": pl.tris}
 				for _, isField := range []bool{false, true} {
 					residual, err := clusterSchedule(inst, isField, theorem42Alpha(isField, false), sets["whole"],
 						func([]cluster.Batch) error { return nil })
@@ -45,15 +46,16 @@ func TestPriceIsPlannedCost(t *testing.T) {
 					sets[fmt.Sprintf("residual/field=%v", isField)] = residual
 				}
 				for set, tris := range sets {
-					natural, err := fewtri.Plan(n, l, tris, 0)
+					pos := pl.positions(tris)
+					natural, err := fewtri.Plan(n, l, tris, pos, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
 					for _, kappa := range []int{0, 1, 2 * natural.Kappa} {
 						name := fmt.Sprintf("%s/n%d/d%d/%s/κ=%d", w.name, n, d, set, kappa)
 						cases++
-						rounds, messages, exact, err := fewtri.Price(n, l, tris, kappa)
-						job, planErr := fewtri.Plan(n, l, tris, kappa)
+						rounds, messages, exact, err := fewtri.Price(n, l, tris, pos, kappa)
+						job, planErr := fewtri.Plan(n, l, tris, pos, kappa)
 						if fmt.Sprint(err) != fmt.Sprint(planErr) {
 							t.Errorf("%s: Price fails with %v, Plan with %v", name, err, planErr)
 							continue

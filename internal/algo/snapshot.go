@@ -136,7 +136,7 @@ func DecodeCompiledPrepared(r *lbm.WireReader) (*Prepared, error) {
 		return nil, fmt.Errorf("algo: decode prepared: sparsity parameter d=%d", d)
 	}
 	inst := graph.NewInstance(d, sups[0], sups[1], sups[2])
-	cp.numberLoads(inst, choosePlacement(inst), [3][]bool{}, nil)
+	cp.numberLoads(inst, choosePlacement(inst), [3][]bool{}, [3][]int32{})
 	if err := cp.finish(n, rg); err != nil {
 		return nil, fmt.Errorf("algo: decode prepared: %w", err)
 	}

@@ -254,7 +254,7 @@ func TestCliqueRoundReadsStartState(t *testing.T) {
 				}
 			}
 		}
-		cp, err := lbm.CompileInto(lbm.NewSlotSpace(n), low)
+		cp, err := lbm.CompileInto(lbm.NewSlotSpace(n, 0), low)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

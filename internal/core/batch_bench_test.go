@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"runtime"
 	"testing"
 
 	"lbmm/internal/core"
@@ -88,6 +89,36 @@ func BenchmarkPrepareAutoBlocks64(b *testing.B) {
 // the plan auto keeps there, with no other candidate priced.
 func BenchmarkPrepareMixed256(b *testing.B) {
 	benchmarkPrepare(b, workload.Mixed(256, 8, 1), "trivial")
+}
+
+// BenchmarkPrepareAutoBench64 prepares, with auto, the 64 structures the
+// benchmark's engine_scalar workload sets up (US n=256, d=4, seeds 1-64):
+// the Prepare half of its setup_s, without the warm multiply, the harness
+// or the machine's phases around it. It reports ns, allocations and bytes
+// per structure.
+func BenchmarkPrepareAutoBench64(b *testing.B) {
+	const structures = 64
+	insts := make([]*graph.Instance, structures)
+	for k := range insts {
+		insts[k] = workload.Instance(matrix.US, matrix.US, matrix.US, 256, 4, int64(k+1))
+	}
+	opts := core.Options{Ring: ring.Counting{}, D: 4}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, inst := range insts {
+			if _, err := core.Prepare(inst.Ahat, inst.Bhat, inst.Xhat, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	per := float64(b.N * structures)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/structure")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/per, "allocs/structure")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/per, "B/structure")
 }
 
 func benchmarkPrepare(b *testing.B, inst *graph.Instance, alg string) {

@@ -119,7 +119,7 @@ func TestFaultInsideFusedExchange(t *testing.T) {
 // model round; the other ranks hold no overfull node and finish.
 func TestStoreLimitInsideFusedExchange(t *testing.T) {
 	const nodes = 6
-	sp := lbm.NewSlotSpace(nodes)
+	sp := lbm.NewSlotSpace(nodes, 0)
 	for v := int32(0); v < nodes; v++ {
 		sp.Slot(v, lbm.AKey(v, v))
 	}

@@ -54,7 +54,7 @@ func (c *scriptConn) SetWriteDeadline(time.Time) error { return nil }
 // before and after the run, and the run's error.
 func hostileRound(t testing.TB, script []byte) (mesh *Mesh, peer *scriptConn, before, after []uint64, err error) {
 	const lanes = 2
-	sp := lbm.NewSlotSpace(4)
+	sp := lbm.NewSlotSpace(4, 0)
 	rounds := []lbm.Round{{
 		{From: 0, To: 1, Src: lbm.AKey(0, 0), Dst: lbm.TKey(0, 1, 0), Op: lbm.OpSet},
 		{From: 1, To: 0, Src: lbm.AKey(1, 1), Dst: lbm.TKey(1, 0, 0), Op: lbm.OpSet},

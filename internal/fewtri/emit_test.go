@@ -21,8 +21,8 @@ func TestEmitShapes(t *testing.T) {
 	n := 16
 	inst := graph.NewInstance(n, randomSupport(rng, n, 4*n), randomSupport(rng, n, 4*n), randomSupport(rng, n, 3*n))
 	l := lbm.ByRow.Layout(inst.Ahat, inst.Bhat, inst.Xhat)
-	tris := inst.Triangles()
-	lemma, err := Plan(n, l, tris, 0)
+	tris, pos, _, _, _ := inst.TrianglesLive()
+	lemma, err := Plan(n, l, tris, pos, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,14 +54,18 @@ func TestEmitShapes(t *testing.T) {
 	}{
 		{"", &Job{}, nil},
 		{"lemma31", lemma, []int{6, 3}},
-		{"trivial", PlanTrivial(l, tris), []int{1}},
-		{"naive", PlanNaive(n, l, tris, 0), []int{1, 1}},
+		{"trivial", PlanTrivial(l, tris, pos), []int{1}},
+		{"naive", PlanNaive(n, l, tris, pos, 0), []int{1, 1}},
 	} {
-		lw := lbm.NewLowering(n)
+		products, staged := tc.job.Extent()
+		lw := lbm.NewLowering(n, nil, products, staged)
 		if err := Emit(lw, tc.job); err != nil {
 			t.Fatalf("%q job: %v", tc.shape, err)
 		}
-		p := lw.Program()
+		p, err := lw.Program()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := p.Finish(); err != nil {
 			t.Fatalf("%q job: %v", tc.shape, err)
 		}

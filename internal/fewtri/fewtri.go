@@ -38,7 +38,6 @@
 package fewtri
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -167,6 +166,17 @@ type hostKey struct {
 	key  lbm.Key
 }
 
+// Extent returns how many local products the job's Emit writes, and how many
+// copies it stages away from their owners and clears after its run, a
+// repeat counted as often as it is cleared: about the keys its lowering
+// indexes beyond the loaded cells.
+func (job *Job) Extent() (products, staged int) {
+	for _, pg := range job.products {
+		products += len(pg.tris)
+	}
+	return products, len(job.cleanup)
+}
+
 // prodGroup is the free local work of one virtual computer (of one output
 // owner in a trivial job): multiply each triangle's pair and accumulate into
 // the shape's destination key.
@@ -181,10 +191,11 @@ type prodGroup struct {
 const aggSeq = -1
 
 // virtual is the §3.2 virtualization of a triangle set: the triangles in
-// sorted order, the virtual computer of each and the real host of each
-// virtual computer.
+// (i, j, k) order with their cell positions, the virtual computer of each
+// and the real host of each virtual computer.
 type virtual struct {
 	order   []graph.Triangle
+	pos     []graph.Pos
 	vnodeOf []int32
 	hosts   []lbm.NodeID
 }
@@ -192,16 +203,20 @@ type virtual struct {
 // virtualize splits each I-node's triangles into virtual computers of at most
 // κ triangles each, assigned round-robin to the n real computers, and
 // returns the budget used. kappa ≤ 0 selects the natural budget ⌈3|T|/n⌉
-// (so that |V'| ≤ 2n).
-func virtualize(n int, tris []graph.Triangle, kappa int) (int, *virtual) {
+// (so that |V'| ≤ 2n). tris must be in (i, j, k) order, as the triangle walk
+// lists them (graph.Instance.TrianglesLive) and any subsequence of that
+// list keeps them, with pos their cell positions.
+func virtualize(n int, tris []graph.Triangle, pos []graph.Pos, kappa int) (int, *virtual) {
 	if kappa <= 0 {
 		kappa = (3*len(tris) + n - 1) / n
 		if kappa == 0 {
 			kappa = 1
 		}
 	}
-	v := &virtual{order: slices.Clone(tris), vnodeOf: make([]int32, len(tris))}
-	graph.SortTriangles(v.order)
+	if len(pos) != len(tris) || !slices.IsSortedFunc(tris, graph.Compare) {
+		panic("fewtri: triangles out of (i, j, k) order or without their positions")
+	}
+	v := &virtual{order: tris, pos: pos, vnodeOf: make([]int32, len(tris))}
 	// No I-node opens more virtual computers than it has triangles.
 	v.hosts = make([]lbm.NodeID, 0, len(tris))
 	count := 0 // triangles assigned to the current vnode
@@ -236,12 +251,13 @@ func newJob(kappa int, v *virtual) *Job {
 	return job
 }
 
-// Plan preprocesses the processing of tris under Lemma 3.1. kappa ≤ 0
+// Plan preprocesses the processing of tris under Lemma 3.1. tris are in
+// (i, j, k) order and pos are their cell positions (virtualize). kappa ≤ 0
 // selects the natural budget ⌈3|T|/n⌉ (so that |V'| ≤ 2n). The layout maps
 // inputs and outputs to computers; outputs must be zero-initialized before
 // Run.
-func Plan(n int, l *lbm.Layout, tris []graph.Triangle, kappa int) (*Job, error) {
-	kappa, v := virtualize(n, tris, kappa)
+func Plan(n int, l *lbm.Layout, tris []graph.Triangle, pos []graph.Pos, kappa int) (*Job, error) {
+	kappa, v := virtualize(n, tris, pos, kappa)
 	job := newJob(kappa, v)
 	if len(tris) == 0 {
 		return job, nil
@@ -257,7 +273,7 @@ func Plan(n int, l *lbm.Layout, tris []graph.Triangle, kappa int) (*Job, error) 
 	return job, nil
 }
 
-// Price returns what Plan(n, l, tris, kappa) followed by Job.Cost returns,
+// Price returns what Plan(n, l, tris, pos, kappa) followed by Job.Cost returns,
 // and the error Plan returns, without building the job: the same walk of
 // the §3.3 routing arrays tallies each h-relation's per-computer degrees
 // (routing.Degrees) and each tree step's group sizes (routing.TreeCost)
@@ -265,11 +281,11 @@ func Plan(n int, l *lbm.Layout, tris []graph.Triangle, kappa int) (*Job, error) 
 // is so large that routing.Schedule splits it by Euler, whose rounds only its
 // colouring tells; rounds is then a lower bound, and only planning the job
 // and calling Cost tells the price.
-func Price(n int, l *lbm.Layout, tris []graph.Triangle, kappa int) (rounds, messages int, exact bool, err error) {
+func Price(n int, l *lbm.Layout, tris []graph.Triangle, pos []graph.Pos, kappa int) (rounds, messages int, exact bool, err error) {
 	if len(tris) == 0 {
 		return 0, 0, true, nil
 	}
-	kappa, v := virtualize(n, tris, kappa)
+	kappa, v := virtualize(n, tris, pos, kappa)
 	ps := &priceSink{deg: routing.NewDegrees(n), exact: true}
 	if err := routeLemma31(ps, n, kappa, l, v); err != nil {
 		return 0, 0, false, err
@@ -283,10 +299,10 @@ func Price(n int, l *lbm.Layout, tris []graph.Triangle, kappa int) (rounds, mess
 // that needs it (a hot value is re-sent once per consumer), and each
 // per-virtual-computer partial travels straight to its output owner. On
 // skewed instances the input and output owners become serial bottlenecks,
-// the effect Lemma 3.1's anchors and trees remove. kappa is as in Plan; the
-// naive routing has no κn precondition.
-func PlanNaive(n int, l *lbm.Layout, tris []graph.Triangle, kappa int) *Job {
-	kappa, v := virtualize(n, tris, kappa)
+// the effect Lemma 3.1's anchors and trees remove. tris, pos and kappa are
+// as in Plan; the naive routing has no κn precondition.
+func PlanNaive(n int, l *lbm.Layout, tris []graph.Triangle, pos []graph.Pos, kappa int) *Job {
+	kappa, v := virtualize(n, tris, pos, kappa)
 	job := newJob(kappa, v)
 	if len(tris) == 0 {
 		return job
@@ -311,8 +327,8 @@ func PlanNaive(n int, l *lbm.Layout, tris []graph.Triangle, kappa int) *Job {
 		}
 	}
 	for idx, t := range v.order {
-		add(v.vnodeOf[idx], l.OwnerA(t.I, t.J), lbm.AKey(t.I, t.J))
-		add(v.vnodeOf[idx], l.OwnerB(t.J, t.K), lbm.BKey(t.J, t.K))
+		add(v.vnodeOf[idx], l.A.At(t.I, pos[idx].A), lbm.AKey(t.I, t.J))
+		add(v.vnodeOf[idx], l.B.At(t.J, pos[idx].B), lbm.BKey(t.J, t.K))
 	}
 	// Deliver: each partial straight to its output owner, ordered by sender,
 	// receiver, then partial key.
@@ -325,7 +341,7 @@ func PlanNaive(n int, l *lbm.Layout, tris []graph.Triangle, kappa int) *Job {
 			continue
 		}
 		done[src] = true
-		deliver = append(deliver, lbm.Send{From: v.hosts[vid], To: l.OwnerX(t.I, t.K), Src: src, Dst: lbm.XKey(t.I, t.K), Op: lbm.OpAcc})
+		deliver = append(deliver, lbm.Send{From: v.hosts[vid], To: l.X.At(t.I, pos[idx].X), Src: src, Dst: lbm.XKey(t.I, t.K), Op: lbm.OpAcc})
 		job.cleanup = append(job.cleanup, hostKey{v.hosts[vid], src})
 	}
 	sort.Slice(deliver, func(x, y int) bool {
@@ -352,77 +368,109 @@ func PlanNaive(n int, l *lbm.Layout, tris []graph.Triangle, kappa int) *Job {
 // PlanTrivial preprocesses the trivial algorithm: every triangle is processed
 // at the computer owning its output element, after one h-relation fetches
 // its inputs there. The h-relation's degree is the per-node triangle count,
-// so this is O(d²) rounds on uniformly sparse instances.
-func PlanTrivial(l *lbm.Layout, tris []graph.Triangle) *Job {
+// so this is O(d²) rounds on uniformly sparse instances. pos are the
+// triangles' cell positions, which own each cell (lbm.Owners.At) and tell
+// one cell from another.
+func PlanTrivial(l *lbm.Layout, tris []graph.Triangle, pos []graph.Pos) *Job {
 	job := &Job{}
 	if len(tris) == 0 {
 		return job
 	}
-	// Every triangle fetches its A and then its B input; first numbers
-	// those sights in order.
-	type fetch struct {
-		first    int32
-		from, to lbm.NodeID
-		key      lbm.Key
-	}
-	fetches := make([]fetch, 0, 2*len(tris))
-	// Products are grouped by output owner, each group a window of one slab;
-	// within a group the triangles keep their order, so every output
-	// accumulates in triangle order.
-	owner := make([]lbm.NodeID, len(tris))
-	next := make([]int, l.N+1)
+	// One scratch slab: the owners' group bounds (next), the triangles by
+	// owner, the fetches each triangle sends and a stamp per A and B support
+	// position.
+	nnzA := l.A.Sup.NNZ
+	scratch := make([]int32, l.N+2*len(tris)+nnzA+l.B.Sup.NNZ)
+	next, byOwner := scratch[:l.N], scratch[l.N:l.N+len(tris)]
+	sends, stamp := scratch[l.N+len(tris):l.N+2*len(tris)], scratch[l.N+2*len(tris):]
+	// Products are grouped by output owner, each group a window of one slab,
+	// by one counting pass; within a group the triangles keep their order,
+	// so every output accumulates in triangle order. next[host] counts the
+	// host's triangles, then indexes where its next one goes.
 	for idx, t := range tris {
-		xo := l.OwnerX(t.I, t.K)
-		fetches = append(fetches,
-			fetch{int32(2 * idx), l.OwnerA(t.I, t.J), xo, lbm.AKey(t.I, t.J)},
-			fetch{int32(2*idx + 1), l.OwnerB(t.J, t.K), xo, lbm.BKey(t.J, t.K)})
-		owner[idx] = xo
-		next[xo+1]++
+		next[l.X.At(t.I, pos[idx].X)]++
 	}
-	// One fetch per (to, key), its first sight kept, sent in first-sight
-	// order: the message order is König's edge order.
-	slices.SortFunc(fetches, func(x, y fetch) int {
-		switch {
-		case x.to != y.to:
-			return cmp.Compare(x.to, y.to)
-		case x.key != y.key:
-			return cmp.Or(cmp.Compare(x.key.Kind, y.key.Kind), cmp.Compare(x.key.I, y.key.I),
-				cmp.Compare(x.key.J, y.key.J), cmp.Compare(x.key.Seq, y.key.Seq))
+	groups, at := 0, int32(0)
+	for host, c := range next {
+		if c > 0 {
+			groups++
 		}
-		return cmp.Compare(x.first, y.first)
-	})
-	fetches = slices.CompactFunc(fetches, func(x, y fetch) bool { return x.to == y.to && x.key == y.key })
-	slices.SortFunc(fetches, func(x, y fetch) int { return cmp.Compare(x.first, y.first) })
-	msgs := make([]lbm.Send, len(fetches))
-	for i, f := range fetches {
-		msgs[i] = lbm.Send{From: f.from, To: f.to, Src: f.key, Dst: f.key, Op: lbm.OpSet}
-		if f.from != f.to {
-			job.cleanup = append(job.cleanup, hostKey{f.to, f.key})
-		}
+		next[host] = at
+		at += c
 	}
-	for host := range l.N {
-		next[host+1] += next[host]
-	}
-	byOwner := make([]graph.Triangle, len(tris))
 	for idx, t := range tris {
-		byOwner[next[owner[idx]]] = t
-		next[owner[idx]]++
+		xo := l.X.At(t.I, pos[idx].X)
+		byOwner[next[xo]] = int32(idx)
+		next[xo]++
 	}
-	start := 0
-	for host, end := range next[:l.N] {
-		if end > start {
-			job.products = append(job.products, prodGroup{host: lbm.NodeID(host), tris: byOwner[start:end:end]})
+	// Every triangle fetches its A and then its B input to its output's
+	// owner. One fetch per (owner, cell) is sent, the first sight of it, and
+	// in first-sight order: the message order is König's edge order. Walking
+	// one owner's group at a time, a stamp per support position (the owner
+	// plus one) marks the cells that owner fetches already, and sends marks
+	// the fetches each triangle sends: sendA for its A input, sendB for its
+	// B input.
+	const sendA, sendB = 1, 2
+	sent, staged := 0, 0
+	job.products = make([]prodGroup, 0, groups)
+	slab := make([]graph.Triangle, len(tris))
+	start := int32(0)
+	for host, end := range next {
+		if end == start {
+			continue
 		}
+		mark := int32(host) + 1
+		for q, idx := range byOwner[start:end] {
+			t, p := tris[idx], pos[idx]
+			slab[start+int32(q)] = t
+			if stamp[p.A] != mark {
+				stamp[p.A], sends[idx] = mark, sendA
+				sent++
+				if l.A.At(t.I, p.A) != lbm.NodeID(host) {
+					staged++
+				}
+			}
+			if stamp[nnzA+int(p.B)] != mark {
+				stamp[nnzA+int(p.B)], sends[idx] = mark, sends[idx]|sendB
+				sent++
+				if l.B.At(t.J, p.B) != lbm.NodeID(host) {
+					staged++
+				}
+			}
+		}
+		job.products = append(job.products, prodGroup{host: lbm.NodeID(host), tris: slab[start:end:end]})
 		start = end
+	}
+	msgs := make([]lbm.Send, 0, sent)
+	job.cleanup = make([]hostKey, 0, staged)
+	fetch := func(from, to lbm.NodeID, key lbm.Key) {
+		msgs = append(msgs, lbm.Send{From: from, To: to, Src: key, Dst: key, Op: lbm.OpSet})
+		if from != to {
+			job.cleanup = append(job.cleanup, hostKey{to, key})
+		}
+	}
+	for idx, t := range tris {
+		p := pos[idx]
+		xo := l.X.At(t.I, p.X)
+		if sends[idx]&sendA != 0 {
+			fetch(l.A.At(t.I, p.A), xo, lbm.AKey(t.I, t.J))
+		}
+		if sends[idx]&sendB != 0 {
+			fetch(l.B.At(t.J, p.B), xo, lbm.BKey(t.J, t.K))
+		}
 	}
 	job.routes = []route{{msgs: msgs}}
 	job.sh = &trivial
 	return job
 }
 
-// triple is one entry of a §3.3 routing array.
+// triple is one entry of a §3.3 routing array: virtual computer vnode
+// needs the cell (a, b), which lies at support position pos. Positions
+// order one support's cells as their pairs do, so the array is sorted on
+// them.
 type triple struct {
-	a, b  int32 // the pair (sorted on)
+	a, b  int32
+	pos   int32
 	vnode int32
 }
 
@@ -445,43 +493,43 @@ type sink interface {
 
 // routeLemma31 walks §3.3's routing of the virtualized triangles v with
 // budget kappa over the layout l into s: the input routing of A, then of B,
-// then the output routing, three steps each. One routing array is built and
-// reused for all three.
+// then the output routing, three steps each.
 func routeLemma31(s sink, n, kappa int, l *lbm.Layout, v *virtual) error {
-	triples := make([]triple, len(v.order))
+	// One slab holds the sorted array and, for B and the output, the array
+	// as listed.
+	slab := make([]triple, 2*len(v.order))
+	triples, listed := slab[:len(v.order)], slab[len(v.order):]
 	// A's array (i, j, i') needs no sort: the (i, j, k) order, whose virtual
 	// computers only grow, already runs in it.
 	for idx, t := range v.order {
-		triples[idx] = triple{a: t.I, b: t.J, vnode: v.vnodeOf[idx]}
+		triples[idx] = triple{a: t.I, b: t.J, pos: v.pos[idx].A, vnode: v.vnodeOf[idx]}
 	}
-	err := inputRouting(s, n, kappa, slices.Compact(triples), v.hosts,
-		func(i, j int32) (lbm.NodeID, lbm.Key) { return l.OwnerA(i, j), lbm.AKey(i, j) })
+	if err := inputRouting(s, n, kappa, slices.Compact(triples), v.hosts, &l.A, lbm.AKey); err != nil {
+		return err
+	}
+	// B's array (j, k, i') and the output's (i, k, i') are listed in that
+	// order too and sorted by position.
+	count := make([]int32, max(l.B.Sup.NNZ, l.X.Sup.NNZ))
+	for idx, t := range v.order {
+		listed[idx] = triple{a: t.J, b: t.K, pos: v.pos[idx].B, vnode: v.vnodeOf[idx]}
+	}
+	err := inputRouting(s, n, kappa, sortedTriples(listed, triples, count[:l.B.Sup.NNZ]), v.hosts, &l.B, lbm.BKey)
 	if err != nil {
 		return err
 	}
-	triples = triples[:len(v.order)]
 	for idx, t := range v.order {
-		triples[idx] = triple{a: t.J, b: t.K, vnode: v.vnodeOf[idx]}
+		listed[idx] = triple{a: t.I, b: t.K, pos: v.pos[idx].X, vnode: v.vnodeOf[idx]}
 	}
-	err = inputRouting(s, n, kappa, sortedTriples(triples), v.hosts,
-		func(j, k int32) (lbm.NodeID, lbm.Key) { return l.OwnerB(j, k), lbm.BKey(j, k) })
-	if err != nil {
-		return err
-	}
-	// Output routing: triples (i, k, i') deduplicated, sorted by (i,k).
-	triples = triples[:len(v.order)]
-	for idx, t := range v.order {
-		triples[idx] = triple{a: t.I, b: t.K, vnode: v.vnodeOf[idx]}
-	}
-	outputRouting(s, n, sortedTriples(triples), v.hosts, l)
+	outputRouting(s, n, sortedTriples(listed, triples, count[:l.X.Sup.NNZ]), v.hosts, &l.X)
 	return nil
 }
 
 // inputRouting walks the three §3.3 steps for one input matrix over its
 // sorted routing array: owner → anchor h-relation, anchor broadcast trees,
-// triple-holder → virtual computer h-relation.
+// triple-holder → virtual computer h-relation. owners owns the matrix's
+// cells and key names them.
 func inputRouting(s sink, n, kappa int, triples []triple, vnodeHost []lbm.NodeID,
-	ownerOf func(a, b int32) (lbm.NodeID, lbm.Key)) error {
+	owners *lbm.Owners, key func(a, b int32) lbm.Key) error {
 
 	// Chunk the array over the computers, ≤ κ triples each.
 	per := (len(triples) + n - 1) / n
@@ -497,11 +545,12 @@ func inputRouting(s sink, n, kappa int, triples []triple, vnodeHost []lbm.NodeID
 
 	// Step 1: owner → anchor, the holder of each group's first triple.
 	for from := 0; from < len(triples); from = spanEnd(triples, from) {
-		owner, key := ownerOf(triples[from].a, triples[from].b)
+		tr := triples[from]
+		owner, k := owners.At(tr.a, tr.pos), key(tr.a, tr.b)
 		anchor := holder(from)
-		s.send(lbm.Send{From: owner, To: anchor, Src: key, Dst: key, Op: lbm.OpSet})
+		s.send(lbm.Send{From: owner, To: anchor, Src: k, Dst: k, Op: lbm.OpSet})
 		if anchor != owner {
-			s.clean(anchor, key)
+			s.clean(anchor, k)
 		}
 	}
 	s.hrel()
@@ -510,11 +559,12 @@ func inputRouting(s sink, n, kappa int, triples []triple, vnodeHost []lbm.NodeID
 	for from := 0; from < len(triples); {
 		to := spanEnd(triples, from)
 		if first, last := holder(from), holder(to-1); first != last {
-			owner, key := ownerOf(triples[from].a, triples[from].b)
-			s.group(first, last, key)
+			tr := triples[from]
+			owner, k := owners.At(tr.a, tr.pos), key(tr.a, tr.b)
+			s.group(first, last, k)
 			for c := first + 1; c <= last; c++ {
 				if c != owner {
-					s.clean(c, key)
+					s.clean(c, k)
 				}
 			}
 		}
@@ -524,31 +574,46 @@ func inputRouting(s sink, n, kappa int, triples []triple, vnodeHost []lbm.NodeID
 
 	// Step 3: triple holder → virtual computer host.
 	for idx, tr := range triples {
-		owner, key := ownerOf(tr.a, tr.b)
+		owner, k := owners.At(tr.a, tr.pos), key(tr.a, tr.b)
 		dst := vnodeHost[tr.vnode]
-		s.send(lbm.Send{From: holder(idx), To: dst, Src: key, Dst: key, Op: lbm.OpSet})
+		s.send(lbm.Send{From: holder(idx), To: dst, Src: k, Dst: k, Op: lbm.OpSet})
 		if dst != owner {
-			s.clean(dst, key)
+			s.clean(dst, k)
 		}
 	}
 	s.hrel()
 	return nil
 }
 
-// sortedTriples sorts a routing array by pair, then virtual computer, and
-// drops the repeats.
-func sortedTriples(triples []triple) []triple {
-	slices.SortFunc(triples, func(x, y triple) int {
-		return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b), cmp.Compare(x.vnode, y.vnode))
-	})
-	return slices.Compact(triples)
+// sortedTriples writes the routing array listed, in the order of v.order,
+// into sorted by position, then virtual computer, and drops the repeats.
+// v.order's virtual computers only grow, so one stable counting pass by
+// position sorts it; count is scratch of one entry per support position.
+func sortedTriples(listed, sorted []triple, count []int32) []triple {
+	clear(count)
+	for _, tr := range listed {
+		count[tr.pos]++
+	}
+	// Each position's count becomes its first index: the running sum stays
+	// in a register, not in the array.
+	at := int32(0)
+	for p, c := range count {
+		count[p] = at
+		at += c
+	}
+	sorted = sorted[:len(listed)]
+	for _, tr := range listed {
+		sorted[count[tr.pos]] = tr
+		count[tr.pos]++
+	}
+	return slices.Compact(sorted)
 }
 
 // spanEnd returns the end of the group of a sorted routing array that
-// starts at from: the index past the last triple sharing its pair.
+// starts at from: the index past the last triple sharing its cell.
 func spanEnd(triples []triple, from int) int {
 	to := from + 1
-	for to < len(triples) && triples[to].a == triples[from].a && triples[to].b == triples[from].b {
+	for to < len(triples) && triples[to].pos == triples[from].pos {
 		to++
 	}
 	return to
@@ -556,8 +621,9 @@ func spanEnd(triples []triple, from int) int {
 
 // outputRouting walks the converse of the input routing for the products
 // over their sorted routing array: virtual computer → triple holder (with
-// local aggregation), convergecast trees, anchor → output owner.
-func outputRouting(s sink, n int, triples []triple, vnodeHost []lbm.NodeID, l *lbm.Layout) {
+// local aggregation), convergecast trees, anchor → output owner, whom owners
+// names.
+func outputRouting(s sink, n int, triples []triple, vnodeHost []lbm.NodeID, owners *lbm.Owners) {
 	per := max((len(triples)+n-1)/n, 1)
 	holder := func(idx int) lbm.NodeID { return lbm.NodeID(idx / per) }
 
@@ -584,10 +650,10 @@ func outputRouting(s sink, n int, triples []triple, vnodeHost []lbm.NodeID, l *l
 
 	// Step 3: anchor → output owner, accumulated into X.
 	for from := 0; from < len(triples); from = spanEnd(triples, from) {
-		a, b := triples[from].a, triples[from].b
+		tr := triples[from]
 		s.send(lbm.Send{
-			From: holder(from), To: l.OwnerX(a, b),
-			Src: lbm.PKey(a, b, aggSeq), Dst: lbm.XKey(a, b), Op: lbm.OpAcc,
+			From: holder(from), To: owners.At(tr.a, tr.pos),
+			Src: lbm.PKey(tr.a, tr.b, aggSeq), Dst: lbm.XKey(tr.a, tr.b), Op: lbm.OpAcc,
 		})
 	}
 	s.hrel()

@@ -3,6 +3,7 @@ package fewtri
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -20,9 +21,27 @@ func randomSupport(rng *rand.Rand, n, nnz int) *matrix.Support {
 	return matrix.NewSupport(n, entries)
 }
 
+// positionsOf returns the cell positions of tris in l's supports, found by
+// search: the tests' stand-in for the positions the triangle walk hands a
+// planner (graph.Instance.TrianglesLive).
+func positionsOf(l *lbm.Layout, tris []graph.Triangle) []graph.Pos {
+	at := func(s *matrix.Support, i, j int32) int32 {
+		k, ok := slices.BinarySearch(s.Row(int(i)), j)
+		if !ok {
+			panic("fewtri test: a triangle's cell is outside the support")
+		}
+		return s.Off[i] + int32(k)
+	}
+	pos := make([]graph.Pos, len(tris))
+	for t, tr := range tris {
+		pos[t] = graph.Pos{A: at(l.A.Sup, tr.I, tr.J), B: at(l.B.Sup, tr.J, tr.K), X: at(l.X.Sup, tr.I, tr.K)}
+	}
+	return pos
+}
+
 // process plans tris under Lemma 3.1 and runs the job on m.
 func process(m *lbm.Machine, n int, l *lbm.Layout, tris []graph.Triangle, kappa int) (*Job, error) {
-	job, err := Plan(n, l, tris, kappa)
+	job, err := Plan(n, l, tris, positionsOf(l, tris), kappa)
 	if err != nil {
 		return nil, err
 	}
@@ -209,14 +228,16 @@ func TestPlanRejectsTooManyTriangles(t *testing.T) {
 	// κ=1 with more than n triangles on distinct pairs must be rejected.
 	n := 4
 	var tris []graph.Triangle
-	for i := int32(0); i < 4; i++ {
-		for j := int32(0); j < 3; j++ {
-			tris = append(tris, graph.Triangle{I: i, J: j, K: (i + j) % 4})
+	var ae, be, xe [][2]int
+	for i := range 4 {
+		for j := range 3 {
+			k := (i + j) % 4
+			tris = append(tris, graph.Triangle{I: int32(i), J: int32(j), K: int32(k)})
+			ae, be, xe = append(ae, [2]int{i, j}), append(be, [2]int{j, k}), append(xe, [2]int{i, k})
 		}
 	}
-	sup := matrix.NewSupport(n, [][2]int{{0, 0}})
-	l := lbm.ByRow.Layout(sup, sup, sup)
-	if _, err := Plan(n, l, tris, 1); err == nil {
+	l := lbm.ByRow.Layout(matrix.NewSupport(n, ae), matrix.NewSupport(n, be), matrix.NewSupport(n, xe))
+	if _, err := Plan(n, l, tris, positionsOf(l, tris), 1); err == nil {
 		t.Error("expected κn overflow error")
 	}
 }
@@ -272,7 +293,7 @@ func TestRunTwiceAccumulates(t *testing.T) {
 	l := lbm.ByRow.Layout(inst.Ahat, inst.Bhat, inst.Xhat)
 	lbm.LoadInputs(m, l, a, b)
 	lbm.ZeroOutputs(m, l, inst.Xhat)
-	job, err := Plan(n, l, tris, 0)
+	job, err := Plan(n, l, tris, positionsOf(l, tris), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,12 +32,12 @@ func TestPricedCostIsColouredCost(t *testing.T) {
 				{"blocks", workload.Blocks(n, d)},
 			} {
 				l := layoutFor(w.inst)
-				tris := w.inst.Triangles()
-				lemma, err := Plan(n, l, tris, 0)
+				tris, pos, _, _, _ := w.inst.TrianglesLive()
+				lemma, err := Plan(n, l, tris, pos, 0)
 				if err != nil {
 					t.Fatalf("%s/n%d/d%d: %v", w.name, n, d, err)
 				}
-				for _, job := range []*Job{PlanTrivial(l, tris), lemma, PlanNaive(n, l, tris, 0)} {
+				for _, job := range []*Job{PlanTrivial(l, tris, pos), lemma, PlanNaive(n, l, tris, pos, 0)} {
 					name := fmt.Sprintf("%s/n%d/d%d/%s", w.name, n, d, job.shapeName())
 					uncoloured := job.uncoloured()
 					rounds, messages := job.Cost()

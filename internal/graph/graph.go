@@ -9,7 +9,6 @@ package graph
 import (
 	"cmp"
 	"fmt"
-	"slices"
 
 	"lbmm/internal/matrix"
 )
@@ -70,15 +69,36 @@ func (inst *Instance) Live() (a, b, x []bool) {
 	return a, b, x
 }
 
-// TrianglesLive returns Triangles and Live from one walk.
-func (inst *Instance) TrianglesLive() (tris []Triangle, a, b, x []bool) {
+// Pos is where a triangle's three cells lie in the supports: A, B and X
+// are the positions (indices into Col) of its cells (i, j) in Â, (j, k) in
+// B̂ and (i, k) in X̂. A support lists its rows in order and each row's
+// columns sorted, so positions order the cells of one support as their
+// (row, column) pairs do.
+type Pos struct {
+	A, B, X int32
+}
+
+// TrianglesLive returns Triangles, each triangle's cell positions (pos[t]
+// are tris[t]'s) and Live from one walk.
+func (inst *Instance) TrianglesLive() (tris []Triangle, pos []Pos, a, b, x []bool) {
 	a, b, x = inst.liveMarks()
 	ahat, bhat := inst.Ahat, inst.Bhat
+	// Room for half as many again as random supports of these densities
+	// close, so that the lists grow only on a structure far from random: of
+	// the pairs of an A cell (i, j) and a B cell (j, k), a share nnz(X̂)/n²
+	// meet an X cell (i, k).
+	pairs := 0
+	for _, j := range ahat.Col {
+		pairs += int(bhat.Off[j+1] - bhat.Off[j])
+	}
+	room := int(float64(pairs)*float64(inst.Xhat.NNZ)/(float64(inst.N)*float64(inst.N))*1.5) + 8
+	tris, pos = make([]Triangle, 0, room), make([]Pos, 0, room)
 	inst.walk(func(i, pa, pb, px int32) {
 		tris = append(tris, Triangle{I: i, J: ahat.Col[pa], K: bhat.Col[pb]})
+		pos = append(pos, Pos{A: pa, B: pb, X: px})
 		a[pa], b[pb], x[px] = true, true, true
 	})
-	return tris, a, b, x
+	return tris, pos, a, b, x
 }
 
 // liveMarks returns Live's tables, every cell unmarked, cut from one slab.
@@ -257,9 +277,8 @@ func int32Set(xs []int32) map[int32]bool {
 	return s
 }
 
-// SortTriangles orders triangles lexicographically by (I, J, K) in place.
-func SortTriangles(ts []Triangle) {
-	slices.SortFunc(ts, func(a, b Triangle) int {
-		return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J), cmp.Compare(a.K, b.K))
-	})
+// Compare orders triangles lexicographically by (I, J, K), the order the
+// triangle walk lists them in.
+func Compare(a, b Triangle) int {
+	return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J), cmp.Compare(a.K, b.K))
 }

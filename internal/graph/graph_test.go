@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lbmm/internal/matrix"
@@ -37,8 +38,8 @@ func sameTriangles(a, b []Triangle) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	SortTriangles(a)
-	SortTriangles(b)
+	slices.SortFunc(a, Compare)
+	slices.SortFunc(b, Compare)
 	for i := range a {
 		if a[i] != b[i] {
 			return false

@@ -1,6 +1,7 @@
 package lbm
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"math/rand/v2"
@@ -20,7 +21,9 @@ import (
 // pair ever touched by a pipeline a dense slot in that node's value arena.
 // One SlotSpace is shared across every compiled artifact of a pipeline
 // (plans, local product tasks, cleanup sweeps), so a key staged by one plan
-// and consumed by a later one resolves to the same slot.
+// and consumed by a later one resolves to the same slot. A space that
+// starts from loaded arenas (Loads) slots the loaded cells by position and
+// indexes only the keys the steps stage.
 type SlotSpace struct {
 	n int
 	// tab is the one slot index of every node: an open-addressed table of
@@ -30,6 +33,40 @@ type SlotSpace struct {
 	tab   []slotEntry
 	seen  []nodeKey
 	sizes []int32
+	// loads, if not nil, holds the loaded cells; dead is the first reach of
+	// a dead one (ErrDeadCell).
+	loads *Loads
+	dead  error
+}
+
+// Loads is what a pipeline loads into the arenas before its first step,
+// by support position: the cell at position k of Â, B̂ or X̂ (Slot[0],
+// Slot[1], Slot[2]) sits at its owner under Layout in slot Slot[m][k]-1,
+// or is dead, on no triangle and loaded nowhere, where Slot[m][k] is 0.
+// Each node v holds Prefix[v] loaded slots, [0, Prefix[v]).
+type Loads struct {
+	Layout *Layout
+	Slot   [3][]int32
+	Prefix []int32
+}
+
+// ErrDeadCell reports a step that reaches an A, B or X cell at its owner
+// where the cell lies on no triangle: it has no slot in the loaded prefix,
+// so the step would find it absent at run time.
+var ErrDeadCell = errors.New("lbm: plan reaches a cell on no triangle")
+
+// slot resolves key k at node to its load slot: ok is false unless k names
+// a cell of its matrix's support at the cell's owner. A dead cell's slot is
+// -1.
+func (ld *Loads) slot(node NodeID, k Key) (slot int32, ok bool) {
+	if k.Kind > KX || k.Seq != 0 {
+		return 0, false
+	}
+	p, ok := ld.Layout.owners(k.Kind).owned(node, k.I, k.J)
+	if !ok {
+		return 0, false
+	}
+	return ld.Slot[k.Kind][p] - 1, true
 }
 
 // slotEntry is one entry of the slot index: a key at its node and its slot
@@ -72,10 +109,10 @@ func mix(a, b uint64) uint64 {
 // minSlotTable is the least first size of the slot index, in entries.
 const minSlotTable = 64
 
-// NewSlotSpace returns an empty slot space for n computers. Its first
-// index holds two keys per node before it doubles.
-func NewSlotSpace(n int) *SlotSpace {
-	size := max(minSlotTable, 1<<bits.Len(uint(max(4*n-1, 1))))
+// NewSlotSpace returns an empty slot space for n computers whose first
+// index holds keys keys before it doubles.
+func NewSlotSpace(n, keys int) *SlotSpace {
+	size := max(minSlotTable, 1<<bits.Len(uint(max(2*keys-1, 1))))
 	return &SlotSpace{n: n, tab: make([]slotEntry, size), seen: make([]nodeKey, 0, size/2), sizes: make([]int32, n)}
 }
 
@@ -109,11 +146,21 @@ func (s *SlotSpace) grow() {
 // Slot returns the slot of key k at node, assigning the next free slot on
 // first sight. A node outside the space has no slot: it gets -1, and the
 // model-rule pass of the plan being compiled reports the node out of range.
-// The slot of a key already slotted is only read, so goroutines may ask
-// for those at once, as they may Lookup.
+// A loaded cell at its owner takes its load slot; a dead one gets -1 and
+// is recorded as the space's dead reach. The slot of a key already slotted
+// is only read, so goroutines may ask for those at once, as they may
+// Lookup.
 func (s *SlotSpace) Slot(node NodeID, k Key) int32 {
 	if node < 0 || int(node) >= s.n {
 		return -1
+	}
+	if s.loads != nil {
+		if sl, ok := s.loads.slot(node, k); ok {
+			if sl < 0 && s.dead == nil {
+				s.dead = fmt.Errorf("%w: %v at node %d", ErrDeadCell, k, node)
+			}
+			return sl
+		}
 	}
 	nk := nodeKeyOf(node, k)
 	p := s.find(nk)
@@ -133,6 +180,11 @@ func (s *SlotSpace) Slot(node NodeID, k Key) int32 {
 
 // Lookup returns the slot of key k at node without assigning one.
 func (s *SlotSpace) Lookup(node NodeID, k Key) (int32, bool) {
+	if s.loads != nil {
+		if sl, ok := s.loads.slot(node, k); ok {
+			return sl, sl >= 0
+		}
+	}
 	sl := s.tab[s.find(nodeKeyOf(node, k))].slot
 	if sl == 0 {
 		return 0, false
@@ -150,13 +202,18 @@ func (s *SlotSpace) Sizes() []int32 {
 	return append([]int32(nil), s.sizes...)
 }
 
-// EachKey visits every assigned (node, key, slot) triple in deterministic
-// order (by node, then by slot assignment order).
+// EachKey visits every indexed (node, key, slot) triple in deterministic
+// order (by node, then by slot assignment order): every key of a space
+// that started empty, the staged keys of one that started from Loads.
 func (s *SlotSpace) EachKey(f func(node NodeID, k Key, slot int32)) {
-	// Bucket the keys by node; within a node, order of sight is slot order.
+	// Bucket the keys by node; within a node, order of sight is slot order,
+	// and the indexed slots are the last of the node's.
 	next := make([]int, s.n+1)
-	for v, sz := range s.sizes {
-		next[v+1] = next[v] + int(sz)
+	for _, nk := range s.seen {
+		next[nk.node+1]++
+	}
+	for v := range s.n {
+		next[v+1] += next[v]
 	}
 	keys := make([]Key, len(s.seen))
 	for _, nk := range s.seen {
@@ -165,8 +222,9 @@ func (s *SlotSpace) EachKey(f func(node NodeID, k Key, slot int32)) {
 	}
 	start := 0
 	for v, end := range next[:s.n] {
+		base := s.sizes[v] - int32(end-start)
 		for slot, k := range keys[start:end] {
-			f(NodeID(v), k, int32(slot))
+			f(NodeID(v), k, base+int32(slot))
 		}
 		start = end
 	}

@@ -96,7 +96,7 @@ func runMap(t *testing.T, p *Plan, loads []load, r ring.Semiring, opts ...Option
 // initial loads have known slots) and executes it on an Exec.
 func runCompiled(t *testing.T, p *Plan, loads []load, r ring.Semiring, opts ...Option) (*SlotSpace, *Exec, error) {
 	t.Helper()
-	sp := NewSlotSpace(6)
+	sp := NewSlotSpace(6, 0)
 	for _, l := range loads {
 		sp.Slot(l.node, l.key)
 	}
@@ -140,7 +140,7 @@ func execStatsErr(m, x Stats, cps ...*CompiledPlan) error {
 // compiledOf lowers p into a fresh slot space, for its loads.
 func compiledOf(t *testing.T, p *Plan) *CompiledPlan {
 	t.Helper()
-	cp, err := CompileInto(NewSlotSpace(6), p)
+	cp, err := CompileInto(NewSlotSpace(6, 0), p)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -202,7 +202,7 @@ func TestCompiledParityRandom(t *testing.T) {
 func TestExecCycleAllocFree(t *testing.T) {
 	r := ring.Counting{}
 	p, loads := randomPlan(rand.New(rand.NewSource(1)), 6, 10, false)
-	sp := NewSlotSpace(6)
+	sp := NewSlotSpace(6, 0)
 	refs := make([]SlotRef, len(loads))
 	for i, l := range loads {
 		refs[i] = sp.Ref(l.node, l.key)
@@ -309,7 +309,7 @@ func TestCompiledAccumulateOverwrite(t *testing.T) {
 		t.Errorf("value = %v, want 60", v)
 	}
 	// OpSub without a field is rejected before any round runs.
-	spc := NewSlotSpace(6)
+	spc := NewSlotSpace(6, 0)
 	cp, err := CompileInto(spc, p)
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +326,7 @@ func TestCompiledAccumulateOverwrite(t *testing.T) {
 func TestCompiledResetReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p, loads := randomPlan(rng, 6, 8, false)
-	sp := NewSlotSpace(6)
+	sp := NewSlotSpace(6, 0)
 	for _, l := range loads {
 		sp.Slot(l.node, l.key)
 	}
@@ -395,7 +395,7 @@ func TestCompiledValidateCatchesCorruption(t *testing.T) {
 	fresh := func() *CompiledPlan {
 		rng := rand.New(rand.NewSource(11))
 		p, _ := randomPlan(rng, 6, 5, false)
-		cp, err := CompileInto(NewSlotSpace(6), p)
+		cp, err := CompileInto(NewSlotSpace(6, 0), p)
 		if err != nil {
 			t.Fatal(err)
 		}

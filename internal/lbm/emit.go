@@ -68,28 +68,29 @@ type Lowering struct {
 	tab  []int32 // Leaf's table scratch
 }
 
-// NewLowering returns an empty lowering for an n-node machine.
-func NewLowering(n int) *Lowering {
-	return &Lowering{prog: Program{N: n}, sp: *NewSlotSpace(n)}
+// NewLowering returns an empty lowering for an n-node machine whose arenas
+// hold loads before the first step (nil for none). A loaded cell at its
+// owner takes its load slot, and every other key the next free slot of its
+// node on first sight, after the node's loaded prefix. products and staged
+// are how many local products the steps are expected to take and how many
+// keys to stage and clear, which size the program and the slot index.
+func NewLowering(n int, loads *Loads, products, staged int) *Lowering {
+	lw := &Lowering{sp: *NewSlotSpace(n, staged)}
+	lw.prog = Program{N: n, Prods: make([]Prod, 0, products), Clears: make([]SlotRef, 0, staged)}
+	if loads != nil {
+		lw.sp.loads = loads
+		copy(lw.sp.sizes, loads.Prefix)
+	}
+	return lw
 }
 
-// Program returns the program lowered so far.
-func (lw *Lowering) Program() *Program { return &lw.prog }
-
-// Ref returns the slot of key k at node, numbering it on first sight: how a
-// pipeline slots the values it loads before its first step.
-func (lw *Lowering) Ref(node NodeID, k Key) SlotRef { return lw.sp.Ref(node, k) }
-
-// Slotted returns the number of keys slotted so far.
-func (lw *Lowering) Slotted() int { return len(lw.sp.seen) }
-
-// EachKeyFrom visits, in order of first sight, every (node, key) slotted
-// after the first `from`: how a pipeline checks the keys its plans
-// introduced, without a pass over the ones it loaded.
-func (lw *Lowering) EachKeyFrom(from int, f func(node NodeID, k Key)) {
-	for _, nk := range lw.sp.seen[from:] {
-		f(nk.node, nk.key())
+// Program returns the program lowered so far, or ErrDeadCell when a step
+// reached a loaded cell that is dead.
+func (lw *Lowering) Program() (*Program, error) {
+	if lw.sp.dead != nil {
+		return nil, lw.sp.dead
 	}
+	return &lw.prog, nil
 }
 
 // routePhase writes p's phase around route to e: BeginPhase, one Counter
@@ -122,6 +123,9 @@ func routePhase(e Emitter, p *Plan, route func() error) error {
 func (lw *Lowering) Route(p *Plan, row, fail string, join bool) error {
 	return routePhase(lw, p, func() error {
 		cp, err := CompileInto(&lw.sp, p)
+		if lw.sp.dead != nil {
+			return lw.sp.dead
+		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", fail, err)
 		}

@@ -158,7 +158,7 @@ func TestExchangeScheduleParity(t *testing.T) {
 		}
 		rankOf := newTestRouter(ranks, table).rankOf
 
-		sp := NewSlotSpace(chainNodes)
+		sp := NewSlotSpace(chainNodes, 0)
 		for _, l := range loads {
 			sp.Slot(l.node, l.key)
 		}

@@ -41,7 +41,7 @@ func runMachineBatch(t *testing.T, p *Plan, perLane [][]load, r ring.Semiring, o
 // it on a lane-strided Exec carrying every lane at once.
 func runExecBatch(t *testing.T, p *Plan, perLane [][]load, r ring.Semiring, opts ...Option) (*SlotSpace, *Exec, error) {
 	t.Helper()
-	sp := NewSlotSpace(6)
+	sp := NewSlotSpace(6, 0)
 	for _, ld := range perLane[0] {
 		sp.Slot(ld.node, ld.key)
 	}
@@ -119,7 +119,7 @@ func TestExecBatchParityRandom(t *testing.T) {
 func TestExecBatchReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	p, base := randomPlan(rng, 6, 8, true)
-	sp := NewSlotSpace(6)
+	sp := NewSlotSpace(6, 0)
 	for _, ld := range base {
 		sp.Slot(ld.node, ld.key)
 	}

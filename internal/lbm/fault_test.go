@@ -68,7 +68,7 @@ func runFaultPlanMap(inj Injector) error {
 
 // runFaultPlanCompiled executes the same plan on the compiled engine.
 func runFaultPlanCompiled(inj Injector) error {
-	sp := NewSlotSpace(4)
+	sp := NewSlotSpace(4, 0)
 	cp, err := CompileInto(sp, faultTestPlan())
 	if err != nil {
 		return err

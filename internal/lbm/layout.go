@@ -25,17 +25,19 @@ type Owners struct {
 	n     int
 }
 
-// Of returns the owner of position (i, j), or false when the support has no
-// such position.
-func (o *Owners) Of(i, j int32) (NodeID, bool) {
+// At returns the owner of the support position k, which lies in row i: the
+// one owner rule (Placement.Owner) at the layout's machine size. A planner
+// that walks the supports knows each cell's position and asks here.
+func (o *Owners) At(i, k int32) NodeID { return o.place.Owner(o.n, i, k) }
+
+// pos returns the support position of cell (i, j), or false when the
+// support has no such cell.
+func (o *Owners) pos(i, j int32) (int32, bool) {
 	if i < 0 || int(i) >= o.Sup.N {
 		return 0, false
 	}
 	k, ok := slices.BinarySearch(o.Sup.Row(int(i)), j)
-	if !ok {
-		return 0, false
-	}
-	return o.place.Owner(o.n, i, o.Sup.Off[i]+int32(k)), true
+	return o.Sup.Off[i] + int32(k), ok
 }
 
 // each hands f every support position, in row-major order: its owner, its
@@ -48,6 +50,18 @@ func (o *Owners) each(f func(owner NodeID, i, k int32)) {
 	}
 }
 
+// owners returns the owners of the matrix whose cells have kind k: KA, KB
+// or KX.
+func (l *Layout) owners(k Kind) *Owners {
+	switch k {
+	case KA:
+		return &l.A
+	case KB:
+		return &l.B
+	}
+	return &l.X
+}
+
 // OwnerA returns the computer initially holding A_ij (the p(i,j) of §3.3).
 func (l *Layout) OwnerA(i, j int32) NodeID { return l.A.must(i, j, "A") }
 
@@ -57,12 +71,28 @@ func (l *Layout) OwnerB(j, k int32) NodeID { return l.B.must(j, k, "B") }
 // OwnerX returns the computer that must report X_ik.
 func (l *Layout) OwnerX(i, k int32) NodeID { return l.X.must(i, k, "X") }
 
+// owned returns the position of cell (i, j) if node owns it. Under ByRow a
+// row's cells are its own computer's, which rules out every other node
+// without a search.
+func (o *Owners) owned(node NodeID, i, j int32) (int32, bool) {
+	if o.place == ByRow && node != i {
+		return 0, false
+	}
+	k, ok := o.pos(i, j)
+	if !ok || o.At(i, k) != node {
+		return 0, false
+	}
+	return k, true
+}
+
+// must returns the owner of cell (i, j), searching row i for it: for the
+// dense planners, whose cluster triangles carry no positions.
 func (o *Owners) must(i, j int32, what string) NodeID {
-	v, ok := o.Of(i, j)
+	k, ok := o.pos(i, j)
 	if !ok {
 		panic(fmt.Sprintf("lbm: layout has no owner for %s(%d,%d)", what, i, j))
 	}
-	return v
+	return o.At(i, k)
 }
 
 // MaxPerNode returns, per matrix, the largest number of elements any single
@@ -104,6 +134,27 @@ func (p Placement) Owner(n int, i, k int32) NodeID {
 	}
 	return i
 }
+
+// Owned adds to per[v], for every node v of an n-node machine, how many of
+// sup's positions v owns: Owner's rule counted in closed form.
+func (p Placement) Owned(n int, sup *matrix.Support, per []int32) {
+	if p == Balanced {
+		q, r := int32(sup.NNZ/n), sup.NNZ%n
+		for v := range per[:n] {
+			per[v] += q
+			if v < r {
+				per[v]++
+			}
+		}
+		return
+	}
+	for i := range sup.N {
+		per[i] += sup.Off[i+1] - sup.Off[i]
+	}
+}
+
+// Placement returns the rule the layout places its cells by.
+func (l *Layout) Placement() Placement { return l.A.place }
 
 // Layout lays out the three supports by p.
 func (p Placement) Layout(ahat, bhat, xhat *matrix.Support) *Layout {

@@ -289,8 +289,8 @@ func TestLayoutsAndLoading(t *testing.T) {
 		t.Error("balanced layout owners wrong")
 	}
 	for _, ij := range [][2]int32{{0, 0}, {0, 3}, {5, 1}, {-1, 1}, {6, 0}} {
-		if o, ok := bl.A.Of(ij[0], ij[1]); ok {
-			t.Errorf("A%v outside the support has owner %d", ij, o)
+		if k, ok := bl.A.pos(ij[0], ij[1]); ok {
+			t.Errorf("A%v outside the support has position %d", ij, k)
 		}
 	}
 
@@ -321,6 +321,32 @@ func TestLayoutsAndLoading(t *testing.T) {
 	got, err = CollectX(m, rl, xhat)
 	if err != nil || got.Get(0, 5) != 42 {
 		t.Errorf("CollectX = %v, %v", got, err)
+	}
+}
+
+// TestOwnedCountsOwner checks Placement.Owned's closed form against
+// Owner's rule applied cell by cell, and that a position owned is one a
+// node finds its cell at: under both placements, over supports with empty
+// rows, rows longer than the machine and more cells than nodes.
+func TestOwnedCountsOwner(t *testing.T) {
+	n := 5
+	sup := matrix.NewSupport(n, [][2]int{{0, 0}, {0, 1}, {0, 2}, {0, 3}, {0, 4}, {2, 1}, {2, 3}, {4, 0}, {4, 4}})
+	for _, p := range []Placement{ByRow, Balanced} {
+		got, want := make([]int32, n), make([]int32, n)
+		p.Owned(n, sup, got)
+		l := p.Layout(sup, sup, sup)
+		l.A.each(func(o NodeID, i, k int32) {
+			want[o]++
+			if q, ok := l.A.owned(o, i, sup.Col[k]); !ok || q != k {
+				t.Errorf("placement %d: cell (%d,%d) at position %d found at %d, %v by its owner %d", p, i, sup.Col[k], k, q, ok, o)
+			}
+			if _, ok := l.A.owned((o+1)%NodeID(n), i, sup.Col[k]); ok {
+				t.Errorf("placement %d: cell (%d,%d) owned by a second node", p, i, sup.Col[k])
+			}
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("placement %d: Owned = %v, Owner counts %v", p, got, want)
+		}
 	}
 }
 

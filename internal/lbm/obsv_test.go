@@ -104,16 +104,19 @@ func TestPlanSpanReplay(t *testing.T) {
 			return nil
 		}
 		m := New(n, ring.Counting{}, WithTrace())
-		lw := NewLowering(n)
+		lw := NewLowering(n, nil, 0, 0)
 		for _, l := range loads {
 			m.Put(l.node, l.k, 1)
-			lw.Ref(l.node, l.k)
+			lw.sp.Ref(l.node, l.k)
 		}
 		merr := emit(m)
 		if err := emit(lw); err != nil {
 			t.Fatal(err)
 		}
-		p := lw.Program()
+		p, err := lw.Program()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := p.Finish(); err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +124,7 @@ func TestPlanSpanReplay(t *testing.T) {
 		lw.sp.EachKey(func(node NodeID, _ Key, slot int32) { sizes[node] = max(sizes[node], slot+1) })
 		x := NewExec(sizes, ring.Counting{}, WithTrace())
 		for _, l := range loads {
-			x.PutSlot(lw.Ref(l.node, l.k), 1)
+			x.PutSlot(lw.sp.Ref(l.node, l.k), 1)
 		}
 		_, xerr := x.RunProgram(p)
 		if (merr != nil) != tc.fail || (xerr != nil) != tc.fail {

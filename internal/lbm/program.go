@@ -118,7 +118,8 @@ type Program struct {
 // labelOf returns the index of s in Labels, appending it on first use.
 func (p *Program) labelOf(s string) int32 {
 	if p.label == nil {
-		p.label = make(map[string]int32, len(p.Labels))
+		// Room for the few labels of a job's phases and metrics at once.
+		p.label = make(map[string]int32, max(len(p.Labels), 32))
 		for i, l := range p.Labels {
 			p.label[l] = int32(i)
 		}

@@ -21,7 +21,7 @@ type programSlots struct {
 // host-owned counters, and a split after the fetches.
 func testProgram(t *testing.T) (*Program, *SlotSpace, programSlots) {
 	t.Helper()
-	sp := NewSlotSpace(3)
+	sp := NewSlotSpace(3, 0)
 	s := programSlots{
 		a: sp.Ref(0, AKey(0, 0)), b: sp.Ref(1, BKey(0, 0)), e: sp.Ref(2, AKey(1, 1)),
 		x: sp.Ref(0, XKey(0, 0)), y: sp.Ref(1, XKey(1, 1)),

@@ -117,7 +117,7 @@ func TestSlotSpaceMatchesMap(t *testing.T) {
 	streams["strided columns"] = strided
 
 	for name, stream := range streams {
-		sp, ref := NewSlotSpace(n), newRefSpace(n)
+		sp, ref := NewSlotSpace(n, 0), newRefSpace(n)
 		for q, a := range stream {
 			if got, want := sp.Slot(a.node, a.k), ref.slot(a.node, a.k); got != want {
 				t.Fatalf("%s: key %d, %v at node %d: slot %d, want %d", name, q, a.k, a.node, got, want)

@@ -298,7 +298,7 @@ func TestPartitionedParityExec(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		table := testTables[trial%len(testTables)]
 		p, loads := randomPlan(rng, 6, 1+rng.Intn(6), true)
-		sp := NewSlotSpace(6)
+		sp := NewSlotSpace(6, 0)
 		for _, l := range loads {
 			sp.Slot(l.node, l.key)
 		}
@@ -359,7 +359,7 @@ func TestLoadPrefixPartitioned(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		table := testTables[trial%len(testTables)]
 		p, loads := randomPlan(rng, 6, 1+rng.Intn(6), true)
-		sp := NewSlotSpace(6)
+		sp := NewSlotSpace(6, 0)
 		for _, l := range loads {
 			sp.Slot(l.node, l.key)
 		}

@@ -22,7 +22,7 @@ const (
 func wirePlan(t *testing.T, seed int64, sub bool) (*Plan, []load, *SlotSpace, *CompiledPlan) {
 	t.Helper()
 	p, loads := randomPlan(rand.New(rand.NewSource(seed)), 6, 8, sub)
-	sp := NewSlotSpace(6)
+	sp := NewSlotSpace(6, 0)
 	cp, err := CompileInto(sp, p)
 	if err != nil {
 		t.Fatal(err)

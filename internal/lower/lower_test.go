@@ -263,7 +263,8 @@ func TestDegreeGrowthBound(t *testing.T) {
 			m.Put(l.OwnerB(int32(j), 0), lbmpkg.BKey(int32(j), 0), 1)
 		}
 		lbmpkg.ZeroOutputs(m, l, inst.Xhat)
-		job, err := fewtri.Plan(n, l, inst.Triangles(), 0)
+		tris, pos, _, _, _ := inst.TrianglesLive()
+		job, err := fewtri.Plan(n, l, tris, pos, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
