@@ -1,9 +1,11 @@
 package algo
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"lbmm/internal/graph"
 	"lbmm/internal/lbm"
@@ -99,9 +101,9 @@ func (cp *compiledPrepared) execFor(lanes int) (*lbm.Exec, *sync.Pool) {
 
 // compilePrepared lowers a Prepared into its compiled twin: the loads, then
 // the plan's one step order (emit) written to a lowering. The lowering
-// takes each loaded cell's slot by its support position, as numberLoads
-// numbered it, and indexes only the keys the plan stages. It fails with
-// lbm.ErrDeadCell when a plan reaches a cell that lies on no triangle.
+// takes each loaded cell's slot by its support position, from the table
+// numberLoads fills, and indexes only the keys the plan stages. It fails
+// with lbm.ErrDeadCell when a plan reaches a cell that lies on no triangle.
 func compilePrepared(p *Prepared) (*compiledPrepared, error) {
 	inst := p.Inst
 	cp := &compiledPrepared{}
@@ -136,9 +138,10 @@ func compilePrepared(p *Prepared) (*compiledPrepared, error) {
 // the loaded slots of node v are [0, loaded[v]) by construction. slots, if
 // not the zero value, takes each live cell's slot plus one by support
 // position and leaves a dead cell's zero (lbm.Loads): compilation lowers by
-// it, decoding needs none of it. lives marks the live cells of Â, B̂ and X̂ (graph.Instance.Live), as
-// the planner's own triangle walk marked them; a restored plan has no
-// planner and passes the zero value, and they are marked here.
+// it, decoding needs none of it. lives marks the live cells of Â, B̂ and X̂
+// (graph.Instance.Live), as the planner's own triangle walk marked them; a
+// restored plan has no planner and passes the zero value, and they are
+// marked here.
 func (cp *compiledPrepared) numberLoads(inst *graph.Instance, pl lbm.Placement, lives [3][]bool, slots [3][]int32) {
 	n := inst.N
 	if lives[0] == nil {
@@ -146,11 +149,7 @@ func (cp *compiledPrepared) numberLoads(inst *graph.Instance, pl lbm.Placement, 
 	}
 	nLive := 0
 	for _, live := range lives {
-		for _, ok := range live {
-			if ok {
-				nLive++
-			}
-		}
+		nLive += bytes.Count(marks(live), []byte{1})
 	}
 	refs := make([]loadRef, 0, nLive)
 	counts := make([]int32, 2*n)
@@ -159,25 +158,33 @@ func (cp *compiledPrepared) numberLoads(inst *graph.Instance, pl lbm.Placement, 
 	for m, sup := range []*matrix.Support{inst.Ahat, inst.Bhat, inst.Xhat} {
 		// Every cell counts against its owner as dead until it loads.
 		pl.Owned(n, sup, dead)
-		live, off, start, slot := lives[m], sup.Off, len(refs), slots[m]
-		for i := range int32(sup.N) {
-			for k := off[i]; k < off[i+1]; k++ {
-				if !live[k] {
-					continue
-				}
-				o := pl.Owner(n, i, k)
-				refs = append(refs, loadRef{k: k, ref: lbm.SlotRef{Node: o, Slot: loaded[o]}})
-				loaded[o]++
-				dead[o]--
-				if slot != nil {
-					slot[k] = loaded[o]
-				}
+		start, slot, live, i := len(refs), slots[m], marks(lives[m][:sup.NNZ]), int32(0)
+		for k := bytes.IndexByte(live, 1); k >= 0; {
+			i = rowOf(sup.Off, i, int32(k))
+			o := pl.Owner(n, i, int32(k))
+			refs = append(refs, loadRef{k: int32(k), ref: lbm.SlotRef{Node: o, Slot: loaded[o]}})
+			loaded[o]++
+			dead[o]--
+			if slot != nil {
+				slot[k] = loaded[o]
 			}
+			next := bytes.IndexByte(live[k+1:], 1)
+			if next < 0 {
+				break
+			}
+			k += next + 1
 		}
 		loads[m] = refs[start:len(refs):len(refs)]
 	}
 	cp.loaded, cp.dead = loaded, dead
 	cp.loadA, cp.loadB, cp.x = loads[0], loads[1], loads[2]
+}
+
+// marks views live marks as bytes, a bool being stored as the byte 0 or 1,
+// so that the vectorised byte search of package bytes skips the runs of
+// dead cells.
+func marks(live []bool) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(live))), len(live))
 }
 
 // finish completes a compiled form whose loads are numbered (numberLoads)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"lbmm/internal/graph"
@@ -129,8 +130,15 @@ func TestLiveGuardRejectsDeadReach(t *testing.T) {
 	}
 	p.Inst = graph.NewInstance(inst.D, matrix.NewSupport(inst.N, as), inst.Bhat, inst.Xhat)
 	p.Layout = ChooseLayout(p.Inst)
-	if err := p.Compile(); !errors.Is(err, lbm.ErrDeadCell) {
+	// The planner's live marks index the old supports' positions; without
+	// them compilation marks the new structure's own.
+	p.live = [3][]bool{}
+	err = p.Compile()
+	if !errors.Is(err, lbm.ErrDeadCell) {
 		t.Fatalf("err = %v, want ErrDeadCell", err)
+	}
+	if want := fmt.Sprintf("B(%d,", t0.J); !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want it to name a B cell of row %d", err, t0.J)
 	}
 }
 

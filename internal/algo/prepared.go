@@ -328,8 +328,11 @@ func (pl *Planner) phase1(name string) (*Prepared, []graph.Triangle, []graph.Pos
 	inst, l := pl.inst, pl.l
 	_, isField := ring.AsField(pl.r)
 	p := pl.prepared(name)
-	net := vnet.Roles(inst.N)
+	var net *vnet.Net // built for the first batch: most structures keep none
 	residual, err := clusterSchedule(inst, isField, theorem42Alpha(isField, name == spaa22), pl.tris, func(batches []cluster.Batch) error {
+		if net == nil {
+			net = vnet.Roles(inst.N)
+		}
 		for _, b := range batches {
 			pb, err := cluster.PlanBatch(net, inst.N, l, b, isField)
 			if err != nil {

@@ -174,8 +174,10 @@ const (
 // with the slot index one flat table sized for two keys per node instead of
 // a Go map, and the staging sweep and dead-cell guard walking only the keys
 // they need, 231; with Lemma 3.1 priced from counts instead of planned, and
-// the load slots numbered from the planner's own triangle walk, this reads
-// 146.
+// the load slots numbered from the planner's own triangle walk, 146; with
+// the planners working from the walk's cell positions (counted fetches and
+// routing arrays, loads slotted by position, a slot index for the staged
+// copies only, sized from the plan), this reads 114.
 func TestPrepareAutoAllocs(t *testing.T) {
 	prepareAllocs(t, "US n=256, d=4", workload.Instance(matrix.US, matrix.US, matrix.US, 256, 4, 1), "", prepareAutoAllocs)
 }
@@ -184,7 +186,8 @@ func TestPrepareAutoAllocs(t *testing.T) {
 // BenchmarkPrepareUS256, the plan auto keeps on that structure with no
 // other candidate priced. Under the Go map slot index it read 148; then
 // 122; with the load slots numbered from the planner's triangle walk instead
-// of a second walk, it reads 120.
+// of a second walk, 120; with its fetches deduplicated by a counting pass
+// over cell positions and its loads slotted by position, it reads 88.
 func TestPrepareTrivialAllocs(t *testing.T) {
 	prepareAllocs(t, "US n=256, d=4", workload.Instance(matrix.US, matrix.US, matrix.US, 256, 4, 1), "trivial", prepareTrivialAllocs)
 }
@@ -193,15 +196,17 @@ func TestPrepareTrivialAllocs(t *testing.T) {
 // BenchmarkPrepareAutoBlocks64, which plans Theorem 4.2's cube batches and
 // lowers them through vnet to price them, then keeps the trivial plan. With
 // every virtual message copied from its own struct type into the
-// scheduler's and back it read 4,946; scheduled as lbm.Send throughout, it
-// reads 4,442.
+// scheduler's and back it read 4,946; scheduled as lbm.Send throughout,
+// 4,442; with the planners working from cell positions, it reads 4,381.
 func TestPrepareAutoBlocks64Allocs(t *testing.T) {
 	prepareAllocs(t, "Blocks(64, 8)", workload.Blocks(64, 8), "", prepareAutoBlocksAllocs)
 }
 
 // TestPrepareMixed256Allocs pins the trivial Prepare of
 // BenchmarkPrepareMixed256: one fetch h-relation of 18,230 triangles. It
-// reads 193.
+// read 193; with the fetches deduplicated by a counting pass over cell
+// positions instead of a sort, and the loads slotted by position, it reads
+// 107.
 func TestPrepareMixed256Allocs(t *testing.T) {
 	prepareAllocs(t, "Mixed(256, 8, 1)", workload.Mixed(256, 8, 1), "trivial", prepareMixedAllocs)
 }
@@ -225,10 +230,10 @@ func prepareAllocs(t *testing.T, name string, inst *graph.Instance, alg string, 
 
 // The bounds of the Prepare allocation pins, about 5% over what they read.
 const (
-	prepareAutoAllocs       = 153
-	prepareTrivialAllocs    = 126
-	prepareAutoBlocksAllocs = 4664
-	prepareMixedAllocs      = 203
+	prepareAutoAllocs       = 120
+	prepareTrivialAllocs    = 92
+	prepareAutoBlocksAllocs = 4600
+	prepareMixedAllocs      = 112
 )
 
 // prepareClusters prepares Theorem 4.2 on inst over r and checks phase 1

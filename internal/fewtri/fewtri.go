@@ -377,12 +377,9 @@ func PlanTrivial(l *lbm.Layout, tris []graph.Triangle, pos []graph.Pos) *Job {
 		return job
 	}
 	// One scratch slab: the owners' group bounds (next), the triangles by
-	// owner, the fetches each triangle sends and a stamp per A and B support
-	// position.
-	nnzA := l.A.Sup.NNZ
-	scratch := make([]int32, l.N+2*len(tris)+nnzA+l.B.Sup.NNZ)
-	next, byOwner := scratch[:l.N], scratch[l.N:l.N+len(tris)]
-	sends, stamp := scratch[l.N+len(tris):l.N+2*len(tris)], scratch[l.N+2*len(tris):]
+	// owner and the fetches each triangle sends.
+	scratch := make([]int32, l.N+2*len(tris))
+	next, byOwner, sends := scratch[:l.N], scratch[l.N:l.N+len(tris)], scratch[l.N+len(tris):]
 	// Products are grouped by output owner, each group a window of one slab,
 	// by one counting pass; within a group the triangles keep their order,
 	// so every output accumulates in triangle order. next[host] counts the
@@ -406,11 +403,13 @@ func PlanTrivial(l *lbm.Layout, tris []graph.Triangle, pos []graph.Pos) *Job {
 	// Every triangle fetches its A and then its B input to its output's
 	// owner. One fetch per (owner, cell) is sent, the first sight of it, and
 	// in first-sight order: the message order is König's edge order. Walking
-	// one owner's group at a time, a stamp per support position (the owner
-	// plus one) marks the cells that owner fetches already, and sends marks
-	// the fetches each triangle sends: sendA for its A input, sendB for its
-	// B input.
+	// one owner's group at a time, a mark per A and B support position flags
+	// the cells that owner fetches already, cleared after the group, and
+	// sends marks the fetches each triangle sends: sendA for its A input,
+	// sendB for its B input.
 	const sendA, sendB = 1, 2
+	nnzA := l.A.Sup.NNZ
+	fetched := make([]bool, nnzA+l.B.Sup.NNZ)
 	sent, staged := 0, 0
 	job.products = make([]prodGroup, 0, groups)
 	slab := make([]graph.Triangle, len(tris))
@@ -419,24 +418,27 @@ func PlanTrivial(l *lbm.Layout, tris []graph.Triangle, pos []graph.Pos) *Job {
 		if end == start {
 			continue
 		}
-		mark := int32(host) + 1
-		for q, idx := range byOwner[start:end] {
+		group := byOwner[start:end]
+		for q, idx := range group {
 			t, p := tris[idx], pos[idx]
 			slab[start+int32(q)] = t
-			if stamp[p.A] != mark {
-				stamp[p.A], sends[idx] = mark, sendA
+			if !fetched[p.A] {
+				fetched[p.A], sends[idx] = true, sendA
 				sent++
 				if l.A.At(t.I, p.A) != lbm.NodeID(host) {
 					staged++
 				}
 			}
-			if stamp[nnzA+int(p.B)] != mark {
-				stamp[nnzA+int(p.B)], sends[idx] = mark, sends[idx]|sendB
+			if !fetched[nnzA+int(p.B)] {
+				fetched[nnzA+int(p.B)], sends[idx] = true, sends[idx]|sendB
 				sent++
 				if l.B.At(t.J, p.B) != lbm.NodeID(host) {
 					staged++
 				}
 			}
+		}
+		for _, idx := range group {
+			fetched[pos[idx].A], fetched[nnzA+int(pos[idx].B)] = false, false
 		}
 		job.products = append(job.products, prodGroup{host: lbm.NodeID(host), tris: slab[start:end:end]})
 		start = end

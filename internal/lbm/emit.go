@@ -63,7 +63,9 @@ func (b Block) key(i, size int32) Key { return Key{Kind: b.Kind, I: i / size, J:
 // One Lowering takes every planner of a pipeline, so a key staged by one
 // plan and read by a later one resolves to the same slot.
 type Lowering struct {
-	prog Program
+	// prog is held by pointer so that the program outlives the slot space
+	// and the loads, which only lowering needs.
+	prog *Program
 	sp   SlotSpace
 	tab  []int32 // Leaf's table scratch
 }
@@ -76,7 +78,7 @@ type Lowering struct {
 // keys to stage and clear, which size the program and the slot index.
 func NewLowering(n int, loads *Loads, products, staged int) *Lowering {
 	lw := &Lowering{sp: *NewSlotSpace(n, staged)}
-	lw.prog = Program{N: n, Prods: make([]Prod, 0, products), Clears: make([]SlotRef, 0, staged)}
+	lw.prog = &Program{N: n, Prods: make([]Prod, 0, products), Clears: make([]SlotRef, 0, staged)}
 	if loads != nil {
 		lw.sp.loads = loads
 		copy(lw.sp.sizes, loads.Prefix)
@@ -90,7 +92,7 @@ func (lw *Lowering) Program() (*Program, error) {
 	if lw.sp.dead != nil {
 		return nil, lw.sp.dead
 	}
-	return &lw.prog, nil
+	return lw.prog, nil
 }
 
 // routePhase writes p's phase around route to e: BeginPhase, one Counter

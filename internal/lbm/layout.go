@@ -86,7 +86,8 @@ func (o *Owners) owned(node NodeID, i, j int32) (int32, bool) {
 }
 
 // must returns the owner of cell (i, j), searching row i for it: for the
-// dense planners, whose cluster triangles carry no positions.
+// callers that hold a cell, not its position, such as the dense planners'
+// cluster triangles and the map oracle's outputs.
 func (o *Owners) must(i, j int32, what string) NodeID {
 	k, ok := o.pos(i, j)
 	if !ok {

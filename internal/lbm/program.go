@@ -119,7 +119,7 @@ type Program struct {
 func (p *Program) labelOf(s string) int32 {
 	if p.label == nil {
 		// Room for the few labels of a job's phases and metrics at once.
-		p.label = make(map[string]int32, max(len(p.Labels), 32))
+		p.label = make(map[string]int32, max(len(p.Labels), 16))
 		for i, l := range p.Labels {
 			p.label[l] = int32(i)
 		}
