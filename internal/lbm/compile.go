@@ -178,13 +178,9 @@ func (s *SlotSpace) Slot(node NodeID, k Key) int32 {
 	return sl
 }
 
-// Lookup returns the slot of key k at node without assigning one.
+// Lookup returns the slot of an indexed key k at node without assigning
+// one; the loaded cells of a space that started from Loads are not indexed.
 func (s *SlotSpace) Lookup(node NodeID, k Key) (int32, bool) {
-	if s.loads != nil {
-		if sl, ok := s.loads.slot(node, k); ok {
-			return sl, sl >= 0
-		}
-	}
 	sl := s.tab[s.find(nodeKeyOf(node, k))].slot
 	if sl == 0 {
 		return 0, false
@@ -202,18 +198,14 @@ func (s *SlotSpace) Sizes() []int32 {
 	return append([]int32(nil), s.sizes...)
 }
 
-// EachKey visits every indexed (node, key, slot) triple in deterministic
-// order (by node, then by slot assignment order): every key of a space
-// that started empty, the staged keys of one that started from Loads.
+// EachKey visits every assigned (node, key, slot) triple of a space that
+// started empty in deterministic order (by node, then by slot assignment
+// order).
 func (s *SlotSpace) EachKey(f func(node NodeID, k Key, slot int32)) {
-	// Bucket the keys by node; within a node, order of sight is slot order,
-	// and the indexed slots are the last of the node's.
+	// Bucket the keys by node; within a node, order of sight is slot order.
 	next := make([]int, s.n+1)
-	for _, nk := range s.seen {
-		next[nk.node+1]++
-	}
-	for v := range s.n {
-		next[v+1] += next[v]
+	for v, sz := range s.sizes {
+		next[v+1] = next[v] + int(sz)
 	}
 	keys := make([]Key, len(s.seen))
 	for _, nk := range s.seen {
@@ -222,9 +214,8 @@ func (s *SlotSpace) EachKey(f func(node NodeID, k Key, slot int32)) {
 	}
 	start := 0
 	for v, end := range next[:s.n] {
-		base := s.sizes[v] - int32(end-start)
 		for slot, k := range keys[start:end] {
-			f(NodeID(v), k, base+int32(slot))
+			f(NodeID(v), k, int32(slot))
 		}
 		start = end
 	}
