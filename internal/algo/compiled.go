@@ -1,11 +1,9 @@
 package algo
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"sync"
-	"unsafe"
 
 	"lbmm/internal/graph"
 	"lbmm/internal/lbm"
@@ -110,7 +108,7 @@ func compilePrepared(p *Prepared) (*compiledPrepared, error) {
 	nA, nB := inst.Ahat.NNZ, inst.Ahat.NNZ+inst.Bhat.NNZ
 	slab := make([]int32, nB+inst.Xhat.NNZ)
 	slots := [3][]int32{slab[:nA:nA], slab[nA:nB:nB], slab[nB:]}
-	cp.numberLoads(inst, p.Layout.Placement(), p.live, slots)
+	cp.numberLoads(inst, choosePlacement(inst), p.live, slots)
 	products, staged := p.fewtri.Extent()
 	lw := lbm.NewLowering(inst.N, &lbm.Loads{Layout: p.Layout, Slot: slots, Prefix: cp.loaded}, products, staged)
 	if err := p.emit(lw); err != nil {
@@ -149,7 +147,11 @@ func (cp *compiledPrepared) numberLoads(inst *graph.Instance, pl lbm.Placement, 
 	}
 	nLive := 0
 	for _, live := range lives {
-		nLive += bytes.Count(marks(live), []byte{1})
+		for _, l := range live {
+			if l {
+				nLive++
+			}
+		}
 	}
 	refs := make([]loadRef, 0, nLive)
 	counts := make([]int32, 2*n)
@@ -158,8 +160,11 @@ func (cp *compiledPrepared) numberLoads(inst *graph.Instance, pl lbm.Placement, 
 	for m, sup := range []*matrix.Support{inst.Ahat, inst.Bhat, inst.Xhat} {
 		// Every cell counts against its owner as dead until it loads.
 		pl.Owned(n, sup, dead)
-		start, slot, live, i := len(refs), slots[m], marks(lives[m][:sup.NNZ]), int32(0)
-		for k := bytes.IndexByte(live, 1); k >= 0; {
+		start, slot, i := len(refs), slots[m], int32(0)
+		for k, l := range lives[m][:sup.NNZ] {
+			if !l {
+				continue
+			}
 			i = rowOf(sup.Off, i, int32(k))
 			o := pl.Owner(n, i, int32(k))
 			refs = append(refs, loadRef{k: int32(k), ref: lbm.SlotRef{Node: o, Slot: loaded[o]}})
@@ -168,23 +173,11 @@ func (cp *compiledPrepared) numberLoads(inst *graph.Instance, pl lbm.Placement, 
 			if slot != nil {
 				slot[k] = loaded[o]
 			}
-			next := bytes.IndexByte(live[k+1:], 1)
-			if next < 0 {
-				break
-			}
-			k += next + 1
 		}
 		loads[m] = refs[start:len(refs):len(refs)]
 	}
 	cp.loaded, cp.dead = loaded, dead
 	cp.loadA, cp.loadB, cp.x = loads[0], loads[1], loads[2]
-}
-
-// marks views live marks as bytes, a bool being stored as the byte 0 or 1,
-// so that the vectorised byte search of package bytes skips the runs of
-// dead cells.
-func marks(live []bool) []byte {
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(live))), len(live))
 }
 
 // finish completes a compiled form whose loads are numbered (numberLoads)

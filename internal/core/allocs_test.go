@@ -281,3 +281,41 @@ func listed(m *matrix.Sparse, sup *matrix.Support) []ring.Value {
 	}
 	return vals
 }
+
+// TestPrepareBytesFollowInput holds what a Prepare allocates to its input
+// on a structure whose A and B cells pair up many times over but close no
+// triangle: Â = B̂ one dense 128×128 block at n=256, X̂ filling rows
+// [128, 256). Its 2M pairs would size the planner's triangle lists at
+// ~38 MB if the walk presized them by the pairs alone; against its ~65k
+// support cells it reads ~340 kB.
+func TestPrepareBytesFollowInput(t *testing.T) {
+	const n, b = 256, 128
+	var blk, out [][2]int
+	for i := range b {
+		for j := range b {
+			blk = append(blk, [2]int{i, j})
+		}
+	}
+	for i := b; i < n; i++ {
+		for k := range n {
+			out = append(out, [2]int{i, k})
+		}
+	}
+	ahat, xhat := matrix.NewSupport(n, blk), matrix.NewSupport(n, out)
+	cells := 2*ahat.NNZ + xhat.NNZ
+	prepare := func() {
+		if _, err := Prepare(ahat, ahat, xhat, Options{Ring: ring.Counting{}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prepare()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	prepare()
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("auto Prepare of %d support cells closing no triangle: %d bytes", cells, got)
+	if limit := uint64(32 * cells); got > limit {
+		t.Errorf("auto Prepare allocated %d bytes for %d support cells, want at most %d", got, cells, limit)
+	}
+}

@@ -85,13 +85,23 @@ func (inst *Instance) TrianglesLive() (tris []Triangle, pos []Pos, a, b, x []boo
 	ahat, bhat := inst.Ahat, inst.Bhat
 	// Room for half as many again as random supports of these densities
 	// close, so that the lists grow only on a structure far from random: of
-	// the pairs of an A cell (i, j) and a B cell (j, k), a share nnz(X̂)/n²
-	// meet an X cell (i, k).
-	pairs := 0
-	for _, j := range ahat.Col {
-		pairs += int(bhat.Off[j+1] - bhat.Off[j])
+	// the pairs of an A cell (i, j) and a B cell (j, k) in row i, a share
+	// |X̂ row i|/n meet an X cell (i, k). Pairs need not close at all, so
+	// the room is capped at the cells of the supports: the lists are
+	// allocated in proportion to the input, not to its pairs.
+	closing := 0
+	for i := range inst.N {
+		xs := int(inst.Xhat.Off[i+1] - inst.Xhat.Off[i])
+		if xs == 0 {
+			continue
+		}
+		pairs := 0
+		for _, j := range ahat.Col[ahat.Off[i]:ahat.Off[i+1]] {
+			pairs += int(bhat.Off[j+1] - bhat.Off[j])
+		}
+		closing += pairs * xs
 	}
-	room := int(float64(pairs)*float64(inst.Xhat.NNZ)/(float64(inst.N)*float64(inst.N))*1.5) + 8
+	room := min(closing*3/(2*inst.N)+8, len(a)+len(b)+len(x))
 	tris, pos = make([]Triangle, 0, room), make([]Pos, 0, room)
 	inst.walk(func(i, pa, pb, px int32) {
 		tris = append(tris, Triangle{I: i, J: ahat.Col[pa], K: bhat.Col[pb]})

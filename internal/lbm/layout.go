@@ -154,9 +154,6 @@ func (p Placement) Owned(n int, sup *matrix.Support, per []int32) {
 	}
 }
 
-// Placement returns the rule the layout places its cells by.
-func (l *Layout) Placement() Placement { return l.A.place }
-
 // Layout lays out the three supports by p.
 func (p Placement) Layout(ahat, bhat, xhat *matrix.Support) *Layout {
 	n := ahat.N
