@@ -108,6 +108,30 @@ func TestFingerprintDiscriminates(t *testing.T) {
 	}
 }
 
+// TestBlocksShiftedKeysApart holds workload.BlocksShifted to its purpose: a
+// second block structure with triangles whose fingerprint differs from
+// Blocks', so the cache-miss benchmark that alternates the two misses on
+// every request.
+func TestBlocksShiftedKeysApart(t *testing.T) {
+	const n, d = 64, 4
+	plain, shifted := workload.Blocks(n, d), workload.BlocksShifted(n, d)
+	if got, want := shifted.CountTriangles(), (n/d)*d*d*(d-d/2); got != want {
+		t.Errorf("shifted blocks have %d triangles, want %d", got, want)
+	}
+	opts := Options{Ring: ring.Counting{}}
+	fp, err := Fingerprint(plain.Ahat, plain.Bhat, plain.Xhat, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fpShifted, err := Fingerprint(shifted.Ahat, shifted.Bhat, shifted.Xhat, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp == fpShifted {
+		t.Errorf("Blocks and BlocksShifted share the fingerprint %s", fp)
+	}
+}
+
 // goldenFingerprints pins the bytes of lbmm.fp.v1: plan-store file names and
 // shard ownership are these strings, so a change to the serialization that
 // keeps the domain tag must fail here. The first two are what

@@ -73,9 +73,9 @@ func TestLocalMeshRouting(t *testing.T) {
 				for _, s := range msgs {
 					var err error
 					switch {
-					case m.Owns(s.from):
+					case m.Part().Owns(s.from):
 						err = m.Send(0, s.from, s.to, []ring.Value{s.val})
-					case m.Owns(s.to):
+					case m.Part().Owns(s.to):
 						err = m.Expect(0, s.from, s.to, 1)
 					}
 					if err != nil {
@@ -89,7 +89,7 @@ func TestLocalMeshRouting(t *testing.T) {
 			}
 			for _, msgs := range rounds {
 				for _, s := range msgs {
-					if !m.Owns(s.to) {
+					if !m.Part().Owns(s.to) {
 						continue
 					}
 					var got [1]ring.Value

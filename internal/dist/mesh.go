@@ -9,6 +9,7 @@ import (
 	"math"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 
 	"lbmm/internal/lbm"
@@ -57,10 +58,17 @@ type peerLink struct {
 	conn net.Conn
 	r    *bufio.Reader
 	// wbuf is the exchange's outgoing frame: header room, then the values
-	// Send encodes in place. wn and werr are the outcome of writing it.
+	// Send encodes in place. wn and werr are the outcome of writing it: the
+	// bytes on the wire so far and the writer goroutine's error.
 	wbuf []byte
 	wn   int
 	werr error
+	// raw and tryWrite are the inline write of a *net.TCPConn: tryWrite is
+	// built once (a closure made per exchange would be an allocation) and
+	// makes one non-blocking write of wbuf[wn:] on raw's descriptor. Both
+	// are nil for any other conn, which writes through its own Write only.
+	raw      syscall.RawConn
+	tryWrite func(fd uintptr) bool
 	// owed is the number of values Expect announced from this peer for the
 	// exchange; rbuf holds the delivered values, consumed by Recv from rd. It
 	// is sized from owed — never from the peer's length field — and reused.
@@ -80,11 +88,14 @@ type peerLink struct {
 // carries: Send appends, Expect sums, Recv consumes from the front.
 // Connections and buffers are reused across exchanges and across executions —
 // the per-exchange cost is one write and one read per peer, no dials and, in
-// steady state, no allocation beyond the writer goroutines.
+// steady state, no allocation: a frame the socket takes whole is written
+// inline, and only a remainder the socket buffers cannot hold yet goes to a
+// writer goroutine.
 type Mesh struct {
 	part     Partition
 	peers    []*peerLink  // indexed by rank, nil at our own
 	local    lbm.Loopback // the slab of messages between two nodes we own
+	owned    []bool       // Owned's table, read-only once handed out
 	wg       sync.WaitGroup
 	counters *obsv.CounterSet
 	// dead is the sticky lifecycle error: once a Deliver fails, the mesh's
@@ -92,10 +103,18 @@ type Mesh struct {
 	// round frames), so every later Send/Expect/Deliver fails fast with the
 	// original error instead of desyncing on a confusing round tag.
 	dead error
+	// deadline is the deadline every peer connection carries, armed for a
+	// ReadTimeout of armedFor (-1 before the first exchange); armDeadline
+	// moves it only when a barrier would otherwise get less than ReadTimeout.
+	deadline time.Time
+	armedFor time.Duration
 
 	// ReadTimeout bounds one Deliver barrier, in both directions: the wait
 	// for every peer's round frame and the write of ours (a peer that stops
 	// reading fills the socket buffers and would park the writer forever).
+	// The connections' deadline is re-armed only when less than ReadTimeout
+	// of it is left, and then set 2×ReadTimeout ahead, so a barrier that
+	// stalls fails after between ReadTimeout and 2×ReadTimeout, never sooner.
 	// 0 waits forever. It is the rescue path when a peer dies or stalls
 	// mid-run outside the fault model (see the runbook in docs/DIST.md).
 	ReadTimeout time.Duration
@@ -120,6 +139,7 @@ func NewMesh(part Partition, conns []net.Conn, counters *obsv.CounterSet) (*Mesh
 		part:        part,
 		peers:       make([]*peerLink, part.Workers),
 		counters:    counters,
+		armedFor:    -1,
 		ReadTimeout: 60 * time.Second,
 	}
 	for rk, c := range conns {
@@ -129,11 +149,23 @@ func NewMesh(part Partition, conns []net.Conn, counters *obsv.CounterSet) (*Mesh
 		if c == nil {
 			return nil, fmt.Errorf("dist: rank %d: no connection to peer rank %d", part.Rank, rk)
 		}
-		m.peers[rk] = &peerLink{
+		pl := &peerLink{
 			conn: c,
 			r:    bufio.NewReader(c),
 			wbuf: make([]byte, roundHeaderBytes, 512),
 		}
+		// The concrete type, not the syscall.Conn interface: a conn that
+		// wraps a socket has its own Write, which must not be bypassed.
+		if tc, ok := c.(*net.TCPConn); ok {
+			if raw, err := tc.SyscallConn(); err == nil {
+				pl.raw = raw
+				pl.tryWrite = func(fd uintptr) bool {
+					pl.wn += rawWrite(fd, pl.wbuf[pl.wn:])
+					return true // one attempt: never wait for the socket here
+				}
+			}
+		}
+		m.peers[rk] = pl
 	}
 	return m, nil
 }
@@ -144,8 +176,17 @@ func (m *Mesh) Part() Partition { return m.part }
 // Counters returns the mesh's transport counters.
 func (m *Mesh) Counters() *obsv.CounterSet { return m.counters }
 
-// Owns implements lbm.Transport.
-func (m *Mesh) Owns(v lbm.NodeID) bool { return m.part.Owns(v) }
+// Owned implements lbm.Transport: the partition's table of nodes 0..n-1,
+// built once and handed out again (rebuilt only for a larger n).
+func (m *Mesh) Owned(n int) []bool {
+	if len(m.owned) < n {
+		m.owned = make([]bool, n)
+		for v := range m.owned {
+			m.owned[v] = m.part.Owns(lbm.NodeID(v))
+		}
+	}
+	return m.owned[:n:n]
+}
 
 // Send implements lbm.Transport: a message to a node we own joins the local
 // slab (no wire); anything else is encoded onto the end of its owner rank's
@@ -202,10 +243,12 @@ func (m *Mesh) Recv(from, to lbm.NodeID, dst []ring.Value) error {
 	return nil
 }
 
-// Deliver implements lbm.Transport: it writes one round frame to every peer
-// (concurrently, so frames larger than the socket buffers cannot write-write
-// deadlock the mesh), reads one from every peer, and holds each to the
-// exchange's tag and to exactly the values Expect announced.
+// Deliver implements lbm.Transport: it writes one round frame to every peer,
+// reads one from every peer, and holds each to the exchange's tag and to
+// exactly the values Expect announced. A frame is first offered to its
+// socket in one non-blocking write; whatever the socket buffers cannot take
+// at once is written by a goroutine concurrently with the reads, so frames
+// larger than the socket buffers cannot write-write deadlock the mesh.
 //
 // Error lifecycle: an early error does not abandon the remaining peers —
 // their round frames are still read — and any Deliver error marks the mesh
@@ -218,7 +261,7 @@ func (m *Mesh) Deliver(round int) error {
 		return fmt.Errorf("dist: rank %d: deliver on a dead mesh: %w", m.part.Rank, m.dead)
 	}
 	start := time.Now()
-	err := m.exchange(round)
+	err := m.exchange(round, start)
 	m.counters.Add(CounterRoundNS, time.Since(start).Nanoseconds())
 	if err != nil {
 		m.dead = err
@@ -226,7 +269,7 @@ func (m *Mesh) Deliver(round int) error {
 	return err
 }
 
-func (m *Mesh) exchange(round int) error {
+func (m *Mesh) exchange(round int, now time.Time) error {
 	if err := m.local.Deliver(round); err != nil {
 		return fmt.Errorf("dist: rank %d: %w", m.part.Rank, err)
 	}
@@ -236,20 +279,24 @@ func (m *Mesh) exchange(round int) error {
 				m.part.Rank, round, len(pl.rbuf)-pl.rd, rk, lbm.ErrRoundCount)
 		}
 	}
-	var deadline time.Time
-	if m.ReadTimeout > 0 {
-		deadline = time.Now().Add(m.ReadTimeout)
-	}
+	m.armDeadline(now)
 	for _, pl := range m.peers {
 		if pl == nil {
 			continue
 		}
-		pl.conn.SetDeadline(deadline)
 		binary.LittleEndian.PutUint32(pl.wbuf[0:], uint32(len(pl.wbuf)))
 		binary.LittleEndian.PutUint32(pl.wbuf[4:], uint32(round))
 		binary.LittleEndian.PutUint32(pl.wbuf[8:], uint32((len(pl.wbuf)-roundHeaderBytes)/8))
-		m.wg.Add(1)
-		go m.writeRound(pl)
+		pl.wn, pl.werr = 0, nil
+		if pl.raw != nil {
+			// An error (a passed deadline included) leaves wn short, and the
+			// goroutine's Write reports it as the conn's own error.
+			pl.raw.Write(pl.tryWrite)
+		}
+		if pl.wn < len(pl.wbuf) {
+			m.wg.Add(1)
+			go m.writeRound(pl)
+		}
 	}
 	var rerr error
 	for rk, pl := range m.peers {
@@ -279,10 +326,33 @@ func (m *Mesh) exchange(round int) error {
 	return rerr
 }
 
-// writeRound puts one peer's sealed frame on the wire in a single write.
+// armDeadline keeps every barrier at least ReadTimeout of deadline: it moves
+// the connections' deadline, 2×ReadTimeout ahead of now, only when less than
+// ReadTimeout of it is left (or ReadTimeout changed), so most exchanges
+// touch no timer. A ReadTimeout of 0 clears the deadline once.
+func (m *Mesh) armDeadline(now time.Time) {
+	timeout := max(m.ReadTimeout, 0)
+	if timeout == m.armedFor && (timeout == 0 || m.deadline.Sub(now) >= timeout) {
+		return
+	}
+	m.deadline, m.armedFor = time.Time{}, timeout
+	if timeout > 0 {
+		m.deadline = now.Add(2 * timeout)
+	}
+	for _, pl := range m.peers {
+		if pl != nil {
+			pl.conn.SetDeadline(m.deadline)
+		}
+	}
+}
+
+// writeRound puts the rest of one peer's sealed frame — all of it, or what
+// the inline write left — on the wire.
 func (m *Mesh) writeRound(pl *peerLink) {
 	defer m.wg.Done()
-	pl.wn, pl.werr = pl.conn.Write(pl.wbuf)
+	n, err := pl.conn.Write(pl.wbuf[pl.wn:])
+	pl.wn += n
+	pl.werr = err
 }
 
 // readRound reads the peer's frame of the given round into rbuf, accepting

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -310,9 +311,9 @@ func meshRounds(t *testing.T, meshes []*Mesh, first, exchanges, fused, msgs, lan
 }
 
 // TestMeshRoundAllocs pins the property the speedup rests on: an exchange on
-// a kept-open mesh allocates nothing but the goroutines of its concurrent
-// frame writes — no codec state, no per-exchange buffers, no maps — however
-// many model rounds it carries.
+// a kept-open mesh allocates nothing — no codec state, no per-exchange
+// buffers, no maps, and, since a frame the socket takes whole is written
+// inline, no writer goroutine — however many model rounds it carries.
 func TestMeshRoundAllocs(t *testing.T) {
 	meshes, stop, err := NewLocalMesh(3)
 	if err != nil {
@@ -326,11 +327,11 @@ func TestMeshRoundAllocs(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	meshRounds(t, meshes, 8*fused, exchanges, fused, 4, 2)
 	runtime.ReadMemStats(&after)
-	// Per exchange and rank: one closure per peer write. The bound leaves
-	// room for the runtime's own goroutine bookkeeping and the driver above.
+	// The bound leaves room for meshRounds' own three goroutines; one
+	// writer goroutine per peer write would be two per exchange and rank.
 	perExchange := float64(after.Mallocs-before.Mallocs) / (exchanges * 3)
-	if perExchange > 4 {
-		t.Errorf("%.1f allocations per exchange per rank, want at most 4", perExchange)
+	if perExchange > 0.25 {
+		t.Errorf("%.2f allocations per exchange per rank, want at most 0.25", perExchange)
 	}
 	t.Logf("%.2f allocations, %.0f bytes per exchange of %d rounds per rank", perExchange,
 		float64(after.TotalAlloc-before.TotalAlloc)/(exchanges*3), fused)
@@ -360,12 +361,13 @@ func shrinkBuffers(t *testing.T, conns [][]net.Conn) {
 	}
 }
 
-// TestMeshLargeFrames is the deadlock-freedom argument for writing every
-// peer's frame concurrently with the reads: when each frame is far larger
-// than the socket buffers, all ranks are mid-write at once, and a rank that
-// wrote its peers one after another before reading would wait on a peer
-// that is waiting on it. 64 lanes × 2048 messages is 1 MiB per frame against
-// socket buffers pinned at 32 KiB a side.
+// TestMeshLargeFrames is the deadlock-freedom argument for writing what the
+// inline write leaves of every peer's frame concurrently with the reads:
+// when each frame is far larger than the socket buffers, all ranks are
+// mid-write at once, and a rank that wrote its peers one after another
+// before reading would wait on a peer that is waiting on it. 64 lanes × 2048
+// messages is 1 MiB per frame against socket buffers pinned at 32 KiB a
+// side, so every frame spills to the writer goroutine.
 func TestMeshLargeFrames(t *testing.T) {
 	conns, stop, err := localConns(3)
 	if err != nil {
@@ -403,7 +405,9 @@ func TestMeshLargeFrames(t *testing.T) {
 // fills the socket buffers, and without a write deadline the frame's writer
 // would park forever and hang Deliver behind it even after every read timed
 // out. With ReadTimeout armed on both directions Deliver returns a typed
-// timeout, the mesh is dead, and no goroutine is left behind.
+// timeout — after between ReadTimeout and 2×ReadTimeout, the deadline being
+// armed 2×ReadTimeout ahead — the mesh is dead, and no goroutine is left
+// behind.
 func TestMeshStalledPeer(t *testing.T) {
 	conns, stop, err := localConns(2)
 	if err != nil {
@@ -431,7 +435,7 @@ func TestMeshStalledPeer(t *testing.T) {
 	if !errors.As(err, &nerr) || !nerr.Timeout() {
 		t.Fatalf("Deliver against a stalled peer = %v, want a timeout", err)
 	}
-	if elapsed > 5*time.Second {
+	if elapsed < mesh.ReadTimeout || elapsed > 5*time.Second {
 		t.Fatalf("Deliver took %v against a 300ms timeout", elapsed)
 	}
 	if mesh.Err() == nil {
@@ -443,5 +447,100 @@ func TestMeshStalledPeer(t *testing.T) {
 			t.Fatalf("%d goroutines, %d before the stalled round", runtime.NumGoroutine(), baseline)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestMeshSlowPeerWithinTimeout pins the lazily re-armed deadline's promise:
+// every barrier gets at least ReadTimeout, however little of the last arming
+// the barriers before it left. Rank 1 answers each of several barriers after
+// 0.6×ReadTimeout, so a deadline armed once, or re-armed only when it has
+// passed, would expire inside the second or third barrier of rank 0.
+func TestMeshSlowPeerWithinTimeout(t *testing.T) {
+	meshes, stop, err := NewLocalMesh(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	const timeout, barriers = 250 * time.Millisecond, 6
+	for _, m := range meshes {
+		m.ReadTimeout = timeout
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for rk, m := range meshes {
+		wg.Add(1)
+		go func(rk int, m *Mesh) {
+			defer wg.Done()
+			for tag := 0; tag < barriers; tag++ {
+				if rk == 1 {
+					time.Sleep(timeout * 6 / 10)
+				}
+				if err := m.Deliver(tag); err != nil {
+					errs[rk] = fmt.Errorf("barrier %d: %w", tag, err)
+					return
+				}
+			}
+		}(rk, m)
+	}
+	wg.Wait()
+	for rk, err := range errs {
+		if err != nil {
+			t.Errorf("rank %d: %v", rk, err)
+		}
+	}
+}
+
+// deadlineConn records the deadlines a mesh sets on it.
+type deadlineConn struct {
+	scriptConn
+	set []time.Time
+}
+
+func (c *deadlineConn) SetDeadline(d time.Time) error { c.set = append(c.set, d); return nil }
+
+// TestMeshDeadlineRearm pins when the barrier deadline moves: on the first
+// exchange, then only once less than ReadTimeout of it is left — and then
+// 2×ReadTimeout ahead — or when ReadTimeout changes; a ReadTimeout of 0
+// clears it once.
+func TestMeshDeadlineRearm(t *testing.T) {
+	peer := &deadlineConn{}
+	mesh, err := NewMesh(Partition{Workers: 2, Rank: 0}, []net.Conn{nil, peer}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const T = time.Second
+	mesh.ReadTimeout = T
+	t0 := time.Now()
+	var want []time.Time
+	for _, step := range []struct {
+		at     time.Duration // when the exchange starts, after t0
+		rearms bool
+	}{
+		{0, true},      // first exchange: deadline t0+2T
+		{T / 2, false}, // 1.5T left
+		{T, false},     // exactly T left
+		{T + 1, true},  // under T left: deadline t0+3T+1
+		{2 * T, false}, // T+1 left
+		{5 * T, true},  // long idle, deadline passed: re-armed
+	} {
+		now := t0.Add(step.at)
+		mesh.armDeadline(now)
+		if step.rearms {
+			want = append(want, now.Add(2*T))
+		}
+		if !slices.EqualFunc(peer.set, want, time.Time.Equal) {
+			t.Fatalf("after an exchange at t0+%v: deadlines %v, want %v", step.at, peer.set, want)
+		}
+	}
+	now := t0.Add(5 * T)
+	mesh.ReadTimeout = 3 * T // a new timeout re-arms at once
+	mesh.armDeadline(now)
+	want = append(want, now.Add(6*T))
+	mesh.ReadTimeout = 0 // cleared once, then left alone
+	mesh.armDeadline(now)
+	mesh.armDeadline(now.Add(T))
+	want = append(want, time.Time{})
+	if !slices.EqualFunc(peer.set, want, time.Time.Equal) {
+		t.Fatalf("deadlines %v, want %v", peer.set, want)
 	}
 }

@@ -23,9 +23,10 @@ type WorkerOptions struct {
 	// lower ranks (with retry — peers may still be starting) and claiming
 	// inbound connections from higher ranks. 0 means 30s.
 	PeerTimeout time.Duration
-	// ReadTimeout is the mesh's per-round barrier deadline, armed on the
-	// reads of the peers' frames and on the writes of ours. 0 means the
-	// Mesh default (60s).
+	// ReadTimeout is the mesh's barrier deadline T (Mesh.ReadTimeout),
+	// armed on the reads of the peers' frames and on the writes of ours: a
+	// stalled barrier fails after between T and 2T. 0 means the Mesh
+	// default (60s).
 	ReadTimeout time.Duration
 	// ParkTTL bounds how long an unclaimed inbound peer connection may sit
 	// parked: a job that never forms (failed mesh, dead coordinator) must

@@ -54,7 +54,7 @@ type Exec struct {
 	field ring.Field
 	// netRound mirrors Machine's fault-injection round counter (fault.go).
 	netRound int
-	owned    []bool // owned[v]: the transport hosts node v here (setTransport)
+	owned    []bool // owned[v]: the transport hosts node v here (setTransport; read-only)
 	// chain, chainPlan and exch are the transport walk's position in the
 	// exchange schedule of the chain being run (exchange.go): the plan of
 	// the chain now running and the next exchange to open.

@@ -202,7 +202,7 @@ type Machine struct {
 	// netRound is the global network round counter the injector is indexed
 	// by.
 	netRound int
-	owned    []bool       // owned[v]: the transport hosts node v here
+	owned    []bool       // owned[v]: the transport hosts node v here (read-only)
 	viaVals  []ring.Value // runRoundVia's round scratch, reused
 	// split is the rounds counted at MarkSplit (emit.go), and open the
 	// phase spans open now, which a failing Route closes.
@@ -276,7 +276,7 @@ func New(n int, r ring.Semiring, opts ...Option) *Machine {
 		m.sentAt[i] = -1
 		m.recvAt[i] = -1
 	}
-	m.owned = ownedTable(m.transport, n, nil)
+	m.owned = ownedTable(m.transport, n)
 	return m
 }
 

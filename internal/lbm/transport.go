@@ -3,6 +3,7 @@ package lbm
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"lbmm/internal/ring"
 )
@@ -50,9 +51,9 @@ import (
 //
 // Send copies its payload and Recv copies into the caller's slice, so the
 // engines send from their arenas, apply from their own reused round scratch
-// and the steady state allocates nothing. Ownership is fixed for a run: the
-// engines ask Owns once per node when the transport is attached and index the
-// resulting table inside the round loops.
+// and the steady state allocates nothing. Ownership is fixed for the
+// transport's life: the transport hands the engines its ownership table
+// (Owned) when it is attached, and the round loops index that table.
 //
 // A nil transport is the default and is not merely Loopback spelled
 // differently: it selects the original single-process fast path, with no
@@ -82,10 +83,14 @@ const valueWireBytes = 8
 // concurrent internally), but several executions may each hold their own
 // Transport.
 type Transport interface {
-	// Owns reports whether this participant hosts node v's store. Non-owned
+	// Owned returns the ownership table of nodes 0..n-1: Owned(n)[v]
+	// reports whether this participant hosts node v's store. Non-owned
 	// stores are inert: writes to them are dropped and their sends are some
-	// other participant's job. The answer is fixed for the transport's life.
-	Owns(v NodeID) bool
+	// other participant's job. The table is read-only and fixed for the
+	// transport's life — the engines keep it, unchanged, for every run the
+	// transport is attached to — so an implementation builds it once and
+	// hands the same one out again.
+	Owned(n int) []bool
 	// Send queues a copy of the payload (one value per lane) of one real
 	// message of the exchange tagged tag, from a node this participant owns
 	// to any node (which may be local). Calls within an exchange come in
@@ -126,8 +131,23 @@ type Loopback struct {
 	rd      int          // read position in in
 }
 
-// Owns reports true: a loopback participant hosts every node.
-func (lb *Loopback) Owns(NodeID) bool { return true }
+// allOwned is the all-true table every Loopback hands out, shared so that a
+// Loopback made per multiply allocates none. It is never written once
+// published; a larger n publishes a longer one.
+var allOwned atomic.Pointer[[]bool]
+
+// Owned reports every node owned: a loopback participant hosts them all.
+func (lb *Loopback) Owned(n int) []bool {
+	if t := allOwned.Load(); t != nil && len(*t) >= n {
+		return (*t)[:n:n]
+	}
+	t := make([]bool, n)
+	for v := range t {
+		t[v] = true
+	}
+	allOwned.Store(&t)
+	return t
+}
 
 // Send appends a copy of the payload to the exchange's slab.
 func (lb *Loopback) Send(tag int, from, to NodeID, payload []ring.Value) error {
@@ -206,15 +226,14 @@ func WithTransport(t Transport) Option {
 	return func(s *settings) { s.transport = t }
 }
 
-// ownedTable asks the transport once per node which stores this participant
-// hosts, appending into reuse's storage (empty for a nil transport). The
-// round loops index the table instead of calling Owns per instruction.
-func ownedTable(t Transport, n int, reuse []bool) []bool {
-	owned := reuse[:0]
-	for v := 0; t != nil && v < n; v++ {
-		owned = append(owned, t.Owns(NodeID(v)))
+// ownedTable is the transport's ownership table of n nodes (nil for a nil
+// transport), read as it is: the round loops index it instead of asking the
+// transport per instruction.
+func ownedTable(t Transport, n int) []bool {
+	if t == nil {
+		return nil
 	}
-	return owned
+	return t.Owned(n)
 }
 
 // Owns reports whether this machine hosts node v's store (always true
@@ -229,11 +248,11 @@ func (x *Exec) Owns(v NodeID) bool {
 	return x.transport == nil || x.owned[v]
 }
 
-// setTransport attaches (or, with nil, detaches) a transport and rebuilds
-// the ownership table for it.
+// setTransport attaches (or, with nil, detaches) a transport and takes its
+// ownership table.
 func (x *Exec) setTransport(t Transport) {
 	x.transport = t
-	x.owned = ownedTable(t, x.N, x.owned)
+	x.owned = ownedTable(t, x.N)
 	x.chain = nil
 }
 

@@ -187,6 +187,14 @@ type testTransport struct {
 
 func (tt *testTransport) Owns(v NodeID) bool { return tt.router.rankOf(v) == tt.rank }
 
+func (tt *testTransport) Owned(n int) []bool {
+	owned := make([]bool, n)
+	for v := range owned {
+		owned[v] = tt.Owns(NodeID(v))
+	}
+	return owned
+}
+
 func (tt *testTransport) Send(round int, from, to NodeID, payload []ring.Value) error {
 	if !tt.Owns(from) {
 		return fmt.Errorf("rank %d asked to send for node %d it does not own", tt.rank, from)

@@ -158,9 +158,12 @@ func Blocks(n, d int) *graph.Instance {
 	return graph.NewInstance(d, s, s, s)
 }
 
-// BlocksShifted is Blocks with the B support's blocks shifted by one block
-// position, breaking the perfect alignment: triangles only form where
-// shifted blocks overlap, exercising partial clustering.
+// BlocksShifted is Blocks with the B support's blocks shifted d/2 columns
+// to the right (wrapping at n), breaking the perfect alignment: triangles
+// only form where a shifted B block overlaps its X̂ block, d·d·⌈d/2⌉ per
+// block, exercising partial clustering. (A shift by a whole block would
+// leave no overlap and no triangle.) For d = 1 there is no shift and it is
+// Blocks.
 func BlocksShifted(n, d int) *graph.Instance {
 	mk := func(off int) *matrix.Support {
 		var es [][2]int
@@ -173,7 +176,7 @@ func BlocksShifted(n, d int) *graph.Instance {
 		}
 		return matrix.NewSupport(n, es)
 	}
-	return graph.NewInstance(d, mk(0), mk(0), mk(0))
+	return graph.NewInstance(d, mk(0), mk(d/2), mk(0))
 }
 
 // HotPair returns the skewed instance separating Lemma 3.1 from the naive

@@ -107,8 +107,8 @@ func TestBlocksExtremal(t *testing.T) {
 		t.Error("blocks not US(d)")
 	}
 	sh := BlocksShifted(n, d)
-	if sh.CountTriangles() == 0 {
-		t.Error("shifted blocks have no triangles")
+	if got := sh.CountTriangles(); got != (n/d)*d*d*(d-d/2) {
+		t.Errorf("shifted blocks triangles = %d, want %d: B shifted d/2 overlaps ⌈d/2⌉ columns of each block", got, (n/d)*d*d*(d-d/2))
 	}
 }
 
