@@ -133,21 +133,13 @@ func clusterSchedule(inst *graph.Instance, isField bool, alpha float64, tris []g
 	if isField {
 		lambda = params.LambdaStrassen
 	}
-	d := float64(inst.D)
 	residual := tris
 	for _, st := range params.Schedule(lambda, 1e-5, alpha) {
-		targetResidual := int(math.Pow(d, st.Beta) * float64(inst.N))
-		if len(residual) <= targetResidual {
+		opts := partitionOpts(inst, st)
+		if len(residual) <= opts.TargetResidual {
 			continue
 		}
-		minGain := int(math.Pow(d, 3-4*st.Epsilon) / 24)
-		if minGain < 2 {
-			minGain = 2
-		}
-		batches, rest := cluster.Partition(residual, inst.N, inst.D, cluster.PartitionOpts{
-			MinGain:        minGain,
-			TargetResidual: targetResidual,
-		})
+		batches, rest := cluster.Partition(residual, inst.N, inst.D, opts)
 		if len(batches) == 0 {
 			break
 		}
@@ -157,6 +149,17 @@ func clusterSchedule(inst *graph.Instance, isField bool, alpha float64, tris []g
 		residual = rest
 	}
 	return residual, nil
+}
+
+// partitionOpts is schedule step st's Lemma 4.11 application on inst: the
+// cluster-density threshold d^{3-4ε}/24 of Lemma 4.7, at least 2, and the
+// residual target d^β·n.
+func partitionOpts(inst *graph.Instance, st params.Step) cluster.PartitionOpts {
+	d := float64(inst.D)
+	return cluster.PartitionOpts{
+		MinGain:        max(int(math.Pow(d, 3-4*st.Epsilon)/24), 2),
+		TargetResidual: int(math.Pow(d, st.Beta) * float64(inst.N)),
+	}
 }
 
 // twoPhase reports whether p is a two-phase plan (Theorem 4.2 or the

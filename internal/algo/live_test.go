@@ -93,9 +93,9 @@ func TestLiveGuard(t *testing.T) {
 				mprof, cprof := obsv.NewProfile(), obsv.NewProfile()
 				_, _, merr := p.MultiplyMap(av, bv, limit, lbm.WithCollector(mprof))
 				_, _, cerr := multiplyOne(p, av, bv, limit, lbm.WithCollector(cprof))
-				if fmt.Sprint(merr) != fmt.Sprint(cerr) || len(mprof.Rounds()) != len(cprof.Rounds()) {
+				if fmt.Sprint(merr) != fmt.Sprint(cerr) || len(mprof.PerRoundMessages()) != len(cprof.PerRoundMessages()) {
 					t.Fatalf("%s: under StoreLimit %d the map engine ends with %v after %d rounds, the compiled with %v after %d",
-						label, mres.Stats.PeakStore-1, merr, len(mprof.Rounds()), cerr, len(cprof.Rounds()))
+						label, mres.Stats.PeakStore-1, merr, len(mprof.PerRoundMessages()), cerr, len(cprof.PerRoundMessages()))
 				}
 				if merr != nil {
 					limited++

@@ -258,7 +258,7 @@ func TestCliqueRoundReadsStartState(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		ch := cp.Chain()
+		ch := &lbm.Chain{Plans: []*lbm.CompiledPlan{cp}}
 		depth, exchanges := ch.Depth(), ch.Schedule().Exchanges()
 		if depth > exchanges || exchanges > len(cc.Rounds) {
 			t.Fatalf("%s: depth %d, %d exchanges, %d clique rounds: want depth ≤ exchanges ≤ clique rounds",

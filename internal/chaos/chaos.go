@@ -167,9 +167,6 @@ type Injector struct {
 	stragglers map[lbm.NodeID][][2]int
 }
 
-// Plan returns the plan the injector was compiled from.
-func (in *Injector) Plan() FaultPlan { return in.plan }
-
 // rates resolves the effective rates for a round: the per-round override if
 // one exists, the plan-wide rates if the round is inside the window, and
 // all-clean otherwise.

@@ -51,11 +51,12 @@ type CubeSpec struct {
 	Layout *lbm.Layout
 }
 
-// CubeJob is a planned batch: two virtual communication phases with a free
-// local multiplication step between them.
+// CubeJob is a planned batch: the virtual messages of two communication
+// phases with a free local multiplication step between them. A batch's
+// phases are scheduled together (PlanCubeProgram).
 type CubeJob struct {
-	distribute *lbm.Plan
-	aggregate  *lbm.Plan
+	distribute []lbm.Send
+	aggregate  []lbm.Send
 	// prods are the free local products: host computes a*b into dst.
 	prods []prodTask
 	// cleanup lists staged copies to delete after the batch (the original
@@ -189,7 +190,7 @@ func PlanCube(net *vnet.Net, spec *CubeSpec) (*CubeJob, error) {
 			job.cleanup = append(job.cleanup, hostKeyPair{net.Host[s.To], s.Dst})
 		}
 	}
-	job.distribute = routing.Schedule(dist)
+	job.distribute = dist
 
 	// Phase 2: aggregate partials into the X owners.
 	var agg []lbm.Send
@@ -203,7 +204,7 @@ func PlanCube(net *vnet.Net, spec *CubeSpec) (*CubeJob, error) {
 	for _, s := range agg {
 		job.cleanup = append(job.cleanup, hostKeyPair{net.Host[s.From], s.Src})
 	}
-	job.aggregate = routing.Schedule(agg)
+	job.aggregate = agg
 	return job, nil
 }
 
@@ -265,42 +266,40 @@ func permutedPositionMap(xs []int32, seed uint64) map[int32]int32 {
 	return m
 }
 
-// CubeProgram is a batch of cube jobs with the merged distribute/aggregate
-// communication lowered to real plans once, at plan time: the vnet
+// CubeProgram is a batch of cube jobs with each communication phase
+// scheduled and lowered to a real plan once, at plan time: the vnet
 // compilation is free preprocessing in the supported model, never
 // per-request work.
 type CubeProgram struct {
 	Dist, Agg *lbm.Plan
 }
 
-// PlanCubeProgram merges the jobs' virtual phases (they must use disjoint
-// processors and disjoint input rows — true for the disjoint clusters of
-// one clustering) and compiles them to real plans.
+// PlanCubeProgram schedules each phase of the jobs as one h-relation over
+// all their virtual messages (routing.Schedule) and compiles it to a real
+// plan. The jobs must use disjoint processors and keys, as the disjoint
+// clusters of one clustering do; their input and output owners may be
+// shared.
 func PlanCubeProgram(net *vnet.Net, jobs []*CubeJob) (*CubeProgram, error) {
-	var distPlans, aggPlans []*lbm.Plan
+	var dist, agg []lbm.Send
 	for _, j := range jobs {
-		if j.distribute != nil {
-			distPlans = append(distPlans, j.distribute)
-		}
-		if j.aggregate != nil {
-			aggPlans = append(aggPlans, j.aggregate)
-		}
+		dist = append(dist, j.distribute...)
+		agg = append(agg, j.aggregate...)
 	}
-	dist, err := net.Compile(vnet.MergeParallel(distPlans...))
+	d, err := net.Compile(routing.Schedule(dist))
 	if err != nil {
 		return nil, fmt.Errorf("dense: distribute: %w", err)
 	}
-	agg, err := net.Compile(vnet.MergeParallel(aggPlans...))
+	a, err := net.Compile(routing.Schedule(agg))
 	if err != nil {
 		return nil, fmt.Errorf("dense: aggregate: %w", err)
 	}
-	return &CubeProgram{Dist: dist, Agg: agg}, nil
+	return &CubeProgram{Dist: d, Agg: a}, nil
 }
 
-// EmitCubeProgram writes a batch of cube jobs to e: the merged distribute
-// plan, every job's local products, the merged aggregate plan, then the
-// clearing of the staged copies. The products between distribute and
-// aggregate end a chain, so each plan is a chain of its own.
+// EmitCubeProgram writes a batch of cube jobs to e: the distribute plan,
+// every job's local products, the aggregate plan, then the clearing of the
+// staged copies. The products between distribute and aggregate end a chain,
+// so each plan is a chain of its own.
 func EmitCubeProgram(e lbm.Emitter, jobs []*CubeJob, cube *CubeProgram) error {
 	e.BeginPhase("dense/cube")
 	e.Counter("jobs", float64(len(jobs)))

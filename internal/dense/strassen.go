@@ -141,12 +141,14 @@ type StrassenSpec struct {
 // VariantWinograd returns the Strassen–Winograd coefficient tables.
 func VariantWinograd() *bilinear { return Winograd }
 
-// StrassenJob is a planned batch.
+// StrassenJob is a planned batch: the virtual messages of each
+// communication phase, which a batch schedules together
+// (PlanStrassenProgram), and the leaf products between them.
 type StrassenJob struct {
-	down  []*lbm.Plan // one per level transition, A and B combined
-	up    []*lbm.Plan // one per level transition (reverse order: deepest first)
-	final *lbm.Plan   // C(0) -> X owners
-	init  *lbm.Plan   // A,B -> level-0 element owners
+	down  [][]lbm.Send // one per level transition, A and B combined
+	up    [][]lbm.Send // one per level transition (reverse order: deepest first)
+	final []lbm.Send   // C(0) -> X owners
+	init  []lbm.Send   // A,B -> level-0 element owners
 	leafs []leafTask
 	// cleanup: every scratch element key created, to delete after the run.
 	cleanup []hostKeyPair
@@ -286,7 +288,7 @@ func PlanStrassen(net *vnet.Net, spec *StrassenSpec) (*StrassenJob, error) {
 		return n + int32(spec.Layout.OwnerB(g1, g2)), lbm.BKey(g1, g2)
 	}, kindB(0))
 	sortSends(initMsgs)
-	job.init = routing.Schedule(initMsgs)
+	job.init = initMsgs
 
 	// Downward phases.
 	for l := 0; l < k; l++ {
@@ -359,7 +361,7 @@ func PlanStrassen(net *vnet.Net, spec *StrassenSpec) (*StrassenJob, error) {
 			}
 		}
 		sortSends(msgs)
-		job.down = append(job.down, routing.Schedule(msgs))
+		job.down = append(job.down, msgs)
 	}
 
 	// Leaf products and their C presence (support product of presA, presB).
@@ -449,7 +451,7 @@ func PlanStrassen(net *vnet.Net, spec *StrassenSpec) (*StrassenJob, error) {
 			presC[l][s] = pc
 		}
 		sortSends(msgs)
-		job.up = append(job.up, routing.Schedule(msgs))
+		job.up = append(job.up, msgs)
 	}
 
 	// Final phase: C(0) elements -> X owners, masked by SX.
@@ -474,29 +476,30 @@ func PlanStrassen(net *vnet.Net, spec *StrassenSpec) (*StrassenJob, error) {
 		}
 	}
 	sortSends(finals)
-	job.final = routing.Schedule(finals)
+	job.final = finals
 	return job, nil
 }
 
-// StrassenProgram is a batch of Strassen jobs with every per-level merged
-// communication phase lowered to a real plan once, at plan time (the jobs'
-// processor sets and index rows must be disjoint).
+// StrassenProgram is a batch of Strassen jobs with every per-level
+// communication phase scheduled and lowered to a real plan once, at plan
+// time.
 type StrassenProgram struct {
 	Init, Final *lbm.Plan
 	Down, Up    []*lbm.Plan
 }
 
-// PlanStrassenProgram merges each phase of the jobs' virtual plans and
-// compiles them to real plans.
+// PlanStrassenProgram schedules each phase of the jobs as one h-relation
+// over all their virtual messages (routing.Schedule) and compiles it to a
+// real plan. The jobs must use disjoint processors and tags, as the
+// disjoint clusters of one clustering do; their input and output owners may
+// be shared.
 func PlanStrassenProgram(net *vnet.Net, jobs []*StrassenJob) (*StrassenProgram, error) {
-	compilePhase := func(pick func(*StrassenJob) *lbm.Plan, what string) (*lbm.Plan, error) {
-		var plans []*lbm.Plan
+	compilePhase := func(pick func(*StrassenJob) []lbm.Send, what string) (*lbm.Plan, error) {
+		var msgs []lbm.Send
 		for _, j := range jobs {
-			if p := pick(j); p != nil {
-				plans = append(plans, p)
-			}
+			msgs = append(msgs, pick(j)...)
 		}
-		real, err := net.Compile(vnet.MergeParallel(plans...))
+		real, err := net.Compile(routing.Schedule(msgs))
 		if err != nil {
 			return nil, fmt.Errorf("dense: strassen %s: %w", what, err)
 		}
@@ -513,12 +516,12 @@ func PlanStrassenProgram(net *vnet.Net, jobs []*StrassenJob) (*StrassenProgram, 
 	}
 	prog := &StrassenProgram{}
 	var err error
-	if prog.Init, err = compilePhase(func(j *StrassenJob) *lbm.Plan { return j.init }, "init"); err != nil {
+	if prog.Init, err = compilePhase(func(j *StrassenJob) []lbm.Send { return j.init }, "init"); err != nil {
 		return nil, err
 	}
 	for l := 0; l < maxDown; l++ {
 		l := l
-		p, err := compilePhase(func(j *StrassenJob) *lbm.Plan {
+		p, err := compilePhase(func(j *StrassenJob) []lbm.Send {
 			if l < len(j.down) {
 				return j.down[l]
 			}
@@ -531,7 +534,7 @@ func PlanStrassenProgram(net *vnet.Net, jobs []*StrassenJob) (*StrassenProgram, 
 	}
 	for l := 0; l < maxUp; l++ {
 		l := l
-		p, err := compilePhase(func(j *StrassenJob) *lbm.Plan {
+		p, err := compilePhase(func(j *StrassenJob) []lbm.Send {
 			if l < len(j.up) {
 				return j.up[l]
 			}
@@ -542,17 +545,16 @@ func PlanStrassenProgram(net *vnet.Net, jobs []*StrassenJob) (*StrassenProgram, 
 		}
 		prog.Up = append(prog.Up, p)
 	}
-	if prog.Final, err = compilePhase(func(j *StrassenJob) *lbm.Plan { return j.final }, "final"); err != nil {
+	if prog.Final, err = compilePhase(func(j *StrassenJob) []lbm.Send { return j.final }, "final"); err != nil {
 		return nil, err
 	}
 	return prog, nil
 }
 
-// EmitStrassenProgram writes a batch of Strassen jobs to e: the merged
-// init and down plans, every job's leaf block products, the merged up and
-// final plans, then the clearing of the staged copies; every plan is a
-// chain of one. It needs a field: its leaves multiply blocks, and its
-// combinations subtract.
+// EmitStrassenProgram writes a batch of Strassen jobs to e: the init and
+// down plans, every job's leaf block products, the up and final plans,
+// then the clearing of the staged copies; every plan is a chain of one. It
+// needs a field: its leaves multiply blocks, and its combinations subtract.
 func EmitStrassenProgram(e lbm.Emitter, jobs []*StrassenJob, st *StrassenProgram) error {
 	route := func(p *lbm.Plan, phase, row string) error {
 		e.BeginPhase(phase)

@@ -135,7 +135,7 @@ func TestStoreLimitInsideFusedExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := cp.Chain().Schedule(); s.Rounds() != 2 || s.Exchanges() != 1 {
+	if s := (&lbm.Chain{Plans: []*lbm.CompiledPlan{cp}}).Schedule(); s.Rounds() != 2 || s.Exchanges() != 1 {
 		t.Fatalf("the plan has %d rounds in %d exchanges, want 2 in 1", s.Rounds(), s.Exchanges())
 	}
 	run := func(opts ...lbm.Option) (*lbm.Exec, error) {
@@ -146,8 +146,8 @@ func TestStoreLimitInsideFusedExchange(t *testing.T) {
 		return x, x.Run(cp)
 	}
 	ref, want := run()
-	if want == nil || ref.Rounds() != 1 {
-		t.Fatalf("nil-transport run: want the limit to trip in round 1 after 1 counted round, got %v after %d", want, ref.Rounds())
+	if want == nil || ref.Stats().Rounds != 1 {
+		t.Fatalf("nil-transport run: want the limit to trip in round 1 after 1 counted round, got %v after %d", want, ref.Stats().Rounds)
 	}
 
 	meshes := localMeshTable(t, 3, nil)
@@ -169,8 +169,8 @@ func TestStoreLimitInsideFusedExchange(t *testing.T) {
 			t.Errorf("rank %d holds no overfull node, got %v", rk, err)
 		case rk == owner && (err == nil || err.Error() != want.Error()):
 			t.Errorf("rank %d: %v, nil transport: %v", rk, err, want)
-		case rk == owner && xs[rk].Rounds() != ref.Rounds():
-			t.Errorf("rank %d failed after %d counted rounds, nil transport after %d", rk, xs[rk].Rounds(), ref.Rounds())
+		case rk == owner && xs[rk].Stats().Rounds != ref.Stats().Rounds:
+			t.Errorf("rank %d failed after %d counted rounds, nil transport after %d", rk, xs[rk].Stats().Rounds, ref.Stats().Rounds)
 		}
 	}
 	if got := fmt.Sprint(want); got != "round 1: lbm: node 4 exceeds the store limit (3 > 2 values)" {

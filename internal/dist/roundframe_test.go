@@ -73,7 +73,7 @@ func hostileRound(t testing.TB, script []byte) (mesh *Mesh, peer *scriptConn, be
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := cp.Chain().Schedule(); s.Rounds() != 2 || s.Exchanges() != 1 {
+	if s := (&lbm.Chain{Plans: []*lbm.CompiledPlan{cp}}).Schedule(); s.Rounds() != 2 || s.Exchanges() != 1 {
 		t.Fatalf("the hostile plan has %d rounds in %d exchanges, want 2 in 1", s.Rounds(), s.Exchanges())
 	}
 	peer = &scriptConn{in: bytes.NewReader(script)}

@@ -173,11 +173,6 @@ const (
 
 func (s Side) String() string { return [...]string{"I", "J", "K"}[s] }
 
-// Nodes returns the three node ids of a triangle.
-func (t Triangle) Nodes(n int) [3]int {
-	return [3]int{int(t.I), n + int(t.J), 2*n + int(t.K)}
-}
-
 // NodeCounts returns t(v) — the number of triangles touching each node
 // v ∈ V, indexed by packed node id (length 3n).
 func NodeCounts(tris []Triangle, n int) []int {

@@ -154,12 +154,6 @@ func TestUSTriangleBound(t *testing.T) {
 }
 
 func TestNodeAddressing(t *testing.T) {
-	n := 7
-	tr := Triangle{1, 2, 3}
-	nodes := tr.Nodes(n)
-	if nodes != [3]int{1, 7 + 2, 14 + 3} {
-		t.Fatalf("Nodes = %v", nodes)
-	}
 	if SideI.String() != "I" || SideJ.String() != "J" || SideK.String() != "K" {
 		t.Error("Side names")
 	}

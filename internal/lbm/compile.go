@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"slices"
-	"sync/atomic"
 )
 
 // This file is the lowering pass of the execution spine: it turns a Plan —
@@ -263,10 +262,6 @@ type CompiledPlan struct {
 	// instruction.
 	Real   []int32
 	HasSub bool
-
-	// solo caches the plan as a chain of one (exchange.go): derived state,
-	// built on first use under a transport and never serialized.
-	solo atomic.Pointer[Chain]
 }
 
 // NumRounds returns the number of rounds in the compiled plan.

@@ -239,7 +239,7 @@ func TestExecCycleAllocFree(t *testing.T) {
 				if err := x.Run(cp); err != nil {
 					t.Fatalf("lanes %d %s: %v", lanes, ld.name, err)
 				}
-				if x.Rounds() == 0 {
+				if x.stats.Rounds == 0 {
 					t.Fatalf("lanes %d %s: the plan moved no real message", lanes, ld.name)
 				}
 				x.Reset()

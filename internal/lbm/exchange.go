@@ -51,16 +51,6 @@ func (c *Chain) Schedule() *Schedule {
 	return c.sched.Load()
 }
 
-// Chain returns the plan as a chain of one — what Exec.Run walks — built on
-// first use and cached on the plan.
-func (cp *CompiledPlan) Chain() *Chain {
-	if c := cp.solo.Load(); c != nil {
-		return c
-	}
-	cp.solo.CompareAndSwap(nil, &Chain{Plans: []*CompiledPlan{cp}})
-	return cp.solo.Load()
-}
-
 // netRound addresses one network round (a round with at least one real
 // message) of a chain.
 type netRound struct{ plan, round int32 }

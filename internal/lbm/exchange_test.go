@@ -303,7 +303,7 @@ func TestExchangeScheduleParity(t *testing.T) {
 	}
 }
 
-// TestScheduleFirstUseConcurrent has several executors reach a fresh plan's
+// TestScheduleFirstUseConcurrent has several executors reach a fresh chain's
 // lazily built schedule at once — pooled executors of one prepared plan do —
 // and checks that they all walk one and the same schedule, correctly.
 func TestScheduleFirstUseConcurrent(t *testing.T) {
@@ -317,6 +317,7 @@ func TestScheduleFirstUseConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := &Chain{Plans: []*CompiledPlan{cp}}
 	const executors = 8
 	scheds := make([]*Schedule, executors)
 	errs := make([]error, executors)
@@ -329,10 +330,10 @@ func TestScheduleFirstUseConcurrent(t *testing.T) {
 			for _, l := range loads {
 				x.PutSlot(sp.Ref(l.node, l.key), l.val)
 			}
-			if errs[g] = x.Run(cp); errs[g] == nil && !reflect.DeepEqual(x.Stats(), ref.Stats()) {
+			if errs[g] = x.RunChained(c, 0); errs[g] == nil && !reflect.DeepEqual(x.Stats(), ref.Stats()) {
 				errs[g] = fmt.Errorf("stats %+v, want %+v", x.Stats(), ref.Stats())
 			}
-			scheds[g] = cp.Chain().Schedule()
+			scheds[g] = c.Schedule()
 		}(g)
 	}
 	wg.Wait()

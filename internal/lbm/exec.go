@@ -155,9 +155,6 @@ func (x *Exec) Fit(sizes []int32, r ring.Semiring) {
 	x.laid = sizes
 }
 
-// Lanes returns the number of values each slot holds (1 for NewExec).
-func (x *Exec) Lanes() int { return x.lanes }
-
 // Configure re-applies Machine options to a (typically pooled) executor
 // before a run. Unspecified options revert to their New defaults, so a
 // recycled executor behaves exactly like a fresh one.
@@ -187,9 +184,6 @@ func (x *Exec) Stats() Stats {
 	s.RoundBytes = append([]int64(nil), x.stats.RoundBytes...)
 	return s
 }
-
-// Rounds returns the number of counted rounds executed so far.
-func (x *Exec) Rounds() int { return x.stats.Rounds }
 
 // StoreLen returns the number of values currently held by node.
 func (x *Exec) StoreLen(node NodeID) int { return int(x.live[node]) }
@@ -372,11 +366,11 @@ func (x *Exec) Reset() {
 }
 
 // Run executes every round of the compiled plan. Under a transport the plan
-// is a chain of one: its rounds share exchanges with each other, never with
-// the plan run before or after it.
+// is a chain of one, built on each call: its rounds share exchanges with
+// each other, never with the plan run before or after it.
 func (x *Exec) Run(cp *CompiledPlan) error {
 	if x.transport != nil {
-		return x.RunChained(cp.Chain(), 0)
+		return x.RunChained(&Chain{Plans: []*CompiledPlan{cp}}, 0)
 	}
 	return x.run(cp)
 }

@@ -153,8 +153,8 @@ func TestExecBatchReset(t *testing.T) {
 func TestExecBatchLaneAccessors(t *testing.T) {
 	x := NewExecBatch([]int32{2}, 3, ring.Counting{})
 	ref := SlotRef{Node: 0, Slot: 0}
-	if x.Lanes() != 3 {
-		t.Fatalf("Lanes() = %d, want 3", x.Lanes())
+	if x.lanes != 3 {
+		t.Fatalf("lanes = %d, want 3", x.lanes)
 	}
 	if _, ok := x.GetLane(ref, 0); ok {
 		t.Fatal("GetLane on empty slot reported present")

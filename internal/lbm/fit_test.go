@@ -13,7 +13,7 @@ import (
 // and they lie back to back in the slabs.
 func checkViews(t *testing.T, x *Exec, sizes []int32) {
 	t.Helper()
-	K, lo := x.Lanes(), 0
+	K, lo := x.lanes, 0
 	for v, sz := range sizes {
 		n := int(sz)
 		if len(x.stamp[v]) != n || cap(x.stamp[v]) != n {
@@ -33,7 +33,7 @@ func checkViews(t *testing.T, x *Exec, sizes []int32) {
 func fillAll(x *Exec, sizes []int32, v ring.Value) {
 	for node, sz := range sizes {
 		for s := int32(0); s < sz; s++ {
-			for l := 0; l < x.Lanes(); l++ {
+			for l := 0; l < x.lanes; l++ {
 				x.PutLane(SlotRef{Node: NodeID(node), Slot: s}, l, v)
 			}
 		}

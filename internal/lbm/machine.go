@@ -68,9 +68,6 @@ func (p *Plan) Annotate(label string, metrics map[string]float64) {
 // composed plan is annotated as a whole.
 func (p *Plan) Extend(q *Plan) { p.Rounds = append(p.Rounds, q.Rounds...) }
 
-// NumRounds returns the number of (non-empty) rounds in the plan.
-func (p *Plan) NumRounds() int { return len(p.Rounds) }
-
 // Cost returns what running the plan charges to Stats.Rounds and
 // Stats.Messages: the rounds with at least one real (From ≠ To) send, and
 // those sends. Rounds are a function of the structure, so a plan's cost is
@@ -514,27 +511,4 @@ func (m *Machine) Run(p *Plan) error {
 		}
 	}
 	return nil
-}
-
-// Reset clears all stores and statistics, returning the machine to its
-// freshly-constructed state (engine settings are kept). Prepared-plan
-// workloads reuse one machine across many value sets without reallocating
-// the n stores.
-func (m *Machine) Reset() {
-	for i := range m.stores {
-		clear(m.stores[i])
-	}
-	m.stats = Stats{
-		SendLoad:   m.stats.SendLoad,
-		RecvLoad:   m.stats.RecvLoad,
-		RoundBytes: m.stats.RoundBytes[:0],
-	}
-	for i := range m.stats.SendLoad {
-		m.stats.SendLoad[i] = 0
-		m.stats.RecvLoad[i] = 0
-	}
-	m.netRound, m.split, m.open = 0, 0, 0
-	if p := m.Profile(); p != nil {
-		p.Reset()
-	}
 }

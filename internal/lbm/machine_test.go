@@ -158,8 +158,8 @@ func TestPlanComposition(t *testing.T) {
 	q := &Plan{}
 	q.Append(Round{{From: 1, To: 0, Src: AKey(0, 0), Dst: TKey(0, 0, 0)}})
 	p.Extend(q)
-	if p.NumRounds() != 2 {
-		t.Errorf("NumRounds = %d", p.NumRounds())
+	if len(p.Rounds) != 2 {
+		t.Errorf("%d rounds", len(p.Rounds))
 	}
 }
 
@@ -382,34 +382,6 @@ func TestStoreLimitEnforced(t *testing.T) {
 	err := m.RunRound(Round{{From: 0, To: 2, Src: AKey(0, 1), Dst: TKey(0, 0, 1)}})
 	if err == nil || !strings.Contains(err.Error(), "store limit") {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestReset(t *testing.T) {
-	m := New(3, ring.Counting{}, WithTrace())
-	m.Put(0, AKey(0, 0), 5)
-	_ = m.RunRound(Round{{From: 0, To: 1, Src: AKey(0, 0), Dst: AKey(0, 0)}})
-	m.Reset()
-	if m.Rounds() != 0 || m.Stats().Messages != 0 || m.Stats().PeakStore != 0 {
-		t.Errorf("stats survive reset: %+v", m.Stats())
-	}
-	if _, ok := m.Get(0, AKey(0, 0)); ok {
-		t.Error("store survives reset")
-	}
-	st := m.Stats()
-	if st.MaxSendLoad() != 0 {
-		t.Error("loads survive reset")
-	}
-	if prof := m.Profile(); prof == nil || prof.NumRounds() != 0 {
-		t.Error("trace survives reset")
-	}
-	// The machine is usable again.
-	m.Put(0, AKey(0, 0), 7)
-	if err := m.RunRound(Round{{From: 0, To: 2, Src: AKey(0, 0), Dst: AKey(0, 0)}}); err != nil {
-		t.Fatal(err)
-	}
-	if m.Rounds() != 1 {
-		t.Error("machine unusable after reset")
 	}
 }
 

@@ -119,8 +119,8 @@ func TestCompiledProgramRoundTrip(t *testing.T) {
 	}
 	want, wsplit := runProgram(t, p, sp, s)
 	got, gsplit := runProgram(t, q, sp, s)
-	if wsplit != 2 || gsplit != 2 || want.Rounds() != 3 || got.Rounds() != 3 {
-		t.Fatalf("rounds before the split %d and %d, in all %d and %d; want 2 of 3", wsplit, gsplit, want.Rounds(), got.Rounds())
+	if wsplit != 2 || gsplit != 2 || want.Stats().Rounds != 3 || got.Stats().Rounds != 3 {
+		t.Fatalf("rounds before the split %d and %d, in all %d and %d; want 2 of 3", wsplit, gsplit, want.Stats().Rounds, got.Stats().Rounds)
 	}
 	// x = a·b + e·b; the leaf's C = [a e; 0 0]·[b 0; 0 b] = [6 15; 0 0], and
 	// C[0][0] is subtracted into y.

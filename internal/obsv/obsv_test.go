@@ -42,7 +42,7 @@ func TestSpanNesting(t *testing.T) {
 	if empty.Label != "empty" || empty.Start != 3 || empty.End != 3 || empty.Rounds() != 0 {
 		t.Errorf("empty = %q [%d,%d)", empty.Label, empty.Start, empty.End)
 	}
-	if got := inner.MessagesIn(p.Rounds()); got != 3 {
+	if got := inner.MessagesIn(p.rounds); got != 3 {
 		t.Errorf("inner messages = %d, want 3", got)
 	}
 }
@@ -235,24 +235,6 @@ func TestSummaryRendersPhasesAndTotals(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary missing %q:\n%s", want, s)
 		}
-	}
-}
-
-func TestReset(t *testing.T) {
-	p := NewProfile()
-	p.BeginPhase("x")
-	p.OnSend(0, 1)
-	p.OnRound(1, 0)
-	p.Reset()
-	if p.NumRounds() != 0 || len(p.SendLoad()) != 0 || len(p.RecvLoad()) != 0 || len(p.Root().Children) != 0 {
-		t.Errorf("reset left state: rounds=%d spans=%d", p.NumRounds(), len(p.Root().Children))
-	}
-	// Still usable after reset.
-	p.BeginPhase("y")
-	p.OnRound(1, 0)
-	p.EndPhase()
-	if p.Root().Children[0].Label != "y" {
-		t.Error("profile unusable after reset")
 	}
 }
 

@@ -88,20 +88,6 @@ func (p *Profile) Counter(name string, delta float64) {
 	p.cur.Counters[name] += delta
 }
 
-// Reset empties the profile in place (the lbm machine calls this from its
-// own Reset so prepared-plan reruns start from a clean slate).
-func (p *Profile) Reset() {
-	root := &Span{Label: "", open: true}
-	p.rounds = nil
-	p.root = root
-	p.cur = root
-	p.sendLoad = nil
-	p.recvLoad = nil
-}
-
-// NumRounds returns the number of counted rounds.
-func (p *Profile) NumRounds() int { return len(p.rounds) }
-
 // Messages returns the total real-message count.
 func (p *Profile) Messages() int64 {
 	var total int64
@@ -109,11 +95,6 @@ func (p *Profile) Messages() int64 {
 		total += int64(r.Messages)
 	}
 	return total
-}
-
-// Rounds returns a copy of the per-round samples.
-func (p *Profile) Rounds() []RoundSample {
-	return append([]RoundSample(nil), p.rounds...)
 }
 
 // PerRoundMessages returns the per-counted-round real message counts.

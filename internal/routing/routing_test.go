@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lbmm/internal/lbm"
@@ -175,6 +176,59 @@ func TestScheduleLocalOnly(t *testing.T) {
 	}
 	if v, _ := m.Get(2, lbm.TKey(0, 0, 1)); v != 9 {
 		t.Error("local copy missing")
+	}
+}
+
+// TestScheduleUnionOfDisjointSets checks what lets a batch of jobs on
+// disjoint nodes be scheduled as one h-relation with no extra rounds: in
+// König's regime, the schedule of the union of vertex-disjoint message sets
+// without local copies has, as round t, the sets' own rounds t in order.
+// König takes the lowest free colour and flips alternating paths only
+// inside one connected component, so each set keeps its own colouring.
+func TestScheduleUnionOfDisjointSets(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	for trial := 0; trial < 30; trial++ {
+		var union []lbm.Send
+		var sets []*lbm.Plan
+		base := 0
+		for range 1 + rng.Intn(5) {
+			n := 2 + rng.Intn(12)
+			var msgs []lbm.Send
+			for i := range rng.Intn(60) {
+				from, to := rng.Intn(n), rng.Intn(n-1)
+				if to >= from {
+					to++ // no local copies
+				}
+				msgs = append(msgs, lbm.Send{
+					From: lbm.NodeID(base + from), To: lbm.NodeID(base + to),
+					Src: lbm.TKey(int32(base), int32(i), 0), Dst: lbm.TKey(int32(base), int32(i), 1),
+				})
+			}
+			union = append(union, msgs...)
+			sets = append(sets, Schedule(msgs))
+			base += n
+		}
+		if s, r, e := degreeMax(union); e > 0 && !konigAffordable(e, max(s, r)) {
+			t.Fatalf("trial %d: the union is past König's budget", trial)
+		}
+		var want []lbm.Round
+		for _, p := range sets {
+			for i, r := range p.Rounds {
+				if i == len(want) {
+					want = append(want, nil)
+				}
+				want[i] = append(want[i], r...)
+			}
+		}
+		got := Schedule(union).Rounds
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: the union takes %d rounds, its sets %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if !slices.Equal(got[i], want[i]) {
+				t.Fatalf("trial %d, round %d: the union sends %v, its sets %v", trial, i, got[i], want[i])
+			}
+		}
 	}
 }
 
@@ -367,9 +421,9 @@ func TestStrategyAblation(t *testing.T) {
 		if r > delta {
 			delta = r
 		}
-		konig := schedule(msgs, byKonig).NumRounds()
-		euler := schedule(msgs, byEuler).NumRounds()
-		auto := Schedule(msgs).NumRounds()
+		konig := len(schedule(msgs, byKonig).Rounds)
+		euler := len(schedule(msgs, byEuler).Rounds)
+		auto := len(Schedule(msgs).Rounds)
 		if konig != delta && delta > 0 {
 			t.Fatalf("könig %d != Δ %d", konig, delta)
 		}
@@ -416,7 +470,7 @@ func TestPipelinedBroadcast(t *testing.T) {
 		}
 	}
 	// Degenerate cases cost nothing.
-	if PipelinedBroadcast([]lbm.NodeID{3}, 5, func(int) lbm.Key { return lbm.TKey(0, 0, 0) }).NumRounds() != 0 {
+	if len(PipelinedBroadcast([]lbm.NodeID{3}, 5, func(int) lbm.Key { return lbm.TKey(0, 0, 0) }).Rounds) != 0 {
 		t.Error("single node broadcast should be free")
 	}
 }
@@ -443,7 +497,7 @@ func BenchmarkColoring(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := schedule(msgs, bc.pick)
 				if i == 0 {
-					b.ReportMetric(float64(p.NumRounds()), "rounds")
+					b.ReportMetric(float64(len(p.Rounds)), "rounds")
 				}
 			}
 		})

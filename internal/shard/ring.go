@@ -128,11 +128,6 @@ func (r *HashRing) Owner(fingerprint string) (m Member, ok bool) {
 	return r.members[r.points[i].owner], true
 }
 
-// Members returns the ring's membership sorted by ID.
-func (r *HashRing) Members() []Member {
-	return append([]Member(nil), r.members...)
-}
-
 // OwnedPermille returns how much of the key space the member owns, in
 // thousandths — the "ownership size" gauge a shard publishes. A member
 // absent from the ring owns 0.

@@ -104,24 +104,3 @@ func (nt *Net) Compile(p *lbm.Plan) (*lbm.Plan, error) {
 	}
 	return out, nil
 }
-
-// MergeParallel overlays virtual plans that use disjoint virtual nodes.
-func MergeParallel(plans ...*lbm.Plan) *lbm.Plan {
-	out := &lbm.Plan{}
-	maxLen := 0
-	for _, p := range plans {
-		if len(p.Rounds) > maxLen {
-			maxLen = len(p.Rounds)
-		}
-	}
-	for t := 0; t < maxLen; t++ {
-		var r lbm.Round
-		for _, p := range plans {
-			if t < len(p.Rounds) {
-				r = append(r, p.Rounds[t]...)
-			}
-		}
-		out.Append(r)
-	}
-	return out
-}

@@ -134,18 +134,6 @@ func TestCompileStagesConflictedSources(t *testing.T) {
 	}
 }
 
-func TestMergeParallelVirtual(t *testing.T) {
-	p1 := &lbm.Plan{}
-	p1.Append(lbm.Round{{From: 0, To: 1, Src: lbm.TKey(0, 0, 0), Dst: lbm.TKey(0, 0, 1)}})
-	p1.Append(lbm.Round{{From: 1, To: 0, Src: lbm.TKey(0, 0, 1), Dst: lbm.TKey(0, 0, 2)}})
-	p2 := &lbm.Plan{}
-	p2.Append(lbm.Round{{From: 2, To: 3, Src: lbm.TKey(1, 0, 0), Dst: lbm.TKey(1, 0, 1)}})
-	merged := MergeParallel(p1, p2)
-	if len(merged.Rounds) != 2 || len(merged.Rounds[0]) != 2 {
-		t.Errorf("merge shape: %d rounds", len(merged.Rounds))
-	}
-}
-
 func TestNewExplicitHosts(t *testing.T) {
 	nt := New([]lbm.NodeID{0, 0, 0, 1})
 	if nt.MaxLoad != 3 || nt.V() != 4 {
